@@ -1,0 +1,154 @@
+//! Delivery acknowledgements as a compact set.
+//!
+//! MaxProp floods an acknowledgement for every delivered message. Kept as
+//! an enumerated id list that is one more summary vector — re-shipped and
+//! re-merged id by id at every contact — which is exactly what the
+//! substrate's knowledge replaces (paper §III). Message ids have the same
+//! shape as versions (an origin and a per-origin sequence number handed
+//! out in order), so the set of acknowledged ids *is* a
+//! [`pfr::Knowledge`]: per origin, a contiguous prefix plus exceptions.
+//! Once an origin's early messages are all delivered its acknowledgements
+//! cost one vector entry, and merging a peer's set is O(origins).
+
+use pfr::wire::{Decode, Encode, Reader, WireError, Writer};
+use pfr::{ItemId, Knowledge, Version};
+
+/// The set of message ids known to have reached their destinations.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct AckSet(Knowledge);
+
+/// Sequence numbers start at 1, as version counters do; an id with
+/// sequence 0 is never issued and cannot be acknowledged.
+fn as_version(id: ItemId) -> Version {
+    Version::new(id.origin(), id.seq())
+}
+
+impl AckSet {
+    pub fn insert(&mut self, id: ItemId) {
+        self.0.insert(as_version(id));
+    }
+
+    pub fn contains(&self, id: ItemId) -> bool {
+        id.seq() != 0 && self.0.contains(as_version(id))
+    }
+
+    /// Unions `other` into this set; `true` if any id was new.
+    pub fn merge(&mut self, other: &AckSet) -> bool {
+        self.0.merge(&other.0)
+    }
+
+    /// Number of acknowledged ids.
+    pub fn len(&self) -> u64 {
+        self.0.version_count()
+    }
+
+    pub fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+    }
+
+    /// Decoding is bounded by the input length: every length prefix is
+    /// checked against the bytes that remain.
+    pub fn decode(r: &mut Reader<'_>) -> Result<AckSet, WireError> {
+        Knowledge::decode(r).map(AckSet)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    use pfr::ReplicaId;
+
+    fn arb_ids() -> impl Strategy<Value = BTreeSet<ItemId>> {
+        proptest::collection::vec((1u64..6, 1u64..40), 0..60).prop_map(|ids| {
+            ids.into_iter()
+                .map(|(origin, seq)| ItemId::new(ReplicaId::new(origin), seq))
+                .collect()
+        })
+    }
+
+    fn acks(ids: &BTreeSet<ItemId>) -> AckSet {
+        let mut set = AckSet::default();
+        for &id in ids {
+            set.insert(id);
+        }
+        set
+    }
+
+    fn encoded(set: &AckSet) -> Vec<u8> {
+        let mut w = Writer::new();
+        set.encode(&mut w);
+        w.into_bytes()
+    }
+
+    proptest! {
+        /// A merge holds exactly the ids either side held — none lost,
+        /// none invented — and reports whether it learned anything.
+        #[test]
+        fn merge_never_loses_an_id(a in arb_ids(), b in arb_ids()) {
+            let mut merged = acks(&a);
+            let learned = merged.merge(&acks(&b));
+            prop_assert_eq!(learned, !b.is_subset(&a));
+            for origin in 1..6 {
+                for seq in 0..45 {
+                    let id = ItemId::new(ReplicaId::new(origin), seq);
+                    prop_assert_eq!(merged.contains(id), a.contains(&id) || b.contains(&id));
+                }
+            }
+            prop_assert_eq!(merged.len(), a.union(&b).count() as u64);
+        }
+
+        /// What travels decodes to what was sent, and costs no more than
+        /// the enumerated list it replaces (two varints per id).
+        #[test]
+        fn wire_form_round_trips_and_is_compact(ids in arb_ids()) {
+            let set = acks(&ids);
+            let bytes = encoded(&set);
+            prop_assert_eq!(AckSet::decode(&mut Reader::new(&bytes)).expect("decode"), set);
+            prop_assert!(bytes.len() <= 2 + 2 * ids.len());
+        }
+
+        /// Bytes from a peer — any bytes — decode to an error or to a set;
+        /// they never panic, and what they may allocate is bounded by
+        /// their own length: every id a decoded set can enumerate beyond
+        /// its prefixes was spelled out in the input.
+        #[test]
+        fn hostile_bytes_never_panic(
+            ids in arb_ids(),
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            cut in 0usize..200,
+            flip in 0usize..200,
+        ) {
+            let _ = AckSet::decode(&mut Reader::new(&noise));
+            let mut bytes = encoded(&acks(&ids));
+            let at = flip % bytes.len();
+            bytes[at] ^= noise.first().copied().unwrap_or(0xff);
+            bytes.truncate(cut % (bytes.len() + 1));
+            if let Ok(set) = AckSet::decode(&mut Reader::new(&bytes)) {
+                prop_assert!(set.0.exception_count() + set.0.replica_count() <= bytes.len());
+                let mut ours = acks(&ids);
+                ours.merge(&set);
+                prop_assert!(ids.iter().all(|&id| ours.contains(id)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_claimed_length_beyond_the_input_is_refused() {
+        // "2^40 vector entries follow" in six bytes.
+        let mut w = Writer::new();
+        w.put_varint(1 << 40);
+        assert!(AckSet::decode(&mut Reader::new(w.as_slice())).is_err());
+    }
+
+    #[test]
+    fn sequence_zero_is_never_acknowledged() {
+        let mut set = AckSet::default();
+        let unissued = ItemId::new(ReplicaId::new(1), 0);
+        set.insert(unissued);
+        assert!(!set.contains(unissued));
+        assert_eq!(set.len(), 0);
+    }
+}

@@ -2,16 +2,18 @@
 //!
 //! Each policy defines its own routing payload (paper §V-A, requirement 2);
 //! these helpers encode the common shapes — probability vectors keyed by
-//! address or replica, address sets, and acknowledgement lists — with the
-//! same compact wire primitives as the substrate.
+//! address or replica, and address sets — with the same compact wire
+//! primitives as the substrate. Addresses decode to interned [`IStr`]s:
+//! the same few strings arrive at every contact, and holding them interned
+//! makes every later copy a reference-count bump.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use pfr::wire::{Decode, Encode, Reader, WireError, Writer};
-use pfr::{ItemId, ReplicaId, RoutingState};
+use pfr::{IStr, ReplicaId, RoutingState};
 
 /// A probability vector keyed by destination address.
-pub(crate) fn put_addr_probs(w: &mut Writer, probs: &BTreeMap<String, f64>) {
+pub(crate) fn put_addr_probs(w: &mut Writer, probs: &BTreeMap<IStr, f64>) {
     w.put_varint(probs.len() as u64);
     for (addr, p) in probs {
         w.put_str(addr);
@@ -19,11 +21,11 @@ pub(crate) fn put_addr_probs(w: &mut Writer, probs: &BTreeMap<String, f64>) {
     }
 }
 
-pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<BTreeMap<String, f64>, WireError> {
+pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<BTreeMap<IStr, f64>, WireError> {
     let len = r.get_len(2)?;
     let mut out = BTreeMap::new();
     for _ in 0..len {
-        let addr = r.get_str()?;
+        let addr = IStr::new(r.get_str_slice()?);
         let p = r.get_f64()?;
         out.insert(addr, p);
     }
@@ -51,37 +53,25 @@ pub(crate) fn get_node_probs(r: &mut Reader<'_>) -> Result<BTreeMap<ReplicaId, f
 }
 
 /// A set of addresses (the sender's current local addresses).
-pub(crate) fn put_addrs(w: &mut Writer, addrs: &BTreeSet<String>) {
+pub(crate) fn put_addrs(w: &mut Writer, addrs: &BTreeSet<IStr>) {
     w.put_varint(addrs.len() as u64);
     for a in addrs {
         w.put_str(a);
     }
 }
 
-pub(crate) fn get_addrs(r: &mut Reader<'_>) -> Result<BTreeSet<String>, WireError> {
+pub(crate) fn get_addrs(r: &mut Reader<'_>) -> Result<BTreeSet<IStr>, WireError> {
     let len = r.get_len(1)?;
     let mut out = BTreeSet::new();
     for _ in 0..len {
-        out.insert(r.get_str()?);
+        out.insert(IStr::new(r.get_str_slice()?));
     }
     Ok(out)
 }
 
-/// A set of item ids (MaxProp delivery acknowledgements).
-pub(crate) fn put_item_ids(w: &mut Writer, ids: &BTreeSet<ItemId>) {
-    w.put_varint(ids.len() as u64);
-    for id in ids {
-        id.encode(w);
-    }
-}
-
-pub(crate) fn get_item_ids(r: &mut Reader<'_>) -> Result<BTreeSet<ItemId>, WireError> {
-    let len = r.get_len(2)?;
-    let mut out = BTreeSet::new();
-    for _ in 0..len {
-        out.insert(ItemId::decode(r)?);
-    }
-    Ok(out)
+/// The interned form of a host's address set.
+pub(crate) fn intern_addrs(addrs: &BTreeSet<String>) -> BTreeSet<IStr> {
+    addrs.iter().map(IStr::from).collect()
 }
 
 /// Finishes a writer into a [`RoutingState`].
@@ -102,8 +92,8 @@ mod tests {
     #[test]
     fn addr_probs_roundtrip() {
         let mut probs = BTreeMap::new();
-        probs.insert("a".to_string(), 0.5);
-        probs.insert("b".to_string(), 0.125);
+        probs.insert(IStr::new("a"), 0.5);
+        probs.insert(IStr::new("b"), 0.125);
         let mut w = Writer::new();
         put_addr_probs(&mut w, &probs);
         let state = finish(w);
@@ -124,21 +114,12 @@ mod tests {
     }
 
     #[test]
-    fn addrs_and_ids_roundtrip() {
-        let addrs: BTreeSet<String> = ["u1", "u2"].iter().map(|s| s.to_string()).collect();
-        let ids: BTreeSet<ItemId> = [
-            ItemId::new(ReplicaId::new(1), 1),
-            ItemId::new(ReplicaId::new(2), 7),
-        ]
-        .into_iter()
-        .collect();
+    fn addrs_roundtrip() {
+        let addrs: BTreeSet<IStr> = ["u1", "u2"].into_iter().map(IStr::new).collect();
         let mut w = Writer::new();
         put_addrs(&mut w, &addrs);
-        put_item_ids(&mut w, &ids);
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(get_addrs(&mut r).unwrap(), addrs);
-        assert_eq!(get_item_ids(&mut r).unwrap(), ids);
+        assert_eq!(get_addrs(&mut Reader::new(&bytes)).unwrap(), addrs);
     }
 
     #[test]

@@ -3,13 +3,20 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pfr::sync::{HostContext, SendDecision, SyncRequest};
-use pfr::{AttributeMap, Item, ItemId, Priority, ReplicaId, SyncExtension};
+use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::{AttributeMap, IStr, Item, Priority, ReplicaId, SyncExtension};
 
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Transient attribute holding the remaining hop budget of a copy.
 pub const ATTR_TTL: &str = "dtn.ttl";
+
+/// [`ATTR_TTL`] as an interned key: stamping with it is a reference-count
+/// bump, not a string allocation.
+fn ttl_key() -> IStr {
+    static KEY: OnceLock<IStr> = OnceLock::new();
+    KEY.get_or_init(|| IStr::new(ATTR_TTL)).clone()
+}
 
 /// Process-wide interned `{dtn.ttl: n}` transient maps. TTLs take a tiny
 /// closed set of values, so every in-flight copy at the same remaining
@@ -23,7 +30,7 @@ fn ttl_map(ttl: i64) -> Arc<AttributeMap> {
     maps.entry(ttl)
         .or_insert_with(|| {
             let mut m = AttributeMap::new();
-            m.set(ATTR_TTL, ttl);
+            m.set(ttl_key(), ttl);
             Arc::new(m)
         })
         .clone()
@@ -86,25 +93,16 @@ impl SyncExtension for EpidemicPolicy {
         "epidemic"
     }
 
-    fn to_send(
-        &mut self,
-        cx: &mut HostContext<'_>,
-        item_id: ItemId,
-        _request: &SyncRequest,
-    ) -> SendDecision {
-        let Some(item) = cx.replica().item(item_id) else {
-            return SendDecision::Skip;
-        };
+    fn to_send(&mut self, item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
         if item.is_deleted() {
             // Tombstones flood freely: they only shrink state downstream.
             return SendDecision::Send(Priority::normal());
         }
         let ttl = self.ttl_of(item);
-        let had_field = item.transient().contains(ATTR_TTL);
-        if !had_field {
+        if !item.transient().contains(ATTR_TTL) {
             // Lazily stamp fresh messages with the initial budget (the
             // paper's "updates the stored message to add a TTL field").
-            let _ = cx.set_transient(item_id, ATTR_TTL, self.initial_ttl);
+            item.set_transient(ttl_key(), self.initial_ttl);
         }
         if ttl > 0 {
             SendDecision::Send(Priority::normal())
@@ -134,7 +132,7 @@ impl SyncExtension for EpidemicPolicy {
         if t.len() == 1 && t.contains(ATTR_TTL) {
             item.replace_transient(ttl_map(next));
         } else {
-            item.transient_mut().set(ATTR_TTL, next);
+            item.transient_mut().set(ttl_key(), next);
         }
     }
 }
@@ -164,7 +162,7 @@ mod tests {
         Replica::new(ReplicaId::new(n), Filter::address("dest", addr))
     }
 
-    fn send_msg(r: &mut Replica, dest: &str) -> ItemId {
+    fn send_msg(r: &mut Replica, dest: &str) -> pfr::ItemId {
         let mut attrs = AttributeMap::new();
         attrs.set("dest", dest);
         r.insert(attrs, b"m".to_vec()).unwrap()

@@ -40,6 +40,7 @@
 
 pub mod adhoc;
 
+mod acks;
 mod codec;
 mod direct;
 mod durable;

@@ -1,13 +1,19 @@
 //! MaxProp: prioritized routing over estimated meeting likelihoods
 //! (Burgess et al., 2006).
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-use pfr::sync::{HostContext, SendDecision, SyncRequest};
-use pfr::wire::Writer;
-use pfr::{Item, ItemId, Priority, PriorityClass, ReplicaId, RoutingState, SyncExtension, Value};
+use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::wire::{Decode as _, Encode as _, Reader, WireError, Writer};
+use pfr::{
+    IStr, Item, ItemId, Priority, PriorityClass, ReplicaId, RoutingState, StoreKind, SyncExtension,
+    Value,
+};
 
+use crate::acks::AckSet;
 use crate::codec;
+use crate::messaging::dest_addresses;
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Transient attribute holding the list of node ids a copy has traversed.
@@ -30,8 +36,10 @@ pub const ATTR_HOPLIST: &str = "dtn.hops";
 ///    that the link does *not* occur (a modified Dijkstra search).
 ///
 /// Delivery acknowledgements flood through the network and clear relay
-/// buffers. MaxProp's hop lists are retained as copy metadata, but its
-/// duplicate-suppression role is subsumed by the substrate's knowledge.
+/// buffers; they travel as a compact set shaped like the substrate's
+/// knowledge, so merging a peer's acknowledgements costs its origins, not
+/// its messages. MaxProp's hop lists are retained as copy metadata, but
+/// their duplicate-suppression role is subsumed by knowledge itself.
 ///
 /// # Examples
 ///
@@ -53,13 +61,20 @@ pub struct MaxPropPolicy {
     /// Distributions learned from peers, keyed by peer.
     peer_meeting: BTreeMap<ReplicaId, BTreeMap<ReplicaId, f64>>,
     /// Which node currently owns each destination address.
-    addr_owner: BTreeMap<String, ReplicaId>,
+    addr_owner: BTreeMap<IStr, ReplicaId>,
     /// Messages known to have reached their destinations.
-    acks: BTreeSet<ItemId>,
+    acks: AckSet,
+    /// Whether the store may hold a relay copy of an acknowledged message.
+    /// Raised by everything that can create one — a merge that learned an
+    /// acknowledgement, an acknowledged copy arriving, a filter change, a
+    /// restore — and lowered by the purge the next served request runs.
+    purge_due: bool,
     /// Addresses this host is final destination for.
-    local_addrs: BTreeSet<String>,
-    /// Per-sync cache of Dijkstra results, invalidated on each request.
-    cost_cache: HashMap<ReplicaId, f64>,
+    local_addrs: BTreeSet<IStr>,
+    /// Lowest path cost from this host to every reachable node, computed
+    /// on a sync's first slow-lane candidate and dropped at the next
+    /// request (the meeting graph changes with every request).
+    path_costs: Option<BTreeMap<ReplicaId, f64>>,
 }
 
 impl MaxPropPolicy {
@@ -71,9 +86,10 @@ impl MaxPropPolicy {
             meeting: BTreeMap::new(),
             peer_meeting: BTreeMap::new(),
             addr_owner: BTreeMap::new(),
-            acks: BTreeSet::new(),
+            acks: AckSet::default(),
+            purge_due: true,
             local_addrs: BTreeSet::new(),
-            cost_cache: HashMap::new(),
+            path_costs: None,
         }
     }
 
@@ -87,7 +103,7 @@ impl MaxPropPolicy {
     pub fn with_acks(mut self, enabled: bool) -> Self {
         self.use_acks = enabled;
         if !enabled {
-            self.acks.clear();
+            self.acks = AckSet::default();
         }
         self
     }
@@ -104,7 +120,7 @@ impl MaxPropPolicy {
 
     /// Number of delivery acknowledgements currently held.
     pub fn ack_count(&self) -> usize {
-        self.acks.len()
+        self.acks.len() as usize
     }
 
     /// Incremental averaging: bump the met node and renormalize so the
@@ -119,21 +135,16 @@ impl MaxPropPolicy {
         }
     }
 
-    /// Lowest-cost path from `self` to `dest` over the learned meeting
-    /// graph; cost of a link with probability `p` is `1 - p`.
-    fn path_cost(&self, me: ReplicaId, dest: ReplicaId) -> f64 {
-        if me == dest {
-            return 0.0;
-        }
-        // Dijkstra over a graph of at most (1 + |peer_meeting|) sources.
+    /// Lowest-cost paths from `me` to every node reachable over the
+    /// learned meeting graph; the cost of a link with probability `p` is
+    /// `1 - p`. One single-source Dijkstra over at most
+    /// (1 + |peer_meeting|) sources.
+    fn shortest_paths(&self, me: ReplicaId) -> BTreeMap<ReplicaId, f64> {
         let mut dist: BTreeMap<ReplicaId, f64> = BTreeMap::new();
-        let mut heap: BinaryHeap<std::cmp::Reverse<(OrdF64, ReplicaId)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(OrdF64, ReplicaId)>> = BinaryHeap::new();
         dist.insert(me, 0.0);
-        heap.push(std::cmp::Reverse((OrdF64(0.0), me)));
-        while let Some(std::cmp::Reverse((OrdF64(d), node))) = heap.pop() {
-            if node == dest {
-                return d;
-            }
+        heap.push(Reverse((OrdF64(0.0), me)));
+        while let Some(Reverse((OrdF64(d), node))) = heap.pop() {
             if dist.get(&node).copied().unwrap_or(f64::INFINITY) < d {
                 continue;
             }
@@ -147,31 +158,23 @@ impl MaxPropPolicy {
                 let nd = d + (1.0 - p.clamp(0.0, 1.0));
                 if nd < dist.get(&next).copied().unwrap_or(f64::INFINITY) {
                     dist.insert(next, nd);
-                    heap.push(std::cmp::Reverse((OrdF64(nd), next)));
+                    heap.push(Reverse((OrdF64(nd), next)));
                 }
             }
         }
-        f64::INFINITY
+        dist
     }
 
     fn dest_cost(&mut self, me: ReplicaId, item: &Item) -> f64 {
-        // Multicast: a message is as urgent as its cheapest destination.
-        let dest_nodes: Vec<ReplicaId> = crate::messaging::dest_addresses(item)
-            .iter()
-            .filter_map(|addr| self.addr_owner.get(*addr).copied())
-            .collect();
-        let mut best = f64::INFINITY;
-        for dest_node in dest_nodes {
-            let cost = if let Some(&cached) = self.cost_cache.get(&dest_node) {
-                cached
-            } else {
-                let cost = self.path_cost(me, dest_node);
-                self.cost_cache.insert(dest_node, cost);
-                cost
-            };
-            best = best.min(cost);
+        if self.path_costs.is_none() {
+            self.path_costs = Some(self.shortest_paths(me));
         }
-        best
+        let costs = self.path_costs.as_ref().expect("just computed");
+        // Multicast: a message is as urgent as its cheapest destination.
+        dest_addresses(item)
+            .filter_map(|addr| self.addr_owner.get(addr))
+            .map(|node| costs.get(node).copied().unwrap_or(f64::INFINITY))
+            .fold(f64::INFINITY, f64::min)
     }
 
     fn hop_count(item: &Item) -> usize {
@@ -186,9 +189,9 @@ impl MaxPropPolicy {
     fn purge_acked(&mut self, cx: &mut HostContext<'_>) {
         let acked: Vec<ItemId> = cx
             .replica()
-            .iter_items()
-            .filter(|i| self.acks.contains(&i.id()))
+            .iter_items_of_kind(StoreKind::Relay)
             .map(Item::id)
+            .filter(|&id| self.acks.contains(id))
             .collect();
         for id in acked {
             cx.purge_relay(id);
@@ -230,20 +233,20 @@ impl SyncExtension for MaxPropPolicy {
         let mut w = Writer::new();
         codec::put_addrs(&mut w, &self.local_addrs);
         codec::put_node_probs(&mut w, &self.meeting);
-        codec::put_item_ids(&mut w, &self.acks);
+        self.acks.encode(&mut w);
         codec::finish(w)
     }
 
     fn process_request(&mut self, cx: &mut HostContext<'_>, request: &SyncRequest) {
         let peer = request.target;
         self.record_meeting(peer);
-        self.cost_cache.clear();
+        self.path_costs = None;
 
         let mut r = codec::open(&request.routing);
         let decoded = (
             codec::get_addrs(&mut r),
             codec::get_node_probs(&mut r),
-            codec::get_item_ids(&mut r),
+            AckSet::decode(&mut r),
         );
         if let (Ok(addrs), Ok(probs), Ok(acks)) = decoded {
             for addr in addrs {
@@ -251,28 +254,19 @@ impl SyncExtension for MaxPropPolicy {
             }
             self.peer_meeting.insert(peer, probs);
             if self.use_acks {
-                self.acks.extend(acks);
+                self.purge_due |= self.acks.merge(&acks);
             }
         }
-        if self.use_acks {
+        if self.use_acks && std::mem::take(&mut self.purge_due) {
             self.purge_acked(cx);
         }
     }
 
-    fn to_send(
-        &mut self,
-        cx: &mut HostContext<'_>,
-        item_id: ItemId,
-        _request: &SyncRequest,
-    ) -> SendDecision {
-        let me = cx.id();
-        let Some(item) = cx.replica().item(item_id) else {
-            return SendDecision::Skip;
-        };
+    fn to_send(&mut self, item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
         if item.is_deleted() {
             return SendDecision::Send(Priority::normal());
         }
-        if self.acks.contains(&item_id) {
+        if self.acks.contains(item.id()) {
             // Already delivered somewhere: don't spend bandwidth on it.
             return SendDecision::Skip;
         }
@@ -281,8 +275,7 @@ impl SyncExtension for MaxPropPolicy {
             // Fast lane for young messages, ordered by hop count.
             SendDecision::Send(Priority::new(PriorityClass::High, hops as f64))
         } else {
-            let item = item.clone();
-            let cost = self.dest_cost(me, &item);
+            let cost = self.dest_cost(item.host(), item);
             SendDecision::Send(Priority::new(PriorityClass::Normal, cost))
         }
     }
@@ -312,13 +305,23 @@ impl SyncExtension for MaxPropPolicy {
         item.transient_mut().set(ATTR_HOPLIST, Value::List(hops));
     }
 
-    fn on_delivered(&mut self, cx: &mut HostContext<'_>, delivered: &[ItemId]) {
+    fn on_delivered(&mut self, _cx: &mut HostContext<'_>, delivered: &[ItemId]) {
         // Originate an acknowledgement for every message that reached us;
-        // acks flood through subsequent encounters and clear buffers.
+        // acks flood through subsequent encounters and clear buffers. A
+        // delivered copy sits in the filtered store, which is never
+        // purged, so no purge falls due here.
         if self.use_acks {
-            self.acks.extend(delivered.iter().copied());
+            for &id in delivered {
+                self.acks.insert(id);
+            }
         }
-        let _ = cx;
+    }
+
+    fn on_relayed(&mut self, _cx: &mut HostContext<'_>, id: ItemId) {
+        // The sender did not know this message is acknowledged (it runs
+        // without acks, or lost our routing state): the copy goes at the
+        // next request we serve and is never offered onwards.
+        self.purge_due |= self.acks.contains(id);
     }
 }
 
@@ -342,7 +345,10 @@ impl DtnPolicy for MaxPropPolicy {
     }
 
     fn set_local_addresses(&mut self, addrs: BTreeSet<String>) {
-        self.local_addrs = addrs;
+        self.local_addrs = codec::intern_addrs(&addrs);
+        // The host's filter changed with its addresses: a delivered (and
+        // so acknowledged) message may have just become a relay copy.
+        self.purge_due = true;
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -350,24 +356,21 @@ impl DtnPolicy for MaxPropPolicy {
         codec::put_node_probs(&mut w, &self.meeting);
         w.put_varint(self.peer_meeting.len() as u64);
         for (peer, probs) in &self.peer_meeting {
-            use pfr::wire::Encode as _;
             peer.encode(&mut w);
             codec::put_node_probs(&mut w, probs);
         }
         w.put_varint(self.addr_owner.len() as u64);
         for (addr, node) in &self.addr_owner {
-            use pfr::wire::Encode as _;
             w.put_str(addr);
             node.encode(&mut w);
         }
-        codec::put_item_ids(&mut w, &self.acks);
+        self.acks.encode(&mut w);
         w.into_bytes()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) {
-        use pfr::wire::Decode as _;
-        let mut r = pfr::wire::Reader::new(bytes);
-        let restored = (|| -> Result<(), pfr::wire::WireError> {
+        let mut r = Reader::new(bytes);
+        let restored = (|| -> Result<(), WireError> {
             let meeting = codec::get_node_probs(&mut r)?;
             let n = r.get_len(2)?;
             let mut peer_meeting = BTreeMap::new();
@@ -379,11 +382,11 @@ impl DtnPolicy for MaxPropPolicy {
             let n = r.get_len(2)?;
             let mut addr_owner = BTreeMap::new();
             for _ in 0..n {
-                let addr = r.get_str()?;
+                let addr = IStr::new(r.get_str_slice()?);
                 let node = ReplicaId::decode(&mut r)?;
                 addr_owner.insert(addr, node);
             }
-            let acks = codec::get_item_ids(&mut r)?;
+            let acks = AckSet::decode(&mut r)?;
             self.meeting = meeting;
             self.peer_meeting = peer_meeting;
             self.addr_owner = addr_owner;
@@ -391,7 +394,8 @@ impl DtnPolicy for MaxPropPolicy {
             Ok(())
         })();
         let _ = restored; // corrupt state: start cold
-        self.cost_cache.clear();
+        self.path_costs = None;
+        self.purge_due = true;
     }
 }
 
@@ -488,7 +492,7 @@ mod tests {
 
         // z tells b (via an encounter) that the message was delivered.
         encounter(&mut z, &mut b, 120);
-        assert!(b.1.acks.contains(&id));
+        assert!(b.1.acks.contains(id));
         assert!(!b.0.contains_item(id), "relay copy purged by ack");
 
         // b no longer forwards it.
@@ -498,10 +502,45 @@ mod tests {
     }
 
     #[test]
+    fn a_copy_arriving_after_its_ack_is_purged_and_never_forwarded() {
+        let mut a = host(1, "a");
+        let mut z = host(9, "z");
+        let mut b = host(2, "b");
+        let id = send_msg(&mut a.0, "z");
+        encounter(&mut a, &mut z, 0);
+        encounter(&mut z, &mut b, 60);
+        assert!(b.1.acks.contains(id), "b learned the ack before any copy");
+
+        // A carrier that never heard the ack (it runs without them) hands
+        // b a relay copy all the same. No merge will ever teach b this
+        // ack again, so only the arrival itself can make the purge due.
+        let mut carrier = host(5, "c");
+        carrier.1 = MaxPropPolicy::default().with_acks(false);
+        carrier
+            .0
+            .apply_remote(a.0.item(id).unwrap().clone(), SimTime::ZERO);
+        sync::sync_with(
+            &mut carrier.0,
+            &mut carrier.1,
+            &mut b.0,
+            &mut b.1,
+            SyncLimits::unlimited(),
+            SimTime::from_secs(120),
+        );
+        assert!(b.0.contains_item(id), "the copy arrives; purging waits");
+
+        // The next request b serves purges it before anything is selected.
+        let mut d = host(4, "d");
+        encounter(&mut b, &mut d, 180);
+        assert!(!b.0.contains_item(id), "purged by the next served request");
+        assert!(!d.0.contains_item(id), "and never re-forwarded");
+    }
+
+    #[test]
     fn ordering_prefers_destination_then_young_then_cheap_paths() {
         let mut me = host(1, "a");
         // Make the policy aware of a destination node for path costs.
-        me.1.addr_owner.insert("far".to_string(), ReplicaId::new(7));
+        me.1.addr_owner.insert(IStr::new("far"), ReplicaId::new(7));
         me.1.meeting.insert(ReplicaId::new(7), 0.2);
 
         // One message addressed to the sync target, one young relay
@@ -553,11 +592,12 @@ mod tests {
         p.meeting.insert(mid, 0.5);
         p.peer_meeting
             .insert(mid, [(dest, 0.9)].into_iter().collect());
-        let cost = p.path_cost(me, dest);
-        assert!((cost - 0.6).abs() < 1e-12, "expected 0.6, got {cost}");
-        // Unknown destination: infinite cost.
-        assert!(p.path_cost(me, ReplicaId::new(99)).is_infinite());
-        assert_eq!(p.path_cost(me, me), 0.0);
+        let costs = p.shortest_paths(me);
+        assert!((costs[&dest] - 0.6).abs() < 1e-12, "got {costs:?}");
+        assert!((costs[&mid] - 0.5).abs() < 1e-12, "got {costs:?}");
+        // Unreachable nodes have no entry (infinite cost); self costs 0.
+        assert!(!costs.contains_key(&ReplicaId::new(99)));
+        assert_eq!(costs[&me], 0.0);
     }
 
     #[test]

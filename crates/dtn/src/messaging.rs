@@ -52,14 +52,10 @@ impl Message {
     /// Decodes a message from a replicated item, if the item carries the
     /// messaging attributes.
     pub fn from_item(item: &Item) -> Option<Message> {
-        let dest = match item.attrs().get(ATTR_DEST)? {
-            Value::Str(s) => vec![s.as_str().to_owned()],
-            Value::List(l) => l
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_owned))
-                .collect(),
-            _ => return None,
-        };
+        if !matches!(item.attrs().get(ATTR_DEST)?, Value::Str(_) | Value::List(_)) {
+            return None;
+        }
+        let dest = dest_addresses(item).map(str::to_owned).collect();
         Some(Message {
             id: item.id(),
             src: item
@@ -97,14 +93,14 @@ pub fn multicast_attrs(src: &str, dests: &[&str], sent_at: SimTime) -> Attribute
     attrs
 }
 
-/// Extracts the destination addresses of a message item (one for unicast,
-/// several for multicast), or an empty list for non-message items.
-pub fn dest_addresses(item: &Item) -> Vec<&str> {
-    match item.attrs().get(ATTR_DEST) {
-        Some(Value::Str(s)) => vec![s.as_str()],
-        Some(Value::List(l)) => l.iter().filter_map(Value::as_str).collect(),
-        _ => Vec::new(),
-    }
+/// Iterates over the destination addresses of a message item (one for
+/// unicast, several for multicast; none for non-message items) without
+/// allocating.
+pub fn dest_addresses(item: &Item) -> impl Iterator<Item = &str> {
+    let dest = item.attrs().get(ATTR_DEST);
+    let one = dest.and_then(Value::as_str);
+    let many = dest.and_then(Value::as_list).unwrap_or_default();
+    one.into_iter().chain(many.iter().filter_map(Value::as_str))
 }
 
 /// Injects a unicast message into a replica (paper: "the DTN application

@@ -3,11 +3,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use pfr::sync::{HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
 use pfr::wire::Writer;
-use pfr::{ItemId, Priority, PriorityClass, RoutingState, SimDuration, SimTime, SyncExtension};
+use pfr::{IStr, Priority, PriorityClass, RoutingState, SimDuration, SimTime, SyncExtension};
 
 use crate::codec;
+use crate::messaging::dest_addresses;
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Tunable parameters for [`ProphetPolicy`].
@@ -70,11 +71,15 @@ impl Default for ProphetParams {
 pub struct ProphetPolicy {
     params: ProphetParams,
     /// Own delivery predictabilities, keyed by destination address.
-    predictability: BTreeMap<String, f64>,
-    /// The peer's vector from the most recent request (used by `to_send`).
-    peer_predictability: BTreeMap<String, f64>,
+    predictability: BTreeMap<IStr, f64>,
+    /// The forwarding decision for the sync in progress, taken once per
+    /// destination when its request is processed: the destinations for
+    /// which the requesting peer is a strictly better custodian, with the
+    /// peer's predictability for each. `to_send` only looks a candidate's
+    /// destinations up here.
+    peer_better: BTreeMap<IStr, f64>,
     /// Addresses this host is final destination for.
-    local_addrs: BTreeSet<String>,
+    local_addrs: BTreeSet<IStr>,
     /// Last time the vector was aged.
     last_aged: SimTime,
 }
@@ -118,14 +123,14 @@ impl ProphetPolicy {
 
     /// Direct-encounter update for one peer address:
     /// `P = P + (1 - P) * P_init`.
-    fn boost_direct(&mut self, addr: &str) {
-        let p = self.predictability.entry(addr.to_string()).or_insert(0.0);
+    fn boost_direct(&mut self, addr: &IStr) {
+        let p = self.predictability.entry(addr.clone()).or_insert(0.0);
         *p += (1.0 - *p) * self.params.p_init;
     }
 
     /// Transitive update through the peer: for each destination `c` the
     /// peer predicts with `p_bc`, `P[c] += (1 - P[c]) * P[peer] * p_bc * β`.
-    fn fold_transitive(&mut self, p_peer_link: f64, peer_vector: &BTreeMap<String, f64>) {
+    fn fold_transitive(&mut self, p_peer_link: f64, peer_vector: &BTreeMap<IStr, f64>) {
         for (addr, &p_bc) in peer_vector {
             if self.local_addrs.contains(addr) {
                 continue;
@@ -151,8 +156,11 @@ impl SyncExtension for ProphetPolicy {
 
     fn process_request(&mut self, cx: &mut HostContext<'_>, request: &SyncRequest) {
         self.age(cx.now());
+        // Whatever the previous peer was better at says nothing about
+        // this one, whether or not its routing state decodes.
+        self.peer_better.clear();
         let mut r = codec::open(&request.routing);
-        let (peer_addrs, peer_vector) =
+        let (peer_addrs, mut peer_vector) =
             match (codec::get_addrs(&mut r), codec::get_addr_probs(&mut r)) {
                 (Ok(a), Ok(v)) => (a, v),
                 _ => return, // peer runs a different policy; no routing data
@@ -174,42 +182,27 @@ impl SyncExtension for ProphetPolicy {
         // not open forwarding gradients (see [`ProphetParams::floor`]).
         let floor = self.params.floor;
         self.predictability.retain(|_, p| *p >= floor);
-        // Cache the peer's vector for the forwarding decisions that follow
-        // in this same sync.
-        self.peer_predictability = peer_vector;
         for addr in peer_addrs {
             // The peer trivially delivers to itself.
-            self.peer_predictability.insert(addr, 1.0);
+            peer_vector.insert(addr, 1.0);
         }
+        // Keep the destinations the peer is strictly better at — the
+        // forwarding rule, applied here once per destination instead of
+        // once per candidate in the selection loop that follows.
+        peer_vector.retain(|addr, theirs| *theirs > self.predictability(addr));
+        self.peer_better = peer_vector;
     }
 
-    fn to_send(
-        &mut self,
-        cx: &mut HostContext<'_>,
-        item_id: ItemId,
-        _request: &SyncRequest,
-    ) -> SendDecision {
-        let Some(item) = cx.replica().item(item_id) else {
-            return SendDecision::Skip;
-        };
+    fn to_send(&mut self, item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
         if item.is_deleted() {
             return SendDecision::Send(Priority::normal());
         }
-        let dests = crate::messaging::dest_addresses(item);
-        if dests.is_empty() {
-            return SendDecision::Skip;
-        }
         // Multicast: forward if the peer is a better custodian for *any*
         // remaining destination; urgency follows the best such gain.
-        let mut best_gain: Option<f64> = None;
-        for dest in dests {
-            let mine = self.predictability(dest);
-            let theirs = self.peer_predictability.get(dest).copied().unwrap_or(0.0);
-            if theirs > mine {
-                best_gain = Some(best_gain.map_or(theirs, |g: f64| g.max(theirs)));
-            }
-        }
-        match best_gain {
+        let best = dest_addresses(item)
+            .filter_map(|dest| self.peer_better.get(dest).copied())
+            .reduce(f64::max);
+        match best {
             // Higher peer confidence transmits earlier.
             Some(theirs) => SendDecision::Send(Priority::new(PriorityClass::Normal, 1.0 - theirs)),
             None => SendDecision::Skip,
@@ -237,7 +230,7 @@ impl DtnPolicy for ProphetPolicy {
     }
 
     fn set_local_addresses(&mut self, addrs: BTreeSet<String>) {
-        self.local_addrs = addrs;
+        self.local_addrs = codec::intern_addrs(&addrs);
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -401,6 +394,42 @@ mod tests {
     }
 
     #[test]
+    fn a_stranger_is_not_judged_by_the_previous_peers_vector() {
+        let mut a = host(1, "a");
+        let mut b = host(2, "b");
+        let mut d = host(4, "d");
+        // b is a good custodian for d; a holds a message for d.
+        encounter(&mut b, &mut d, 0);
+        let mut attrs = AttributeMap::new();
+        attrs.set(ATTR_DEST, "d");
+        let id = a.0.insert(attrs, vec![]).unwrap();
+        encounter(&mut a, &mut b, 60);
+        assert!(b.0.contains_item(id), "b's vector earns it the message");
+
+        // Next comes a peer whose routing state does not decode (another
+        // policy, a corrupt frame). Nothing is known about what it is
+        // good at, so nothing may be policy-forwarded to it — least of
+        // all on the strength of b's vector.
+        let mut stranger = Replica::new(ReplicaId::new(9), Filter::address(ATTR_DEST, "s"));
+        struct Garbage;
+        impl SyncExtension for Garbage {
+            fn generate_request(&mut self, _cx: &mut HostContext<'_>) -> RoutingState {
+                RoutingState::from_bytes(vec![0xff; 7])
+            }
+        }
+        let report = sync::sync_with(
+            &mut a.0,
+            &mut a.1,
+            &mut stranger,
+            &mut Garbage,
+            SyncLimits::unlimited(),
+            SimTime::from_secs(120),
+        );
+        assert_eq!(report.transmitted, 0);
+        assert!(!stranger.contains_item(id));
+    }
+
+    #[test]
     fn peer_self_addresses_count_as_certain_delivery() {
         // A host's predictability for its own address is treated as 1.0,
         // so messages addressed to the peer itself always flow (they also
@@ -409,7 +438,7 @@ mod tests {
         let mut a = host(1, "a");
         let mut b = host(2, "b");
         encounter(&mut a, &mut b, 0);
-        assert_eq!(a.1.peer_predictability.get("b"), Some(&1.0));
+        assert_eq!(a.1.peer_better.get("b"), Some(&1.0));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use pfr::sync::{HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
 use pfr::wire::{Reader, Writer};
 use pfr::{Item, ItemId, ReplicaId, RoutingState, SyncExtension};
 
@@ -211,13 +211,12 @@ impl SyncExtension for DigestExt<'_> {
 
     fn to_send(
         &mut self,
-        cx: &mut HostContext<'_>,
-        item_id: ItemId,
+        candidate: &mut Candidate<'_>,
         request: &SyncRequest<'_>,
     ) -> SendDecision {
         // Policies read routing state in process_request, never here, so
         // the enveloped request passes through untranslated.
-        self.inner.to_send(cx, item_id, request)
+        self.inner.to_send(candidate, request)
     }
 
     fn prepare_outgoing(
@@ -233,6 +232,10 @@ impl SyncExtension for DigestExt<'_> {
 
     fn on_delivered(&mut self, cx: &mut HostContext<'_>, delivered: &[ItemId]) {
         self.inner.on_delivered(cx, delivered);
+    }
+
+    fn on_relayed(&mut self, cx: &mut HostContext<'_>, id: ItemId) {
+        self.inner.on_relayed(cx, id);
     }
 }
 

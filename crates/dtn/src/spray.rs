@@ -1,13 +1,22 @@
 //! Binary Spray and Wait (Spyropoulos et al., 2005).
 
-use pfr::sync::{HostContext, SendDecision, SyncRequest};
-use pfr::{Item, ItemId, Priority, ReplicaId, SyncExtension};
+use std::sync::OnceLock;
+
+use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::{IStr, Item, Priority, ReplicaId, SyncExtension};
 
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Transient attribute holding the number of logical copies this physical
 /// copy represents.
 pub const ATTR_COPIES: &str = "dtn.copies";
+
+/// [`ATTR_COPIES`] as an interned key: stamping with it is a
+/// reference-count bump, not a string allocation.
+fn copies_key() -> IStr {
+    static KEY: OnceLock<IStr> = OnceLock::new();
+    KEY.get_or_init(|| IStr::new(ATTR_COPIES)).clone()
+}
 
 /// Binary Spray and Wait as a replication policy (paper §V-C2).
 ///
@@ -68,21 +77,13 @@ impl SyncExtension for SprayAndWaitPolicy {
         "spray"
     }
 
-    fn to_send(
-        &mut self,
-        cx: &mut HostContext<'_>,
-        item_id: ItemId,
-        _request: &SyncRequest,
-    ) -> SendDecision {
-        let Some(item) = cx.replica().item(item_id) else {
-            return SendDecision::Skip;
-        };
+    fn to_send(&mut self, item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
         if item.is_deleted() {
             return SendDecision::Send(Priority::normal());
         }
         let copies = self.copies_of(item);
         if !item.transient().contains(ATTR_COPIES) {
-            let _ = cx.set_transient(item_id, ATTR_COPIES, self.initial_copies);
+            item.set_transient(copies_key(), self.initial_copies);
         }
         if copies >= 2 {
             SendDecision::Send(Priority::normal())
@@ -106,8 +107,8 @@ impl SyncExtension for SprayAndWaitPolicy {
         let kept = copies - handed;
         // Binary spray: half the copies travel, half stay (both adjusted
         // without generating new versions).
-        item.transient_mut().set(ATTR_COPIES, handed.max(1));
-        let _ = cx.set_transient(item.id(), ATTR_COPIES, kept.max(1));
+        item.transient_mut().set(copies_key(), handed.max(1));
+        let _ = cx.set_transient(item.id(), copies_key(), kept.max(1));
     }
 }
 
@@ -139,7 +140,7 @@ mod tests {
         Replica::new(ReplicaId::new(n), Filter::address("dest", addr))
     }
 
-    fn send_msg(r: &mut Replica, dest: &str) -> ItemId {
+    fn send_msg(r: &mut Replica, dest: &str) -> pfr::ItemId {
         let mut attrs = AttributeMap::new();
         attrs.set("dest", dest);
         r.insert(attrs, b"m".to_vec()).unwrap()

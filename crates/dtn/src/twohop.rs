@@ -8,8 +8,8 @@
 //! nice demonstration of how little code a new protocol needs on this
 //! substrate.
 
-use pfr::sync::{HostContext, SendDecision, SyncRequest};
-use pfr::{ItemId, Priority, ReplicaId, SyncExtension};
+use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::{Priority, ReplicaId, SyncExtension};
 
 use crate::policy::{DtnPolicy, PolicySummary};
 
@@ -43,21 +43,13 @@ impl SyncExtension for TwoHopRelayPolicy {
         "twohop"
     }
 
-    fn to_send(
-        &mut self,
-        cx: &mut HostContext<'_>,
-        item_id: ItemId,
-        _request: &SyncRequest,
-    ) -> SendDecision {
-        let Some(item) = cx.replica().item(item_id) else {
-            return SendDecision::Skip;
-        };
+    fn to_send(&mut self, item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
         if item.is_deleted() {
             return SendDecision::Send(Priority::normal());
         }
         // Hop 1 happens only at the origin; relays hold their copy for a
         // direct (filter-matched) delivery.
-        if item.id().origin() == cx.id() {
+        if item.id().origin() == item.host() {
             SendDecision::Send(Priority::normal())
         } else {
             SendDecision::Skip

@@ -138,6 +138,18 @@ struct Shard {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     gauges: BTreeMap<String, u64>,
+    /// Buffer that composed names ("policy.<p>.<kind>") are rendered into,
+    /// so an event for a name seen before allocates nothing.
+    name: String,
+}
+
+/// The slot for `name`, allocating its key only on first use: every later
+/// event under the same name is a lookup.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("present or just inserted")
 }
 
 /// Aggregates the event stream into named counters and histograms.
@@ -185,18 +197,29 @@ impl Registry {
 
     /// Adds `delta` to the named counter.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut shard = self.shard().lock();
-        *shard.counters.entry(name.to_string()).or_insert(0) += delta;
+        *slot(&mut self.shard().lock().counters, name) += delta;
     }
 
     /// Records one sample into the named histogram.
     pub fn observe(&self, name: &str, value: u64) {
+        slot(&mut self.shard().lock().histograms, name).observe(value);
+    }
+
+    /// Runs `record` on this thread's shard with `name` rendered into the
+    /// shard's reusable buffer.
+    fn with_name(&self, name: fmt::Arguments<'_>, record: impl FnOnce(&mut Shard, &str)) {
         let mut shard = self.shard().lock();
-        shard
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        let mut rendered = std::mem::take(&mut shard.name);
+        rendered.clear();
+        fmt::write(&mut rendered, name).expect("writing to a String cannot fail");
+        record(&mut shard, &rendered);
+        shard.name = rendered;
+    }
+
+    fn add_fmt(&self, name: fmt::Arguments<'_>, delta: u64) {
+        self.with_name(name, |shard, name| {
+            *slot(&mut shard.counters, name) += delta
+        });
     }
 
     /// Raises the named high-water gauge to at least `value`. Gauges
@@ -204,8 +227,8 @@ impl Registry {
     /// recorded from any thread survive into the snapshot.
     pub fn gauge_max(&self, name: &str, value: u64) {
         let mut shard = self.shard().lock();
-        let slot = shard.gauges.entry(name.to_string()).or_insert(0);
-        *slot = (*slot).max(value);
+        let gauge = slot(&mut shard.gauges, name);
+        *gauge = (*gauge).max(value);
     }
 
     /// Merges all shards into one consistent snapshot.
@@ -284,7 +307,7 @@ impl Observer for Registry {
             Event::ItemEvicted { .. } => self.add("items.evicted", 1),
             Event::ItemExpired { .. } => self.add("items.expired", 1),
             Event::MessageDropped { reason, .. } => {
-                self.add(&format!("drops.{}", reason.label()), 1);
+                self.add_fmt(format_args!("drops.{}", reason.label()), 1);
             }
             Event::MessageDelivered { delay_secs, .. } => {
                 self.add("messages.delivered", 1);
@@ -311,12 +334,14 @@ impl Observer for Registry {
                 );
             }
             Event::PolicyDecision { policy, kind, .. } => {
-                self.add(&format!("policy.{}.{}", policy, kind.label()), 1);
+                self.add_fmt(format_args!("policy.{}.{}", policy, kind.label()), 1);
             }
             Event::SpanEnded {
                 name, wall_micros, ..
             } => {
-                self.observe(&format!("span.{name}.micros"), *wall_micros);
+                self.with_name(format_args!("span.{name}.micros"), |shard, name| {
+                    slot(&mut shard.histograms, name).observe(*wall_micros)
+                });
             }
             Event::TransportSync {
                 served,
@@ -357,7 +382,7 @@ impl Observer for Registry {
                 false_positives,
                 ..
             } => {
-                self.add(&format!("recon.summary.{kind}"), 1);
+                self.add_fmt(format_args!("recon.summary.{kind}"), 1);
                 self.add("recon.digest_bytes", *digest_bytes);
                 self.add("recon.full_bytes", *full_bytes);
                 self.add(
@@ -397,7 +422,7 @@ impl Observer for Registry {
                 self.observe("store.recovery.micros", *wall_micros);
             }
             Event::StoreFault { op, .. } => {
-                self.add(&format!("store.faults.{op}"), 1);
+                self.add_fmt(format_args!("store.faults.{op}"), 1);
             }
             Event::ShardHandoff { .. } => self.add("shard.handoffs", 1),
             Event::NetSession {

@@ -142,24 +142,18 @@ pub fn knowledge_checksum(k: &Knowledge) -> u64 {
     })
 }
 
-/// Rebuilds a `Knowledge` from an exact entry-key set. Vector watermarks
-/// are installed first so exception inserts cannot be absorbed out of
-/// their canonical position.
+/// Rebuilds a `Knowledge` from an exact entry-key set.
 fn knowledge_from_keys<I: IntoIterator<Item = u128>>(keys: I) -> Knowledge {
-    let mut k = Knowledge::new();
-    let mut exceptions = Vec::new();
+    let (mut prefixes, mut exceptions) = (Vec::new(), Vec::new());
     for key in keys {
         let (replica, counter, exception) = key_entry(key);
         if exception {
             exceptions.push(Version::new(replica, counter));
         } else {
-            k.insert_prefix(replica, counter);
+            prefixes.push((replica, counter));
         }
     }
-    for v in exceptions {
-        k.insert(v);
-    }
-    k
+    Knowledge::from_parts(prefixes, exceptions)
 }
 
 /// Exact symmetric-difference size between two knowledge entry sets —

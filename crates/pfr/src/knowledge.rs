@@ -19,7 +19,11 @@ use crate::id::{ReplicaId, Version};
 /// that **all** versions `1..=c` from that replica are known. Versions known
 /// out of order (because filtered replication delivers only a subset of each
 /// origin's writes) are tracked individually in the *exception* set and
-/// absorbed into the vector as gaps fill in.
+/// absorbed into the vector as gaps fill in. The exception set is ordered
+/// by origin first, so one origin's exceptions are a contiguous ascending
+/// range: sync candidate selection walks them in step with that origin's
+/// stored versions, and a prefix that swallows exceptions finds them
+/// without looking at any other origin's.
 ///
 /// The representation is therefore proportional to the number of replicas
 /// plus the number of out-of-order receipts — for full replication it
@@ -29,7 +33,7 @@ use crate::id::{ReplicaId, Version};
 ///
 /// `Knowledge` forms a join-semilattice under [`merge`](Knowledge::merge):
 /// the operation is commutative, associative, and idempotent (property
-/// tested).
+/// tested against a plain set of versions).
 ///
 /// # Examples
 ///
@@ -48,10 +52,11 @@ use crate::id::{ReplicaId, Version};
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Knowledge {
-    /// replica -> highest prefix-complete counter.
+    /// replica -> highest prefix-complete counter (never 0).
     vector: BTreeMap<ReplicaId, u64>,
-    /// Individually known versions above the vector entry.
-    exceptions: BTreeSet<Version>,
+    /// Individually known `(origin, counter)`s, each more than one above
+    /// its origin's vector entry.
+    exceptions: BTreeSet<(ReplicaId, u64)>,
 }
 
 impl Knowledge {
@@ -60,10 +65,46 @@ impl Knowledge {
         Knowledge::default()
     }
 
+    /// Builds knowledge from vector entries and exception versions in any
+    /// order, with any overlap — the wire and digest decoders' entry
+    /// point. Both lists are sorted into the canonical `(replica,
+    /// counter)` order (free when the sender already used it), so both
+    /// trees are built in one ascending pass whatever a peer chose to
+    /// send.
+    pub(crate) fn from_parts(
+        mut prefixes: Vec<(ReplicaId, u64)>,
+        exceptions: Vec<Version>,
+    ) -> Knowledge {
+        // Ascending, so of several claims for one replica the highest is
+        // the one the map keeps.
+        prefixes.sort_unstable();
+        prefixes.retain(|&(_, counter)| counter > 0);
+        let mut vector: BTreeMap<ReplicaId, u64> = prefixes.into_iter().collect();
+        let mut listed: Vec<(ReplicaId, u64)> = exceptions
+            .into_iter()
+            .map(|v| (v.replica(), v.counter()))
+            .collect();
+        listed.sort_unstable();
+        // What a prefix covers is dropped and what extends one is folded
+        // into it; ascending order means a raised prefix is in place
+        // before the next counter of the same origin is looked at.
+        listed.retain(|&(replica, counter)| {
+            let base = vector.get(&replica).copied().unwrap_or(0);
+            if counter.checked_sub(1) == Some(base) {
+                vector.insert(replica, counter);
+            }
+            counter.checked_sub(1) > Some(base)
+        });
+        Knowledge {
+            vector,
+            exceptions: listed.into_iter().collect(),
+        }
+    }
+
     /// Returns `true` if `version` is known.
     pub fn contains(&self, version: Version) -> bool {
-        let base = self.base_counter(version.replica());
-        version.counter() <= base || self.exceptions.contains(&version)
+        let (replica, counter) = (version.replica(), version.counter());
+        counter <= self.base_counter(replica) || self.exceptions.contains(&(replica, counter))
     }
 
     /// The highest counter `c` for `replica` such that all of `1..=c` is
@@ -77,20 +118,12 @@ impl Knowledge {
     /// Consecutive exceptions are folded into the vector whenever the
     /// insertion closes a gap, keeping the representation compact.
     pub fn insert(&mut self, version: Version) {
-        let r = version.replica();
-        let base = self.base_counter(r);
-        if version.counter() <= base {
-            return;
-        }
-        if version.counter() == base + 1 {
-            let mut new_base = version.counter();
-            // Absorb any exceptions that are now contiguous.
-            while self.exceptions.remove(&Version::new(r, new_base + 1)) {
-                new_base += 1;
-            }
-            self.vector.insert(r, new_base);
-        } else {
-            self.exceptions.insert(version);
+        let (replica, counter) = (version.replica(), version.counter());
+        let base = self.base_counter(replica);
+        if counter.checked_sub(1) == Some(base) {
+            self.raise(replica, counter);
+        } else if counter > base {
+            self.exceptions.insert((replica, counter));
         }
     }
 
@@ -100,52 +133,73 @@ impl Knowledge {
     /// trivially observes in order), and how trusted checkpoints are
     /// installed.
     pub fn insert_prefix(&mut self, replica: ReplicaId, counter: u64) {
-        let base = self.base_counter(replica);
-        if counter <= base {
-            return;
-        }
-        let mut new_base = counter;
-        while self.exceptions.remove(&Version::new(replica, new_base + 1)) {
-            new_base += 1;
-        }
-        self.vector.insert(replica, new_base);
-        // Drop exceptions swallowed by the new prefix.
-        let swallowed: Vec<Version> = self
-            .exceptions
-            .iter()
-            .filter(|v| v.replica() == replica && v.counter() <= new_base)
-            .copied()
-            .collect();
-        for v in swallowed {
-            self.exceptions.remove(&v);
+        if counter > self.base_counter(replica) {
+            self.raise(replica, counter);
         }
     }
 
-    /// Merges another replica's knowledge into this one (set union).
+    /// Sets `replica`'s prefix to `counter` (above its current one), drops
+    /// the exceptions it swallows and folds in the run adjacent to it.
+    fn raise(&mut self, replica: ReplicaId, counter: u64) {
+        let mut base = counter;
+        while let Some(&(_, next)) = self
+            .exceptions
+            .range((replica, 0)..=(replica, base.saturating_add(1)))
+            .next()
+        {
+            self.exceptions.remove(&(replica, next));
+            base = base.max(next);
+        }
+        self.vector.insert(replica, base);
+    }
+
+    /// Merges another replica's knowledge into this one (set union),
+    /// returning whether anything new was learned.
     ///
     /// After merging, `self.contains(v)` holds exactly when either input
-    /// contained `v`.
-    pub fn merge(&mut self, other: &Knowledge) {
+    /// contained `v`. The cost is a lookup per vector entry of `other`
+    /// and a comparison per exception on either side: the two exception
+    /// sets share one order and are walked in step, so only what is
+    /// actually new is looked up and inserted.
+    pub fn merge(&mut self, other: &Knowledge) -> bool {
+        let mut learned = false;
         for (&replica, &counter) in &other.vector {
-            self.insert_prefix(replica, counter);
+            if counter > self.base_counter(replica) {
+                self.raise(replica, counter);
+                learned = true;
+            }
         }
-        for &v in &other.exceptions {
-            self.insert(v);
+        let mut ours = self.exceptions.iter().peekable();
+        let news: Vec<(ReplicaId, u64)> = other
+            .exceptions
+            .iter()
+            .filter(|&theirs| {
+                while ours.next_if(|&held| held < theirs).is_some() {}
+                ours.peek() != Some(&theirs)
+            })
+            .copied()
+            .collect();
+        for (replica, counter) in news {
+            if counter > self.base_counter(replica) {
+                self.insert(Version::new(replica, counter));
+                learned = true;
+            }
         }
+        learned
     }
 
     /// Returns `true` if every version in `other` is also in `self`.
     pub fn dominates(&self, other: &Knowledge) -> bool {
-        other.vector.iter().all(|(&r, &c)| self.covers_prefix(r, c))
-            && other.exceptions.iter().all(|&v| self.contains(v))
-    }
-
-    fn covers_prefix(&self, replica: ReplicaId, counter: u64) -> bool {
-        let base = self.base_counter(replica);
-        if counter <= base {
-            return true;
-        }
-        (base + 1..=counter).all(|c| self.exceptions.contains(&Version::new(replica, c)))
+        // An exception never sits directly above its prefix, so only a
+        // prefix can cover a prefix.
+        other
+            .vector
+            .iter()
+            .all(|(&r, &c)| c <= self.base_counter(r))
+            && other
+                .exceptions
+                .iter()
+                .all(|&(r, c)| self.contains(Version::new(r, c)))
     }
 
     /// Iterates over `(replica, prefix counter)` vector entries.
@@ -153,9 +207,10 @@ impl Knowledge {
         self.vector.iter().map(|(&r, &c)| (r, c))
     }
 
-    /// Iterates over exception versions.
+    /// Iterates over exception versions in `(replica, counter)` order —
+    /// the canonical order of the wire and snapshot encodings.
     pub fn exceptions(&self) -> impl Iterator<Item = Version> + '_ {
-        self.exceptions.iter().copied()
+        self.exceptions.iter().map(|&(r, c)| Version::new(r, c))
     }
 
     /// Number of replicas with a vector entry.
@@ -179,7 +234,9 @@ impl Knowledge {
     /// Total number of versions contained (for testing and metrics; cost is
     /// O(vector entries), not O(versions)).
     pub fn version_count(&self) -> u64 {
-        self.vector.values().sum::<u64>() + self.exceptions.len() as u64
+        self.vector
+            .values()
+            .fold(self.exceptions.len() as u64, |n, &c| n.saturating_add(c))
     }
 }
 

@@ -1,6 +1,5 @@
 //! The replica: one host's filtered copy of the collection.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use obs::{DropReason, Event, Obs};
@@ -10,6 +9,7 @@ use crate::attrs::AttributeMap;
 use crate::error::PfrError;
 use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId, Version};
+use crate::intern::IStr;
 use crate::item::{CausalRelation, Item};
 use crate::knowledge::Knowledge;
 use crate::payload::Payload;
@@ -111,15 +111,9 @@ pub struct Replica {
     /// Event emission handle. Like `conflict_log`, observability state:
     /// never part of snapshots, disabled by default.
     obs: Obs,
-    /// Memoized `filter.matches(item)` verdicts for sync candidate
-    /// selection, keyed by (filter fingerprint, item version). A verdict
-    /// depends only on the filter and the item's versioned attributes, so
-    /// entries never go stale: updates mint new versions. Acceleration
-    /// state like `conflict_log` — never part of snapshots.
-    match_memo: HashMap<(u64, Version), bool>,
-    /// When set, candidate selection uses the pre-index full store scan
-    /// and bypasses `match_memo`. Benchmark/validation knob (see
-    /// [`Replica::set_candidate_scan`]); off by default.
+    /// When set, candidate selection uses the pre-index full store scan.
+    /// Benchmark/validation knob (see [`Replica::set_candidate_scan`]);
+    /// off by default.
     candidate_scan: bool,
     /// When set, copies prepared for transmission are detached into
     /// private allocations, emulating the pre-copy-on-write data plane.
@@ -127,25 +121,10 @@ pub struct Replica {
     /// by default.
     owned_copies: bool,
     /// Reusable selection buffers for [`crate::sync::prepare_batch`].
-    /// An allocation cache like `match_memo`: cleared before every use,
-    /// never part of snapshots.
+    /// An allocation cache: cleared before every use, never part of
+    /// snapshots.
     sync_scratch: crate::sync::SyncScratch,
 }
-
-/// One resolved sync candidate (see [`Replica::resolve_candidate`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CandidateInfo {
-    /// Whether the requester's filter matches the stored item.
-    pub matched: bool,
-    /// Whether `matched` was answered from the memo.
-    pub memo_hit: bool,
-    /// Stored payload length, for byte-budget accounting.
-    pub payload_len: usize,
-}
-
-/// Entries kept in a replica's filter-match memo before it is cleared and
-/// rebuilt. Bounds memory on long runs with many distinct peer filters.
-const MATCH_MEMO_CAP: usize = 1 << 16;
 
 impl Replica {
     /// Creates an empty replica with the given identity and filter.
@@ -162,7 +141,6 @@ impl Replica {
             stats: ReplicaStats::default(),
             conflict_log: Vec::new(),
             obs: Obs::none(),
-            match_memo: HashMap::new(),
             candidate_scan: false,
             owned_copies: false,
             sync_scratch: crate::sync::SyncScratch::default(),
@@ -407,11 +385,11 @@ impl Replica {
     pub fn set_transient(
         &mut self,
         id: ItemId,
-        name: impl Into<String>,
+        name: impl Into<IStr>,
         value: impl Into<Value>,
     ) -> Result<(), PfrError> {
         let stored = self.store.get_mut(id).ok_or(PfrError::NotStored(id))?;
-        stored.item.transient_mut().set(name.into(), value);
+        stored.item.transient_mut().set(name, value);
         Ok(())
     }
 
@@ -507,8 +485,8 @@ impl Replica {
             .collect()
     }
 
-    /// Forces candidate selection back to the pre-index full-scan path
-    /// and disables the filter-match memo. The two paths are equivalent
+    /// Forces candidate selection back to the pre-index full-scan path.
+    /// The two paths are equivalent
     /// (property-tested); this knob exists so benchmarks and validation
     /// runs can compare them within one process. Off by default.
     pub fn set_candidate_scan(&mut self, scan: bool) {
@@ -531,45 +509,11 @@ impl Replica {
         self.owned_copies
     }
 
-    /// Resolves one sync candidate in a single store lookup: whether
-    /// `filter` matches the stored item, whether that verdict came from
-    /// the memo, and the stored payload length. `fingerprint` must be
-    /// `filter.fingerprint()` (hoisted by the caller — computing it
-    /// canonicalizes the filter, so once per batch, not per item).
-    /// Returns `None` when the item is not stored.
-    pub(crate) fn resolve_candidate(
-        &mut self,
-        filter: &Filter,
-        fingerprint: u64,
-        id: ItemId,
-    ) -> Option<CandidateInfo> {
-        let stored = self.store.get(id)?;
-        let payload_len = stored.item.payload().len();
-        if self.candidate_scan {
-            return Some(CandidateInfo {
-                matched: filter.matches(&stored.item),
-                memo_hit: false,
-                payload_len,
-            });
-        }
-        let key = (fingerprint, stored.item.version());
-        if let Some(&matched) = self.match_memo.get(&key) {
-            return Some(CandidateInfo {
-                matched,
-                memo_hit: true,
-                payload_len,
-            });
-        }
-        let matched = filter.matches(&stored.item);
-        if self.match_memo.len() >= MATCH_MEMO_CAP {
-            self.match_memo.clear();
-        }
-        self.match_memo.insert(key, matched);
-        Some(CandidateInfo {
-            matched,
-            memo_hit: false,
-            payload_len,
-        })
+    /// The stored copy of `id`, for sync candidate selection: one lookup
+    /// serves the filter match, the byte accounting and the policy's
+    /// verdict (which may stamp transient metadata through it).
+    pub(crate) fn stored_item_mut(&mut self, id: ItemId) -> Option<&mut Item> {
+        self.store.get_mut(id).map(|s| &mut s.item)
     }
 
     /// Offers a remote item copy to this replica, enforcing at-most-once
@@ -692,7 +636,6 @@ impl Replica {
             stats: ReplicaStats::default(),
             conflict_log: Vec::new(),
             obs: Obs::none(),
-            match_memo: HashMap::new(),
             candidate_scan: false,
             owned_copies: false,
             sync_scratch: crate::sync::SyncScratch::default(),

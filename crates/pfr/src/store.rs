@@ -159,16 +159,29 @@ impl ItemStore {
     /// Fills `ids` (cleared first, capacity reused) with the ids of stored
     /// items whose versions `knowledge` has not learned, answered from the
     /// version index: for each origin, only the counter suffix beyond the
-    /// requester's vector entry is walked (exceptions prune individual
-    /// versions inside that suffix). Ids come out in ascending order —
+    /// requester's prefix is walked. The index, the knowledge vector and
+    /// the exception set all ascend by (origin, counter), so the three
+    /// are stepped through together and a stored version costs a
+    /// comparison, not a lookup. Ids come out in ascending order —
     /// exactly the order a full scan of the id-keyed store produces, so
     /// callers observe identical candidate sequences.
     pub fn versions_unknown_to_into(&self, knowledge: &Knowledge, ids: &mut Vec<ItemId>) {
         ids.clear();
+        let mut prefixes = knowledge.vector_entries().peekable();
+        let mut exceptions = knowledge
+            .exceptions()
+            .map(|v| (v.replica(), v.counter()))
+            .peekable();
         for (&origin, by_counter) in &self.version_index {
-            let base = knowledge.base_counter(origin);
+            while prefixes.next_if(|&(replica, _)| replica < origin).is_some() {}
+            let base = match prefixes.peek() {
+                Some(&(replica, base)) if replica == origin => base,
+                _ => 0,
+            };
             for (&counter, &id) in by_counter.range(base.saturating_add(1)..) {
-                if !knowledge.contains(Version::new(origin, counter)) {
+                let stored = (origin, counter);
+                while exceptions.next_if(|&known| known < stored).is_some() {}
+                if exceptions.peek() != Some(&stored) {
                     ids.push(id);
                 }
             }

@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId};
+use crate::intern::IStr;
 use crate::item::Item;
 use crate::knowledge::Knowledge;
 use crate::replica::{ApplyOutcome, Replica};
@@ -208,7 +209,7 @@ impl<'a> HostContext<'a> {
     pub fn set_transient(
         &mut self,
         id: ItemId,
-        name: impl Into<String>,
+        name: impl Into<IStr>,
         value: impl Into<crate::Value>,
     ) -> Result<(), crate::PfrError> {
         self.replica.set_transient(id, name, value)
@@ -238,6 +239,46 @@ impl fmt::Debug for HostContext<'_> {
             .field("id", &self.replica.id())
             .field("peer", &self.peer)
             .field("now", &self.now)
+            .finish()
+    }
+}
+
+/// One stored item the target lacks and its filter does not select, as
+/// handed to [`SyncExtension::to_send`]: the item itself (through
+/// `Deref`) plus the no-new-version channel for its transient metadata.
+/// Selection resolves each candidate with one store lookup and lends the
+/// policy that same slot, so a verdict never looks the item up again.
+pub struct Candidate<'a> {
+    host: ReplicaId,
+    item: &'a mut Item,
+}
+
+impl Candidate<'_> {
+    /// The local (source) replica's id.
+    pub fn host(&self) -> ReplicaId {
+        self.host
+    }
+
+    /// Sets a transient attribute on the stored copy without bumping its
+    /// version (see [`Replica::set_transient`]).
+    pub fn set_transient(&mut self, name: impl Into<IStr>, value: impl Into<crate::Value>) {
+        self.item.transient_mut().set(name, value);
+    }
+}
+
+impl std::ops::Deref for Candidate<'_> {
+    type Target = Item;
+
+    fn deref(&self) -> &Item {
+        self.item
+    }
+}
+
+impl fmt::Debug for Candidate<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Candidate")
+            .field("host", &self.host)
+            .field("item", &self.item.id())
             .finish()
     }
 }
@@ -272,11 +313,10 @@ pub trait SyncExtension {
     /// urgently) to forward it (`toSend()` in the paper).
     fn to_send(
         &mut self,
-        cx: &mut HostContext<'_>,
-        item_id: ItemId,
+        candidate: &mut Candidate<'_>,
         request: &SyncRequest<'_>,
     ) -> SendDecision {
-        let _ = (cx, item_id, request);
+        let _ = (candidate, request);
         SendDecision::Skip
     }
 
@@ -300,6 +340,13 @@ pub trait SyncExtension {
     /// to originate delivery acknowledgements).
     fn on_delivered(&mut self, cx: &mut HostContext<'_>, delivered: &[ItemId]) {
         let _ = (cx, delivered);
+    }
+
+    /// Called on the **target** for each copy a batch left in its relay
+    /// (or push-out) store, as it is accepted — how a policy learns that
+    /// something arrived to carry without rescanning the store.
+    fn on_relayed(&mut self, cx: &mut HostContext<'_>, id: ItemId) {
+        let _ = (cx, id);
     }
 }
 
@@ -499,10 +546,6 @@ pub fn prepare_batch(
     // Candidate scan + selection, timed only when an observer is
     // attached (the disabled path never reads the clock, like `Span`).
     let scan_started = cx.replica.observer().enabled().then(Instant::now);
-    // The filter fingerprint (a Display render + hash) is only needed to
-    // key the match memo; compute it lazily so the common zero-candidate
-    // sync pays nothing for it.
-    let mut fingerprint: Option<u64> = None;
     // Selection runs in per-replica scratch buffers (returned before this
     // function exits), so the steady-state encounter — every candidate
     // already known, nothing selected — builds no vectors at all.
@@ -519,29 +562,28 @@ pub fn prepare_batch(
             .versions_unknown_to_into(&request.knowledge, &mut scratch.candidates);
     }
     let candidate_count = scratch.candidates.len() as u64;
-    let mut memo_hits = 0u64;
     scratch.selected.clear();
     let mut withheld = 0usize;
     for &id in &scratch.candidates {
-        // One store lookup resolves filter match, memo state, and the
-        // payload length the byte-budget cut needs later.
-        let fp = *fingerprint.get_or_insert_with(|| request.filter.fingerprint());
-        let (matched, payload_len) = match cx.replica.resolve_candidate(&request.filter, fp, id) {
-            Some(info) => {
-                memo_hits += info.memo_hit as u64;
-                (info.matched, info.payload_len)
-            }
-            // Vanished mid-build (a policy purged it): let the policy
-            // rule on it; the final pass drops it if still gone.
-            None => (false, 0),
+        // One store lookup per candidate: the slot answers the filter
+        // match and the payload length the byte-budget cut needs later,
+        // and is then lent to the policy for its verdict.
+        let Some(item) = cx.replica.stored_item_mut(id) else {
+            withheld += 1;
+            continue;
         };
-        if matched {
+        let payload_len = item.payload().len();
+        if request.filter.matches(item) {
             scratch
                 .selected
                 .push((id, Priority::highest(), true, payload_len));
             continue;
         }
-        let verdict = ext.to_send(&mut cx, id, request).priority();
+        let mut candidate = Candidate {
+            host: source_id,
+            item,
+        };
+        let verdict = ext.to_send(&mut candidate, request).priority();
         cx.replica.observer().emit(|| Event::PolicyDecision {
             replica: source_id.as_u64(),
             peer: target_id,
@@ -571,7 +613,8 @@ pub fn prepare_batch(
             target: target_id,
             candidates: candidate_count,
             selected: selected_count,
-            memo_hits,
+            // Filter verdicts are evaluated directly; there is no memo.
+            memo_hits: 0,
             scan_us,
             at_secs: now.as_secs(),
         });
@@ -721,6 +764,7 @@ pub(crate) fn apply_batch_recycling(
                         seq: id.seq(),
                         at_secs: now.as_secs(),
                     });
+                    ext.on_relayed(&mut HostContext::new(target, now, Some(batch.source)), id);
                 }
             }
             ApplyOutcome::Duplicate => report.duplicates += 1,
@@ -810,8 +854,7 @@ mod tests {
     impl SyncExtension for FloodAll {
         fn to_send(
             &mut self,
-            _cx: &mut HostContext<'_>,
-            _item: ItemId,
+            _candidate: &mut Candidate<'_>,
             _req: &SyncRequest<'_>,
         ) -> SendDecision {
             SendDecision::Send(Priority::normal())
@@ -1005,13 +1048,11 @@ mod tests {
         impl SyncExtension for Classed {
             fn to_send(
                 &mut self,
-                cx: &mut HostContext<'_>,
-                id: ItemId,
+                item: &mut Candidate<'_>,
                 _req: &SyncRequest<'_>,
             ) -> SendDecision {
                 // Priority derived from payload: [n] -> cost n, class Normal
                 // except payload 0 which is High class.
-                let item = cx.replica().item(id).expect("item exists");
                 let n = item.payload()[0];
                 if n == 0 {
                     SendDecision::Send(Priority::new(PriorityClass::High, 0.0))

@@ -626,30 +626,26 @@ impl Decode for AttributeMap {
 
 impl Encode for Knowledge {
     fn encode(&self, w: &mut Writer) {
-        let vector: Vec<(ReplicaId, u64)> = self.vector_entries().collect();
-        w.put_varint(vector.len() as u64);
-        for (replica, counter) in vector {
+        w.put_varint(self.replica_count() as u64);
+        for (replica, counter) in self.vector_entries() {
             replica.encode(w);
             w.put_varint(counter);
         }
-        let exceptions: Vec<Version> = self.exceptions().collect();
-        exceptions.encode(w);
+        w.put_varint(self.exception_count() as u64);
+        for version in self.exceptions() {
+            version.encode(w);
+        }
     }
 }
 
 impl Decode for Knowledge {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut k = Knowledge::new();
         let n = r.get_len(2)?;
+        let mut prefixes = Vec::with_capacity(n);
         for _ in 0..n {
-            let replica = ReplicaId::decode(r)?;
-            let counter = r.get_varint()?;
-            k.insert_prefix(replica, counter);
+            prefixes.push((ReplicaId::decode(r)?, r.get_varint()?));
         }
-        for version in Vec::<Version>::decode(r)? {
-            k.insert(version);
-        }
-        Ok(k)
+        Ok(Knowledge::from_parts(prefixes, Vec::decode(r)?))
     }
 }
 

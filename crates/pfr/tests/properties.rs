@@ -2,6 +2,8 @@
 //! knowledge algebra, at-most-once delivery, eventual filter consistency,
 //! and wire-codec round trips.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use pfr::wire::{from_bytes, to_bytes};
@@ -115,6 +117,128 @@ proptest! {
                 "counter {}", c
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Knowledge ≡ a plain set of versions
+// ---------------------------------------------------------------------------
+
+/// One step of a knowledge-building script.
+#[derive(Clone, Debug)]
+enum KnowledgeOp {
+    Insert(Version),
+    Prefix(ReplicaId, u64),
+}
+
+fn arb_knowledge_ops() -> impl Strategy<Value = Vec<KnowledgeOp>> {
+    // Three single inserts for every prefix claim.
+    let op = prop_oneof![
+        arb_version().prop_map(KnowledgeOp::Insert),
+        arb_version().prop_map(KnowledgeOp::Insert),
+        arb_version().prop_map(KnowledgeOp::Insert),
+        (1u64..6, 0u64..20).prop_map(|(r, c)| KnowledgeOp::Prefix(ReplicaId::new(r), c)),
+    ];
+    proptest::collection::vec(op, 0..60)
+}
+
+/// Runs a script against both the compact layout and the naive model.
+fn build(ops: &[KnowledgeOp]) -> (Knowledge, BTreeSet<Version>) {
+    let (mut k, mut model) = (Knowledge::new(), BTreeSet::new());
+    for op in ops {
+        match *op {
+            KnowledgeOp::Insert(v) => {
+                k.insert(v);
+                model.insert(v);
+            }
+            KnowledgeOp::Prefix(r, c) => {
+                k.insert_prefix(r, c);
+                model.extend((1..=c).map(|c| Version::new(r, c)));
+            }
+        }
+    }
+    (k, model)
+}
+
+/// The one representation a version set may have: built in ascending
+/// order, so nothing is ever held out of order.
+fn canonical(model: &BTreeSet<Version>) -> Knowledge {
+    let mut k = Knowledge::new();
+    for &v in model {
+        k.insert(v);
+    }
+    k
+}
+
+proptest! {
+    #[test]
+    fn knowledge_matches_the_set_model(ops in arb_knowledge_ops()) {
+        let (k, model) = build(&ops);
+        for r in 1..6 {
+            for c in 1..45 {
+                let v = Version::new(ReplicaId::new(r), c);
+                prop_assert_eq!(k.contains(v), model.contains(&v), "{}", v);
+            }
+        }
+        prop_assert_eq!(k.version_count(), model.len() as u64);
+        prop_assert_eq!(k.is_empty(), model.is_empty());
+        let listed: u64 = k.vector_entries().map(|(_, c)| c).sum();
+        prop_assert_eq!(listed + k.exception_count() as u64, model.len() as u64);
+        // Equal sets have equal representations, however they were built.
+        prop_assert_eq!(&k, &canonical(&model));
+    }
+
+    #[test]
+    fn knowledge_merge_and_dominates_match_the_set_model(
+        a in arb_knowledge_ops(), b in arb_knowledge_ops(), c in arb_knowledge_ops()
+    ) {
+        let ((ka, ma), (kb, mb), (kc, mc)) = (build(&a), build(&b), build(&c));
+        prop_assert_eq!(ka.dominates(&kb), ma.is_superset(&mb));
+
+        let mut ab = ka.clone();
+        let learned = ab.merge(&kb);
+        prop_assert_eq!(learned, !ma.is_superset(&mb), "merge reports what it learned");
+        let union: BTreeSet<Version> = ma.union(&mb).copied().collect();
+        prop_assert_eq!(&ab, &canonical(&union));
+
+        // Commutative, associative, idempotent — as equality of
+        // representations, not just of contents.
+        let mut ba = kb.clone();
+        ba.merge(&ka);
+        prop_assert_eq!(&ab, &ba);
+        let mut ab_c = ab.clone();
+        ab_c.merge(&kc);
+        let mut bc = kb.clone();
+        bc.merge(&kc);
+        let mut a_bc = ka.clone();
+        a_bc.merge(&bc);
+        prop_assert_eq!(&ab_c, &a_bc);
+        prop_assert_eq!(&ab_c, &canonical(&union.union(&mc).copied().collect()));
+        let before = ab.clone();
+        prop_assert!(!ab.merge(&before), "merging oneself learns nothing");
+        prop_assert_eq!(&ab, &before);
+    }
+
+    #[test]
+    fn knowledge_wire_form_is_canonical(ops in arb_knowledge_ops()) {
+        let (k, model) = build(&ops);
+        let bytes = to_bytes(&k);
+        prop_assert_eq!(&bytes, &to_bytes(&canonical(&model)), "one set, one encoding");
+        let back: Knowledge = from_bytes(&bytes).expect("decode");
+        prop_assert_eq!(&back, &k);
+        prop_assert_eq!(to_bytes(&back), bytes);
+
+        // Decoders accept any exception order (counter-major is what
+        // earlier builds sent) and any redundancy: every version listed
+        // one by one, highest first, still decodes to the same knowledge.
+        let mut w = pfr::wire::Writer::new();
+        w.put_varint(0);
+        w.put_varint(model.len() as u64);
+        for v in model.iter().rev() {
+            pfr::wire::Encode::encode(v, &mut w);
+        }
+        let enumerated: Knowledge = from_bytes(w.as_slice()).expect("decode");
+        prop_assert_eq!(&enumerated, &k);
     }
 }
 
@@ -580,6 +704,25 @@ proptest! {
 // Indexed candidate selection ≡ full-store scan
 // ---------------------------------------------------------------------------
 
+/// Exception-heavy knowledge over the two origins a populated replica
+/// stores versions of: a short prefix, then gaps — every origin's
+/// exception list interleaves with its stored counters, which is what the
+/// index's merge walk steps through.
+fn arb_gappy_knowledge() -> impl Strategy<Value = Knowledge> {
+    let origin = || (0u64..8, any::<u32>());
+    (origin(), origin()).prop_map(|origins| {
+        let mut k = Knowledge::new();
+        for (origin, (prefix, mask)) in [1u64, 9].into_iter().zip([origins.0, origins.1]) {
+            let origin = ReplicaId::new(origin);
+            k.insert_prefix(origin, prefix);
+            for bit in (0..32).filter(|bit| mask >> bit & 1 == 1) {
+                k.insert(Version::new(origin, prefix + 2 + bit));
+            }
+        }
+        k
+    })
+}
+
 proptest! {
     /// The per-origin version index must select exactly the candidates
     /// the legacy full-store scan does, in the same order, for any store
@@ -587,7 +730,7 @@ proptest! {
     #[test]
     fn indexed_candidate_selection_matches_scan(
         replica in arb_populated_replica(),
-        k in arb_knowledge(),
+        k in prop_oneof![arb_knowledge(), arb_gappy_knowledge()],
     ) {
         let mut replica = replica;
         replica.set_candidate_scan(true);
@@ -598,9 +741,8 @@ proptest! {
     }
 
     /// Whole syncs are mode-invariant: running the same sync schedule with
-    /// the index + filter-match memo produces byte-identical replica
-    /// snapshots to running it with the full scan. Two targets share a
-    /// filter so the second sync exercises the memo's hit path.
+    /// the index produces byte-identical replica snapshots to running it
+    /// with the full scan.
     #[test]
     fn sync_outcomes_identical_scan_vs_indexed(source in arb_populated_replica()) {
         let run = |scan: bool| {
