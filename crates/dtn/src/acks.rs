@@ -48,6 +48,16 @@ impl AckSet {
 
     /// Decoding is bounded by the input length: every length prefix is
     /// checked against the bytes that remain.
+    ///
+    /// **Trust assumption.** What the set *claims* is not bounded: MaxProp's
+    /// acknowledgements are unauthenticated, so a peer can void any message
+    /// by acknowledging it, and a node cannot check a claim locally (an
+    /// honest ack routinely arrives before any copy of its message). The
+    /// enumerated list made a forger spell out each id; a prefix does not —
+    /// `(origin, u64::MAX)` voids every relay copy of that origin, issued
+    /// or not, floods onwards and is persisted. Run MaxProp with acks only
+    /// among peers trusted not to forge them (or `with_acks(false)`);
+    /// nothing here panics or overflows on such input.
     pub fn decode(r: &mut Reader<'_>) -> Result<AckSet, WireError> {
         Knowledge::decode(r).map(AckSet)
     }
@@ -141,6 +151,30 @@ mod tests {
         let mut w = Writer::new();
         w.put_varint(1 << 40);
         assert!(AckSet::decode(&mut Reader::new(w.as_slice())).is_err());
+    }
+
+    #[test]
+    fn a_forged_full_range_prefix_is_absorbed_without_overflow() {
+        // The trust assumption on `decode`, pinned: the claim is taken
+        // (acks are unauthenticated) and the arithmetic around it holds.
+        let mut w = Writer::new();
+        w.put_varint(2);
+        for origin in [1, 2] {
+            ReplicaId::new(origin).encode(&mut w);
+            w.put_varint(u64::MAX);
+        }
+        w.put_varint(0);
+        let forged = AckSet::decode(&mut Reader::new(w.as_slice())).expect("well-formed");
+        let mut ours = AckSet::default();
+        ours.insert(ItemId::new(ReplicaId::new(1), 7));
+        ours.insert(ItemId::new(ReplicaId::new(3), u64::MAX));
+        assert!(ours.merge(&forged));
+        assert!(!ours.merge(&forged), "nothing left to learn");
+        assert!(ours.contains(ItemId::new(ReplicaId::new(2), u64::MAX)));
+        assert!(ours.contains(ItemId::new(ReplicaId::new(3), u64::MAX)));
+        assert!(!ours.contains(ItemId::new(ReplicaId::new(3), 1)));
+        assert_eq!(ours.len(), u64::MAX, "the count saturates");
+        assert_eq!(AckSet::decode(&mut Reader::new(&encoded(&ours))), Ok(ours));
     }
 
     #[test]

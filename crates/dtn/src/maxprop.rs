@@ -317,7 +317,7 @@ impl SyncExtension for MaxPropPolicy {
         }
     }
 
-    fn on_relayed(&mut self, _cx: &mut HostContext<'_>, id: ItemId) {
+    fn on_relayed(&mut self, id: ItemId) {
         // The sender did not know this message is acknowledged (it runs
         // without acks, or lost our routing state): the copy goes at the
         // next request we serve and is never offered onwards.

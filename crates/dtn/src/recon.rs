@@ -234,8 +234,8 @@ impl SyncExtension for DigestExt<'_> {
         self.inner.on_delivered(cx, delivered);
     }
 
-    fn on_relayed(&mut self, cx: &mut HostContext<'_>, id: ItemId) {
-        self.inner.on_relayed(cx, id);
+    fn on_relayed(&mut self, id: ItemId) {
+        self.inner.on_relayed(id);
     }
 }
 

@@ -8,8 +8,8 @@
 //! record (delivery time, copies at delivery, copies at end) and every
 //! day's activity — so no field can drift unnoticed.
 //!
-//! To re-record after an *intended* behaviour change:
-//! `PIN_PRINT=1 cargo test --release -p replidtn-emu --test policy_metrics_pinned -- --nocapture`
+//! To re-record after an *intended* behaviour change, copy the fields of
+//! the failing assertion's left-hand `Pin` into the row it names.
 
 use dtn::PolicyKind;
 use emu::{Emulation, EmulationConfig, ExperimentMetrics};
@@ -76,21 +76,6 @@ fn replay(seed: u64, small: bool) -> Vec<Pin> {
 
 fn check(seed: u64, small: bool, expected: [Pin; 6]) {
     let actual = replay(seed, small);
-    if std::env::var_os("PIN_PRINT").is_some() {
-        println!("// seed {seed}, small = {small}");
-        for p in &actual {
-            println!(
-                "p({}, {}, {}, {}, {}, {:#018x}),",
-                p.delivered,
-                p.transmissions,
-                p.delay_secs,
-                p.copies_at_delivery,
-                p.copies_at_end,
-                p.debug_fnv
-            );
-        }
-        return;
-    }
     for ((policy, actual), expected) in PolicyKind::EXTENDED.iter().zip(&actual).zip(&expected) {
         assert_eq!(actual, expected, "{policy} at seed {seed}, small = {small}");
     }

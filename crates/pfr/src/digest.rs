@@ -144,16 +144,20 @@ pub fn knowledge_checksum(k: &Knowledge) -> u64 {
 
 /// Rebuilds a `Knowledge` from an exact entry-key set.
 fn knowledge_from_keys<I: IntoIterator<Item = u128>>(keys: I) -> Knowledge {
-    let (mut prefixes, mut exceptions) = (Vec::new(), Vec::new());
+    let mut k = Knowledge::new();
+    let mut exceptions = Vec::new();
     for key in keys {
         let (replica, counter, exception) = key_entry(key);
         if exception {
             exceptions.push(Version::new(replica, counter));
         } else {
-            prefixes.push((replica, counter));
+            k.insert_prefix(replica, counter);
         }
     }
-    Knowledge::from_parts(prefixes, exceptions)
+    for v in exceptions {
+        k.insert(v);
+    }
+    k
 }
 
 /// Exact symmetric-difference size between two knowledge entry sets —

@@ -65,42 +65,6 @@ impl Knowledge {
         Knowledge::default()
     }
 
-    /// Builds knowledge from vector entries and exception versions in any
-    /// order, with any overlap — the wire and digest decoders' entry
-    /// point. Both lists are sorted into the canonical `(replica,
-    /// counter)` order (free when the sender already used it), so both
-    /// trees are built in one ascending pass whatever a peer chose to
-    /// send.
-    pub(crate) fn from_parts(
-        mut prefixes: Vec<(ReplicaId, u64)>,
-        exceptions: Vec<Version>,
-    ) -> Knowledge {
-        // Ascending, so of several claims for one replica the highest is
-        // the one the map keeps.
-        prefixes.sort_unstable();
-        prefixes.retain(|&(_, counter)| counter > 0);
-        let mut vector: BTreeMap<ReplicaId, u64> = prefixes.into_iter().collect();
-        let mut listed: Vec<(ReplicaId, u64)> = exceptions
-            .into_iter()
-            .map(|v| (v.replica(), v.counter()))
-            .collect();
-        listed.sort_unstable();
-        // What a prefix covers is dropped and what extends one is folded
-        // into it; ascending order means a raised prefix is in place
-        // before the next counter of the same origin is looked at.
-        listed.retain(|&(replica, counter)| {
-            let base = vector.get(&replica).copied().unwrap_or(0);
-            if counter.checked_sub(1) == Some(base) {
-                vector.insert(replica, counter);
-            }
-            counter.checked_sub(1) > Some(base)
-        });
-        Knowledge {
-            vector,
-            exceptions: listed.into_iter().collect(),
-        }
-    }
-
     /// Returns `true` if `version` is known.
     pub fn contains(&self, version: Version) -> bool {
         let (replica, counter) = (version.replica(), version.counter());

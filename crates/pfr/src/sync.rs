@@ -345,8 +345,8 @@ pub trait SyncExtension {
     /// Called on the **target** for each copy a batch left in its relay
     /// (or push-out) store, as it is accepted — how a policy learns that
     /// something arrived to carry without rescanning the store.
-    fn on_relayed(&mut self, cx: &mut HostContext<'_>, id: ItemId) {
-        let _ = (cx, id);
+    fn on_relayed(&mut self, id: ItemId) {
+        let _ = id;
     }
 }
 
@@ -764,7 +764,7 @@ pub(crate) fn apply_batch_recycling(
                         seq: id.seq(),
                         at_secs: now.as_secs(),
                     });
-                    ext.on_relayed(&mut HostContext::new(target, now, Some(batch.source)), id);
+                    ext.on_relayed(id);
                 }
             }
             ApplyOutcome::Duplicate => report.duplicates += 1,

@@ -640,12 +640,17 @@ impl Encode for Knowledge {
 
 impl Decode for Knowledge {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut k = Knowledge::new();
         let n = r.get_len(2)?;
-        let mut prefixes = Vec::with_capacity(n);
         for _ in 0..n {
-            prefixes.push((ReplicaId::decode(r)?, r.get_varint()?));
+            let replica = ReplicaId::decode(r)?;
+            let counter = r.get_varint()?;
+            k.insert_prefix(replica, counter);
         }
-        Ok(Knowledge::from_parts(prefixes, Vec::decode(r)?))
+        for version in Vec::<Version>::decode(r)? {
+            k.insert(version);
+        }
+        Ok(k)
     }
 }
 
