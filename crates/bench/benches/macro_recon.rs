@@ -1,6 +1,7 @@
 //! Macro benchmark for digest-mode set reconciliation: replays the same
 //! multi-day DieselNet × email workload twice — once with full knowledge
-//! exchange ([`SyncMode::Full`]) and once with compact Bloom/IBLT digests
+//! exchange ([`SyncMode::Full`]) and once with compact digests — checksums,
+//! learned-version deltas, Bloom filters
 //! ([`SyncMode::Digest`]) — and reports the metadata bytes each mode put
 //! on the wire.
 //!

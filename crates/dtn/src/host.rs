@@ -10,8 +10,8 @@ use pfr::digest::{
 };
 use pfr::sync::{self, SyncReport};
 use pfr::{
-    DigestPolicy, Filter, ItemId, PfrError, ReconState, Replica, ReplicaId, SimTime, SyncLimits,
-    SyncMode,
+    DigestPolicy, Filter, ItemId, KnowledgeTotals, PfrError, ReconState, Replica, ReplicaId,
+    RoutingState, SimTime, SyncLimits, SyncMode,
 };
 
 use crate::durable::RestoreError;
@@ -91,27 +91,23 @@ impl EncounterReport {
 /// [`DtnNode::begin_digest_session`], held by the transport across the
 /// wire round trip, and consumed by [`DtnNode::commit_digest_session`]
 /// once the batch is applied. Dropping it (a torn session) leaves the
-/// snapshot caches untouched, which the next exchange repairs with one
-/// fallback round.
+/// per-peer digest state untouched, which the next exchange repairs with
+/// one fallback round. It holds no copy of the node's knowledge: the full
+/// request is built only if the source demands it
+/// ([`DtnNode::digest_resync_request`]).
 #[derive(Debug)]
 pub struct DigestSessionState {
     pending: PendingExchange,
-    full: pfr::sync::SyncRequest<'static>,
-    full_bytes: u64,
+    /// The session's routing data, for the full request a resync needs.
+    routing: RoutingState,
     kind: &'static str,
 }
 
 impl DigestSessionState {
-    /// The equivalent full-mode request — what the target retransmits
-    /// when the source cannot resolve the digest.
-    pub fn full_request(&self) -> &pfr::sync::SyncRequest<'static> {
-        &self.full
-    }
-
-    /// Encoded size of the full-mode request: the bytes full mode would
-    /// have spent where the digest went instead.
+    /// Encoded size of the equivalent full-mode request: the bytes full
+    /// mode would have spent where the digest went instead.
     pub fn full_bytes(&self) -> u64 {
-        self.full_bytes
+        self.pending.full_bytes()
     }
 
     /// Summary kind of the digest request (`"full"`, `"unchanged"`,
@@ -121,15 +117,35 @@ impl DigestSessionState {
     }
 }
 
+/// Source-side continuation of a digest request that needs the exact
+/// membership round: what is left of the request once its Bloom summary
+/// has been screened, plus the query to put to the target. Feed it, with
+/// the target's answer, to [`DtnNode::respond_digest_answer`].
+#[derive(Debug)]
+pub struct DigestQueryState {
+    target: ReplicaId,
+    filter_fingerprint: u64,
+    filter: Option<Filter>,
+    routing: RoutingState,
+    query: VersionQuery,
+}
+
+impl DigestQueryState {
+    /// The versions the target must confirm one by one.
+    pub fn query(&self) -> &VersionQuery {
+        &self.query
+    }
+}
+
 /// What a digest request resolved to on the source side of a network
 /// session (see [`DtnNode::respond_digest`]).
 #[derive(Debug)]
 pub enum DigestResponse {
     /// Candidates resolved exactly; this batch closes the exchange.
     Batch(pfr::sync::SyncBatch),
-    /// Bloom screening left these versions uncertain: send the query,
-    /// feed the answer to [`DtnNode::respond_digest_answer`].
-    NeedVersions(VersionQuery),
+    /// Bloom screening left some versions uncertain: send the state's
+    /// query, feed the answer to [`DtnNode::respond_digest_answer`].
+    NeedVersions(DigestQueryState),
     /// The summary references state this side does not hold; the target
     /// must retransmit a plain full request
     /// ([`DtnNode::respond_digest_resync`] serves it).
@@ -579,10 +595,10 @@ impl DtnNode {
     // the delta envelopes of the local path need a same-process back
     // channel to recover from cache loss, which a socket does not offer.
     //
-    // Snapshot caches advance independently per side (the target commits
-    // after applying the batch, the source when it serves one). A session
-    // torn between the two leaves the caches disagreeing, which the next
-    // exchange detects by checksum and resolves as a fallback round —
+    // Per-peer digest state advances independently per side (the target
+    // commits after applying the batch, the source when it serves one). A
+    // session torn between the two leaves the sides disagreeing, which the
+    // next exchange detects by checksum and resolves as a fallback round —
     // degraded bandwidth once, never wrong candidates.
 
     /// Begins a digest-mode sync session in which this node is the
@@ -593,20 +609,37 @@ impl DtnNode {
         source: ReplicaId,
         now: SimTime,
     ) -> (DigestRequest, DigestSessionState) {
-        let full = sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source))
-            .into_owned();
-        let full_bytes = pfr::wire::to_bytes(&full).len() as u64;
-        let (request, pending) = self.recon.build_request(source, &full);
+        let routing =
+            sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source)).routing;
+        let (request, pending) =
+            self.recon
+                .build_request(source, &mut self.replica, routing.clone());
         let kind = request.summary.kind();
         (
             request,
             DigestSessionState {
                 pending,
-                full,
-                full_bytes,
+                routing,
                 kind,
             },
         )
+    }
+
+    /// The equivalent full-mode request, for a target whose source
+    /// answered [`DigestResponse::Resync`]. Borrows the node's knowledge
+    /// and filter as they are *now* (encode it before releasing the node)
+    /// and re-stamps the session to match what it conveys.
+    pub fn digest_resync_request(
+        &self,
+        state: &mut DigestSessionState,
+    ) -> pfr::sync::SyncRequest<'_> {
+        state.pending.restamp(&self.replica);
+        pfr::sync::SyncRequest {
+            target: self.replica.id(),
+            knowledge: Cow::Borrowed(self.replica.knowledge()),
+            filter: Cow::Borrowed(self.replica.filter()),
+            routing: state.routing.clone(),
+        }
     }
 
     /// Answers the exact-membership round of a Bloom digest session (the
@@ -615,11 +648,11 @@ impl DtnNode {
         digest::answer_query(self.replica.knowledge(), query)
     }
 
-    /// Completes a digest session as the *target*: advances the snapshot
-    /// cache (only when the exchange conveyed the exact knowledge set —
-    /// Bloom rounds are lossy and must not seed deltas), folds the byte
-    /// accounting into [`DtnNode::recon_stats`], and emits the session's
-    /// `ReconDigest` event.
+    /// Completes a digest session as the *target*: advances this peer's
+    /// journal position (only when the exchange conveyed the exact
+    /// knowledge set — Bloom rounds are lossy and must not seed deltas),
+    /// folds the byte accounting into [`DtnNode::recon_stats`], and emits
+    /// the session's `ReconDigest` event.
     pub fn commit_digest_session(
         &mut self,
         source: ReplicaId,
@@ -636,21 +669,18 @@ impl DtnNode {
         } else {
             state.kind
         };
+        let full_bytes = state.full_bytes();
         self.replica.observer().emit(|| Event::ReconDigest {
             replica: self.replica.id().as_u64(),
             peer: source.as_u64(),
             kind,
             digest_bytes,
-            full_bytes: state.full_bytes,
+            full_bytes,
             fallback_rounds,
             false_positives,
         });
-        self.recon.note_exchange(
-            digest_bytes,
-            state.full_bytes,
-            fallback_rounds,
-            false_positives,
-        );
+        self.recon
+            .note_exchange(digest_bytes, full_bytes, fallback_rounds, false_positives);
         self.recon.commit_sent(state.pending, knowledge_shared);
     }
 
@@ -658,36 +688,54 @@ impl DtnNode {
     /// closes the exchange in one reply; the other variants need a further
     /// round trip ([`DtnNode::respond_digest_answer`] after the target
     /// answers a version query, [`DtnNode::respond_digest_resync`] after
-    /// it retransmits a full request).
+    /// it retransmits a full request). The request is consumed: a full
+    /// summary's knowledge moves into this node's copy of the peer's
+    /// knowledge instead of being cloned into it.
     pub fn respond_digest(
         &mut self,
-        request: &DigestRequest,
+        request: DigestRequest,
         limits: SyncLimits,
         now: SimTime,
     ) -> DigestResponse {
-        let Some(filter) = self.recon.effective_filter(request.target, request) else {
-            // The peer elided a filter we never cached: protocol desync.
-            return DigestResponse::Resync;
-        };
-        match self
-            .recon
-            .resolve(&self.replica, request.target, &request.summary)
-        {
-            SummaryOutcome::Resolved(knowledge) => {
-                // Bloom-resolved knowledge is a conservative subset, not
-                // the peer's exact set; it must not seed the delta cache.
-                let exact = request.summary.kind() != "bloom";
-                let batch =
-                    self.prepare_digest_batch(request, knowledge.clone(), &filter, limits, now);
-                self.recon.commit_peer(
-                    request.target,
-                    exact.then_some(knowledge),
-                    request.filter_fingerprint,
-                    &filter,
+        let DigestRequest {
+            target,
+            summary,
+            filter_fingerprint,
+            filter,
+            routing,
+        } = request;
+        // Not knowing the filter the peer elided is a desync like a lost
+        // copy of its knowledge: both end in a resync round, which
+        // re-seeds both.
+        match self.recon.resolve(&self.replica, target, summary) {
+            SummaryOutcome::Resolved { knowledge, totals } => {
+                let served = self.serve_digest(
+                    target,
+                    knowledge,
+                    totals,
+                    filter_fingerprint,
+                    filter.as_ref(),
+                    routing,
+                    limits,
+                    now,
                 );
-                DigestResponse::Batch(batch)
+                served.map_or(DigestResponse::Resync, DigestResponse::Batch)
             }
-            SummaryOutcome::NeedVersions(query) => DigestResponse::NeedVersions(query),
+            SummaryOutcome::NeedVersions(query)
+                if self
+                    .recon
+                    .effective_filter(target, filter_fingerprint, filter.as_ref())
+                    .is_some() =>
+            {
+                DigestResponse::NeedVersions(DigestQueryState {
+                    target,
+                    filter_fingerprint,
+                    filter,
+                    routing,
+                    query,
+                })
+            }
+            SummaryOutcome::NeedVersions(_) => DigestResponse::Resync,
             SummaryOutcome::Resync => DigestResponse::Resync,
         }
     }
@@ -698,19 +746,24 @@ impl DtnNode {
     /// round).
     pub fn respond_digest_answer(
         &mut self,
-        request: &DigestRequest,
-        query: &VersionQuery,
+        state: DigestQueryState,
         answer: &VersionAnswer,
         limits: SyncLimits,
         now: SimTime,
     ) -> Option<pfr::sync::SyncBatch> {
-        let filter = self.recon.effective_filter(request.target, request)?;
-        let (known, _false_positives) = digest::knowledge_from_answer(query, answer)?;
-        let batch = self.prepare_digest_batch(request, known, &filter, limits, now);
-        // Query rounds convey a lossy knowledge view: cache the filter only.
-        self.recon
-            .commit_peer(request.target, None, request.filter_fingerprint, &filter);
-        Some(batch)
+        let (known, _false_positives) = digest::knowledge_from_answer(&state.query, answer)?;
+        // Query rounds convey a lossy knowledge view: no totals, so only
+        // the filter is cached.
+        self.serve_digest(
+            state.target,
+            known,
+            None,
+            state.filter_fingerprint,
+            state.filter.as_ref(),
+            state.routing,
+            limits,
+            now,
+        )
     }
 
     /// Serves the full request a target retransmits after a
@@ -718,36 +771,58 @@ impl DtnNode {
     /// state so the *next* exchange can summarize again.
     pub fn respond_digest_resync(
         &mut self,
-        request: &pfr::sync::SyncRequest,
+        request: pfr::sync::SyncRequest<'static>,
         limits: SyncLimits,
         now: SimTime,
     ) -> pfr::sync::SyncBatch {
-        let batch = self.respond_sync(request, limits, now);
+        let batch = self.respond_sync(&request, limits, now);
+        let knowledge = request.knowledge.into_owned();
+        let totals = KnowledgeTotals::of(&knowledge);
         self.recon.commit_peer(
             request.target,
-            Some(request.knowledge.as_ref().clone()),
+            Some((knowledge, totals)),
             request.filter.fingerprint(),
-            request.filter.as_ref(),
+            Some(request.filter.as_ref()),
         );
         batch
     }
 
-    /// Source-role batch preparation shared by the digest reply paths.
-    fn prepare_digest_batch(
+    /// Source-role tail shared by the digest reply paths: prepares the
+    /// batch against `knowledge` (lent, not cloned) and commits the
+    /// exchange — the knowledge itself moves into the peer's cached copy
+    /// when `totals` vouch that it is exact. `None` if the peer's filter
+    /// is neither inline nor cached.
+    #[allow(clippy::too_many_arguments)]
+    fn serve_digest(
         &mut self,
-        request: &DigestRequest,
+        target: ReplicaId,
         knowledge: pfr::Knowledge,
-        filter: &Filter,
+        totals: Option<KnowledgeTotals>,
+        filter_fingerprint: u64,
+        inline_filter: Option<&Filter>,
+        routing: RoutingState,
         limits: SyncLimits,
         now: SimTime,
-    ) -> pfr::sync::SyncBatch {
+    ) -> Option<pfr::sync::SyncBatch> {
+        let filter = self
+            .recon
+            .effective_filter(target, filter_fingerprint, inline_filter)?;
         let full = pfr::sync::SyncRequest {
-            target: request.target,
-            knowledge: Cow::Owned(knowledge),
-            filter: Cow::Owned(filter.clone()),
-            routing: request.routing.clone(),
+            target,
+            knowledge: Cow::Borrowed(&knowledge),
+            filter: Cow::Borrowed(filter),
+            routing,
         };
-        sync::prepare_batch(&mut self.replica, self.policy.as_mut(), &full, limits, now)
+        let batch =
+            sync::prepare_batch(&mut self.replica, self.policy.as_mut(), &full, limits, now);
+        drop(full);
+        self.recon.commit_peer(
+            target,
+            totals.map(|totals| (knowledge, totals)),
+            filter_fingerprint,
+            inline_filter,
+        );
+        Some(batch)
     }
 
     /// Serializes the node's full durable state: replica snapshot, address

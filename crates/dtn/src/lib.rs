@@ -59,7 +59,8 @@ pub use direct::DirectDelivery;
 pub use durable::RestoreError;
 pub use epidemic::{EpidemicPolicy, ATTR_TTL};
 pub use host::{
-    DigestResponse, DigestSessionState, DtnNode, EncounterBudget, EncounterReport, SnapshotScratch,
+    DigestQueryState, DigestResponse, DigestSessionState, DtnNode, EncounterBudget,
+    EncounterReport, SnapshotScratch,
 };
 pub use maxprop::{MaxPropPolicy, ATTR_HOPLIST};
 pub use messaging::{FilterStrategy, Message};

@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dtn::{DigestResponse, DigestSessionState, DtnNode};
+use dtn::{DigestQueryState, DigestResponse, DigestSessionState, DtnNode};
 use obs::Event;
 use parking_lot::Mutex;
 use pfr::digest::{DigestRequest, VersionAnswer, VersionQuery};
@@ -143,10 +143,7 @@ enum Phase {
     /// Serve direction: awaiting the peer's request frame.
     ServeAwaitRequest,
     /// Digest serve: `RangeRequest` sent, awaiting the exact answer.
-    ServeAwaitAnswer {
-        request: DigestRequest,
-        query: VersionQuery,
-    },
+    ServeAwaitAnswer(DigestQueryState),
     /// Digest serve: resync demanded, awaiting the retransmitted full
     /// request.
     ServeAwaitResyncRequest,
@@ -379,7 +376,13 @@ impl SessionMachine {
     ) -> Result<(), SessionError> {
         pull.fallback_rounds += 1;
         pull.knowledge_shared = true;
-        let request_bytes = self.scratch.encode(pull.state.full_request());
+        // The request borrows the node's knowledge and filter, so encode
+        // it while the lock is held.
+        let request_bytes = {
+            let node = self.node.lock();
+            self.scratch
+                .encode(&node.digest_resync_request(&mut pull.state))
+        };
         pull.digest_bytes += 1 + request_bytes.len() as u64;
         self.frame_bytes += request_bytes.len() as u64;
         append_frame(out, FrameType::SyncRequest, request_bytes)?;
@@ -675,16 +678,16 @@ impl SessionMachine {
                     let response = self
                         .node
                         .lock()
-                        .respond_digest(&request, self.limits, self.now);
+                        .respond_digest(request, self.limits, self.now);
                     match response {
                         DigestResponse::Batch(batch) => {
                             self.report.served = batch.entries.len();
                             self.send(out, FrameType::SyncBatch, &batch)?;
                             self.phase = Phase::ServeAwaitDone;
                         }
-                        DigestResponse::NeedVersions(query) => {
-                            self.send(out, FrameType::RangeRequest, &query)?;
-                            self.phase = Phase::ServeAwaitAnswer { request, query };
+                        DigestResponse::NeedVersions(pending) => {
+                            self.send(out, FrameType::RangeRequest, pending.query())?;
+                            self.phase = Phase::ServeAwaitAnswer(pending);
                         }
                         DigestResponse::Resync => {
                             self.send_empty(out, FrameType::ReconResync)?;
@@ -695,12 +698,11 @@ impl SessionMachine {
                 }
                 got => Err(self.unexpected_in("ServeAwaitRequest", got)),
             },
-            Phase::ServeAwaitAnswer { request, query } => match frame_type {
+            Phase::ServeAwaitAnswer(pending) => match frame_type {
                 FrameType::RangeResponse => {
                     let answer: VersionAnswer = from_bytes(payload)?;
                     let batch = self.node.lock().respond_digest_answer(
-                        &request,
-                        &query,
+                        pending,
                         &answer,
                         self.limits,
                         self.now,
@@ -728,7 +730,7 @@ impl SessionMachine {
                     let batch =
                         self.node
                             .lock()
-                            .respond_digest_resync(&request, self.limits, self.now);
+                            .respond_digest_resync(request, self.limits, self.now);
                     self.report.served = batch.entries.len();
                     self.send(out, FrameType::SyncBatch, &batch)?;
                     self.phase = Phase::ServeAwaitDone;

@@ -1,50 +1,58 @@
-//! Digest-mode synchronization: compact set reconciliation in place of
-//! full knowledge exchange.
+//! Digest-mode synchronization: a repeat exchange costs what was learned
+//! since the last one.
 //!
 //! Full-mode sync (paper Fig. 4) ships the target's entire [`Knowledge`]
 //! — version vector plus exception set — in every request. Under filtered
 //! DTN replication the exception set only grows (gaps are permanent, see
 //! [`Knowledge`]), so steady-state encounters resend an ever-larger
-//! structure the source has mostly seen before. Digest mode replaces the
-//! full structure with a summary sized by what *changed*:
+//! structure the source has mostly seen before. Knowledge is also
+//! *monotone*: a replica only learns versions, in an order its journal
+//! records ([`crate::journal`]). So the target remembers, per peer, the
+//! journal position and checksum of what it last conveyed, the source
+//! keeps one copy of that knowledge, and a request carries:
 //!
-//! * [`KnowledgeSummary::Unchanged`] — a checksum (about a dozen bytes)
-//!   when nothing changed since the last exchange with this peer.
-//! * [`KnowledgeSummary::Delta`] — an invertible sketch ([`recon::Iblt`])
-//!   over the knowledge entry set. Both sides cache the previously
-//!   exchanged knowledge, so the sketch is sized by the *exact* number of
-//!   changed entries; the source subtracts its cached copy and peels the
-//!   sketch to recover the target's current knowledge, verified by
-//!   checksum.
-//! * [`KnowledgeSummary::Bloom`] — first contact, no shared snapshot: a
-//!   Bloom filter over the target's known versions. The source screens its
-//!   store against the filter; definite misses become candidates
-//!   immediately, possible hits are confirmed in one exact
-//!   [`VersionQuery`] round, so false positives cost bandwidth, never
-//!   correctness.
+//! * [`KnowledgeSummary::Unchanged`] — a checksum (nine bytes) when the
+//!   journal has not moved since the last exchange with this peer.
+//! * [`KnowledgeSummary::Delta`] — the versions learned since, spelled
+//!   out. The source inserts them into its cached copy *in place* and
+//!   checks the result against the target's checksum; a miss drops the
+//!   copy and resynchronizes.
+//! * [`KnowledgeSummary::Full`] — the whole structure: first contact, a
+//!   delta that would be longer than the knowledge, or a position the
+//!   journal no longer reaches back to.
+//! * [`KnowledgeSummary::Bloom`] — a Bloom filter over the target's known
+//!   versions, on first contact only when it is under half the size of
+//!   the full structure (or under [`DigestPolicy::ForceBloom`]). The
+//!   source screens its store against it; possible hits are confirmed in
+//!   one exact [`VersionQuery`] round, so false positives cost bandwidth,
+//!   never correctness. A Bloom round conveys no exact knowledge, so it
+//!   cannot seed the source's copy: it *defers* the full exchange to the
+//!   next meeting rather than replacing it, which is why it has to be so
+//!   much smaller to be worth sending.
 //!
 //! Every path ends with the source holding a knowledge set that selects
 //! *exactly* the candidates full mode would have selected, so digest mode
-//! is invisible to delivery metrics. Any mismatch — stale cache,
-//! undecodable sketch, corrupt frame — resolves to
-//! [`SummaryOutcome::Resync`] and the exchange falls back to a full
-//! request: degraded bandwidth, never degraded convergence. Fallbacks are
-//! counted in the `recon.fallback_rounds` observability counter.
+//! is invisible to delivery metrics. Any mismatch — lost or stale copy,
+//! corrupt frame — resolves to [`SummaryOutcome::Resync`] and the exchange
+//! falls back to a full request: degraded bandwidth, never degraded
+//! convergence. Fallbacks are counted in the `recon.fallback_rounds`
+//! observability counter.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use obs::Event;
 use recon::hash::key_hash;
-use recon::{Bloom, Iblt};
+use recon::Bloom;
 
 use crate::filter::Filter;
 use crate::id::{ReplicaId, Version};
+use crate::journal::KnowledgeTotals;
 use crate::knowledge::Knowledge;
 use crate::replica::Replica;
 use crate::sync::{self, RoutingState, SyncExtension, SyncLimits, SyncReport, SyncRequest};
 use crate::time::SimTime;
-use crate::wire;
+use crate::wire::{self, varint_len};
 
 /// How sync requests travel between two replicas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,29 +68,23 @@ pub enum SyncMode {
 /// setting; the `Force*` variants pin one path for tests and experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DigestPolicy {
-    /// Cheapest sound summary: checksum when unchanged, exact-sized IBLT
-    /// delta when a shared snapshot exists, and on first contact whichever
-    /// of Bloom / full knowledge encodes smaller.
+    /// Cheapest sound summary: checksum when unchanged, the learned
+    /// versions when that is shorter than the knowledge, a Bloom filter on
+    /// first contact when it is under half the knowledge, else the
+    /// knowledge itself.
     #[default]
     Auto,
     /// Always summarize with a Bloom filter when the version set is
     /// enumerable (first contact *and* repeat encounters). Exercises the
     /// false-positive query round.
     ForceBloom,
-    /// Always send an IBLT delta when a snapshot exists (even when a full
-    /// structure would be smaller); full knowledge otherwise.
-    ForceIblt,
+    /// Always send a delta when the journal reaches back to the last
+    /// exchange (even when the full structure would be smaller); full
+    /// knowledge otherwise.
+    ForceDelta,
     /// Never summarize: full knowledge inside the digest framing.
     ForceFull,
 }
-
-/// Replica ids above this cannot be packed into sketch keys (they need
-/// the tag bit); knowledge mentioning them always travels as
-/// [`KnowledgeSummary::Full`].
-pub const MAX_DIGEST_REPLICA: u64 = (1 << 63) - 1;
-
-/// Seed for the order-independent knowledge checksum.
-const CHECKSUM_SEED: u64 = 0x5afe_c0de_0213_7717;
 
 /// Default Bloom filter density (bits per known version): ~1% false
 /// positives, each costing one entry in the exact query round.
@@ -93,108 +95,43 @@ const BLOOM_BITS_PER_ITEM: u32 = 10;
 /// precisely when the version count is dominated by vector prefixes).
 const BLOOM_MAX_VERSIONS: u64 = 4096;
 
-/// Packs one knowledge entry — a vector watermark or an exception — into
-/// a 128-bit sketch key: high word `replica << 1 | is_exception`, low
-/// word the counter. The tag rides in the *low* bit of the high word so
-/// vector keys of small replicas encode as short varints.
-fn entry_key(replica: ReplicaId, counter: u64, exception: bool) -> u128 {
-    let hi = (replica.as_u64() << 1) | exception as u64;
-    ((hi as u128) << 64) | counter as u128
-}
-
-/// Sketch key for one concrete version (Bloom membership universe).
+/// Bloom key of one concrete version.
 fn version_key(v: Version) -> u128 {
-    entry_key(v.replica(), v.counter(), false)
+    ((v.replica().as_u64() as u128) << 64) | v.counter() as u128
 }
 
-/// Inverse of [`entry_key`]: `(replica, counter, is_exception)`.
-fn key_entry(key: u128) -> (ReplicaId, u64, bool) {
-    let hi = (key >> 64) as u64;
-    (ReplicaId::new(hi >> 1), key as u64, hi & 1 == 1)
-}
-
-/// The knowledge entry set as sketch keys: one key per vector entry, one
-/// per exception. Exact and canonical — two equal `Knowledge` values
-/// yield the same key set, two different ones differ.
-fn knowledge_entry_keys(k: &Knowledge) -> impl Iterator<Item = u128> + '_ {
-    k.vector_entries()
-        .map(|(r, c)| entry_key(r, c, false))
-        .chain(
-            k.exceptions()
-                .map(|v| entry_key(v.replica(), v.counter(), true)),
-        )
-}
-
-/// Whether every replica id in `k` fits the packed key layout.
-fn digest_capable(k: &Knowledge) -> bool {
-    k.vector_entries()
-        .all(|(r, _)| r.as_u64() <= MAX_DIGEST_REPLICA)
-        && k.exceptions()
-            .all(|v| v.replica().as_u64() <= MAX_DIGEST_REPLICA)
-}
-
-/// Order-independent checksum of a knowledge entry set. Used as the delta
-/// cache key (`base_checksum`) and as the post-peel reconstruction check;
-/// a collision costs one fallback round, never correctness of delivery.
+/// Order-independent checksum of a knowledge entry set, from scratch (a
+/// replica keeps its own current in [`Replica::knowledge_totals`]).
 pub fn knowledge_checksum(k: &Knowledge) -> u64 {
-    knowledge_entry_keys(k).fold(0u64, |acc, key| {
-        acc.wrapping_add(key_hash(key, CHECKSUM_SEED))
-    })
-}
-
-/// Rebuilds a `Knowledge` from an exact entry-key set.
-fn knowledge_from_keys<I: IntoIterator<Item = u128>>(keys: I) -> Knowledge {
-    let mut k = Knowledge::new();
-    let mut exceptions = Vec::new();
-    for key in keys {
-        let (replica, counter, exception) = key_entry(key);
-        if exception {
-            exceptions.push(Version::new(replica, counter));
-        } else {
-            k.insert_prefix(replica, counter);
-        }
-    }
-    for v in exceptions {
-        k.insert(v);
-    }
-    k
-}
-
-/// Exact symmetric-difference size between two knowledge entry sets —
-/// what lets delta sketches be sized precisely instead of estimated.
-fn entry_diff_count(a: &Knowledge, b: &Knowledge) -> usize {
-    let sa: BTreeSet<u128> = knowledge_entry_keys(a).collect();
-    let sb: BTreeSet<u128> = knowledge_entry_keys(b).collect();
-    sa.symmetric_difference(&sb).count()
+    KnowledgeTotals::of(k).checksum()
 }
 
 /// Compact stand-in for a [`Knowledge`] structure in a [`DigestRequest`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum KnowledgeSummary {
-    /// The complete structure: first contact with a large enumerable
-    /// set, oversized deltas, incompatible replica ids, or
-    /// [`DigestPolicy::ForceFull`].
+    /// The complete structure: first contact, deltas longer than the
+    /// knowledge or older than the journal, or [`DigestPolicy::ForceFull`].
     Full(Knowledge),
-    /// Nothing changed since the last exchange with this peer; `checksum`
+    /// Nothing learned since the last exchange with this peer; `checksum`
     /// lets the source confirm its cached copy is the referenced one.
     Unchanged {
         /// Checksum of the (unchanged) knowledge entry set.
         checksum: u64,
     },
-    /// Invertible sketch of the current entry set, to be subtracted
-    /// against the peer's cached copy of the previous set and peeled.
+    /// What the target learned since the last exchange with this peer, to
+    /// be inserted into the peer's cached copy of its knowledge.
     Delta {
         /// Checksum of the previously exchanged knowledge (cache key; a
-        /// mismatch means the peer lost or never had the snapshot).
+        /// mismatch means the peer lost or never had the copy).
         base_checksum: u64,
-        /// Checksum of the current knowledge, verified after
-        /// reconstruction.
+        /// Checksum of the current knowledge, verified after the
+        /// versions are applied.
         checksum: u64,
-        /// The sketch, sized for the exact entry difference.
-        iblt: Iblt,
+        /// The versions learned since, in the order they were learned.
+        learned: Vec<Version>,
     },
-    /// First contact without a shared snapshot: membership filter over
-    /// every individually known version.
+    /// Membership filter over every individually known version (lossy:
+    /// resolves candidates, conveys no exact knowledge).
     Bloom {
         /// Number of versions inserted into the filter.
         version_count: u64,
@@ -330,32 +267,41 @@ pub fn knowledge_from_answer(
 /// What a [`KnowledgeSummary`] resolved to on the source side.
 #[derive(Clone, Debug)]
 pub enum SummaryOutcome {
-    /// The target's knowledge — exact for full/unchanged/delta summaries,
-    /// a sound conservative subset for resolved Bloom rounds. Proceed
-    /// exactly like a full-mode request.
-    Resolved(Knowledge),
+    /// Knowledge to select candidates against, exactly as for a full-mode
+    /// request.
+    Resolved {
+        /// The target's knowledge, or after Bloom screening a sound
+        /// conservative subset of it.
+        knowledge: Knowledge,
+        /// Totals of `knowledge` when it is the target's *exact*
+        /// knowledge — full, unchanged and delta summaries — and may
+        /// therefore be cached for the next exchange
+        /// ([`ReconState::commit_peer`]); `None` after Bloom screening.
+        totals: Option<KnowledgeTotals>,
+    },
     /// Bloom screening needs one exact round before candidates are known.
     NeedVersions(VersionQuery),
-    /// The summary references state this side does not hold, or a sketch
-    /// failed to peel: request a full exchange instead.
+    /// The summary references state this side does not hold, or did not
+    /// reproduce the target's checksum: request a full exchange instead.
     Resync,
 }
 
 /// What this side last sent to (or heard from) one peer.
 #[derive(Clone, Debug, Default)]
 struct PeerRecon {
-    /// Summaries built for this peer; salts successive sketch seeds so a
-    /// peel failure never repeats with the same cell assignment.
+    /// Summaries built for this peer; salts successive Bloom seeds so a
+    /// false positive never repeats at the next meeting.
     epoch: u64,
-    /// The knowledge this replica last summarized to the peer, with its
-    /// checksum (target role: the base the next delta diffs against).
-    sent: Option<(Knowledge, u64)>,
+    /// Journal position and checksum of the knowledge this replica last
+    /// conveyed to the peer (target role: where the next delta starts).
+    sent: Option<(u64, u64)>,
     /// Filter fingerprint the peer has acknowledged (target role: when it
     /// matches the current filter, the filter is elided from requests).
     sent_filter_fp: Option<u64>,
-    /// The peer's knowledge as of the last exchange, with its checksum
-    /// (source role: the base the next received delta subtracts).
-    peer_knowledge: Option<(Knowledge, u64)>,
+    /// The peer's knowledge as of the last exchange, with its totals
+    /// (source role: what the next delta is applied to). Taken out while
+    /// an exchange is resolving and put back only by its commit.
+    peer_knowledge: Option<(Knowledge, KnowledgeTotals)>,
     /// The peer's filter as last received, keyed by fingerprint (source
     /// role: reused when the peer elides it).
     peer_filter: Option<(u64, Filter)>,
@@ -364,13 +310,30 @@ struct PeerRecon {
 /// One summarized-but-not-yet-committed exchange (returned by
 /// [`ReconState::build_request`], consumed by [`ReconState::commit_sent`]
 /// once the sync succeeds — a failed or corrupted exchange must not
-/// advance the snapshot cache).
-#[derive(Clone, Debug)]
+/// advance the per-peer position).
+#[derive(Clone, Copy, Debug)]
 pub struct PendingExchange {
     peer: ReplicaId,
-    knowledge: Knowledge,
+    position: u64,
     checksum: u64,
     filter_fp: u64,
+    full_bytes: u64,
+}
+
+impl PendingExchange {
+    /// Encoded size of the equivalent full-mode request: the bytes full
+    /// mode would have spent where the digest went instead.
+    pub fn full_bytes(&self) -> u64 {
+        self.full_bytes
+    }
+
+    /// Re-stamps the exchange with `target`'s knowledge as it is *now* —
+    /// for a target about to retransmit its full request, which conveys
+    /// the current knowledge, not that of when the exchange began.
+    pub fn restamp(&mut self, target: &Replica) {
+        self.position = target.journal_position();
+        self.checksum = target.knowledge_totals().checksum();
+    }
 }
 
 /// Cumulative digest-mode counters for one replica (test and experiment
@@ -390,13 +353,16 @@ pub struct ReconStats {
     pub false_positives: u64,
 }
 
-/// Per-replica digest-mode state: the policy knobs plus, per peer, the
-/// cached snapshots that make exact deltas possible.
+/// Per-replica digest-mode state: the policy knobs plus, per peer, what
+/// makes exact deltas possible — as target a journal position, as source
+/// one copy of the peer's knowledge.
 ///
-/// Caches advance only on [`ReconState::commit_sent`] /
+/// Both advance only on [`ReconState::commit_sent`] /
 /// [`ReconState::commit_peer`], which callers invoke after the exchange
-/// succeeds end to end; anything that dies mid-flight leaves both sides
-/// on the old (still mutually consistent) snapshot.
+/// succeeds end to end. An exchange that dies mid-flight leaves the
+/// target on its old position and the source either on its old copy or —
+/// if it had already applied a delta — with none, which the next exchange
+/// repairs with one resync round. Never a half-advanced copy.
 #[derive(Clone, Debug)]
 pub struct ReconState {
     policy: DigestPolicy,
@@ -481,202 +447,155 @@ impl ReconState {
         self.peers.clear();
     }
 
-    /// **Target role.** Summarizes a full-mode request into a
+    /// **Target role.** Summarizes `target`'s knowledge into a
     /// [`DigestRequest`] for `peer`, choosing the cheapest sound summary
-    /// the policy allows. Also returns the [`PendingExchange`] to commit
-    /// once the sync succeeds.
+    /// the policy allows; `routing` is the policy routing data of the
+    /// equivalent full-mode request. Also returns the [`PendingExchange`]
+    /// to commit once the sync succeeds. Costs what was learned since the
+    /// last exchange with `peer`: the knowledge is neither walked nor
+    /// cloned unless it is itself the summary.
     pub fn build_request(
         &mut self,
         peer: ReplicaId,
-        request: &SyncRequest<'_>,
+        target: &mut Replica,
+        routing: RoutingState,
     ) -> (DigestRequest, PendingExchange) {
-        let knowledge = request.knowledge.as_ref();
-        let checksum = knowledge_checksum(knowledge);
-        let filter_fp = request.filter.fingerprint();
+        let (filter_fp, filter_len) = target.filter_stamp();
+        let target: &Replica = target;
+        let knowledge = target.knowledge();
+        let totals = target.knowledge_totals();
+        let (position, checksum) = (target.journal_position(), totals.checksum());
+        // Every summary but `Full` is compared against this.
+        let full_len = 1 + totals.encoded_len(knowledge);
         let record = self.peers.entry(peer).or_default();
         record.epoch += 1;
-        let seed = key_hash(
-            ((request.target.as_u64() as u128) << 64) | peer.as_u64() as u128,
-            0x1db7_c0de ^ record.epoch,
-        );
-
-        let summary = if self.policy == DigestPolicy::ForceFull || !digest_capable(knowledge) {
-            KnowledgeSummary::Full(knowledge.clone())
-        } else if self.policy == DigestPolicy::ForceBloom {
-            bloom_summary(
-                knowledge,
-                self.bloom_bits_per_item,
-                self.bloom_max_versions,
-                seed,
-            )
-            .unwrap_or_else(|| KnowledgeSummary::Full(knowledge.clone()))
-        } else if let Some((sent, sent_checksum)) = &record.sent {
-            if sent == knowledge {
-                KnowledgeSummary::Unchanged { checksum }
-            } else {
-                let d = entry_diff_count(knowledge, sent);
-                let mut iblt = Iblt::for_expected_diff(d, seed);
-                for key in knowledge_entry_keys(knowledge) {
-                    iblt.insert(key);
-                }
-                // Auto falls back to the full structure when the sketch
-                // would not actually be smaller (huge deltas relative to
-                // the knowledge itself).
-                if self.policy == DigestPolicy::Auto
-                    && iblt.encoded_len() >= wire::to_bytes(knowledge).len()
-                {
-                    KnowledgeSummary::Full(knowledge.clone())
-                } else {
-                    KnowledgeSummary::Delta {
-                        base_checksum: *sent_checksum,
-                        checksum,
-                        iblt,
-                    }
-                }
-            }
-        } else {
-            // First contact. A Bloom is worth sending only when the
-            // version set is enumerable and the filter encodes smaller
-            // than the knowledge it stands in for.
-            match self.policy {
-                DigestPolicy::ForceIblt => KnowledgeSummary::Full(knowledge.clone()),
-                _ => bloom_summary(
-                    knowledge,
-                    self.bloom_bits_per_item,
-                    self.bloom_max_versions,
-                    seed,
-                )
-                .filter(|s| match s {
-                    KnowledgeSummary::Bloom { bloom, .. } => {
-                        bloom.encoded_len() < wire::to_bytes(knowledge).len()
-                    }
-                    _ => false,
-                })
-                .unwrap_or_else(|| KnowledgeSummary::Full(knowledge.clone())),
-            }
+        let epoch = record.epoch;
+        let bloom = |max_len: usize| {
+            let seed = key_hash(
+                ((target.id().as_u64() as u128) << 64) | peer.as_u64() as u128,
+                0x1db7_c0de ^ epoch,
+            );
+            let (max_versions, bits) = (self.bloom_max_versions, self.bloom_bits_per_item);
+            bloom_summary(knowledge, max_versions, bits, seed, max_len)
         };
+        let summary = match (self.policy, record.sent) {
+            (DigestPolicy::ForceFull, _) => None,
+            (DigestPolicy::ForceBloom, _) => bloom(usize::MAX),
+            (_, Some((sent_position, sent_checksum))) if sent_position == position => {
+                // Equal positions of one journal are equal knowledge; the
+                // checksum tells a position from before a restore apart.
+                (sent_checksum == checksum).then_some(KnowledgeSummary::Unchanged { checksum })
+            }
+            (policy, Some((sent_position, sent_checksum))) => target
+                .learned_since(sent_position)
+                .map(|learned| KnowledgeSummary::Delta {
+                    base_checksum: sent_checksum,
+                    checksum,
+                    learned: learned.to_vec(),
+                })
+                .filter(|delta| {
+                    policy == DigestPolicy::ForceDelta || wire::encoded_len(delta) < full_len
+                }),
+            (DigestPolicy::ForceDelta, None) => None,
+            // First contact. A Bloom round cannot seed the peer's copy, so
+            // the full exchange still happens at the next meeting: the
+            // filter only pays when it is under half of it.
+            (_, None) => bloom((full_len - 1) / 2),
+        }
+        .unwrap_or_else(|| KnowledgeSummary::Full(knowledge.clone()));
 
-        let filter = if record.sent_filter_fp == Some(filter_fp) {
-            None
-        } else {
-            Some(request.filter.as_ref().clone())
+        let filter = (record.sent_filter_fp != Some(filter_fp)).then(|| target.filter().clone());
+        let pending = PendingExchange {
+            peer,
+            position,
+            checksum,
+            filter_fp,
+            full_bytes: wire::sync_request_len(target.id(), full_len - 1, filter_len, &routing)
+                as u64,
         };
         let digest = DigestRequest {
-            target: request.target,
+            target: target.id(),
             summary,
             filter_fingerprint: filter_fp,
             filter,
-            routing: request.routing.clone(),
-        };
-        let pending = PendingExchange {
-            peer,
-            knowledge: knowledge.clone(),
-            checksum,
-            filter_fp,
+            routing,
         };
         (digest, pending)
     }
 
     /// **Target role.** Commits a successful exchange: the peer now holds
-    /// this snapshot, so the next summary can delta against it.
-    /// `knowledge_shared` says whether the exchange actually conveyed the
-    /// exact knowledge set (full/unchanged/delta paths, and fallbacks
-    /// that retransmitted the full request) — Bloom rounds convey a lossy
-    /// view and must not seed the delta cache.
+    /// the knowledge as of this journal position, so the next summary can
+    /// start from it. `knowledge_shared` says whether the exchange
+    /// actually conveyed the exact knowledge set (full/unchanged/delta
+    /// paths, and fallbacks that retransmitted the full request) — Bloom
+    /// rounds convey a lossy view and must not move the position.
     pub fn commit_sent(&mut self, pending: PendingExchange, knowledge_shared: bool) {
         let record = self.peers.entry(pending.peer).or_default();
         if knowledge_shared {
-            record.sent = Some((pending.knowledge, pending.checksum));
+            record.sent = Some((pending.position, pending.checksum));
         }
         record.sent_filter_fp = Some(pending.filter_fp);
     }
 
-    /// **Source role.** The target's filter for this request: carried
-    /// inline, or recalled from the cache by fingerprint. `None` means
-    /// the peer elided a filter this side never saw — a protocol desync
-    /// that must resolve as [`SummaryOutcome::Resync`].
-    pub fn effective_filter(&self, peer: ReplicaId, request: &DigestRequest) -> Option<Filter> {
-        if let Some(f) = &request.filter {
-            return Some(f.clone());
-        }
-        self.peers.get(&peer).and_then(|r| {
-            r.peer_filter
-                .as_ref()
-                .filter(|(fp, _)| *fp == request.filter_fingerprint)
-                .map(|(_, f)| f.clone())
+    /// **Source role.** The target's filter for a request: the one it
+    /// carried inline, or the cached one its fingerprint names. `None`
+    /// means the peer elided a filter this side never saw — a protocol
+    /// desync that must resolve as [`SummaryOutcome::Resync`].
+    pub fn effective_filter<'a>(
+        &'a self,
+        peer: ReplicaId,
+        fingerprint: u64,
+        inline: Option<&'a Filter>,
+    ) -> Option<&'a Filter> {
+        inline.or_else(|| {
+            let (cached_fp, filter) = self.peers.get(&peer)?.peer_filter.as_ref()?;
+            (*cached_fp == fingerprint).then_some(filter)
         })
     }
 
-    /// **Source role.** Resolves a summary against the cached snapshot
-    /// and (for Bloom) the local store. Never fails hard: anything that
-    /// cannot be resolved exactly comes back as
+    /// **Source role.** Resolves a summary against the cached copy of the
+    /// peer's knowledge and (for Bloom) the local store. Never fails hard:
+    /// anything that cannot be resolved exactly comes back as
     /// [`SummaryOutcome::Resync`].
+    ///
+    /// Unchanged and delta summaries *take* the cached copy — a delta is
+    /// applied to it in place — and hand it back in the outcome; only
+    /// [`ReconState::commit_peer`] restores it. A copy that fails its
+    /// checksum is dropped here, so a bad delta can never poison later
+    /// exchanges: the next one resynchronizes and re-seeds it.
     pub fn resolve(
-        &self,
+        &mut self,
         local: &Replica,
         peer: ReplicaId,
-        summary: &KnowledgeSummary,
+        summary: KnowledgeSummary,
     ) -> SummaryOutcome {
+        let mut cached = || self.peers.get_mut(&peer)?.peer_knowledge.take();
+        let exact = |(knowledge, totals)| SummaryOutcome::Resolved {
+            knowledge,
+            totals: Some(totals),
+        };
         match summary {
-            KnowledgeSummary::Full(k) => SummaryOutcome::Resolved(k.clone()),
-            KnowledgeSummary::Unchanged { checksum } => {
-                match self
-                    .peers
-                    .get(&peer)
-                    .and_then(|r| r.peer_knowledge.as_ref())
-                {
-                    Some((cached, cached_sum)) if cached_sum == checksum => {
-                        SummaryOutcome::Resolved(cached.clone())
-                    }
-                    _ => SummaryOutcome::Resync,
-                }
+            KnowledgeSummary::Full(knowledge) => {
+                let totals = KnowledgeTotals::of(&knowledge);
+                exact((knowledge, totals))
             }
+            KnowledgeSummary::Unchanged { checksum } => cached()
+                .filter(|(_, totals)| totals.checksum() == checksum)
+                .map_or(SummaryOutcome::Resync, exact),
             KnowledgeSummary::Delta {
                 base_checksum,
                 checksum,
-                iblt,
-            } => {
-                let Some((cached, cached_sum)) = self
-                    .peers
-                    .get(&peer)
-                    .and_then(|r| r.peer_knowledge.as_ref())
-                else {
-                    return SummaryOutcome::Resync;
-                };
-                if cached_sum != base_checksum {
-                    return SummaryOutcome::Resync;
-                }
-                // Rebuild the peer's previous entry set under the sketch's
-                // own geometry (seed and cell count ride in its encoding),
-                // subtract, and peel what remains: the exact entry-level
-                // symmetric difference.
-                let mut local_sketch = Iblt::with_cells(iblt.cells(), iblt.seed());
-                for key in knowledge_entry_keys(cached) {
-                    local_sketch.insert(key);
-                }
-                let Ok(sub) = iblt.subtract(&local_sketch) else {
-                    return SummaryOutcome::Resync;
-                };
-                let Ok(diff) = sub.decode() else {
-                    return SummaryOutcome::Resync;
-                };
-                let mut keys: BTreeSet<u128> = knowledge_entry_keys(cached).collect();
-                for key in &diff.only_remote {
-                    if !keys.remove(key) {
-                        return SummaryOutcome::Resync;
+                learned,
+            } => cached()
+                .filter(|(_, totals)| totals.checksum() == base_checksum)
+                .map(|(mut knowledge, mut totals)| {
+                    for version in learned {
+                        knowledge.insert_with(version, &mut totals);
                     }
-                }
-                for key in &diff.only_local {
-                    if !keys.insert(*key) {
-                        return SummaryOutcome::Resync;
-                    }
-                }
-                let rebuilt = knowledge_from_keys(keys);
-                if knowledge_checksum(&rebuilt) != *checksum {
-                    return SummaryOutcome::Resync;
-                }
-                SummaryOutcome::Resolved(rebuilt)
-            }
+                    (knowledge, totals)
+                })
+                .filter(|(_, totals)| totals.checksum() == checksum)
+                .map_or(SummaryOutcome::Resync, exact),
             KnowledgeSummary::Bloom { bloom, .. } => {
                 // Screen every stored current version. Definite misses
                 // need no confirmation — the filter has no false
@@ -686,7 +605,10 @@ impl ReconState {
                     .filter(|&v| bloom.contains(version_key(v)))
                     .collect();
                 if uncertain.is_empty() {
-                    SummaryOutcome::Resolved(Knowledge::new())
+                    SummaryOutcome::Resolved {
+                        knowledge: Knowledge::new(),
+                        totals: None,
+                    }
                 } else {
                     SummaryOutcome::NeedVersions(VersionQuery {
                         versions: uncertain,
@@ -696,43 +618,51 @@ impl ReconState {
         }
     }
 
-    /// **Source role.** Commits a successful exchange: caches the
-    /// target's filter, and — when the exchange conveyed it exactly —
-    /// the target's knowledge for the next delta round.
+    /// **Source role.** Commits a successful exchange: caches the filter
+    /// the target sent inline (if it is new), and — when the exchange
+    /// conveyed it exactly — the target's knowledge for the next delta.
     pub fn commit_peer(
         &mut self,
         peer: ReplicaId,
-        knowledge: Option<Knowledge>,
+        knowledge: Option<(Knowledge, KnowledgeTotals)>,
         filter_fp: u64,
-        filter: &Filter,
+        inline_filter: Option<&Filter>,
     ) {
         let record = self.peers.entry(peer).or_default();
-        if let Some(k) = knowledge {
-            let sum = knowledge_checksum(&k);
-            record.peer_knowledge = Some((k, sum));
+        if knowledge.is_some() {
+            record.peer_knowledge = knowledge;
         }
-        if record.peer_filter.as_ref().map(|(fp, _)| *fp) != Some(filter_fp) {
-            record.peer_filter = Some((filter_fp, filter.clone()));
+        if let Some(filter) = inline_filter {
+            if record.peer_filter.as_ref().map(|(fp, _)| *fp) != Some(filter_fp) {
+                record.peer_filter = Some((filter_fp, filter.clone()));
+            }
         }
     }
 }
 
 /// Builds a Bloom summary over `knowledge`'s version set, or `None` when
-/// the set is too large to enumerate.
+/// the set is too large to enumerate or the summary would encode longer
+/// than `max_len`. The length is closed-form, so nothing is hashed for a
+/// filter that will not be sent.
 fn bloom_summary(
     knowledge: &Knowledge,
-    bits_per_item: u32,
     max_versions: u64,
+    bits_per_item: u32,
     seed: u64,
+    max_len: usize,
 ) -> Option<KnowledgeSummary> {
     let version_count = knowledge.version_count();
     if version_count > max_versions {
         return None;
     }
+    let bloom_len = Bloom::encoded_len_for(version_count as usize, bits_per_item, seed);
+    if 1 + varint_len(version_count) + varint_len(bloom_len as u64) + bloom_len > max_len {
+        return None;
+    }
     let mut bloom = Bloom::for_items(version_count as usize, bits_per_item, seed);
     for (replica, base) in knowledge.vector_entries() {
         for counter in 1..=base {
-            bloom.insert(entry_key(replica, counter, false));
+            bloom.insert(version_key(Version::new(replica, counter)));
         }
     }
     for v in knowledge.exceptions() {
@@ -746,10 +676,13 @@ fn bloom_summary(
 
 /// Runs one full one-directional **digest-mode** sync in process:
 /// `target` pulls from `source`, with each side's [`ReconState`] holding
-/// the snapshot caches. Delivery behaviour is identical to
+/// its per-peer state. Delivery behaviour is identical to
 /// [`sync::sync_with`] — same candidates, same batch, same events — plus
 /// one [`Event::ReconDigest`] accounting the metadata bytes both modes
-/// would have spent.
+/// would have spent. The request is built, measured, resolved and
+/// committed by the same code the network entry points run; what this
+/// path saves is the frames — it lends the knowledge where a transport
+/// would encode it.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_with_digest(
     source: &mut Replica,
@@ -763,54 +696,44 @@ pub fn sync_with_digest(
 ) -> SyncReport {
     let source_id = source.id();
     let target_id = target.id();
-    let full_request = sync::begin_sync(target, target_ext, now, Some(source_id)).into_owned();
-    let full_bytes = wire::to_bytes(&full_request).len() as u64;
-    let (digest_request, pending) = target_recon.build_request(source_id, &full_request);
-    let mut digest_bytes = wire::to_bytes(&digest_request).len() as u64;
+    let routing = sync::begin_sync(target, target_ext, now, Some(source_id)).routing;
+    let (digest_request, pending) = target_recon.build_request(source_id, target, routing);
+    let full_bytes = pending.full_bytes;
+    let mut digest_bytes = wire::encoded_len(&digest_request) as u64;
     let mut fallback_rounds = 0u64;
     let mut false_positives = 0u64;
     let mut kind = digest_request.summary.kind();
+    let DigestRequest {
+        summary,
+        filter_fingerprint,
+        filter: inline_filter,
+        routing,
+        ..
+    } = digest_request;
 
-    let outcome = match source_recon.effective_filter(target_id, &digest_request) {
-        Some(_) => source_recon.resolve(source, target_id, &digest_request.summary),
+    let outcome = source_recon.resolve(source, target_id, summary);
+    // The target's filter as the source knows it, looked up once and lent
+    // to the request; not knowing it is a desync like any other.
+    let known_filter =
+        source_recon.effective_filter(target_id, filter_fingerprint, inline_filter.as_ref());
+    let outcome = match known_filter {
+        Some(_) => outcome,
         None => SummaryOutcome::Resync,
     };
-
-    // The knowledge the source will have exchanged exactly (and may
-    // therefore cache for the next delta); `None` on Bloom rounds.
-    let mut source_cache: Option<Knowledge> = None;
-    let request: SyncRequest<'static> = match outcome {
-        SummaryOutcome::Resolved(knowledge) => {
-            if kind != "bloom" {
-                source_cache = Some(knowledge.clone());
-            }
-            let filter = source_recon
-                .effective_filter(target_id, &digest_request)
-                .expect("filter resolved above");
-            SyncRequest {
-                target: target_id,
-                knowledge: Cow::Owned(knowledge),
-                filter: Cow::Owned(filter),
-                routing: digest_request.routing.clone(),
-            }
-        }
+    // What the source syncs against, and its totals when it is the
+    // target's exact knowledge (and may be cached for the next delta).
+    let resynced = matches!(outcome, SummaryOutcome::Resync);
+    let (knowledge, totals) = match outcome {
+        SummaryOutcome::Resolved { knowledge, totals } => (Cow::Owned(knowledge), totals),
         SummaryOutcome::NeedVersions(query) => {
             fallback_rounds += 1;
-            digest_bytes += wire::to_bytes(&query).len() as u64;
+            digest_bytes += wire::encoded_len(&query) as u64;
             let answer = answer_query(target.knowledge(), &query);
-            digest_bytes += wire::to_bytes(&answer).len() as u64;
+            digest_bytes += wire::encoded_len(&answer) as u64;
             let (known, fps) =
                 knowledge_from_answer(&query, &answer).expect("answer sized to query");
             false_positives = fps;
-            let filter = source_recon
-                .effective_filter(target_id, &digest_request)
-                .expect("filter resolved above");
-            SyncRequest {
-                target: target_id,
-                knowledge: Cow::Owned(known),
-                filter: Cow::Owned(filter),
-                routing: digest_request.routing.clone(),
-            }
+            (Cow::Owned(known), None)
         }
         SummaryOutcome::Resync => {
             // Full retransmission: one resync byte on the wire, then the
@@ -819,8 +742,10 @@ pub fn sync_with_digest(
             fallback_rounds += 1;
             kind = "full";
             digest_bytes += 1 + full_bytes;
-            source_cache = Some(full_request.knowledge.as_ref().clone());
-            full_request.clone()
+            (
+                Cow::Borrowed(target.knowledge()),
+                Some(target.knowledge_totals()),
+            )
         }
     };
 
@@ -833,18 +758,36 @@ pub fn sync_with_digest(
         fallback_rounds,
         false_positives,
     });
-    source_recon.note_exchange(digest_bytes, full_bytes, fallback_rounds, false_positives);
 
+    // A resync retransmits the plain full request, filter included.
+    let filter = match known_filter {
+        Some(filter) if !resynced => filter,
+        _ => target.filter(),
+    };
+    let request = SyncRequest {
+        target: target_id,
+        knowledge: Cow::Borrowed(knowledge.as_ref()),
+        filter: Cow::Borrowed(filter),
+        routing,
+    };
     let batch = sync::prepare_batch(source, source_ext, &request, limits, now);
+    drop(request);
+    // The copy the source keeps is the knowledge the request conveyed —
+    // taken before the batch teaches the target more.
+    let exact = totals.map(|totals| (knowledge.into_owned(), totals));
     let (report, spent_entries) = sync::apply_batch_recycling(target, target_ext, batch, now);
     source.recycle_batch_entries(spent_entries);
 
-    // Both ends saw the exchange succeed: advance the snapshot caches in
+    // Both ends saw the exchange succeed: advance the per-peer state in
     // lockstep (Bloom rounds advance only the filter caches).
-    let knowledge_shared = kind != "bloom";
-    target_recon.commit_sent(pending, knowledge_shared);
-    let filter_fp = digest_request.filter_fingerprint;
-    source_recon.commit_peer(target_id, source_cache, filter_fp, request.filter.as_ref());
+    source_recon.note_exchange(digest_bytes, full_bytes, fallback_rounds, false_positives);
+    target_recon.commit_sent(pending, exact.is_some());
+    let sent_filter = if resynced {
+        Some(target.filter())
+    } else {
+        inline_filter.as_ref()
+    };
+    source_recon.commit_peer(target_id, exact, filter_fingerprint, sent_filter);
     report
 }
 
@@ -888,16 +831,24 @@ mod tests {
     }
 
     #[test]
-    fn entry_keys_roundtrip_and_checksum_is_order_free() {
-        let r = rid(9);
-        let mut k = Knowledge::new();
-        k.insert_prefix(r, 5);
-        k.insert(Version::new(r, 9));
-        k.insert(Version::new(rid(3), 2));
-        let keys: Vec<u128> = knowledge_entry_keys(&k).collect();
-        let rebuilt = knowledge_from_keys(keys.iter().rev().copied());
-        assert_eq!(rebuilt, k);
-        assert_eq!(knowledge_checksum(&rebuilt), knowledge_checksum(&k));
+    fn checksum_is_order_free_and_tells_entry_kinds_apart() {
+        let versions = [
+            Version::new(rid(9), 1),
+            Version::new(rid(9), 2),
+            Version::new(rid(9), 9),
+            Version::new(rid(3), 2),
+        ];
+        let (mut forward, mut backward) = (Knowledge::new(), Knowledge::new());
+        for v in versions {
+            forward.insert(v);
+        }
+        for v in versions.into_iter().rev() {
+            backward.insert(v);
+        }
+        assert_eq!(forward, backward);
+        assert_eq!(knowledge_checksum(&forward), knowledge_checksum(&backward));
+        forward.insert(Version::new(rid(3), 1));
+        assert_ne!(knowledge_checksum(&forward), knowledge_checksum(&backward));
     }
 
     #[test]
@@ -944,7 +895,7 @@ mod tests {
         let before = ra.stats().digest_bytes;
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 3);
         let delta_cost = ra.stats().digest_bytes - before;
-        assert_eq!(ra.stats().fallback_rounds, 0, "delta must peel cleanly");
+        assert_eq!(ra.stats().fallback_rounds, 0, "delta must apply cleanly");
         // The delta must be far cheaper than resending 200+ versions of
         // knowledge in full.
         assert!(
@@ -1028,7 +979,7 @@ mod tests {
     }
 
     #[test]
-    fn huge_replica_ids_force_full_summaries() {
+    fn huge_replica_ids_digest_like_any_other() {
         let big = rid(u64::MAX - 3);
         let mut a = Replica::new(rid(1), Filter::address("dest", "a"));
         let mut b = Replica::new(big, Filter::address("dest", "b"));
@@ -1040,6 +991,202 @@ mod tests {
         }
         assert_eq!(ra.stats().fallback_rounds, 0);
         assert_eq!(b.item_count(), 2);
+        // full, then the delta carrying what the first batch taught b,
+        // then nothing left to say.
+        let before = ra.stats().digest_bytes;
+        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 3);
+        assert!(ra.stats().digest_bytes - before < 32, "unchanged summary");
+    }
+
+    /// A source-side harness for resolving hand-made summaries: `local`
+    /// (the source replica), a `ReconState` whose copy of peer 2's
+    /// knowledge is `base`, and `base` itself.
+    fn source_caching(base_versions: &[Version]) -> (Replica, ReconState, Knowledge) {
+        let mut base = Knowledge::new();
+        for &v in base_versions {
+            base.insert(v);
+        }
+        let mut recon = ReconState::new();
+        recon.commit_peer(
+            rid(2),
+            Some((base.clone(), KnowledgeTotals::of(&base))),
+            0,
+            None,
+        );
+        (host(1, "a"), recon, base)
+    }
+
+    /// After a failed delta the copy must be gone: even a summary naming
+    /// the untouched base no longer resolves.
+    fn assert_cache_dropped(local: &Replica, recon: &mut ReconState, base: &Knowledge) {
+        let unchanged = KnowledgeSummary::Unchanged {
+            checksum: knowledge_checksum(base),
+        };
+        assert!(matches!(
+            recon.resolve(local, rid(2), unchanged),
+            SummaryOutcome::Resync
+        ));
+    }
+
+    #[test]
+    fn delta_resolves_in_place_to_the_targets_knowledge() {
+        let v = |c| Version::new(rid(7), c);
+        let (local, mut recon, base) = source_caching(&[v(1), v(2), v(5)]);
+        let mut current = base.clone();
+        let learned = vec![v(3), v(9), v(4)];
+        for &version in &learned {
+            current.insert(version);
+        }
+        let summary = KnowledgeSummary::Delta {
+            base_checksum: knowledge_checksum(&base),
+            checksum: knowledge_checksum(&current),
+            learned,
+        };
+        match recon.resolve(&local, rid(2), summary) {
+            SummaryOutcome::Resolved { knowledge, totals } => {
+                assert_eq!(knowledge, current);
+                assert_eq!(totals, Some(KnowledgeTotals::of(&current)));
+            }
+            other => panic!("delta did not resolve: {other:?}"),
+        }
+        // Resolving took the copy; without a commit it stays gone.
+        assert_cache_dropped(&local, &mut recon, &current);
+    }
+
+    #[test]
+    fn delta_on_a_stale_base_with_a_colliding_checksum_drops_the_cache() {
+        // The copy's label says "prefix 3" but its content is prefix 2 —
+        // what a checksum collision between two bases would look like.
+        let v = |c| Version::new(rid(7), c);
+        let (mut claimed, mut held) = (Knowledge::new(), Knowledge::new());
+        claimed.insert_prefix(rid(7), 3);
+        held.insert_prefix(rid(7), 2);
+        let local = host(1, "a");
+        let mut recon = ReconState::new();
+        recon.commit_peer(rid(2), Some((held, KnowledgeTotals::of(&claimed))), 0, None);
+        let mut current = claimed.clone();
+        current.insert(v(4));
+        let summary = KnowledgeSummary::Delta {
+            base_checksum: knowledge_checksum(&claimed),
+            checksum: knowledge_checksum(&current),
+            learned: vec![v(4)],
+        };
+        assert!(matches!(
+            recon.resolve(&local, rid(2), summary),
+            SummaryOutcome::Resync
+        ));
+        assert_cache_dropped(&local, &mut recon, &claimed);
+    }
+
+    #[test]
+    fn hostile_learned_versions_drop_the_cache_without_panicking() {
+        let v = |c| Version::new(rid(7), c);
+        let (local, mut recon, base) = source_caching(&[v(1), v(2)]);
+        let summary = KnowledgeSummary::Delta {
+            base_checksum: knowledge_checksum(&base),
+            checksum: knowledge_checksum(&base).wrapping_add(1),
+            learned: vec![
+                v(u64::MAX),
+                v(u64::MAX - 1),
+                v(0),
+                Version::new(rid(u64::MAX), u64::MAX),
+            ],
+        };
+        assert!(matches!(
+            recon.resolve(&local, rid(2), summary),
+            SummaryOutcome::Resync
+        ));
+        assert_cache_dropped(&local, &mut recon, &base);
+    }
+
+    #[test]
+    fn delta_from_a_truncated_journal_drops_the_cache() {
+        // The sender's checksum covers three learned versions but its
+        // journal only produced the last two.
+        let v = |c| Version::new(rid(7), c);
+        let (local, mut recon, base) = source_caching(&[v(1)]);
+        let mut current = base.clone();
+        for c in [2, 3, 4] {
+            current.insert(v(c));
+        }
+        let summary = KnowledgeSummary::Delta {
+            base_checksum: knowledge_checksum(&base),
+            checksum: knowledge_checksum(&current),
+            learned: vec![v(3), v(4)],
+        };
+        assert!(matches!(
+            recon.resolve(&local, rid(2), summary),
+            SummaryOutcome::Resync
+        ));
+        assert_cache_dropped(&local, &mut recon, &base);
+    }
+
+    #[test]
+    fn a_poisoned_exchange_resyncs_once_and_reseeds() {
+        let mut a = host(1, "a");
+        let mut b = host(2, "b");
+        let mut c = host(3, "c");
+        let (mut ra, mut rb) = (ReconState::new(), ReconState::new());
+        // Every other version is b's: exception-heavy knowledge, against
+        // which a one-version delta is the shorter message.
+        for i in 0..100u8 {
+            a.insert(dest(if i % 2 == 0 { "b" } else { "x" }), vec![i])
+                .unwrap();
+        }
+        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
+        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
+        assert_eq!(ra.stats().fallback_rounds, 0);
+        // Swap a's copy of b's knowledge for something else under the
+        // label b will name, then let b learn a little: its delta lands on
+        // a base that already holds the version, and adds up differently.
+        c.insert(dest("b"), vec![0]).unwrap();
+        let label = b.knowledge_totals();
+        let mut wrong = Knowledge::new();
+        wrong.insert(Version::new(rid(3), 1));
+        ra.commit_peer(rid(2), Some((wrong, label)), 0, None);
+        digest_sync(
+            &mut c,
+            &mut ReconState::new(),
+            &mut b,
+            &mut ReconState::new(),
+            2,
+        );
+        let report = digest_sync(&mut a, &mut ra, &mut b, &mut rb, 3);
+        assert_eq!(ra.stats().fallback_rounds, 1, "the bad delta resynced");
+        assert_eq!(report.duplicates, 0);
+        assert_eq!(report.transmitted, 0, "b already had everything");
+        // The resync re-seeded the copy: the next exchange is a checksum.
+        let before = ra.stats().digest_bytes;
+        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 4);
+        assert_eq!(ra.stats().fallback_rounds, 1);
+        assert!(ra.stats().digest_bytes - before < 32);
+    }
+
+    #[test]
+    fn auto_opens_with_full_unless_a_bloom_is_under_half_of_it() {
+        // Compact knowledge (one long prefix): the filter would dwarf it.
+        let mut compact = host(2, "b");
+        for i in 0..200u8 {
+            compact.insert(dest("x"), vec![i]).unwrap();
+        }
+        let (request, _) =
+            ReconState::new().build_request(rid(1), &mut compact, RoutingState::empty());
+        assert_eq!(request.summary.kind(), "full");
+        // Exception-heavy knowledge (every other version of a long run,
+        // with large counters): many bytes per version, so ten bits each
+        // is under half.
+        let mut sparse = host(3, "c");
+        let mut origin = host(4000, "d");
+        for i in 0..400u32 {
+            let to = if i % 2 == 0 { "c" } else { "x" };
+            origin.insert(dest(to), i.to_le_bytes().to_vec()).unwrap();
+        }
+        sync::sync_once(&mut origin, &mut sparse, SimTime::ZERO);
+        assert!(sparse.knowledge().exception_count() > 150);
+        let (request, _) =
+            ReconState::new().build_request(rid(1), &mut sparse, RoutingState::empty());
+        assert_eq!(request.summary.kind(), "bloom");
+        assert!(2 * wire::encoded_len(&request.summary) < wire::encoded_len(sparse.knowledge()));
     }
 
     #[test]

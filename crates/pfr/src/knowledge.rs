@@ -13,6 +13,20 @@ use serde::{Deserialize, Serialize};
 
 use crate::id::{ReplicaId, Version};
 
+/// Receives every change to a [`Knowledge`]'s entry set — one call per
+/// vector entry or exception added (`added`) or removed — so sums over
+/// the entries can be kept current in O(change). `()` ignores them.
+pub(crate) trait EntrySink {
+    /// `(replica, counter)` is a vector entry, or with `exception` an
+    /// exception, that just appeared or disappeared.
+    fn entry(&mut self, replica: ReplicaId, counter: u64, exception: bool, added: bool);
+}
+
+impl EntrySink for () {
+    #[inline]
+    fn entry(&mut self, _: ReplicaId, _: u64, _: bool, _: bool) {}
+}
+
 /// A compact set of [`Version`]s: a version vector plus an exception set.
 ///
 /// The *vector* component maps each replica to the highest counter `c` such
@@ -82,29 +96,40 @@ impl Knowledge {
     /// Consecutive exceptions are folded into the vector whenever the
     /// insertion closes a gap, keeping the representation compact.
     pub fn insert(&mut self, version: Version) {
+        self.insert_with(version, &mut ());
+    }
+
+    /// [`insert`](Knowledge::insert) that reports every entry it adds or
+    /// removes to `sink` and returns whether `version` was new. This is
+    /// how a replica keeps running totals over its knowledge (see
+    /// [`crate::journal`]) without the knowledge carrying them.
+    pub(crate) fn insert_with<S: EntrySink>(&mut self, version: Version, sink: &mut S) -> bool {
         let (replica, counter) = (version.replica(), version.counter());
         let base = self.base_counter(replica);
         if counter.checked_sub(1) == Some(base) {
-            self.raise(replica, counter);
-        } else if counter > base {
-            self.exceptions.insert((replica, counter));
+            self.raise(replica, counter, sink);
+            true
+        } else if counter > base && self.exceptions.insert((replica, counter)) {
+            sink.entry(replica, counter, true, true);
+            true
+        } else {
+            false
         }
     }
 
     /// Records that *all* versions `1..=counter` from `replica` are known.
     ///
-    /// This is how a replica advances knowledge of its own writes (which it
-    /// trivially observes in order), and how trusted checkpoints are
+    /// This is how trusted checkpoints and decoded vector entries are
     /// installed.
     pub fn insert_prefix(&mut self, replica: ReplicaId, counter: u64) {
         if counter > self.base_counter(replica) {
-            self.raise(replica, counter);
+            self.raise(replica, counter, &mut ());
         }
     }
 
     /// Sets `replica`'s prefix to `counter` (above its current one), drops
     /// the exceptions it swallows and folds in the run adjacent to it.
-    fn raise(&mut self, replica: ReplicaId, counter: u64) {
+    fn raise<S: EntrySink>(&mut self, replica: ReplicaId, counter: u64, sink: &mut S) {
         let mut base = counter;
         while let Some(&(_, next)) = self
             .exceptions
@@ -112,9 +137,13 @@ impl Knowledge {
             .next()
         {
             self.exceptions.remove(&(replica, next));
+            sink.entry(replica, next, true, false);
             base = base.max(next);
         }
-        self.vector.insert(replica, base);
+        if let Some(old) = self.vector.insert(replica, base) {
+            sink.entry(replica, old, false, false);
+        }
+        sink.entry(replica, base, false, true);
     }
 
     /// Merges another replica's knowledge into this one (set union),
@@ -129,7 +158,7 @@ impl Knowledge {
         let mut learned = false;
         for (&replica, &counter) in &other.vector {
             if counter > self.base_counter(replica) {
-                self.raise(replica, counter);
+                self.raise(replica, counter, &mut ());
                 learned = true;
             }
         }

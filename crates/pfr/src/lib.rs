@@ -52,6 +52,7 @@ mod filter;
 mod id;
 mod intern;
 mod item;
+mod journal;
 mod knowledge;
 mod payload;
 mod replica;
@@ -71,6 +72,7 @@ pub use filter::{CmpOp, Filter};
 pub use id::{ItemId, ReplicaId, Version};
 pub use intern::IStr;
 pub use item::{CausalRelation, Item, ItemBuilder};
+pub use journal::KnowledgeTotals;
 pub use knowledge::Knowledge;
 pub use payload::Payload;
 pub use replica::{ApplyOutcome, ConflictRecord, Replica, ReplicaStats};

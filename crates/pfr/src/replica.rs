@@ -11,6 +11,7 @@ use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId, Version};
 use crate::intern::IStr;
 use crate::item::{CausalRelation, Item};
+use crate::journal::{Journal, KnowledgeTotals};
 use crate::knowledge::Knowledge;
 use crate::payload::Payload;
 use crate::store::{classify, EvictionMode, ItemStore, StoreKind};
@@ -97,7 +98,14 @@ pub enum ApplyOutcome {
 pub struct Replica {
     id: ReplicaId,
     filter: Filter,
+    /// Fingerprint and encoded length of `filter`, filled on first use by
+    /// [`Replica::filter_stamp`] and dropped when the filter changes.
+    filter_stamp: Option<(u64, usize)>,
     knowledge: Knowledge,
+    /// The order `knowledge` was learned in, with its running totals (see
+    /// [`crate::journal`]). In-memory only: every insertion into
+    /// `knowledge` goes through it, and it is never part of snapshots.
+    journal: Journal,
     store: ItemStore,
     next_item_seq: u64,
     next_version_counter: u64,
@@ -132,7 +140,9 @@ impl Replica {
         Replica {
             id,
             filter,
+            filter_stamp: None,
             knowledge: Knowledge::new(),
+            journal: Journal::default(),
             store: ItemStore::new(),
             next_item_seq: 0,
             next_version_counter: 0,
@@ -190,13 +200,53 @@ impl Replica {
     /// items.
     pub fn set_filter(&mut self, filter: Filter) {
         self.filter = filter;
+        self.filter_stamp = None;
         self.store.reclassify(self.id, &self.filter);
         self.enforce_relay_limit();
+    }
+
+    /// The filter's [`Filter::fingerprint`] and encoded length, computed
+    /// once per filter (digest sync reads both on every exchange).
+    pub(crate) fn filter_stamp(&mut self) -> (u64, usize) {
+        *self.filter_stamp.get_or_insert_with(|| {
+            (
+                self.filter.fingerprint(),
+                crate::wire::encoded_len(&self.filter),
+            )
+        })
     }
 
     /// The replica's knowledge: every version it has learned.
     pub fn knowledge(&self) -> &Knowledge {
         &self.knowledge
+    }
+
+    /// Checksum and encoded length of [`Replica::knowledge`], maintained
+    /// as versions are learned (never recomputed from the whole set).
+    pub fn knowledge_totals(&self) -> KnowledgeTotals {
+        self.journal.totals()
+    }
+
+    /// How many versions this replica has learned since it was created or
+    /// restored — a position in its learning journal. Knowledge is
+    /// monotone, so two equal positions mean identical knowledge.
+    pub fn journal_position(&self) -> u64 {
+        self.journal.position()
+    }
+
+    /// The versions learned after journal position `position`, oldest
+    /// first: inserted into the knowledge as of `position`, they give the
+    /// current knowledge. `None` when the journal no longer (or never)
+    /// reached back that far; it retains about as many trailing versions
+    /// as the knowledge has entries, beyond which the knowledge itself is
+    /// the shorter message.
+    pub fn learned_since(&self, position: u64) -> Option<&[Version]> {
+        self.journal.since(position)
+    }
+
+    /// Records `version` in the knowledge and, if it was new, the journal.
+    fn learn(&mut self, version: Version) {
+        self.journal.learn(&mut self.knowledge, version);
     }
 
     /// Activity counters.
@@ -294,9 +344,9 @@ impl Replica {
     fn next_version(&mut self) -> Version {
         self.next_version_counter += 1;
         let version = Version::new(self.id, self.next_version_counter);
-        // A replica observes its own writes in order: prefix knowledge.
-        self.knowledge
-            .insert_prefix(self.id, self.next_version_counter);
+        // A replica observes its own writes in order, so this extends its
+        // own prefix.
+        self.learn(version);
         version
     }
 
@@ -525,9 +575,9 @@ impl Replica {
             self.stats.duplicates_rejected += 1;
             return ApplyOutcome::Duplicate;
         }
-        self.knowledge.insert(incoming.version());
+        self.learn(incoming.version());
         for ancestor in incoming.ancestors() {
-            self.knowledge.insert(ancestor);
+            self.learn(ancestor);
         }
 
         let kind = classify(&incoming, self.id, &self.filter);
@@ -561,7 +611,7 @@ impl Replica {
                     // The merge result supersedes both inputs; make sure its
                     // identity version is known too (it may be the local
                     // version, already known, or the remote one, just added).
-                    self.knowledge.insert(merged.version());
+                    self.learn(merged.version());
                     let winner = merged.version();
                     let loser = if winner == local_version {
                         incoming_version
@@ -627,6 +677,8 @@ impl Replica {
         let mut replica = Replica {
             id,
             filter,
+            filter_stamp: None,
+            journal: Journal::starting_at(&knowledge),
             knowledge,
             store: ItemStore::from_parts(items, relay_fifo),
             next_item_seq,

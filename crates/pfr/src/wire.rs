@@ -53,8 +53,8 @@ pub enum WireError {
     /// Recursive structures (filters, list values) nested deeper than
     /// [`MAX_DECODE_DEPTH`] — hostile input trying to overflow the stack.
     DepthLimit,
-    /// A reconciliation sketch (Bloom/IBLT) embedded in a digest message
-    /// failed its own decoder's validation.
+    /// A reconciliation sketch (Bloom filter) embedded in a digest
+    /// message failed its own decoder's validation.
     BadSketch,
 }
 
@@ -88,9 +88,15 @@ impl std::error::Error for WireError {}
 pub const MAX_DECODE_DEPTH: usize = 64;
 
 /// Append-only encoder.
+///
+/// A writer made by [`Writer::counting`] stores nothing and only adds up
+/// how many bytes it was asked to write: one [`Encode`] implementation
+/// per type serves both the frame and its length (see [`encoded_len`]).
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: BytesMut,
+    /// `Some(n)`: length-only mode, `n` bytes counted so far.
+    counted: Option<usize>,
 }
 
 impl Writer {
@@ -99,13 +105,21 @@ impl Writer {
         Writer::default()
     }
 
-    /// Finishes encoding, returning the bytes. Moves the buffer out —
-    /// no copy.
+    /// Creates a writer that counts bytes instead of storing them.
+    pub fn counting() -> Self {
+        Writer {
+            buf: BytesMut::new(),
+            counted: Some(0),
+        }
+    }
+
+    /// Finishes encoding, returning the bytes (none from a counting
+    /// writer). Moves the buffer out — no copy.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.into()
     }
 
-    /// The bytes written so far.
+    /// The bytes written so far (none in a counting writer).
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
@@ -113,32 +127,49 @@ impl Writer {
     /// Empties the writer, retaining its allocation for reuse.
     pub fn clear(&mut self) {
         self.buf.clear();
+        if let Some(n) = &mut self.counted {
+            *n = 0;
+        }
     }
 
-    /// Bytes written so far.
+    /// Bytes written (or counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// Returns `true` if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Writes one raw byte.
     pub fn put_u8(&mut self, byte: u8) {
-        self.buf.put_u8(byte);
+        match &mut self.counted {
+            Some(n) => *n += 1,
+            None => self.buf.put_u8(byte),
+        }
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        match &mut self.counted {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.put_slice(bytes),
+        }
     }
 
     /// Writes a fixed-width little-endian u64. Varints spend ~9.5 bytes
     /// on a uniformly random 64-bit value; hashes (checksums,
     /// fingerprints) always take this fixed 8-byte form instead.
     pub fn put_u64(&mut self, value: u64) {
-        self.buf.put_slice(&value.to_le_bytes());
+        self.put_slice(&value.to_le_bytes());
     }
 
     /// Writes an unsigned LEB128 varint.
     pub fn put_varint(&mut self, mut value: u64) {
+        if let Some(n) = &mut self.counted {
+            *n += varint_len(value);
+            return;
+        }
         loop {
             let byte = (value & 0x7f) as u8;
             value >>= 7;
@@ -157,24 +188,40 @@ impl Writer {
 
     /// Writes an `f64` as its fixed 8-byte IEEE-754 representation.
     pub fn put_f64(&mut self, value: f64) {
-        self.buf.put_u64_le(value.to_bits());
+        self.put_u64(value.to_bits());
     }
 
     /// Writes a bool as one byte.
     pub fn put_bool(&mut self, value: bool) {
-        self.buf.put_u8(u8::from(value));
+        self.put_u8(u8::from(value));
     }
 
     /// Writes a length-prefixed byte slice.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_varint(bytes.len() as u64);
-        self.buf.put_slice(bytes);
+        self.put_slice(bytes);
+    }
+
+    /// Writes a length-prefixed byte string of known length `len` that
+    /// `bytes` produces on demand — a counting writer never asks for it.
+    pub fn put_bytes_with(&mut self, len: usize, bytes: impl FnOnce() -> Vec<u8>) {
+        self.put_varint(len as u64);
+        match &mut self.counted {
+            Some(n) => *n += len,
+            None => self.buf.put_slice(&bytes()),
+        }
     }
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
+}
+
+/// Bytes [`Writer::put_varint`] spends on `value`.
+pub fn varint_len(value: u64) -> usize {
+    // 7 payload bits per byte; zero still takes one.
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Cursor-based decoder over a byte slice.
@@ -376,6 +423,14 @@ pub fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
     let mut w = Writer::new();
     value.encode(&mut w);
     w.into_bytes()
+}
+
+/// Length of `value`'s encoding, from a counting pass: nothing is
+/// allocated or copied. Always equals `to_bytes(value).len()`.
+pub fn encoded_len<T: Encode>(value: &T) -> usize {
+    let mut w = Writer::counting();
+    value.encode(&mut w);
+    w.len()
 }
 
 /// A reusable encode buffer: every [`EncodeScratch::encode`] call after
@@ -872,6 +927,18 @@ impl Encode for SyncRequest<'_> {
     }
 }
 
+/// Length of the [`SyncRequest`] encoding for a request whose knowledge
+/// and filter lengths are already known (digest sync keeps both current,
+/// so accounting what full mode *would* have sent walks neither).
+pub fn sync_request_len(
+    target: ReplicaId,
+    knowledge_len: usize,
+    filter_len: usize,
+    routing: &RoutingState,
+) -> usize {
+    encoded_len(&target) + knowledge_len + filter_len + encoded_len(routing)
+}
+
 impl Decode for SyncRequest<'static> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(SyncRequest {
@@ -921,16 +988,19 @@ impl Decode for SyncBatch {
 
 // ---- digest-mode messages -------------------------------------------------
 //
-// Sketches (Bloom filters, IBLTs) carry their own self-validating binary
-// format inside `recon`; on this layer they travel as length-prefixed
-// opaque byte strings, so hostile lengths are bounds-checked here and
-// hostile contents are rejected by the sketch decoders (mapped to
-// [`WireError::BadSketch`]).
+// Bloom filters carry their own self-validating binary format inside
+// `recon`; on this layer they travel as length-prefixed opaque byte
+// strings, so hostile lengths are bounds-checked here and hostile
+// contents are rejected by the sketch decoder (mapped to
+// [`WireError::BadSketch`]). A delta is a plain version list: count, then
+// `(replica, counter)` varint pairs in the order they were learned.
 
 const SUMMARY_FULL: u8 = 0;
 const SUMMARY_UNCHANGED: u8 = 1;
-const SUMMARY_DELTA: u8 = 2;
 const SUMMARY_BLOOM: u8 = 3;
+/// Tag 2 was the invertible-sketch delta; retired with it, so a frame in the
+/// old layout fails as [`WireError::InvalidTag`] instead of being misread.
+const SUMMARY_DELTA: u8 = 4;
 
 impl Encode for KnowledgeSummary {
     fn encode(&self, w: &mut Writer) {
@@ -946,12 +1016,12 @@ impl Encode for KnowledgeSummary {
             KnowledgeSummary::Delta {
                 base_checksum,
                 checksum,
-                iblt,
+                learned,
             } => {
                 w.put_u8(SUMMARY_DELTA);
                 w.put_u64(*base_checksum);
                 w.put_u64(*checksum);
-                w.put_bytes(&iblt.to_bytes());
+                learned.encode(w);
             }
             KnowledgeSummary::Bloom {
                 version_count,
@@ -959,7 +1029,7 @@ impl Encode for KnowledgeSummary {
             } => {
                 w.put_u8(SUMMARY_BLOOM);
                 w.put_varint(*version_count);
-                w.put_bytes(&bloom.to_bytes());
+                w.put_bytes_with(bloom.encoded_len(), || bloom.to_bytes());
             }
         }
     }
@@ -975,12 +1045,17 @@ impl Decode for KnowledgeSummary {
             SUMMARY_DELTA => {
                 let base_checksum = r.get_u64()?;
                 let checksum = r.get_u64()?;
-                let iblt =
-                    recon::Iblt::from_bytes(r.get_bytes()?).map_err(|_| WireError::BadSketch)?;
+                // A version is at least two bytes, which bounds the count
+                // (and the allocation) by the bytes actually present.
+                let count = r.get_len(2)?;
+                let mut learned = Vec::with_capacity(count);
+                for _ in 0..count {
+                    learned.push(Version::decode(r)?);
+                }
                 Ok(KnowledgeSummary::Delta {
                     base_checksum,
                     checksum,
-                    iblt,
+                    learned,
                 })
             }
             SUMMARY_BLOOM => {

@@ -7,8 +7,13 @@
 use proptest::prelude::*;
 
 use pfr::sync::{BatchEntry, Priority, PriorityClass, SyncBatch, SyncRequest};
-use pfr::wire::{from_bytes, to_bytes, WireError, MAX_DECODE_DEPTH};
-use pfr::{Filter, Item, ItemId, Knowledge, ReplicaId, RoutingState, Value, Version};
+use pfr::wire::{
+    encoded_len, from_bytes, sync_request_len, to_bytes, WireError, Writer, MAX_DECODE_DEPTH,
+};
+use pfr::{
+    DigestRequest, Filter, Item, ItemId, Knowledge, KnowledgeSummary, ReplicaId, RoutingState,
+    Value, Version,
+};
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -117,6 +122,39 @@ fn decode_all(bytes: &[u8]) {
     let _ = from_bytes::<Filter>(bytes);
     let _ = from_bytes::<Knowledge>(bytes);
     let _ = from_bytes::<Value>(bytes);
+    let _ = from_bytes::<DigestRequest>(bytes);
+    let _ = from_bytes::<KnowledgeSummary>(bytes);
+}
+
+fn arb_summary() -> impl Strategy<Value = KnowledgeSummary> {
+    prop_oneof![
+        arb_knowledge().prop_map(KnowledgeSummary::Full),
+        any::<u64>().prop_map(|checksum| KnowledgeSummary::Unchanged { checksum }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            proptest::collection::vec(arb_version(), 0..24)
+        )
+            .prop_map(
+                |(base_checksum, checksum, learned)| KnowledgeSummary::Delta {
+                    base_checksum,
+                    checksum,
+                    learned,
+                }
+            ),
+    ]
+}
+
+fn arb_digest_request() -> impl Strategy<Value = DigestRequest> {
+    (arb_request(), arb_summary(), any::<u64>(), any::<bool>()).prop_map(
+        |(request, summary, filter_fingerprint, inline)| DigestRequest {
+            target: request.target,
+            summary,
+            filter_fingerprint,
+            filter: inline.then(|| request.filter.into_owned()),
+            routing: request.routing,
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -168,11 +206,136 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile `Full` and `Delta` summaries: mangled or cut anywhere, a
+    /// digest frame decodes to a value or a typed error.
+    #[test]
+    fn mutated_digest_request_encodings_never_panic(
+        request in arb_digest_request(),
+        flips in proptest::collection::vec((0usize..4096, 1u8..255), 1..8),
+        cut in 0usize..4096,
+    ) {
+        let mut bytes = to_bytes(&request);
+        for (pos, xor) in flips {
+            if !bytes.is_empty() {
+                let pos = pos % bytes.len();
+                bytes[pos] ^= xor;
+            }
+        }
+        decode_all(&bytes);
+        bytes.truncate(cut % (bytes.len() + 1));
+        decode_all(&bytes);
+    }
+}
+
+/// A summary may claim any number of entries; the decoder must check the
+/// claim against the bytes actually present *before* reserving room for
+/// them, whatever the count says.
+#[test]
+fn summary_counts_are_bounded_by_the_frame_before_allocation() {
+    let huge = 1u64 << 40;
+    // Delta (tag 4): two checksums, then a version count with no versions.
+    let mut delta = Writer::new();
+    delta.put_u8(4);
+    delta.put_u64(1);
+    delta.put_u64(2);
+    delta.put_varint(huge);
+    delta.put_u64(0);
+    assert_eq!(
+        from_bytes::<KnowledgeSummary>(delta.as_slice()),
+        Err(WireError::LengthOverflow(huge))
+    );
+    // A count that fits the length prefix check one-byte-per-element but
+    // not two: a version is at least two bytes.
+    let mut tight = Writer::new();
+    tight.put_u8(4);
+    tight.put_u64(1);
+    tight.put_u64(2);
+    tight.put_varint(5);
+    tight.put_u64(0);
+    assert_eq!(
+        from_bytes::<KnowledgeSummary>(tight.as_slice()),
+        Err(WireError::LengthOverflow(5))
+    );
+    // Full (tag 0): a vector-entry count, then an exception count.
+    for exceptions_too in [false, true] {
+        let mut full = Writer::new();
+        full.put_u8(0);
+        if exceptions_too {
+            full.put_varint(0);
+        }
+        full.put_varint(huge);
+        full.put_u64(0);
+        assert_eq!(
+            from_bytes::<KnowledgeSummary>(full.as_slice()),
+            Err(WireError::LengthOverflow(huge))
+        );
+    }
+}
+
+/// The delta tag of the invertible-sketch layout is retired, not reused:
+/// a frame from before the change is refused by name.
+#[test]
+fn old_layout_delta_frames_fail_as_wire_errors() {
+    let mut old = Writer::new();
+    old.put_u8(2);
+    old.put_u64(1);
+    old.put_u64(2);
+    old.put_bytes(&[0xA7, 1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(
+        from_bytes::<KnowledgeSummary>(old.as_slice()),
+        Err(WireError::InvalidTag {
+            what: "KnowledgeSummary",
+            tag: 2
+        })
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The counting pass agrees with the bytes
+// ---------------------------------------------------------------------------
+
+proptest! {
+    /// `encoded_len` allocates nothing and must still be exact, for the
+    /// full-mode messages and every digest-mode one (version queries and
+    /// answers are pinned in `digest_properties.rs`, beside their
+    /// generators).
+    #[test]
+    fn encoded_len_equals_encoded_bytes(
+        request in arb_request(),
+        batch in arb_batch(),
+        digest in arb_digest_request(),
+    ) {
+        prop_assert_eq!(encoded_len(&request), to_bytes(&request).len());
+        prop_assert_eq!(encoded_len(&batch), to_bytes(&batch).len());
+        prop_assert_eq!(encoded_len(&digest), to_bytes(&digest).len());
+        prop_assert_eq!(encoded_len(&digest.summary), to_bytes(&digest.summary).len());
+        prop_assert_eq!(
+            sync_request_len(
+                request.target,
+                encoded_len(request.knowledge.as_ref()),
+                encoded_len(request.filter.as_ref()),
+                &request.routing,
+            ),
+            to_bytes(&request).len()
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Canonical round trips: decode(encode(x)) re-encodes byte-identically
 // ---------------------------------------------------------------------------
 
 proptest! {
+    #[test]
+    fn digest_request_roundtrips_byte_identically(request in arb_digest_request()) {
+        let bytes = to_bytes(&request);
+        let back: DigestRequest = from_bytes(&bytes).expect("valid encoding decodes");
+        prop_assert_eq!(to_bytes(&back), bytes);
+    }
+
     #[test]
     fn sync_request_roundtrips_byte_identically(request in arb_request()) {
         let bytes = to_bytes(&request);

@@ -1,18 +1,19 @@
 //! Seeded double-hashing Bloom filter over 128-bit keys.
 //!
-//! Used by the digest sync path as the *first-contact* summary: when a
-//! peer has no cached knowledge snapshot to diff against, an IBLT
-//! cannot be sized, but a Bloom over the target's known versions lets
-//! the source screen its store with one compact structure. False
-//! positives are resolved by an exact follow-up round, so they cost
-//! bandwidth, never correctness.
+//! Used by the digest sync path as a *first-contact* summary: when a peer
+//! holds no copy of the target's knowledge to apply a delta to, a Bloom
+//! over the target's known versions lets the source screen its store
+//! with one compact structure — worth sending when it is small next to
+//! the knowledge itself ([`Bloom::encoded_len_for`] answers that before
+//! anything is hashed). False positives are resolved by an exact
+//! follow-up round, so they cost bandwidth, never correctness.
 //!
 //! Sizing math (see `crates/recon/README.md`): for `n` items and `b`
 //! bits per item the optimal hash count is `k = b·ln 2` and the false
 //! positive rate is `(1 - e^{-kn/m})^k ≈ 0.6185^b`. Eight bits per
 //! item gives ~2% FP; twelve gives ~0.3%.
 
-use crate::codec::{put_varint, Cursor};
+use crate::codec::{put_varint, varint_len, Cursor};
 use crate::hash::DoubleHasher;
 use crate::ReconError;
 
@@ -38,7 +39,7 @@ impl Bloom {
     /// bits each. `bits_per_item` is clamped to `[1, 30]`.
     pub fn for_items(items: usize, bits_per_item: u32, seed: u64) -> Self {
         let bpi = bits_per_item.clamp(1, 30);
-        let bits = ((items.max(1) as u64).saturating_mul(bpi as u64)).clamp(64, MAX_BLOOM_BITS);
+        let bits = Self::bits_for(items, bpi);
         // k = bits_per_item * ln 2, at least one hash.
         let hashes =
             (((bpi as f64) * core::f64::consts::LN_2).round() as u32).clamp(1, MAX_BLOOM_HASHES);
@@ -49,6 +50,24 @@ impl Bloom {
             items: 0,
             words: vec![0u64; bits.div_ceil(64) as usize],
         }
+    }
+
+    /// Filter width for `items` keys at (already clamped) `bpi` bits each.
+    fn bits_for(items: usize, bpi: u32) -> u64 {
+        ((items.max(1) as u64).saturating_mul(bpi as u64)).clamp(64, MAX_BLOOM_BITS)
+    }
+
+    /// Serialized size of a [`Bloom::for_items`] filter once `items` keys
+    /// are inserted — closed-form, so a caller can decide whether the
+    /// filter is worth sending before hashing anything into it.
+    pub fn encoded_len_for(items: usize, bits_per_item: u32, seed: u64) -> usize {
+        let bits = Self::bits_for(items, bits_per_item.clamp(1, 30));
+        Self::encoded_len_of(seed, bits, items as u64)
+    }
+
+    fn encoded_len_of(seed: u64, bits: u64, items: u64) -> usize {
+        // tag + hashes byte + header varints + raw words
+        2 + varint_len(seed) + varint_len(bits) + varint_len(items) + bits.div_ceil(64) as usize * 8
     }
 
     pub fn seed(&self) -> u64 {
@@ -114,12 +133,7 @@ impl Bloom {
 
     /// Serialized size in bytes (exact).
     pub fn encoded_len(&self) -> usize {
-        let mut probe = Vec::with_capacity(32);
-        put_varint(&mut probe, self.seed);
-        put_varint(&mut probe, self.bits);
-        put_varint(&mut probe, self.items);
-        // tag + hashes byte + header varints + raw words
-        2 + probe.len() + self.words.len() * 8
+        Self::encoded_len_of(self.seed, self.bits, self.items)
     }
 
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -223,6 +237,7 @@ mod tests {
         }
         let bytes = b.to_bytes();
         assert_eq!(bytes.len(), b.encoded_len());
+        assert_eq!(bytes.len(), Bloom::encoded_len_for(100, 8, 3));
         assert_eq!(Bloom::from_bytes(&bytes).unwrap(), b);
     }
 

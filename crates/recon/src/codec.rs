@@ -25,6 +25,12 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_varint`] spends on `v`.
+#[inline]
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 #[inline]
 pub(crate) fn put_signed(out: &mut Vec<u8>, v: i64) {
     // zigzag: small magnitudes (either sign) stay short on the wire.

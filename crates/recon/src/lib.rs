@@ -1,21 +1,21 @@
-//! Compact set reconciliation primitives for the digest sync mode.
+//! Compact set reconciliation primitives.
 //!
 //! The paper's protocol ships full version-vector knowledge on every
-//! encounter. This crate provides the machinery to replace that with
+//! encounter; the digest sync mode (`pfr::digest`) replaces that with
 //! summaries whose size scales with the *difference* between peers, not
-//! with the size of their stores:
+//! with the size of their stores. This crate holds the sketches:
 //!
 //! - [`Bloom`]: seeded double-hashing Bloom filter over 128-bit keys.
-//!   Used as the first-contact summary (no shared history to diff
-//!   against). False positives are resolved by an exact follow-up
-//!   round in `pfr::sync`, so they cost a round trip, never
-//!   correctness.
-//! - [`Iblt`]: invertible sketch with `subtract` + peel [`Iblt::decode`].
-//!   Used when peers have met before: the sketch is sized from the
-//!   drift since the last exchange and the peeled output is the exact
-//!   symmetric difference of the knowledge entry sets.
-//! - [`StrataEstimator`]: difference-size estimator for when no cached
-//!   snapshot exists to size the IBLT from.
+//!   The one sketch digest sync still sends — a first-contact summary
+//!   (no shared history to diff against) when it is small next to the
+//!   full structure. False positives are resolved by an exact follow-up
+//!   round, so they cost a round trip, never correctness.
+//! - [`Iblt`]: invertible sketch with `subtract` + peel [`Iblt::decode`]:
+//!   the exact symmetric difference of two sets neither side has a
+//!   history of. Library-only: digest sync's repeat contacts know both
+//!   sets exactly and spell the difference out instead.
+//! - [`StrataEstimator`]: difference-size estimator for sizing an IBLT
+//!   when nothing bounds the difference in advance. Library-only.
 //!
 //! Everything is deterministic under an explicit seed, has bounded
 //! fuzz-safe serialization (decoders never panic and never allocate

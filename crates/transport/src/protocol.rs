@@ -285,8 +285,9 @@ fn pull_digest<R: Read, W: Write>(
     now: SimTime,
     bufs: &mut SessionBuffers,
 ) -> Result<SyncReport, ProtocolError> {
-    let (request, state) = node.lock().begin_digest_session(peer, now);
+    let (request, mut state) = node.lock().begin_digest_session(peer, now);
     let mut digest_bytes = send_frame(writer, FrameType::SyncDigest, &request, bufs)?;
+    drop(request);
     let mut fallback_rounds = 0u64;
     let mut false_positives = 0u64;
     let mut knowledge_shared = state.summary_kind() != "bloom";
@@ -298,7 +299,12 @@ fn pull_digest<R: Read, W: Write>(
         () => {{
             fallback_rounds += 1;
             knowledge_shared = true;
-            let request_bytes = bufs.scratch.encode(state.full_request());
+            // The request borrows the node's knowledge and filter, so
+            // serialize it while the lock is held.
+            let request_bytes = {
+                let node = node.lock();
+                bufs.scratch.encode(&node.digest_resync_request(&mut state))
+            };
             digest_bytes += 1 + request_bytes.len() as u64;
             bufs.frame_bytes += request_bytes.len() as u64;
             write_frame(writer, FrameType::SyncRequest, request_bytes)?;
@@ -410,7 +416,7 @@ fn serve_direction<R: Read, W: Write>(
         FrameType::SyncDigest => {
             let request: DigestRequest = decode_payload(&payload)?;
             bufs.pool.give(payload);
-            serve_digest(reader, writer, node, &request, limits, now, bufs)?
+            serve_digest(reader, writer, node, request, limits, now, bufs)?
         }
         got => {
             bufs.pool.give(payload);
@@ -431,7 +437,7 @@ fn serve_digest<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
     node: &Arc<Mutex<DtnNode>>,
-    request: &DigestRequest,
+    request: DigestRequest,
     limits: SyncLimits,
     now: SimTime,
     bufs: &mut SessionBuffers,
@@ -443,14 +449,14 @@ fn serve_digest<R: Read, W: Write>(
             send_frame(writer, FrameType::SyncBatch, &batch, bufs)?;
             Ok(served)
         }
-        DigestResponse::NeedVersions(query) => {
-            send_frame(writer, FrameType::RangeRequest, &query, bufs)?;
+        DigestResponse::NeedVersions(pending) => {
+            send_frame(writer, FrameType::RangeRequest, pending.query(), bufs)?;
             let answer_payload = recv_expected(reader, FrameType::RangeResponse, bufs)?;
             let answer: VersionAnswer = decode_payload(&answer_payload)?;
             bufs.pool.give(answer_payload);
             match node
                 .lock()
-                .respond_digest_answer(request, &query, &answer, limits, now)
+                .respond_digest_answer(pending, &answer, limits, now)
             {
                 Some(batch) => {
                     let served = batch.entries.len();
@@ -485,7 +491,7 @@ fn serve_resync<R: Read, W: Write>(
     let request_payload = recv_expected(reader, FrameType::SyncRequest, bufs)?;
     let request: SyncRequest = decode_payload(&request_payload)?;
     bufs.pool.give(request_payload);
-    let batch = node.lock().respond_digest_resync(&request, limits, now);
+    let batch = node.lock().respond_digest_resync(request, limits, now);
     let served = batch.entries.len();
     send_frame(writer, FrameType::SyncBatch, &batch, bufs)?;
     Ok(served)

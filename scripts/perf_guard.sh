@@ -15,9 +15,12 @@
 # alloc-count` the owned data plane must allocate at least 5x more than
 # the shared one.
 #
-# The companion macro_recon artifact gets its own quantitative gate:
-# digest-mode metadata must undercut full knowledge exchange by at least
-# 3x on the committed 30-day replay. Byte counts come from deterministic
+# The companion macro_recon artifact is gated structurally at any size
+# (identical metrics, digest metadata below full) and, at full size (a
+# replay of 30 days or more — the committed one qualifies; CI's two-day
+# recon-smoke run, where most exchanges are still first contacts, is
+# exempt), quantitatively: digest-mode metadata must undercut full
+# knowledge exchange by at least 3x. Byte counts come from deterministic
 # wire encodings, so — unlike wall clock — that ratio is stable enough to
 # fail the build on.
 #
@@ -165,11 +168,13 @@ check(digest.get("full_bytes", 0) > digest.get("digest_bytes", 0),
       "digest metadata did not undercut full knowledge exchange")
 
 # The tentpole's quantitative acceptance gate: wire encodings are
-# deterministic, so the metadata reduction on the committed 30-day
-# replay is a stable >= 3x.
+# deterministic, so the metadata reduction on a full-size replay (the
+# committed 30-day one) is a stable >= 3x. Short smoke slices are mostly
+# first contacts, which no summary can shorten, and are exempt.
 ratio = doc.get("metadata_ratio", 0)
-check(ratio >= 3.0,
-      f"digest mode reduces sync metadata only {ratio}x (expected >= 3x)")
+if doc.get("days", 0) >= 30:
+    check(ratio >= 3.0,
+          f"digest mode reduces sync metadata only {ratio}x (expected >= 3x)")
 
 # The Bloom density sweep must chart the size / false-positive trade:
 # sparse filters see false positives, every density resolves them via
