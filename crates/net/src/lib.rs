@@ -1,42 +1,37 @@
-//! Async high-fanout transport core.
+//! Async high-fanout driver for the sync session protocol.
 //!
-//! The blocking [`transport`] stack dedicates a thread per session; this
-//! crate multiplexes thousands of concurrent sync sessions onto a small
-//! worker pool. Three layers:
+//! The protocol itself lives in [`transport`] — one sans-I/O
+//! [`SessionMachine`], frames in and frames out — where
+//! [`transport::Peer`] runs it with a blocking pump on a thread per
+//! connection. This crate is the other driver: it multiplexes thousands
+//! of concurrent sessions of the same machine onto a small worker pool.
 //!
-//! * [`session`] — the sync protocol (full and digest modes, both roles)
-//!   as an explicit non-blocking state machine, byte-compatible with
-//!   `transport::protocol` so async and blocking nodes interoperate.
 //! * [`reactor`] — a readiness-loop reactor over nonblocking std TCP
 //!   streams (no external async runtime): per-session frame accumulators,
 //!   vectored-write outboxes with backpressure, idle/stall timeouts, and
-//!   a connection pool for session reuse.
+//!   a connection pool that remembers each connection's peer, so a reused
+//!   one opens with hello and request in one write.
 //! * [`poll`] — the readiness backends behind the reactor
 //!   ([`PollBackend`]): an in-tree edge-triggered `epoll(7)` binding
 //!   (workers block until sockets are actually ready) with the original
 //!   exhaustive sweep as the selectable A/B fallback.
-//! * [`membership`] + [`wire`] — gossip peer discovery: periodic
-//!   peer-exchange rounds with seeded deterministic fanout, incarnation-
-//!   based failure suspicion with refutation and rejoin, and route
-//!   healing (dials go through the discovered view).
-//!
-//! [`NetNode`] ties them together as the drop-in high-fanout sibling of
-//! [`transport::Peer`].
+//! * [`node`] — [`NetNode`]: listener, reactor and the gossip loop that
+//!   runs peer-exchange rounds against [`Membership`] (the view and its
+//!   wire types are re-exported from `transport`, where the machine
+//!   answers `Gossip` frames from them).
 
 #![warn(missing_docs)]
 
 pub(crate) mod listen;
-pub mod membership;
 pub mod node;
 pub mod poll;
 pub mod reactor;
-pub mod session;
-pub mod wire;
 
-pub use membership::{Membership, MembershipConfig, PeerView, TickReport};
 pub use node::{GossipRoundStats, NetConfig, NetNode, NetStats};
 pub use poll::PollBackend;
-pub use reactor::{NetSessionResult, SessionTicket};
+pub use reactor::SessionTicket;
 
-pub use session::{Progress, SessionError, SessionMachine};
-pub use wire::{GossipMessage, PeerStatus, PeerWire};
+pub use transport::{
+    GossipMessage, Membership, MembershipConfig, PeerStatus, PeerView, PeerWire, Progress,
+    SessionError, SessionMachine, SessionOutcome, TickReport,
+};

@@ -1,6 +1,8 @@
 //! [`NetNode`]: a DTN node served by the async reactor.
 //!
-//! The high-fanout sibling of [`transport::Peer`]. One accept thread
+//! The high-fanout sibling of [`transport::Peer`]: the same
+//! [`SessionMachine`], driven by the reactor instead of a blocking pump
+//! on a thread per connection. One accept thread
 //! feeds inbound connections to the reactor's worker pool (each parked as
 //! an idle responder that can carry many back-to-back sessions); outbound
 //! syncs are detached — [`NetNode::sync_detached`] registers the session
@@ -12,20 +14,22 @@
 //! so data flows over routes gossip found.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dtn::DtnNode;
 use obs::{Event, Obs};
 use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
+use transport::{
+    Membership, MembershipConfig, PeerView, SessionError, SessionMachine, SessionOutcome,
+};
 
-use crate::membership::{Membership, MembershipConfig, PeerView};
 use crate::poll::PollBackend;
-use crate::reactor::{NetSessionResult, Reactor, ReactorConfig, SessionTicket, Shared};
-use crate::session::{SessionError, SessionMachine};
+use crate::reactor::{Reactor, ReactorConfig, SessionTicket, Shared};
 
 /// Tunables for a [`NetNode`].
 #[derive(Clone, Debug)]
@@ -47,7 +51,10 @@ pub struct NetConfig {
     /// Per-session write-queue bound; a session over it stops reading
     /// until the queue drains (backpressure).
     pub write_queue_limit: usize,
-    /// Idle responder connections past this are closed.
+    /// Idle responder connections past this are closed; pooled outbound
+    /// connections are discarded at half of it, so that a node never
+    /// reuses a connection its (identically configured) peer is about to
+    /// reap.
     pub idle_timeout: Duration,
     /// Sessions making no forward progress past this are failed.
     pub stall_timeout: Duration,
@@ -127,13 +134,20 @@ pub struct GossipRoundStats {
 
 /// A DTN node listening and dialing through the async reactor.
 pub struct NetNode {
+    core: Arc<Core>,
+    reactor: Reactor,
+    accept_thread: Option<JoinHandle<()>>,
+    gossip_thread: Option<JoinHandle<()>>,
+    local_addr: SocketAddr,
+}
+
+/// What the caller-facing handle, the accept loop and the gossip loop
+/// share.
+struct Core {
     node: Arc<Mutex<DtnNode>>,
     membership: Arc<Mutex<Membership>>,
-    reactor: Reactor,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    gossip_thread: Option<std::thread::JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
-    local_addr: SocketAddr,
+    shared: Arc<Shared>,
+    shutdown: AtomicBool,
     config: NetConfig,
     obs: Obs,
     replica: u64,
@@ -152,12 +166,7 @@ impl NetNode {
         let local_addr = listener.local_addr()?;
         let replica = node.id().as_u64();
         let obs = node.replica().observer().clone();
-        let node = Arc::new(Mutex::new(node));
-        let membership = Arc::new(Mutex::new(Membership::new(
-            replica,
-            local_addr.to_string(),
-            config.gossip.clone(),
-        )));
+        let membership = Membership::new(replica, local_addr.to_string(), config.gossip.clone());
         let reactor = Reactor::start(
             ReactorConfig {
                 workers: config.workers,
@@ -165,77 +174,39 @@ impl NetNode {
                 write_queue_limit: config.write_queue_limit,
                 idle_timeout: config.idle_timeout,
                 stall_timeout: config.stall_timeout,
-                pool_idle: config.idle_timeout,
             },
             obs.clone(),
             replica,
         );
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let accept_thread = {
-            let shared = Arc::clone(reactor.shared());
-            let node = Arc::clone(&node);
-            let membership = Arc::clone(&membership);
-            let shutdown = Arc::clone(&shutdown);
-            let obs = obs.clone();
-            let limits = config.limits;
-            let max_sessions = config.max_sessions;
-            std::thread::Builder::new()
-                .name("net-accept".into())
-                .spawn(move || {
-                    accept_loop(
-                        &listener,
-                        &shared,
-                        &node,
-                        &membership,
-                        &shutdown,
-                        &obs,
-                        limits,
-                        max_sessions,
-                        replica,
-                    )
-                })
-                .expect("spawn accept thread")
-        };
-
-        let gossip_thread = if config.gossip_interval > Duration::ZERO {
-            let shared = Arc::clone(reactor.shared());
-            let node = Arc::clone(&node);
-            let membership = Arc::clone(&membership);
-            let shutdown = Arc::clone(&shutdown);
-            let obs = obs.clone();
-            let config = config.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("net-gossip".into())
-                    .spawn(move || {
-                        gossip_loop(
-                            &shared,
-                            &node,
-                            &membership,
-                            &shutdown,
-                            &obs,
-                            &config,
-                            replica,
-                        )
-                    })
-                    .expect("spawn gossip thread"),
-            )
-        } else {
-            None
-        };
-
-        Ok(NetNode {
-            node,
-            membership,
-            reactor,
-            accept_thread: Some(accept_thread),
-            gossip_thread,
-            shutdown,
-            local_addr,
+        let core = Arc::new(Core {
+            node: Arc::new(Mutex::new(node)),
+            membership: Arc::new(Mutex::new(membership)),
+            shared: Arc::clone(reactor.shared()),
+            shutdown: AtomicBool::new(false),
             config,
             obs,
             replica,
+        });
+
+        let accepting = Arc::clone(&core);
+        let accept_thread = std::thread::Builder::new()
+            .name("net-accept".into())
+            .spawn(move || accepting.accept_loop(&listener))
+            .expect("spawn accept thread");
+        let gossip_thread = (core.config.gossip_interval > Duration::ZERO).then(|| {
+            let gossiping = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("net-gossip".into())
+                .spawn(move || gossiping.gossip_loop())
+                .expect("spawn gossip thread")
+        });
+
+        Ok(NetNode {
+            core,
+            reactor,
+            accept_thread: Some(accept_thread),
+            gossip_thread,
+            local_addr,
         })
     }
 
@@ -246,22 +217,22 @@ impl NetNode {
 
     /// Runs a closure against the node under its lock.
     pub fn with_node<T>(&self, f: impl FnOnce(&mut DtnNode) -> T) -> T {
-        f(&mut self.node.lock())
+        f(&mut self.core.node.lock())
     }
 
     /// Registers a bootstrap peer address for gossip discovery.
     pub fn add_seed(&self, addr: impl Into<String>) {
-        self.membership.lock().add_seed(addr);
+        self.core.membership.lock().add_seed(addr);
     }
 
     /// A snapshot of the gossip membership view.
     pub fn membership(&self) -> Vec<PeerView> {
-        self.membership.lock().view()
+        self.core.membership.lock().view()
     }
 
     /// Current reactor counters.
     pub fn stats(&self) -> NetStats {
-        let shared = self.reactor.shared();
+        let shared = &self.core.shared;
         NetStats {
             open_sessions: shared.open.load(Ordering::Relaxed),
             peak_sessions: shared.peak.load(Ordering::Relaxed),
@@ -283,42 +254,20 @@ impl NetNode {
     /// [`SessionError::AtCapacity`] at the session cap, or
     /// [`SessionError::Io`] when the dial fails.
     pub fn sync_detached(&self, addr: &str, now: SimTime) -> Result<SessionTicket, SessionError> {
-        let shared = self.reactor.shared();
-        if shared.open_sessions() >= self.config.max_sessions {
+        if self.core.shared.open_sessions() >= self.core.config.max_sessions {
             return Err(SessionError::AtCapacity);
         }
-        let (stream, reused) = self.dial(addr)?;
-        let (machine, out) = SessionMachine::sync_initiator(
-            Arc::clone(&self.node),
-            Arc::clone(&self.membership),
-            self.config.limits,
-            now,
-            reused,
-        )?;
         let ticket = SessionTicket::new();
-        shared.register(
-            stream,
-            addr.to_string(),
-            machine,
-            out,
-            Some(ticket.clone()),
-            false,
-            reused,
-            self.obs.clone(),
-            self.replica,
-        );
+        self.core.open_sync(addr, now, Some(ticket.clone()))?;
         Ok(ticket)
     }
 
     /// Runs one full sync session with `addr`, blocking until it
     /// completes or fails.
-    pub fn sync_with(&self, addr: &str, now: SimTime) -> NetSessionResult {
+    pub fn sync_with(&self, addr: &str, now: SimTime) -> SessionOutcome {
         match self.sync_detached(addr, now) {
             Ok(ticket) => ticket.wait(),
-            Err(error) => NetSessionResult {
-                report: Default::default(),
-                error: Some(error),
-            },
+            Err(error) => SessionOutcome::failed(error),
         }
     }
 
@@ -326,337 +275,234 @@ impl NetNode {
     /// merge replies. The background thread does exactly this once per
     /// interval; tests and CLIs can drive rounds deterministically.
     pub fn gossip_now(&self) -> GossipRoundStats {
-        gossip_round(
-            self.reactor.shared(),
-            &self.node,
-            &self.membership,
-            &self.obs,
-            &self.config,
-            self.replica,
-        )
+        self.core.gossip_round()
     }
 
     /// Stops the accept loop, gossip thread, and reactor, returning the
     /// node with everything it replicated.
     pub fn stop(mut self) -> DtnNode {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.gossip_thread.take() {
+        self.core.shutdown.store(true, Ordering::SeqCst);
+        for handle in [self.accept_thread.take(), self.gossip_thread.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = handle.join();
         }
         self.reactor.stop();
         // The threads have exited, so sessions no longer hold clones —
         // but finalization may lag a beat; spin until unique.
-        let mut node_arc = Arc::clone(&self.node);
+        let mut node_arc = Arc::clone(&self.core.node);
         drop(self);
         loop {
             match Arc::try_unwrap(node_arc) {
                 Ok(mutex) => return mutex.into_inner(),
                 Err(shared) => {
                     node_arc = shared;
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
         }
     }
+}
 
-    /// Dials `addr`, pool-first: a pooled connection skips the TCP
-    /// handshake entirely. Fresh dials block for at most
-    /// `connect_timeout`, then flip nonblocking for the reactor.
-    fn dial(&self, addr: &str) -> Result<(TcpStream, bool), SessionError> {
-        let shared = self.reactor.shared();
-        if let Some(stream) = shared.take_pooled(addr) {
-            return Ok((stream, true));
-        }
-        let stream = connect(addr, self.config.connect_timeout).map_err(SessionError::Io)?;
-        Ok((stream, false))
+impl Core {
+    /// Opens one outbound sync session with `addr`, pool-first. On a
+    /// pooled connection that remembers its peer the machine sends its
+    /// request right behind the hello.
+    fn open_sync(
+        &self,
+        addr: &str,
+        now: SimTime,
+        ticket: Option<SessionTicket>,
+    ) -> Result<(), SessionError> {
+        let conn = self
+            .shared
+            .dial(addr, self.config.connect_timeout)
+            .map_err(SessionError::Io)?;
+        let (node, membership) = (Arc::clone(&self.node), Arc::clone(&self.membership));
+        let limits = self.config.limits;
+        let (machine, opening) = match conn.peer {
+            Some(peer) => SessionMachine::sync_initiator_to(node, membership, limits, now, peer),
+            None => SessionMachine::sync_initiator(node, membership, limits, now, conn.reused),
+        }?;
+        self.shared
+            .register_outbound(conn, machine, opening, ticket);
+        Ok(())
     }
-}
 
-/// Resolves and connects with a timeout, returning a nonblocking stream.
-fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-    })?;
-    let stream = TcpStream::connect_timeout(&resolved, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_nonblocking(true)?;
-    Ok(stream)
-}
+    fn accept_loop(&self, listener: &TcpListener) {
+        // Event-driven parking under the epoll backend: block on listener
+        // readiness instead of a fixed 2 ms nap, so a dial burst is
+        // drained the moment it arrives. The loop accepts to `WouldBlock`
+        // before waiting again, honouring the edge-trigger contract.
+        #[cfg(target_os = "linux")]
+        let mut poller = if self.shared.backend() == PollBackend::Epoll {
+            use std::os::unix::io::AsRawFd;
+            crate::poll::EpollPoller::new()
+                .and_then(|poller| {
+                    poller.register(listener.as_raw_fd(), 0)?;
+                    Ok(poller)
+                })
+                .ok()
+        } else {
+            None
+        };
+        #[cfg(target_os = "linux")]
+        let mut ready: Vec<usize> = Vec::new();
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    node: &Arc<Mutex<DtnNode>>,
-    membership: &Arc<Mutex<Membership>>,
-    shutdown: &AtomicBool,
-    obs: &Obs,
-    limits: SyncLimits,
-    max_sessions: usize,
-    replica: u64,
-) {
-    // Event-driven parking under the epoll backend: block on listener
-    // readiness instead of a fixed 2 ms nap, so a dial burst is drained
-    // the moment it arrives. The loop accepts to `WouldBlock` before
-    // waiting again, honouring the edge-trigger contract.
-    #[cfg(target_os = "linux")]
-    let mut poller = if shared.backend() == crate::poll::PollBackend::Epoll {
-        use std::os::unix::io::AsRawFd;
-        crate::poll::EpollPoller::new()
-            .and_then(|poller| {
-                poller.register(listener.as_raw_fd(), 0)?;
-                Ok(poller)
-            })
-            .ok()
-    } else {
-        None
-    };
-    #[cfg(target_os = "linux")]
-    let mut ready: Vec<usize> = Vec::new();
-
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // At the cap, refuse instead of queueing unbounded work;
-                // the remote sees a closed connection and backs off.
-                if shared.open_sessions() >= max_sessions {
-                    drop(stream);
-                    continue;
-                }
-                if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let machine =
-                    SessionMachine::responder(Arc::clone(node), Arc::clone(membership), limits);
-                shared.register(
-                    stream,
-                    String::new(),
-                    machine,
-                    Vec::new(),
-                    None,
-                    true,
-                    false,
-                    obs.clone(),
-                    replica,
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                #[cfg(target_os = "linux")]
-                if let Some(poller) = poller.as_mut() {
-                    ready.clear();
-                    // Bounded so the shutdown flag stays responsive.
-                    if poller.wait(50, &mut ready).is_ok() {
+        while !self.shutdown.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    // At the cap, refuse instead of queueing unbounded
+                    // work; the remote sees a closed connection and backs
+                    // off.
+                    if self.shared.open_sessions() >= self.config.max_sessions {
+                        drop(stream);
                         continue;
                     }
+                    if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let machine = SessionMachine::responder(
+                        Arc::clone(&self.node),
+                        Arc::clone(&self.membership),
+                        self.config.limits,
+                    );
+                    self.shared.register_inbound(stream, machine);
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    #[cfg(target_os = "linux")]
+                    if let Some(poller) = poller.as_mut() {
+                        ready.clear();
+                        // Bounded so the shutdown flag stays responsive.
+                        if poller.wait(50, &mut ready).is_ok() {
+                            continue;
+                        }
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-}
 
-/// One gossip round: suspicion sweep, fanout dials, merge replies (the
-/// session machines merge into the shared membership as replies land),
-/// then the round event.
-fn gossip_round(
-    shared: &Arc<Shared>,
-    node: &Arc<Mutex<DtnNode>>,
-    membership: &Arc<Mutex<Membership>>,
-    obs: &Obs,
-    config: &NetConfig,
-    replica: u64,
-) -> GossipRoundStats {
-    let now_ms = shared.now_ms();
-    let targets = {
-        let mut membership = membership.lock();
-        membership.tick(now_ms);
-        membership.fanout_targets()
-    };
-    let mut stats = GossipRoundStats {
-        dialed: targets.len(),
-        ..GossipRoundStats::default()
-    };
-    let mut tickets = Vec::with_capacity(targets.len());
-    for addr in &targets {
-        match gossip_dial(shared, node, membership, obs, config, replica, addr) {
-            Ok(ticket) => tickets.push((addr.clone(), ticket)),
-            Err(_) => {
+    /// One gossip round: suspicion sweep, fanout dials, merge replies (the
+    /// session machines merge into the shared membership as replies
+    /// land), then the round event.
+    fn gossip_round(&self) -> GossipRoundStats {
+        let now_ms = self.shared.now_ms();
+        let targets = {
+            let mut membership = self.membership.lock();
+            membership.tick(now_ms);
+            membership.fanout_targets()
+        };
+        let mut stats = GossipRoundStats {
+            dialed: targets.len(),
+            ..GossipRoundStats::default()
+        };
+        let mut tickets = Vec::with_capacity(targets.len());
+        for addr in &targets {
+            match self.gossip_dial(addr) {
+                Ok(ticket) => tickets.push((addr, ticket)),
+                Err(_) => {
+                    stats.failed += 1;
+                    self.mark_addr_failed(addr);
+                }
+            }
+        }
+        for (addr, ticket) in tickets {
+            if ticket.wait().is_ok() {
+                stats.merged += 1;
+            } else {
                 stats.failed += 1;
-                mark_addr_failed(membership, addr);
+                self.mark_addr_failed(addr);
             }
         }
-    }
-    for (addr, ticket) in tickets {
-        let result = ticket.wait();
-        if result.is_ok() {
-            stats.merged += 1;
-        } else {
-            stats.failed += 1;
-            mark_addr_failed(membership, &addr);
-        }
-    }
-    {
-        let mut membership = membership.lock();
-        stats.alive = membership.alive_count();
-        stats.suspect = membership.suspect_count();
-        stats.learned = membership.take_learned();
-    }
-    let (fanout, alive, suspect, learned) = (
-        stats.dialed as u64,
-        stats.alive as u64,
-        stats.suspect as u64,
-        stats.learned,
-    );
-    obs.emit(|| Event::GossipRound {
-        replica,
-        fanout,
-        alive,
-        suspect,
-        learned,
-    });
-    stats
-}
-
-/// Registers one outbound gossip exchange (pool-first, like syncs).
-fn gossip_dial(
-    shared: &Arc<Shared>,
-    node: &Arc<Mutex<DtnNode>>,
-    membership: &Arc<Mutex<Membership>>,
-    obs: &Obs,
-    config: &NetConfig,
-    replica: u64,
-    addr: &str,
-) -> Result<SessionTicket, SessionError> {
-    let (stream, reused) = match shared.take_pooled(addr) {
-        Some(stream) => (stream, true),
-        None => (
-            connect(addr, config.connect_timeout).map_err(SessionError::Io)?,
-            false,
-        ),
-    };
-    let (machine, out) = SessionMachine::gossip_initiator(
-        Arc::clone(node),
-        Arc::clone(membership),
-        shared.now_ms(),
-        reused,
-    )?;
-    let ticket = SessionTicket::new();
-    shared.register(
-        stream,
-        addr.to_string(),
-        machine,
-        out,
-        Some(ticket.clone()),
-        false,
-        reused,
-        obs.clone(),
-        replica,
-    );
-    Ok(ticket)
-}
-
-/// A failed dial is first-hand evidence: suspect the member at that
-/// address (unresolved seeds have no member yet — they just stay seeds).
-fn mark_addr_failed(membership: &Arc<Mutex<Membership>>, addr: &str) {
-    let mut membership = membership.lock();
-    let failed: Vec<u64> = membership
-        .view()
-        .into_iter()
-        .filter(|p| p.addr == addr)
-        .map(|p| p.replica)
-        .collect();
-    for replica in failed {
-        membership.observe_failed(replica);
-    }
-}
-
-/// The background gossip driver: one round per interval, plus the
-/// optional anti-entropy sync round-robin over discovered members.
-fn gossip_loop(
-    shared: &Arc<Shared>,
-    node: &Arc<Mutex<DtnNode>>,
-    membership: &Arc<Mutex<Membership>>,
-    shutdown: &AtomicBool,
-    obs: &Obs,
-    config: &NetConfig,
-    replica: u64,
-) {
-    let mut last_round = Instant::now() - config.gossip_interval;
-    let mut last_ae = Instant::now();
-    let mut ae_cursor = 0usize;
-    while !shutdown.load(Ordering::SeqCst) {
-        if last_round.elapsed() >= config.gossip_interval {
-            last_round = Instant::now();
-            gossip_round(shared, node, membership, obs, config, replica);
-        }
-        if config.anti_entropy_interval > Duration::ZERO
-            && last_ae.elapsed() >= config.anti_entropy_interval
         {
-            last_ae = Instant::now();
-            anti_entropy_step(
-                shared,
-                node,
-                membership,
-                obs,
-                config,
-                replica,
-                &mut ae_cursor,
-            );
+            let mut membership = self.membership.lock();
+            stats.alive = membership.alive_count();
+            stats.suspect = membership.suspect_count();
+            stats.learned = membership.take_learned();
         }
-        std::thread::sleep(Duration::from_millis(20));
+        self.obs.emit(|| Event::GossipRound {
+            replica: self.replica,
+            fanout: stats.dialed as u64,
+            alive: stats.alive as u64,
+            suspect: stats.suspect as u64,
+            learned: stats.learned,
+        });
+        stats
     }
-}
 
-/// Route healing in action: syncs with the next live member discovered by
-/// gossip, so data flows over routes the application never configured.
-fn anti_entropy_step(
-    shared: &Arc<Shared>,
-    node: &Arc<Mutex<DtnNode>>,
-    membership: &Arc<Mutex<Membership>>,
-    obs: &Obs,
-    config: &NetConfig,
-    replica: u64,
-    cursor: &mut usize,
-) {
-    let addrs = membership.lock().live_addrs();
-    if addrs.is_empty() {
-        return;
+    /// Registers one outbound gossip exchange (pool-first, like syncs).
+    fn gossip_dial(&self, addr: &str) -> Result<SessionTicket, SessionError> {
+        let conn = self
+            .shared
+            .dial(addr, self.config.connect_timeout)
+            .map_err(SessionError::Io)?;
+        let (machine, opening) = SessionMachine::gossip_initiator(
+            Arc::clone(&self.node),
+            Arc::clone(&self.membership),
+            self.shared.now_ms(),
+            conn.reused,
+        )?;
+        let ticket = SessionTicket::new();
+        self.shared
+            .register_outbound(conn, machine, opening, Some(ticket.clone()));
+        Ok(ticket)
     }
-    let addr = &addrs[*cursor % addrs.len()];
-    *cursor = cursor.wrapping_add(1);
-    let now = SimTime::from_secs(shared.now_ms() / 1000);
-    let (stream, reused) = match shared.take_pooled(addr) {
-        Some(stream) => (stream, true),
-        None => match connect(addr, config.connect_timeout) {
-            Ok(stream) => (stream, false),
-            Err(_) => {
-                mark_addr_failed(membership, addr);
-                return;
+
+    /// A failed dial is first-hand evidence: suspect the member at that
+    /// address (unresolved seeds have no member yet — they just stay
+    /// seeds).
+    fn mark_addr_failed(&self, addr: &str) {
+        let mut membership = self.membership.lock();
+        let failed: Vec<u64> = membership
+            .view()
+            .into_iter()
+            .filter(|p| p.addr == addr)
+            .map(|p| p.replica)
+            .collect();
+        for replica in failed {
+            membership.observe_failed(replica);
+        }
+    }
+
+    /// The background gossip driver: one round per interval, plus the
+    /// optional anti-entropy sync round-robin over discovered members.
+    fn gossip_loop(&self) {
+        let config = &self.config;
+        let mut last_round = Instant::now() - config.gossip_interval;
+        let mut last_ae = Instant::now();
+        let mut ae_cursor = 0usize;
+        while !self.shutdown.load(Ordering::SeqCst) {
+            if last_round.elapsed() >= config.gossip_interval {
+                last_round = Instant::now();
+                self.gossip_round();
             }
-        },
-    };
-    let Ok((machine, out)) = SessionMachine::sync_initiator(
-        Arc::clone(node),
-        Arc::clone(membership),
-        config.limits,
-        now,
-        reused,
-    ) else {
-        return;
-    };
-    shared.register(
-        stream,
-        addr.to_string(),
-        machine,
-        out,
-        None,
-        false,
-        reused,
-        obs.clone(),
-        replica,
-    );
+            if config.anti_entropy_interval > Duration::ZERO
+                && last_ae.elapsed() >= config.anti_entropy_interval
+            {
+                last_ae = Instant::now();
+                self.anti_entropy_step(&mut ae_cursor);
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// Route healing in action: syncs with the next live member
+    /// discovered by gossip, so data flows over routes the application
+    /// never configured.
+    fn anti_entropy_step(&self, cursor: &mut usize) {
+        let addrs = self.membership.lock().live_addrs();
+        if addrs.is_empty() {
+            return;
+        }
+        let addr = &addrs[*cursor % addrs.len()];
+        *cursor = cursor.wrapping_add(1);
+        let now = SimTime::from_secs(self.shared.now_ms() / 1000);
+        if let Err(SessionError::Io(_)) = self.open_sync(addr, now, None) {
+            self.mark_addr_failed(addr);
+        }
+    }
 }

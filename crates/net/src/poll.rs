@@ -183,8 +183,10 @@ impl PipeWaker {
     }
 
     fn drain(&self) {
+        // A short read has emptied the pipe; only a full buffer needs
+        // another look.
         let mut buf = [0u8; 64];
-        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 
     fn raw_fd(&self) -> RawFd {
@@ -210,6 +212,8 @@ mod sys {
     pub const EPOLL_CTL_DEL: i32 = 2;
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
+    pub const EPOLLERR: u32 = 0x008;
+    pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
     pub const EPOLLET: u32 = 1 << 31;
 
@@ -236,6 +240,7 @@ pub(crate) struct EpollPoller {
     epfd: i32,
     waker: Arc<PipeWaker>,
     events: Vec<sys::EpollEvent>,
+    hung_up: Vec<usize>,
 }
 
 #[cfg(target_os = "linux")]
@@ -256,6 +261,7 @@ impl EpollPoller {
             epfd,
             waker,
             events: vec![sys::EpollEvent { events: 0, data: 0 }; WAIT_BATCH],
+            hung_up: Vec::new(),
         };
         // The waker only ever becomes readable; edge-triggered is fine
         // because `drain` empties the pipe on every wakeup.
@@ -323,15 +329,25 @@ impl EpollPoller {
                 return Err(err);
             }
         };
+        self.hung_up.clear();
         for event in &self.events[..n] {
             let token = event.data;
             if token == WAKER_TOKEN {
                 self.waker.drain();
-            } else {
-                ready.push(token as usize);
+                continue;
+            }
+            ready.push(token as usize);
+            if event.events & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
+                self.hung_up.push(token as usize);
             }
         }
         Ok(())
+    }
+
+    /// The tokens among the last `wait`'s whose event said the peer
+    /// closed or reset its end.
+    pub(crate) fn hung_up(&self) -> &[usize] {
+        &self.hung_up
     }
 }
 

@@ -26,22 +26,24 @@
 //! (backpressure propagates to the peer through TCP). A session making no
 //! forward progress past the stall timeout is failed; an idle pooled
 //! responder past the idle timeout is closed. Completed outbound
-//! connections return to a pool keyed by dial address for reuse.
+//! connections return to a pool keyed by dial address, each remembering
+//! who its last session was with so the next one can open with its
+//! request right behind the hello.
 
-use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obs::{Event, Obs};
 use parking_lot::Mutex;
+use pfr::ReplicaId;
 use transport::frame::{FrameAccum, FrameError};
-use transport::SessionReport;
+use transport::{Progress, SessionError, SessionMachine, SessionOutcome};
 
 use crate::poll::{CondWaker, PollBackend, Waker};
-use crate::session::{Progress, SessionError, SessionMachine};
 
 #[cfg(target_os = "linux")]
 use crate::poll::EpollPoller;
@@ -73,28 +75,21 @@ pub(crate) struct ReactorConfig {
     pub write_queue_limit: usize,
     pub idle_timeout: Duration,
     pub stall_timeout: Duration,
-    pub pool_idle: Duration,
 }
 
-/// The outcome of one reactor-driven session.
-#[derive(Debug)]
-pub struct NetSessionResult {
-    /// Progress made before the session ended (possibly partial).
-    pub report: SessionReport,
-    /// The error that ended the session, or `None` on clean completion.
-    pub error: Option<SessionError>,
-}
-
-impl NetSessionResult {
-    /// True when the session completed cleanly.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
+impl ReactorConfig {
+    /// How long an outbound connection may sit in the pool. The far end
+    /// reaps it once idle for `idle_timeout` (nodes share one config),
+    /// so it is discarded here at half that: a connection is never taken
+    /// in the moment it is being reaped.
+    fn pool_idle(&self) -> Duration {
+        self.idle_timeout / 2
     }
 }
 
 struct TicketInner {
     // std primitives: the workspace `parking_lot` shim has no Condvar.
-    result: std::sync::Mutex<Option<NetSessionResult>>,
+    result: std::sync::Mutex<Option<SessionOutcome>>,
     cond: std::sync::Condvar,
 }
 
@@ -110,7 +105,7 @@ impl SessionTicket {
         }))
     }
 
-    pub(crate) fn resolve(&self, result: NetSessionResult) {
+    pub(crate) fn resolve(&self, result: SessionOutcome) {
         let mut slot = self.0.result.lock().expect("ticket lock");
         if slot.is_none() {
             *slot = Some(result);
@@ -119,17 +114,12 @@ impl SessionTicket {
     }
 
     /// Blocks until the session completes or fails.
-    pub fn wait(&self) -> NetSessionResult {
+    pub fn wait(&self) -> SessionOutcome {
         let mut slot = self.0.result.lock().expect("ticket lock");
         while slot.is_none() {
             slot = self.0.cond.wait(slot).expect("ticket lock");
         }
         slot.take().expect("resolved")
-    }
-
-    /// Non-blocking poll; returns the result at most once.
-    pub fn try_take(&self) -> Option<NetSessionResult> {
-        self.0.result.lock().expect("ticket lock").take()
     }
 }
 
@@ -248,6 +238,9 @@ pub(crate) struct Session {
     /// Dial address, for returning the connection to the pool; empty for
     /// inbound connections.
     addr: String,
+    /// Who the connection's last sync session was with (outbound only);
+    /// a gossip exchange over it leaves this as it was.
+    known_peer: Option<ReplicaId>,
     machine: SessionMachine,
     accum: FrameAccum,
     out: OutBuf,
@@ -257,17 +250,61 @@ pub(crate) struct Session {
     stalled: bool,
     /// Machine finished; flush the outbox, then finalize.
     finished: bool,
+    /// The peer closed or reset its end (epoll said so): reads run to
+    /// EOF instead of stopping at the first short one.
+    hung_up: bool,
     /// When the session was handed to its worker queue (consumed by the
     /// wakeup-latency measurement on first pickup).
     enqueued_at: Instant,
-    obs: Obs,
-    replica: u64,
+}
+
+/// An outbound connection, freshly dialed or taken from the pool.
+pub(crate) struct Outbound {
+    stream: TcpStream,
+    addr: String,
+    /// Taken from the pool rather than dialed.
+    pub(crate) reused: bool,
+    /// Who its last sync session was with, when it had one.
+    pub(crate) peer: Option<ReplicaId>,
 }
 
 struct PooledConn {
     stream: TcpStream,
-    addr: String,
+    peer: Option<ReplicaId>,
     idle_since: Instant,
+}
+
+/// Idle outbound connections by dial address, newest last.
+struct Pool {
+    by_addr: HashMap<String, Vec<PooledConn>>,
+    pruned_at: Instant,
+}
+
+impl Pool {
+    /// The most recently pooled connection to `addr`, if it is still
+    /// younger than `max_idle` (if it is not, none to `addr` is).
+    fn take(&mut self, addr: &str, max_idle: Duration) -> Option<PooledConn> {
+        let conns = self.by_addr.get_mut(addr)?;
+        let newest = conns.pop().filter(|c| c.idle_since.elapsed() < max_idle);
+        if newest.is_none() || conns.is_empty() {
+            self.by_addr.remove(addr);
+        }
+        newest
+    }
+
+    /// Pools a connection; once per `max_idle` also drops every stale
+    /// one, so connections to addresses never dialed again do not pile
+    /// up.
+    fn give(&mut self, addr: String, conn: PooledConn, max_idle: Duration) {
+        self.by_addr.entry(addr).or_default().push(conn);
+        if self.pruned_at.elapsed() >= max_idle {
+            self.pruned_at = Instant::now();
+            self.by_addr.retain(|_, conns| {
+                conns.retain(|c| c.idle_since.elapsed() < max_idle);
+                !conns.is_empty()
+            });
+        }
+    }
 }
 
 /// State shared between the reactor handle and its workers.
@@ -282,7 +319,7 @@ pub(crate) struct Shared {
     /// on their queue (condvar for sweep, socketpair write for epoll).
     wakers: Vec<Waker>,
     next_queue: AtomicUsize,
-    pool: Mutex<VecDeque<PooledConn>>,
+    pool: Mutex<Pool>,
     epoch: Instant,
     obs: Obs,
     replica: u64,
@@ -308,61 +345,53 @@ impl Shared {
         self.backend
     }
 
-    /// Pops a pooled connection to `addr`, pruning stale entries.
-    pub(crate) fn take_pooled(&self, addr: &str) -> Option<TcpStream> {
-        let mut pool = self.pool.lock();
-        let now = Instant::now();
-        pool.retain(|c| now.duration_since(c.idle_since) < self.config.pool_idle);
-        let idx = pool.iter().position(|c| c.addr == addr)?;
-        pool.remove(idx).map(|c| c.stream)
-    }
-
-    fn give_pooled(&self, addr: String, stream: TcpStream) {
-        if addr.is_empty() {
-            return;
-        }
-        self.pool.lock().push_back(PooledConn {
+    /// A connection to `addr`, pool-first: a pooled one skips the TCP
+    /// handshake entirely. Fresh dials block for at most
+    /// `connect_timeout`, then flip nonblocking for the reactor.
+    pub(crate) fn dial(&self, addr: &str, connect_timeout: Duration) -> io::Result<Outbound> {
+        let pooled = self.pool.lock().take(addr, self.config.pool_idle());
+        let (stream, reused, peer) = match pooled {
+            Some(conn) => (conn.stream, true, conn.peer),
+            None => (connect(addr, connect_timeout)?, false, None),
+        };
+        Ok(Outbound {
             stream,
-            addr,
-            idle_since: Instant::now(),
-        });
+            addr: addr.to_string(),
+            reused,
+            peer,
+        })
     }
 
-    /// Registers a session with the next worker round-robin and wakes
-    /// that worker. The stream must already be nonblocking.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn register(
+    /// Registers an outbound session: `opening` is what the machine
+    /// wants on the wire first.
+    pub(crate) fn register_outbound(
         &self,
-        stream: TcpStream,
-        addr: String,
+        conn: Outbound,
         machine: SessionMachine,
-        initial_out: Vec<u8>,
+        opening: Vec<u8>,
         ticket: Option<SessionTicket>,
-        inbound: bool,
-        reused: bool,
-        obs: Obs,
-        replica: u64,
     ) {
-        if reused {
+        if conn.reused {
             self.reuses.fetch_add(1, Ordering::Relaxed);
         }
-        let mut out = OutBuf::default();
-        out.push_seg(initial_out);
-        let session = Session {
-            stream,
-            addr,
-            machine,
-            accum: FrameAccum::new(),
-            out,
-            ticket,
-            inbound,
-            last_progress: Instant::now(),
-            stalled: false,
-            finished: false,
-            enqueued_at: Instant::now(),
-            obs,
-            replica,
-        };
+        let mut session = Session::new(conn.stream, machine);
+        session.addr = conn.addr;
+        session.known_peer = conn.peer;
+        session.out.push_seg(opening);
+        session.ticket = ticket;
+        self.enqueue(session);
+    }
+
+    /// Registers an accepted connection behind a responder machine.
+    pub(crate) fn register_inbound(&self, stream: TcpStream, machine: SessionMachine) {
+        let mut session = Session::new(stream, machine);
+        session.inbound = true;
+        self.enqueue(session);
+    }
+
+    /// Hands a session to the next worker round-robin and wakes that
+    /// worker. The stream must already be nonblocking.
+    fn enqueue(&self, session: Session) {
         let open = self.open.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak.fetch_max(open, Ordering::Relaxed);
         let idx = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.queues.len();
@@ -373,6 +402,37 @@ impl Shared {
     pub(crate) fn open_sessions(&self) -> usize {
         self.open.load(Ordering::Relaxed)
     }
+}
+
+impl Session {
+    fn new(stream: TcpStream, machine: SessionMachine) -> Session {
+        Session {
+            stream,
+            addr: String::new(),
+            known_peer: None,
+            machine,
+            accum: FrameAccum::new(),
+            out: OutBuf::default(),
+            ticket: None,
+            inbound: false,
+            last_progress: Instant::now(),
+            stalled: false,
+            finished: false,
+            hung_up: false,
+            enqueued_at: Instant::now(),
+        }
+    }
+}
+
+/// Resolves and connects with a timeout, returning a nonblocking stream.
+fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
+    })?;
+    let stream = TcpStream::connect_timeout(&resolved, timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
 }
 
 /// How one worker discovers readiness: its half of the A/B switch.
@@ -410,7 +470,10 @@ impl Reactor {
             queues: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             wakers,
             next_queue: AtomicUsize::new(0),
-            pool: Mutex::new(VecDeque::new()),
+            pool: Mutex::new(Pool {
+                by_addr: HashMap::new(),
+                pruned_at: Instant::now(),
+            }),
             epoch: Instant::now(),
             obs,
             replica,
@@ -595,8 +658,8 @@ fn sweep_loop(shared: &Shared, index: usize, waker: &CondWaker) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             local.append(&mut shared.queues[index].lock());
-            for mut session in local.drain(..) {
-                finalize(shared, &mut session, Verdict::Failed(SessionError::Eof));
+            for session in local.drain(..) {
+                finalize(shared, session, Verdict::Failed(SessionError::Eof));
             }
             telemetry.emit(shared);
             return;
@@ -626,8 +689,7 @@ fn sweep_loop(shared: &Shared, index: usize, waker: &CondWaker) {
                 },
                 verdict => verdict,
             };
-            let mut session = local.swap_remove(i);
-            finalize(shared, &mut session, verdict);
+            finalize(shared, local.swap_remove(i), verdict);
             progressed = true;
         }
         telemetry.add_syscalls(shared, syscalls);
@@ -665,14 +727,8 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             incoming.append(&mut shared.queues[index].lock());
-            for mut session in incoming.drain(..) {
-                finalize(shared, &mut session, Verdict::Failed(SessionError::Eof));
-            }
-            for slot in &mut slots {
-                if let Some(mut session) = slot.take() {
-                    poller.deregister(session.stream.as_raw_fd());
-                    finalize(shared, &mut session, Verdict::Failed(SessionError::Eof));
-                }
+            for session in incoming.drain(..).chain(slots.drain(..).flatten()) {
+                finalize(shared, session, Verdict::Failed(SessionError::Eof));
             }
             telemetry.emit(shared);
             return;
@@ -697,8 +753,7 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
                     }
                     Err(e) => {
                         free.push(token);
-                        let mut session = session;
-                        finalize(shared, &mut session, Verdict::Failed(SessionError::Io(e)));
+                        finalize(shared, session, Verdict::Failed(SessionError::Io(e)));
                     }
                 }
             }
@@ -713,13 +768,18 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
             // epoll_wait failing is unrecoverable for this worker; fail
             // everything rather than spin.
             for slot in &mut slots {
-                if let Some(mut session) = slot.take() {
+                if let Some(session) = slot.take() {
                     poller.deregister(session.stream.as_raw_fd());
-                    finalize(shared, &mut session, Verdict::Failed(SessionError::Eof));
+                    finalize(shared, session, Verdict::Failed(SessionError::Eof));
                 }
             }
             hot.clear();
             continue;
+        }
+        for &token in poller.hung_up() {
+            if let Some(session) = slots.get_mut(token).and_then(Option::as_mut) {
+                session.hung_up = true;
+            }
         }
         ready.append(&mut hot);
         ready.sort_unstable();
@@ -737,10 +797,10 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
                     }
                 }
                 verdict => {
-                    let mut session = slots[token].take().expect("stepped session");
+                    let session = slots[token].take().expect("stepped session");
                     poller.deregister(session.stream.as_raw_fd());
                     free.push(token);
-                    finalize(shared, &mut session, verdict);
+                    finalize(shared, session, verdict);
                 }
             }
         }
@@ -754,10 +814,10 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
                     continue;
                 };
                 if let Some(verdict) = deadline_verdict(shared, session) {
-                    let mut session = slot.take().expect("checked session");
+                    let session = slot.take().expect("checked session");
                     poller.deregister(session.stream.as_raw_fd());
                     free.push(token);
-                    finalize(shared, &mut session, verdict);
+                    finalize(shared, session, verdict);
                 }
             }
         }
@@ -766,41 +826,38 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
 }
 
 /// Accounts a removed session and resolves its ticket.
-fn finalize(shared: &Shared, session: &mut Session, verdict: Verdict) {
+fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
     shared.open.fetch_sub(1, Ordering::Relaxed);
-    match verdict {
+    let error = match verdict {
         Verdict::Keep => unreachable!(),
+        // A responder that served sessions before going quiet already
+        // counted them at completion; nothing to account here.
+        Verdict::Closed => return,
         Verdict::Finished => {
             shared.completed.fetch_add(1, Ordering::Relaxed);
-            // Return the outbound connection *before* resolving the
-            // ticket: a caller that re-dials the moment its wait returns
-            // must find the connection already pooled.
-            if !session.inbound {
-                if let Ok(stream) = session.stream.try_clone() {
-                    shared.give_pooled(std::mem::take(&mut session.addr), stream);
-                }
-            }
-            if let Some(ticket) = session.ticket.take() {
-                ticket.resolve(NetSessionResult {
-                    report: session.machine.report().clone(),
-                    error: None,
-                });
-            }
-        }
-        Verdict::Closed => {
-            // A responder that served sessions before going quiet already
-            // counted them at completion; nothing to account here.
+            None
         }
         Verdict::Failed(error) => {
             shared.failed.fetch_add(1, Ordering::Relaxed);
             session.machine.abort();
-            if let Some(ticket) = session.ticket.take() {
-                ticket.resolve(NetSessionResult {
-                    report: session.machine.report().clone(),
-                    error: Some(error),
-                });
-            }
+            Some(error)
         }
+    };
+    let outcome = session.machine.outcome(error);
+    // Return the outbound connection *before* resolving the ticket: a
+    // caller that re-dials the moment its wait returns must find the
+    // connection already pooled.
+    if outcome.is_ok() && !session.inbound {
+        let conn = PooledConn {
+            stream: session.stream,
+            peer: outcome.report.peer.or(session.known_peer),
+            idle_since: Instant::now(),
+        };
+        let max_idle = shared.config.pool_idle();
+        shared.pool.lock().give(session.addr, conn, max_idle);
+    }
+    if let Some(ticket) = session.ticket {
+        ticket.resolve(outcome);
     }
 }
 
@@ -875,7 +932,7 @@ fn step(
         if !session.stalled {
             session.stalled = true;
             shared.stalls.fetch_add(1, Ordering::Relaxed);
-            let replica = session.replica;
+            let replica = shared.replica;
             let peer = session
                 .machine
                 .report()
@@ -883,7 +940,7 @@ fn step(
                 .map(|p| p.as_u64())
                 .unwrap_or(0);
             let queued = session.out.pending() as u64;
-            session.obs.emit(|| Event::NetBackpressure {
+            shared.obs.emit(|| Event::NetBackpressure {
                 replica,
                 peer,
                 queued_bytes: queued,
@@ -893,10 +950,13 @@ fn step(
     }
     session.stalled = false;
 
-    // Read whatever is ready, bounded per pass for fairness. A session
-    // that used its whole budget without hitting WouldBlock is not
-    // drained: the caller must re-step it (edge-triggered epoll will
-    // never re-announce those bytes).
+    // Read whatever is ready, bounded per pass for fairness. A read that
+    // comes back short has drained a stream socket (epoll(7)) — no second
+    // call just to be told `WouldBlock` — unless the peer hung up, when
+    // only reading on finds the EOF behind the data. A session that used
+    // its whole budget on full reads is not drained: the caller must
+    // re-step it (edge-triggered epoll will never re-announce those
+    // bytes).
     let mut saw_eof = false;
     let mut reads = 0;
     loop {
@@ -915,6 +975,9 @@ fn step(
                 session.accum.extend(&read_buf[..n]);
                 session.last_progress = Instant::now();
                 outcome.moved = true;
+                if n < read_buf.len() && !session.hung_up {
+                    break;
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
@@ -987,15 +1050,14 @@ fn feed_frames(
                 // whether this state can recover (serve side answers
                 // with a resync demand).
                 match session.machine.on_checksum_error(e, seg) {
-                    Ok(Progress::Continue) => continue,
-                    Ok(_) => unreachable!("checksum recovery never completes a session"),
+                    Ok(()) => continue,
                     Err(err) => return Err(Verdict::Failed(err)),
                 }
             }
             Err(e) => return Err(Verdict::Failed(SessionError::Frame(e))),
         };
         *moved = true;
-        match session.machine.on_frame(frame_type, &payload, now_ms, seg) {
+        match session.machine.on_frame(frame_type, payload, now_ms, seg) {
             Ok(Progress::Continue) => {}
             Ok(Progress::SessionComplete) if session.inbound => {
                 // The responder machine reset itself to idle; the

@@ -6,16 +6,16 @@
 //! is flow control, not failure. Payload size is swept by
 //! `TESTKIT_SEED` so the CI matrix exercises different queue shapes.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dtn::{DtnNode, PolicyKind};
-use net::{NetConfig, NetNode, PollBackend};
+use net::{Membership, MembershipConfig, NetConfig, NetNode, PollBackend, SessionMachine};
 use parking_lot::Mutex;
 use pfr::{ReplicaId, SimTime, SyncLimits};
-use transport::protocol::run_initiator;
+use transport::pump;
 
 /// The base seed for the swept payload size, offset by `TESTKIT_SEED`
 /// when set (the CI matrix sets 0..8).
@@ -46,6 +46,17 @@ impl Read for SlowReader {
     }
 }
 
+/// Writes go straight through: only the read side trickles.
+impl Write for SlowReader {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 fn slow_reader_survives_backpressure(backend: PollBackend) {
     let seed = base_seed();
     // 8–12 MiB: far beyond what loopback kernel socket buffers can hide,
@@ -73,25 +84,27 @@ fn slow_reader_survives_backpressure(backend: PollBackend) {
 
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    let mut reader = SlowReader {
-        inner: stream.try_clone().expect("clone stream"),
+    let mut conn = SlowReader {
+        inner: stream,
         chunk: 64 * 1024,
         delay: Duration::from_millis(1),
     };
-    let mut writer = stream;
     let client_node = Arc::new(Mutex::new(DtnNode::new(
         ReplicaId::new(1),
         "client",
         PolicyKind::Epidemic,
     )));
-    let report = run_initiator(
-        &mut reader,
-        &mut writer,
-        &client_node,
-        SimTime::from_secs(60),
+    let membership = Membership::new(1, "client:0", MembershipConfig::default());
+    let (mut machine, opening) = SessionMachine::sync_initiator(
+        Arc::clone(&client_node),
+        Arc::new(Mutex::new(membership)),
         SyncLimits::unlimited(),
+        SimTime::from_secs(60),
+        false,
     )
-    .expect("slow session must survive backpressure");
+    .expect("open a session");
+    pump(&mut conn, &mut machine, opening, &|| 0).expect("slow session must survive backpressure");
+    let report = machine.report();
     assert_eq!(report.peer, Some(ReplicaId::new(2)));
     assert_eq!(
         report
@@ -119,7 +132,7 @@ fn slow_reader_survives_backpressure(backend: PollBackend) {
     };
     assert_eq!(stats.backend, expected_backend);
 
-    drop((reader, writer));
+    drop((conn, machine));
     server.stop();
     let delivered = client_node.lock().inbox();
     assert_eq!(delivered.len(), 1, "exactly-once delivery broke");

@@ -1,13 +1,13 @@
-//! End-to-end reactor tests over real sockets: async↔async and
-//! async↔blocking interop, detached high-fanout sessions, connection
-//! pooling, gossip discovery, and failure/backpressure edges.
+//! End-to-end reactor tests over real sockets: detached high-fanout
+//! sessions, connection pooling (and the pool/reap race), gossip
+//! discovery, and failure edges. That the reactor, the blocking pump and
+//! in-process encounters agree is `session_matrix.rs`' business.
 
 use std::time::{Duration, Instant};
 
 use dtn::{DtnNode, PolicyKind};
 use net::{MembershipConfig, NetConfig, NetNode, PeerStatus};
 use pfr::{ReplicaId, SimTime, SyncMode};
-use transport::Peer;
 
 fn node(id: u64, addr: &str) -> DtnNode {
     DtnNode::new(ReplicaId::new(id), addr, PolicyKind::Epidemic)
@@ -36,48 +36,6 @@ fn async_nodes_sync_both_ways() {
     assert_eq!(result.report.pulled.as_ref().unwrap().delivered, 1);
 
     let a = client.stop();
-    let b = server.stop();
-    assert_eq!(a.inbox().len(), 1);
-    assert_eq!(b.inbox().len(), 1);
-}
-
-#[test]
-fn async_initiator_interoperates_with_blocking_peer() {
-    // The reactor speaks the exact same wire protocol as the blocking
-    // transport: a NetNode initiator syncs against a transport::Peer.
-    let mut a = node(1, "a");
-    let mut b = node(2, "b");
-    a.send("b", b"to blocking".to_vec(), SimTime::ZERO).unwrap();
-    b.send("a", b"to async".to_vec(), SimTime::ZERO).unwrap();
-
-    let blocking = Peer::start(b, "127.0.0.1:0").unwrap();
-    let client = NetNode::start(a, "127.0.0.1:0", quiet_config()).unwrap();
-
-    let result = client.sync_with(&blocking.local_addr().to_string(), SimTime::from_secs(60));
-    assert!(result.is_ok(), "session failed: {:?}", result.error);
-
-    let a = client.stop();
-    let b = blocking.stop();
-    assert_eq!(a.inbox().len(), 1);
-    assert_eq!(b.inbox().len(), 1);
-}
-
-#[test]
-fn blocking_initiator_interoperates_with_async_responder() {
-    let mut a = node(1, "a");
-    let mut b = node(2, "b");
-    a.send("b", b"to async".to_vec(), SimTime::ZERO).unwrap();
-    b.send("a", b"to blocking".to_vec(), SimTime::ZERO).unwrap();
-
-    let server = NetNode::start(b, "127.0.0.1:0", quiet_config()).unwrap();
-    let blocking = Peer::start(a, "127.0.0.1:0").unwrap();
-
-    let report = blocking
-        .sync_with(server.local_addr(), SimTime::from_secs(60))
-        .expect("blocking initiator");
-    assert_eq!(report.peer, Some(ReplicaId::new(2)));
-
-    let a = blocking.stop();
     let b = server.stop();
     assert_eq!(a.inbox().len(), 1);
     assert_eq!(b.inbox().len(), 1);
@@ -128,6 +86,44 @@ fn pooled_connections_carry_back_to_back_sessions() {
         "rounds after the first reuse the pooled connection, got {}",
         stats.conn_reuses
     );
+    client.stop();
+    server.stop();
+}
+
+#[test]
+fn a_pooled_connection_is_discarded_before_its_peer_would_reap_it() {
+    // Both ends share one idle timeout. The responder closes a parked
+    // connection once it has been idle that long, so an initiator that
+    // still took it from the pool just short of that would race the reap
+    // and die with `Eof`: the pool lets go at half the timeout instead.
+    let config = NetConfig {
+        idle_timeout: Duration::from_millis(240),
+        ..quiet_config()
+    };
+    let server = NetNode::start(node(2, "b"), "127.0.0.1:0", config.clone()).unwrap();
+    let client = NetNode::start(node(1, "a"), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr().to_string();
+    let sync_after = |gap_ms: u64, round: u64| {
+        std::thread::sleep(Duration::from_millis(gap_ms));
+        let result = client.sync_with(&addr, SimTime::from_secs(60 * round));
+        assert!(result.is_ok(), "gap {gap_ms} ms failed: {:?}", result.error);
+        client.stats().conn_reuses
+    };
+    assert_eq!(sync_after(0, 1), 0, "first dial is fresh");
+    assert_eq!(sync_after(20, 2), 1, "a young connection is reused");
+    // Older than half the timeout, younger than the whole of it: the
+    // responder still holds its end, the pool already let go.
+    assert_eq!(
+        sync_after(160, 3),
+        1,
+        "a connection past half the timeout is not"
+    );
+    // Across the whole window in which the responder reaps (its deadline
+    // tick is 20 ms), no session may fail.
+    for (round, gap_ms) in (220..=300).step_by(20).enumerate() {
+        sync_after(gap_ms, 4 + round as u64);
+    }
+    assert_eq!(client.stats().failed, 0);
     client.stop();
     server.stop();
 }

@@ -1,0 +1,774 @@
+//! One equivalence matrix for the one session machine.
+//!
+//! A scripted three-node, six-session exchange — repeat sessions between
+//! one pair, a role swap, a relay hop, a node that forgets its digest
+//! caches mid-way — is replayed through every driver:
+//!
+//! * in-process `DtnNode::encounter` (no wire at all),
+//! * two [`SessionMachine`]s pumped in memory,
+//! * the blocking pump over TCP ([`transport::Peer`]),
+//! * the reactor under epoll, and under the sweep,
+//!
+//! for all six policies, in Full mode, Digest mode (the forgetful node
+//! forces a `ReconResync` round) and Digest mode with Bloom summaries
+//! (which force `RangeRequest` rounds), over fresh connections and over
+//! reused ones. Every replay must leave byte-identical node snapshots and
+//! identical `recon_stats`, and every wired replay must put byte-identical
+//! streams on the wire in each direction — pipelining and the
+//! remembered-peer opening change when frames are written, never which.
+//!
+//! The streams are also pinned: [`PINNED`] holds their hashes as recorded
+//! from the lockstep machine of the commit before the machine learned to
+//! pipeline.
+
+use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use dtn::{DtnNode, EncounterBudget, PolicyKind};
+use net::{
+    Membership, MembershipConfig, NetConfig, NetNode, PollBackend, Progress, SessionMachine,
+};
+use parking_lot::Mutex;
+use pfr::digest::{DigestPolicy, ReconStats};
+use pfr::{ReplicaId, SimTime, SyncLimits, SyncMode};
+use transport::frame::{FrameAccum, FrameType};
+use transport::Peer;
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    Full,
+    Digest,
+    DigestBloom,
+}
+
+const MODES: [Mode; 3] = [Mode::Full, Mode::Digest, Mode::DigestBloom];
+
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Node `from` injects a message for node `to`.
+    Send { from: usize, to: usize },
+    /// Node `a` initiates a session with node `b` at `at` seconds.
+    Session { a: usize, b: usize, at: u64 },
+    /// The node drops its digest caches, as a reboot would.
+    Forget(usize),
+}
+
+const SCRIPT: &[Step] = &[
+    Step::Send { from: 0, to: 1 },
+    Step::Send { from: 1, to: 0 },
+    Step::Send { from: 0, to: 2 },
+    Step::Session { a: 0, b: 1, at: 60 },
+    Step::Send { from: 0, to: 1 },
+    Step::Send { from: 2, to: 0 },
+    Step::Session {
+        a: 0,
+        b: 1,
+        at: 120,
+    },
+    Step::Session {
+        a: 1,
+        b: 2,
+        at: 180,
+    },
+    Step::Forget(1),
+    Step::Session {
+        a: 0,
+        b: 1,
+        at: 240,
+    },
+    Step::Session {
+        a: 2,
+        b: 0,
+        at: 300,
+    },
+    Step::Session {
+        a: 0,
+        b: 1,
+        at: 360,
+    },
+];
+
+/// FNV-1a hashes of the (to-responder, to-initiator) streams of the
+/// script, recorded at the parent commit by the same in-memory pump.
+const PINNED: &[(PolicyKind, Mode, u64, u64)] = &[
+    (
+        PolicyKind::Direct,
+        Mode::Full,
+        0x5c2f6653e038f65c,
+        0x944cdac2cbb2a8fb,
+    ),
+    (
+        PolicyKind::Direct,
+        Mode::Digest,
+        0xc694f0b636211d2e,
+        0xf4e1c05fc6855223,
+    ),
+    (
+        PolicyKind::Direct,
+        Mode::DigestBloom,
+        0xd9bf49f96602fd45,
+        0x2a17988baef1e160,
+    ),
+    (
+        PolicyKind::TwoHopRelay,
+        Mode::Full,
+        0x54b6568bc11601f1,
+        0x116088880c9507c7,
+    ),
+    (
+        PolicyKind::TwoHopRelay,
+        Mode::Digest,
+        0x1b31659aff6656cd,
+        0x479f333fe9ed187f,
+    ),
+    (
+        PolicyKind::TwoHopRelay,
+        Mode::DigestBloom,
+        0xb884d2dcdfca298d,
+        0xb20e04292afd39a0,
+    ),
+    (
+        PolicyKind::Prophet,
+        Mode::Full,
+        0xe935fd18b334b69d,
+        0x79abef9c600598b5,
+    ),
+    (
+        PolicyKind::Prophet,
+        Mode::Digest,
+        0x9888aa98ceebcbec,
+        0x57b12f0abd217630,
+    ),
+    (
+        PolicyKind::Prophet,
+        Mode::DigestBloom,
+        0x30017d802eb617ef,
+        0xfca11a315f916f9a,
+    ),
+    (
+        PolicyKind::SprayAndWait,
+        Mode::Full,
+        0x60cd77fa0c18073b,
+        0xbef7f6f1962e0228,
+    ),
+    (
+        PolicyKind::SprayAndWait,
+        Mode::Digest,
+        0x44e13625c0ff7555,
+        0x08287bc3aa353598,
+    ),
+    (
+        PolicyKind::SprayAndWait,
+        Mode::DigestBloom,
+        0x169de31c0d674646,
+        0x0e76af1cb60d81e2,
+    ),
+    (
+        PolicyKind::Epidemic,
+        Mode::Full,
+        0x84cd366a294aa193,
+        0x1f942936bbdf475c,
+    ),
+    (
+        PolicyKind::Epidemic,
+        Mode::Digest,
+        0xa740de4e601a0bef,
+        0x4184da62272c0382,
+    ),
+    (
+        PolicyKind::Epidemic,
+        Mode::DigestBloom,
+        0xfcf3a45499808ed8,
+        0x1fd9e6758e851bec,
+    ),
+    (
+        PolicyKind::MaxProp,
+        Mode::Full,
+        0xec0d9aa8e772501e,
+        0xc9c85d7d0dc71d8d,
+    ),
+    (
+        PolicyKind::MaxProp,
+        Mode::Digest,
+        0x892366ee116788b7,
+        0xb58a28872b8c2341,
+    ),
+    (
+        PolicyKind::MaxProp,
+        Mode::DigestBloom,
+        0x87ca11d444d1a069,
+        0xa47d5d8764a91760,
+    ),
+];
+
+fn nodes(policy: PolicyKind, mode: Mode) -> Vec<DtnNode> {
+    (1..=3u64)
+        .map(|i| {
+            let mut node = DtnNode::new(ReplicaId::new(i), &format!("h{i}"), policy);
+            if mode != Mode::Full {
+                node.set_sync_mode(SyncMode::Digest);
+            }
+            if mode == Mode::DigestBloom {
+                node.set_digest_policy(DigestPolicy::ForceBloom);
+            }
+            node
+        })
+        .collect()
+}
+
+/// What a driver can do with the fleet; the script is the same for all.
+trait Driver {
+    fn with_node<T>(&mut self, i: usize, f: impl FnOnce(&mut DtnNode) -> T) -> T;
+    fn session(&mut self, a: usize, b: usize, now: SimTime);
+    fn finish(self) -> (Vec<DtnNode>, Option<WireLog>);
+}
+
+/// Per responder node: every byte sent to it and every byte it sent back,
+/// over all the sessions it answered, in order.
+type WireLog = BTreeMap<usize, (Vec<u8>, Vec<u8>)>;
+
+/// What a replay leaves behind.
+struct Replay {
+    snapshots: Vec<Vec<u8>>,
+    recon: Vec<ReconStats>,
+    wire: Option<WireLog>,
+}
+
+fn replay<D: Driver>(mut driver: D) -> Replay {
+    let mut sent = 0u64;
+    for step in SCRIPT {
+        match *step {
+            Step::Send { from, to } => {
+                sent += 1;
+                driver
+                    .with_node(from, |n| {
+                        n.send(
+                            &format!("h{}", to + 1),
+                            format!("{from}->{to} #{sent}").into_bytes(),
+                            SimTime::from_secs(sent),
+                        )
+                    })
+                    .expect("inject");
+            }
+            Step::Forget(i) => driver.with_node(i, DtnNode::clear_recon_state),
+            Step::Session { a, b, at } => driver.session(a, b, SimTime::from_secs(at)),
+        }
+    }
+    let (nodes, wire) = driver.finish();
+    Replay {
+        snapshots: nodes.iter().map(DtnNode::snapshot).collect(),
+        recon: nodes.iter().map(DtnNode::recon_stats).collect(),
+        wire,
+    }
+}
+
+// ---------------------------------------------------------------------
+// Driver 1: no wire.
+// ---------------------------------------------------------------------
+
+struct InProcess(Vec<DtnNode>);
+
+impl Driver for InProcess {
+    fn with_node<T>(&mut self, i: usize, f: impl FnOnce(&mut DtnNode) -> T) -> T {
+        f(&mut self.0[i])
+    }
+
+    fn session(&mut self, a: usize, b: usize, now: SimTime) {
+        let (lo, hi) = self.0.split_at_mut(a.max(b));
+        let (x, y) = (&mut lo[a.min(b)], &mut hi[0]);
+        // The initiator pulls first, so the responder is the first
+        // source: `responder.encounter(initiator)`.
+        let (initiator, responder) = if a < b { (x, y) } else { (y, x) };
+        responder.encounter(initiator, now, EncounterBudget::unlimited());
+    }
+
+    fn finish(self) -> (Vec<DtnNode>, Option<WireLog>) {
+        (self.0, None)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Driver 2: two machines, frames handed across in memory.
+// ---------------------------------------------------------------------
+
+fn membership(i: usize) -> Arc<Mutex<Membership>> {
+    Arc::new(Mutex::new(Membership::new(
+        i as u64 + 1,
+        format!("h{}:1", i + 1),
+        MembershipConfig::default(),
+    )))
+}
+
+struct Memory {
+    nodes: Vec<Arc<Mutex<DtnNode>>>,
+    /// When reusing: one parked responder machine per (initiator,
+    /// responder) pair, as a pooled connection would keep.
+    parked: Option<BTreeMap<(usize, usize), SessionMachine>>,
+    log: WireLog,
+}
+
+impl Memory {
+    fn new(nodes: Vec<DtnNode>, reuse: bool) -> Memory {
+        Memory {
+            nodes: nodes.into_iter().map(|n| Arc::new(Mutex::new(n))).collect(),
+            parked: reuse.then(BTreeMap::new),
+            log: WireLog::new(),
+        }
+    }
+}
+
+impl Driver for Memory {
+    fn with_node<T>(&mut self, i: usize, f: impl FnOnce(&mut DtnNode) -> T) -> T {
+        f(&mut self.nodes[i].lock())
+    }
+
+    fn session(&mut self, a: usize, b: usize, now: SimTime) {
+        let limits = SyncLimits::unlimited();
+        let parked = self.parked.as_mut().and_then(|p| p.remove(&(a, b)));
+        let (node, view) = (self.nodes[a].clone(), membership(a));
+        let (mut initiator, mut to_responder) = match &parked {
+            Some(_) => {
+                let peer = ReplicaId::new(b as u64 + 1);
+                SessionMachine::sync_initiator_to(node, view, limits, now, peer)
+            }
+            None => SessionMachine::sync_initiator(node, view, limits, now, false),
+        }
+        .expect("open a session");
+        let mut responder = parked.unwrap_or_else(|| {
+            SessionMachine::responder(self.nodes[b].clone(), membership(b), limits)
+        });
+
+        let log = self.log.entry(b).or_default();
+        let (mut at_responder, mut at_initiator) = (FrameAccum::new(), FrameAccum::new());
+        let mut to_initiator = Vec::new();
+        let (mut initiator_done, mut responder_done) = (false, false);
+        while !(initiator_done && responder_done) {
+            assert!(!to_responder.is_empty(), "stalled with nothing in flight");
+            log.0.extend_from_slice(&to_responder);
+            at_responder.extend(&to_responder);
+            to_responder.clear();
+            while let Some((kind, body)) = at_responder.next_frame().expect("parse") {
+                let progress = responder
+                    .on_frame(kind, body, 0, &mut to_initiator)
+                    .expect("responder step");
+                responder_done |= progress == Progress::SessionComplete;
+            }
+            log.1.extend_from_slice(&to_initiator);
+            at_initiator.extend(&to_initiator);
+            to_initiator.clear();
+            while let Some((kind, body)) = at_initiator.next_frame().expect("parse") {
+                let progress = initiator
+                    .on_frame(kind, body, 0, &mut to_responder)
+                    .expect("initiator step");
+                initiator_done |= progress == Progress::SessionComplete;
+            }
+        }
+        if let Some(parked) = self.parked.as_mut() {
+            parked.insert((a, b), responder);
+        }
+    }
+
+    fn finish(self) -> (Vec<DtnNode>, Option<WireLog>) {
+        drop(self.parked);
+        let nodes = self
+            .nodes
+            .into_iter()
+            .map(|n| Arc::into_inner(n).expect("machines dropped").into_inner())
+            .collect();
+        (nodes, Some(self.log))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Drivers 3-5: real sockets, tapped by a recording proxy.
+// ---------------------------------------------------------------------
+
+/// A tee proxy in front of one node: forwards every connection to it and
+/// appends the bytes of each direction to the node's log. Sessions run
+/// one at a time and a byte is logged before it is forwarded, so the log
+/// is in session order and complete once a session has returned.
+struct Tap {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accepting: std::thread::JoinHandle<()>,
+}
+
+type TapLog = Arc<Mutex<(Vec<u8>, Vec<u8>)>>;
+
+impl Tap {
+    fn start(target: SocketAddr, log: TapLog) -> Tap {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind tap");
+        let addr = listener.local_addr().expect("tap addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopping = Arc::clone(&stop);
+        let accepting = std::thread::spawn(move || {
+            let mut copies = Vec::new();
+            for client in listener.incoming() {
+                if stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                let client = client.expect("tap accept");
+                let server = TcpStream::connect(target).expect("tap dial");
+                client.set_nodelay(true).expect("nodelay");
+                server.set_nodelay(true).expect("nodelay");
+                let (c2, s2) = (client.try_clone().unwrap(), server.try_clone().unwrap());
+                let (up, down) = (Arc::clone(&log), Arc::clone(&log));
+                copies.push(std::thread::spawn(move || {
+                    tee(client, server, |bytes| up.lock().0.extend_from_slice(bytes))
+                }));
+                copies.push(std::thread::spawn(move || {
+                    tee(s2, c2, |bytes| down.lock().1.extend_from_slice(bytes))
+                }));
+            }
+            for copy in copies {
+                copy.join().expect("tee thread");
+            }
+        });
+        Tap {
+            addr,
+            stop,
+            accepting,
+        }
+    }
+
+    /// Call once both ends of every tapped connection are closed.
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        self.accepting.join().expect("tap thread");
+    }
+}
+
+/// Copies `from` into `to` until EOF, recording every byte first.
+fn tee(mut from: TcpStream, mut to: TcpStream, mut record: impl FnMut(&[u8])) {
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        match from.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => {
+                record(&buf[..n]);
+                if to.write_all(&buf[..n]).is_err() {
+                    break;
+                }
+            }
+        }
+    }
+    let _ = to.shutdown(Shutdown::Write);
+}
+
+/// The taps of a socket fleet: one standing tap per node when connections
+/// are to be reused, a new tap — so a new address, so a fresh dial — per
+/// session when they are not.
+struct Taps {
+    targets: Vec<SocketAddr>,
+    logs: Vec<TapLog>,
+    standing: Option<Vec<Tap>>,
+    spent: Vec<Tap>,
+}
+
+impl Taps {
+    fn new(targets: Vec<SocketAddr>, reuse: bool) -> Taps {
+        let logs: Vec<TapLog> = targets.iter().map(|_| TapLog::default()).collect();
+        let standing = reuse.then(|| {
+            targets
+                .iter()
+                .zip(&logs)
+                .map(|(&target, log)| Tap::start(target, Arc::clone(log)))
+                .collect()
+        });
+        Taps {
+            targets,
+            logs,
+            standing,
+            spent: Vec::new(),
+        }
+    }
+
+    /// The address to dial to reach node `b` through its tap.
+    fn toward(&mut self, b: usize) -> SocketAddr {
+        match &self.standing {
+            Some(taps) => taps[b].addr,
+            None => {
+                let tap = Tap::start(self.targets[b], Arc::clone(&self.logs[b]));
+                self.spent.push(tap);
+                self.spent.last().expect("just pushed").addr
+            }
+        }
+    }
+
+    fn finish(self) -> WireLog {
+        for tap in self.standing.into_iter().flatten().chain(self.spent) {
+            tap.stop();
+        }
+        self.logs
+            .into_iter()
+            .enumerate()
+            .map(|(i, log)| (i, std::mem::take(&mut *log.lock())))
+            .filter(|(_, log)| !log.0.is_empty())
+            .collect()
+    }
+}
+
+struct Blocking {
+    peers: Vec<Peer>,
+    taps: Taps,
+}
+
+impl Blocking {
+    fn new(nodes: Vec<DtnNode>) -> Blocking {
+        let peers: Vec<Peer> = nodes
+            .into_iter()
+            .map(|n| Peer::start(n, "127.0.0.1:0").expect("bind"))
+            .collect();
+        // A blocking peer dials afresh every time.
+        let taps = Taps::new(peers.iter().map(Peer::local_addr).collect(), false);
+        Blocking { peers, taps }
+    }
+}
+
+impl Driver for Blocking {
+    fn with_node<T>(&mut self, i: usize, f: impl FnOnce(&mut DtnNode) -> T) -> T {
+        self.peers[i].with_node(f)
+    }
+
+    fn session(&mut self, a: usize, b: usize, now: SimTime) {
+        let toward = self.taps.toward(b);
+        self.peers[a]
+            .sync_with(toward, now)
+            .expect("blocking session");
+    }
+
+    fn finish(self) -> (Vec<DtnNode>, Option<WireLog>) {
+        let nodes = self.peers.into_iter().map(Peer::stop).collect();
+        (nodes, Some(self.taps.finish()))
+    }
+}
+
+struct Reactor {
+    fleet: Vec<NetNode>,
+    taps: Taps,
+}
+
+impl Reactor {
+    fn new(nodes: Vec<DtnNode>, backend: PollBackend, reuse: bool) -> Reactor {
+        let config = NetConfig {
+            backend,
+            workers: 1,
+            gossip_interval: Duration::ZERO,
+            ..NetConfig::default()
+        };
+        let fleet: Vec<NetNode> = nodes
+            .into_iter()
+            .map(|n| NetNode::start(n, "127.0.0.1:0", config.clone()).expect("bind"))
+            .collect();
+        let taps = Taps::new(fleet.iter().map(NetNode::local_addr).collect(), reuse);
+        Reactor { fleet, taps }
+    }
+}
+
+impl Driver for Reactor {
+    fn with_node<T>(&mut self, i: usize, f: impl FnOnce(&mut DtnNode) -> T) -> T {
+        self.fleet[i].with_node(f)
+    }
+
+    fn session(&mut self, a: usize, b: usize, now: SimTime) {
+        let toward = self.taps.toward(b).to_string();
+        let outcome = self.fleet[a].sync_with(&toward, now);
+        assert!(outcome.is_ok(), "reactor session: {:?}", outcome.error);
+    }
+
+    fn finish(self) -> (Vec<DtnNode>, Option<WireLog>) {
+        let reuses: u64 = self.fleet.iter().map(|n| n.stats().conn_reuses).sum();
+        let expected = if self.taps.standing.is_some() { 3 } else { 0 };
+        assert_eq!(reuses, expected, "sessions over a pooled connection");
+        // Side by side: each stop waits out its accept thread's poll.
+        let nodes = std::thread::scope(|scope| {
+            let stops: Vec<_> = self
+                .fleet
+                .into_iter()
+                .map(|node| scope.spawn(move || node.stop()))
+                .collect();
+            stops
+                .into_iter()
+                .map(|stop| stop.join().expect("stop a node"))
+                .collect()
+        });
+        (nodes, Some(self.taps.finish()))
+    }
+}
+
+// ---------------------------------------------------------------------
+// The matrix.
+// ---------------------------------------------------------------------
+
+fn frame_types(stream: &[u8]) -> Vec<FrameType> {
+    let mut accum = FrameAccum::new();
+    accum.extend(stream);
+    let mut types = Vec::new();
+    while let Some((kind, _)) = accum.next_frame().expect("a logged stream parses") {
+        types.push(kind);
+    }
+    assert_eq!(accum.buffered(), 0, "a logged stream ends on a frame");
+    types
+}
+
+fn fnv(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// Asserts `got` left what `reference` left, naming the first difference
+/// (frame sequences rather than kilobytes of hex).
+fn assert_same(what: &str, reference: &Replay, got: &Replay) {
+    for (i, (want, have)) in reference.snapshots.iter().zip(&got.snapshots).enumerate() {
+        assert!(want == have, "{what}: node {i} snapshot differs");
+    }
+    assert_eq!(reference.recon, got.recon, "{what}: recon_stats differ");
+    let (Some(want), Some(have)) = (&reference.wire, &got.wire) else {
+        return;
+    };
+    assert_eq!(
+        want.keys().collect::<Vec<_>>(),
+        have.keys().collect::<Vec<_>>(),
+        "{what}: responders differ"
+    );
+    for (node, (up, down)) in want {
+        let (got_up, got_down) = &have[node];
+        assert_eq!(
+            frame_types(up),
+            frame_types(got_up),
+            "{what}: frames to responder {node}"
+        );
+        assert_eq!(
+            frame_types(down),
+            frame_types(got_down),
+            "{what}: frames from responder {node}"
+        );
+        assert!(up == got_up, "{what}: bytes to responder {node} differ");
+        assert!(
+            down == got_down,
+            "{what}: bytes from responder {node} differ"
+        );
+    }
+}
+
+fn memory_reference(policy: PolicyKind, mode: Mode) -> Replay {
+    replay(Memory::new(nodes(policy, mode), false))
+}
+
+#[test]
+fn the_wire_is_what_it_was_before_pipelining() {
+    for &(policy, mode, pinned_up, pinned_down) in PINNED {
+        let reference = memory_reference(policy, mode);
+        let basis = 0xcbf2_9ce4_8422_2325u64;
+        let (up, down) = reference
+            .wire
+            .expect("a wired replay")
+            .values()
+            .fold((basis, basis), |(up, down), log| {
+                (fnv(&log.0, up), fnv(&log.1, down))
+            });
+        assert_eq!(
+            (up, down),
+            (pinned_up, pinned_down),
+            "{policy:?} {mode:?}: a direction's bytes changed"
+        );
+    }
+    assert_eq!(PINNED.len(), PolicyKind::EXTENDED.len() * MODES.len());
+}
+
+#[test]
+fn the_script_forces_every_digest_round() {
+    let sent = |mode: Mode, kind: FrameType| {
+        let wire = memory_reference(PolicyKind::Epidemic, mode).wire.unwrap();
+        wire.values()
+            .any(|log| frame_types(&log.0).contains(&kind) || frame_types(&log.1).contains(&kind))
+    };
+    assert!(sent(Mode::Digest, FrameType::SyncDigest));
+    assert!(sent(Mode::Digest, FrameType::ReconResync), "forced resync");
+    assert!(
+        sent(Mode::DigestBloom, FrameType::RangeRequest),
+        "forced NeedVersions"
+    );
+    assert!(sent(Mode::DigestBloom, FrameType::RangeResponse));
+    assert!(!sent(Mode::Full, FrameType::SyncDigest));
+}
+
+fn every_case(check: impl Fn(PolicyKind, Mode, &Replay)) {
+    for policy in PolicyKind::EXTENDED {
+        for mode in MODES {
+            check(policy, mode, &memory_reference(policy, mode));
+        }
+    }
+}
+
+#[test]
+fn in_process_encounters_equal_the_machine() {
+    every_case(|policy, mode, reference| {
+        let mut got = replay(InProcess(nodes(policy, mode)));
+        // The in-process digest driver books an exchange on the source
+        // and ships routing state as deltas, the wire path books it on
+        // the target and ships routing state verbatim: the same
+        // exchanges and fallbacks, counted in different places at
+        // different sizes. What the nodes end up holding is identical.
+        let totals = |stats: &[ReconStats]| {
+            stats.iter().fold((0, 0), |(exchanges, fallbacks), s| {
+                (exchanges + s.exchanges, fallbacks + s.fallback_rounds)
+            })
+        };
+        assert_eq!(
+            totals(&reference.recon),
+            totals(&got.recon),
+            "in-process {policy:?} {mode:?}: exchanges, fallback rounds"
+        );
+        got.recon.clone_from(&reference.recon);
+        assert_same(&format!("in-process {policy:?} {mode:?}"), reference, &got);
+    });
+}
+
+#[test]
+fn reused_machines_equal_fresh_ones() {
+    every_case(|policy, mode, reference| {
+        let got = replay(Memory::new(nodes(policy, mode), true));
+        assert_same(
+            &format!("memory reused {policy:?} {mode:?}"),
+            reference,
+            &got,
+        );
+    });
+}
+
+#[test]
+fn the_blocking_pump_over_tcp_equals_the_machine() {
+    every_case(|policy, mode, reference| {
+        let got = replay(Blocking::new(nodes(policy, mode)));
+        assert_same(&format!("blocking {policy:?} {mode:?}"), reference, &got);
+    });
+}
+
+fn reactor_equals_the_machine(backend: PollBackend) {
+    every_case(|policy, mode, reference| {
+        for reuse in [false, true] {
+            let got = replay(Reactor::new(nodes(policy, mode), backend, reuse));
+            let what = format!("{} reuse={reuse} {policy:?} {mode:?}", backend.name());
+            assert_same(&what, reference, &got);
+        }
+    });
+}
+
+#[test]
+fn the_epoll_reactor_equals_the_machine() {
+    reactor_equals_the_machine(PollBackend::Epoll);
+}
+
+#[test]
+fn the_sweep_reactor_equals_the_machine() {
+    reactor_equals_the_machine(PollBackend::Sweep);
+}

@@ -22,11 +22,13 @@ pub enum Direction {
 
 /// What happens to a frame selected by a fault rule.
 ///
-/// The sync protocol is strictly alternating (each side writes exactly one
-/// frame and then waits), so any fault that withholds bytes would stall
-/// both sides forever. To keep runs deterministic, withholding faults also
-/// close the link: the deprived reader sees EOF immediately instead of
-/// hanging, and the session terminates with a typed I/O error.
+/// A side of the sync protocol runs at most two frames ahead of the
+/// replies it has read (a responder's request rides behind the batch it
+/// serves, an initiator's batch behind its `SyncDone`), so a fault that
+/// withholds bytes soon stalls both sides forever. To keep runs
+/// deterministic, withholding faults also close the link: the deprived
+/// reader sees EOF immediately instead of hanging, and the session
+/// terminates with a typed error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameFault {
     /// The frame is lost and the link closes: the receiver sees EOF where
@@ -36,9 +38,14 @@ pub enum FrameFault {
     /// unexpected repeat.
     Duplicate,
     /// The frame is held back and delivered *after* the next frame in the
-    /// same direction — a genuine swap on a pipelined protocol. On this
-    /// lockstep protocol no next frame ever comes, so the held frame is
-    /// discarded when the link closes (see the stall note on the enum).
+    /// same direction. Where the two travel together that is a genuine
+    /// swap: a responder's batch and request arrive reversed (the
+    /// initiator refuses to serve before it has applied its pull — a
+    /// typed failure), an initiator's `SyncDone` and batch arrive
+    /// reversed (harmless: they belong to different halves). Where the
+    /// next frame depends on a reply to the held one it never comes, and
+    /// the held frame is discarded when the link closes (see the stall
+    /// note on the enum).
     Reorder,
     /// Only the first `keep` bytes of the frame are delivered, then the
     /// link closes mid-frame.

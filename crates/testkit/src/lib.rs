@@ -1,12 +1,13 @@
 //! # testkit — deterministic fault injection for the sync protocol
 //!
-//! The production stack replicates over a lockstep frame protocol
-//! ([`transport`]); this crate turns that stack into a closed, seeded
-//! simulation so its failure behaviour can be scripted and asserted:
+//! The production stack replicates over a framed session protocol
+//! ([`transport::SessionMachine`]); this crate turns that stack into a
+//! closed, seeded simulation so its failure behaviour can be scripted and
+//! asserted:
 //!
 //! * [`SimNet`] — an in-memory link implementing
-//!   [`transport::Connection`], so the *real* session state machine runs
-//!   over it. The write side re-parses the byte stream into protocol
+//!   [`transport::Connection`], so the *real* session machine and the
+//!   real blocking pump run over it. The write side re-parses the byte stream into protocol
 //!   frames and damages them per a [`FaultPlan`]: drop, duplicate,
 //!   reorder, truncate, corrupt, cut.
 //! * [`FaultPlan`] — a declarative, printable schedule of frame faults

@@ -2,8 +2,9 @@
 //! invariant checking.
 //!
 //! A [`SimRunner`] owns a set of [`dtn::DtnNode`] hosts, advances a
-//! virtual [`SimTime`] clock (no wall-clock sleeps), and drives real
-//! transport sessions between hosts over fault-injected [`SimNet`] links.
+//! virtual [`SimTime`] clock (no wall-clock sleeps), and drives the
+//! production [`SessionMachine`] through the production blocking
+//! [`pump`] between hosts over fault-injected [`SimNet`] links.
 //! Every `obs` event lands in a replayable [`Trace`], and after every step
 //! the runner checks the protocol's core invariants:
 //!
@@ -30,8 +31,7 @@ use dtn::{DtnNode, PolicyKind};
 use obs::{Event, MemorySink, Obs};
 use parking_lot::Mutex;
 use pfr::{ItemId, Knowledge, SimTime, SyncLimits, SyncMode};
-use transport::protocol::{initiate_session, respond_session, ProtocolError};
-use transport::SessionOutcome;
+use transport::{pump, Membership, MembershipConfig, SessionError, SessionMachine, SessionOutcome};
 
 use crate::diskfault::{DiskDamage, DiskFaultPlan};
 use crate::fault::FaultPlan;
@@ -143,7 +143,7 @@ impl EncounterOutcome {
     }
 
     /// The typed errors the encounter produced, if any.
-    pub fn errors(&self) -> Vec<&ProtocolError> {
+    pub fn errors(&self) -> Vec<&SessionError> {
         match self {
             EncounterOutcome::Skipped(_) => Vec::new(),
             EncounterOutcome::Completed(pair) => pair
@@ -167,6 +167,18 @@ struct SimHost {
     /// from (instead of the in-memory snapshot).
     data_dir: Option<PathBuf>,
     crashed: bool,
+}
+
+impl SimHost {
+    /// The view a session machine answers gossip from; sim sessions never
+    /// gossip, so a fresh one per session does.
+    fn membership(&self) -> Arc<Mutex<Membership>> {
+        Arc::new(Mutex::new(Membership::new(
+            self.replica,
+            self.address.clone(),
+            MembershipConfig::default(),
+        )))
+    }
 }
 
 struct Injected {
@@ -282,7 +294,7 @@ impl SimRunner {
 
     /// Adds a *durable* host whose state lives in the store directory
     /// `dir` (created if missing, recovered if it holds a previous run's
-    /// state). The transport layer persists the node after every
+    /// state). The session machine persists the node after every
     /// encounter, so [`Step::Crash`] on a durable host models `kill -9`:
     /// [`Step::Restore`] reopens from disk — optionally after a
     /// [`Step::DiskFault`] damaged the directory — instead of from an
@@ -459,19 +471,36 @@ impl SimRunner {
         let link_seed = self
             .seed
             .wrapping_add((self.step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let (mut end_a, end_b) = SimNet::pair(link_seed, plan);
-        let a_node = Arc::clone(&self.hosts[a].node);
-        let b_node = Arc::clone(&self.hosts[b].node);
-        let now = self.time;
-        let limits = self.limits;
+        let (mut end_a, mut end_b) = SimNet::pair(link_seed, plan);
+        let (mut initiator, opening) = SessionMachine::sync_initiator(
+            Arc::clone(&self.hosts[a].node),
+            self.hosts[a].membership(),
+            self.limits,
+            self.time,
+            false,
+        )
+        .expect("a hello frame always fits");
+        let mut responder = SessionMachine::responder(
+            Arc::clone(&self.hosts[b].node),
+            self.hosts[b].membership(),
+            self.limits,
+        );
 
-        let responder = std::thread::spawn(move || {
-            let mut conn = end_b;
-            respond_session(&mut conn, &b_node, limits)
+        // The sim runs on virtual time; nothing here gossips.
+        let no_clock = || 0;
+        let (initiator, responder) = std::thread::scope(|scope| {
+            // Each end is dropped the moment its pump returns: hanging up
+            // is what tells the other side a failed session is over, and
+            // what ends the responder's wait for another one.
+            let responding = scope.spawn(move || {
+                let error = pump(&mut end_b, &mut responder, Vec::new(), &no_clock).err();
+                responder.outcome(error)
+            });
+            let error = pump(&mut end_a, &mut initiator, opening, &no_clock).err();
+            drop(end_a);
+            let responder = responding.join().expect("responder thread panicked");
+            (initiator.outcome(error), responder)
         });
-        let initiator = initiate_session(&mut end_a, &a_node, now, limits);
-        drop(end_a);
-        let responder = responder.join().expect("responder thread panicked");
 
         self.after_step();
         EncounterOutcome::Completed(Box::new(SessionPair {

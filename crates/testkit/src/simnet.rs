@@ -1,10 +1,9 @@
 //! An in-memory fault-injecting link the real sync protocol runs over.
 //!
 //! [`SimNet::pair`] builds the two ends of one bidirectional link. Each
-//! end implements [`transport::Connection`], so
-//! [`transport::protocol::initiate_session`] /
-//! [`transport::protocol::respond_session`] drive the *exact* production
-//! state machine over it — same frames, same codec, same error paths.
+//! end implements [`transport::Connection`], so [`transport::pump`]
+//! drives the *exact* production [`transport::SessionMachine`] over it —
+//! same frames, same codec, same error paths.
 //!
 //! The write side parses the byte stream back into protocol frames (using
 //! the real header layout from [`transport::frame`]) and applies the
@@ -14,13 +13,18 @@
 //!
 //! # Determinism and stalls
 //!
-//! The sync protocol is lockstep, so a withheld frame would block both
-//! sides forever. Faults that withhold bytes therefore close the link (the
-//! reader sees EOF immediately), and a reader additionally carries a
-//! generous wall-clock backstop that turns a genuine deadlock into EOF.
-//! The backstop only fires when both sides are already permanently stuck
-//! — e.g. a reordered frame whose successor never comes — and EOF is the
-//! outcome either way, so traces stay byte-identical across runs.
+//! Each side of a session sends only what does not depend on a reply it
+//! has not read yet — at most two frames ahead — so a withheld frame soon
+//! blocks both sides forever. Faults that withhold bytes therefore close
+//! the link (the reader sees EOF immediately), and a reader additionally
+//! carries a generous wall-clock backstop that turns a genuine deadlock
+//! into EOF. The backstop only fires when both sides are already
+//! permanently stuck — e.g. a reordered frame whose successor depends on
+//! it — and EOF is the outcome either way. The pump handles frames
+//! strictly in order and writes its replies to everything before a fatal
+//! frame, so what a side does depends on the frames it was sent and not
+//! on how the two threads interleave: traces stay byte-identical across
+//! runs.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -30,7 +34,6 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transport::frame::HEADER_LEN;
-use transport::Connection;
 
 use crate::fault::{Direction, FaultPlan, FrameFault};
 
@@ -214,8 +217,8 @@ impl Drop for LinkWriter {
     }
 }
 
-/// One end of a simulated link; implements [`Connection`], so the real
-/// protocol entry points drive it directly.
+/// One end of a simulated link; reads and writes like a socket (a
+/// [`transport::Connection`]), so the real pump drives it directly.
 ///
 /// # Examples
 ///
@@ -223,14 +226,11 @@ impl Drop for LinkWriter {
 /// use testkit::{Direction, FaultPlan, SimNet};
 /// use std::io::{Read, Write};
 /// use transport::frame::{read_frame, write_frame, FrameError, FrameType};
-/// use transport::Connection;
 ///
 /// let plan = FaultPlan::clean().corrupt_frame(Direction::AToB, 0, 9, 0x10);
 /// let (mut a, mut b) = SimNet::pair(42, &plan);
-/// let (_, mut a_writer) = a.halves();
-/// write_frame(&mut a_writer, FrameType::Hello, b"hi").unwrap();
-/// let (mut b_reader, _) = b.halves();
-/// let err = read_frame(&mut b_reader).unwrap_err();
+/// write_frame(&mut a, FrameType::Hello, b"hi").unwrap();
+/// let err = read_frame(&mut b).unwrap_err();
 /// assert!(matches!(err, FrameError::BadChecksum { .. } | FrameError::BadType(_)));
 /// ```
 #[derive(Debug)]
@@ -281,9 +281,19 @@ impl SimNet {
     }
 }
 
-impl Connection for SimNet {
-    fn halves(&mut self) -> (&mut dyn Read, &mut dyn Write) {
-        (&mut self.reader, &mut self.writer)
+impl Read for SimNet {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reader.read(buf)
+    }
+}
+
+impl Write for SimNet {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writer.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.writer.flush()
     }
 }
 
@@ -309,13 +319,11 @@ mod tests {
     use transport::frame::{read_frame, write_frame, FrameError, FrameType};
 
     fn send(end: &mut SimNet, ft: FrameType, payload: &[u8]) {
-        let (_, mut w) = end.halves();
-        write_frame(&mut w, ft, payload).expect("sim writes never fail");
+        write_frame(end, ft, payload).expect("sim writes never fail");
     }
 
     fn recv(end: &mut SimNet) -> Result<(FrameType, Vec<u8>), FrameError> {
-        let (mut r, _) = end.halves();
-        read_frame(&mut r)
+        read_frame(end)
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! [`Trace::to_jsonl`] output. Large-fleet traces should not be compared
 //! by materializing that output: [`Trace::write_jsonl`] streams it line
 //! by line and [`Trace::jsonl_digest`] folds it into a constant-memory
-//! 64-bit digest. The stack emits two events that carry
+//! 64-bit digest. The stack emits three events that carry
 //! wall-clock readings: [`obs::Event::SpanEnded`] is excluded outright
 //! (nothing else in it is deterministic), while
-//! [`obs::Event::SyncCandidatesSelected`] has its `scan_us` field zeroed
-//! so its deterministic counters stay comparable.
+//! [`obs::Event::SyncCandidatesSelected`] has its `scan_us` field and
+//! [`obs::Event::NetSession`] its `wall_micros` field zeroed so their
+//! deterministic fields stay comparable.
 
 use std::io::{self, Write};
 
@@ -39,12 +40,14 @@ impl Trace {
     }
 
     /// Appends one event, unless it is a (wall-clock, nondeterministic)
-    /// `SpanEnded`; the wall-clock `scan_us` field of
-    /// `SyncCandidatesSelected` is zeroed for the same reason.
+    /// `SpanEnded`; the wall-clock fields of `SyncCandidatesSelected`
+    /// (`scan_us`) and `NetSession` (`wall_micros`) are zeroed for the
+    /// same reason.
     pub fn record(&mut self, step: usize, host: u64, mut event: Event) {
         match &mut event {
             Event::SpanEnded { .. } => return,
             Event::SyncCandidatesSelected { scan_us, .. } => *scan_us = 0,
+            Event::NetSession { wall_micros, .. } => *wall_micros = 0,
             _ => {}
         }
         self.entries.push(TraceEntry { step, host, event });

@@ -10,7 +10,7 @@ use dtn::PolicyKind;
 use pfr::digest::DigestPolicy;
 use pfr::SyncMode;
 use testkit::{Direction, EncounterOutcome, FaultPlan, SimRunner, SkipReason, Step};
-use transport::protocol::ProtocolError;
+use transport::SessionError;
 
 /// The base seed for every scenario, offset by `TESTKIT_SEED` when set
 /// (the CI matrix sets 0..8).
@@ -71,7 +71,8 @@ fn scenario_dropped_hello_frame() {
 
 #[test]
 fn scenario_dropped_batch_frame() {
-    // Frame 1 B→A is the responder's SyncBatch answering the pull.
+    // Frame 1 B→A is the responder's SyncBatch answering the pull (its
+    // own request, written right behind, is swallowed by the cut).
     faulted_then_converges(&FaultPlan::clean().drop_frame(Direction::BToA, 1), true);
 }
 
@@ -87,7 +88,48 @@ fn scenario_duplicated_request_frame() {
 
 #[test]
 fn scenario_reordered_frames_stall_the_session() {
+    // The initiator's request is held for a successor (its SyncDone) that
+    // only a reply to the request could bring.
     faulted_then_converges(&FaultPlan::clean().reorder_frame(Direction::AToB, 1), true);
+}
+
+#[test]
+fn scenario_swapped_batch_and_request_fail_typed() {
+    // B→A frames 1 and 2 — the batch and the responder's own request —
+    // travel together, so this is a real swap: the initiator is asked to
+    // serve before it has applied its pull, and refuses.
+    let plan = FaultPlan::clean().reorder_frame(Direction::BToA, 1);
+    for policy in POLICIES {
+        let (mut sim, a, b) = pair(policy, base_seed() + 50);
+        let outcome = sim.encounter_with_faults(a, b, &plan);
+        assert!(
+            outcome.errors().iter().any(|e| matches!(
+                e,
+                SessionError::UnexpectedFrame {
+                    phase: "ServePending",
+                    ..
+                }
+            )),
+            "{policy:?}: {outcome:?}"
+        );
+        sim.assert_converged();
+        sim.with_node(b, |n| assert_eq!(n.inbox().len(), 1, "{policy:?}"));
+    }
+}
+
+#[test]
+fn scenario_swapped_done_and_batch_are_harmless() {
+    // A→B frames 2 and 3 — the initiator's SyncDone and the batch it
+    // serves — belong to different halves of the responder's machine:
+    // either order completes the session.
+    faulted_then_converges(&FaultPlan::clean().reorder_frame(Direction::AToB, 2), false);
+    let (mut sim, a, b) = pair(PolicyKind::Epidemic, base_seed() + 51);
+    sim.send(b, "a", b"the other way".to_vec());
+    let plan = FaultPlan::clean().reorder_frame(Direction::AToB, 2);
+    let outcome = sim.encounter_with_faults(a, b, &plan);
+    assert!(outcome.is_clean(), "{outcome:?}");
+    sim.with_node(a, |n| assert_eq!(n.inbox().len(), 1));
+    sim.with_node(b, |n| assert_eq!(n.inbox().len(), 1));
 }
 
 #[test]
@@ -351,7 +393,7 @@ fn different_seeds_shuffle_the_fault_schedule() {
 #[test]
 fn truncation_and_corruption_yield_typed_errors_and_reports() {
     // Sweep truncation points and corruption offsets over a real session;
-    // every outcome must be a typed ProtocolError plus a SessionReport —
+    // every outcome must be a typed SessionError plus a SessionReport —
     // never a panic, never a hang.
     let seed = base_seed() + 700;
     for keep in [0, 1, 5, 10, 11, 12, 40] {
@@ -364,7 +406,7 @@ fn truncation_and_corruption_yield_typed_errors_and_reports() {
                     .error
                     .as_ref()
                     .expect("truncation must fail the initiator");
-                assert!(matches!(err, ProtocolError::Frame(_)), "keep={keep}: {err}");
+                assert!(matches!(err, SessionError::Eof), "keep={keep}: {err}");
             }
             other => panic!("keep={keep}: expected a completed-with-error pair, got {other:?}"),
         }
@@ -379,10 +421,14 @@ fn truncation_and_corruption_yield_typed_errors_and_reports() {
                     .error
                     .as_ref()
                     .expect("corruption must fail the responder");
+                // A damaged request is answered with a resync demand a
+                // full-mode initiator cannot serve: it hangs up.
                 assert!(
                     matches!(
                         err,
-                        ProtocolError::Frame(_) | ProtocolError::UnexpectedFrame { .. }
+                        SessionError::Eof
+                            | SessionError::Frame(_)
+                            | SessionError::UnexpectedFrame { .. }
                     ),
                     "offset={offset}: {err}"
                 );

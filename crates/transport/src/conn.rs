@@ -1,56 +1,106 @@
 //! The transport seam: a [`Connection`] is the byte duplex a sync session
-//! runs over.
+//! runs over, and [`pump`] is the blocking driver that runs a
+//! [`SessionMachine`] over one.
 //!
-//! The protocol state machine in [`crate::protocol`] only needs a reader
-//! and a writer; abstracting them behind this trait lets the same session
-//! code drive a real TCP socket ([`TcpConnection`]) or an in-memory
-//! fault-injecting link (the testkit's `SimNet`), which is how the fault
-//! harness exercises the exact code path production uses.
+//! The machine only needs frames in and frames out, and the pump only
+//! needs to read and write bytes, so the same pump drives a real
+//! `TcpStream` or an in-memory fault-injecting link (the testkit's
+//! `SimNet`) — which is how the fault harness exercises the exact code
+//! path [`Peer`](crate::Peer) uses.
 
-use std::fmt;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
 
-/// A bidirectional byte stream a sync session can run over.
+use crate::frame::{FrameAccum, FrameError};
+use crate::session::{SessionError, SessionMachine};
+
+/// A bidirectional byte stream a sync session can run over: anything
+/// that reads and writes. The pump needs no buffering underneath — it
+/// reads into its own buffer and writes each turn's frames in one call.
+pub trait Connection: Read + Write {}
+
+impl<T: Read + Write + ?Sized> Connection for T {}
+
+/// How many bytes one `read` call pulls at most.
+const READ_BUF: usize = 16 * 1024;
+
+/// Drives `machine` over `conn` with blocking I/O: write the outbox
+/// (starting with `opening`), read into a [`FrameAccum`], feed every
+/// complete frame to the machine, repeat. Returns once an initiator
+/// machine has completed its session, or once the peer closes (or goes
+/// quiet past the read timeout on) a connection whose responder machine
+/// is parked between sessions — a responder serves as many back-to-back
+/// sessions as the peer opens. `now_ms` is the monotonic clock handed to
+/// the machine for membership freshness.
 ///
-/// Implementations hand out their two halves so a session can interleave
-/// reads and writes; the halves borrow from `self`, so one session owns
-/// the connection for its duration.
-pub trait Connection {
-    /// Returns the read and write halves of the duplex.
-    fn halves(&mut self) -> (&mut dyn Read, &mut dyn Write);
-}
-
-/// A [`Connection`] over a TCP stream, buffered in both directions.
-pub struct TcpConnection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl TcpConnection {
-    /// Wraps a connected stream, cloning the handle for the read half.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from cloning the stream handle.
-    pub fn new(stream: TcpStream) -> std::io::Result<TcpConnection> {
-        Ok(TcpConnection {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-        })
+/// Frames are processed strictly in order and replies to the frames
+/// before a fatal one are still written, so what each side does is a
+/// function of the frames it was sent, not of how reads happened to
+/// chunk them.
+///
+/// # Errors
+///
+/// The [`SessionError`] that ended the session; the machine has been
+/// [`abort`](SessionMachine::abort)ed, so the failure is accounted and
+/// its partial [`report`](SessionMachine::report) is final.
+pub fn pump(
+    conn: &mut dyn Connection,
+    machine: &mut SessionMachine,
+    opening: Vec<u8>,
+    now_ms: &dyn Fn() -> u64,
+) -> Result<(), SessionError> {
+    let mut out = opening;
+    let result = turns(conn, machine, &mut out, now_ms);
+    if result.is_err() {
+        let _ = conn.write_all(&out).and_then(|()| conn.flush());
+        machine.abort();
     }
+    result
 }
 
-impl Connection for TcpConnection {
-    fn halves(&mut self) -> (&mut dyn Read, &mut dyn Write) {
-        (&mut self.reader, &mut self.writer)
-    }
-}
-
-impl fmt::Debug for TcpConnection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpConnection")
-            .field("peer_addr", &self.reader.get_ref().peer_addr().ok())
-            .finish()
+fn turns(
+    conn: &mut dyn Connection,
+    machine: &mut SessionMachine,
+    out: &mut Vec<u8>,
+    now_ms: &dyn Fn() -> u64,
+) -> Result<(), SessionError> {
+    let mut accum = FrameAccum::new();
+    let mut buf = vec![0u8; READ_BUF];
+    loop {
+        if !out.is_empty() {
+            conn.write_all(out).map_err(SessionError::Io)?;
+            conn.flush().map_err(SessionError::Io)?;
+            out.clear();
+        }
+        if machine.is_closed() {
+            return Ok(());
+        }
+        let parked = machine.is_idle() && accum.buffered() == 0;
+        match conn.read(&mut buf) {
+            Ok(0) if parked => return Ok(()),
+            Ok(0) => return Err(SessionError::Eof),
+            Ok(n) => accum.extend(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if parked && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Ok(())
+            }
+            Err(e) => return Err(SessionError::Io(e)),
+        }
+        loop {
+            match accum.next_frame() {
+                Ok(Some((frame_type, payload))) => {
+                    machine.on_frame(frame_type, payload, now_ms(), out)?;
+                    if machine.is_closed() {
+                        break;
+                    }
+                }
+                Ok(None) => break,
+                // The damaged frame was consumed; the machine decides
+                // whether this state can recover.
+                Err(e @ FrameError::BadChecksum { .. }) => {
+                    machine.on_checksum_error(e, out)?;
+                }
+                Err(e) => return Err(SessionError::Frame(e)),
+            }
+        }
     }
 }

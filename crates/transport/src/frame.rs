@@ -202,9 +202,8 @@ pub fn write_frame<W: Write>(
 }
 
 /// Builds the [`HEADER_LEN`]-byte header framing `payload` — the
-/// encode-side primitive behind [`write_frame`], exposed so callers that
-/// batch frames (the async reactor's vectored outbox) can emit header
-/// and payload as separate segments without an intermediate copy.
+/// encode-side primitive behind [`write_frame`], exposed so the session
+/// machine can append header and payload to an outbox in one reserve.
 ///
 /// # Errors
 ///
@@ -222,36 +221,39 @@ pub fn frame_header(frame_type: FrameType, payload: &[u8]) -> Result<[u8; HEADER
     Ok(header)
 }
 
-/// Reads one frame from `r` into a fresh allocation.
+/// Reads one frame from a blocking reader.
 ///
-/// Steady-state sessions should prefer [`read_frame_into`] with a pooled
-/// buffer (see [`BufPool`]); this convenience wrapper allocates per call.
+/// Session drivers decode through [`FrameAccum`]; this is the simple
+/// one-frame-at-a-time reader for tools and tests.
 ///
 /// # Errors
 ///
 /// Any [`FrameError`] variant; EOF mid-frame surfaces as
 /// [`FrameError::Io`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameType, Vec<u8>), FrameError> {
-    let mut payload = Vec::new();
-    let frame_type = read_frame_into(r, &mut payload)?;
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let (frame_type, len, expected) = parse_header(&header)?;
+    // Read the payload in bounded chunks: allocation tracks bytes actually
+    // received, so a lying length field cannot reserve the full cap.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    while payload.len() < len {
+        let chunk = (len - payload.len()).min(READ_CHUNK);
+        let start = payload.len();
+        payload.resize(start + chunk, 0);
+        r.read_exact(&mut payload[start..])?;
+    }
+    let got = frame_checksum(frame_type as u8, len as u32, &payload);
+    if got != expected {
+        return Err(FrameError::BadChecksum { expected, got });
+    }
     Ok((frame_type, payload))
 }
 
-/// Reads one frame from `r` into `payload`, reusing its allocation.
-///
-/// The buffer is cleared first; on success it holds exactly the frame
-/// payload. A buffer recycled across frames reaches a steady state where
-/// no per-frame allocation happens at all once it has grown to the
-/// session's largest frame.
-///
-/// # Errors
-///
-/// Any [`FrameError`] variant; EOF mid-frame surfaces as
-/// [`FrameError::Io`]. On error the buffer contents are unspecified.
-pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<FrameType, FrameError> {
-    payload.clear();
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
+/// Checks a frame header and takes it apart: type, payload length, and
+/// the checksum the payload must match.
+fn parse_header(header: &[u8]) -> Result<(FrameType, u32, u32), FrameError> {
     if header[..2] != MAGIC {
         return Err(FrameError::BadMagic([header[0], header[1]]));
     }
@@ -261,32 +263,17 @@ pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Fram
         return Err(FrameError::TooLarge(len));
     }
     let expected = u32::from_le_bytes([header[7], header[8], header[9], header[10]]);
-    // Read the payload in bounded chunks: allocation tracks bytes actually
-    // received, so a lying length field cannot reserve the full cap.
-    let len = len as usize;
-    payload.reserve(len.min(READ_CHUNK));
-    while payload.len() < len {
-        let chunk = (len - payload.len()).min(READ_CHUNK);
-        let start = payload.len();
-        payload.resize(start + chunk, 0);
-        r.read_exact(&mut payload[start..])?;
-    }
-    let got = frame_checksum(header[2], len as u32, payload);
-    if got != expected {
-        return Err(FrameError::BadChecksum { expected, got });
-    }
-    Ok(frame_type)
+    Ok((frame_type, len, expected))
 }
 
-/// An incremental frame decoder for nonblocking sockets.
+/// The incremental frame decoder every session driver reads through.
 ///
-/// [`read_frame_into`] blocks until a whole frame arrives; a readiness
-/// loop instead gets bytes in arbitrary chunks. `FrameAccum` buffers
+/// A socket hands over bytes in arbitrary chunks. `FrameAccum` buffers
 /// whatever has arrived and yields complete frames as they materialize,
-/// so the async reactor drives the exact same wire format as the
-/// blocking path.
+/// each payload borrowed from the buffer it arrived in — so the reactor,
+/// the blocking pump and an in-memory pump all parse the same way.
 ///
-/// Error semantics mirror the blocking reader with one addition:
+/// Error semantics mirror [`read_frame`] with one addition:
 /// [`FrameError::BadChecksum`] is *recoverable* — the corrupt frame's
 /// bytes are fully consumed, so the stream stays aligned and the caller
 /// can keep decoding (the serve side uses this to answer with
@@ -330,93 +317,26 @@ impl FrameAccum {
     /// the decoder aligned on the next one; [`FrameError::BadMagic`],
     /// [`FrameError::BadType`] and [`FrameError::TooLarge`] poison the
     /// stream — drop the connection.
-    pub fn next_frame(&mut self) -> Result<Option<(FrameType, Vec<u8>)>, FrameError> {
+    pub fn next_frame(&mut self) -> Result<Option<(FrameType, &[u8])>, FrameError> {
         let avail = &self.buf[self.start..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
         }
-        if avail[..2] != MAGIC {
-            return Err(FrameError::BadMagic([avail[0], avail[1]]));
-        }
-        let frame_type = FrameType::from_tag(avail[2]).ok_or(FrameError::BadType(avail[2]))?;
-        let len = u32::from_le_bytes([avail[3], avail[4], avail[5], avail[6]]);
-        if len > MAX_FRAME_LEN {
-            return Err(FrameError::TooLarge(len));
-        }
-        let expected = u32::from_le_bytes([avail[7], avail[8], avail[9], avail[10]]);
+        let (frame_type, len, expected) = parse_header(&avail[..HEADER_LEN])?;
         let total = HEADER_LEN + len as usize;
         if avail.len() < total {
             return Ok(None);
         }
-        let payload = &avail[HEADER_LEN..total];
-        let got = frame_checksum(avail[2], len, payload);
-        let frame = if got == expected {
-            Ok(Some((frame_type, payload.to_vec())))
-        } else {
-            Err(FrameError::BadChecksum { expected, got })
-        };
         // Consume the frame either way: a checksum failure is a damaged
         // payload, not a framing loss, so the next frame starts right after.
         self.start += total;
-        frame
-    }
-}
-
-/// A small free-list of receive buffers, held per session so steady-state
-/// frame reads recycle allocations instead of minting fresh `Vec`s.
-///
-/// `take` hands out a cleared buffer (recycled when one is available);
-/// `give` returns a buffer to the pool, keeping at most
-/// [`BufPool::MAX_POOLED`] and letting the rest drop. Hit/miss counters
-/// feed the `transport.pool_hits` observability counter.
-#[derive(Debug, Default)]
-pub struct BufPool {
-    free: Vec<Vec<u8>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl BufPool {
-    /// Buffers retained by the pool; more are simply dropped on `give`.
-    /// Sync sessions hold at most a couple of frames in flight, so a
-    /// handful of buffers reaches the zero-allocation steady state.
-    pub const MAX_POOLED: usize = 4;
-
-    /// An empty pool.
-    pub fn new() -> Self {
-        BufPool::default()
-    }
-
-    /// Hands out a cleared buffer, recycling a pooled one when available.
-    pub fn take(&mut self) -> Vec<u8> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                self.hits += 1;
-                buf.clear();
-                buf
-            }
-            None => {
-                self.misses += 1;
-                Vec::new()
-            }
+        let payload = &self.buf[self.start - len as usize..self.start];
+        let got = frame_checksum(frame_type as u8, len, payload);
+        if got == expected {
+            Ok(Some((frame_type, payload)))
+        } else {
+            Err(FrameError::BadChecksum { expected, got })
         }
-    }
-
-    /// Returns a buffer to the pool (dropped if the pool is full).
-    pub fn give(&mut self, buf: Vec<u8>) {
-        if self.free.len() < Self::MAX_POOLED {
-            self.free.push(buf);
-        }
-    }
-
-    /// Takes served from a recycled buffer.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Takes that had to allocate fresh.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -508,56 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_into_reuses_the_buffer_capacity() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, FrameType::SyncBatch, &[7u8; 4096]).unwrap();
-        write_frame(&mut stream, FrameType::SyncDone, b"tiny").unwrap();
-        let mut cursor = Cursor::new(&stream);
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame_into(&mut cursor, &mut buf).unwrap(),
-            FrameType::SyncBatch
-        );
-        assert_eq!(buf.len(), 4096);
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        assert_eq!(
-            read_frame_into(&mut cursor, &mut buf).unwrap(),
-            FrameType::SyncDone
-        );
-        assert_eq!(buf, b"tiny");
-        assert_eq!(buf.capacity(), cap, "no reallocation for a smaller frame");
-        assert_eq!(buf.as_ptr(), ptr, "same backing allocation");
-    }
-
-    #[test]
-    fn buf_pool_recycles_and_counts() {
-        let mut pool = BufPool::new();
-        let first = pool.take();
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(pool.hits(), 0);
-        let mut grown = first;
-        grown.extend_from_slice(&[1u8; 1000]);
-        let ptr = grown.as_ptr();
-        pool.give(grown);
-        let recycled = pool.take();
-        assert_eq!(pool.hits(), 1);
-        assert!(recycled.is_empty(), "recycled buffers come back cleared");
-        assert_eq!(recycled.as_ptr(), ptr, "same allocation handed back");
-        assert!(recycled.capacity() >= 1000);
-        // The pool caps how many buffers it retains.
-        for _ in 0..(BufPool::MAX_POOLED + 3) {
-            pool.give(Vec::new());
-        }
-        for _ in 0..BufPool::MAX_POOLED {
-            pool.take();
-        }
-        let before = pool.misses();
-        pool.take();
-        assert_eq!(pool.misses(), before + 1, "pool retained only its cap");
-    }
-
-    #[test]
     fn crc32_matches_known_vector() {
         // The IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
@@ -572,8 +442,8 @@ mod tests {
         let mut got = Vec::new();
         for b in &stream {
             accum.extend(std::slice::from_ref(b));
-            while let Some(frame) = accum.next_frame().unwrap() {
-                got.push(frame);
+            while let Some((ft, payload)) = accum.next_frame().unwrap() {
+                got.push((ft, payload.to_vec()));
             }
         }
         assert_eq!(got.len(), 2);

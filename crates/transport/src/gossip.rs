@@ -1,6 +1,6 @@
 //! Wire types for gossip membership exchange.
 //!
-//! A gossip exchange is one [`FrameType::Gossip`](transport::frame::FrameType)
+//! A gossip exchange is one [`FrameType::Gossip`](crate::frame::FrameType)
 //! frame each way: the dialer sends its [`GossipMessage`] (its full view of
 //! the mesh), the answerer merges it and replies with its own. Entries
 //! carry an *age* rather than a timestamp so no clock synchronization is

@@ -1,12 +1,22 @@
-//! # transport — replication over real sockets
+//! # transport — the sync session protocol and its blocking drivers
 //!
 //! The paper's emulation drives replicas directly; this crate closes the
-//! loop to a deployable system: a hand-rolled compact wire format (in
-//! [`pfr::wire`]), length-prefixed framing ([`frame`]), a two-direction
-//! sync session protocol ([`protocol`]) mirroring the paper's
-//! two-syncs-per-encounter convention, and a [`Peer`] that listens on TCP
-//! and exchanges items with remote peers — so two OS processes replicate
-//! for real.
+//! loop to a deployable system. It holds the one implementation of the
+//! session protocol and everything that does not need a reactor:
+//!
+//! * [`frame`] — length-prefixed, checksummed framing and the incremental
+//!   [`frame::FrameAccum`] decoder every driver reads through (the wire
+//!   format of the payloads is [`pfr::wire`]).
+//! * [`session`] — [`SessionMachine`]: hello, pull, serve and the gossip
+//!   exchange as a sans-I/O state machine, frames in and frames out, two
+//!   syncs per encounter with roles alternating as in the paper.
+//! * [`membership`] + [`gossip`] — the gossip view the machine answers
+//!   `Gossip` frames from.
+//! * [`conn`] — the [`Connection`] seam and [`pump`], the short blocking
+//!   loop that runs a machine over one.
+//! * [`Peer`] and [`Mesh`] — a TCP listener serving sessions on a thread
+//!   per connection, plus an anti-entropy loop; the `net` crate drives
+//!   the same machine from a nonblocking reactor instead.
 //!
 //! ```no_run
 //! use dtn::{DtnNode, PolicyKind};
@@ -27,12 +37,16 @@
 
 pub mod conn;
 pub mod frame;
-pub mod protocol;
+pub mod gossip;
+pub mod membership;
+pub mod session;
 
 mod mesh;
 mod peer;
 
-pub use conn::{Connection, TcpConnection};
+pub use conn::{pump, Connection};
+pub use gossip::{GossipMessage, PeerStatus, PeerWire};
+pub use membership::{Membership, MembershipConfig, PeerView, TickReport};
 pub use mesh::{Mesh, MeshConfig};
-pub use peer::{DialConfig, Peer, SessionReport, TransportError};
-pub use protocol::SessionOutcome;
+pub use peer::{DialConfig, Peer, TransportError};
+pub use session::{Progress, SessionError, SessionMachine, SessionOutcome, SessionReport};

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use crate::wire::{GossipMessage, PeerStatus, PeerWire};
+use crate::gossip::{GossipMessage, PeerStatus, PeerWire};
 
 /// Tunables for suspicion, eviction, and fanout selection.
 #[derive(Clone, Debug)]

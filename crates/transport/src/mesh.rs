@@ -165,7 +165,7 @@ impl Mesh {
             match self.peer.sync_with(addr, now) {
                 Ok(_) => synced += 1,
                 Err(TransportError::Io(_)) => {
-                    // The connection never came up, so the protocol layer had
+                    // The connection never came up, so the session machine had
                     // no chance to report it; record the failed attempt here.
                     // (Mid-session failures already self-report.)
                     let (replica, obs) =
@@ -179,7 +179,7 @@ impl Mesh {
                         ok: false,
                     });
                 }
-                Err(TransportError::Protocol(_)) => {}
+                Err(TransportError::Session(_)) => {}
             }
         }
         synced

@@ -1,35 +1,34 @@
 //! TCP peers: real processes replicating over sockets.
 
 use std::fmt;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dtn::DtnNode;
 use parking_lot::Mutex;
-use pfr::sync::SyncReport;
-use pfr::{ReplicaId, SimTime, SyncLimits};
+use pfr::{SimTime, SyncLimits};
 
-use crate::conn::TcpConnection;
-use crate::frame::FrameError;
-use crate::protocol::{self, ProtocolError};
+use crate::conn::pump;
+use crate::membership::{Membership, MembershipConfig};
+use crate::session::{SessionError, SessionMachine, SessionReport};
 
 /// Errors from running a peer.
 #[derive(Debug)]
 pub enum TransportError {
-    /// Socket setup or I/O failure.
+    /// Socket setup or I/O failure before a session began.
     Io(std::io::Error),
     /// A session failed mid-protocol.
-    Protocol(ProtocolError),
+    Session(SessionError),
 }
 
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransportError::Io(e) => write!(f, "transport i/o error: {e}"),
-            TransportError::Protocol(e) => write!(f, "sync protocol error: {e}"),
+            TransportError::Session(e) => write!(f, "sync session error: {e}"),
         }
     }
 }
@@ -38,7 +37,7 @@ impl std::error::Error for TransportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TransportError::Io(e) => Some(e),
-            TransportError::Protocol(e) => Some(e),
+            TransportError::Session(e) => Some(e),
         }
     }
 }
@@ -49,15 +48,9 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-impl From<ProtocolError> for TransportError {
-    fn from(e: ProtocolError) -> Self {
-        TransportError::Protocol(e)
-    }
-}
-
-impl From<FrameError> for TransportError {
-    fn from(e: FrameError) -> Self {
-        TransportError::Protocol(ProtocolError::Frame(e))
+impl From<SessionError> for TransportError {
+    fn from(e: SessionError) -> Self {
+        TransportError::Session(e)
     }
 }
 
@@ -131,6 +124,7 @@ impl DialConfig {
         loop {
             match TcpStream::connect_timeout(&remote, self.connect_timeout) {
                 Ok(stream) => {
+                    stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(self.io_timeout))?;
                     stream.set_write_timeout(Some(self.io_timeout))?;
                     return Ok(stream);
@@ -145,23 +139,6 @@ impl DialConfig {
             }
         }
     }
-}
-
-/// The outcome of one networked encounter (both sync directions).
-#[derive(Debug, Default, Clone)]
-#[non_exhaustive]
-pub struct SessionReport {
-    /// The remote peer's replica id.
-    pub peer: Option<ReplicaId>,
-    /// Report for the pull direction (remote → us).
-    pub pulled: Option<SyncReport>,
-    /// Report for the push direction (us → remote), as observed from the
-    /// number of items we served.
-    pub served: usize,
-    /// The encounter clock the session ran under — the initiator's on
-    /// both sides, fixed by the hello exchange. `None` when the session
-    /// died before the clock was agreed (nothing replicated either).
-    pub now: Option<SimTime>,
 }
 
 /// A replication peer: a [`DtnNode`] listening on a TCP socket, serving
@@ -186,12 +163,32 @@ pub struct SessionReport {
 /// # Ok::<(), transport::TransportError>(())
 /// ```
 pub struct Peer {
-    node: Arc<Mutex<DtnNode>>,
+    serving: Arc<Serving>,
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    limits: SyncLimits,
     dial: DialConfig,
+}
+
+/// What the accept loop, every session thread and the initiator side
+/// share.
+struct Serving {
+    node: Arc<Mutex<DtnNode>>,
+    /// A blocking peer runs no gossip rounds of its own, but the session
+    /// machine answers a gossiping dialer from this view.
+    membership: Arc<Mutex<Membership>>,
+    limits: SyncLimits,
+    shutdown: AtomicBool,
+    /// Inbound connections being served. A pooling initiator keeps its
+    /// connection open between sessions, so `stop` shuts these down
+    /// rather than waiting out a parked session thread's read timeout.
+    live: Mutex<Vec<(usize, TcpStream)>>,
+    epoch: Instant,
+}
+
+impl Serving {
+    fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64
+    }
 }
 
 impl Peer {
@@ -232,25 +229,29 @@ impl Peer {
         dial: DialConfig,
     ) -> Result<Peer, TransportError> {
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let node = Arc::new(Mutex::new(node));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let accept_node = Arc::clone(&node);
-        let accept_shutdown = Arc::clone(&shutdown);
+        let membership = Membership::new(
+            node.id().as_u64(),
+            local_addr.to_string(),
+            MembershipConfig::default(),
+        );
+        let serving = Arc::new(Serving {
+            node: Arc::new(Mutex::new(node)),
+            membership: Arc::new(Mutex::new(membership)),
+            limits,
+            shutdown: AtomicBool::new(false),
+            live: Mutex::new(Vec::new()),
+            epoch: Instant::now(),
+        });
+        let accept_serving = Arc::clone(&serving);
         let accept_thread = std::thread::Builder::new()
             .name(format!("peer-accept-{local_addr}"))
-            .spawn(move || {
-                accept_loop(listener, accept_node, accept_shutdown, limits);
-            })?;
+            .spawn(move || accept_loop(&listener, &accept_serving))?;
 
         Ok(Peer {
-            node,
+            serving,
             local_addr,
-            shutdown,
             accept_thread: Some(accept_thread),
-            limits,
             dial,
         })
     }
@@ -263,7 +264,7 @@ impl Peer {
     /// Runs a closure against the peer's node (replica + policy) under the
     /// peer lock.
     pub fn with_node<T>(&self, f: impl FnOnce(&mut DtnNode) -> T) -> T {
-        f(&mut self.node.lock())
+        f(&mut self.serving.node.lock())
     }
 
     /// Initiates a full encounter with a remote peer: pulls items we are
@@ -278,42 +279,67 @@ impl Peer {
         remote: SocketAddr,
         now: SimTime,
     ) -> Result<SessionReport, TransportError> {
-        let stream = self.dial.dial(remote)?;
-        let mut conn = TcpConnection::new(stream)?;
-        let outcome = protocol::initiate_session(&mut conn, &self.node, now, self.limits);
-        outcome.into_result().map_err(TransportError::from)
+        let mut conn = self.dial.dial(remote)?;
+        let serving = &self.serving;
+        let (mut machine, opening) = SessionMachine::sync_initiator(
+            Arc::clone(&serving.node),
+            Arc::clone(&serving.membership),
+            serving.limits,
+            now,
+            false,
+        )?;
+        pump(&mut conn, &mut machine, opening, &|| serving.now_ms())?;
+        Ok(machine.report().clone())
     }
 
     /// Stops the accept loop and returns the node.
     pub fn stop(mut self) -> DtnNode {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            // A panicked accept thread has already torn down the listener;
-            // the node is still intact, so recover it rather than re-panic.
-            let _ = handle.join();
-        }
-        // The accept loop has exited, so this is the only Arc holder now —
-        // but sessions may briefly hold clones; spin until unique.
-        let mut node_arc = Arc::clone(&self.node);
+        self.halt();
+        // Session threads drop their clones as their connections close;
+        // spin until this is the only holder.
+        let mut node_arc = Arc::clone(&self.serving.node);
         drop(self);
         loop {
             match Arc::try_unwrap(node_arc) {
                 Ok(mutex) => return mutex.into_inner(),
                 Err(shared) => {
                     node_arc = shared;
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
+        }
+    }
+
+    /// Ends the accept loop — blocked in `accept`, so woken by a
+    /// connection to ourselves — and cuts every inbound connection.
+    fn halt(&mut self) {
+        let Some(handle) = self.accept_thread.take() else {
+            return;
+        };
+        self.serving.shutdown.store(true, Ordering::SeqCst);
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        while !handle.is_finished() {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            std::thread::yield_now();
+        }
+        // A panicked accept thread has already torn down the listener;
+        // the node is still intact, so do not re-panic.
+        let _ = handle.join();
+        for (_, stream) in self.serving.live.lock().drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 }
 
 impl Drop for Peer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.halt();
     }
 }
 
@@ -325,42 +351,43 @@ impl fmt::Debug for Peer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    node: Arc<Mutex<DtnNode>>,
-    shutdown: Arc<AtomicBool>,
-    limits: SyncLimits,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let session_node = Arc::clone(&node);
-                // One thread per session: encounters are short-lived.
-                let _ = std::thread::Builder::new()
-                    .name("peer-session".to_string())
-                    .spawn(move || {
-                        let _ = serve_session(stream, session_node, limits);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+fn accept_loop(listener: &TcpListener, serving: &Arc<Serving>) {
+    for (id, stream) in listener.incoming().enumerate() {
+        if serving.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        let Ok(stream) = stream else { return };
+        // Registered here, not on the session thread: `halt` joins this
+        // loop before it cuts what is registered.
+        let Ok(registered) = stream.try_clone() else {
+            continue;
+        };
+        serving.live.lock().push((id, registered));
+        let serving = Arc::clone(serving);
+        // One thread per connection: a blocking peer's are few.
+        let _ = std::thread::Builder::new()
+            .name("peer-session".to_string())
+            .spawn(move || serve_connection(id, stream, &serving));
     }
 }
 
-fn serve_session(
-    stream: TcpStream,
-    node: Arc<Mutex<DtnNode>>,
-    limits: SyncLimits,
-) -> Result<(), TransportError> {
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let mut conn = TcpConnection::new(stream)?;
-    let outcome = protocol::respond_session(&mut conn, &node, limits);
-    outcome.into_result().map_err(TransportError::from)?;
-    Ok(())
+/// Serves every session the remote opens on one accepted connection.
+/// Session failures are accounted by the machine's events.
+fn serve_connection(id: usize, mut stream: TcpStream, serving: &Serving) {
+    let io_timeout = Some(Duration::from_secs(10));
+    let configured = stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(io_timeout))
+        .and_then(|()| stream.set_write_timeout(io_timeout));
+    if configured.is_ok() {
+        let mut machine = SessionMachine::responder(
+            Arc::clone(&serving.node),
+            Arc::clone(&serving.membership),
+            serving.limits,
+        );
+        let _ = pump(&mut stream, &mut machine, Vec::new(), &|| serving.now_ms());
+    }
+    serving.live.lock().retain(|(live_id, _)| *live_id != id);
 }
 
 #[cfg(test)]

@@ -1,8 +1,16 @@
 //! Integration tests: replication between real TCP peers on localhost.
 
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use dtn::{DtnNode, PolicyKind};
+use parking_lot::Mutex;
+use pfr::wire::to_bytes;
 use pfr::{ReplicaId, SimTime, SyncLimits};
-use transport::Peer;
+use transport::frame::{read_frame, write_frame, FrameType};
+use transport::session::Hello;
+use transport::{pump, Membership, MembershipConfig, Peer, SessionMachine};
 
 fn node(n: u64, addr: &str, kind: PolicyKind) -> DtnNode {
     DtnNode::new(ReplicaId::new(n), addr, kind)
@@ -184,4 +192,60 @@ fn different_policies_interoperate() {
     let report = a.sync_with(b.local_addr(), SimTime::from_secs(1)).unwrap();
     assert_eq!(report.served, 1);
     assert_eq!(b.with_node(|n| n.inbox().len()), 1);
+}
+
+#[test]
+fn one_connection_carries_back_to_back_sessions() {
+    // What a pooling initiator does: the second session reuses the
+    // connection and, remembering who answered, opens with its request
+    // right behind the hello.
+    let b = Peer::start(node(2, "b", PolicyKind::Epidemic), "127.0.0.1:0").unwrap();
+    let a = Arc::new(Mutex::new(node(1, "a", PolicyKind::Epidemic)));
+    let view = Arc::new(Mutex::new(Membership::new(
+        1,
+        "a:0",
+        MembershipConfig::default(),
+    )));
+    let mut conn = TcpStream::connect(b.local_addr()).unwrap();
+    for round in 1..=3u64 {
+        a.lock()
+            .send("b", format!("round {round}").into_bytes(), SimTime::ZERO)
+            .unwrap();
+        let (node, view, limits) = (Arc::clone(&a), Arc::clone(&view), SyncLimits::unlimited());
+        let now = SimTime::from_secs(round);
+        let (mut machine, opening) = if round == 1 {
+            SessionMachine::sync_initiator(node, view, limits, now, false)
+        } else {
+            SessionMachine::sync_initiator_to(node, view, limits, now, ReplicaId::new(2))
+        }
+        .unwrap();
+        pump(&mut conn, &mut machine, opening, &|| 0).expect("session");
+        assert_eq!(machine.report().served, 1);
+    }
+    assert_eq!(b.with_node(|n| n.inbox().len()), 3);
+}
+
+#[test]
+fn stop_cuts_a_session_parked_mid_protocol() {
+    // The accept loop blocks in `accept` and a session thread blocks in
+    // `read` (for ten seconds, if left alone): stopping must not wait
+    // for either.
+    let peer = Peer::start(node(2, "b", PolicyKind::Direct), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(peer.local_addr()).unwrap();
+    let hello = Hello {
+        replica: ReplicaId::new(1),
+        now: SimTime::from_secs(5),
+    };
+    write_frame(&mut stream, FrameType::Hello, &to_bytes(&hello)).unwrap();
+    let (reply, _) = read_frame(&mut stream).unwrap();
+    assert_eq!(reply, FrameType::Hello, "the session thread is serving");
+
+    let started = Instant::now();
+    let node = peer.stop();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "stop took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(node.id(), ReplicaId::new(2));
 }
