@@ -171,9 +171,9 @@ pub enum DigestResponse {
 pub struct DtnNode {
     replica: Replica,
     policy: Box<dyn DtnPolicy>,
-    addresses: BTreeSet<String>,
-    extra_filter_addrs: BTreeSet<String>,
-    pub(crate) store: Option<store::Store>,
+    pub(crate) addresses: BTreeSet<String>,
+    pub(crate) extra_filter_addrs: BTreeSet<String>,
+    pub(crate) durable: Option<crate::durable::Durable>,
     /// Expiry watermark for [`DtnNode::expire_messages`]: `None` = unknown
     /// (items may have arrived; the next call must scan), `Some(None)` =
     /// no stored message expires, `Some(Some(t))` = nothing expires before
@@ -187,6 +187,60 @@ pub struct DtnNode {
     recon: ReconState,
     /// Per-peer routing-state envelope caches (digest mode only).
     links: RoutingLinks,
+}
+
+/// Writes an address set: a count, then each string.
+pub(crate) fn put_strings(w: &mut pfr::wire::Writer, strings: &BTreeSet<String>) {
+    w.put_varint(strings.len() as u64);
+    for s in strings {
+        w.put_str(s);
+    }
+}
+
+/// Reads an address set as [`put_strings`] wrote it.
+pub(crate) fn get_strings(
+    r: &mut pfr::wire::Reader<'_>,
+) -> Result<BTreeSet<String>, pfr::wire::WireError> {
+    (0..r.get_len(1)?).map(|_| r.get_str()).collect()
+}
+
+/// A node's durable state as read back from a snapshot or a data
+/// directory, before a policy instance is bound to it.
+pub(crate) struct PersistedNode {
+    pub replica: Replica,
+    pub addresses: BTreeSet<String>,
+    pub extra_filter_addrs: BTreeSet<String>,
+    pub policy_name: String,
+    pub policy_state: Vec<u8>,
+}
+
+impl PersistedNode {
+    /// The node under the bundled policy it was persisted with, routing
+    /// state restored.
+    pub fn into_node(self) -> Result<DtnNode, RestoreError> {
+        let kind: PolicyKind = self
+            .policy_name
+            .parse()
+            .map_err(|_: String| RestoreError::UnknownPolicy(self.policy_name.clone()))?;
+        let mut policy = kind.build();
+        policy.restore_state(&self.policy_state);
+        Ok(self.assemble(policy))
+    }
+
+    fn assemble(self, mut policy: Box<dyn DtnPolicy>) -> DtnNode {
+        policy.set_local_addresses(self.addresses.clone());
+        DtnNode {
+            replica: self.replica,
+            policy,
+            addresses: self.addresses,
+            extra_filter_addrs: self.extra_filter_addrs,
+            durable: None,
+            next_expiry: None,
+            sync_mode: SyncMode::default(),
+            recon: ReconState::new(),
+            links: RoutingLinks::default(),
+        }
+    }
 }
 
 impl DtnNode {
@@ -203,7 +257,7 @@ impl DtnNode {
             policy,
             addresses,
             extra_filter_addrs: BTreeSet::new(),
-            store: None,
+            durable: None,
             next_expiry: None,
             sync_mode: SyncMode::default(),
             recon: ReconState::new(),
@@ -842,14 +896,8 @@ impl DtnNode {
         let w = &mut scratch.node;
         w.clear();
         w.put_bytes(scratch.replica.as_slice());
-        w.put_varint(self.addresses.len() as u64);
-        for addr in &self.addresses {
-            w.put_str(addr);
-        }
-        w.put_varint(self.extra_filter_addrs.len() as u64);
-        for addr in &self.extra_filter_addrs {
-            w.put_str(addr);
-        }
+        put_strings(w, &self.addresses);
+        put_strings(w, &self.extra_filter_addrs);
         w.put_str(self.policy.name());
         w.put_bytes(&self.policy.save_state());
         w.as_slice()
@@ -865,13 +913,7 @@ impl DtnNode {
     /// not in the bundled registry (restore custom policies with
     /// [`DtnNode::restore_with_policy`]).
     pub fn restore(bytes: &[u8]) -> Result<DtnNode, RestoreError> {
-        let (replica, addresses, extra, policy_name, policy_state) = Self::parse_snapshot(bytes)?;
-        let kind: PolicyKind = policy_name
-            .parse()
-            .map_err(|_: String| RestoreError::UnknownPolicy(policy_name.clone()))?;
-        let mut policy = kind.build();
-        policy.restore_state(&policy_state);
-        Ok(Self::assemble(replica, addresses, extra, policy))
+        Self::parse_snapshot(bytes)?.into_node()
     }
 
     /// Restores a node from a snapshot using a caller-provided policy
@@ -891,15 +933,15 @@ impl DtnNode {
         bytes: &[u8],
         mut policy: Box<dyn DtnPolicy>,
     ) -> Result<DtnNode, RestoreError> {
-        let (replica, addresses, extra, name, policy_state) = Self::parse_snapshot(bytes)?;
-        if policy.name() != name {
+        let persisted = Self::parse_snapshot(bytes)?;
+        if policy.name() != persisted.policy_name {
             return Err(RestoreError::PolicyMismatch {
-                persisted: name,
+                persisted: persisted.policy_name,
                 expected: policy.name().to_string(),
             });
         }
-        policy.restore_state(&policy_state);
-        Ok(Self::assemble(replica, addresses, extra, policy))
+        policy.restore_state(&persisted.policy_state);
+        Ok(persisted.assemble(policy))
     }
 
     /// Restores a node from a snapshot with a *different* policy,
@@ -914,55 +956,30 @@ impl DtnNode {
         bytes: &[u8],
         policy: Box<dyn DtnPolicy>,
     ) -> Result<DtnNode, RestoreError> {
-        let (replica, addresses, extra, _name, _state) = Self::parse_snapshot(bytes)?;
-        Ok(Self::assemble(replica, addresses, extra, policy))
+        Ok(Self::parse_snapshot(bytes)?.assemble(policy))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn parse_snapshot(
-        bytes: &[u8],
-    ) -> Result<(Replica, BTreeSet<String>, BTreeSet<String>, String, Vec<u8>), RestoreError> {
+    fn parse_snapshot(bytes: &[u8]) -> Result<PersistedNode, RestoreError> {
         let mut r = pfr::wire::Reader::new(bytes);
         let read = |r: &mut pfr::wire::Reader<'_>| -> Result<_, pfr::wire::WireError> {
             let replica_bytes = r.get_bytes()?.to_vec();
-            let mut addresses = BTreeSet::new();
-            for _ in 0..r.get_len(1)? {
-                addresses.insert(r.get_str()?);
-            }
-            let mut extra = BTreeSet::new();
-            for _ in 0..r.get_len(1)? {
-                extra.insert(r.get_str()?);
-            }
+            let addresses = get_strings(r)?;
+            let extra = get_strings(r)?;
             let name = r.get_str()?;
             let state = r.get_bytes()?.to_vec();
             Ok((replica_bytes, addresses, extra, name, state))
         };
-        let (replica_bytes, addresses, extra, name, state) =
+        let (replica_bytes, addresses, extra_filter_addrs, policy_name, policy_state) =
             read(&mut r).map_err(|e| PfrError::SnapshotDecode {
                 message: e.to_string(),
             })?;
-        let replica = Replica::restore(&replica_bytes)?;
-        Ok((replica, addresses, extra, name, state))
-    }
-
-    fn assemble(
-        replica: Replica,
-        addresses: BTreeSet<String>,
-        extra_filter_addrs: BTreeSet<String>,
-        mut policy: Box<dyn DtnPolicy>,
-    ) -> DtnNode {
-        policy.set_local_addresses(addresses.clone());
-        DtnNode {
-            replica,
-            policy,
+        Ok(PersistedNode {
+            replica: Replica::restore(&replica_bytes)?,
             addresses,
             extra_filter_addrs,
-            store: None,
-            next_expiry: None,
-            sync_mode: SyncMode::default(),
-            recon: ReconState::new(),
-            links: RoutingLinks::default(),
-        }
+            policy_name,
+            policy_state,
+        })
     }
 
     /// Ensures `addr` is among this node's addresses (used when a

@@ -31,7 +31,9 @@
 //!   fleet. Spilling is invisible to metrics under [`SyncMode::Full`];
 //!   under digest mode the (unsnapshotted) reconciliation caches die
 //!   with each spill, which can shift `recon.*` traffic — like a reboot,
-//!   never a correctness loss.
+//!   never a correctness loss (`tests/digest_exchange_pinned.rs` pins by
+//!   how much: its capped replay counts the extra full summaries and
+//!   fallback rounds).
 //!
 //! Three mechanisms keep the engine fast rather than merely correct:
 //!

@@ -10,6 +10,14 @@
 //! a timing argument. The run's `ExperimentMetrics` must equal the
 //! `SyncMode::Full` run's: digest mode moves metadata, never messages.
 //!
+//! The same replay runs once more under a residency cap (the ledger's
+//! `city_spill` shape: 2 shards, 3/5 of the fleet resident). A spilled
+//! replica comes back without its journal and per-peer digest state — a
+//! reboot, as far as the digest layer can tell — so its next exchange
+//! with each peer falls back to a full summary. `PINNED_CAPPED` says how
+//! many do, so that cost is a number in this file too and a change to
+//! what a spill keeps cannot move the bandwidth figures unnoticed.
+//!
 //! To re-record after an *intended* protocol change, copy the fields of
 //! the failing assertion's left-hand `Counts` into `PINNED` — and say in
 //! the change what moved and why.
@@ -59,7 +67,32 @@ const PINNED: Counts = Counts {
     false_positives: 0,
 };
 
-fn replay(mode: SyncMode, registry: Option<Arc<Registry>>) -> ExperimentMetrics {
+/// The same replay with 20 of the 34 vehicles resident. A replica back
+/// from a spill meets peers whose digest state still describes what it
+/// was before: 129 exchanges need a fallback round, full summaries rise
+/// from 1,144 to 1,337 of the 3,764, and digest mode saves 48 % of the
+/// metadata bytes here instead of 54 %.
+const PINNED_CAPPED: Counts = Counts {
+    exchanges: 3764,
+    full: 1337,
+    unchanged: 1237,
+    delta: 1190,
+    bloom: 0,
+    digest_bytes: 151_958,
+    full_bytes: 291_556,
+    fallback_rounds: 129,
+    false_positives: 0,
+};
+
+/// The ledger's `city_spill` residency shape at scale 1.
+const SHARDS: usize = 2;
+const RESIDENT_LIMIT: usize = 34 * 3 / 5;
+
+fn replay(
+    mode: SyncMode,
+    registry: Option<Arc<Registry>>,
+    resident_limit: Option<usize>,
+) -> ExperimentMetrics {
     let trace = DieselNetConfig {
         days: DAYS,
         seed: SEED,
@@ -78,22 +111,18 @@ fn replay(mode: SyncMode, registry: Option<Arc<Registry>>) -> ExperimentMetrics 
         assignment_seed: SEED,
         sync_mode: mode,
         observer: registry.map(|r| r as Arc<dyn obs::Observer>),
+        shards: resident_limit.map(|_| SHARDS),
+        exec_threads: resident_limit.map(|_| 0),
+        resident_limit,
         ..EmulationConfig::default()
     };
     Emulation::new(&trace, &mail, config).run()
 }
 
-#[test]
-fn digest_exchange_counts_are_pinned_and_metrics_match_full_mode() {
-    let registry = Arc::new(Registry::new());
-    let digest = replay(SyncMode::Digest, Some(registry.clone()));
-    let full = replay(SyncMode::Full, None);
-    assert_eq!(digest, full, "digest sync changed ExperimentMetrics");
-    assert_eq!(digest.duplicates, 0, "at-most-once delivery");
-
+fn digest_counts(registry: &Registry) -> Counts {
     let snap = registry.snapshot();
     let kind = |name: &str| snap.counter(&format!("recon.summary.{name}"));
-    let counts = Counts {
+    Counts {
         exchanges: kind("full") + kind("unchanged") + kind("delta") + kind("bloom"),
         full: kind("full"),
         unchanged: kind("unchanged"),
@@ -103,9 +132,37 @@ fn digest_exchange_counts_are_pinned_and_metrics_match_full_mode() {
         full_bytes: snap.counter("recon.full_bytes"),
         fallback_rounds: snap.counter("recon.fallback_rounds"),
         false_positives: snap.counter("recon.false_positives"),
-    };
+    }
+}
+
+#[test]
+fn digest_exchange_counts_are_pinned_and_metrics_match_full_mode() {
+    let registry = Arc::new(Registry::new());
+    let digest = replay(SyncMode::Digest, Some(registry.clone()), None);
+    let full = replay(SyncMode::Full, None, None);
+    assert_eq!(digest, full, "digest sync changed ExperimentMetrics");
+    assert_eq!(digest.duplicates, 0, "at-most-once delivery");
+
+    let counts = digest_counts(&registry);
     assert_eq!(counts, PINNED);
     // Two syncs per encounter, each accounted exactly once.
     assert_eq!(counts.exchanges, 2 * digest.encounters);
     assert!(counts.digest_bytes < counts.full_bytes);
+
+    let registry = Arc::new(Registry::new());
+    let capped = replay(
+        SyncMode::Digest,
+        Some(registry.clone()),
+        Some(RESIDENT_LIMIT),
+    );
+    assert_eq!(capped, full, "a residency cap changed ExperimentMetrics");
+    let counts = digest_counts(&registry);
+    assert_eq!(counts, PINNED_CAPPED);
+    // Spills change which summary an exchange takes, never how many
+    // exchanges there are or what full mode would have spent on them.
+    assert_eq!(
+        (counts.exchanges, counts.full_bytes),
+        (PINNED.exchanges, PINNED.full_bytes)
+    );
+    assert!(counts.full > PINNED.full && counts.digest_bytes > PINNED.digest_bytes);
 }

@@ -14,9 +14,11 @@ use crate::item::{CausalRelation, Item};
 use crate::journal::{Journal, KnowledgeTotals};
 use crate::knowledge::Knowledge;
 use crate::payload::Payload;
-use crate::store::{classify, EvictionMode, ItemStore, StoreKind};
+use crate::snapshot::ReplicaParts;
+use crate::store::{classify, EvictionMode, ItemStore, Slot, StoreKind};
 use crate::time::SimTime;
 use crate::value::Value;
+use crate::wire::{Encode, Writer};
 
 /// Counters describing a replica's activity, for experiments and debugging.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -438,8 +440,9 @@ impl Replica {
         name: impl Into<IStr>,
         value: impl Into<Value>,
     ) -> Result<(), PfrError> {
-        let stored = self.store.get_mut(id).ok_or(PfrError::NotStored(id))?;
-        stored.item.transient_mut().set(name, value);
+        let mut slot = self.store.slot(id).ok_or(PfrError::NotStored(id))?;
+        slot.stamp_write();
+        slot.item.transient_mut().set(name, value);
         Ok(())
     }
 
@@ -561,9 +564,25 @@ impl Replica {
 
     /// The stored copy of `id`, for sync candidate selection: one lookup
     /// serves the filter match, the byte accounting and the policy's
-    /// verdict (which may stamp transient metadata through it).
-    pub(crate) fn stored_item_mut(&mut self, id: ItemId) -> Option<&mut Item> {
-        self.store.get_mut(id).map(|s| &mut s.item)
+    /// verdict (which may write transient metadata through it). Lending
+    /// counts as no write; only [`crate::sync::Candidate::set_transient`]
+    /// does.
+    pub(crate) fn candidate_slot(&mut self, id: ItemId) -> Option<Slot<'_>> {
+        self.store.slot(id)
+    }
+
+    /// How many writes this replica's item store has taken: every stored,
+    /// replaced or removed item and every transient write counts one.
+    /// Equal clocks on the same replica mean an unchanged item store.
+    pub fn write_clock(&self) -> u64 {
+        self.store.write_clock()
+    }
+
+    /// Every stored item's id with the [`Replica::write_clock`] value of
+    /// its last write, ascending by id: an item changed since clock `c`
+    /// exactly if its stamp is greater than `c`.
+    pub fn item_stamps(&self) -> impl Iterator<Item = (ItemId, u64)> + '_ {
+        self.store.iter().map(|s| (s.item.id(), s.stamp))
     }
 
     /// Offers a remote item copy to this replica, enforcing at-most-once
@@ -647,43 +666,42 @@ impl Replica {
         }
     }
 
-    /// Raw item-id allocation counter (snapshot support).
-    pub(crate) fn next_item_seq_raw(&self) -> u64 {
-        self.next_item_seq
+    /// Appends the stored item `id` to `w` as one snapshot item record —
+    /// the item, how it is held, when it arrived (read back by
+    /// [`crate::decode_item_record`]) — and returns how it is held;
+    /// `None`, nothing written, if it is not stored.
+    pub fn encode_item_record(&self, id: ItemId, w: &mut Writer) -> Option<StoreKind> {
+        let stored = self.store.get(id)?;
+        stored.item.encode(w);
+        stored.kind.encode(w);
+        w.put_varint(stored.received_at.as_secs());
+        Some(stored.kind)
     }
 
-    /// Raw version-counter allocation state (snapshot support).
-    pub(crate) fn next_version_counter_raw(&self) -> u64 {
-        self.next_version_counter
+    /// The item-id and version allocation counters: how many items and
+    /// versions this replica has created (snapshot support).
+    pub fn write_counters(&self) -> (u64, u64) {
+        (self.next_item_seq, self.next_version_counter)
     }
 
-    /// Relay items in eviction (arrival) order (snapshot support).
-    pub(crate) fn relay_fifo_order(&self) -> Vec<ItemId> {
-        self.store.relay_fifo_order()
+    /// Relay items in eviction (arrival) order, oldest first (snapshot
+    /// support).
+    pub fn relay_fifo(&self) -> impl ExactSizeIterator<Item = ItemId> + '_ {
+        self.store.relay_fifo()
     }
 
     /// Rebuilds a replica from snapshot parts.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        id: ReplicaId,
-        filter: Filter,
-        knowledge: Knowledge,
-        next_item_seq: u64,
-        next_version_counter: u64,
-        relay_limit: Option<usize>,
-        items: Vec<(Item, StoreKind, SimTime)>,
-        relay_fifo: Vec<ItemId>,
-    ) -> Replica {
+    pub fn from_parts(parts: ReplicaParts) -> Replica {
         let mut replica = Replica {
-            id,
-            filter,
+            id: parts.id,
+            filter: parts.filter,
             filter_stamp: None,
-            journal: Journal::starting_at(&knowledge),
-            knowledge,
-            store: ItemStore::from_parts(items, relay_fifo),
-            next_item_seq,
-            next_version_counter,
-            relay_limit,
+            journal: Journal::starting_at(&parts.knowledge),
+            knowledge: parts.knowledge,
+            store: ItemStore::from_parts(parts.items, parts.relay_fifo),
+            next_item_seq: parts.next_item_seq,
+            next_version_counter: parts.next_version_counter,
+            relay_limit: parts.relay_limit,
             eviction: EvictionMode::default(),
             stats: ReplicaStats::default(),
             conflict_log: Vec::new(),

@@ -45,6 +45,45 @@ impl Decode for StoreKind {
     }
 }
 
+/// One stored item as a snapshot records it: the item, how it is held,
+/// and when it arrived.
+pub type ItemRecord = (Item, StoreKind, SimTime);
+
+/// Everything a snapshot records, as values. [`Replica::restore`] decodes
+/// these from one buffer; a store that keeps a replica as separate keys
+/// gathers them itself and calls [`Replica::from_parts`].
+#[derive(Debug)]
+pub struct ReplicaParts {
+    /// The replica's identity.
+    pub id: ReplicaId,
+    /// Its filter.
+    pub filter: Filter,
+    /// Every version it has learned.
+    pub knowledge: Knowledge,
+    /// Items it has created (see [`Replica::write_counters`]).
+    pub next_item_seq: u64,
+    /// Versions it has created.
+    pub next_version_counter: u64,
+    /// The relay storage cap.
+    pub relay_limit: Option<usize>,
+    /// The stored items.
+    pub items: Vec<ItemRecord>,
+    /// Relay item ids in eviction order, oldest first.
+    pub relay_fifo: Vec<ItemId>,
+}
+
+/// Decodes one [`ItemRecord`] as [`Replica::encode_item_record`] wrote it.
+///
+/// # Errors
+///
+/// [`WireError`] when the bytes are not a whole record.
+pub fn decode_item_record(r: &mut Reader<'_>) -> Result<ItemRecord, WireError> {
+    let item = Item::decode(r)?;
+    let kind = StoreKind::decode(r)?;
+    let received_at = SimTime::from_secs(r.get_varint()?);
+    Ok((item, kind, received_at))
+}
+
 impl Replica {
     /// Serializes the replica's full durable state.
     pub fn snapshot(&self) -> Vec<u8> {
@@ -63,8 +102,9 @@ impl Replica {
         self.id().encode(w);
         self.filter().encode(w);
         self.knowledge().encode(w);
-        w.put_varint(self.next_item_seq_raw());
-        w.put_varint(self.next_version_counter_raw());
+        let (next_item_seq, next_version_counter) = self.write_counters();
+        w.put_varint(next_item_seq);
+        w.put_varint(next_version_counter);
         match self.relay_limit() {
             None => w.put_u8(0),
             Some(n) => {
@@ -74,16 +114,14 @@ impl Replica {
         }
         let ids = self.item_ids();
         w.put_varint(ids.len() as u64);
-        for id in &ids {
-            let item = self.item(*id).expect("listed id present");
-            let kind = self.store_kind(*id).expect("listed id present");
-            let received_at = self.received_at(*id).expect("listed id present");
-            item.encode(w);
-            kind.encode(w);
-            w.put_varint(received_at.as_secs());
+        for id in ids {
+            self.encode_item_record(id, w).expect("listed id present");
         }
-        let fifo = self.relay_fifo_order();
-        fifo.encode(w);
+        let fifo = self.relay_fifo();
+        w.put_varint(fifo.len() as u64);
+        for id in fifo {
+            id.encode(w);
+        }
     }
 
     /// Reconstructs a replica from a snapshot.
@@ -124,18 +162,15 @@ impl Replica {
                 _ => Some(r.get_varint()? as usize),
             };
             let n = r.get_len(8)?;
-            let mut items: Vec<(Item, StoreKind, SimTime)> = Vec::with_capacity(n);
+            let mut items: Vec<ItemRecord> = Vec::with_capacity(n);
             for _ in 0..n {
-                let item = Item::decode(&mut r)?;
-                let kind = StoreKind::decode(&mut r)?;
-                let received_at = SimTime::from_secs(r.get_varint()?);
-                items.push((item, kind, received_at));
+                items.push(decode_item_record(&mut r)?);
             }
-            let fifo = Vec::<ItemId>::decode(&mut r)?;
+            let relay_fifo = Vec::<ItemId>::decode(&mut r)?;
             if r.remaining() != 0 {
                 return Err(WireError::TrailingBytes(r.remaining()));
             }
-            Ok(Replica::from_parts(
+            Ok(Replica::from_parts(ReplicaParts {
                 id,
                 filter,
                 knowledge,
@@ -143,8 +178,8 @@ impl Replica {
                 next_version_counter,
                 relay_limit,
                 items,
-                fifo,
-            ))
+                relay_fifo,
+            }))
         })()
         .map_err(|e| match e {
             // The trailing-bytes check is the last step above, so this

@@ -54,6 +54,25 @@ pub(crate) struct StoredItem {
     pub item: Item,
     pub kind: StoreKind,
     pub received_at: SimTime,
+    /// The store's write clock when this copy was last written (see
+    /// [`ItemStore::write_clock`]).
+    pub stamp: u64,
+}
+
+/// A stored item lent out mutably together with what a write to it must
+/// stamp (see [`ItemStore::slot`]).
+pub(crate) struct Slot<'a> {
+    pub item: &'a mut Item,
+    stamp: &'a mut u64,
+    clock: &'a mut u64,
+}
+
+impl Slot<'_> {
+    /// Records that the lent item is about to be written.
+    pub fn stamp_write(&mut self) {
+        *self.clock += 1;
+        *self.stamp = *self.clock;
+    }
 }
 
 /// The store: all items held by one replica, with relay FIFO accounting.
@@ -69,6 +88,13 @@ pub(crate) struct ItemStore {
     /// Maintained by [`ItemStore::put`] / [`ItemStore::remove`], which every
     /// mutation path funnels through.
     version_index: BTreeMap<ReplicaId, BTreeMap<u64, ItemId>>,
+    /// Counts writes to the store: every put, removal and in-place item
+    /// write bumps it, and a written item keeps the new value as its
+    /// stamp. A persistence layer that remembers the clock it last saw
+    /// finds what changed since by integer compares, without this store
+    /// keeping any log. Starts over with each store, so it only orders
+    /// writes to this one.
+    clock: u64,
 }
 
 impl ItemStore {
@@ -80,8 +106,20 @@ impl ItemStore {
         self.items.get(&id)
     }
 
-    pub fn get_mut(&mut self, id: ItemId) -> Option<&mut StoredItem> {
-        self.items.get_mut(&id)
+    /// Lends `id`'s item mutably without counting a write; the borrower
+    /// calls [`Slot::stamp_write`] if and when it writes.
+    pub fn slot(&mut self, id: ItemId) -> Option<Slot<'_>> {
+        let stored = self.items.get_mut(&id)?;
+        Some(Slot {
+            item: &mut stored.item,
+            stamp: &mut stored.stamp,
+            clock: &mut self.clock,
+        })
+    }
+
+    /// The current value of the write clock.
+    pub fn write_clock(&self) -> u64 {
+        self.clock
     }
 
     pub fn contains(&self, id: ItemId) -> bool {
@@ -116,12 +154,14 @@ impl ItemStore {
             (true, false) => self.remove_from_fifo(id),
             _ => {}
         }
+        self.clock += 1;
         let replaced = self.items.insert(
             id,
             StoredItem {
                 item,
                 kind,
                 received_at,
+                stamp: self.clock,
             },
         );
         if let Some(old) = replaced {
@@ -139,6 +179,7 @@ impl ItemStore {
     pub fn remove(&mut self, id: ItemId) -> Option<StoredItem> {
         let removed = self.items.remove(&id);
         if let Some(stored) = &removed {
+            self.clock += 1;
             if stored.kind == StoreKind::Relay {
                 self.remove_from_fifo(id);
             }
@@ -245,8 +286,8 @@ impl ItemStore {
     }
 
     /// The relay FIFO order, oldest first (snapshot support).
-    pub fn relay_fifo_order(&self) -> Vec<ItemId> {
-        self.relay_fifo.iter().copied().collect()
+    pub fn relay_fifo(&self) -> impl ExactSizeIterator<Item = ItemId> + '_ {
+        self.relay_fifo.iter().copied()
     }
 
     /// Rebuilds a store from snapshot parts. Relay items listed in
@@ -388,6 +429,34 @@ mod tests {
         s.reclassify(me, &f);
         assert!(s.iter().all(|st| st.kind == StoreKind::InFilter));
         assert_eq!(s.relay_load(), 0);
+    }
+
+    #[test]
+    fn the_write_clock_counts_writes_not_loans() {
+        let mut s = ItemStore::new();
+        let (a, b) = (ItemId::new(rid(2), 1), ItemId::new(rid(3), 1));
+        s.put(item(2, 1, "x"), StoreKind::Relay, SimTime::ZERO);
+        s.put(item(3, 1, "x"), StoreKind::Relay, SimTime::ZERO);
+        assert_eq!(s.write_clock(), 2);
+        assert_eq!((s.get(a).unwrap().stamp, s.get(b).unwrap().stamp), (1, 2));
+
+        // Lending an item mutably is not a write ...
+        let slot = s.slot(a).expect("stored");
+        assert_eq!(slot.item.id(), a);
+        assert_eq!(s.write_clock(), 2);
+        // ... until the borrower says it wrote.
+        let mut slot = s.slot(a).expect("stored");
+        slot.stamp_write();
+        slot.item.transient_mut().set("ttl", 3i64);
+        assert_eq!(s.write_clock(), 3);
+        assert_eq!((s.get(a).unwrap().stamp, s.get(b).unwrap().stamp), (3, 2));
+
+        // A removal leaves no item to stamp but still moves the clock.
+        s.remove(b);
+        assert_eq!(s.write_clock(), 4);
+        assert!(s.remove(b).is_none());
+        assert_eq!(s.write_clock(), 4, "removing nothing writes nothing");
+        assert!(s.slot(b).is_none());
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl fmt::Debug for HostContext<'_> {
 /// policy that same slot, so a verdict never looks the item up again.
 pub struct Candidate<'a> {
     host: ReplicaId,
-    item: &'a mut Item,
+    slot: crate::store::Slot<'a>,
 }
 
 impl Candidate<'_> {
@@ -262,7 +262,8 @@ impl Candidate<'_> {
     /// Sets a transient attribute on the stored copy without bumping its
     /// version (see [`Replica::set_transient`]).
     pub fn set_transient(&mut self, name: impl Into<IStr>, value: impl Into<crate::Value>) {
-        self.item.transient_mut().set(name, value);
+        self.slot.stamp_write();
+        self.slot.item.transient_mut().set(name, value);
     }
 }
 
@@ -270,7 +271,7 @@ impl std::ops::Deref for Candidate<'_> {
     type Target = Item;
 
     fn deref(&self) -> &Item {
-        self.item
+        self.slot.item
     }
 }
 
@@ -278,7 +279,7 @@ impl fmt::Debug for Candidate<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Candidate")
             .field("host", &self.host)
-            .field("item", &self.item.id())
+            .field("item", &self.slot.item.id())
             .finish()
     }
 }
@@ -568,12 +569,12 @@ pub fn prepare_batch(
         // One store lookup per candidate: the slot answers the filter
         // match and the payload length the byte-budget cut needs later,
         // and is then lent to the policy for its verdict.
-        let Some(item) = cx.replica.stored_item_mut(id) else {
+        let Some(slot) = cx.replica.candidate_slot(id) else {
             withheld += 1;
             continue;
         };
-        let payload_len = item.payload().len();
-        if request.filter.matches(item) {
+        let payload_len = slot.item.payload().len();
+        if request.filter.matches(slot.item) {
             scratch
                 .selected
                 .push((id, Priority::highest(), true, payload_len));
@@ -581,7 +582,7 @@ pub fn prepare_batch(
         }
         let mut candidate = Candidate {
             host: source_id,
-            item,
+            slot,
         };
         let verdict = ext.to_send(&mut candidate, request).priority();
         cx.replica.observer().emit(|| Event::PolicyDecision {

@@ -150,7 +150,9 @@ impl Writer {
         }
     }
 
-    fn put_slice(&mut self, bytes: &[u8]) {
+    /// Writes raw bytes with no length prefix (the caller's framing says
+    /// where they end).
+    pub fn put_slice(&mut self, bytes: &[u8]) {
         match &mut self.counted {
             Some(n) => *n += bytes.len(),
             None => self.buf.put_slice(bytes),

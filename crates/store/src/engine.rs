@@ -8,10 +8,11 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use obs::{Event, Obs};
+use pfr::wire::Writer;
 
 use crate::checkpoint::{self, CheckpointFault};
 use crate::layout;
-use crate::record::{self, Record, RecordScratch};
+use crate::record::{self, Batch, Op, OpRef, Record};
 use crate::StoreError;
 
 /// Tuning knobs for a [`Store`].
@@ -83,7 +84,8 @@ pub struct Store {
     wal_bytes: u64,
     last_checkpoint_bytes: u64,
     recovery: RecoveryReport,
-    scratch: RecordScratch,
+    /// The framed bytes of the append in progress (capacity reused).
+    frame: Writer,
 }
 
 impl Store {
@@ -152,7 +154,7 @@ impl Store {
             report.wal_segments += 1;
             report.wal_records += scan.records.len() as u64;
             for (_, rec) in scan.records {
-                apply(&mut map, rec);
+                replay(&mut map, rec);
             }
             if scan.valid_len < bytes.len() {
                 report.truncated_bytes += (bytes.len() - scan.valid_len) as u64;
@@ -211,7 +213,7 @@ impl Store {
             wal_bytes,
             last_checkpoint_bytes,
             recovery: report,
-            scratch: RecordScratch::default(),
+            frame: Writer::new(),
         })
     }
 
@@ -250,6 +252,11 @@ impl Store {
         self.map.keys().map(Vec::as_slice)
     }
 
+    /// All bindings, sorted by key.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.map.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
+    }
+
     /// Number of live bindings.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -268,10 +275,10 @@ impl Store {
     ///
     /// [`StoreError::Io`]; on error the in-memory map is unchanged.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.append(Record::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        })
+        let op = OpRef::Put { key, value };
+        self.frame.clear();
+        record::frame_op(&mut self.frame, op);
+        self.append(std::iter::once(op))
     }
 
     /// Durably removes `key`'s binding. A no-op record is still written
@@ -281,23 +288,49 @@ impl Store {
     ///
     /// [`StoreError::Io`]; on error the in-memory map is unchanged.
     pub fn delete(&mut self, key: &[u8]) -> Result<(), StoreError> {
-        self.append(Record::Delete { key: key.to_vec() })
+        let op = OpRef::Delete { key };
+        self.frame.clear();
+        record::frame_op(&mut self.frame, op);
+        self.append(std::iter::once(op))
     }
 
-    fn append(&mut self, rec: Record) -> Result<(), StoreError> {
-        let bytes = rec.encode_into(&mut self.scratch);
-        let path = layout::wal_path(&self.dir, self.active_seq);
+    /// Durably applies `batches` in order: each non-empty batch is one
+    /// WAL record — all of its ops reach the map, or after a crash none
+    /// do — and the whole group costs one `write`, at most one fsync and
+    /// one [`Event::WalAppend`]. Recovery keeps a prefix of the group's
+    /// records, so put last what may be lost alone. Nothing staged means
+    /// nothing written. May trigger compaction.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`]; on error the in-memory map is unchanged.
+    pub fn commit(&mut self, batches: &[&Batch]) -> Result<(), StoreError> {
+        self.frame.clear();
+        for batch in batches.iter().filter(|b| !b.is_empty()) {
+            record::frame_batch(&mut self.frame, batch);
+        }
+        if self.frame.is_empty() {
+            return Ok(());
+        }
+        self.append(batches.iter().flat_map(|b| b.ops()))
+    }
+
+    /// Appends the framed bytes in `self.frame`, then applies `ops` (what
+    /// those bytes encode) to the map.
+    fn append<'a>(&mut self, ops: impl Iterator<Item = OpRef<'a>>) -> Result<(), StoreError> {
+        let bytes = self.frame.as_slice();
+        let wal_error = |op, e| StoreError::io(op, layout::wal_path(&self.dir, self.active_seq), e);
         self.wal
             .write_all(bytes)
-            .map_err(|e| StoreError::io("append", &path, e))?;
+            .map_err(|e| wal_error("append", e))?;
         if self.config.fsync {
-            self.wal
-                .sync_data()
-                .map_err(|e| StoreError::io("fsync", &path, e))?;
+            self.wal.sync_data().map_err(|e| wal_error("fsync", e))?;
         }
         let len = bytes.len() as u64;
         self.wal_bytes += len;
-        apply(&mut self.map, rec);
+        for op in ops {
+            apply(&mut self.map, op);
+        }
         let (fsync, total) = (self.config.fsync, self.wal_bytes);
         self.obs.emit(|| Event::WalAppend {
             bytes: len,
@@ -322,10 +355,9 @@ impl Store {
     ///
     /// [`StoreError::Io`].
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        let path = layout::wal_path(&self.dir, self.active_seq);
         self.wal
             .sync_data()
-            .map_err(|e| StoreError::io("fsync", &path, e))
+            .map_err(|e| StoreError::io("fsync", layout::wal_path(&self.dir, self.active_seq), e))
     }
 
     /// Writes a checkpoint of the current state, rotates to a fresh WAL
@@ -391,13 +423,38 @@ impl Store {
     }
 }
 
-fn apply(map: &mut BTreeMap<Vec<u8>, Vec<u8>>, rec: Record) {
-    match rec {
-        Record::Put { key, value } => {
+/// Applies a recovered record, moving its owned keys and values in.
+fn replay(map: &mut BTreeMap<Vec<u8>, Vec<u8>>, rec: Record) {
+    let mut one = |op| match op {
+        Op::Put { key, value } => {
             map.insert(key, value);
         }
-        Record::Delete { key } => {
+        Op::Delete { key } => {
             map.remove(&key);
+        }
+    };
+    match rec {
+        Record::Put { key, value } => one(Op::Put { key, value }),
+        Record::Delete { key } => one(Op::Delete { key }),
+        Record::Batch(ops) => ops.into_iter().for_each(one),
+    }
+}
+
+/// Applies a just-appended op: the one copy out of the caller's slices,
+/// into the existing value's buffer when the key is already bound.
+fn apply(map: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: OpRef<'_>) {
+    match op {
+        OpRef::Put { key, value } => match map.get_mut(key) {
+            Some(bound) => {
+                bound.clear();
+                bound.extend_from_slice(value);
+            }
+            None => {
+                map.insert(key.to_vec(), value.to_vec());
+            }
+        },
+        OpRef::Delete { key } => {
+            map.remove(key);
         }
     }
 }
@@ -445,6 +502,50 @@ mod tests {
         assert_eq!(s.get(b"b"), None, "delete replayed");
         assert_eq!(s.recovery().wal_records, 4);
         assert_eq!(s.recovery().checkpoint_seq, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_commit_is_one_append_of_atomic_batches() {
+        let dir = tmp_dir("commit");
+        let sink = std::sync::Arc::new(obs::MemorySink::unbounded());
+        let (mut state, mut stamp) = (Batch::new(), Batch::new());
+        {
+            let mut s =
+                Store::open_with(&dir, StoreConfig::default(), Obs::new(sink.clone())).unwrap();
+            s.put(b"gone", b"soon").unwrap();
+            sink.take();
+            let before = s.wal_bytes();
+            s.commit(&[&state, &stamp]).unwrap();
+            assert_eq!(s.wal_bytes(), before, "nothing staged, nothing appended");
+            assert!(sink.take().is_empty());
+
+            state.put(b"a", b"1");
+            state.delete(b"gone");
+            state.put(b"a", b"2");
+            stamp.put(b"at", b"9");
+            s.commit(&[&state, &stamp]).unwrap();
+            assert_eq!(s.get(b"a"), Some(&b"2"[..]), "ops apply in order");
+            assert!(!s.contains(b"gone"));
+            let appends = sink.take();
+            assert_eq!(appends.len(), 1, "one WalAppend for the group: {appends:?}");
+        }
+        // Tear the trailing record: the group's first batch stands whole.
+        let wal = layout::wal_path(&dir, 1);
+        let bytes = std::fs::read(&wal).unwrap();
+        std::fs::write(&wal, &bytes[..bytes.len() - 1]).unwrap();
+        {
+            let s = Store::open(&dir).unwrap();
+            assert_eq!(s.recovery().wal_records, 2);
+            assert_eq!(s.get(b"a"), Some(&b"2"[..]));
+            assert!(!s.contains(b"gone") && !s.contains(b"at"));
+        }
+        // Tear into the first batch: none of its ops survive.
+        std::fs::write(&wal, &bytes[..bytes.len() - 20]).unwrap();
+        let s = Store::open(&dir).unwrap();
+        assert_eq!(s.recovery().wal_records, 1);
+        assert_eq!(s.get(b"gone"), Some(&b"soon"[..]));
+        assert!(!s.contains(b"a"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

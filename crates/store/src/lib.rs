@@ -7,7 +7,8 @@
 //! subsystem: a dependency-free log-structured store mapping byte keys to
 //! byte values, built from three pieces:
 //!
-//! * **Write-ahead log** ([`record`]) — every mutation is appended to the
+//! * **Write-ahead log** ([`record`]) — every mutation, or every
+//!   [`Batch`] of them handed to [`Store::commit`], is appended to the
 //!   active `wal-<seq>.log` segment as one length-prefixed, CRC-32-checked
 //!   record (the same varint/TLV style as the sync wire codec) and
 //!   optionally fsynced before the call returns.
@@ -24,8 +25,9 @@
 //!   record is never applied.
 //!
 //! Duplicate replay is harmless by construction: records are whole-value
-//! puts and deletes, so applying a prefix of the log twice converges to
-//! the same map (last-writer-wins per key).
+//! puts and deletes (a batch is several under one checksum), so applying
+//! a prefix of the log twice converges to the same map (last-writer-wins
+//! per key).
 //!
 //! Progress is observable through `obs`: [`obs::Event::WalAppend`],
 //! [`obs::Event::CheckpointWritten`], and [`obs::Event::StoreRecovered`]
@@ -60,7 +62,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 pub use engine::{RecoveryReport, Store, StoreConfig};
-pub use record::Record;
+pub use record::{Batch, Record};
 pub use spill::{SpillFile, SpillSlot};
 
 /// Errors from the storage engine. Corrupt *data* is not an error — it is

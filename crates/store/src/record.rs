@@ -6,27 +6,33 @@
 //! +----------------+-----------------------+----------------+
 //! | varint len(n)  |  body (n bytes)       | crc32(body) LE |
 //! +----------------+-----------------------+----------------+
-//! body := 0x01 · varint(klen) · key · varint(vlen) · value   (Put)
+//! body := op                                  (one mutation)
+//!       | 0x03 · varint(count) · op × count   (Batch)
+//! op   := 0x01 · varint(klen) · key · varint(vlen) · value   (Put)
 //!       | 0x02 · varint(klen) · key                          (Delete)
 //! ```
 //!
 //! reusing the wire codec's varint framing ([`pfr::wire`]). The checksum
 //! covers the body; a corrupted length prefix makes the body read overrun
 //! or misalign, which the checksum then catches — either way the record
-//! is rejected as a unit, never half-applied.
+//! is rejected as a unit, never half-applied. A batch is one record, so
+//! its ops reach the map together or not at all.
 
 use std::ops::Range;
 
-use pfr::wire::{Reader, Writer};
+use pfr::wire::{varint_len, Reader, WireError, Writer};
 
 use crate::crc::crc32;
 
 const TAG_PUT: u8 = 1;
 const TAG_DELETE: u8 = 2;
+const TAG_BATCH: u8 = 3;
+/// The shortest op: a delete of the empty key (tag + zero length).
+const MIN_OP_BYTES: usize = 2;
 
-/// One durable mutation.
+/// One mutation of the map.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Record {
+pub enum Op {
     /// Bind `key` to `value` (replacing any previous binding).
     Put {
         /// The key.
@@ -41,51 +47,179 @@ pub enum Record {
     },
 }
 
-impl Record {
-    /// The key this record mutates.
-    pub fn key(&self) -> &[u8] {
+/// One durable record: a mutation, or a batch of them applied as a unit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Record {
+    /// Bind `key` to `value` (replacing any previous binding).
+    Put {
+        /// The key.
+        key: Vec<u8>,
+        /// The full new value.
+        value: Vec<u8>,
+    },
+    /// Remove `key`'s binding, if any.
+    Delete {
+        /// The key.
+        key: Vec<u8>,
+    },
+    /// Mutations applied in order, all or none.
+    Batch(Vec<Op>),
+}
+
+/// A mutation borrowed from the bytes that encode it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum OpRef<'a> {
+    Put { key: &'a [u8], value: &'a [u8] },
+    Delete { key: &'a [u8] },
+}
+
+impl OpRef<'_> {
+    fn encoded_len(&self) -> usize {
+        let bytes = |b: &[u8]| varint_len(b.len() as u64) + b.len();
         match self {
-            Record::Put { key, .. } | Record::Delete { key } => key,
+            OpRef::Put { key, value } => 1 + bytes(key) + bytes(value),
+            OpRef::Delete { key } => 1 + bytes(key),
         }
     }
 
-    /// Encodes the record as one framed WAL entry.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut scratch = RecordScratch::default();
-        self.encode_into(&mut scratch).to_vec()
+    fn write(&self, w: &mut Writer) {
+        match self {
+            OpRef::Put { key, value } => {
+                w.put_u8(TAG_PUT);
+                w.put_bytes(key);
+                w.put_bytes(value);
+            }
+            OpRef::Delete { key } => {
+                w.put_u8(TAG_DELETE);
+                w.put_bytes(key);
+            }
+        }
     }
 
-    /// Encodes the record into caller-held scratch buffers and returns the
-    /// framed bytes, byte-identical to [`Record::encode`]. Steady-state
-    /// appends that reuse one scratch allocate nothing per record.
-    pub fn encode_into<'a>(&self, scratch: &'a mut RecordScratch) -> &'a [u8] {
-        scratch.body.clear();
+    fn read<'a>(r: &mut Reader<'a>) -> Result<OpRef<'a>, WireError> {
+        match r.get_u8()? {
+            TAG_PUT => Ok(OpRef::Put {
+                key: r.get_bytes()?,
+                value: r.get_bytes()?,
+            }),
+            TAG_DELETE => Ok(OpRef::Delete {
+                key: r.get_bytes()?,
+            }),
+            tag => Err(WireError::InvalidTag { what: "Op", tag }),
+        }
+    }
+
+    fn to_op(self) -> Op {
         match self {
-            Record::Put { key, value } => {
-                scratch.body.put_u8(TAG_PUT);
-                scratch.body.put_bytes(key);
-                scratch.body.put_bytes(value);
-            }
-            Record::Delete { key } => {
-                scratch.body.put_u8(TAG_DELETE);
-                scratch.body.put_bytes(key);
-            }
+            OpRef::Put { key, value } => Op::Put {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+            OpRef::Delete { key } => Op::Delete { key: key.to_vec() },
         }
-        let body = scratch.body.as_slice();
-        scratch.frame.clear();
-        scratch.frame.put_bytes(body);
-        for b in crc32(body).to_le_bytes() {
-            scratch.frame.put_u8(b);
-        }
-        scratch.frame.as_slice()
     }
 }
 
-/// Reusable encode buffers for WAL appends (see [`Record::encode_into`]).
+impl Op {
+    fn as_ref(&self) -> OpRef<'_> {
+        match self {
+            Op::Put { key, value } => OpRef::Put { key, value },
+            Op::Delete { key } => OpRef::Delete { key },
+        }
+    }
+}
+
+/// Mutations staged for one atomic record (see [`crate::Store::commit`]).
+/// Ops are encoded as they are staged, from borrowed slices; a cleared
+/// batch keeps its buffer, so a caller that reuses one allocates nothing
+/// in the steady state.
 #[derive(Debug, Default)]
-pub struct RecordScratch {
-    body: Writer,
-    frame: Writer,
+pub struct Batch {
+    ops: Writer,
+    count: u64,
+}
+
+impl Batch {
+    /// An empty batch.
+    pub fn new() -> Batch {
+        Batch::default()
+    }
+
+    /// Empties the batch, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+        self.count = 0;
+    }
+
+    /// Stages binding `key` to `value`.
+    pub fn put(&mut self, key: &[u8], value: &[u8]) {
+        OpRef::Put { key, value }.write(&mut self.ops);
+        self.count += 1;
+    }
+
+    /// Stages removing `key`'s binding.
+    pub fn delete(&mut self, key: &[u8]) {
+        OpRef::Delete { key }.write(&mut self.ops);
+        self.count += 1;
+    }
+
+    /// Whether nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The staged ops in order.
+    pub(crate) fn ops(&self) -> impl Iterator<Item = OpRef<'_>> {
+        let mut r = Reader::new(self.ops.as_slice());
+        // The bytes are this batch's own encoding, so they always parse.
+        std::iter::from_fn(move || OpRef::read(&mut r).ok())
+    }
+}
+
+/// Appends one framed record to `w`: the length prefix, the `body_len`
+/// bytes `body` writes, and their checksum.
+fn frame(w: &mut Writer, body_len: usize, body: impl FnOnce(&mut Writer)) {
+    w.put_varint(body_len as u64);
+    let start = w.len();
+    body(w);
+    debug_assert_eq!(w.len() - start, body_len);
+    let crc = crc32(&w.as_slice()[start..]);
+    w.put_slice(&crc.to_le_bytes());
+}
+
+/// Appends `op` to `w` as one framed record.
+pub(crate) fn frame_op(w: &mut Writer, op: OpRef<'_>) {
+    frame(w, op.encoded_len(), |w| op.write(w));
+}
+
+/// Appends `batch` to `w` as one framed record.
+pub(crate) fn frame_batch(w: &mut Writer, batch: &Batch) {
+    let ops = batch.ops.as_slice();
+    frame(w, 1 + varint_len(batch.count) + ops.len(), |w| {
+        w.put_u8(TAG_BATCH);
+        w.put_varint(batch.count);
+        w.put_slice(ops);
+    });
+}
+
+impl Record {
+    /// Encodes the record as one framed WAL entry.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        match self {
+            Record::Put { key, value } => frame_op(&mut w, OpRef::Put { key, value }),
+            Record::Delete { key } => frame_op(&mut w, OpRef::Delete { key }),
+            Record::Batch(ops) => {
+                let mut batch = Batch::new();
+                for op in ops {
+                    op.as_ref().write(&mut batch.ops);
+                    batch.count += 1;
+                }
+                frame_batch(&mut w, &batch);
+            }
+        }
+        w.into_bytes()
+    }
 }
 
 /// Why a record failed to decode. The distinction only matters for
@@ -131,21 +265,34 @@ pub fn decode_one(r: &mut Reader<'_>) -> Result<Record, RecordFault> {
     if crc32(body) != u32::from_le_bytes(crc_bytes) {
         return Err(RecordFault::BadChecksum);
     }
-    let mut br = Reader::new(body);
-    let record = match br.get_u8().map_err(|_| RecordFault::BadBody)? {
-        TAG_PUT => Record::Put {
-            key: br.get_bytes().map_err(|_| RecordFault::BadBody)?.to_vec(),
-            value: br.get_bytes().map_err(|_| RecordFault::BadBody)?.to_vec(),
-        },
-        TAG_DELETE => Record::Delete {
-            key: br.get_bytes().map_err(|_| RecordFault::BadBody)?.to_vec(),
-        },
-        _ => return Err(RecordFault::BadBody),
-    };
-    if br.remaining() != 0 {
-        return Err(RecordFault::BadBody);
+    decode_body(body).map_err(|_| RecordFault::BadBody)
+}
+
+fn decode_body(body: &[u8]) -> Result<Record, WireError> {
+    let mut r = Reader::new(body);
+    let record = decode_ops(body.first() == Some(&TAG_BATCH), &mut r)?;
+    match r.remaining() {
+        0 => Ok(record),
+        n => Err(WireError::TrailingBytes(n)),
     }
-    Ok(record)
+}
+
+fn decode_ops(batch: bool, r: &mut Reader<'_>) -> Result<Record, WireError> {
+    if batch {
+        r.get_u8()?;
+        // Every op takes at least `MIN_OP_BYTES`, so a count the body
+        // cannot hold is refused before anything is allocated for it.
+        let count = r.get_len(MIN_OP_BYTES)?;
+        let mut ops = Vec::with_capacity(count);
+        for _ in 0..count {
+            ops.push(OpRef::read(r)?.to_op());
+        }
+        return Ok(Record::Batch(ops));
+    }
+    Ok(match OpRef::read(r)?.to_op() {
+        Op::Put { key, value } => Record::Put { key, value },
+        Op::Delete { key } => Record::Delete { key },
+    })
 }
 
 /// Scans a whole WAL segment, collecting the valid record prefix and
@@ -181,14 +328,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_put_and_delete() {
-        for record in [
+    fn samples() -> Vec<Record> {
+        vec![
             put(b"k", b"v"),
             put(b"", b""),
             put(b"key", &[0u8; 1000]),
             Record::Delete { key: b"k".to_vec() },
-        ] {
+            Record::Batch(vec![]),
+            Record::Batch(vec![
+                Op::Put {
+                    key: b"a".to_vec(),
+                    value: vec![7; 300],
+                },
+                Op::Delete { key: b"b".to_vec() },
+                Op::Delete { key: vec![] },
+            ]),
+        ]
+    }
+
+    #[test]
+    fn roundtrip_every_record_shape() {
+        for record in samples() {
             let bytes = record.encode();
             let mut r = Reader::new(&bytes);
             assert_eq!(decode_one(&mut r).unwrap(), record);
@@ -197,17 +357,50 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_is_byte_identical_across_reuse() {
-        let records = [
-            put(b"k", b"v"),
-            put(b"", b""),
-            put(b"key", &[0u8; 1000]),
-            Record::Delete { key: b"k".to_vec() },
-        ];
-        let mut scratch = RecordScratch::default();
-        for record in &records {
-            assert_eq!(record.encode_into(&mut scratch), record.encode());
+    fn staged_batches_frame_like_owned_ones_across_reuse() {
+        let mut batch = Batch::new();
+        let mut w = Writer::new();
+        for _ in 0..2 {
+            batch.clear();
+            batch.put(b"a", &[7; 300]);
+            batch.delete(b"b");
+            batch.delete(b"");
+            assert!(!batch.is_empty());
+            w.clear();
+            frame_batch(&mut w, &batch);
+            assert_eq!(w.as_slice(), samples()[5].encode());
+            let staged: Vec<Op> = batch.ops().map(OpRef::to_op).collect();
+            assert_eq!(Record::Batch(staged), samples()[5]);
         }
+    }
+
+    #[test]
+    fn a_batch_inside_a_batch_is_a_bad_body() {
+        let mut inner = Batch::new();
+        inner.put(b"k", b"v");
+        let mut nested = Writer::new();
+        frame(&mut nested, 2 + 1 + 1 + inner.ops.len(), |w| {
+            w.put_u8(TAG_BATCH);
+            w.put_varint(1);
+            w.put_u8(TAG_BATCH);
+            w.put_varint(1);
+            w.put_slice(inner.ops.as_slice());
+        });
+        let scan = scan(nested.as_slice());
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.fault, Some(RecordFault::BadBody));
+    }
+
+    #[test]
+    fn a_hostile_op_count_is_refused_before_allocating() {
+        let mut w = Writer::new();
+        frame(&mut w, 1 + varint_len(u64::MAX >> 1), |w| {
+            w.put_u8(TAG_BATCH);
+            w.put_varint(u64::MAX >> 1);
+        });
+        let scan = scan(w.as_slice());
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.fault, Some(RecordFault::BadBody));
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! WAL records round-trip exactly, and recovery under arbitrary tail
 //! damage never panics and never resurrects a half-written record —
 //! the recovered state is always the fold of a *prefix* of the
-//! operations that were applied.
+//! operations that were applied, where a committed batch counts as one
+//! operation: all of its puts and deletes, or none.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use store::record::{self, Record};
-use store::{Store, StoreConfig};
+use store::crc::crc32;
+use store::record::{self, Op, Record};
+use store::{Batch, Store, StoreConfig};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -25,14 +27,24 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 // Generators
 // ---------------------------------------------------------------------------
 
-fn arb_record() -> impl Strategy<Value = Record> {
+fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (
             proptest::collection::vec(any::<u8>(), 0..32),
             proptest::collection::vec(any::<u8>(), 0..128),
         )
-            .prop_map(|(key, value)| Record::Put { key, value }),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(|key| Record::Delete { key }),
+            .prop_map(|(key, value)| Op::Put { key, value }),
+        proptest::collection::vec(any::<u8>(), 0..32).prop_map(|key| Op::Delete { key }),
+    ]
+}
+
+fn arb_record() -> impl Strategy<Value = Record> {
+    prop_oneof![
+        arb_op().prop_map(|op| match op {
+            Op::Put { key, value } => Record::Put { key, value },
+            Op::Delete { key } => Record::Delete { key },
+        }),
+        proptest::collection::vec(arb_op(), 0..6).prop_map(Record::Batch),
     ]
 }
 
@@ -40,15 +52,41 @@ fn arb_log() -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(arb_record(), 0..20)
 }
 
-/// Ops phrased the way `Store` applies them, over a tiny key space so
-/// puts and deletes collide often.
-fn arb_ops() -> impl Strategy<Value = Vec<(bool, u8, u8)>> {
-    proptest::collection::vec((any::<bool>(), 0u8..4, any::<u8>()), 1..20)
+/// One put (`true`) or delete over a tiny key space, so they collide.
+type KeyOp = (bool, u8, u8);
+
+/// Appends phrased the way `Store` applies them: each entry is one
+/// record — a lone put or delete, or (two ops and up) a committed batch.
+fn arb_ops() -> impl Strategy<Value = Vec<Vec<KeyOp>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((any::<bool>(), 0u8..4, any::<u8>()), 1..5),
+        1..20,
+    )
 }
 
-fn fold_ops(ops: &[(bool, u8, u8)]) -> BTreeMap<Vec<u8>, Vec<u8>> {
+fn apply_ops(s: &mut Store, appends: &[Vec<KeyOp>]) {
+    for ops in appends {
+        match ops[..] {
+            [(true, key, value)] => s.put(&[key], &[value]).expect("put"),
+            [(false, key, _)] => s.delete(&[key]).expect("delete"),
+            _ => {
+                let mut batch = Batch::new();
+                for &(is_put, key, value) in ops {
+                    if is_put {
+                        batch.put(&[key], &[value]);
+                    } else {
+                        batch.delete(&[key]);
+                    }
+                }
+                s.commit(&[&batch]).expect("commit");
+            }
+        }
+    }
+}
+
+fn fold_ops(appends: &[Vec<KeyOp>]) -> BTreeMap<Vec<u8>, Vec<u8>> {
     let mut map = BTreeMap::new();
-    for &(is_put, key, value) in ops {
+    for &(is_put, key, value) in appends.iter().flatten() {
         if is_put {
             map.insert(vec![key], vec![value]);
         } else {
@@ -56,6 +94,22 @@ fn fold_ops(ops: &[(bool, u8, u8)]) -> BTreeMap<Vec<u8>, Vec<u8>> {
         }
     }
     map
+}
+
+/// Byte-at-a-time CRC-32, the definition `store::crc` must agree with.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
 }
 
 fn store_state(s: &Store) -> BTreeMap<Vec<u8>, Vec<u8>> {
@@ -125,6 +179,59 @@ proptest! {
         }
     }
 
+    /// A batch is rejected as a unit: cut it or flip a bit of it at any
+    /// offset and the scan returns exactly the records before it —
+    /// neither the batch, nor some of its ops, nor anything after it.
+    #[test]
+    fn a_damaged_batch_drops_whole_with_everything_after_it(
+        before in arb_log(),
+        ops in proptest::collection::vec(arb_op(), 1..6),
+        after in arb_log(),
+        mask in 1u8..=255,
+    ) {
+        let encode = |records: &[Record]| -> Vec<u8> {
+            records.iter().flat_map(Record::encode).collect()
+        };
+        let head = encode(&before);
+        let batch = Record::Batch(ops).encode();
+        let tail = encode(&after);
+        for offset in 0..batch.len() {
+            let mut torn = head.clone();
+            torn.extend_from_slice(&batch[..offset]);
+            let scan = record::scan(&torn);
+            prop_assert_eq!(scan.valid_len, head.len(), "cut at {}", offset);
+            prop_assert_eq!(scan.records.len(), before.len());
+
+            let mut flipped = batch.clone();
+            flipped[offset] ^= mask;
+            let mut log = head.clone();
+            log.extend_from_slice(&flipped);
+            log.extend_from_slice(&tail);
+            let scan = record::scan(&log);
+            prop_assert_eq!(scan.valid_len, head.len(), "flip at {}", offset);
+            prop_assert_eq!(scan.records.len(), before.len());
+        }
+    }
+
+    /// Random bytes never make `scan` panic or claim more than it read.
+    #[test]
+    fn scan_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let scan = record::scan(&bytes);
+        prop_assert!(scan.valid_len <= bytes.len());
+        prop_assert_eq!(scan.fault.is_none(), scan.valid_len == bytes.len());
+    }
+
+    /// The sliced checksum is the bytewise one, whatever the length and
+    /// wherever in memory the slice starts.
+    #[test]
+    fn crc32_matches_the_bytewise_definition(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        skip in 0usize..9,
+    ) {
+        let bytes = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+    }
+
     /// Arbitrary garbage appended after valid records never extends the
     /// decoded log past the valid prefix... unless it happens to *be* a
     /// valid record, which the checksum makes vanishingly unlikely for
@@ -169,13 +276,7 @@ proptest! {
                 StoreConfig { fsync: false, ..StoreConfig::default() },
                 obs::Obs::none(),
             ).expect("open");
-            for &(is_put, key, value) in &ops {
-                if is_put {
-                    s.put(&[key], &[value]).expect("put");
-                } else {
-                    s.delete(&[key]).expect("delete");
-                }
-            }
+            apply_ops(&mut s, &ops);
             s.sync().expect("sync");
         }
 
@@ -228,15 +329,9 @@ proptest! {
                 StoreConfig { fsync: false, ..StoreConfig::default() },
                 obs::Obs::none(),
             ).expect("open");
-            for &(is_put, key, value) in &before {
-                if is_put { s.put(&[key], &[value]).expect("put"); }
-                else { s.delete(&[key]).expect("delete"); }
-            }
+            apply_ops(&mut s, &before);
             s.checkpoint().expect("checkpoint");
-            for &(is_put, key, value) in &after {
-                if is_put { s.put(&[key], &[value]).expect("put"); }
-                else { s.delete(&[key]).expect("delete"); }
-            }
+            apply_ops(&mut s, &after);
             s.sync().expect("sync");
         }
         // Obliterate the post-checkpoint WAL segment entirely.
@@ -244,6 +339,35 @@ proptest! {
 
         let s = Store::open(&dir).expect("recovery");
         prop_assert_eq!(store_state(&s), fold_ops(&before));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A crash between a retried write and its bookkeeping leaves the
+    /// last record in the log twice. Whatever it was — a batch with
+    /// deletes included — replaying it again changes nothing.
+    #[test]
+    fn a_duplicated_last_record_replays_idempotently(ops in arb_ops()) {
+        let dir = tmp_dir("dup");
+        {
+            let mut s = Store::open_with(
+                &dir,
+                StoreConfig { fsync: false, ..StoreConfig::default() },
+                obs::Obs::none(),
+            ).expect("open");
+            apply_ops(&mut s, &ops);
+            s.sync().expect("sync");
+        }
+        let wal = store::layout::wal_path(&dir, 1);
+        let mut bytes = std::fs::read(&wal).expect("read wal");
+        let scan = record::scan(&bytes);
+        prop_assert_eq!(scan.records.len(), ops.len());
+        let (last, _) = scan.records.last().expect("ops is not empty").clone();
+        bytes.extend_from_within(last);
+        std::fs::write(&wal, &bytes).expect("write wal");
+
+        let recovered = Store::open(&dir).expect("recovery");
+        prop_assert_eq!(recovered.recovery().wal_records, ops.len() as u64 + 1);
+        prop_assert_eq!(store_state(&recovered), fold_ops(&ops));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }
