@@ -47,6 +47,42 @@ fn bench_knowledge_codec(c: &mut Criterion) {
     });
 }
 
+/// Knowledge of `entries` entries, a third of them vector entries and
+/// the rest exceptions — the sizes the ledger reports as
+/// `pfr.knowledge_entries_mean` (26 / 74 / 145) and one past a block
+/// split of the decoded arrays (4,096).
+fn sized_knowledge(entries: u64) -> Knowledge {
+    let origins = (entries / 3).max(1);
+    let mut k = Knowledge::new();
+    for r in 1..=origins {
+        k.insert_prefix(ReplicaId::new(r), 10);
+    }
+    for i in 0..entries - origins {
+        k.insert(Version::new(
+            ReplicaId::new(1 + i % origins),
+            12 + 4 * (i / origins),
+        ));
+    }
+    k
+}
+
+fn bench_sized_knowledge_codec(c: &mut Criterion) {
+    for entries in [26u64, 74, 145, 4096] {
+        let k = sized_knowledge(entries);
+        let bytes = to_bytes(&k);
+        println!(
+            "encoded knowledge ({entries} entries): {} bytes",
+            bytes.len()
+        );
+        c.bench_function(&format!("codec/knowledge_{entries}_encode"), |b| {
+            b.iter(|| black_box(to_bytes(&k)))
+        });
+        c.bench_function(&format!("codec/knowledge_{entries}_decode"), |b| {
+            b.iter(|| black_box(from_bytes::<Knowledge>(&bytes).expect("decode")))
+        });
+    }
+}
+
 fn bench_item_codec(c: &mut Criterion) {
     let item = sample_item();
     let bytes = to_bytes(&item);
@@ -94,6 +130,9 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_knowledge_codec, bench_item_codec, bench_filter_codec
+    targets = bench_knowledge_codec,
+    bench_sized_knowledge_codec,
+    bench_item_codec,
+    bench_filter_codec
 }
 criterion_main!(benches);

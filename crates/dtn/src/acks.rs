@@ -120,6 +120,48 @@ mod tests {
             prop_assert!(bytes.len() <= 2 + 2 * ids.len());
         }
 
+        /// A peer need not send its set sorted or compact: prefixes and
+        /// single ids in any order, repeated, overlapping, in runs right
+        /// above a prefix. The decoder builds from all of them at once and
+        /// must hold exactly the ids a one-by-one build holds — and then
+        /// merge like any other set, learning exactly what was new.
+        #[test]
+        fn decode_accepts_any_order_and_overlap(
+            prefixes in proptest::collection::vec((1u64..6, 0u64..12), 0..8),
+            singles in proptest::collection::vec((1u64..6, 0u64..40), 0..60),
+            descending in any::<bool>(),
+            ours in arb_ids(),
+        ) {
+            let (mut prefixes, mut singles) = (prefixes, singles);
+            if descending {
+                prefixes.sort_unstable_by(|a, b| b.cmp(a));
+                singles.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            let mut w = Writer::new();
+            let mut model = BTreeSet::new();
+            for list in [&prefixes, &singles] {
+                w.put_varint(list.len() as u64);
+                for &(origin, seq) in list {
+                    w.put_varint(origin);
+                    w.put_varint(seq);
+                }
+            }
+            for &(origin, upto) in &prefixes {
+                model.extend((1..=upto).map(|seq| ItemId::new(ReplicaId::new(origin), seq)));
+            }
+            model.extend(
+                singles.iter().filter(|&&(_, seq)| seq != 0)
+                    .map(|&(origin, seq)| ItemId::new(ReplicaId::new(origin), seq)),
+            );
+            let decoded = AckSet::decode(&mut Reader::new(w.as_slice())).expect("well-formed");
+            prop_assert_eq!(&decoded, &acks(&model), "one set, one representation");
+            prop_assert_eq!(decoded.len(), model.len() as u64);
+
+            let mut merged = acks(&ours);
+            prop_assert_eq!(merged.merge(&decoded), !model.is_subset(&ours));
+            prop_assert_eq!(merged, acks(&ours.union(&model).copied().collect()));
+        }
+
         /// Bytes from a peer — any bytes — decode to an error or to a set;
         /// they never panic, and what they may allocate is bounded by
         /// their own length: every id a decoded set can enumerate beyond

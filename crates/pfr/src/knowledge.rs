@@ -6,12 +6,12 @@
 //! version contained in its knowledge, which yields *at-most-once delivery*
 //! for free (paper §II-B, §III).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::id::{ReplicaId, Version};
+use crate::ordered::{Cursor, OrdMap};
 
 /// Receives every change to a [`Knowledge`]'s entry set — one call per
 /// vector entry or exception added (`added`) or removed — so sums over
@@ -33,11 +33,11 @@ impl EntrySink for () {
 /// that **all** versions `1..=c` from that replica are known. Versions known
 /// out of order (because filtered replication delivers only a subset of each
 /// origin's writes) are tracked individually in the *exception* set and
-/// absorbed into the vector as gaps fill in. The exception set is ordered
-/// by origin first, so one origin's exceptions are a contiguous ascending
-/// range: sync candidate selection walks them in step with that origin's
-/// stored versions, and a prefix that swallows exceptions finds them
-/// without looking at any other origin's.
+/// absorbed into the vector as gaps fill in. Both are sorted arrays —
+/// the vector by replica, the exceptions by origin then counter, which is
+/// also their order on the wire and in snapshots — so a lookup is a binary
+/// search, a clone is two copies, and sync candidate selection steps
+/// through them in one pass beside the store's version index.
 ///
 /// The representation is therefore proportional to the number of replicas
 /// plus the number of out-of-order receipts — for full replication it
@@ -67,10 +67,10 @@ impl EntrySink for () {
 #[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Knowledge {
     /// replica -> highest prefix-complete counter (never 0).
-    vector: BTreeMap<ReplicaId, u64>,
+    vector: OrdMap<ReplicaId, u64>,
     /// Individually known `(origin, counter)`s, each more than one above
     /// its origin's vector entry.
-    exceptions: BTreeSet<(ReplicaId, u64)>,
+    exceptions: OrdMap<(ReplicaId, u64), ()>,
 }
 
 impl Knowledge {
@@ -79,10 +79,33 @@ impl Knowledge {
         Knowledge::default()
     }
 
+    /// The knowledge holding every prefix `1..=counter` in `prefixes` and
+    /// every single version in `singles`, given in any order and with any
+    /// repetition or overlap — what a decoder read from a frame or a
+    /// file. Lists exactly as an honest encoder writes them become the
+    /// two arrays as they are; anything else is sorted, unless already
+    /// ascending, and built in one pass.
+    pub(crate) fn from_entries(
+        mut prefixes: Vec<(ReplicaId, u64)>,
+        mut singles: Vec<(ReplicaId, u64)>,
+    ) -> Self {
+        if is_canonical(&prefixes, &singles) {
+            return Knowledge {
+                vector: OrdMap::from_ascending(prefixes),
+                exceptions: OrdMap::from_ascending(
+                    singles.into_iter().map(|version| (version, ())).collect(),
+                ),
+            };
+        }
+        sort_unless_ascending(&mut prefixes);
+        sort_unless_ascending(&mut singles);
+        canonical(prefixes.into_iter(), singles.into_iter())
+    }
+
     /// Returns `true` if `version` is known.
     pub fn contains(&self, version: Version) -> bool {
         let (replica, counter) = (version.replica(), version.counter());
-        counter <= self.base_counter(replica) || self.exceptions.contains(&(replica, counter))
+        counter <= self.base_counter(replica) || self.exceptions.get(&(replica, counter)).is_some()
     }
 
     /// The highest counter `c` for `replica` such that all of `1..=c` is
@@ -109,7 +132,7 @@ impl Knowledge {
         if counter.checked_sub(1) == Some(base) {
             self.raise(replica, counter, sink);
             true
-        } else if counter > base && self.exceptions.insert((replica, counter)) {
+        } else if counter > base && self.exceptions.insert((replica, counter), ()).is_none() {
             sink.entry(replica, counter, true, true);
             true
         } else {
@@ -119,8 +142,7 @@ impl Knowledge {
 
     /// Records that *all* versions `1..=counter` from `replica` are known.
     ///
-    /// This is how trusted checkpoints and decoded vector entries are
-    /// installed.
+    /// This is how trusted checkpoints are installed.
     pub fn insert_prefix(&mut self, replica: ReplicaId, counter: u64) {
         if counter > self.base_counter(replica) {
             self.raise(replica, counter, &mut ());
@@ -131,15 +153,15 @@ impl Knowledge {
     /// the exceptions it swallows and folds in the run adjacent to it.
     fn raise<S: EntrySink>(&mut self, replica: ReplicaId, counter: u64, sink: &mut S) {
         let mut base = counter;
-        while let Some(&(_, next)) = self
-            .exceptions
-            .range((replica, 0)..=(replica, base.saturating_add(1)))
-            .next()
-        {
-            self.exceptions.remove(&(replica, next));
-            sink.entry(replica, next, true, false);
-            base = base.max(next);
-        }
+        self.exceptions
+            .remove_run(&(replica, 0), |&(origin, next)| {
+                let swallowed = origin == replica && next <= base.saturating_add(1);
+                if swallowed {
+                    sink.entry(replica, next, true, false);
+                    base = base.max(next);
+                }
+                swallowed
+            });
         if let Some(old) = self.vector.insert(replica, base) {
             sink.entry(replica, old, false, false);
         }
@@ -150,60 +172,65 @@ impl Knowledge {
     /// returning whether anything new was learned.
     ///
     /// After merging, `self.contains(v)` holds exactly when either input
-    /// contained `v`. The cost is a lookup per vector entry of `other`
-    /// and a comparison per exception on either side: the two exception
-    /// sets share one order and are walked in step, so only what is
-    /// actually new is looked up and inserted.
+    /// contained `v`. Both sides are walked in step, once to find out
+    /// whether `other` holds anything new — most merges between
+    /// long-acquainted peers end there, having written nothing — and, if
+    /// so, once more to build the union.
     pub fn merge(&mut self, other: &Knowledge) -> bool {
-        let mut learned = false;
-        for (&replica, &counter) in &other.vector {
-            if counter > self.base_counter(replica) {
-                self.raise(replica, counter, &mut ());
-                learned = true;
-            }
+        if self.dominates(other) {
+            return false;
         }
-        let mut ours = self.exceptions.iter().peekable();
-        let news: Vec<(ReplicaId, u64)> = other
-            .exceptions
-            .iter()
-            .filter(|&theirs| {
-                while ours.next_if(|&held| held < theirs).is_some() {}
-                ours.peek() != Some(&theirs)
-            })
-            .copied()
-            .collect();
-        for (replica, counter) in news {
-            if counter > self.base_counter(replica) {
-                self.insert(Version::new(replica, counter));
-                learned = true;
-            }
-        }
-        learned
+        *self = canonical(
+            merge_ascending(self.vector.iter().copied(), other.vector.iter().copied()),
+            merge_ascending(self.exception_keys(), other.exception_keys()),
+        );
+        true
     }
 
     /// Returns `true` if every version in `other` is also in `self`.
     pub fn dominates(&self, other: &Knowledge) -> bool {
         // An exception never sits directly above its prefix, so only a
         // prefix can cover a prefix.
-        other
+        let mut prefixes = self.prefix_cursor();
+        let covers_prefixes = other
             .vector
             .iter()
-            .all(|(&r, &c)| c <= self.base_counter(r))
-            && other
-                .exceptions
-                .iter()
-                .all(|&(r, c)| self.contains(Version::new(r, c)))
+            .all(|(replica, counter)| prefixes.seek(replica).is_some_and(|base| counter <= base));
+        let mut prefixes = self.prefix_cursor();
+        let mut exceptions = self.exception_cursor();
+        covers_prefixes
+            && other.exceptions.iter().all(|(version, ())| {
+                exceptions.seek(version).is_some()
+                    || prefixes
+                        .seek(&version.0)
+                        .is_some_and(|base| version.1 <= *base)
+            })
     }
 
     /// Iterates over `(replica, prefix counter)` vector entries.
     pub fn vector_entries(&self) -> impl Iterator<Item = (ReplicaId, u64)> + '_ {
-        self.vector.iter().map(|(&r, &c)| (r, c))
+        self.vector.iter().copied()
     }
 
     /// Iterates over exception versions in `(replica, counter)` order —
     /// the canonical order of the wire and snapshot encodings.
     pub fn exceptions(&self) -> impl Iterator<Item = Version> + '_ {
-        self.exceptions.iter().map(|&(r, c)| Version::new(r, c))
+        self.exception_keys().map(|(r, c)| Version::new(r, c))
+    }
+
+    fn exception_keys(&self) -> impl Iterator<Item = (ReplicaId, u64)> + '_ {
+        self.exceptions.iter().map(|&(version, ())| version)
+    }
+
+    /// A forward reader of the vector, for looking up ascending replicas
+    /// in one pass.
+    pub(crate) fn prefix_cursor(&self) -> Cursor<'_, ReplicaId, u64> {
+        self.vector.iter()
+    }
+
+    /// A forward reader of the exceptions, likewise.
+    pub(crate) fn exception_cursor(&self) -> Cursor<'_, (ReplicaId, u64), ()> {
+        self.exceptions.iter()
     }
 
     /// Number of replicas with a vector entry.
@@ -228,8 +255,83 @@ impl Knowledge {
     /// O(vector entries), not O(versions)).
     pub fn version_count(&self) -> u64 {
         self.vector
-            .values()
-            .fold(self.exceptions.len() as u64, |n, &c| n.saturating_add(c))
+            .iter()
+            .fold(self.exceptions.len() as u64, |n, &(_, c)| {
+                n.saturating_add(c)
+            })
+    }
+}
+
+/// Whether the lists are a knowledge's one representation already:
+/// replicas strictly ascending with nonzero prefixes, singles strictly
+/// ascending and each more than one above its origin's prefix.
+fn is_canonical(prefixes: &[(ReplicaId, u64)], singles: &[(ReplicaId, u64)]) -> bool {
+    let mut bases = prefixes.iter().peekable();
+    prefixes.windows(2).all(|w| w[0].0 < w[1].0)
+        && prefixes.iter().all(|&(_, counter)| counter > 0)
+        && singles.windows(2).all(|w| w[0] < w[1])
+        && singles.iter().all(|&(origin, counter)| {
+            while bases.next_if(|&&(replica, _)| replica < origin).is_some() {}
+            let base = bases.peek().filter(|p| p.0 == origin).map_or(0, |p| p.1);
+            counter > base.saturating_add(1)
+        })
+}
+
+fn sort_unless_ascending<T: Ord>(entries: &mut [T]) {
+    if !entries.windows(2).all(|w| w[0] <= w[1]) {
+        entries.sort_unstable();
+    }
+}
+
+/// Two ascending sequences as one; equal elements are both kept.
+fn merge_ascending<T: Ord>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if x <= y => a.next(),
+        (Some(_), None) => a.next(),
+        _ => b.next(),
+    })
+}
+
+/// Builds the one representation of the version set that `prefixes` (each
+/// `(replica, c)` standing for `1..=c`) and `singles` add up to. Both come
+/// ascending and may repeat or overlap: per replica the highest prefix
+/// wins, singles at or below it are dropped, and the run of singles
+/// adjacent to it is folded in.
+fn canonical(
+    prefixes: impl Iterator<Item = (ReplicaId, u64)>,
+    singles: impl Iterator<Item = (ReplicaId, u64)>,
+) -> Knowledge {
+    let (mut prefixes, mut singles) = (prefixes.peekable(), singles.peekable());
+    let mut vector = Vec::with_capacity(prefixes.size_hint().0);
+    let mut exceptions = Vec::with_capacity(singles.size_hint().0);
+    loop {
+        let replica = match (prefixes.peek(), singles.peek()) {
+            (Some(&(p, _)), Some(&(s, _))) => p.min(s),
+            (Some(&(r, _)), None) | (None, Some(&(r, _))) => r,
+            (None, None) => break,
+        };
+        let mut base = 0;
+        while let Some((_, counter)) = prefixes.next_if(|&(r, _)| r == replica) {
+            base = base.max(counter);
+        }
+        while let Some(single) = singles.next_if(|&(r, _)| r == replica) {
+            if single.1 == base.saturating_add(1) {
+                base = single.1;
+            } else if single.1 > base && exceptions.last() != Some(&(single, ())) {
+                exceptions.push((single, ()));
+            }
+        }
+        if base > 0 {
+            vector.push((replica, base));
+        }
+    }
+    Knowledge {
+        vector: OrdMap::from_ascending(vector),
+        exceptions: OrdMap::from_ascending(exceptions),
     }
 }
 

@@ -54,6 +54,7 @@ mod intern;
 mod item;
 mod journal;
 mod knowledge;
+mod ordered;
 mod payload;
 mod replica;
 mod snapshot;

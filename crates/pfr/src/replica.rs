@@ -462,33 +462,32 @@ impl Replica {
     /// Ids of stored items whose current version is not contained in
     /// `knowledge` — the candidate set a sync source offers a target.
     ///
-    /// Answered from the store's version index: per origin, only the
-    /// counter suffix beyond the requester's knowledge vector is walked,
-    /// so the cost scales with the *unknown* versions rather than the
-    /// store size. Results are identical (including order) to the full
-    /// scan, which is kept as [`Replica::versions_unknown_to_scan`].
+    /// Answered from the store's version index, stepped through beside
+    /// `knowledge` in one pass with no lookups. Results are identical
+    /// (including order) to the full scan, which is kept as
+    /// [`Replica::versions_unknown_to_scan`].
     pub fn versions_unknown_to(&self, knowledge: &Knowledge) -> Vec<ItemId> {
-        let mut ids = Vec::new();
-        self.versions_unknown_to_into(knowledge, &mut ids);
-        ids
+        let mut candidates = Vec::new();
+        self.versions_unknown_to_into(knowledge, &mut candidates);
+        candidates.into_iter().map(|(id, _)| id).collect()
     }
 
-    /// In-place variant of [`Replica::versions_unknown_to`]: clears `ids`
-    /// and fills it with the candidate set. The sync hot path calls this
-    /// with a reused per-replica buffer so steady-state (zero-candidate)
-    /// encounters allocate nothing.
-    pub(crate) fn versions_unknown_to_into(&self, knowledge: &Knowledge, ids: &mut Vec<ItemId>) {
+    /// In-place variant of [`Replica::versions_unknown_to`]: clears
+    /// `candidates` and fills it with the candidate set, each id with the
+    /// store slot number [`Replica::candidate_slot`] takes. The sync hot
+    /// path calls this with a reused per-replica buffer so steady-state
+    /// (zero-candidate) encounters allocate nothing.
+    pub(crate) fn versions_unknown_to_into(
+        &self,
+        knowledge: &Knowledge,
+        candidates: &mut Vec<(ItemId, usize)>,
+    ) {
         if self.candidate_scan {
-            ids.clear();
-            ids.extend(
-                self.store
-                    .iter()
-                    .filter(|s| !knowledge.contains(s.item.version()))
-                    .map(|s| s.item.id()),
-            );
+            candidates.clear();
+            candidates.extend(self.scan_unknown_to(knowledge));
             return;
         }
-        self.store.versions_unknown_to_into(knowledge, ids);
+        self.store.versions_unknown_to_into(knowledge, candidates);
     }
 
     /// The current version of every stored item (digest mode screens
@@ -531,11 +530,20 @@ impl Replica {
     /// returns exactly these results; the `macro_emu` benchmark uses it
     /// (via [`Replica::set_candidate_scan`]) as the pre-index baseline.
     pub fn versions_unknown_to_scan(&self, knowledge: &Knowledge) -> Vec<ItemId> {
+        self.scan_unknown_to(knowledge).map(|(id, _)| id).collect()
+    }
+
+    /// The full scan behind [`Replica::versions_unknown_to_scan`] and
+    /// [`Replica::set_candidate_scan`]: every stored item in id order,
+    /// one knowledge lookup each, yielding what the index walk yields.
+    fn scan_unknown_to<'a>(
+        &'a self,
+        knowledge: &'a Knowledge,
+    ) -> impl Iterator<Item = (ItemId, usize)> + 'a {
         self.store
-            .iter()
-            .filter(|s| !knowledge.contains(s.item.version()))
-            .map(|s| s.item.id())
-            .collect()
+            .iter_slots()
+            .filter(|(_, s)| !knowledge.contains(s.item.version()))
+            .map(|(slot, s)| (s.item.id(), slot))
     }
 
     /// Forces candidate selection back to the pre-index full-scan path.
@@ -562,13 +570,15 @@ impl Replica {
         self.owned_copies
     }
 
-    /// The stored copy of `id`, for sync candidate selection: one lookup
-    /// serves the filter match, the byte accounting and the policy's
+    /// The stored copy of a candidate that
+    /// [`Replica::versions_unknown_to_into`] reported as `(id, slot)` and
+    /// no store change has followed: reached by slot number, no lookup,
+    /// it serves the filter match, the byte accounting and the policy's
     /// verdict (which may write transient metadata through it). Lending
     /// counts as no write; only [`crate::sync::Candidate::set_transient`]
     /// does.
-    pub(crate) fn candidate_slot(&mut self, id: ItemId) -> Option<Slot<'_>> {
-        self.store.slot(id)
+    pub(crate) fn candidate_slot(&mut self, id: ItemId, slot: usize) -> Option<Slot<'_>> {
+        self.store.lend(id, slot)
     }
 
     /// How many writes this replica's item store has taken: every stored,

@@ -1,6 +1,6 @@
 //! The per-replica item store, including the push-out and relay stores.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -8,6 +8,7 @@ use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId, Version};
 use crate::item::Item;
 use crate::knowledge::Knowledge;
+use crate::ordered::OrdMap;
 use crate::time::SimTime;
 
 /// Why a replica is holding an item.
@@ -75,19 +76,48 @@ impl Slot<'_> {
     }
 }
 
+impl StoredItem {
+    /// Whether this copy counts against a relay storage cap.
+    fn is_live_relay(&self) -> bool {
+        self.kind == StoreKind::Relay && !self.item.is_deleted()
+    }
+}
+
+/// Where the version index files a version: by origin, then counter —
+/// the order [`Knowledge`] keeps its own entries in.
+fn version_key(version: Version) -> (ReplicaId, u64) {
+    (version.replica(), version.counter())
+}
+
 /// The store: all items held by one replica, with relay FIFO accounting.
+///
+/// Items live in *slots*: a slot keeps its number for as long as its item
+/// is stored, and a vacated one is reused. Two sorted indexes map to slot
+/// numbers, so finding an item by id is one binary search and walking the
+/// versions costs no lookups at all. Every mutation goes through
+/// [`ItemStore::put`] / [`ItemStore::remove`], which keep the indexes,
+/// the per-origin watermarks and the relay accounting current.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ItemStore {
-    items: BTreeMap<ItemId, StoredItem>,
+    slots: Vec<Option<StoredItem>>,
+    /// Vacant slot numbers.
+    free: Vec<usize>,
+    /// Item id → slot. Its order is the order the store lists items in.
+    by_id: OrdMap<ItemId, usize>,
+    /// The *current* version of every stored item → slot, ordered by
+    /// (origin, counter) so sync candidate selection steps through it
+    /// beside a requester's knowledge.
+    by_version: OrdMap<(ReplicaId, u64), usize>,
+    /// Per origin in `by_version`: how many of its versions are stored
+    /// and the highest counter among them — the watermark
+    /// [`ItemStore::covered_by`] holds against a requester's vector, so
+    /// the steady state between converged peers costs a step per origin,
+    /// not per item.
+    tops: OrdMap<ReplicaId, (usize, u64)>,
     /// Arrival order of relay items, oldest first, for FIFO eviction.
     relay_fifo: VecDeque<ItemId>,
-    /// Version index: origin replica → (version counter → holding item).
-    /// Mirrors the *current* version of every stored item so sync candidate
-    /// selection can walk only the suffix of each origin's counters beyond
-    /// a requester's knowledge vector instead of scanning the whole store.
-    /// Maintained by [`ItemStore::put`] / [`ItemStore::remove`], which every
-    /// mutation path funnels through.
-    version_index: BTreeMap<ReplicaId, BTreeMap<u64, ItemId>>,
+    /// How many stored items are relay-kind and not tombstones.
+    live_relays: usize,
     /// Counts writes to the store: every put, removal and in-place item
     /// write bumps it, and a written item keeps the new value as its
     /// stamp. A persistence layer that remembers the clock it last saw
@@ -103,13 +133,23 @@ impl ItemStore {
     }
 
     pub fn get(&self, id: ItemId) -> Option<&StoredItem> {
-        self.items.get(&id)
+        self.slots[*self.by_id.get(&id)?].as_ref()
     }
 
     /// Lends `id`'s item mutably without counting a write; the borrower
     /// calls [`Slot::stamp_write`] if and when it writes.
     pub fn slot(&mut self, id: ItemId) -> Option<Slot<'_>> {
-        let stored = self.items.get_mut(&id)?;
+        let slot = *self.by_id.get(&id)?;
+        self.lend(id, slot)
+    }
+
+    /// [`ItemStore::slot`] without the search, for an `(id, slot number)`
+    /// pair that [`ItemStore::versions_unknown_to_into`] reported. Slot
+    /// numbers are good only until the store next changes: after that a
+    /// number may be vacant or hold another item.
+    pub fn lend(&mut self, id: ItemId, slot: usize) -> Option<Slot<'_>> {
+        let stored = self.slots.get_mut(slot)?.as_mut()?;
+        debug_assert_eq!(stored.item.id(), id, "slot number outlived a mutation");
         Some(Slot {
             item: &mut stored.item,
             stamp: &mut stored.stamp,
@@ -123,19 +163,26 @@ impl ItemStore {
     }
 
     pub fn contains(&self, id: ItemId) -> bool {
-        self.items.contains_key(&id)
+        self.by_id.get(&id).is_some()
     }
 
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.by_id.len()
+    }
+
+    /// Every stored item with its slot number, ascending by item id.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (usize, &StoredItem)> {
+        self.by_id
+            .iter()
+            .filter_map(|&(_, slot)| Some((slot, self.slots[slot].as_ref()?)))
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &StoredItem> {
-        self.items.values()
+        self.iter_slots().map(|(_, stored)| stored)
     }
 
     pub fn ids(&self) -> Vec<ItemId> {
-        self.items.keys().copied().collect()
+        self.by_id.iter().map(|&(id, _)| id).collect()
     }
 
     /// Inserts or replaces an item with the given kind, maintaining relay
@@ -143,102 +190,144 @@ impl ItemStore {
     /// a relay item.
     pub fn put(&mut self, item: Item, kind: StoreKind, received_at: SimTime) {
         let id = item.id();
-        let version = item.version();
-        let was_relay = self
-            .items
-            .get(&id)
-            .map(|s| s.kind == StoreKind::Relay)
-            .unwrap_or(false);
+        let version = version_key(item.version());
+        self.clock += 1;
+        let stored = StoredItem {
+            item,
+            kind,
+            received_at,
+            stamp: self.clock,
+        };
+        self.live_relays += usize::from(stored.is_live_relay());
+        let (slot, was_relay) = match self.by_id.get(&id) {
+            Some(&slot) => {
+                let old = self.slots[slot]
+                    .replace(stored)
+                    .expect("an indexed slot is occupied");
+                self.live_relays -= usize::from(old.is_live_relay());
+                let old_version = version_key(old.item.version());
+                if old_version != version {
+                    self.unindex_version(old_version);
+                }
+                (slot, old.kind == StoreKind::Relay)
+            }
+            None => {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slots[slot] = Some(stored);
+                        slot
+                    }
+                    None => {
+                        self.slots.push(Some(stored));
+                        self.slots.len() - 1
+                    }
+                };
+                self.by_id.insert(id, slot);
+                (slot, false)
+            }
+        };
+        self.index_version(version, slot);
         match (was_relay, kind == StoreKind::Relay) {
             (false, true) => self.relay_fifo.push_back(id),
             (true, false) => self.remove_from_fifo(id),
             _ => {}
         }
-        self.clock += 1;
-        let replaced = self.items.insert(
-            id,
-            StoredItem {
-                item,
-                kind,
-                received_at,
-                stamp: self.clock,
-            },
-        );
-        if let Some(old) = replaced {
-            let old_version = old.item.version();
-            if old_version != version {
-                self.unindex_version(old_version);
-            }
-        }
-        self.version_index
-            .entry(version.replica())
-            .or_default()
-            .insert(version.counter(), id);
     }
 
     pub fn remove(&mut self, id: ItemId) -> Option<StoredItem> {
-        let removed = self.items.remove(&id);
-        if let Some(stored) = &removed {
-            self.clock += 1;
-            if stored.kind == StoreKind::Relay {
-                self.remove_from_fifo(id);
-            }
-            self.unindex_version(stored.item.version());
+        let slot = self.by_id.remove(&id)?;
+        let stored = self.slots[slot]
+            .take()
+            .expect("an indexed slot is occupied");
+        self.free.push(slot);
+        self.clock += 1;
+        if stored.kind == StoreKind::Relay {
+            self.remove_from_fifo(id);
         }
-        removed
+        self.live_relays -= usize::from(stored.is_live_relay());
+        self.unindex_version(version_key(stored.item.version()));
+        Some(stored)
     }
 
-    fn unindex_version(&mut self, version: Version) {
-        if let Some(by_counter) = self.version_index.get_mut(&version.replica()) {
-            by_counter.remove(&version.counter());
-            if by_counter.is_empty() {
-                self.version_index.remove(&version.replica());
+    fn index_version(&mut self, version: (ReplicaId, u64), slot: usize) {
+        if self.by_version.insert(version, slot).is_some() {
+            return;
+        }
+        match self.tops.get_mut(&version.0) {
+            Some((count, highest)) => {
+                *count += 1;
+                *highest = version.1.max(*highest);
+            }
+            None => {
+                self.tops.insert(version.0, (1, version.1));
             }
         }
     }
 
-    /// Fills `ids` (cleared first, capacity reused) with the ids of stored
-    /// items whose versions `knowledge` has not learned, answered from the
-    /// version index: for each origin, only the counter suffix beyond the
-    /// requester's prefix is walked. The index, the knowledge vector and
-    /// the exception set all ascend by (origin, counter), so the three
-    /// are stepped through together and a stored version costs a
-    /// comparison, not a lookup. Ids come out in ascending order —
-    /// exactly the order a full scan of the id-keyed store produces, so
-    /// callers observe identical candidate sequences.
-    pub fn versions_unknown_to_into(&self, knowledge: &Knowledge, ids: &mut Vec<ItemId>) {
-        ids.clear();
-        let mut prefixes = knowledge.vector_entries().peekable();
-        let mut exceptions = knowledge
-            .exceptions()
-            .map(|v| (v.replica(), v.counter()))
-            .peekable();
-        for (&origin, by_counter) in &self.version_index {
-            while prefixes.next_if(|&(replica, _)| replica < origin).is_some() {}
-            let base = match prefixes.peek() {
-                Some(&(replica, base)) if replica == origin => base,
-                _ => 0,
-            };
-            for (&counter, &id) in by_counter.range(base.saturating_add(1)..) {
-                let stored = (origin, counter);
-                while exceptions.next_if(|&known| known < stored).is_some() {}
-                if exceptions.peek() != Some(&stored) {
-                    ids.push(id);
+    fn unindex_version(&mut self, version: (ReplicaId, u64)) {
+        if self.by_version.remove(&version).is_none() {
+            return;
+        }
+        let (count, highest) = self
+            .tops
+            .get_mut(&version.0)
+            .expect("an indexed origin is counted");
+        *count -= 1;
+        if *count == 0 {
+            self.tops.remove(&version.0);
+        } else if *highest == version.1 {
+            // The origin's other versions all sort right below the one
+            // that left.
+            let ((_, next), _) = self.by_version.below(&version).expect("count > 0");
+            *highest = *next;
+        }
+    }
+
+    /// Fills `out` (cleared first, capacity reused) with the id and slot
+    /// number of every stored item whose version `knowledge` has not
+    /// learned. The version index and the knowledge's vector and
+    /// exceptions all ascend by (origin, counter), so the three are
+    /// stepped through together: a stored version costs a comparison or
+    /// two, not a lookup. Pairs come out ascending by id — exactly the
+    /// order a full scan of the store produces, so callers observe
+    /// identical candidate sequences — and the slot numbers are for
+    /// [`ItemStore::lend`], until the store next changes.
+    pub fn versions_unknown_to_into(&self, knowledge: &Knowledge, out: &mut Vec<(ItemId, usize)>) {
+        out.clear();
+        let mut prefixes = knowledge.prefix_cursor();
+        let mut exceptions = knowledge.exception_cursor();
+        for run in self.origin_runs() {
+            let origin = run[0].0 .0;
+            let base = prefixes.seek(&origin).copied().unwrap_or(0);
+            let beyond = run.partition_point(|&((_, counter), _)| counter <= base);
+            for &(version, slot) in &run[beyond..] {
+                if exceptions.seek(&version).is_some() {
+                    continue;
+                }
+                if let Some(stored) = &self.slots[slot] {
+                    out.push((stored.item.id(), slot));
                 }
             }
         }
-        ids.sort_unstable();
+        out.sort_unstable();
+    }
+
+    /// The version index cut where the origin changes: each slice holds
+    /// one origin's stored versions, counters ascending. (An origin whose
+    /// versions straddle two index blocks comes as two slices.)
+    fn origin_runs(&self) -> impl Iterator<Item = &[((ReplicaId, u64), usize)]> {
+        self.by_version
+            .blocks()
+            .flat_map(|block| block.chunk_by(|a, b| a.0 .0 == b.0 .0))
     }
 
     /// The current version of every stored item, ascending by (origin,
     /// counter) — the set a digest-mode peer screens against its Bloom
     /// summary.
     pub fn current_versions(&self) -> impl Iterator<Item = Version> + '_ {
-        self.version_index.iter().flat_map(|(&origin, by_counter)| {
-            by_counter
-                .keys()
-                .map(move |&counter| Version::new(origin, counter))
-        })
+        self.by_version
+            .iter()
+            .map(|&((origin, counter), _)| Version::new(origin, counter))
     }
 
     /// Whether `knowledge`'s per-origin vector watermarks already cover
@@ -247,12 +336,10 @@ impl ItemStore {
     /// need not run at all. Exceptions are irrelevant here: a version at
     /// or below the watermark is known regardless of them.
     pub fn covered_by(&self, knowledge: &Knowledge) -> bool {
-        self.version_index.iter().all(|(&origin, by_counter)| {
-            by_counter
-                .keys()
-                .next_back()
-                .is_none_or(|&max| max <= knowledge.base_counter(origin))
-        })
+        let mut prefixes = knowledge.prefix_cursor();
+        self.tops
+            .iter()
+            .all(|(origin, (_, highest))| prefixes.seek(origin).is_some_and(|base| highest <= base))
     }
 
     fn remove_from_fifo(&mut self, id: ItemId) {
@@ -263,25 +350,16 @@ impl ItemStore {
 
     /// Number of evictable relay messages: relay-kind, non-tombstone.
     pub fn relay_load(&self) -> usize {
-        self.relay_fifo
-            .iter()
-            .filter(|id| {
-                self.items
-                    .get(id)
-                    .map(|s| !s.item.is_deleted())
-                    .unwrap_or(false)
-            })
-            .count()
+        self.live_relays
     }
 
     /// Evicts and returns the oldest non-tombstone relay item, if any.
     pub fn evict_oldest_relay(&mut self) -> Option<StoredItem> {
-        let victim = self.relay_fifo.iter().copied().find(|id| {
-            self.items
-                .get(id)
-                .map(|s| !s.item.is_deleted())
-                .unwrap_or(false)
-        })?;
+        let victim = self
+            .relay_fifo
+            .iter()
+            .copied()
+            .find(|&id| self.get(id).is_some_and(|s| !s.item.is_deleted()))?;
         self.remove(victim)
     }
 
@@ -292,40 +370,35 @@ impl ItemStore {
 
     /// Rebuilds a store from snapshot parts. Relay items listed in
     /// `relay_fifo` keep that eviction order; relay items missing from the
-    /// list (corrupt snapshots) are appended in id order.
+    /// list (corrupt snapshots) follow in the order `items` gave them.
     pub fn from_parts(items: Vec<(Item, StoreKind, SimTime)>, relay_fifo: Vec<ItemId>) -> Self {
         let mut store = ItemStore::new();
         for (item, kind, received_at) in items {
             store.put(item, kind, received_at);
         }
-        // Reorder the FIFO according to the snapshot.
-        let mut ordered: VecDeque<ItemId> = relay_fifo
-            .into_iter()
-            .filter(|id| store.relay_fifo.contains(id))
-            .collect();
-        for id in &store.relay_fifo {
-            if !ordered.contains(id) {
-                ordered.push_back(*id);
-            }
+        // Where the snapshot listed each id (the first time, if a corrupt
+        // one repeats it); the sort is stable, so the unlisted keep the
+        // order they were put in.
+        let mut listed = HashMap::with_capacity(relay_fifo.len());
+        for (position, id) in relay_fifo.into_iter().enumerate() {
+            listed.entry(id).or_insert(position);
         }
-        store.relay_fifo = ordered;
+        store
+            .relay_fifo
+            .make_contiguous()
+            .sort_by_key(|id| listed.get(id).copied().unwrap_or(usize::MAX));
         store
     }
 
     /// Re-derives every stored item's kind after a filter change.
     pub fn reclassify(&mut self, own_id: ReplicaId, filter: &Filter) {
-        let ids = self.ids();
-        for id in ids {
-            let stored = self.items.get(&id).expect("id just listed");
+        for id in self.ids() {
+            let stored = self.get(id).expect("id just listed");
             let new_kind = classify(&stored.item, own_id, filter);
             if new_kind != stored.kind {
-                let (item, received_at) = {
-                    let s = self.items.get(&id).expect("present");
-                    (s.item.clone(), s.received_at)
-                };
                 // put() fixes FIFO membership on kind transitions.
-                self.remove(id);
-                self.put(item, new_kind, received_at);
+                let stored = self.remove(id).expect("id just listed");
+                self.put(stored.item, new_kind, stored.received_at);
             }
         }
     }
@@ -465,46 +538,62 @@ mod tests {
         assert!(s.remove(ItemId::new(rid(9), 9)).is_none());
     }
 
-    /// The version index must mirror the item map exactly: one entry per
-    /// stored item, keyed by that item's current version.
-    fn assert_index_mirrors_items(s: &ItemStore) {
-        let indexed: usize = s.version_index.values().map(|m| m.len()).sum();
-        assert_eq!(indexed, s.items.len(), "index entry count drifted");
-        for (id, stored) in &s.items {
-            let v = stored.item.version();
+    /// Both indexes must mirror the slots exactly: one entry each per
+    /// stored item, under its id and its current version, and every
+    /// other slot on the free list.
+    fn assert_indexes_mirror_slots(s: &ItemStore) {
+        let occupied = s.slots.iter().flatten().count();
+        assert_eq!(s.by_id.len(), occupied, "id index entry count drifted");
+        assert_eq!(s.by_version.len(), occupied, "version index drifted");
+        assert_eq!(s.free.len(), s.slots.len() - occupied);
+        assert!(s.free.iter().all(|&slot| s.slots[slot].is_none()));
+        for (slot, stored) in s.slots.iter().enumerate() {
+            let Some(stored) = stored else { continue };
+            let (id, v) = (stored.item.id(), stored.item.version());
+            assert_eq!(s.by_id.get(&id), Some(&slot), "item {id} misfiled");
             assert_eq!(
-                s.version_index
-                    .get(&v.replica())
-                    .and_then(|m| m.get(&v.counter())),
-                Some(id),
-                "item {id} missing from index under {v}"
+                s.by_version.get(&version_key(v)),
+                Some(&slot),
+                "item {id} missing from the version index under {v}"
             );
         }
+        let mut tops: Vec<(ReplicaId, (usize, u64))> = Vec::new();
+        for &((origin, counter), _) in s.by_version.iter() {
+            match tops.last_mut() {
+                Some((o, (count, highest))) if *o == origin => {
+                    (*count, *highest) = (*count + 1, counter)
+                }
+                _ => tops.push((origin, (1, counter))),
+            }
+        }
+        assert!(s.tops.iter().eq(tops.iter()), "watermarks drifted");
+        let live = s.iter().filter(|stored| stored.is_live_relay()).count();
+        assert_eq!(s.relay_load(), live, "live relay count drifted");
     }
 
     #[test]
-    fn version_index_tracks_put_replace_remove() {
+    fn indexes_track_put_replace_remove() {
         let mut s = ItemStore::new();
         s.put(item(2, 1, "x"), StoreKind::Relay, SimTime::ZERO);
         s.put(item(3, 1, "x"), StoreKind::InFilter, SimTime::ZERO);
-        assert_index_mirrors_items(&s);
+        assert_indexes_mirror_slots(&s);
 
         // Replace id (2,1) with a newer version written by replica 5.
         let newer = Item::builder(ItemId::new(rid(2), 1), Version::new(rid(5), 9))
             .attr("dest", "x")
             .build();
         s.put(newer, StoreKind::Relay, SimTime::ZERO);
-        assert_index_mirrors_items(&s);
+        assert_indexes_mirror_slots(&s);
         assert!(
-            !s.version_index.contains_key(&rid(2)),
+            s.current_versions().all(|v| v.replica() != rid(2)),
             "replaced version must leave the index"
         );
 
         s.remove(ItemId::new(rid(3), 1));
-        assert_index_mirrors_items(&s);
+        assert_indexes_mirror_slots(&s);
         s.remove(ItemId::new(rid(2), 1));
-        assert_index_mirrors_items(&s);
-        assert!(s.version_index.is_empty());
+        assert_indexes_mirror_slots(&s);
+        assert!(s.by_version.is_empty());
     }
 
     #[test]
@@ -520,9 +609,296 @@ mod tests {
         k.insert(Version::new(rid(2), 4)); // and the exception 2@4
         let mut unknown = Vec::new();
         s.versions_unknown_to_into(&k, &mut unknown);
+        let ids: Vec<ItemId> = unknown.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, vec![ItemId::new(rid(2), 3), ItemId::new(rid(3), 1)]);
+        for (id, slot) in unknown {
+            assert_eq!(s.lend(id, slot).expect("reported").item.id(), id);
+        }
+    }
+
+    #[test]
+    fn from_parts_orders_the_fifo_by_the_snapshot_list() {
+        let relay = |origin| (item(origin, 1, "x"), StoreKind::Relay, SimTime::ZERO);
+        let id = |origin| ItemId::new(rid(origin), 1);
+        let items = vec![
+            relay(2),
+            relay(3),
+            (item(4, 1, "x"), StoreKind::InFilter, SimTime::ZERO),
+            relay(5),
+            relay(6),
+        ];
+        // Listed newest-first, one id twice, one not stored, one stored
+        // but not a relay; relays 3 and 6 are not listed at all.
+        let listed = vec![id(5), id(2), id(5), id(9), id(4)];
+        let s = ItemStore::from_parts(items, listed);
         assert_eq!(
-            unknown,
-            vec![ItemId::new(rid(2), 3), ItemId::new(rid(3), 1)]
+            s.relay_fifo().collect::<Vec<_>>(),
+            vec![id(5), id(2), id(3), id(6)],
+            "listed relays in list order, each once; the rest in item order"
         );
+        assert_indexes_mirror_slots(&s);
+    }
+
+    #[test]
+    fn two_items_claiming_one_version_leave_a_usable_store() {
+        // Only a corrupt snapshot can do this; the later item takes the
+        // version index entry and nothing panics on the way out.
+        let twin = Item::builder(ItemId::new(rid(3), 1), Version::new(rid(2), 1)).build();
+        let items = vec![
+            (item(2, 1, "x"), StoreKind::Relay, SimTime::ZERO),
+            (twin, StoreKind::Relay, SimTime::ZERO),
+        ];
+        let mut s = ItemStore::from_parts(items, Vec::new());
+        let mut unknown = Vec::new();
+        s.versions_unknown_to_into(&Knowledge::new(), &mut unknown);
+        assert_eq!(unknown.len(), 1);
+        assert!(s.remove(ItemId::new(rid(2), 1)).is_some());
+        assert!(s.remove(ItemId::new(rid(3), 1)).is_some());
+        assert_indexes_mirror_slots(&s);
+    }
+
+    mod model {
+        //! The store against a plain model, under random scripts.
+
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// Store item `id` with a fresh version (a new item, or a
+            /// version-changing replace), of this kind.
+            Put {
+                id: u8,
+                kind: u8,
+                dest: u8,
+                deleted: bool,
+            },
+            /// Store `id`'s current copy again under another kind.
+            Rekind {
+                id: u8,
+                kind: u8,
+            },
+            Remove {
+                id: u8,
+            },
+            Evict,
+            Reclassify {
+                dest: u8,
+            },
+            /// Tear the store down to parts and rebuild it, the FIFO list
+            /// rotated by this much and its first id repeated.
+            Rebuild {
+                rotate: u8,
+            },
+        }
+
+        fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+            let op = prop_oneof![
+                (0u8..12, 0u8..3, 0u8..3, any::<bool>()).prop_map(|(id, kind, dest, deleted)| {
+                    Op::Put {
+                        id,
+                        kind,
+                        dest,
+                        deleted,
+                    }
+                }),
+                (0u8..12, 0u8..3, 0u8..3, any::<bool>()).prop_map(|(id, kind, dest, deleted)| {
+                    Op::Put {
+                        id,
+                        kind,
+                        dest,
+                        deleted,
+                    }
+                }),
+                (0u8..12, 0u8..3).prop_map(|(id, kind)| Op::Rekind { id, kind }),
+                (0u8..12).prop_map(|id| Op::Remove { id }),
+                Just(Op::Evict),
+                (0u8..3).prop_map(|dest| Op::Reclassify { dest }),
+                (0u8..8).prop_map(|rotate| Op::Rebuild { rotate }),
+            ];
+            proptest::collection::vec(op, 0..80)
+        }
+
+        const KINDS: [StoreKind; 3] = [StoreKind::InFilter, StoreKind::PushOut, StoreKind::Relay];
+        const DESTS: [&str; 3] = ["a", "b", "c"];
+        const OWN: u64 = 1;
+
+        fn item_id(n: u8) -> ItemId {
+            ItemId::new(rid(1 + u64::from(n % 3)), 1 + u64::from(n / 3))
+        }
+
+        /// What the model keeps per item.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Held {
+            item: Item,
+            kind: StoreKind,
+        }
+
+        #[derive(Default)]
+        struct Model {
+            items: BTreeMap<ItemId, Held>,
+            fifo: VecDeque<ItemId>,
+            clock: u64,
+        }
+
+        impl Model {
+            fn put(&mut self, item: Item, kind: StoreKind) {
+                let id = item.id();
+                let was_relay = self
+                    .items
+                    .get(&id)
+                    .is_some_and(|h| h.kind == StoreKind::Relay);
+                match (was_relay, kind == StoreKind::Relay) {
+                    (false, true) => self.fifo.push_back(id),
+                    (true, false) => self.fifo.retain(|&x| x != id),
+                    _ => {}
+                }
+                self.items.insert(id, Held { item, kind });
+                self.clock += 1;
+            }
+
+            fn remove(&mut self, id: ItemId) -> bool {
+                let gone = self.items.remove(&id).is_some();
+                if gone {
+                    self.fifo.retain(|&x| x != id);
+                    self.clock += 1;
+                }
+                gone
+            }
+
+            fn live_relays(&self) -> usize {
+                self.items
+                    .values()
+                    .filter(|h| h.kind == StoreKind::Relay && !h.item.is_deleted())
+                    .count()
+            }
+        }
+
+        fn assert_matches(s: &mut ItemStore, m: &Model) {
+            assert_indexes_mirror_slots(s);
+            assert_eq!(s.len(), m.items.len());
+            assert_eq!(s.ids(), m.items.keys().copied().collect::<Vec<_>>());
+            let held: Vec<Held> = s
+                .iter()
+                .map(|st| Held {
+                    item: st.item.clone(),
+                    kind: st.kind,
+                })
+                .collect();
+            assert_eq!(held, m.items.values().cloned().collect::<Vec<_>>());
+            assert_eq!(
+                s.relay_fifo().collect::<VecDeque<_>>(),
+                m.fifo,
+                "FIFO order"
+            );
+            assert_eq!(s.relay_load(), m.live_relays());
+            assert_eq!(s.write_clock(), m.clock);
+
+            // The walk ≡ the scan, for a knowledge that knows some stored
+            // versions by prefix, some as exceptions and some not at all;
+            // and every pair it reports lends exactly that item.
+            let mut k = Knowledge::new();
+            for (n, held) in m.items.values().enumerate() {
+                let v = held.item.version();
+                match n % 3 {
+                    0 => k.insert(v),
+                    1 if v.counter() % 2 == 0 => k.insert_prefix(v.replica(), v.counter()),
+                    _ => {}
+                }
+            }
+            let mut walked = Vec::new();
+            s.versions_unknown_to_into(&k, &mut walked);
+            let scanned: Vec<ItemId> = m
+                .items
+                .values()
+                .filter(|h| !k.contains(h.item.version()))
+                .map(|h| h.item.id())
+                .collect();
+            assert_eq!(
+                walked.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+                scanned
+            );
+            assert_eq!(
+                s.covered_by(&k),
+                m.items.values().all(|h| {
+                    h.item.version().counter() <= k.base_counter(h.item.version().replica())
+                })
+            );
+            for (id, slot) in walked {
+                assert_eq!(s.lend(id, slot).expect("just reported").item.id(), id);
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn the_store_matches_its_model(ops in arb_ops()) {
+                let (mut s, mut m) = (ItemStore::new(), Model::default());
+                let mut versions = 0u64;
+                let mut fresh = |id: u8, dest: u8, deleted: bool| {
+                    versions += 1;
+                    Item::builder(item_id(id), Version::new(rid(1 + versions % 4), versions))
+                        .attr("dest", DESTS[usize::from(dest)])
+                        .deleted(deleted)
+                        .build()
+                };
+                for op in ops {
+                    match op {
+                        Op::Put { id, kind, dest, deleted } => {
+                            let (item, kind) = (fresh(id, dest, deleted), KINDS[usize::from(kind)]);
+                            s.put(item.clone(), kind, SimTime::ZERO);
+                            m.put(item, kind);
+                        }
+                        Op::Rekind { id, kind } => {
+                            let Some(held) = m.items.get(&item_id(id)).cloned() else { continue };
+                            let kind = KINDS[usize::from(kind)];
+                            s.put(held.item.clone(), kind, SimTime::ZERO);
+                            m.put(held.item, kind);
+                        }
+                        Op::Remove { id } => {
+                            let id = item_id(id);
+                            prop_assert_eq!(s.remove(id).is_some(), m.remove(id));
+                            prop_assert!(s.slot(id).is_none() && s.get(id).is_none());
+                        }
+                        Op::Evict => {
+                            let victim = m.fifo.iter().copied()
+                                .find(|id| !m.items[id].item.is_deleted());
+                            prop_assert_eq!(s.evict_oldest_relay().map(|st| st.item.id()), victim);
+                            if let Some(id) = victim {
+                                m.remove(id);
+                            }
+                        }
+                        Op::Reclassify { dest } => {
+                            let filter = Filter::address("dest", DESTS[usize::from(dest)]);
+                            s.reclassify(rid(OWN), &filter);
+                            for id in m.items.keys().copied().collect::<Vec<_>>() {
+                                let held = m.items[&id].clone();
+                                let kind = classify(&held.item, rid(OWN), &filter);
+                                if kind != held.kind {
+                                    m.remove(id);
+                                    m.put(held.item, kind);
+                                }
+                            }
+                        }
+                        Op::Rebuild { rotate } => {
+                            let items = s.iter()
+                                .map(|st| (st.item.clone(), st.kind, st.received_at))
+                                .collect();
+                            // Rotating the list reorders the FIFO; the
+                            // repeat and the stranger must change nothing.
+                            m.fifo.rotate_left(usize::from(rotate) % m.fifo.len().max(1));
+                            let mut listed: Vec<ItemId> = m.fifo.iter().copied().collect();
+                            listed.extend(listed.first().copied());
+                            listed.push(ItemId::new(rid(99), 99));
+                            s = ItemStore::from_parts(items, listed);
+                            m.clock = m.items.len() as u64;
+                        }
+                    }
+                    assert_matches(&mut s, &m);
+                }
+            }
+        }
     }
 }

@@ -136,8 +136,9 @@ impl Priority {
 /// between syncs.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SyncScratch {
-    /// Ids the version index reported as unknown to the requester.
-    pub candidates: Vec<ItemId>,
+    /// What the version index reported as unknown to the requester: item
+    /// id and store slot number.
+    pub candidates: Vec<(ItemId, usize)>,
     /// Selection survivors: (id, priority, matched_filter, payload_len).
     pub selected: Vec<(ItemId, Priority, bool, usize)>,
     /// Recycled batch-entry buffer. [`prepare_batch`] moves it into the
@@ -246,8 +247,8 @@ impl fmt::Debug for HostContext<'_> {
 /// One stored item the target lacks and its filter does not select, as
 /// handed to [`SyncExtension::to_send`]: the item itself (through
 /// `Deref`) plus the no-new-version channel for its transient metadata.
-/// Selection resolves each candidate with one store lookup and lends the
-/// policy that same slot, so a verdict never looks the item up again.
+/// Selection reaches each candidate by its store slot and lends the
+/// policy that same slot, so a verdict never looks the item up.
 pub struct Candidate<'a> {
     host: ReplicaId,
     slot: crate::store::Slot<'a>,
@@ -565,11 +566,11 @@ pub fn prepare_batch(
     let candidate_count = scratch.candidates.len() as u64;
     scratch.selected.clear();
     let mut withheld = 0usize;
-    for &id in &scratch.candidates {
-        // One store lookup per candidate: the slot answers the filter
-        // match and the payload length the byte-budget cut needs later,
-        // and is then lent to the policy for its verdict.
-        let Some(slot) = cx.replica.candidate_slot(id) else {
+    for &(id, slot) in &scratch.candidates {
+        // No store lookup per candidate: the walk reported the slot, which
+        // answers the filter match and the payload length the byte-budget
+        // cut needs later, and is then lent to the policy for its verdict.
+        let Some(slot) = cx.replica.candidate_slot(id, slot) else {
             withheld += 1;
             continue;
         };

@@ -697,17 +697,19 @@ impl Encode for Knowledge {
 
 impl Decode for Knowledge {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut k = Knowledge::new();
-        let n = r.get_len(2)?;
-        for _ in 0..n {
-            let replica = ReplicaId::decode(r)?;
-            let counter = r.get_varint()?;
-            k.insert_prefix(replica, counter);
+        // Entries may come in any order and overlap (only an honest
+        // encoder writes them ascending and canonical), so they are
+        // gathered first and the knowledge built from all of them at once.
+        let mut entries = [Vec::new(), Vec::new()];
+        for list in &mut entries {
+            let n = r.get_len(2)?;
+            list.reserve_exact(n);
+            for _ in 0..n {
+                list.push((ReplicaId::decode(r)?, r.get_varint()?));
+            }
         }
-        for version in Vec::<Version>::decode(r)? {
-            k.insert(version);
-        }
-        Ok(k)
+        let [prefixes, singles] = entries;
+        Ok(Knowledge::from_entries(prefixes, singles))
     }
 }
 

@@ -278,6 +278,68 @@ proptest! {
     }
 }
 
+proptest! {
+    /// **Source side.** A delta's `learned` list comes off the wire: a
+    /// peer may send it in any order, repeat versions, and name ones the
+    /// cached copy already covers or that close a gap right above a
+    /// prefix. Applied to the copy it must give the knowledge an
+    /// in-order build gives, with totals equal to the from-scratch ones;
+    /// a delta that does not reproduce its checksum resolves to `Resync`
+    /// and costs the cached copy (the next exchange re-seeds it).
+    #[test]
+    fn a_delta_resolves_whatever_order_its_versions_come_in(
+        base in arb_versions(40),
+        learned in arb_versions(30),
+        descending in any::<bool>(),
+        repeated in any::<bool>(),
+        lie in any::<bool>(),
+    ) {
+        let mut state = ReconState::new();
+        let local = learner();
+        let mut held = Knowledge::new();
+        for &v in &base {
+            held.insert(v);
+        }
+        let held_totals = KnowledgeTotals::of(&held);
+        state.commit_peer(PEER, Some((held.clone(), held_totals)), 0, None);
+
+        let mut expected = held.clone();
+        let mut in_order = learned.clone();
+        in_order.sort_unstable_by_key(|v| (v.replica(), v.counter()));
+        for &v in &in_order {
+            expected.insert(v);
+        }
+        let mut list = learned;
+        if descending {
+            list.sort_unstable_by_key(|v| std::cmp::Reverse((v.replica(), v.counter())));
+        }
+        if repeated {
+            list.extend(list.clone());
+        }
+        let summary = KnowledgeSummary::Delta {
+            base_checksum: held_totals.checksum(),
+            checksum: knowledge_checksum(&expected) ^ u64::from(lie),
+            learned: list,
+        };
+        match state.resolve(&local, PEER, summary) {
+            digest::SummaryOutcome::Resolved { knowledge, totals } => {
+                prop_assert!(!lie);
+                prop_assert_eq!(&knowledge, &expected);
+                prop_assert_eq!(totals, Some(KnowledgeTotals::of(&expected)));
+            }
+            digest::SummaryOutcome::Resync => {
+                prop_assert!(lie);
+                let unchanged = KnowledgeSummary::Unchanged { checksum: held_totals.checksum() };
+                prop_assert!(
+                    matches!(state.resolve(&local, PEER, unchanged), digest::SummaryOutcome::Resync),
+                    "the copy a bad delta was applied to is gone"
+                );
+            }
+            digest::SummaryOutcome::NeedVersions(_) => prop_assert!(false, "no bloom here"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Never-panic on adversarial digest frames
 // ---------------------------------------------------------------------------

@@ -294,6 +294,147 @@ fn old_layout_delta_frames_fail_as_wire_errors() {
 }
 
 // ---------------------------------------------------------------------------
+// Knowledge decodes from entries in any order
+// ---------------------------------------------------------------------------
+
+/// Hand-encodes a knowledge frame from raw entry lists, as a peer that
+/// does not sort, deduplicate or canonicalise would.
+fn knowledge_frame(prefixes: &[(u64, u64)], singles: &[(u64, u64)]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for list in [prefixes, singles] {
+        w.put_varint(list.len() as u64);
+        for &(replica, counter) in list {
+            w.put_varint(replica);
+            w.put_varint(counter);
+        }
+    }
+    w.into_bytes()
+}
+
+/// What the same entries add up to when installed one at a time.
+fn knowledge_one_at_a_time(prefixes: &[(u64, u64)], singles: &[(u64, u64)]) -> Knowledge {
+    let mut k = Knowledge::new();
+    for &(replica, counter) in prefixes {
+        k.insert_prefix(ReplicaId::new(replica), counter);
+    }
+    for &(replica, counter) in singles {
+        k.insert(Version::new(ReplicaId::new(replica), counter));
+    }
+    k
+}
+
+/// Entry lists dense enough that prefixes repeat, singles fall at or
+/// below a prefix, and runs of singles sit right above one.
+fn arb_entries() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    proptest::collection::vec((1u64..6, 0u64..14), 0..40)
+}
+
+proptest! {
+    /// The decoder builds from all entries at once (sort, then one pass);
+    /// whatever order and overlap they come in, the result is the
+    /// knowledge the one-at-a-time inserts give, in its one
+    /// representation: it re-encodes to the canonical frame.
+    #[test]
+    fn knowledge_decodes_from_any_entry_order(
+        prefixes in arb_entries(),
+        singles in arb_entries(),
+        order in 0u8..3,
+    ) {
+        // As generated, descending, or ascending without repeats — the
+        // last is what an honest frame looks like except that nothing
+        // was folded or dropped, so it must not be taken at its word.
+        let (mut prefixes, mut singles) = (prefixes, singles);
+        for list in [&mut prefixes, &mut singles] {
+            match order {
+                1 => list.sort_unstable_by(|a, b| b.cmp(a)),
+                2 => {
+                    list.sort_unstable();
+                    list.dedup();
+                }
+                _ => {}
+            }
+        }
+        if order == 2 {
+            // One nonzero prefix a replica and only singles above it:
+            // all that is left to get wrong is the run adjacent to it.
+            prefixes.retain(|&(_, counter)| counter > 0);
+            prefixes.dedup_by_key(|&mut (replica, _)| replica);
+            singles.retain(|&(origin, counter)| {
+                let base = prefixes.iter().find(|p| p.0 == origin).map_or(0, |p| p.1);
+                counter > base
+            });
+        }
+        let decoded: Knowledge =
+            from_bytes(&knowledge_frame(&prefixes, &singles)).expect("well-formed");
+        let expected = knowledge_one_at_a_time(&prefixes, &singles);
+        prop_assert_eq!(&decoded, &expected);
+        prop_assert_eq!(to_bytes(&decoded), to_bytes(&expected));
+        for replica in 1..6 {
+            for counter in 0..16 {
+                let v = Version::new(ReplicaId::new(replica), counter);
+                prop_assert_eq!(decoded.contains(v), expected.contains(v));
+            }
+        }
+        // The same frame inside a request and a full summary.
+        let summary = KnowledgeSummary::Full(decoded.clone());
+        prop_assert_eq!(from_bytes::<KnowledgeSummary>(&to_bytes(&summary)), Ok(summary));
+    }
+}
+
+/// The shapes an honest encoder never writes, one by one.
+#[test]
+fn knowledge_decode_canonicalises_each_hostile_shape() {
+    let r = ReplicaId::new;
+    // Exceptions at or below their prefix vanish.
+    let k: Knowledge = from_bytes(&knowledge_frame(&[(1, 5)], &[(1, 3), (1, 5), (1, 9)])).unwrap();
+    assert_eq!((k.base_counter(r(1)), k.exception_count()), (5, 1));
+    // A run adjacent to the prefix folds into it, through duplicates.
+    let k: Knowledge = from_bytes(&knowledge_frame(
+        &[(1, 2)],
+        &[(1, 4), (1, 3), (1, 3), (1, 7)],
+    ))
+    .unwrap();
+    assert_eq!((k.base_counter(r(1)), k.exception_count()), (4, 1));
+    // A run from 1 makes a prefix where the frame gave none.
+    let k: Knowledge = from_bytes(&knowledge_frame(&[], &[(2, 2), (2, 1)])).unwrap();
+    assert_eq!((k.base_counter(r(2)), k.replica_count()), (2, 1));
+    // Repeated prefixes: the highest wins; a zero prefix is no entry.
+    let k: Knowledge = from_bytes(&knowledge_frame(&[(3, 9), (3, 2), (4, 0)], &[])).unwrap();
+    assert_eq!((k.base_counter(r(3)), k.replica_count()), (9, 1));
+    // The top of the counter range neither overflows nor folds wrongly.
+    let k: Knowledge = from_bytes(&knowledge_frame(
+        &[(1, u64::MAX)],
+        &[(1, u64::MAX), (2, u64::MAX)],
+    ))
+    .unwrap();
+    assert_eq!((k.base_counter(r(1)), k.exception_count()), (u64::MAX, 1));
+}
+
+/// Decoding reserves room for the entries a frame announces only after
+/// checking the announcement against the bytes present, and holds
+/// nothing more than those entries: allocation is bounded by frame
+/// length however the entries are ordered.
+#[test]
+fn knowledge_decode_allocation_is_bounded_by_the_frame() {
+    let mut w = Writer::new();
+    w.put_varint(1 << 40);
+    w.put_u64(0);
+    assert_eq!(
+        from_bytes::<Knowledge>(w.as_slice()),
+        Err(WireError::LengthOverflow(1 << 40))
+    );
+    // 50,000 descending singles: every one is kept, none twice.
+    let singles: Vec<(u64, u64)> = (0..50_000u64)
+        .rev()
+        .map(|i| (1 + i / 100, 2 + 2 * (i % 100)))
+        .collect();
+    let frame = knowledge_frame(&[], &singles);
+    let k: Knowledge = from_bytes(&frame).unwrap();
+    assert_eq!(k.exception_count(), singles.len());
+    assert!(k.exception_count() + k.replica_count() <= frame.len());
+}
+
+// ---------------------------------------------------------------------------
 // The counting pass agrees with the bytes
 // ---------------------------------------------------------------------------
 
