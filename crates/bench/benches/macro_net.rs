@@ -148,7 +148,13 @@ fn session_burst(backend: PollBackend, sessions: usize) -> BurstResult {
                     let mut lat = Vec::with_capacity(share);
                     for s in 0..share {
                         let t0 = Instant::now();
-                        let result = client.sync_with(addr, SimTime::from_secs(7200 + s as u64));
+                        // Detached and awaited, not `sync_with`: that runs
+                        // on this thread and would leave the client's
+                        // backend out of the comparison.
+                        let result = client
+                            .sync_detached(addr, SimTime::from_secs(7200 + s as u64))
+                            .expect("register session")
+                            .wait();
                         assert!(result.is_ok(), "session failed: {:?}", result.error);
                         lat.push(t0.elapsed().as_micros() as u64);
                     }

@@ -175,9 +175,11 @@ pub struct DtnNode {
     pub(crate) extra_filter_addrs: BTreeSet<String>,
     pub(crate) durable: Option<crate::durable::Durable>,
     /// Expiry watermark for [`DtnNode::expire_messages`]: `None` = unknown
-    /// (items may have arrived; the next call must scan), `Some(None)` =
-    /// no stored message expires, `Some(Some(t))` = nothing expires before
-    /// `t`. Purely an acceleration cache — never snapshotted.
+    /// (the replica was mutated behind our back; the next call must
+    /// scan), `Some(None)` = no stored message expires, `Some(Some(t))` =
+    /// nothing expires before `t`. A sync lowers it to the earliest expiry
+    /// among the items it stored here and never clears it. Purely an
+    /// acceleration cache — never snapshotted.
     next_expiry: Option<Option<SimTime>>,
     /// How encounters exchange metadata. Runtime configuration, not
     /// snapshotted — a restored node starts in [`SyncMode::Full`] until
@@ -476,8 +478,9 @@ impl DtnNode {
     /// applications using bounded lifetimes need no extra bookkeeping.
     pub fn expire_messages(&mut self, now: SimTime) -> usize {
         // Watermark fast path: skip the store scan entirely when nothing
-        // can have expired since the last one. Item arrivals (syncs,
-        // lifetime sends, external replica mutation) reset the watermark.
+        // can have expired since the last one. Syncs lower the watermark
+        // to what arrived; lifetime sends and external replica mutation
+        // reset it.
         match self.next_expiry {
             Some(None) => return 0,
             Some(Some(next)) if now < next => return 0,
@@ -577,11 +580,6 @@ impl DtnNode {
 
         let r2 = node_sync(other, self, true, limits_for(remaining), now);
         report.absorb(r2, true);
-        if report.transmitted > 0 {
-            // Either side may now hold items with earlier expiry times.
-            self.next_expiry = None;
-            other.next_expiry = None;
-        }
         let (a, b) = (self.replica.id().as_u64(), other.replica.id().as_u64());
         let (transmitted, delivered, duplicates) = (
             report.transmitted as u64,
@@ -631,11 +629,21 @@ impl DtnNode {
 
     /// Applies a received batch as the *target*, completing the session.
     pub fn apply_sync(&mut self, batch: pfr::sync::SyncBatch, now: SimTime) -> SyncReport {
-        if !batch.entries.is_empty() {
-            // Arriving items may carry expiry times; rescan next time.
-            self.next_expiry = None;
+        let report = sync::apply_batch(&mut self.replica, self.policy.as_mut(), batch, now);
+        self.lower_expiry(&report);
+        report
+    }
+
+    /// Lowers a known expiry watermark to cover the items a sync stored
+    /// here: one lookup per item the report names.
+    fn lower_expiry(&mut self, report: &SyncReport) {
+        let Some(next) = self.next_expiry.as_mut() else {
+            return;
+        };
+        let stored = report.delivered_ids.iter().chain(&report.stored_ids);
+        for t in stored.filter_map(|&id| self.replica.item(id).and_then(messaging::expires_at)) {
+            *next = Some(next.map_or(t, |n| n.min(t)));
         }
-        sync::apply_batch(&mut self.replica, self.policy.as_mut(), batch, now)
     }
 
     // --- Digest-mode network sessions -----------------------------------
@@ -1013,6 +1021,19 @@ fn node_sync(
     limits: SyncLimits,
     now: SimTime,
 ) -> SyncReport {
+    let report = exchange(source, target, with_policy, limits, now);
+    target.lower_expiry(&report);
+    report
+}
+
+/// The exchange itself, in the mode both nodes agree on.
+fn exchange(
+    source: &mut DtnNode,
+    target: &mut DtnNode,
+    with_policy: bool,
+    limits: SyncLimits,
+    now: SimTime,
+) -> SyncReport {
     if source.sync_mode != SyncMode::Digest || target.sync_mode != SyncMode::Digest {
         let (mut none_s, mut none_t) = (sync::NoExtension, sync::NoExtension);
         return if with_policy {
@@ -1236,6 +1257,126 @@ mod tests {
         );
         assert!(z.inbox().is_empty(), "origin tombstoned its own message");
         assert!(a.replica().item(id).unwrap().is_deleted());
+    }
+
+    #[test]
+    fn an_arriving_lifetime_message_lowers_a_later_watermark() {
+        use pfr::SimDuration;
+        let mut a = node(1, "a", PolicyKind::Epidemic);
+        let mut b = node(2, "b", PolicyKind::Epidemic);
+        let mut z = node(9, "z", PolicyKind::Epidemic);
+        let long = b
+            .send_with_lifetime(
+                "z",
+                b"long".to_vec(),
+                SimTime::ZERO,
+                SimDuration::from_hours(10),
+            )
+            .unwrap();
+        let short = a
+            .send_with_lifetime(
+                "z",
+                b"short".to_vec(),
+                SimTime::ZERO,
+                SimDuration::from_hours(1),
+            )
+            .unwrap();
+
+        // The encounter's own scan leaves b knowing that nothing of its
+        // expires before hour 10; then the one-hour message arrives.
+        a.encounter(
+            &mut b,
+            SimTime::from_hms(0, 0, 30, 0),
+            EncounterBudget::unlimited(),
+        );
+        assert!(b.replica().contains_item(short));
+
+        // Past the short lifetime b purges that copy on time and keeps
+        // carrying the long-lived message.
+        b.encounter(
+            &mut z,
+            SimTime::from_hms(0, 2, 0, 0),
+            EncounterBudget::unlimited(),
+        );
+        assert!(!b.replica().contains_item(short), "relay copy purged");
+        assert!(b.replica().contains_item(long));
+        assert_eq!(z.inbox().len(), 1, "only the long-lived message moved");
+    }
+
+    #[test]
+    fn an_expired_delivery_handed_on_is_purged_by_whoever_takes_it() {
+        use pfr::SimDuration;
+        let mut a = node(1, "a", PolicyKind::Epidemic);
+        let mut b = node(2, "b", PolicyKind::Epidemic);
+        let mut c = node(3, "c", PolicyKind::Epidemic);
+        let mut d = node(4, "d", PolicyKind::Epidemic);
+        let id = a
+            .send_with_lifetime(
+                "b",
+                b"kept".to_vec(),
+                SimTime::ZERO,
+                SimDuration::from_hours(1),
+            )
+            .unwrap();
+        a.encounter(
+            &mut b,
+            SimTime::from_hms(0, 0, 30, 0),
+            EncounterBudget::unlimited(),
+        );
+        assert_eq!(b.inbox().len(), 1);
+
+        // The destination keeps its delivery past the lifetime and, as an
+        // epidemic source, still serves it; the relay that took it drops
+        // it at its next encounter.
+        b.encounter(
+            &mut c,
+            SimTime::from_hms(0, 2, 0, 0),
+            EncounterBudget::unlimited(),
+        );
+        assert!(b.replica().contains_item(id));
+        assert!(c.replica().contains_item(id));
+        c.encounter(
+            &mut d,
+            SimTime::from_hms(0, 3, 0, 0),
+            EncounterBudget::unlimited(),
+        );
+        assert!(!c.replica().contains_item(id), "relay copy purged");
+        assert!(!d.replica().contains_item(id));
+    }
+
+    #[test]
+    fn a_batch_off_the_wire_lowers_the_watermark_it_arrives_under() {
+        use pfr::SimDuration;
+        // The target's watermark is later than the arrival's expiry, or
+        // says that nothing it holds expires at all.
+        for own_lifetime in [Some(SimDuration::from_hours(10)), None] {
+            let mut source = node(1, "a", PolicyKind::Epidemic);
+            let mut target = node(2, "b", PolicyKind::Epidemic);
+            if let Some(lifetime) = own_lifetime {
+                target
+                    .send_with_lifetime("z", b"long".to_vec(), SimTime::ZERO, lifetime)
+                    .unwrap();
+            }
+            let short = source
+                .send_with_lifetime(
+                    "z",
+                    b"short".to_vec(),
+                    SimTime::ZERO,
+                    SimDuration::from_hours(1),
+                )
+                .unwrap();
+            let now = SimTime::from_hms(0, 0, 30, 0);
+            assert_eq!(target.expire_messages(now), 0);
+
+            let request = target.begin_sync_session(source.id(), now).into_owned();
+            let batch = source.respond_sync(&request, SyncLimits::unlimited(), now);
+            assert_eq!(target.apply_sync(batch, now).relayed, 1);
+
+            assert_eq!(target.expire_messages(now), 0, "not before its time");
+            assert!(target.replica().contains_item(short));
+            assert_eq!(target.expire_messages(SimTime::from_hms(0, 2, 0, 0)), 1);
+            assert!(!target.replica().contains_item(short));
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! [`NetNode`]: a DTN node served by the async reactor.
 //!
 //! The high-fanout sibling of [`transport::Peer`]: the same
-//! [`SessionMachine`], driven by the reactor instead of a blocking pump
+//! [`SessionMachine`], served by the reactor instead of a blocking pump
 //! on a thread per connection. One accept thread
 //! feeds inbound connections to the reactor's worker pool (each parked as
-//! an idle responder that can carry many back-to-back sessions); outbound
-//! syncs are detached — [`NetNode::sync_detached`] registers the session
-//! and returns a [`SessionTicket`] immediately, so one caller can hold
-//! hundreds of sessions in flight. A gossip thread runs periodic
+//! an idle responder that can carry many back-to-back sessions). Who
+//! drives an outbound sync is decided by what the caller asked for:
+//! [`NetNode::sync_with`] blocks, so the session runs on the caller's own
+//! thread through the shared [`transport::Dialer`] — no queue, no worker
+//! wake-up, no ticket — while [`NetNode::sync_detached`] registers the
+//! session with the reactor and returns a [`SessionTicket`] immediately,
+//! so one caller can hold hundreds of sessions in flight. Both take
+//! connections from, and return them to, the dialer's one pool. A gossip
+//! thread runs periodic
 //! peer-exchange rounds against the membership view: seeds are dialed
 //! until resolved, suspicion spreads and heals through incarnations, and
 //! (optionally) an anti-entropy round-robin syncs with discovered members
@@ -25,7 +30,8 @@ use obs::{Event, Obs};
 use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 use transport::{
-    Membership, MembershipConfig, PeerView, SessionError, SessionMachine, SessionOutcome,
+    DialConfig, Dialer, Membership, MembershipConfig, PeerView, SessionError, SessionMachine,
+    SessionOutcome,
 };
 
 use crate::poll::PollBackend;
@@ -56,7 +62,8 @@ pub struct NetConfig {
     /// reuses a connection its (identically configured) peer is about to
     /// reap.
     pub idle_timeout: Duration,
-    /// Sessions making no forward progress past this are failed.
+    /// Sessions making no forward progress past this are failed (on a
+    /// caller-thread session it is the socket's read and write timeout).
     pub stall_timeout: Duration,
     /// Blocking TCP connect budget for outbound dials.
     pub connect_timeout: Duration,
@@ -94,7 +101,8 @@ impl Default for NetConfig {
 /// Point-in-time reactor counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Sessions currently registered (in-flight plus parked responders).
+    /// Sessions currently open: in flight on a worker or on a caller's
+    /// thread, plus parked responders.
     pub open_sessions: usize,
     /// High-water mark of concurrently open sessions.
     pub peak_sessions: usize,
@@ -106,7 +114,8 @@ pub struct NetStats {
     pub conn_reuses: u64,
     /// Backpressure episodes (write queue over its bound).
     pub backpressure_stalls: u64,
-    /// Socket/poll syscalls issued by the reactor workers.
+    /// Socket/poll syscalls issued by the reactor workers, plus the
+    /// socket reads and writes of sessions run on their callers' threads.
     pub syscalls: u64,
     /// Times a parked worker was woken to pick up enqueued sessions.
     pub wakeups: u64,
@@ -167,6 +176,16 @@ impl NetNode {
         let replica = node.id().as_u64();
         let obs = node.replica().observer().clone();
         let membership = Membership::new(replica, local_addr.to_string(), config.gossip.clone());
+        // Nodes share one config, so the far end reaps an idle connection
+        // at `idle_timeout`: the pool lets go at half that.
+        let dialer = Dialer::new(
+            DialConfig {
+                connect_timeout: config.connect_timeout,
+                io_timeout: config.stall_timeout,
+                ..DialConfig::default()
+            },
+            config.idle_timeout / 2,
+        );
         let reactor = Reactor::start(
             ReactorConfig {
                 workers: config.workers,
@@ -175,6 +194,7 @@ impl NetNode {
                 idle_timeout: config.idle_timeout,
                 stall_timeout: config.stall_timeout,
             },
+            dialer,
             obs.clone(),
             replica,
         );
@@ -262,12 +282,27 @@ impl NetNode {
         Ok(ticket)
     }
 
-    /// Runs one full sync session with `addr`, blocking until it
-    /// completes or fails.
+    /// Runs one full sync session with `addr` on the calling thread,
+    /// blocking until it completes or fails.
     pub fn sync_with(&self, addr: &str, now: SimTime) -> SessionOutcome {
-        match self.sync_detached(addr, now) {
-            Ok(ticket) => ticket.wait(),
-            Err(error) => SessionOutcome::failed(error),
+        let core = &self.core;
+        let shared = &core.shared;
+        if shared.open_sessions() >= core.config.max_sessions {
+            return SessionOutcome::failed(SessionError::AtCapacity);
+        }
+        shared.session_opened();
+        let dialed = shared.dialer.sync(
+            addr,
+            &core.node,
+            &core.membership,
+            core.config.limits,
+            now,
+            &|| shared.now_ms(),
+        );
+        shared.caller_session_closed(dialed.as_ref().ok());
+        match dialed {
+            Ok(dialed) => dialed.outcome,
+            Err(e) => SessionOutcome::failed(SessionError::Io(e)),
         }
     }
 
@@ -315,10 +350,7 @@ impl Core {
         now: SimTime,
         ticket: Option<SessionTicket>,
     ) -> Result<(), SessionError> {
-        let conn = self
-            .shared
-            .dial(addr, self.config.connect_timeout)
-            .map_err(SessionError::Io)?;
+        let conn = self.shared.dial(addr).map_err(SessionError::Io)?;
         let (node, membership) = (Arc::clone(&self.node), Arc::clone(&self.membership));
         let limits = self.config.limits;
         let (machine, opening) = match conn.peer {
@@ -326,7 +358,7 @@ impl Core {
             None => SessionMachine::sync_initiator(node, membership, limits, now, conn.reused),
         }?;
         self.shared
-            .register_outbound(conn, machine, opening, ticket);
+            .register_outbound(addr, conn, machine, opening, ticket);
         Ok(())
     }
 
@@ -436,10 +468,7 @@ impl Core {
 
     /// Registers one outbound gossip exchange (pool-first, like syncs).
     fn gossip_dial(&self, addr: &str) -> Result<SessionTicket, SessionError> {
-        let conn = self
-            .shared
-            .dial(addr, self.config.connect_timeout)
-            .map_err(SessionError::Io)?;
+        let conn = self.shared.dial(addr).map_err(SessionError::Io)?;
         let (machine, opening) = SessionMachine::gossip_initiator(
             Arc::clone(&self.node),
             Arc::clone(&self.membership),
@@ -448,7 +477,7 @@ impl Core {
         )?;
         let ticket = SessionTicket::new();
         self.shared
-            .register_outbound(conn, machine, opening, Some(ticket.clone()));
+            .register_outbound(addr, conn, machine, opening, Some(ticket.clone()));
         Ok(ticket)
     }
 

@@ -25,14 +25,19 @@
 //! session whose queue is over its bound stops *reading* until it drains
 //! (backpressure propagates to the peer through TCP). A session making no
 //! forward progress past the stall timeout is failed; an idle pooled
-//! responder past the idle timeout is closed. Completed outbound
-//! connections return to a pool keyed by dial address, each remembering
-//! who its last session was with so the next one can open with its
-//! request right behind the hello.
+//! responder past the idle timeout is closed.
+//!
+//! The reactor drives the sessions nobody blocks on: every inbound
+//! connection, and the outbound ones a caller detached (`sync_detached`,
+//! gossip fan-out, anti-entropy). A caller that waits for its session
+//! runs it on its own thread through [`transport::Dialer`], which also
+//! owns the one pool of idle outbound connections: a worker borrows a
+//! connection from it (flipping the socket nonblocking) and returns it
+//! blocking again once the session completed cleanly.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,7 +46,7 @@ use obs::{Event, Obs};
 use parking_lot::Mutex;
 use pfr::ReplicaId;
 use transport::frame::{FrameAccum, FrameError};
-use transport::{Progress, SessionError, SessionMachine, SessionOutcome};
+use transport::{Dialed, Dialer, Outbound, Progress, SessionError, SessionMachine, SessionOutcome};
 
 use crate::poll::{CondWaker, PollBackend, Waker};
 
@@ -75,16 +80,6 @@ pub(crate) struct ReactorConfig {
     pub write_queue_limit: usize,
     pub idle_timeout: Duration,
     pub stall_timeout: Duration,
-}
-
-impl ReactorConfig {
-    /// How long an outbound connection may sit in the pool. The far end
-    /// reaps it once idle for `idle_timeout` (nodes share one config),
-    /// so it is discarded here at half that: a connection is never taken
-    /// in the moment it is being reaped.
-    fn pool_idle(&self) -> Duration {
-        self.idle_timeout / 2
-    }
 }
 
 struct TicketInner {
@@ -258,55 +253,6 @@ pub(crate) struct Session {
     enqueued_at: Instant,
 }
 
-/// An outbound connection, freshly dialed or taken from the pool.
-pub(crate) struct Outbound {
-    stream: TcpStream,
-    addr: String,
-    /// Taken from the pool rather than dialed.
-    pub(crate) reused: bool,
-    /// Who its last sync session was with, when it had one.
-    pub(crate) peer: Option<ReplicaId>,
-}
-
-struct PooledConn {
-    stream: TcpStream,
-    peer: Option<ReplicaId>,
-    idle_since: Instant,
-}
-
-/// Idle outbound connections by dial address, newest last.
-struct Pool {
-    by_addr: HashMap<String, Vec<PooledConn>>,
-    pruned_at: Instant,
-}
-
-impl Pool {
-    /// The most recently pooled connection to `addr`, if it is still
-    /// younger than `max_idle` (if it is not, none to `addr` is).
-    fn take(&mut self, addr: &str, max_idle: Duration) -> Option<PooledConn> {
-        let conns = self.by_addr.get_mut(addr)?;
-        let newest = conns.pop().filter(|c| c.idle_since.elapsed() < max_idle);
-        if newest.is_none() || conns.is_empty() {
-            self.by_addr.remove(addr);
-        }
-        newest
-    }
-
-    /// Pools a connection; once per `max_idle` also drops every stale
-    /// one, so connections to addresses never dialed again do not pile
-    /// up.
-    fn give(&mut self, addr: String, conn: PooledConn, max_idle: Duration) {
-        self.by_addr.entry(addr).or_default().push(conn);
-        if self.pruned_at.elapsed() >= max_idle {
-            self.pruned_at = Instant::now();
-            self.by_addr.retain(|_, conns| {
-                conns.retain(|c| c.idle_since.elapsed() < max_idle);
-                !conns.is_empty()
-            });
-        }
-    }
-}
-
 /// State shared between the reactor handle and its workers.
 pub(crate) struct Shared {
     config: ReactorConfig,
@@ -319,7 +265,9 @@ pub(crate) struct Shared {
     /// on their queue (condvar for sweep, socketpair write for epoll).
     wakers: Vec<Waker>,
     next_queue: AtomicUsize,
-    pool: Mutex<Pool>,
+    /// The pool of idle outbound connections and the blocking initiator
+    /// over it.
+    pub(crate) dialer: Dialer,
     epoch: Instant,
     obs: Obs,
     replica: u64,
@@ -345,27 +293,22 @@ impl Shared {
         self.backend
     }
 
-    /// A connection to `addr`, pool-first: a pooled one skips the TCP
-    /// handshake entirely. Fresh dials block for at most
-    /// `connect_timeout`, then flip nonblocking for the reactor.
-    pub(crate) fn dial(&self, addr: &str, connect_timeout: Duration) -> io::Result<Outbound> {
-        let pooled = self.pool.lock().take(addr, self.config.pool_idle());
-        let (stream, reused, peer) = match pooled {
-            Some(conn) => (conn.stream, true, conn.peer),
-            None => (connect(addr, connect_timeout)?, false, None),
-        };
-        Ok(Outbound {
-            stream,
-            addr: addr.to_string(),
-            reused,
-            peer,
-        })
+    /// A connection to `addr` for a worker to drive, pool-first: taken
+    /// (or dialed) blocking, handed over nonblocking. The pool holds
+    /// blocking sockets, so a worker-driven session pays (and counts) one
+    /// mode flip here and one back in [`finalize`].
+    pub(crate) fn dial(&self, addr: &str) -> io::Result<Outbound> {
+        let conn = self.dialer.checkout(addr)?;
+        self.syscalls.fetch_add(1, Ordering::Relaxed);
+        conn.stream.set_nonblocking(true)?;
+        Ok(conn)
     }
 
-    /// Registers an outbound session: `opening` is what the machine
-    /// wants on the wire first.
+    /// Registers an outbound session to `addr`: `opening` is what the
+    /// machine wants on the wire first.
     pub(crate) fn register_outbound(
         &self,
+        addr: &str,
         conn: Outbound,
         machine: SessionMachine,
         opening: Vec<u8>,
@@ -375,11 +318,35 @@ impl Shared {
             self.reuses.fetch_add(1, Ordering::Relaxed);
         }
         let mut session = Session::new(conn.stream, machine);
-        session.addr = conn.addr;
+        session.addr = addr.to_string();
         session.known_peer = conn.peer;
         session.out.push_seg(opening);
         session.ticket = ticket;
         self.enqueue(session);
+    }
+
+    /// Counts one more open session (queued for a worker, or about to run
+    /// on its caller's thread).
+    pub(crate) fn session_opened(&self) {
+        let open = self.open.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(open, Ordering::Relaxed);
+    }
+
+    /// Accounts what a caller-thread session did (`None`: it never got a
+    /// connection, so there was no session).
+    pub(crate) fn caller_session_closed(&self, dialed: Option<&Dialed>) {
+        self.open.fetch_sub(1, Ordering::Relaxed);
+        let Some(dialed) = dialed else { return };
+        let finished = if dialed.outcome.is_ok() {
+            &self.completed
+        } else {
+            &self.failed
+        };
+        finished.fetch_add(1, Ordering::Relaxed);
+        if dialed.reused {
+            self.reuses.fetch_add(1, Ordering::Relaxed);
+        }
+        self.syscalls.fetch_add(dialed.syscalls, Ordering::Relaxed);
     }
 
     /// Registers an accepted connection behind a responder machine.
@@ -392,8 +359,7 @@ impl Shared {
     /// Hands a session to the next worker round-robin and wakes that
     /// worker. The stream must already be nonblocking.
     fn enqueue(&self, session: Session) {
-        let open = self.open.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(open, Ordering::Relaxed);
+        self.session_opened();
         let idx = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.queues.len();
         self.queues[idx].lock().push(session);
         self.wakers[idx].wake();
@@ -424,17 +390,6 @@ impl Session {
     }
 }
 
-/// Resolves and connects with a timeout, returning a nonblocking stream.
-fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-    })?;
-    let stream = TcpStream::connect_timeout(&resolved, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_nonblocking(true)?;
-    Ok(stream)
-}
-
 /// How one worker discovers readiness: its half of the A/B switch.
 enum WorkerPoller {
     Sweep(Arc<CondWaker>),
@@ -459,7 +414,7 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub(crate) fn start(config: ReactorConfig, obs: Obs, replica: u64) -> Reactor {
+    pub(crate) fn start(config: ReactorConfig, dialer: Dialer, obs: Obs, replica: u64) -> Reactor {
         let workers = config.workers.max(1);
         let (backend, pollers) = build_pollers(config.backend, workers);
         let wakers = pollers.iter().map(WorkerPoller::waker).collect();
@@ -470,10 +425,7 @@ impl Reactor {
             queues: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             wakers,
             next_queue: AtomicUsize::new(0),
-            pool: Mutex::new(Pool {
-                by_addr: HashMap::new(),
-                pruned_at: Instant::now(),
-            }),
+            dialer,
             epoch: Instant::now(),
             obs,
             replica,
@@ -848,13 +800,11 @@ fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
     // caller that re-dials the moment its wait returns must find the
     // connection already pooled.
     if outcome.is_ok() && !session.inbound {
-        let conn = PooledConn {
-            stream: session.stream,
-            peer: outcome.report.peer.or(session.known_peer),
-            idle_since: Instant::now(),
-        };
-        let max_idle = shared.config.pool_idle();
-        shared.pool.lock().give(session.addr, conn, max_idle);
+        shared.syscalls.fetch_add(1, Ordering::Relaxed);
+        if session.stream.set_nonblocking(false).is_ok() {
+            let peer = outcome.report.peer.or(session.known_peer);
+            shared.dialer.checkin(&session.addr, session.stream, peer);
+        }
     }
     if let Some(ticket) = session.ticket {
         ticket.resolve(outcome);

@@ -6,13 +6,15 @@
 //!
 //! * in-process `DtnNode::encounter` (no wire at all),
 //! * two [`SessionMachine`]s pumped in memory,
-//! * the blocking pump over TCP ([`transport::Peer`]),
-//! * the reactor under epoll, and under the sweep,
+//! * the blocking pump on the caller's thread over TCP, behind
+//!   [`transport::Peer::sync_with`] and behind [`NetNode::sync_with`],
+//! * the reactor (`NetNode::sync_detached`) under epoll, and under the
+//!   sweep,
 //!
 //! for all six policies, in Full mode, Digest mode (the forgetful node
 //! forces a `ReconResync` round) and Digest mode with Bloom summaries
-//! (which force `RangeRequest` rounds), over fresh connections and over
-//! reused ones. Every replay must leave byte-identical node snapshots and
+//! (which force `RangeRequest` rounds), every wired driver over fresh
+//! connections and over reused ones. Every replay must leave byte-identical node snapshots and
 //! identical `recon_stats`, and every wired replay must put byte-identical
 //! streams on the wire in each direction — pipelining and the
 //! remembered-peer opening change when frames are written, never which.
@@ -24,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -394,6 +396,8 @@ impl Driver for Memory {
 struct Tap {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Connections forwarded so far.
+    accepted: Arc<AtomicUsize>,
     accepting: std::thread::JoinHandle<()>,
 }
 
@@ -405,6 +409,8 @@ impl Tap {
         let addr = listener.local_addr().expect("tap addr");
         let stop = Arc::new(AtomicBool::new(false));
         let stopping = Arc::clone(&stop);
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let counting = Arc::clone(&accepted);
         let accepting = std::thread::spawn(move || {
             let mut copies = Vec::new();
             for client in listener.incoming() {
@@ -412,6 +418,7 @@ impl Tap {
                     break;
                 }
                 let client = client.expect("tap accept");
+                counting.fetch_add(1, Ordering::SeqCst);
                 let server = TcpStream::connect(target).expect("tap dial");
                 client.set_nodelay(true).expect("nodelay");
                 server.set_nodelay(true).expect("nodelay");
@@ -431,6 +438,7 @@ impl Tap {
         Tap {
             addr,
             stop,
+            accepted,
             accepting,
         }
     }
@@ -500,6 +508,12 @@ impl Taps {
         }
     }
 
+    /// Connections dialed through the taps so far.
+    fn dials(&self) -> usize {
+        let taps = self.standing.iter().flatten().chain(&self.spent);
+        taps.map(|tap| tap.accepted.load(Ordering::SeqCst)).sum()
+    }
+
     fn finish(self) -> WireLog {
         for tap in self.standing.into_iter().flatten().chain(self.spent) {
             tap.stop();
@@ -519,13 +533,12 @@ struct Blocking {
 }
 
 impl Blocking {
-    fn new(nodes: Vec<DtnNode>) -> Blocking {
+    fn new(nodes: Vec<DtnNode>, reuse: bool) -> Blocking {
         let peers: Vec<Peer> = nodes
             .into_iter()
             .map(|n| Peer::start(n, "127.0.0.1:0").expect("bind"))
             .collect();
-        // A blocking peer dials afresh every time.
-        let taps = Taps::new(peers.iter().map(Peer::local_addr).collect(), false);
+        let taps = Taps::new(peers.iter().map(Peer::local_addr).collect(), reuse);
         Blocking { peers, taps }
     }
 }
@@ -543,6 +556,9 @@ impl Driver for Blocking {
     }
 
     fn finish(self) -> (Vec<DtnNode>, Option<WireLog>) {
+        // Six sessions between three (initiator, responder) pairs.
+        let expected = if self.taps.standing.is_some() { 3 } else { 6 };
+        assert_eq!(self.taps.dials(), expected, "connections dialed");
         let nodes = self.peers.into_iter().map(Peer::stop).collect();
         (nodes, Some(self.taps.finish()))
     }
@@ -551,10 +567,13 @@ impl Driver for Blocking {
 struct Reactor {
     fleet: Vec<NetNode>,
     taps: Taps,
+    /// Initiate with `sync_detached` (a worker drives the session) rather
+    /// than `sync_with` (the caller's thread does).
+    detached: bool,
 }
 
 impl Reactor {
-    fn new(nodes: Vec<DtnNode>, backend: PollBackend, reuse: bool) -> Reactor {
+    fn new(nodes: Vec<DtnNode>, backend: PollBackend, detached: bool, reuse: bool) -> Reactor {
         let config = NetConfig {
             backend,
             workers: 1,
@@ -566,7 +585,11 @@ impl Reactor {
             .map(|n| NetNode::start(n, "127.0.0.1:0", config.clone()).expect("bind"))
             .collect();
         let taps = Taps::new(fleet.iter().map(NetNode::local_addr).collect(), reuse);
-        Reactor { fleet, taps }
+        Reactor {
+            fleet,
+            taps,
+            detached,
+        }
     }
 }
 
@@ -577,7 +600,14 @@ impl Driver for Reactor {
 
     fn session(&mut self, a: usize, b: usize, now: SimTime) {
         let toward = self.taps.toward(b).to_string();
-        let outcome = self.fleet[a].sync_with(&toward, now);
+        let outcome = if self.detached {
+            self.fleet[a]
+                .sync_detached(&toward, now)
+                .expect("register a session")
+                .wait()
+        } else {
+            self.fleet[a].sync_with(&toward, now)
+        };
         assert!(outcome.is_ok(), "reactor session: {:?}", outcome.error);
     }
 
@@ -748,27 +778,42 @@ fn reused_machines_equal_fresh_ones() {
 #[test]
 fn the_blocking_pump_over_tcp_equals_the_machine() {
     every_case(|policy, mode, reference| {
-        let got = replay(Blocking::new(nodes(policy, mode)));
-        assert_same(&format!("blocking {policy:?} {mode:?}"), reference, &got);
+        for reuse in [false, true] {
+            let got = replay(Blocking::new(nodes(policy, mode), reuse));
+            let what = format!("blocking reuse={reuse} {policy:?} {mode:?}");
+            assert_same(&what, reference, &got);
+        }
     });
 }
 
-fn reactor_equals_the_machine(backend: PollBackend) {
+/// Responders under `backend`; initiators on a worker of the same reactor
+/// (`detached`) or on the caller's thread.
+fn reactor_equals_the_machine(backend: PollBackend, detached: bool) {
     every_case(|policy, mode, reference| {
         for reuse in [false, true] {
-            let got = replay(Reactor::new(nodes(policy, mode), backend, reuse));
-            let what = format!("{} reuse={reuse} {policy:?} {mode:?}", backend.name());
+            let got = replay(Reactor::new(nodes(policy, mode), backend, detached, reuse));
+            let what = format!(
+                "{} detached={detached} reuse={reuse} {policy:?} {mode:?}",
+                backend.name()
+            );
             assert_same(&what, reference, &got);
         }
     });
 }
 
 #[test]
+fn the_caller_thread_driver_equals_the_machine() {
+    for responders in [PollBackend::Epoll, PollBackend::Sweep] {
+        reactor_equals_the_machine(responders, false);
+    }
+}
+
+#[test]
 fn the_epoll_reactor_equals_the_machine() {
-    reactor_equals_the_machine(PollBackend::Epoll);
+    reactor_equals_the_machine(PollBackend::Epoll, true);
 }
 
 #[test]
 fn the_sweep_reactor_equals_the_machine() {
-    reactor_equals_the_machine(PollBackend::Sweep);
+    reactor_equals_the_machine(PollBackend::Sweep, true);
 }

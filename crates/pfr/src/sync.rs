@@ -475,6 +475,10 @@ pub struct SyncReport {
     pub delivered_ids: Vec<ItemId>,
     /// Items accepted into the relay (or push-out) store for forwarding.
     pub relayed: usize,
+    /// Ids of the copies stored without a delivery: the relayed items and
+    /// the concurrent copies merged. With `delivered_ids`, every item
+    /// the batch wrote at the target.
+    pub stored_ids: Vec<ItemId>,
     /// Copies ignored as stale.
     pub stale: usize,
     /// Copies rejected as duplicates (should be zero in a correct run).
@@ -759,6 +763,7 @@ pub(crate) fn apply_batch_recycling(
                     });
                 } else {
                     report.relayed += 1;
+                    report.stored_ids.push(id);
                     target.observer().emit(|| Event::ItemRelayed {
                         replica: target_id,
                         source: source_id,
@@ -771,7 +776,10 @@ pub(crate) fn apply_batch_recycling(
             }
             ApplyOutcome::Duplicate => report.duplicates += 1,
             ApplyOutcome::Stale => report.stale += 1,
-            ApplyOutcome::ConflictMerged => report.conflicts += 1,
+            ApplyOutcome::ConflictMerged => {
+                report.conflicts += 1;
+                report.stored_ids.push(id);
+            }
         }
     }
     if report.transmitted > 0 {

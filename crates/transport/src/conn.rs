@@ -6,7 +6,7 @@
 //! needs to read and write bytes, so the same pump drives a real
 //! `TcpStream` or an in-memory fault-injecting link (the testkit's
 //! `SimNet`) — which is how the fault harness exercises the exact code
-//! path [`Peer`](crate::Peer) uses.
+//! path [`Peer`](crate::Peer) and [`Dialer`](crate::Dialer) use.
 
 use std::io::{ErrorKind, Read, Write};
 
@@ -22,6 +22,17 @@ impl<T: Read + Write + ?Sized> Connection for T {}
 
 /// How many bytes one `read` call pulls at most.
 const READ_BUF: usize = 16 * 1024;
+
+/// The pump's I/O buffers, reusable from one session to the next: the
+/// dialer keeps them so a session on a pooled connection allocates
+/// nothing to read.
+#[derive(Debug, Default)]
+pub(crate) struct PumpScratch {
+    accum: FrameAccum,
+    buf: Vec<u8>,
+    /// Bytes the current session has read.
+    pub(crate) received: usize,
+}
 
 /// Drives `machine` over `conn` with blocking I/O: write the outbox
 /// (starting with `opening`), read into a [`FrameAccum`], feed every
@@ -39,9 +50,10 @@ const READ_BUF: usize = 16 * 1024;
 ///
 /// # Errors
 ///
-/// The [`SessionError`] that ended the session; the machine has been
-/// [`abort`](SessionMachine::abort)ed, so the failure is accounted and
-/// its partial [`report`](SessionMachine::report) is final.
+/// The [`SessionError`] that ended the session — a read or write that
+/// timed out mid-session is [`SessionError::Stalled`]; the machine has
+/// been [`abort`](SessionMachine::abort)ed, so the failure is accounted
+/// and its partial [`report`](SessionMachine::report) is final.
 pub fn pump(
     conn: &mut dyn Connection,
     machine: &mut SessionMachine,
@@ -49,41 +61,68 @@ pub fn pump(
     now_ms: &dyn Fn() -> u64,
 ) -> Result<(), SessionError> {
     let mut out = opening;
-    let result = turns(conn, machine, &mut out, now_ms);
+    let result = turns(conn, machine, &mut out, now_ms, &mut PumpScratch::default());
     if result.is_err() {
-        let _ = conn.write_all(&out).and_then(|()| conn.flush());
-        machine.abort();
+        give_up(conn, machine, &out);
     }
     result
 }
 
-fn turns(
+/// Ends a session [`turns`] failed: what the machine queued before the
+/// fatal frame still goes out, and the failure is accounted.
+pub(crate) fn give_up(conn: &mut dyn Connection, machine: &mut SessionMachine, out: &[u8]) {
+    let _ = conn.write_all(out).and_then(|()| conn.flush());
+    machine.abort();
+}
+
+/// A socket timeout is the peer going quiet, not an I/O fault.
+fn io_error(e: std::io::Error) -> SessionError {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => SessionError::Stalled,
+        _ => SessionError::Io(e),
+    }
+}
+
+/// The pump's loop over recycled `scratch`. On an error the machine is
+/// left as it stood and unsent replies stay in `out`: the caller either
+/// [`give_up`]s or discards the attempt unaccounted.
+pub(crate) fn turns(
     conn: &mut dyn Connection,
     machine: &mut SessionMachine,
     out: &mut Vec<u8>,
     now_ms: &dyn Fn() -> u64,
+    scratch: &mut PumpScratch,
 ) -> Result<(), SessionError> {
-    let mut accum = FrameAccum::new();
-    let mut buf = vec![0u8; READ_BUF];
+    let PumpScratch {
+        accum,
+        buf,
+        received,
+    } = scratch;
+    accum.recycle();
+    buf.resize(READ_BUF, 0);
+    *received = 0;
     loop {
         if !out.is_empty() {
-            conn.write_all(out).map_err(SessionError::Io)?;
-            conn.flush().map_err(SessionError::Io)?;
+            conn.write_all(out).map_err(io_error)?;
+            conn.flush().map_err(io_error)?;
             out.clear();
         }
         if machine.is_closed() {
             return Ok(());
         }
         let parked = machine.is_idle() && accum.buffered() == 0;
-        match conn.read(&mut buf) {
+        match conn.read(buf) {
             Ok(0) if parked => return Ok(()),
             Ok(0) => return Err(SessionError::Eof),
-            Ok(n) => accum.extend(&buf[..n]),
+            Ok(n) => {
+                *received += n;
+                accum.extend(&buf[..n]);
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) if parked && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 return Ok(())
             }
-            Err(e) => return Err(SessionError::Io(e)),
+            Err(e) => return Err(io_error(e)),
         }
         loop {
             match accum.next_frame() {

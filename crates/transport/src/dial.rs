@@ -1,0 +1,449 @@
+//! The blocking initiator: [`Dialer`] owns the pool of idle outbound
+//! connections and runs a sync session on its caller's thread.
+//!
+//! A caller that is going to wait for its session anyway needs no worker
+//! to run it: [`Dialer::sync`] takes a pooled connection (or dials one),
+//! builds the initiator machine and pumps it right there — `write`,
+//! `read`, repeat — then returns the connection to the pool. Both
+//! [`Peer::sync_with`](crate::Peer::sync_with) and `net`'s
+//! `NetNode::sync_with` are that call. The `net` reactor drives the
+//! sessions nobody waits on (detached syncs, gossip, anti-entropy) and
+//! borrows connections from the same pool through [`Dialer::checkout`] /
+//! [`Dialer::checkin`].
+//!
+//! Pooled sockets are blocking, with the dialer's I/O timeout as read and
+//! write timeout — set once, when the connection is dialed — so a peer
+//! that goes quiet fails the session with [`SessionError::Stalled`]
+//! instead of holding the caller.
+
+use std::collections::HashMap;
+use std::fmt;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dtn::DtnNode;
+use parking_lot::Mutex;
+use pfr::{ReplicaId, SimTime, SyncLimits};
+
+use crate::conn::{give_up, turns, PumpScratch};
+use crate::membership::Membership;
+use crate::session::{SessionError, SessionMachine, SessionOutcome};
+
+/// Timeout and retry policy for outbound dials.
+///
+/// The original dial path blocked without bound on a stalled peer (OS
+/// default connect timeout, no read deadline). Every knob here is
+/// surfaced as a CLI flag on `peer`; reconnect attempts back off
+/// exponentially with deterministic jitter so a herd of nodes chasing a
+/// rebooted peer does not stampede it in lockstep.
+#[derive(Clone, Copy, Debug)]
+pub struct DialConfig {
+    /// Deadline for the TCP connect itself.
+    pub connect_timeout: Duration,
+    /// Read/write deadline applied to the connected socket, so a peer
+    /// that wedges mid-session cannot hold the dialer forever.
+    pub io_timeout: Duration,
+    /// Extra connect attempts after the first failure.
+    pub retries: u32,
+    /// Base backoff before the first retry; doubles per attempt.
+    pub backoff: Duration,
+    /// Upper bound the exponential backoff saturates at.
+    pub backoff_cap: Duration,
+    /// Seed for the deterministic jitter added to each backoff (up to
+    /// half the delay). Same seed, same schedule — testable by design.
+    pub jitter_seed: u64,
+}
+
+impl Default for DialConfig {
+    fn default() -> Self {
+        DialConfig {
+            connect_timeout: Duration::from_secs(5),
+            io_timeout: Duration::from_secs(10),
+            retries: 0,
+            backoff: Duration::from_millis(200),
+            backoff_cap: Duration::from_secs(5),
+            jitter_seed: 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+}
+
+impl DialConfig {
+    /// The delay to sleep before retry `attempt` (1-based): exponential
+    /// backoff capped at [`DialConfig::backoff_cap`], plus deterministic
+    /// jitter of up to half the delay.
+    pub fn retry_delay(&self, attempt: u32) -> Duration {
+        let base = self
+            .backoff
+            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
+            .min(self.backoff_cap);
+        let mut x = self
+            .jitter_seed
+            .wrapping_add(u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        let half = base.as_millis() as u64 / 2;
+        let jitter = if half == 0 { 0 } else { x % half };
+        base + Duration::from_millis(jitter)
+    }
+
+    /// Connects to `remote`, retrying per this policy. Applies the
+    /// connect deadline to each attempt and the I/O deadline to the
+    /// resulting stream.
+    ///
+    /// # Errors
+    ///
+    /// The last connect error once every attempt is exhausted.
+    pub fn dial(&self, remote: SocketAddr) -> io::Result<TcpStream> {
+        let mut attempt = 0u32;
+        loop {
+            match TcpStream::connect_timeout(&remote, self.connect_timeout) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(self.io_timeout))?;
+                    stream.set_write_timeout(Some(self.io_timeout))?;
+                    return Ok(stream);
+                }
+                Err(e) => {
+                    if attempt >= self.retries {
+                        return Err(e);
+                    }
+                    attempt += 1;
+                    std::thread::sleep(self.retry_delay(attempt));
+                }
+            }
+        }
+    }
+}
+
+/// An outbound connection, freshly dialed or taken from the pool. The
+/// stream is blocking, with the dialer's I/O timeouts set.
+#[derive(Debug)]
+pub struct Outbound {
+    /// The connected socket.
+    pub stream: TcpStream,
+    /// Taken from the pool rather than dialed.
+    pub reused: bool,
+    /// Who its last sync session was with, when it had one.
+    pub peer: Option<ReplicaId>,
+}
+
+struct PooledConn {
+    stream: TcpStream,
+    peer: Option<ReplicaId>,
+    idle_since: Instant,
+}
+
+/// Idle outbound connections by dial address, newest last.
+struct Pool {
+    by_addr: HashMap<String, Vec<PooledConn>>,
+    pruned_at: Instant,
+}
+
+impl Pool {
+    /// The most recently pooled connection to `addr`, if it is still
+    /// younger than `max_idle` (if it is not, none to `addr` is). The
+    /// address keeps its (empty) entry until the next prune, so a
+    /// take-and-give cycle allocates nothing.
+    fn take(&mut self, addr: &str, max_idle: Duration) -> Option<PooledConn> {
+        let conns = self.by_addr.get_mut(addr)?;
+        let newest = conns.pop().filter(|c| c.idle_since.elapsed() < max_idle);
+        if newest.is_none() {
+            conns.clear();
+        }
+        newest
+    }
+
+    /// Pools a connection; once per `max_idle` also drops every stale
+    /// one, so connections to addresses never dialed again do not pile
+    /// up.
+    fn give(&mut self, addr: &str, conn: PooledConn, max_idle: Duration) {
+        match self.by_addr.get_mut(addr) {
+            Some(conns) => conns.push(conn),
+            None => {
+                self.by_addr.insert(addr.to_string(), vec![conn]);
+            }
+        }
+        if self.pruned_at.elapsed() >= max_idle {
+            self.pruned_at = Instant::now();
+            self.by_addr.retain(|_, conns| {
+                conns.retain(|c| c.idle_since.elapsed() < max_idle);
+                !conns.is_empty()
+            });
+        }
+    }
+}
+
+/// What [`Dialer::sync`] hands back for a session that got a connection.
+#[derive(Debug)]
+pub struct Dialed {
+    /// How the session went.
+    pub outcome: SessionOutcome,
+    /// It ran over a pooled connection.
+    pub reused: bool,
+    /// Socket `read`/`write` calls made on the caller's thread.
+    pub syscalls: u64,
+}
+
+/// Counts the socket calls the pump makes.
+struct Counted<'a> {
+    stream: &'a TcpStream,
+    calls: &'a mut u64,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        *self.calls += 1;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Counted<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        *self.calls += 1;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Pump scratches kept between sessions: one per caller thread that
+/// overlaps another.
+const SCRATCH_KEEP: usize = 8;
+
+/// The connection pool and the blocking initiator over it.
+pub struct Dialer {
+    config: DialConfig,
+    /// How long a connection may sit in the pool: half the responders'
+    /// idle timeout, so a connection is never taken in the moment its far
+    /// end reaps it.
+    max_idle: Duration,
+    pool: Mutex<Pool>,
+    scratch: Mutex<Vec<PumpScratch>>,
+}
+
+impl fmt::Debug for Dialer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dialer")
+            .field("config", &self.config)
+            .field("max_idle", &self.max_idle)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Dialer {
+    /// A dialer with an empty pool. `max_idle` is how long a connection
+    /// may wait in the pool before it is discarded instead of reused.
+    pub fn new(config: DialConfig, max_idle: Duration) -> Dialer {
+        Dialer {
+            config,
+            max_idle,
+            pool: Mutex::new(Pool {
+                by_addr: HashMap::new(),
+                pruned_at: Instant::now(),
+            }),
+            scratch: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A connection to `addr`, pool-first: a pooled one skips the TCP
+    /// handshake entirely.
+    ///
+    /// # Errors
+    ///
+    /// The resolve or connect error of a fresh dial.
+    pub fn checkout(&self, addr: &str) -> io::Result<Outbound> {
+        match self.pool.lock().take(addr, self.max_idle) {
+            Some(conn) => Ok(Outbound {
+                stream: conn.stream,
+                reused: true,
+                peer: conn.peer,
+            }),
+            None => self.connect(addr),
+        }
+    }
+
+    /// Returns a connection whose session completed cleanly to the pool,
+    /// remembering who the session was with. The stream must be blocking
+    /// again if a reactor borrowed it.
+    pub fn checkin(&self, addr: &str, stream: TcpStream, peer: Option<ReplicaId>) {
+        let conn = PooledConn {
+            stream,
+            peer,
+            idle_since: Instant::now(),
+        };
+        self.pool.lock().give(addr, conn, self.max_idle);
+    }
+
+    fn connect(&self, addr: &str) -> io::Result<Outbound> {
+        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(ErrorKind::InvalidInput, "address resolved to nothing")
+        })?;
+        Ok(Outbound {
+            stream: self.config.dial(resolved)?,
+            reused: false,
+            peer: None,
+        })
+    }
+
+    /// Runs one full sync session with `addr` on the calling thread. On
+    /// a pooled connection that remembers its peer the request goes out
+    /// right behind the hello. A pooled connection that turns out dead —
+    /// closed or reset before a single reply byte — costs a redial, not
+    /// the contact: the session is opened once more on a fresh
+    /// connection, and the dead attempt is accounted nowhere. A
+    /// connection is pooled again only after a clean session.
+    ///
+    /// # Errors
+    ///
+    /// The resolve or connect error when no connection could be had; a
+    /// session that got one reports through [`Dialed::outcome`].
+    pub fn sync(
+        &self,
+        addr: &str,
+        node: &Arc<Mutex<DtnNode>>,
+        membership: &Arc<Mutex<Membership>>,
+        limits: SyncLimits,
+        now: SimTime,
+        now_ms: &dyn Fn() -> u64,
+    ) -> io::Result<Dialed> {
+        let mut conn = self.checkout(addr)?;
+        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
+        let mut syscalls = 0;
+        let outcome = loop {
+            let (node, membership) = (Arc::clone(node), Arc::clone(membership));
+            let opened = match conn.peer {
+                Some(peer) => {
+                    SessionMachine::sync_initiator_to(node, membership, limits, now, peer)
+                }
+                None => SessionMachine::sync_initiator(node, membership, limits, now, conn.reused),
+            };
+            let (mut machine, mut out) = match opened {
+                Ok(opened) => opened,
+                Err(error) => break Ok(SessionOutcome::failed(error)),
+            };
+            let mut counted = Counted {
+                stream: &conn.stream,
+                calls: &mut syscalls,
+            };
+            match turns(&mut counted, &mut machine, &mut out, now_ms, &mut scratch) {
+                Ok(()) => {
+                    let outcome = machine.outcome(None);
+                    self.checkin(addr, conn.stream, outcome.report.peer);
+                    break Ok(outcome);
+                }
+                Err(error) if conn.reused && scratch.received == 0 && hung_up(&error) => {
+                    match self.connect(addr) {
+                        Ok(fresh) => conn = fresh,
+                        Err(e) => break Err(e),
+                    }
+                }
+                Err(error) => {
+                    give_up(&mut counted, &mut machine, &out);
+                    break Ok(machine.outcome(Some(error)));
+                }
+            }
+        };
+        let mut kept = self.scratch.lock();
+        if kept.len() < SCRATCH_KEEP {
+            kept.push(scratch);
+        }
+        Ok(Dialed {
+            outcome: outcome?,
+            reused: conn.reused,
+            syscalls,
+        })
+    }
+}
+
+/// The far end is gone: it closed, reset or aborted the connection.
+fn hung_up(error: &SessionError) -> bool {
+    match error {
+        SessionError::Eof => true,
+        SessionError::Io(e) => matches!(
+            e.kind(),
+            ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted | ErrorKind::BrokenPipe
+        ),
+        _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn retry_delay_is_deterministic_and_grows() {
+        let cfg = DialConfig::default();
+        let d1 = cfg.retry_delay(1);
+        let d2 = cfg.retry_delay(2);
+        let d3 = cfg.retry_delay(3);
+        // Same seed, same schedule.
+        assert_eq!(d1, cfg.retry_delay(1));
+        // Exponential growth: each delay exceeds the previous base.
+        assert!(d1 >= cfg.backoff);
+        assert!(d2 >= cfg.backoff * 2);
+        assert!(d3 >= cfg.backoff * 4);
+        // Jitter is bounded by half the base delay.
+        assert!(d1 <= cfg.backoff + cfg.backoff / 2);
+    }
+
+    #[test]
+    fn retry_delay_saturates_at_the_cap() {
+        let cfg = DialConfig {
+            backoff: Duration::from_millis(100),
+            backoff_cap: Duration::from_millis(400),
+            ..DialConfig::default()
+        };
+        // 2^30 would overflow without saturation; the cap bounds it.
+        let d = cfg.retry_delay(31);
+        assert!(d <= Duration::from_millis(400 + 200));
+    }
+
+    #[test]
+    fn different_seeds_give_different_jitter() {
+        let a = DialConfig {
+            jitter_seed: 1,
+            ..DialConfig::default()
+        };
+        let b = DialConfig {
+            jitter_seed: 2,
+            ..DialConfig::default()
+        };
+        // Not a proof, but two herd members should not share a schedule.
+        assert_ne!(
+            (a.retry_delay(1), a.retry_delay(2)),
+            (b.retry_delay(1), b.retry_delay(2))
+        );
+    }
+
+    #[test]
+    fn dial_retries_then_reports_the_connect_error() {
+        // Bind-then-drop guarantees a port nobody listens on right now.
+        let port = {
+            let sock = TcpListener::bind("127.0.0.1:0").unwrap();
+            sock.local_addr().unwrap().port()
+        };
+        let cfg = DialConfig {
+            connect_timeout: Duration::from_millis(300),
+            retries: 2,
+            backoff: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            ..DialConfig::default()
+        };
+        let err = cfg
+            .dial(SocketAddr::from(([127, 0, 0, 1], port)))
+            .unwrap_err();
+        // Three attempts were made and the final error surfaced.
+        assert!(
+            err.kind() == std::io::ErrorKind::ConnectionRefused
+                || err.kind() == std::io::ErrorKind::TimedOut,
+            "unexpected error kind: {err}"
+        );
+    }
+}

@@ -302,6 +302,17 @@ impl FrameAccum {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Empties the accumulator for the next connection, keeping its buffer
+    /// unless one oversized frame grew it past a read chunk.
+    pub(crate) fn recycle(&mut self) {
+        self.start = 0;
+        if self.buf.capacity() > READ_CHUNK {
+            self.buf = Vec::new();
+        } else {
+            self.buf.clear();
+        }
+    }
+
     /// Bytes buffered but not yet consumed by [`FrameAccum::next_frame`].
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.start

@@ -14,9 +14,18 @@
 //!   `Gossip` frames from.
 //! * [`conn`] — the [`Connection`] seam and [`pump`], the short blocking
 //!   loop that runs a machine over one.
+//! * [`dial`] — [`Dialer`], the one blocking initiator: it owns the pool
+//!   of idle outbound connections (each remembering its last peer, so the
+//!   next session opens with hello and request in one write), takes a
+//!   pooled connection or dials one, and pumps the session on its
+//!   caller's thread. [`Peer::sync_with`] and `net`'s
+//!   `NetNode::sync_with` are both a call into it; a pooled connection
+//!   that died in the pool costs one redial, a peer that goes quiet fails
+//!   the session as [`SessionError::Stalled`].
 //! * [`Peer`] and [`Mesh`] — a TCP listener serving sessions on a thread
-//!   per connection, plus an anti-entropy loop; the `net` crate drives
-//!   the same machine from a nonblocking reactor instead.
+//!   per connection, plus an anti-entropy loop; the `net` crate serves
+//!   the same machine from a nonblocking reactor instead, and drives
+//!   the outbound sessions nobody blocks on.
 //!
 //! ```no_run
 //! use dtn::{DtnNode, PolicyKind};
@@ -36,6 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod conn;
+pub mod dial;
 pub mod frame;
 pub mod gossip;
 pub mod membership;
@@ -45,8 +55,9 @@ mod mesh;
 mod peer;
 
 pub use conn::{pump, Connection};
+pub use dial::{DialConfig, Dialed, Dialer, Outbound};
 pub use gossip::{GossipMessage, PeerStatus, PeerWire};
 pub use membership::{Membership, MembershipConfig, PeerView, TickReport};
 pub use mesh::{Mesh, MeshConfig};
-pub use peer::{DialConfig, Peer, TransportError};
+pub use peer::{Peer, TransportError};
 pub use session::{Progress, SessionError, SessionMachine, SessionOutcome, SessionReport};

@@ -18,7 +18,8 @@ use pfr::SimTime;
 
 use pfr::SyncLimits;
 
-use crate::peer::{DialConfig, Peer, TransportError};
+use crate::dial::DialConfig;
+use crate::peer::{Peer, TransportError};
 
 /// Configuration for a mesh node's anti-entropy loop.
 #[derive(Clone, Copy, Debug)]

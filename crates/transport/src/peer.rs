@@ -12,8 +12,13 @@ use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 
 use crate::conn::pump;
+use crate::dial::{DialConfig, Dialer};
 use crate::membership::{Membership, MembershipConfig};
 use crate::session::{SessionError, SessionMachine, SessionReport};
+
+/// How long a served connection may sit idle between sessions before its
+/// thread closes it. The dialer pools a connection for half of that.
+const SERVE_IDLE: Duration = Duration::from_secs(10);
 
 /// Errors from running a peer.
 #[derive(Debug)]
@@ -54,93 +59,6 @@ impl From<SessionError> for TransportError {
     }
 }
 
-/// Timeout and retry policy for outbound dials.
-///
-/// The original dial path blocked without bound on a stalled peer (OS
-/// default connect timeout, no read deadline). Every knob here is
-/// surfaced as a CLI flag on `peer`; reconnect attempts back off
-/// exponentially with deterministic jitter so a herd of nodes chasing a
-/// rebooted peer does not stampede it in lockstep.
-#[derive(Clone, Copy, Debug)]
-pub struct DialConfig {
-    /// Deadline for the TCP connect itself.
-    pub connect_timeout: Duration,
-    /// Read/write deadline applied to the connected socket, so a peer
-    /// that wedges mid-session cannot hold the dialer forever.
-    pub io_timeout: Duration,
-    /// Extra connect attempts after the first failure.
-    pub retries: u32,
-    /// Base backoff before the first retry; doubles per attempt.
-    pub backoff: Duration,
-    /// Upper bound the exponential backoff saturates at.
-    pub backoff_cap: Duration,
-    /// Seed for the deterministic jitter added to each backoff (up to
-    /// half the delay). Same seed, same schedule — testable by design.
-    pub jitter_seed: u64,
-}
-
-impl Default for DialConfig {
-    fn default() -> Self {
-        DialConfig {
-            connect_timeout: Duration::from_secs(5),
-            io_timeout: Duration::from_secs(10),
-            retries: 0,
-            backoff: Duration::from_millis(200),
-            backoff_cap: Duration::from_secs(5),
-            jitter_seed: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-}
-
-impl DialConfig {
-    /// The delay to sleep before retry `attempt` (1-based): exponential
-    /// backoff capped at [`DialConfig::backoff_cap`], plus deterministic
-    /// jitter of up to half the delay.
-    pub fn retry_delay(&self, attempt: u32) -> Duration {
-        let base = self
-            .backoff
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
-            .min(self.backoff_cap);
-        let mut x = self
-            .jitter_seed
-            .wrapping_add(u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        let half = base.as_millis() as u64 / 2;
-        let jitter = if half == 0 { 0 } else { x % half };
-        base + Duration::from_millis(jitter)
-    }
-
-    /// Connects to `remote`, retrying per this policy. Applies the
-    /// connect deadline to each attempt and the I/O deadline to the
-    /// resulting stream.
-    ///
-    /// # Errors
-    ///
-    /// The last connect error once every attempt is exhausted.
-    pub fn dial(&self, remote: SocketAddr) -> std::io::Result<TcpStream> {
-        let mut attempt = 0u32;
-        loop {
-            match TcpStream::connect_timeout(&remote, self.connect_timeout) {
-                Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(self.io_timeout))?;
-                    stream.set_write_timeout(Some(self.io_timeout))?;
-                    return Ok(stream);
-                }
-                Err(e) => {
-                    if attempt >= self.retries {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    std::thread::sleep(self.retry_delay(attempt));
-                }
-            }
-        }
-    }
-}
-
 /// A replication peer: a [`DtnNode`] listening on a TCP socket, serving
 /// sync sessions to whoever connects, and able to initiate encounters with
 /// remote peers.
@@ -166,7 +84,7 @@ pub struct Peer {
     serving: Arc<Serving>,
     local_addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    dial: DialConfig,
+    dialer: Dialer,
 }
 
 /// What the accept loop, every session thread and the initiator side
@@ -252,7 +170,7 @@ impl Peer {
             serving,
             local_addr,
             accept_thread: Some(accept_thread),
-            dial,
+            dialer: Dialer::new(dial, SERVE_IDLE / 2),
         })
     }
 
@@ -269,7 +187,8 @@ impl Peer {
 
     /// Initiates a full encounter with a remote peer: pulls items we are
     /// missing, then serves the remote's pull — two syncs, exactly like a
-    /// physical encounter.
+    /// physical encounter. The session runs on the calling thread, over a
+    /// pooled connection when an earlier session with `remote` left one.
     ///
     /// # Errors
     ///
@@ -279,17 +198,16 @@ impl Peer {
         remote: SocketAddr,
         now: SimTime,
     ) -> Result<SessionReport, TransportError> {
-        let mut conn = self.dial.dial(remote)?;
         let serving = &self.serving;
-        let (mut machine, opening) = SessionMachine::sync_initiator(
-            Arc::clone(&serving.node),
-            Arc::clone(&serving.membership),
+        let dialed = self.dialer.sync(
+            &remote.to_string(),
+            &serving.node,
+            &serving.membership,
             serving.limits,
             now,
-            false,
+            &|| serving.now_ms(),
         )?;
-        pump(&mut conn, &mut machine, opening, &|| serving.now_ms())?;
-        Ok(machine.report().clone())
+        Ok(dialed.outcome.into_result()?)
     }
 
     /// Stops the accept loop and returns the node.
@@ -374,7 +292,7 @@ fn accept_loop(listener: &TcpListener, serving: &Arc<Serving>) {
 /// Serves every session the remote opens on one accepted connection.
 /// Session failures are accounted by the machine's events.
 fn serve_connection(id: usize, mut stream: TcpStream, serving: &Serving) {
-    let io_timeout = Some(Duration::from_secs(10));
+    let io_timeout = Some(SERVE_IDLE);
     let configured = stream
         .set_nodelay(true)
         .and_then(|()| stream.set_read_timeout(io_timeout))
@@ -388,79 +306,4 @@ fn serve_connection(id: usize, mut stream: TcpStream, serving: &Serving) {
         let _ = pump(&mut stream, &mut machine, Vec::new(), &|| serving.now_ms());
     }
     serving.live.lock().retain(|(live_id, _)| *live_id != id);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retry_delay_is_deterministic_and_grows() {
-        let cfg = DialConfig::default();
-        let d1 = cfg.retry_delay(1);
-        let d2 = cfg.retry_delay(2);
-        let d3 = cfg.retry_delay(3);
-        // Same seed, same schedule.
-        assert_eq!(d1, cfg.retry_delay(1));
-        // Exponential growth: each delay exceeds the previous base.
-        assert!(d1 >= cfg.backoff);
-        assert!(d2 >= cfg.backoff * 2);
-        assert!(d3 >= cfg.backoff * 4);
-        // Jitter is bounded by half the base delay.
-        assert!(d1 <= cfg.backoff + cfg.backoff / 2);
-    }
-
-    #[test]
-    fn retry_delay_saturates_at_the_cap() {
-        let cfg = DialConfig {
-            backoff: Duration::from_millis(100),
-            backoff_cap: Duration::from_millis(400),
-            ..DialConfig::default()
-        };
-        // 2^30 would overflow without saturation; the cap bounds it.
-        let d = cfg.retry_delay(31);
-        assert!(d <= Duration::from_millis(400 + 200));
-    }
-
-    #[test]
-    fn different_seeds_give_different_jitter() {
-        let a = DialConfig {
-            jitter_seed: 1,
-            ..DialConfig::default()
-        };
-        let b = DialConfig {
-            jitter_seed: 2,
-            ..DialConfig::default()
-        };
-        // Not a proof, but two herd members should not share a schedule.
-        assert_ne!(
-            (a.retry_delay(1), a.retry_delay(2)),
-            (b.retry_delay(1), b.retry_delay(2))
-        );
-    }
-
-    #[test]
-    fn dial_retries_then_reports_the_connect_error() {
-        // Bind-then-drop guarantees a port nobody listens on right now.
-        let port = {
-            let sock = TcpListener::bind("127.0.0.1:0").unwrap();
-            sock.local_addr().unwrap().port()
-        };
-        let cfg = DialConfig {
-            connect_timeout: Duration::from_millis(300),
-            retries: 2,
-            backoff: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..DialConfig::default()
-        };
-        let err = cfg
-            .dial(SocketAddr::from(([127, 0, 0, 1], port)))
-            .unwrap_err();
-        // Three attempts were made and the final error surfaced.
-        assert!(
-            err.kind() == std::io::ErrorKind::ConnectionRefused
-                || err.kind() == std::io::ErrorKind::TimedOut,
-            "unexpected error kind: {err}"
-        );
-    }
 }
