@@ -1,16 +1,60 @@
 //! Encodings for policy routing state carried in sync requests.
 //!
-//! Each policy defines its own routing payload (paper §V-A, requirement 2);
-//! these helpers encode the common shapes — probability vectors keyed by
-//! address or replica, and address sets — with the same compact wire
-//! primitives as the substrate. Addresses decode to interned [`IStr`]s:
-//! the same few strings arrive at every contact, and holding them interned
-//! makes every later copy a reference-count bump.
+//! Each policy defines its own routing payload (paper §V-A, requirement 2)
+//! — its [`Advert`] — and lends it to a co-located peer as the struct it
+//! is; these helpers encode the common shapes — probability vectors keyed
+//! by address or replica, and address sets — with the same compact wire
+//! primitives as the substrate, for the requests that do cross a wire.
+//! [`receive`] is the one way a policy reads a peer's advert, and the
+//! decode edge: bytes are checked here (a probability is a finite number
+//! in [0, 1]) so that nothing past it has to doubt one. Addresses decode to
+//! interned [`IStr`]s: the same few strings arrive at every contact, and
+//! holding them interned makes every later copy a reference-count bump.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use pfr::wire::{Decode, Encode, Reader, WireError, Writer};
-use pfr::{IStr, ReplicaId, RoutingState};
+use pfr::{IStr, ReplicaId, RoutingPayload, RoutingState};
+
+/// What a policy advertises in its sync requests, kept in one struct: lent
+/// to a co-located peer by reference, encoded ([`RoutingPayload::encode`])
+/// where the request meets a wire and decoded back on the other side.
+pub(crate) trait Advert: RoutingPayload + Clone {
+    /// Decodes and validates an advert from a peer's bytes.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// The peer's advert out of a request's routing data: the lent struct
+/// itself between co-located nodes of one policy, otherwise what the
+/// bytes decode to. `None` — undecodable, a different policy, nothing
+/// sent — means "no routing data this round". Another policy's lent
+/// payload is read as its bytes would be, so a co-located pair behaves
+/// exactly as the same pair across a socket.
+pub(crate) fn receive<'a, A: Advert>(routing: &RoutingState<'a>) -> Option<Cow<'a, A>> {
+    if let Some(advert) = routing.lent::<A>() {
+        // From this process's own policy: nothing to check.
+        return Some(Cow::Borrowed(advert));
+    }
+    A::decode(&mut Reader::new(&routing.wire_form()))
+        .ok()
+        .map(Cow::Owned)
+}
+
+/// A probability off the wire or the disk: anything but a finite number in
+/// [0, 1] is undecodable. Unchecked, one `+inf` or `1e300` in a request
+/// would outlive every ageing step and honest update at the receiver.
+fn get_prob(r: &mut Reader<'_>) -> Result<f64, WireError> {
+    let p = r.get_f64()?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(WireError::InvalidTag {
+            what: "probability outside [0, 1]",
+            tag: 0,
+        })
+    }
+}
 
 /// A probability vector keyed by destination address.
 pub(crate) fn put_addr_probs(w: &mut Writer, probs: &BTreeMap<IStr, f64>) {
@@ -26,8 +70,7 @@ pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<BTreeMap<IStr, f64>, 
     let mut out = BTreeMap::new();
     for _ in 0..len {
         let addr = IStr::new(r.get_str_slice()?);
-        let p = r.get_f64()?;
-        out.insert(addr, p);
+        out.insert(addr, get_prob(r)?);
     }
     Ok(out)
 }
@@ -46,8 +89,7 @@ pub(crate) fn get_node_probs(r: &mut Reader<'_>) -> Result<BTreeMap<ReplicaId, f
     let mut out = BTreeMap::new();
     for _ in 0..len {
         let node = ReplicaId::decode(r)?;
-        let p = r.get_f64()?;
-        out.insert(node, p);
+        out.insert(node, get_prob(r)?);
     }
     Ok(out)
 }
@@ -74,17 +116,6 @@ pub(crate) fn intern_addrs(addrs: &BTreeSet<String>) -> BTreeSet<IStr> {
     addrs.iter().map(IStr::from).collect()
 }
 
-/// Finishes a writer into a [`RoutingState`].
-pub(crate) fn finish(w: Writer) -> RoutingState {
-    RoutingState::from_bytes(w.into_bytes())
-}
-
-/// Opens a routing state for reading; a decode failure means the peer runs
-/// a different (or corrupt) policy — callers treat it as "no routing data".
-pub(crate) fn open(state: &RoutingState) -> Reader<'_> {
-    Reader::new(state.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,8 +127,8 @@ mod tests {
         probs.insert(IStr::new("b"), 0.125);
         let mut w = Writer::new();
         put_addr_probs(&mut w, &probs);
-        let state = finish(w);
-        let mut r = open(&state);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
         assert_eq!(get_addr_probs(&mut r).unwrap(), probs);
         assert_eq!(r.remaining(), 0);
     }
@@ -124,8 +155,33 @@ mod tests {
 
     #[test]
     fn corrupt_state_fails_cleanly() {
-        let state = RoutingState::from_bytes(vec![0xff, 0xff, 0xff]);
-        let mut r = open(&state);
-        assert!(get_addr_probs(&mut r).is_err());
+        assert!(get_addr_probs(&mut Reader::new(&[0xff, 0xff, 0xff])).is_err());
+    }
+
+    #[test]
+    fn a_probability_is_a_finite_number_between_zero_and_one() {
+        for p in [0.0, 0.3, 1.0] {
+            let mut w = Writer::new();
+            w.put_f64(p);
+            assert_eq!(get_prob(&mut Reader::new(w.as_slice())), Ok(p));
+        }
+        let hostile = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            1.0 + f64::EPSILON,
+            -f64::MIN_POSITIVE,
+        ];
+        for p in hostile {
+            let mut w = Writer::new();
+            w.put_varint(1);
+            w.put_str("victim");
+            w.put_f64(p);
+            assert!(
+                get_addr_probs(&mut Reader::new(w.as_slice())).is_err(),
+                "{p} decoded as a probability"
+            );
+        }
     }
 }

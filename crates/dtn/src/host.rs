@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use obs::{DropReason, Event, Span};
+use obs::{DropReason, Event, EventKind, Span};
 use pfr::digest::{
     self, DigestRequest, PendingExchange, ReconStats, SummaryOutcome, VersionAnswer, VersionQuery,
 };
@@ -99,7 +99,7 @@ impl EncounterReport {
 pub struct DigestSessionState {
     pending: PendingExchange,
     /// The session's routing data, for the full request a resync needs.
-    routing: RoutingState,
+    routing: RoutingState<'static>,
     kind: &'static str,
 }
 
@@ -126,7 +126,7 @@ pub struct DigestQueryState {
     target: ReplicaId,
     filter_fingerprint: u64,
     filter: Option<Filter>,
-    routing: RoutingState,
+    routing: RoutingState<'static>,
     query: VersionQuery,
 }
 
@@ -510,18 +510,22 @@ impl DtnNode {
             };
             if dropped {
                 count += 1;
-                self.replica.observer().emit(|| Event::ItemExpired {
-                    replica: replica_id,
-                    origin: id.origin().as_u64(),
-                    seq: id.seq(),
-                    at_secs: now.as_secs(),
-                });
-                self.replica.observer().emit(|| Event::MessageDropped {
-                    replica: replica_id,
-                    origin: id.origin().as_u64(),
-                    seq: id.seq(),
-                    reason: DropReason::Expired,
-                });
+                self.replica
+                    .observer()
+                    .emit(EventKind::ItemExpired, || Event::ItemExpired {
+                        replica: replica_id,
+                        origin: id.origin().as_u64(),
+                        seq: id.seq(),
+                        at_secs: now.as_secs(),
+                    });
+                self.replica
+                    .observer()
+                    .emit(EventKind::MessageDropped, || Event::MessageDropped {
+                        replica: replica_id,
+                        origin: id.origin().as_u64(),
+                        seq: id.seq(),
+                        reason: DropReason::Expired,
+                    });
             }
         }
         self.next_expiry = Some(earliest);
@@ -586,14 +590,18 @@ impl DtnNode {
             report.delivered as u64,
             report.duplicates as u64,
         );
-        self.replica.observer().emit(|| Event::EncounterCompleted {
-            a,
-            b,
-            transmitted,
-            delivered,
-            duplicates,
-            at_secs: now.as_secs(),
-        });
+        self.replica
+            .observer()
+            .emit(EventKind::EncounterCompleted, || {
+                Event::EncounterCompleted {
+                    a,
+                    b,
+                    transmitted,
+                    delivered,
+                    duplicates,
+                    at_secs: now.as_secs(),
+                }
+            });
         span.finish();
         report
     }
@@ -670,9 +678,12 @@ impl DtnNode {
         &mut self,
         source: ReplicaId,
         now: SimTime,
-    ) -> (DigestRequest, DigestSessionState) {
-        let routing =
-            sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source)).routing;
+    ) -> (DigestRequest<'static>, DigestSessionState) {
+        // The session outlives this borrow of the node and may have to
+        // retransmit: the routing data is encoded here.
+        let routing = sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source))
+            .routing
+            .into_owned();
         let (request, pending) =
             self.recon
                 .build_request(source, &mut self.replica, routing.clone());
@@ -732,15 +743,17 @@ impl DtnNode {
             state.kind
         };
         let full_bytes = state.full_bytes();
-        self.replica.observer().emit(|| Event::ReconDigest {
-            replica: self.replica.id().as_u64(),
-            peer: source.as_u64(),
-            kind,
-            digest_bytes,
-            full_bytes,
-            fallback_rounds,
-            false_positives,
-        });
+        self.replica
+            .observer()
+            .emit(EventKind::ReconDigest, || Event::ReconDigest {
+                replica: self.replica.id().as_u64(),
+                peer: source.as_u64(),
+                kind,
+                digest_bytes,
+                full_bytes,
+                fallback_rounds,
+                false_positives,
+            });
         self.recon
             .note_exchange(digest_bytes, full_bytes, fallback_rounds, false_positives);
         self.recon.commit_sent(state.pending, knowledge_shared);
@@ -755,7 +768,7 @@ impl DtnNode {
     /// knowledge instead of being cloned into it.
     pub fn respond_digest(
         &mut self,
-        request: DigestRequest,
+        request: DigestRequest<'_>,
         limits: SyncLimits,
         now: SimTime,
     ) -> DigestResponse {
@@ -793,7 +806,7 @@ impl DtnNode {
                     target,
                     filter_fingerprint,
                     filter,
-                    routing,
+                    routing: routing.into_owned(),
                     query,
                 })
             }
@@ -862,7 +875,7 @@ impl DtnNode {
         totals: Option<KnowledgeTotals>,
         filter_fingerprint: u64,
         inline_filter: Option<&Filter>,
-        routing: RoutingState,
+        routing: RoutingState<'_>,
         limits: SyncLimits,
         now: SimTime,
     ) -> Option<pfr::sync::SyncBatch> {

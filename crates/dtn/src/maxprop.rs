@@ -7,8 +7,8 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
 use pfr::wire::{Decode as _, Encode as _, Reader, WireError, Writer};
 use pfr::{
-    IStr, Item, ItemId, Priority, PriorityClass, ReplicaId, RoutingState, StoreKind, SyncExtension,
-    Value,
+    IStr, Item, ItemId, Priority, PriorityClass, ReplicaId, RoutingPayload, RoutingState,
+    StoreKind, SyncExtension, Value,
 };
 
 use crate::acks::AckSet;
@@ -56,25 +56,51 @@ pub struct MaxPropPolicy {
     /// Whether delivery acknowledgements are originated, gossiped, and
     /// acted upon (protocol default: yes; disable for ablations).
     use_acks: bool,
-    /// Own next-encounter probability distribution (normalized).
-    meeting: BTreeMap<ReplicaId, f64>,
+    /// What this host tells every peer it pulls from.
+    advert: Advert,
     /// Distributions learned from peers, keyed by peer.
     peer_meeting: BTreeMap<ReplicaId, BTreeMap<ReplicaId, f64>>,
     /// Which node currently owns each destination address.
     addr_owner: BTreeMap<IStr, ReplicaId>,
-    /// Messages known to have reached their destinations.
-    acks: AckSet,
     /// Whether the store may hold a relay copy of an acknowledged message.
     /// Raised by everything that can create one — a merge that learned an
     /// acknowledgement, an acknowledged copy arriving, a filter change, a
     /// restore — and lowered by the purge the next served request runs.
     purge_due: bool,
-    /// Addresses this host is final destination for.
-    local_addrs: BTreeSet<IStr>,
     /// Lowest path cost from this host to every reachable node, computed
     /// on a sync's first slow-lane candidate and dropped at the next
     /// request (the meeting graph changes with every request).
     path_costs: Option<BTreeMap<ReplicaId, f64>>,
+}
+
+/// The routing data of a MaxProp sync request: lent as it stands to a
+/// co-located source, encoded in field order for one across a wire.
+#[derive(Clone, Debug, Default)]
+struct Advert {
+    /// Addresses this host is final destination for.
+    local_addrs: BTreeSet<IStr>,
+    /// Own next-encounter probability distribution (normalized).
+    meeting: BTreeMap<ReplicaId, f64>,
+    /// Messages known to have reached their destinations.
+    acks: AckSet,
+}
+
+impl RoutingPayload for Advert {
+    fn encode(&self, w: &mut Writer) {
+        codec::put_addrs(w, &self.local_addrs);
+        codec::put_node_probs(w, &self.meeting);
+        self.acks.encode(w);
+    }
+}
+
+impl codec::Advert for Advert {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Advert {
+            local_addrs: codec::get_addrs(r)?,
+            meeting: codec::get_node_probs(r)?,
+            acks: AckSet::decode(r)?,
+        })
+    }
 }
 
 impl MaxPropPolicy {
@@ -83,12 +109,10 @@ impl MaxPropPolicy {
         MaxPropPolicy {
             hop_threshold,
             use_acks: true,
-            meeting: BTreeMap::new(),
+            advert: Advert::default(),
             peer_meeting: BTreeMap::new(),
             addr_owner: BTreeMap::new(),
-            acks: AckSet::default(),
             purge_due: true,
-            local_addrs: BTreeSet::new(),
             path_costs: None,
         }
     }
@@ -103,7 +127,7 @@ impl MaxPropPolicy {
     pub fn with_acks(mut self, enabled: bool) -> Self {
         self.use_acks = enabled;
         if !enabled {
-            self.acks = AckSet::default();
+            self.advert.acks = AckSet::default();
         }
         self
     }
@@ -115,21 +139,22 @@ impl MaxPropPolicy {
 
     /// The current estimated probability of meeting `node` next.
     pub fn meeting_probability(&self, node: ReplicaId) -> f64 {
-        self.meeting.get(&node).copied().unwrap_or(0.0)
+        self.advert.meeting.get(&node).copied().unwrap_or(0.0)
     }
 
     /// Number of delivery acknowledgements currently held.
     pub fn ack_count(&self) -> usize {
-        self.acks.len() as usize
+        self.advert.acks.len() as usize
     }
 
     /// Incremental averaging: bump the met node and renormalize so the
     /// distribution sums to 1.
     fn record_meeting(&mut self, peer: ReplicaId) {
-        *self.meeting.entry(peer).or_insert(0.0) += 1.0;
-        let total: f64 = self.meeting.values().sum();
+        let meeting = &mut self.advert.meeting;
+        *meeting.entry(peer).or_insert(0.0) += 1.0;
+        let total: f64 = meeting.values().sum();
         if total > 0.0 {
-            for p in self.meeting.values_mut() {
+            for p in meeting.values_mut() {
                 *p /= total;
             }
         }
@@ -149,7 +174,7 @@ impl MaxPropPolicy {
                 continue;
             }
             let edges: Option<&BTreeMap<ReplicaId, f64>> = if node == me {
-                Some(&self.meeting)
+                Some(&self.advert.meeting)
             } else {
                 self.peer_meeting.get(&node)
             };
@@ -191,7 +216,7 @@ impl MaxPropPolicy {
             .replica()
             .iter_items_of_kind(StoreKind::Relay)
             .map(Item::id)
-            .filter(|&id| self.acks.contains(id))
+            .filter(|&id| self.advert.acks.contains(id))
             .collect();
         for id in acked {
             cx.purge_relay(id);
@@ -229,12 +254,8 @@ impl SyncExtension for MaxPropPolicy {
         "maxprop"
     }
 
-    fn generate_request(&mut self, _cx: &mut HostContext<'_>) -> RoutingState {
-        let mut w = Writer::new();
-        codec::put_addrs(&mut w, &self.local_addrs);
-        codec::put_node_probs(&mut w, &self.meeting);
-        self.acks.encode(&mut w);
-        codec::finish(w)
+    fn generate_request<'a>(&'a mut self, _cx: &mut HostContext<'_>) -> RoutingState<'a> {
+        RoutingState::lend(&self.advert)
     }
 
     fn process_request(&mut self, cx: &mut HostContext<'_>, request: &SyncRequest) {
@@ -242,19 +263,13 @@ impl SyncExtension for MaxPropPolicy {
         self.record_meeting(peer);
         self.path_costs = None;
 
-        let mut r = codec::open(&request.routing);
-        let decoded = (
-            codec::get_addrs(&mut r),
-            codec::get_node_probs(&mut r),
-            AckSet::decode(&mut r),
-        );
-        if let (Ok(addrs), Ok(probs), Ok(acks)) = decoded {
-            for addr in addrs {
-                self.addr_owner.insert(addr, peer);
+        if let Some(theirs) = codec::receive::<Advert>(&request.routing) {
+            for addr in &theirs.local_addrs {
+                self.addr_owner.insert(addr.clone(), peer);
             }
-            self.peer_meeting.insert(peer, probs);
+            self.peer_meeting.insert(peer, theirs.meeting.clone());
             if self.use_acks {
-                self.purge_due |= self.acks.merge(&acks);
+                self.purge_due |= self.advert.acks.merge(&theirs.acks);
             }
         }
         if self.use_acks && std::mem::take(&mut self.purge_due) {
@@ -266,7 +281,7 @@ impl SyncExtension for MaxPropPolicy {
         if item.is_deleted() {
             return SendDecision::Send(Priority::normal());
         }
-        if self.acks.contains(item.id()) {
+        if self.advert.acks.contains(item.id()) {
             // Already delivered somewhere: don't spend bandwidth on it.
             return SendDecision::Skip;
         }
@@ -312,7 +327,7 @@ impl SyncExtension for MaxPropPolicy {
         // purged, so no purge falls due here.
         if self.use_acks {
             for &id in delivered {
-                self.acks.insert(id);
+                self.advert.acks.insert(id);
             }
         }
     }
@@ -321,7 +336,7 @@ impl SyncExtension for MaxPropPolicy {
         // The sender did not know this message is acknowledged (it runs
         // without acks, or lost our routing state): the copy goes at the
         // next request we serve and is never offered onwards.
-        self.purge_due |= self.acks.contains(id);
+        self.purge_due |= self.advert.acks.contains(id);
     }
 }
 
@@ -345,7 +360,7 @@ impl DtnPolicy for MaxPropPolicy {
     }
 
     fn set_local_addresses(&mut self, addrs: BTreeSet<String>) {
-        self.local_addrs = codec::intern_addrs(&addrs);
+        self.advert.local_addrs = codec::intern_addrs(&addrs);
         // The host's filter changed with its addresses: a delivered (and
         // so acknowledged) message may have just become a relay copy.
         self.purge_due = true;
@@ -353,7 +368,7 @@ impl DtnPolicy for MaxPropPolicy {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        codec::put_node_probs(&mut w, &self.meeting);
+        codec::put_node_probs(&mut w, &self.advert.meeting);
         w.put_varint(self.peer_meeting.len() as u64);
         for (peer, probs) in &self.peer_meeting {
             peer.encode(&mut w);
@@ -364,7 +379,7 @@ impl DtnPolicy for MaxPropPolicy {
             w.put_str(addr);
             node.encode(&mut w);
         }
-        self.acks.encode(&mut w);
+        self.advert.acks.encode(&mut w);
         w.into_bytes()
     }
 
@@ -387,10 +402,10 @@ impl DtnPolicy for MaxPropPolicy {
                 addr_owner.insert(addr, node);
             }
             let acks = AckSet::decode(&mut r)?;
-            self.meeting = meeting;
+            self.advert.meeting = meeting;
+            self.advert.acks = acks;
             self.peer_meeting = peer_meeting;
             self.addr_owner = addr_owner;
-            self.acks = acks;
             Ok(())
         })();
         let _ = restored; // corrupt state: start cold
@@ -492,7 +507,7 @@ mod tests {
 
         // z tells b (via an encounter) that the message was delivered.
         encounter(&mut z, &mut b, 120);
-        assert!(b.1.acks.contains(id));
+        assert!(b.1.advert.acks.contains(id));
         assert!(!b.0.contains_item(id), "relay copy purged by ack");
 
         // b no longer forwards it.
@@ -509,7 +524,10 @@ mod tests {
         let id = send_msg(&mut a.0, "z");
         encounter(&mut a, &mut z, 0);
         encounter(&mut z, &mut b, 60);
-        assert!(b.1.acks.contains(id), "b learned the ack before any copy");
+        assert!(
+            b.1.advert.acks.contains(id),
+            "b learned the ack before any copy"
+        );
 
         // A carrier that never heard the ack (it runs without them) hands
         // b a relay copy all the same. No merge will ever teach b this
@@ -541,7 +559,7 @@ mod tests {
         let mut me = host(1, "a");
         // Make the policy aware of a destination node for path costs.
         me.1.addr_owner.insert(IStr::new("far"), ReplicaId::new(7));
-        me.1.meeting.insert(ReplicaId::new(7), 0.2);
+        me.1.advert.meeting.insert(ReplicaId::new(7), 0.2);
 
         // One message addressed to the sync target, one young relay
         // message, one old relay message.
@@ -581,6 +599,39 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_meeting_table_is_no_routing_data() {
+        // Link costs are `1 - p`: a probability outside [0, 1] in a peer's
+        // table would make a path through it free, or worse than no path.
+        let mut me = host(1, "a");
+        for hostile in [f64::INFINITY, f64::NAN, 1e300, -1.0] {
+            let theirs = Advert {
+                local_addrs: [IStr::new("liar")].into_iter().collect(),
+                meeting: [(ReplicaId::new(7), hostile)].into_iter().collect(),
+                acks: AckSet::default(),
+            };
+            let mut w = Writer::new();
+            theirs.encode(&mut w);
+            let request = SyncRequest {
+                target: ReplicaId::new(66),
+                knowledge: Default::default(),
+                filter: std::borrow::Cow::Owned(Filter::address(ATTR_DEST, "liar")),
+                routing: RoutingState::from_bytes(w.into_bytes()),
+            };
+            sync::prepare_batch(
+                &mut me.0,
+                &mut me.1,
+                &request,
+                SyncLimits::unlimited(),
+                SimTime::ZERO,
+            );
+            assert!(me.1.peer_meeting.is_empty(), "{hostile} was absorbed");
+            assert!(me.1.addr_owner.is_empty());
+        }
+        // The meeting itself still counts: that much the node saw itself.
+        assert_eq!(me.1.meeting_probability(ReplicaId::new(66)), 1.0);
+    }
+
+    #[test]
     fn path_cost_uses_two_hop_routes() {
         let mut p = MaxPropPolicy::default();
         let me = ReplicaId::new(1);
@@ -588,8 +639,8 @@ mod tests {
         let dest = ReplicaId::new(3);
         // Direct link is terrible (p=0.1 -> cost .9); via mid is cheap
         // (0.5 + 0.1 -> 0.6... link costs: me->mid 1-0.5=0.5, mid->dest 1-0.9=0.1).
-        p.meeting.insert(dest, 0.1);
-        p.meeting.insert(mid, 0.5);
+        p.advert.meeting.insert(dest, 0.1);
+        p.advert.meeting.insert(mid, 0.5);
         p.peer_meeting
             .insert(mid, [(dest, 0.9)].into_iter().collect());
         let costs = p.shortest_paths(me);

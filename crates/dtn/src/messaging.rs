@@ -5,18 +5,20 @@
 //! Eventual filter consistency then *is* reliable delivery, and knowledge
 //! *is* duplicate suppression — the application itself is nearly trivial.
 
-use obs::Event;
+use obs::{Event, EventKind};
 use pfr::{AttributeMap, Filter, Item, ItemId, PfrError, Replica, SimTime, Value};
 
 fn emit_injected(replica: &Replica, id: ItemId, src: &str, dst: &str, now: SimTime) {
-    replica.observer().emit(|| Event::MessageInjected {
-        replica: replica.id().as_u64(),
-        origin: id.origin().as_u64(),
-        seq: id.seq(),
-        src: src.to_string(),
-        dst: dst.to_string(),
-        at_secs: now.as_secs(),
-    });
+    replica
+        .observer()
+        .emit(EventKind::MessageInjected, || Event::MessageInjected {
+            replica: replica.id().as_u64(),
+            origin: id.origin().as_u64(),
+            seq: id.seq(),
+            src: src.to_string(),
+            dst: dst.to_string(),
+            at_secs: now.as_secs(),
+        });
 }
 
 /// Attribute naming the destination address(es) of a message. A scalar

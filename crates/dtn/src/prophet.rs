@@ -4,8 +4,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
-use pfr::wire::Writer;
-use pfr::{IStr, Priority, PriorityClass, RoutingState, SimDuration, SimTime, SyncExtension};
+use pfr::wire::{Reader, WireError, Writer};
+use pfr::{
+    IStr, Priority, PriorityClass, RoutingPayload, RoutingState, SimDuration, SimTime,
+    SyncExtension,
+};
 
 use crate::codec;
 use crate::messaging::dest_addresses;
@@ -70,18 +73,42 @@ impl Default for ProphetParams {
 #[derive(Clone, Debug, Default)]
 pub struct ProphetPolicy {
     params: ProphetParams,
-    /// Own delivery predictabilities, keyed by destination address.
-    predictability: BTreeMap<IStr, f64>,
+    /// What this host tells every peer it pulls from.
+    advert: Advert,
     /// The forwarding decision for the sync in progress, taken once per
     /// destination when its request is processed: the destinations for
     /// which the requesting peer is a strictly better custodian, with the
     /// peer's predictability for each. `to_send` only looks a candidate's
     /// destinations up here.
     peer_better: BTreeMap<IStr, f64>,
-    /// Addresses this host is final destination for.
-    local_addrs: BTreeSet<IStr>,
     /// Last time the vector was aged.
     last_aged: SimTime,
+}
+
+/// The routing data of a PROPHET sync request: lent as it stands to a
+/// co-located source, encoded in field order for one across a wire.
+#[derive(Clone, Debug, Default)]
+struct Advert {
+    /// Addresses this host is final destination for.
+    local_addrs: BTreeSet<IStr>,
+    /// Own delivery predictabilities, keyed by destination address.
+    predictability: BTreeMap<IStr, f64>,
+}
+
+impl RoutingPayload for Advert {
+    fn encode(&self, w: &mut Writer) {
+        codec::put_addrs(w, &self.local_addrs);
+        codec::put_addr_probs(w, &self.predictability);
+    }
+}
+
+impl codec::Advert for Advert {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Advert {
+            local_addrs: codec::get_addrs(r)?,
+            predictability: codec::get_addr_probs(r)?,
+        })
+    }
 }
 
 impl ProphetPolicy {
@@ -101,7 +128,7 @@ impl ProphetPolicy {
     /// The current delivery predictability for an address (0 if never
     /// encountered).
     pub fn predictability(&self, addr: &str) -> f64 {
-        self.predictability.get(addr).copied().unwrap_or(0.0)
+        self.advert.predictability.get(addr).copied().unwrap_or(0.0)
     }
 
     /// Ages all predictabilities: `P *= γ^k` where `k` is the number of
@@ -113,18 +140,22 @@ impl ProphetPolicy {
             return;
         }
         let factor = self.params.gamma.powi(units.min(10_000) as i32);
-        for p in self.predictability.values_mut() {
+        for p in self.advert.predictability.values_mut() {
             *p *= factor;
         }
         let floor = self.params.floor;
-        self.predictability.retain(|_, p| *p >= floor);
+        self.advert.predictability.retain(|_, p| *p >= floor);
         self.last_aged = now;
     }
 
     /// Direct-encounter update for one peer address:
     /// `P = P + (1 - P) * P_init`.
     fn boost_direct(&mut self, addr: &IStr) {
-        let p = self.predictability.entry(addr.clone()).or_insert(0.0);
+        let p = self
+            .advert
+            .predictability
+            .entry(addr.clone())
+            .or_insert(0.0);
         *p += (1.0 - *p) * self.params.p_init;
     }
 
@@ -132,10 +163,14 @@ impl ProphetPolicy {
     /// peer predicts with `p_bc`, `P[c] += (1 - P[c]) * P[peer] * p_bc * β`.
     fn fold_transitive(&mut self, p_peer_link: f64, peer_vector: &BTreeMap<IStr, f64>) {
         for (addr, &p_bc) in peer_vector {
-            if self.local_addrs.contains(addr) {
+            if self.advert.local_addrs.contains(addr) {
                 continue;
             }
-            let p = self.predictability.entry(addr.clone()).or_insert(0.0);
+            let p = self
+                .advert
+                .predictability
+                .entry(addr.clone())
+                .or_insert(0.0);
             *p += (1.0 - *p) * p_peer_link * p_bc * self.params.beta;
         }
     }
@@ -146,12 +181,9 @@ impl SyncExtension for ProphetPolicy {
         "prophet"
     }
 
-    fn generate_request(&mut self, cx: &mut HostContext<'_>) -> RoutingState {
+    fn generate_request<'a>(&'a mut self, cx: &mut HostContext<'_>) -> RoutingState<'a> {
         self.age(cx.now());
-        let mut w = Writer::new();
-        codec::put_addrs(&mut w, &self.local_addrs);
-        codec::put_addr_probs(&mut w, &self.predictability);
-        codec::finish(w)
+        RoutingState::lend(&self.advert)
     }
 
     fn process_request(&mut self, cx: &mut HostContext<'_>, request: &SyncRequest) {
@@ -159,38 +191,40 @@ impl SyncExtension for ProphetPolicy {
         // Whatever the previous peer was better at says nothing about
         // this one, whether or not its routing state decodes.
         self.peer_better.clear();
-        let mut r = codec::open(&request.routing);
-        let (peer_addrs, mut peer_vector) =
-            match (codec::get_addrs(&mut r), codec::get_addr_probs(&mut r)) {
-                (Ok(a), Ok(v)) => (a, v),
-                _ => return, // peer runs a different policy; no routing data
-            };
+        let Some(theirs) = codec::receive::<Advert>(&request.routing) else {
+            return; // peer runs a different policy; no routing data
+        };
 
         // Direct component: meeting the peer boosts its addresses.
-        for addr in &peer_addrs {
+        for addr in &theirs.local_addrs {
             self.boost_direct(addr);
         }
         // Link strength to the peer = best predictability over its
         // addresses (after the boost).
-        let p_peer_link = peer_addrs
+        let p_peer_link = theirs
+            .local_addrs
             .iter()
             .map(|a| self.predictability(a))
             .fold(0.0f64, f64::max);
         // Transitive component through the peer's own vector.
-        self.fold_transitive(p_peer_link, &peer_vector);
+        self.fold_transitive(p_peer_link, &theirs.predictability);
         // Prune sub-floor values immediately: weak transitive traces must
         // not open forwarding gradients (see [`ProphetParams::floor`]).
         let floor = self.params.floor;
-        self.predictability.retain(|_, p| *p >= floor);
-        for addr in peer_addrs {
-            // The peer trivially delivers to itself.
-            peer_vector.insert(addr, 1.0);
-        }
+        self.advert.predictability.retain(|_, p| *p >= floor);
         // Keep the destinations the peer is strictly better at — the
         // forwarding rule, applied here once per destination instead of
-        // once per candidate in the selection loop that follows.
-        peer_vector.retain(|addr, theirs| *theirs > self.predictability(addr));
-        self.peer_better = peer_vector;
+        // once per candidate in the selection loop that follows. The peer
+        // trivially delivers to itself, whatever its vector says.
+        let its_own = theirs.local_addrs.iter().map(|addr| (addr, 1.0));
+        let predicted = theirs.predictability.iter().map(|(addr, &p)| (addr, p));
+        for (addr, p) in predicted.chain(its_own) {
+            if p > self.predictability(addr) {
+                self.peer_better.insert(addr.clone(), p);
+            } else {
+                self.peer_better.remove(addr);
+            }
+        }
     }
 
     fn to_send(&mut self, item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
@@ -230,20 +264,20 @@ impl DtnPolicy for ProphetPolicy {
     }
 
     fn set_local_addresses(&mut self, addrs: BTreeSet<String>) {
-        self.local_addrs = codec::intern_addrs(&addrs);
+        self.advert.local_addrs = codec::intern_addrs(&addrs);
     }
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        codec::put_addr_probs(&mut w, &self.predictability);
+        codec::put_addr_probs(&mut w, &self.advert.predictability);
         w.put_varint(self.last_aged.as_secs());
         w.into_bytes()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) {
-        let mut r = pfr::wire::Reader::new(bytes);
+        let mut r = Reader::new(bytes);
         if let (Ok(probs), Ok(secs)) = (codec::get_addr_probs(&mut r), r.get_varint()) {
-            self.predictability = probs;
+            self.advert.predictability = probs;
             self.last_aged = SimTime::from_secs(secs);
         }
     }
@@ -413,7 +447,7 @@ mod tests {
         let mut stranger = Replica::new(ReplicaId::new(9), Filter::address(ATTR_DEST, "s"));
         struct Garbage;
         impl SyncExtension for Garbage {
-            fn generate_request(&mut self, _cx: &mut HostContext<'_>) -> RoutingState {
+            fn generate_request(&mut self, _cx: &mut HostContext<'_>) -> RoutingState<'_> {
                 RoutingState::from_bytes(vec![0xff; 7])
             }
         }
@@ -427,6 +461,122 @@ mod tests {
         );
         assert_eq!(report.transmitted, 0);
         assert!(!stranger.contains_item(id));
+    }
+
+    /// A request as a peer at `addr` advertising `vector` would put it on
+    /// the wire — hostile values included, which no honest encoder emits.
+    fn request_from(peer: u64, addr: &str, vector: &[(&str, f64)]) -> SyncRequest<'static> {
+        let mut w = Writer::new();
+        codec::put_addrs(&mut w, &[IStr::new(addr)].into_iter().collect());
+        let vector = vector.iter().map(|&(a, p)| (IStr::new(a), p)).collect();
+        codec::put_addr_probs(&mut w, &vector);
+        SyncRequest {
+            target: ReplicaId::new(peer),
+            knowledge: Default::default(),
+            filter: std::borrow::Cow::Owned(Filter::address(ATTR_DEST, addr)),
+            routing: RoutingState::from_bytes(w.into_bytes()),
+        }
+    }
+
+    fn assert_all_in_unit_interval(policy: &ProphetPolicy) {
+        for (addr, p) in &policy.advert.predictability {
+            assert!((0.0..=1.0).contains(p), "P[{addr}] = {p}");
+        }
+    }
+
+    #[test]
+    fn a_hostile_vector_is_no_routing_data_and_poisons_nothing() {
+        for hostile in [f64::INFINITY, 1e300, f64::NAN, -0.5, 1.5] {
+            let mut a = host(1, "a");
+            let mut attrs = AttributeMap::new();
+            attrs.set(ATTR_DEST, "victim");
+            let id = a.0.insert(attrs, vec![]).unwrap();
+
+            // One request from a liar claiming the victim's address.
+            let lie = request_from(66, "evil", &[("victim", hostile)]);
+            sync::prepare_batch(
+                &mut a.0,
+                &mut a.1,
+                &lie,
+                SyncLimits::unlimited(),
+                SimTime::ZERO,
+            );
+            assert_eq!(a.1.predictability("victim"), 0.0, "{hostile} was folded in");
+            assert_eq!(
+                a.1.predictability("evil"),
+                0.0,
+                "an undecodable advert boosts nothing"
+            );
+            assert_all_in_unit_interval(&a.1);
+
+            // Ten days on, an honest courier that meets the victim daily
+            // still wins the message.
+            let ten_days = 10 * 86_400;
+            let mut courier = host(2, "c");
+            let mut victim = host(3, "victim");
+            encounter(&mut courier, &mut victim, ten_days - 60);
+            encounter(&mut a, &mut courier, ten_days);
+            assert!(courier.0.contains_item(id), "black-holed by {hostile}");
+            assert_all_in_unit_interval(&a.1);
+            // And what `a` goes on to advertise is clean too.
+            let mut w = Writer::new();
+            a.1.advert.encode(&mut w);
+            assert!(<Advert as codec::Advert>::decode(&mut Reader::new(w.as_slice())).is_ok());
+        }
+    }
+
+    mod invariants {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Any bit pattern at all, with the dangerous ones common.
+        fn arb_f64() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                any::<u64>().prop_map(f64::from_bits),
+                (0u32..=1000).prop_map(|n| f64::from(n) / 1000.0),
+                Just(f64::INFINITY),
+                Just(f64::NAN),
+                Just(1e300),
+                Just(-1.0),
+                Just(1.0 + f64::EPSILON),
+            ]
+        }
+
+        proptest! {
+            /// ROADMAP 4(b), first invariant: whatever vectors arrive as
+            /// bytes, in whatever order, every predictability a node holds
+            /// stays in [0, 1].
+            #[test]
+            fn predictabilities_stay_in_the_unit_interval(
+                requests in proptest::collection::vec(
+                    (2u64..6, proptest::collection::vec((0u8..5, arb_f64()), 0..5), 0u64..90_000),
+                    1..12,
+                ),
+            ) {
+                let mut a = host(1, "a");
+                let mut now = 0;
+                for (peer, vector, gap) in requests {
+                    now += gap;
+                    let names: Vec<String> = vector.iter().map(|(d, _)| format!("d{d}")).collect();
+                    let vector: Vec<(&str, f64)> = names
+                        .iter()
+                        .zip(&vector)
+                        .map(|(name, &(_, p))| (name.as_str(), p))
+                        .collect();
+                    let request = request_from(peer, &format!("p{peer}"), &vector);
+                    sync::prepare_batch(
+                        &mut a.0,
+                        &mut a.1,
+                        &request,
+                        SyncLimits::unlimited(),
+                        SimTime::from_secs(now),
+                    );
+                    for (addr, p) in &a.1.advert.predictability {
+                        prop_assert!((0.0..=1.0).contains(p), "P[{}] = {}", addr, p);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

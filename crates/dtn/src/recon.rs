@@ -171,23 +171,29 @@ impl SyncExtension for DigestExt<'_> {
         self.inner.label()
     }
 
-    fn generate_request(&mut self, cx: &mut HostContext<'_>) -> RoutingState {
-        let raw = self.inner.generate_request(cx);
-        if raw.as_bytes().is_empty() {
+    fn generate_request<'a>(&'a mut self, cx: &mut HostContext<'_>) -> RoutingState<'a> {
+        // The envelope diffs bytes: whatever the policy lends is encoded
+        // here, once, and the copy becomes the next delta's base.
+        let raw = self.inner.generate_request(cx).into_bytes();
+        if raw.is_empty() {
             // Stateless policies (epidemic, spray, direct) pay nothing.
-            return raw;
+            return RoutingState::empty();
         }
-        let enveloped = encode_envelope(self.link.tx.as_deref(), raw.as_bytes());
-        self.link.tx = Some(raw.as_bytes().to_vec());
+        let enveloped = encode_envelope(self.link.tx.as_deref(), &raw);
+        self.link.tx = Some(raw);
         RoutingState::from_bytes(enveloped)
     }
 
     fn process_request(&mut self, cx: &mut HostContext<'_>, request: &SyncRequest<'_>) {
-        if request.routing.as_bytes().is_empty() {
+        // A co-located digest-mode peer wears this wrapper too, so what
+        // arrives is its envelope's bytes; a payload lent bare is read as
+        // the bytes it would have been.
+        let enveloped = request.routing.wire_form();
+        if enveloped.is_empty() {
             self.inner.process_request(cx, request);
             return;
         }
-        let routing = match decode_envelope(self.link.rx.as_deref(), request.routing.as_bytes()) {
+        let routing = match decode_envelope(self.link.rx.as_deref(), &enveloped) {
             Some(raw) => {
                 self.link.rx = Some(raw.clone());
                 RoutingState::from_bytes(raw)

@@ -81,10 +81,15 @@ impl SyncExtension for SprayAndWaitPolicy {
         if item.is_deleted() {
             return SendDecision::Send(Priority::normal());
         }
-        let copies = self.copies_of(item);
-        if !item.transient().contains(ATTR_COPIES) {
-            item.set_transient(copies_key(), self.initial_copies);
-        }
+        // One lookup answers both questions: how many copies this holder
+        // has, and whether the budget was ever stamped on the stored copy.
+        let copies = match item.transient().get_i64(ATTR_COPIES) {
+            Some(copies) => copies,
+            None => {
+                item.set_transient(copies_key(), self.initial_copies);
+                self.initial_copies
+            }
+        };
         if copies >= 2 {
             SendDecision::Send(Priority::normal())
         } else {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dtn::{DtnNode, DtnPolicy, EncounterBudget, FilterStrategy, PolicyKind};
-use obs::{Event, Fanout, Obs, Observer};
+use obs::{Event, EventKind, Fanout, Obs, Observer};
 use pfr::{ItemId, ReplicaId, SimTime, SyncMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -538,13 +538,14 @@ impl<'a> Emulation<'a> {
             // Sender and destination ride the same bus today: delivered on
             // the spot with a single stored copy.
             self.metrics.record_delivery(id, now, 1);
-            self.obs.emit(|| Event::MessageDelivered {
-                replica: dst_bus.as_u64(),
-                origin: id.origin().as_u64(),
-                seq: id.seq(),
-                delay_secs: 0,
-                at_secs: now.as_secs(),
-            });
+            self.obs
+                .emit(EventKind::MessageDelivered, || Event::MessageDelivered {
+                    replica: dst_bus.as_u64(),
+                    origin: id.origin().as_u64(),
+                    seq: id.seq(),
+                    delay_secs: 0,
+                    at_secs: now.as_secs(),
+                });
         }
     }
 
@@ -614,13 +615,14 @@ impl<'a> Emulation<'a> {
                             .map(|r| now.saturating_since(r.injected_at).as_secs())
                             .unwrap_or(0);
                         self.metrics.record_delivery(id, now, copies);
-                        self.obs.emit(|| Event::MessageDelivered {
-                            replica: receiver.as_u64(),
-                            origin: id.origin().as_u64(),
-                            seq: id.seq(),
-                            delay_secs,
-                            at_secs: now.as_secs(),
-                        });
+                        self.obs
+                            .emit(EventKind::MessageDelivered, || Event::MessageDelivered {
+                                replica: receiver.as_u64(),
+                                origin: id.origin().as_u64(),
+                                seq: id.seq(),
+                                delay_secs,
+                                at_secs: now.as_secs(),
+                            });
                     }
                 }
             }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::{Event, Observer};
+use obs::{Event, EventKind, Interest, Observer};
 use parking_lot::Mutex;
 use pfr::{ItemId, SimDuration, SimTime};
 
@@ -288,6 +288,14 @@ impl DayRollup {
 }
 
 impl Observer for DayRollup {
+    fn interest(&self) -> Interest {
+        Interest::of(&[
+            EventKind::MessageInjected,
+            EventKind::MessageDelivered,
+            EventKind::EncounterCompleted,
+        ])
+    }
+
     fn on_event(&self, event: &Event) {
         match event {
             Event::MessageInjected { at_secs, .. } => {

@@ -82,7 +82,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use dtn::{DtnNode, EncounterBudget, SnapshotScratch};
-use obs::{Event, Obs, Observer};
+use obs::{Event, EventKind, Interest, Obs, Observer};
 use parking_lot::Mutex;
 use pfr::{ItemId, ReplicaId, SimTime};
 use rand::rngs::StdRng;
@@ -153,9 +153,12 @@ impl Drop for RemoveOnDrop {
 /// global sequence order — so the per-op event stream preserves true
 /// emission order (both encounter endpoints interleaved, exactly as the
 /// serial engine's observer sees it).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct EventBuffer {
     events: Mutex<Vec<Event>>,
+    /// What the commit step will read: the ledger's kinds and the run
+    /// observer's.
+    interest: Interest,
 }
 
 impl EventBuffer {
@@ -167,6 +170,10 @@ impl EventBuffer {
 impl Observer for EventBuffer {
     fn on_event(&self, event: &Event) {
         self.events.lock().push(event.clone());
+    }
+
+    fn interest(&self) -> Interest {
+        self.interest
     }
 }
 
@@ -185,6 +192,10 @@ impl Observer for DirectSink {
     fn on_event(&self, event: &Event) {
         self.state.lock().apply(event);
         self.obs.forward(event);
+    }
+
+    fn interest(&self) -> Interest {
+        CommitState::INTEREST.union(self.obs.interest())
     }
 }
 
@@ -466,6 +477,15 @@ struct CommitState {
 }
 
 impl CommitState {
+    /// The kinds [`CommitState::apply`] reads.
+    const INTEREST: Interest = Interest::of(&[
+        EventKind::MessageInjected,
+        EventKind::ItemDelivered,
+        EventKind::ItemRelayed,
+        EventKind::MessageDropped,
+        EventKind::ItemEvicted,
+    ]);
+
     fn apply(&mut self, event: &Event) {
         match event {
             Event::MessageInjected { origin, seq, .. }
@@ -516,7 +536,7 @@ fn note_handoff(op: &Op, workers: usize, obs: &Obs) {
         let from = shard_of(encounter.a, workers);
         let to = shard_of(encounter.b, workers);
         if from != to {
-            obs.emit(|| Event::ShardHandoff {
+            obs.emit(EventKind::ShardHandoff, || Event::ShardHandoff {
                 a: encounter.a.as_u64(),
                 b: encounter.b.as_u64(),
                 from_shard: from as u64,
@@ -559,7 +579,7 @@ fn apply_outcome(
                 // Sender and destination ride the same bus today:
                 // delivered on the spot with a single stored copy.
                 metrics.record_delivery(id, *now, 1);
-                obs.emit(|| Event::MessageDelivered {
+                obs.emit(EventKind::MessageDelivered, || Event::MessageDelivered {
                     replica: dst_bus.as_u64(),
                     origin: id.origin().as_u64(),
                     seq: id.seq(),
@@ -601,7 +621,7 @@ fn apply_outcome(
                                 .map(|r| now.saturating_since(r.injected_at).as_secs())
                                 .unwrap_or(0);
                             metrics.record_delivery(id, now, copies);
-                            obs.emit(|| Event::MessageDelivered {
+                            obs.emit(EventKind::MessageDelivered, || Event::MessageDelivered {
                                 replica: receiver.as_u64(),
                                 origin: id.origin().as_u64(),
                                 seq: id.seq(),
@@ -646,7 +666,7 @@ fn commit(
     note_handoff(&op, workers, obs);
     for event in events {
         state.apply(&event);
-        obs.emit(|| event);
+        obs.forward(&event);
     }
     apply_outcome(&op, outcome, metrics, obs, config, state);
 }
@@ -712,7 +732,7 @@ impl Residency {
             node.set_sync_mode(config.sync_mode);
             nodes.insert(id, Box::new(node));
             let latency_us = read_share_us + rebuild.elapsed().as_micros() as u64;
-            obs.emit(|| Event::ReplicaSpill {
+            obs.emit(EventKind::ReplicaSpill, || Event::ReplicaSpill {
                 replica: id.as_u64(),
                 bytes: slot.len() as u64,
                 resident: nodes.len() as u64,
@@ -778,7 +798,7 @@ impl Residency {
         for ((id, resident), slot) in evicted.into_iter().zip(slots) {
             let bytes = slot.len() as u64;
             self.slots.insert(id, slot);
-            obs.emit(|| Event::ReplicaSpill {
+            obs.emit(EventKind::ReplicaSpill, || Event::ReplicaSpill {
                 replica: id.as_u64(),
                 bytes,
                 resident,
@@ -1089,8 +1109,12 @@ impl<'a> Emulation<'a> {
                     job_txs.push(tx);
                     let worker_config = config.clone();
                     let results = result_tx.clone();
+                    let interest = CommitState::INTEREST.union(obs.interest());
                     scope.spawn(move || {
-                        let buffer = Arc::new(EventBuffer::default());
+                        let buffer = Arc::new(EventBuffer {
+                            events: Mutex::default(),
+                            interest,
+                        });
                         let mailbox = Obs::new(buffer.clone());
                         for chunk in rx {
                             let out: Vec<ExecResult> = chunk

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use obs::{Event, Obs, Observer};
+use obs::{Event, EventKind, Obs, Observer};
 
 /// Runs a batch of independent jobs across a bounded worker pool,
 /// returning results in job order.
@@ -87,10 +87,11 @@ impl SweepRunner {
     {
         let total = jobs.len();
         let workers = self.workers.min(total.max(1));
-        self.obs.emit(|| Event::SweepStarted {
-            jobs: total as u64,
-            workers: workers as u64,
-        });
+        self.obs
+            .emit(EventKind::SweepStarted, || Event::SweepStarted {
+                jobs: total as u64,
+                workers: workers as u64,
+            });
         if workers <= 1 {
             return jobs.into_iter().map(f).collect();
         }

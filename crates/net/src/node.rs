@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dtn::DtnNode;
-use obs::{Event, Obs};
+use obs::{Event, EventKind, Obs};
 use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 use transport::{
@@ -456,13 +456,14 @@ impl Core {
             stats.suspect = membership.suspect_count();
             stats.learned = membership.take_learned();
         }
-        self.obs.emit(|| Event::GossipRound {
-            replica: self.replica,
-            fanout: stats.dialed as u64,
-            alive: stats.alive as u64,
-            suspect: stats.suspect as u64,
-            learned: stats.learned,
-        });
+        self.obs
+            .emit(EventKind::GossipRound, || Event::GossipRound {
+                replica: self.replica,
+                fanout: stats.dialed as u64,
+                alive: stats.alive as u64,
+                suspect: stats.suspect as u64,
+                learned: stats.learned,
+            });
         stats
     }
 

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use obs::{Event, Obs};
+use obs::{Event, EventKind, Obs};
 use parking_lot::Mutex;
 use pfr::ReplicaId;
 use transport::frame::{FrameAccum, FrameError};
@@ -584,7 +584,7 @@ impl PollTelemetry {
             self.max_latency_us,
         );
         let replica = shared.replica;
-        shared.obs.emit(|| Event::NetPoll {
+        shared.obs.emit(EventKind::NetPoll, || Event::NetPoll {
             replica,
             backend,
             syscalls,
@@ -890,11 +890,13 @@ fn step(
                 .map(|p| p.as_u64())
                 .unwrap_or(0);
             let queued = session.out.pending() as u64;
-            shared.obs.emit(|| Event::NetBackpressure {
-                replica,
-                peer,
-                queued_bytes: queued,
-            });
+            shared
+                .obs
+                .emit(EventKind::NetBackpressure, || Event::NetBackpressure {
+                    replica,
+                    peer,
+                    queued_bytes: queued,
+                });
         }
         return (Verdict::Keep, outcome);
     }

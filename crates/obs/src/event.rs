@@ -469,41 +469,81 @@ pub enum Event {
     },
 }
 
+/// Declares [`EventKind`] — one fieldless discriminant per [`Event`]
+/// variant — with each kind's stable label and the variant → kind map,
+/// from one table, so the three cannot drift apart.
+macro_rules! event_kinds {
+    ($($variant:ident => $name:literal,)*) => {
+        /// Which [`Event`] variant: what an emission site names before it
+        /// builds anything, and what an [`crate::Observer`] subscribes to.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $(#[doc = concat!("[`Event::", stringify!($variant), "`], labelled `", $name, "`.")]
+            $variant,)*
+        }
+
+        impl EventKind {
+            /// Every kind, in declaration order.
+            pub const ALL: &'static [EventKind] = &[$(EventKind::$variant,)*];
+
+            /// The stable snake_case label (the `"event"` field of the
+            /// JSON rendering).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$variant => $name,)*
+                }
+            }
+        }
+
+        impl Event {
+            /// Which variant this is.
+            pub fn event_kind(&self) -> EventKind {
+                match self {
+                    $(Event::$variant { .. } => EventKind::$variant,)*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
+    MessageInjected => "message_injected",
+    SyncStarted => "sync_started",
+    SyncCandidatesSelected => "sync_candidates_selected",
+    SweepStarted => "sweep_started",
+    SyncBatchSent => "sync_batch_sent",
+    ItemTransmitted => "item_transmitted",
+    ItemDelivered => "item_delivered",
+    ItemRelayed => "item_relayed",
+    ItemEvicted => "item_evicted",
+    ItemExpired => "item_expired",
+    MessageDropped => "message_dropped",
+    MessageDelivered => "message_delivered",
+    EncounterCompleted => "encounter_completed",
+    KnowledgeMerged => "knowledge_merged",
+    PolicyDecision => "policy_decision",
+    SpanEnded => "span_ended",
+    TransportSync => "transport_sync",
+    DataPlaneReuse => "data_plane_reuse",
+    ReconDigest => "recon_digest",
+    WalAppend => "wal_append",
+    CheckpointWritten => "checkpoint_written",
+    StoreRecovered => "store_recovered",
+    StoreFault => "store_fault",
+    ShardHandoff => "shard_handoff",
+    NetSession => "net_session",
+    GossipRound => "gossip_round",
+    NetBackpressure => "net_backpressure",
+    NetPoll => "net_poll",
+    ReplicaSpill => "replica_spill",
+}
+
 impl Event {
     /// The event's stable snake_case kind label (the `"event"` field of
     /// its JSON rendering).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::MessageInjected { .. } => "message_injected",
-            Event::SyncStarted { .. } => "sync_started",
-            Event::SyncCandidatesSelected { .. } => "sync_candidates_selected",
-            Event::SweepStarted { .. } => "sweep_started",
-            Event::SyncBatchSent { .. } => "sync_batch_sent",
-            Event::ItemTransmitted { .. } => "item_transmitted",
-            Event::ItemDelivered { .. } => "item_delivered",
-            Event::ItemRelayed { .. } => "item_relayed",
-            Event::ItemEvicted { .. } => "item_evicted",
-            Event::ItemExpired { .. } => "item_expired",
-            Event::MessageDropped { .. } => "message_dropped",
-            Event::MessageDelivered { .. } => "message_delivered",
-            Event::EncounterCompleted { .. } => "encounter_completed",
-            Event::KnowledgeMerged { .. } => "knowledge_merged",
-            Event::PolicyDecision { .. } => "policy_decision",
-            Event::SpanEnded { .. } => "span_ended",
-            Event::TransportSync { .. } => "transport_sync",
-            Event::DataPlaneReuse { .. } => "data_plane_reuse",
-            Event::ReconDigest { .. } => "recon_digest",
-            Event::WalAppend { .. } => "wal_append",
-            Event::CheckpointWritten { .. } => "checkpoint_written",
-            Event::StoreRecovered { .. } => "store_recovered",
-            Event::StoreFault { .. } => "store_fault",
-            Event::ShardHandoff { .. } => "shard_handoff",
-            Event::NetSession { .. } => "net_session",
-            Event::GossipRound { .. } => "gossip_round",
-            Event::NetBackpressure { .. } => "net_backpressure",
-            Event::NetPoll { .. } => "net_poll",
-            Event::ReplicaSpill { .. } => "replica_spill",
-        }
+        self.event_kind().name()
     }
 
     /// Renders the event as one line of JSON (no trailing newline). All
@@ -985,36 +1025,7 @@ mod tests {
 
     #[test]
     fn every_variant_kind_is_unique() {
-        let kinds = [
-            "message_injected",
-            "sync_started",
-            "sync_candidates_selected",
-            "sweep_started",
-            "sync_batch_sent",
-            "item_transmitted",
-            "item_delivered",
-            "item_relayed",
-            "item_evicted",
-            "item_expired",
-            "message_dropped",
-            "message_delivered",
-            "encounter_completed",
-            "knowledge_merged",
-            "policy_decision",
-            "span_ended",
-            "transport_sync",
-            "data_plane_reuse",
-            "recon_digest",
-            "wal_append",
-            "checkpoint_written",
-            "store_recovered",
-            "store_fault",
-            "shard_handoff",
-            "net_session",
-            "gossip_round",
-            "net_backpressure",
-            "replica_spill",
-        ];
+        let kinds: Vec<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
         let set: std::collections::BTreeSet<_> = kinds.iter().collect();
         assert_eq!(set.len(), kinds.len());
     }

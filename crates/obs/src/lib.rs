@@ -6,9 +6,10 @@
 //!   evictions up to transport sessions. Layers stay decoupled by using raw
 //!   integer ids (replica ids, item ids) rather than the substrate's types.
 //! * [`Observer`] / [`Obs`] — the consumer trait and the handle the
-//!   instrumented code holds. A disabled handle costs one branch per
-//!   emission site; event construction is inside a closure that never runs
-//!   when no observer is attached.
+//!   instrumented code holds. An emission site names its [`EventKind`] and
+//!   costs one mask test; event construction is inside a closure that runs
+//!   only when the observer subscribed to that kind
+//!   ([`Observer::interest`], everything by default).
 //! * [`Registry`] — sharded counters and log-scale histograms aggregated
 //!   from the event stream, with a CSV summary renderer.
 //! * [`MemorySink`] / [`JsonlSink`] — a bounded in-memory ring buffer (for
@@ -17,16 +18,16 @@
 //! * [`Span`] — wall-clock timing that reports as a [`Event::SpanEnded`].
 //!
 //! ```
-//! use obs::{Event, MemorySink, Obs};
+//! use obs::{Event, EventKind, MemorySink, Obs};
 //! use std::sync::Arc;
 //!
 //! let sink = Arc::new(MemorySink::unbounded());
 //! let handle = Obs::new(sink.clone());
-//! handle.emit(|| Event::ItemEvicted { replica: 1, origin: 2, seq: 3 });
+//! handle.emit(EventKind::ItemEvicted, || Event::ItemEvicted { replica: 1, origin: 2, seq: 3 });
 //! assert_eq!(sink.len(), 1);
 //!
 //! let disabled = Obs::none();
-//! disabled.emit(|| unreachable!("never constructed"));
+//! disabled.emit(EventKind::ItemEvicted, || unreachable!("never constructed"));
 //! ```
 
 #![warn(missing_docs)]
@@ -38,8 +39,8 @@ mod registry;
 mod sink;
 mod span;
 
-pub use event::{DecisionKind, DropReason, Event};
-pub use observer::{Fanout, Obs, Observer};
+pub use event::{DecisionKind, DropReason, Event, EventKind};
+pub use observer::{Fanout, Interest, Obs, Observer};
 pub use registry::{Histogram, Registry, RegistrySnapshot};
 pub use sink::{JsonlSink, MemorySink};
 pub use span::Span;

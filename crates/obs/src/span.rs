@@ -1,13 +1,14 @@
 //! Wall-clock timing that reports as [`Event::SpanEnded`].
 
-use crate::{Event, Obs};
+use crate::{Event, EventKind, Obs};
 use std::time::Instant;
 
 /// Times a region of code and emits one [`Event::SpanEnded`] when
 /// finished (explicitly via [`Span::finish`], or on drop).
 ///
-/// On a disabled [`Obs`] handle the span is inert: no clock is read and
-/// nothing is emitted.
+/// On a handle whose observer did not subscribe to
+/// [`EventKind::SpanEnded`] (a disabled one included) the span is inert:
+/// no clock is read and nothing is emitted.
 #[derive(Debug)]
 pub struct Span {
     obs: Obs,
@@ -21,11 +22,7 @@ impl Span {
     /// Starts a span. `peer` may be 0 when unknown.
     pub fn start(obs: &Obs, name: &'static str, replica: u64, peer: u64) -> Self {
         Span {
-            started: if obs.enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
+            started: obs.wants(EventKind::SpanEnded).then(Instant::now),
             obs: obs.clone(),
             name,
             replica,
@@ -41,7 +38,7 @@ impl Span {
     fn emit_end(&mut self) {
         if let Some(started) = self.started.take() {
             let wall_micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            self.obs.emit(|| Event::SpanEnded {
+            self.obs.emit(EventKind::SpanEnded, || Event::SpanEnded {
                 name: self.name,
                 replica: self.replica,
                 peer: self.peer,

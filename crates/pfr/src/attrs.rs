@@ -1,6 +1,5 @@
 //! Attribute maps: the queryable metadata attached to every item.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -10,6 +9,10 @@ use crate::intern::IStr;
 use crate::value::Value;
 
 /// An ordered map of attribute names to [`Value`]s.
+///
+/// Items carry a handful of attributes each (a message: three), so the map
+/// is a name-sorted array: one allocation per map, and a lookup is a scan
+/// that rejects most keys on their length alone.
 ///
 /// Every replicated item carries two attribute maps: the *versioned*
 /// attributes written by the application (changing them creates a new item
@@ -31,7 +34,8 @@ use crate::value::Value;
 /// ```
 #[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttributeMap {
-    entries: BTreeMap<IStr, Value>,
+    /// Strictly ascending by name.
+    entries: Vec<(IStr, Value)>,
 }
 
 impl AttributeMap {
@@ -69,29 +73,73 @@ impl AttributeMap {
     ) -> Result<&mut Self, PfrError> {
         let name = name.into();
         let value = value.into();
-        if contains_nan(&value) {
-            return Err(PfrError::InvalidAttribute {
-                name: name.as_str().to_owned(),
-                reason: "NaN floats are not allowed in attributes".into(),
+        check_value(&name, &value)?;
+        match self.position(&name) {
+            Ok(at) => self.entries[at].1 = value,
+            Err(at) => self.entries.insert(at, (name, value)),
+        }
+        Ok(self)
+    }
+
+    /// Builds a map from decoded `(name, value)` pairs, a later pair
+    /// replacing an earlier one of the same name. An encoder writes names
+    /// ascending and the pairs are taken as the array they are; anything
+    /// else is sorted first, so hostile input costs O(n log n), not a
+    /// shifting insert per pair.
+    ///
+    /// # Errors
+    ///
+    /// As [`AttributeMap::try_set`].
+    pub(crate) fn from_pairs(mut entries: Vec<(IStr, Value)>) -> Result<Self, PfrError> {
+        for (name, value) in &entries {
+            check_value(name, value)?;
+        }
+        if !entries.is_sorted_by(|(a, _), (b, _)| a < b) {
+            // Stable: among equal names the last pair stays last, and
+            // `dedup_by` hands it the survivor's slot.
+            entries.sort_by(|(a, _), (b, _)| a.cmp(b));
+            entries.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
             });
         }
-        self.entries.insert(name, value);
-        Ok(self)
+        Ok(AttributeMap { entries })
+    }
+
+    /// Where `name` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        // Appending in name order — how every decoder and most builders
+        // fill a map — never searches.
+        match self.entries.last() {
+            Some((last, _)) if last.as_str() < name => Err(self.entries.len()),
+            _ => self
+                .entries
+                .binary_search_by(|(key, _)| key.as_str().cmp(name)),
+        }
     }
 
     /// Looks up an attribute by name.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.entries.get(name)
+        // A key's length sits in its handle: only a key of the right
+        // length has its allocation read.
+        self.entries
+            .iter()
+            .find(|(key, _)| key.len() == name.len() && key.as_str() == name)
+            .map(|(_, value)| value)
     }
 
     /// Removes an attribute, returning its previous value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.entries.remove(name)
+        let at = self.position(name).ok()?;
+        Some(self.entries.remove(at).1)
     }
 
     /// Returns `true` if the attribute is present.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.get(name).is_some()
     }
 
     /// Number of attributes.
@@ -151,6 +199,16 @@ impl AttributeMap {
     }
 }
 
+fn check_value(name: &str, value: &Value) -> Result<(), PfrError> {
+    if contains_nan(value) {
+        return Err(PfrError::InvalidAttribute {
+            name: name.to_owned(),
+            reason: "NaN floats are not allowed in attributes".into(),
+        });
+    }
+    Ok(())
+}
+
 fn contains_nan(value: &Value) -> bool {
     match value {
         Value::Float(f) => f.is_nan(),
@@ -163,7 +221,7 @@ impl fmt::Debug for AttributeMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut m = f.debug_map();
         for (k, v) in &self.entries {
-            m.entry(&k, &format_args!("{v}"));
+            m.entry(k, &format_args!("{v}"));
         }
         m.finish()
     }
@@ -248,6 +306,70 @@ mod tests {
         assert_eq!(a.len(), 3);
         let names: Vec<&str> = a.iter().map(|(k, _)| k).collect();
         assert_eq!(names, ["a", "b", "c"], "iteration is name-ordered");
+    }
+
+    /// One step of the model test: names come from a pool of six, so
+    /// replacements, removals of present names and misses all occur.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Set(u8, i64),
+        Remove(u8),
+    }
+
+    fn name(n: u8) -> String {
+        // Lengths differ and prefixes repeat: "k", "k1", "k11", ...
+        format!("k{}", "1".repeat(usize::from(n % 6)))
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (any::<u8>(), any::<i64>()).prop_map(|(n, v)| Op::Set(n, v)),
+                any::<u8>().prop_map(Op::Remove),
+            ]
+        }
+
+        proptest! {
+            /// The array map is the tree map it replaced: same answers to
+            /// set / get / remove / contains, same name order out of
+            /// `iter` (so the same wire, snapshot and WAL bytes), and
+            /// `deep_uninterned` and `from_pairs` agree with it too.
+            #[test]
+            fn array_map_matches_a_btreemap(ops in proptest::collection::vec(arb_op(), 0..40)) {
+                let mut map = AttributeMap::new();
+                let mut model: BTreeMap<String, Value> = BTreeMap::new();
+                let mut pairs = Vec::new();
+                for op in ops {
+                    match op {
+                        Op::Set(n, v) => {
+                            map.set(name(n), v);
+                            model.insert(name(n), Value::Int(v));
+                            pairs.push((IStr::new(&name(n)), Value::Int(v)));
+                        }
+                        Op::Remove(n) => {
+                            prop_assert_eq!(map.remove(&name(n)), model.remove(&name(n)));
+                            pairs.retain(|(k, _)| k.as_str() != name(n));
+                        }
+                    }
+                    prop_assert_eq!(map.len(), model.len());
+                    for n in 0..6 {
+                        prop_assert_eq!(map.get(&name(n)), model.get(&name(n)));
+                        prop_assert_eq!(map.contains(&name(n)), model.contains_key(&name(n)));
+                    }
+                }
+                let listed: Vec<(&str, &Value)> = map.iter().collect();
+                let expected: Vec<(&str, &Value)> =
+                    model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+                prop_assert_eq!(&listed, &expected);
+                prop_assert_eq!(&map.deep_uninterned(), &map);
+                // Decoded in arrival order, repeats and all.
+                prop_assert_eq!(&AttributeMap::from_pairs(pairs).unwrap(), &map);
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use obs::Event;
+use obs::{Event, EventKind};
 use recon::hash::key_hash;
 use recon::Bloom;
 
@@ -157,7 +157,7 @@ impl KnowledgeSummary {
 /// routing state, but knowledge travels as a [`KnowledgeSummary`] and the
 /// filter is elided once the peer has acknowledged it by fingerprint.
 #[derive(Clone, Debug)]
-pub struct DigestRequest {
+pub struct DigestRequest<'a> {
     /// The requesting (target) replica.
     pub target: ReplicaId,
     /// Compact stand-in for the target's knowledge.
@@ -168,7 +168,7 @@ pub struct DigestRequest {
     /// this peer cached on an earlier exchange.
     pub filter: Option<Filter>,
     /// Policy routing data, exactly as in full mode.
-    pub routing: RoutingState,
+    pub routing: RoutingState<'a>,
 }
 
 /// Exact membership round for Bloom summaries: versions the filter
@@ -454,12 +454,12 @@ impl ReconState {
     /// to commit once the sync succeeds. Costs what was learned since the
     /// last exchange with `peer`: the knowledge is neither walked nor
     /// cloned unless it is itself the summary.
-    pub fn build_request(
+    pub fn build_request<'a>(
         &mut self,
         peer: ReplicaId,
         target: &mut Replica,
-        routing: RoutingState,
-    ) -> (DigestRequest, PendingExchange) {
+        routing: RoutingState<'a>,
+    ) -> (DigestRequest<'a>, PendingExchange) {
         let (filter_fp, filter_len) = target.filter_stamp();
         let target: &Replica = target;
         let knowledge = target.knowledge();
@@ -696,7 +696,7 @@ pub fn sync_with_digest(
 ) -> SyncReport {
     let source_id = source.id();
     let target_id = target.id();
-    let routing = sync::begin_sync(target, target_ext, now, Some(source_id)).routing;
+    let routing = sync::generate_routing(target, target_ext, now, Some(source_id));
     let (digest_request, pending) = target_recon.build_request(source_id, target, routing);
     let full_bytes = pending.full_bytes;
     let mut digest_bytes = wire::encoded_len(&digest_request) as u64;
@@ -749,15 +749,17 @@ pub fn sync_with_digest(
         }
     };
 
-    source.observer().emit(|| Event::ReconDigest {
-        replica: source_id.as_u64(),
-        peer: target_id.as_u64(),
-        kind,
-        digest_bytes,
-        full_bytes,
-        fallback_rounds,
-        false_positives,
-    });
+    source
+        .observer()
+        .emit(EventKind::ReconDigest, || Event::ReconDigest {
+            replica: source_id.as_u64(),
+            peer: target_id.as_u64(),
+            kind,
+            digest_bytes,
+            full_bytes,
+            fallback_rounds,
+            false_positives,
+        });
 
     // A resync retransmits the plain full request, filter included.
     let filter = match known_filter {

@@ -79,7 +79,9 @@ pub use payload::Payload;
 pub use replica::{ApplyOutcome, ConflictRecord, Replica, ReplicaStats};
 pub use snapshot::{decode_item_record, ItemRecord, ReplicaParts};
 pub use store::{EvictionMode, StoreKind};
-pub use sync::{Priority, PriorityClass, RoutingState, SendDecision, SyncExtension, SyncLimits};
+pub use sync::{
+    Priority, PriorityClass, RoutingPayload, RoutingState, SendDecision, SyncExtension, SyncLimits,
+};
 pub use time::{SimDuration, SimTime};
 pub use value::Value;
 

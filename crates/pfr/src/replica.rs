@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use obs::{DropReason, Event, Obs};
+use obs::{DropReason, Event, EventKind, Obs};
 use serde::{Deserialize, Serialize};
 
 use crate::attrs::AttributeMap;
@@ -735,17 +735,19 @@ impl Replica {
             self.stats.evictions += 1;
             let replica = self.id.as_u64();
             let id = evicted.item.id();
-            self.obs.emit(|| Event::ItemEvicted {
-                replica,
-                origin: id.origin().as_u64(),
-                seq: id.seq(),
-            });
-            self.obs.emit(|| Event::MessageDropped {
-                replica,
-                origin: id.origin().as_u64(),
-                seq: id.seq(),
-                reason: DropReason::Evicted,
-            });
+            self.obs
+                .emit(EventKind::ItemEvicted, || Event::ItemEvicted {
+                    replica,
+                    origin: id.origin().as_u64(),
+                    seq: id.seq(),
+                });
+            self.obs
+                .emit(EventKind::MessageDropped, || Event::MessageDropped {
+                    replica,
+                    origin: id.origin().as_u64(),
+                    seq: id.seq(),
+                    reason: DropReason::Evicted,
+                });
         }
         let _ = self.eviction; // single-mode today; field kept for API stability
     }

@@ -12,17 +12,29 @@
 //! Target:  apply each received item, updating knowledge
 //! ```
 //!
+//! "send" has two renderings. Between co-located replicas
+//! ([`sync_with`]) the request *lends* all three parts: knowledge and
+//! filter as borrowed [`Cow`]s, routing as a [`RoutingPayload`] the
+//! target's extension keeps and the source's extension reads by
+//! reference — nothing is cloned or serialized. On a wire the request is
+//! encoded ([`crate::wire`]), which is where a lent payload becomes
+//! bytes, and the source decodes an owned `SyncRequest<'static>` whose
+//! routing is those bytes. Which rendering a request has is decided by
+//! where it came from; an extension handles both through one absorb path
+//! ([`RoutingState::lent`], else decode [`RoutingState::wire_form`]).
+//!
 //! Without an extension (the [`NoExtension`] default) this is plain
 //! filtered replication: only items matching the target's filter flow.
 //! Extensions add out-of-filter forwarding — the paper's pluggable DTN
 //! routing policies — without changing the meaning of filters, so eventual
 //! filter consistency is preserved (§IV-C).
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
-use obs::{DecisionKind, DropReason, Event};
+use obs::{DecisionKind, DropReason, Event, EventKind};
 use serde::{Deserialize, Serialize};
 
 use crate::filter::Filter;
@@ -32,39 +44,124 @@ use crate::item::Item;
 use crate::knowledge::Knowledge;
 use crate::replica::{ApplyOutcome, Replica};
 use crate::time::SimTime;
+use crate::wire::Writer;
+
+/// What a routing extension lends to a co-located peer instead of bytes:
+/// the struct it keeps its advertised state in. The peer's extension
+/// downcasts it ([`RoutingState::lent`]); [`RoutingPayload::encode`]
+/// produces the wire form wherever the request does meet a wire.
+pub trait RoutingPayload: Any + Send + Sync {
+    /// Appends the payload's wire form to `w` — what a receiver on the
+    /// other end of a socket decodes.
+    fn encode(&self, w: &mut Writer);
+}
 
 /// Opaque routing data carried in a sync request, produced and consumed by
 /// a routing extension (e.g. PROPHET's delivery-predictability vector).
 ///
-/// The substrate never interprets the bytes; policies define the encoding.
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoutingState(Vec<u8>);
+/// The substrate never interprets it; policies define the encoding. It is
+/// either bytes (what arrived over a wire, or what an extension chose to
+/// produce) or a [`RoutingPayload`] lent by the target's extension for the
+/// life of the request. Two states are equal when they put the same bytes
+/// on a wire.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct RoutingState<'a>(Repr<'a>);
 
-impl RoutingState {
+#[derive(Clone)]
+enum Repr<'a> {
+    Bytes(Vec<u8>),
+    Lent(&'a dyn RoutingPayload),
+}
+
+impl<'a> RoutingState<'a> {
     /// An empty routing state (what [`NoExtension`] produces).
     pub fn empty() -> Self {
-        RoutingState(Vec::new())
+        RoutingState(Repr::Bytes(Vec::new()))
     }
 
     /// Wraps encoded routing data.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        RoutingState(bytes)
+        RoutingState(Repr::Bytes(bytes))
     }
 
-    /// The encoded routing data.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+    /// Lends `payload` as it is: nothing is encoded unless the request
+    /// meets a wire.
+    pub fn lend(payload: &'a dyn RoutingPayload) -> Self {
+        RoutingState(Repr::Lent(payload))
     }
 
-    /// Returns `true` if no routing data is present.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+    /// The lent payload, if there is one and it is a `T`.
+    pub fn lent<T: RoutingPayload>(&self) -> Option<&'a T> {
+        match self.0 {
+            Repr::Lent(payload) => (payload as &dyn Any).downcast_ref(),
+            Repr::Bytes(_) => None,
+        }
+    }
+
+    /// The wire form, for a consumer that is itself a byte edge (a
+    /// decoder, an envelope): the bytes the state arrived as, borrowed —
+    /// or, for a payload nobody downcast, encoded now. The in-process
+    /// path of a policy that recognises its peer never calls this.
+    pub fn wire_form(&self) -> Cow<'_, [u8]> {
+        match &self.0 {
+            Repr::Bytes(bytes) => Cow::Borrowed(bytes),
+            Repr::Lent(_) => Cow::Owned(self.clone().into_bytes()),
+        }
+    }
+
+    /// Appends the wire form (no length prefix) to `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        match &self.0 {
+            Repr::Bytes(bytes) => w.put_slice(bytes),
+            Repr::Lent(payload) => payload.encode(w),
+        }
+    }
+
+    /// Length of the wire form, from a counting pass over a lent payload.
+    pub fn encoded_len(&self) -> usize {
+        match &self.0 {
+            Repr::Bytes(bytes) => bytes.len(),
+            Repr::Lent(payload) => {
+                let mut w = Writer::counting();
+                payload.encode(&mut w);
+                w.len()
+            }
+        }
+    }
+
+    /// [`RoutingState::wire_form`] by value: moved out when the state
+    /// arrived as bytes, encoded now when it was lent.
+    pub fn into_bytes(self) -> Vec<u8> {
+        match self.0 {
+            Repr::Bytes(bytes) => bytes,
+            Repr::Lent(payload) => {
+                let mut w = Writer::new();
+                payload.encode(&mut w);
+                w.into_bytes()
+            }
+        }
+    }
+
+    /// Detaches the state from the extension that lent it.
+    pub fn into_owned(self) -> RoutingState<'static> {
+        RoutingState::from_bytes(self.into_bytes())
     }
 }
 
-impl fmt::Debug for RoutingState {
+impl PartialEq for RoutingState<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire_form() == other.wire_form()
+    }
+}
+
+impl Eq for RoutingState<'_> {}
+
+impl fmt::Debug for RoutingState<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "RoutingState({} bytes)", self.0.len())
+        match &self.0 {
+            Repr::Bytes(bytes) => write!(f, "RoutingState({} bytes)", bytes.len()),
+            Repr::Lent(_) => write!(f, "RoutingState(lent)"),
+        }
     }
 }
 
@@ -223,12 +320,14 @@ impl<'a> HostContext<'a> {
         let purged = self.replica.purge_relay(id);
         if purged {
             let replica = self.replica.id().as_u64();
-            self.replica.observer().emit(|| Event::MessageDropped {
-                replica,
-                origin: id.origin().as_u64(),
-                seq: id.seq(),
-                reason: DropReason::Acked,
-            });
+            self.replica
+                .observer()
+                .emit(EventKind::MessageDropped, || Event::MessageDropped {
+                    replica,
+                    origin: id.origin().as_u64(),
+                    seq: id.seq(),
+                    reason: DropReason::Acked,
+                });
         }
         purged
     }
@@ -298,8 +397,10 @@ pub trait SyncExtension {
     }
 
     /// Called on the **target** when it initiates a sync: returns routing
-    /// data to attach to the request (`generateReq()` in the paper).
-    fn generate_request(&mut self, cx: &mut HostContext<'_>) -> RoutingState {
+    /// data to attach to the request (`generateReq()` in the paper). The
+    /// data may borrow from the extension ([`RoutingState::lend`]), which
+    /// stays borrowed for as long as the request lives.
+    fn generate_request<'a>(&'a mut self, cx: &mut HostContext<'_>) -> RoutingState<'a> {
         let _ = cx;
         RoutingState::empty()
     }
@@ -365,10 +466,11 @@ impl SyncExtension for NoExtension {
 
 /// A synchronization request, sent by the target to the source.
 ///
-/// Knowledge and filter ride in [`Cow`]s: the in-process path
-/// ([`begin_sync`]) borrows both straight from the target replica, so
-/// local encounters clone neither; the wire path decodes owned values
-/// (`SyncRequest<'static>`).
+/// Knowledge and filter ride in [`Cow`]s and routing in a
+/// [`RoutingState`]: the in-process path ([`begin_sync`]) borrows the
+/// first two straight from the target replica and the third from its
+/// extension, so local encounters clone and encode nothing; the wire path
+/// decodes owned values (`SyncRequest<'static>`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SyncRequest<'a> {
     /// The requesting (target) replica.
@@ -379,18 +481,19 @@ pub struct SyncRequest<'a> {
     /// The target's content filter.
     pub filter: Cow<'a, Filter>,
     /// Policy-defined routing data (paper §V-A requirement 2).
-    pub routing: RoutingState,
+    pub routing: RoutingState<'a>,
 }
 
 impl SyncRequest<'_> {
-    /// Detaches the request from any replica borrow, cloning the
-    /// knowledge and filter only if they are still borrowed.
+    /// Detaches the request from any replica or extension borrow, cloning
+    /// the knowledge and filter only if they are still borrowed and
+    /// encoding the routing data only if it was lent.
     pub fn into_owned(self) -> SyncRequest<'static> {
         SyncRequest {
             target: self.target,
             knowledge: Cow::Owned(self.knowledge.into_owned()),
             filter: Cow::Owned(self.filter.into_owned()),
-            routing: self.routing,
+            routing: self.routing.into_owned(),
         }
     }
 }
@@ -492,24 +595,17 @@ pub struct SyncReport {
 
 /// Builds the target's sync request (paper Fig. 4, target side, step 1).
 ///
-/// The returned request borrows the target's knowledge and filter for
-/// `'a` — nothing is cloned. Callers that need an owned request (to
-/// outlive the replica borrow) can [`SyncRequest::into_owned`] it.
+/// The returned request borrows the target's knowledge and filter, and
+/// whatever routing data its extension lends, for `'a` — nothing is
+/// cloned or encoded. Callers that need an owned request (to outlive the
+/// borrows) can [`SyncRequest::into_owned`] it.
 pub fn begin_sync<'a>(
     target: &'a mut Replica,
-    ext: &mut dyn SyncExtension,
+    ext: &'a mut dyn SyncExtension,
     now: SimTime,
     source: Option<ReplicaId>,
 ) -> SyncRequest<'a> {
-    let target_id = target.id().as_u64();
-    let source_id = source.map(|s| s.as_u64()).unwrap_or(0);
-    target.observer().emit(|| Event::SyncStarted {
-        target: target_id,
-        source: source_id,
-        at_secs: now.as_secs(),
-    });
-    let mut cx = HostContext::new(target, now, source);
-    let routing = ext.generate_request(&mut cx);
+    let routing = generate_routing(target, ext, now, source);
     let target: &'a Replica = target;
     SyncRequest {
         target: target.id(),
@@ -517,6 +613,28 @@ pub fn begin_sync<'a>(
         filter: Cow::Borrowed(target.filter()),
         routing,
     }
+}
+
+/// The part of [`begin_sync`] that needs the target mutably: announces
+/// the sync and has the extension produce (or lend) its routing data,
+/// which borrows the extension only.
+pub(crate) fn generate_routing<'e>(
+    target: &mut Replica,
+    ext: &'e mut dyn SyncExtension,
+    now: SimTime,
+    source: Option<ReplicaId>,
+) -> RoutingState<'e> {
+    let target_id = target.id().as_u64();
+    let source_id = source.map(|s| s.as_u64()).unwrap_or(0);
+    target
+        .observer()
+        .emit(EventKind::SyncStarted, || Event::SyncStarted {
+            target: target_id,
+            source: source_id,
+            at_secs: now.as_secs(),
+        });
+    let mut cx = HostContext::new(target, now, source);
+    ext.generate_request(&mut cx)
 }
 
 /// Builds the source's item batch for a request (paper Fig. 4, source
@@ -537,21 +655,28 @@ pub fn prepare_batch(
     // resolution reaches the replica through `cx.replica` directly.
     let mut cx = HostContext::new(source, now, Some(request.target));
     ext.process_request(&mut cx, request);
-    let routing_bytes = request.routing.as_bytes().len();
-    cx.replica.observer().emit(|| Event::PolicyDecision {
-        replica: source_id.as_u64(),
-        peer: target_id,
-        policy,
-        kind: DecisionKind::RequestProcessed,
-        origin: 0,
-        seq: 0,
-        cost: routing_bytes as f64,
-        at_secs: now.as_secs(),
-    });
+    cx.replica
+        .observer()
+        .emit(EventKind::PolicyDecision, || Event::PolicyDecision {
+            replica: source_id.as_u64(),
+            peer: target_id,
+            policy,
+            kind: DecisionKind::RequestProcessed,
+            origin: 0,
+            seq: 0,
+            // What the routing data costs on a wire, counted here so an
+            // unobserved in-process sync never walks a lent payload.
+            cost: request.routing.encoded_len() as f64,
+            at_secs: now.as_secs(),
+        });
 
-    // Candidate scan + selection, timed only when an observer is
-    // attached (the disabled path never reads the clock, like `Span`).
-    let scan_started = cx.replica.observer().enabled().then(Instant::now);
+    // Candidate scan + selection, timed only when somebody reads the
+    // timing (otherwise the clock is never read, like `Span`).
+    let scan_started = cx
+        .replica
+        .observer()
+        .wants(EventKind::SyncCandidatesSelected)
+        .then(Instant::now);
     // Selection runs in per-replica scratch buffers (returned before this
     // function exits), so the steady-state encounter — every candidate
     // already known, nothing selected — builds no vectors at all.
@@ -590,19 +715,21 @@ pub fn prepare_batch(
             slot,
         };
         let verdict = ext.to_send(&mut candidate, request).priority();
-        cx.replica.observer().emit(|| Event::PolicyDecision {
-            replica: source_id.as_u64(),
-            peer: target_id,
-            policy,
-            kind: match verdict {
-                Some(_) => DecisionKind::Forward,
-                None => DecisionKind::Suppress,
-            },
-            origin: id.origin().as_u64(),
-            seq: id.seq(),
-            cost: verdict.map(|p| p.cost()).unwrap_or(0.0),
-            at_secs: now.as_secs(),
-        });
+        cx.replica
+            .observer()
+            .emit(EventKind::PolicyDecision, || Event::PolicyDecision {
+                replica: source_id.as_u64(),
+                peer: target_id,
+                policy,
+                kind: match verdict {
+                    Some(_) => DecisionKind::Forward,
+                    None => DecisionKind::Suppress,
+                },
+                origin: id.origin().as_u64(),
+                seq: id.seq(),
+                cost: verdict.map(|p| p.cost()).unwrap_or(0.0),
+                at_secs: now.as_secs(),
+            });
         match verdict {
             Some(priority) => scratch.selected.push((id, priority, false, payload_len)),
             None => withheld += 1,
@@ -614,15 +741,17 @@ pub fn prepare_batch(
         .unwrap_or(0);
     cx.replica
         .observer()
-        .emit(|| Event::SyncCandidatesSelected {
-            source: source_id.as_u64(),
-            target: target_id,
-            candidates: candidate_count,
-            selected: selected_count,
-            // Filter verdicts are evaluated directly; there is no memo.
-            memo_hits: 0,
-            scan_us,
-            at_secs: now.as_secs(),
+        .emit(EventKind::SyncCandidatesSelected, || {
+            Event::SyncCandidatesSelected {
+                source: source_id.as_u64(),
+                target: target_id,
+                candidates: candidate_count,
+                selected: selected_count,
+                // Filter verdicts are evaluated directly; there is no memo.
+                memo_hits: 0,
+                scan_us,
+                at_secs: now.as_secs(),
+            }
         });
 
     // Deterministic transmission order: priority, then item id.
@@ -686,15 +815,17 @@ pub fn prepare_batch(
         }
         let bytes = copy.payload().len() as u64;
         payload_bytes += bytes;
-        cx.replica.observer().emit(|| Event::ItemTransmitted {
-            source: source_id.as_u64(),
-            target: target_id,
-            origin: id.origin().as_u64(),
-            seq: id.seq(),
-            bytes,
-            matched_filter,
-            at_secs: now.as_secs(),
-        });
+        cx.replica
+            .observer()
+            .emit(EventKind::ItemTransmitted, || Event::ItemTransmitted {
+                source: source_id.as_u64(),
+                target: target_id,
+                origin: id.origin().as_u64(),
+                seq: id.seq(),
+                bytes,
+                matched_filter,
+                at_secs: now.as_secs(),
+            });
         entries.push(BatchEntry {
             item: copy,
             priority,
@@ -702,14 +833,16 @@ pub fn prepare_batch(
         });
     }
     let entry_count = entries.len() as u64;
-    cx.replica.observer().emit(|| Event::SyncBatchSent {
-        source: source_id.as_u64(),
-        target: target_id,
-        entries: entry_count,
-        withheld: withheld as u64,
-        payload_bytes,
-        at_secs: now.as_secs(),
-    });
+    cx.replica
+        .observer()
+        .emit(EventKind::SyncBatchSent, || Event::SyncBatchSent {
+            source: source_id.as_u64(),
+            target: target_id,
+            entries: entry_count,
+            withheld: withheld as u64,
+            payload_bytes,
+            at_secs: now.as_secs(),
+        });
     cx.replica.restore_sync_scratch(scratch);
 
     SyncBatch {
@@ -754,23 +887,27 @@ pub(crate) fn apply_batch_recycling(
                 if delivered {
                     report.delivered += 1;
                     report.delivered_ids.push(id);
-                    target.observer().emit(|| Event::ItemDelivered {
-                        replica: target_id,
-                        source: source_id,
-                        origin: id.origin().as_u64(),
-                        seq: id.seq(),
-                        at_secs: now.as_secs(),
-                    });
+                    target
+                        .observer()
+                        .emit(EventKind::ItemDelivered, || Event::ItemDelivered {
+                            replica: target_id,
+                            source: source_id,
+                            origin: id.origin().as_u64(),
+                            seq: id.seq(),
+                            at_secs: now.as_secs(),
+                        });
                 } else {
                     report.relayed += 1;
                     report.stored_ids.push(id);
-                    target.observer().emit(|| Event::ItemRelayed {
-                        replica: target_id,
-                        source: source_id,
-                        origin: id.origin().as_u64(),
-                        seq: id.seq(),
-                        at_secs: now.as_secs(),
-                    });
+                    target
+                        .observer()
+                        .emit(EventKind::ItemRelayed, || Event::ItemRelayed {
+                            replica: target_id,
+                            source: source_id,
+                            origin: id.origin().as_u64(),
+                            seq: id.seq(),
+                            at_secs: now.as_secs(),
+                        });
                     ext.on_relayed(id);
                 }
             }
@@ -786,14 +923,16 @@ pub(crate) fn apply_batch_recycling(
         let batch_entries = report.transmitted as u64;
         let knowledge_replicas = target.knowledge().replica_count() as u64;
         let knowledge_exceptions = target.knowledge().exception_count() as u64;
-        target.observer().emit(|| Event::KnowledgeMerged {
-            replica: target_id,
-            peer: source_id,
-            batch_entries,
-            knowledge_replicas,
-            knowledge_exceptions,
-            at_secs: now.as_secs(),
-        });
+        target
+            .observer()
+            .emit(EventKind::KnowledgeMerged, || Event::KnowledgeMerged {
+                replica: target_id,
+                peer: source_id,
+                batch_entries,
+                knowledge_replicas,
+                knowledge_exceptions,
+                at_secs: now.as_secs(),
+            });
     }
     // Lend the delivered-id list to the extension rather than cloning it;
     // the report gets it back untouched.
@@ -1078,7 +1217,8 @@ mod tests {
         for n in [2u8, 1, 0] {
             a.insert(dest("x"), vec![n]).unwrap();
         }
-        let request = begin_sync(&mut c, &mut NoExtension, SimTime::ZERO, Some(a.id()));
+        let mut none = NoExtension;
+        let request = begin_sync(&mut c, &mut none, SimTime::ZERO, Some(a.id()));
         let batch = prepare_batch(
             &mut a,
             &mut Classed,
@@ -1161,11 +1301,30 @@ mod tests {
     }
 
     #[test]
-    fn routing_state_roundtrip() {
-        let s = RoutingState::from_bytes(vec![1, 2, 3]);
-        assert_eq!(s.as_bytes(), &[1, 2, 3]);
-        assert!(!s.is_empty());
-        assert!(RoutingState::empty().is_empty());
-        assert!(format!("{s:?}").contains("3 bytes"));
+    fn routing_state_is_bytes_or_a_lent_payload() {
+        struct Advert(u8);
+        impl RoutingPayload for Advert {
+            fn encode(&self, w: &mut Writer) {
+                w.put_slice(&[self.0; 3]);
+            }
+        }
+        struct Other;
+        impl RoutingPayload for Other {
+            fn encode(&self, _w: &mut Writer) {}
+        }
+
+        let bytes = RoutingState::from_bytes(vec![7, 7, 7]);
+        assert_eq!(&*bytes.wire_form(), &[7u8, 7, 7]);
+        assert!(bytes.lent::<Advert>().is_none());
+        assert!(format!("{bytes:?}").contains("3 bytes"));
+        assert_eq!(RoutingState::empty().encoded_len(), 0);
+
+        let advert = Advert(7);
+        let lent = RoutingState::lend(&advert);
+        assert_eq!(lent.lent::<Advert>().map(|a| a.0), Some(7));
+        assert!(lent.lent::<Other>().is_none(), "another policy's payload");
+        assert_eq!(lent.encoded_len(), 3);
+        assert_eq!(lent, bytes, "equal is equal on a wire");
+        assert!(lent.into_owned().lent::<Advert>().is_none());
     }
 }

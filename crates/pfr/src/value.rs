@@ -133,6 +133,9 @@ impl Value {
             (List(a), List(b)) => {
                 a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.semantic_eq(y))
             }
+            // Interned strings are usually the same allocation: `IStr`
+            // equality settles that on the pointers.
+            (Str(a), Str(b)) => a == b,
             (a, b) => a
                 .partial_cmp_same_type(b)
                 .is_some_and(|o| o == std::cmp::Ordering::Equal),

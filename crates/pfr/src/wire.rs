@@ -666,18 +666,15 @@ impl Encode for AttributeMap {
 impl Decode for AttributeMap {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.get_len(2)?;
-        let mut attrs = AttributeMap::new();
+        let mut pairs = Vec::with_capacity(len);
         for _ in 0..len {
             let name = IStr::new(r.get_str_slice()?);
-            let value = Value::decode(r)?;
-            attrs
-                .try_set(name, value)
-                .map_err(|_| WireError::InvalidTag {
-                    what: "AttributeMap(NaN)",
-                    tag: 0,
-                })?;
+            pairs.push((name, Value::decode(r)?));
         }
-        Ok(attrs)
+        AttributeMap::from_pairs(pairs).map_err(|_| WireError::InvalidTag {
+            what: "AttributeMap(NaN)",
+            tag: 0,
+        })
     }
 }
 
@@ -862,13 +859,17 @@ impl Decode for Item {
     }
 }
 
-impl Encode for RoutingState {
+impl Encode for RoutingState<'_> {
+    /// Length-prefixed wire form. A lent payload is walked twice — once
+    /// counting, once writing straight into `w` — and never staged in a
+    /// buffer of its own.
     fn encode(&self, w: &mut Writer) {
-        w.put_bytes(self.as_bytes());
+        w.put_varint(self.encoded_len() as u64);
+        self.encode_into(w);
     }
 }
 
-impl Decode for RoutingState {
+impl Decode for RoutingState<'static> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(RoutingState::from_bytes(r.get_bytes()?.to_vec()))
     }
@@ -938,7 +939,7 @@ pub fn sync_request_len(
     target: ReplicaId,
     knowledge_len: usize,
     filter_len: usize,
-    routing: &RoutingState,
+    routing: &RoutingState<'_>,
 ) -> usize {
     encoded_len(&target) + knowledge_len + filter_len + encoded_len(routing)
 }
@@ -1079,7 +1080,7 @@ impl Decode for KnowledgeSummary {
     }
 }
 
-impl Encode for DigestRequest {
+impl Encode for DigestRequest<'_> {
     fn encode(&self, w: &mut Writer) {
         self.target.encode(w);
         self.summary.encode(w);
@@ -1089,7 +1090,7 @@ impl Encode for DigestRequest {
     }
 }
 
-impl Decode for DigestRequest {
+impl Decode for DigestRequest<'static> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(DigestRequest {
             target: ReplicaId::decode(r)?,

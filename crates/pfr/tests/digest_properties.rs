@@ -51,7 +51,7 @@ fn arb_policy() -> impl Strategy<Value = DigestPolicy> {
     ]
 }
 
-fn arb_routing() -> impl Strategy<Value = RoutingState> {
+fn arb_routing() -> impl Strategy<Value = RoutingState<'static>> {
     proptest::collection::vec(any::<u8>(), 0..32).prop_map(RoutingState::from_bytes)
 }
 
@@ -113,7 +113,8 @@ proptest! {
         for grown in [&extra[..], &[]] {
             let (digest, pending) = state.build_request(PEER, &mut target, routing.clone());
             assert_canonical(&digest);
-            let full = sync::begin_sync(&mut target, &mut NoExtension, SimTime::ZERO, None);
+            let mut none = NoExtension;
+            let full = sync::begin_sync(&mut target, &mut none, SimTime::ZERO, None);
             let full = sync::SyncRequest { routing: routing.clone(), ..full };
             prop_assert_eq!(pending.full_bytes(), to_bytes(&full).len() as u64);
             state.commit_sent(pending, true);

@@ -53,7 +53,7 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
     })
 }
 
-fn arb_routing() -> impl Strategy<Value = RoutingState> {
+fn arb_routing() -> impl Strategy<Value = RoutingState<'static>> {
     proptest::collection::vec(any::<u8>(), 0..48).prop_map(RoutingState::from_bytes)
 }
 
@@ -145,7 +145,7 @@ fn arb_summary() -> impl Strategy<Value = KnowledgeSummary> {
     ]
 }
 
-fn arb_digest_request() -> impl Strategy<Value = DigestRequest> {
+fn arb_digest_request() -> impl Strategy<Value = DigestRequest<'static>> {
     (arb_request(), arb_summary(), any::<u64>(), any::<bool>()).prop_map(
         |(request, summary, filter_fingerprint, inline)| DigestRequest {
             target: request.target,

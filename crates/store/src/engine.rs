@@ -7,7 +7,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use obs::{Event, Obs};
+use obs::{Event, EventKind, Obs};
 use pfr::wire::Writer;
 
 use crate::checkpoint::{self, CheckpointFault};
@@ -196,7 +196,7 @@ impl Store {
             report.truncated_bytes,
             report.wall_micros,
         );
-        obs.emit(|| Event::StoreRecovered {
+        obs.emit(EventKind::StoreRecovered, || Event::StoreRecovered {
             checkpoint_seq: seq,
             wal_records: records,
             truncated_bytes: truncated,
@@ -332,7 +332,7 @@ impl Store {
             apply(&mut self.map, op);
         }
         let (fsync, total) = (self.config.fsync, self.wal_bytes);
-        self.obs.emit(|| Event::WalAppend {
+        self.obs.emit(EventKind::WalAppend, || Event::WalAppend {
             bytes: len,
             fsync,
             wal_bytes: total,
@@ -389,12 +389,13 @@ impl Store {
         self.prune()?;
 
         let (entries, micros) = (self.map.len() as u64, started.elapsed().as_micros() as u64);
-        self.obs.emit(|| Event::CheckpointWritten {
-            seq: new_seq,
-            entries,
-            bytes: ckpt_bytes,
-            wall_micros: micros,
-        });
+        self.obs
+            .emit(EventKind::CheckpointWritten, || Event::CheckpointWritten {
+                seq: new_seq,
+                entries,
+                bytes: ckpt_bytes,
+                wall_micros: micros,
+            });
         Ok(new_seq)
     }
 

@@ -26,6 +26,11 @@
 //!   is crashed, so the storage engine's recovery runs inside the same
 //!   invariant harness (see [`SimRunner::add_durable_host`]).
 //!
+//! * [`OverTheWire`] — wraps a routing policy so that every request it
+//!   generates reaches a co-located source as the bytes a socket would
+//!   have carried, never as a lent struct: the equivalence harness for
+//!   the two renderings of [`pfr::RoutingState`].
+//!
 //! Everything is a pure function of `(seed, script)`: the same inputs
 //! produce byte-identical [`Trace::to_jsonl`] renderings, and every
 //! invariant failure panics with that pair so a CI hit replays locally
@@ -58,9 +63,11 @@ pub mod simnet;
 pub mod trace;
 
 mod runner;
+mod wire_policy;
 
 pub use diskfault::{DiskDamage, DiskFault, DiskFaultPlan};
 pub use fault::{Direction, FaultPlan, FaultRule, FaultScope, FrameFault, FrameSelector};
 pub use runner::{EncounterOutcome, SessionPair, SimRunner, SkipReason, Step};
 pub use simnet::SimNet;
 pub use trace::{Trace, TraceEntry};
+pub use wire_policy::OverTheWire;

@@ -171,13 +171,15 @@ impl Mesh {
                     // (Mid-session failures already self-report.)
                     let (replica, obs) =
                         self.with_node(|n| (n.id().as_u64(), n.replica().observer().clone()));
-                    obs.emit(|| obs::Event::TransportSync {
-                        replica,
-                        peer: 0,
-                        served: 0,
-                        delivered: 0,
-                        frame_bytes: 0,
-                        ok: false,
+                    obs.emit(obs::EventKind::TransportSync, || {
+                        obs::Event::TransportSync {
+                            replica,
+                            peer: 0,
+                            served: 0,
+                            delivered: 0,
+                            frame_bytes: 0,
+                            ok: false,
+                        }
                     });
                 }
                 Err(TransportError::Session(_)) => {}

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dtn::{DigestQueryState, DigestResponse, DigestSessionState, DtnNode};
-use obs::Event;
+use obs::{Event, EventKind};
 use parking_lot::Mutex;
 use pfr::digest::{DigestRequest, VersionAnswer, VersionQuery};
 use pfr::sync::{SyncBatch, SyncReport};
@@ -794,7 +794,7 @@ impl SessionMachine {
             (node.id().as_u64(), node.replica().observer().clone())
         };
         let peer = self.report.peer.map(|p| p.as_u64()).unwrap_or(0);
-        obs.emit(|| Event::TransportSync {
+        obs.emit(EventKind::TransportSync, || Event::TransportSync {
             replica: my_id,
             peer,
             served: self.report.served as u64,
@@ -807,7 +807,7 @@ impl SessionMachine {
             frame_bytes: self.tally.frame_bytes,
             ok,
         });
-        obs.emit(|| Event::DataPlaneReuse {
+        obs.emit(EventKind::DataPlaneReuse, || Event::DataPlaneReuse {
             replica: my_id,
             peer,
             scratch_reuses: self.scratch.reuses() - self.tally.reuses_before,
@@ -818,7 +818,7 @@ impl SessionMachine {
             payload_shares: self.tally.payload_shares,
             bytes_decoded: self.tally.bytes_decoded,
         });
-        obs.emit(|| Event::NetSession {
+        obs.emit(EventKind::NetSession, || Event::NetSession {
             replica: my_id,
             peer,
             inbound: self.role == Role::Responder,
@@ -839,7 +839,7 @@ impl SessionMachine {
         if let Err(e) = node.persist(now) {
             let obs = node.replica().observer().clone();
             drop(node);
-            obs.emit(|| Event::StoreFault {
+            obs.emit(EventKind::StoreFault, || Event::StoreFault {
                 op: "persist",
                 detail: e.to_string(),
             });
