@@ -1,16 +1,18 @@
-//! Macro benchmark for the city-scale sharded engine: a fleet one order
+//! Macro benchmark for the engine at city scale: a fleet one order
 //! of magnitude (or more) beyond the paper's 34 DieselNet buses, streamed
 //! from an on-disk spool and replayed three ways —
 //!
 //! * **spill**: sharded workers + a resident-replica cap, cold state
 //!   spilled through `store::SpillFile` (the bounded-RSS configuration),
 //! * **sharded**: same workers, every replica resident,
-//! * **serial**: the reference single-threaded in-memory engine (skipped
-//!   at scales where materializing the trace stops being reasonable).
+//! * **serial**: the reference run — one shard on the cooperative path,
+//!   every replica resident, the trace in memory (skipped at scales where
+//!   materializing the trace stops being reasonable). The name is the
+//!   `BENCH_scale.json` key, kept from when this was a separate engine.
 //!
-//! All modes must produce identical [`ExperimentMetrics`] — the sharded
-//! engine is an execution strategy, not a model change — and the bench
-//! asserts that before reporting anything. An instrumented re-run of the
+//! All modes must produce identical [`ExperimentMetrics`] — shards,
+//! threads and spilling are execution strategies, not model changes —
+//! and the bench asserts that before reporting anything. An instrumented re-run of the
 //! spill mode captures the `shard.*` counters (handoffs, spills,
 //! unspills) so the report proves the scale machinery actually engaged.
 //! Results land in `BENCH_scale.json` in the working directory.
@@ -214,7 +216,7 @@ fn main() {
          spill file high-water {spill_file_bytes} bytes"
     );
 
-    // Serial in-memory baseline: the differential anchor. The *same*
+    // One-shard in-memory baseline: the differential anchor. The *same*
     // spool is materialized into an in-memory trace (the spool enforces
     // the identical (time, a, b) order `from_encounters` sorts by, so the
     // schedules match exactly); `DieselNetConfig::generate` would build a
@@ -242,7 +244,7 @@ fn main() {
         });
         assert_eq!(
             result.metrics, spill.metrics,
-            "the sharded engine diverged from the serial reference"
+            "the sharded engine diverged from the one-shard reference"
         );
         println!(
             "  serial  : {:7.2}s, {:8.0} encounters/sec, {} KiB peak RSS",

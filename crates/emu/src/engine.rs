@@ -1,4 +1,5 @@
-//! The trace-driven emulation engine.
+//! One trace-driven emulation: its configuration and its fleet (the run
+//! loop is [`shard`](crate::shard)).
 //!
 //! Mirrors the paper's experimental setup (§VI-A): every bus in the
 //! mobility trace runs one DTN application instance backed by one replica;
@@ -11,13 +12,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dtn::{DtnNode, DtnPolicy, EncounterBudget, FilterStrategy, PolicyKind};
-use obs::{Event, EventKind, Fanout, Obs, Observer};
-use pfr::{ItemId, ReplicaId, SimTime, SyncMode};
+use obs::Observer;
+use pfr::{ReplicaId, SyncMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use traces::{bus_address, EmailWorkload, EncounterTrace, SpooledTrace, UserAssignment};
 
-use crate::metrics::{DayRollup, ExperimentMetrics};
+use crate::metrics::ExperimentMetrics;
+use crate::shard::FxMap;
 
 /// Which routing policy the emulated nodes run: one of the bundled kinds
 /// with paper parameters, or a custom factory (used by the ablation
@@ -116,22 +118,10 @@ pub struct EmulationConfig {
     pub messages_per_contact_minute: Option<f64>,
     /// Extra observer receiving every event the run emits (sync batches,
     /// policy decisions, drops, deliveries, encounters). The engine always
-    /// attaches its own [`DayRollup`] — the source of
+    /// attaches its own [`DayRollup`](crate::DayRollup) — the source of
     /// [`ExperimentMetrics::daily_stats`] — and fans events out to this
     /// observer too when one is set.
     pub observer: Option<Arc<dyn Observer>>,
-    /// Force every node's replica back onto the legacy full-store
-    /// candidate scan instead of the per-origin version index. Only the
-    /// selection algorithm changes — results are identical either way —
-    /// so this exists for A/B benchmarking (see the `macro_emu` bench).
-    pub candidate_scan: bool,
-    /// Force every synced copy onto the legacy owned data plane: outgoing
-    /// batch entries deep-copy their payload and un-intern their attribute
-    /// strings instead of sharing buffers. Results are byte-identical
-    /// either way — this exists only so the `macro_emu` bench and the perf
-    /// guard can A/B the copy-on-write data plane against pre-CoW
-    /// allocation behavior.
-    pub owned_copies: bool,
     /// How encounters exchange sync metadata (see
     /// [`DtnNode::set_sync_mode`]): [`SyncMode::Full`] sends complete
     /// knowledge vectors and routing payloads; [`SyncMode::Digest`]
@@ -140,44 +130,31 @@ pub struct EmulationConfig {
     /// metadata bytes on the wire differ (`recon.*` counters account the
     /// savings).
     pub sync_mode: SyncMode,
-    /// Number of worker shards for the sharded engine. `None` runs the
-    /// serial engine unless another scale knob (`stream_encounters`,
-    /// `spill_dir`, `resident_limit`, or a spooled trace source) forces
-    /// the sharded path with one worker. Metrics are identical to the
-    /// serial engine for any shard count — the differential suite in
-    /// `tests/shard_equivalence.rs` pins this.
+    /// Number of shards the fleet is partitioned into (`None`: one).
+    /// Metrics are identical for any shard count — the differential
+    /// suite in `tests/shard_equivalence.rs` pins this.
     pub shards: Option<usize>,
-    /// Stream encounters from disk instead of iterating the in-memory
-    /// trace: an in-memory source is first spooled to a temp file, a
-    /// spooled source streams directly. The encounter *sequence* is
-    /// byte-identical either way.
-    pub stream_encounters: bool,
-    /// Where spill and temp spool files live. Defaults to
-    /// [`std::env::temp_dir`] when a knob that needs disk is on.
+    /// Where the spill file lives under a residency cap. Defaults to
+    /// [`std::env::temp_dir`].
     pub spill_dir: Option<std::path::PathBuf>,
     /// Cap on resident (in-memory) replicas: beyond it, the coldest nodes
-    /// are snapshotted into a spill file and restored on their next
-    /// encounter. `None` keeps every node resident. The cap is enforced
-    /// between batches, so residency transiently exceeds it by at most one
-    /// batch's working set.
+    /// — those whose next encounter in a window of upcoming encounters is
+    /// farthest — are snapshotted into a spill file and restored on their
+    /// next encounter. `None` keeps every node resident. The cap is
+    /// enforced between batches, so residency transiently exceeds it by
+    /// at most one batch's working set.
     pub resident_limit: Option<usize>,
-    /// Trace-lookahead window (encounters) for the Belady-style residency
-    /// policy: eviction spills the replica whose next windowed encounter
-    /// is farthest (or absent), and upcoming spilled replicas are
-    /// batch-unspilled ahead of their encounters. `None` derives a window
-    /// from `resident_limit`. Purely a performance knob — the metrics are
-    /// identical for any window (the differential suite pins this).
-    pub lookahead: Option<usize>,
     /// Worker threads executing shard chunks. Shards are a *partitioning*
     /// unit (handoff accounting, conflict-free batching); threads are an
     /// *execution* resource, and decoupling them lets the engine fit the
     /// host: `None` sizes the pool to the machine — one thread per shard
-    /// on multi-core hosts, zero on a single-core host, where the shards
-    /// instead execute cooperatively on the main thread with operations
-    /// committed as they complete (no channels, no event buffering).
-    /// `Some(0)` forces the cooperative path, `Some(n)` forces a pool of
-    /// `min(n, shards)` threads. Purely an execution knob — metrics are
-    /// identical for any value (the differential suite pins this).
+    /// on multi-core hosts with more than one shard, otherwise zero, where
+    /// the shards instead execute cooperatively on the main thread with
+    /// operations committed as they complete (no channels, no event
+    /// buffering). `Some(0)` forces the cooperative path, `Some(n)` forces
+    /// a pool of `min(n, shards)` threads. Purely an execution knob —
+    /// metrics are identical for any value (the differential suite pins
+    /// this).
     pub exec_threads: Option<usize>,
 }
 
@@ -199,14 +176,11 @@ impl std::fmt::Debug for EmulationConfig {
                 &self.messages_per_contact_minute,
             )
             .field("observer", &self.observer.is_some())
-            .field("candidate_scan", &self.candidate_scan)
-            .field("owned_copies", &self.owned_copies)
             .field("sync_mode", &self.sync_mode)
             .field("shards", &self.shards)
-            .field("stream_encounters", &self.stream_encounters)
             .field("spill_dir", &self.spill_dir)
             .field("resident_limit", &self.resident_limit)
-            .field("lookahead", &self.lookahead)
+            .field("exec_threads", &self.exec_threads)
             .finish()
     }
 }
@@ -226,14 +200,10 @@ impl Default for EmulationConfig {
             message_lifetime: None,
             messages_per_contact_minute: None,
             observer: None,
-            candidate_scan: false,
-            owned_copies: false,
             sync_mode: SyncMode::default(),
             shards: None,
-            stream_encounters: false,
             spill_dir: None,
             resident_limit: None,
-            lookahead: None,
             exec_threads: None,
         }
     }
@@ -276,16 +246,15 @@ impl TraceSource<'_> {
     }
 }
 
-/// A full emulation: nodes, traces, assignment, and collected metrics.
+/// A full emulation: nodes, traces and assignment, ready to run.
 pub struct Emulation<'a> {
     pub(crate) source: TraceSource<'a>,
     pub(crate) workload: &'a EmailWorkload,
     pub(crate) config: EmulationConfig,
-    pub(crate) nodes: BTreeMap<ReplicaId, DtnNode>,
+    /// Boxed: a [`DtnNode`] is ~1 KiB inline, and the engine moves nodes
+    /// between the map, pool jobs and results.
+    pub(crate) nodes: FxMap<ReplicaId, Box<DtnNode>>,
     pub(crate) assignment: UserAssignment,
-    pub(crate) metrics: ExperimentMetrics,
-    pub(crate) obs: Obs,
-    pub(crate) rollup: Arc<DayRollup>,
 }
 
 impl<'a> Emulation<'a> {
@@ -300,7 +269,7 @@ impl<'a> Emulation<'a> {
 
     /// Prepares an emulation over a spooled (on-disk) trace: encounters
     /// stream from the spool file, so only per-day schedules and the node
-    /// set stay resident. Runs on the sharded engine.
+    /// set stay resident.
     ///
     /// # Panics
     ///
@@ -319,26 +288,13 @@ impl<'a> Emulation<'a> {
         workload: &'a EmailWorkload,
         config: EmulationConfig,
     ) -> Self {
-        // The engine's day rollup always listens; a user observer fans in.
-        let rollup = Arc::new(DayRollup::new());
-        let obs = match &config.observer {
-            Some(user) => Obs::new(Arc::new(Fanout::new(vec![
-                rollup.clone() as Arc<dyn Observer>,
-                user.clone(),
-            ]))),
-            None => Obs::new(rollup.clone()),
-        };
-
-        let mut nodes = BTreeMap::new();
+        let mut nodes = FxMap::default();
         let all_nodes: Vec<ReplicaId> = source.node_ids();
         for &id in &all_nodes {
             let mut node = DtnNode::with_policy(id, &bus_address(id), config.policy.build());
             node.replica_mut().set_relay_limit(config.relay_limit);
-            node.replica_mut().set_observer(obs.clone());
-            node.replica_mut().set_candidate_scan(config.candidate_scan);
-            node.replica_mut().set_owned_copies(config.owned_copies);
             node.set_sync_mode(config.sync_mode);
-            nodes.insert(id, node);
+            nodes.insert(id, Box::new(node));
         }
 
         // Multi-address filters (§IV-B): widen each node's filter with the
@@ -400,9 +356,6 @@ impl<'a> Emulation<'a> {
             config,
             nodes,
             assignment,
-            metrics: ExperimentMetrics::new(),
-            obs,
-            rollup,
         }
     }
 
@@ -413,7 +366,7 @@ impl<'a> Emulation<'a> {
 
     /// Read access to a node.
     pub fn node(&self, id: ReplicaId) -> Option<&DtnNode> {
-        self.nodes.get(&id)
+        self.nodes.get(&id).map(|node| &**node)
     }
 
     /// Runs the whole schedule and returns the collected metrics.
@@ -424,264 +377,17 @@ impl<'a> Emulation<'a> {
     /// Runs the whole schedule, returning the metrics *and* the final
     /// nodes for post-run inspection (stored items, policy state sizes,
     /// replica statistics).
-    pub fn run_into_parts(mut self) -> (ExperimentMetrics, BTreeMap<ReplicaId, DtnNode>) {
-        if self.sharded_requested() {
-            return self.run_sharded();
-        }
-        let TraceSource::Memory(trace) = self.source else {
-            unreachable!("spooled sources always take the sharded path");
-        };
-        let mut injections = self.workload.events().iter().peekable();
-        let mut encounters = trace.iter().peekable();
-        let mut fault_rng = StdRng::seed_from_u64(self.config.fault_seed);
-
-        loop {
-            let next_injection = injections.peek().map(|e| e.time);
-            let next_encounter = encounters.peek().map(|e| e.time);
-            match (next_injection, next_encounter) {
-                (None, None) => break,
-                (Some(ti), Some(te)) if ti <= te => {
-                    let event = injections.next().expect("peeked");
-                    self.inject(&event.src, &event.dst, event.time);
-                }
-                (Some(_), None) => {
-                    let event = injections.next().expect("peeked");
-                    self.inject(&event.src, &event.dst, event.time);
-                }
-                (_, Some(_)) => {
-                    let enc = *encounters.next().expect("peeked");
-                    if self.config.encounter_drop_rate > 0.0
-                        && fault_rng.gen::<f64>() < self.config.encounter_drop_rate
-                    {
-                        continue;
-                    }
-                    if self.config.crash_rate > 0.0
-                        && fault_rng.gen::<f64>() < self.config.crash_rate
-                    {
-                        let victim = if fault_rng.gen::<bool>() {
-                            enc.a
-                        } else {
-                            enc.b
-                        };
-                        self.reboot(victim);
-                    }
-                    self.meet(&enc);
-                }
-            }
-        }
-
-        // Final storage accounting: one pass over every node's store builds
-        // the copy counts for all tracked messages at once, instead of one
-        // full node sweep per message (O(nodes * messages) -> O(live items)).
-        let mut copies: BTreeMap<ItemId, usize> = BTreeMap::new();
-        for node in self.nodes.values() {
-            for item in node.replica().iter_items() {
-                if !item.is_deleted() {
-                    *copies.entry(item.id()).or_insert(0) += 1;
-                }
-            }
-        }
-        let ids: Vec<ItemId> = self.metrics.records().map(|r| r.id).collect();
-        for id in ids {
-            let count = copies.get(&id).copied().unwrap_or(0);
-            self.metrics.record_final_copies(id, count);
-        }
-        self.metrics.evictions = self
-            .nodes
-            .values()
-            .map(|n| n.replica().stats().evictions)
-            .sum();
-        // The per-day time series is a pure function of the event stream.
-        self.metrics.set_daily_stats(self.rollup.snapshot());
-        (self.metrics, self.nodes)
-    }
-
-    /// Whether any scale knob routes this run onto the sharded engine.
-    fn sharded_requested(&self) -> bool {
-        self.config.shards.is_some()
-            || self.config.stream_encounters
-            || self.config.spill_dir.is_some()
-            || self.config.resident_limit.is_some()
-            || matches!(self.source, TraceSource::Spooled(_))
-    }
-
-    fn inject(&mut self, src_user: &str, dst_user: &str, now: SimTime) {
-        let day = now.day();
-        let (Some(src_bus), Some(dst_bus)) = (
-            self.assignment.bus_of(day, src_user),
-            self.assignment.bus_of(day, dst_user),
-        ) else {
-            return; // no buses scheduled that day: the mail is lost upstream
-        };
-        let src_addr = bus_address(src_bus);
-        let dst_addr = bus_address(dst_bus);
-        let payload = format!("{src_user}->{dst_user}").into_bytes();
-        let Some(node) = self.nodes.get_mut(&src_bus) else {
-            return;
-        };
-        let sent = match self.config.message_lifetime {
-            Some(lifetime) => dtn::messaging::send_message_with_lifetime(
-                node.replica_mut(),
-                &src_addr,
-                &dst_addr,
-                payload,
-                now,
-                lifetime,
-            ),
-            None => node.send_from(&src_addr, &dst_addr, payload, now),
-        };
-        let Ok(id) = sent else {
-            return;
-        };
-        self.metrics.record_injection(id, &src_addr, &dst_addr, now);
-        if src_bus == dst_bus {
-            // Sender and destination ride the same bus today: delivered on
-            // the spot with a single stored copy.
-            self.metrics.record_delivery(id, now, 1);
-            self.obs
-                .emit(EventKind::MessageDelivered, || Event::MessageDelivered {
-                    replica: dst_bus.as_u64(),
-                    origin: id.origin().as_u64(),
-                    seq: id.seq(),
-                    delay_secs: 0,
-                    at_secs: now.as_secs(),
-                });
-        }
-    }
-
-    fn meet(&mut self, encounter: &traces::Encounter) {
-        let (a, b, now) = (encounter.a, encounter.b, encounter.time);
-        if a == b {
-            return;
-        }
-        let budget = match self.config.messages_per_contact_minute {
-            Some(rate) if encounter.duration.as_secs() > 0 => {
-                let allowance = (encounter.duration.as_secs() as f64 / 60.0 * rate).ceil();
-                EncounterBudget::max_messages((allowance as usize).max(1))
-            }
-            _ => self.config.budget,
-        };
-        // Borrow both nodes in place via one range iterator — removing and
-        // re-inserting them cost a couple of map-node allocations per
-        // encounter, which dominated the steady-state allocation profile.
-        let report = {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            let mut range = self.nodes.range_mut(lo..=hi);
-            let (Some((&first, node_lo)), Some((&last, node_hi))) =
-                (range.next(), range.next_back())
-            else {
-                return;
-            };
-            if first != lo || last != hi {
-                return;
-            }
-            let (node_a, node_b) = if a < b {
-                (node_lo, node_hi)
-            } else {
-                (node_hi, node_lo)
-            };
-            node_a.encounter(node_b, now, budget)
-        };
-
-        self.metrics.encounters += 1;
-        self.metrics.transmissions += report.transmitted as u64;
-        self.metrics.duplicates += report.duplicates as u64;
-
-        for (receiver, ids) in [(a, &report.delivered_to_a), (b, &report.delivered_to_b)] {
-            // Rendering the address allocates; skip it on the common
-            // nothing-delivered encounter.
-            if ids.is_empty() {
-                continue;
-            }
-            let addr = bus_address(receiver);
-            for &id in ids {
-                let is_final_destination =
-                    self.metrics.record(id).is_some_and(|rec| rec.dst == addr);
-                if is_final_destination && self.metrics.is_pending(id) {
-                    // Bounded lifetimes: a copy that slips through after
-                    // expiry is not a delivery.
-                    let in_time = match self.config.message_lifetime {
-                        None => true,
-                        Some(lifetime) => self
-                            .metrics
-                            .record(id)
-                            .is_some_and(|r| now.saturating_since(r.injected_at) < lifetime),
-                    };
-                    if in_time {
-                        let copies = self.count_copies(id);
-                        let delay_secs = self
-                            .metrics
-                            .record(id)
-                            .map(|r| now.saturating_since(r.injected_at).as_secs())
-                            .unwrap_or(0);
-                        self.metrics.record_delivery(id, now, copies);
-                        self.obs
-                            .emit(EventKind::MessageDelivered, || Event::MessageDelivered {
-                                replica: receiver.as_u64(),
-                                origin: id.origin().as_u64(),
-                                seq: id.seq(),
-                                delay_secs,
-                                at_secs: now.as_secs(),
-                            });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Simulates a reboot: the replica's durable state round-trips through
-    /// a snapshot (exercising snapshot/restore), then the routing policy
-    /// restarts *cold* — its in-memory tables are gone, as on a device
-    /// that never called `save_state`. (Nodes that do persist routing
-    /// state reboot losslessly; that path is covered by
-    /// `DtnNode::restore`'s tests.)
-    fn reboot(&mut self, id: ReplicaId) {
-        let Some(node) = self.nodes.remove(&id) else {
-            return;
-        };
-        let snapshot = node.snapshot();
-        match DtnNode::restore(&snapshot) {
-            Ok(mut restored) => {
-                restored.replace_policy(self.config.policy.build());
-                // Snapshots carry no observability or acceleration state;
-                // re-attach the observer and selection mode.
-                restored.replica_mut().set_observer(self.obs.clone());
-                restored
-                    .replica_mut()
-                    .set_candidate_scan(self.config.candidate_scan);
-                restored
-                    .replica_mut()
-                    .set_owned_copies(self.config.owned_copies);
-                // Digest caches died with the process; the mode survives
-                // as configuration and the first post-reboot exchange per
-                // peer resolves through the fallback path.
-                restored.set_sync_mode(self.config.sync_mode);
-                self.metrics.reboots += 1;
-                self.nodes.insert(id, restored);
-            }
-            Err(_) => {
-                // Snapshots we just produced always decode; keep the node
-                // rather than losing it if that ever regresses. (Custom
-                // policies outside the registry also land here.)
-                self.nodes.insert(id, node);
-            }
-        }
-    }
-
-    fn count_copies(&self, id: ItemId) -> usize {
-        self.nodes
-            .values()
-            .filter(|n| n.replica().item(id).is_some_and(|item| !item.is_deleted()))
-            .count()
+    pub fn run_into_parts(self) -> (ExperimentMetrics, BTreeMap<ReplicaId, DtnNode>) {
+        crate::shard::run(self)
     }
 }
 
 /// Fleet-wide storage accounting over the final nodes of a run (use with
 /// [`Emulation::run_into_parts`]).
 ///
-/// Deliberately *not* part of [`ExperimentMetrics`]: the owned/shared A/B
-/// harness compares metrics with `==`, and physical sharing is exactly
-/// what differs between the two modes.
+/// Deliberately *not* part of [`ExperimentMetrics`]: physical sharing
+/// depends on how copies travelled (a spill round-trip re-serializes
+/// payloads), which the metrics must not see.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageFootprint {
     /// Bytes charging every stored copy independently (what the fleet
@@ -899,34 +605,6 @@ mod tests {
             crashy.delivery_rate(),
             baseline.delivery_rate()
         );
-    }
-
-    #[test]
-    fn owned_and_shared_data_planes_agree_exactly() {
-        let (trace, workload) = small_setup();
-        let run = |owned_copies| {
-            Emulation::new(
-                &trace,
-                &workload,
-                EmulationConfig {
-                    policy: PolicyKind::Epidemic.into(),
-                    owned_copies,
-                    ..EmulationConfig::default()
-                },
-            )
-            .run_into_parts()
-        };
-        let (shared, shared_nodes) = run(false);
-        let (owned, owned_nodes) = run(true);
-        assert_eq!(shared, owned, "the data plane must be behavior-invisible");
-
-        // The physical footprint is where the modes may differ: flooding
-        // spreads copies, and only the shared plane dedups their payloads.
-        let shared_fp = storage_footprint(&shared_nodes);
-        let owned_fp = storage_footprint(&owned_nodes);
-        assert_eq!(shared_fp.total_bytes, owned_fp.total_bytes);
-        assert_eq!(owned_fp.deduped_bytes, owned_fp.total_bytes);
-        assert!(shared_fp.deduped_bytes < shared_fp.total_bytes);
     }
 
     /// The tentpole invariant: digest-mode reconciliation changes only

@@ -50,8 +50,8 @@ pub struct DayStats {
 /// Aggregated metrics for one emulation run.
 ///
 /// Implements `PartialEq`/`Eq` so determinism checks (parallel sweep vs
-/// serial baseline, index vs scan candidate selection) can compare whole
-/// runs structurally.
+/// serial baseline, one shard vs many) can compare whole runs
+/// structurally.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExperimentMetrics {
     records: BTreeMap<ItemId, MessageRecord>,

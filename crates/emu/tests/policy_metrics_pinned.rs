@@ -154,3 +154,170 @@ const PINS_PAPER_3: [Pin; 6] = [
     p(490, 16170, 16778883, 6367, 16660, 0xfa27db258c7134ea),
     p(490, 8213, 16778883, 6370, 1492, 0x09b155aef83a1ed4),
 ];
+
+// Non-default configurations at small scale, seed 1: the paths the rows
+// above never take, two policies each.
+
+fn check_variant(
+    label: &str,
+    policies: [PolicyKind; 2],
+    tweak: fn(EmulationConfig) -> EmulationConfig,
+    expected: [Pin; 2],
+) {
+    let trace = DieselNetConfig {
+        seed: 1,
+        ..DieselNetConfig::small()
+    }
+    .generate();
+    let mail = EmailConfig {
+        seed: 1 ^ EMAIL_SEED_SALT,
+        ..EmailConfig::small()
+    }
+    .generate();
+    for (policy, expected) in policies.into_iter().zip(&expected) {
+        let config = tweak(EmulationConfig {
+            assignment_seed: 1,
+            ..EmulationConfig::for_policy(policy)
+        });
+        let actual = pin(&Emulation::new(&trace, &mail, config).run());
+        assert_eq!(&actual, expected, "{label}: {policy}");
+    }
+}
+
+#[test]
+fn small_scale_crash_rate() {
+    check_variant(
+        "crash_rate",
+        [PolicyKind::MaxProp, PolicyKind::Prophet],
+        |c| EmulationConfig {
+            crash_rate: 0.2,
+            ..c
+        },
+        PINS_CRASH_RATE,
+    );
+}
+
+#[test]
+fn small_scale_encounter_drop_rate() {
+    check_variant(
+        "encounter_drop_rate",
+        [PolicyKind::Epidemic, PolicyKind::SprayAndWait],
+        |c| EmulationConfig {
+            encounter_drop_rate: 0.3,
+            ..c
+        },
+        PINS_DROP_RATE,
+    );
+}
+
+#[test]
+fn small_scale_message_lifetime() {
+    check_variant(
+        "message_lifetime",
+        [PolicyKind::Epidemic, PolicyKind::TwoHopRelay],
+        |c| EmulationConfig {
+            message_lifetime: Some(pfr::SimDuration::from_hours(12)),
+            ..c
+        },
+        PINS_LIFETIME,
+    );
+}
+
+#[test]
+fn small_scale_messages_per_contact_minute() {
+    check_variant(
+        "messages_per_contact_minute",
+        [PolicyKind::Epidemic, PolicyKind::MaxProp],
+        |c| EmulationConfig {
+            messages_per_contact_minute: Some(0.5),
+            ..c
+        },
+        PINS_CONTACT_RATE,
+    );
+}
+
+#[test]
+fn small_scale_budget_and_relay_limit() {
+    check_variant(
+        "budget + relay_limit",
+        [PolicyKind::Epidemic, PolicyKind::MaxProp],
+        |c| EmulationConfig {
+            budget: dtn::EncounterBudget::max_messages(1),
+            relay_limit: Some(2),
+            ..c
+        },
+        PINS_CONSTRAINED,
+    );
+}
+
+#[test]
+fn small_scale_random_filter() {
+    check_variant(
+        "FilterStrategy::Random",
+        [PolicyKind::Direct, PolicyKind::Prophet],
+        |c| EmulationConfig {
+            filter_strategy: dtn::FilterStrategy::Random(2),
+            ..c
+        },
+        PINS_RANDOM_FILTER,
+    );
+}
+
+#[test]
+fn small_scale_selected_filter() {
+    check_variant(
+        "FilterStrategy::Selected",
+        [PolicyKind::Direct, PolicyKind::SprayAndWait],
+        |c| EmulationConfig {
+            filter_strategy: dtn::FilterStrategy::Selected(1),
+            ..c
+        },
+        PINS_SELECTED_FILTER,
+    );
+}
+
+#[test]
+fn small_scale_digest_sync() {
+    check_variant(
+        "SyncMode::Digest",
+        [PolicyKind::Prophet, PolicyKind::MaxProp],
+        |c| EmulationConfig {
+            sync_mode: pfr::SyncMode::Digest,
+            ..c
+        },
+        PINS_DIGEST,
+    );
+}
+
+const PINS_CRASH_RATE: [Pin; 2] = [
+    p(40, 308, 952067, 183, 209, 0x95bcc80e0e0653e3),
+    p(34, 255, 1046180, 98, 295, 0xb9670f0466234050),
+];
+const PINS_DROP_RATE: [Pin; 2] = [
+    p(40, 400, 1288653, 190, 440, 0xdfb19a7fe11d9e67),
+    p(40, 327, 1311403, 174, 367, 0xd5ebffe4ade8fc6e),
+];
+const PINS_LIFETIME: [Pin; 2] = [
+    p(31, 567, 92890, 119, 0, 0xb12d96cdfec69326),
+    p(31, 521, 123710, 95, 0, 0xefbec5ca9ab3a206),
+];
+const PINS_CONTACT_RATE: [Pin; 2] = [
+    p(37, 330, 1594871, 120, 370, 0x7b2b308a231de85a),
+    p(37, 159, 1545291, 120, 134, 0x19f1b2798daa0981),
+];
+const PINS_CONSTRAINED: [Pin; 2] = [
+    p(34, 281, 1186094, 83, 92, 0x25c4a5cdce587055),
+    p(37, 149, 1592378, 89, 87, 0x841824dbb01ab7f0),
+];
+const PINS_RANDOM_FILTER: [Pin; 2] = [
+    p(34, 97, 1291929, 76, 137, 0x51e86a943ea703c5),
+    p(34, 283, 1021295, 115, 323, 0xfc2827c468953fc2),
+];
+const PINS_SELECTED_FILTER: [Pin; 2] = [
+    p(33, 118, 888226, 82, 158, 0x9e177797068f1590),
+    p(40, 370, 952098, 177, 410, 0x406f60a4b69e075a),
+];
+const PINS_DIGEST: [Pin; 2] = [
+    p(34, 258, 1044924, 102, 298, 0x65517ca62f709d1e),
+    p(40, 217, 952067, 183, 120, 0x5486851f34aa8929),
+];

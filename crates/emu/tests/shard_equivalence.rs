@@ -1,9 +1,13 @@
-//! Differential suite: the sharded engine is *equal* to the serial one.
+//! Differential suite: a run is the same at any shard count, thread count
+//! and residency cap.
 //!
-//! Every test here runs the same schedule through both engines and
-//! demands identical [`emu::ExperimentMetrics`] (derived `Eq` over every
-//! record, delay, daily series, and counter) plus identical per-node
-//! final knowledge — the strongest observable the substrate exposes. The
+//! Every test here runs the same schedule on one shard (the default
+//! cooperative loop) and partitioned — on a worker pool and on the
+//! cooperative path — and demands identical [`emu::ExperimentMetrics`]
+//! (derived `Eq` over every record, delay, daily series, and counter)
+//! plus identical per-node final knowledge — the strongest observable
+//! the substrate exposes. The absolute values are pinned by
+//! `tests/policy_metrics_pinned.rs`. The
 //! base seed honours `TESTKIT_SEED` so CI can sweep a seed matrix: the
 //! equivalence must hold for *any* seed, not a lucky one.
 
@@ -65,27 +69,28 @@ fn tmp_dir() -> std::path::PathBuf {
     dir
 }
 
-/// Runs serial once and sharded under *both* execution modes — a worker
-/// pool sized to the shard count and the cooperative main-thread path
+/// Runs once on one shard with every node resident, then on `shards`
+/// shards under `config` in *both* execution modes — a worker pool sized
+/// to the shard count and the cooperative main-thread path
 /// (`exec_threads: Some(0)`) — and asserts full equivalence for each:
 /// metrics equal, and every node ends with identical knowledge. Pinning
 /// the mode matters because auto-detection picks per host, and the suite
 /// must cover both paths regardless of where it runs.
-fn assert_sharded_equals_serial(
+fn assert_shards_agree(
     trace: &EncounterTrace,
     workload: &EmailWorkload,
     config: &EmulationConfig,
     shards: usize,
     label: &str,
 ) {
-    let serial_config = EmulationConfig {
+    let one_shard = EmulationConfig {
         shards: None,
-        stream_encounters: false,
         spill_dir: None,
         resident_limit: None,
+        exec_threads: None,
         ..config.clone()
     };
-    let (serial, serial_nodes) = Emulation::new(trace, workload, serial_config).run_into_parts();
+    let (one_shard, one_shard_nodes) = Emulation::new(trace, workload, one_shard).run_into_parts();
     for exec_threads in [shards, 0] {
         let sharded_config = EmulationConfig {
             shards: Some(shards),
@@ -95,24 +100,24 @@ fn assert_sharded_equals_serial(
         let (sharded, sharded_nodes) =
             Emulation::new(trace, workload, sharded_config).run_into_parts();
         assert_eq!(
-            serial, sharded,
+            one_shard, sharded,
             "{label}: metrics diverged at {shards} shards / {exec_threads} threads"
         );
-        assert_knowledge_equal(&serial_nodes, &sharded_nodes, label, shards);
+        assert_knowledge_equal(&one_shard_nodes, &sharded_nodes, label, shards);
     }
 }
 
 fn assert_knowledge_equal(
-    serial: &BTreeMap<ReplicaId, DtnNode>,
+    one_shard: &BTreeMap<ReplicaId, DtnNode>,
     sharded: &BTreeMap<ReplicaId, DtnNode>,
     label: &str,
     shards: usize,
 ) {
-    assert_eq!(serial.len(), sharded.len(), "{label}: node set diverged");
-    for (id, serial_node) in serial {
+    assert_eq!(one_shard.len(), sharded.len(), "{label}: node set diverged");
+    for (id, one_shard_node) in one_shard {
         let sharded_node = &sharded[id];
         assert_eq!(
-            serial_node.replica().knowledge(),
+            one_shard_node.replica().knowledge(),
             sharded_node.replica().knowledge(),
             "{label}: node {id} knowledge diverged at {shards} shards"
         );
@@ -120,9 +125,9 @@ fn assert_knowledge_equal(
 }
 
 /// The tentpole invariant, exhaustively: every paper policy at every
-/// shard count reproduces the serial run exactly.
+/// shard count reproduces the one-shard run exactly.
 #[test]
-fn every_policy_matches_serial_at_every_shard_count() {
+fn every_policy_matches_one_shard_at_every_shard_count() {
     let (trace, workload) = scenario(base_seed(), 10, 3, 60);
     for kind in PolicyKind::ALL {
         let config = EmulationConfig {
@@ -132,15 +137,16 @@ fn every_policy_matches_serial_at_every_shard_count() {
             ..EmulationConfig::default()
         };
         for shards in SHARD_COUNTS {
-            assert_sharded_equals_serial(&trace, &workload, &config, shards, kind.label());
+            assert_shards_agree(&trace, &workload, &config, shards, kind.label());
         }
     }
 }
 
 /// Fault injection draws (drops, crashes, victim picks) happen at scan
-/// time in serial rng order, so failure-heavy runs must still match.
+/// time in schedule order on one rng, so failure-heavy runs must still
+/// match.
 #[test]
-fn fault_injection_matches_serial() {
+fn fault_injection_matches_one_shard() {
     let (trace, workload) = scenario(base_seed() ^ 0xfa17, 9, 3, 50);
     let config = EmulationConfig {
         policy: PolicyKind::MaxProp.into(),
@@ -149,14 +155,14 @@ fn fault_injection_matches_serial() {
         ..EmulationConfig::default()
     };
     for shards in SHARD_COUNTS {
-        assert_sharded_equals_serial(&trace, &workload, &config, shards, "faulty maxprop");
+        assert_shards_agree(&trace, &workload, &config, shards, "faulty maxprop");
     }
 }
 
 /// Bounded lifetimes exercise the expiry/tombstone paths and the
 /// commit-time `copies_at_delivery` bookkeeping.
 #[test]
-fn bounded_lifetimes_match_serial() {
+fn bounded_lifetimes_match_one_shard() {
     let (trace, workload) = scenario(base_seed() ^ 0x11fe, 10, 3, 60);
     let config = EmulationConfig {
         policy: PolicyKind::Epidemic.into(),
@@ -165,7 +171,7 @@ fn bounded_lifetimes_match_serial() {
         ..EmulationConfig::default()
     };
     for shards in SHARD_COUNTS {
-        assert_sharded_equals_serial(&trace, &workload, &config, shards, "bounded lifetime");
+        assert_shards_agree(&trace, &workload, &config, shards, "bounded lifetime");
     }
 }
 
@@ -173,7 +179,7 @@ fn bounded_lifetimes_match_serial() {
 /// the metrics (full sync mode: snapshots capture the whole behavioral
 /// state).
 #[test]
-fn spilled_runs_match_serial() {
+fn spilled_runs_match_one_shard() {
     let (trace, workload) = scenario(base_seed() ^ 0x5b11, 10, 3, 60);
     for kind in [
         PolicyKind::Epidemic,
@@ -188,36 +194,21 @@ fn spilled_runs_match_serial() {
             ..EmulationConfig::default()
         };
         for shards in [1, 4] {
-            assert_sharded_equals_serial(&trace, &workload, &config, shards, kind.label());
+            assert_shards_agree(&trace, &workload, &config, shards, kind.label());
         }
-    }
-}
-
-/// Streaming encounters from a temp spool must not change anything: the
-/// spooled sequence is byte-identical to the in-memory one.
-#[test]
-fn streamed_encounters_match_serial() {
-    let (trace, workload) = scenario(base_seed() ^ 0x57e4, 10, 3, 60);
-    let config = EmulationConfig {
-        policy: PolicyKind::Prophet.into(),
-        stream_encounters: true,
-        spill_dir: Some(tmp_dir()),
-        ..EmulationConfig::default()
-    };
-    for shards in [1, 4] {
-        assert_sharded_equals_serial(&trace, &workload, &config, shards, "streamed");
     }
 }
 
 /// A spooled trace source (`Emulation::from_spooled`) is the city-scale
 /// entry point; it must reproduce the in-memory run exactly.
 #[test]
-fn spooled_source_matches_in_memory_serial() {
+fn spooled_source_matches_in_memory() {
     let (trace, workload) = scenario(base_seed() ^ 0x5900, 10, 3, 60);
     let path = tmp_dir().join("source.spool");
     let spooled = SpooledTrace::spool(&trace, &path).expect("spool");
     let config = EmulationConfig::for_policy(PolicyKind::Epidemic);
-    let (serial, serial_nodes) = Emulation::new(&trace, &workload, config.clone()).run_into_parts();
+    let (one_shard, one_shard_nodes) =
+        Emulation::new(&trace, &workload, config.clone()).run_into_parts();
     for shards in [1, 4] {
         for exec_threads in [shards, 0] {
             let spooled_config = EmulationConfig {
@@ -228,10 +219,10 @@ fn spooled_source_matches_in_memory_serial() {
             let (via_spool, spool_nodes) =
                 Emulation::from_spooled(&spooled, &workload, spooled_config).run_into_parts();
             assert_eq!(
-                serial, via_spool,
+                one_shard, via_spool,
                 "spooled source diverged at {shards} shards / {exec_threads} threads"
             );
-            assert_knowledge_equal(&serial_nodes, &spool_nodes, "spooled source", shards);
+            assert_knowledge_equal(&one_shard_nodes, &spool_nodes, "spooled source", shards);
         }
     }
 }
@@ -240,9 +231,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10 })]
 
     /// Random fleets, random policy/shard/fault/limit combinations: any
-    /// divergence between the engines shrinks to a minimal scenario.
+    /// divergence from the one-shard run shrinks to a minimal scenario.
     #[test]
-    fn random_fleets_match_serial(
+    fn random_fleets_match_one_shard(
         seed in 0u64..1_000_000,
         fleet in 6usize..14,
         days in 2u64..4,
@@ -263,7 +254,7 @@ proptest! {
             message_lifetime: (lifetime_raw >= 30).then(|| SimDuration::from_mins(lifetime_raw)),
             ..EmulationConfig::default()
         };
-        assert_sharded_equals_serial(
+        assert_shards_agree(
             &trace,
             &workload,
             &config,
@@ -274,9 +265,9 @@ proptest! {
 
     /// The residency machinery — Belady eviction over the lookahead
     /// window, batched spill writes and reads, prefetch — is
-    /// performance-only: any `resident_limit`/`lookahead` combination
-    /// must yield the exact metrics and knowledge of an
-    /// unlimited-residency run of the same shard count.
+    /// performance-only: any `resident_limit` must yield the exact
+    /// metrics and knowledge of an unlimited-residency run of the same
+    /// shard count.
     #[test]
     fn residency_is_invisible_to_metrics(
         seed in 0u64..1_000_000,
@@ -285,7 +276,6 @@ proptest! {
         messages in 20usize..60,
         policy_idx in 0usize..PolicyKind::ALL.len(),
         limit in 2usize..10,
-        lookahead_raw in 0usize..6,
         shard_idx in 0usize..SHARD_COUNTS.len(),
         pooled in any::<bool>(),
     ) {
@@ -305,9 +295,6 @@ proptest! {
         let capped_config = EmulationConfig {
             spill_dir: Some(tmp_dir()),
             resident_limit: Some(limit),
-            // 0 means "the default window"; tiny explicit windows stress
-            // the everything-outside-the-window eviction path.
-            lookahead: (lookahead_raw > 0).then_some(lookahead_raw * 8),
             ..base
         };
         let (capped, capped_nodes) =

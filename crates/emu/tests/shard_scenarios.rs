@@ -3,7 +3,7 @@
 //! `store::SpillFile`, cross-shard encounter pairs, and bounded-residency
 //! accounting for `storage_footprint` / `run_into_parts`.
 //!
-//! Where `tests/shard_equivalence.rs` proves the engines equal, these
+//! Where `tests/shard_equivalence.rs` proves shard counts equal, these
 //! tests pin the *mechanisms*: that spills actually happen, that handoffs
 //! actually cross shards, and that the residency cap actually bounds the
 //! resident set — all observable through the `shard.*` counters and
@@ -73,7 +73,8 @@ impl Observer for Capture {
 
 /// Crash/restore mid-run under the sharded engine with a residency cap:
 /// rebooted nodes restore from their durable snapshot, spilled nodes
-/// recover from the spill file, and the run still equals serial exactly.
+/// recover from the spill file, and the run still equals the one-shard,
+/// all-resident run exactly.
 #[test]
 fn crashes_recover_through_spilled_state() {
     let (trace, workload) = scenario(base_seed() ^ 0xc4a5);
@@ -88,12 +89,11 @@ fn crashes_recover_through_spilled_state() {
         observer: Some(registry.clone()),
         ..EmulationConfig::default()
     };
-    let serial = Emulation::new(
+    let one_shard = Emulation::new(
         &trace,
         &workload,
         EmulationConfig {
             shards: None,
-            stream_encounters: false,
             spill_dir: None,
             resident_limit: None,
             observer: None,
@@ -114,8 +114,8 @@ fn crashes_recover_through_spilled_state() {
         "spilled nodes must come back mid-run"
     );
     assert_eq!(
-        metrics, serial,
-        "crash + spill interplay diverged from serial"
+        metrics, one_shard,
+        "crash + spill interplay diverged from one shard"
     );
     assert_eq!(
         nodes.len(),
@@ -143,7 +143,7 @@ fn cross_shard_pairs_hand_off_and_stay_correct() {
         observer: Some(capture.clone()),
         ..EmulationConfig::default()
     };
-    let serial = Emulation::new(
+    let one_shard = Emulation::new(
         &trace,
         &workload,
         EmulationConfig {
@@ -186,7 +186,7 @@ fn cross_shard_pairs_hand_off_and_stay_correct() {
         same_shard > 0,
         "the trace should also have same-shard encounters for contrast"
     );
-    assert_eq!(metrics, serial, "boundary pairs diverged from serial");
+    assert_eq!(metrics, one_shard, "boundary pairs diverged from one shard");
     assert_eq!(metrics.duplicates, 0);
 }
 

@@ -92,8 +92,6 @@ pub enum Event {
         candidates: u64,
         /// Candidates selected (filter-matched or policy-forwarded).
         selected: u64,
-        /// Filter-match verdicts answered from the per-filter memo.
-        memo_hits: u64,
         /// Wall-clock duration of scan + selection, microseconds (0 when
         /// the observer was attached mid-run and no timing was taken).
         scan_us: u64,
@@ -583,7 +581,6 @@ impl Event {
                 target,
                 candidates,
                 selected,
-                memo_hits,
                 scan_us,
                 at_secs,
             } => {
@@ -591,7 +588,6 @@ impl Event {
                 push_u64(&mut out, "target", *target);
                 push_u64(&mut out, "candidates", *candidates);
                 push_u64(&mut out, "selected", *selected);
-                push_u64(&mut out, "memo_hits", *memo_hits);
                 push_u64(&mut out, "scan_us", *scan_us);
                 push_u64(&mut out, "at", *at_secs);
             }

@@ -272,13 +272,11 @@ impl Observer for Registry {
             Event::SyncStarted { .. } => self.add("sync.sessions", 1),
             Event::SyncCandidatesSelected {
                 candidates,
-                memo_hits,
                 scan_us,
                 ..
             } => {
                 self.add("sync.candidates", *candidates);
-                self.add("sync.index_hits", *memo_hits);
-                self.observe("sync.candidate_scan_us", *scan_us);
+                self.observe("sync.selection_us", *scan_us);
             }
             Event::SweepStarted { jobs, workers } => {
                 self.add("emu.sweeps", 1);

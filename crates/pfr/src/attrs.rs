@@ -175,28 +175,6 @@ impl AttributeMap {
             _ => None,
         }
     }
-
-    /// A structurally equal copy whose every string — keys and `Str`
-    /// values, recursively through lists — is a fresh private allocation
-    /// bypassing the interner. Emulates the pre-interning data plane for
-    /// A/B benchmarking (`Item::detach_copy`); production code never
-    /// needs it.
-    pub(crate) fn deep_uninterned(&self) -> AttributeMap {
-        fn uninterned(v: &Value) -> Value {
-            match v {
-                Value::Str(s) => Value::Str(IStr::new_unshared(s)),
-                Value::List(l) => Value::List(l.iter().map(uninterned).collect()),
-                other => other.clone(),
-            }
-        }
-        AttributeMap {
-            entries: self
-                .entries
-                .iter()
-                .map(|(k, v)| (IStr::new_unshared(k), uninterned(v)))
-                .collect(),
-        }
-    }
 }
 
 fn check_value(name: &str, value: &Value) -> Result<(), PfrError> {
@@ -337,7 +315,7 @@ mod tests {
             /// The array map is the tree map it replaced: same answers to
             /// set / get / remove / contains, same name order out of
             /// `iter` (so the same wire, snapshot and WAL bytes), and
-            /// `deep_uninterned` and `from_pairs` agree with it too.
+            /// `from_pairs` agrees with it too.
             #[test]
             fn array_map_matches_a_btreemap(ops in proptest::collection::vec(arb_op(), 0..40)) {
                 let mut map = AttributeMap::new();
@@ -365,7 +343,6 @@ mod tests {
                 let expected: Vec<(&str, &Value)> =
                     model.iter().map(|(k, v)| (k.as_str(), v)).collect();
                 prop_assert_eq!(&listed, &expected);
-                prop_assert_eq!(&map.deep_uninterned(), &map);
                 // Decoded in arrival order, repeats and all.
                 prop_assert_eq!(&AttributeMap::from_pairs(pairs).unwrap(), &map);
             }

@@ -51,20 +51,12 @@ impl IStr {
         IStr(arc)
     }
 
-    /// A *non*-interned `IStr`: a private allocation that deliberately
-    /// bypasses the table. Pure pessimization used only by the A/B
-    /// benchmarking knob that emulates the pre-interning data plane
-    /// (see `Replica::set_owned_copies`).
-    pub fn new_unshared(s: &str) -> IStr {
-        IStr(Arc::from(s))
-    }
-
     /// The string contents.
     pub fn as_str(&self) -> &str {
         &self.0
     }
 
-    /// How many handles share this allocation (1 for an unshared string).
+    /// How many handles share this allocation.
     pub fn share_count(&self) -> usize {
         Arc::strong_count(&self.0)
     }
@@ -183,14 +175,6 @@ mod tests {
         let b = IStr::new("intern-test-dedup");
         assert!(Arc::ptr_eq(&a.0, &b.0), "same text, same allocation");
         assert!(a.share_count() >= 2);
-    }
-
-    #[test]
-    fn unshared_strings_bypass_the_table() {
-        let a = IStr::new("intern-test-unshared");
-        let b = IStr::new_unshared("intern-test-unshared");
-        assert!(!Arc::ptr_eq(&a.0, &b.0));
-        assert_eq!(a, b, "equality is still over contents");
     }
 
     #[test]

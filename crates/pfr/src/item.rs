@@ -243,17 +243,6 @@ impl Item {
         Arc::clone(&self.attrs)
     }
 
-    /// Replaces every shared buffer in this copy — payload, attribute
-    /// maps, and their interned strings — with freshly allocated private
-    /// copies. The bytes are unchanged; only allocation behavior differs.
-    /// This emulates the pre-copy-on-write data plane for A/B benchmarking
-    /// (see `Replica::set_owned_copies`); production code never calls it.
-    pub fn detach_copy(&mut self) {
-        self.payload.detach();
-        self.attrs = Arc::new(self.attrs.deep_uninterned());
-        self.transient = Arc::new(self.transient.deep_uninterned());
-    }
-
     /// Returns this copy with one more recorded ancestor version. Used when
     /// reconstructing a copy from the wire; applications use
     /// [`Replica::update`](crate::Replica::update), which maintains
@@ -459,18 +448,6 @@ mod tests {
         copy.transient_mut().set("hops", 2i64);
         assert_eq!(item.transient().get_i64("hops"), Some(1));
         assert_eq!(copy.transient().get_i64("hops"), Some(2));
-    }
-
-    #[test]
-    fn detach_copy_preserves_bytes_but_privatizes_buffers() {
-        let item = base_item();
-        let mut copy = item.clone();
-        copy.detach_copy();
-        assert_eq!(item, copy, "detaching never changes contents");
-        assert_ne!(
-            item.payload_shared().buffer_id(),
-            copy.payload_shared().buffer_id()
-        );
     }
 
     /// Pins the old-vs-new storage accounting on a two-copy example:

@@ -97,14 +97,6 @@ impl Payload {
     pub fn share_count(&self) -> usize {
         Arc::strong_count(&self.buf)
     }
-
-    /// Replaces the backing buffer with a freshly allocated private copy
-    /// of the bytes. Pure pessimization — the bytes are unchanged — kept
-    /// for A/B benchmarking of the pre-copy-on-write data plane (see
-    /// `Replica::set_owned_copies`).
-    pub fn detach(&mut self) {
-        *self = Payload::from(self.as_slice());
-    }
 }
 
 impl Deref for Payload {
@@ -243,15 +235,5 @@ mod tests {
         let b = Payload::from(b"same".to_vec());
         assert_eq!(a, b);
         assert_ne!(a.buffer_id(), b.buffer_id());
-    }
-
-    #[test]
-    fn detach_copies_out_of_the_shared_buffer() {
-        let a = Payload::from(b"payload".to_vec());
-        let mut b = a.clone();
-        assert_eq!(a.buffer_id(), b.buffer_id());
-        b.detach();
-        assert_eq!(a, b, "bytes unchanged");
-        assert_ne!(a.buffer_id(), b.buffer_id(), "buffer now private");
     }
 }

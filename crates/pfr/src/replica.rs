@@ -121,15 +121,6 @@ pub struct Replica {
     /// Event emission handle. Like `conflict_log`, observability state:
     /// never part of snapshots, disabled by default.
     obs: Obs,
-    /// When set, candidate selection uses the pre-index full store scan.
-    /// Benchmark/validation knob (see [`Replica::set_candidate_scan`]);
-    /// off by default.
-    candidate_scan: bool,
-    /// When set, copies prepared for transmission are detached into
-    /// private allocations, emulating the pre-copy-on-write data plane.
-    /// Benchmark/validation knob (see [`Replica::set_owned_copies`]); off
-    /// by default.
-    owned_copies: bool,
     /// Reusable selection buffers for [`crate::sync::prepare_batch`].
     /// An allocation cache: cleared before every use, never part of
     /// snapshots.
@@ -153,8 +144,6 @@ impl Replica {
             stats: ReplicaStats::default(),
             conflict_log: Vec::new(),
             obs: Obs::none(),
-            candidate_scan: false,
-            owned_copies: false,
             sync_scratch: crate::sync::SyncScratch::default(),
         }
     }
@@ -463,9 +452,7 @@ impl Replica {
     /// `knowledge` — the candidate set a sync source offers a target.
     ///
     /// Answered from the store's version index, stepped through beside
-    /// `knowledge` in one pass with no lookups. Results are identical
-    /// (including order) to the full scan, which is kept as
-    /// [`Replica::versions_unknown_to_scan`].
+    /// `knowledge` in one pass with no lookups, in item-id order.
     pub fn versions_unknown_to(&self, knowledge: &Knowledge) -> Vec<ItemId> {
         let mut candidates = Vec::new();
         self.versions_unknown_to_into(knowledge, &mut candidates);
@@ -482,11 +469,6 @@ impl Replica {
         knowledge: &Knowledge,
         candidates: &mut Vec<(ItemId, usize)>,
     ) {
-        if self.candidate_scan {
-            candidates.clear();
-            candidates.extend(self.scan_unknown_to(knowledge));
-            return;
-        }
         self.store.versions_unknown_to_into(knowledge, candidates);
     }
 
@@ -500,10 +482,7 @@ impl Replica {
     /// version (see [`crate::store`]'s `covered_by`); lets the sync path
     /// skip the candidate walk entirely.
     pub(crate) fn store_covered_by(&self, knowledge: &Knowledge) -> bool {
-        // The scan knob emulates the pre-index system, which had no
-        // cheap coverage check; keep that baseline honest by not
-        // short-circuiting its full scans from the index.
-        !self.candidate_scan && self.store.covered_by(knowledge)
+        self.store.covered_by(knowledge)
     }
 
     /// Detaches the reusable sync-selection buffers (see
@@ -523,51 +502,6 @@ impl Replica {
     /// [`crate::sync::prepare_batch`] on this replica.
     pub(crate) fn recycle_batch_entries(&mut self, entries: Vec<crate::sync::BatchEntry>) {
         self.sync_scratch.entries = entries;
-    }
-
-    /// Reference implementation of [`Replica::versions_unknown_to`]: a
-    /// full scan of the store. Property tests assert the indexed path
-    /// returns exactly these results; the `macro_emu` benchmark uses it
-    /// (via [`Replica::set_candidate_scan`]) as the pre-index baseline.
-    pub fn versions_unknown_to_scan(&self, knowledge: &Knowledge) -> Vec<ItemId> {
-        self.scan_unknown_to(knowledge).map(|(id, _)| id).collect()
-    }
-
-    /// The full scan behind [`Replica::versions_unknown_to_scan`] and
-    /// [`Replica::set_candidate_scan`]: every stored item in id order,
-    /// one knowledge lookup each, yielding what the index walk yields.
-    fn scan_unknown_to<'a>(
-        &'a self,
-        knowledge: &'a Knowledge,
-    ) -> impl Iterator<Item = (ItemId, usize)> + 'a {
-        self.store
-            .iter_slots()
-            .filter(|(_, s)| !knowledge.contains(s.item.version()))
-            .map(|(slot, s)| (s.item.id(), slot))
-    }
-
-    /// Forces candidate selection back to the pre-index full-scan path.
-    /// The two paths are equivalent
-    /// (property-tested); this knob exists so benchmarks and validation
-    /// runs can compare them within one process. Off by default.
-    pub fn set_candidate_scan(&mut self, scan: bool) {
-        self.candidate_scan = scan;
-    }
-
-    /// Forces copies prepared for transmission to be detached into private
-    /// allocations (fresh payload buffer, un-interned attribute strings),
-    /// emulating the pre-copy-on-write data plane. The shared and owned
-    /// paths are behavior-identical (property-tested); this knob exists so
-    /// benchmarks and validation runs can compare their allocation and
-    /// memory profiles within one process. Off by default.
-    pub fn set_owned_copies(&mut self, owned: bool) {
-        self.owned_copies = owned;
-    }
-
-    /// Whether transmitted copies are detached into private allocations
-    /// (see [`Replica::set_owned_copies`]).
-    pub fn owned_copies(&self) -> bool {
-        self.owned_copies
     }
 
     /// The stored copy of a candidate that
@@ -716,8 +650,6 @@ impl Replica {
             stats: ReplicaStats::default(),
             conflict_log: Vec::new(),
             obs: Obs::none(),
-            candidate_scan: false,
-            owned_copies: false,
             sync_scratch: crate::sync::SyncScratch::default(),
         };
         replica.enforce_relay_limit();

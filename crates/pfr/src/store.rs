@@ -170,15 +170,11 @@ impl ItemStore {
         self.by_id.len()
     }
 
-    /// Every stored item with its slot number, ascending by item id.
-    pub fn iter_slots(&self) -> impl Iterator<Item = (usize, &StoredItem)> {
+    /// Every stored item, ascending by item id.
+    pub fn iter(&self) -> impl Iterator<Item = &StoredItem> {
         self.by_id
             .iter()
-            .filter_map(|&(_, slot)| Some((slot, self.slots[slot].as_ref()?)))
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &StoredItem> {
-        self.iter_slots().map(|(_, stored)| stored)
+            .filter_map(|&(_, slot)| self.slots[slot].as_ref())
     }
 
     pub fn ids(&self) -> Vec<ItemId> {

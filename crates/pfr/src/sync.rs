@@ -747,8 +747,6 @@ pub fn prepare_batch(
                 target: target_id,
                 candidates: candidate_count,
                 selected: selected_count,
-                // Filter verdicts are evaluated directly; there is no memo.
-                memo_hits: 0,
                 scan_us,
                 at_secs: now.as_secs(),
             }
@@ -804,15 +802,6 @@ pub fn prepare_batch(
             continue;
         };
         ext.prepare_outgoing(&mut cx, &mut copy, request.target, matched_filter);
-        if cx.replica.owned_copies() {
-            // Benchmark/validation knob: emulate the pre-copy-on-write
-            // data plane by detaching the final outgoing copy into private
-            // allocations (see `Replica::set_owned_copies`). Runs after
-            // the policy's in-flight transforms so any structural sharing
-            // they introduce is privatized too, exactly as a system
-            // without shared buffers would transmit it.
-            copy.detach_copy();
-        }
         let bytes = copy.payload().len() as u64;
         payload_bytes += bytes;
         cx.replica

@@ -724,110 +724,20 @@ fn arb_gappy_knowledge() -> impl Strategy<Value = Knowledge> {
 }
 
 proptest! {
-    /// The per-origin version index must select exactly the candidates
-    /// the legacy full-store scan does, in the same order, for any store
-    /// contents and any requester knowledge.
+    /// The per-origin version index must select exactly the candidates a
+    /// full store scan does, in the same order, for any store contents and
+    /// any requester knowledge.
     #[test]
     fn indexed_candidate_selection_matches_scan(
         replica in arb_populated_replica(),
         k in prop_oneof![arb_knowledge(), arb_gappy_knowledge()],
     ) {
-        let mut replica = replica;
-        replica.set_candidate_scan(true);
-        let scan = replica.versions_unknown_to(&k);
-        replica.set_candidate_scan(false);
-        let indexed = replica.versions_unknown_to(&k);
-        prop_assert_eq!(indexed, scan);
-    }
-
-    /// Whole syncs are mode-invariant: running the same sync schedule with
-    /// the index produces byte-identical replica snapshots to running it
-    /// with the full scan.
-    #[test]
-    fn sync_outcomes_identical_scan_vs_indexed(source in arb_populated_replica()) {
-        let run = |scan: bool| {
-            let mut src = Replica::restore(&source.snapshot()).expect("restore");
-            src.set_candidate_scan(scan);
-            let mut t1 = Replica::new(ReplicaId::new(21), Filter::address("dest", "h1"));
-            let mut t2 = Replica::new(ReplicaId::new(22), Filter::address("dest", "h1"));
-            t1.set_candidate_scan(scan);
-            t2.set_candidate_scan(scan);
-            sync::sync_once(&mut src, &mut t1, SimTime::from_secs(1));
-            sync::sync_once(&mut src, &mut t2, SimTime::from_secs(2));
-            sync::sync_once(&mut src, &mut t2, SimTime::from_secs(3));
-            (src.snapshot(), t1.snapshot(), t2.snapshot())
-        };
-        prop_assert_eq!(run(true), run(false));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Copy-on-write data plane: shared and owned copies are indistinguishable
-// ---------------------------------------------------------------------------
-
-proptest! {
-    /// A shared copy (interned strings, shared payload buffer) and its
-    /// detached twin (private allocations, as the pre-copy-on-write data
-    /// plane produced) encode to byte-identical wire form, and decoding
-    /// yields an item equal to both.
-    #[test]
-    fn shared_and_owned_copies_encode_identically(replica in arb_populated_replica()) {
-        for id in replica.item_ids() {
-            let shared = replica.item(id).expect("present").clone();
-            let mut owned = shared.clone();
-            owned.detach_copy();
-            let shared_bytes = to_bytes(&shared);
-            let owned_bytes = to_bytes(&owned);
-            prop_assert_eq!(&shared_bytes, &owned_bytes);
-            let decoded: pfr::Item = from_bytes(&shared_bytes).expect("decode");
-            prop_assert_eq!(&decoded, &shared);
-            prop_assert_eq!(&decoded, &owned);
-        }
-    }
-
-    /// Whole syncs are data-plane-invariant: transmitting detached copies
-    /// (`set_owned_copies`) leaves every endpoint in a byte-identical
-    /// snapshot state to transmitting shared copies. The mirror of the
-    /// scan-vs-indexed run equality above, for the memory A/B knob.
-    #[test]
-    fn sync_outcomes_identical_shared_vs_owned(source in arb_populated_replica()) {
-        let run = |owned: bool| {
-            let mut src = Replica::restore(&source.snapshot()).expect("restore");
-            src.set_owned_copies(owned);
-            let mut t1 = Replica::new(ReplicaId::new(31), Filter::address("dest", "h1"));
-            let mut t2 = Replica::new(ReplicaId::new(32), Filter::All);
-            t1.set_owned_copies(owned);
-            t2.set_owned_copies(owned);
-            sync::sync_once(&mut src, &mut t1, SimTime::from_secs(1));
-            sync::sync_once(&mut src, &mut t2, SimTime::from_secs(2));
-            sync::sync_once(&mut t1, &mut t2, SimTime::from_secs(3));
-            (src.snapshot(), t1.snapshot(), t2.snapshot())
-        };
-        prop_assert_eq!(run(false), run(true));
-    }
-
-    /// Interning is invisible to filter evaluation: any filter gives the
-    /// same verdict on a shared (interned) item and on its detached
-    /// (un-interned) twin.
-    #[test]
-    fn interning_never_changes_filter_verdicts(
-        replica in arb_populated_replica(),
-        filters in proptest::collection::vec(arb_small_filter(), 1..8),
-    ) {
-        for id in replica.item_ids() {
-            let shared = replica.item(id).expect("present").clone();
-            let mut owned = shared.clone();
-            owned.detach_copy();
-            for f in &filters {
-                prop_assert_eq!(
-                    f.matches(&shared),
-                    f.matches(&owned),
-                    "filter {} separates shared and detached copies of {:?}",
-                    f,
-                    id
-                );
-            }
-        }
+        let scan: Vec<pfr::ItemId> = replica
+            .iter_items()
+            .filter(|item| !k.contains(item.version()))
+            .map(|item| item.id())
+            .collect();
+        prop_assert_eq!(replica.versions_unknown_to(&k), scan);
     }
 }
 

@@ -184,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn candidate_scan_timing_is_zeroed() {
+    fn candidate_selection_timing_is_zeroed() {
         let mut trace = Trace::new();
         trace.record(
             0,
@@ -194,7 +194,6 @@ mod tests {
                 target: 2,
                 candidates: 5,
                 selected: 3,
-                memo_hits: 2,
                 scan_us: 777,
                 at_secs: 10,
             },

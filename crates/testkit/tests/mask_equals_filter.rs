@@ -6,9 +6,9 @@
 //! the sharded engine's commit ledger) subscribe to a few kinds each and
 //! fan in with the user's observer. Whatever the user subscribes to, it
 //! must receive exactly the subsequence of those kinds a subscribe-all
-//! observer receives from the same run — under the serial engine and both
-//! execution paths of the sharded one — and the run's metrics must not
-//! notice. The trace and the subscription honour `TESTKIT_SEED`.
+//! observer receives from the same run — on one shard and on three, both
+//! on the cooperative path and on a worker pool — and the run's metrics
+//! must not notice. The trace and the subscription honour `TESTKIT_SEED`.
 
 use std::sync::Arc;
 
@@ -148,14 +148,14 @@ fn a_subscription_receives_exactly_its_kinds() {
         Interest::NONE,
     ];
     let engines = [
-        ("serial", None, None),
+        ("one shard", None, None),
         ("sharded, cooperative", Some(3), Some(0)),
         ("sharded, pooled", Some(3), Some(2)),
     ];
-    // What a subscribe-all observer saw under the serial engine: the
-    // sharded engine's own listeners sit between the nodes and the user,
-    // and must not thin the stream even for that observer.
-    let mut serial_stream = None;
+    // What a subscribe-all observer saw on one shard: the engine's own
+    // listeners sit between the nodes and the user, and must not thin the
+    // stream even for that observer.
+    let mut one_shard_stream = None;
     for (engine, shards, exec_threads) in engines {
         let config = EmulationConfig {
             shards,
@@ -176,8 +176,8 @@ fn a_subscription_receives_exactly_its_kinds() {
         let stream = normalised(everything.clone(), engine_independent);
         assert_same_stream(
             &stream,
-            serial_stream.get_or_insert_with(|| stream.clone()),
-            &format!("{engine}: subscribe-all against the serial engine's stream"),
+            one_shard_stream.get_or_insert_with(|| stream.clone()),
+            &format!("{engine}: subscribe-all against the one-shard stream"),
         );
         assert!(
             everything

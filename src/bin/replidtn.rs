@@ -8,8 +8,8 @@
 //!              [--trace FILE | --spool FILE] [--mail FILE]
 //!              [--bandwidth N] [--storage N]
 //!              [--strategy <random|selected>] [--k N]
-//!              [--shards N] [--exec-threads N] [--stream-encounters]
-//!              [--spill-dir DIR] [--resident-limit N] [--lookahead N]
+//!              [--shards N] [--exec-threads N]
+//!              [--spill-dir DIR] [--resident-limit N]
 //!              [--data-dir DIR] [--events FILE] [--stats]
 //! replidtn peer --id N --address ADDR --policy P --listen HOST:PORT
 //!               [--connect HOST:PORT] [--send DEST:TEXT] [--data-dir DIR]
@@ -19,9 +19,9 @@
 //!
 //! City-scale runs combine `gen-trace --scale N --spool FILE` (streamed
 //! binary trace, never resident) with `run --spool FILE --shards W
-//! [--resident-limit R --spill-dir DIR]`: the sharded engine fans
-//! encounters across W workers and spills cold replicas, producing the
-//! exact metrics of a serial in-memory run.
+//! [--resident-limit R --spill-dir DIR]`: the engine fans encounters
+//! across W shards and spills cold replicas, producing the exact metrics
+//! of a one-shard in-memory run.
 //!
 //! `--data-dir DIR` makes state durable: `peer` opens its node from the
 //! directory (restoring items, knowledge, and routing state after a
@@ -92,23 +92,24 @@ USAGE:
                [--trace FILE | --spool FILE] [--mail FILE]
                [--bandwidth N] [--storage N]
                [--strategy <random|selected>] [--k N] [--seed S]
-               [--shards N] [--exec-threads N] [--stream-encounters]
-               [--spill-dir DIR] [--resident-limit N] [--lookahead N]
+               [--shards N] [--exec-threads N]
+               [--spill-dir DIR] [--resident-limit N]
                [--data-dir DIR] [--events FILE] [--stats]
       Replay a workload over a trace and print delivery statistics.
       Without --trace/--mail, the paper-scale synthetic scenario is used.
       With --data-dir, each node's final state is persisted under
       DIR/node-<id> when the run completes.
 
-      Scale knobs (all preserve serial metrics exactly): --shards N runs
-      the sharded engine with N shards; --exec-threads N sizes its
-      thread pool (default: one per shard on multi-core hosts, 0 — the
-      cooperative main-thread path — on a single core);
-      --stream-encounters iterates the schedule from disk;
+      --spool FILE streams the schedule from disk; it cannot be combined
+      with --strategy selected, which ranks partners over the whole trace.
+
+      Scale knobs (all preserve one-shard metrics exactly): --shards N
+      partitions the fleet into N shards; --exec-threads N sizes the
+      thread pool executing them (default: one per shard on multi-core
+      hosts with N > 1, otherwise 0 — the cooperative main-thread path);
       --resident-limit N caps resident replicas, spilling cold state
-      under --spill-dir (or the system temp dir); --lookahead N sizes
-      the encounter prefetch window driving eviction (default 8 x the
-      residency cap).
+      under --spill-dir (or the system temp dir) in the order a window
+      of 8 x N upcoming encounters says they are needed.
 
   replidtn peer --id N --address ADDR [--policy P] --listen HOST:PORT
                 [--connect HOST:PORT]... [--send DEST:TEXT]... [--serve-for SECS]
@@ -337,13 +338,17 @@ fn run(args: &[String]) -> Result<(), String> {
     let filter_strategy = match flags.get("strategy") {
         None => FilterStrategy::SelfOnly,
         Some("random") => FilterStrategy::Random(k),
+        Some("selected") if spooled.is_some() => {
+            return Err("--strategy selected needs the whole trace in memory; \
+                 use --trace, or --strategy random with --spool"
+                .to_string())
+        }
         Some("selected") => FilterStrategy::Selected(k),
         Some(other) => return Err(format!("--strategy: unknown {other:?}")),
     };
 
-    // Scale knobs: worker shards, streamed encounter iteration, and a
-    // spill directory / residency cap for cold replica state. Any of them
-    // routes the run through the sharded engine (bit-equal to serial).
+    // Scale knobs: shards, worker threads, and a spill directory /
+    // residency cap for cold replica state (all bit-equal to one shard).
     let shards = match flags.get("shards") {
         None => None,
         Some("") => return Err("--shards needs a worker count".to_string()),
@@ -376,15 +381,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Some(std::path::PathBuf::from(dir))
         }
     };
-    let lookahead = match flags.get("lookahead") {
-        None => None,
-        Some("") => return Err("--lookahead needs an encounter count".to_string()),
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--lookahead: cannot parse {v:?}"))?,
-        ),
-    };
-
     let obs = ObsSetup::from_flags(&flags)?;
     let config = EmulationConfig {
         policy: policy.into(),
@@ -395,10 +391,8 @@ fn run(args: &[String]) -> Result<(), String> {
         observer: obs.observer.clone(),
         shards,
         exec_threads,
-        stream_encounters: flags.has("stream-encounters"),
         spill_dir,
         resident_limit,
-        lookahead,
         ..EmulationConfig::default()
     };
 
