@@ -5,13 +5,11 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use obs::{DropReason, Event, EventKind, Span};
-use pfr::digest::{
-    self, DigestRequest, PendingExchange, ReconStats, SummaryOutcome, VersionAnswer, VersionQuery,
-};
+use pfr::digest::{self, DigestRequest, PendingExchange, ReconStats, SummaryOutcome};
 use pfr::sync::{self, SyncReport};
 use pfr::{
-    DigestPolicy, Filter, ItemId, KnowledgeTotals, PfrError, ReconState, Replica, ReplicaId,
-    RoutingState, SimTime, SyncLimits, SyncMode,
+    Filter, ItemId, KnowledgeTotals, PfrError, ReconState, Replica, ReplicaId, RoutingState,
+    SimTime, SyncLimits, SyncMode,
 };
 
 use crate::durable::RestoreError;
@@ -103,49 +101,12 @@ pub struct DigestSessionState {
     kind: &'static str,
 }
 
-impl DigestSessionState {
-    /// Encoded size of the equivalent full-mode request: the bytes full
-    /// mode would have spent where the digest went instead.
-    pub fn full_bytes(&self) -> u64 {
-        self.pending.full_bytes()
-    }
-
-    /// Summary kind of the digest request (`"full"`, `"unchanged"`,
-    /// `"delta"`, or `"bloom"`).
-    pub fn summary_kind(&self) -> &'static str {
-        self.kind
-    }
-}
-
-/// Source-side continuation of a digest request that needs the exact
-/// membership round: what is left of the request once its Bloom summary
-/// has been screened, plus the query to put to the target. Feed it, with
-/// the target's answer, to [`DtnNode::respond_digest_answer`].
-#[derive(Debug)]
-pub struct DigestQueryState {
-    target: ReplicaId,
-    filter_fingerprint: u64,
-    filter: Option<Filter>,
-    routing: RoutingState<'static>,
-    query: VersionQuery,
-}
-
-impl DigestQueryState {
-    /// The versions the target must confirm one by one.
-    pub fn query(&self) -> &VersionQuery {
-        &self.query
-    }
-}
-
 /// What a digest request resolved to on the source side of a network
 /// session (see [`DtnNode::respond_digest`]).
 #[derive(Debug)]
 pub enum DigestResponse {
     /// Candidates resolved exactly; this batch closes the exchange.
     Batch(pfr::sync::SyncBatch),
-    /// Bloom screening left some versions uncertain: send the state's
-    /// query, feed the answer to [`DtnNode::respond_digest_answer`].
-    NeedVersions(DigestQueryState),
     /// The summary references state this side does not hold; the target
     /// must retransmit a plain full request
     /// ([`DtnNode::respond_digest_resync`] serves it).
@@ -315,19 +276,6 @@ impl DtnNode {
             self.recon.clear_peers();
             self.links.clear();
         }
-    }
-
-    /// Overrides the digest summary policy (defaults to
-    /// [`DigestPolicy::Auto`]); only meaningful in [`SyncMode::Digest`].
-    pub fn set_digest_policy(&mut self, policy: DigestPolicy) {
-        self.recon.set_policy(policy);
-    }
-
-    /// Overrides the Bloom filter density in bits per version (the
-    /// false-positive / digest-size trade; see
-    /// [`pfr::digest::ReconState::set_bloom_bits_per_item`]).
-    pub fn set_bloom_bits_per_item(&mut self, bits: u32) {
-        self.recon.set_bloom_bits_per_item(bits);
     }
 
     /// Cumulative digest-mode exchange counters for this node's source
@@ -660,7 +608,8 @@ impl DtnNode {
     // [`pfr::digest::sync_with_digest`]; a network transport holds only
     // one side, so the same exchange is split into target-role
     // ([`DtnNode::begin_digest_session`] .. [`DtnNode::commit_digest_session`])
-    // and source-role ([`DtnNode::respond_digest`] and friends) calls with
+    // and source-role ([`DtnNode::respond_digest`], then
+    // [`DtnNode::respond_digest_resync`] if it asked for one) calls with
     // the wire round trips in between. Routing state rides verbatim here —
     // the delta envelopes of the local path need a same-process back
     // channel to recover from cache loss, which a socket does not offer.
@@ -715,34 +664,25 @@ impl DtnNode {
         }
     }
 
-    /// Answers the exact-membership round of a Bloom digest session (the
-    /// source asks about versions its filter screening left uncertain).
-    pub fn answer_digest_query(&self, query: &VersionQuery) -> VersionAnswer {
-        digest::answer_query(self.replica.knowledge(), query)
-    }
-
     /// Completes a digest session as the *target*: advances this peer's
-    /// journal position (only when the exchange conveyed the exact
-    /// knowledge set — Bloom rounds are lossy and must not seed deltas),
-    /// folds the byte accounting into [`DtnNode::recon_stats`], and emits
-    /// the session's `ReconDigest` event.
+    /// journal position, folds the byte accounting into
+    /// [`DtnNode::recon_stats`], and emits the session's `ReconDigest`
+    /// event.
     pub fn commit_digest_session(
         &mut self,
         source: ReplicaId,
         state: DigestSessionState,
-        knowledge_shared: bool,
         digest_bytes: u64,
         fallback_rounds: u64,
-        false_positives: u64,
     ) {
         // A resync that retransmitted the full request is accounted as a
         // "full" exchange, mirroring the in-process driver.
-        let kind = if fallback_rounds > 0 && knowledge_shared {
+        let kind = if fallback_rounds > 0 {
             "full"
         } else {
             state.kind
         };
-        let full_bytes = state.full_bytes();
+        let full_bytes = state.pending.full_bytes();
         self.replica
             .observer()
             .emit(EventKind::ReconDigest, || Event::ReconDigest {
@@ -752,18 +692,16 @@ impl DtnNode {
                 digest_bytes,
                 full_bytes,
                 fallback_rounds,
-                false_positives,
             });
         self.recon
-            .note_exchange(digest_bytes, full_bytes, fallback_rounds, false_positives);
-        self.recon.commit_sent(state.pending, knowledge_shared);
+            .note_exchange(digest_bytes, full_bytes, fallback_rounds);
+        self.recon.commit_sent(state.pending);
     }
 
     /// Answers a digest request as the *source*. A [`DigestResponse::Batch`]
-    /// closes the exchange in one reply; the other variants need a further
-    /// round trip ([`DtnNode::respond_digest_answer`] after the target
-    /// answers a version query, [`DtnNode::respond_digest_resync`] after
-    /// it retransmits a full request). The request is consumed: a full
+    /// closes the exchange in one reply; a [`DigestResponse::Resync`] needs
+    /// one more round trip ([`DtnNode::respond_digest_resync`] after the
+    /// target retransmits a full request). The request is consumed: a full
     /// summary's knowledge moves into this node's copy of the peer's
     /// knowledge instead of being cloned into it.
     pub fn respond_digest(
@@ -776,69 +714,40 @@ impl DtnNode {
             target,
             summary,
             filter_fingerprint,
-            filter,
+            filter: inline_filter,
             routing,
         } = request;
         // Not knowing the filter the peer elided is a desync like a lost
         // copy of its knowledge: both end in a resync round, which
         // re-seeds both.
-        match self.recon.resolve(&self.replica, target, summary) {
-            SummaryOutcome::Resolved { knowledge, totals } => {
-                let served = self.serve_digest(
-                    target,
-                    knowledge,
-                    totals,
-                    filter_fingerprint,
-                    filter.as_ref(),
-                    routing,
-                    limits,
-                    now,
-                );
-                served.map_or(DigestResponse::Resync, DigestResponse::Batch)
-            }
-            SummaryOutcome::NeedVersions(query)
-                if self
-                    .recon
-                    .effective_filter(target, filter_fingerprint, filter.as_ref())
-                    .is_some() =>
-            {
-                DigestResponse::NeedVersions(DigestQueryState {
-                    target,
-                    filter_fingerprint,
-                    filter,
-                    routing: routing.into_owned(),
-                    query,
-                })
-            }
-            SummaryOutcome::NeedVersions(_) => DigestResponse::Resync,
-            SummaryOutcome::Resync => DigestResponse::Resync,
-        }
-    }
-
-    /// Continues a [`DigestResponse::NeedVersions`] exchange as the
-    /// *source* once the target's answer arrives. `None` when the answer
-    /// does not match the query (the caller should fall back to a resync
-    /// round).
-    pub fn respond_digest_answer(
-        &mut self,
-        state: DigestQueryState,
-        answer: &VersionAnswer,
-        limits: SyncLimits,
-        now: SimTime,
-    ) -> Option<pfr::sync::SyncBatch> {
-        let (known, _false_positives) = digest::knowledge_from_answer(&state.query, answer)?;
-        // Query rounds convey a lossy knowledge view: no totals, so only
-        // the filter is cached.
-        self.serve_digest(
-            state.target,
-            known,
-            None,
-            state.filter_fingerprint,
-            state.filter.as_ref(),
-            state.routing,
-            limits,
-            now,
-        )
+        let SummaryOutcome::Resolved { knowledge, totals } = self.recon.resolve(target, summary)
+        else {
+            return DigestResponse::Resync;
+        };
+        let Some(filter) =
+            self.recon
+                .effective_filter(target, filter_fingerprint, inline_filter.as_ref())
+        else {
+            return DigestResponse::Resync;
+        };
+        // The knowledge is lent to the batch, then moves into the peer's
+        // cached copy.
+        let full = pfr::sync::SyncRequest {
+            target,
+            knowledge: Cow::Borrowed(&knowledge),
+            filter: Cow::Borrowed(filter),
+            routing,
+        };
+        let batch =
+            sync::prepare_batch(&mut self.replica, self.policy.as_mut(), &full, limits, now);
+        drop(full);
+        self.recon.commit_peer(
+            target,
+            (knowledge, totals),
+            filter_fingerprint,
+            inline_filter.as_ref(),
+        );
+        DigestResponse::Batch(batch)
     }
 
     /// Serves the full request a target retransmits after a
@@ -855,49 +764,11 @@ impl DtnNode {
         let totals = KnowledgeTotals::of(&knowledge);
         self.recon.commit_peer(
             request.target,
-            Some((knowledge, totals)),
+            (knowledge, totals),
             request.filter.fingerprint(),
             Some(request.filter.as_ref()),
         );
         batch
-    }
-
-    /// Source-role tail shared by the digest reply paths: prepares the
-    /// batch against `knowledge` (lent, not cloned) and commits the
-    /// exchange — the knowledge itself moves into the peer's cached copy
-    /// when `totals` vouch that it is exact. `None` if the peer's filter
-    /// is neither inline nor cached.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_digest(
-        &mut self,
-        target: ReplicaId,
-        knowledge: pfr::Knowledge,
-        totals: Option<KnowledgeTotals>,
-        filter_fingerprint: u64,
-        inline_filter: Option<&Filter>,
-        routing: RoutingState<'_>,
-        limits: SyncLimits,
-        now: SimTime,
-    ) -> Option<pfr::sync::SyncBatch> {
-        let filter = self
-            .recon
-            .effective_filter(target, filter_fingerprint, inline_filter)?;
-        let full = pfr::sync::SyncRequest {
-            target,
-            knowledge: Cow::Borrowed(&knowledge),
-            filter: Cow::Borrowed(filter),
-            routing,
-        };
-        let batch =
-            sync::prepare_batch(&mut self.replica, self.policy.as_mut(), &full, limits, now);
-        drop(full);
-        self.recon.commit_peer(
-            target,
-            totals.map(|totals| (knowledge, totals)),
-            filter_fingerprint,
-            inline_filter,
-        );
-        Some(batch)
     }
 
     /// Serializes the node's full durable state: replica snapshot, address
@@ -1073,8 +944,17 @@ fn exchange(
     let source_id = source.replica.id();
     let target_id = target.replica.id();
     let (report, routing_desync) = if with_policy {
-        let mut source_ext = DigestExt::new(source.policy.as_mut(), source.links.link(target_id));
-        let mut target_ext = DigestExt::new(target.policy.as_mut(), target.links.link(source_id));
+        let (source_link, target_link) =
+            (source.links.link(target_id), target.links.link(source_id));
+        // Both ends of the envelope are in hand: a base the source no
+        // longer holds (it rebooted or was spilled) is dropped before the
+        // target deltas against it, so the policy never loses a round's
+        // routing data to a delta that cannot decode.
+        if source_link.rx != target_link.tx {
+            target_link.tx = None;
+        }
+        let mut source_ext = DigestExt::new(source.policy.as_mut(), source_link);
+        let mut target_ext = DigestExt::new(target.policy.as_mut(), target_link);
         let report = digest::sync_with_digest(
             &mut source.replica,
             &mut source_ext,

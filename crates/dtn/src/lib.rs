@@ -59,8 +59,7 @@ pub use direct::DirectDelivery;
 pub use durable::RestoreError;
 pub use epidemic::{EpidemicPolicy, ATTR_TTL};
 pub use host::{
-    DigestQueryState, DigestResponse, DigestSessionState, DtnNode, EncounterBudget,
-    EncounterReport, SnapshotScratch,
+    DigestResponse, DigestSessionState, DtnNode, EncounterBudget, EncounterReport, SnapshotScratch,
 };
 pub use maxprop::{MaxPropPolicy, ATTR_HOPLIST};
 pub use messaging::{FilterStrategy, Message};

@@ -9,11 +9,14 @@
 //! exchanged with the peer, and transparently restores the raw bytes
 //! before the routing policy sees them.
 //!
-//! The envelope is strictly an optimization: any decode failure (lost
-//! cache after a restart, corrupt bytes) degrades to "no routing data
-//! this round" — the same contract policies already honour for peers
-//! running a different protocol — and the encounter driver clears the
-//! sender's cache so the next exchange carries the full payload again.
+//! The envelope is strictly an optimization. The encounter driver holds
+//! both nodes, so before each sync it drops a sender's base that the
+//! receiver no longer holds (lost to a restart or a spill) and the
+//! payload goes out whole. Any decode failure that still happens (corrupt
+//! bytes) degrades to "no routing data this round" — the same contract
+//! policies already honour for peers running a different protocol — and
+//! the driver clears the sender's cache so the next exchange carries the
+//! full payload again.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;

@@ -289,6 +289,22 @@ fn small_scale_digest_sync() {
     );
 }
 
+/// Digest mode moves metadata, never messages — also when a rebooted
+/// node has lost the routing-state base its peers delta against.
+#[test]
+fn small_scale_digest_under_crashes() {
+    check_variant(
+        "crash_rate + SyncMode::Digest",
+        [PolicyKind::MaxProp, PolicyKind::Prophet],
+        |c| EmulationConfig {
+            crash_rate: 0.2,
+            sync_mode: pfr::SyncMode::Digest,
+            ..c
+        },
+        PINS_CRASH_RATE,
+    );
+}
+
 const PINS_CRASH_RATE: [Pin; 2] = [
     p(40, 308, 952067, 183, 209, 0x95bcc80e0e0653e3),
     p(34, 255, 1046180, 98, 295, 0xb9670f0466234050),

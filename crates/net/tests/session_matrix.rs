@@ -11,9 +11,8 @@
 //! * the reactor (`NetNode::sync_detached`) under epoll, and under the
 //!   sweep,
 //!
-//! for all six policies, in Full mode, Digest mode (the forgetful node
-//! forces a `ReconResync` round) and Digest mode with Bloom summaries
-//! (which force `RangeRequest` rounds), every wired driver over fresh
+//! for all six policies, in Full mode and Digest mode (the forgetful node
+//! forces a `ReconResync` round), every wired driver over fresh
 //! connections and over reused ones. Every replay must leave byte-identical node snapshots and
 //! identical `recon_stats`, and every wired replay must put byte-identical
 //! streams on the wire in each direction — pipelining and the
@@ -35,19 +34,12 @@ use net::{
     Membership, MembershipConfig, NetConfig, NetNode, PollBackend, Progress, SessionMachine,
 };
 use parking_lot::Mutex;
-use pfr::digest::{DigestPolicy, ReconStats};
+use pfr::digest::ReconStats;
 use pfr::{ReplicaId, SimTime, SyncLimits, SyncMode};
 use transport::frame::{FrameAccum, FrameType};
 use transport::Peer;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Full,
-    Digest,
-    DigestBloom,
-}
-
-const MODES: [Mode; 3] = [Mode::Full, Mode::Digest, Mode::DigestBloom];
+const MODES: [SyncMode; 2] = [SyncMode::Full, SyncMode::Digest];
 
 #[derive(Clone, Copy, Debug)]
 enum Step {
@@ -96,127 +88,86 @@ const SCRIPT: &[Step] = &[
 
 /// FNV-1a hashes of the (to-responder, to-initiator) streams of the
 /// script, recorded at the parent commit by the same in-memory pump.
-const PINNED: &[(PolicyKind, Mode, u64, u64)] = &[
+const PINNED: &[(PolicyKind, SyncMode, u64, u64)] = &[
     (
         PolicyKind::Direct,
-        Mode::Full,
+        SyncMode::Full,
         0x5c2f6653e038f65c,
         0x944cdac2cbb2a8fb,
     ),
     (
         PolicyKind::Direct,
-        Mode::Digest,
+        SyncMode::Digest,
         0xc694f0b636211d2e,
         0xf4e1c05fc6855223,
     ),
     (
-        PolicyKind::Direct,
-        Mode::DigestBloom,
-        0xd9bf49f96602fd45,
-        0x2a17988baef1e160,
-    ),
-    (
         PolicyKind::TwoHopRelay,
-        Mode::Full,
+        SyncMode::Full,
         0x54b6568bc11601f1,
         0x116088880c9507c7,
     ),
     (
         PolicyKind::TwoHopRelay,
-        Mode::Digest,
+        SyncMode::Digest,
         0x1b31659aff6656cd,
         0x479f333fe9ed187f,
     ),
     (
-        PolicyKind::TwoHopRelay,
-        Mode::DigestBloom,
-        0xb884d2dcdfca298d,
-        0xb20e04292afd39a0,
-    ),
-    (
         PolicyKind::Prophet,
-        Mode::Full,
+        SyncMode::Full,
         0xe935fd18b334b69d,
         0x79abef9c600598b5,
     ),
     (
         PolicyKind::Prophet,
-        Mode::Digest,
+        SyncMode::Digest,
         0x9888aa98ceebcbec,
         0x57b12f0abd217630,
     ),
     (
-        PolicyKind::Prophet,
-        Mode::DigestBloom,
-        0x30017d802eb617ef,
-        0xfca11a315f916f9a,
-    ),
-    (
         PolicyKind::SprayAndWait,
-        Mode::Full,
+        SyncMode::Full,
         0x60cd77fa0c18073b,
         0xbef7f6f1962e0228,
     ),
     (
         PolicyKind::SprayAndWait,
-        Mode::Digest,
+        SyncMode::Digest,
         0x44e13625c0ff7555,
         0x08287bc3aa353598,
     ),
     (
-        PolicyKind::SprayAndWait,
-        Mode::DigestBloom,
-        0x169de31c0d674646,
-        0x0e76af1cb60d81e2,
-    ),
-    (
         PolicyKind::Epidemic,
-        Mode::Full,
+        SyncMode::Full,
         0x84cd366a294aa193,
         0x1f942936bbdf475c,
     ),
     (
         PolicyKind::Epidemic,
-        Mode::Digest,
+        SyncMode::Digest,
         0xa740de4e601a0bef,
         0x4184da62272c0382,
     ),
     (
-        PolicyKind::Epidemic,
-        Mode::DigestBloom,
-        0xfcf3a45499808ed8,
-        0x1fd9e6758e851bec,
-    ),
-    (
         PolicyKind::MaxProp,
-        Mode::Full,
+        SyncMode::Full,
         0xec0d9aa8e772501e,
         0xc9c85d7d0dc71d8d,
     ),
     (
         PolicyKind::MaxProp,
-        Mode::Digest,
+        SyncMode::Digest,
         0x892366ee116788b7,
         0xb58a28872b8c2341,
     ),
-    (
-        PolicyKind::MaxProp,
-        Mode::DigestBloom,
-        0x87ca11d444d1a069,
-        0xa47d5d8764a91760,
-    ),
 ];
 
-fn nodes(policy: PolicyKind, mode: Mode) -> Vec<DtnNode> {
+fn nodes(policy: PolicyKind, mode: SyncMode) -> Vec<DtnNode> {
     (1..=3u64)
         .map(|i| {
             let mut node = DtnNode::new(ReplicaId::new(i), &format!("h{i}"), policy);
-            if mode != Mode::Full {
-                node.set_sync_mode(SyncMode::Digest);
-            }
-            if mode == Mode::DigestBloom {
-                node.set_digest_policy(DigestPolicy::ForceBloom);
-            }
+            node.set_sync_mode(mode);
             node
         })
         .collect()
@@ -689,7 +640,7 @@ fn assert_same(what: &str, reference: &Replay, got: &Replay) {
     }
 }
 
-fn memory_reference(policy: PolicyKind, mode: Mode) -> Replay {
+fn memory_reference(policy: PolicyKind, mode: SyncMode) -> Replay {
     replay(Memory::new(nodes(policy, mode), false))
 }
 
@@ -716,22 +667,20 @@ fn the_wire_is_what_it_was_before_pipelining() {
 
 #[test]
 fn the_script_forces_every_digest_round() {
-    let sent = |mode: Mode, kind: FrameType| {
+    let sent = |mode: SyncMode, kind: FrameType| {
         let wire = memory_reference(PolicyKind::Epidemic, mode).wire.unwrap();
         wire.values()
             .any(|log| frame_types(&log.0).contains(&kind) || frame_types(&log.1).contains(&kind))
     };
-    assert!(sent(Mode::Digest, FrameType::SyncDigest));
-    assert!(sent(Mode::Digest, FrameType::ReconResync), "forced resync");
+    assert!(sent(SyncMode::Digest, FrameType::SyncDigest));
     assert!(
-        sent(Mode::DigestBloom, FrameType::RangeRequest),
-        "forced NeedVersions"
+        sent(SyncMode::Digest, FrameType::ReconResync),
+        "forced resync"
     );
-    assert!(sent(Mode::DigestBloom, FrameType::RangeResponse));
-    assert!(!sent(Mode::Full, FrameType::SyncDigest));
+    assert!(!sent(SyncMode::Full, FrameType::SyncDigest));
 }
 
-fn every_case(check: impl Fn(PolicyKind, Mode, &Replay)) {
+fn every_case(check: impl Fn(PolicyKind, SyncMode, &Replay)) {
     for policy in PolicyKind::EXTENDED {
         for mode in MODES {
             check(policy, mode, &memory_reference(policy, mode));

@@ -318,19 +318,17 @@ pub enum Event {
         replica: u64,
         /// The summary receiver (the sync source).
         peer: u64,
-        /// Summary kind actually used: "unchanged", "delta", "bloom",
-        /// or "full" (digest mode fell back to a full exchange).
+        /// Summary kind actually used: "unchanged", "delta", or "full"
+        /// (a full summary, or digest mode fell back to a full exchange).
         kind: &'static str,
         /// Sync-metadata bytes the digest exchange cost (summary plus
-        /// any query/answer/resync rounds).
+        /// any resync round).
         digest_bytes: u64,
         /// Bytes the equivalent full knowledge request would have cost.
         full_bytes: u64,
-        /// Extra resolution rounds taken (Bloom membership queries,
-        /// undecodable-sketch resyncs).
+        /// Resync rounds taken: 1 when the summary could not be resolved
+        /// and the full request was retransmitted, else 0.
         fallback_rounds: u64,
-        /// Bloom false positives resolved by the exact query round.
-        false_positives: u64,
     },
     /// One record was appended to a durable store's write-ahead log.
     WalAppend {
@@ -790,7 +788,6 @@ impl Event {
                 digest_bytes,
                 full_bytes,
                 fallback_rounds,
-                false_positives,
             } => {
                 push_u64(&mut out, "replica", *replica);
                 push_u64(&mut out, "peer", *peer);
@@ -798,7 +795,6 @@ impl Event {
                 push_u64(&mut out, "digest_bytes", *digest_bytes);
                 push_u64(&mut out, "full_bytes", *full_bytes);
                 push_u64(&mut out, "fallback_rounds", *fallback_rounds);
-                push_u64(&mut out, "false_positives", *false_positives);
             }
             Event::WalAppend {
                 bytes,

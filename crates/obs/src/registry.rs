@@ -377,7 +377,6 @@ impl Observer for Registry {
                 digest_bytes,
                 full_bytes,
                 fallback_rounds,
-                false_positives,
                 ..
             } => {
                 self.add_fmt(format_args!("recon.summary.{kind}"), 1);
@@ -388,7 +387,6 @@ impl Observer for Registry {
                     full_bytes.saturating_sub(*digest_bytes),
                 );
                 self.add("recon.fallback_rounds", *fallback_rounds);
-                self.add("recon.false_positives", *false_positives);
             }
             Event::WalAppend { bytes, fsync, .. } => {
                 self.add("store.wal.appends", 1);
@@ -678,7 +676,6 @@ mod tests {
             digest_bytes: 100,
             full_bytes: 900,
             fallback_rounds: 1,
-            false_positives: 3,
         });
         let snap = r.snapshot();
         assert_eq!(snap.counter("recon.summary.delta"), 1);
@@ -686,7 +683,6 @@ mod tests {
         assert_eq!(snap.counter("recon.full_bytes"), 900);
         assert_eq!(snap.counter("recon.bytes_saved"), 800);
         assert_eq!(snap.counter("recon.fallback_rounds"), 1);
-        assert_eq!(snap.counter("recon.false_positives"), 3);
     }
 
     #[test]

@@ -20,19 +20,11 @@
 //! * [`KnowledgeSummary::Full`] — the whole structure: first contact, a
 //!   delta that would be longer than the knowledge, or a position the
 //!   journal no longer reaches back to.
-//! * [`KnowledgeSummary::Bloom`] — a Bloom filter over the target's known
-//!   versions, on first contact only when it is under half the size of
-//!   the full structure (or under [`DigestPolicy::ForceBloom`]). The
-//!   source screens its store against it; possible hits are confirmed in
-//!   one exact [`VersionQuery`] round, so false positives cost bandwidth,
-//!   never correctness. A Bloom round conveys no exact knowledge, so it
-//!   cannot seed the source's copy: it *defers* the full exchange to the
-//!   next meeting rather than replacing it, which is why it has to be so
-//!   much smaller to be worth sending.
 //!
-//! Every path ends with the source holding a knowledge set that selects
-//! *exactly* the candidates full mode would have selected, so digest mode
-//! is invisible to delivery metrics. Any mismatch — lost or stale copy,
+//! Every summary resolves to the target's exact knowledge, so the source
+//! selects *exactly* the candidates full mode would have selected and
+//! digest mode is invisible to delivery metrics; a session is a request
+//! and a batch, as in full mode. Any mismatch — lost or stale copy,
 //! corrupt frame — resolves to [`SummaryOutcome::Resync`] and the exchange
 //! falls back to a full request: degraded bandwidth, never degraded
 //! convergence. Fallbacks are counted in the `recon.fallback_rounds`
@@ -42,8 +34,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use obs::{Event, EventKind};
-use recon::hash::key_hash;
-use recon::Bloom;
 
 use crate::filter::Filter;
 use crate::id::{ReplicaId, Version};
@@ -52,7 +42,7 @@ use crate::knowledge::Knowledge;
 use crate::replica::Replica;
 use crate::sync::{self, RoutingState, SyncExtension, SyncLimits, SyncReport, SyncRequest};
 use crate::time::SimTime;
-use crate::wire::{self, varint_len};
+use crate::wire;
 
 /// How sync requests travel between two replicas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,35 +59,16 @@ pub enum SyncMode {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DigestPolicy {
     /// Cheapest sound summary: checksum when unchanged, the learned
-    /// versions when that is shorter than the knowledge, a Bloom filter on
-    /// first contact when it is under half the knowledge, else the
+    /// versions when that is shorter than the knowledge, else the
     /// knowledge itself.
     #[default]
     Auto,
-    /// Always summarize with a Bloom filter when the version set is
-    /// enumerable (first contact *and* repeat encounters). Exercises the
-    /// false-positive query round.
-    ForceBloom,
     /// Always send a delta when the journal reaches back to the last
     /// exchange (even when the full structure would be smaller); full
     /// knowledge otherwise.
     ForceDelta,
     /// Never summarize: full knowledge inside the digest framing.
     ForceFull,
-}
-
-/// Default Bloom filter density (bits per known version): ~1% false
-/// positives, each costing one entry in the exact query round.
-const BLOOM_BITS_PER_ITEM: u32 = 10;
-
-/// Largest enumerable version set a Bloom summary will be built over.
-/// Beyond this, first contact sends full knowledge (which is compact
-/// precisely when the version count is dominated by vector prefixes).
-const BLOOM_MAX_VERSIONS: u64 = 4096;
-
-/// Bloom key of one concrete version.
-fn version_key(v: Version) -> u128 {
-    ((v.replica().as_u64() as u128) << 64) | v.counter() as u128
 }
 
 /// Order-independent checksum of a knowledge entry set, from scratch (a
@@ -130,25 +101,16 @@ pub enum KnowledgeSummary {
         /// The versions learned since, in the order they were learned.
         learned: Vec<Version>,
     },
-    /// Membership filter over every individually known version (lossy:
-    /// resolves candidates, conveys no exact knowledge).
-    Bloom {
-        /// Number of versions inserted into the filter.
-        version_count: u64,
-        /// The membership filter.
-        bloom: Bloom,
-    },
 }
 
 impl KnowledgeSummary {
-    /// Short stable label for observability: "full", "unchanged",
-    /// "delta", or "bloom".
+    /// Short stable label for observability: "full", "unchanged" or
+    /// "delta".
     pub fn kind(&self) -> &'static str {
         match self {
             KnowledgeSummary::Full(_) => "full",
             KnowledgeSummary::Unchanged { .. } => "unchanged",
             KnowledgeSummary::Delta { .. } => "delta",
-            KnowledgeSummary::Bloom { .. } => "bloom",
         }
     }
 }
@@ -171,116 +133,18 @@ pub struct DigestRequest<'a> {
     pub routing: RoutingState<'a>,
 }
 
-/// Exact membership round for Bloom summaries: versions the filter
-/// flagged as possibly-known, for the target to confirm one by one.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VersionQuery {
-    /// Versions to confirm, in store order.
-    pub versions: Vec<Version>,
-}
-
-/// Reply to a [`VersionQuery`]: one bit per queried version, set when the
-/// target's knowledge actually contains it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VersionAnswer {
-    count: usize,
-    bits: Vec<u8>,
-}
-
-impl VersionAnswer {
-    /// An all-unknown answer for `count` queried versions.
-    pub fn new(count: usize) -> Self {
-        VersionAnswer {
-            count,
-            bits: vec![0u8; count.div_ceil(8)],
-        }
-    }
-
-    /// Reassembles an answer from decoded parts; `None` if the bitmap
-    /// length does not match the count.
-    pub fn from_parts(count: usize, bits: Vec<u8>) -> Option<Self> {
-        (bits.len() == count.div_ceil(8)).then_some(VersionAnswer { count, bits })
-    }
-
-    /// Marks queried version `i` as known.
-    pub fn set_known(&mut self, i: usize) {
-        self.bits[i / 8] |= 1 << (i % 8);
-    }
-
-    /// Whether queried version `i` is known to the target.
-    pub fn known(&self, i: usize) -> bool {
-        i < self.count && self.bits[i / 8] & (1 << (i % 8)) != 0
-    }
-
-    /// Number of queried versions this answer covers.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the answer covers no versions.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// The raw bitmap (for wire encoding).
-    pub fn bits(&self) -> &[u8] {
-        &self.bits
-    }
-}
-
-/// Answers a [`VersionQuery`] from the target's actual knowledge.
-pub fn answer_query(knowledge: &Knowledge, query: &VersionQuery) -> VersionAnswer {
-    let mut answer = VersionAnswer::new(query.versions.len());
-    for (i, &v) in query.versions.iter().enumerate() {
-        if knowledge.contains(v) {
-            answer.set_known(i);
-        }
-    }
-    answer
-}
-
-/// Builds the synthetic knowledge a Bloom-path source syncs against: the
-/// queried versions the target confirmed, as individual entries. Returns
-/// the knowledge plus the false-positive count (versions the filter
-/// flagged but the target does not know — they become candidates, exactly
-/// as full mode would have selected them). `None` if the answer does not
-/// match the query's length.
-pub fn knowledge_from_answer(
-    query: &VersionQuery,
-    answer: &VersionAnswer,
-) -> Option<(Knowledge, u64)> {
-    if answer.len() != query.versions.len() {
-        return None;
-    }
-    let mut known = Knowledge::new();
-    let mut false_positives = 0u64;
-    for (i, &v) in query.versions.iter().enumerate() {
-        if answer.known(i) {
-            known.insert(v);
-        } else {
-            false_positives += 1;
-        }
-    }
-    Some((known, false_positives))
-}
-
 /// What a [`KnowledgeSummary`] resolved to on the source side.
 #[derive(Clone, Debug)]
 pub enum SummaryOutcome {
     /// Knowledge to select candidates against, exactly as for a full-mode
     /// request.
     Resolved {
-        /// The target's knowledge, or after Bloom screening a sound
-        /// conservative subset of it.
+        /// The target's exact knowledge.
         knowledge: Knowledge,
-        /// Totals of `knowledge` when it is the target's *exact*
-        /// knowledge — full, unchanged and delta summaries — and may
-        /// therefore be cached for the next exchange
-        /// ([`ReconState::commit_peer`]); `None` after Bloom screening.
-        totals: Option<KnowledgeTotals>,
+        /// Totals of `knowledge`, cached with it for the next exchange
+        /// ([`ReconState::commit_peer`]).
+        totals: KnowledgeTotals,
     },
-    /// Bloom screening needs one exact round before candidates are known.
-    NeedVersions(VersionQuery),
     /// The summary references state this side does not hold, or did not
     /// reproduce the target's checksum: request a full exchange instead.
     Resync,
@@ -289,9 +153,6 @@ pub enum SummaryOutcome {
 /// What this side last sent to (or heard from) one peer.
 #[derive(Clone, Debug, Default)]
 struct PeerRecon {
-    /// Summaries built for this peer; salts successive Bloom seeds so a
-    /// false positive never repeats at the next meeting.
-    epoch: u64,
     /// Journal position and checksum of the knowledge this replica last
     /// conveyed to the peer (target role: where the next delta starts).
     sent: Option<(u64, u64)>,
@@ -349,11 +210,9 @@ pub struct ReconStats {
     pub full_bytes: u64,
     /// Exchanges that fell back to a full request.
     pub fallback_rounds: u64,
-    /// Bloom false positives resolved by exact query rounds.
-    pub false_positives: u64,
 }
 
-/// Per-replica digest-mode state: the policy knobs plus, per peer, what
+/// Per-replica digest-mode state: the summary policy plus, per peer, what
 /// makes exact deltas possible — as target a journal position, as source
 /// one copy of the peer's knowledge.
 ///
@@ -363,31 +222,17 @@ pub struct ReconStats {
 /// target on its old position and the source either on its old copy or —
 /// if it had already applied a delta — with none, which the next exchange
 /// repairs with one resync round. Never a half-advanced copy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ReconState {
     policy: DigestPolicy,
-    bloom_bits_per_item: u32,
-    bloom_max_versions: u64,
     peers: HashMap<ReplicaId, PeerRecon>,
     stats: ReconStats,
-}
-
-impl Default for ReconState {
-    fn default() -> Self {
-        ReconState::new()
-    }
 }
 
 impl ReconState {
     /// Digest state with the default [`DigestPolicy::Auto`] policy.
     pub fn new() -> Self {
-        ReconState {
-            policy: DigestPolicy::default(),
-            bloom_bits_per_item: BLOOM_BITS_PER_ITEM,
-            bloom_max_versions: BLOOM_MAX_VERSIONS,
-            peers: HashMap::new(),
-            stats: ReconStats::default(),
-        }
+        ReconState::default()
     }
 
     /// Digest state pinned to one summary policy.
@@ -398,51 +243,21 @@ impl ReconState {
         }
     }
 
-    /// The active summary policy.
-    pub fn policy(&self) -> DigestPolicy {
-        self.policy
-    }
-
-    /// Replaces the summary policy.
-    pub fn set_policy(&mut self, policy: DigestPolicy) {
-        self.policy = policy;
-    }
-
-    /// Bloom filter density in bits per version (false-positive rate
-    /// ≈ 0.6185^bits).
-    pub fn bloom_bits_per_item(&self) -> u32 {
-        self.bloom_bits_per_item
-    }
-
-    /// Sets the Bloom density, clamped to 1..=64 bits per version. Lower
-    /// densities shrink first-contact digests but cost more exact query
-    /// rounds; this is the knob the bandwidth sweep turns.
-    pub fn set_bloom_bits_per_item(&mut self, bits: u32) {
-        self.bloom_bits_per_item = bits.clamp(1, 64);
-    }
-
     /// Cumulative digest counters for this replica.
     pub fn stats(&self) -> ReconStats {
         self.stats
     }
 
     /// Folds one completed exchange into [`ReconState::stats`].
-    pub fn note_exchange(
-        &mut self,
-        digest_bytes: u64,
-        full_bytes: u64,
-        fallback_rounds: u64,
-        false_positives: u64,
-    ) {
+    pub fn note_exchange(&mut self, digest_bytes: u64, full_bytes: u64, fallback_rounds: u64) {
         self.stats.exchanges += 1;
         self.stats.digest_bytes += digest_bytes;
         self.stats.full_bytes += full_bytes;
         self.stats.fallback_rounds += fallback_rounds;
-        self.stats.false_positives += false_positives;
     }
 
     /// Drops all per-peer snapshots (a restart that loses digest state;
-    /// the next exchange with every peer re-seeds via Bloom or full).
+    /// the next exchange with every peer re-seeds with a full summary).
     pub fn clear_peers(&mut self) {
         self.peers.clear();
     }
@@ -465,22 +280,12 @@ impl ReconState {
         let knowledge = target.knowledge();
         let totals = target.knowledge_totals();
         let (position, checksum) = (target.journal_position(), totals.checksum());
-        // Every summary but `Full` is compared against this.
+        // A delta is compared against this.
         let full_len = 1 + totals.encoded_len(knowledge);
         let record = self.peers.entry(peer).or_default();
-        record.epoch += 1;
-        let epoch = record.epoch;
-        let bloom = |max_len: usize| {
-            let seed = key_hash(
-                ((target.id().as_u64() as u128) << 64) | peer.as_u64() as u128,
-                0x1db7_c0de ^ epoch,
-            );
-            let (max_versions, bits) = (self.bloom_max_versions, self.bloom_bits_per_item);
-            bloom_summary(knowledge, max_versions, bits, seed, max_len)
-        };
         let summary = match (self.policy, record.sent) {
-            (DigestPolicy::ForceFull, _) => None,
-            (DigestPolicy::ForceBloom, _) => bloom(usize::MAX),
+            // First contact, or never summarize.
+            (DigestPolicy::ForceFull, _) | (_, None) => None,
             (_, Some((sent_position, sent_checksum))) if sent_position == position => {
                 // Equal positions of one journal are equal knowledge; the
                 // checksum tells a position from before a restore apart.
@@ -496,11 +301,6 @@ impl ReconState {
                 .filter(|delta| {
                     policy == DigestPolicy::ForceDelta || wire::encoded_len(delta) < full_len
                 }),
-            (DigestPolicy::ForceDelta, None) => None,
-            // First contact. A Bloom round cannot seed the peer's copy, so
-            // the full exchange still happens at the next meeting: the
-            // filter only pays when it is under half of it.
-            (_, None) => bloom((full_len - 1) / 2),
         }
         .unwrap_or_else(|| KnowledgeSummary::Full(knowledge.clone()));
 
@@ -525,15 +325,10 @@ impl ReconState {
 
     /// **Target role.** Commits a successful exchange: the peer now holds
     /// the knowledge as of this journal position, so the next summary can
-    /// start from it. `knowledge_shared` says whether the exchange
-    /// actually conveyed the exact knowledge set (full/unchanged/delta
-    /// paths, and fallbacks that retransmitted the full request) — Bloom
-    /// rounds convey a lossy view and must not move the position.
-    pub fn commit_sent(&mut self, pending: PendingExchange, knowledge_shared: bool) {
+    /// start from it.
+    pub fn commit_sent(&mut self, pending: PendingExchange) {
         let record = self.peers.entry(pending.peer).or_default();
-        if knowledge_shared {
-            record.sent = Some((pending.position, pending.checksum));
-        }
+        record.sent = Some((pending.position, pending.checksum));
         record.sent_filter_fp = Some(pending.filter_fp);
     }
 
@@ -554,26 +349,17 @@ impl ReconState {
     }
 
     /// **Source role.** Resolves a summary against the cached copy of the
-    /// peer's knowledge and (for Bloom) the local store. Never fails hard:
-    /// anything that cannot be resolved exactly comes back as
-    /// [`SummaryOutcome::Resync`].
+    /// peer's knowledge. Never fails hard: anything that cannot be
+    /// resolved exactly comes back as [`SummaryOutcome::Resync`].
     ///
     /// Unchanged and delta summaries *take* the cached copy — a delta is
     /// applied to it in place — and hand it back in the outcome; only
     /// [`ReconState::commit_peer`] restores it. A copy that fails its
     /// checksum is dropped here, so a bad delta can never poison later
     /// exchanges: the next one resynchronizes and re-seeds it.
-    pub fn resolve(
-        &mut self,
-        local: &Replica,
-        peer: ReplicaId,
-        summary: KnowledgeSummary,
-    ) -> SummaryOutcome {
+    pub fn resolve(&mut self, peer: ReplicaId, summary: KnowledgeSummary) -> SummaryOutcome {
         let mut cached = || self.peers.get_mut(&peer)?.peer_knowledge.take();
-        let exact = |(knowledge, totals)| SummaryOutcome::Resolved {
-            knowledge,
-            totals: Some(totals),
-        };
+        let exact = |(knowledge, totals)| SummaryOutcome::Resolved { knowledge, totals };
         match summary {
             KnowledgeSummary::Full(knowledge) => {
                 let totals = KnowledgeTotals::of(&knowledge);
@@ -596,82 +382,27 @@ impl ReconState {
                 })
                 .filter(|(_, totals)| totals.checksum() == checksum)
                 .map_or(SummaryOutcome::Resync, exact),
-            KnowledgeSummary::Bloom { bloom, .. } => {
-                // Screen every stored current version. Definite misses
-                // need no confirmation — the filter has no false
-                // negatives — so only possible hits go to the query round.
-                let uncertain: Vec<Version> = local
-                    .stored_versions()
-                    .filter(|&v| bloom.contains(version_key(v)))
-                    .collect();
-                if uncertain.is_empty() {
-                    SummaryOutcome::Resolved {
-                        knowledge: Knowledge::new(),
-                        totals: None,
-                    }
-                } else {
-                    SummaryOutcome::NeedVersions(VersionQuery {
-                        versions: uncertain,
-                    })
-                }
-            }
         }
     }
 
-    /// **Source role.** Commits a successful exchange: caches the filter
-    /// the target sent inline (if it is new), and — when the exchange
-    /// conveyed it exactly — the target's knowledge for the next delta.
+    /// **Source role.** Commits a successful exchange: caches the target's
+    /// knowledge for the next delta, and the filter the target sent inline
+    /// (if it is new).
     pub fn commit_peer(
         &mut self,
         peer: ReplicaId,
-        knowledge: Option<(Knowledge, KnowledgeTotals)>,
+        knowledge: (Knowledge, KnowledgeTotals),
         filter_fp: u64,
         inline_filter: Option<&Filter>,
     ) {
         let record = self.peers.entry(peer).or_default();
-        if knowledge.is_some() {
-            record.peer_knowledge = knowledge;
-        }
+        record.peer_knowledge = Some(knowledge);
         if let Some(filter) = inline_filter {
             if record.peer_filter.as_ref().map(|(fp, _)| *fp) != Some(filter_fp) {
                 record.peer_filter = Some((filter_fp, filter.clone()));
             }
         }
     }
-}
-
-/// Builds a Bloom summary over `knowledge`'s version set, or `None` when
-/// the set is too large to enumerate or the summary would encode longer
-/// than `max_len`. The length is closed-form, so nothing is hashed for a
-/// filter that will not be sent.
-fn bloom_summary(
-    knowledge: &Knowledge,
-    max_versions: u64,
-    bits_per_item: u32,
-    seed: u64,
-    max_len: usize,
-) -> Option<KnowledgeSummary> {
-    let version_count = knowledge.version_count();
-    if version_count > max_versions {
-        return None;
-    }
-    let bloom_len = Bloom::encoded_len_for(version_count as usize, bits_per_item, seed);
-    if 1 + varint_len(version_count) + varint_len(bloom_len as u64) + bloom_len > max_len {
-        return None;
-    }
-    let mut bloom = Bloom::for_items(version_count as usize, bits_per_item, seed);
-    for (replica, base) in knowledge.vector_entries() {
-        for counter in 1..=base {
-            bloom.insert(version_key(Version::new(replica, counter)));
-        }
-    }
-    for v in knowledge.exceptions() {
-        bloom.insert(version_key(v));
-    }
-    Some(KnowledgeSummary::Bloom {
-        version_count,
-        bloom,
-    })
 }
 
 /// Runs one full one-directional **digest-mode** sync in process:
@@ -700,8 +431,6 @@ pub fn sync_with_digest(
     let (digest_request, pending) = target_recon.build_request(source_id, target, routing);
     let full_bytes = pending.full_bytes;
     let mut digest_bytes = wire::encoded_len(&digest_request) as u64;
-    let mut fallback_rounds = 0u64;
-    let mut false_positives = 0u64;
     let mut kind = digest_request.summary.kind();
     let DigestRequest {
         summary,
@@ -711,7 +440,7 @@ pub fn sync_with_digest(
         ..
     } = digest_request;
 
-    let outcome = source_recon.resolve(source, target_id, summary);
+    let outcome = source_recon.resolve(target_id, summary);
     // The target's filter as the source knows it, looked up once and lent
     // to the request; not knowing it is a desync like any other.
     let known_filter =
@@ -720,34 +449,20 @@ pub fn sync_with_digest(
         Some(_) => outcome,
         None => SummaryOutcome::Resync,
     };
-    // What the source syncs against, and its totals when it is the
-    // target's exact knowledge (and may be cached for the next delta).
+    // What the source syncs against, with its totals.
     let resynced = matches!(outcome, SummaryOutcome::Resync);
     let (knowledge, totals) = match outcome {
         SummaryOutcome::Resolved { knowledge, totals } => (Cow::Owned(knowledge), totals),
-        SummaryOutcome::NeedVersions(query) => {
-            fallback_rounds += 1;
-            digest_bytes += wire::encoded_len(&query) as u64;
-            let answer = answer_query(target.knowledge(), &query);
-            digest_bytes += wire::encoded_len(&answer) as u64;
-            let (known, fps) =
-                knowledge_from_answer(&query, &answer).expect("answer sized to query");
-            false_positives = fps;
-            (Cow::Owned(known), None)
-        }
         SummaryOutcome::Resync => {
             // Full retransmission: one resync byte on the wire, then the
             // plain request. Counted against digest mode — fallbacks are
             // its cost, not full mode's.
-            fallback_rounds += 1;
             kind = "full";
             digest_bytes += 1 + full_bytes;
-            (
-                Cow::Borrowed(target.knowledge()),
-                Some(target.knowledge_totals()),
-            )
+            (Cow::Borrowed(target.knowledge()), target.knowledge_totals())
         }
     };
+    let fallback_rounds = u64::from(resynced);
 
     source
         .observer()
@@ -758,7 +473,6 @@ pub fn sync_with_digest(
             digest_bytes,
             full_bytes,
             fallback_rounds,
-            false_positives,
         });
 
     // A resync retransmits the plain full request, filter included.
@@ -776,14 +490,14 @@ pub fn sync_with_digest(
     drop(request);
     // The copy the source keeps is the knowledge the request conveyed —
     // taken before the batch teaches the target more.
-    let exact = totals.map(|totals| (knowledge.into_owned(), totals));
+    let exact = (knowledge.into_owned(), totals);
     let (report, spent_entries) = sync::apply_batch_recycling(target, target_ext, batch, now);
     source.recycle_batch_entries(spent_entries);
 
     // Both ends saw the exchange succeed: advance the per-peer state in
-    // lockstep (Bloom rounds advance only the filter caches).
-    source_recon.note_exchange(digest_bytes, full_bytes, fallback_rounds, false_positives);
-    target_recon.commit_sent(pending, exact.is_some());
+    // lockstep.
+    source_recon.note_exchange(digest_bytes, full_bytes, fallback_rounds);
+    target_recon.commit_sent(pending);
     let sent_filter = if resynced {
         Some(target.filter())
     } else {
@@ -883,7 +597,7 @@ mod tests {
         for i in 0..200u8 {
             a.insert(dest("b"), vec![i]).unwrap();
         }
-        // First contact seeds the snapshot caches (full or bloom).
+        // First contact seeds the snapshot caches with a full summary.
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
         // Nothing changed: the second exchange must be "unchanged".
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
@@ -936,29 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_bloom_resolves_false_positives_exactly() {
-        let mut a = host(1, "a");
-        let mut b = host(2, "b");
-        let mut rb = ReconState::with_policy(DigestPolicy::ForceBloom);
-        let mut ra = ReconState::with_policy(DigestPolicy::ForceBloom);
-        // b knows plenty (its own writes), a stores items b has never
-        // seen plus nothing b knows — every stored version screens
-        // against a populated filter.
-        for i in 0..50u8 {
-            b.insert(dest("b"), vec![i]).unwrap();
-        }
-        for i in 0..30u8 {
-            a.insert(dest("b"), vec![i]).unwrap();
-        }
-        let report = digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
-        assert_eq!(report.delivered, 30, "bloom path delivers everything");
-        // Idempotent under bloom too: b now knows a's versions, so the
-        // query round confirms them and nothing is re-sent.
-        let report = digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
-        assert_eq!(report.transmitted, 0);
-    }
-
-    #[test]
     fn lost_cache_falls_back_to_full_and_recovers() {
         let mut a = host(1, "a");
         let mut b = host(2, "b");
@@ -1000,32 +691,27 @@ mod tests {
         assert!(ra.stats().digest_bytes - before < 32, "unchanged summary");
     }
 
-    /// A source-side harness for resolving hand-made summaries: `local`
-    /// (the source replica), a `ReconState` whose copy of peer 2's
-    /// knowledge is `base`, and `base` itself.
-    fn source_caching(base_versions: &[Version]) -> (Replica, ReconState, Knowledge) {
+    /// A source-side harness for resolving hand-made summaries: a
+    /// `ReconState` whose copy of peer 2's knowledge is `base`, and `base`
+    /// itself.
+    fn source_caching(base_versions: &[Version]) -> (ReconState, Knowledge) {
         let mut base = Knowledge::new();
         for &v in base_versions {
             base.insert(v);
         }
         let mut recon = ReconState::new();
-        recon.commit_peer(
-            rid(2),
-            Some((base.clone(), KnowledgeTotals::of(&base))),
-            0,
-            None,
-        );
-        (host(1, "a"), recon, base)
+        recon.commit_peer(rid(2), (base.clone(), KnowledgeTotals::of(&base)), 0, None);
+        (recon, base)
     }
 
     /// After a failed delta the copy must be gone: even a summary naming
     /// the untouched base no longer resolves.
-    fn assert_cache_dropped(local: &Replica, recon: &mut ReconState, base: &Knowledge) {
+    fn assert_cache_dropped(recon: &mut ReconState, base: &Knowledge) {
         let unchanged = KnowledgeSummary::Unchanged {
             checksum: knowledge_checksum(base),
         };
         assert!(matches!(
-            recon.resolve(local, rid(2), unchanged),
+            recon.resolve(rid(2), unchanged),
             SummaryOutcome::Resync
         ));
     }
@@ -1033,7 +719,7 @@ mod tests {
     #[test]
     fn delta_resolves_in_place_to_the_targets_knowledge() {
         let v = |c| Version::new(rid(7), c);
-        let (local, mut recon, base) = source_caching(&[v(1), v(2), v(5)]);
+        let (mut recon, base) = source_caching(&[v(1), v(2), v(5)]);
         let mut current = base.clone();
         let learned = vec![v(3), v(9), v(4)];
         for &version in &learned {
@@ -1044,15 +730,15 @@ mod tests {
             checksum: knowledge_checksum(&current),
             learned,
         };
-        match recon.resolve(&local, rid(2), summary) {
+        match recon.resolve(rid(2), summary) {
             SummaryOutcome::Resolved { knowledge, totals } => {
                 assert_eq!(knowledge, current);
-                assert_eq!(totals, Some(KnowledgeTotals::of(&current)));
+                assert_eq!(totals, KnowledgeTotals::of(&current));
             }
             other => panic!("delta did not resolve: {other:?}"),
         }
         // Resolving took the copy; without a commit it stays gone.
-        assert_cache_dropped(&local, &mut recon, &current);
+        assert_cache_dropped(&mut recon, &current);
     }
 
     #[test]
@@ -1063,9 +749,8 @@ mod tests {
         let (mut claimed, mut held) = (Knowledge::new(), Knowledge::new());
         claimed.insert_prefix(rid(7), 3);
         held.insert_prefix(rid(7), 2);
-        let local = host(1, "a");
         let mut recon = ReconState::new();
-        recon.commit_peer(rid(2), Some((held, KnowledgeTotals::of(&claimed))), 0, None);
+        recon.commit_peer(rid(2), (held, KnowledgeTotals::of(&claimed)), 0, None);
         let mut current = claimed.clone();
         current.insert(v(4));
         let summary = KnowledgeSummary::Delta {
@@ -1074,16 +759,16 @@ mod tests {
             learned: vec![v(4)],
         };
         assert!(matches!(
-            recon.resolve(&local, rid(2), summary),
+            recon.resolve(rid(2), summary),
             SummaryOutcome::Resync
         ));
-        assert_cache_dropped(&local, &mut recon, &claimed);
+        assert_cache_dropped(&mut recon, &claimed);
     }
 
     #[test]
     fn hostile_learned_versions_drop_the_cache_without_panicking() {
         let v = |c| Version::new(rid(7), c);
-        let (local, mut recon, base) = source_caching(&[v(1), v(2)]);
+        let (mut recon, base) = source_caching(&[v(1), v(2)]);
         let summary = KnowledgeSummary::Delta {
             base_checksum: knowledge_checksum(&base),
             checksum: knowledge_checksum(&base).wrapping_add(1),
@@ -1095,10 +780,10 @@ mod tests {
             ],
         };
         assert!(matches!(
-            recon.resolve(&local, rid(2), summary),
+            recon.resolve(rid(2), summary),
             SummaryOutcome::Resync
         ));
-        assert_cache_dropped(&local, &mut recon, &base);
+        assert_cache_dropped(&mut recon, &base);
     }
 
     #[test]
@@ -1106,7 +791,7 @@ mod tests {
         // The sender's checksum covers three learned versions but its
         // journal only produced the last two.
         let v = |c| Version::new(rid(7), c);
-        let (local, mut recon, base) = source_caching(&[v(1)]);
+        let (mut recon, base) = source_caching(&[v(1)]);
         let mut current = base.clone();
         for c in [2, 3, 4] {
             current.insert(v(c));
@@ -1117,10 +802,10 @@ mod tests {
             learned: vec![v(3), v(4)],
         };
         assert!(matches!(
-            recon.resolve(&local, rid(2), summary),
+            recon.resolve(rid(2), summary),
             SummaryOutcome::Resync
         ));
-        assert_cache_dropped(&local, &mut recon, &base);
+        assert_cache_dropped(&mut recon, &base);
     }
 
     #[test]
@@ -1145,7 +830,7 @@ mod tests {
         let label = b.knowledge_totals();
         let mut wrong = Knowledge::new();
         wrong.insert(Version::new(rid(3), 1));
-        ra.commit_peer(rid(2), Some((wrong, label)), 0, None);
+        ra.commit_peer(rid(2), (wrong, label), 0, None);
         digest_sync(
             &mut c,
             &mut ReconState::new(),
@@ -1165,18 +850,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_opens_with_full_unless_a_bloom_is_under_half_of_it() {
-        // Compact knowledge (one long prefix): the filter would dwarf it.
-        let mut compact = host(2, "b");
-        for i in 0..200u8 {
-            compact.insert(dest("x"), vec![i]).unwrap();
-        }
-        let (request, _) =
-            ReconState::new().build_request(rid(1), &mut compact, RoutingState::empty());
-        assert_eq!(request.summary.kind(), "full");
+    fn an_exception_heavy_first_contact_opens_with_full_then_summarizes() {
         // Exception-heavy knowledge (every other version of a long run,
-        // with large counters): many bytes per version, so ten bits each
-        // is under half.
+        // with large counters): the shape a summary vector was once meant
+        // to undercut. First contact still sends it whole.
         let mut sparse = host(3, "c");
         let mut origin = host(4000, "d");
         for i in 0..400u32 {
@@ -1185,24 +862,39 @@ mod tests {
         }
         sync::sync_once(&mut origin, &mut sparse, SimTime::ZERO);
         assert!(sparse.knowledge().exception_count() > 150);
-        let (request, _) =
-            ReconState::new().build_request(rid(1), &mut sparse, RoutingState::empty());
-        assert_eq!(request.summary.kind(), "bloom");
+        let (mut rs, mut ra) = (ReconState::new(), ReconState::new());
+        let mut a = host(1, "a");
+        let (request, pending) = rs.build_request(rid(1), &mut sparse, RoutingState::empty());
+        assert_eq!(request.summary.kind(), "full");
+        // The full summary seeds the peer's exact copy, so the very next
+        // meeting is a checksum, and one after new learning a delta.
+        let outcome = ra.resolve(rid(3), request.summary);
+        let SummaryOutcome::Resolved { knowledge, totals } = outcome else {
+            panic!("a full summary always resolves");
+        };
+        rs.commit_sent(pending);
+        ra.commit_peer(
+            rid(3),
+            (knowledge, totals),
+            request.filter_fingerprint,
+            None,
+        );
+        let (request, _) = rs.build_request(rid(1), &mut sparse, RoutingState::empty());
+        assert_eq!(request.summary.kind(), "unchanged");
+        assert!(matches!(
+            ra.resolve(rid(3), request.summary.clone()),
+            SummaryOutcome::Resolved { .. }
+        ));
+        a.insert(dest("c"), vec![1]).unwrap();
+        digest_sync(
+            &mut a,
+            &mut ReconState::new(),
+            &mut sparse,
+            &mut ReconState::new(),
+            1,
+        );
+        let (request, _) = rs.build_request(rid(1), &mut sparse, RoutingState::empty());
+        assert_eq!(request.summary.kind(), "delta");
         assert!(2 * wire::encoded_len(&request.summary) < wire::encoded_len(sparse.knowledge()));
-    }
-
-    #[test]
-    fn version_answer_bitmap_roundtrips() {
-        let mut ans = VersionAnswer::new(11);
-        for i in [0usize, 3, 7, 10] {
-            ans.set_known(i);
-        }
-        for i in 0..11 {
-            assert_eq!(ans.known(i), [0usize, 3, 7, 10].contains(&i));
-        }
-        assert!(!ans.known(11), "out of range is unknown");
-        let rebuilt = VersionAnswer::from_parts(11, ans.bits().to_vec()).unwrap();
-        assert_eq!(rebuilt, ans);
-        assert!(VersionAnswer::from_parts(11, vec![0u8; 1]).is_none());
     }
 }

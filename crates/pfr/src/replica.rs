@@ -472,12 +472,6 @@ impl Replica {
         self.store.versions_unknown_to_into(knowledge, candidates);
     }
 
-    /// The current version of every stored item (digest mode screens
-    /// this set against a peer's Bloom summary).
-    pub(crate) fn stored_versions(&self) -> impl Iterator<Item = Version> + '_ {
-        self.store.current_versions()
-    }
-
     /// Whether `knowledge`'s vector watermarks cover every stored
     /// version (see [`crate::store`]'s `covered_by`); lets the sync path
     /// skip the candidate walk entirely.

@@ -317,15 +317,6 @@ impl ItemStore {
             .flat_map(|block| block.chunk_by(|a, b| a.0 .0 == b.0 .0))
     }
 
-    /// The current version of every stored item, ascending by (origin,
-    /// counter) — the set a digest-mode peer screens against its Bloom
-    /// summary.
-    pub fn current_versions(&self) -> impl Iterator<Item = Version> + '_ {
-        self.by_version
-            .iter()
-            .map(|&((origin, counter), _)| Version::new(origin, counter))
-    }
-
     /// Whether `knowledge`'s per-origin vector watermarks already cover
     /// every stored version. When true, no candidate walk can select
     /// anything, so [`versions_unknown_to_into`](Self::versions_unknown_to_into)
@@ -581,7 +572,9 @@ mod tests {
         s.put(newer, StoreKind::Relay, SimTime::ZERO);
         assert_indexes_mirror_slots(&s);
         assert!(
-            s.current_versions().all(|v| v.replica() != rid(2)),
+            s.by_version
+                .iter()
+                .all(|&((origin, _), _)| origin != rid(2)),
             "replaced version must leave the index"
         );
 

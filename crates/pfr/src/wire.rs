@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, BytesMut};
 
-use crate::digest::{DigestRequest, KnowledgeSummary, VersionAnswer, VersionQuery};
+use crate::digest::{DigestRequest, KnowledgeSummary};
 use crate::filter::{CmpOp, Filter};
 use crate::id::{ItemId, ReplicaId, Version};
 use crate::intern::IStr;
@@ -53,9 +53,6 @@ pub enum WireError {
     /// Recursive structures (filters, list values) nested deeper than
     /// [`MAX_DECODE_DEPTH`] — hostile input trying to overflow the stack.
     DepthLimit,
-    /// A reconciliation sketch (Bloom filter) embedded in a digest
-    /// message failed its own decoder's validation.
-    BadSketch,
 }
 
 impl fmt::Display for WireError {
@@ -74,7 +71,6 @@ impl fmt::Display for WireError {
             WireError::DepthLimit => {
                 write!(f, "nesting exceeds {MAX_DECODE_DEPTH} levels")
             }
-            WireError::BadSketch => write!(f, "embedded reconciliation sketch is invalid"),
         }
     }
 }
@@ -202,16 +198,6 @@ impl Writer {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_varint(bytes.len() as u64);
         self.put_slice(bytes);
-    }
-
-    /// Writes a length-prefixed byte string of known length `len` that
-    /// `bytes` produces on demand — a counting writer never asks for it.
-    pub fn put_bytes_with(&mut self, len: usize, bytes: impl FnOnce() -> Vec<u8>) {
-        self.put_varint(len as u64);
-        match &mut self.counted {
-            Some(n) => *n += len,
-            None => self.buf.put_slice(&bytes()),
-        }
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -993,18 +979,14 @@ impl Decode for SyncBatch {
 
 // ---- digest-mode messages -------------------------------------------------
 //
-// Bloom filters carry their own self-validating binary format inside
-// `recon`; on this layer they travel as length-prefixed opaque byte
-// strings, so hostile lengths are bounds-checked here and hostile
-// contents are rejected by the sketch decoder (mapped to
-// [`WireError::BadSketch`]). A delta is a plain version list: count, then
-// `(replica, counter)` varint pairs in the order they were learned.
+// A delta is a plain version list: count, then `(replica, counter)` varint
+// pairs in the order they were learned.
 
 const SUMMARY_FULL: u8 = 0;
 const SUMMARY_UNCHANGED: u8 = 1;
-const SUMMARY_BLOOM: u8 = 3;
-/// Tag 2 was the invertible-sketch delta; retired with it, so a frame in the
-/// old layout fails as [`WireError::InvalidTag`] instead of being misread.
+/// Tag 2 was the invertible-sketch delta and tag 3 the membership-filter
+/// summary; both are retired with what they carried, so a frame in an old
+/// layout fails as [`WireError::InvalidTag`] instead of being misread.
 const SUMMARY_DELTA: u8 = 4;
 
 impl Encode for KnowledgeSummary {
@@ -1027,14 +1009,6 @@ impl Encode for KnowledgeSummary {
                 w.put_u64(*base_checksum);
                 w.put_u64(*checksum);
                 learned.encode(w);
-            }
-            KnowledgeSummary::Bloom {
-                version_count,
-                bloom,
-            } => {
-                w.put_u8(SUMMARY_BLOOM);
-                w.put_varint(*version_count);
-                w.put_bytes_with(bloom.encoded_len(), || bloom.to_bytes());
             }
         }
     }
@@ -1061,15 +1035,6 @@ impl Decode for KnowledgeSummary {
                     base_checksum,
                     checksum,
                     learned,
-                })
-            }
-            SUMMARY_BLOOM => {
-                let version_count = r.get_varint()?;
-                let bloom =
-                    recon::Bloom::from_bytes(r.get_bytes()?).map_err(|_| WireError::BadSketch)?;
-                Ok(KnowledgeSummary::Bloom {
-                    version_count,
-                    bloom,
                 })
             }
             tag => Err(WireError::InvalidTag {
@@ -1099,35 +1064,6 @@ impl Decode for DigestRequest<'static> {
             filter: Option::decode(r)?,
             routing: RoutingState::decode(r)?,
         })
-    }
-}
-
-impl Encode for VersionQuery {
-    fn encode(&self, w: &mut Writer) {
-        self.versions.encode(w);
-    }
-}
-
-impl Decode for VersionQuery {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VersionQuery {
-            versions: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for VersionAnswer {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        w.put_bytes(self.bits());
-    }
-}
-
-impl Decode for VersionAnswer {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let count = r.get_varint()?;
-        let bits = r.get_bytes()?.to_vec();
-        VersionAnswer::from_parts(count as usize, bits).ok_or(WireError::LengthOverflow(count))
     }
 }
 

@@ -1,18 +1,18 @@
 //! Property-based tests for the digest-mode reconciliation layer: wire
 //! round trips for every [`KnowledgeSummary`] kind, never-panic decoding
-//! of adversarial digest frames, query/answer membership consistency, the
-//! learning journal's delta algebra, and the tentpole equivalence —
+//! of adversarial digest frames, the learning journal's delta algebra,
+//! and the tentpole equivalence —
 //! full-mode and digest-mode sync runs converge to identical replica
 //! state on arbitrary schedules, restores and cache losses included.
 //!
 //! Digest requests are generated through the real [`ReconState`] build
 //! path over a real [`Replica`] (not hand-assembled), so the round-trip
-//! properties cover the exact bloom / delta / unchanged / full summaries
+//! properties cover the exact delta / unchanged / full summaries
 //! production code emits.
 
 use proptest::prelude::*;
 
-use pfr::digest::{self, knowledge_checksum, ReconState, VersionAnswer, VersionQuery};
+use pfr::digest::{self, knowledge_checksum, ReconState};
 use pfr::sync::{self, NoExtension};
 use pfr::wire::{encoded_len, from_bytes, to_bytes};
 use pfr::{
@@ -32,20 +32,9 @@ fn arb_versions(max: usize) -> impl Strategy<Value = Vec<Version>> {
     proptest::collection::vec(arb_version(), 0..max)
 }
 
-fn arb_knowledge() -> impl Strategy<Value = Knowledge> {
-    arb_versions(40).prop_map(|versions| {
-        let mut k = Knowledge::new();
-        for v in versions {
-            k.insert(v);
-        }
-        k
-    })
-}
-
 fn arb_policy() -> impl Strategy<Value = DigestPolicy> {
     prop_oneof![
         Just(DigestPolicy::Auto),
-        Just(DigestPolicy::ForceBloom),
         Just(DigestPolicy::ForceDelta),
         Just(DigestPolicy::ForceFull),
     ]
@@ -82,12 +71,10 @@ fn assert_canonical(request: &DigestRequest) {
     assert_eq!(to_bytes(&back), bytes, "digest re-encode diverged");
 }
 
-/// Exercises every digest decode entry point; the only acceptable
-/// outcomes are `Ok` or a typed `WireError`.
+/// Exercises the digest decode entry point; the only acceptable outcomes
+/// are `Ok` or a typed `WireError`.
 fn decode_all_digest(bytes: &[u8]) {
     let _ = from_bytes::<DigestRequest>(bytes);
-    let _ = from_bytes::<VersionQuery>(bytes);
-    let _ = from_bytes::<VersionAnswer>(bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -96,9 +83,8 @@ fn decode_all_digest(bytes: &[u8]) {
 
 proptest! {
     /// Two consecutive build_request rounds against one peer: the first
-    /// covers first-contact summaries (bloom / full), and after a
-    /// committed exchange the second covers the repeat paths (unchanged /
-    /// delta). Every emitted request must round-trip byte-identically,
+    /// covers first-contact summaries (full), and after a committed
+    /// exchange the second covers the repeat paths (unchanged / delta). Every emitted request must round-trip byte-identically,
     /// and the full-mode length it accounts must be the real one.
     #[test]
     fn digest_requests_roundtrip_byte_identically(
@@ -117,56 +103,11 @@ proptest! {
             let full = sync::begin_sync(&mut target, &mut none, SimTime::ZERO, None);
             let full = sync::SyncRequest { routing: routing.clone(), ..full };
             prop_assert_eq!(pending.full_bytes(), to_bytes(&full).len() as u64);
-            state.commit_sent(pending, true);
+            state.commit_sent(pending);
             learn(&mut target, grown);
         }
         let (digest, _) = state.build_request(PEER, &mut target, routing);
         assert_canonical(&digest);
-    }
-
-    #[test]
-    fn version_queries_and_answers_roundtrip(
-        versions in proptest::collection::vec(arb_version(), 0..60),
-        knowledge in arb_knowledge(),
-    ) {
-        let query = VersionQuery { versions };
-        let bytes = to_bytes(&query);
-        let back: VersionQuery = from_bytes(&bytes).expect("valid query decodes");
-        prop_assert_eq!(&back, &query);
-        prop_assert_eq!(encoded_len(&query), bytes.len());
-        prop_assert_eq!(to_bytes(&back), bytes);
-
-        let answer = digest::answer_query(&knowledge, &query);
-        let bytes = to_bytes(&answer);
-        let back: VersionAnswer = from_bytes(&bytes).expect("valid answer decodes");
-        prop_assert_eq!(&back, &answer);
-        prop_assert_eq!(encoded_len(&answer), bytes.len());
-        prop_assert_eq!(to_bytes(&back), bytes);
-    }
-
-    /// The exact membership round is sound: the answer's bits agree with
-    /// the knowledge, and the reconstructed knowledge counts exactly the
-    /// unknown versions as false positives.
-    #[test]
-    fn query_answers_agree_with_knowledge(
-        versions in proptest::collection::vec(arb_version(), 0..60),
-        knowledge in arb_knowledge(),
-    ) {
-        let query = VersionQuery { versions };
-        let answer = digest::answer_query(&knowledge, &query);
-        let mut misses = 0u64;
-        for (i, &v) in query.versions.iter().enumerate() {
-            prop_assert_eq!(answer.known(i), knowledge.contains(v));
-            if !knowledge.contains(v) {
-                misses += 1;
-            }
-        }
-        let (known, fps) =
-            digest::knowledge_from_answer(&query, &answer).expect("answer sized to query");
-        prop_assert_eq!(fps, misses);
-        for (i, &v) in query.versions.iter().enumerate() {
-            prop_assert_eq!(known.contains(v), answer.known(i));
-        }
     }
 }
 
@@ -224,7 +165,7 @@ proptest! {
         let mut target = learner();
         learn(&mut target, &base);
         let (_, pending) = state.build_request(PEER, &mut target, RoutingState::empty());
-        state.commit_sent(pending, true);
+        state.commit_sent(pending);
         let before = target.knowledge().clone();
         learn(&mut target, &extra);
         let (digest, _) = state.build_request(PEER, &mut target, RoutingState::empty());
@@ -248,7 +189,6 @@ proptest! {
                 prop_assert!(!learned_nothing && !force, "auto only: delta was longer");
                 prop_assert_eq!(&k, target.knowledge());
             }
-            KnowledgeSummary::Bloom { .. } => prop_assert!(false, "bloom on a repeat exchange"),
         }
     }
 
@@ -269,7 +209,7 @@ proptest! {
         };
         learn(&mut target, &in_order(1, early));
         let (_, pending) = state.build_request(PEER, &mut target, RoutingState::empty());
-        state.commit_sent(pending, true);
+        state.commit_sent(pending);
         // One origin in order is one knowledge entry: the journal keeps
         // only a short tail of a run this long.
         learn(&mut target, &in_order(early + 1, early + run));
@@ -296,13 +236,12 @@ proptest! {
         lie in any::<bool>(),
     ) {
         let mut state = ReconState::new();
-        let local = learner();
         let mut held = Knowledge::new();
         for &v in &base {
             held.insert(v);
         }
         let held_totals = KnowledgeTotals::of(&held);
-        state.commit_peer(PEER, Some((held.clone(), held_totals)), 0, None);
+        state.commit_peer(PEER, (held.clone(), held_totals), 0, None);
 
         let mut expected = held.clone();
         let mut in_order = learned.clone();
@@ -322,21 +261,20 @@ proptest! {
             checksum: knowledge_checksum(&expected) ^ u64::from(lie),
             learned: list,
         };
-        match state.resolve(&local, PEER, summary) {
+        match state.resolve(PEER, summary) {
             digest::SummaryOutcome::Resolved { knowledge, totals } => {
                 prop_assert!(!lie);
                 prop_assert_eq!(&knowledge, &expected);
-                prop_assert_eq!(totals, Some(KnowledgeTotals::of(&expected)));
+                prop_assert_eq!(totals, KnowledgeTotals::of(&expected));
             }
             digest::SummaryOutcome::Resync => {
                 prop_assert!(lie);
                 let unchanged = KnowledgeSummary::Unchanged { checksum: held_totals.checksum() };
                 prop_assert!(
-                    matches!(state.resolve(&local, PEER, unchanged), digest::SummaryOutcome::Resync),
+                    matches!(state.resolve(PEER, unchanged), digest::SummaryOutcome::Resync),
                     "the copy a bad delta was applied to is gone"
                 );
             }
-            digest::SummaryOutcome::NeedVersions(_) => prop_assert!(false, "no bloom here"),
         }
     }
 }
@@ -369,7 +307,7 @@ proptest! {
         let mut target = learner();
         learn(&mut target, &base);
         let (first, pending) = state.build_request(PEER, &mut target, routing.clone());
-        state.commit_sent(pending, true);
+        state.commit_sent(pending);
         learn(&mut target, &extra);
         let (second, _) = state.build_request(PEER, &mut target, routing);
         for digest in [first, second] {

@@ -275,22 +275,29 @@ fn summary_counts_are_bounded_by_the_frame_before_allocation() {
     }
 }
 
-/// The delta tag of the invertible-sketch layout is retired, not reused:
-/// a frame from before the change is refused by name.
+/// The invertible-sketch delta (tag 2) and the membership-filter summary
+/// (tag 3) are retired, not reused: a frame in either old layout is
+/// refused by name.
 #[test]
-fn old_layout_delta_frames_fail_as_wire_errors() {
-    let mut old = Writer::new();
-    old.put_u8(2);
-    old.put_u64(1);
-    old.put_u64(2);
-    old.put_bytes(&[0xA7, 1, 2, 3, 4, 5, 6, 7]);
-    assert_eq!(
-        from_bytes::<KnowledgeSummary>(old.as_slice()),
-        Err(WireError::InvalidTag {
-            what: "KnowledgeSummary",
-            tag: 2
-        })
-    );
+fn retired_summary_tags_fail_as_wire_errors() {
+    let mut sketch_delta = Writer::new();
+    sketch_delta.put_u8(2);
+    sketch_delta.put_u64(1);
+    sketch_delta.put_u64(2);
+    sketch_delta.put_bytes(&[0xA7, 1, 2, 3, 4, 5, 6, 7]);
+    let mut filter_summary = Writer::new();
+    filter_summary.put_u8(3);
+    filter_summary.put_varint(4);
+    filter_summary.put_bytes(&[0xB1, 0, 0, 0, 9, 9, 9, 9]);
+    for (tag, old) in [(2, sketch_delta), (3, filter_summary)] {
+        assert_eq!(
+            from_bytes::<KnowledgeSummary>(old.as_slice()),
+            Err(WireError::InvalidTag {
+                what: "KnowledgeSummary",
+                tag
+            })
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

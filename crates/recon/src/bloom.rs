@@ -1,12 +1,10 @@
 //! Seeded double-hashing Bloom filter over 128-bit keys.
 //!
-//! Used by the digest sync path as a *first-contact* summary: when a peer
-//! holds no copy of the target's knowledge to apply a delta to, a Bloom
-//! over the target's known versions lets the source screen its store
-//! with one compact structure — worth sending when it is small next to
-//! the knowledge itself ([`Bloom::encoded_len_for`] answers that before
-//! anything is hashed). False positives are resolved by an exact
-//! follow-up round, so they cost bandwidth, never correctness.
+//! Library-only: a filter over one side's set lets the other screen its
+//! own entries with one compact structure, worth sending only when it is
+//! small next to the set itself ([`Bloom::encoded_len_for`] answers that
+//! before anything is hashed). False positives need an exact follow-up
+//! round, so they cost bandwidth, never correctness.
 //!
 //! Sizing math (see `crates/recon/README.md`): for `n` items and `b`
 //! bits per item the optimal hash count is `k = b·ln 2` and the false

@@ -1,21 +1,19 @@
 //! Compact set reconciliation primitives.
 //!
-//! The paper's protocol ships full version-vector knowledge on every
-//! encounter; the digest sync mode (`pfr::digest`) replaces that with
-//! summaries whose size scales with the *difference* between peers, not
-//! with the size of their stores. This crate holds the sketches:
+//! The digest sync mode (`pfr::digest`) sends no sketch: first contact
+//! ships the full knowledge and repeat contacts spell out what was
+//! learned since. These structures are library-only, kept for the
+//! benchmark ledger's probe rows; only [`hash::key_hash`] is on the sync
+//! path (`pfr`'s knowledge checksums).
 //!
 //! - [`Bloom`]: seeded double-hashing Bloom filter over 128-bit keys.
-//!   The one sketch digest sync still sends — a first-contact summary
-//!   (no shared history to diff against) when it is small next to the
-//!   full structure. False positives are resolved by an exact follow-up
-//!   round, so they cost a round trip, never correctness.
+//!   False positives need an exact follow-up round, so they cost a
+//!   round trip, never correctness.
 //! - [`Iblt`]: invertible sketch with `subtract` + peel [`Iblt::decode`]:
 //!   the exact symmetric difference of two sets neither side has a
-//!   history of. Library-only: digest sync's repeat contacts know both
-//!   sets exactly and spell the difference out instead.
+//!   history of.
 //! - [`StrataEstimator`]: difference-size estimator for sizing an IBLT
-//!   when nothing bounds the difference in advance. Library-only.
+//!   when nothing bounds the difference in advance.
 //!
 //! Everything is deterministic under an explicit seed, has bounded
 //! fuzz-safe serialization (decoders never panic and never allocate

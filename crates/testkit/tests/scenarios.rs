@@ -7,7 +7,6 @@
 //! every scenario here must hold for *any* seed, not a lucky one.
 
 use dtn::PolicyKind;
-use pfr::digest::DigestPolicy;
 use pfr::SyncMode;
 use testkit::{Direction, EncounterOutcome, FaultPlan, SimRunner, SkipReason, Step};
 use transport::SessionError;
@@ -471,7 +470,7 @@ fn every_policy_survives_a_full_fault_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 13-15: digest-mode reconciliation under faults and crashes
+// Scenario 13-14: digest-mode reconciliation under faults and crashes
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -540,40 +539,6 @@ fn scenario_corrupted_digest_frame_falls_back_to_full_exchange() {
         );
         sim.assert_converged();
     }
-}
-
-#[test]
-fn scenario_force_bloom_resolves_overlap_with_query_rounds() {
-    // ForceBloom summarizes with a Bloom filter even on repeat
-    // encounters. After the first exchange the hosts' version sets
-    // overlap, so the second exchange screens real members against the
-    // filter: the uncertain set is non-empty and the source must run the
-    // exact membership round. Delivery stays exactly-once — the query
-    // round verifies membership exactly, so false positives can cost a
-    // round trip but never produce wrong candidates.
-    let mut sim = SimRunner::new(base_seed() + 2100);
-    sim.set_sync_mode(SyncMode::Digest);
-    let a = sim.add_host("a", PolicyKind::Epidemic);
-    let b = sim.add_host("b", PolicyKind::Epidemic);
-    for h in [a, b] {
-        sim.with_node(h, |n| n.set_digest_policy(DigestPolicy::ForceBloom));
-    }
-    for i in 0..6 {
-        sim.send(a, "b", format!("bloom a->b {i}").into_bytes());
-        sim.send(b, "a", format!("bloom b->a {i}").into_bytes());
-    }
-    assert!(sim.encounter(a, b).is_clean());
-    sim.advance(60);
-    assert!(sim.encounter(a, b).is_clean());
-    let stats_a = sim.with_node(a, |n| n.recon_stats());
-    let stats_b = sim.with_node(b, |n| n.recon_stats());
-    assert!(
-        stats_a.fallback_rounds + stats_b.fallback_rounds >= 1,
-        "overlapping bloom exchanges must trigger a query round: {stats_a:?} / {stats_b:?}"
-    );
-    sim.assert_converged();
-    sim.with_node(a, |n| assert_eq!(n.inbox().len(), 6));
-    sim.with_node(b, |n| assert_eq!(n.inbox().len(), 6));
 }
 
 // ---------------------------------------------------------------------------

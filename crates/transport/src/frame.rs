@@ -35,12 +35,8 @@ pub enum FrameType {
     /// A [`pfr::digest::DigestRequest`] from target to source: the
     /// digest-mode stand-in for a [`FrameType::SyncRequest`].
     SyncDigest = 5,
-    /// A [`pfr::digest::VersionQuery`] from source to target: the exact
-    /// membership round confirming a Bloom summary's possible hits.
-    RangeRequest = 6,
-    /// A [`pfr::digest::VersionAnswer`] from target to source, answering
-    /// a [`FrameType::RangeRequest`].
-    RangeResponse = 7,
+    // Tags 6 and 7 carried the exact-query round of a retired summary
+    // kind; they decode as `FrameError::BadType`.
     /// The source could not resolve a digest (lost snapshot, corrupt
     /// frame): the target must retransmit a plain full
     /// [`FrameType::SyncRequest`].
@@ -58,8 +54,6 @@ impl FrameType {
             3 => Some(FrameType::SyncDone),
             4 => Some(FrameType::Hello),
             5 => Some(FrameType::SyncDigest),
-            6 => Some(FrameType::RangeRequest),
-            7 => Some(FrameType::RangeResponse),
             8 => Some(FrameType::ReconResync),
             9 => Some(FrameType::Gossip),
             _ => None,
@@ -364,8 +358,6 @@ mod tests {
             FrameType::SyncDone,
             FrameType::Hello,
             FrameType::SyncDigest,
-            FrameType::RangeRequest,
-            FrameType::RangeResponse,
             FrameType::ReconResync,
             FrameType::Gossip,
         ] {
@@ -397,11 +389,14 @@ mod tests {
 
     #[test]
     fn bad_type_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::Hello, b"x").unwrap();
-        buf[2] = 0xee;
-        let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
-        assert!(matches!(err, FrameError::BadType(0xee)));
+        // 6 and 7 are retired tags, 0xee was never one.
+        for tag in [0, 6, 7, 10, 0xee] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, FrameType::Hello, b"x").unwrap();
+            buf[2] = tag;
+            let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
+            assert!(matches!(err, FrameError::BadType(t) if t == tag), "{tag}");
+        }
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! this one machine, so they cannot disagree about the protocol.
 //!
 //! A session is a hello gate plus two independent halves. The *pull* half
-//! (this node is the target) awaits `SyncBatch` / `RangeRequest` /
-//! `ReconResync`; the *serve* half (this node is the source) awaits
-//! `SyncRequest` / `SyncDigest` / `RangeResponse` / `SyncDone`. Every
-//! frame type flows one way relative to a role, so frames route by type
-//! and each side sends whatever does not depend on a reply it has not
-//! read yet:
+//! (this node is the target) awaits `SyncBatch` / `ReconResync`; the
+//! *serve* half (this node is the source) awaits `SyncRequest` /
+//! `SyncDigest` / `SyncDone`. Full or digest, a pull is a request and a
+//! batch, plus one retransmitted full request if the source could not
+//! resolve a digest. Every frame type flows one way relative to a role,
+//! so frames route by type and each side sends whatever does not depend
+//! on a reply it has not read yet:
 //!
 //! ```text
 //! fresh connection (6 hops)          remembered peer (4 hops)
@@ -42,10 +43,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dtn::{DigestQueryState, DigestResponse, DigestSessionState, DtnNode};
+use dtn::{DigestResponse, DigestSessionState, DtnNode};
 use obs::{Event, EventKind};
 use parking_lot::Mutex;
-use pfr::digest::{DigestRequest, VersionAnswer, VersionQuery};
+use pfr::digest::DigestRequest;
 use pfr::sync::{SyncBatch, SyncReport};
 use pfr::wire::{
     from_bytes, from_bytes_shared, Decode, Encode, EncodeScratch, Reader as WireReader,
@@ -269,9 +270,6 @@ impl Gate {
 struct DigestPull {
     state: DigestSessionState,
     digest_bytes: u64,
-    fallback_rounds: u64,
-    false_positives: u64,
-    knowledge_shared: bool,
 }
 
 /// How far a pull's request/response exchange has come.
@@ -279,8 +277,6 @@ struct DigestPull {
 enum PullStage {
     /// Request sent, nothing back yet.
     First,
-    /// Digest pull: `RangeResponse` answer sent.
-    AfterAnswer,
     /// Digest pull: full request retransmitted after a resync demand.
     AfterResync,
 }
@@ -300,7 +296,6 @@ impl Pull {
         match self {
             Pull::Pending => "PullPending",
             Pull::Awaiting(_, PullStage::First) => "PullAwaitFirst",
-            Pull::Awaiting(_, PullStage::AfterAnswer) => "PullAwaitAfterAnswer",
             Pull::Awaiting(_, PullStage::AfterResync) => "PullAwaitAfterResync",
             Pull::Done => "PullDone",
         }
@@ -313,8 +308,6 @@ enum Serve {
     Pending,
     /// Awaiting the peer's request frame.
     AwaitRequest,
-    /// Digest serve: `RangeRequest` sent, awaiting the exact answer.
-    AwaitAnswer(DigestQueryState),
     /// Resync demanded, awaiting the retransmitted full request.
     AwaitResyncRequest,
     /// Batch sent, awaiting the peer's `SyncDone`.
@@ -328,7 +321,6 @@ impl Serve {
         match self {
             Serve::Pending => "ServePending",
             Serve::AwaitRequest => "ServeAwaitRequest",
-            Serve::AwaitAnswer(_) => "ServeAwaitAnswer",
             Serve::AwaitResyncRequest => "ServeAwaitResyncRequest",
             Serve::AwaitDone => "ServeAwaitDone",
             Serve::Done => "ServeDone",
@@ -551,14 +543,10 @@ impl SessionMachine {
         if self.node.lock().sync_mode() == SyncMode::Digest {
             let (request, state) = self.node.lock().begin_digest_session(peer, self.now);
             let digest_bytes = self.send(out, FrameType::SyncDigest, &request)?;
-            let knowledge_shared = state.summary_kind() != "bloom";
             self.pull = Pull::Awaiting(
                 Some(Box::new(DigestPull {
                     state,
                     digest_bytes,
-                    fallback_rounds: 0,
-                    false_positives: 0,
-                    knowledge_shared,
                 })),
                 PullStage::First,
             );
@@ -585,8 +573,6 @@ impl SessionMachine {
         pull: &mut DigestPull,
         out: &mut Vec<u8>,
     ) -> Result<(), SessionError> {
-        pull.fallback_rounds += 1;
-        pull.knowledge_shared = true;
         // The request borrows the node's knowledge and filter, so encode
         // it while the lock is held.
         let request_bytes = {
@@ -610,7 +596,7 @@ impl SessionMachine {
     ) -> Result<(), SessionError> {
         let phase = self.pull.name();
         match (std::mem::replace(&mut self.pull, Pull::Pending), frame_type) {
-            (Pull::Awaiting(digest, _), FrameType::SyncBatch) => {
+            (Pull::Awaiting(digest, stage), FrameType::SyncBatch) => {
                 // Decode through the shared-buffer path: the payload
                 // becomes one `Arc<[u8]>` and every item payload in the
                 // batch a slice of it.
@@ -624,10 +610,8 @@ impl SessionMachine {
                     self.node.lock().commit_digest_session(
                         peer,
                         pull.state,
-                        pull.knowledge_shared,
                         pull.digest_bytes,
-                        pull.fallback_rounds,
-                        pull.false_positives,
+                        u64::from(stage == PullStage::AfterResync),
                     );
                 }
                 self.pull = Pull::Done;
@@ -637,26 +621,9 @@ impl SessionMachine {
                 }
                 Ok(())
             }
-            (Pull::Awaiting(Some(mut pull), PullStage::First), FrameType::RangeRequest) => {
-                // Bloom path: one exact membership round screens the
-                // uncertain versions.
-                pull.fallback_rounds += 1;
-                pull.knowledge_shared = false;
-                pull.digest_bytes += payload.len() as u64;
-                let query: VersionQuery = from_bytes(payload)?;
-                let answer = self.node.lock().answer_digest_query(&query);
-                pull.false_positives =
-                    (0..answer.len()).filter(|&i| !answer.known(i)).count() as u64;
-                pull.digest_bytes += self.send(out, FrameType::RangeResponse, &answer)?;
-                self.pull = Pull::Awaiting(Some(pull), PullStage::AfterAnswer);
-                Ok(())
-            }
-            (
-                Pull::Awaiting(Some(mut pull), PullStage::First | PullStage::AfterAnswer),
-                FrameType::ReconResync,
-            ) => {
-                // The source could not resolve the digest (or rejected
-                // the answer round): fall back to a full exchange.
+            (Pull::Awaiting(Some(mut pull), PullStage::First), FrameType::ReconResync) => {
+                // The source could not resolve the digest: fall back to a
+                // full exchange.
                 self.retransmit_full(&mut pull, out)?;
                 self.pull = Pull::Awaiting(Some(pull), PullStage::AfterResync);
                 Ok(())
@@ -718,25 +685,7 @@ impl SessionMachine {
                     .respond_digest(request, self.limits, self.now);
                 match response {
                     DigestResponse::Batch(batch) => self.send_batch(peer, &batch, out),
-                    DigestResponse::NeedVersions(pending) => {
-                        self.send(out, FrameType::RangeRequest, pending.query())?;
-                        self.serve = Serve::AwaitAnswer(pending);
-                        Ok(())
-                    }
                     DigestResponse::Resync => self.demand_resync(out),
-                }
-            }
-            (Serve::AwaitAnswer(pending), FrameType::RangeResponse) => {
-                let answer: VersionAnswer = from_bytes(payload)?;
-                let batch =
-                    self.node
-                        .lock()
-                        .respond_digest_answer(pending, &answer, self.limits, self.now);
-                match batch {
-                    Some(batch) => self.send_batch(peer, &batch, out),
-                    // The answer does not cover the query; salvage with
-                    // a full resync round.
-                    None => self.demand_resync(out),
                 }
             }
             (Serve::AwaitResyncRequest, FrameType::SyncRequest) => {
@@ -895,7 +844,7 @@ impl SessionMachine {
                     return Err(unexpected(self.gate.name(), frame_type));
                 };
                 match frame_type {
-                    FrameType::SyncBatch | FrameType::RangeRequest | FrameType::ReconResync => {
+                    FrameType::SyncBatch | FrameType::ReconResync => {
                         self.on_pull_frame(peer, frame_type, payload, out)?
                     }
                     _ => self.on_serve_frame(peer, frame_type, payload, out)?,

@@ -20,7 +20,6 @@ use std::sync::Arc;
 use dtn::{DtnNode, PolicyKind};
 use obs::{Event, MemorySink, Obs};
 use parking_lot::Mutex;
-use pfr::digest::DigestPolicy;
 use pfr::{ReplicaId, SimTime, SyncLimits, SyncMode};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -55,25 +54,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-const ALL_TYPES: [FrameType; 9] = [
+const ALL_TYPES: [FrameType; 7] = [
     FrameType::SyncRequest,
     FrameType::SyncBatch,
     FrameType::SyncDone,
     FrameType::Hello,
     FrameType::SyncDigest,
-    FrameType::RangeRequest,
-    FrameType::RangeResponse,
     FrameType::ReconResync,
     FrameType::Gossip,
 ];
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Full,
-    Digest,
-    /// Bloom summaries over overlapping knowledge: `RangeRequest` rounds.
-    DigestBloom,
-}
 
 /// Which machine is under attack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,15 +78,10 @@ type Shared<T> = Arc<Mutex<T>>;
 
 /// Two nodes that have met once (so digests have something to summarize
 /// against) and have fresh mail for each other, observed by `sink`.
-fn scenario(mode: Mode, sink: &Arc<MemorySink>) -> (Shared<DtnNode>, Shared<DtnNode>) {
+fn scenario(mode: SyncMode, sink: &Arc<MemorySink>) -> (Shared<DtnNode>, Shared<DtnNode>) {
     let node = |id: u64, addr: &str| {
         let mut node = DtnNode::new(ReplicaId::new(id), addr, PolicyKind::Epidemic);
-        if mode != Mode::Full {
-            node.set_sync_mode(SyncMode::Digest);
-        }
-        if mode == Mode::DigestBloom {
-            node.set_digest_policy(DigestPolicy::ForceBloom);
-        }
+        node.set_sync_mode(mode);
         node.replica_mut().set_observer(Obs::new(sink.clone()));
         Arc::new(Mutex::new(node))
     };
@@ -285,7 +269,7 @@ struct Verdict {
     peak_bytes: usize,
 }
 
-fn attack(kind: Kind, mode: Mode, input: &[u8], chunk: usize) -> Verdict {
+fn attack(kind: Kind, mode: SyncMode, input: &[u8], chunk: usize) -> Verdict {
     let sink = Arc::new(MemorySink::unbounded());
     let (a, b) = scenario(mode, &sink);
     let (mut machine, opening) = open(kind, if kind == Kind::Responder { &b } else { &a }, 120);
@@ -331,7 +315,7 @@ proptest! {
             Just(Kind::Responder),
             Just(Kind::Gossip),
         ],
-        mode in prop_oneof![Just(Mode::Full), Just(Mode::Digest), Just(Mode::DigestBloom)],
+        mode in prop_oneof![Just(SyncMode::Full), Just(SyncMode::Digest)],
         prefix in 0usize..6,
         pieces in pieces(),
     ) {
