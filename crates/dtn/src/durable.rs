@@ -790,7 +790,7 @@ mod tests {
         let appends = sink
             .take()
             .iter()
-            .filter(|e| e.kind() == "wal_append")
+            .filter(|e| e.event_kind().name() == "wal_append")
             .count();
         (node.store().unwrap().wal_bytes() - before, appends)
     }

@@ -278,8 +278,9 @@ impl DtnNode {
         }
     }
 
-    /// Cumulative digest-mode exchange counters for this node's source
-    /// role (zero while the node syncs in [`SyncMode::Full`]).
+    /// Cumulative digest-mode exchange counters for this node's target
+    /// role: the exchanges in which it sent the summary, in process or
+    /// over a socket (zero while the node syncs in [`SyncMode::Full`]).
     pub fn recon_stats(&self) -> ReconStats {
         self.recon.stats()
     }

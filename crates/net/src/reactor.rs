@@ -13,7 +13,7 @@
 //! `epoll_wait` until something is actually ready (syscalls scale with
 //! ready sessions), while the sweep backend probes every live session
 //! each pass (syscalls scale with live sessions) and parks on a condvar
-//! when idle. Both run the same [`step`] function over the same session
+//! when idle. Both run the same `step` function over the same session
 //! state, so wire traffic is byte-identical — pinned by the differential
 //! suite in `tests/backend_equivalence.rs`.
 //!

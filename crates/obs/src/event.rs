@@ -47,18 +47,104 @@ impl DecisionKind {
     }
 }
 
-/// One observable occurrence somewhere in the stack.
-///
-/// Identifiers are raw integers so this crate depends on nothing: a
-/// `replica`/`source`/`target`/`peer` field is a replica id, and an item is
-/// identified by the `(origin, seq)` pair of its item id. A `peer` or
-/// `source` of `0` means "unknown" (replica ids are nonzero by
-/// convention).
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum Event {
+/// The JSON key of a table field: its name, unless the table gives one.
+macro_rules! json_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// Expands the event table below into [`Event`], [`EventKind`] and every
+/// function that names an event's fields, so the enum, the labels, the
+/// JSON keys and the rendering cannot drift apart. Each entry is a
+/// variant, its label and its fields; a field may rename its JSON key
+/// (`at_secs: u64 => "at"`).
+macro_rules! events {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident => $label:literal {
+            $($(#[doc = $fdoc:literal])* $field:ident: $ty:ty $(=> $key:literal)?,)*
+        },
+    )*) => {
+        /// One observable occurrence somewhere in the stack.
+        ///
+        /// Identifiers are raw integers so this crate depends on nothing: a
+        /// `replica`/`source`/`target`/`peer` field is a replica id, and an
+        /// item is identified by the `(origin, seq)` pair of its item id. A
+        /// `peer` or `source` of `0` means "unknown" (replica ids are
+        /// nonzero by convention).
+        #[derive(Clone, Debug, PartialEq)]
+        #[non_exhaustive]
+        pub enum Event {
+            $($(#[doc = $doc])* $variant { $($(#[doc = $fdoc])* $field: $ty,)* },)*
+        }
+
+        /// Which [`Event`] variant: what an emission site names before it
+        /// builds anything, and what an [`crate::Observer`] subscribes to.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $(#[doc = concat!("[`Event::", stringify!($variant), "`], labelled `", $label, "`.")]
+            $variant,)*
+        }
+
+        impl EventKind {
+            /// Every kind, in declaration order.
+            pub const ALL: &'static [EventKind] = &[$(EventKind::$variant,)*];
+
+            /// The stable snake_case label (the `"event"` field of the
+            /// JSON rendering).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$variant => $label,)*
+                }
+            }
+
+            /// The JSON keys of this kind's fields, in rendering order.
+            pub fn fields(self) -> &'static [&'static str] {
+                match self {
+                    $(EventKind::$variant => &[$(json_key!($field $($key)?),)*],)*
+                }
+            }
+        }
+
+        impl Event {
+            /// Which variant this is.
+            pub fn event_kind(&self) -> EventKind {
+                match self {
+                    $(Event::$variant { .. } => EventKind::$variant,)*
+                }
+            }
+
+            /// Renders the event as one line of JSON (no trailing newline):
+            /// the `"event"` label, then each field under its
+            /// [`EventKind::fields`] key. See `crates/obs/README.md` for the
+            /// schema.
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(128);
+                out.push_str("{\"event\":\"");
+                out.push_str(self.event_kind().name());
+                out.push('"');
+                match self {
+                    $(Event::$variant { $($field,)* } => {
+                        $(push_field(&mut out, json_key!($field $($key)?), $field);)*
+                    })*
+                }
+                out.push('}');
+                out
+            }
+        }
+    };
+}
+
+// Entry order is `EventKind`'s discriminant order (the bit `Interest`
+// masks) and the row order of the README's schema table.
+events! {
     /// A new message entered the network at its origin replica.
-    MessageInjected {
+    MessageInjected => "message_injected" {
         /// Replica the message was inserted into.
         replica: u64,
         /// Item id origin component (equals `replica`).
@@ -70,20 +156,20 @@ pub enum Event {
         /// Destination address.
         dst: String,
         /// Simulated time of injection, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A sync began: the target built its request.
-    SyncStarted {
+    SyncStarted => "sync_started" {
         /// The pulling (target) replica.
         target: u64,
         /// The serving (source) replica, 0 if unknown.
         source: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// The source finished scanning and selecting candidate items for one
     /// sync (the hot inner loop of batch construction).
-    SyncCandidatesSelected {
+    SyncCandidatesSelected => "sync_candidates_selected" {
         /// The serving replica.
         source: u64,
         /// The pulling replica.
@@ -96,17 +182,17 @@ pub enum Event {
         /// the observer was attached mid-run and no timing was taken).
         scan_us: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A parallel experiment sweep started.
-    SweepStarted {
+    SweepStarted => "sweep_started" {
         /// Independent emulation jobs in the sweep.
         jobs: u64,
         /// Worker threads executing them.
         workers: u64,
     },
     /// The source finished building a batch for one sync.
-    SyncBatchSent {
+    SyncBatchSent => "sync_batch_sent" {
         /// The serving replica.
         source: u64,
         /// The pulling replica.
@@ -118,10 +204,10 @@ pub enum Event {
         /// Total payload bytes across the batch.
         payload_bytes: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// One item was placed in an outgoing batch (a transmission).
-    ItemTransmitted {
+    ItemTransmitted => "item_transmitted" {
         /// The serving replica.
         source: u64,
         /// The pulling replica.
@@ -136,10 +222,10 @@ pub enum Event {
         /// opposed to being policy-forwarded (a relay handoff).
         matched_filter: bool,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A received item became newly visible in the target's filtered store.
-    ItemDelivered {
+    ItemDelivered => "item_delivered" {
         /// The receiving replica.
         replica: u64,
         /// The replica it was received from.
@@ -149,10 +235,10 @@ pub enum Event {
         /// Item id sequence component.
         seq: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A received item was accepted into the relay (or push-out) store.
-    ItemRelayed {
+    ItemRelayed => "item_relayed" {
         /// The receiving replica.
         replica: u64,
         /// The replica it was received from.
@@ -162,12 +248,12 @@ pub enum Event {
         /// Item id sequence component.
         seq: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A relay copy was evicted under the relay storage cap. The store
     /// layer has no clock, so this event carries no timestamp; the paired
     /// [`Event::MessageDropped`] identifies the same copy.
-    ItemEvicted {
+    ItemEvicted => "item_evicted" {
         /// The evicting replica.
         replica: u64,
         /// Item id origin component.
@@ -176,7 +262,7 @@ pub enum Event {
         seq: u64,
     },
     /// A message's bounded lifetime ended at this holder.
-    ItemExpired {
+    ItemExpired => "item_expired" {
         /// The replica that dropped its copy.
         replica: u64,
         /// Item id origin component.
@@ -184,12 +270,12 @@ pub enum Event {
         /// Item id sequence component.
         seq: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A message copy was discarded — the unified drop event. Every drop
     /// site emits one of these with its reason (specific events like
     /// [`Event::ItemEvicted`] / [`Event::ItemExpired`] add detail).
-    MessageDropped {
+    MessageDropped => "message_dropped" {
         /// The replica that discarded the copy.
         replica: u64,
         /// Item id origin component.
@@ -201,7 +287,7 @@ pub enum Event {
     },
     /// A tracked message reached its true destination for the first time
     /// (emitted by the emulation engine, which knows the destination).
-    MessageDelivered {
+    MessageDelivered => "message_delivered" {
         /// The destination replica.
         replica: u64,
         /// Item id origin component.
@@ -209,12 +295,12 @@ pub enum Event {
         /// Item id sequence component.
         seq: u64,
         /// Delay between injection and delivery, seconds.
-        delay_secs: u64,
+        delay_secs: u64 => "delay",
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// One encounter (two-to-four syncs with alternating roles) finished.
-    EncounterCompleted {
+    EncounterCompleted => "encounter_completed" {
         /// First participant.
         a: u64,
         /// Second participant.
@@ -226,10 +312,10 @@ pub enum Event {
         /// Duplicate receipts (must stay zero).
         duplicates: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A batch was applied and the target's knowledge grew.
-    KnowledgeMerged {
+    KnowledgeMerged => "knowledge_merged" {
         /// The replica whose knowledge grew.
         replica: u64,
         /// The sync peer.
@@ -241,10 +327,10 @@ pub enum Event {
         /// Out-of-order exception versions tracked afterwards.
         knowledge_exceptions: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A routing policy made one decision during batch construction.
-    PolicyDecision {
+    PolicyDecision => "policy_decision" {
         /// The deciding (source) replica.
         replica: u64,
         /// The sync target.
@@ -260,10 +346,10 @@ pub enum Event {
         /// Forwarding cost (priority tie-breaker) or routing-state bytes.
         cost: f64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// A timed span closed (see [`crate::Span`]).
-    SpanEnded {
+    SpanEnded => "span_ended" {
         /// The span's label ("encounter", "transport.initiator", ...).
         name: &'static str,
         /// The local replica.
@@ -274,7 +360,7 @@ pub enum Event {
         wall_micros: u64,
     },
     /// One networked sync session finished (or failed).
-    TransportSync {
+    TransportSync => "transport_sync" {
         /// The local replica.
         replica: u64,
         /// The remote replica, 0 if unknown (e.g. connection failures).
@@ -291,7 +377,7 @@ pub enum Event {
     /// Data-plane buffer reuse accounting for one networked sync session:
     /// how much encode/decode work was served from shared or recycled
     /// buffers instead of fresh allocations.
-    DataPlaneReuse {
+    DataPlaneReuse => "data_plane_reuse" {
         /// The local replica.
         replica: u64,
         /// The remote replica, 0 if unknown.
@@ -313,7 +399,7 @@ pub enum Event {
     /// One digest-mode sync exchange: what the compact knowledge summary
     /// cost on the wire versus what shipping the full knowledge would
     /// have, plus fallback-round accounting.
-    ReconDigest {
+    ReconDigest => "recon_digest" {
         /// The summary sender (the sync target / initiator).
         replica: u64,
         /// The summary receiver (the sync source).
@@ -331,7 +417,7 @@ pub enum Event {
         fallback_rounds: u64,
     },
     /// One record was appended to a durable store's write-ahead log.
-    WalAppend {
+    WalAppend => "wal_append" {
         /// Bytes appended (length prefix + payload + checksum).
         bytes: u64,
         /// Whether the append was fsynced before returning.
@@ -341,7 +427,7 @@ pub enum Event {
     },
     /// A durable store wrote a checkpoint and rotated to a fresh WAL
     /// segment (compaction).
-    CheckpointWritten {
+    CheckpointWritten => "checkpoint_written" {
         /// The new generation's sequence number.
         seq: u64,
         /// Key-value entries captured in the checkpoint.
@@ -352,7 +438,7 @@ pub enum Event {
         wall_micros: u64,
     },
     /// A durable store finished crash recovery.
-    StoreRecovered {
+    StoreRecovered => "store_recovered" {
         /// Sequence of the checkpoint the state was rebuilt from (0 when
         /// no valid checkpoint existed).
         checkpoint_seq: u64,
@@ -365,7 +451,7 @@ pub enum Event {
     },
     /// A durability operation failed; the caller chose to continue (the
     /// in-memory state is still authoritative).
-    StoreFault {
+    StoreFault => "store_fault" {
         /// The operation that failed ("append", "checkpoint", "persist").
         op: &'static str,
         /// Human-readable failure detail.
@@ -373,7 +459,7 @@ pub enum Event {
     },
     /// A sharded emulation routed an encounter whose endpoints live on
     /// two different worker shards (a cross-shard handoff).
-    ShardHandoff {
+    ShardHandoff => "shard_handoff" {
         /// First participant.
         a: u64,
         /// Second participant.
@@ -383,12 +469,12 @@ pub enum Event {
         /// Shard owning `b`.
         to_shard: u64,
         /// Simulated time, seconds.
-        at_secs: u64,
+        at_secs: u64 => "at",
     },
     /// One async-reactor sync session finished (or failed). Emitted by
     /// `crates/net` alongside [`Event::TransportSync`]; this variant adds
     /// the reactor-specific dimensions (direction, connection reuse).
-    NetSession {
+    NetSession => "net_session" {
         /// The local replica.
         replica: u64,
         /// The remote replica, 0 if unknown.
@@ -404,7 +490,7 @@ pub enum Event {
     },
     /// One gossip round completed: this node pushed its membership view
     /// to a fanout of peers and merged whatever came back.
-    GossipRound {
+    GossipRound => "gossip_round" {
         /// The gossiping replica.
         replica: u64,
         /// Peers the round dialed.
@@ -419,7 +505,7 @@ pub enum Event {
     },
     /// A session's bounded write queue filled: the reactor stopped
     /// reading from that peer until the queue drained (backpressure).
-    NetBackpressure {
+    NetBackpressure => "net_backpressure" {
         /// The local replica.
         replica: u64,
         /// The remote replica, 0 if unknown.
@@ -430,7 +516,7 @@ pub enum Event {
     /// One reactor-worker poll batch: syscall and wakeup deltas from the
     /// readiness backend (emitted when a parked worker wakes to pick up
     /// sessions, and flushed once more at worker shutdown).
-    NetPoll {
+    NetPoll => "net_poll" {
         /// The local replica.
         replica: u64,
         /// The readiness backend label (`"epoll"` or `"sweep"`).
@@ -446,7 +532,7 @@ pub enum Event {
     },
     /// A sharded emulation parked a cold replica's snapshot on disk — or
     /// brought it back — to bound resident memory.
-    ReplicaSpill {
+    ReplicaSpill => "replica_spill" {
         /// The replica spilled or restored.
         replica: u64,
         /// Snapshot size, bytes.
@@ -465,488 +551,67 @@ pub enum Event {
     },
 }
 
-/// Declares [`EventKind`] — one fieldless discriminant per [`Event`]
-/// variant — with each kind's stable label and the variant → kind map,
-/// from one table, so the three cannot drift apart.
-macro_rules! event_kinds {
-    ($($variant:ident => $name:literal,)*) => {
-        /// Which [`Event`] variant: what an emission site names before it
-        /// builds anything, and what an [`crate::Observer`] subscribes to.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        #[repr(u8)]
-        pub enum EventKind {
-            $(#[doc = concat!("[`Event::", stringify!($variant), "`], labelled `", $name, "`.")]
-            $variant,)*
-        }
-
-        impl EventKind {
-            /// Every kind, in declaration order.
-            pub const ALL: &'static [EventKind] = &[$(EventKind::$variant,)*];
-
-            /// The stable snake_case label (the `"event"` field of the
-            /// JSON rendering).
-            pub fn name(self) -> &'static str {
-                match self {
-                    $(EventKind::$variant => $name,)*
-                }
-            }
-        }
-
-        impl Event {
-            /// Which variant this is.
-            pub fn event_kind(&self) -> EventKind {
-                match self {
-                    $(Event::$variant { .. } => EventKind::$variant,)*
-                }
-            }
-        }
-    };
+/// A field value as it appears in a JSON line.
+trait JsonValue {
+    fn write_json(&self, out: &mut String);
 }
 
-event_kinds! {
-    MessageInjected => "message_injected",
-    SyncStarted => "sync_started",
-    SyncCandidatesSelected => "sync_candidates_selected",
-    SweepStarted => "sweep_started",
-    SyncBatchSent => "sync_batch_sent",
-    ItemTransmitted => "item_transmitted",
-    ItemDelivered => "item_delivered",
-    ItemRelayed => "item_relayed",
-    ItemEvicted => "item_evicted",
-    ItemExpired => "item_expired",
-    MessageDropped => "message_dropped",
-    MessageDelivered => "message_delivered",
-    EncounterCompleted => "encounter_completed",
-    KnowledgeMerged => "knowledge_merged",
-    PolicyDecision => "policy_decision",
-    SpanEnded => "span_ended",
-    TransportSync => "transport_sync",
-    DataPlaneReuse => "data_plane_reuse",
-    ReconDigest => "recon_digest",
-    WalAppend => "wal_append",
-    CheckpointWritten => "checkpoint_written",
-    StoreRecovered => "store_recovered",
-    StoreFault => "store_fault",
-    ShardHandoff => "shard_handoff",
-    NetSession => "net_session",
-    GossipRound => "gossip_round",
-    NetBackpressure => "net_backpressure",
-    NetPoll => "net_poll",
-    ReplicaSpill => "replica_spill",
-}
-
-impl Event {
-    /// The event's stable snake_case kind label (the `"event"` field of
-    /// its JSON rendering).
-    pub fn kind(&self) -> &'static str {
-        self.event_kind().name()
-    }
-
-    /// Renders the event as one line of JSON (no trailing newline). All
-    /// field names are stable; see `crates/obs/README.md` for the schema.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"event\":\"");
-        out.push_str(self.kind());
-        out.push('"');
-        match self {
-            Event::MessageInjected {
-                replica,
-                origin,
-                seq,
-                src,
-                dst,
-                at_secs,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-                push_str(&mut out, "src", src);
-                push_str(&mut out, "dst", dst);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::SyncStarted {
-                target,
-                source,
-                at_secs,
-            } => {
-                push_u64(&mut out, "target", *target);
-                push_u64(&mut out, "source", *source);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::SyncCandidatesSelected {
-                source,
-                target,
-                candidates,
-                selected,
-                scan_us,
-                at_secs,
-            } => {
-                push_u64(&mut out, "source", *source);
-                push_u64(&mut out, "target", *target);
-                push_u64(&mut out, "candidates", *candidates);
-                push_u64(&mut out, "selected", *selected);
-                push_u64(&mut out, "scan_us", *scan_us);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::SweepStarted { jobs, workers } => {
-                push_u64(&mut out, "jobs", *jobs);
-                push_u64(&mut out, "workers", *workers);
-            }
-            Event::SyncBatchSent {
-                source,
-                target,
-                entries,
-                withheld,
-                payload_bytes,
-                at_secs,
-            } => {
-                push_u64(&mut out, "source", *source);
-                push_u64(&mut out, "target", *target);
-                push_u64(&mut out, "entries", *entries);
-                push_u64(&mut out, "withheld", *withheld);
-                push_u64(&mut out, "payload_bytes", *payload_bytes);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::ItemTransmitted {
-                source,
-                target,
-                origin,
-                seq,
-                bytes,
-                matched_filter,
-                at_secs,
-            } => {
-                push_u64(&mut out, "source", *source);
-                push_u64(&mut out, "target", *target);
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-                push_u64(&mut out, "bytes", *bytes);
-                push_bool(&mut out, "matched_filter", *matched_filter);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::ItemDelivered {
-                replica,
-                source,
-                origin,
-                seq,
-                at_secs,
-            }
-            | Event::ItemRelayed {
-                replica,
-                source,
-                origin,
-                seq,
-                at_secs,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "source", *source);
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::ItemEvicted {
-                replica,
-                origin,
-                seq,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-            }
-            Event::ItemExpired {
-                replica,
-                origin,
-                seq,
-                at_secs,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::MessageDropped {
-                replica,
-                origin,
-                seq,
-                reason,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-                push_str(&mut out, "reason", reason.label());
-            }
-            Event::MessageDelivered {
-                replica,
-                origin,
-                seq,
-                delay_secs,
-                at_secs,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-                push_u64(&mut out, "delay", *delay_secs);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::EncounterCompleted {
-                a,
-                b,
-                transmitted,
-                delivered,
-                duplicates,
-                at_secs,
-            } => {
-                push_u64(&mut out, "a", *a);
-                push_u64(&mut out, "b", *b);
-                push_u64(&mut out, "transmitted", *transmitted);
-                push_u64(&mut out, "delivered", *delivered);
-                push_u64(&mut out, "duplicates", *duplicates);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::KnowledgeMerged {
-                replica,
-                peer,
-                batch_entries,
-                knowledge_replicas,
-                knowledge_exceptions,
-                at_secs,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_u64(&mut out, "batch_entries", *batch_entries);
-                push_u64(&mut out, "knowledge_replicas", *knowledge_replicas);
-                push_u64(&mut out, "knowledge_exceptions", *knowledge_exceptions);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::PolicyDecision {
-                replica,
-                peer,
-                policy,
-                kind,
-                origin,
-                seq,
-                cost,
-                at_secs,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_str(&mut out, "policy", policy);
-                push_str(&mut out, "kind", kind.label());
-                push_u64(&mut out, "origin", *origin);
-                push_u64(&mut out, "seq", *seq);
-                push_f64(&mut out, "cost", *cost);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::SpanEnded {
-                name,
-                replica,
-                peer,
-                wall_micros,
-            } => {
-                push_str(&mut out, "name", name);
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_u64(&mut out, "wall_micros", *wall_micros);
-            }
-            Event::TransportSync {
-                replica,
-                peer,
-                served,
-                delivered,
-                frame_bytes,
-                ok,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_u64(&mut out, "served", *served);
-                push_u64(&mut out, "delivered", *delivered);
-                push_u64(&mut out, "frame_bytes", *frame_bytes);
-                push_bool(&mut out, "ok", *ok);
-            }
-            Event::DataPlaneReuse {
-                replica,
-                peer,
-                scratch_reuses,
-                bytes_encoded,
-                pool_hits,
-                payload_shares,
-                bytes_decoded,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_u64(&mut out, "scratch_reuses", *scratch_reuses);
-                push_u64(&mut out, "bytes_encoded", *bytes_encoded);
-                push_u64(&mut out, "pool_hits", *pool_hits);
-                push_u64(&mut out, "payload_shares", *payload_shares);
-                push_u64(&mut out, "bytes_decoded", *bytes_decoded);
-            }
-            Event::ReconDigest {
-                replica,
-                peer,
-                kind,
-                digest_bytes,
-                full_bytes,
-                fallback_rounds,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_str(&mut out, "kind", kind);
-                push_u64(&mut out, "digest_bytes", *digest_bytes);
-                push_u64(&mut out, "full_bytes", *full_bytes);
-                push_u64(&mut out, "fallback_rounds", *fallback_rounds);
-            }
-            Event::WalAppend {
-                bytes,
-                fsync,
-                wal_bytes,
-            } => {
-                push_u64(&mut out, "bytes", *bytes);
-                push_bool(&mut out, "fsync", *fsync);
-                push_u64(&mut out, "wal_bytes", *wal_bytes);
-            }
-            Event::CheckpointWritten {
-                seq,
-                entries,
-                bytes,
-                wall_micros,
-            } => {
-                push_u64(&mut out, "seq", *seq);
-                push_u64(&mut out, "entries", *entries);
-                push_u64(&mut out, "bytes", *bytes);
-                push_u64(&mut out, "wall_micros", *wall_micros);
-            }
-            Event::StoreRecovered {
-                checkpoint_seq,
-                wal_records,
-                truncated_bytes,
-                wall_micros,
-            } => {
-                push_u64(&mut out, "checkpoint_seq", *checkpoint_seq);
-                push_u64(&mut out, "wal_records", *wal_records);
-                push_u64(&mut out, "truncated_bytes", *truncated_bytes);
-                push_u64(&mut out, "wall_micros", *wall_micros);
-            }
-            Event::StoreFault { op, detail } => {
-                push_str(&mut out, "op", op);
-                push_str(&mut out, "detail", detail);
-            }
-            Event::ShardHandoff {
-                a,
-                b,
-                from_shard,
-                to_shard,
-                at_secs,
-            } => {
-                push_u64(&mut out, "a", *a);
-                push_u64(&mut out, "b", *b);
-                push_u64(&mut out, "from_shard", *from_shard);
-                push_u64(&mut out, "to_shard", *to_shard);
-                push_u64(&mut out, "at", *at_secs);
-            }
-            Event::NetSession {
-                replica,
-                peer,
-                inbound,
-                reused,
-                ok,
-                wall_micros,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_bool(&mut out, "inbound", *inbound);
-                push_bool(&mut out, "reused", *reused);
-                push_bool(&mut out, "ok", *ok);
-                push_u64(&mut out, "wall_micros", *wall_micros);
-            }
-            Event::GossipRound {
-                replica,
-                fanout,
-                alive,
-                suspect,
-                learned,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "fanout", *fanout);
-                push_u64(&mut out, "alive", *alive);
-                push_u64(&mut out, "suspect", *suspect);
-                push_u64(&mut out, "learned", *learned);
-            }
-            Event::NetBackpressure {
-                replica,
-                peer,
-                queued_bytes,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "peer", *peer);
-                push_u64(&mut out, "queued_bytes", *queued_bytes);
-            }
-            Event::NetPoll {
-                replica,
-                backend,
-                syscalls,
-                wakeups,
-                woken,
-                wakeup_latency_us,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_str(&mut out, "backend", backend);
-                push_u64(&mut out, "syscalls", *syscalls);
-                push_u64(&mut out, "wakeups", *wakeups);
-                push_u64(&mut out, "woken", *woken);
-                push_u64(&mut out, "wakeup_latency_us", *wakeup_latency_us);
-            }
-            Event::ReplicaSpill {
-                replica,
-                bytes,
-                resident,
-                unspill,
-                latency_us,
-                file_bytes,
-            } => {
-                push_u64(&mut out, "replica", *replica);
-                push_u64(&mut out, "bytes", *bytes);
-                push_u64(&mut out, "resident", *resident);
-                push_bool(&mut out, "unspill", *unspill);
-                push_u64(&mut out, "latency_us", *latency_us);
-                push_u64(&mut out, "file_bytes", *file_bytes);
-            }
-        }
-        out.push('}');
-        out
+impl JsonValue for u64 {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.to_string());
     }
 }
 
-fn push_u64(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-fn push_bool(out: &mut String, key: &str, value: bool) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(if value { "true" } else { "false" });
-}
-
-fn push_f64(out: &mut String, key: &str, value: f64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    if value.is_finite() {
-        out.push_str(&format!("{value}"));
-    } else {
-        // JSON has no inf/nan literals; fall back to a string.
-        out.push_str(&format!("\"{value}\""));
+impl JsonValue for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
-fn push_str(out: &mut String, key: &str, value: &str) {
+impl JsonValue for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            out.push_str(&format!("{self}"));
+        } else {
+            // JSON has no inf/nan literals; fall back to a string.
+            out.push_str(&format!("\"{self}\""));
+        }
+    }
+}
+
+impl JsonValue for String {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl JsonValue for &'static str {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl JsonValue for DropReason {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self.label());
+    }
+}
+
+impl JsonValue for DecisionKind {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self.label());
+    }
+}
+
+fn push_field(out: &mut String, key: &str, value: &impl JsonValue) {
     out.push_str(",\"");
     out.push_str(key);
-    out.push_str("\":\"");
+    out.push_str("\":");
+    value.write_json(out);
+}
+
+fn push_escaped(out: &mut String, value: &str) {
+    out.push('"');
     for c in value.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -968,57 +633,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_has_kind_and_fields() {
-        let e = Event::ItemTransmitted {
-            source: 1,
-            target: 2,
-            origin: 1,
-            seq: 7,
-            bytes: 42,
-            matched_filter: true,
-            at_secs: 3600,
-        };
-        let json = e.to_json();
-        assert!(json.starts_with("{\"event\":\"item_transmitted\""));
-        assert!(json.contains("\"bytes\":42"));
-        assert!(json.contains("\"matched_filter\":true"));
-        assert!(json.ends_with('}'));
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let e = Event::MessageInjected {
-            replica: 1,
-            origin: 1,
-            seq: 1,
-            src: "a\"b\\c".to_string(),
-            dst: "line\nbreak".to_string(),
-            at_secs: 0,
-        };
-        let json = e.to_json();
-        assert!(json.contains(r#""src":"a\"b\\c""#));
-        assert!(json.contains(r#""dst":"line\nbreak""#));
-    }
-
-    #[test]
-    fn non_finite_costs_become_strings() {
-        let e = Event::PolicyDecision {
-            replica: 1,
-            peer: 2,
-            policy: "maxprop",
-            kind: DecisionKind::Forward,
-            origin: 1,
-            seq: 1,
-            cost: f64::INFINITY,
-            at_secs: 0,
-        };
-        assert!(e.to_json().contains("\"cost\":\"inf\""));
-    }
-
-    #[test]
     fn every_variant_kind_is_unique() {
         let kinds: Vec<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
         let set: std::collections::BTreeSet<_> = kinds.iter().collect();
         assert_eq!(set.len(), kinds.len());
+    }
+
+    /// The README's schema table lists every kind in declaration order,
+    /// with its label and its JSON keys in rendering order, and nothing
+    /// else.
+    #[test]
+    fn readme_schema_table_matches_the_event_table() {
+        let readme = include_str!("../README.md");
+        let section = readme
+            .split("\n## Event schema\n")
+            .nth(1)
+            .expect("README has an `## Event schema` section");
+        let section = section.split("\n## ").next().unwrap_or(section);
+        let rows: Vec<(&str, Vec<&str>)> = section
+            .lines()
+            .filter(|line| line.starts_with("| `"))
+            .map(|line| {
+                let mut columns = line.split('|').skip(1).map(|c| c.trim().trim_matches('`'));
+                let label = columns.next().unwrap_or_default();
+                let fields = columns.next().unwrap_or_default();
+                (label, fields.split(',').map(str::trim).collect())
+            })
+            .collect();
+        for (i, kind) in EventKind::ALL.iter().enumerate() {
+            let want = (kind.name(), kind.fields().to_vec());
+            assert!(
+                rows.get(i) == Some(&want),
+                "README schema row {} should read:\n| `{}` | `{}` | ...\nbut reads {:?}",
+                i + 1,
+                kind.name(),
+                kind.fields().join(", "),
+                rows.get(i),
+            );
+        }
+        assert_eq!(
+            rows.len(),
+            EventKind::ALL.len(),
+            "README schema table has rows for kinds that do not exist: {:?}",
+            &rows[EventKind::ALL.len().min(rows.len())..],
+        );
     }
 }

@@ -6,10 +6,10 @@
 //! DTN replication the exception set only grows (gaps are permanent, see
 //! [`Knowledge`]), so steady-state encounters resend an ever-larger
 //! structure the source has mostly seen before. Knowledge is also
-//! *monotone*: a replica only learns versions, in an order its journal
-//! records ([`crate::journal`]). So the target remembers, per peer, the
-//! journal position and checksum of what it last conveyed, the source
-//! keeps one copy of that knowledge, and a request carries:
+//! *monotone*: a replica only learns versions, in an order its learning
+//! journal records. So the target remembers, per peer, the journal
+//! position and checksum of what it last conveyed, the source keeps one
+//! copy of that knowledge, and a request carries:
 //!
 //! * [`KnowledgeSummary::Unchanged`] — a checksum (nine bytes) when the
 //!   journal has not moved since the last exchange with this peer.
@@ -464,11 +464,11 @@ pub fn sync_with_digest(
     };
     let fallback_rounds = u64::from(resynced);
 
-    source
+    target
         .observer()
         .emit(EventKind::ReconDigest, || Event::ReconDigest {
-            replica: source_id.as_u64(),
-            peer: target_id.as_u64(),
+            replica: target_id.as_u64(),
+            peer: source_id.as_u64(),
             kind,
             digest_bytes,
             full_bytes,
@@ -496,7 +496,7 @@ pub fn sync_with_digest(
 
     // Both ends saw the exchange succeed: advance the per-peer state in
     // lockstep.
-    source_recon.note_exchange(digest_bytes, full_bytes, fallback_rounds);
+    target_recon.note_exchange(digest_bytes, full_bytes, fallback_rounds);
     target_recon.commit_sent(pending);
     let sent_filter = if resynced {
         Some(target.filter())
@@ -601,23 +601,23 @@ mod tests {
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
         // Nothing changed: the second exchange must be "unchanged".
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
-        assert_eq!(ra.stats().exchanges, 2);
-        assert_eq!(ra.stats().fallback_rounds, 0);
+        assert_eq!(rb.stats().exchanges, 2);
+        assert_eq!(rb.stats().fallback_rounds, 0);
         // b's knowledge changed a little (new items from c): delta path.
         for i in 0..4u8 {
             c.insert(dest("b"), vec![i]).unwrap();
         }
         digest_sync(&mut c, &mut rc_a, &mut b, &mut rc, 2);
-        let before = ra.stats().digest_bytes;
+        let before = rb.stats().digest_bytes;
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 3);
-        let delta_cost = ra.stats().digest_bytes - before;
-        assert_eq!(ra.stats().fallback_rounds, 0, "delta must apply cleanly");
+        let delta_cost = rb.stats().digest_bytes - before;
+        assert_eq!(rb.stats().fallback_rounds, 0, "delta must apply cleanly");
         // The delta must be far cheaper than resending 200+ versions of
         // knowledge in full.
         assert!(
-            delta_cost < ra.stats().full_bytes / 2,
+            delta_cost < rb.stats().full_bytes / 2,
             "delta {delta_cost}B vs cumulative full {}B",
-            ra.stats().full_bytes
+            rb.stats().full_bytes
         );
         assert_eq!(b.item_count(), 204);
     }
@@ -639,10 +639,10 @@ mod tests {
         // exchange); the third is the steady state digest mode is for.
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
-        let (d0, f0) = (ra.stats().digest_bytes, ra.stats().full_bytes);
+        let (d0, f0) = (rb.stats().digest_bytes, rb.stats().full_bytes);
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 2);
-        let steady = ra.stats().digest_bytes - d0;
-        let steady_full = ra.stats().full_bytes - f0;
+        let steady = rb.stats().digest_bytes - d0;
+        let steady_full = rb.stats().full_bytes - f0;
         assert!(
             steady * 4 < steady_full,
             "unchanged summary {steady}B vs full request {steady_full}B"
@@ -662,13 +662,13 @@ mod tests {
         // summary references a snapshot it no longer holds.
         ra.clear_peers();
         let report = digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
-        assert_eq!(ra.stats().fallback_rounds, 1, "resync round taken");
+        assert_eq!(rb.stats().fallback_rounds, 1, "resync round taken");
         assert_eq!(report.duplicates, 0);
         // And the fallback re-seeded the caches: next round is cheap again.
-        let before = ra.stats().digest_bytes;
+        let before = rb.stats().digest_bytes;
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 2);
-        assert!(ra.stats().digest_bytes - before < 64);
-        assert_eq!(ra.stats().fallback_rounds, 1);
+        assert!(rb.stats().digest_bytes - before < 64);
+        assert_eq!(rb.stats().fallback_rounds, 1);
     }
 
     #[test]
@@ -682,13 +682,13 @@ mod tests {
         for at in 0..3 {
             digest_sync(&mut a, &mut ra, &mut b, &mut rb, at);
         }
-        assert_eq!(ra.stats().fallback_rounds, 0);
+        assert_eq!(rb.stats().fallback_rounds, 0);
         assert_eq!(b.item_count(), 2);
         // full, then the delta carrying what the first batch taught b,
         // then nothing left to say.
-        let before = ra.stats().digest_bytes;
+        let before = rb.stats().digest_bytes;
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 3);
-        assert!(ra.stats().digest_bytes - before < 32, "unchanged summary");
+        assert!(rb.stats().digest_bytes - before < 32, "unchanged summary");
     }
 
     /// A source-side harness for resolving hand-made summaries: a
@@ -822,7 +822,7 @@ mod tests {
         }
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
-        assert_eq!(ra.stats().fallback_rounds, 0);
+        assert_eq!(rb.stats().fallback_rounds, 0);
         // Swap a's copy of b's knowledge for something else under the
         // label b will name, then let b learn a little: its delta lands on
         // a base that already holds the version, and adds up differently.
@@ -839,14 +839,14 @@ mod tests {
             2,
         );
         let report = digest_sync(&mut a, &mut ra, &mut b, &mut rb, 3);
-        assert_eq!(ra.stats().fallback_rounds, 1, "the bad delta resynced");
+        assert_eq!(rb.stats().fallback_rounds, 1, "the bad delta resynced");
         assert_eq!(report.duplicates, 0);
         assert_eq!(report.transmitted, 0, "b already had everything");
         // The resync re-seeded the copy: the next exchange is a checksum.
-        let before = ra.stats().digest_bytes;
+        let before = rb.stats().digest_bytes;
         digest_sync(&mut a, &mut ra, &mut b, &mut rb, 4);
-        assert_eq!(ra.stats().fallback_rounds, 1);
-        assert!(ra.stats().digest_bytes - before < 32);
+        assert_eq!(rb.stats().fallback_rounds, 1);
+        assert!(rb.stats().digest_bytes - before < 32);
     }
 
     #[test]

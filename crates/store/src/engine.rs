@@ -709,7 +709,7 @@ mod tests {
             s.checkpoint().unwrap();
         }
         let _ = Store::open_with(&dir, StoreConfig::default(), handle).unwrap();
-        let kinds: Vec<&'static str> = sink.take().iter().map(|e| e.kind()).collect();
+        let kinds: Vec<&'static str> = sink.take().iter().map(|e| e.event_kind().name()).collect();
         assert!(kinds.contains(&"wal_append"));
         assert!(kinds.contains(&"checkpoint_written"));
         assert_eq!(kinds.iter().filter(|k| **k == "store_recovered").count(), 2);

@@ -68,11 +68,12 @@ impl Trace {
         self.entries.is_empty()
     }
 
-    /// How many recorded events have the given [`Event::kind`] label.
+    /// How many recorded events have the given [`obs::EventKind::name`]
+    /// label.
     pub fn count(&self, kind: &str) -> usize {
         self.entries
             .iter()
-            .filter(|e| e.event.kind() == kind)
+            .filter(|e| e.event.event_kind().name() == kind)
             .count()
     }
 

@@ -64,7 +64,7 @@ impl Observer for Subscriber {
         assert!(
             self.interest.contains(event.event_kind()),
             "delivered an unsubscribed {}",
-            event.kind()
+            event.event_kind().name()
         );
         self.seen.on_event(event);
     }

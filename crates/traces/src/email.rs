@@ -121,11 +121,11 @@ impl EmailConfig {
         }
     }
 
-    /// A city-scale workload matching [`DieselNetConfig::city`]
-    /// (`crate::DieselNetConfig::city`): `scale`× the users and messages,
-    /// with the injection interval tightened so the same two-hour morning
-    /// window still fits the whole day's mail — at large scales that is
-    /// millions of messages per experiment from a one-second cadence.
+    /// A city-scale workload matching [`crate::DieselNetConfig::city`]:
+    /// `scale`× the users and messages, with the injection interval
+    /// tightened so the same two-hour morning window still fits the whole
+    /// day's mail — at large scales that is millions of messages per
+    /// experiment from a one-second cadence.
     pub fn city(scale: usize) -> Self {
         let scale = scale.max(1);
         EmailConfig {

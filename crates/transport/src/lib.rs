@@ -22,9 +22,9 @@
 //!   `NetNode::sync_with` are both a call into it; a pooled connection
 //!   that died in the pool costs one redial, a peer that goes quiet fails
 //!   the session as [`SessionError::Stalled`].
-//! * [`Peer`] and [`Mesh`] — a TCP listener serving sessions on a thread
-//!   per connection, plus an anti-entropy loop; the `net` crate serves
-//!   the same machine from a nonblocking reactor instead, and drives
+//! * [`Peer`] — a TCP listener serving sessions on a thread per
+//!   connection; the `net` crate serves the same machine from a
+//!   nonblocking reactor instead, runs the anti-entropy loop, and drives
 //!   the outbound sessions nobody blocks on.
 //!
 //! ```no_run
@@ -51,13 +51,11 @@ pub mod gossip;
 pub mod membership;
 pub mod session;
 
-mod mesh;
 mod peer;
 
 pub use conn::{pump, Connection};
 pub use dial::{DialConfig, Dialed, Dialer, Outbound};
 pub use gossip::{GossipMessage, PeerStatus, PeerWire};
 pub use membership::{Membership, MembershipConfig, PeerView, TickReport};
-pub use mesh::{Mesh, MeshConfig};
 pub use peer::{Peer, TransportError};
 pub use session::{Progress, SessionError, SessionMachine, SessionOutcome, SessionReport};

@@ -121,7 +121,7 @@ fn every_event_serializes_to_one_parseable_json_line() {
         };
         let kind = fields.iter().find(|(k, _)| k == "event");
         match kind {
-            Some((_, json::Value::String(kind))) => assert_eq!(kind, event.kind()),
+            Some((_, json::Value::String(kind))) => assert_eq!(kind, event.event_kind().name()),
             other => panic!("missing/invalid event field {other:?} in {line}"),
         }
     }
