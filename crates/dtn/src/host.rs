@@ -1,21 +1,19 @@
 //! A DTN host: one replica bundled with its routing policy and addresses.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
 use obs::{DropReason, Event, EventKind, Span};
-use pfr::digest::{self, DigestRequest, PendingExchange, ReconStats, SummaryOutcome};
-use pfr::sync::{self, SyncReport};
+use pfr::digest::ReconStats;
+use pfr::exchange::{self, Pull, Reply, Request};
+use pfr::sync::{self, BatchEntry, NoExtension, SyncBatch, SyncExtension, SyncReport, SyncRequest};
 use pfr::{
-    Filter, ItemId, KnowledgeTotals, PfrError, ReconState, Replica, ReplicaId, RoutingState,
-    SimTime, SyncLimits, SyncMode,
+    Filter, ItemId, PfrError, ReconState, Replica, ReplicaId, SimTime, SyncLimits, SyncMode,
 };
 
 use crate::durable::RestoreError;
 use crate::messaging::{self, Message};
 use crate::policy::{DtnPolicy, PolicyKind};
-use crate::recon::{DigestExt, RoutingLinks};
 
 /// Resource limits applied to one encounter (paper §VI-D).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,34 +83,6 @@ impl EncounterReport {
     }
 }
 
-/// Target-side continuation of a digest-mode network session: created by
-/// [`DtnNode::begin_digest_session`], held by the transport across the
-/// wire round trip, and consumed by [`DtnNode::commit_digest_session`]
-/// once the batch is applied. Dropping it (a torn session) leaves the
-/// per-peer digest state untouched, which the next exchange repairs with
-/// one fallback round. It holds no copy of the node's knowledge: the full
-/// request is built only if the source demands it
-/// ([`DtnNode::digest_resync_request`]).
-#[derive(Debug)]
-pub struct DigestSessionState {
-    pending: PendingExchange,
-    /// The session's routing data, for the full request a resync needs.
-    routing: RoutingState<'static>,
-    kind: &'static str,
-}
-
-/// What a digest request resolved to on the source side of a network
-/// session (see [`DtnNode::respond_digest`]).
-#[derive(Debug)]
-pub enum DigestResponse {
-    /// Candidates resolved exactly; this batch closes the exchange.
-    Batch(pfr::sync::SyncBatch),
-    /// The summary references state this side does not hold; the target
-    /// must retransmit a plain full request
-    /// ([`DtnNode::respond_digest_resync`] serves it).
-    Resync,
-}
-
 /// One device in the DTN: a replica, a routing policy, and the set of
 /// addresses it answers for.
 ///
@@ -148,8 +118,9 @@ pub struct DtnNode {
     sync_mode: SyncMode,
     /// Reconciliation snapshots for digest-mode knowledge exchange.
     recon: ReconState,
-    /// Per-peer routing-state envelope caches (digest mode only).
-    links: RoutingLinks,
+    /// What a budgeted encounter's delivery phase syncs under instead of
+    /// the policy: plain filtered replication (zero-sized).
+    plain: NoExtension,
 }
 
 /// Writes an address set: a count, then each string.
@@ -201,7 +172,7 @@ impl PersistedNode {
             next_expiry: None,
             sync_mode: SyncMode::default(),
             recon: ReconState::new(),
-            links: RoutingLinks::default(),
+            plain: NoExtension,
         }
     }
 }
@@ -224,7 +195,7 @@ impl DtnNode {
             next_expiry: None,
             sync_mode: SyncMode::default(),
             recon: ReconState::new(),
-            links: RoutingLinks::default(),
+            plain: NoExtension,
         };
         node.refresh_filter();
         node
@@ -263,18 +234,17 @@ impl DtnNode {
         self.sync_mode
     }
 
-    /// Selects how encounters exchange sync metadata. In
-    /// [`SyncMode::Digest`], knowledge vectors travel as compact
-    /// reconciliation digests and routing state is delta-encoded against
-    /// the last copy the peer saw — but only when *both* encounter
-    /// parties run digest mode; a mixed pair falls back to full requests.
+    /// Selects the shape of the requests this node pulls with. In
+    /// [`SyncMode::Digest`], its knowledge travels as a compact summary
+    /// against what the source last saw; routing state travels verbatim
+    /// in either mode. A node answers both shapes whatever its own mode,
+    /// so a mixed pair syncs each direction in its puller's mode.
     /// Switching modes drops the per-peer digest caches, so the first
     /// digest exchange with each peer starts from scratch.
     pub fn set_sync_mode(&mut self, mode: SyncMode) {
         if self.sync_mode != mode {
             self.sync_mode = mode;
             self.recon.clear_peers();
-            self.links.clear();
         }
     }
 
@@ -285,13 +255,11 @@ impl DtnNode {
         self.recon.stats()
     }
 
-    /// Drops all digest caches — reconciliation snapshots and routing
-    /// envelope bases — as a crash that lost in-memory state would. The
-    /// next digest exchange with every peer resolves through the
-    /// fallback path and reseeds the caches; deliveries are unaffected.
+    /// Drops the digest caches, as a crash that lost in-memory state
+    /// would. The next digest exchange with every peer resolves through
+    /// the fallback path and reseeds them; deliveries are unaffected.
     pub fn clear_recon_state(&mut self) {
         self.recon.clear_peers();
-        self.links.clear();
     }
 
     /// Swaps in a new policy instance, discarding the old one's in-memory
@@ -423,8 +391,13 @@ impl DtnNode {
     /// deleted, so their tombstones chase down the remaining copies.
     /// Returns how many messages were expired locally.
     ///
-    /// [`DtnNode::encounter`] calls this on both parties before syncing, so
-    /// applications using bounded lifetimes need no extra bookkeeping.
+    /// The sync steps that open a pull or serve a request
+    /// ([`DtnNode::open_pull`], [`DtnNode::serve`],
+    /// [`DtnNode::serve_resync`]) call this first, at the session clock.
+    /// So both drivers — [`DtnNode::encounter`] and a network session —
+    /// drop what has expired before it moves, and applications using
+    /// bounded lifetimes need no extra bookkeeping. A copy that arrives
+    /// already expired is dropped at its holder's next such step.
     pub fn expire_messages(&mut self, now: SimTime) -> usize {
         // Watermark fast path: skip the store scan entirely when nothing
         // can have expired since the last one. Syncs lower the watermark
@@ -483,7 +456,9 @@ impl DtnNode {
 
     /// Runs one encounter with `other`: two pairwise syncs, alternating the
     /// source/target roles (as the paper's experiments do), under a shared
-    /// message budget.
+    /// message budget. `other` pulls first, as a network session's
+    /// initiator does; each sync runs the same halves a session does, with
+    /// the messages handed across in memory.
     ///
     /// When the budget is limited, destination-addressed (filter-matched)
     /// messages claim the channel first in both directions — the priority
@@ -503,10 +478,6 @@ impl DtnNode {
             self.replica.id().as_u64(),
             other.replica.id().as_u64(),
         );
-
-        // Bounded-lifetime housekeeping before anything moves.
-        self.expire_messages(now);
-        other.expire_messages(now);
 
         let mut remaining = budget.max_messages;
         if remaining.is_some() {
@@ -555,40 +526,121 @@ impl DtnNode {
         report
     }
 
-    /// Begins a sync session in which this node is the *target* (the side
-    /// that receives items): produces the request to send to the source.
-    /// Used by network transports; local encounters use
-    /// [`DtnNode::encounter`].
-    pub fn begin_sync_session(
-        &mut self,
-        source: ReplicaId,
-        now: SimTime,
-    ) -> pfr::sync::SyncRequest<'_> {
-        sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source))
+    // --- The two halves of a sync ---------------------------------------
+    //
+    // A sync is a pull (this node is the target) and a serve (this node is
+    // the source), run by [`pfr::exchange`]; these steps wrap them with the
+    // node's policy, digest state and expiry watermark. A network session
+    // holds one side and carries the messages as frames;
+    // [`DtnNode::encounter`] holds both and hands them across in memory.
+    //
+    // Per-peer digest state advances independently per side (the target
+    // commits when it finishes its pull, the source when it serves). A
+    // session torn between the two leaves the sides disagreeing, which the
+    // next exchange detects by checksum and resolves as a fallback round —
+    // degraded bandwidth once, never wrong candidates.
+
+    /// Opens a pull in which this node is the *target*: expires messages
+    /// at the session clock, then returns the request to send `source` —
+    /// in this node's [`SyncMode`] — and the pull to finish with its
+    /// batch. A full request borrows the node until it is encoded or
+    /// served.
+    pub fn open_pull(&mut self, source: ReplicaId, now: SimTime) -> (Pull, Request<'_>) {
+        self.open_pull_under(true, source, now)
     }
 
-    /// Answers a sync request as the *source*: selects, orders, and limits
-    /// the batch of items for the requesting target.
-    pub fn respond_sync(
+    /// Finishes a pull with the source's batch (see [`Pull::finish`]) and
+    /// lowers the expiry watermark to what arrived. Returns the report and
+    /// the batch's drained entry buffer.
+    pub fn finish_pull(
         &mut self,
-        request: &pfr::sync::SyncRequest,
+        pull: Pull,
+        batch: SyncBatch,
+        now: SimTime,
+    ) -> (SyncReport, Vec<BatchEntry>) {
+        self.finish_pull_under(true, pull, batch, now)
+    }
+
+    /// Answers a request as the *source*: expires messages at the session
+    /// clock, then serves it (see [`exchange::serve`]).
+    pub fn serve(&mut self, request: Request<'_>, limits: SyncLimits, now: SimTime) -> Reply {
+        self.serve_under(true, request, limits, now)
+    }
+
+    /// Serves the full request a target retransmits after
+    /// [`Reply::Resync`], expiring messages first like
+    /// [`DtnNode::serve`] (see [`exchange::serve_resync`]).
+    pub fn serve_resync(
+        &mut self,
+        request: SyncRequest<'_>,
         limits: SyncLimits,
         now: SimTime,
-    ) -> pfr::sync::SyncBatch {
-        sync::prepare_batch(
-            &mut self.replica,
-            self.policy.as_mut(),
-            request,
-            limits,
-            now,
-        )
+    ) -> SyncBatch {
+        self.serve_resync_under(true, request, limits, now)
     }
 
-    /// Applies a received batch as the *target*, completing the session.
-    pub fn apply_sync(&mut self, batch: pfr::sync::SyncBatch, now: SimTime) -> SyncReport {
-        let report = sync::apply_batch(&mut self.replica, self.policy.as_mut(), batch, now);
+    /// The replica, the extension a sync step runs under — the routing
+    /// policy, or none for a budgeted encounter's delivery phase — and the
+    /// digest state.
+    fn parts(
+        &mut self,
+        with_policy: bool,
+    ) -> (&mut Replica, &mut dyn SyncExtension, &mut ReconState) {
+        let ext: &mut dyn SyncExtension = if with_policy {
+            self.policy.as_mut()
+        } else {
+            &mut self.plain
+        };
+        (&mut self.replica, ext, &mut self.recon)
+    }
+
+    fn open_pull_under(
+        &mut self,
+        with_policy: bool,
+        source: ReplicaId,
+        now: SimTime,
+    ) -> (Pull, Request<'_>) {
+        self.expire_messages(now);
+        let mode = self.sync_mode;
+        let (replica, ext, recon) = self.parts(with_policy);
+        Pull::open(replica, ext, recon, mode, source, now)
+    }
+
+    fn finish_pull_under(
+        &mut self,
+        with_policy: bool,
+        pull: Pull,
+        batch: SyncBatch,
+        now: SimTime,
+    ) -> (SyncReport, Vec<BatchEntry>) {
+        let (replica, ext, recon) = self.parts(with_policy);
+        let (report, entries) = pull.finish(replica, ext, recon, batch, now);
         self.lower_expiry(&report);
-        report
+        (report, entries)
+    }
+
+    fn serve_under(
+        &mut self,
+        with_policy: bool,
+        request: Request<'_>,
+        limits: SyncLimits,
+        now: SimTime,
+    ) -> Reply {
+        self.expire_messages(now);
+        let (replica, ext, recon) = self.parts(with_policy);
+        exchange::serve(replica, ext, recon, request, limits, now)
+    }
+
+    fn serve_resync_under(
+        &mut self,
+        with_policy: bool,
+        request: SyncRequest<'_>,
+        limits: SyncLimits,
+        now: SimTime,
+    ) -> SyncBatch {
+        self.expire_messages(now);
+        let (replica, ext, recon) = self.parts(with_policy);
+        exchange::serve_resync(replica, ext, recon, request, limits, now)
     }
 
     /// Lowers a known expiry watermark to cover the items a sync stored
@@ -603,173 +655,28 @@ impl DtnNode {
         }
     }
 
-    // --- Digest-mode network sessions -----------------------------------
-    //
-    // The in-process encounter path drives both parties through
-    // [`pfr::digest::sync_with_digest`]; a network transport holds only
-    // one side, so the same exchange is split into target-role
-    // ([`DtnNode::begin_digest_session`] .. [`DtnNode::commit_digest_session`])
-    // and source-role ([`DtnNode::respond_digest`], then
-    // [`DtnNode::respond_digest_resync`] if it asked for one) calls with
-    // the wire round trips in between. Routing state rides verbatim here —
-    // the delta envelopes of the local path need a same-process back
-    // channel to recover from cache loss, which a socket does not offer.
-    //
-    // Per-peer digest state advances independently per side (the target
-    // commits after applying the batch, the source when it serves one). A
-    // session torn between the two leaves the sides disagreeing, which the
-    // next exchange detects by checksum and resolves as a fallback round —
-    // degraded bandwidth once, never wrong candidates.
+    /// A plain full-mode request in which this node is the *target*,
+    /// borrowing its knowledge, filter and routing data; nothing expires
+    /// and nothing is committed. Serve it with [`DtnNode::respond_sync`].
+    pub fn begin_sync_session(&mut self, source: ReplicaId, now: SimTime) -> SyncRequest<'_> {
+        sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source))
+    }
 
-    /// Begins a digest-mode sync session in which this node is the
-    /// *target*: produces the compact request to send to the source, plus
-    /// the continuation the transport holds across the round trip.
-    pub fn begin_digest_session(
+    /// Answers a full-mode request as the *source*: selects, orders, and
+    /// limits the batch of items for the requesting target.
+    pub fn respond_sync(
         &mut self,
-        source: ReplicaId,
+        request: &SyncRequest,
+        limits: SyncLimits,
         now: SimTime,
-    ) -> (DigestRequest<'static>, DigestSessionState) {
-        // The session outlives this borrow of the node and may have to
-        // retransmit: the routing data is encoded here.
-        let routing = sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source))
-            .routing
-            .into_owned();
-        let (request, pending) =
-            self.recon
-                .build_request(source, &mut self.replica, routing.clone());
-        let kind = request.summary.kind();
-        (
+    ) -> SyncBatch {
+        sync::prepare_batch(
+            &mut self.replica,
+            self.policy.as_mut(),
             request,
-            DigestSessionState {
-                pending,
-                routing,
-                kind,
-            },
+            limits,
+            now,
         )
-    }
-
-    /// The equivalent full-mode request, for a target whose source
-    /// answered [`DigestResponse::Resync`]. Borrows the node's knowledge
-    /// and filter as they are *now* (encode it before releasing the node)
-    /// and re-stamps the session to match what it conveys.
-    pub fn digest_resync_request(
-        &self,
-        state: &mut DigestSessionState,
-    ) -> pfr::sync::SyncRequest<'_> {
-        state.pending.restamp(&self.replica);
-        pfr::sync::SyncRequest {
-            target: self.replica.id(),
-            knowledge: Cow::Borrowed(self.replica.knowledge()),
-            filter: Cow::Borrowed(self.replica.filter()),
-            routing: state.routing.clone(),
-        }
-    }
-
-    /// Completes a digest session as the *target*: advances this peer's
-    /// journal position, folds the byte accounting into
-    /// [`DtnNode::recon_stats`], and emits the session's `ReconDigest`
-    /// event.
-    pub fn commit_digest_session(
-        &mut self,
-        source: ReplicaId,
-        state: DigestSessionState,
-        digest_bytes: u64,
-        fallback_rounds: u64,
-    ) {
-        // A resync that retransmitted the full request is accounted as a
-        // "full" exchange, mirroring the in-process driver.
-        let kind = if fallback_rounds > 0 {
-            "full"
-        } else {
-            state.kind
-        };
-        let full_bytes = state.pending.full_bytes();
-        self.replica
-            .observer()
-            .emit(EventKind::ReconDigest, || Event::ReconDigest {
-                replica: self.replica.id().as_u64(),
-                peer: source.as_u64(),
-                kind,
-                digest_bytes,
-                full_bytes,
-                fallback_rounds,
-            });
-        self.recon
-            .note_exchange(digest_bytes, full_bytes, fallback_rounds);
-        self.recon.commit_sent(state.pending);
-    }
-
-    /// Answers a digest request as the *source*. A [`DigestResponse::Batch`]
-    /// closes the exchange in one reply; a [`DigestResponse::Resync`] needs
-    /// one more round trip ([`DtnNode::respond_digest_resync`] after the
-    /// target retransmits a full request). The request is consumed: a full
-    /// summary's knowledge moves into this node's copy of the peer's
-    /// knowledge instead of being cloned into it.
-    pub fn respond_digest(
-        &mut self,
-        request: DigestRequest<'_>,
-        limits: SyncLimits,
-        now: SimTime,
-    ) -> DigestResponse {
-        let DigestRequest {
-            target,
-            summary,
-            filter_fingerprint,
-            filter: inline_filter,
-            routing,
-        } = request;
-        // Not knowing the filter the peer elided is a desync like a lost
-        // copy of its knowledge: both end in a resync round, which
-        // re-seeds both.
-        let SummaryOutcome::Resolved { knowledge, totals } = self.recon.resolve(target, summary)
-        else {
-            return DigestResponse::Resync;
-        };
-        let Some(filter) =
-            self.recon
-                .effective_filter(target, filter_fingerprint, inline_filter.as_ref())
-        else {
-            return DigestResponse::Resync;
-        };
-        // The knowledge is lent to the batch, then moves into the peer's
-        // cached copy.
-        let full = pfr::sync::SyncRequest {
-            target,
-            knowledge: Cow::Borrowed(&knowledge),
-            filter: Cow::Borrowed(filter),
-            routing,
-        };
-        let batch =
-            sync::prepare_batch(&mut self.replica, self.policy.as_mut(), &full, limits, now);
-        drop(full);
-        self.recon.commit_peer(
-            target,
-            (knowledge, totals),
-            filter_fingerprint,
-            inline_filter.as_ref(),
-        );
-        DigestResponse::Batch(batch)
-    }
-
-    /// Serves the full request a target retransmits after a
-    /// [`DigestResponse::Resync`], caching the now exactly-known peer
-    /// state so the *next* exchange can summarize again.
-    pub fn respond_digest_resync(
-        &mut self,
-        request: pfr::sync::SyncRequest<'static>,
-        limits: SyncLimits,
-        now: SimTime,
-    ) -> pfr::sync::SyncBatch {
-        let batch = self.respond_sync(&request, limits, now);
-        let knowledge = request.knowledge.into_owned();
-        let totals = KnowledgeTotals::of(&knowledge);
-        self.recon.commit_peer(
-            request.target,
-            (knowledge, totals),
-            request.filter.fingerprint(),
-            Some(request.filter.as_ref()),
-        );
-        batch
     }
 
     /// Serializes the node's full durable state: replica snapshot, address
@@ -894,11 +801,10 @@ impl DtnNode {
     }
 }
 
-/// One directional sync between two co-located nodes, routed through the
-/// digest layer when *both* sides run [`SyncMode::Digest`] (a mixed pair
-/// speaks the lowest common denominator: full requests). `with_policy`
-/// selects the routing-policy extensions; phase-1 delivery syncs pass
-/// `false` and run plain filtered replication.
+/// One directional sync between two co-located nodes: `target` pulls from
+/// `source` in its own mode, through the same steps a network session
+/// runs. `with_policy` selects the routing-policy extensions; phase-1
+/// delivery syncs pass `false` and run plain filtered replication.
 fn node_sync(
     source: &mut DtnNode,
     target: &mut DtnNode,
@@ -906,87 +812,20 @@ fn node_sync(
     limits: SyncLimits,
     now: SimTime,
 ) -> SyncReport {
-    let report = exchange(source, target, with_policy, limits, now);
-    target.lower_expiry(&report);
-    report
-}
-
-/// The exchange itself, in the mode both nodes agree on.
-fn exchange(
-    source: &mut DtnNode,
-    target: &mut DtnNode,
-    with_policy: bool,
-    limits: SyncLimits,
-    now: SimTime,
-) -> SyncReport {
-    if source.sync_mode != SyncMode::Digest || target.sync_mode != SyncMode::Digest {
-        let (mut none_s, mut none_t) = (sync::NoExtension, sync::NoExtension);
-        return if with_policy {
-            sync::sync_with(
-                &mut source.replica,
-                source.policy.as_mut(),
-                &mut target.replica,
-                target.policy.as_mut(),
-                limits,
-                now,
-            )
-        } else {
-            sync::sync_with(
-                &mut source.replica,
-                &mut none_s,
-                &mut target.replica,
-                &mut none_t,
-                limits,
-                now,
-            )
-        };
-    }
-
-    let source_id = source.replica.id();
-    let target_id = target.replica.id();
-    let (report, routing_desync) = if with_policy {
-        let (source_link, target_link) =
-            (source.links.link(target_id), target.links.link(source_id));
-        // Both ends of the envelope are in hand: a base the source no
-        // longer holds (it rebooted or was spilled) is dropped before the
-        // target deltas against it, so the policy never loses a round's
-        // routing data to a delta that cannot decode.
-        if source_link.rx != target_link.tx {
-            target_link.tx = None;
+    let (mut pull, request) = target.open_pull_under(with_policy, source.id(), now);
+    let batch = match source.serve_under(with_policy, request, limits, now) {
+        Reply::Batch(batch) => batch,
+        Reply::Resync => {
+            let request = pull
+                .resync(&target.replica)
+                .expect("only a digest pull is asked to resync, and once");
+            source.serve_resync_under(with_policy, request, limits, now)
         }
-        let mut source_ext = DigestExt::new(source.policy.as_mut(), source_link);
-        let mut target_ext = DigestExt::new(target.policy.as_mut(), target_link);
-        let report = digest::sync_with_digest(
-            &mut source.replica,
-            &mut source_ext,
-            &mut source.recon,
-            &mut target.replica,
-            &mut target_ext,
-            &mut target.recon,
-            limits,
-            now,
-        );
-        (report, source_ext.decode_failed)
-    } else {
-        let (mut none_s, mut none_t) = (sync::NoExtension, sync::NoExtension);
-        let report = digest::sync_with_digest(
-            &mut source.replica,
-            &mut none_s,
-            &mut source.recon,
-            &mut target.replica,
-            &mut none_t,
-            &mut target.recon,
-            limits,
-            now,
-        );
-        (report, false)
     };
-    if routing_desync {
-        // The source could not reconstruct the target's routing envelope
-        // (the target's delta assumed a base this side no longer holds);
-        // make the target resend the full payload at the next meeting.
-        target.links.reset_tx(source_id);
-    }
+    let (report, entries) = target.finish_pull_under(with_policy, pull, batch, now);
+    // Both ends are in hand: the drained buffer goes back to the source
+    // for its next batch.
+    source.replica.recycle_batch_entries(entries);
     report
 }
 
@@ -1220,21 +1059,26 @@ mod tests {
         assert_eq!(b.inbox().len(), 1);
 
         // The destination keeps its delivery past the lifetime and, as an
-        // epidemic source, still serves it; the relay that took it drops
-        // it at its next encounter.
+        // epidemic source, still serves it; the relay that takes it drops
+        // it at its next step — here the serve that follows in the same
+        // encounter — so it never hands it on.
         b.encounter(
             &mut c,
             SimTime::from_hms(0, 2, 0, 0),
             EncounterBudget::unlimited(),
         );
         assert!(b.replica().contains_item(id));
-        assert!(c.replica().contains_item(id));
+        let version = b.replica().item(id).unwrap().version();
+        assert!(
+            c.replica().knowledge().contains(version),
+            "the relay took it"
+        );
+        assert!(!c.replica().contains_item(id), "relay copy purged");
         c.encounter(
             &mut d,
             SimTime::from_hms(0, 3, 0, 0),
             EncounterBudget::unlimited(),
         );
-        assert!(!c.replica().contains_item(id), "relay copy purged");
         assert!(!d.replica().contains_item(id));
     }
 
@@ -1262,9 +1106,18 @@ mod tests {
             let now = SimTime::from_hms(0, 0, 30, 0);
             assert_eq!(target.expire_messages(now), 0);
 
-            let request = target.begin_sync_session(source.id(), now).into_owned();
-            let batch = source.respond_sync(&request, SyncLimits::unlimited(), now);
-            assert_eq!(target.apply_sync(batch, now).relayed, 1);
+            // The request and the batch each cross as bytes.
+            let (pull, request) = target.open_pull(source.id(), now);
+            let Request::Full(request) = request else {
+                panic!("a full-mode node pulls with a full request")
+            };
+            let request =
+                Request::Full(pfr::wire::from_bytes(&pfr::wire::to_bytes(&request)).unwrap());
+            let Reply::Batch(batch) = source.serve(request, SyncLimits::unlimited(), now) else {
+                panic!("a full request is served with a batch")
+            };
+            let batch = pfr::wire::from_bytes(&pfr::wire::to_bytes(&batch)).unwrap();
+            assert_eq!(target.finish_pull(pull, batch, now).0.relayed, 1);
 
             assert_eq!(target.expire_messages(now), 0, "not before its time");
             assert!(target.replica().contains_item(short));
@@ -1528,21 +1381,23 @@ mod tests {
     }
 
     #[test]
-    fn mixed_mode_pairs_fall_back_to_full_requests() {
+    fn mixed_mode_pairs_pull_in_each_pullers_mode() {
+        // Only the pulling side's mode matters: every node answers both
+        // request shapes, as over a socket.
         let mut a = node(1, "a", PolicyKind::Epidemic);
         let mut b = node(2, "b", PolicyKind::Epidemic);
         a.set_sync_mode(SyncMode::Digest);
-        // b stays in full mode: deliveries work, no digests are spoken.
         a.send("b", b"m".to_vec(), SimTime::ZERO).unwrap();
+        b.send("a", b"n".to_vec(), SimTime::ZERO).unwrap();
         let report = a.encounter(&mut b, SimTime::from_secs(1), EncounterBudget::unlimited());
-        assert_eq!(report.delivered, 1);
-        assert_eq!(a.recon_stats().exchanges, 0);
+        assert_eq!(report.delivered, 2);
+        assert_eq!(a.recon_stats().exchanges, 1);
         assert_eq!(b.recon_stats().exchanges, 0);
     }
 
-    /// The routing envelope is transparent: PROPHET learns exactly the
-    /// same predictabilities through delta-encoded vectors as through raw
-    /// ones.
+    /// Routing state travels verbatim in either mode: PROPHET learns
+    /// exactly the same predictabilities through digest requests as
+    /// through full ones.
     #[test]
     fn digest_mode_preserves_prophet_routing_state() {
         let run = |mode: SyncMode| {

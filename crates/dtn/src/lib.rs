@@ -11,7 +11,11 @@
 //!   [`EpidemicPolicy`], [`SprayAndWaitPolicy`], [`ProphetPolicy`], and
 //!   [`MaxPropPolicy`], plus the [`DirectDelivery`] baseline;
 //! * a node bundle ([`DtnNode`]) tying a replica, a policy, and a set of
-//!   addresses together and running budgeted encounters.
+//!   addresses together. Its sync steps wrap [`pfr::exchange`]'s pull and
+//!   serve halves with the node's policy, digest state and message
+//!   expiry; a network session drives them one side at a time, and
+//!   [`DtnNode::encounter`] drives both sides of a budgeted encounter in
+//!   memory.
 //!
 //! The underlying replication guarantees — eventual filter consistency,
 //! at-most-once delivery, compact knowledge — come from the [`pfr`] crate
@@ -49,7 +53,6 @@ mod host;
 mod maxprop;
 mod policy;
 mod prophet;
-mod recon;
 mod spray;
 mod twohop;
 
@@ -58,9 +61,7 @@ pub mod messaging;
 pub use direct::DirectDelivery;
 pub use durable::RestoreError;
 pub use epidemic::{EpidemicPolicy, ATTR_TTL};
-pub use host::{
-    DigestResponse, DigestSessionState, DtnNode, EncounterBudget, EncounterReport, SnapshotScratch,
-};
+pub use host::{DtnNode, EncounterBudget, EncounterReport, SnapshotScratch};
 pub use maxprop::{MaxPropPolicy, ATTR_HOPLIST};
 pub use messaging::{FilterStrategy, Message};
 pub use policy::{DtnPolicy, PolicyKind, PolicySummary};

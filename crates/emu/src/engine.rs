@@ -124,11 +124,10 @@ pub struct EmulationConfig {
     pub observer: Option<Arc<dyn Observer>>,
     /// How encounters exchange sync metadata (see
     /// [`DtnNode::set_sync_mode`]): [`SyncMode::Full`] sends complete
-    /// knowledge vectors and routing payloads; [`SyncMode::Digest`]
-    /// replaces them with compact reconciliation digests and routing
-    /// deltas. Delivery results are identical in both modes — only the
-    /// metadata bytes on the wire differ (`recon.*` counters account the
-    /// savings).
+    /// knowledge vectors; [`SyncMode::Digest`] replaces them with compact
+    /// reconciliation digests. Routing payloads travel verbatim in both.
+    /// Delivery results are identical in both modes — only the metadata
+    /// bytes on the wire differ (`recon.*` counters account the savings).
     pub sync_mode: SyncMode,
     /// Number of shards the fleet is partitioned into (`None`: one).
     /// Metrics are identical for any shard count — the differential
@@ -633,10 +632,9 @@ mod tests {
     }
 
     /// Crash injection wipes digest caches mid-run: knowledge exchange
-    /// falls back to full retransmission (candidates stay exact), while a
-    /// routing-envelope miss costs one exchange of routing metadata per
-    /// peer — relay traffic may drift, but the replication guarantees and
-    /// deliveries must hold up.
+    /// falls back to full retransmission, candidates stay exact, and
+    /// routing state travels verbatim in either mode — so the run is the
+    /// Full-mode run.
     #[test]
     fn digest_mode_survives_crash_injection() {
         let (trace, workload) = small_setup();
@@ -657,13 +655,7 @@ mod tests {
         let (digest, nodes) = run(SyncMode::Digest);
         assert!(digest.reboots > 0, "crashes must actually happen");
         assert_eq!(digest.duplicates, 0, "at-most-once survives cache loss");
-        assert_eq!(digest.injected(), full.injected());
-        assert!(
-            digest.delivery_rate() >= full.delivery_rate() * 0.9,
-            "lost digest caches must not dent delivery: {} vs {}",
-            digest.delivery_rate(),
-            full.delivery_rate()
-        );
+        assert_eq!(digest, full, "lost digest caches changed the run");
         let fallbacks: u64 = nodes
             .values()
             .map(|n| n.recon_stats().fallback_rounds)

@@ -29,19 +29,18 @@
 //! falls back to a full request: degraded bandwidth, never degraded
 //! convergence. Fallbacks are counted in the `recon.fallback_rounds`
 //! observability counter.
+//!
+//! This module holds the summaries and the per-peer state behind them;
+//! [`crate::exchange`] runs them as the two halves of a sync.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
-
-use obs::{Event, EventKind};
 
 use crate::filter::Filter;
 use crate::id::{ReplicaId, Version};
 use crate::journal::KnowledgeTotals;
 use crate::knowledge::Knowledge;
 use crate::replica::Replica;
-use crate::sync::{self, RoutingState, SyncExtension, SyncLimits, SyncReport, SyncRequest};
-use crate::time::SimTime;
+use crate::sync::RoutingState;
 use crate::wire;
 
 /// How sync requests travel between two replicas.
@@ -115,9 +114,10 @@ impl KnowledgeSummary {
     }
 }
 
-/// Digest-mode replacement for [`SyncRequest`]: same target identity and
-/// routing state, but knowledge travels as a [`KnowledgeSummary`] and the
-/// filter is elided once the peer has acknowledged it by fingerprint.
+/// Digest-mode replacement for [`SyncRequest`](crate::sync::SyncRequest):
+/// same target identity and routing state, but knowledge travels as a
+/// [`KnowledgeSummary`] and the filter is elided once the peer has
+/// acknowledged it by fingerprint.
 #[derive(Clone, Debug)]
 pub struct DigestRequest<'a> {
     /// The requesting (target) replica.
@@ -182,6 +182,11 @@ pub struct PendingExchange {
 }
 
 impl PendingExchange {
+    /// The peer the exchange is with.
+    pub(crate) fn peer(&self) -> ReplicaId {
+        self.peer
+    }
+
     /// Encoded size of the equivalent full-mode request: the bytes full
     /// mode would have spent where the digest went instead.
     pub fn full_bytes(&self) -> u64 {
@@ -405,113 +410,13 @@ impl ReconState {
     }
 }
 
-/// Runs one full one-directional **digest-mode** sync in process:
-/// `target` pulls from `source`, with each side's [`ReconState`] holding
-/// its per-peer state. Delivery behaviour is identical to
-/// [`sync::sync_with`] — same candidates, same batch, same events — plus
-/// one [`Event::ReconDigest`] accounting the metadata bytes both modes
-/// would have spent. The request is built, measured, resolved and
-/// committed by the same code the network entry points run; what this
-/// path saves is the frames — it lends the knowledge where a transport
-/// would encode it.
-#[allow(clippy::too_many_arguments)]
-pub fn sync_with_digest(
-    source: &mut Replica,
-    source_ext: &mut dyn SyncExtension,
-    source_recon: &mut ReconState,
-    target: &mut Replica,
-    target_ext: &mut dyn SyncExtension,
-    target_recon: &mut ReconState,
-    limits: SyncLimits,
-    now: SimTime,
-) -> SyncReport {
-    let source_id = source.id();
-    let target_id = target.id();
-    let routing = sync::generate_routing(target, target_ext, now, Some(source_id));
-    let (digest_request, pending) = target_recon.build_request(source_id, target, routing);
-    let full_bytes = pending.full_bytes;
-    let mut digest_bytes = wire::encoded_len(&digest_request) as u64;
-    let mut kind = digest_request.summary.kind();
-    let DigestRequest {
-        summary,
-        filter_fingerprint,
-        filter: inline_filter,
-        routing,
-        ..
-    } = digest_request;
-
-    let outcome = source_recon.resolve(target_id, summary);
-    // The target's filter as the source knows it, looked up once and lent
-    // to the request; not knowing it is a desync like any other.
-    let known_filter =
-        source_recon.effective_filter(target_id, filter_fingerprint, inline_filter.as_ref());
-    let outcome = match known_filter {
-        Some(_) => outcome,
-        None => SummaryOutcome::Resync,
-    };
-    // What the source syncs against, with its totals.
-    let resynced = matches!(outcome, SummaryOutcome::Resync);
-    let (knowledge, totals) = match outcome {
-        SummaryOutcome::Resolved { knowledge, totals } => (Cow::Owned(knowledge), totals),
-        SummaryOutcome::Resync => {
-            // Full retransmission: one resync byte on the wire, then the
-            // plain request. Counted against digest mode — fallbacks are
-            // its cost, not full mode's.
-            kind = "full";
-            digest_bytes += 1 + full_bytes;
-            (Cow::Borrowed(target.knowledge()), target.knowledge_totals())
-        }
-    };
-    let fallback_rounds = u64::from(resynced);
-
-    target
-        .observer()
-        .emit(EventKind::ReconDigest, || Event::ReconDigest {
-            replica: target_id.as_u64(),
-            peer: source_id.as_u64(),
-            kind,
-            digest_bytes,
-            full_bytes,
-            fallback_rounds,
-        });
-
-    // A resync retransmits the plain full request, filter included.
-    let filter = match known_filter {
-        Some(filter) if !resynced => filter,
-        _ => target.filter(),
-    };
-    let request = SyncRequest {
-        target: target_id,
-        knowledge: Cow::Borrowed(knowledge.as_ref()),
-        filter: Cow::Borrowed(filter),
-        routing,
-    };
-    let batch = sync::prepare_batch(source, source_ext, &request, limits, now);
-    drop(request);
-    // The copy the source keeps is the knowledge the request conveyed —
-    // taken before the batch teaches the target more.
-    let exact = (knowledge.into_owned(), totals);
-    let (report, spent_entries) = sync::apply_batch_recycling(target, target_ext, batch, now);
-    source.recycle_batch_entries(spent_entries);
-
-    // Both ends saw the exchange succeed: advance the per-peer state in
-    // lockstep.
-    target_recon.note_exchange(digest_bytes, full_bytes, fallback_rounds);
-    target_recon.commit_sent(pending);
-    let sent_filter = if resynced {
-        Some(target.filter())
-    } else {
-        inline_filter.as_ref()
-    };
-    source_recon.commit_peer(target_id, exact, filter_fingerprint, sent_filter);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::AttributeMap;
-    use crate::sync::NoExtension;
+    use crate::exchange::{self, Pull, Reply};
+    use crate::sync::{self, NoExtension, SyncLimits, SyncReport};
+    use crate::time::SimTime;
 
     fn rid(n: u64) -> ReplicaId {
         ReplicaId::new(n)
@@ -527,6 +432,8 @@ mod tests {
         Replica::new(rid(n), Filter::address("dest", addr))
     }
 
+    /// One digest-mode sync in which `target` pulls from `source`: the
+    /// production halves, with the messages handed across in memory.
     fn digest_sync(
         source: &mut Replica,
         source_recon: &mut ReconState,
@@ -534,16 +441,26 @@ mod tests {
         target_recon: &mut ReconState,
         at: u64,
     ) -> SyncReport {
-        sync_with_digest(
-            source,
-            &mut NoExtension,
-            source_recon,
+        let (now, limits) = (SimTime::from_secs(at), SyncLimits::unlimited());
+        let (mut source_ext, mut target_ext) = (NoExtension, NoExtension);
+        let (mut pull, request) = Pull::open(
             target,
-            &mut NoExtension,
+            &mut target_ext,
             target_recon,
-            SyncLimits::unlimited(),
-            SimTime::from_secs(at),
-        )
+            SyncMode::Digest,
+            source.id(),
+            now,
+        );
+        let reply = exchange::serve(source, &mut source_ext, source_recon, request, limits, now);
+        let batch = match reply {
+            Reply::Batch(batch) => batch,
+            Reply::Resync => {
+                let request = pull.resync(target).expect("a digest pull resyncs once");
+                exchange::serve_resync(source, &mut source_ext, source_recon, request, limits, now)
+            }
+        };
+        pull.finish(target, &mut target_ext, target_recon, batch, now)
+            .0
     }
 
     #[test]

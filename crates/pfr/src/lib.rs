@@ -15,7 +15,10 @@
 //! * **Pairwise synchronization** ([`sync`]) — topology-independent,
 //!   disconnection-tolerant exchange of unknown versions, with an
 //!   extension point ([`SyncExtension`]) through which DTN routing
-//!   policies inject out-of-filter forwarding (paper §V).
+//!   policies inject out-of-filter forwarding (paper §V). [`exchange`]
+//!   splits one sync into the target's pull and the source's serve, in
+//!   full or digest ([`digest`]) mode, for drivers that carry the
+//!   messages in memory or on a wire.
 //!
 //! Given a connected synchronization topology, every item eventually
 //! reaches every replica whose filter selects it (*eventual filter
@@ -63,6 +66,7 @@ mod time;
 mod value;
 
 pub mod digest;
+pub mod exchange;
 pub mod sync;
 pub mod wire;
 
@@ -78,7 +82,7 @@ pub use knowledge::Knowledge;
 pub use payload::Payload;
 pub use replica::{ApplyOutcome, ConflictRecord, Replica, ReplicaStats};
 pub use snapshot::{decode_item_record, ItemRecord, ReplicaParts};
-pub use store::{EvictionMode, StoreKind};
+pub use store::StoreKind;
 pub use sync::{
     Priority, PriorityClass, RoutingPayload, RoutingState, SendDecision, SyncExtension, SyncLimits,
 };

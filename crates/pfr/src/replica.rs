@@ -15,7 +15,7 @@ use crate::journal::{Journal, KnowledgeTotals};
 use crate::knowledge::Knowledge;
 use crate::payload::Payload;
 use crate::snapshot::ReplicaParts;
-use crate::store::{classify, EvictionMode, ItemStore, Slot, StoreKind};
+use crate::store::{classify, ItemStore, Slot, StoreKind};
 use crate::time::SimTime;
 use crate::value::Value;
 use crate::wire::{Encode, Writer};
@@ -112,7 +112,6 @@ pub struct Replica {
     next_item_seq: u64,
     next_version_counter: u64,
     relay_limit: Option<usize>,
-    eviction: EvictionMode,
     stats: ReplicaStats,
     /// In-memory log of merged conflicts, drained by the application. Not
     /// part of snapshots: it is observability state, not replication
@@ -140,7 +139,6 @@ impl Replica {
             next_item_seq: 0,
             next_version_counter: 0,
             relay_limit: None,
-            eviction: EvictionMode::default(),
             stats: ReplicaStats::default(),
             conflict_log: Vec::new(),
             obs: Obs::none(),
@@ -164,7 +162,9 @@ impl Replica {
     /// Sets a cap on relay (foreign, out-of-filter) messages stored, as in
     /// the paper's storage-constrained experiments (§VI-D). `None` removes
     /// the cap. Excess relay items are evicted oldest-first immediately and
-    /// on every future acceptance.
+    /// on every future acceptance. An evicted version stays in knowledge,
+    /// so it is never accepted again: the node stops carrying that message
+    /// and other copies do.
     pub fn set_relay_limit(&mut self, limit: Option<usize>) {
         self.relay_limit = limit;
         self.enforce_relay_limit();
@@ -493,8 +493,10 @@ impl Replica {
     }
 
     /// Hands a drained batch-entry buffer back for reuse by the next
-    /// [`crate::sync::prepare_batch`] on this replica.
-    pub(crate) fn recycle_batch_entries(&mut self, entries: Vec<crate::sync::BatchEntry>) {
+    /// [`crate::sync::prepare_batch`] on this replica: what a co-located
+    /// target does with the buffer [`crate::exchange::Pull::finish`]
+    /// returns.
+    pub fn recycle_batch_entries(&mut self, entries: Vec<crate::sync::BatchEntry>) {
         self.sync_scratch.entries = entries;
     }
 
@@ -640,7 +642,6 @@ impl Replica {
             next_item_seq: parts.next_item_seq,
             next_version_counter: parts.next_version_counter,
             relay_limit: parts.relay_limit,
-            eviction: EvictionMode::default(),
             stats: ReplicaStats::default(),
             conflict_log: Vec::new(),
             obs: Obs::none(),
@@ -675,7 +676,6 @@ impl Replica {
                     reason: DropReason::Evicted,
                 });
         }
-        let _ = self.eviction; // single-mode today; field kept for API stability
     }
 }
 

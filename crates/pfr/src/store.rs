@@ -32,24 +32,6 @@ pub enum StoreKind {
     Relay,
 }
 
-/// Policy for what eviction does to a replica's knowledge.
-///
-/// The substrate's knowledge permanently records every received version, so
-/// after an eviction the default behaviour is that the same version is
-/// never accepted again (`RetainKnowledge`) — the evicting node simply
-/// stops participating in that message's dissemination, and other copies
-/// carry it. This matches the replication semantics; the alternative of
-/// forgetting would re-open the node as a relay at the cost of repeated
-/// transmissions, and is not offered because it would break at-most-once
-/// delivery accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum EvictionMode {
-    /// Keep the evicted version in knowledge (never re-receive it).
-    #[default]
-    RetainKnowledge,
-}
-
 #[derive(Clone, Debug)]
 pub(crate) struct StoredItem {
     pub item: Item,

@@ -853,9 +853,9 @@ pub fn apply_batch(
 }
 
 /// [`apply_batch`] that also returns the batch's drained entry buffer so
-/// the in-process [`sync_with`] path (and its digest-mode sibling,
-/// [`crate::digest::sync_with_digest`]) can hand it back to the source
-/// for reuse (see [`SyncScratch`]).
+/// an in-process driver ([`sync_with`], or one running the
+/// [`crate::exchange`] halves) can hand it back to the source for reuse
+/// (see [`SyncScratch`]).
 pub(crate) fn apply_batch_recycling(
     target: &mut Replica,
     ext: &mut dyn SyncExtension,

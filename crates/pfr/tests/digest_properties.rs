@@ -13,11 +13,12 @@
 use proptest::prelude::*;
 
 use pfr::digest::{self, knowledge_checksum, ReconState};
-use pfr::sync::{self, NoExtension};
+use pfr::exchange::{self, Pull, Reply};
+use pfr::sync::{self, NoExtension, SyncReport};
 use pfr::wire::{encoded_len, from_bytes, to_bytes};
 use pfr::{
     AttributeMap, DigestPolicy, DigestRequest, Filter, Item, ItemId, Knowledge, KnowledgeSummary,
-    KnowledgeTotals, Replica, ReplicaId, RoutingState, SimTime, SyncLimits, Version,
+    KnowledgeTotals, Replica, ReplicaId, RoutingState, SimTime, SyncLimits, SyncMode, Version,
 };
 
 // ---------------------------------------------------------------------------
@@ -340,6 +341,36 @@ fn host(n: u64, addr: &str) -> Replica {
     Replica::new(ReplicaId::new(n), Filter::address("dest", addr))
 }
 
+/// One digest-mode sync in which `target` pulls from `source`, through
+/// the production halves with the messages handed across in memory.
+fn digest_sync(
+    source: &mut Replica,
+    source_recon: &mut ReconState,
+    target: &mut Replica,
+    target_recon: &mut ReconState,
+    now: SimTime,
+) -> SyncReport {
+    let limits = SyncLimits::unlimited();
+    let (mut source_ext, mut target_ext) = (NoExtension, NoExtension);
+    let (mut pull, request) = Pull::open(
+        target,
+        &mut target_ext,
+        target_recon,
+        SyncMode::Digest,
+        source.id(),
+        now,
+    );
+    let batch = match exchange::serve(source, &mut source_ext, source_recon, request, limits, now) {
+        Reply::Batch(batch) => batch,
+        Reply::Resync => {
+            let request = pull.resync(target).expect("a digest pull resyncs once");
+            exchange::serve_resync(source, &mut source_ext, source_recon, request, limits, now)
+        }
+    };
+    pull.finish(target, &mut target_ext, target_recon, batch, now)
+        .0
+}
+
 /// One step of a two-replica schedule. `a_side` picks the replica the
 /// step acts on (for syncs: the source).
 #[derive(Clone, Debug)]
@@ -409,16 +440,7 @@ proptest! {
                         (fb, fa, db, da, rb, ra)
                     };
                     let expected = sync::sync_once(fs, ft, at);
-                    let got = digest::sync_with_digest(
-                        ds,
-                        &mut NoExtension,
-                        rs,
-                        dt,
-                        &mut NoExtension,
-                        rt,
-                        SyncLimits::unlimited(),
-                        at,
-                    );
+                    let got = digest_sync(ds, rs, dt, rt, at);
                     prop_assert_eq!(&got, &expected, "step {}", step);
                     prop_assert_eq!(got.duplicates, 0, "step {}", step);
                 }

@@ -1,5 +1,5 @@
-//! The sync session protocol as a sans-I/O state machine — the only
-//! implementation of it.
+//! The sync session protocol on a connection, as a sans-I/O state
+//! machine.
 //!
 //! Frames in, frames out: a driver decodes frames off whatever carries
 //! them and hands each to [`SessionMachine::on_frame`]; the machine
@@ -8,14 +8,13 @@
 //! [`Peer`](crate::Peer) and the testkit's fault-injecting link all drive
 //! this one machine, so they cannot disagree about the protocol.
 //!
-//! A session is a hello gate plus two independent halves. The *pull* half
-//! (this node is the target) awaits `SyncBatch` / `ReconResync`; the
-//! *serve* half (this node is the source) awaits `SyncRequest` /
-//! `SyncDigest` / `SyncDone`. Full or digest, a pull is a request and a
-//! batch, plus one retransmitted full request if the source could not
-//! resolve a digest. Every frame type flows one way relative to a role,
-//! so frames route by type and each side sends whatever does not depend
-//! on a reply it has not read yet:
+//! A session is a hello gate plus the two halves of [`pfr::exchange`], as
+//! [`DtnNode`] wraps them; the machine maps frame types to their messages.
+//! The *pull* half (this node is the target) awaits `SyncBatch` /
+//! `ReconResync`; the *serve* half (this node is the source) awaits
+//! `SyncRequest` / `SyncDigest` / `SyncDone`. Every frame type flows one
+//! way relative to a role, so frames route by type and each side sends
+//! whatever does not depend on a reply it has not read yet:
 //!
 //! ```text
 //! fresh connection (6 hops)          remembered peer (4 hops)
@@ -39,20 +38,25 @@
 //! event's `wall_micros`; no protocol decision depends on it. Protocol
 //! time (`SimTime`) and membership time (`now_ms`) are inputs.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dtn::{DigestResponse, DigestSessionState, DtnNode};
+use dtn::DtnNode;
 use obs::{Event, EventKind};
 use parking_lot::Mutex;
-use pfr::digest::DigestRequest;
+use pfr::exchange::{self, Reply, Request};
 use pfr::sync::{SyncBatch, SyncReport};
 use pfr::wire::{
     from_bytes, from_bytes_shared, Decode, Encode, EncodeScratch, Reader as WireReader,
     Writer as WireWriter,
 };
-use pfr::{ReplicaId, SimTime, SyncLimits, SyncMode};
+use pfr::{ReplicaId, SimTime, SyncLimits};
 
 use crate::frame::{frame_header, FrameError, FrameType};
 use crate::gossip::GossipMessage;
@@ -266,42 +270,6 @@ impl Gate {
     }
 }
 
-/// Digest-mode pull accounting, alive from `SyncDigest` sent to commit.
-struct DigestPull {
-    state: DigestSessionState,
-    digest_bytes: u64,
-}
-
-/// How far a pull's request/response exchange has come.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PullStage {
-    /// Request sent, nothing back yet.
-    First,
-    /// Digest pull: full request retransmitted after a resync demand.
-    AfterResync,
-}
-
-/// The pull half: this node is the target.
-enum Pull {
-    /// Not started: a responder that has not served yet.
-    Pending,
-    /// Request on the wire; `None` digest state is a full-mode pull.
-    Awaiting(Option<Box<DigestPull>>, PullStage),
-    /// Batch applied, `SyncDone` sent.
-    Done,
-}
-
-impl Pull {
-    fn name(&self) -> &'static str {
-        match self {
-            Pull::Pending => "PullPending",
-            Pull::Awaiting(_, PullStage::First) => "PullAwaitFirst",
-            Pull::Awaiting(_, PullStage::AfterResync) => "PullAwaitAfterResync",
-            Pull::Done => "PullDone",
-        }
-    }
-}
-
 /// The serve half: this node is the source.
 enum Serve {
     /// Not open: an initiator that has not finished pulling yet.
@@ -328,10 +296,12 @@ impl Serve {
     }
 }
 
-/// One session's byte and buffer-reuse accounting, behind the
-/// `transport_sync` and `data_plane_reuse` events.
+/// The connection's frame encoder, with one session's byte and
+/// buffer-reuse accounting behind the `transport_sync` and
+/// `data_plane_reuse` events.
 #[derive(Default)]
 struct Tally {
+    scratch: EncodeScratch,
     /// Frame payload bytes both ways.
     frame_bytes: u64,
     /// Frame payload bytes received.
@@ -345,12 +315,27 @@ struct Tally {
 }
 
 impl Tally {
-    fn starting(scratch: &EncodeScratch) -> Tally {
-        Tally {
+    /// Encodes one frame onto the outbox, counting its payload.
+    fn put<T: Encode>(
+        &mut self,
+        out: &mut Vec<u8>,
+        frame_type: FrameType,
+        value: &T,
+    ) -> Result<(), SessionError> {
+        let bytes = self.scratch.encode(value);
+        self.frame_bytes += bytes.len() as u64;
+        Ok(append_frame(out, frame_type, bytes)?)
+    }
+
+    /// Zeroes the counts for the connection's next session.
+    fn restart(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        *self = Tally {
             reuses_before: scratch.reuses(),
             encoded_before: scratch.bytes_encoded(),
+            scratch,
             ..Tally::default()
-        }
+        };
     }
 }
 
@@ -366,10 +351,11 @@ pub struct SessionMachine {
     limits: SyncLimits,
     role: Role,
     gate: Gate,
-    pull: Pull,
+    /// The pull half (this node is the target) while its request is on
+    /// the wire; the batch's report lands in `report.pulled`.
+    pull: Option<exchange::Pull>,
     serve: Serve,
     report: SessionReport,
-    scratch: EncodeScratch,
     tally: Tally,
     now: SimTime,
     reused: bool,
@@ -381,7 +367,7 @@ impl fmt::Debug for SessionMachine {
         f.debug_struct("SessionMachine")
             .field("role", &self.role)
             .field("gate", &self.gate)
-            .field("pull", &self.pull.name())
+            .field("pull", &self.pull_phase())
             .field("serve", &self.serve.name())
             .finish()
     }
@@ -429,16 +415,8 @@ impl SessionMachine {
         machine.now = now;
         machine.report.now = Some(now);
         machine.report.peer = known_peer;
-        let my_id = machine.node.lock().id();
         let mut out = Vec::new();
-        machine.send(
-            &mut out,
-            FrameType::Hello,
-            &Hello {
-                replica: my_id,
-                now,
-            },
-        )?;
+        machine.send_hello(&mut out)?;
         machine.gate = Gate::AwaitHelloReply(known_peer);
         if let Some(peer) = known_peer {
             machine.begin_pull(peer, &mut out)?;
@@ -468,7 +446,7 @@ impl SessionMachine {
         machine.reused = reused;
         let message = machine.membership.lock().message(now_ms);
         let mut out = Vec::new();
-        machine.send(&mut out, FrameType::Gossip, &message)?;
+        machine.tally.put(&mut out, FrameType::Gossip, &message)?;
         machine.gate = Gate::AwaitGossipReply;
         Ok((machine, out))
     }
@@ -485,10 +463,9 @@ impl SessionMachine {
             limits,
             role,
             gate: Gate::Idle,
-            pull: Pull::Pending,
+            pull: None,
             serve: Serve::Pending,
             report: SessionReport::default(),
-            scratch: EncodeScratch::default(),
             tally: Tally::default(),
             now: SimTime::ZERO,
             reused: false,
@@ -522,137 +499,99 @@ impl SessionMachine {
         }
     }
 
-    /// Encodes and appends one frame to the outbox, returning the payload
-    /// length (digest accounting needs it).
-    fn send<T: Encode>(
-        &mut self,
-        out: &mut Vec<u8>,
-        frame_type: FrameType,
-        value: &T,
-    ) -> Result<u64, SessionError> {
-        let bytes = self.scratch.encode(value);
-        let len = bytes.len() as u64;
-        self.tally.frame_bytes += len;
-        append_frame(out, frame_type, bytes)?;
-        Ok(len)
-    }
-
-    /// Starts the pull direction: writes the request (full or digest
-    /// shape) and awaits the first response frame.
-    fn begin_pull(&mut self, peer: ReplicaId, out: &mut Vec<u8>) -> Result<(), SessionError> {
-        if self.node.lock().sync_mode() == SyncMode::Digest {
-            let (request, state) = self.node.lock().begin_digest_session(peer, self.now);
-            let digest_bytes = self.send(out, FrameType::SyncDigest, &request)?;
-            self.pull = Pull::Awaiting(
-                Some(Box::new(DigestPull {
-                    state,
-                    digest_bytes,
-                })),
-                PullStage::First,
-            );
-        } else {
-            // Full mode: the request borrows the node's knowledge, so
-            // encode it while the lock is held.
-            let request_bytes = {
-                let mut node = self.node.lock();
-                let request = node.begin_sync_session(peer, self.now);
-                self.scratch.encode(&request)
-            };
-            self.tally.frame_bytes += request_bytes.len() as u64;
-            append_frame(out, FrameType::SyncRequest, request_bytes)?;
-            self.pull = Pull::Awaiting(None, PullStage::First);
-        }
-        Ok(())
-    }
-
-    /// Serves a digest resync demand: retransmits the full request,
-    /// charging its bytes (plus one for the demand itself) to digest
-    /// mode — fallbacks are its cost, not full mode's.
-    fn retransmit_full(
-        &mut self,
-        pull: &mut DigestPull,
-        out: &mut Vec<u8>,
-    ) -> Result<(), SessionError> {
-        // The request borrows the node's knowledge and filter, so encode
-        // it while the lock is held.
-        let request_bytes = {
-            let node = self.node.lock();
-            self.scratch
-                .encode(&node.digest_resync_request(&mut pull.state))
+    /// Sends this node's `Hello`, stamped with the session clock.
+    fn send_hello(&mut self, out: &mut Vec<u8>) -> Result<(), SessionError> {
+        let replica = self.node.lock().id();
+        let hello = Hello {
+            replica,
+            now: self.now,
         };
-        pull.digest_bytes += 1 + request_bytes.len() as u64;
-        self.tally.frame_bytes += request_bytes.len() as u64;
-        append_frame(out, FrameType::SyncRequest, request_bytes)?;
+        self.tally.put(out, FrameType::Hello, &hello)
+    }
+
+    /// Starts the pull direction: writes the request, in the node's sync
+    /// mode, and awaits the reply.
+    fn begin_pull(&mut self, peer: ReplicaId, out: &mut Vec<u8>) -> Result<(), SessionError> {
+        // A full request borrows the node: encode it under the lock.
+        let mut node = self.node.lock();
+        let (pull, request) = node.open_pull(peer, self.now);
+        match &request {
+            Request::Full(request) => self.tally.put(out, FrameType::SyncRequest, request)?,
+            Request::Digest(request) => self.tally.put(out, FrameType::SyncDigest, request)?,
+        }
+        self.pull = Some(pull);
         Ok(())
+    }
+
+    /// Where the pull half is: not started, awaiting its batch, or done.
+    fn pull_phase(&self) -> &'static str {
+        match (&self.pull, &self.report.pulled) {
+            (Some(_), _) => "PullAwaitBatch",
+            (None, None) => "PullPending",
+            (None, Some(_)) => "PullDone",
+        }
     }
 
     /// One frame for the pull half.
     fn on_pull_frame(
         &mut self,
-        peer: ReplicaId,
         frame_type: FrameType,
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), SessionError> {
-        let phase = self.pull.name();
-        match (std::mem::replace(&mut self.pull, Pull::Pending), frame_type) {
-            (Pull::Awaiting(digest, stage), FrameType::SyncBatch) => {
+        let phase = self.pull_phase();
+        match (self.pull.take(), frame_type) {
+            (Some(pull), FrameType::SyncBatch) => {
                 // Decode through the shared-buffer path: the payload
                 // becomes one `Arc<[u8]>` and every item payload in the
                 // batch a slice of it.
                 let backing: Arc<[u8]> = payload.into();
                 let (batch, shares): (SyncBatch, u64) = from_bytes_shared(&backing)?;
                 self.tally.payload_shares += shares;
-                let report = self.node.lock().apply_sync(batch, self.now);
+                let (report, _) = self.node.lock().finish_pull(pull, batch, self.now);
                 self.report.pulled = Some(report);
                 append_frame(out, FrameType::SyncDone, &[])?;
-                if let Some(pull) = digest {
-                    self.node.lock().commit_digest_session(
-                        peer,
-                        pull.state,
-                        pull.digest_bytes,
-                        u64::from(stage == PullStage::AfterResync),
-                    );
-                }
-                self.pull = Pull::Done;
                 // The initiator serves only after applying what it pulled.
                 if self.role == Role::Initiator {
                     self.serve = Serve::AwaitRequest;
                 }
                 Ok(())
             }
-            (Pull::Awaiting(Some(mut pull), PullStage::First), FrameType::ReconResync) => {
-                // The source could not resolve the digest: fall back to a
-                // full exchange.
-                self.retransmit_full(&mut pull, out)?;
-                self.pull = Pull::Awaiting(Some(pull), PullStage::AfterResync);
+            (Some(mut pull), FrameType::ReconResync) => {
+                // The source could not resolve the digest: retransmit the
+                // full request, which borrows the node.
+                let node = self.node.lock();
+                let request = pull
+                    .resync(node.replica())
+                    .ok_or(unexpected(phase, frame_type))?;
+                self.tally.put(out, FrameType::SyncRequest, &request)?;
+                self.pull = Some(pull);
                 Ok(())
             }
             (_, got) => Err(unexpected(phase, got)),
         }
     }
 
-    /// Queues a batch and, on the responder, this node's own request
-    /// right behind it — nothing in the request depends on the `SyncDone`
-    /// the batch will be answered with.
-    fn send_batch(
+    /// Sends the serve half's reply. On the responder a batch has this
+    /// node's own request right behind it: nothing in the request depends
+    /// on the `SyncDone` the batch will be answered with.
+    fn answer(
         &mut self,
         peer: ReplicaId,
-        batch: &SyncBatch,
+        reply: Reply,
         out: &mut Vec<u8>,
     ) -> Result<(), SessionError> {
+        let Reply::Batch(batch) = reply else {
+            append_frame(out, FrameType::ReconResync, &[])?;
+            self.serve = Serve::AwaitResyncRequest;
+            return Ok(());
+        };
         self.report.served = batch.entries.len();
-        self.send(out, FrameType::SyncBatch, batch)?;
+        self.tally.put(out, FrameType::SyncBatch, &batch)?;
         self.serve = Serve::AwaitDone;
         if self.role == Role::Responder {
             self.begin_pull(peer, out)?;
         }
-        Ok(())
-    }
-
-    fn demand_resync(&mut self, out: &mut Vec<u8>) -> Result<(), SessionError> {
-        append_frame(out, FrameType::ReconResync, &[])?;
-        self.serve = Serve::AwaitResyncRequest;
         Ok(())
     }
 
@@ -664,37 +603,22 @@ impl SessionMachine {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), SessionError> {
-        let phase = self.serve.name();
-        match (
-            std::mem::replace(&mut self.serve, Serve::Pending),
-            frame_type,
-        ) {
-            (Serve::AwaitRequest, FrameType::SyncRequest) => {
-                let request = from_bytes(payload)?;
-                let batch = self
-                    .node
-                    .lock()
-                    .respond_sync(&request, self.limits, self.now);
-                self.send_batch(peer, &batch, out)
-            }
-            (Serve::AwaitRequest, FrameType::SyncDigest) => {
-                let request: DigestRequest = from_bytes(payload)?;
-                let response = self
-                    .node
-                    .lock()
-                    .respond_digest(request, self.limits, self.now);
-                match response {
-                    DigestResponse::Batch(batch) => self.send_batch(peer, &batch, out),
-                    DigestResponse::Resync => self.demand_resync(out),
-                }
+        let (phase, limits, now) = (self.serve.name(), self.limits, self.now);
+        let serve = std::mem::replace(&mut self.serve, Serve::Pending);
+        match (serve, frame_type) {
+            (Serve::AwaitRequest, FrameType::SyncRequest | FrameType::SyncDigest) => {
+                let request = if frame_type == FrameType::SyncDigest {
+                    Request::Digest(from_bytes(payload)?)
+                } else {
+                    Request::Full(from_bytes(payload)?)
+                };
+                let reply = self.node.lock().serve(request, limits, now);
+                self.answer(peer, reply, out)
             }
             (Serve::AwaitResyncRequest, FrameType::SyncRequest) => {
                 let request = from_bytes(payload)?;
-                let batch = self
-                    .node
-                    .lock()
-                    .respond_digest_resync(request, self.limits, self.now);
-                self.send_batch(peer, &batch, out)
+                let batch = self.node.lock().serve_resync(request, limits, now);
+                self.answer(peer, Reply::Batch(batch), out)
             }
             (Serve::AwaitDone, FrameType::SyncDone) => {
                 self.serve = Serve::Done;
@@ -706,16 +630,15 @@ impl SessionMachine {
 
     /// After a half stepped: the session is over once both are done.
     fn progress(&mut self) -> Progress {
-        if !matches!((&self.pull, &self.serve), (Pull::Done, Serve::Done)) {
+        if self.report.pulled.is_none() || !matches!(self.serve, Serve::Done) {
             return Progress::Continue;
         }
         self.emit_events(true);
         self.persist();
         if self.role == Role::Responder {
             // Back to idle so the connection can carry the next session.
-            self.tally = Tally::starting(&self.scratch);
+            self.tally.restart();
             self.reused = true;
-            self.pull = Pull::Pending;
             self.serve = Serve::Pending;
             self.gate = Gate::Idle;
         } else {
@@ -742,25 +665,21 @@ impl SessionMachine {
             let node = self.node.lock();
             (node.id().as_u64(), node.replica().observer().clone())
         };
-        let peer = self.report.peer.map(|p| p.as_u64()).unwrap_or(0);
+        let peer = self.report.peer.map_or(0, |p| p.as_u64());
+        let delivered = self.report.pulled.as_ref().map_or(0, |p| p.delivered);
         obs.emit(EventKind::TransportSync, || Event::TransportSync {
             replica: my_id,
             peer,
             served: self.report.served as u64,
-            delivered: self
-                .report
-                .pulled
-                .as_ref()
-                .map(|p| p.delivered as u64)
-                .unwrap_or(0),
+            delivered: delivered as u64,
             frame_bytes: self.tally.frame_bytes,
             ok,
         });
         obs.emit(EventKind::DataPlaneReuse, || Event::DataPlaneReuse {
             replica: my_id,
             peer,
-            scratch_reuses: self.scratch.reuses() - self.tally.reuses_before,
-            bytes_encoded: self.scratch.bytes_encoded() - self.tally.encoded_before,
+            scratch_reuses: self.tally.scratch.reuses() - self.tally.reuses_before,
+            bytes_encoded: self.tally.scratch.bytes_encoded() - self.tally.encoded_before,
             // Every frame after a session's first is decoded in place in
             // a receive buffer the session already owns.
             pool_hits: self.tally.frames_in.saturating_sub(1),
@@ -795,22 +714,18 @@ impl SessionMachine {
         }
     }
 
-    /// A received frame failed its CRC. The payload was fully consumed,
-    /// so the stream is still aligned. With the serve half awaiting a
-    /// request and no pull in flight the damaged frame can only have been
-    /// that request: answer `ReconResync` (a digest-mode peer retransmits
-    /// its full request). In every other state it is fatal — with a
-    /// request of our own outstanding a damaged batch cannot be told from
-    /// a damaged request.
+    /// A received frame failed its CRC; the stream is still aligned. With
+    /// the serve half awaiting a request and no pull in flight the damaged
+    /// frame can only have been that request: demand a resync, which a
+    /// digest-mode peer meets by retransmitting its full request. Anywhere
+    /// else it is fatal: a damaged batch cannot be told from a request.
     pub fn on_checksum_error(
         &mut self,
         error: FrameError,
         out: &mut Vec<u8>,
     ) -> Result<(), SessionError> {
         match (&self.gate, &self.serve, &self.pull) {
-            (Gate::Open(_), Serve::AwaitRequest, Pull::Pending | Pull::Done) => {
-                self.demand_resync(out)
-            }
+            (&Gate::Open(peer), Serve::AwaitRequest, None) => self.answer(peer, Reply::Resync, out),
             _ => Err(SessionError::Frame(error)),
         }
     }
@@ -845,7 +760,7 @@ impl SessionMachine {
                 };
                 match frame_type {
                     FrameType::SyncBatch | FrameType::ReconResync => {
-                        self.on_pull_frame(peer, frame_type, payload, out)?
+                        self.on_pull_frame(frame_type, payload, out)?
                     }
                     _ => self.on_serve_frame(peer, frame_type, payload, out)?,
                 }
@@ -866,15 +781,7 @@ impl SessionMachine {
                 };
                 self.now = hello.now;
                 self.started = Instant::now();
-                let my_id = self.node.lock().id();
-                self.send(
-                    out,
-                    FrameType::Hello,
-                    &Hello {
-                        replica: my_id,
-                        now: hello.now,
-                    },
-                )?;
+                self.send_hello(out)?;
                 // Direction 1: the initiator pulls from us.
                 self.gate = Gate::Open(hello.replica);
                 self.serve = Serve::AwaitRequest;
@@ -918,7 +825,7 @@ impl SessionMachine {
                     membership.merge(&message, now_ms);
                     membership.message(now_ms)
                 };
-                self.send(out, FrameType::Gossip, &reply)?;
+                self.tally.put(out, FrameType::Gossip, &reply)?;
                 Ok(Progress::Continue)
             }
             Gate::AwaitGossipReply => {
@@ -1130,36 +1037,30 @@ mod tests {
     }
 
     #[test]
-    fn digest_sessions_commit_on_both_sides() {
-        let (node_a, node_b) = pair_with_mail();
-        node_a.lock().set_sync_mode(SyncMode::Digest);
-        node_b.lock().set_sync_mode(SyncMode::Digest);
-        for round in 1..=3u64 {
-            let (mut init, opening) = initiator(&node_a, 60 * round);
-            drive(&mut init, opening, &mut responder(&node_b));
-        }
-        assert_eq!(node_a.lock().inbox().len(), 1);
-        assert_eq!(node_b.lock().inbox().len(), 1);
-        let stats_a = node_a.lock().recon_stats();
-        let stats_b = node_b.lock().recon_stats();
-        assert_eq!(stats_a.exchanges, 3, "initiator committed every pull");
-        assert_eq!(stats_b.exchanges, 3, "responder committed every pull");
-        // Once warm, summaries undercut the full requests they replace.
-        assert!(stats_a.digest_bytes > 0);
-        assert!(stats_a.digest_bytes < stats_a.full_bytes + stats_b.full_bytes);
-    }
-
-    #[test]
-    fn mixed_mode_session_interoperates() {
-        // Only the pulling side's mode matters: dispatch is by frame type.
-        let (node_a, node_b) = pair_with_mail();
-        node_a.lock().set_sync_mode(SyncMode::Digest);
-        let (mut init, opening) = initiator(&node_a, 60);
+    fn a_session_does_not_deliver_an_expired_message() {
+        // The message's lifetime ended before the session's clock: its
+        // origin tombstones it instead of serving it, exactly as in an
+        // in-process encounter at the same clock.
+        let pair = || {
+            let (node_a, node_b) = (node(1, "a"), node(2, "b"));
+            let lifetime = pfr::SimDuration::from_secs(60);
+            node_a
+                .lock()
+                .send_with_lifetime("b", b"late".to_vec(), SimTime::ZERO, lifetime)
+                .unwrap();
+            (node_a, node_b)
+        };
+        let (node_a, node_b) = pair();
+        let (mut init, opening) = initiator(&node_a, 120);
         drive(&mut init, opening, &mut responder(&node_b));
-        assert_eq!(node_a.lock().inbox().len(), 1);
-        assert_eq!(node_b.lock().inbox().len(), 1);
-        assert_eq!(node_a.lock().recon_stats().exchanges, 1);
-        assert_eq!(node_b.lock().recon_stats().exchanges, 0);
+        assert!(node_b.lock().inbox().is_empty(), "socket session delivered");
+
+        let (node_a, node_b) = pair();
+        let later = SimTime::from_secs(120);
+        node_b
+            .lock()
+            .encounter(&mut node_a.lock(), later, dtn::EncounterBudget::unlimited());
+        assert!(node_b.lock().inbox().is_empty(), "encounter delivered");
     }
 
     #[test]
@@ -1248,7 +1149,6 @@ mod tests {
     #[test]
     fn a_damaged_frame_is_recoverable_only_as_an_unanswered_request() {
         let (node_a, node_b) = pair_with_mail();
-        node_a.lock().set_sync_mode(SyncMode::Digest);
 
         // Responder after hello: the damaged frame was the request.
         let mut resp = responder(&node_b);

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use dtn::{DtnNode, PolicyKind};
 use parking_lot::Mutex;
 use pfr::wire::to_bytes;
-use pfr::{ReplicaId, SimTime, SyncLimits};
+use pfr::{ReplicaId, SimTime, SyncLimits, SyncMode};
 use transport::frame::{read_frame, write_frame, FrameType};
 use transport::session::Hello;
 use transport::{pump, Membership, MembershipConfig, Peer, SessionMachine};
@@ -37,6 +37,48 @@ fn two_peers_exchange_messages_both_ways() {
 
     assert_eq!(a.with_node(|n| n.inbox().len()), 1);
     assert_eq!(b.with_node(|n| n.inbox().len()), 1);
+}
+
+/// Two Epidemic peers with mail for each other, `a` in `a_mode` and `b`
+/// in `b_mode`.
+fn pair_with_mail(a_mode: SyncMode, b_mode: SyncMode) -> (Peer, Peer) {
+    let start = |n, addr, to: &str, mode| {
+        let mut node = node(n, addr, PolicyKind::Epidemic);
+        node.set_sync_mode(mode);
+        node.send(to, format!("{addr}->{to}").into_bytes(), SimTime::ZERO)
+            .unwrap();
+        Peer::start(node, "127.0.0.1:0").unwrap()
+    };
+    (start(1, "a", "b", a_mode), start(2, "b", "a", b_mode))
+}
+
+#[test]
+fn digest_sessions_commit_on_both_sides() {
+    let (a, b) = pair_with_mail(SyncMode::Digest, SyncMode::Digest);
+    for round in 1..=3u64 {
+        a.sync_with(b.local_addr(), SimTime::from_secs(60 * round))
+            .unwrap();
+    }
+    assert_eq!(a.with_node(|n| n.inbox().len()), 1);
+    assert_eq!(b.with_node(|n| n.inbox().len()), 1);
+    let stats_a = a.with_node(|n| n.recon_stats());
+    let stats_b = b.with_node(|n| n.recon_stats());
+    assert_eq!(stats_a.exchanges, 3, "initiator committed every pull");
+    assert_eq!(stats_b.exchanges, 3, "responder committed every pull");
+    // Once warm, summaries undercut the full requests they replace.
+    assert!(stats_a.digest_bytes > 0);
+    assert!(stats_a.digest_bytes < stats_a.full_bytes + stats_b.full_bytes);
+}
+
+#[test]
+fn mixed_mode_session_interoperates() {
+    // Only the pulling side's mode matters: dispatch is by frame type.
+    let (a, b) = pair_with_mail(SyncMode::Digest, SyncMode::Full);
+    a.sync_with(b.local_addr(), SimTime::from_secs(60)).unwrap();
+    assert_eq!(a.with_node(|n| n.inbox().len()), 1);
+    assert_eq!(b.with_node(|n| n.inbox().len()), 1);
+    assert_eq!(a.with_node(|n| n.recon_stats().exchanges), 1);
+    assert_eq!(b.with_node(|n| n.recon_stats().exchanges), 0);
 }
 
 #[test]
