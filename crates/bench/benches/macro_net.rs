@@ -1,26 +1,21 @@
-//! Load generator for the async reactor (`crates/net`), run once per
-//! poll backend over real loopback TCP. Each run has two phases. An
-//! unmeasured warm-up bursts `sessions` detached syncs at once, which
-//! leaves the standing state of a DTN hub: that many pooled client
-//! connections with as many responders parked on the server. The
-//! measured phase then issues the same number of sessions again, a
-//! small window at a time, over that fabric — the regime where the
-//! backends diverge, because a sweeping poller probes every parked
-//! socket on every pass while an event-driven one touches only the
-//! active few. Reported per backend: session throughput, client-side
-//! per-session latency quantiles, and the reactor's syscall / wakeup
-//! accounting (measured-phase deltas), so the artifact captures the
-//! epoll-vs-sweep comparison directly. A final section measures gossip
-//! membership convergence: a seed-chained cluster must heal to a full
-//! alive view within a bounded number of rounds.
+//! Load generator for the async reactor (`crates/net`) over real
+//! loopback TCP. The burst has two phases. An unmeasured warm-up bursts
+//! `sessions` detached syncs at once, which leaves the standing state of
+//! a DTN hub: that many pooled client connections with as many
+//! responders parked on the server. The measured phase then issues the
+//! same number of sessions again, a small window at a time, over that
+//! fabric — only the active few sockets fire, so an epoll worker's cost
+//! must not grow with the parked ones. Reported: session throughput,
+//! client-side per-session latency quantiles, the reactor's syscall /
+//! wakeup accounting (measured-phase deltas) and both inboxes. A final
+//! section measures gossip membership convergence: a seed-chained
+//! cluster must heal to a full alive view within a bounded number of
+//! rounds.
 //!
-//! Results land in `BENCH_net.json`; the perf guard gates structurally
-//! on every run (both backend sections present, nonzero throughput,
-//! p99 >= p50 > 0, zero failures, syscall counters present, bounded
-//! gossip convergence) and quantitatively (epoll >= 3x sweep
-//! sessions/s, epoll p99 below sweep p99, fewer syscalls per session)
-//! only when the artifact claims a >= 1,000-session run — the committed
-//! artifact does; CI's smoke run shrinks the burst via
+//! Results land in `BENCH_net.json`; the perf guard gates it
+//! structurally (nonzero throughput, p99 >= p50 > 0, zero failures,
+//! exactly-once delivery both ways, syscall and wakeup counters present,
+//! bounded gossip convergence). CI's smoke run shrinks the burst via
 //! `REPLIDTN_NET_SESSIONS`.
 //!
 //! `REPLIDTN_NET_SESSIONS` overrides the burst size (default 1200);
@@ -30,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dtn::{DtnNode, PolicyKind};
-use net::{MembershipConfig, NetConfig, NetNode, PeerStatus, PollBackend};
+use net::{MembershipConfig, NetConfig, NetNode, PeerStatus};
 use obs::{Obs, Registry};
 use pfr::{ReplicaId, SimTime};
 
@@ -46,8 +41,9 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// registered before any is awaited. Returns the metrics JSON fragment
 /// values the caller stitches together.
 struct BurstResult {
-    backend: &'static str,
     messages: usize,
+    /// Messages delivered to the server and to the client.
+    inboxes: (usize, usize),
     peak: usize,
     completed: u64,
     failed: u64,
@@ -62,7 +58,7 @@ struct BurstResult {
     max_micros: u64,
 }
 
-fn session_burst(backend: PollBackend, sessions: usize) -> BurstResult {
+fn session_burst(sessions: usize) -> BurstResult {
     // Enough payload traffic that sessions move real data, small enough
     // that per-session protocol CPU does not drown the scheduling cost
     // under measurement.
@@ -89,7 +85,6 @@ fn session_burst(backend: PollBackend, sessions: usize) -> BurstResult {
         server_node,
         "127.0.0.1:0",
         NetConfig {
-            backend,
             max_sessions: sessions + 64,
             gossip_interval: Duration::ZERO,
             ..NetConfig::default()
@@ -100,7 +95,6 @@ fn session_burst(backend: PollBackend, sessions: usize) -> BurstResult {
         client_node,
         "127.0.0.1:0",
         NetConfig {
-            backend,
             max_sessions: sessions + 64,
             gossip_interval: Duration::ZERO,
             ..NetConfig::default()
@@ -133,9 +127,8 @@ fn session_burst(backend: PollBackend, sessions: usize) -> BurstResult {
 
     // Phase 2 (measured): the same burst size again, `WINDOW` sessions
     // in flight at a time over the standing fabric. Only a handful of
-    // the open sockets are active at any instant, so a backend that
-    // probes every parked connection pays for the whole fabric on every
-    // pass while an event-driven one pays only for the active few.
+    // the open sockets are active at any instant; epoll wakes a worker
+    // for those alone.
     const WINDOW: usize = 8;
     let started = Instant::now();
     let mut latencies: Vec<u64> = std::thread::scope(|scope| {
@@ -150,7 +143,7 @@ fn session_burst(backend: PollBackend, sessions: usize) -> BurstResult {
                         let t0 = Instant::now();
                         // Detached and awaited, not `sync_with`: that runs
                         // on this thread and would leave the client's
-                        // backend out of the comparison.
+                        // reactor out of the measurement.
                         let result = client
                             .sync_detached(addr, SimTime::from_secs(7200 + s as u64))
                             .expect("register session")
@@ -206,8 +199,8 @@ fn session_burst(backend: PollBackend, sessions: usize) -> BurstResult {
     let syscalls = (client_stats.syscalls + server_stats.syscalls)
         - (warm_client.syscalls + warm_server.syscalls);
     BurstResult {
-        backend: client_stats.backend,
         messages,
+        inboxes: (server_node.inbox().len(), client_node.inbox().len()),
         peak: server_stats.peak_sessions,
         completed: client_stats.completed - warm_client.completed,
         failed: client_stats.failed,
@@ -274,11 +267,10 @@ fn gossip_convergence(n: usize) -> (usize, usize) {
     (rounds, bound)
 }
 
-fn backend_json(burst: &BurstResult) -> String {
+fn burst_json(burst: &BurstResult) -> String {
     format!(
         concat!(
             "{{\n",
-            "    \"backend\": \"{backend}\",\n",
             "    \"peak_concurrent_sessions\": {peak},\n",
             "    \"completed\": {completed},\n",
             "    \"failed\": {failed},\n",
@@ -290,10 +282,11 @@ fn backend_json(burst: &BurstResult) -> String {
             "    \"sessions_per_sec\": {rate:.1},\n",
             "    \"p50_micros\": {p50},\n",
             "    \"p99_micros\": {p99},\n",
-            "    \"max_micros\": {max}\n",
+            "    \"max_micros\": {max},\n",
+            "    \"server_inbox\": {server_inbox},\n",
+            "    \"client_inbox\": {client_inbox}\n",
             "  }}"
         ),
-        backend = burst.backend,
         peak = burst.peak,
         completed = burst.completed,
         failed = burst.failed,
@@ -306,15 +299,16 @@ fn backend_json(burst: &BurstResult) -> String {
         p50 = burst.p50_micros,
         p99 = burst.p99_micros,
         max = burst.max_micros,
+        server_inbox = burst.inboxes.0,
+        client_inbox = burst.inboxes.1,
     )
 }
 
 fn print_burst(burst: &BurstResult) {
     println!(
-        "  burst[{}]: peak {} concurrent sessions, {:.0} sessions/s, \
+        "  burst   : peak {} concurrent sessions, {:.0} sessions/s, \
          p50 {}us p99 {}us max {}us, {:.1} syscalls/session, \
          {} wakeups, {} backpressure stalls, {:.2}s",
-        burst.backend,
         burst.peak,
         burst.sessions_per_sec,
         burst.p50_micros,
@@ -331,13 +325,9 @@ fn main() {
     let sessions = env_usize("REPLIDTN_NET_SESSIONS", 1200);
     let gossip_nodes = env_usize("REPLIDTN_NET_GOSSIP_NODES", 12).max(2);
 
-    println!("macro_net: {sessions}-session burst per backend, {gossip_nodes}-node gossip chain");
-    let sweep = session_burst(PollBackend::Sweep, sessions);
-    print_burst(&sweep);
-    let epoll = session_burst(PollBackend::Epoll, sessions);
-    print_burst(&epoll);
-    let speedup = epoll.sessions_per_sec / sweep.sessions_per_sec.max(1e-9);
-    println!("  speedup : epoll {speedup:.2}x sweep sessions/s");
+    println!("macro_net: {sessions}-session burst, {gossip_nodes}-node gossip chain");
+    let burst = session_burst(sessions);
+    print_burst(&burst);
 
     let (rounds, bound) = gossip_convergence(gossip_nodes);
     println!("  gossip  : {gossip_nodes} nodes converged in {rounds} rounds (bound {bound})");
@@ -348,20 +338,14 @@ fn main() {
             "  \"bench\": \"macro_net\",\n",
             "  \"sessions\": {sessions},\n",
             "  \"messages\": {messages},\n",
-            "  \"backends\": {{\n",
-            "  \"sweep\": {sweep_section},\n",
-            "  \"epoll\": {epoll_section}\n",
-            "  }},\n",
-            "  \"epoll_speedup\": {speedup:.2},\n",
+            "  \"burst\": {burst_section},\n",
             "  \"gossip\": {{\"nodes\": {gnodes}, \"rounds_to_converge\": {rounds}, ",
             "\"bound\": {bound}, \"converged\": true}}\n",
             "}}\n",
         ),
         sessions = sessions,
-        messages = sweep.messages,
-        sweep_section = backend_json(&sweep),
-        epoll_section = backend_json(&epoll),
-        speedup = speedup,
+        messages = burst.messages,
+        burst_section = burst_json(&burst),
         gnodes = gossip_nodes,
         rounds = rounds,
         bound = bound,

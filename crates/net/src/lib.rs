@@ -9,29 +9,31 @@
 //! blocks on — onto a small worker pool.
 //!
 //! * [`reactor`] — a readiness-loop reactor over nonblocking std TCP
-//!   streams (no external async runtime): per-session frame accumulators,
-//!   vectored-write outboxes with backpressure, idle/stall timeouts.
+//!   streams (no external async runtime): each worker blocks in an
+//!   in-tree edge-triggered `epoll(7)` binding until its sockets are
+//!   actually ready, and drives per-session frame accumulators and
+//!   vectored-write outboxes with backpressure and idle/stall timeouts.
 //!   Outbound connections come from and go back to the dialer's pool.
-//! * [`poll`] — the readiness backends behind the reactor
-//!   ([`PollBackend`]): an in-tree edge-triggered `epoll(7)` binding
-//!   (workers block until sockets are actually ready) with the original
-//!   exhaustive sweep as the selectable A/B fallback.
 //! * [`node`] — [`NetNode`]: listener, reactor, dialer (`sync_with`
 //!   blocks and runs on its caller's thread, `sync_detached` hands the
 //!   session to a worker) and the gossip loop that
 //!   runs peer-exchange rounds against [`Membership`] (the view and its
 //!   wire types are re-exported from `transport`, where the machine
 //!   answers `Gossip` frames from them).
+//!
+//! The reactor runs on Linux only: elsewhere [`NetNode::start`] fails
+//! with [`std::io::ErrorKind::Unsupported`], and the blocking
+//! [`transport::Peer`] — a thread per connection over the same machine —
+//! is the node to run.
 
 #![warn(missing_docs)]
 
 pub(crate) mod listen;
 pub mod node;
-pub mod poll;
+pub(crate) mod poll;
 pub mod reactor;
 
-pub use node::{GossipRoundStats, NetConfig, NetNode, NetStats};
-pub use poll::PollBackend;
+pub use node::{GossipRoundStats, NetConfig, NetNode, NetStats, PollBackend};
 pub use reactor::SessionTicket;
 
 pub use transport::{

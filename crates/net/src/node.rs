@@ -34,17 +34,35 @@ use transport::{
     SessionOutcome,
 };
 
-use crate::poll::PollBackend;
+use crate::poll::EpollPoller;
 use crate::reactor::{Reactor, ReactorConfig, SessionTicket, Shared};
+
+/// How reactor workers discover ready sockets: edge-triggered `epoll(7)`,
+/// the only backend.
+///
+/// This type and [`NetConfig::backend`] exist only because the benchmark
+/// ledger (`ledger/src/mesh.rs`) names them; the ledger façade of ROADMAP
+/// item 1(a) deletes both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PollBackend {
+    /// Block in `epoll_wait(2)` until a registered socket is ready.
+    Epoll,
+}
+
+impl PollBackend {
+    /// Always [`PollBackend::Epoll`].
+    pub fn platform_default() -> PollBackend {
+        PollBackend::Epoll
+    }
+}
 
 /// Tunables for a [`NetNode`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Reactor worker threads.
     pub workers: usize,
-    /// How workers discover ready sockets: edge-triggered epoll or the
-    /// exhaustive sweep. Defaults from `REPLIDTN_POLL_BACKEND` when set,
-    /// else the platform default (epoll on Linux).
+    /// Read by nothing: the reactor always runs on epoll. Kept only
+    /// because the benchmark ledger sets it (see [`PollBackend`]).
     pub backend: PollBackend,
     /// Concurrent-session cap: inbound connections beyond it are refused,
     /// outbound registrations fail fast with
@@ -83,7 +101,7 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             workers: 2,
-            backend: PollBackend::from_env(),
+            backend: PollBackend::Epoll,
             max_sessions: 4096,
             accept_backlog: 1024,
             write_queue_limit: 256 * 1024,
@@ -119,9 +137,6 @@ pub struct NetStats {
     pub syscalls: u64,
     /// Times a parked worker was woken to pick up enqueued sessions.
     pub wakeups: u64,
-    /// Label of the readiness backend actually running (`"epoll"` or
-    /// `"sweep"` — the requested backend resolved against the platform).
-    pub backend: &'static str,
 }
 
 /// What one gossip round accomplished.
@@ -168,7 +183,9 @@ impl NetNode {
     ///
     /// # Errors
     ///
-    /// Any I/O error binding the listener.
+    /// Any I/O error binding the listener or setting up an epoll
+    /// instance; [`io::ErrorKind::Unsupported`] off Linux, where
+    /// [`transport::Peer`] is the node to run.
     pub fn start(node: DtnNode, bind: &str, config: NetConfig) -> io::Result<NetNode> {
         let listener = crate::listen::bind_listener(bind, config.accept_backlog as i32)?;
         listener.set_nonblocking(true)?;
@@ -189,7 +206,6 @@ impl NetNode {
         let reactor = Reactor::start(
             ReactorConfig {
                 workers: config.workers,
-                backend: config.backend,
                 write_queue_limit: config.write_queue_limit,
                 idle_timeout: config.idle_timeout,
                 stall_timeout: config.stall_timeout,
@@ -197,7 +213,11 @@ impl NetNode {
             dialer,
             obs.clone(),
             replica,
-        );
+        )?;
+        // The accept loop parks on listener readiness, so a dial burst is
+        // drained the moment it arrives.
+        let accept_poller = EpollPoller::new()?;
+        accept_poller.register(&listener, 0)?;
         let core = Arc::new(Core {
             node: Arc::new(Mutex::new(node)),
             membership: Arc::new(Mutex::new(membership)),
@@ -211,7 +231,7 @@ impl NetNode {
         let accepting = Arc::clone(&core);
         let accept_thread = std::thread::Builder::new()
             .name("net-accept".into())
-            .spawn(move || accepting.accept_loop(&listener))
+            .spawn(move || accepting.accept_loop(&listener, accept_poller))
             .expect("spawn accept thread");
         let gossip_thread = (core.config.gossip_interval > Duration::ZERO).then(|| {
             let gossiping = Arc::clone(&core);
@@ -262,7 +282,6 @@ impl NetNode {
             backpressure_stalls: shared.stalls.load(Ordering::Relaxed),
             syscalls: shared.syscalls.load(Ordering::Relaxed),
             wakeups: shared.wakeups.load(Ordering::Relaxed),
-            backend: shared.backend().name(),
         }
     }
 
@@ -362,26 +381,10 @@ impl Core {
         Ok(())
     }
 
-    fn accept_loop(&self, listener: &TcpListener) {
-        // Event-driven parking under the epoll backend: block on listener
-        // readiness instead of a fixed 2 ms nap, so a dial burst is
-        // drained the moment it arrives. The loop accepts to `WouldBlock`
-        // before waiting again, honouring the edge-trigger contract.
-        #[cfg(target_os = "linux")]
-        let mut poller = if self.shared.backend() == PollBackend::Epoll {
-            use std::os::unix::io::AsRawFd;
-            crate::poll::EpollPoller::new()
-                .and_then(|poller| {
-                    poller.register(listener.as_raw_fd(), 0)?;
-                    Ok(poller)
-                })
-                .ok()
-        } else {
-            None
-        };
-        #[cfg(target_os = "linux")]
-        let mut ready: Vec<usize> = Vec::new();
-
+    /// Accepts to `WouldBlock` before parking on `poller` again, which
+    /// honours the edge-trigger contract.
+    fn accept_loop(&self, listener: &TcpListener, mut poller: EpollPoller) {
+        let mut ready = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -402,17 +405,10 @@ impl Core {
                     );
                     self.shared.register_inbound(stream, machine);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    #[cfg(target_os = "linux")]
-                    if let Some(poller) = poller.as_mut() {
-                        ready.clear();
-                        // Bounded so the shutdown flag stays responsive.
-                        if poller.wait(50, &mut ready).is_ok() {
-                            continue;
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                // Bounded so the shutdown flag stays responsive.
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        && poller.wait(50, &mut ready).is_ok() => {}
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         }

@@ -7,15 +7,13 @@
 //! session costs a few hundred bytes of state rather than a thread, so
 //! thousands run concurrently on a handful of workers.
 //!
-//! *How* a worker learns which sessions to drive is the
-//! [`PollBackend`]: the epoll backend registers every socket
-//! edge-triggered with a per-worker `epoll(7)` instance and blocks in
-//! `epoll_wait` until something is actually ready (syscalls scale with
-//! ready sessions), while the sweep backend probes every live session
-//! each pass (syscalls scale with live sessions) and parks on a condvar
-//! when idle. Both run the same `step` function over the same session
-//! state, so wire traffic is byte-identical — pinned by the differential
-//! suite in `tests/backend_equivalence.rs`.
+//! A worker learns which sessions to drive from its own `epoll(7)`
+//! instance: every session socket is registered edge-triggered, and the
+//! worker blocks in `epoll_wait` until something is actually ready, so
+//! syscalls scale with ready sessions rather than live ones. A session
+//! enqueued from another thread wakes the worker through a socketpair
+//! registered in the same set. Linux only; `NetNode::start` fails
+//! elsewhere.
 //!
 //! Writes are batched: a session's outbox is a queue of encoded-frame
 //! segments flushed with vectored [`Write::write_vectored`] submissions
@@ -48,35 +46,26 @@ use pfr::ReplicaId;
 use transport::frame::{FrameAccum, FrameError};
 use transport::{Dialed, Dialer, Outbound, Progress, SessionError, SessionMachine, SessionOutcome};
 
-use crate::poll::{CondWaker, PollBackend, Waker};
-
-#[cfg(target_os = "linux")]
-use crate::poll::EpollPoller;
+use crate::poll::{EpollPoller, PipeWaker};
 
 /// How many bytes one `read` call pulls at most.
 const READ_BUF: usize = 16 * 1024;
 /// Read calls per session per loop pass (fairness bound).
 const READS_PER_PASS: usize = 8;
-/// Sweep-backend park time when sessions exist but none progressed (the
-/// sweep still has to probe them; an *empty* sweep worker parks on its
-/// condvar with no floor at all).
-const IDLE_PARK: Duration = Duration::from_micros(500);
 /// Frame segments per vectored write submission.
 const WRITEV_BATCH: usize = 16;
 /// Recycled outbox segments kept per session, and the capacity above
 /// which a segment is dropped instead of pooled.
 const SEG_POOL: usize = 4;
 const SEG_POOL_CAP: usize = 64 * 1024;
-/// Epoll-backend deadline sweep period: how often parked sessions are
-/// checked against idle/stall timeouts when no I/O wakes them.
-#[cfg(target_os = "linux")]
+/// Deadline sweep period: how often parked sessions are checked against
+/// idle/stall timeouts when no I/O wakes them.
 const DEADLINE_TICK: Duration = Duration::from_millis(20);
 
 /// Reactor tunables (filled in from [`crate::NetConfig`]).
 #[derive(Clone, Debug)]
 pub(crate) struct ReactorConfig {
     pub workers: usize,
-    pub backend: PollBackend,
     pub write_queue_limit: usize,
     pub idle_timeout: Duration,
     pub stall_timeout: Duration,
@@ -138,13 +127,6 @@ struct OutBuf {
     pool: Vec<Vec<u8>>,
 }
 
-enum FlushStatus {
-    /// Everything queued hit the socket.
-    Drained,
-    /// The socket would block; bytes remain queued.
-    Blocked,
-}
-
 impl OutBuf {
     fn pending(&self) -> usize {
         self.pending
@@ -189,15 +171,11 @@ impl OutBuf {
     }
 
     /// Flushes queued segments with vectored writes until the queue is
-    /// empty or the socket would block. `Ok(0)` from the socket surfaces
-    /// as [`SessionError::Eof`].
-    fn flush(
-        &mut self,
-        stream: &TcpStream,
-        syscalls: &mut u64,
-        moved: &mut bool,
-    ) -> Result<FlushStatus, SessionError> {
+    /// empty or the socket would block, and says whether any byte went
+    /// out. `Ok(0)` from the socket surfaces as [`SessionError::Eof`].
+    fn flush(&mut self, stream: &TcpStream, syscalls: &mut u64) -> Result<bool, SessionError> {
         const EMPTY: &[u8] = &[];
+        let mut wrote = false;
         while self.pending > 0 {
             let mut slices = [IoSlice::new(EMPTY); WRITEV_BATCH];
             let mut count = 0;
@@ -214,16 +192,14 @@ impl OutBuf {
                 Ok(0) => return Err(SessionError::Eof),
                 Ok(n) => {
                     self.advance(n);
-                    *moved = true;
+                    wrote = true;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(FlushStatus::Blocked)
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(SessionError::Io(e)),
             }
         }
-        Ok(FlushStatus::Drained)
+        Ok(wrote)
     }
 }
 
@@ -256,14 +232,11 @@ pub(crate) struct Session {
 /// State shared between the reactor handle and its workers.
 pub(crate) struct Shared {
     config: ReactorConfig,
-    /// The backend actually running (the requested one resolved against
-    /// the platform, with epoll falling back to sweep on setup failure).
-    backend: PollBackend,
     shutdown: AtomicBool,
     queues: Vec<Mutex<Vec<Session>>>,
-    /// One waker per worker: parked workers resume when a session lands
-    /// on their queue (condvar for sweep, socketpair write for epoll).
-    wakers: Vec<Waker>,
+    /// One waker per worker: a parked worker resumes when a session
+    /// lands on its queue.
+    wakers: Vec<Arc<PipeWaker>>,
     next_queue: AtomicUsize,
     /// The pool of idle outbound connections and the blocking initiator
     /// over it.
@@ -286,11 +259,6 @@ impl Shared {
     /// membership layer ages entries against.
     pub(crate) fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// The readiness backend actually driving the workers.
-    pub(crate) fn backend(&self) -> PollBackend {
-        self.backend
     }
 
     /// A connection to `addr` for a worker to drive, pool-first: taken
@@ -388,22 +356,13 @@ impl Session {
             enqueued_at: Instant::now(),
         }
     }
-}
 
-/// How one worker discovers readiness: its half of the A/B switch.
-enum WorkerPoller {
-    Sweep(Arc<CondWaker>),
-    #[cfg(target_os = "linux")]
-    Epoll(EpollPoller),
-}
-
-impl WorkerPoller {
-    fn waker(&self) -> Waker {
-        match self {
-            WorkerPoller::Sweep(w) => Waker::Cond(Arc::clone(w)),
-            #[cfg(target_os = "linux")]
-            WorkerPoller::Epoll(p) => Waker::Pipe(p.waker()),
+    /// Flushes the outbox; bytes written count as progress.
+    fn flush(&mut self, syscalls: &mut u64) -> Result<(), SessionError> {
+        if self.out.flush(&self.stream, syscalls)? {
+            self.last_progress = Instant::now();
         }
+        Ok(())
     }
 }
 
@@ -414,13 +373,25 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub(crate) fn start(config: ReactorConfig, dialer: Dialer, obs: Obs, replica: u64) -> Reactor {
+    /// Starts one worker per configured thread, each on an epoll
+    /// instance of its own.
+    ///
+    /// # Errors
+    ///
+    /// The first epoll setup failure, before any worker starts.
+    pub(crate) fn start(
+        config: ReactorConfig,
+        dialer: Dialer,
+        obs: Obs,
+        replica: u64,
+    ) -> io::Result<Reactor> {
         let workers = config.workers.max(1);
-        let (backend, pollers) = build_pollers(config.backend, workers);
-        let wakers = pollers.iter().map(WorkerPoller::waker).collect();
+        let pollers = (0..workers)
+            .map(|_| EpollPoller::new())
+            .collect::<io::Result<Vec<_>>>()?;
+        let wakers = pollers.iter().map(EpollPoller::waker).collect();
         let shared = Arc::new(Shared {
             config,
-            backend,
             shutdown: AtomicBool::new(false),
             queues: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             wakers,
@@ -445,18 +416,14 @@ impl Reactor {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("net-worker-{w}"))
-                    .spawn(move || match poller {
-                        WorkerPoller::Sweep(waker) => sweep_loop(&shared, w, &waker),
-                        #[cfg(target_os = "linux")]
-                        WorkerPoller::Epoll(poller) => epoll_loop(&shared, w, poller),
-                    })
+                    .spawn(move || worker_loop(&shared, w, poller))
                     .expect("spawn net worker")
             })
             .collect();
-        Reactor {
+        Ok(Reactor {
             shared,
             workers: handles,
-        }
+        })
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
@@ -481,36 +448,14 @@ impl Drop for Reactor {
     }
 }
 
-/// Builds one poller per worker for the requested backend, falling back
-/// to the sweep when epoll setup fails (fd exhaustion, odd platforms).
-fn build_pollers(requested: PollBackend, workers: usize) -> (PollBackend, Vec<WorkerPoller>) {
-    #[cfg(target_os = "linux")]
-    if requested.resolved() == PollBackend::Epoll {
-        let mut pollers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            match EpollPoller::new() {
-                Ok(poller) => pollers.push(WorkerPoller::Epoll(poller)),
-                Err(_) => {
-                    pollers.clear();
-                    break;
-                }
-            }
-        }
-        if pollers.len() == workers {
-            return (PollBackend::Epoll, pollers);
-        }
-    }
-    let _ = requested;
-    let pollers = (0..workers)
-        .map(|_| WorkerPoller::Sweep(CondWaker::new()))
-        .collect();
-    (PollBackend::Sweep, pollers)
-}
-
 /// What one step decided about a session's future.
 enum Verdict {
-    /// Still running; keep it registered.
+    /// Still running; step it again on its socket's next edge.
     Keep,
+    /// Still running, but its read stopped at the fairness bound with
+    /// bytes left: step it again without waiting, since an un-drained
+    /// socket fires no further edge.
+    Again,
     /// Finished cleanly; the connection may return to the pool.
     Finished,
     /// Closed without error (EOF on an idle responder, idle timeout).
@@ -519,21 +464,11 @@ enum Verdict {
     Failed(SessionError),
 }
 
-/// What one step observed beyond the verdict.
-struct StepOutcome {
-    /// Bytes moved in either direction (the sweep's idle heuristic).
-    moved: bool,
-    /// The socket was driven to `WouldBlock`/EOF in the read direction.
-    /// Under edge-triggered epoll a session that stopped early (fairness
-    /// bound) must be re-stepped without waiting for an edge.
-    drained: bool,
-}
-
 /// Per-worker telemetry: syscall/wakeup deltas accumulated locally and
 /// flushed to the shared counters plus one `net_poll` event per wakeup
 /// batch (and a final flush at shutdown).
+#[derive(Default)]
 struct PollTelemetry {
-    backend: &'static str,
     syscalls: u64,
     wakeups: u64,
     woken: u64,
@@ -541,16 +476,6 @@ struct PollTelemetry {
 }
 
 impl PollTelemetry {
-    fn new(backend: PollBackend) -> PollTelemetry {
-        PollTelemetry {
-            backend: backend.name(),
-            syscalls: 0,
-            wakeups: 0,
-            woken: 0,
-            max_latency_us: 0,
-        }
-    }
-
     /// Records one wakeup that picked up `sessions` (measuring each
     /// session's enqueue→pickup latency), then emits the batch.
     fn on_wakeup(&mut self, shared: &Shared, sessions: &[Session]) {
@@ -576,17 +501,11 @@ impl PollTelemetry {
         if self.syscalls == 0 && self.wakeups == 0 {
             return;
         }
-        let (backend, syscalls, wakeups, woken, latency) = (
-            self.backend,
-            self.syscalls,
-            self.wakeups,
-            self.woken,
-            self.max_latency_us,
-        );
+        let (syscalls, wakeups, woken, latency) =
+            (self.syscalls, self.wakeups, self.woken, self.max_latency_us);
         let replica = shared.replica;
         shared.obs.emit(EventKind::NetPoll, || Event::NetPoll {
             replica,
-            backend,
             syscalls,
             wakeups,
             woken,
@@ -599,81 +518,22 @@ impl PollTelemetry {
     }
 }
 
-/// The sweep backend: probe every live session each pass. Idle workers
-/// park on their condvar until a session is enqueued (no latency floor);
-/// workers with live-but-quiet sessions park for [`IDLE_PARK`] between
-/// probe passes.
-fn sweep_loop(shared: &Shared, index: usize, waker: &CondWaker) {
-    let mut local: Vec<Session> = Vec::new();
-    let mut read_buf = vec![0u8; READ_BUF];
-    let mut telemetry = PollTelemetry::new(PollBackend::Sweep);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            local.append(&mut shared.queues[index].lock());
-            for session in local.drain(..) {
-                finalize(shared, session, Verdict::Failed(SessionError::Eof));
-            }
-            telemetry.emit(shared);
-            return;
-        }
-        {
-            let mut queue = shared.queues[index].lock();
-            if !queue.is_empty() {
-                let first_new = local.len();
-                local.append(&mut queue);
-                drop(queue);
-                telemetry.on_wakeup(shared, &local[first_new..]);
-            }
-        }
-        let mut syscalls = 0u64;
-        let mut progressed = false;
-        let mut i = 0;
-        while i < local.len() {
-            let (verdict, outcome) = step(shared, &mut local[i], &mut read_buf, &mut syscalls);
-            progressed |= outcome.moved;
-            let verdict = match verdict {
-                Verdict::Keep => match deadline_verdict(shared, &local[i]) {
-                    None => {
-                        i += 1;
-                        continue;
-                    }
-                    Some(verdict) => verdict,
-                },
-                verdict => verdict,
-            };
-            finalize(shared, local.swap_remove(i), verdict);
-            progressed = true;
-        }
-        telemetry.add_syscalls(shared, syscalls);
-        if !progressed {
-            if local.is_empty() {
-                waker.park(None);
-            } else {
-                waker.park(Some(IDLE_PARK));
-            }
-        }
-    }
-}
-
-/// The epoll backend: sessions live in a token-indexed slab, their
-/// sockets registered edge-triggered with the worker's epoll instance;
-/// the worker blocks in `epoll_wait` until a socket is ready or the
-/// waker fires, then steps exactly the ready sessions. Sessions whose
-/// read was cut short by the fairness bound stay "hot" and are
-/// re-stepped with a zero-timeout wait in between (the edge-trigger
-/// contract: an un-drained socket fires no further events). Deadlines
-/// are enforced by a periodic sweep every [`DEADLINE_TICK`].
-#[cfg(target_os = "linux")]
-fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
-    use std::os::unix::io::AsRawFd;
-
+/// One worker: sessions live in a token-indexed slab, their sockets
+/// registered edge-triggered with the worker's epoll instance; the worker
+/// blocks in `epoll_wait` until a socket is ready or the waker fires,
+/// then steps exactly the ready sessions. Sessions whose read was cut
+/// short by the fairness bound stay "hot" and are re-stepped with a
+/// zero-timeout wait in between (the edge-trigger contract: an
+/// un-drained socket fires no further events). Deadlines are enforced by
+/// a periodic sweep every [`DEADLINE_TICK`].
+fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
     let mut slots: Vec<Option<Session>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut hot: Vec<usize> = Vec::new();
     let mut ready: Vec<usize> = Vec::new();
     let mut incoming: Vec<Session> = Vec::new();
     let mut read_buf = vec![0u8; READ_BUF];
-    let mut telemetry = PollTelemetry::new(PollBackend::Epoll);
+    let mut telemetry = PollTelemetry::default();
     let mut last_tick = Instant::now();
     let tick_ms = DEADLINE_TICK.as_millis() as i32;
     loop {
@@ -698,7 +558,7 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
                     slots.push(None);
                     slots.len() - 1
                 });
-                match poller.register(session.stream.as_raw_fd(), token) {
+                match poller.register(&session.stream, token) {
                     Ok(()) => {
                         slots[token] = Some(session);
                         hot.push(token);
@@ -713,7 +573,6 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
 
         // Wait for readiness — not at all while hot sessions need
         // re-stepping, else until the next deadline tick.
-        ready.clear();
         let timeout = if hot.is_empty() { tick_ms } else { 0 };
         let mut syscalls = 1u64;
         if poller.wait(timeout, &mut ready).is_err() {
@@ -721,7 +580,7 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
             // everything rather than spin.
             for slot in &mut slots {
                 if let Some(session) = slot.take() {
-                    poller.deregister(session.stream.as_raw_fd());
+                    poller.deregister(&session.stream);
                     finalize(shared, session, Verdict::Failed(SessionError::Eof));
                 }
             }
@@ -741,16 +600,12 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
             let Some(session) = slots.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
-            let (verdict, outcome) = step(shared, session, &mut read_buf, &mut syscalls);
-            match verdict {
-                Verdict::Keep => {
-                    if !outcome.drained {
-                        hot.push(token);
-                    }
-                }
+            match step(shared, session, &mut read_buf, &mut syscalls) {
+                Verdict::Keep => {}
+                Verdict::Again => hot.push(token),
                 verdict => {
                     let session = slots[token].take().expect("stepped session");
-                    poller.deregister(session.stream.as_raw_fd());
+                    poller.deregister(&session.stream);
                     free.push(token);
                     finalize(shared, session, verdict);
                 }
@@ -767,7 +622,7 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
                 };
                 if let Some(verdict) = deadline_verdict(shared, session) {
                     let session = slot.take().expect("checked session");
-                    poller.deregister(session.stream.as_raw_fd());
+                    poller.deregister(&session.stream);
                     free.push(token);
                     finalize(shared, session, verdict);
                 }
@@ -781,7 +636,7 @@ fn epoll_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
 fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
     shared.open.fetch_sub(1, Ordering::Relaxed);
     let error = match verdict {
-        Verdict::Keep => unreachable!(),
+        Verdict::Keep | Verdict::Again => unreachable!(),
         // A responder that served sessions before going quiet already
         // counted them at completion; nothing to account here.
         Verdict::Closed => return,
@@ -811,9 +666,8 @@ fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
     }
 }
 
-/// Applies idle/stall/backpressure deadlines to a kept session. Shared
-/// by both backends: the sweep checks after every step, the epoll loop
-/// on its periodic tick (no event fires for a peer that went quiet).
+/// Applies idle/stall/backpressure deadlines to a kept session, on the
+/// worker's periodic tick (no event fires for a peer that went quiet).
 fn deadline_verdict(shared: &Shared, session: &Session) -> Option<Verdict> {
     let quiet = session.last_progress.elapsed();
     if session.stalled {
@@ -841,43 +695,29 @@ fn deadline_verdict(shared: &Shared, session: &Session) -> Option<Verdict> {
 }
 
 /// One readiness pass over one session: flush, read, feed frames, flush
-/// again. Identical for both backends — only *when* it runs differs.
-/// Each socket syscall bumps `*syscalls`.
+/// again. Each socket syscall bumps `*syscalls`.
 fn step(
     shared: &Shared,
     session: &mut Session,
     read_buf: &mut [u8],
     syscalls: &mut u64,
-) -> (Verdict, StepOutcome) {
-    let mut outcome = StepOutcome {
-        moved: false,
-        drained: true,
-    };
-
+) -> Verdict {
     // Flush the outbox until empty or the socket would block.
-    match session
-        .out
-        .flush(&session.stream, syscalls, &mut outcome.moved)
-    {
-        Ok(_) => {
-            if outcome.moved {
-                session.last_progress = Instant::now();
-            }
-        }
-        Err(err) => return (Verdict::Failed(err), outcome),
+    if let Err(err) = session.flush(syscalls) {
+        return Verdict::Failed(err);
     }
 
     if session.finished {
         if session.out.pending() == 0 {
-            return (Verdict::Finished, outcome);
+            return Verdict::Finished;
         }
-        return (Verdict::Keep, outcome);
+        return Verdict::Keep;
     }
 
     // Backpressure: a session over its write bound stops reading until
-    // the queue drains — the peer feels it through TCP. The next flush
-    // opportunity (writability edge, or the next sweep pass) re-enters
-    // this step and resumes reading once under the bound.
+    // the queue drains — the peer feels it through TCP. The next
+    // writability edge re-enters this step and resumes reading once under
+    // the bound.
     if session.out.pending() > shared.config.write_queue_limit {
         if !session.stalled {
             session.stalled = true;
@@ -898,7 +738,7 @@ fn step(
                     queued_bytes: queued,
                 });
         }
-        return (Verdict::Keep, outcome);
+        return Verdict::Keep;
     }
     session.stalled = false;
 
@@ -906,14 +746,14 @@ fn step(
     // comes back short has drained a stream socket (epoll(7)) — no second
     // call just to be told `WouldBlock` — unless the peer hung up, when
     // only reading on finds the EOF behind the data. A session that used
-    // its whole budget on full reads is not drained: the caller must
-    // re-step it (edge-triggered epoll will never re-announce those
-    // bytes).
+    // its whole budget on full reads is not drained: it must be stepped
+    // again (edge-triggered epoll will never re-announce those bytes).
     let mut saw_eof = false;
+    let mut drained = true;
     let mut reads = 0;
     loop {
         if reads == READS_PER_PASS {
-            outcome.drained = false;
+            drained = false;
             break;
         }
         reads += 1;
@@ -926,7 +766,6 @@ fn step(
             Ok(n) => {
                 session.accum.extend(&read_buf[..n]);
                 session.last_progress = Instant::now();
-                outcome.moved = true;
                 if n < read_buf.len() && !session.hung_up {
                     break;
                 }
@@ -936,7 +775,7 @@ fn step(
                 reads -= 1;
                 continue;
             }
-            Err(e) => return (Verdict::Failed(SessionError::Io(e)), outcome),
+            Err(e) => return Verdict::Failed(SessionError::Io(e)),
         }
     }
 
@@ -944,31 +783,23 @@ fn step(
     // recycled outbox segment.
     let mut seg = session.out.take_seg();
     let now_ms = shared.now_ms();
-    let fed = feed_frames(shared, session, &mut seg, now_ms, &mut outcome.moved);
+    let fed = feed_frames(shared, session, &mut seg, now_ms);
     session.out.push_seg(seg);
     if let Err(verdict) = fed {
-        return (verdict, outcome);
+        return verdict;
     }
 
     // Flush again: frames the machine just queued would otherwise wait
     // for a writability edge that may never come (the socket is already
     // writable — edge-triggered epoll stays silent).
     if session.out.pending() > 0 {
-        match session
-            .out
-            .flush(&session.stream, syscalls, &mut outcome.moved)
-        {
-            Ok(_) => {
-                if outcome.moved {
-                    session.last_progress = Instant::now();
-                }
-            }
-            Err(err) => return (Verdict::Failed(err), outcome),
+        if let Err(err) = session.flush(syscalls) {
+            return Verdict::Failed(err);
         }
     }
 
     if session.finished && session.out.pending() == 0 {
-        return (Verdict::Finished, outcome);
+        return Verdict::Finished;
     }
 
     if saw_eof {
@@ -976,12 +807,16 @@ fn step(
         // clean close; mid-session it is an error.
         if session.machine.is_idle() && session.out.pending() == 0 && session.accum.buffered() == 0
         {
-            return (Verdict::Closed, outcome);
+            return Verdict::Closed;
         }
-        return (Verdict::Failed(SessionError::Eof), outcome);
+        return Verdict::Failed(SessionError::Eof);
     }
 
-    (Verdict::Keep, outcome)
+    if drained {
+        Verdict::Keep
+    } else {
+        Verdict::Again
+    }
 }
 
 /// Drains complete frames from the accumulator into the machine. Reply
@@ -991,7 +826,6 @@ fn feed_frames(
     session: &mut Session,
     seg: &mut Vec<u8>,
     now_ms: u64,
-    moved: &mut bool,
 ) -> Result<(), Verdict> {
     loop {
         let (frame_type, payload) = match session.accum.next_frame() {
@@ -1008,7 +842,6 @@ fn feed_frames(
             }
             Err(e) => return Err(Verdict::Failed(SessionError::Frame(e))),
         };
-        *moved = true;
         match session.machine.on_frame(frame_type, payload, now_ms, seg) {
             Ok(Progress::Continue) => {}
             Ok(Progress::SessionComplete) if session.inbound => {

@@ -1,10 +1,10 @@
-//! Backpressure under a deliberately slow reader, against both poll
-//! backends: a blocking initiator throttles its read side while pulling
-//! a multi-megabyte batch from a [`NetNode`] whose per-session write
-//! queue is tiny. The bound must fill (stall counters tick, reads from
-//! that peer pause) and the session must still complete — backpressure
-//! is flow control, not failure. Payload size is swept by
-//! `TESTKIT_SEED` so the CI matrix exercises different queue shapes.
+//! Backpressure under a deliberately slow reader: a blocking initiator
+//! throttles its read side while pulling a multi-megabyte batch from a
+//! [`NetNode`] whose per-session write queue is tiny. The bound must fill
+//! (stall counters tick, reads from that peer pause) and the session must
+//! still complete — backpressure is flow control, not failure. Payload
+//! size is swept by `TESTKIT_SEED` so the CI matrix exercises different
+//! queue shapes.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtn::{DtnNode, PolicyKind};
-use net::{Membership, MembershipConfig, NetConfig, NetNode, PollBackend, SessionMachine};
+use net::{Membership, MembershipConfig, NetConfig, NetNode, SessionMachine};
 use parking_lot::Mutex;
 use pfr::{ReplicaId, SimTime, SyncLimits};
 use transport::pump;
@@ -57,7 +57,8 @@ impl Write for SlowReader {
     }
 }
 
-fn slow_reader_survives_backpressure(backend: PollBackend) {
+#[test]
+fn slow_reader_survives_backpressure() {
     let seed = base_seed();
     // 8–12 MiB: far beyond what loopback kernel socket buffers can hide,
     // so the serving session's outbox genuinely fills.
@@ -71,7 +72,6 @@ fn slow_reader_survives_backpressure(backend: PollBackend) {
         server_node,
         "127.0.0.1:0",
         NetConfig {
-            backend,
             // A bound the batch exceeds by three orders of magnitude.
             write_queue_limit: 4 * 1024,
             // The reader is slow, not dead: the stall must not fire.
@@ -125,26 +125,10 @@ fn slow_reader_survives_backpressure(backend: PollBackend) {
     assert!(stats.completed >= 1, "serve session never completed");
     assert!(stats.syscalls > 0, "syscall accounting missing");
     assert!(stats.wakeups > 0, "wakeup accounting missing");
-    let expected_backend = if cfg!(target_os = "linux") {
-        backend.name()
-    } else {
-        "sweep"
-    };
-    assert_eq!(stats.backend, expected_backend);
 
     drop((conn, machine));
     server.stop();
     let delivered = client_node.lock().inbox();
     assert_eq!(delivered.len(), 1, "exactly-once delivery broke");
     assert_eq!(delivered[0].payload.len(), payload_len);
-}
-
-#[test]
-fn slow_reader_survives_backpressure_epoll() {
-    slow_reader_survives_backpressure(PollBackend::Epoll);
-}
-
-#[test]
-fn slow_reader_survives_backpressure_sweep() {
-    slow_reader_survives_backpressure(PollBackend::Sweep);
 }

@@ -8,8 +8,7 @@
 //! * two [`SessionMachine`]s pumped in memory,
 //! * the blocking pump on the caller's thread over TCP, behind
 //!   [`transport::Peer::sync_with`] and behind [`NetNode::sync_with`],
-//! * the reactor (`NetNode::sync_detached`) under epoll, and under the
-//!   sweep,
+//! * the reactor (`NetNode::sync_detached`),
 //!
 //! for all six policies, in Full mode and Digest mode (the forgetful node
 //! forces a `ReconResync` round), every wired driver over fresh
@@ -30,9 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtn::{DtnNode, EncounterBudget, PolicyKind};
-use net::{
-    Membership, MembershipConfig, NetConfig, NetNode, PollBackend, Progress, SessionMachine,
-};
+use net::{Membership, MembershipConfig, NetConfig, NetNode, Progress, SessionMachine};
 use parking_lot::Mutex;
 use pfr::digest::ReconStats;
 use pfr::{ReplicaId, SimTime, SyncLimits, SyncMode};
@@ -524,9 +521,8 @@ struct Reactor {
 }
 
 impl Reactor {
-    fn new(nodes: Vec<DtnNode>, backend: PollBackend, detached: bool, reuse: bool) -> Reactor {
+    fn new(nodes: Vec<DtnNode>, detached: bool, reuse: bool) -> Reactor {
         let config = NetConfig {
-            backend,
             workers: 1,
             gossip_interval: Duration::ZERO,
             ..NetConfig::default()
@@ -722,16 +718,13 @@ fn the_blocking_pump_over_tcp_equals_the_machine() {
     });
 }
 
-/// Responders under `backend`; initiators on a worker of the same reactor
-/// (`detached`) or on the caller's thread.
-fn reactor_equals_the_machine(backend: PollBackend, detached: bool) {
+/// Responders on reactor workers; initiators on a worker of the same
+/// reactor (`detached`) or on the caller's thread.
+fn reactor_equals_the_machine(detached: bool) {
     every_case(|policy, mode, reference| {
         for reuse in [false, true] {
-            let got = replay(Reactor::new(nodes(policy, mode), backend, detached, reuse));
-            let what = format!(
-                "{} detached={detached} reuse={reuse} {policy:?} {mode:?}",
-                backend.name()
-            );
+            let got = replay(Reactor::new(nodes(policy, mode), detached, reuse));
+            let what = format!("reactor detached={detached} reuse={reuse} {policy:?} {mode:?}");
             assert_same(&what, reference, &got);
         }
     });
@@ -739,17 +732,10 @@ fn reactor_equals_the_machine(backend: PollBackend, detached: bool) {
 
 #[test]
 fn the_caller_thread_driver_equals_the_machine() {
-    for responders in [PollBackend::Epoll, PollBackend::Sweep] {
-        reactor_equals_the_machine(responders, false);
-    }
+    reactor_equals_the_machine(false);
 }
 
 #[test]
 fn the_epoll_reactor_equals_the_machine() {
-    reactor_equals_the_machine(PollBackend::Epoll, true);
-}
-
-#[test]
-fn the_sweep_reactor_equals_the_machine() {
-    reactor_equals_the_machine(PollBackend::Sweep, true);
+    reactor_equals_the_machine(true);
 }

@@ -514,13 +514,11 @@ events! {
         queued_bytes: u64,
     },
     /// One reactor-worker poll batch: syscall and wakeup deltas from the
-    /// readiness backend (emitted when a parked worker wakes to pick up
+    /// worker's epoll loop (emitted when a parked worker wakes to pick up
     /// sessions, and flushed once more at worker shutdown).
     NetPoll => "net_poll" {
         /// The local replica.
         replica: u64,
-        /// The readiness backend label (`"epoll"` or `"sweep"`).
-        backend: &'static str,
         /// Socket/poll syscalls issued since the last batch.
         syscalls: u64,
         /// Worker wakeups in this batch.

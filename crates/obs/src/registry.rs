@@ -760,7 +760,6 @@ mod tests {
         });
         r.on_event(&Event::NetPoll {
             replica: 1,
-            backend: "epoll",
             syscalls: 42,
             wakeups: 3,
             woken: 5,
@@ -768,7 +767,6 @@ mod tests {
         });
         r.on_event(&Event::NetPoll {
             replica: 1,
-            backend: "epoll",
             syscalls: 8,
             wakeups: 0,
             woken: 0,

@@ -278,13 +278,12 @@ fn cases() -> Vec<(Event, &'static str)> {
         (
             Event::NetPoll {
                 replica: 110,
-                backend: "epoll",
                 syscalls: 111,
                 wakeups: 112,
                 woken: 113,
                 wakeup_latency_us: 114,
             },
-            r#"{"event":"net_poll","replica":110,"backend":"epoll","syscalls":111,"wakeups":112,"woken":113,"wakeup_latency_us":114}"#,
+            r#"{"event":"net_poll","replica":110,"syscalls":111,"wakeups":112,"woken":113,"wakeup_latency_us":114}"#,
         ),
         (
             Event::ReplicaSpill {

@@ -18,6 +18,8 @@
 //! instead; everything downstream consumes the same
 //! [`EncounterTrace`](crate::EncounterTrace).
 
+use std::convert::Infallible;
+
 use pfr::{ReplicaId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,114 +151,11 @@ impl DieselNetConfig {
     /// an empty daily window).
     pub fn generate(&self) -> EncounterTrace {
         self.validate();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // Contact durations come from an independent stream so that adding
-        // or re-tuning them never perturbs the encounter schedule itself.
-        let mut dur_rng = StdRng::seed_from_u64(self.seed ^ 0xd0a7_0a7d);
-
-        // Home routes: bus i prefers route i % routes.
-        let home_route = |bus: usize| bus % self.routes;
-
-        // Per-bus duty state evolves as a two-state Markov chain whose
-        // stationary on-duty fraction is buses_per_day / fleet_size, with
-        // `duty_persistence` controlling how long on/off stretches last.
-        let pi_on = (self.buses_per_day as f64 / self.fleet_size as f64).clamp(0.05, 0.95);
-        let p_on_on = self.duty_persistence.clamp(0.0, 0.999);
-        // Solve the stationary equation for P(off -> off).
-        let p_off_off = (1.0 - (1.0 - p_on_on) * pi_on / (1.0 - pi_on)).clamp(0.0, 0.999);
-        let mut on_duty: Vec<bool> = (0..self.fleet_size)
-            .map(|_| rng.gen::<f64>() < pi_on)
-            .collect();
-
         let mut encounters = Vec::with_capacity((self.days as usize) * self.encounters_per_day);
-        for day in 0..self.days {
-            // Evolve duty states (the first day uses the stationary draw).
-            if day > 0 {
-                for state in &mut on_duty {
-                    let stay = if *state { p_on_on } else { p_off_off };
-                    if rng.gen::<f64>() >= stay {
-                        *state = !*state;
-                    }
-                }
-            }
-            let mut today: Vec<usize> = (0..self.fleet_size).filter(|&b| on_duty[b]).collect();
-            // Guarantee a minimally functional day.
-            while today.len() < 2 {
-                let extra = rng.gen_range(0..self.fleet_size);
-                if !today.contains(&extra) {
-                    today.push(extra);
-                    on_duty[extra] = true;
-                }
-            }
-            let today = &today[..];
-
-            // Today's route assignment: mostly the home route, with churn.
-            let routes_today: Vec<usize> = today
-                .iter()
-                .map(|&bus| {
-                    if rng.gen::<f64>() < self.route_switch_prob {
-                        rng.gen_range(0..self.routes)
-                    } else {
-                        home_route(bus)
-                    }
-                })
-                .collect();
-
-            // Pair weights: dominated by same-route service; different
-            // routes of one cluster share terminals; different clusters
-            // touch only where both buses serve their cluster's hub route
-            // (the first route of the cluster).
-            let routes_per_cluster = (self.routes / self.clusters).max(1);
-            let cluster_of = |route: usize| (route / routes_per_cluster).min(self.clusters - 1);
-            let is_hub = |route: usize| route.is_multiple_of(routes_per_cluster);
-            let weight = |ri: usize, rj: usize| -> f64 {
-                if ri == rj {
-                    self.weight_same_route
-                } else if cluster_of(ri) == cluster_of(rj) {
-                    self.weight_same_cluster
-                } else if is_hub(ri) && is_hub(rj) {
-                    self.weight_bridge
-                } else {
-                    0.0
-                }
-            };
-            let mut pairs = Vec::new();
-            let mut cumulative = Vec::new();
-            let mut total = 0f64;
-            for i in 0..today.len() {
-                for j in i + 1..today.len() {
-                    total += weight(routes_today[i], routes_today[j]);
-                    pairs.push((today[i], today[j]));
-                    cumulative.push(total);
-                }
-            }
-
-            if total <= 0.0 {
-                // Degenerate day: no pair can meet (tiny fleets only).
-                continue;
-            }
-            let window_secs = (self.day_end_hour - self.day_start_hour) * 3_600;
-            for _ in 0..self.encounters_per_day {
-                let pick = rng.gen::<f64>() * total;
-                let idx = cumulative
-                    .partition_point(|&c| c <= pick)
-                    .min(pairs.len() - 1);
-                let (x, y) = pairs[idx];
-                let offset = rng.gen_range(0..window_secs);
-                let time = SimTime::from_hms(day, self.day_start_hour, 0, 0)
-                    + pfr::SimDuration::from_secs(offset);
-                // Contact durations: mostly brief drive-bys, occasionally a
-                // long shared layover (roughly geometric, 20s-600s).
-                let duration_secs =
-                    20 + dur_rng.gen_range(0..5u64) * dur_rng.gen_range(0..30) as u64;
-                encounters.push(Encounter::with_duration(
-                    time,
-                    bus_id(x),
-                    bus_id(y),
-                    pfr::SimDuration::from_secs(duration_secs),
-                ));
-            }
-        }
+        let Ok(()) = self.schedule::<PairTable, Infallible>(|day| {
+            encounters.extend(day);
+            Ok(())
+        });
         EncounterTrace::from_encounters(encounters)
     }
 
@@ -288,24 +187,40 @@ impl DieselNetConfig {
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<crate::SpooledTrace> {
         self.validate();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut dur_rng = StdRng::seed_from_u64(self.seed ^ 0xd0a7_0a7d);
-        let home_route = |bus: usize| bus % self.routes;
+        let mut spool = crate::TraceSpool::create(path)?;
+        self.schedule::<Categories, _>(|day| spool.push_day(day))?;
+        spool.finish()
+    }
 
+    /// The day schedule both generators share, handing each day's
+    /// encounters to `emit` (a day on which no pair can meet emits
+    /// nothing). Per day: evolve the duty chain, top the day up to two
+    /// buses, churn routes, then stamp each encounter with a pair from
+    /// `S`, a time in the daily window and a duration. Everything but the
+    /// durations comes from one RNG stream in exactly that order.
+    fn schedule<S: PairSampler, E>(
+        &self,
+        mut emit: impl FnMut(Vec<Encounter>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        // Contact durations come from an independent stream so that adding
+        // or re-tuning them never perturbs the encounter schedule itself.
+        let mut dur_rng = StdRng::seed_from_u64(self.seed ^ 0xd0a7_0a7d);
+
+        // Per-bus duty state evolves as a two-state Markov chain whose
+        // stationary on-duty fraction is buses_per_day / fleet_size, with
+        // `duty_persistence` controlling how long on/off stretches last.
         let pi_on = (self.buses_per_day as f64 / self.fleet_size as f64).clamp(0.05, 0.95);
         let p_on_on = self.duty_persistence.clamp(0.0, 0.999);
+        // Solve the stationary equation for P(off -> off).
         let p_off_off = (1.0 - (1.0 - p_on_on) * pi_on / (1.0 - pi_on)).clamp(0.0, 0.999);
         let mut on_duty: Vec<bool> = (0..self.fleet_size)
             .map(|_| rng.gen::<f64>() < pi_on)
             .collect();
 
-        let routes_per_cluster = (self.routes / self.clusters).max(1);
-        let cluster_of = |route: usize| (route / routes_per_cluster).min(self.clusters - 1);
-        let is_hub = |route: usize| route.is_multiple_of(routes_per_cluster);
-        let pairs2 = |n: usize| (n * n.saturating_sub(1) / 2) as f64;
-
-        let mut spool = crate::TraceSpool::create(path)?;
+        let window_secs = (self.day_end_hour - self.day_start_hour) * 3_600;
         for day in 0..self.days {
+            // Evolve duty states (the first day uses the stationary draw).
             if day > 0 {
                 for state in &mut on_duty {
                     let stay = if *state { p_on_on } else { p_off_off };
@@ -315,6 +230,7 @@ impl DieselNetConfig {
                 }
             }
             let mut today: Vec<usize> = (0..self.fleet_size).filter(|&b| on_duty[b]).collect();
+            // Guarantee a minimally functional day.
             while today.len() < 2 {
                 let extra = rng.gen_range(0..self.fleet_size);
                 if !today.contains(&extra) {
@@ -323,138 +239,31 @@ impl DieselNetConfig {
                 }
             }
 
-            // Today's route assignment, then bucket the active buses by
-            // route / cluster / hub so pairs are sampled by category
-            // instead of enumerated.
-            let mut route_members: Vec<Vec<usize>> = vec![Vec::new(); self.routes];
-            let mut cluster_members: Vec<Vec<usize>> = vec![Vec::new(); self.clusters];
-            let mut hub_members: Vec<Vec<usize>> = vec![Vec::new(); self.clusters];
-            for &bus in &today {
-                let route = if rng.gen::<f64>() < self.route_switch_prob {
-                    rng.gen_range(0..self.routes)
-                } else {
-                    home_route(bus)
-                };
-                route_members[route].push(bus);
-                cluster_members[cluster_of(route)].push(bus);
-                if is_hub(route) {
-                    hub_members[cluster_of(route)].push(bus);
-                }
-            }
-            // Per-route bus→route lookup for the same-cluster rejection
-            // draw (two buses of one cluster must serve different routes).
-            let mut route_of = vec![usize::MAX; self.fleet_size];
-            for (r, members) in route_members.iter().enumerate() {
-                for &bus in members {
-                    route_of[bus] = r;
-                }
-            }
+            // Today's route assignment: mostly the home route (bus i
+            // prefers route i % routes), with churn.
+            let routes: Vec<usize> = today
+                .iter()
+                .map(|&bus| {
+                    if rng.gen::<f64>() < self.route_switch_prob {
+                        rng.gen_range(0..self.routes)
+                    } else {
+                        bus % self.routes
+                    }
+                })
+                .collect();
 
-            // Category weights and in-category cumulative tables.
-            let mut route_cum = Vec::with_capacity(self.routes);
-            let mut w_route = 0.0;
-            for members in &route_members {
-                w_route += pairs2(members.len());
-                route_cum.push(w_route);
-            }
-            let mut cluster_cum = Vec::with_capacity(self.clusters);
-            let mut cluster_cross = Vec::with_capacity(self.clusters);
-            let mut w_cluster = 0.0;
-            for (c, members) in cluster_members.iter().enumerate() {
-                let same_route: f64 = route_members
-                    .iter()
-                    .enumerate()
-                    .filter(|(r, _)| cluster_of(*r) == c)
-                    .map(|(_, m)| pairs2(m.len()))
-                    .sum();
-                let cross = (pairs2(members.len()) - same_route).max(0.0);
-                cluster_cross.push(cross);
-                w_cluster += cross;
-                cluster_cum.push(w_cluster);
-            }
-            let hub_total: f64 = hub_members.iter().map(|m| m.len() as f64).sum();
-            let hub_sq: f64 = hub_members.iter().map(|m| (m.len() as f64).powi(2)).sum();
-            let mut hub_cum = Vec::with_capacity(self.clusters);
-            let mut acc = 0.0;
-            for members in &hub_members {
-                acc += members.len() as f64;
-                hub_cum.push(acc);
-            }
-            let w_bridge = (hub_total * hub_total - hub_sq) / 2.0;
-
-            let total = self.weight_same_route * w_route
-                + self.weight_same_cluster * w_cluster
-                + self.weight_bridge * w_bridge;
-            if total <= 0.0 {
+            let Some((sampler, total)) = S::for_day(self, &today, &routes) else {
                 continue; // degenerate day: no pair can meet
-            }
-
-            // Uniform unordered pair from a bucket of distinct members.
-            let pick_pair = |rng: &mut StdRng, members: &[usize]| -> (usize, usize) {
-                let i = rng.gen_range(0..members.len());
-                let mut j = rng.gen_range(0..members.len() - 1);
-                if j >= i {
-                    j += 1;
-                }
-                (members[i], members[j])
             };
-            // Cumulative-table draw. Float rounding at the top of the
-            // range can overshoot onto a trailing zero-weight bucket, so
-            // walk left until `valid` (some valid bucket always exists —
-            // the category's total weight was positive).
-            let pick_bucket = |cum: &[f64], t: f64, valid: &dyn Fn(usize) -> bool| -> usize {
-                let mut i = cum.partition_point(|&c| c <= t).min(cum.len() - 1);
-                while !valid(i) {
-                    i -= 1;
-                }
-                i
-            };
-
-            let window_secs = (self.day_end_hour - self.day_start_hour) * 3_600;
             let mut encounters = Vec::with_capacity(self.encounters_per_day);
             for _ in 0..self.encounters_per_day {
                 let pick = rng.gen::<f64>() * total;
-                let same_cluster_cutoff =
-                    self.weight_same_route * w_route + self.weight_same_cluster * w_cluster;
-                let (x, y) = if pick < self.weight_same_route * w_route {
-                    // Same route: route r with probability ∝ C(n_r, 2).
-                    let t = pick / self.weight_same_route;
-                    let r = pick_bucket(&route_cum, t, &|r| route_members[r].len() >= 2);
-                    pick_pair(&mut rng, &route_members[r])
-                } else if pick < same_cluster_cutoff {
-                    // Same cluster, different routes: cluster ∝ its
-                    // cross-route pair count, then rejection-sample a
-                    // distinct pair until the routes differ (acceptance
-                    // is the exact conditional, so the pair is uniform
-                    // over cross-route pairs of the cluster).
-                    let t = (pick - self.weight_same_route * w_route) / self.weight_same_cluster;
-                    let c = pick_bucket(&cluster_cum, t, &|c| cluster_cross[c] > 0.0);
-                    loop {
-                        let (x, y) = pick_pair(&mut rng, &cluster_members[c]);
-                        if route_of[x] != route_of[y] {
-                            break (x, y);
-                        }
-                    }
-                } else {
-                    // Bridge: hub buses of two different clusters, pair
-                    // probability ∝ h_i · h_j.
-                    let t = rng.gen::<f64>() * hub_total;
-                    let ci = pick_bucket(&hub_cum, t, &|c| !hub_members[c].is_empty());
-                    let cj = loop {
-                        let t = rng.gen::<f64>() * hub_total;
-                        let cj = pick_bucket(&hub_cum, t, &|c| !hub_members[c].is_empty());
-                        if cj != ci {
-                            break cj;
-                        }
-                    };
-                    (
-                        hub_members[ci][rng.gen_range(0..hub_members[ci].len())],
-                        hub_members[cj][rng.gen_range(0..hub_members[cj].len())],
-                    )
-                };
+                let (x, y) = sampler.pair(self, &mut rng, pick);
                 let offset = rng.gen_range(0..window_secs);
                 let time = SimTime::from_hms(day, self.day_start_hour, 0, 0)
                     + pfr::SimDuration::from_secs(offset);
+                // Contact durations: mostly brief drive-bys, occasionally a
+                // long shared layover (roughly geometric, 20s-600s).
                 let duration_secs =
                     20 + dur_rng.gen_range(0..5u64) * dur_rng.gen_range(0..30) as u64;
                 encounters.push(Encounter::with_duration(
@@ -464,10 +273,236 @@ impl DieselNetConfig {
                     pfr::SimDuration::from_secs(duration_secs),
                 ));
             }
-            spool.push_day(encounters)?;
+            emit(encounters)?;
         }
-        spool.finish()
+        Ok(())
     }
+
+    /// Routes are grouped into clusters of this many consecutive routes.
+    fn routes_per_cluster(&self) -> usize {
+        (self.routes / self.clusters).max(1)
+    }
+
+    fn cluster_of(&self, route: usize) -> usize {
+        (route / self.routes_per_cluster()).min(self.clusters - 1)
+    }
+
+    /// A cluster's hub is its first route.
+    fn is_hub(&self, route: usize) -> bool {
+        route.is_multiple_of(self.routes_per_cluster())
+    }
+
+    /// Relative encounter weight of two buses serving `ri` and `rj`:
+    /// dominated by same-route service; different routes of one cluster
+    /// share terminals; different clusters touch only where both buses
+    /// serve their cluster's hub route.
+    fn pair_weight(&self, ri: usize, rj: usize) -> f64 {
+        if ri == rj {
+            self.weight_same_route
+        } else if self.cluster_of(ri) == self.cluster_of(rj) {
+            self.weight_same_cluster
+        } else if self.is_hub(ri) && self.is_hub(rj) {
+            self.weight_bridge
+        } else {
+            0.0
+        }
+    }
+}
+
+/// How a generator picks the pair of each encounter among one day's
+/// on-duty buses.
+trait PairSampler: Sized {
+    /// The sampler for on-duty `buses` serving `routes` (index-aligned)
+    /// and the day's total pair weight, or `None` when no pair can meet.
+    fn for_day(config: &DieselNetConfig, buses: &[usize], routes: &[usize]) -> Option<(Self, f64)>;
+
+    /// The pair that `pick`, uniform in `[0, total)`, lands on; any
+    /// further draw comes from `rng`.
+    fn pair(&self, config: &DieselNetConfig, rng: &mut StdRng, pick: f64) -> (usize, usize);
+}
+
+/// [`DieselNetConfig::generate`]'s sampler: an explicit cumulative weight
+/// table over every on-duty pair.
+struct PairTable {
+    pairs: Vec<(usize, usize)>,
+    cumulative: Vec<f64>,
+}
+
+impl PairSampler for PairTable {
+    fn for_day(config: &DieselNetConfig, buses: &[usize], routes: &[usize]) -> Option<(Self, f64)> {
+        let mut pairs = Vec::new();
+        let mut cumulative = Vec::new();
+        let mut total = 0f64;
+        for i in 0..buses.len() {
+            for j in i + 1..buses.len() {
+                total += config.pair_weight(routes[i], routes[j]);
+                pairs.push((buses[i], buses[j]));
+                cumulative.push(total);
+            }
+        }
+        (total > 0.0).then_some((PairTable { pairs, cumulative }, total))
+    }
+
+    fn pair(&self, _: &DieselNetConfig, _: &mut StdRng, pick: f64) -> (usize, usize) {
+        let idx = self
+            .cumulative
+            .partition_point(|&c| c <= pick)
+            .min(self.pairs.len() - 1);
+        self.pairs[idx]
+    }
+}
+
+/// [`DieselNetConfig::generate_spooled`]'s sampler: the active buses
+/// bucketed by route, cluster and hub, so a pair is drawn by category
+/// instead of enumerated.
+struct Categories {
+    route_members: Vec<Vec<usize>>,
+    cluster_members: Vec<Vec<usize>>,
+    hub_members: Vec<Vec<usize>>,
+    /// Bus → today's route, for the same-cluster rejection draw (two
+    /// buses of one cluster must serve different routes).
+    route_of: Vec<usize>,
+    /// In-category cumulative tables.
+    route_cum: Vec<f64>,
+    cluster_cum: Vec<f64>,
+    cluster_cross: Vec<f64>,
+    hub_cum: Vec<f64>,
+    /// Unweighted pair counts of the same-route and the same-cluster
+    /// categories.
+    w_route: f64,
+    w_cluster: f64,
+    /// On-duty buses serving a hub route.
+    hub_total: f64,
+}
+
+impl PairSampler for Categories {
+    fn for_day(config: &DieselNetConfig, buses: &[usize], routes: &[usize]) -> Option<(Self, f64)> {
+        let pairs2 = |n: usize| (n * n.saturating_sub(1) / 2) as f64;
+        let mut route_members: Vec<Vec<usize>> = vec![Vec::new(); config.routes];
+        let mut cluster_members: Vec<Vec<usize>> = vec![Vec::new(); config.clusters];
+        let mut hub_members: Vec<Vec<usize>> = vec![Vec::new(); config.clusters];
+        let mut route_of = vec![usize::MAX; config.fleet_size];
+        for (&bus, &route) in buses.iter().zip(routes) {
+            route_members[route].push(bus);
+            cluster_members[config.cluster_of(route)].push(bus);
+            if config.is_hub(route) {
+                hub_members[config.cluster_of(route)].push(bus);
+            }
+            route_of[bus] = route;
+        }
+
+        let mut route_cum = Vec::with_capacity(config.routes);
+        let mut w_route = 0.0;
+        for members in &route_members {
+            w_route += pairs2(members.len());
+            route_cum.push(w_route);
+        }
+        let mut cluster_cum = Vec::with_capacity(config.clusters);
+        let mut cluster_cross = Vec::with_capacity(config.clusters);
+        let mut w_cluster = 0.0;
+        for (c, members) in cluster_members.iter().enumerate() {
+            let same_route: f64 = route_members
+                .iter()
+                .enumerate()
+                .filter(|(r, _)| config.cluster_of(*r) == c)
+                .map(|(_, m)| pairs2(m.len()))
+                .sum();
+            let cross = (pairs2(members.len()) - same_route).max(0.0);
+            cluster_cross.push(cross);
+            w_cluster += cross;
+            cluster_cum.push(w_cluster);
+        }
+        let hub_total: f64 = hub_members.iter().map(|m| m.len() as f64).sum();
+        let hub_sq: f64 = hub_members.iter().map(|m| (m.len() as f64).powi(2)).sum();
+        let mut hub_cum = Vec::with_capacity(config.clusters);
+        let mut acc = 0.0;
+        for members in &hub_members {
+            acc += members.len() as f64;
+            hub_cum.push(acc);
+        }
+        let w_bridge = (hub_total * hub_total - hub_sq) / 2.0;
+
+        let total = config.weight_same_route * w_route
+            + config.weight_same_cluster * w_cluster
+            + config.weight_bridge * w_bridge;
+        let sampler = Categories {
+            route_members,
+            cluster_members,
+            hub_members,
+            route_of,
+            route_cum,
+            cluster_cum,
+            cluster_cross,
+            hub_cum,
+            w_route,
+            w_cluster,
+            hub_total,
+        };
+        (total > 0.0).then_some((sampler, total))
+    }
+
+    fn pair(&self, config: &DieselNetConfig, rng: &mut StdRng, pick: f64) -> (usize, usize) {
+        let route_cutoff = config.weight_same_route * self.w_route;
+        let cluster_cutoff = route_cutoff + config.weight_same_cluster * self.w_cluster;
+        if pick < route_cutoff {
+            // Same route: route r with probability ∝ C(n_r, 2).
+            let t = pick / config.weight_same_route;
+            let r = pick_bucket(&self.route_cum, t, |r| self.route_members[r].len() >= 2);
+            pick_pair(rng, &self.route_members[r])
+        } else if pick < cluster_cutoff {
+            // Same cluster, different routes: cluster ∝ its cross-route
+            // pair count, then rejection-sample a distinct pair until the
+            // routes differ (acceptance is the exact conditional, so the
+            // pair is uniform over cross-route pairs of the cluster).
+            let t = (pick - route_cutoff) / config.weight_same_cluster;
+            let c = pick_bucket(&self.cluster_cum, t, |c| self.cluster_cross[c] > 0.0);
+            loop {
+                let (x, y) = pick_pair(rng, &self.cluster_members[c]);
+                if self.route_of[x] != self.route_of[y] {
+                    break (x, y);
+                }
+            }
+        } else {
+            // Bridge: hub buses of two different clusters, pair
+            // probability ∝ h_i · h_j.
+            let hubs = &self.hub_members;
+            let t = rng.gen::<f64>() * self.hub_total;
+            let ci = pick_bucket(&self.hub_cum, t, |c| !hubs[c].is_empty());
+            let cj = loop {
+                let t = rng.gen::<f64>() * self.hub_total;
+                let cj = pick_bucket(&self.hub_cum, t, |c| !hubs[c].is_empty());
+                if cj != ci {
+                    break cj;
+                }
+            };
+            (
+                hubs[ci][rng.gen_range(0..hubs[ci].len())],
+                hubs[cj][rng.gen_range(0..hubs[cj].len())],
+            )
+        }
+    }
+}
+
+/// A uniform unordered pair from a bucket of distinct members.
+fn pick_pair(rng: &mut StdRng, members: &[usize]) -> (usize, usize) {
+    let i = rng.gen_range(0..members.len());
+    let mut j = rng.gen_range(0..members.len() - 1);
+    if j >= i {
+        j += 1;
+    }
+    (members[i], members[j])
+}
+
+/// Cumulative-table draw. Float rounding at the top of the range can
+/// overshoot onto a trailing zero-weight bucket, so walk left until
+/// `valid` (some valid bucket always exists — the category's total weight
+/// was positive).
+fn pick_bucket(cum: &[f64], t: f64, valid: impl Fn(usize) -> bool) -> usize {
+    let mut i = cum.partition_point(|&c| c <= t).min(cum.len() - 1);
+    while !valid(i) {
+        i -= 1;
+    }
+    i
 }
 
 /// The [`ReplicaId`] used for bus number `index` (0-based).

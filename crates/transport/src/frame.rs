@@ -17,6 +17,11 @@
 //! into a typed [`FrameError::BadChecksum`] instead of silently
 //! delivering a damaged item — DTN links are exactly where that happens.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -81,9 +86,10 @@ const READ_CHUNK: usize = 64 * 1024;
 pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
+        let mut rest: &mut [u32] = &mut table;
+        let mut n = 0u32;
+        while let [entry, tail @ ..] = rest {
+            let mut c = n;
             let mut bit = 0;
             while bit < 8 {
                 c = if c & 1 != 0 {
@@ -93,14 +99,17 @@ pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
                 };
                 bit += 1;
             }
-            table[i] = c;
-            i += 1;
+            *entry = c;
+            rest = tail;
+            n += 1;
         }
         table
     };
     let mut c = !crc;
     for &b in bytes {
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        // A byte indexes 256 entries, so the bounds check folds away.
+        let entry = TABLE.get(usize::from(c as u8 ^ b)).copied();
+        c = entry.unwrap_or_default() ^ (c >> 8);
     }
     !c
 }
@@ -228,17 +237,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameType, Vec<u8>), FrameError
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let (frame_type, len, expected) = parse_header(&header)?;
-    // Read the payload in bounded chunks: allocation tracks bytes actually
-    // received, so a lying length field cannot reserve the full cap.
-    let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
-    while payload.len() < len {
-        let chunk = (len - payload.len()).min(READ_CHUNK);
-        let start = payload.len();
-        payload.resize(start + chunk, 0);
-        r.read_exact(&mut payload[start..])?;
+    // The buffer grows with the bytes actually received, so a lying
+    // length field cannot reserve the full cap.
+    let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
     }
-    let got = frame_checksum(frame_type as u8, len as u32, &payload);
+    let got = frame_checksum(frame_type as u8, len, &payload);
     if got != expected {
         return Err(FrameError::BadChecksum { expected, got });
     }
@@ -247,17 +253,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameType, Vec<u8>), FrameError
 
 /// Checks a frame header and takes it apart: type, payload length, and
 /// the checksum the payload must match.
-fn parse_header(header: &[u8]) -> Result<(FrameType, u32, u32), FrameError> {
-    if header[..2] != MAGIC {
-        return Err(FrameError::BadMagic([header[0], header[1]]));
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameType, u32, u32), FrameError> {
+    let [m0, m1, tag, l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    if [m0, m1] != MAGIC {
+        return Err(FrameError::BadMagic([m0, m1]));
     }
-    let frame_type = FrameType::from_tag(header[2]).ok_or(FrameError::BadType(header[2]))?;
-    let len = u32::from_le_bytes([header[3], header[4], header[5], header[6]]);
+    let frame_type = FrameType::from_tag(tag).ok_or(FrameError::BadType(tag))?;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(len));
     }
-    let expected = u32::from_le_bytes([header[7], header[8], header[9], header[10]]);
-    Ok((frame_type, len, expected))
+    Ok((frame_type, len, u32::from_le_bytes([c0, c1, c2, c3])))
 }
 
 /// The incremental frame decoder every session driver reads through.
@@ -323,19 +329,18 @@ impl FrameAccum {
     /// [`FrameError::BadType`] and [`FrameError::TooLarge`] poison the
     /// stream — drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<(FrameType, &[u8])>, FrameError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < HEADER_LEN {
+        // `start` never passes the end of `buf`.
+        let avail = self.buf.get(self.start..).unwrap_or_default();
+        let Some((header, rest)) = avail.split_first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let (frame_type, len, expected) = parse_header(&avail[..HEADER_LEN])?;
-        let total = HEADER_LEN + len as usize;
-        if avail.len() < total {
+        };
+        let (frame_type, len, expected) = parse_header(header)?;
+        let Some(payload) = rest.get(..len as usize) else {
             return Ok(None);
-        }
+        };
         // Consume the frame either way: a checksum failure is a damaged
         // payload, not a framing loss, so the next frame starts right after.
-        self.start += total;
-        let payload = &self.buf[self.start - len as usize..self.start];
+        self.start += HEADER_LEN + payload.len();
         let got = frame_checksum(frame_type as u8, len, payload);
         if got == expected {
             Ok(Some((frame_type, payload)))

@@ -6,6 +6,11 @@
 //! carry an *age* rather than a timestamp so no clock synchronization is
 //! assumed: each hop re-ages entries against its local clock.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use pfr::wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Liveness verdict a node holds about a peer.

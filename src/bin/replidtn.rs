@@ -114,7 +114,6 @@ USAGE:
   replidtn peer --id N --address ADDR [--policy P] --listen HOST:PORT
                 [--connect HOST:PORT]... [--send DEST:TEXT]... [--serve-for SECS]
                 [--gossip] [--seed-peer HOST:PORT]... [--max-sessions N]
-                [--poll-backend {epoll,sweep}]
                 [--gossip-interval-ms MS] [--anti-entropy-ms MS]
                 [--connect-timeout-ms MS] [--io-timeout-ms MS]
                 [--retries N] [--backoff-ms MS]
@@ -125,14 +124,13 @@ USAGE:
       with its items, knowledge, and routing state intact.
 
       --gossip swaps the thread-per-session transport for the async
-      reactor (crates/net): up to --max-sessions concurrent sessions on a
-      small worker pool, gossip membership bootstrapped from --seed-peer
-      addresses (one round per --gossip-interval-ms), and, when
-      --anti-entropy-ms is nonzero, periodic syncs round-robin over the
-      discovered view. --poll-backend selects how reactor workers find
-      ready sockets: edge-triggered epoll (default on Linux, O(1)
-      syscalls per session) or the portable exhaustive sweep; the
-      REPLIDTN_POLL_BACKEND env var sets the default. The dial flags tune both transports:
+      epoll reactor (crates/net; Linux only, elsewhere it fails at start
+      and the default transport is the one to use): up to --max-sessions
+      concurrent sessions on a small worker pool, gossip membership
+      bootstrapped from --seed-peer addresses (one round per
+      --gossip-interval-ms), and, when --anti-entropy-ms is nonzero,
+      periodic syncs round-robin over the discovered view. The dial
+      flags tune both transports:
       --connect-timeout-ms / --io-timeout-ms bound the socket,
       --retries / --backoff-ms add exponential backoff with deterministic
       jitter to failed dials (blocking transport).
@@ -537,13 +535,7 @@ fn peer(args: &[String]) -> Result<(), String> {
         // worker pool, gossip peer discovery, and periodic anti-entropy
         // syncs over the discovered view.
         let defaults = NetConfig::default();
-        let backend = match flags.get("poll-backend") {
-            None => defaults.backend,
-            Some(v) => replidtn::net::PollBackend::parse(v)
-                .ok_or_else(|| format!("--poll-backend wants epoll or sweep, got {v:?}"))?,
-        };
         let config = NetConfig {
-            backend,
             max_sessions: flags.num("max-sessions", defaults.max_sessions)?,
             connect_timeout: dial.connect_timeout,
             gossip_interval: std::time::Duration::from_millis(
@@ -560,9 +552,8 @@ fn peer(args: &[String]) -> Result<(), String> {
         };
         let net = NetNode::start(node, listen, config).map_err(|e| e.to_string())?;
         println!(
-            "peer {address} (R{id}, {policy}) listening on {} (gossip on, {} poll)",
+            "peer {address} (R{id}, {policy}) listening on {} (gossip on)",
             net.local_addr(),
-            net.stats().backend,
         );
         for seed in flags.get_all("seed-peer") {
             net.add_seed(seed.to_string());
