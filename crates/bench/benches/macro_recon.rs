@@ -6,10 +6,11 @@
 //!
 //! The two runs must produce *identical* [`ExperimentMetrics`]: digests
 //! change how knowledge travels, never which items replicate or when they
-//! deliver. The bench asserts that before reporting any numbers, and also
-//! cross-checks the per-node [`ReconStats`] sums against the observer's
-//! `recon.*` registry counters (the digest run carries a [`Registry`], so
-//! the observation path is exercised end to end).
+//! deliver. The bench asserts that before reporting any numbers. Both
+//! timed replays run unobserved, so the seconds compare the two protocols
+//! and not an observer; a third, untimed digest replay carries a
+//! [`Registry`] and cross-checks the per-node [`ReconStats`] sums against
+//! its `recon.*` counters, exercising the observation path end to end.
 //!
 //! Results land in `BENCH_recon.json` in the working directory; the perf
 //! guard gates on `metadata_ratio` ≥ 3 and nonzero digest traffic.
@@ -86,9 +87,8 @@ fn main() {
         "full mode must never touch the digest path"
     );
 
-    let registry = Arc::new(Registry::new());
     let (digest_metrics, digest_stats, digest_s) =
-        run_mode(&trace, &workload, SyncMode::Digest, Some(registry.clone()));
+        run_mode(&trace, &workload, SyncMode::Digest, None);
     println!("  digest  : {digest_s:7.2}s");
 
     // The tentpole invariant: digests change what travels, never what
@@ -98,7 +98,19 @@ fn main() {
         "digest mode changed experiment results"
     );
 
-    // The observation path must agree with the per-node counters.
+    // The observation path must agree with the per-node counters: the
+    // same digest replay again, observed and untimed.
+    let registry = Arc::new(Registry::new());
+    let (observed_metrics, observed_stats, _) =
+        run_mode(&trace, &workload, SyncMode::Digest, Some(registry.clone()));
+    assert_eq!(
+        observed_metrics, digest_metrics,
+        "an observer changed experiment results"
+    );
+    assert_eq!(
+        observed_stats, digest_stats,
+        "an observer changed digest traffic"
+    );
     let snapshot = registry.snapshot();
     assert_eq!(
         snapshot.counter("recon.digest_bytes"),
@@ -112,6 +124,10 @@ fn main() {
     );
 
     let ratio = digest_stats.full_bytes as f64 / (digest_stats.digest_bytes as f64).max(1e-9);
+    println!(
+        "  slowdown: {:.2}x digest over full",
+        digest_s / full_s.max(1e-9)
+    );
     println!(
         "  metadata: {} digest bytes vs {} full-equivalent ({ratio:.2}x reduction), \
          {} exchanges, {} fallback rounds",

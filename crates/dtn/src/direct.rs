@@ -1,7 +1,9 @@
 //! The no-forwarding baseline: plain filtered replication.
 
+use pfr::sync::{Candidate, ParkKeys, SendDecision, SyncRequest};
 use pfr::SyncExtension;
 
+use crate::messaging::ATTR_DEST;
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// "Basic Cimbiosys": no out-of-filter forwarding at all. Messages are
@@ -30,6 +32,16 @@ impl DirectDelivery {
 impl SyncExtension for DirectDelivery {
     fn label(&self) -> &'static str {
         "direct"
+    }
+
+    /// Nothing is ever forwarded, so a copy once declined is parked: only
+    /// a target whose filter names its destination moves it.
+    fn to_send(&mut self, _item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
+        SendDecision::Park
+    }
+
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        keys.file_under(ATTR_DEST);
     }
 }
 

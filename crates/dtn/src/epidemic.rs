@@ -3,9 +3,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::{AttributeMap, IStr, Item, Priority, ReplicaId, SyncExtension};
 
+use crate::messaging::ATTR_DEST;
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Transient attribute holding the remaining hop budget of a copy.
@@ -104,11 +105,17 @@ impl SyncExtension for EpidemicPolicy {
             // paper's "updates the stored message to add a TTL field").
             item.set_transient(ttl_key(), self.initial_ttl);
         }
+        // The stored TTL only changes by a write, so an exhausted copy is
+        // parked until its destination turns up.
         if ttl > 0 {
             SendDecision::Send(Priority::normal())
         } else {
-            SendDecision::Skip
+            SendDecision::Park
         }
+    }
+
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        keys.file_under(ATTR_DEST);
     }
 
     fn prepare_outgoing(

@@ -264,10 +264,13 @@ impl DtnNode {
 
     /// Swaps in a new policy instance, discarding the old one's in-memory
     /// state (models a reboot on a device that never called
-    /// [`DtnPolicy::save_state`]). The replica is untouched.
+    /// [`DtnPolicy::save_state`]). The replica's items and knowledge are
+    /// untouched; the copies the old policy parked are offered to the new
+    /// one again.
     pub fn replace_policy(&mut self, mut policy: Box<dyn DtnPolicy>) {
         policy.set_local_addresses(self.addresses.clone());
         self.policy = policy;
+        self.replica.clear_parks();
     }
 
     /// Replaces the set of addresses this node answers for (the vehicular
@@ -1285,6 +1288,65 @@ mod tests {
             !cold.replica().contains_item(id2),
             "cold node declines custody"
         );
+    }
+
+    /// A relay copy under two-hop, parked at `a` by a first contact; the
+    /// registry counts `a`'s parks.
+    fn parked_relay_copy() -> (DtnNode, ItemId, std::sync::Arc<obs::Registry>) {
+        let mut origin = node(1, "o", PolicyKind::TwoHopRelay);
+        let mut a = node(2, "a", PolicyKind::TwoHopRelay);
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        a.replica_mut()
+            .set_observer(obs::Obs::new(registry.clone()));
+        let id = origin.send("z", b"m".to_vec(), SimTime::ZERO).unwrap();
+        origin.encounter(&mut a, SimTime::from_secs(60), EncounterBudget::unlimited());
+        let mut c = node(3, "c", PolicyKind::TwoHopRelay);
+        a.encounter(
+            &mut c,
+            SimTime::from_secs(120),
+            EncounterBudget::unlimited(),
+        );
+        assert!(!c.replica().contains_item(id), "relays never re-forward");
+        assert_eq!(registry.snapshot().counter("policy.twohop.park"), 1);
+        (a, id, registry)
+    }
+
+    #[test]
+    fn a_parked_copy_is_offered_again_under_a_replaced_policy() {
+        let (mut a, id, registry) = parked_relay_copy();
+        // Under two-hop the park holds: a later relay is passed over.
+        let mut d = node(4, "d", PolicyKind::TwoHopRelay);
+        a.encounter(
+            &mut d,
+            SimTime::from_secs(180),
+            EncounterBudget::unlimited(),
+        );
+        assert!(!d.replica().contains_item(id));
+        assert_eq!(registry.snapshot().counter("policy.twohop.park"), 1);
+
+        a.replace_policy(PolicyKind::Epidemic.build());
+        let mut e = node(5, "e", PolicyKind::Epidemic);
+        a.encounter(
+            &mut e,
+            SimTime::from_secs(240),
+            EncounterBudget::unlimited(),
+        );
+        assert!(e.replica().contains_item(id), "the new policy was asked");
+    }
+
+    #[test]
+    fn a_parked_copy_is_offered_again_after_a_restore() {
+        let (a, id, _) = parked_relay_copy();
+        let mut restored =
+            DtnNode::restore_overriding_policy(&a.snapshot(), PolicyKind::Epidemic.build())
+                .unwrap();
+        let mut e = node(5, "e", PolicyKind::Epidemic);
+        restored.encounter(
+            &mut e,
+            SimTime::from_secs(240),
+            EncounterBudget::unlimited(),
+        );
+        assert!(e.replica().contains_item(id), "no park survives a restore");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::wire::{Decode as _, Encode as _, Reader, WireError, Writer};
 use pfr::{
     IStr, Item, ItemId, Priority, PriorityClass, ReplicaId, RoutingPayload, RoutingState,
@@ -13,7 +13,7 @@ use pfr::{
 
 use crate::acks::AckSet;
 use crate::codec;
-use crate::messaging::dest_addresses;
+use crate::messaging::{dest_addresses, ATTR_DEST};
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Transient attribute holding the list of node ids a copy has traversed.
@@ -283,7 +283,8 @@ impl SyncExtension for MaxPropPolicy {
         }
         if self.advert.acks.contains(item.id()) {
             // Already delivered somewhere: don't spend bandwidth on it.
-            return SendDecision::Skip;
+            // Acknowledgements are never forgotten, so this is final.
+            return SendDecision::Park;
         }
         let hops = Self::hop_count(item);
         if hops < self.hop_threshold {
@@ -293,6 +294,10 @@ impl SyncExtension for MaxPropPolicy {
             let cost = self.dest_cost(item.host(), item);
             SendDecision::Send(Priority::new(PriorityClass::Normal, cost))
         }
+    }
+
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        keys.file_under(ATTR_DEST);
     }
 
     fn prepare_outgoing(
@@ -649,6 +654,75 @@ mod tests {
         // Unreachable nodes have no entry (infinite cost); self costs 0.
         assert!(!costs.contains_key(&ReplicaId::new(99)));
         assert_eq!(costs[&me], 0.0);
+    }
+
+    mod invariants {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A reboot: the replica comes back from its snapshot and the
+        /// policy from its saved state, as `DtnNode::restore` does. No
+        /// park survives it.
+        fn restart(node: &mut (Replica, MaxPropPolicy), addr: &str) {
+            let replica = Replica::restore(&node.0.snapshot()).expect("own snapshot");
+            let mut policy = MaxPropPolicy::default();
+            policy.set_local_addresses([addr.to_string()].into_iter().collect());
+            policy.restore_state(&node.1.save_state());
+            *node = (replica, policy);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// ROADMAP 5(b): an acknowledged id is never forwarded again —
+            /// not at the next sync, not after any number of restarts —
+            /// and a restart forgets no acknowledgement.
+            #[test]
+            fn acknowledged_ids_are_never_forwarded_across_restarts(
+                messages in proptest::collection::vec((0usize..5, 0usize..5), 1..8),
+                steps in proptest::collection::vec((0usize..5, 0usize..5, any::<bool>()), 1..60),
+            ) {
+                let addr = |i: usize| format!("h{i}");
+                let mut nodes: Vec<_> = (0..5).map(|i| host(i as u64 + 1, &addr(i))).collect();
+                for &(from, to) in &messages {
+                    send_msg(&mut nodes[from].0, &addr(to));
+                }
+                for (step, &(a, b, reboot)) in steps.iter().enumerate() {
+                    if reboot {
+                        let before = nodes[a].1.save_state();
+                        restart(&mut nodes[a], &addr(a));
+                        prop_assert_eq!(nodes[a].1.save_state(), before, "a restart lost state");
+                    }
+                    if a == b {
+                        continue;
+                    }
+                    let (source, target) = if a < b {
+                        let (l, r) = nodes.split_at_mut(b);
+                        (&mut l[a], &mut r[0])
+                    } else {
+                        let (l, r) = nodes.split_at_mut(a);
+                        (&mut r[0], &mut l[b])
+                    };
+                    let acked: Vec<ItemId> = source
+                        .0
+                        .iter_items()
+                        .map(Item::id)
+                        .filter(|&id| source.1.advert.acks.contains(id))
+                        .collect();
+                    let report = sync::sync_with(
+                        &mut source.0,
+                        &mut source.1,
+                        &mut target.0,
+                        &mut target.1,
+                        SyncLimits::unlimited(),
+                        SimTime::from_secs(60 * step as u64),
+                    );
+                    for id in &report.stored_ids {
+                        prop_assert!(!acked.contains(id), "step {}: acked {} forwarded", step, id);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

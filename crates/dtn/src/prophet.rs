@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::wire::{Reader, WireError, Writer};
 use pfr::{
     IStr, Priority, PriorityClass, RoutingPayload, RoutingState, SimDuration, SimTime,
@@ -11,7 +11,7 @@ use pfr::{
 };
 
 use crate::codec;
-use crate::messaging::dest_addresses;
+use crate::messaging::{dest_addresses, ATTR_DEST};
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Tunable parameters for [`ProphetPolicy`].
@@ -239,7 +239,18 @@ impl SyncExtension for ProphetPolicy {
         match best {
             // Higher peer confidence transmits earlier.
             Some(theirs) => SendDecision::Send(Priority::new(PriorityClass::Normal, 1.0 - theirs)),
-            None => SendDecision::Skip,
+            // Parked under its destinations: a later peer that is better
+            // at one of them names it in `park_keys`.
+            None => SendDecision::Park,
+        }
+    }
+
+    /// The verdict depends only on which destinations the peer is better
+    /// at, so those are the parked copies this sync judges again.
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        keys.file_under(ATTR_DEST);
+        for addr in self.peer_better.keys() {
+            keys.want(addr);
         }
     }
 }

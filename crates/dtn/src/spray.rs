@@ -2,9 +2,10 @@
 
 use std::sync::OnceLock;
 
-use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::{IStr, Item, Priority, ReplicaId, SyncExtension};
 
+use crate::messaging::ATTR_DEST;
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Transient attribute holding the number of logical copies this physical
@@ -90,11 +91,17 @@ impl SyncExtension for SprayAndWaitPolicy {
                 self.initial_copies
             }
         };
+        // A one-copy holder waits for the destination: only a write to
+        // its count (there is none in the wait phase) could change that.
         if copies >= 2 {
             SendDecision::Send(Priority::normal())
         } else {
-            SendDecision::Skip
+            SendDecision::Park
         }
+    }
+
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        keys.file_under(ATTR_DEST);
     }
 
     fn prepare_outgoing(

@@ -8,9 +8,10 @@
 //! nice demonstration of how little code a new protocol needs on this
 //! substrate.
 
-use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::{Priority, ReplicaId, SyncExtension};
 
+use crate::messaging::ATTR_DEST;
 use crate::policy::{DtnPolicy, PolicySummary};
 
 /// Two-hop relay as a replication policy.
@@ -48,12 +49,16 @@ impl SyncExtension for TwoHopRelayPolicy {
             return SendDecision::Send(Priority::normal());
         }
         // Hop 1 happens only at the origin; relays hold their copy for a
-        // direct (filter-matched) delivery.
+        // direct (filter-matched) delivery, so it is parked until then.
         if item.id().origin() == item.host() {
             SendDecision::Send(Priority::normal())
         } else {
-            SendDecision::Skip
+            SendDecision::Park
         }
+    }
+
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        keys.file_under(ATTR_DEST);
     }
 
     fn prepare_outgoing(

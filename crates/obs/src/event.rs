@@ -31,6 +31,10 @@ pub enum DecisionKind {
     Forward,
     /// `to_send` declined the item.
     Suppress,
+    /// `to_send` parked the item: it is withheld, without another
+    /// verdict or event, until the stored copy is rewritten or a sync
+    /// wants one of its keys.
+    Park,
     /// `process_request` digested the peer's routing state (cost = routing
     /// payload bytes).
     RequestProcessed,
@@ -42,6 +46,7 @@ impl DecisionKind {
         match self {
             DecisionKind::Forward => "forward",
             DecisionKind::Suppress => "suppress",
+            DecisionKind::Park => "park",
             DecisionKind::RequestProcessed => "request",
         }
     }

@@ -355,6 +355,19 @@ fn cases() -> Vec<(Event, &'static str)> {
             },
             r#"{"event":"policy_decision","replica":1,"peer":2,"policy":"maxprop","kind":"forward","origin":3,"seq":4,"cost":-12,"at":5}"#,
         ),
+        (
+            Event::PolicyDecision {
+                replica: 1,
+                peer: 2,
+                policy: "twohop",
+                kind: DecisionKind::Park,
+                origin: 3,
+                seq: 4,
+                cost: 0.0,
+                at_secs: 5,
+            },
+            r#"{"event":"policy_decision","replica":1,"peer":2,"policy":"twohop","kind":"park","origin":3,"seq":4,"cost":0,"at":5}"#,
+        ),
     ]
 }
 

@@ -179,6 +179,7 @@ pub struct PendingExchange {
     checksum: u64,
     filter_fp: u64,
     full_bytes: u64,
+    request_bytes: u64,
 }
 
 impl PendingExchange {
@@ -191,6 +192,12 @@ impl PendingExchange {
     /// mode would have spent where the digest went instead.
     pub fn full_bytes(&self) -> u64 {
         self.full_bytes
+    }
+
+    /// Encoded size of the digest request it was built with, counted from
+    /// the lengths that chose its summary.
+    pub fn request_bytes(&self) -> u64 {
+        self.request_bytes
     }
 
     /// Re-stamps the exchange with `target`'s knowledge as it is *now* —
@@ -288,28 +295,39 @@ impl ReconState {
         // A delta is compared against this.
         let full_len = 1 + totals.encoded_len(knowledge);
         let record = self.peers.entry(peer).or_default();
-        let summary = match (self.policy, record.sent) {
+        // The summary and its encoded length, decided before anything is
+        // copied: only the summary that wins is built.
+        let (summary, summary_len) = match (self.policy, record.sent) {
             // First contact, or never summarize.
             (DigestPolicy::ForceFull, _) | (_, None) => None,
             (_, Some((sent_position, sent_checksum))) if sent_position == position => {
                 // Equal positions of one journal are equal knowledge; the
                 // checksum tells a position from before a restore apart.
-                (sent_checksum == checksum).then_some(KnowledgeSummary::Unchanged { checksum })
+                (sent_checksum == checksum)
+                    .then_some((KnowledgeSummary::Unchanged { checksum }, 1 + 8))
             }
             (policy, Some((sent_position, sent_checksum))) => target
                 .learned_since(sent_position)
-                .map(|learned| KnowledgeSummary::Delta {
-                    base_checksum: sent_checksum,
-                    checksum,
-                    learned: learned.to_vec(),
-                })
-                .filter(|delta| {
-                    policy == DigestPolicy::ForceDelta || wire::encoded_len(delta) < full_len
+                .map(|learned| (learned, wire::delta_summary_len(learned)))
+                .filter(|&(_, len)| policy == DigestPolicy::ForceDelta || len < full_len)
+                .map(|(learned, len)| {
+                    let delta = KnowledgeSummary::Delta {
+                        base_checksum: sent_checksum,
+                        checksum,
+                        learned: learned.to_vec(),
+                    };
+                    (delta, len)
                 }),
         }
-        .unwrap_or_else(|| KnowledgeSummary::Full(knowledge.clone()));
+        .unwrap_or_else(|| (KnowledgeSummary::Full(knowledge.clone()), full_len));
 
         let filter = (record.sent_filter_fp != Some(filter_fp)).then(|| target.filter().clone());
+        let request_len = wire::digest_request_len(
+            target.id(),
+            summary_len,
+            filter.as_ref().map(|_| filter_len),
+            &routing,
+        );
         let pending = PendingExchange {
             peer,
             position,
@@ -317,6 +335,7 @@ impl ReconState {
             filter_fp,
             full_bytes: wire::sync_request_len(target.id(), full_len - 1, filter_len, &routing)
                 as u64,
+            request_bytes: request_len as u64,
         };
         let digest = DigestRequest {
             target: target.id(),
@@ -325,6 +344,11 @@ impl ReconState {
             filter,
             routing,
         };
+        debug_assert_eq!(
+            request_len,
+            wire::encoded_len(&digest),
+            "miscounted request"
+        );
         (digest, pending)
     }
 

@@ -100,7 +100,7 @@ impl Pull {
             pending,
             routing,
             kind: request.summary.kind(),
-            bytes: wire::encoded_len(&request) as u64,
+            bytes: pending.request_bytes(),
             resynced: false,
         };
         (

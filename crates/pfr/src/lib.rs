@@ -58,6 +58,7 @@ mod item;
 mod journal;
 mod knowledge;
 mod ordered;
+mod park;
 mod payload;
 mod replica;
 mod snapshot;
@@ -84,7 +85,8 @@ pub use replica::{ApplyOutcome, ConflictRecord, Replica, ReplicaStats};
 pub use snapshot::{decode_item_record, ItemRecord, ReplicaParts};
 pub use store::StoreKind;
 pub use sync::{
-    Priority, PriorityClass, RoutingPayload, RoutingState, SendDecision, SyncExtension, SyncLimits,
+    ParkKeys, Priority, PriorityClass, RoutingPayload, RoutingState, SendDecision, SyncExtension,
+    SyncLimits,
 };
 pub use time::{SimDuration, SimTime};
 pub use value::Value;

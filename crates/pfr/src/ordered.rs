@@ -93,6 +93,11 @@ impl<K: Ord, V, const B: usize> OrdMap<K, V, B> {
         }
     }
 
+    /// Every value, mutably, in key order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.blocks.iter_mut().flatten().map(|(_, v)| v)
+    }
+
     /// Index of the block that holds `key` or would take it: the first
     /// whose last key is not below it, else the last block.
     fn block_of(&self, key: &K) -> usize {

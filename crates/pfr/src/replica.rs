@@ -455,21 +455,49 @@ impl Replica {
     /// `knowledge` in one pass with no lookups, in item-id order.
     pub fn versions_unknown_to(&self, knowledge: &Knowledge) -> Vec<ItemId> {
         let mut candidates = Vec::new();
-        self.versions_unknown_to_into(knowledge, &mut candidates);
+        self.versions_unknown_to_into(knowledge, crate::park::EVERY, &mut candidates);
         candidates.into_iter().map(|(id, _)| id).collect()
     }
 
-    /// In-place variant of [`Replica::versions_unknown_to`]: clears
-    /// `candidates` and fills it with the candidate set, each id with the
-    /// store slot number [`Replica::candidate_slot`] takes. The sync hot
-    /// path calls this with a reused per-replica buffer so steady-state
-    /// (zero-candidate) encounters allocate nothing.
+    /// In-place variant of [`Replica::versions_unknown_to`] that passes
+    /// over the parked copies outside `wanted` (see [`crate::park`]):
+    /// clears `candidates` and fills it with the rest, each id with the
+    /// store slot number [`Replica::candidate_slot`] takes, and returns
+    /// how many it passed over. The sync hot path calls this with a
+    /// reused per-replica buffer so steady-state (zero-candidate)
+    /// encounters allocate nothing.
     pub(crate) fn versions_unknown_to_into(
         &self,
         knowledge: &Knowledge,
+        wanted: u64,
         candidates: &mut Vec<(ItemId, usize)>,
-    ) {
-        self.store.versions_unknown_to_into(knowledge, candidates);
+    ) -> usize {
+        self.store
+            .versions_unknown_to_into(knowledge, wanted, candidates)
+    }
+
+    /// The wanted set of a sync that serves a target with `filter` under
+    /// an extension that reported `keys` (see [`crate::park`]).
+    pub(crate) fn parks_wanted(&self, filter: &Filter, keys: &crate::park::ParkKeys) -> u64 {
+        self.store.park_attr().map_or(crate::park::EVERY, |filed| {
+            crate::park::wanted(filter, filed, keys)
+        })
+    }
+
+    /// Parks the stored copy at `version`, filed under `attr`: candidate
+    /// selection passes over it until it is written or removed, unless a
+    /// sync wants one of its keys (see [`crate::park`]).
+    pub(crate) fn park(&mut self, version: Version, attr: &'static str, entry: u64) {
+        self.store.park(version, attr, entry);
+    }
+
+    /// Unparks every stored copy. A park is the verdict of the extension
+    /// that made it; whoever syncs this replica under another extension
+    /// calls this first ([`SendDecision::Park`](crate::SendDecision::Park)).
+    /// Parks are in-memory only: a restored or newly built replica has
+    /// none.
+    pub fn clear_parks(&mut self) {
+        self.store.clear_parks();
     }
 
     /// Whether `knowledge`'s vector watermarks cover every stored

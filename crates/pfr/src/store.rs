@@ -9,6 +9,7 @@ use crate::id::{ItemId, ReplicaId, Version};
 use crate::item::Item;
 use crate::knowledge::Knowledge;
 use crate::ordered::OrdMap;
+use crate::park;
 use crate::time::SimTime;
 
 /// Why a replica is holding an item.
@@ -43,18 +44,44 @@ pub(crate) struct StoredItem {
 }
 
 /// A stored item lent out mutably together with what a write to it must
-/// stamp (see [`ItemStore::slot`]).
+/// stamp and unpark (see [`ItemStore::slot`]).
 pub(crate) struct Slot<'a> {
     pub item: &'a mut Item,
     stamp: &'a mut u64,
     clock: &'a mut u64,
+    /// The version index, lent only while something is parked.
+    parks: Option<&'a mut OrdMap<(ReplicaId, u64), Filed>>,
 }
 
 impl Slot<'_> {
-    /// Records that the lent item is about to be written.
+    /// Records that the lent item is about to be written. A write unparks
+    /// the copy: whatever parked it judged the copy as it was.
     pub fn stamp_write(&mut self) {
         *self.clock += 1;
         *self.stamp = *self.clock;
+        if let Some(index) = self.parks.as_mut() {
+            if let Some(filed) = index.get_mut(&version_key(self.item.version())) {
+                filed.park = park::UNPARKED;
+            }
+        }
+    }
+}
+
+/// A version index entry: the slot of the item whose current version it
+/// is, and the item's park entry (see [`crate::park`]). A new entry is
+/// unparked, so every `put` of a copy unparks it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Filed {
+    slot: usize,
+    park: u64,
+}
+
+impl Filed {
+    fn new(slot: usize) -> Self {
+        Filed {
+            slot,
+            park: park::UNPARKED,
+        }
     }
 }
 
@@ -86,10 +113,14 @@ pub(crate) struct ItemStore {
     free: Vec<usize>,
     /// Item id → slot. Its order is the order the store lists items in.
     by_id: OrdMap<ItemId, usize>,
-    /// The *current* version of every stored item → slot, ordered by
-    /// (origin, counter) so sync candidate selection steps through it
-    /// beside a requester's knowledge.
-    by_version: OrdMap<(ReplicaId, u64), usize>,
+    /// The *current* version of every stored item → slot and park,
+    /// ordered by (origin, counter) so sync candidate selection steps
+    /// through it beside a requester's knowledge.
+    by_version: OrdMap<(ReplicaId, u64), Filed>,
+    /// The attribute the parked copies in `by_version` are filed under;
+    /// `None` while nothing was parked since the last
+    /// [`ItemStore::clear_parks`]. In memory only, like the parks.
+    park_attr: Option<&'static str>,
     /// Per origin in `by_version`: how many of its versions are stored
     /// and the highest counter among them — the watermark
     /// [`ItemStore::covered_by`] holds against a requester's vector, so
@@ -136,6 +167,7 @@ impl ItemStore {
             item: &mut stored.item,
             stamp: &mut stored.stamp,
             clock: &mut self.clock,
+            parks: self.park_attr.map(|_| &mut self.by_version),
         })
     }
 
@@ -228,7 +260,7 @@ impl ItemStore {
     }
 
     fn index_version(&mut self, version: (ReplicaId, u64), slot: usize) {
-        if self.by_version.insert(version, slot).is_some() {
+        if self.by_version.insert(version, Filed::new(slot)).is_some() {
             return;
         }
         match self.tops.get_mut(&version.0) {
@@ -263,37 +295,77 @@ impl ItemStore {
 
     /// Fills `out` (cleared first, capacity reused) with the id and slot
     /// number of every stored item whose version `knowledge` has not
-    /// learned. The version index and the knowledge's vector and
-    /// exceptions all ascend by (origin, counter), so the three are
-    /// stepped through together: a stored version costs a comparison or
-    /// two, not a lookup. Pairs come out ascending by id — exactly the
-    /// order a full scan of the store produces, so callers observe
-    /// identical candidate sequences — and the slot numbers are for
-    /// [`ItemStore::lend`], until the store next changes.
-    pub fn versions_unknown_to_into(&self, knowledge: &Knowledge, out: &mut Vec<(ItemId, usize)>) {
+    /// learned, except parked copies outside the `wanted` set (see
+    /// [`crate::park`]), which it only counts: the count is returned.
+    /// The version index and the knowledge's vector and exceptions all
+    /// ascend by (origin, counter), so the three are stepped through
+    /// together: a stored version costs a comparison or two, not a
+    /// lookup, and a passed-over one is never looked at beyond its index
+    /// entry. Pairs come out ascending by id — exactly the order a full
+    /// scan of the store produces, so callers observe identical candidate
+    /// sequences — and the slot numbers are for [`ItemStore::lend`], until
+    /// the store next changes.
+    pub fn versions_unknown_to_into(
+        &self,
+        knowledge: &Knowledge,
+        wanted: u64,
+        out: &mut Vec<(ItemId, usize)>,
+    ) -> usize {
         out.clear();
+        let mut passed = 0;
         let mut prefixes = knowledge.prefix_cursor();
         let mut exceptions = knowledge.exception_cursor();
         for run in self.origin_runs() {
             let origin = run[0].0 .0;
             let base = prefixes.seek(&origin).copied().unwrap_or(0);
             let beyond = run.partition_point(|&((_, counter), _)| counter <= base);
-            for &(version, slot) in &run[beyond..] {
+            for &(version, filed) in &run[beyond..] {
                 if exceptions.seek(&version).is_some() {
                     continue;
                 }
-                if let Some(stored) = &self.slots[slot] {
-                    out.push((stored.item.id(), slot));
+                if filed.park & wanted == 0 {
+                    passed += 1;
+                } else if let Some(stored) = &self.slots[filed.slot] {
+                    out.push((stored.item.id(), filed.slot));
                 }
             }
         }
         out.sort_unstable();
+        passed
+    }
+
+    /// Parks the copy stored under `version`, filed under `attr` with the
+    /// park entry [`park::entry_of`] gave it: candidate walks pass over it
+    /// until it is written, removed or wanted. Parks filed under another
+    /// attribute are dropped first.
+    pub fn park(&mut self, version: Version, attr: &'static str, entry: u64) {
+        if self.park_attr != Some(attr) {
+            self.clear_parks();
+            self.park_attr = Some(attr);
+        }
+        if let Some(filed) = self.by_version.get_mut(&version_key(version)) {
+            filed.park = entry;
+        }
+    }
+
+    /// Unparks every copy.
+    pub fn clear_parks(&mut self) {
+        if self.park_attr.take().is_some() {
+            for filed in self.by_version.values_mut() {
+                filed.park = park::UNPARKED;
+            }
+        }
+    }
+
+    /// The attribute parked copies are filed under, while any may be.
+    pub fn park_attr(&self) -> Option<&'static str> {
+        self.park_attr
     }
 
     /// The version index cut where the origin changes: each slice holds
     /// one origin's stored versions, counters ascending. (An origin whose
     /// versions straddle two index blocks comes as two slices.)
-    fn origin_runs(&self) -> impl Iterator<Item = &[((ReplicaId, u64), usize)]> {
+    fn origin_runs(&self) -> impl Iterator<Item = &[((ReplicaId, u64), Filed)]> {
         self.by_version
             .blocks()
             .flat_map(|block| block.chunk_by(|a, b| a.0 .0 == b.0 .0))
@@ -521,8 +593,8 @@ mod tests {
             let (id, v) = (stored.item.id(), stored.item.version());
             assert_eq!(s.by_id.get(&id), Some(&slot), "item {id} misfiled");
             assert_eq!(
-                s.by_version.get(&version_key(v)),
-                Some(&slot),
+                s.by_version.get(&version_key(v)).map(|f| f.slot),
+                Some(slot),
                 "item {id} missing from the version index under {v}"
             );
         }
@@ -579,7 +651,7 @@ mod tests {
         k.insert_prefix(rid(2), 2); // knows 2@1..2
         k.insert(Version::new(rid(2), 4)); // and the exception 2@4
         let mut unknown = Vec::new();
-        s.versions_unknown_to_into(&k, &mut unknown);
+        assert_eq!(s.versions_unknown_to_into(&k, park::EVERY, &mut unknown), 0);
         let ids: Vec<ItemId> = unknown.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, vec![ItemId::new(rid(2), 3), ItemId::new(rid(3), 1)]);
         for (id, slot) in unknown {
@@ -621,7 +693,7 @@ mod tests {
         ];
         let mut s = ItemStore::from_parts(items, Vec::new());
         let mut unknown = Vec::new();
-        s.versions_unknown_to_into(&Knowledge::new(), &mut unknown);
+        s.versions_unknown_to_into(&Knowledge::new(), park::EVERY, &mut unknown);
         assert_eq!(unknown.len(), 1);
         assert!(s.remove(ItemId::new(rid(2), 1)).is_some());
         assert!(s.remove(ItemId::new(rid(3), 1)).is_some());
@@ -664,6 +736,14 @@ mod tests {
             Rebuild {
                 rotate: u8,
             },
+            /// Park `id`'s copy, filed under its destination.
+            Park {
+                id: u8,
+            },
+            /// Write `id`'s copy in place through a lent slot.
+            Stamp {
+                id: u8,
+            },
         }
 
         fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -689,6 +769,9 @@ mod tests {
                 Just(Op::Evict),
                 (0u8..3).prop_map(|dest| Op::Reclassify { dest }),
                 (0u8..8).prop_map(|rotate| Op::Rebuild { rotate }),
+                (0u8..12).prop_map(|id| Op::Park { id }),
+                (0u8..12).prop_map(|id| Op::Park { id }),
+                (0u8..12).prop_map(|id| Op::Stamp { id }),
             ];
             proptest::collection::vec(op, 0..80)
         }
@@ -713,6 +796,8 @@ mod tests {
             items: BTreeMap<ItemId, Held>,
             fifo: VecDeque<ItemId>,
             clock: u64,
+            /// Parked copies: every write and removal unparks.
+            parked: std::collections::BTreeSet<ItemId>,
         }
 
         impl Model {
@@ -728,11 +813,13 @@ mod tests {
                     _ => {}
                 }
                 self.items.insert(id, Held { item, kind });
+                self.parked.remove(&id);
                 self.clock += 1;
             }
 
             fn remove(&mut self, id: ItemId) -> bool {
                 let gone = self.items.remove(&id).is_some();
+                self.parked.remove(&id);
                 if gone {
                     self.fifo.retain(|&x| x != id);
                     self.clock += 1;
@@ -781,7 +868,7 @@ mod tests {
                 }
             }
             let mut walked = Vec::new();
-            s.versions_unknown_to_into(&k, &mut walked);
+            assert_eq!(s.versions_unknown_to_into(&k, park::EVERY, &mut walked), 0);
             let scanned: Vec<ItemId> = m
                 .items
                 .values()
@@ -792,6 +879,32 @@ mod tests {
                 walked.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
                 scanned
             );
+            // Wanting nothing passes over exactly the parked unknowns;
+            // wanting one destination judges its parked copies again.
+            let mut unparked = Vec::new();
+            let passed = s.versions_unknown_to_into(&k, park::UNPARKED, &mut unparked);
+            let parked_unknown = scanned.iter().filter(|id| m.parked.contains(id)).count();
+            assert_eq!(passed, parked_unknown);
+            assert_eq!(
+                unparked.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+                scanned
+                    .iter()
+                    .copied()
+                    .filter(|id| !m.parked.contains(id))
+                    .collect::<Vec<_>>()
+            );
+            let mut keys = park::ParkKeys::default();
+            keys.file_under("dest");
+            let wanted = park::wanted(&Filter::address("dest", DESTS[0]), "dest", &keys);
+            let mut judged = Vec::new();
+            s.versions_unknown_to_into(&k, wanted, &mut judged);
+            for id in scanned.iter().filter(|id| m.parked.contains(id)) {
+                let to_first = m.items[id].item.attrs().get_str("dest") == Some(DESTS[0]);
+                assert!(
+                    !to_first || judged.iter().any(|&(j, _)| j == *id),
+                    "{id} is addressed to the filter yet passed over"
+                );
+            }
             assert_eq!(
                 s.covered_by(&k),
                 m.items.values().all(|h| {
@@ -865,6 +978,20 @@ mod tests {
                             listed.push(ItemId::new(rid(99), 99));
                             s = ItemStore::from_parts(items, listed);
                             m.clock = m.items.len() as u64;
+                            m.parked.clear();
+                        }
+                        Op::Park { id } => {
+                            let Some(held) = m.items.get(&item_id(id)) else { continue };
+                            let entry = park::entry_of(&held.item, "dest");
+                            s.park(held.item.version(), "dest", entry);
+                            m.parked.insert(held.item.id());
+                        }
+                        Op::Stamp { id } => {
+                            let id = item_id(id);
+                            let Some(mut slot) = s.slot(id) else { continue };
+                            slot.stamp_write();
+                            m.clock += 1;
+                            m.parked.remove(&id);
                         }
                     }
                     assert_matches(&mut s, &m);

@@ -28,6 +28,17 @@
 //! Extensions add out-of-filter forwarding — the paper's pluggable DTN
 //! routing policies — without changing the meaning of filters, so eventual
 //! filter consistency is preserved (§IV-C).
+//!
+//! A verdict can outlive its sync. [`SendDecision::Park`] withholds a copy
+//! until it is rewritten — unless the target's filter or the extension's
+//! [`SyncExtension::park_keys`] names one of the copy's keys — and the
+//! source records it on the copy's version-index entry. Later syncs then
+//! count a parked copy the target lacks with one compare on that entry,
+//! without lending the copy, matching the filter or asking `to_send`; a
+//! copy whose keys a sync wants is judged in full, as if never parked.
+//! Batches, `withheld` counts and candidate counts are exactly what
+//! [`SendDecision::Skip`] would have produced. Any write to the copy
+//! unparks it, and parks are never persisted.
 
 use std::any::Any;
 use std::borrow::Cow;
@@ -42,9 +53,12 @@ use crate::id::{ItemId, ReplicaId};
 use crate::intern::IStr;
 use crate::item::Item;
 use crate::knowledge::Knowledge;
+use crate::park;
 use crate::replica::{ApplyOutcome, Replica};
 use crate::time::SimTime;
 use crate::wire::Writer;
+
+pub use crate::park::ParkKeys;
 
 /// What a routing extension lends to a co-located peer instead of bytes:
 /// the struct it keeps its advertised state in. The peer's extension
@@ -252,13 +266,23 @@ pub enum SendDecision {
     Skip,
     /// Include the item with the given priority.
     Send(Priority),
+    /// Do not include the item, and do not ask again until the stored
+    /// copy is rewritten — unless a sync's target filter or the values
+    /// [`SyncExtension::park_keys`] names match one of the copy's keys.
+    /// Only sound for a verdict nothing else can change: not the peer,
+    /// not the time, not the extension's state beyond what `park_keys`
+    /// names. A tombstone is never parked, and an extension that files
+    /// parks under no attribute only skips. Parks belong to the extension
+    /// that made them: whoever serves the replica under another one
+    /// first calls [`Replica::clear_parks`].
+    Park,
 }
 
 impl SendDecision {
     /// Converts to an optional priority.
     pub fn priority(self) -> Option<Priority> {
         match self {
-            SendDecision::Skip => None,
+            SendDecision::Skip | SendDecision::Park => None,
             SendDecision::Send(p) => Some(p),
         }
     }
@@ -421,6 +445,16 @@ pub trait SyncExtension {
     ) -> SendDecision {
         let _ = (candidate, request);
         SendDecision::Skip
+    }
+
+    /// Called on the **source** once per sync, after
+    /// [`SyncExtension::process_request`], by an extension that returns
+    /// [`SendDecision::Park`]: files its parked copies under an attribute
+    /// ([`ParkKeys::file_under`]) and names the values of it whose parked
+    /// copies this sync must judge again ([`ParkKeys::want`]). The
+    /// default files nothing, which makes a park a plain skip.
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        let _ = keys;
     }
 
     /// Called on the **source** for every outgoing copy (filter-matched or
@@ -670,6 +704,9 @@ pub fn prepare_batch(
             at_secs: now.as_secs(),
         });
 
+    let mut keys = ParkKeys::default();
+    ext.park_keys(&mut keys);
+
     // Candidate scan + selection, timed only when somebody reads the
     // timing (otherwise the clock is never read, like `Span`).
     let scan_started = cx
@@ -681,20 +718,24 @@ pub fn prepare_batch(
     // function exits), so the steady-state encounter — every candidate
     // already known, nothing selected — builds no vectors at all.
     let mut scratch = cx.replica.take_sync_scratch();
-    if cx.replica.store_covered_by(&request.knowledge) {
+    // Parked copies the sync does not want are withheld by the walk
+    // itself, uncounted among the candidates it hands back.
+    let passed = if cx.replica.store_covered_by(&request.knowledge) {
         // Watermark short-circuit: every stored version sits at or below
         // the requester's per-origin vector entries, so the candidate
         // walk cannot select anything. This is the steady state between
         // converged peers; skipping the walk makes those encounters
         // O(origins) instead of O(origins + suffix scans).
         scratch.candidates.clear();
+        0
     } else {
+        let wanted = cx.replica.parks_wanted(&request.filter, &keys);
         cx.replica
-            .versions_unknown_to_into(&request.knowledge, &mut scratch.candidates);
-    }
-    let candidate_count = scratch.candidates.len() as u64;
+            .versions_unknown_to_into(&request.knowledge, wanted, &mut scratch.candidates)
+    };
+    let candidate_count = (scratch.candidates.len() + passed) as u64;
     scratch.selected.clear();
-    let mut withheld = 0usize;
+    let mut withheld = passed;
     for &(id, slot) in &scratch.candidates {
         // No store lookup per candidate: the walk reported the slot, which
         // answers the filter match and the payload length the byte-budget
@@ -714,16 +755,27 @@ pub fn prepare_batch(
             host: source_id,
             slot,
         };
-        let verdict = ext.to_send(&mut candidate, request).priority();
+        let decision = ext.to_send(&mut candidate, request);
+        let park = match (decision, keys.attr()) {
+            (SendDecision::Park, Some(attr)) if !candidate.is_deleted() => {
+                Some((candidate.version(), attr, park::entry_of(&candidate, attr)))
+            }
+            _ => None,
+        };
+        if let Some((version, attr, entry)) = park {
+            cx.replica.park(version, attr, entry);
+        }
+        let verdict = decision.priority();
         cx.replica
             .observer()
             .emit(EventKind::PolicyDecision, || Event::PolicyDecision {
                 replica: source_id.as_u64(),
                 peer: target_id,
                 policy,
-                kind: match verdict {
-                    Some(_) => DecisionKind::Forward,
-                    None => DecisionKind::Suppress,
+                kind: match (verdict, park) {
+                    (Some(_), _) => DecisionKind::Forward,
+                    (None, Some(_)) => DecisionKind::Park,
+                    (None, None) => DecisionKind::Suppress,
                 },
                 origin: id.origin().as_u64(),
                 seq: id.seq(),

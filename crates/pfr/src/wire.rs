@@ -1014,6 +1014,38 @@ impl Encode for KnowledgeSummary {
     }
 }
 
+/// Length of the [`KnowledgeSummary::Delta`] encoding of `learned`,
+/// counted from the slice: a summary that loses to the full knowledge is
+/// never built.
+pub(crate) fn delta_summary_len(learned: &[Version]) -> usize {
+    let mut w = Writer::counting();
+    w.put_u8(SUMMARY_DELTA);
+    w.put_u64(0);
+    w.put_u64(0);
+    w.put_varint(learned.len() as u64);
+    for version in learned {
+        version.encode(&mut w);
+    }
+    w.len()
+}
+
+/// Length of the [`DigestRequest`] encoding for a request whose summary
+/// and (inline, if any) filter lengths are already known, the way
+/// [`sync_request_len`] counts a full one.
+pub(crate) fn digest_request_len(
+    target: ReplicaId,
+    summary_len: usize,
+    inline_filter_len: Option<usize>,
+    routing: &RoutingState<'_>,
+) -> usize {
+    encoded_len(&target)
+        + summary_len
+        + 8
+        + 1
+        + inline_filter_len.unwrap_or(0)
+        + encoded_len(routing)
+}
+
 impl Decode for KnowledgeSummary {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.get_u8()? {

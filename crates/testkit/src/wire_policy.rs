@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use dtn::{DtnPolicy, PolicySummary};
-use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
+use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::{Item, ItemId, ReplicaId, RoutingState, SyncExtension};
 
 /// Wraps a routing policy so the routing data of every request it
@@ -35,6 +35,10 @@ impl SyncExtension for OverTheWire {
         request: &SyncRequest<'_>,
     ) -> SendDecision {
         self.0.to_send(candidate, request)
+    }
+
+    fn park_keys(&self, keys: &mut ParkKeys) {
+        self.0.park_keys(keys);
     }
 
     fn prepare_outgoing(

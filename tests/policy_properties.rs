@@ -125,6 +125,54 @@ proptest! {
         });
     }
 
+    /// ROADMAP 5(b): a Spray holder down to its last copy waits for the
+    /// destination. Whoever it meets that is not the destination leaves
+    /// the encounter without the message — whether the holder judged the
+    /// copy then or parked it at an earlier contact.
+    #[test]
+    fn spray_one_copy_holders_never_forward(schedule in arb_schedule()) {
+        let mut nodes = build_nodes(schedule.hosts, PolicyKind::SprayAndWait);
+        let mut dest_of = Vec::new();
+        for &(from, to) in &schedule.messages {
+            let id = nodes[from]
+                .send(&format!("h{to}"), vec![1], SimTime::ZERO)
+                .expect("send");
+            dest_of.push((id, to));
+        }
+        for (step, &(a, b)) in schedule.encounters.iter().enumerate() {
+            if a == b {
+                continue;
+            }
+            // Per direction: (holder, peer, id) for every last copy the
+            // holder carries that the peer lacks and is not addressed to.
+            let waiting: Vec<(usize, usize, _)> = [(a, b), (b, a)]
+                .into_iter()
+                .flat_map(|(holder, peer)| {
+                    let nodes = &nodes;
+                    dest_of.iter().filter_map(move |&(id, to)| {
+                        let copies = nodes[holder].replica().item(id)?.transient().get_i64(ATTR_COPIES)?;
+                        let lacks = !nodes[peer].replica().contains_item(id);
+                        (copies == 1 && lacks && to != peer).then_some((holder, peer, id))
+                    })
+                })
+                .collect();
+            let (x, y) = if a < b { (a, b) } else { (b, a) };
+            let (left, right) = nodes.split_at_mut(y);
+            left[x].encounter(
+                &mut right[0],
+                SimTime::from_secs(60 * (step as u64 + 1)),
+                EncounterBudget::unlimited(),
+            );
+            // The holder is the peer's only partner in this encounter.
+            for (holder, peer, id) in waiting {
+                prop_assert!(
+                    !nodes[peer].replica().contains_item(id),
+                    "step {}: h{} forwarded its last copy of {} to h{}", step, holder, id, peer
+                );
+            }
+        }
+    }
+
     /// Epidemic TTL bounds how many relay hops a copy can take: with TTL t,
     /// a copy reaching a node has a TTL in [0, t].
     #[test]
