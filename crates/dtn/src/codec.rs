@@ -75,8 +75,11 @@ pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<BTreeMap<IStr, f64>, 
     Ok(out)
 }
 
-/// A probability vector keyed by replica (node) id.
-pub(crate) fn put_node_probs(w: &mut Writer, probs: &BTreeMap<ReplicaId, f64>) {
+/// A probability vector keyed by replica (node) id, given ascending.
+pub(crate) fn put_node_probs<'a>(
+    w: &mut Writer,
+    probs: impl ExactSizeIterator<Item = (&'a ReplicaId, &'a f64)>,
+) {
     w.put_varint(probs.len() as u64);
     for (node, p) in probs {
         node.encode(w);
@@ -139,7 +142,7 @@ mod tests {
         probs.insert(ReplicaId::new(1), 0.25);
         probs.insert(ReplicaId::new(9), 0.75);
         let mut w = Writer::new();
-        put_node_probs(&mut w, &probs);
+        put_node_probs(&mut w, probs.iter());
         let bytes = w.into_bytes();
         assert_eq!(get_node_probs(&mut Reader::new(&bytes)).unwrap(), probs);
     }

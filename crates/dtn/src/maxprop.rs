@@ -58,8 +58,9 @@ pub struct MaxPropPolicy {
     use_acks: bool,
     /// What this host tells every peer it pulls from.
     advert: Advert,
-    /// Distributions learned from peers, keyed by peer.
-    peer_meeting: BTreeMap<ReplicaId, BTreeMap<ReplicaId, f64>>,
+    /// Distributions learned from peers, keyed by peer: each ascending by
+    /// node, and refilled in place when its peer is met again.
+    peer_meeting: BTreeMap<ReplicaId, Vec<(ReplicaId, f64)>>,
     /// Which node currently owns each destination address.
     addr_owner: BTreeMap<IStr, ReplicaId>,
     /// Whether the store may hold a relay copy of an acknowledged message.
@@ -88,7 +89,7 @@ struct Advert {
 impl RoutingPayload for Advert {
     fn encode(&self, w: &mut Writer) {
         codec::put_addrs(w, &self.local_addrs);
-        codec::put_node_probs(w, &self.meeting);
+        codec::put_node_probs(w, self.meeting.iter());
         self.acks.encode(w);
     }
 }
@@ -173,18 +174,21 @@ impl MaxPropPolicy {
             if dist.get(&node).copied().unwrap_or(f64::INFINITY) < d {
                 continue;
             }
-            let edges: Option<&BTreeMap<ReplicaId, f64>> = if node == me {
-                Some(&self.advert.meeting)
-            } else {
-                self.peer_meeting.get(&node)
-            };
-            let Some(edges) = edges else { continue };
-            for (&next, &p) in edges {
+            let relax = |(next, p): (ReplicaId, f64)| {
                 let nd = d + (1.0 - p.clamp(0.0, 1.0));
                 if nd < dist.get(&next).copied().unwrap_or(f64::INFINITY) {
                     dist.insert(next, nd);
                     heap.push(Reverse((OrdF64(nd), next)));
                 }
+            };
+            if node == me {
+                self.advert
+                    .meeting
+                    .iter()
+                    .map(|(&next, &p)| (next, p))
+                    .for_each(relax);
+            } else if let Some(edges) = self.peer_meeting.get(&node) {
+                edges.iter().copied().for_each(relax);
             }
         }
         dist
@@ -267,7 +271,9 @@ impl SyncExtension for MaxPropPolicy {
             for addr in &theirs.local_addrs {
                 self.addr_owner.insert(addr.clone(), peer);
             }
-            self.peer_meeting.insert(peer, theirs.meeting.clone());
+            let learned = self.peer_meeting.entry(peer).or_default();
+            learned.clear();
+            learned.extend(theirs.meeting.iter().map(|(&node, &p)| (node, p)));
             if self.use_acks {
                 self.purge_due |= self.advert.acks.merge(&theirs.acks);
             }
@@ -373,11 +379,11 @@ impl DtnPolicy for MaxPropPolicy {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        codec::put_node_probs(&mut w, &self.advert.meeting);
+        codec::put_node_probs(&mut w, self.advert.meeting.iter());
         w.put_varint(self.peer_meeting.len() as u64);
         for (peer, probs) in &self.peer_meeting {
             peer.encode(&mut w);
-            codec::put_node_probs(&mut w, probs);
+            codec::put_node_probs(&mut w, probs.iter().map(|(node, p)| (node, p)));
         }
         w.put_varint(self.addr_owner.len() as u64);
         for (addr, node) in &self.addr_owner {
@@ -397,7 +403,7 @@ impl DtnPolicy for MaxPropPolicy {
             for _ in 0..n {
                 let peer = ReplicaId::decode(&mut r)?;
                 let probs = codec::get_node_probs(&mut r)?;
-                peer_meeting.insert(peer, probs);
+                peer_meeting.insert(peer, probs.into_iter().collect());
             }
             let n = r.get_len(2)?;
             let mut addr_owner = BTreeMap::new();

@@ -27,17 +27,65 @@ impl EntrySink for () {
     fn entry(&mut self, _: ReplicaId, _: u64, _: bool, _: bool) {}
 }
 
+/// Bits per exception word: an origin's counter `c` is bit `c % 64` of
+/// its word `c / 64`.
+const WORD: u64 = u64::BITS as u64;
+
+/// The key of the exception word that holds `origin`'s `counter`, and the
+/// counter's bit in it.
+fn word_of(origin: ReplicaId, counter: u64) -> ((ReplicaId, u64), u64) {
+    ((origin, counter / WORD), 1 << (counter % WORD))
+}
+
+/// The bits of word `index` that stand for counters at or below `base`.
+fn at_or_below(index: u64, base: u64) -> u64 {
+    // `index * WORD` cannot overflow: `index` is a counter divided by 64.
+    base.checked_sub(index * WORD)
+        .map_or(0, |offset| u64::MAX >> (WORD - 1 - offset.min(WORD - 1)))
+}
+
+/// Folds word `index` into its origin's prefix `base`: clears the bits at
+/// or below `base`, then raises `base` through the run of set bits that
+/// starts right above it. Returns the bits left, none of them adjacent to
+/// the new `base`.
+fn absorb(index: u64, bits: u64, base: &mut u64) -> u64 {
+    let rest = bits & !at_or_below(index, *base);
+    let Some(shift) = base
+        .checked_add(1)
+        .and_then(|next| next.checked_sub(index * WORD))
+        .filter(|&shift| shift < WORD)
+    else {
+        return rest;
+    };
+    // Counts the ones from `shift` up; the run ends inside the word.
+    *base += u64::from((!(rest >> shift)).trailing_zeros());
+    rest & !at_or_below(index, *base)
+}
+
+/// The counters that word `index`'s set `bits` stand for, ascending.
+fn counters(index: u64, mut bits: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let bit = (bits != 0).then(|| u64::from(bits.trailing_zeros()))?;
+        bits &= bits - 1;
+        Some(index * WORD + bit)
+    })
+}
+
 /// A compact set of [`Version`]s: a version vector plus an exception set.
 ///
 /// The *vector* component maps each replica to the highest counter `c` such
 /// that **all** versions `1..=c` from that replica are known. Versions known
 /// out of order (because filtered replication delivers only a subset of each
 /// origin's writes) are tracked individually in the *exception* set and
-/// absorbed into the vector as gaps fill in. Both are sorted arrays —
-/// the vector by replica, the exceptions by origin then counter, which is
-/// also their order on the wire and in snapshots — so a lookup is a binary
-/// search, a clone is two copies, and sync candidate selection steps
-/// through them in one pass beside the store's version index.
+/// absorbed into the vector as gaps fill in. Both are sorted arrays. The
+/// vector is ordered by replica. The exceptions are 64-bit words keyed by
+/// `(origin, counter / 64)`, one bit per counter, so they read out by
+/// origin then counter — also their order on the wire and in snapshots. A
+/// lookup is a binary search and a bit test, a clone is two copies, and
+/// sync candidate selection steps through both beside the store's version
+/// index. No word is zero, so the words never outnumber the exceptions:
+/// at most 24 bytes an exception when every one opens its own word, 3/8 of
+/// a byte when an origin's gaps are dense.
 ///
 /// The representation is therefore proportional to the number of replicas
 /// plus the number of out-of-order receipts — for full replication it
@@ -68,9 +116,12 @@ impl EntrySink for () {
 pub struct Knowledge {
     /// replica -> highest prefix-complete counter (never 0).
     vector: OrdMap<ReplicaId, u64>,
-    /// Individually known `(origin, counter)`s, each more than one above
-    /// its origin's vector entry.
-    exceptions: OrdMap<(ReplicaId, u64), ()>,
+    /// `(origin, counter / 64)` -> the individually known counters of that
+    /// word as bits. Never zero, and never holding a counter at or one
+    /// above its origin's vector entry.
+    words: OrdMap<(ReplicaId, u64), u64>,
+    /// How many bits the words hold: the number of exceptions.
+    exceptions: usize,
 }
 
 impl Knowledge {
@@ -82,30 +133,27 @@ impl Knowledge {
     /// The knowledge holding every prefix `1..=counter` in `prefixes` and
     /// every single version in `singles`, given in any order and with any
     /// repetition or overlap — what a decoder read from a frame or a
-    /// file. Lists exactly as an honest encoder writes them become the
-    /// two arrays as they are; anything else is sorted, unless already
-    /// ascending, and built in one pass.
+    /// file. Each list is sorted unless already ascending, and the
+    /// knowledge is built from both in one pass.
     pub(crate) fn from_entries(
         mut prefixes: Vec<(ReplicaId, u64)>,
         mut singles: Vec<(ReplicaId, u64)>,
     ) -> Self {
-        if is_canonical(&prefixes, &singles) {
-            return Knowledge {
-                vector: OrdMap::from_ascending(prefixes),
-                exceptions: OrdMap::from_ascending(
-                    singles.into_iter().map(|version| (version, ())).collect(),
-                ),
-            };
-        }
         sort_unless_ascending(&mut prefixes);
         sort_unless_ascending(&mut singles);
-        canonical(prefixes.into_iter(), singles.into_iter())
+        canonical(
+            prefixes,
+            singles
+                .into_iter()
+                .map(|(origin, counter)| word_of(origin, counter)),
+        )
     }
 
     /// Returns `true` if `version` is known.
     pub fn contains(&self, version: Version) -> bool {
         let (replica, counter) = (version.replica(), version.counter());
-        counter <= self.base_counter(replica) || self.exceptions.get(&(replica, counter)).is_some()
+        let (key, bit) = word_of(replica, counter);
+        counter <= self.base_counter(replica) || self.words.get(&key).is_some_and(|w| w & bit != 0)
     }
 
     /// The highest counter `c` for `replica` such that all of `1..=c` is
@@ -131,13 +179,22 @@ impl Knowledge {
         let base = self.base_counter(replica);
         if counter.checked_sub(1) == Some(base) {
             self.raise(replica, counter, sink);
-            true
-        } else if counter > base && self.exceptions.insert((replica, counter), ()).is_none() {
-            sink.entry(replica, counter, true, true);
-            true
-        } else {
-            false
+            return true;
         }
+        if counter <= base {
+            return false;
+        }
+        let (key, bit) = word_of(replica, counter);
+        match self.words.get_mut(&key) {
+            Some(word) if *word & bit != 0 => return false,
+            Some(word) => *word |= bit,
+            None => {
+                self.words.insert(key, bit);
+            }
+        }
+        self.exceptions += 1;
+        sink.entry(replica, counter, true, true);
+        true
     }
 
     /// Records that *all* versions `1..=counter` from `replica` are known.
@@ -150,18 +207,35 @@ impl Knowledge {
     }
 
     /// Sets `replica`'s prefix to `counter` (above its current one), drops
-    /// the exceptions it swallows and folds in the run adjacent to it.
+    /// the exceptions it swallows and folds in the run adjacent to it:
+    /// word by word, in one pass over the origin's leading words.
     fn raise<S: EntrySink>(&mut self, replica: ReplicaId, counter: u64, sink: &mut S) {
         let mut base = counter;
-        self.exceptions
-            .remove_run(&(replica, 0), |&(origin, next)| {
-                let swallowed = origin == replica && next <= base.saturating_add(1);
-                if swallowed {
-                    sink.entry(replica, next, true, false);
-                    base = base.max(next);
+        let mut swallowed = 0;
+        let mut partial = None;
+        self.words
+            .remove_run(&(replica, 0), |&((origin, index), bits)| {
+                if origin != replica {
+                    return false;
                 }
-                swallowed
+                let rest = absorb(index, bits, &mut base);
+                for gone in counters(index, bits & !rest) {
+                    sink.entry(replica, gone, true, false);
+                    swallowed += 1;
+                }
+                // A word with bits left ends the run; it is trimmed below.
+                if rest != 0 && rest != bits {
+                    partial = Some((index, rest));
+                }
+                rest == 0
             });
+        if let Some((index, rest)) = partial {
+            *self
+                .words
+                .get_mut(&(replica, index))
+                .expect("the word that ended the run") = rest;
+        }
+        self.exceptions -= swallowed;
         if let Some(old) = self.vector.insert(replica, base) {
             sink.entry(replica, old, false, false);
         }
@@ -175,14 +249,14 @@ impl Knowledge {
     /// contained `v`. Both sides are walked in step, once to find out
     /// whether `other` holds anything new — most merges between
     /// long-acquainted peers end there, having written nothing — and, if
-    /// so, once more to build the union.
+    /// so, once more to build the union, OR-ing words with equal keys.
     pub fn merge(&mut self, other: &Knowledge) -> bool {
         if self.dominates(other) {
             return false;
         }
         *self = canonical(
-            merge_ascending(self.vector.iter().copied(), other.vector.iter().copied()),
-            merge_ascending(self.exception_keys(), other.exception_keys()),
+            merge_ascending(self.vector.iter().copied(), other.vector.iter().copied()).collect(),
+            merge_ascending(self.words.iter().copied(), other.words.iter().copied()),
         );
         true
     }
@@ -197,13 +271,12 @@ impl Knowledge {
             .iter()
             .all(|(replica, counter)| prefixes.seek(replica).is_some_and(|base| counter <= base));
         let mut prefixes = self.prefix_cursor();
-        let mut exceptions = self.exception_cursor();
+        let mut words = self.words.iter();
         covers_prefixes
-            && other.exceptions.iter().all(|(version, ())| {
-                exceptions.seek(version).is_some()
-                    || prefixes
-                        .seek(&version.0)
-                        .is_some_and(|base| version.1 <= *base)
+            && other.words.iter().all(|&(key, bits)| {
+                let base = prefixes.seek(&key.0).copied().unwrap_or(0);
+                let beyond = bits & !at_or_below(key.1, base);
+                beyond == 0 || beyond & !words.seek(&key).copied().unwrap_or(0) == 0
             })
     }
 
@@ -215,11 +288,9 @@ impl Knowledge {
     /// Iterates over exception versions in `(replica, counter)` order —
     /// the canonical order of the wire and snapshot encodings.
     pub fn exceptions(&self) -> impl Iterator<Item = Version> + '_ {
-        self.exception_keys().map(|(r, c)| Version::new(r, c))
-    }
-
-    fn exception_keys(&self) -> impl Iterator<Item = (ReplicaId, u64)> + '_ {
-        self.exceptions.iter().map(|&(version, ())| version)
+        self.words.iter().flat_map(|&((origin, index), bits)| {
+            counters(index, bits).map(move |counter| Version::new(origin, counter))
+        })
     }
 
     /// A forward reader of the vector, for looking up ascending replicas
@@ -229,8 +300,8 @@ impl Knowledge {
     }
 
     /// A forward reader of the exceptions, likewise.
-    pub(crate) fn exception_cursor(&self) -> Cursor<'_, (ReplicaId, u64), ()> {
-        self.exceptions.iter()
+    pub(crate) fn exception_reader(&self) -> ExceptionReader<'_> {
+        ExceptionReader(self.words.iter())
     }
 
     /// Number of replicas with a vector entry.
@@ -243,12 +314,12 @@ impl Knowledge {
     /// This is the metadata-size metric the paper's "compact knowledge"
     /// claim is about; the storage experiments report it.
     pub fn exception_count(&self) -> usize {
-        self.exceptions.len()
+        self.exceptions
     }
 
     /// Returns `true` if no versions are known.
     pub fn is_empty(&self) -> bool {
-        self.vector.is_empty() && self.exceptions.is_empty()
+        self.vector.is_empty() && self.words.is_empty()
     }
 
     /// Total number of versions contained (for testing and metrics; cost is
@@ -256,25 +327,22 @@ impl Knowledge {
     pub fn version_count(&self) -> u64 {
         self.vector
             .iter()
-            .fold(self.exceptions.len() as u64, |n, &(_, c)| {
-                n.saturating_add(c)
-            })
+            .fold(self.exceptions as u64, |n, &(_, c)| n.saturating_add(c))
     }
 }
 
-/// Whether the lists are a knowledge's one representation already:
-/// replicas strictly ascending with nonzero prefixes, singles strictly
-/// ascending and each more than one above its origin's prefix.
-fn is_canonical(prefixes: &[(ReplicaId, u64)], singles: &[(ReplicaId, u64)]) -> bool {
-    let mut bases = prefixes.iter().peekable();
-    prefixes.windows(2).all(|w| w[0].0 < w[1].0)
-        && prefixes.iter().all(|&(_, counter)| counter > 0)
-        && singles.windows(2).all(|w| w[0] < w[1])
-        && singles.iter().all(|&(origin, counter)| {
-            while bases.next_if(|&&(replica, _)| replica < origin).is_some() {}
-            let base = bases.peek().filter(|p| p.0 == origin).map_or(0, |p| p.1);
-            counter > base.saturating_add(1)
-        })
+/// Answers whether a [`Knowledge`] holds versions as exceptions, for
+/// versions asked about in ascending (origin, counter) order: one pass
+/// over the exception words in total, a bit test per question.
+pub(crate) struct ExceptionReader<'a>(Cursor<'a, (ReplicaId, u64), u64>);
+
+impl ExceptionReader<'_> {
+    /// Whether `origin`'s `counter` is an exception. Questions must not
+    /// descend from one call to the next.
+    pub(crate) fn holds(&mut self, origin: ReplicaId, counter: u64) -> bool {
+        let (key, bit) = word_of(origin, counter);
+        self.0.seek(&key).is_some_and(|word| word & bit != 0)
+    }
 }
 
 fn sort_unless_ascending<T: Ord>(entries: &mut [T]) {
@@ -296,42 +364,58 @@ fn merge_ascending<T: Ord>(
     })
 }
 
-/// Builds the one representation of the version set that `prefixes` (each
-/// `(replica, c)` standing for `1..=c`) and `singles` add up to. Both come
-/// ascending and may repeat or overlap: per replica the highest prefix
-/// wins, singles at or below it are dropped, and the run of singles
-/// adjacent to it is folded in.
+/// Builds the one representation of the version set that `vector` (each
+/// `(replica, c)` standing for `1..=c`) and `words` add up to. Both come
+/// ascending and may repeat keys: per replica the highest prefix wins,
+/// words under one key are OR-ed, bits at or below the prefix are dropped
+/// and the run adjacent to it is folded in. The vector is rewritten in
+/// place; it grows only for a replica whose words alone start a prefix,
+/// which no honest encoder sends.
 fn canonical(
-    prefixes: impl Iterator<Item = (ReplicaId, u64)>,
-    singles: impl Iterator<Item = (ReplicaId, u64)>,
+    mut vector: Vec<(ReplicaId, u64)>,
+    words: impl Iterator<Item = ((ReplicaId, u64), u64)>,
 ) -> Knowledge {
-    let (mut prefixes, mut singles) = (prefixes.peekable(), singles.peekable());
-    let mut vector = Vec::with_capacity(prefixes.size_hint().0);
-    let mut exceptions = Vec::with_capacity(singles.size_hint().0);
-    loop {
-        let replica = match (prefixes.peek(), singles.peek()) {
-            (Some(&(p, _)), Some(&(s, _))) => p.min(s),
-            (Some(&(r, _)), None) | (None, Some(&(r, _))) => r,
-            (None, None) => break,
-        };
-        let mut base = 0;
-        while let Some((_, counter)) = prefixes.next_if(|&(r, _)| r == replica) {
-            base = base.max(counter);
+    // A replica's highest prefix is its last: the list ascends.
+    vector.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 = next.1;
         }
-        while let Some(single) = singles.next_if(|&(r, _)| r == replica) {
-            if single.1 == base.saturating_add(1) {
-                base = single.1;
-            } else if single.1 > base && exceptions.last() != Some(&(single, ())) {
-                exceptions.push((single, ()));
+        same
+    });
+    vector.retain(|&(_, counter)| counter > 0);
+    let mut words = words.peekable();
+    let mut kept = Vec::with_capacity(words.size_hint().0);
+    let (mut fresh, mut exceptions, mut at) = (Vec::new(), 0, 0);
+    while let Some(&((origin, _), _)) = words.peek() {
+        while vector.get(at).is_some_and(|&(replica, _)| replica < origin) {
+            at += 1;
+        }
+        let held = vector.get_mut(at).filter(|(replica, _)| *replica == origin);
+        let mut base = held.as_ref().map_or(0, |(_, counter)| *counter);
+        while let Some((key, mut bits)) = words.next_if(|&((r, _), _)| r == origin) {
+            while let Some((_, more)) = words.next_if(|&(k, _)| k == key) {
+                bits |= more;
+            }
+            let rest = absorb(key.1, bits, &mut base);
+            if rest != 0 {
+                exceptions += rest.count_ones() as usize;
+                kept.push((key, rest));
             }
         }
-        if base > 0 {
-            vector.push((replica, base));
+        match held {
+            Some((_, counter)) => *counter = base,
+            None if base > 0 => fresh.push((origin, base)),
+            None => {}
         }
+    }
+    if !fresh.is_empty() {
+        vector = merge_ascending(vector.into_iter(), fresh.into_iter()).collect();
     }
     Knowledge {
         vector: OrdMap::from_ascending(vector),
-        exceptions: OrdMap::from_ascending(exceptions),
+        words: OrdMap::from_ascending(kept),
+        exceptions,
     }
 }
 
@@ -344,8 +428,8 @@ impl fmt::Debug for Knowledge {
             }
             write!(f, "{r}:{c}")?;
         }
-        if !self.exceptions.is_empty() {
-            write!(f, " +{} exc", self.exceptions.len())?;
+        if self.exceptions > 0 {
+            write!(f, " +{} exc", self.exceptions)?;
         }
         write!(f, "}}")
     }
@@ -485,6 +569,82 @@ mod tests {
         assert!(a.dominates(&a.clone()));
         assert!(a.dominates(&Knowledge::new()));
         assert!(!Knowledge::new().dominates(&a));
+    }
+
+    /// The representation's invariants: no zero word, no bit at or one
+    /// above its origin's prefix, no zero prefix, and the count equal to
+    /// the bits.
+    fn assert_canonical(k: &Knowledge) {
+        let mut bits_held = 0;
+        for &((origin, index), bits) in k.words.iter() {
+            assert_ne!(bits, 0, "a zero word for {origin}");
+            let next = k.base_counter(origin).saturating_add(1);
+            assert_eq!(bits & at_or_below(index, next), 0, "{origin} word {index}");
+            bits_held += bits.count_ones() as usize;
+        }
+        assert_eq!(bits_held, k.exception_count());
+        assert!(k.vector.iter().all(|&(_, counter)| counter > 0));
+    }
+
+    #[test]
+    fn word_boundaries_split_and_fold_exactly() {
+        let mut k = Knowledge::new();
+        for c in [63, 65, 127, 128, u64::MAX - 1, u64::MAX] {
+            k.insert(v(1, c));
+        }
+        assert_eq!((k.exception_count(), k.words.len()), (6, 4));
+        assert!(!k.contains(v(1, 64)) && !k.contains(v(1, 126)));
+        k.insert_prefix(r(1), 62); // folds 63
+        assert_eq!(k.base_counter(r(1)), 63);
+        k.insert(v(1, 64)); // closes the gap across the boundary
+        assert_eq!(k.base_counter(r(1)), 65);
+        k.insert_prefix(r(1), 126); // swallows nothing, folds 127 and 128
+        assert_eq!((k.base_counter(r(1)), k.exception_count()), (128, 2));
+        assert_canonical(&k);
+        k.insert_prefix(r(1), u64::MAX - 2); // the top of the range
+        assert_eq!((k.base_counter(r(1)), k.exception_count()), (u64::MAX, 0));
+        assert!(k.words.is_empty());
+    }
+
+    #[test]
+    fn a_raise_swallows_whole_words_and_trims_the_last() {
+        let mut k = Knowledge::new();
+        let held = [5, 70].into_iter().chain(129..=191).chain([193, 300]);
+        for c in held {
+            k.insert(v(1, c));
+        }
+        k.insert(v(2, 1_000));
+        k.insert_prefix(r(1), 128);
+        assert_eq!(k.base_counter(r(1)), 191, "the run 129..=191 folded in");
+        assert_eq!(
+            k.exceptions().collect::<Vec<_>>(),
+            [v(1, 193), v(1, 300), v(2, 1_000)]
+        );
+        assert_canonical(&k);
+    }
+
+    proptest::proptest! {
+        /// Whatever a frame lists, in any order and overlap, the knowledge
+        /// built from it is canonical and holds at most one word per
+        /// exception listed; inserting more keeps it canonical.
+        #[test]
+        fn built_knowledge_holds_a_word_per_exception_at_most(
+            prefixes in proptest::collection::vec((1u64..4, 0u64..200), 0..8),
+            singles in proptest::collection::vec((1u64..4, 0u64..400), 0..120),
+            more in proptest::collection::vec((1u64..4, 0u64..400), 0..60),
+        ) {
+            let id = |list: Vec<(u64, u64)>| -> Vec<(ReplicaId, u64)> {
+                list.into_iter().map(|(o, c)| (r(o), c)).collect()
+            };
+            let listed = singles.len();
+            let mut k = Knowledge::from_entries(id(prefixes), id(singles));
+            assert_canonical(&k);
+            proptest::prop_assert!(k.words.len() <= listed);
+            for (origin, counter) in more {
+                k.insert(v(origin, counter));
+                assert_canonical(&k);
+            }
+        }
     }
 
     #[test]

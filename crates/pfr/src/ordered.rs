@@ -10,12 +10,18 @@
 //! descending order would cost quadratic time. Here an insert moves at
 //! most one block of [`BLOCK`] entries; a full block splits in two. Up to
 //! `BLOCK` entries the map *is* one contiguous array.
+//!
+//! A knowledge is two maps: a vector entry per replica and a 64-bit word
+//! per origin and stretch of 64 counters that holds exceptions. At the
+//! end of a paper-scale replay (34 replicas) that is at most 34 vector
+//! entries and 28 words, which stand for up to ≈ 280 exceptions; the
+//! words never outnumber the exceptions, however sparse.
 
 /// Entries a block holds before it splits. A constant, not an option:
-/// large enough that every knowledge the benchmark builds (26–145
-/// entries) and every store index up to this many items is a single
-/// block, small enough that moving one is a few KiB of `memmove` — the
-/// worst insert order then costs about ten times the best
+/// large enough that every knowledge of the paper-scale replay and every
+/// store index up to this many items is a single block, small enough that
+/// moving one is a few KiB of `memmove` — the worst insert order then
+/// costs about ten times the best
 /// (`tests/bounded_insert.rs` pins it under twenty; at 512 it measured
 /// twenty to thirty).
 pub(crate) const BLOCK: usize = 256;
@@ -76,12 +82,6 @@ impl<K: Ord, V, const B: usize> OrdMap<K, V, B> {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The blocks in order, each a contiguous ascending run of entries,
-    /// for walks that work on slices.
-    pub fn blocks(&self) -> impl Iterator<Item = &[(K, V)]> {
-        self.blocks.iter().map(Vec::as_slice)
     }
 
     /// Every entry, ascending by key; also a forward reader from the
@@ -187,14 +187,17 @@ impl<K: Ord, V, const B: usize> OrdMap<K, V, B> {
     /// at or above `from`, for which `take` holds; stops at the first it
     /// refuses. One pass however long the run: each block it crosses is
     /// drained once.
-    pub fn remove_run(&mut self, from: &K, mut take: impl FnMut(&K) -> bool) {
+    pub fn remove_run(&mut self, from: &K, mut take: impl FnMut(&(K, V)) -> bool) {
         let first = self.block_of(from);
         let (mut b, mut start) = match self.blocks.get(first) {
             Some(block) => (first, block.partition_point(|(k, _)| k < from)),
             None => return,
         };
         while let Some(block) = self.blocks.get_mut(b) {
-            let run = block[start..].iter().take_while(|(k, _)| take(k)).count();
+            let run = block[start..]
+                .iter()
+                .take_while(|entry| take(entry))
+                .count();
             let reached_end = start + run == block.len();
             block.drain(start..start + run);
             self.len -= run;
@@ -254,6 +257,22 @@ impl<'a, K: Ord, V> Cursor<'a, K, V> {
         Some(())
     }
 
+    /// Skips the next `n` entries, or to the end of the map: a step per
+    /// block, not per entry.
+    pub fn advance(&mut self, mut n: usize) {
+        loop {
+            if let Some(rest) = self.head.get(n..) {
+                self.head = rest;
+                return;
+            }
+            n -= self.head.len();
+            self.head = &[];
+            if self.next_block().is_none() {
+                return;
+            }
+        }
+    }
+
     /// Skips the entries below `key` and returns the value at `key`, if
     /// the map holds it, without moving past it. Keys must not descend
     /// from one call to the next.
@@ -311,6 +330,8 @@ mod tests {
         RemoveRun(u16, u16),
         /// Look up these keys, sorted first, through one cursor.
         Seek(Vec<u16>),
+        /// Skip this many entries from the first, then read the rest.
+        Advance(usize),
         Rebuild,
     }
 
@@ -323,6 +344,7 @@ mod tests {
             key().prop_map(Op::Remove),
             (key(), key()).prop_map(|(from, below)| Op::RemoveRun(from, below)),
             proptest::collection::vec(key(), 0..12).prop_map(Op::Seek),
+            (0usize..56).prop_map(Op::Advance),
             Just(Op::Rebuild),
         ];
         proptest::collection::vec(op, 0..120)
@@ -357,7 +379,7 @@ mod tests {
                     Op::Remove(k) => prop_assert_eq!(map.remove(&k), model.remove(&k)),
                     Op::RemoveRun(from, below) => {
                         let mut taken = Vec::new();
-                        map.remove_run(&from, |&k| {
+                        map.remove_run(&from, |&(k, _)| {
                             taken.push(k);
                             k < below
                         });
@@ -378,6 +400,11 @@ mod tests {
                         // What the cursor has not passed is still there to read.
                         let rest: Vec<(u16, u32)> = cursor.copied().collect();
                         prop_assert!(model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>().ends_with(&rest));
+                    }
+                    Op::Advance(n) => {
+                        let mut cursor = map.iter();
+                        cursor.advance(n);
+                        prop_assert!(cursor.copied().eq(model.iter().skip(n).map(|(&k, &v)| (k, v))));
                     }
                     Op::Rebuild => {
                         let rebuilt = Small::from_ascending(map.iter().copied().collect());

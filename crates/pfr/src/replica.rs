@@ -500,13 +500,6 @@ impl Replica {
         self.store.clear_parks();
     }
 
-    /// Whether `knowledge`'s vector watermarks cover every stored
-    /// version (see [`crate::store`]'s `covered_by`); lets the sync path
-    /// skip the candidate walk entirely.
-    pub(crate) fn store_covered_by(&self, knowledge: &Knowledge) -> bool {
-        self.store.covered_by(knowledge)
-    }
-
     /// Detaches the reusable sync-selection buffers (see
     /// [`crate::sync::SyncScratch`]); pair with
     /// [`Replica::restore_sync_scratch`].

@@ -122,10 +122,9 @@ pub(crate) struct ItemStore {
     /// [`ItemStore::clear_parks`]. In memory only, like the parks.
     park_attr: Option<&'static str>,
     /// Per origin in `by_version`: how many of its versions are stored
-    /// and the highest counter among them — the watermark
-    /// [`ItemStore::covered_by`] holds against a requester's vector, so
-    /// the steady state between converged peers costs a step per origin,
-    /// not per item.
+    /// and the highest counter among them — the watermark the candidate
+    /// walk holds against a requester's vector, skipping a covered
+    /// origin's versions by their count.
     tops: OrdMap<ReplicaId, (usize, u64)>,
     /// Arrival order of relay items, oldest first, for FIFO eviction.
     relay_fifo: VecDeque<ItemId>,
@@ -297,14 +296,19 @@ impl ItemStore {
     /// number of every stored item whose version `knowledge` has not
     /// learned, except parked copies outside the `wanted` set (see
     /// [`crate::park`]), which it only counts: the count is returned.
-    /// The version index and the knowledge's vector and exceptions all
-    /// ascend by (origin, counter), so the three are stepped through
-    /// together: a stored version costs a comparison or two, not a
-    /// lookup, and a passed-over one is never looked at beyond its index
-    /// entry. Pairs come out ascending by id — exactly the order a full
-    /// scan of the store produces, so callers observe identical candidate
-    /// sequences — and the slot numbers are for [`ItemStore::lend`], until
-    /// the store next changes.
+    /// The walk steps origin by origin through `tops`: an origin whose
+    /// highest stored counter the knowledge's vector covers is skipped by
+    /// its count, so the steady state between converged peers costs a
+    /// step per origin. Any other origin's versions are read off the
+    /// version index, which ascends by (origin, counter) like the
+    /// knowledge's vector and exceptions: each costs a comparison with the
+    /// vector entry and a bit test through a forward reader of the
+    /// exceptions, not a lookup. A passed-over version is never looked at
+    /// beyond its index entry. Pairs
+    /// come out ascending by id — exactly the order a full scan of the
+    /// store produces, so callers observe identical candidate sequences —
+    /// and the slot numbers are for [`ItemStore::lend`], until the store
+    /// next changes.
     pub fn versions_unknown_to_into(
         &self,
         knowledge: &Knowledge,
@@ -314,13 +318,20 @@ impl ItemStore {
         out.clear();
         let mut passed = 0;
         let mut prefixes = knowledge.prefix_cursor();
-        let mut exceptions = knowledge.exception_cursor();
-        for run in self.origin_runs() {
-            let origin = run[0].0 .0;
+        let mut exceptions = knowledge.exception_reader();
+        let mut index = self.by_version.iter();
+        // Index entries of covered origins not yet stepped over: skipped
+        // in one go before the next origin that is read, if any.
+        let mut covered = 0;
+        for &(origin, (count, highest)) in self.tops.iter() {
             let base = prefixes.seek(&origin).copied().unwrap_or(0);
-            let beyond = run.partition_point(|&((_, counter), _)| counter <= base);
-            for &(version, filed) in &run[beyond..] {
-                if exceptions.seek(&version).is_some() {
+            if highest <= base {
+                covered += count;
+                continue;
+            }
+            index.advance(std::mem::take(&mut covered));
+            for &((_, counter), filed) in index.by_ref().take(count) {
+                if counter <= base || exceptions.holds(origin, counter) {
                     continue;
                 }
                 if filed.park & wanted == 0 {
@@ -360,27 +371,6 @@ impl ItemStore {
     /// The attribute parked copies are filed under, while any may be.
     pub fn park_attr(&self) -> Option<&'static str> {
         self.park_attr
-    }
-
-    /// The version index cut where the origin changes: each slice holds
-    /// one origin's stored versions, counters ascending. (An origin whose
-    /// versions straddle two index blocks comes as two slices.)
-    fn origin_runs(&self) -> impl Iterator<Item = &[((ReplicaId, u64), Filed)]> {
-        self.by_version
-            .blocks()
-            .flat_map(|block| block.chunk_by(|a, b| a.0 .0 == b.0 .0))
-    }
-
-    /// Whether `knowledge`'s per-origin vector watermarks already cover
-    /// every stored version. When true, no candidate walk can select
-    /// anything, so [`versions_unknown_to_into`](Self::versions_unknown_to_into)
-    /// need not run at all. Exceptions are irrelevant here: a version at
-    /// or below the watermark is known regardless of them.
-    pub fn covered_by(&self, knowledge: &Knowledge) -> bool {
-        let mut prefixes = knowledge.prefix_cursor();
-        self.tops
-            .iter()
-            .all(|(origin, (_, highest))| prefixes.seek(origin).is_some_and(|base| highest <= base))
     }
 
     fn remove_from_fifo(&mut self, id: ItemId) {
@@ -905,12 +895,6 @@ mod tests {
                     "{id} is addressed to the filter yet passed over"
                 );
             }
-            assert_eq!(
-                s.covered_by(&k),
-                m.items.values().all(|h| {
-                    h.item.version().counter() <= k.base_counter(h.item.version().replica())
-                })
-            );
             for (id, slot) in walked {
                 assert_eq!(s.lend(id, slot).expect("just reported").item.id(), id);
             }

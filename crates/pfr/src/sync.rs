@@ -719,20 +719,13 @@ pub fn prepare_batch(
     // already known, nothing selected — builds no vectors at all.
     let mut scratch = cx.replica.take_sync_scratch();
     // Parked copies the sync does not want are withheld by the walk
-    // itself, uncounted among the candidates it hands back.
-    let passed = if cx.replica.store_covered_by(&request.knowledge) {
-        // Watermark short-circuit: every stored version sits at or below
-        // the requester's per-origin vector entries, so the candidate
-        // walk cannot select anything. This is the steady state between
-        // converged peers; skipping the walk makes those encounters
-        // O(origins) instead of O(origins + suffix scans).
-        scratch.candidates.clear();
-        0
-    } else {
-        let wanted = cx.replica.parks_wanted(&request.filter, &keys);
+    // itself, uncounted among the candidates it hands back. Between
+    // converged peers the walk is a step per origin: the requester's
+    // vector covers each origin's highest stored counter.
+    let wanted = cx.replica.parks_wanted(&request.filter, &keys);
+    let passed =
         cx.replica
-            .versions_unknown_to_into(&request.knowledge, wanted, &mut scratch.candidates)
-    };
+            .versions_unknown_to_into(&request.knowledge, wanted, &mut scratch.candidates);
     let candidate_count = (scratch.candidates.len() + passed) as u64;
     scratch.selected.clear();
     let mut withheld = passed;

@@ -48,13 +48,16 @@ fn assert_bounded(what: &str, ascending: Duration, descending: Duration) {
     );
 }
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "a timing ratio: run with --release")]
-fn learning_single_versions_in_descending_order_stays_within_a_constant_factor() {
-    // Even counters only: every version stays an exception, none folds.
+/// Learning [`ENTRIES`] exceptions, [`PER_ORIGIN`] an origin `stride`
+/// counters apart, descending costs a constant factor over ascending.
+fn assert_learning_bounded(what: &str, stride: u64) {
+    // Counters from 2 up: every version stays an exception, none folds.
     let versions = || -> Vec<Version> {
         (0..ENTRIES)
-            .map(|i| Version::new(ReplicaId::new(1 + i / PER_ORIGIN), 2 + 2 * (i % PER_ORIGIN)))
+            .map(|i| {
+                let counter = 2 + stride * (i % PER_ORIGIN);
+                Version::new(ReplicaId::new(1 + i / PER_ORIGIN), counter)
+            })
             .collect()
     };
     let learn = |versions: Vec<Version>| {
@@ -74,7 +77,22 @@ fn learning_single_versions_in_descending_order_stays_within_a_constant_factor()
         },
         learn,
     );
-    assert_bounded("Knowledge::insert", ascending, descending);
+    assert_bounded(what, ascending, descending);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing ratio: run with --release")]
+fn learning_single_versions_in_descending_order_stays_within_a_constant_factor() {
+    // Two apart: 32 exceptions share each 64-bit word.
+    assert_learning_bounded("Knowledge::insert", 2);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing ratio: run with --release")]
+fn learning_versions_that_each_open_a_word_in_descending_order_stays_within_a_constant_factor() {
+    // A word apart: every insert opens a new word, so the word map takes
+    // one entry per version, each at its front when descending.
+    assert_learning_bounded("Knowledge::insert, a word each", 64);
 }
 
 #[test]

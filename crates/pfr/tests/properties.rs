@@ -13,18 +13,77 @@ use pfr::{sync, AttributeMap, Filter, Knowledge, Replica, ReplicaId, SimTime, Va
 // Generators
 // ---------------------------------------------------------------------------
 
+/// Counters either side of the 64-bit exception words' boundaries, and
+/// one below the top of the range.
+const BOUNDARIES: [u64; 6] = [63, 64, 65, 127, 128, u64::MAX - 1];
+
+/// Origins the generators draw from.
+const ORIGINS: u64 = 6;
+
+/// A counter in `1..300` (five words' worth), or one of the
+/// [`BOUNDARIES`].
+fn arb_counter() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1u64..300,
+        1u64..300,
+        1u64..300,
+        (0..BOUNDARIES.len()).prop_map(|i| BOUNDARIES[i]),
+    ]
+}
+
+/// A prefix claim reaching across several words, often to right below, at
+/// or right above a word boundary: the claim then swallows whole words,
+/// trims one, or folds in a run that starts at bit 63 or bit 0 of the
+/// next word.
+fn arb_prefix() -> impl Strategy<Value = u64> {
+    const AT_BOUNDARIES: [u64; 6] = [62, 63, 64, 126, 127, 128];
+    prop_oneof![
+        0u64..300,
+        (0..AT_BOUNDARIES.len()).prop_map(|i| AT_BOUNDARIES[i]),
+    ]
+}
+
 fn arb_version() -> impl Strategy<Value = Version> {
-    (1u64..6, 1u64..40).prop_map(|(r, c)| Version::new(ReplicaId::new(r), c))
+    (1..ORIGINS, arb_counter()).prop_map(|(r, c)| Version::new(ReplicaId::new(r), c))
+}
+
+/// One version at each of the [`BOUNDARIES`], each at a random origin.
+fn arb_boundary_versions() -> impl Strategy<Value = Vec<Version>> {
+    let n = BOUNDARIES.len();
+    proptest::collection::vec(1..ORIGINS, n..n + 1).prop_map(|origins| {
+        let mixed = origins.into_iter().zip(BOUNDARIES);
+        mixed
+            .map(|(r, c)| Version::new(ReplicaId::new(r), c))
+            .collect()
+    })
+}
+
+/// Random versions, always with every boundary counter mixed in.
+fn arb_versions(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Version>> {
+    (
+        proptest::collection::vec(arb_version(), len),
+        arb_boundary_versions(),
+    )
+        .prop_map(|(mut versions, mut mixed)| {
+            versions.append(&mut mixed);
+            versions
+        })
 }
 
 fn arb_knowledge() -> impl Strategy<Value = Knowledge> {
-    proptest::collection::vec(arb_version(), 0..60).prop_map(|versions| {
+    arb_versions(0..60).prop_map(|versions| {
         let mut k = Knowledge::new();
         for v in versions {
             k.insert(v);
         }
         k
     })
+}
+
+/// The counters a knowledge model is checked at: every one up to past the
+/// last generated run, and both sides of the top of the range.
+fn probed_counters() -> impl Iterator<Item = u64> {
+    (1..330).chain([u64::MAX - 2, u64::MAX - 1, u64::MAX])
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -47,9 +106,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
 
 proptest! {
     #[test]
-    fn knowledge_contains_every_inserted_version(
-        versions in proptest::collection::vec(arb_version(), 0..80)
-    ) {
+    fn knowledge_contains_every_inserted_version(versions in arb_versions(0..80)) {
         let mut k = Knowledge::new();
         for &v in &versions {
             k.insert(v);
@@ -137,9 +194,21 @@ fn arb_knowledge_ops() -> impl Strategy<Value = Vec<KnowledgeOp>> {
         arb_version().prop_map(KnowledgeOp::Insert),
         arb_version().prop_map(KnowledgeOp::Insert),
         arb_version().prop_map(KnowledgeOp::Insert),
-        (1u64..6, 0u64..20).prop_map(|(r, c)| KnowledgeOp::Prefix(ReplicaId::new(r), c)),
+        (1..ORIGINS, arb_prefix()).prop_map(|(r, c)| KnowledgeOp::Prefix(ReplicaId::new(r), c)),
     ];
-    proptest::collection::vec(op, 0..60)
+    (
+        arb_boundary_versions(),
+        proptest::collection::vec(op, 0..60),
+    )
+        .prop_map(|(mixed, ops)| {
+            // The boundary versions go in first, so later claims and inserts
+            // build on them.
+            mixed
+                .into_iter()
+                .map(KnowledgeOp::Insert)
+                .chain(ops)
+                .collect()
+        })
 }
 
 /// Runs a script against both the compact layout and the naive model.
@@ -174,8 +243,8 @@ proptest! {
     #[test]
     fn knowledge_matches_the_set_model(ops in arb_knowledge_ops()) {
         let (k, model) = build(&ops);
-        for r in 1..6 {
-            for c in 1..45 {
+        for r in 1..ORIGINS {
+            for c in probed_counters() {
                 let v = Version::new(ReplicaId::new(r), c);
                 prop_assert_eq!(k.contains(v), model.contains(&v), "{}", v);
             }
@@ -704,19 +773,63 @@ proptest! {
 // Indexed candidate selection ≡ full-store scan
 // ---------------------------------------------------------------------------
 
-/// Exception-heavy knowledge over the two origins a populated replica
-/// stores versions of: a short prefix, then gaps — every origin's
-/// exception list interleaves with its stored counters, which is what the
-/// index's merge walk steps through.
+/// A replica storing more than 256 versions — more than one block of the
+/// version index, so an origin's run straddles a block boundary — over
+/// several exception words each: its own writes (some updated, some
+/// deleted) and a peer's, received with gaps.
+fn arb_large_replica() -> impl Strategy<Value = Replica> {
+    (480usize..640, any::<u64>()).prop_map(|(writes, seed)| {
+        let mut state = seed | 1;
+        let mut roll = move |sides: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % sides as u64) as usize
+        };
+        let mut peer = Replica::new(ReplicaId::new(9), Filter::All);
+        let mut r = Replica::new(ReplicaId::new(1), Filter::address("dest", "h0"));
+        let mut mine = Vec::new();
+        for _ in 0..writes {
+            let mut attrs = AttributeMap::new();
+            attrs.set("dest", addr(roll(4)).as_str());
+            match roll(8) {
+                0..=3 => mine.push(r.insert(attrs, vec![]).expect("insert")),
+                4 | 5 => {
+                    let id = peer.insert(attrs, vec![]).expect("insert");
+                    if roll(3) > 0 {
+                        let item = peer.item(id).expect("present").clone();
+                        r.apply_remote(item, SimTime::ZERO);
+                    }
+                }
+                6 if !mine.is_empty() => {
+                    let _ = r.update(mine[roll(mine.len())], attrs, vec![1]);
+                }
+                _ if !mine.is_empty() => {
+                    let _ = r.delete(mine[roll(mine.len())]);
+                }
+                _ => {}
+            }
+        }
+        r
+    })
+}
+
+/// Exception-heavy knowledge over the two origins a large replica stores
+/// versions of: a prefix, then counters scattered over several words, so
+/// every origin's exception words interleave with its stored counters,
+/// which is what the walk steps through. The prefix falls below an
+/// origin's stored versions, among them (a partially covered origin) or
+/// above them all (a covered one), and often on a word boundary.
 fn arb_gappy_knowledge() -> impl Strategy<Value = Knowledge> {
-    let origin = || (0u64..8, any::<u32>());
+    let prefix = || prop_oneof![0u64..450, arb_prefix()];
+    let origin = || (prefix(), proptest::collection::vec(1u64..450, 0..200));
     (origin(), origin()).prop_map(|origins| {
         let mut k = Knowledge::new();
-        for (origin, (prefix, mask)) in [1u64, 9].into_iter().zip([origins.0, origins.1]) {
+        for (origin, (prefix, counters)) in [1u64, 9].into_iter().zip([origins.0, origins.1]) {
             let origin = ReplicaId::new(origin);
             k.insert_prefix(origin, prefix);
-            for bit in (0..32).filter(|bit| mask >> bit & 1 == 1) {
-                k.insert(Version::new(origin, prefix + 2 + bit));
+            for counter in counters {
+                k.insert(Version::new(origin, counter));
             }
         }
         k
@@ -729,9 +842,10 @@ proptest! {
     /// any requester knowledge.
     #[test]
     fn indexed_candidate_selection_matches_scan(
-        replica in arb_populated_replica(),
+        replica in arb_large_replica(),
         k in prop_oneof![arb_knowledge(), arb_gappy_knowledge()],
     ) {
+        prop_assert!(replica.item_count() > 256, "{} items", replica.item_count());
         let scan: Vec<pfr::ItemId> = replica
             .iter_items()
             .filter(|item| !k.contains(item.version()))

@@ -331,9 +331,12 @@ fn knowledge_one_at_a_time(prefixes: &[(u64, u64)], singles: &[(u64, u64)]) -> K
 }
 
 /// Entry lists dense enough that prefixes repeat, singles fall at or
-/// below a prefix, and runs of singles sit right above one.
+/// below a prefix, and runs of singles sit right above one — at the
+/// start of the counter range and across the first two boundaries of
+/// the 64-bit exception words.
 fn arb_entries() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec((1u64..6, 0u64..14), 0..40)
+    let counter = prop_oneof![0u64..14, 60u64..70, 124u64..132];
+    proptest::collection::vec((1u64..6, counter), 0..40)
 }
 
 proptest! {
@@ -377,7 +380,7 @@ proptest! {
         prop_assert_eq!(&decoded, &expected);
         prop_assert_eq!(to_bytes(&decoded), to_bytes(&expected));
         for replica in 1..6 {
-            for counter in 0..16 {
+            for counter in (0..16).chain(56..72).chain(120..136) {
                 let v = Version::new(ReplicaId::new(replica), counter);
                 prop_assert_eq!(decoded.contains(v), expected.contains(v));
             }
@@ -439,6 +442,31 @@ fn knowledge_decode_allocation_is_bounded_by_the_frame() {
     let k: Knowledge = from_bytes(&frame).unwrap();
     assert_eq!(k.exception_count(), singles.len());
     assert!(k.exception_count() + k.replica_count() <= frame.len());
+}
+
+/// A frame in which every exception opens a 64-bit word of its own —
+/// counters 64 apart, up to the top of the range — decodes to exactly
+/// those exceptions and re-encodes to the same bytes: the words read back
+/// out in the order the frame listed them.
+#[test]
+fn a_sparse_frame_round_trips_byte_identically() {
+    let prefixes: Vec<(u64, u64)> = (1..=20).filter(|o| o % 2 == 1).map(|o| (o, 1)).collect();
+    let singles: Vec<(u64, u64)> = (1..=20u64)
+        .flat_map(|origin| {
+            let spread = (0..100).map(|word| 3 + 64 * word);
+            let top = [u64::MAX - 128, u64::MAX - 64, u64::MAX];
+            spread.chain(top).map(move |counter| (origin, counter))
+        })
+        .collect();
+    let frame = knowledge_frame(&prefixes, &singles);
+    let k: Knowledge = from_bytes(&frame).expect("well-formed");
+    assert_eq!(k.exception_count(), singles.len());
+    assert_eq!(to_bytes(&k), frame);
+    for &(origin, counter) in &singles {
+        let r = ReplicaId::new(origin);
+        assert!(k.contains(Version::new(r, counter)));
+        assert!(!k.contains(Version::new(r, counter - 1)));
+    }
 }
 
 // ---------------------------------------------------------------------------

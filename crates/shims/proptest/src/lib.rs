@@ -14,6 +14,10 @@
 //! - **Derandomized.** Each test function derives its RNG seed from its own
 //!   name, so runs are reproducible without a `proptest-regressions` file.
 //! - Unweighted `prop_oneof!` arms.
+//!
+//! Like the real crate, the default case count (64) yields to a
+//! `PROPTEST_CASES` environment variable, so a CI leg can run a suite
+//! deeper without editing it.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -490,9 +494,16 @@ impl ProptestConfig {
     }
 }
 
+/// The default number of cases: `PROPTEST_CASES` from the environment if it
+/// is set to a number, as in the real crate, else 64. A block that names
+/// its own count with [`ProptestConfig::with_cases`] keeps it.
 impl Default for ProptestConfig {
     fn default() -> ProptestConfig {
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|cases| cases.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig { cases }
     }
 }
 
