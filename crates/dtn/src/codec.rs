@@ -56,8 +56,11 @@ fn get_prob(r: &mut Reader<'_>) -> Result<f64, WireError> {
     }
 }
 
-/// A probability vector keyed by destination address.
-pub(crate) fn put_addr_probs(w: &mut Writer, probs: &BTreeMap<IStr, f64>) {
+/// A probability vector keyed by destination address, given ascending.
+pub(crate) fn put_addr_probs<'a>(
+    w: &mut Writer,
+    probs: impl ExactSizeIterator<Item = (&'a IStr, &'a f64)>,
+) {
     w.put_varint(probs.len() as u64);
     for (addr, p) in probs {
         w.put_str(addr);
@@ -65,12 +68,27 @@ pub(crate) fn put_addr_probs(w: &mut Writer, probs: &BTreeMap<IStr, f64>) {
     }
 }
 
-pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<BTreeMap<IStr, f64>, WireError> {
+/// A probability vector keyed by destination address, ascending by
+/// address with each address once. Bytes that list an address twice or
+/// out of order decode to the same vector, the later value of a repeated
+/// address winning — what inserting them into a map in turn gives.
+pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<Vec<(IStr, f64)>, WireError> {
     let len = r.get_len(2)?;
-    let mut out = BTreeMap::new();
+    let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         let addr = IStr::new(r.get_str_slice()?);
-        out.insert(addr, get_prob(r)?);
+        out.push((addr, get_prob(r)?));
+    }
+    if !out.windows(2).all(|w| w[0].0 < w[1].0) {
+        // Stable, so a repeated address keeps its values in list order.
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = next.1;
+            }
+            same
+        });
     }
     Ok(out)
 }
@@ -125,15 +143,33 @@ mod tests {
 
     #[test]
     fn addr_probs_roundtrip() {
-        let mut probs = BTreeMap::new();
-        probs.insert(IStr::new("a"), 0.5);
-        probs.insert(IStr::new("b"), 0.125);
+        let probs = vec![(IStr::new("a"), 0.5), (IStr::new("b"), 0.125)];
         let mut w = Writer::new();
-        put_addr_probs(&mut w, &probs);
+        put_addr_probs(&mut w, probs.iter().map(|(a, p)| (a, p)));
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(get_addr_probs(&mut r).unwrap(), probs);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn addr_probs_decode_canonical_whatever_the_listed_order() {
+        let listed = [("b", 0.25), ("a", 0.5), ("b", 0.75), ("c", 1.0), ("a", 0.0)];
+        let mut w = Writer::new();
+        w.put_varint(listed.len() as u64);
+        for (addr, p) in listed {
+            w.put_str(addr);
+            w.put_f64(p);
+        }
+        let decoded = get_addr_probs(&mut Reader::new(w.as_slice())).unwrap();
+        let expected: Vec<(IStr, f64)> = [("a", 0.0), ("b", 0.75), ("c", 1.0)]
+            .into_iter()
+            .map(|(a, p)| (IStr::new(a), p))
+            .collect();
+        assert_eq!(
+            decoded, expected,
+            "ascending, each once, the last value kept"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::wire::{Decode as _, Encode as _, Reader, WireError, Writer};
 use pfr::{
     IStr, Item, ItemId, Priority, PriorityClass, ReplicaId, RoutingPayload, RoutingState,
-    StoreKind, SyncExtension, Value,
+    SyncExtension, Value,
 };
 
 use crate::acks::AckSet;
@@ -214,14 +214,16 @@ impl MaxPropPolicy {
             .unwrap_or(0)
     }
 
-    /// Drops relay copies of acknowledged messages.
+    /// Drops relay copies of acknowledged messages, in ascending id
+    /// order. The relay FIFO lists exactly the relay copies, so only they
+    /// are read, not every stored item.
     fn purge_acked(&mut self, cx: &mut HostContext<'_>) {
-        let acked: Vec<ItemId> = cx
+        let mut acked: Vec<ItemId> = cx
             .replica()
-            .iter_items_of_kind(StoreKind::Relay)
-            .map(Item::id)
+            .relay_fifo()
             .filter(|&id| self.advert.acks.contains(id))
             .collect();
+        acked.sort_unstable();
         for id in acked {
             cx.purge_relay(id);
         }
@@ -269,7 +271,12 @@ impl SyncExtension for MaxPropPolicy {
 
         if let Some(theirs) = codec::receive::<Advert>(&request.routing) {
             for addr in &theirs.local_addrs {
-                self.addr_owner.insert(addr.clone(), peer);
+                match self.addr_owner.get_mut(addr) {
+                    Some(owner) => *owner = peer,
+                    None => {
+                        self.addr_owner.insert(addr.clone(), peer);
+                    }
+                }
             }
             let learned = self.peer_meeting.entry(peer).or_default();
             learned.clear();

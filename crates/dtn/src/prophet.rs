@@ -1,7 +1,7 @@
 //! PROPHET: probabilistic routing using delivery predictabilities
 //! (Lindgren et al., 2004).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::wire::{Reader, WireError, Writer};
@@ -78,9 +78,9 @@ pub struct ProphetPolicy {
     /// The forwarding decision for the sync in progress, taken once per
     /// destination when its request is processed: the destinations for
     /// which the requesting peer is a strictly better custodian, with the
-    /// peer's predictability for each. `to_send` only looks a candidate's
-    /// destinations up here.
-    peer_better: BTreeMap<IStr, f64>,
+    /// peer's predictability for each, ascending by address. `to_send`
+    /// only looks a candidate's destinations up here.
+    peer_better: Vec<(IStr, f64)>,
     /// Last time the vector was aged.
     last_aged: SimTime,
 }
@@ -91,14 +91,15 @@ pub struct ProphetPolicy {
 struct Advert {
     /// Addresses this host is final destination for.
     local_addrs: BTreeSet<IStr>,
-    /// Own delivery predictabilities, keyed by destination address.
-    predictability: BTreeMap<IStr, f64>,
+    /// Own delivery predictabilities, ascending by destination address,
+    /// each address once.
+    predictability: Vec<(IStr, f64)>,
 }
 
 impl RoutingPayload for Advert {
     fn encode(&self, w: &mut Writer) {
         codec::put_addrs(w, &self.local_addrs);
-        codec::put_addr_probs(w, &self.predictability);
+        codec::put_addr_probs(w, self.predictability.iter().map(|(a, p)| (a, p)));
     }
 }
 
@@ -128,7 +129,7 @@ impl ProphetPolicy {
     /// The current delivery predictability for an address (0 if never
     /// encountered).
     pub fn predictability(&self, addr: &str) -> f64 {
-        self.advert.predictability.get(addr).copied().unwrap_or(0.0)
+        lookup(&self.advert.predictability, addr).unwrap_or(0.0)
     }
 
     /// Ages all predictabilities: `P *= γ^k` where `k` is the number of
@@ -140,39 +141,108 @@ impl ProphetPolicy {
             return;
         }
         let factor = self.params.gamma.powi(units.min(10_000) as i32);
-        for p in self.advert.predictability.values_mut() {
-            *p *= factor;
-        }
         let floor = self.params.floor;
-        self.advert.predictability.retain(|_, p| *p >= floor);
+        self.advert.predictability.retain_mut(|(_, p)| {
+            *p *= factor;
+            *p >= floor
+        });
         self.last_aged = now;
     }
 
-    /// Direct-encounter update for one peer address:
-    /// `P = P + (1 - P) * P_init`.
-    fn boost_direct(&mut self, addr: &IStr) {
-        let p = self
-            .advert
-            .predictability
-            .entry(addr.clone())
-            .or_insert(0.0);
-        *p += (1.0 - *p) * self.params.p_init;
+    /// Direct-encounter update for each of the peer's addresses:
+    /// `P = P + (1 - P) * P_init`. Returns the link strength to the peer,
+    /// the best predictability over its addresses after the boost.
+    fn boost_direct(&mut self, addrs: &BTreeSet<IStr>) -> f64 {
+        let p_init = self.params.p_init;
+        let mut link = 0.0f64;
+        update_each(
+            &mut self.advert.predictability,
+            addrs.iter().map(|addr| (addr, ())),
+            |p, ()| {
+                *p += (1.0 - *p) * p_init;
+                link = link.max(*p);
+            },
+        );
+        link
     }
 
     /// Transitive update through the peer: for each destination `c` the
     /// peer predicts with `p_bc`, `P[c] += (1 - P[c]) * P[peer] * p_bc * β`.
-    fn fold_transitive(&mut self, p_peer_link: f64, peer_vector: &BTreeMap<IStr, f64>) {
-        for (addr, &p_bc) in peer_vector {
-            if self.advert.local_addrs.contains(addr) {
-                continue;
+    fn fold_transitive(&mut self, p_peer_link: f64, peer_vector: &[(IStr, f64)]) {
+        let beta = self.params.beta;
+        let local = &self.advert.local_addrs;
+        update_each(
+            &mut self.advert.predictability,
+            peer_vector
+                .iter()
+                .filter(|(addr, _)| !local.contains(addr))
+                .map(|(addr, p_bc)| (addr, *p_bc)),
+            |p, p_bc| *p += (1.0 - *p) * p_peer_link * p_bc * beta,
+        );
+    }
+
+    /// Fills the emptied `peer_better` from the peer's advert: the
+    /// destinations the peer predicts, or is, strictly better than this
+    /// host. The peer trivially delivers to itself, whatever its vector
+    /// says. One pass over the peer's vector and addresses, beside this
+    /// host's vector.
+    fn rank_peer(&mut self, theirs: &Advert) {
+        let mine = &self.advert.predictability;
+        let mut at = 0;
+        let mut predicted = theirs.predictability.iter().peekable();
+        let mut own = theirs.local_addrs.iter().peekable();
+        loop {
+            // Ascending through both lists; an address in both is the
+            // peer's own, so it counts as certain.
+            let next_own = own.next_if(|o| predicted.peek().is_none_or(|(a, _)| *o <= a));
+            let (addr, p) = match next_own {
+                Some(addr) => {
+                    predicted.next_if(|(a, _)| a == addr);
+                    (addr, 1.0)
+                }
+                None => match predicted.next() {
+                    Some((addr, p)) => (addr, *p),
+                    None => break,
+                },
+            };
+            while mine.get(at).is_some_and(|(m, _)| m < addr) {
+                at += 1;
             }
-            let p = self
-                .advert
-                .predictability
-                .entry(addr.clone())
-                .or_insert(0.0);
-            *p += (1.0 - *p) * p_peer_link * p_bc * self.params.beta;
+            let held = mine.get(at).filter(|(m, _)| m == addr).map_or(0.0, |e| e.1);
+            if p > held {
+                self.peer_better.push((addr.clone(), p));
+            }
         }
+    }
+}
+
+/// `addr`'s value in an address-ascending vector.
+fn lookup(vector: &[(IStr, f64)], addr: &str) -> Option<f64> {
+    vector
+        .binary_search_by(|(a, _)| a.as_str().cmp(addr))
+        .ok()
+        .map(|at| vector[at].1)
+}
+
+/// Applies `update` to the entry of every address `updates` yields, in
+/// ascending order, with the value given beside it: one pass over the
+/// address-ascending `vector`. An address the vector lacks is inserted
+/// where it belongs at 0.0 first, moving the entries above it up in
+/// place — nothing is allocated once the vector has the room.
+fn update_each<'a, T>(
+    vector: &mut Vec<(IStr, f64)>,
+    updates: impl Iterator<Item = (&'a IStr, T)>,
+    mut update: impl FnMut(&mut f64, T),
+) {
+    let mut at = 0;
+    for (addr, value) in updates {
+        while vector.get(at).is_some_and(|(a, _)| a < addr) {
+            at += 1;
+        }
+        if vector.get(at).is_none_or(|(a, _)| a != addr) {
+            vector.insert(at, (addr.clone(), 0.0));
+        }
+        update(&mut vector[at].1, value);
     }
 }
 
@@ -195,36 +265,19 @@ impl SyncExtension for ProphetPolicy {
             return; // peer runs a different policy; no routing data
         };
 
-        // Direct component: meeting the peer boosts its addresses.
-        for addr in &theirs.local_addrs {
-            self.boost_direct(addr);
-        }
-        // Link strength to the peer = best predictability over its
-        // addresses (after the boost).
-        let p_peer_link = theirs
-            .local_addrs
-            .iter()
-            .map(|a| self.predictability(a))
-            .fold(0.0f64, f64::max);
+        // Direct component: meeting the peer boosts its addresses; the
+        // link strength to the peer is the best of them after the boost.
+        let p_peer_link = self.boost_direct(&theirs.local_addrs);
         // Transitive component through the peer's own vector.
         self.fold_transitive(p_peer_link, &theirs.predictability);
         // Prune sub-floor values immediately: weak transitive traces must
         // not open forwarding gradients (see [`ProphetParams::floor`]).
         let floor = self.params.floor;
-        self.advert.predictability.retain(|_, p| *p >= floor);
+        self.advert.predictability.retain(|(_, p)| *p >= floor);
         // Keep the destinations the peer is strictly better at — the
         // forwarding rule, applied here once per destination instead of
-        // once per candidate in the selection loop that follows. The peer
-        // trivially delivers to itself, whatever its vector says.
-        let its_own = theirs.local_addrs.iter().map(|addr| (addr, 1.0));
-        let predicted = theirs.predictability.iter().map(|(addr, &p)| (addr, p));
-        for (addr, p) in predicted.chain(its_own) {
-            if p > self.predictability(addr) {
-                self.peer_better.insert(addr.clone(), p);
-            } else {
-                self.peer_better.remove(addr);
-            }
-        }
+        // once per candidate in the selection loop that follows.
+        self.rank_peer(&theirs);
     }
 
     fn to_send(&mut self, item: &mut Candidate<'_>, _request: &SyncRequest) -> SendDecision {
@@ -234,7 +287,7 @@ impl SyncExtension for ProphetPolicy {
         // Multicast: forward if the peer is a better custodian for *any*
         // remaining destination; urgency follows the best such gain.
         let best = dest_addresses(item)
-            .filter_map(|dest| self.peer_better.get(dest).copied())
+            .filter_map(|dest| lookup(&self.peer_better, dest))
             .reduce(f64::max);
         match best {
             // Higher peer confidence transmits earlier.
@@ -249,7 +302,7 @@ impl SyncExtension for ProphetPolicy {
     /// at, so those are the parked copies this sync judges again.
     fn park_keys(&self, keys: &mut ParkKeys) {
         keys.file_under(ATTR_DEST);
-        for addr in self.peer_better.keys() {
+        for (addr, _) in &self.peer_better {
             keys.want(addr);
         }
     }
@@ -280,7 +333,8 @@ impl DtnPolicy for ProphetPolicy {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        codec::put_addr_probs(&mut w, &self.advert.predictability);
+        let probs = &self.advert.predictability;
+        codec::put_addr_probs(&mut w, probs.iter().map(|(a, p)| (a, p)));
         w.put_varint(self.last_aged.as_secs());
         w.into_bytes()
     }
@@ -477,14 +531,23 @@ mod tests {
     /// A request as a peer at `addr` advertising `vector` would put it on
     /// the wire — hostile values included, which no honest encoder emits.
     fn request_from(peer: u64, addr: &str, vector: &[(&str, f64)]) -> SyncRequest<'static> {
+        request_with(peer, &[addr], vector)
+    }
+
+    /// [`request_from`] for a peer at several addresses, its vector
+    /// written in the order given: repeated or unsorted addresses too.
+    fn request_with(peer: u64, addrs: &[&str], vector: &[(&str, f64)]) -> SyncRequest<'static> {
         let mut w = Writer::new();
-        codec::put_addrs(&mut w, &[IStr::new(addr)].into_iter().collect());
-        let vector = vector.iter().map(|&(a, p)| (IStr::new(a), p)).collect();
-        codec::put_addr_probs(&mut w, &vector);
+        codec::put_addrs(&mut w, &addrs.iter().map(|&a| IStr::new(a)).collect());
+        w.put_varint(vector.len() as u64);
+        for &(addr, p) in vector {
+            w.put_str(addr);
+            w.put_f64(p);
+        }
         SyncRequest {
             target: ReplicaId::new(peer),
             knowledge: Default::default(),
-            filter: std::borrow::Cow::Owned(Filter::address(ATTR_DEST, addr)),
+            filter: std::borrow::Cow::Owned(Filter::any_address(ATTR_DEST, addrs.iter().copied())),
             routing: RoutingState::from_bytes(w.into_bytes()),
         }
     }
@@ -590,6 +653,194 @@ mod tests {
         }
     }
 
+    mod reference {
+        //! The vector passes against `process_request` as it was written
+        //! over `BTreeMap`s, kept here as their specification.
+
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// The `BTreeMap` PROPHET: the same arithmetic, key by key.
+        struct Reference {
+            params: ProphetParams,
+            local_addrs: BTreeSet<IStr>,
+            predictability: BTreeMap<IStr, f64>,
+            peer_better: BTreeMap<IStr, f64>,
+            last_aged: SimTime,
+        }
+
+        impl Reference {
+            fn get(&self, addr: &str) -> f64 {
+                self.predictability.get(addr).copied().unwrap_or(0.0)
+            }
+
+            fn age(&mut self, now: SimTime) {
+                let elapsed = now.saturating_since(self.last_aged);
+                let units = elapsed.as_secs() / self.params.aging_interval.as_secs().max(1);
+                if units == 0 {
+                    return;
+                }
+                let factor = self.params.gamma.powi(units.min(10_000) as i32);
+                for p in self.predictability.values_mut() {
+                    *p *= factor;
+                }
+                let floor = self.params.floor;
+                self.predictability.retain(|_, p| *p >= floor);
+                self.last_aged = now;
+            }
+
+            /// A request whose advert decoded to `addrs` and `vector`, or
+            /// did not decode (`None`).
+            fn process(
+                &mut self,
+                now: SimTime,
+                theirs: Option<(&BTreeSet<IStr>, &BTreeMap<IStr, f64>)>,
+            ) {
+                self.age(now);
+                self.peer_better.clear();
+                let Some((addrs, vector)) = theirs else {
+                    return;
+                };
+                for addr in addrs {
+                    let p = self.predictability.entry(addr.clone()).or_insert(0.0);
+                    *p += (1.0 - *p) * self.params.p_init;
+                }
+                let link = addrs.iter().map(|a| self.get(a)).fold(0.0f64, f64::max);
+                for (addr, &p_bc) in vector {
+                    if self.local_addrs.contains(addr) {
+                        continue;
+                    }
+                    let p = self.predictability.entry(addr.clone()).or_insert(0.0);
+                    *p += (1.0 - *p) * link * p_bc * self.params.beta;
+                }
+                let floor = self.params.floor;
+                self.predictability.retain(|_, p| *p >= floor);
+                let own = addrs.iter().map(|addr| (addr, 1.0));
+                for (addr, p) in vector.iter().map(|(a, &p)| (a, p)).chain(own) {
+                    if p > self.get(addr) {
+                        self.peer_better.insert(addr.clone(), p);
+                    } else {
+                        self.peer_better.remove(addr);
+                    }
+                }
+            }
+        }
+
+        /// Ten addresses: `a0` and `a1` are this host's own.
+        fn addr(n: u8) -> String {
+            format!("a{n}")
+        }
+
+        fn arb_prob() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                (0u32..=1000).prop_map(|n| f64::from(n) / 1000.0),
+                // Sub-floor and transitive-sized values.
+                (0u32..=100).prop_map(|n| f64::from(n) / 1000.0),
+                Just(0.0),
+                Just(1.0),
+                // Undecodable: the whole advert is no routing data.
+                Just(1.5),
+            ]
+        }
+
+        /// One request: the peer, its addresses (a mask over the ten),
+        /// its vector as listed — repeats and any order — and the time
+        /// since the last request.
+        type Step = (u64, u16, Vec<(u8, f64)>, u64);
+
+        fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+            let step = (
+                2u64..6,
+                1u16..1024,
+                proptest::collection::vec((0u8..10, arb_prob()), 0..9),
+                prop_oneof![Just(0u64), 0u64..1200, 0u64..40_000],
+            );
+            proptest::collection::vec(step, 1..16)
+        }
+
+        fn bits(entries: impl Iterator<Item = (String, f64)>) -> Vec<(String, u64)> {
+            entries.map(|(a, p)| (a, p.to_bits())).collect()
+        }
+
+        proptest! {
+            #[test]
+            fn the_vector_passes_match_the_btreemap_reference(
+                steps in arb_steps(),
+                floor in prop_oneof![Just(0.0), Just(0.1), Just(0.3)],
+                (p_init, beta, gamma) in (
+                    prop_oneof![Just(0.75), Just(0.6)],
+                    prop_oneof![Just(0.25), Just(0.3), Just(0.55)],
+                    prop_oneof![Just(0.98), Just(0.9)],
+                ),
+            ) {
+                let params = ProphetParams { p_init, beta, gamma, floor, ..ProphetParams::default() };
+                let mine: BTreeSet<String> = [addr(0), addr(1)].into_iter().collect();
+                let mut policy = ProphetPolicy::new(params);
+                policy.set_local_addresses(mine.clone());
+                let mut replica = Replica::new(ReplicaId::new(1), Filter::address(ATTR_DEST, "a0"));
+                let mut reference = Reference {
+                    params,
+                    local_addrs: codec::intern_addrs(&mine),
+                    predictability: BTreeMap::new(),
+                    peer_better: BTreeMap::new(),
+                    last_aged: SimTime::ZERO,
+                };
+                let mut now = 0;
+                for (step, (peer, addr_mask, listed, gap)) in steps.into_iter().enumerate() {
+                    now += gap;
+                    let addrs: Vec<String> =
+                        (0..10).filter(|n| addr_mask & (1 << n) != 0).map(addr).collect();
+                    let addrs: Vec<&str> = addrs.iter().map(String::as_str).collect();
+                    let names: Vec<String> = listed.iter().map(|&(n, _)| addr(n)).collect();
+                    let vector: Vec<(&str, f64)> =
+                        names.iter().zip(&listed).map(|(a, &(_, p))| (a.as_str(), p)).collect();
+                    let request = request_with(peer, &addrs, &vector);
+
+                    // What a map insert in list order makes of the vector,
+                    // and the canonical vector the decoder must give.
+                    let decodes = listed.iter().all(|&(_, p)| (0.0..=1.0).contains(&p));
+                    let inserted: BTreeMap<IStr, f64> =
+                        vector.iter().map(|&(a, p)| (IStr::new(a), p)).collect();
+                    let decoded = codec::receive::<Advert>(&request.routing);
+                    prop_assert_eq!(decoded.is_some(), decodes, "step {}", step);
+                    if let Some(decoded) = &decoded {
+                        prop_assert_eq!(
+                            bits(decoded.predictability.iter().map(|(a, p)| (a.to_string(), *p))),
+                            bits(inserted.iter().map(|(a, p)| (a.to_string(), *p))),
+                            "step {}: decoded vector not canonical", step
+                        );
+                    }
+                    let addr_set: BTreeSet<IStr> = addrs.iter().map(|&a| IStr::new(a)).collect();
+                    reference.process(
+                        SimTime::from_secs(now),
+                        decodes.then_some((&addr_set, &inserted)),
+                    );
+                    sync::prepare_batch(
+                        &mut replica,
+                        &mut policy,
+                        &request,
+                        SyncLimits::unlimited(),
+                        SimTime::from_secs(now),
+                    );
+
+                    prop_assert_eq!(
+                        bits(policy.advert.predictability.iter().map(|(a, p)| (a.to_string(), *p))),
+                        bits(reference.predictability.iter().map(|(a, p)| (a.to_string(), *p))),
+                        "step {}: vectors differ", step
+                    );
+                    prop_assert_eq!(
+                        bits(policy.peer_better.iter().map(|(a, p)| (a.to_string(), *p))),
+                        bits(reference.peer_better.iter().map(|(a, p)| (a.to_string(), *p))),
+                        "step {}: peer_better differs", step
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn peer_self_addresses_count_as_certain_delivery() {
         // A host's predictability for its own address is treated as 1.0,
@@ -599,7 +850,7 @@ mod tests {
         let mut a = host(1, "a");
         let mut b = host(2, "b");
         encounter(&mut a, &mut b, 0);
-        assert_eq!(a.1.peer_better.get("b"), Some(&1.0));
+        assert_eq!(lookup(&a.1.peer_better, "b"), Some(1.0));
     }
 
     #[test]

@@ -140,6 +140,10 @@ impl PartialOrd for IStr {
 
 impl Ord for IStr {
     fn cmp(&self, other: &IStr) -> Ordering {
+        // Interned twins share one allocation: equal without a byte read.
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return Ordering::Equal;
+        }
         self.as_str().cmp(other.as_str())
     }
 }

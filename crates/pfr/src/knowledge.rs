@@ -28,17 +28,18 @@ impl EntrySink for () {
 }
 
 /// Bits per exception word: an origin's counter `c` is bit `c % 64` of
-/// its word `c / 64`.
-const WORD: u64 = u64::BITS as u64;
+/// its word `c / 64`. The store files its versions in stretches of the
+/// same width, so one stretch meets one word.
+pub(crate) const WORD: u64 = u64::BITS as u64;
 
 /// The key of the exception word that holds `origin`'s `counter`, and the
 /// counter's bit in it.
-fn word_of(origin: ReplicaId, counter: u64) -> ((ReplicaId, u64), u64) {
+pub(crate) fn word_of(origin: ReplicaId, counter: u64) -> ((ReplicaId, u64), u64) {
     ((origin, counter / WORD), 1 << (counter % WORD))
 }
 
 /// The bits of word `index` that stand for counters at or below `base`.
-fn at_or_below(index: u64, base: u64) -> u64 {
+pub(crate) fn at_or_below(index: u64, base: u64) -> u64 {
     // `index * WORD` cannot overflow: `index` is a counter divided by 64.
     base.checked_sub(index * WORD)
         .map_or(0, |offset| u64::MAX >> (WORD - 1 - offset.min(WORD - 1)))
@@ -299,9 +300,10 @@ impl Knowledge {
         self.vector.iter()
     }
 
-    /// A forward reader of the exceptions, likewise.
-    pub(crate) fn exception_reader(&self) -> ExceptionReader<'_> {
-        ExceptionReader(self.words.iter())
+    /// A forward reader of the exception words (see [`word_of`]),
+    /// likewise: one pass for keys looked up in ascending order.
+    pub(crate) fn exception_words(&self) -> Cursor<'_, (ReplicaId, u64), u64> {
+        self.words.iter()
     }
 
     /// Number of replicas with a vector entry.
@@ -328,20 +330,6 @@ impl Knowledge {
         self.vector
             .iter()
             .fold(self.exceptions as u64, |n, &(_, c)| n.saturating_add(c))
-    }
-}
-
-/// Answers whether a [`Knowledge`] holds versions as exceptions, for
-/// versions asked about in ascending (origin, counter) order: one pass
-/// over the exception words in total, a bit test per question.
-pub(crate) struct ExceptionReader<'a>(Cursor<'a, (ReplicaId, u64), u64>);
-
-impl ExceptionReader<'_> {
-    /// Whether `origin`'s `counter` is an exception. Questions must not
-    /// descend from one call to the next.
-    pub(crate) fn holds(&mut self, origin: ReplicaId, counter: u64) -> bool {
-        let (key, bit) = word_of(origin, counter);
-        self.0.seek(&key).is_some_and(|word| word & bit != 0)
     }
 }
 

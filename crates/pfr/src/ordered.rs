@@ -15,7 +15,9 @@
 //! per origin and stretch of 64 counters that holds exceptions. At the
 //! end of a paper-scale replay (34 replicas) that is at most 34 vector
 //! entries and 28 words, which stand for up to ≈ 280 exceptions; the
-//! words never outnumber the exceptions, however sparse.
+//! words never outnumber the exceptions, however sparse. The item store
+//! files its versions under the same keys, one entry per origin and
+//! stretch: a mask of the stored counters and their index entries.
 
 /// Entries a block holds before it splits. A constant, not an option:
 /// large enough that every knowledge of the paper-scale replay and every
@@ -257,22 +259,6 @@ impl<'a, K: Ord, V> Cursor<'a, K, V> {
         Some(())
     }
 
-    /// Skips the next `n` entries, or to the end of the map: a step per
-    /// block, not per entry.
-    pub fn advance(&mut self, mut n: usize) {
-        loop {
-            if let Some(rest) = self.head.get(n..) {
-                self.head = rest;
-                return;
-            }
-            n -= self.head.len();
-            self.head = &[];
-            if self.next_block().is_none() {
-                return;
-            }
-        }
-    }
-
     /// Skips the entries below `key` and returns the value at `key`, if
     /// the map holds it, without moving past it. Keys must not descend
     /// from one call to the next.
@@ -330,8 +316,6 @@ mod tests {
         RemoveRun(u16, u16),
         /// Look up these keys, sorted first, through one cursor.
         Seek(Vec<u16>),
-        /// Skip this many entries from the first, then read the rest.
-        Advance(usize),
         Rebuild,
     }
 
@@ -344,7 +328,6 @@ mod tests {
             key().prop_map(Op::Remove),
             (key(), key()).prop_map(|(from, below)| Op::RemoveRun(from, below)),
             proptest::collection::vec(key(), 0..12).prop_map(Op::Seek),
-            (0usize..56).prop_map(Op::Advance),
             Just(Op::Rebuild),
         ];
         proptest::collection::vec(op, 0..120)
@@ -400,11 +383,6 @@ mod tests {
                         // What the cursor has not passed is still there to read.
                         let rest: Vec<(u16, u32)> = cursor.copied().collect();
                         prop_assert!(model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>().ends_with(&rest));
-                    }
-                    Op::Advance(n) => {
-                        let mut cursor = map.iter();
-                        cursor.advance(n);
-                        prop_assert!(cursor.copied().eq(model.iter().skip(n).map(|(&k, &v)| (k, v))));
                     }
                     Op::Rebuild => {
                         let rebuilt = Small::from_ascending(map.iter().copied().collect());

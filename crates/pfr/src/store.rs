@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId, Version};
 use crate::item::Item;
-use crate::knowledge::Knowledge;
+use crate::knowledge::{at_or_below, word_of, Knowledge, WORD};
 use crate::ordered::OrdMap;
 use crate::park;
 use crate::time::SimTime;
@@ -50,7 +50,7 @@ pub(crate) struct Slot<'a> {
     stamp: &'a mut u64,
     clock: &'a mut u64,
     /// The version index, lent only while something is parked.
-    parks: Option<&'a mut OrdMap<(ReplicaId, u64), Filed>>,
+    parks: Option<&'a mut OrdMap<(ReplicaId, u64), Stretch>>,
 }
 
 impl Slot<'_> {
@@ -60,7 +60,7 @@ impl Slot<'_> {
         *self.clock += 1;
         *self.stamp = *self.clock;
         if let Some(index) = self.parks.as_mut() {
-            if let Some(filed) = index.get_mut(&version_key(self.item.version())) {
+            if let Some(filed) = filed_mut(index, self.item.version()) {
                 filed.park = park::UNPARKED;
             }
         }
@@ -85,6 +85,91 @@ impl Filed {
     }
 }
 
+/// The stored versions of one origin in one stretch of 64 counters — the
+/// span of one [`Knowledge`] exception word, under the same key: bit
+/// `c % 64` of `mask` is set for each stored counter `c`, and their
+/// entries are held in counter order, so the entry of bit `b` sits at the
+/// rank of `b` among the set bits. Rank 0 is held inline: a stretch of
+/// one version, which is most of them in a relay-capped store, allocates
+/// nothing. Never empty.
+#[derive(Clone, Debug)]
+pub(crate) struct Stretch {
+    mask: u64,
+    /// The entry of the lowest set bit.
+    low: Filed,
+    /// The entries of the other set bits.
+    more: Vec<Filed>,
+}
+
+impl Stretch {
+    fn new(bit: u64, filed: Filed) -> Self {
+        Stretch {
+            mask: bit,
+            low: filed,
+            more: Vec::new(),
+        }
+    }
+
+    /// Where the entry of `bit` (a one-bit mask) sits, or would go.
+    fn rank(&self, bit: u64) -> usize {
+        (self.mask & (bit - 1)).count_ones() as usize
+    }
+
+    /// The entry at `rank`, below the number of set bits.
+    fn entry(&self, rank: usize) -> &Filed {
+        rank.checked_sub(1).map_or(&self.low, |r| &self.more[r])
+    }
+
+    fn entry_mut(&mut self, rank: usize) -> &mut Filed {
+        match rank.checked_sub(1) {
+            None => &mut self.low,
+            Some(r) => &mut self.more[r],
+        }
+    }
+
+    /// Files `filed` under `bit`, which is clear.
+    fn insert(&mut self, bit: u64, filed: Filed) {
+        match self.rank(bit).checked_sub(1) {
+            None => self.more.insert(0, std::mem::replace(&mut self.low, filed)),
+            Some(r) => self.more.insert(r, filed),
+        }
+        self.mask |= bit;
+    }
+
+    /// Drops the entry of `bit`, which is set. Whoever empties the
+    /// stretch removes it.
+    fn remove(&mut self, bit: u64) {
+        match self.rank(bit).checked_sub(1) {
+            None if self.more.is_empty() => {}
+            None => self.low = self.more.remove(0),
+            Some(r) => {
+                self.more.remove(r);
+            }
+        }
+        self.mask &= !bit;
+    }
+
+    fn entries_mut(&mut self) -> impl Iterator<Item = &mut Filed> {
+        std::iter::once(&mut self.low).chain(&mut self.more)
+    }
+
+    /// The highest counter filed here, for the stretch keyed `index`.
+    fn top(&self, index: u64) -> u64 {
+        index * WORD + u64::from(WORD as u32 - 1 - self.mask.leading_zeros())
+    }
+}
+
+/// The version index entry of `version`, if it is filed.
+fn filed_mut(
+    index: &mut OrdMap<(ReplicaId, u64), Stretch>,
+    version: Version,
+) -> Option<&mut Filed> {
+    let (key, bit) = word_of(version.replica(), version.counter());
+    let stretch = index.get_mut(&key).filter(|s| s.mask & bit != 0)?;
+    let at = stretch.rank(bit);
+    Some(stretch.entry_mut(at))
+}
+
 impl StoredItem {
     /// Whether this copy counts against a relay storage cap.
     fn is_live_relay(&self) -> bool {
@@ -92,20 +177,16 @@ impl StoredItem {
     }
 }
 
-/// Where the version index files a version: by origin, then counter —
-/// the order [`Knowledge`] keeps its own entries in.
-fn version_key(version: Version) -> (ReplicaId, u64) {
-    (version.replica(), version.counter())
-}
-
 /// The store: all items held by one replica, with relay FIFO accounting.
 ///
 /// Items live in *slots*: a slot keeps its number for as long as its item
 /// is stored, and a vacated one is reused. Two sorted indexes map to slot
 /// numbers, so finding an item by id is one binary search and walking the
-/// versions costs no lookups at all. Every mutation goes through
-/// [`ItemStore::put`] / [`ItemStore::remove`], which keep the indexes,
-/// the per-origin watermarks and the relay accounting current.
+/// versions costs no lookups at all: the version index files them in
+/// 64-counter stretches that a sync reads a word at a time. Every
+/// mutation goes through [`ItemStore::put`] / [`ItemStore::remove`],
+/// which keep the indexes, the per-origin watermarks and the relay
+/// accounting current.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ItemStore {
     slots: Vec<Option<StoredItem>>,
@@ -113,18 +194,19 @@ pub(crate) struct ItemStore {
     free: Vec<usize>,
     /// Item id → slot. Its order is the order the store lists items in.
     by_id: OrdMap<ItemId, usize>,
-    /// The *current* version of every stored item → slot and park,
-    /// ordered by (origin, counter) so sync candidate selection steps
-    /// through it beside a requester's knowledge.
-    by_version: OrdMap<(ReplicaId, u64), Filed>,
-    /// The attribute the parked copies in `by_version` are filed under;
+    /// The *current* version of every stored item → slot and park, in
+    /// stretches keyed `(origin, counter / 64)` like a knowledge's
+    /// exception words, so sync candidate selection steps through it
+    /// beside a requester's knowledge a word at a time.
+    stretches: OrdMap<(ReplicaId, u64), Stretch>,
+    /// The attribute the parked copies in `stretches` are filed under;
     /// `None` while nothing was parked since the last
     /// [`ItemStore::clear_parks`]. In memory only, like the parks.
     park_attr: Option<&'static str>,
-    /// Per origin in `by_version`: how many of its versions are stored
-    /// and the highest counter among them — the watermark the candidate
-    /// walk holds against a requester's vector, skipping a covered
-    /// origin's versions by their count.
+    /// Per origin in `stretches`: how many stretches it has and the
+    /// highest counter among them — the watermark the candidate walk
+    /// holds against a requester's vector, passing over a covered
+    /// origin's stretches unread.
     tops: OrdMap<ReplicaId, (usize, u64)>,
     /// Arrival order of relay items, oldest first, for FIFO eviction.
     relay_fifo: VecDeque<ItemId>,
@@ -166,7 +248,7 @@ impl ItemStore {
             item: &mut stored.item,
             stamp: &mut stored.stamp,
             clock: &mut self.clock,
-            parks: self.park_attr.map(|_| &mut self.by_version),
+            parks: self.park_attr.map(|_| &mut self.stretches),
         })
     }
 
@@ -199,7 +281,7 @@ impl ItemStore {
     /// a relay item.
     pub fn put(&mut self, item: Item, kind: StoreKind, received_at: SimTime) {
         let id = item.id();
-        let version = version_key(item.version());
+        let version = item.version();
         self.clock += 1;
         let stored = StoredItem {
             item,
@@ -214,7 +296,7 @@ impl ItemStore {
                     .replace(stored)
                     .expect("an indexed slot is occupied");
                 self.live_relays -= usize::from(old.is_live_relay());
-                let old_version = version_key(old.item.version());
+                let old_version = old.item.version();
                 if old_version != version {
                     self.unindex_version(old_version);
                 }
@@ -254,41 +336,66 @@ impl ItemStore {
             self.remove_from_fifo(id);
         }
         self.live_relays -= usize::from(stored.is_live_relay());
-        self.unindex_version(version_key(stored.item.version()));
+        self.unindex_version(stored.item.version());
         Some(stored)
     }
 
-    fn index_version(&mut self, version: (ReplicaId, u64), slot: usize) {
-        if self.by_version.insert(version, Filed::new(slot)).is_some() {
-            return;
-        }
-        match self.tops.get_mut(&version.0) {
-            Some((count, highest)) => {
-                *count += 1;
-                *highest = version.1.max(*highest);
+    fn index_version(&mut self, version: Version, slot: usize) {
+        let (origin, counter) = (version.replica(), version.counter());
+        let (key, bit) = word_of(origin, counter);
+        let opened = match self.stretches.get_mut(&key) {
+            Some(stretch) if stretch.mask & bit != 0 => {
+                *stretch.entry_mut(stretch.rank(bit)) = Filed::new(slot);
+                return;
+            }
+            Some(stretch) => {
+                stretch.insert(bit, Filed::new(slot));
+                false
             }
             None => {
-                self.tops.insert(version.0, (1, version.1));
+                self.stretches
+                    .insert(key, Stretch::new(bit, Filed::new(slot)));
+                true
+            }
+        };
+        match self.tops.get_mut(&origin) {
+            Some((stretches, highest)) => {
+                *stretches += usize::from(opened);
+                *highest = counter.max(*highest);
+            }
+            None => {
+                self.tops.insert(origin, (1, counter));
             }
         }
     }
 
-    fn unindex_version(&mut self, version: (ReplicaId, u64)) {
-        if self.by_version.remove(&version).is_none() {
+    fn unindex_version(&mut self, version: Version) {
+        let (origin, counter) = (version.replica(), version.counter());
+        let (key, bit) = word_of(origin, counter);
+        let Some(stretch) = self.stretches.get_mut(&key).filter(|s| s.mask & bit != 0) else {
             return;
-        }
-        let (count, highest) = self
+        };
+        stretch.remove(bit);
+        let top = (stretch.mask != 0).then(|| stretch.top(key.1));
+        let (stretches, highest) = self
             .tops
-            .get_mut(&version.0)
+            .get_mut(&origin)
             .expect("an indexed origin is counted");
-        *count -= 1;
-        if *count == 0 {
-            self.tops.remove(&version.0);
-        } else if *highest == version.1 {
-            // The origin's other versions all sort right below the one
-            // that left.
-            let ((_, next), _) = self.by_version.below(&version).expect("count > 0");
-            *highest = *next;
+        if top.is_none() {
+            self.stretches.remove(&key);
+            *stretches -= 1;
+            if *stretches == 0 {
+                self.tops.remove(&origin);
+                return;
+            }
+        }
+        if *highest == counter {
+            // The stretch that lost the origin's highest counter was its
+            // last; if it emptied, the origin's next one down is.
+            *highest = top.unwrap_or_else(|| {
+                let ((_, index), below) = self.stretches.below(&key).expect("stretches > 0");
+                below.top(*index)
+            });
         }
     }
 
@@ -297,18 +404,18 @@ impl ItemStore {
     /// learned, except parked copies outside the `wanted` set (see
     /// [`crate::park`]), which it only counts: the count is returned.
     /// The walk steps origin by origin through `tops`: an origin whose
-    /// highest stored counter the knowledge's vector covers is skipped by
-    /// its count, so the steady state between converged peers costs a
-    /// step per origin. Any other origin's versions are read off the
-    /// version index, which ascends by (origin, counter) like the
-    /// knowledge's vector and exceptions: each costs a comparison with the
-    /// vector entry and a bit test through a forward reader of the
-    /// exceptions, not a lookup. A passed-over version is never looked at
-    /// beyond its index entry. Pairs
-    /// come out ascending by id — exactly the order a full scan of the
-    /// store produces, so callers observe identical candidate sequences —
-    /// and the slot numbers are for [`ItemStore::lend`], until the store
-    /// next changes.
+    /// highest stored counter the knowledge's vector covers is passed
+    /// over unread, so the steady state between converged peers costs a
+    /// step per origin. Any other origin's stretches are read beside the
+    /// knowledge's vector entry and exception words, which ascend by the
+    /// same keys: a stretch's unknown versions are its mask less the bits
+    /// at or below the prefix and those of the matching exception word,
+    /// three word operations however many versions it holds. Only those
+    /// bits are visited — a park `AND` each, and a slot for the wanted
+    /// ones. Pairs come out ascending by id — exactly the order a full
+    /// scan of the store produces, so callers observe identical candidate
+    /// sequences — and the slot numbers are for [`ItemStore::lend`],
+    /// until the store next changes.
     pub fn versions_unknown_to_into(
         &self,
         knowledge: &Knowledge,
@@ -318,26 +425,28 @@ impl ItemStore {
         out.clear();
         let mut passed = 0;
         let mut prefixes = knowledge.prefix_cursor();
-        let mut exceptions = knowledge.exception_reader();
-        let mut index = self.by_version.iter();
-        // Index entries of covered origins not yet stepped over: skipped
-        // in one go before the next origin that is read, if any.
-        let mut covered = 0;
-        for &(origin, (count, highest)) in self.tops.iter() {
+        let mut exceptions = knowledge.exception_words();
+        let mut index = self.stretches.iter();
+        for &(origin, (stretches, highest)) in self.tops.iter() {
             let base = prefixes.seek(&origin).copied().unwrap_or(0);
             if highest <= base {
-                covered += count;
                 continue;
             }
-            index.advance(std::mem::take(&mut covered));
-            for &((_, counter), filed) in index.by_ref().take(count) {
-                if counter <= base || exceptions.holds(origin, counter) {
-                    continue;
+            index.seek(&(origin, 0));
+            for (key, stretch) in index.by_ref().take(stretches) {
+                let mut unknown = stretch.mask & !at_or_below(key.1, base);
+                if unknown != 0 {
+                    unknown &= !exceptions.seek(key).copied().unwrap_or(0);
                 }
-                if filed.park & wanted == 0 {
-                    passed += 1;
-                } else if let Some(stored) = &self.slots[filed.slot] {
-                    out.push((stored.item.id(), filed.slot));
+                while unknown != 0 {
+                    let bit = unknown & unknown.wrapping_neg();
+                    unknown ^= bit;
+                    let filed = *stretch.entry(stretch.rank(bit));
+                    if filed.park & wanted == 0 {
+                        passed += 1;
+                    } else if let Some(stored) = &self.slots[filed.slot] {
+                        out.push((stored.item.id(), filed.slot));
+                    }
                 }
             }
         }
@@ -354,7 +463,7 @@ impl ItemStore {
             self.clear_parks();
             self.park_attr = Some(attr);
         }
-        if let Some(filed) = self.by_version.get_mut(&version_key(version)) {
+        if let Some(filed) = filed_mut(&mut self.stretches, version) {
             filed.park = entry;
         }
     }
@@ -362,8 +471,10 @@ impl ItemStore {
     /// Unparks every copy.
     pub fn clear_parks(&mut self) {
         if self.park_attr.take().is_some() {
-            for filed in self.by_version.values_mut() {
-                filed.park = park::UNPARKED;
+            for stretch in self.stretches.values_mut() {
+                for filed in stretch.entries_mut() {
+                    filed.park = park::UNPARKED;
+                }
             }
         }
     }
@@ -571,30 +682,44 @@ mod tests {
 
     /// Both indexes must mirror the slots exactly: one entry each per
     /// stored item, under its id and its current version, and every
-    /// other slot on the free list.
+    /// other slot on the free list. No stretch is empty, each has an
+    /// entry per set bit, and each origin's watermark counts its
+    /// stretches and ends at the top bit of its last one.
     fn assert_indexes_mirror_slots(s: &ItemStore) {
         let occupied = s.slots.iter().flatten().count();
         assert_eq!(s.by_id.len(), occupied, "id index entry count drifted");
-        assert_eq!(s.by_version.len(), occupied, "version index drifted");
+        for &(key, ref stretch) in s.stretches.iter() {
+            assert_ne!(stretch.mask, 0, "stretch {key:?} is empty");
+            assert_eq!(
+                stretch.mask.count_ones() as usize,
+                1 + stretch.more.len(),
+                "stretch {key:?} files an entry per bit"
+            );
+        }
+        let filed: usize = s.stretches.iter().map(|(_, st)| 1 + st.more.len()).sum();
+        assert_eq!(filed, occupied, "version index drifted");
         assert_eq!(s.free.len(), s.slots.len() - occupied);
         assert!(s.free.iter().all(|&slot| s.slots[slot].is_none()));
+        let mut index = s.stretches.clone();
         for (slot, stored) in s.slots.iter().enumerate() {
             let Some(stored) = stored else { continue };
             let (id, v) = (stored.item.id(), stored.item.version());
             assert_eq!(s.by_id.get(&id), Some(&slot), "item {id} misfiled");
             assert_eq!(
-                s.by_version.get(&version_key(v)).map(|f| f.slot),
+                filed_mut(&mut index, v).map(|f| f.slot),
                 Some(slot),
                 "item {id} missing from the version index under {v}"
             );
         }
         let mut tops: Vec<(ReplicaId, (usize, u64))> = Vec::new();
-        for &((origin, counter), _) in s.by_version.iter() {
+        for &((origin, index), ref stretch) in s.stretches.iter() {
+            let top = stretch.top(index);
+            assert_eq!(top % WORD, 63 - u64::from(stretch.mask.leading_zeros()));
             match tops.last_mut() {
                 Some((o, (count, highest))) if *o == origin => {
-                    (*count, *highest) = (*count + 1, counter)
+                    (*count, *highest) = (*count + 1, top)
                 }
-                _ => tops.push((origin, (1, counter))),
+                _ => tops.push((origin, (1, top))),
             }
         }
         assert!(s.tops.iter().eq(tops.iter()), "watermarks drifted");
@@ -616,9 +741,7 @@ mod tests {
         s.put(newer, StoreKind::Relay, SimTime::ZERO);
         assert_indexes_mirror_slots(&s);
         assert!(
-            s.by_version
-                .iter()
-                .all(|&((origin, _), _)| origin != rid(2)),
+            s.stretches.iter().all(|&((origin, _), _)| origin != rid(2)),
             "replaced version must leave the index"
         );
 
@@ -626,7 +749,41 @@ mod tests {
         assert_indexes_mirror_slots(&s);
         s.remove(ItemId::new(rid(2), 1));
         assert_indexes_mirror_slots(&s);
-        assert!(s.by_version.is_empty());
+        assert!(s.stretches.is_empty() && s.tops.is_empty());
+    }
+
+    #[test]
+    fn removing_the_highest_version_alone_in_its_stretch_lowers_the_watermark() {
+        let mut s = ItemStore::new();
+        for (origin, seq) in [(2, 5), (2, 63), (2, 64), (2, 130), (3, 1)] {
+            s.put(item(origin, seq, "x"), StoreKind::Relay, SimTime::ZERO);
+        }
+        assert_eq!(s.tops.get(&rid(2)), Some(&(3, 130)));
+        // 130 is alone in stretch 2: the watermark falls to 64, the top of
+        // stretch 1, and the emptied stretch is gone.
+        s.remove(ItemId::new(rid(2), 130));
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(s.tops.get(&rid(2)), Some(&(2, 64)));
+        // Likewise 64, alone in stretch 1: down to 63, across the boundary.
+        s.remove(ItemId::new(rid(2), 64));
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(s.tops.get(&rid(2)), Some(&(1, 63)));
+        // 63 shares its stretch with 5, which becomes the top.
+        s.remove(ItemId::new(rid(2), 63));
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(s.tops.get(&rid(2)), Some(&(1, 5)));
+        s.remove(ItemId::new(rid(2), 5));
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(s.tops.get(&rid(2)), None);
+        assert_eq!(
+            s.tops.get(&rid(3)),
+            Some(&(1, 1)),
+            "other origins untouched"
+        );
+
+        let mut unknown = Vec::new();
+        s.versions_unknown_to_into(&Knowledge::new(), park::EVERY, &mut unknown);
+        assert_eq!(unknown.len(), 1);
     }
 
     #[test]
@@ -905,8 +1062,10 @@ mod tests {
             fn the_store_matches_its_model(ops in arb_ops()) {
                 let (mut s, mut m) = (ItemStore::new(), Model::default());
                 let mut versions = 0u64;
+                // Mostly consecutive counters, with jumps that open and
+                // skip stretches.
                 let mut fresh = |id: u8, dest: u8, deleted: bool| {
-                    versions += 1;
+                    versions += if id.is_multiple_of(4) { 30 } else { 1 };
                     Item::builder(item_id(id), Version::new(rid(1 + versions % 4), versions))
                         .attr("dest", DESTS[usize::from(dest)])
                         .deleted(deleted)

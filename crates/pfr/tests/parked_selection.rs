@@ -4,12 +4,18 @@
 //! extension's rule — and orders and cuts the batch as the protocol says.
 //!
 //! One source lives through a random script: copies arrive from three
-//! origins, unicast, multicast or with no destination at all; stored
-//! copies are updated, written in place and deleted; and syncs serve
-//! targets of random knowledge, favoured destinations and item caps, with
-//! filters of four shapes — an address disjunction, `all`, `none`, and a
-//! predicate on another attribute. Parks made at one sync must hold, and
-//! be undone, exactly where re-judging the copy would have said so.
+//! origins, unicast, multicast or with no destination at all, one at a
+//! time or in runs that carry an origin's counters across several of the
+//! store's 64-counter stretches (the origins start at counters 63, 64 and
+//! 65, either side of the first boundary); stored copies are updated here
+//! or revised at their origin — both move the version to another stretch
+//! — written in place, deleted one by one or a whole stretch at a time;
+//! and syncs serve targets of random knowledge (single versions and
+//! prefixes that end at and around the boundaries), favoured destinations
+//! and item caps, with filters of four shapes — an address disjunction,
+//! `all`, `none`, and a predicate on another attribute. Parks made at one
+//! sync must hold, and be undone, exactly where re-judging the copy would
+//! have said so.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -134,30 +140,55 @@ enum Op {
     /// A copy from `origin` arrives, addressed to the `dests` mask (none,
     /// one, or a multicast list).
     Arrive { origin: u8, dests: u8, size: u8 },
+    /// `count` copies from `origin` arrive in a row, the first addressed
+    /// to the `dests` mask and each next one to the mask after it; an odd
+    /// run arrives newest first.
+    Bulk { origin: u8, count: u8, dests: u8 },
     /// The source writes a new version of a stored item.
     Update { pick: u8, dests: u8 },
+    /// The origin of a stored item writes a new version of it, `jump`
+    /// counters past its latest, and the source receives it.
+    Revise { pick: u8, jump: u8, dests: u8 },
     /// The source writes transient metadata on a stored copy.
     Touch { pick: u8 },
     /// The source deletes a stored item.
     Delete { pick: u8 },
+    /// The source deletes every stored item whose version shares a
+    /// stretch with the picked one's, leaving that stretch empty.
+    DeleteStretch { pick: u8 },
     /// A target with this filter shape, address mask, favoured mask,
-    /// known-copies mask and item cap (0 = none) pulls from the source.
+    /// known-copies mask, prefix claim (see [`prefix_claim`]) and item
+    /// cap (0 = none) pulls from the source.
     Sync {
         shape: u8,
         filter: u8,
         favoured: u8,
         known: u32,
+        prefix: u8,
         cap: u8,
     },
 }
 
+/// Counters per stretch of the source's version index (and per word of a
+/// knowledge's exceptions).
+const STRETCH: u64 = 64;
+
+/// The prefix a target claims: an origin, the source among them, and a
+/// counter at or around a stretch boundary (0 claims nothing).
+fn prefix_claim(prefix: u8) -> (ReplicaId, u64) {
+    let origin = [1, 2, 3, SOURCE][usize::from(prefix / 8 % 4)];
+    let counter = [0, 62, 63, 64, 65, 127, 128, 140][usize::from(prefix % 8)];
+    (rid(origin), counter)
+}
+
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    let sync = (0u8..4, 0u8..32, 0u8..32, any::<u32>(), 0u8..4).prop_map(
-        |(shape, filter, favoured, known, cap)| Op::Sync {
+    let sync = (0u8..4, 0u8..32, 0u8..32, any::<u32>(), any::<u8>(), 0u8..4).prop_map(
+        |(shape, filter, favoured, known, prefix, cap)| Op::Sync {
             shape,
             filter,
             favoured,
             known,
+            prefix,
             cap,
         },
     );
@@ -172,13 +203,41 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             dests,
             size
         }),
+        (0u8..3, 20u8..70, 0u8..32).prop_map(|(origin, count, dests)| Op::Bulk {
+            origin,
+            count,
+            dests
+        }),
         (any::<u8>(), 0u8..32).prop_map(|(pick, dests)| Op::Update { pick, dests }),
+        (any::<u8>(), 0u8..70, 0u8..32).prop_map(|(pick, jump, dests)| Op::Revise {
+            pick,
+            jump,
+            dests
+        }),
         any::<u8>().prop_map(|pick| Op::Touch { pick }),
         any::<u8>().prop_map(|pick| Op::Delete { pick }),
+        any::<u8>().prop_map(|pick| Op::DeleteStretch { pick }),
         sync.clone(),
         sync,
     ];
     proptest::collection::vec(op, 1..60)
+}
+
+/// A copy of a new item from origin `origin` (0, 1 or 2), its id and
+/// version taken from the origin's next counter.
+fn arrival(counters: &mut [u64; 3], origin: u8, dests: u8, size: u8) -> Item {
+    let o = usize::from(origin);
+    counters[o] += 1;
+    let origin = rid(1 + u64::from(origin));
+    let mut item = Item::builder(
+        ItemId::new(origin, counters[o]),
+        Version::new(origin, counters[o]),
+    )
+    .attr("size", i64::from(size));
+    if let Some(dest) = dest_value(dests) {
+        item = item.attr("dest", dest);
+    }
+    item.build()
 }
 
 fn dest_value(mask: u8) -> Option<Value> {
@@ -213,14 +272,16 @@ fn target_filter(shape: u8, mask: u8) -> Filter {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    // 256 cases, or more where `PROPTEST_CASES` asks for a deeper run.
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(256)))]
 
     #[test]
     fn parked_selection_matches_judging_every_copy(ops in arb_ops()) {
         let registry = Arc::new(Registry::new());
         let mut source = Replica::new(rid(SOURCE), Filter::address("dest", "me"));
         source.set_observer(Obs::new(registry.clone()));
-        let mut counters = [0u64; 3];
+        // Each origin's first counter is 63, 64 or 65.
+        let mut counters = [62u64, 63, 64];
         let mut candidates_seen = 0u64;
         for (step, op) in ops.into_iter().enumerate() {
             let now = SimTime::from_secs(step as u64);
@@ -228,22 +289,36 @@ proptest! {
             let pick = |n: u8| stored.get(usize::from(n) % stored.len().max(1)).copied();
             match op {
                 Op::Arrive { origin, dests, size } => {
-                    let o = usize::from(origin);
-                    counters[o] += 1;
-                    let origin = rid(1 + origin as u64);
-                    let mut item = Item::builder(
-                        ItemId::new(origin, counters[o]),
-                        Version::new(origin, counters[o]),
-                    )
-                    .attr("size", i64::from(size));
-                    if let Some(dest) = dest_value(dests) {
-                        item = item.attr("dest", dest);
+                    source.apply_remote(arrival(&mut counters, origin, dests, size), now);
+                }
+                Op::Bulk { origin, count, dests } => {
+                    let mut run: Vec<Item> = (0..count)
+                        .map(|n| arrival(&mut counters, origin, (dests + n) % 32, n % 6))
+                        .collect();
+                    if count % 2 == 1 {
+                        run.reverse();
                     }
-                    source.apply_remote(item.build(), now);
+                    for item in run {
+                        source.apply_remote(item, now);
+                    }
                 }
                 Op::Update { pick: n, dests } => {
                     let Some(id) = pick(n) else { continue };
                     source.update(id, attrs(dests, n % 6), vec![n]).unwrap();
+                }
+                Op::Revise { pick: n, jump, dests } => {
+                    let Some(id) = pick(n) else { continue };
+                    let stored = source.item(id).expect("picked from the store");
+                    let o = (id.origin().as_u64() - 1) as usize;
+                    counters[o] += 1 + u64::from(jump);
+                    let revised = Item::builder(id, Version::new(id.origin(), counters[o]))
+                        .attrs(attrs(dests, n % 6))
+                        .build();
+                    let revised = stored
+                        .ancestors()
+                        .chain([stored.version()])
+                        .fold(revised, Item::with_ancestor);
+                    source.apply_remote(revised, now);
                 }
                 Op::Touch { pick: n } => {
                     let Some(id) = pick(n) else { continue };
@@ -253,8 +328,23 @@ proptest! {
                     let Some(id) = pick(n) else { continue };
                     source.delete(id).unwrap();
                 }
-                Op::Sync { shape, filter, favoured, known, cap } => {
+                Op::DeleteStretch { pick: n } => {
+                    let Some(id) = pick(n) else { continue };
+                    let picked = source.item(id).expect("picked from the store").version();
+                    let stretch = |v: Version| (v.replica(), v.counter() / STRETCH);
+                    let mates: Vec<ItemId> = source
+                        .iter_items()
+                        .filter(|item| stretch(item.version()) == stretch(picked))
+                        .map(Item::id)
+                        .collect();
+                    for id in mates {
+                        source.delete(id).unwrap();
+                    }
+                }
+                Op::Sync { shape, filter, favoured, known, prefix, cap } => {
                     let mut knowledge = Knowledge::new();
+                    let (origin, counter) = prefix_claim(prefix);
+                    knowledge.insert_prefix(origin, counter);
                     for (i, item) in source.iter_items().enumerate() {
                         if i < 32 && known & (1 << i) != 0 {
                             knowledge.insert(item.version());
