@@ -2,17 +2,18 @@
 //! of magnitude (or more) beyond the paper's 34 DieselNet buses, streamed
 //! from an on-disk spool and replayed three ways —
 //!
-//! * **spill**: sharded workers + a resident-replica cap, cold state
-//!   spilled through `store::SpillFile` (the bounded-RSS configuration),
-//! * **sharded**: same workers, every replica resident,
+//! * **spill**: two shards on one thread (every operation executes on
+//!   the caller's thread) + a resident-replica cap, cold state spilled
+//!   through `store::SpillFile` (the bounded-RSS configuration),
+//! * **sharded**: the same two shards, every replica resident,
 //! * **serial**: the reference run — one shard on the cooperative path,
 //!   every replica resident, the trace in memory (skipped at scales where
 //!   materializing the trace stops being reasonable). The name is the
 //!   `BENCH_scale.json` key, kept from when this was a separate engine.
 //!
-//! All modes must produce identical [`ExperimentMetrics`] — shards,
-//! threads and spilling are execution strategies, not model changes —
-//! and the bench asserts that before reporting anything. An instrumented re-run of the
+//! All modes must produce identical [`ExperimentMetrics`] — shards and
+//! spilling are execution strategies, not model changes — and the bench
+//! asserts that before reporting anything. An instrumented re-run of the
 //! spill mode captures the `shard.*` counters (handoffs, spills,
 //! unspills) so the report proves the scale machinery actually engaged.
 //! Results land in `BENCH_scale.json` in the working directory.
@@ -24,6 +25,10 @@
 //! constraint instead of to the whole message population. (Unconstrained
 //! Epidemic at city scale floods every store to thousands of items,
 //! which measures snapshot serialization, not the engine.)
+//!
+//! The `BENCH_scale.json` keys keep the names they had when shards ran
+//! on a thread pool: `workers` is the shard count
+//! (`REPLIDTN_SCALE_WORKERS`, default 2).
 //!
 //! `REPLIDTN_SCALE` multiplies the paper's topology along every axis
 //! (default 10: a 340-vehicle fleet); `REPLIDTN_SCALE_DAYS` sets the
@@ -126,20 +131,14 @@ fn main() {
         .generate_spooled(&spool_path)
         .expect("spool city trace");
 
-    let workers = env_num(
-        "REPLIDTN_SCALE_WORKERS",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8) as u64,
-    ) as usize;
+    let workers = env_num("REPLIDTN_SCALE_WORKERS", 2) as usize;
     let resident_limit =
         env_num("REPLIDTN_SCALE_RESIDENT", (fleet * 3 / 5).max(16) as u64) as usize;
 
     println!(
         "macro_scale: Epidemic (relay cap {RELAY_LIMIT}), scale {scale} \
          ({fleet} vehicles, {:.0}x the paper's 34), {days} day(s), \
-         {} encounters, {} messages, {workers} workers",
+         {} encounters, {} messages, {workers} shards",
         fleet as f64 / 34.0,
         spooled.len(),
         workload.len()

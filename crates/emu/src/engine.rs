@@ -140,20 +140,11 @@ pub struct EmulationConfig {
     /// — those whose next encounter in a window of upcoming encounters is
     /// farthest — are snapshotted into a spill file and restored on their
     /// next encounter. `None` keeps every node resident. The cap is
-    /// enforced between batches, so residency transiently exceeds it by
-    /// at most one batch's working set.
+    /// enforced every 64 operations, so residency transiently exceeds it
+    /// by at most those operations' nodes.
     pub resident_limit: Option<usize>,
-    /// Worker threads executing shard chunks. Shards are a *partitioning*
-    /// unit (handoff accounting, conflict-free batching); threads are an
-    /// *execution* resource, and decoupling them lets the engine fit the
-    /// host: `None` sizes the pool to the machine — one thread per shard
-    /// on multi-core hosts with more than one shard, otherwise zero, where
-    /// the shards instead execute cooperatively on the main thread with
-    /// operations committed as they complete (no channels, no event
-    /// buffering). `Some(0)` forces the cooperative path, `Some(n)` forces
-    /// a pool of `min(n, shards)` threads. Purely an execution knob —
-    /// metrics are identical for any value (the differential suite pins
-    /// this).
+    /// Read by nothing: every operation executes on the caller's thread.
+    /// Kept only because the benchmark ledger sets it.
     pub exec_threads: Option<usize>,
 }
 
@@ -179,7 +170,6 @@ impl std::fmt::Debug for EmulationConfig {
             .field("shards", &self.shards)
             .field("spill_dir", &self.spill_dir)
             .field("resident_limit", &self.resident_limit)
-            .field("exec_threads", &self.exec_threads)
             .finish()
     }
 }
@@ -250,8 +240,8 @@ pub struct Emulation<'a> {
     pub(crate) source: TraceSource<'a>,
     pub(crate) workload: &'a EmailWorkload,
     pub(crate) config: EmulationConfig,
-    /// Boxed: a [`DtnNode`] is ~1 KiB inline, and the engine moves nodes
-    /// between the map, pool jobs and results.
+    /// Boxed: a [`DtnNode`] is ~1 KiB inline, and spills, restores and
+    /// rehashes move the map's values.
     pub(crate) nodes: FxMap<ReplicaId, Box<DtnNode>>,
     pub(crate) assignment: UserAssignment,
 }

@@ -4,26 +4,16 @@
 //! an injection, a meeting (after a crash-injected reboot, when one was
 //! drawn), or a bare reboot — each resolved at scan time and numbered in
 //! schedule order. One function, [`execute`], performs an operation on
-//! its nodes; everything else is about where and when it runs:
+//! its nodes, on the caller's thread and in schedule order, and the
+//! operation commits on the spot. Nodes permanently wear a direct-commit
+//! observer, so events reach the metrics ledger and the run observer the
+//! moment they are emitted: no batch assembly, result buffering or event
+//! re-emission exists.
 //!
-//! * **One shard, no threads** (the default): the cooperative loop. Each
-//!   operation executes on resident nodes in schedule order and commits
-//!   on the spot; nodes permanently wear a direct-commit observer, so no
-//!   batch assembly, result buffering or event re-emission exists.
 //! * **Shards** partition the fleet by replica id. A cross-shard
-//!   encounter — the endpoints hash to different shards — executes on
-//!   the first endpoint's shard and is surfaced as
-//!   [`Event::ShardHandoff`] (counter `shard.handoffs`), emitted from the
-//!   main thread so observer output stays deterministic.
-//! * **A thread pool** ([`EmulationConfig::exec_threads`]) executes
-//!   batches of conflict-free operations: a batch only admits operations
-//!   touching disjoint node sets, and an operation that conflicts is
-//!   deferred *and blocks its nodes*, so per-node execution order equals
-//!   schedule order. Each pool thread gets one channel send (and answers
-//!   with one) per batch; events accumulate in a per-thread mailbox and
-//!   are committed on the main thread strictly in sequence order, so
-//!   time-sensitive metrics (`copies_at_delivery`, daily series) see
-//!   exactly the schedule-prefix world.
+//!   encounter — the endpoints hash to different shards — is surfaced as
+//!   [`Event::ShardHandoff`] (counter `shard.handoffs`) just before it
+//!   executes. A shard is a property of ids, not of threads.
 //! * **Bounded residency** ([`EmulationConfig::resident_limit`]): cold
 //!   replicas are snapshotted into a slot-reusing
 //!   [`SpillFile`](store::SpillFile) and restored before their next
@@ -32,8 +22,7 @@
 //!   [`Lookahead`](traces::Lookahead) window (`8 × resident_limit`):
 //!   eviction is Belady-style — the replica whose next windowed encounter
 //!   is farthest goes first — and replicas the window touches soon are
-//!   prefetched, on the pooled path while a dispatched batch executes. A
-//!   spill-down snapshots every victim through a persistent
+//!   prefetched. A spill-down snapshots every victim through a persistent
 //!   [`SnapshotScratch`] into one arena and appends them with one write;
 //!   restores read sorted-by-offset batches. Spill activity is surfaced
 //!   as [`Event::ReplicaSpill`]. Spilling is invisible to metrics under
@@ -42,18 +31,19 @@
 //!   shift `recon.*` traffic — like a reboot, never a correctness loss
 //!   (`tests/digest_exchange_pinned.rs` pins by how much).
 //!
-//! [`ExperimentMetrics`] are *equal* (`==`) for any shard count, thread
-//! count and residency cap; the differential suite
-//! (`tests/shard_equivalence.rs`) pins this against the one-shard run.
-//! Encounters stream from a [`SpooledTrace`](traces::SpooledTrace) file
-//! as readily as from memory ([`Emulation::from_spooled`]).
+//! [`ExperimentMetrics`] are *equal* (`==`) for any shard count and
+//! residency cap; the differential suite (`tests/shard_equivalence.rs`)
+//! pins this against the one-shard run. Encounters stream from a
+//! [`SpooledTrace`](traces::SpooledTrace) file as readily as from memory
+//! ([`Emulation::from_spooled`]). Parallelism belongs across independent
+//! replays, which [`SweepRunner`](crate::SweepRunner) runs side by side.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::iter::Peekable;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dtn::{DtnNode, EncounterBudget, SnapshotScratch};
@@ -112,36 +102,6 @@ fn spill_path(dir: &Path) -> PathBuf {
     dir.join(format!("replidtn-spill-{}-{n}.bin", std::process::id()))
 }
 
-/// Per-worker event mailbox: the observer every replica wears while it
-/// executes on that worker. Drained after each operation into the
-/// operation's result and re-emitted on the run observer at commit, in
-/// global sequence order — so the per-op event stream preserves true
-/// emission order (both encounter endpoints interleaved, exactly as the
-/// cooperative loop's observer sees it).
-#[derive(Debug)]
-struct EventBuffer {
-    events: Mutex<Vec<Event>>,
-    /// What the commit step will read: the ledger's kinds and the run
-    /// observer's.
-    interest: Interest,
-}
-
-impl EventBuffer {
-    fn drain(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock())
-    }
-}
-
-impl Observer for EventBuffer {
-    fn on_event(&self, event: &Event) {
-        self.events.lock().push(event.clone());
-    }
-
-    fn interest(&self) -> Interest {
-        self.interest
-    }
-}
-
 /// One schedule operation, resolved at scan time (assignment lookups and
 /// fault draws happen there, in schedule order on one rng).
 #[derive(Debug)]
@@ -181,7 +141,7 @@ impl Op<'_> {
 
     /// The op's nodes: its first node, then the other endpoint of an
     /// encounter.
-    fn nodes(&self) -> impl Iterator<Item = ReplicaId> + Clone {
+    fn nodes(&self) -> impl Iterator<Item = ReplicaId> {
         let (a, b) = self.node_ids();
         std::iter::once(a).chain(b)
     }
@@ -195,67 +155,10 @@ impl Op<'_> {
     }
 }
 
-/// A dispatched operation: the op plus its owned nodes travelling to a
-/// worker shard and back. Nodes stay boxed end to end, so every hop
-/// (map, chunk, channel, result) moves a pointer, not the struct.
-struct Job<'s> {
-    op: Op<'s>,
-    nodes: Vec<(ReplicaId, Box<DtnNode>)>,
-}
-
 enum Outcome {
-    Injected {
-        id: Option<ItemId>,
-    },
-    Met {
-        report: dtn::EncounterReport,
-        rebooted: bool,
-    },
-    Rebooted {
-        rebooted: bool,
-    },
-}
-
-struct ExecResult<'s> {
-    op: Op<'s>,
-    nodes: Vec<(ReplicaId, Box<DtnNode>)>,
-    events: Vec<Event>,
-    outcome: Outcome,
-}
-
-/// One conflict-free batch under assembly on the pooled path. An op that
-/// conflicts is parked *and blocks its nodes*, so everything behind it on
-/// those nodes queues up behind it — per-node order stays the schedule's.
-#[derive(Default)]
-struct Batch<'s> {
-    ops: Vec<Op<'s>>,
-    busy: FxSet<ReplicaId>,
-    blocked: FxSet<ReplicaId>,
-    parked: VecDeque<Op<'s>>,
-}
-
-impl<'s> Batch<'s> {
-    fn place(&mut self, op: Op<'s>) {
-        let ids = op.nodes();
-        if ids
-            .clone()
-            .all(|id| !self.busy.contains(&id) && !self.blocked.contains(&id))
-        {
-            self.busy.extend(ids);
-            self.ops.push(op);
-        } else {
-            self.blocked.extend(ids);
-            self.parked.push_back(op);
-        }
-    }
-}
-
-/// The worker side of the chunked dispatch protocol: one job channel per
-/// pool thread — a single send carries the thread's whole share of a
-/// batch — and one shared result channel back, answered once per chunk.
-struct WorkerPool<'s> {
-    jobs: Vec<mpsc::Sender<Vec<Job<'s>>>>,
-    results: mpsc::Receiver<Vec<ExecResult<'s>>>,
+    Injected { id: Option<ItemId> },
+    Met { report: dtn::EncounterReport },
+    Rebooted,
 }
 
 type EncounterIter<'s> = Box<dyn Iterator<Item = Encounter> + 's>;
@@ -305,7 +208,7 @@ impl Encounters<'_> {
 
 /// The merged, time-ordered operation stream: injections and encounters
 /// interleaved (ties go to injections), with fault-injection draws taken
-/// here so the rng consumption order is fixed regardless of batching.
+/// here so the rng is consumed in schedule order.
 struct OpStream<'s> {
     injections: Peekable<std::slice::Iter<'s, MessageEvent>>,
     encounters: Encounters<'s>,
@@ -376,34 +279,28 @@ impl<'s> OpStream<'s> {
     }
 }
 
-fn shard_of(id: ReplicaId, workers: usize) -> usize {
-    (id.as_u64() % workers as u64) as usize
+fn shard_of(id: ReplicaId, shards: usize) -> usize {
+    (id.as_u64() % shards as u64) as usize
 }
 
 /// Reboots a node in place: durable state round-trips through a snapshot
 /// (exercising snapshot/restore), then the routing policy restarts
 /// *cold* — its in-memory tables are gone, as on a device that never
-/// called `save_state`. A node whose snapshot names a policy outside the
-/// registry (custom specs) is kept untouched. Returns whether it rebooted.
-fn reboot_in_place(node: &mut DtnNode, wear: &Obs, config: &EmulationConfig) -> bool {
+/// called `save_state`. The persisted routing state is discarded, so any
+/// [`PolicySpec`](crate::PolicySpec), custom or bundled, reboots alike.
+fn reboot_in_place(node: &mut DtnNode, wear: &Obs, config: &EmulationConfig) {
     let snapshot = node.snapshot();
-    match DtnNode::restore(&snapshot) {
-        Ok(mut restored) => {
-            restored.replace_policy(config.policy.build());
-            // Snapshots carry no observer; digest caches died with the
-            // process, so the first post-reboot exchange per peer
-            // resolves through the fallback path.
-            restored.replica_mut().set_observer(wear.clone());
-            restored.set_sync_mode(config.sync_mode);
-            *node = restored;
-            true
-        }
-        Err(_) => false,
-    }
+    let mut restored = DtnNode::restore_overriding_policy(&snapshot, config.policy.build())
+        .expect("a node restores from its own snapshot");
+    // Snapshots carry no observer; digest caches died with the process,
+    // so the first post-reboot exchange per peer resolves through the
+    // fallback path.
+    restored.replica_mut().set_observer(wear.clone());
+    restored.set_sync_mode(config.sync_mode);
+    *node = restored;
 }
 
-/// Executes one operation — the only place one is performed, on either
-/// execution path. `first` is the op's first node (the injecting bus,
+/// Executes one operation — the only place one is performed. `first` is the op's first node (the injecting bus,
 /// encounter endpoint `a`, or the reboot victim) and `second` encounter
 /// endpoint `b`; `wear` is the observer a rebooted node comes up wearing.
 /// Pure node work: metrics and the commit ledger are the caller's.
@@ -438,11 +335,11 @@ fn execute(
         }
         OpKind::Meet { encounter, victim } => {
             let second = second.expect("a meeting has two endpoints");
-            let rebooted = match victim {
-                None => false,
+            match victim {
+                None => {}
                 Some(victim) if *victim == encounter.a => reboot_in_place(first, wear, config),
                 Some(_) => reboot_in_place(second, wear, config),
-            };
+            }
             let budget = match config.messages_per_contact_minute {
                 Some(rate) if encounter.duration.as_secs() > 0 => {
                     let allowance = (encounter.duration.as_secs() as f64 / 60.0 * rate).ceil();
@@ -451,42 +348,18 @@ fn execute(
                 _ => config.budget,
             };
             let report = first.encounter(second, encounter.time, budget);
-            Outcome::Met { report, rebooted }
+            Outcome::Met { report }
         }
-        OpKind::Reboot { .. } => Outcome::Rebooted {
-            rebooted: reboot_in_place(first, wear, config),
-        },
+        OpKind::Reboot { .. } => {
+            reboot_in_place(first, wear, config);
+            Outcome::Rebooted
+        }
     }
 }
 
-/// Runs one job on a pool thread: the worker's mailbox goes onto every
-/// rider first and is drained once after the op, so events come out in
-/// true emission order and ride back in the result.
-fn run_job<'s>(
-    job: Job<'s>,
-    config: &EmulationConfig,
-    buffer: &EventBuffer,
-    mailbox: &Obs,
-) -> ExecResult<'s> {
-    let Job { op, mut nodes } = job;
-    for (_, node) in nodes.iter_mut() {
-        node.replica_mut().set_observer(mailbox.clone());
-    }
-    let (first, rest) = nodes.split_first_mut().expect("an op touches a node");
-    let second = rest.first_mut().map(|(_, node)| &mut **node);
-    let outcome = execute(&op.kind, &mut first.1, second, config, mailbox);
-    ExecResult {
-        op,
-        nodes,
-        events: buffer.drain(),
-        outcome,
-    }
-}
-
-/// Main-thread bookkeeping fed by committed events instead of node
-/// inspection: live copy counts and per-node eviction counters, so
-/// commits never need to look at (possibly spilled, possibly mid-batch)
-/// node state.
+/// Bookkeeping fed by committed events instead of node inspection: live
+/// copy counts and per-node eviction counters, so commits never need to
+/// look at (possibly spilled) node state.
 #[derive(Default)]
 struct CommitState {
     /// `(origin, seq) -> live copies`, from injection/accept/drop deltas:
@@ -539,11 +412,11 @@ impl CommitState {
 
 /// Emits the cross-shard handoff marker for `op` if its encounter spans
 /// shards. Pure partition accounting: `shard_of` depends only on ids and
-/// the shard count, never on how many threads executed the batch.
-fn note_handoff(op: &Op<'_>, workers: usize, obs: &Obs) {
+/// the shard count.
+fn note_handoff(op: &Op<'_>, shards: usize, obs: &Obs) {
     if let OpKind::Meet { encounter, .. } = &op.kind {
-        let from = shard_of(encounter.a, workers);
-        let to = shard_of(encounter.b, workers);
+        let from = shard_of(encounter.a, shards);
+        let to = shard_of(encounter.b, shards);
         if from != to {
             obs.emit(EventKind::ShardHandoff, || Event::ShardHandoff {
                 a: encounter.a.as_u64(),
@@ -558,12 +431,10 @@ fn note_handoff(op: &Op<'_>, workers: usize, obs: &Obs) {
 
 /// Where every event of a run passes on its way to the run observer: the
 /// kinds [`CommitState`] reads land in the ledger first. Nodes wear it
-/// permanently on the cooperative path, so events are committed as they
-/// are emitted with no buffering, cloning or re-emission; the pooled path
-/// replays each op's buffered events through it at commit. The lock is
-/// uncontended — only the main thread commits — exists to keep the
-/// `Observer: Sync` contract honest, and is taken only for the ledger's
-/// kinds.
+/// permanently, so events are committed as they are emitted with no
+/// buffering, cloning or re-emission. The lock is uncontended — one
+/// thread runs the whole replay — exists to keep the `Observer: Sync`
+/// contract honest, and is taken only for the ledger's kinds.
 struct CommitSink {
     ledger: Mutex<CommitState>,
     obs: Obs,
@@ -610,16 +481,17 @@ impl CommitSink {
         config: &EmulationConfig,
     ) {
         let obs = &self.obs;
-        if let Outcome::Met { rebooted: true, .. } | Outcome::Rebooted { rebooted: true } = outcome
-        {
-            let victim = op.victim().expect("rebooted op has a victim").as_u64();
+        if let Some(victim) = op.victim() {
             let mut ledger = self.ledger.lock();
-            *ledger.evict_since_reboot.entry(victim).or_insert(0) -= victim_evictions;
+            *ledger
+                .evict_since_reboot
+                .entry(victim.as_u64())
+                .or_insert(0) -= victim_evictions;
             ledger.lost_evictions += victim_evictions;
             metrics.reboots += 1;
         }
         match outcome {
-            Outcome::Injected { id: None } | Outcome::Rebooted { .. } => {}
+            Outcome::Injected { id: None } | Outcome::Rebooted => {}
             Outcome::Injected { id: Some(id) } => {
                 let OpKind::Inject {
                     event,
@@ -644,7 +516,7 @@ impl CommitSink {
                     });
                 }
             }
-            Outcome::Met { report, .. } => {
+            Outcome::Met { report } => {
                 let OpKind::Meet { encounter, .. } = &op.kind else {
                     unreachable!("meet outcome from meet op")
                 };
@@ -718,9 +590,8 @@ impl Residency {
     /// Restores `ids` (all currently spilled) with one sorted-offset
     /// batch read, freeing their slots for reuse. Unspill latency is the
     /// amortized read share plus the node's own rebuild time. Restored
-    /// nodes come up wearing `wear` — the direct-commit sink on the
-    /// cooperative path, disabled on the pooled path (whose workers
-    /// attach their own mailbox at dispatch).
+    /// nodes come up wearing `wear`: the direct-commit sink mid-run,
+    /// nothing at final accounting.
     fn unspill(
         &mut self,
         ids: &[ReplicaId],
@@ -764,15 +635,12 @@ impl Residency {
 
     /// Evicts down to the cap, Belady-style: the replica whose next
     /// windowed encounter is farthest goes first, and "not in the window
-    /// at all" is farthest of all; least-recently-dispatched then lowest
-    /// id break ties deterministically. `pinned` nodes — riding in
-    /// deferred operations that execute next batch — are never evicted.
-    /// All victims snapshot into one arena and land in one batched
-    /// append.
+    /// at all" is farthest of all; least-recently-used then lowest
+    /// id break ties deterministically. All victims snapshot into one
+    /// arena and land in one batched append.
     fn spill_down(
         &mut self,
         nodes: &mut FxMap<ReplicaId, Box<DtnNode>>,
-        pinned: &FxSet<ReplicaId>,
         window: &Encounters<'_>,
         last_used: &FxMap<ReplicaId, u64>,
         obs: &Obs,
@@ -782,7 +650,6 @@ impl Residency {
         }
         let mut candidates: Vec<(u64, Reverse<u64>, Reverse<u64>)> = nodes
             .keys()
-            .filter(|id| !pinned.contains(id))
             .map(|&id| {
                 (
                     window.next_need(id).unwrap_or(u64::MAX),
@@ -825,22 +692,17 @@ impl Residency {
         }
     }
 
-    /// Restores soon-needed spilled replicas: deferred operations' nodes
-    /// first (they run next batch), then the window in schedule order;
-    /// the budget keeps the resident set — counting `in_flight` nodes
-    /// riding in a dispatched batch — under the cap.
-    #[allow(clippy::too_many_arguments)]
+    /// Restores the spilled replicas the window needs soonest, in
+    /// schedule order; the budget keeps the resident set under the cap.
     fn prefetch(
         &mut self,
         nodes: &mut FxMap<ReplicaId, Box<DtnNode>>,
-        in_flight: usize,
-        deferred: &VecDeque<Op<'_>>,
         window: &Encounters<'_>,
         config: &EmulationConfig,
         obs: &Obs,
         wear: &Obs,
     ) {
-        let budget = self.limit.saturating_sub(nodes.len() + in_flight);
+        let budget = self.limit.saturating_sub(nodes.len());
         if budget == 0 || self.slots.is_empty() {
             return;
         }
@@ -850,11 +712,11 @@ impl Residency {
         const PREFETCH_SCAN: usize = 2048;
         let mut wanted: Vec<ReplicaId> = Vec::new();
         let mut seen: FxSet<ReplicaId> = FxSet::default();
-        let windowed = window
+        let upcoming = window
             .upcoming()
             .take(PREFETCH_SCAN)
             .flat_map(|enc| [enc.a, enc.b]);
-        for id in deferred.iter().flat_map(Op::nodes).chain(windowed) {
+        for id in upcoming {
             if seen.insert(id) && self.slots.contains_key(&id) {
                 wanted.push(id);
                 if wanted.len() == budget {
@@ -885,23 +747,7 @@ pub(crate) fn run(emulation: Emulation<'_>) -> (ExperimentMetrics, BTreeMap<Repl
         None => Obs::new(rollup.clone()),
     };
     let mut metrics = ExperimentMetrics::new();
-    let workers = config.shards.unwrap_or(1).max(1);
-    // Threads are sized to the host, not to the shard count: on a
-    // single-core machine a pool only adds hand-off latency, so zero
-    // threads means the shards run cooperatively on the main thread.
-    let threads = match config.exec_threads {
-        Some(n) => n.min(workers),
-        None => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            if cores <= 1 || workers == 1 {
-                0
-            } else {
-                workers
-            }
-        }
-    };
+    let shards = config.shards.unwrap_or(1).max(1);
 
     // A spill file when residency is capped; it removes itself on drop,
     // panics included.
@@ -939,229 +785,48 @@ pub(crate) fn run(emulation: Emulation<'_>) -> (ExperimentMetrics, BTreeMap<Repl
         obs: obs.clone(),
     });
 
-    if threads == 0 {
-        // Cooperative path: no pool, no batches, no buffering.
-        // Operations execute in sequence order and commit on the spot;
-        // every node permanently wears the commit sink, so events reach
-        // the ledger and the run observer the moment they are emitted.
-        // Shard handoff accounting is untouched — a shard is a property
-        // of ids, not of threads.
-        let sink_obs = Obs::new(sink.clone());
-        for node in nodes.values_mut() {
-            node.replica_mut().set_observer(sink_obs.clone());
+    // Every node permanently wears the commit sink, so events reach the
+    // ledger and the run observer the moment they are emitted.
+    let sink_obs = Obs::new(sink.clone());
+    for node in nodes.values_mut() {
+        node.replica_mut().set_observer(sink_obs.clone());
+    }
+    // Residency maintenance cadence: eviction and prefetch run every this
+    // many operations — often enough that the resident set never drifts
+    // far past the cap, rare enough that the Belady scan amortizes away.
+    const MAINTENANCE_OPS: u64 = 64;
+    while let Some(op) = stream.next_op() {
+        if let Some(res) = residency.as_mut() {
+            let mut needed: Vec<ReplicaId> = Vec::new();
+            for id in op.nodes() {
+                last_used.insert(id, op.seq);
+                if res.slots.contains_key(&id) {
+                    needed.push(id);
+                }
+            }
+            res.unspill(&needed, &mut nodes, &config, &obs, &sink_obs);
         }
-        // Residency maintenance cadence: eviction and prefetch run every
-        // this many operations — often enough that the resident set
-        // never drifts far past the cap, rare enough that the Belady scan
-        // amortizes away.
-        const MAINTENANCE_OPS: u64 = 64;
-        while let Some(op) = stream.next_op() {
+        let victim_evictions = sink.victim_evictions(&op);
+        note_handoff(&op, shards, &obs);
+        let outcome = match op.node_ids() {
+            (a, None) => {
+                let node = nodes.get_mut(&a).expect("resident node");
+                execute(&op.kind, node, None, &config, &sink_obs)
+            }
+            (a, Some(b)) => {
+                let [first, second] = nodes
+                    .get_disjoint_mut([&a, &b])
+                    .map(|n| n.expect("resident node"));
+                execute(&op.kind, first, Some(second), &config, &sink_obs)
+            }
+        };
+        sink.commit(&op, outcome, victim_evictions, &mut metrics, &config);
+        if (op.seq + 1).is_multiple_of(MAINTENANCE_OPS) {
             if let Some(res) = residency.as_mut() {
-                let mut needed: Vec<ReplicaId> = Vec::new();
-                for id in op.nodes() {
-                    last_used.insert(id, op.seq);
-                    if res.slots.contains_key(&id) {
-                        needed.push(id);
-                    }
-                }
-                res.unspill(&needed, &mut nodes, &config, &obs, &sink_obs);
-            }
-            let victim_evictions = sink.victim_evictions(&op);
-            note_handoff(&op, workers, &obs);
-            let outcome = match op.node_ids() {
-                (a, None) => {
-                    let node = nodes.get_mut(&a).expect("resident node");
-                    execute(&op.kind, node, None, &config, &sink_obs)
-                }
-                (a, Some(b)) => {
-                    let [first, second] = nodes
-                        .get_disjoint_mut([&a, &b])
-                        .map(|n| n.expect("resident node"));
-                    execute(&op.kind, first, Some(second), &config, &sink_obs)
-                }
-            };
-            sink.commit(&op, outcome, victim_evictions, &mut metrics, &config);
-            if (op.seq + 1).is_multiple_of(MAINTENANCE_OPS) {
-                if let Some(res) = residency.as_mut() {
-                    res.spill_down(
-                        &mut nodes,
-                        &FxSet::default(),
-                        &stream.encounters,
-                        &last_used,
-                        &obs,
-                    );
-                    res.prefetch(
-                        &mut nodes,
-                        0,
-                        &VecDeque::new(),
-                        &stream.encounters,
-                        &config,
-                        &obs,
-                        &sink_obs,
-                    );
-                }
+                res.spill_down(&mut nodes, &stream.encounters, &last_used, &obs);
+                res.prefetch(&mut nodes, &stream.encounters, &config, &obs, &sink_obs);
             }
         }
-    } else {
-        let mut deferred: VecDeque<Op<'_>> = VecDeque::new();
-        // Keyed probes on `next_commit` only — no order needed, and a
-        // B-tree would shift 200-byte results around on every insert.
-        let mut pending: FxMap<u64, ExecResult<'_>> = FxMap::default();
-        let mut next_commit: u64 = 0;
-        let max_batch = workers * 32;
-        // Conflicts concentrate on hub nodes; past this many parked ops,
-        // scanning further mostly grows the park, so cut the batch here.
-        const MAX_DEFERRED: usize = 64;
-        let resident_cap = config.resident_limit;
-        let mut batch_no: u64 = 0;
-        let no_wear = Obs::none();
-
-        std::thread::scope(|scope| {
-            let (result_tx, result_rx) = mpsc::channel::<Vec<ExecResult<'_>>>();
-            let mut job_txs: Vec<mpsc::Sender<Vec<Job<'_>>>> = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let (tx, rx) = mpsc::channel::<Vec<Job<'_>>>();
-                job_txs.push(tx);
-                let config = &config;
-                let results = result_tx.clone();
-                let interest = sink.interest();
-                scope.spawn(move || {
-                    let buffer = Arc::new(EventBuffer {
-                        events: Mutex::default(),
-                        interest,
-                    });
-                    let mailbox = Obs::new(buffer.clone());
-                    for chunk in rx {
-                        let out: Vec<ExecResult<'_>> = chunk
-                            .into_iter()
-                            .map(|job| run_job(job, config, &buffer, &mailbox))
-                            .collect();
-                        if results.send(out).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            let pool = WorkerPool {
-                jobs: job_txs,
-                results: result_rx,
-            };
-
-            loop {
-                // Assemble one conflict-free batch: deferred ops first
-                // (in order), then fresh scans.
-                let mut batch = Batch::default();
-                for op in deferred.drain(..) {
-                    batch.place(op);
-                }
-                while batch.ops.len() < max_batch && batch.parked.len() < MAX_DEFERRED {
-                    // Under a residency cap, stop admitting fresh ops once
-                    // the batch's working set fills it — a wider batch
-                    // would only buy unspill-then-respill churn.
-                    if resident_cap
-                        .is_some_and(|limit| !batch.ops.is_empty() && batch.busy.len() + 2 > limit)
-                    {
-                        break;
-                    }
-                    let Some(op) = stream.next_op() else { break };
-                    batch.place(op);
-                }
-                deferred = batch.parked;
-                if batch.ops.is_empty() {
-                    // The first deferred op is always placeable, so an
-                    // empty batch means the schedule is exhausted.
-                    debug_assert!(deferred.is_empty());
-                    break;
-                }
-                batch_no += 1;
-
-                // Everything the batch touches comes home in one batched
-                // read before dispatch.
-                if let Some(res) = residency.as_mut() {
-                    let needed: Vec<ReplicaId> = batch
-                        .ops
-                        .iter()
-                        .flat_map(Op::nodes)
-                        .filter(|id| res.slots.contains_key(id))
-                        .collect();
-                    res.unspill(&needed, &mut nodes, &config, &obs, &no_wear);
-                }
-
-                // Chunk the batch — each op executes on the pool thread
-                // its first node's shard maps to, carrying its owned
-                // nodes along — and dispatch one chunk per thread.
-                let mut in_flight = 0usize;
-                let mut chunks: Vec<Vec<Job<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-                for op in batch.ops {
-                    let mut op_nodes = Vec::with_capacity(2);
-                    for id in op.nodes() {
-                        if residency.is_some() {
-                            last_used.insert(id, batch_no);
-                        }
-                        op_nodes.push((id, nodes.remove(&id).expect("resident node")));
-                        in_flight += 1;
-                    }
-                    chunks[shard_of(op.node_ids().0, workers) % threads].push(Job {
-                        op,
-                        nodes: op_nodes,
-                    });
-                }
-                let mut outstanding = 0;
-                for (thread, chunk) in chunks.into_iter().enumerate() {
-                    if !chunk.is_empty() {
-                        pool.jobs[thread].send(chunk).expect("worker thread alive");
-                        outstanding += 1;
-                    }
-                }
-
-                // The pool is busy: overlap the next window's spill reads
-                // with its compute.
-                if let Some(res) = residency.as_mut() {
-                    res.prefetch(
-                        &mut nodes,
-                        in_flight,
-                        &deferred,
-                        &stream.encounters,
-                        &config,
-                        &obs,
-                        &no_wear,
-                    );
-                }
-                for _ in 0..outstanding {
-                    for mut result in pool.results.recv().expect("worker results") {
-                        nodes.extend(result.nodes.drain(..));
-                        pending.insert(result.op.seq, result);
-                    }
-                }
-
-                // Commit strictly in global sequence order. Ops still
-                // deferred stall later commits until they execute.
-                while let Some(result) = pending.remove(&next_commit) {
-                    let ExecResult {
-                        op,
-                        events,
-                        outcome,
-                        ..
-                    } = result;
-                    let victim_evictions = sink.victim_evictions(&op);
-                    note_handoff(&op, workers, &obs);
-                    for event in &events {
-                        sink.on_event(event);
-                    }
-                    sink.commit(&op, outcome, victim_evictions, &mut metrics, &config);
-                    next_commit += 1;
-                }
-
-                // Spill back down to the cap, farthest next encounter
-                // first, never a node the deferred park runs next batch.
-                if let Some(res) = residency.as_mut() {
-                    let pinned: FxSet<ReplicaId> = deferred.iter().flat_map(Op::nodes).collect();
-                    res.spill_down(&mut nodes, &pinned, &stream.encounters, &last_used, &obs);
-                }
-            }
-            drop(pool);
-        });
-        debug_assert!(pending.is_empty(), "all dispatched ops commit");
     }
 
     // Bring every spilled replica home for final accounting.

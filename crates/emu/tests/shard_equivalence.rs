@@ -1,9 +1,8 @@
-//! Differential suite: a run is the same at any shard count, thread count
-//! and residency cap.
+//! Differential suite: a run is the same at any shard count and residency
+//! cap.
 //!
-//! Every test here runs the same schedule on one shard (the default
-//! cooperative loop) and partitioned — on a worker pool and on the
-//! cooperative path — and demands identical [`emu::ExperimentMetrics`]
+//! Every test here runs the same schedule on one shard and partitioned,
+//! and demands identical [`emu::ExperimentMetrics`]
 //! (derived `Eq` over every record, delay, daily series, and counter)
 //! plus identical per-node final knowledge — the strongest observable
 //! the substrate exposes. The absolute values are pinned by
@@ -70,12 +69,8 @@ fn tmp_dir() -> std::path::PathBuf {
 }
 
 /// Runs once on one shard with every node resident, then on `shards`
-/// shards under `config` in *both* execution modes — a worker pool sized
-/// to the shard count and the cooperative main-thread path
-/// (`exec_threads: Some(0)`) — and asserts full equivalence for each:
-/// metrics equal, and every node ends with identical knowledge. Pinning
-/// the mode matters because auto-detection picks per host, and the suite
-/// must cover both paths regardless of where it runs.
+/// shards under `config`, and asserts full equivalence: metrics equal,
+/// and every node ends with identical knowledge.
 fn assert_shards_agree(
     trace: &EncounterTrace,
     workload: &EmailWorkload,
@@ -87,24 +82,19 @@ fn assert_shards_agree(
         shards: None,
         spill_dir: None,
         resident_limit: None,
-        exec_threads: None,
         ..config.clone()
     };
     let (one_shard, one_shard_nodes) = Emulation::new(trace, workload, one_shard).run_into_parts();
-    for exec_threads in [shards, 0] {
-        let sharded_config = EmulationConfig {
-            shards: Some(shards),
-            exec_threads: Some(exec_threads),
-            ..config.clone()
-        };
-        let (sharded, sharded_nodes) =
-            Emulation::new(trace, workload, sharded_config).run_into_parts();
-        assert_eq!(
-            one_shard, sharded,
-            "{label}: metrics diverged at {shards} shards / {exec_threads} threads"
-        );
-        assert_knowledge_equal(&one_shard_nodes, &sharded_nodes, label, shards);
-    }
+    let sharded_config = EmulationConfig {
+        shards: Some(shards),
+        ..config.clone()
+    };
+    let (sharded, sharded_nodes) = Emulation::new(trace, workload, sharded_config).run_into_parts();
+    assert_eq!(
+        one_shard, sharded,
+        "{label}: metrics diverged at {shards} shards"
+    );
+    assert_knowledge_equal(&one_shard_nodes, &sharded_nodes, label, shards);
 }
 
 fn assert_knowledge_equal(
@@ -210,20 +200,17 @@ fn spooled_source_matches_in_memory() {
     let (one_shard, one_shard_nodes) =
         Emulation::new(&trace, &workload, config.clone()).run_into_parts();
     for shards in [1, 4] {
-        for exec_threads in [shards, 0] {
-            let spooled_config = EmulationConfig {
-                shards: Some(shards),
-                exec_threads: Some(exec_threads),
-                ..config.clone()
-            };
-            let (via_spool, spool_nodes) =
-                Emulation::from_spooled(&spooled, &workload, spooled_config).run_into_parts();
-            assert_eq!(
-                one_shard, via_spool,
-                "spooled source diverged at {shards} shards / {exec_threads} threads"
-            );
-            assert_knowledge_equal(&one_shard_nodes, &spool_nodes, "spooled source", shards);
-        }
+        let spooled_config = EmulationConfig {
+            shards: Some(shards),
+            ..config.clone()
+        };
+        let (via_spool, spool_nodes) =
+            Emulation::from_spooled(&spooled, &workload, spooled_config).run_into_parts();
+        assert_eq!(
+            one_shard, via_spool,
+            "spooled source diverged at {shards} shards"
+        );
+        assert_knowledge_equal(&one_shard_nodes, &spool_nodes, "spooled source", shards);
     }
 }
 
@@ -277,7 +264,6 @@ proptest! {
         policy_idx in 0usize..PolicyKind::ALL.len(),
         limit in 2usize..10,
         shard_idx in 0usize..SHARD_COUNTS.len(),
-        pooled in any::<bool>(),
     ) {
         let (trace, workload) = scenario(base_seed() ^ seed ^ 0xbe1a, fleet, days, messages);
         let shards = SHARD_COUNTS[shard_idx];
@@ -285,9 +271,6 @@ proptest! {
             policy: PolicyKind::ALL[policy_idx].into(),
             sync_mode: SyncMode::Full,
             shards: Some(shards),
-            // Pin the execution mode so the case covers both the pooled
-            // and the cooperative path wherever it runs.
-            exec_threads: Some(if pooled { shards } else { 0 }),
             ..EmulationConfig::default()
         };
         let (unlimited, unlimited_nodes) =

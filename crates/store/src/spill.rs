@@ -24,6 +24,11 @@
 //! [`pfr` snapshots]: https://docs.rs/pfr
 //! [`Store`]: crate::Store
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -142,8 +147,7 @@ impl SpillFile {
         let found = self
             .free
             .range_mut(class..)
-            .next()
-            .map(|(&cap, offs)| (cap, offs.pop().expect("free classes are nonempty")));
+            .find_map(|(&cap, offs)| offs.pop().map(|offset| (cap, offset)));
         if let Some((cap, offset)) = found {
             if self.free.get(&cap).is_some_and(Vec::is_empty) {
                 self.free.remove(&cap);
@@ -178,15 +182,15 @@ impl SpillFile {
     /// individually, in offset order). Returns slots in input order.
     pub fn append_batch(&mut self, blobs: &[&[u8]]) -> io::Result<Vec<SpillSlot>> {
         let mut slots = Vec::with_capacity(blobs.len());
-        // (input index, offset) of reused slots, to visit in offset order.
-        let mut reused: Vec<(usize, u64)> = Vec::new();
+        // (offset, blob) of reused slots, to visit in offset order.
+        let mut reused: Vec<(u64, &[u8])> = Vec::new();
         let mut tail_start: Option<u64> = None;
         self.scratch.clear();
-        for (i, bytes) in blobs.iter().enumerate() {
+        for &bytes in blobs {
             let len = Self::blob_len(bytes)?;
             let (offset, cap, from_free) = self.allocate(len);
             if from_free {
-                reused.push((i, offset));
+                reused.push((offset, bytes));
             } else {
                 tail_start.get_or_insert(offset);
                 self.scratch.extend_from_slice(bytes);
@@ -203,10 +207,10 @@ impl SpillFile {
                 crc: crc32(bytes),
             });
         }
-        reused.sort_by_key(|&(_, offset)| offset);
-        for (i, offset) in reused {
+        reused.sort_by_key(|&(offset, _)| offset);
+        for (offset, bytes) in reused {
             self.file.seek(SeekFrom::Start(offset))?;
-            self.file.write_all(blobs[i])?;
+            self.file.write_all(bytes)?;
         }
         if let Some(start) = tail_start {
             self.file.seek(SeekFrom::Start(start))?;
@@ -238,13 +242,14 @@ impl SpillFile {
     /// Reads a batch of slots, visiting the file in offset order (so
     /// sequential readahead works) while returning blobs in input order.
     pub fn read_batch(&mut self, slots: &[SpillSlot]) -> io::Result<Vec<Vec<u8>>> {
-        let mut order: Vec<usize> = (0..slots.len()).collect();
-        order.sort_by_key(|&i| slots[i].offset);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); slots.len()];
-        for i in order {
-            out[i] = self.read(&slots[i])?;
-        }
-        Ok(out)
+        let mut order: Vec<(usize, &SpillSlot)> = slots.iter().enumerate().collect();
+        order.sort_by_key(|&(_, slot)| slot.offset);
+        let mut blobs = order
+            .into_iter()
+            .map(|(i, slot)| Ok((i, self.read(slot)?)))
+            .collect::<io::Result<Vec<_>>>()?;
+        blobs.sort_unstable_by_key(|&(i, _)| i);
+        Ok(blobs.into_iter().map(|(_, blob)| blob).collect())
     }
 
     /// Returns a redeemed slot's space to the free list for reuse.

@@ -6,9 +6,8 @@
 //! the sharded engine's commit ledger) subscribe to a few kinds each and
 //! fan in with the user's observer. Whatever the user subscribes to, it
 //! must receive exactly the subsequence of those kinds a subscribe-all
-//! observer receives from the same run — on one shard and on three, both
-//! on the cooperative path and on a worker pool — and the run's metrics
-//! must not notice. The trace and the subscription honour `TESTKIT_SEED`.
+//! observer receives from the same run — on one shard and on three — and
+//! the run's metrics must not notice. The trace and the subscription honour `TESTKIT_SEED`.
 
 use std::sync::Arc;
 
@@ -147,19 +146,14 @@ fn a_subscription_receives_exactly_its_kinds() {
         Interest::of(&seeded),
         Interest::NONE,
     ];
-    let engines = [
-        ("one shard", None, None),
-        ("sharded, cooperative", Some(3), Some(0)),
-        ("sharded, pooled", Some(3), Some(2)),
-    ];
+    let engines = [("one shard", None), ("sharded", Some(3))];
     // What a subscribe-all observer saw on one shard: the engine's own
     // listeners sit between the nodes and the user, and must not thin the
     // stream even for that observer.
     let mut one_shard_stream = None;
-    for (engine, shards, exec_threads) in engines {
+    for (engine, shards) in engines {
         let config = EmulationConfig {
             shards,
-            exec_threads,
             relay_limit: Some(4),
             ..EmulationConfig::for_policy(PolicyKind::MaxProp)
         };

@@ -8,7 +8,7 @@
 //!              [--trace FILE | --spool FILE] [--mail FILE]
 //!              [--bandwidth N] [--storage N]
 //!              [--strategy <random|selected>] [--k N]
-//!              [--shards N] [--exec-threads N]
+//!              [--shards N]
 //!              [--spill-dir DIR] [--resident-limit N]
 //!              [--data-dir DIR] [--events FILE] [--stats]
 //! replidtn peer --id N --address ADDR --policy P --listen HOST:PORT
@@ -19,9 +19,9 @@
 //!
 //! City-scale runs combine `gen-trace --scale N --spool FILE` (streamed
 //! binary trace, never resident) with `run --spool FILE --shards W
-//! [--resident-limit R --spill-dir DIR]`: the engine fans encounters
-//! across W shards and spills cold replicas, producing the exact metrics
-//! of a one-shard in-memory run.
+//! [--resident-limit R --spill-dir DIR]`: the engine partitions the fleet
+//! into W shards and spills cold replicas, all on one thread, producing
+//! the exact metrics of a one-shard in-memory run.
 //!
 //! `--data-dir DIR` makes state durable: `peer` opens its node from the
 //! directory (restoring items, knowledge, and routing state after a
@@ -92,7 +92,7 @@ USAGE:
                [--trace FILE | --spool FILE] [--mail FILE]
                [--bandwidth N] [--storage N]
                [--strategy <random|selected>] [--k N] [--seed S]
-               [--shards N] [--exec-threads N]
+               [--shards N]
                [--spill-dir DIR] [--resident-limit N]
                [--data-dir DIR] [--events FILE] [--stats]
       Replay a workload over a trace and print delivery statistics.
@@ -103,10 +103,8 @@ USAGE:
       --spool FILE streams the schedule from disk; it cannot be combined
       with --strategy selected, which ranks partners over the whole trace.
 
-      Scale knobs (all preserve one-shard metrics exactly): --shards N
-      partitions the fleet into N shards; --exec-threads N sizes the
-      thread pool executing them (default: one per shard on multi-core
-      hosts with N > 1, otherwise 0 — the cooperative main-thread path);
+      Scale knobs (both preserve one-shard metrics exactly): --shards N
+      partitions the fleet into N shards, all executed on one thread;
       --resident-limit N caps resident replicas, spilling cold state
       under --spill-dir (or the system temp dir) in the order a window
       of 8 x N upcoming encounters says they are needed.
@@ -142,6 +140,22 @@ USAGE:
     --events FILE   stream every observability event as JSON lines to FILE
     --stats         print the counter/histogram registry as CSV afterwards
 ";
+
+/// The flags `command` accepts: the `--name`s of its USAGE synopsis (the
+/// line that starts it and the bracketed lines below). Any other flag is
+/// a usage error, so a misspelt or retired flag cannot be ignored.
+fn accepted_flags(command: &str) -> Vec<&'static str> {
+    let head = format!("  replidtn {command} ");
+    let mut lines = USAGE.lines().skip_while(|line| !line.starts_with(&head));
+    let first = lines.next();
+    let rest = lines.take_while(|line| line.trim_start().starts_with('['));
+    first
+        .into_iter()
+        .chain(rest)
+        .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+        .filter_map(|word| word.strip_prefix("--"))
+        .collect()
+}
 
 /// Observability wiring shared by `run`, `peer`, and `fig`: an optional
 /// JSONL event stream (`--events FILE`) and an optional counter/histogram
@@ -225,7 +239,7 @@ fn emit(out: Option<&str>, text: &str) -> Result<(), String> {
 }
 
 fn gen_trace(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &accepted_flags("gen-trace"))?;
     // --scale N starts from the city-scale preset (the paper's 34-bus
     // topology multiplied N-fold); explicit flags still override it.
     let scale: usize = flags.num("scale", 0)?;
@@ -271,7 +285,7 @@ fn gen_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn gen_mail(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &accepted_flags("gen-mail"))?;
     let config = EmailConfig {
         total_messages: flags.num("messages", 490usize)?,
         users: flags.num("users", 46usize)?,
@@ -290,7 +304,7 @@ fn gen_mail(args: &[String]) -> Result<(), String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &accepted_flags("run"))?;
     let policy: PolicyKind = flags
         .get("policy")
         .ok_or("run requires --policy")?
@@ -345,22 +359,14 @@ fn run(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("--strategy: unknown {other:?}")),
     };
 
-    // Scale knobs: shards, worker threads, and a spill directory /
-    // residency cap for cold replica state (all bit-equal to one shard).
+    // Scale knobs: shards and a spill directory / residency cap for cold
+    // replica state (all bit-equal to one shard).
     let shards = match flags.get("shards") {
         None => None,
-        Some("") => return Err("--shards needs a worker count".to_string()),
+        Some("") => return Err("--shards needs a shard count".to_string()),
         Some(v) => Some(
             v.parse::<usize>()
                 .map_err(|_| format!("--shards: cannot parse {v:?}"))?,
-        ),
-    };
-    let exec_threads = match flags.get("exec-threads") {
-        None => None,
-        Some("") => return Err("--exec-threads needs a thread count".to_string()),
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--exec-threads: cannot parse {v:?}"))?,
         ),
     };
     let resident_limit = match flags.get("resident-limit") {
@@ -388,7 +394,6 @@ fn run(args: &[String]) -> Result<(), String> {
         assignment_seed: flags.num("seed", EmulationConfig::default().assignment_seed)?,
         observer: obs.observer.clone(),
         shards,
-        exec_threads,
         spill_dir,
         resident_limit,
         ..EmulationConfig::default()
@@ -464,7 +469,7 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn peer(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &accepted_flags("peer"))?;
     let id: u64 = flags.num("id", 0)?;
     if id == 0 {
         return Err("peer requires --id (nonzero)".to_string());
@@ -645,7 +650,7 @@ fn peer(args: &[String]) -> Result<(), String> {
 }
 
 fn fig(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &accepted_flags("fig"))?;
     let which = flags
         .get("id")
         .ok_or("fig requires --id (5|6|7a|7b|8|9|10)")?;
@@ -690,4 +695,29 @@ fn fig(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown figure {other:?} (try 5|6|7a|7b|8|9|10)")),
     }
     obs.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_command_accepts_its_synopsis_flags() {
+        assert_eq!(
+            accepted_flags("gen-mail"),
+            ["messages", "users", "days", "seed", "out"]
+        );
+        assert_eq!(accepted_flags("fig"), ["id", "events", "stats"]);
+        let run = accepted_flags("run");
+        for flag in ["policy", "seed", "shards", "resident-limit", "stats"] {
+            assert!(run.contains(&flag), "run lacks --{flag}");
+        }
+        assert!(!run.contains(&"exec-threads"));
+        let peer = accepted_flags("peer");
+        for flag in ["id", "connect", "seed-peer", "backoff-ms", "data-dir"] {
+            assert!(peer.contains(&flag), "peer lacks --{flag}");
+        }
+        assert!(accepted_flags("gen-trace").contains(&"buses-per-day"));
+        assert!(accepted_flags("no-such-command").is_empty());
+    }
 }

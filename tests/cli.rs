@@ -1,5 +1,6 @@
 //! The `replidtn` binary's argument handling: combinations the engine
-//! cannot run are usage errors with a non-zero exit, never panics.
+//! cannot run, and flags a subcommand does not know, are usage errors
+//! with a non-zero exit, never panics.
 
 use std::process::Command;
 
@@ -43,4 +44,30 @@ fn a_spooled_run_rejects_the_selected_strategy() {
         .expect("run the emulation");
     assert!(random.status.success(), "{random:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A misspelt or retired flag fails the command and names the flag,
+/// instead of running with the flag silently ignored.
+#[test]
+fn an_unknown_flag_fails_and_is_named() {
+    let bin = env!("CARGO_BIN_EXE_replidtn");
+    for (args, flag) in [
+        (&["run", "--shard", "4"][..], "--shard"),
+        (&["run", "--exec-threads", "2"][..], "--exec-threads"),
+        (&["run", "--policy", "epidemic", "--bogus"][..], "--bogus"),
+        (&["peer", "--poll-backend", "sweep"][..], "--poll-backend"),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("run replidtn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown flag {flag};")),
+            "{args:?}: stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("replidtn help"),
+            "{args:?}: stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
 }
