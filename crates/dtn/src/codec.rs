@@ -12,7 +12,7 @@
 //! holding them interned makes every later copy a reference-count bump.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use pfr::wire::{Decode, Encode, Reader, WireError, Writer};
 use pfr::{IStr, ReplicaId, RoutingPayload, RoutingState};
@@ -79,8 +79,15 @@ pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<Vec<(IStr, f64)>, Wir
         let addr = IStr::new(r.get_str_slice()?);
         out.push((addr, get_prob(r)?));
     }
+    canonicalize(&mut out);
+    Ok(out)
+}
+
+/// Sorts a decoded vector ascending by key with each key once, the later
+/// value of a repeated key winning.
+fn canonicalize<K: Ord>(out: &mut Vec<(K, f64)>) {
     if !out.windows(2).all(|w| w[0].0 < w[1].0) {
-        // Stable, so a repeated address keeps its values in list order.
+        // Stable, so a repeated key keeps its values in list order.
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out.dedup_by(|next, kept| {
             let same = next.0 == kept.0;
@@ -90,7 +97,6 @@ pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<Vec<(IStr, f64)>, Wir
             same
         });
     }
-    Ok(out)
 }
 
 /// A probability vector keyed by replica (node) id, given ascending.
@@ -105,13 +111,16 @@ pub(crate) fn put_node_probs<'a>(
     }
 }
 
-pub(crate) fn get_node_probs(r: &mut Reader<'_>) -> Result<BTreeMap<ReplicaId, f64>, WireError> {
+/// A probability vector keyed by replica id, ascending by id with each
+/// id once, decoded canonically as [`get_addr_probs`] decodes addresses.
+pub(crate) fn get_node_probs(r: &mut Reader<'_>) -> Result<Vec<(ReplicaId, f64)>, WireError> {
     let len = r.get_len(2)?;
-    let mut out = BTreeMap::new();
+    let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         let node = ReplicaId::decode(r)?;
-        out.insert(node, get_prob(r)?);
+        out.push((node, get_prob(r)?));
     }
+    canonicalize(&mut out);
     Ok(out)
 }
 
@@ -174,13 +183,31 @@ mod tests {
 
     #[test]
     fn node_probs_roundtrip() {
-        let mut probs = BTreeMap::new();
-        probs.insert(ReplicaId::new(1), 0.25);
-        probs.insert(ReplicaId::new(9), 0.75);
+        let probs = vec![(ReplicaId::new(1), 0.25), (ReplicaId::new(9), 0.75)];
         let mut w = Writer::new();
-        put_node_probs(&mut w, probs.iter());
+        put_node_probs(&mut w, probs.iter().map(|(node, p)| (node, p)));
         let bytes = w.into_bytes();
         assert_eq!(get_node_probs(&mut Reader::new(&bytes)).unwrap(), probs);
+    }
+
+    #[test]
+    fn node_probs_decode_canonical_whatever_the_listed_order() {
+        let listed = [(9, 0.25), (1, 0.5), (9, 0.75), (4, 1.0), (1, 0.0)];
+        let mut w = Writer::new();
+        w.put_varint(listed.len() as u64);
+        for (node, p) in listed {
+            ReplicaId::new(node).encode(&mut w);
+            w.put_f64(p);
+        }
+        let decoded = get_node_probs(&mut Reader::new(w.as_slice())).unwrap();
+        let expected: Vec<(ReplicaId, f64)> = [(1, 0.0), (4, 1.0), (9, 0.75)]
+            .into_iter()
+            .map(|(node, p)| (ReplicaId::new(node), p))
+            .collect();
+        assert_eq!(
+            decoded, expected,
+            "ascending, each once, the last value kept"
+        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! MaxProp: prioritized routing over estimated meeting likelihoods
 //! (Burgess et al., 2006).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::wire::{Decode as _, Encode as _, Reader, WireError, Writer};
@@ -58,9 +57,8 @@ pub struct MaxPropPolicy {
     use_acks: bool,
     /// What this host tells every peer it pulls from.
     advert: Advert,
-    /// Distributions learned from peers, keyed by peer: each ascending by
-    /// node, and refilled in place when its peer is met again.
-    peer_meeting: BTreeMap<ReplicaId, Vec<(ReplicaId, f64)>>,
+    /// Distributions learned from peers, and the path costs over them.
+    graph: MeetingGraph,
     /// Which node currently owns each destination address.
     addr_owner: BTreeMap<IStr, ReplicaId>,
     /// Whether the store may hold a relay copy of an acknowledged message.
@@ -68,10 +66,10 @@ pub struct MaxPropPolicy {
     /// acknowledgement, an acknowledged copy arriving, a filter change, a
     /// restore — and lowered by the purge the next served request runs.
     purge_due: bool,
-    /// Lowest path cost from this host to every reachable node, computed
-    /// on a sync's first slow-lane candidate and dropped at the next
-    /// request (the meeting graph changes with every request).
-    path_costs: Option<BTreeMap<ReplicaId, f64>>,
+    /// Whether `graph` holds the lowest path costs from this host: they
+    /// are computed on a sync's first slow-lane candidate and go stale at
+    /// the next request (the meeting graph changes with every request).
+    path_costs: bool,
 }
 
 /// The routing data of a MaxProp sync request: lent as it stands to a
@@ -80,8 +78,9 @@ pub struct MaxPropPolicy {
 struct Advert {
     /// Addresses this host is final destination for.
     local_addrs: BTreeSet<IStr>,
-    /// Own next-encounter probability distribution (normalized).
-    meeting: BTreeMap<ReplicaId, f64>,
+    /// Own next-encounter probability distribution (normalized),
+    /// ascending by node.
+    meeting: Vec<(ReplicaId, f64)>,
     /// Messages known to have reached their destinations.
     acks: AckSet,
 }
@@ -89,7 +88,7 @@ struct Advert {
 impl RoutingPayload for Advert {
     fn encode(&self, w: &mut Writer) {
         codec::put_addrs(w, &self.local_addrs);
-        codec::put_node_probs(w, self.meeting.iter());
+        codec::put_node_probs(w, self.meeting.iter().map(|(node, p)| (node, p)));
         self.acks.encode(w);
     }
 }
@@ -111,10 +110,10 @@ impl MaxPropPolicy {
             hop_threshold,
             use_acks: true,
             advert: Advert::default(),
-            peer_meeting: BTreeMap::new(),
+            graph: MeetingGraph::default(),
             addr_owner: BTreeMap::new(),
             purge_due: true,
-            path_costs: None,
+            path_costs: false,
         }
     }
 
@@ -140,7 +139,10 @@ impl MaxPropPolicy {
 
     /// The current estimated probability of meeting `node` next.
     pub fn meeting_probability(&self, node: ReplicaId) -> f64 {
-        self.advert.meeting.get(&node).copied().unwrap_or(0.0)
+        let meeting = &self.advert.meeting;
+        meeting
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .map_or(0.0, |at| meeting[at].1)
     }
 
     /// Number of delivery acknowledgements currently held.
@@ -152,57 +154,26 @@ impl MaxPropPolicy {
     /// distribution sums to 1.
     fn record_meeting(&mut self, peer: ReplicaId) {
         let meeting = &mut self.advert.meeting;
-        *meeting.entry(peer).or_insert(0.0) += 1.0;
-        let total: f64 = meeting.values().sum();
+        match meeting.binary_search_by_key(&peer, |&(n, _)| n) {
+            Ok(at) => meeting[at].1 += 1.0,
+            Err(at) => meeting.insert(at, (peer, 1.0)),
+        }
+        let total: f64 = meeting.iter().map(|&(_, p)| p).sum();
         if total > 0.0 {
-            for p in meeting.values_mut() {
+            for (_, p) in meeting.iter_mut() {
                 *p /= total;
             }
         }
     }
 
-    /// Lowest-cost paths from `me` to every node reachable over the
-    /// learned meeting graph; the cost of a link with probability `p` is
-    /// `1 - p`. One single-source Dijkstra over at most
-    /// (1 + |peer_meeting|) sources.
-    fn shortest_paths(&self, me: ReplicaId) -> BTreeMap<ReplicaId, f64> {
-        let mut dist: BTreeMap<ReplicaId, f64> = BTreeMap::new();
-        let mut heap: BinaryHeap<Reverse<(OrdF64, ReplicaId)>> = BinaryHeap::new();
-        dist.insert(me, 0.0);
-        heap.push(Reverse((OrdF64(0.0), me)));
-        while let Some(Reverse((OrdF64(d), node))) = heap.pop() {
-            if dist.get(&node).copied().unwrap_or(f64::INFINITY) < d {
-                continue;
-            }
-            let relax = |(next, p): (ReplicaId, f64)| {
-                let nd = d + (1.0 - p.clamp(0.0, 1.0));
-                if nd < dist.get(&next).copied().unwrap_or(f64::INFINITY) {
-                    dist.insert(next, nd);
-                    heap.push(Reverse((OrdF64(nd), next)));
-                }
-            };
-            if node == me {
-                self.advert
-                    .meeting
-                    .iter()
-                    .map(|(&next, &p)| (next, p))
-                    .for_each(relax);
-            } else if let Some(edges) = self.peer_meeting.get(&node) {
-                edges.iter().copied().for_each(relax);
-            }
-        }
-        dist
-    }
-
     fn dest_cost(&mut self, me: ReplicaId, item: &Item) -> f64 {
-        if self.path_costs.is_none() {
-            self.path_costs = Some(self.shortest_paths(me));
+        if !std::mem::replace(&mut self.path_costs, true) {
+            self.graph.shortest_paths(me, &self.advert.meeting);
         }
-        let costs = self.path_costs.as_ref().expect("just computed");
         // Multicast: a message is as urgent as its cheapest destination.
         dest_addresses(item)
             .filter_map(|addr| self.addr_owner.get(addr))
-            .map(|node| costs.get(node).copied().unwrap_or(f64::INFINITY))
+            .map(|&node| self.graph.cost(node))
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -237,21 +208,205 @@ impl Default for MaxPropPolicy {
     }
 }
 
-/// Total-ordered f64 for the Dijkstra heap (costs are never NaN).
-#[derive(Clone, Copy, PartialEq)]
-struct OrdF64(f64);
+/// Where [`MeetingGraph::learned_at`] points for a node no distribution
+/// was learned from.
+const UNLEARNED: u32 = u32::MAX;
 
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The meeting graph: the distributions learned from peers, over nodes
+/// interned to dense indices, and the lowest path costs over them, kept
+/// in a vector by the same indices.
+#[derive(Clone, Debug, Default)]
+struct MeetingGraph {
+    /// Every interned node with its dense index, ascending by node.
+    index: Vec<(ReplicaId, u32)>,
+    /// Dense index → node.
+    nodes: Vec<ReplicaId>,
+    /// Dense index → the position of the distribution learned from that
+    /// node in `learned`, or [`UNLEARNED`].
+    learned_at: Vec<u32>,
+    /// The learned distributions, in the order their peers were first
+    /// met; refilled in place.
+    learned: Vec<Edges>,
+    /// Dense index → lowest path cost from the source of the last
+    /// search; infinite if unreached.
+    dist: Vec<f64>,
+    /// The source's own distribution over dense indices, as the last
+    /// search translated it.
+    own: Vec<u32>,
+    /// Scratch: a translation in progress, and the reached nodes with a
+    /// learned distribution that a search has not yet settled.
+    scratch: Vec<u32>,
+    open: Vec<u32>,
 }
 
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+/// One distribution over dense indices: node `to[i]` with probability
+/// `p[i]`, ascending by node.
+#[derive(Clone, Debug, Default)]
+struct Edges {
+    to: Vec<u32>,
+    p: Vec<f64>,
+}
+
+impl MeetingGraph {
+    /// The dense index of `node`, interning it if it is new.
+    fn intern(&mut self, node: ReplicaId) -> u32 {
+        match self.index.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(at) => self.index[at].1,
+            Err(at) => {
+                let dense = self.push(node);
+                self.index.insert(at, (node, dense));
+                dense
+            }
+        }
+    }
+
+    /// Gives `node` the next dense index, without filing it in `index`.
+    fn push(&mut self, node: ReplicaId) -> u32 {
+        let dense = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.learned_at.push(UNLEARNED);
+        dense
+    }
+
+    /// Fills `out` with the dense index of each node of `probs`
+    /// (ascending, each once), given `prev`, an earlier translation of
+    /// the same distribution: a merge against `prev`, and an index search
+    /// for each node it lacks. A distribution names a new node only when
+    /// its owner met one, so the searches are few. Nodes never named
+    /// before are filed in `index` together, by one merge of two sorted
+    /// runs, so a peer naming many costs no shift of the index per node.
+    fn translate(&mut self, prev: &[u32], probs: &[(ReplicaId, f64)], out: &mut Vec<u32>) {
+        debug_assert!(probs.windows(2).all(|w| w[0].0 < w[1].0));
+        out.clear();
+        let first_fresh = self.nodes.len();
+        let mut prev = prev.iter().peekable();
+        for &(node, _) in probs {
+            while prev.next_if(|&&d| self.nodes[d as usize] < node).is_some() {}
+            out.push(match prev.next_if(|&&d| self.nodes[d as usize] == node) {
+                Some(&dense) => dense,
+                None => match self.index.binary_search_by_key(&node, |&(n, _)| n) {
+                    Ok(at) => self.index[at].1,
+                    Err(_) => self.push(node),
+                },
+            });
+        }
+        if self.nodes.len() > first_fresh {
+            let fresh = (first_fresh..).zip(&self.nodes[first_fresh..]);
+            self.index
+                .extend(fresh.map(|(dense, &node)| (node, dense as u32)));
+            // Stable: the merge sort finds the two ascending runs.
+            self.index.sort();
+        }
+    }
+
+    /// Replaces the distribution learned from `peer` with `probs`.
+    fn learn(&mut self, peer: ReplicaId, probs: &[(ReplicaId, f64)]) {
+        let dense = self.intern(peer) as usize;
+        if self.learned_at[dense] == UNLEARNED {
+            self.learned_at[dense] = self.learned.len() as u32;
+            self.learned.push(Edges::default());
+        }
+        let at = self.learned_at[dense] as usize;
+        let mut edges = std::mem::take(&mut self.learned[at]);
+        let same_nodes = edges.to.len() == probs.len()
+            && (edges.to.iter())
+                .zip(probs)
+                .all(|(&d, &(node, _))| self.nodes[d as usize] == node);
+        // Exact: a fleet's nodes each keep every met peer's distribution,
+        // and one grows a node at a time.
+        if !same_nodes {
+            let mut to = std::mem::take(&mut self.scratch);
+            self.translate(&edges.to, probs, &mut to);
+            edges.to.clear();
+            edges.to.reserve_exact(probs.len());
+            edges.to.extend_from_slice(&to);
+            self.scratch = to;
+        }
+        edges.p.clear();
+        edges.p.reserve_exact(probs.len());
+        edges.p.extend(probs.iter().map(|&(_, p)| p));
+        self.learned[at] = edges;
+    }
+
+    /// Every learned distribution, ascending by the peer it came from,
+    /// each ascending by node.
+    fn distributions(
+        &self,
+    ) -> impl Iterator<Item = (ReplicaId, impl ExactSizeIterator<Item = (&ReplicaId, &f64)>)> {
+        self.index.iter().filter_map(|&(peer, dense)| {
+            let edges = self.learned.get(self.learned_at[dense as usize] as usize)?;
+            let nodes = edges.to.iter().map(|&d| &self.nodes[d as usize]);
+            Some((peer, nodes.zip(&edges.p)))
+        })
+    }
+
+    /// Lowest-cost paths from `me`, whose own distribution is `own`, to
+    /// every node reachable over the learned distributions; the cost of
+    /// a link with probability `p` is `1 - p`. A Dijkstra that settles
+    /// nodes in `(cost, node)` order by scanning the reached ones. Only
+    /// nodes with a distribution are settled — a node without one has
+    /// no link to relax, and its cost is final once every node that
+    /// links to it is settled — so a scan covers the peers this host
+    /// learned from, however many nodes their distributions name.
+    fn shortest_paths(&mut self, me: ReplicaId, own: &[(ReplicaId, f64)]) {
+        let source = self.intern(me);
+        let (prev, mut own_to) = (
+            std::mem::take(&mut self.own),
+            std::mem::take(&mut self.scratch),
+        );
+        self.translate(&prev, own, &mut own_to);
+        self.scratch = prev;
+        let MeetingGraph {
+            nodes,
+            learned_at,
+            learned,
+            dist,
+            open,
+            ..
+        } = self;
+        dist.clear();
+        dist.resize(nodes.len(), f64::INFINITY);
+        dist[source as usize] = 0.0;
+        open.clear();
+        open.push(source);
+        while let Some(at) = (0..open.len()).min_by(|&a, &b| {
+            let (a, b) = (open[a] as usize, open[b] as usize);
+            dist[a].total_cmp(&dist[b]).then(nodes[a].cmp(&nodes[b]))
+        }) {
+            let node = open.swap_remove(at);
+            let d = dist[node as usize];
+            let mut relax = |next: u32, p: f64| {
+                let nd = d + (1.0 - p.clamp(0.0, 1.0));
+                let old = &mut dist[next as usize];
+                if nd < *old {
+                    if old.is_infinite() && learned_at[next as usize] != UNLEARNED {
+                        open.push(next);
+                    }
+                    *old = nd;
+                }
+            };
+            if node == source {
+                for (&next, &(_, p)) in own_to.iter().zip(own) {
+                    relax(next, p);
+                }
+            } else {
+                let edges = &learned[learned_at[node as usize] as usize];
+                for (&next, &p) in edges.to.iter().zip(&edges.p) {
+                    relax(next, p);
+                }
+            }
+        }
+        self.own = own_to;
+    }
+
+    /// The cost [`MeetingGraph::shortest_paths`] found to `node`.
+    fn cost(&self, node: ReplicaId) -> f64 {
+        self.index
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .ok()
+            .and_then(|at| self.dist.get(self.index[at].1 as usize))
+            .copied()
+            .unwrap_or(f64::INFINITY)
     }
 }
 
@@ -267,7 +422,7 @@ impl SyncExtension for MaxPropPolicy {
     fn process_request(&mut self, cx: &mut HostContext<'_>, request: &SyncRequest) {
         let peer = request.target;
         self.record_meeting(peer);
-        self.path_costs = None;
+        self.path_costs = false;
 
         if let Some(theirs) = codec::receive::<Advert>(&request.routing) {
             for addr in &theirs.local_addrs {
@@ -278,9 +433,7 @@ impl SyncExtension for MaxPropPolicy {
                     }
                 }
             }
-            let learned = self.peer_meeting.entry(peer).or_default();
-            learned.clear();
-            learned.extend(theirs.meeting.iter().map(|(&node, &p)| (node, p)));
+            self.graph.learn(peer, &theirs.meeting);
             if self.use_acks {
                 self.purge_due |= self.advert.acks.merge(&theirs.acks);
             }
@@ -386,11 +539,11 @@ impl DtnPolicy for MaxPropPolicy {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        codec::put_node_probs(&mut w, self.advert.meeting.iter());
-        w.put_varint(self.peer_meeting.len() as u64);
-        for (peer, probs) in &self.peer_meeting {
+        codec::put_node_probs(&mut w, self.advert.meeting.iter().map(|(n, p)| (n, p)));
+        w.put_varint(self.graph.distributions().count() as u64);
+        for (peer, probs) in self.graph.distributions() {
             peer.encode(&mut w);
-            codec::put_node_probs(&mut w, probs.iter().map(|(node, p)| (node, p)));
+            codec::put_node_probs(&mut w, probs);
         }
         w.put_varint(self.addr_owner.len() as u64);
         for (addr, node) in &self.addr_owner {
@@ -406,11 +559,10 @@ impl DtnPolicy for MaxPropPolicy {
         let restored = (|| -> Result<(), WireError> {
             let meeting = codec::get_node_probs(&mut r)?;
             let n = r.get_len(2)?;
-            let mut peer_meeting = BTreeMap::new();
+            let mut graph = MeetingGraph::default();
             for _ in 0..n {
                 let peer = ReplicaId::decode(&mut r)?;
-                let probs = codec::get_node_probs(&mut r)?;
-                peer_meeting.insert(peer, probs.into_iter().collect());
+                graph.learn(peer, &codec::get_node_probs(&mut r)?);
             }
             let n = r.get_len(2)?;
             let mut addr_owner = BTreeMap::new();
@@ -422,12 +574,12 @@ impl DtnPolicy for MaxPropPolicy {
             let acks = AckSet::decode(&mut r)?;
             self.advert.meeting = meeting;
             self.advert.acks = acks;
-            self.peer_meeting = peer_meeting;
+            self.graph = graph;
             self.addr_owner = addr_owner;
             Ok(())
         })();
         let _ = restored; // corrupt state: start cold
-        self.path_costs = None;
+        self.path_costs = false;
         self.purge_due = true;
     }
 }
@@ -577,7 +729,7 @@ mod tests {
         let mut me = host(1, "a");
         // Make the policy aware of a destination node for path costs.
         me.1.addr_owner.insert(IStr::new("far"), ReplicaId::new(7));
-        me.1.advert.meeting.insert(ReplicaId::new(7), 0.2);
+        me.1.advert.meeting.push((ReplicaId::new(7), 0.2));
 
         // One message addressed to the sync target, one young relay
         // message, one old relay message.
@@ -642,7 +794,11 @@ mod tests {
                 SyncLimits::unlimited(),
                 SimTime::ZERO,
             );
-            assert!(me.1.peer_meeting.is_empty(), "{hostile} was absorbed");
+            assert_eq!(
+                me.1.graph.distributions().count(),
+                0,
+                "{hostile} was absorbed"
+            );
             assert!(me.1.addr_owner.is_empty());
         }
         // The meeting itself still counts: that much the node saw itself.
@@ -657,16 +813,156 @@ mod tests {
         let dest = ReplicaId::new(3);
         // Direct link is terrible (p=0.1 -> cost .9); via mid is cheap
         // (0.5 + 0.1 -> 0.6... link costs: me->mid 1-0.5=0.5, mid->dest 1-0.9=0.1).
-        p.advert.meeting.insert(dest, 0.1);
-        p.advert.meeting.insert(mid, 0.5);
-        p.peer_meeting
-            .insert(mid, [(dest, 0.9)].into_iter().collect());
-        let costs = p.shortest_paths(me);
-        assert!((costs[&dest] - 0.6).abs() < 1e-12, "got {costs:?}");
-        assert!((costs[&mid] - 0.5).abs() < 1e-12, "got {costs:?}");
-        // Unreachable nodes have no entry (infinite cost); self costs 0.
-        assert!(!costs.contains_key(&ReplicaId::new(99)));
-        assert_eq!(costs[&me], 0.0);
+        p.advert.meeting = vec![(mid, 0.5), (dest, 0.1)];
+        p.graph.learn(mid, &[(dest, 0.9)]);
+        p.graph.shortest_paths(me, &p.advert.meeting);
+        let cost = |node| p.graph.cost(node);
+        assert!((cost(dest) - 0.6).abs() < 1e-12, "got {}", cost(dest));
+        assert!((cost(mid) - 0.5).abs() < 1e-12, "got {}", cost(mid));
+        // Unreachable nodes cost infinity; self costs 0.
+        assert_eq!(cost(ReplicaId::new(99)), f64::INFINITY);
+        assert_eq!(cost(me), 0.0);
+    }
+
+    /// The meeting graph against the `BTreeMap` Dijkstra it replaced,
+    /// and the distribution's own invariants.
+    mod reference {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Total-ordered f64 for the reference heap (costs are never NaN).
+        #[derive(Clone, Copy, PartialEq)]
+        struct OrdF64(f64);
+
+        impl Eq for OrdF64 {}
+
+        impl PartialOrd for OrdF64 {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl Ord for OrdF64 {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.0.total_cmp(&other.0)
+            }
+        }
+
+        /// The lowest path costs from `me` as MaxProp first computed them:
+        /// a heap of `(cost, node)` over maps keyed by node; a node
+        /// missing from the result is unreachable.
+        fn reference_paths(
+            me: ReplicaId,
+            own: &BTreeMap<ReplicaId, f64>,
+            learned: &BTreeMap<ReplicaId, Vec<(ReplicaId, f64)>>,
+        ) -> BTreeMap<ReplicaId, f64> {
+            let mut dist: BTreeMap<ReplicaId, f64> = BTreeMap::new();
+            let mut heap: BinaryHeap<Reverse<(OrdF64, ReplicaId)>> = BinaryHeap::new();
+            dist.insert(me, 0.0);
+            heap.push(Reverse((OrdF64(0.0), me)));
+            while let Some(Reverse((OrdF64(d), node))) = heap.pop() {
+                if dist.get(&node).copied().unwrap_or(f64::INFINITY) < d {
+                    continue;
+                }
+                let relax = |(next, p): (ReplicaId, f64)| {
+                    let nd = d + (1.0 - p.clamp(0.0, 1.0));
+                    if nd < dist.get(&next).copied().unwrap_or(f64::INFINITY) {
+                        dist.insert(next, nd);
+                        heap.push(Reverse((OrdF64(nd), next)));
+                    }
+                };
+                if node == me {
+                    own.iter().map(|(&next, &p)| (next, p)).for_each(relax);
+                } else if let Some(edges) = learned.get(&node) {
+                    edges.iter().copied().for_each(relax);
+                }
+            }
+            dist
+        }
+
+        /// Probabilities drawn so that equal path costs are common: 0 and
+        /// 1 (free and impossible links), a few exact binary fractions,
+        /// and a value with a rounding error in every sum.
+        fn arb_prob() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(0.0),
+                Just(1.0),
+                Just(0.5),
+                Just(0.25),
+                Just(0.75),
+                Just(0.1),
+                (0u64..=1 << 20).prop_map(|n| n as f64 / f64::from(1u32 << 20) / 3.0),
+            ]
+        }
+
+        /// A distribution over nodes `0..16`, as a map: peers are drawn
+        /// from `0..12`, so some nodes never have a distribution.
+        fn arb_probs() -> impl Strategy<Value = BTreeMap<ReplicaId, f64>> {
+            proptest::collection::vec((0u64..16, arb_prob()), 0..8).prop_map(|pairs| {
+                pairs
+                    .into_iter()
+                    .map(|(n, p)| (ReplicaId::new(n), p))
+                    .collect()
+            })
+        }
+
+        proptest! {
+            /// Bit for bit the reference's costs, for every node named and
+            /// for some never named, over graphs refilled several times.
+            #[test]
+            fn dense_paths_equal_the_btreemap_dijkstra(
+                me in 0u64..12,
+                own in arb_probs(),
+                rounds in proptest::collection::vec(
+                    proptest::collection::vec((0u64..12, arb_probs()), 0..10),
+                    1..4,
+                ),
+            ) {
+                let me = ReplicaId::new(me);
+                let mut graph = MeetingGraph::default();
+                let mut learned = BTreeMap::new();
+                let own_vec: Vec<(ReplicaId, f64)> = own.iter().map(|(&n, &p)| (n, p)).collect();
+                for round in rounds {
+                    for (peer, probs) in round {
+                        let probs: Vec<(ReplicaId, f64)> =
+                            probs.into_iter().collect();
+                        graph.learn(ReplicaId::new(peer), &probs);
+                        learned.insert(ReplicaId::new(peer), probs);
+                    }
+                    graph.shortest_paths(me, &own_vec);
+                    let expected = reference_paths(me, &own, &learned);
+                    for node in (0..18).map(ReplicaId::new) {
+                        let want = expected.get(&node).copied().unwrap_or(f64::INFINITY);
+                        prop_assert_eq!(
+                            graph.cost(node).to_bits(),
+                            want.to_bits(),
+                            "cost to {} from {}", node, me
+                        );
+                    }
+                }
+            }
+
+            /// However many meetings, with whichever peers, the
+            /// distribution sums to 1 within 1e-12, every value in [0, 1],
+            /// and it stays ascending by node.
+            #[test]
+            fn recorded_meetings_keep_a_distribution(
+                peers in proptest::collection::vec(0u64..40, 1..200),
+            ) {
+                let mut policy = MaxPropPolicy::default();
+                for peer in peers {
+                    policy.record_meeting(ReplicaId::new(peer));
+                    let meeting = &policy.advert.meeting;
+                    let total: f64 = meeting.iter().map(|&(_, p)| p).sum();
+                    prop_assert!((total - 1.0).abs() <= 1e-12, "sums to {}", total);
+                    prop_assert!(meeting.iter().all(|&(_, p)| (0.0..=1.0).contains(&p)));
+                    prop_assert!(meeting.windows(2).all(|w| w[0].0 < w[1].0));
+                }
+            }
+        }
     }
 
     mod invariants {

@@ -376,3 +376,55 @@ fn footprint_counts_spilled_replicas_and_residency_stays_bounded() {
     }
     assert!(spilled_to_cap, "the engine must spill down to the cap");
 }
+
+/// Bringing every spilled replica home for final accounting is not
+/// residency traffic: it must not count as unspills, nor feed the unspill
+/// latencies. So on a 34-bus trace under a cap of 4, where replicas are
+/// still spilled when the trace ends, fewer unspills are counted than
+/// spills, and every replica still comes home.
+#[test]
+fn the_final_bring_home_is_not_counted_as_unspills() {
+    let seed = base_seed() ^ 0xb417;
+    let trace = DieselNetConfig {
+        days: 2,
+        seed,
+        ..DieselNetConfig::default()
+    }
+    .generate();
+    let workload = EmailConfig {
+        users: 20,
+        injection_days: 2,
+        total_messages: 60,
+        seed: seed ^ 0xe417,
+        ..EmailConfig::default()
+    }
+    .generate();
+    let registry = Arc::new(Registry::new());
+    let config = EmulationConfig {
+        policy: PolicyKind::Epidemic.into(),
+        sync_mode: SyncMode::Full,
+        spill_dir: Some(tmp_dir()),
+        resident_limit: Some(4),
+        shards: Some(2),
+        observer: Some(registry.clone()),
+        ..EmulationConfig::default()
+    };
+    let (_, nodes) = Emulation::new(&trace, &workload, config).run_into_parts();
+    assert_eq!(nodes.len(), trace.nodes().len(), "every replica came home");
+
+    let snap = registry.snapshot();
+    let (spills, unspills) = (snap.counter("shard.spills"), snap.counter("shard.unspills"));
+    assert!(unspills > 0, "the cap must bring replicas back mid-run");
+    assert!(
+        spills > unspills,
+        "{spills} spills, {unspills} unspills: the bring-home was counted"
+    );
+    let latencies = snap
+        .histogram("emu.unspill_latency_us")
+        .expect("unspills happened, so the series exists");
+    assert_eq!(
+        latencies.count(),
+        unspills,
+        "one latency per counted unspill"
+    );
+}

@@ -7,20 +7,30 @@
 //! acknowledged message under MaxProp. A park records that verdict on the
 //! copy's version-index entry, together with a 62-bit signature of the
 //! copy's values of one attribute (`dest` for the DTN policies; every
-//! string of a list). A sync then passes over a parked copy with one
-//! `AND` on that entry — no slot, no filter, no `to_send` — unless the
-//! copy shares a signature bit with the sync's *wanted* set: the values
-//! the target's filter can match on that attribute, plus those the
-//! extension names ([`ParkKeys::want`]). A bit shared by accident only
-//! costs the full evaluation every copy used to get; equal strings always
-//! set the same bit.
+//! string of a list). A sync then passes over a parked copy — no slot,
+//! no filter, no `to_send` — unless the copy shares a signature bit with
+//! the sync's *wanted* set: the values the target's filter can match on
+//! that attribute, plus those the extension names ([`ParkKeys::want`]). A
+//! bit shared by accident only costs the full evaluation every copy used
+//! to get; equal strings always set the same bit.
 //!
 //! One `u64` per index entry encodes all three states:
 //! - [`UNPARKED`] — not parked;
 //! - [`PARKED`] plus signature bits `0..62` — parked;
 //! - a wanted set is [`UNPARKED`] plus signature bits, or [`EVERY`].
 //!
-//! An entry is passed over exactly when `entry & wanted == 0`.
+//! An entry is passed over exactly when `entry & wanted == 0`. The store
+//! files versions in stretches of 64 counters, and each stretch keeps a
+//! mask of its parked entries and a union covering their park entries, so
+//! a walk usually passes a stretch's parks without reading them: when the
+//! wanted set misses the union, every parked unknown version of the
+//! stretch is counted and dropped with one `AND`. Otherwise each is
+//! tested on its own entry. Park, write, replacement, removal and
+//! [`crate::Replica::clear_parks`] keep the mask exact; a write leaves the
+//! unparked entry's bits in the union until the stretch's last park goes,
+//! and such a stale bit only costs the per-entry tests, never passes a
+//! wanted copy. A multicast copy sets a bit for each of its destinations,
+//! in its entry and so in its stretch's union.
 
 use crate::filter::{CmpOp, Filter};
 use crate::item::Item;

@@ -60,8 +60,8 @@ impl Slot<'_> {
         *self.clock += 1;
         *self.stamp = *self.clock;
         if let Some(index) = self.parks.as_mut() {
-            if let Some(filed) = filed_mut(index, self.item.version()) {
-                filed.park = park::UNPARKED;
+            if let Some((stretch, bit)) = filed_in(index, self.item.version()) {
+                stretch.unpark(bit);
             }
         }
     }
@@ -92,9 +92,20 @@ impl Filed {
 /// rank of `b` among the set bits. Rank 0 is held inline: a stretch of
 /// one version, which is most of them in a relay-capped store, allocates
 /// nothing. Never empty.
+///
+/// A stretch also summarises its parks: `parked` sets the bits of its
+/// parked entries, and `parks` covers their park entries — the OR of
+/// them, or more, as unparking one leaves its bits until the last park
+/// goes. A walk whose wanted set misses `parks` passes every parked
+/// version of the stretch with one `AND`; a bit left over only costs
+/// it the per-entry test.
 #[derive(Clone, Debug)]
 pub(crate) struct Stretch {
     mask: u64,
+    /// The bits of `mask` whose entries are parked.
+    parked: u64,
+    /// At least the OR of the parked entries' park entries.
+    parks: u64,
     /// The entry of the lowest set bit.
     low: Filed,
     /// The entries of the other set bits.
@@ -105,6 +116,8 @@ impl Stretch {
     fn new(bit: u64, filed: Filed) -> Self {
         Stretch {
             mask: bit,
+            parked: 0,
+            parks: 0,
             low: filed,
             more: Vec::new(),
         }
@@ -147,10 +160,43 @@ impl Stretch {
             }
         }
         self.mask &= !bit;
+        self.forget_park(bit);
     }
 
-    fn entries_mut(&mut self) -> impl Iterator<Item = &mut Filed> {
-        std::iter::once(&mut self.low).chain(&mut self.more)
+    /// Parks the entry of `bit`, which is set, with `entry`.
+    fn park(&mut self, bit: u64, entry: u64) {
+        let at = self.rank(bit);
+        self.entry_mut(at).park = entry;
+        self.parked |= bit;
+        self.parks |= entry;
+    }
+
+    /// Unparks the entry of `bit`, which is set.
+    fn unpark(&mut self, bit: u64) {
+        if self.parked & bit != 0 {
+            let at = self.rank(bit);
+            self.entry_mut(at).park = park::UNPARKED;
+            self.forget_park(bit);
+        }
+    }
+
+    /// Drops `bit` from the park summary; the last park to go clears the
+    /// union too.
+    fn forget_park(&mut self, bit: u64) {
+        self.parked &= !bit;
+        if self.parked == 0 {
+            self.parks = 0;
+        }
+    }
+
+    fn clear_parks(&mut self) {
+        if self.parked != 0 {
+            self.low.park = park::UNPARKED;
+            for filed in &mut self.more {
+                filed.park = park::UNPARKED;
+            }
+            (self.parked, self.parks) = (0, 0);
+        }
     }
 
     /// The highest counter filed here, for the stretch keyed `index`.
@@ -159,15 +205,14 @@ impl Stretch {
     }
 }
 
-/// The version index entry of `version`, if it is filed.
-fn filed_mut(
+/// The stretch `version` is filed in, and its bit there, if it is filed.
+fn filed_in(
     index: &mut OrdMap<(ReplicaId, u64), Stretch>,
     version: Version,
-) -> Option<&mut Filed> {
+) -> Option<(&mut Stretch, u64)> {
     let (key, bit) = word_of(version.replica(), version.counter());
     let stretch = index.get_mut(&key).filter(|s| s.mask & bit != 0)?;
-    let at = stretch.rank(bit);
-    Some(stretch.entry_mut(at))
+    Some((stretch, bit))
 }
 
 impl StoredItem {
@@ -346,6 +391,7 @@ impl ItemStore {
         let opened = match self.stretches.get_mut(&key) {
             Some(stretch) if stretch.mask & bit != 0 => {
                 *stretch.entry_mut(stretch.rank(bit)) = Filed::new(slot);
+                stretch.forget_park(bit);
                 return;
             }
             Some(stretch) => {
@@ -410,12 +456,14 @@ impl ItemStore {
     /// knowledge's vector entry and exception words, which ascend by the
     /// same keys: a stretch's unknown versions are its mask less the bits
     /// at or below the prefix and those of the matching exception word,
-    /// three word operations however many versions it holds. Only those
-    /// bits are visited — a park `AND` each, and a slot for the wanted
-    /// ones. Pairs come out ascending by id — exactly the order a full
-    /// scan of the store produces, so callers observe identical candidate
-    /// sequences — and the slot numbers are for [`ItemStore::lend`],
-    /// until the store next changes.
+    /// three word operations however many versions it holds. When the
+    /// wanted set misses the stretch's park summary, its parked unknowns
+    /// are counted and dropped in one more; only the bits left are
+    /// visited — a park `AND` each, and a slot for the wanted ones. Pairs
+    /// come out ascending by id — exactly the order a full scan of the
+    /// store produces, so callers observe identical candidate sequences —
+    /// and the slot numbers are for [`ItemStore::lend`], until the store
+    /// next changes.
     pub fn versions_unknown_to_into(
         &self,
         knowledge: &Knowledge,
@@ -437,6 +485,11 @@ impl ItemStore {
                 let mut unknown = stretch.mask & !at_or_below(key.1, base);
                 if unknown != 0 {
                     unknown &= !exceptions.seek(key).copied().unwrap_or(0);
+                }
+                let parked = unknown & stretch.parked;
+                if parked != 0 && stretch.parks & wanted == 0 {
+                    passed += parked.count_ones() as usize;
+                    unknown ^= parked;
                 }
                 while unknown != 0 {
                     let bit = unknown & unknown.wrapping_neg();
@@ -463,8 +516,8 @@ impl ItemStore {
             self.clear_parks();
             self.park_attr = Some(attr);
         }
-        if let Some(filed) = filed_mut(&mut self.stretches, version) {
-            filed.park = entry;
+        if let Some((stretch, bit)) = filed_in(&mut self.stretches, version) {
+            stretch.park(bit, entry);
         }
     }
 
@@ -472,9 +525,7 @@ impl ItemStore {
     pub fn clear_parks(&mut self) {
         if self.park_attr.take().is_some() {
             for stretch in self.stretches.values_mut() {
-                for filed in stretch.entries_mut() {
-                    filed.park = park::UNPARKED;
-                }
+                stretch.clear_parks();
             }
         }
     }
@@ -683,8 +734,10 @@ mod tests {
     /// Both indexes must mirror the slots exactly: one entry each per
     /// stored item, under its id and its current version, and every
     /// other slot on the free list. No stretch is empty, each has an
-    /// entry per set bit, and each origin's watermark counts its
-    /// stretches and ends at the top bit of its last one.
+    /// entry per set bit, its park mask sets exactly the bits of its
+    /// parked entries and its park union covers their entries, and each
+    /// origin's watermark counts its stretches and ends at the top bit of
+    /// its last one.
     fn assert_indexes_mirror_slots(s: &ItemStore) {
         let occupied = s.slots.iter().flatten().count();
         assert_eq!(s.by_id.len(), occupied, "id index entry count drifted");
@@ -695,6 +748,25 @@ mod tests {
                 1 + stretch.more.len(),
                 "stretch {key:?} files an entry per bit"
             );
+            let (mut parked, mut parks) = (0, 0);
+            let mut bits = stretch.mask;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let entry = stretch.entry(stretch.rank(bit)).park;
+                if entry != park::UNPARKED {
+                    (parked, parks) = (parked | bit, parks | entry);
+                }
+            }
+            assert_eq!(stretch.parked, parked, "stretch {key:?}'s park mask");
+            assert_eq!(
+                stretch.parks & parks,
+                parks,
+                "stretch {key:?}'s park union misses a parked entry"
+            );
+            if parked == 0 {
+                assert_eq!(stretch.parks, 0, "stretch {key:?} parks nothing");
+            }
         }
         let filed: usize = s.stretches.iter().map(|(_, st)| 1 + st.more.len()).sum();
         assert_eq!(filed, occupied, "version index drifted");
@@ -706,7 +778,7 @@ mod tests {
             let (id, v) = (stored.item.id(), stored.item.version());
             assert_eq!(s.by_id.get(&id), Some(&slot), "item {id} misfiled");
             assert_eq!(
-                filed_mut(&mut index, v).map(|f| f.slot),
+                filed_in(&mut index, v).map(|(st, bit)| st.entry(st.rank(bit)).slot),
                 Some(slot),
                 "item {id} missing from the version index under {v}"
             );
@@ -807,6 +879,56 @@ mod tests {
     }
 
     #[test]
+    fn a_stretch_of_unwanted_parks_passes_whole_and_a_wanted_one_is_picked_out() {
+        let mut s = ItemStore::new();
+        let dests = ["a", "b", "c", "b"];
+        for (seq, dest) in (1..).zip(dests) {
+            s.put(item(2, seq, dest), StoreKind::Relay, SimTime::ZERO);
+            let entry = park::entry_of(&item(2, seq, dest), "dest");
+            s.park(Version::new(rid(2), seq), "dest", entry);
+        }
+        s.put(item(2, 5, "a"), StoreKind::Relay, SimTime::ZERO);
+        assert_indexes_mirror_slots(&s);
+        let mut keys = park::ParkKeys::default();
+        keys.file_under("dest");
+        let want = |addr| park::wanted(&Filter::address("dest", addr), "dest", &keys);
+        let walk = |s: &ItemStore, wanted| {
+            let mut out = Vec::new();
+            let passed = s.versions_unknown_to_into(&Knowledge::new(), wanted, &mut out);
+            let seqs: Vec<u64> = out.iter().map(|&(id, _)| id.seq()).collect();
+            (passed, seqs)
+        };
+        let bits: std::collections::BTreeSet<u64> = ["a", "b", "c"]
+            .into_iter()
+            .map(|dest| park::entry_of(&item(2, 1, dest), "dest"))
+            .collect();
+        assert_eq!(bits.len(), 3, "the test needs distinct signature bits");
+        // The unparked copy 5 is always judged; of the parks, only those
+        // sharing a bit with the wanted address are.
+        assert_eq!(walk(&s, want("a")), (3, vec![1, 5]));
+        assert_eq!(walk(&s, want("b")), (2, vec![2, 4, 5]));
+        assert_eq!(walk(&s, park::UNPARKED), (4, vec![5]));
+
+        // Unparking 1 by a write leaves its bit in the union: the stretch
+        // is read entry by entry, and passes the same copies.
+        let mut slot = s.slot(ItemId::new(rid(2), 1)).expect("stored");
+        slot.stamp_write();
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(walk(&s, want("a")), (3, vec![1, 5]));
+        // Removing a parked copy drops its bit from the mask.
+        s.remove(ItemId::new(rid(2), 2));
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(walk(&s, park::UNPARKED), (2, vec![1, 5]));
+        // A replaced version is unparked.
+        s.put(item(2, 3, "c"), StoreKind::Relay, SimTime::ZERO);
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(walk(&s, park::UNPARKED), (1, vec![1, 3, 5]));
+        s.clear_parks();
+        assert_indexes_mirror_slots(&s);
+        assert_eq!(walk(&s, park::UNPARKED), (0, vec![1, 3, 4, 5]));
+    }
+
+    #[test]
     fn from_parts_orders_the_fifo_by_the_snapshot_list() {
         let relay = |origin| (item(origin, 1, "x"), StoreKind::Relay, SimTime::ZERO);
         let id = |origin| ItemId::new(rid(origin), 1);
@@ -891,6 +1013,8 @@ mod tests {
             Stamp {
                 id: u8,
             },
+            /// Unpark every copy.
+            ClearParks,
         }
 
         fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -918,7 +1042,9 @@ mod tests {
                 (0u8..8).prop_map(|rotate| Op::Rebuild { rotate }),
                 (0u8..12).prop_map(|id| Op::Park { id }),
                 (0u8..12).prop_map(|id| Op::Park { id }),
+                (0u8..12).prop_map(|id| Op::Park { id }),
                 (0u8..12).prop_map(|id| Op::Stamp { id }),
+                Just(Op::ClearParks),
             ];
             proptest::collection::vec(op, 0..80)
         }
@@ -1040,18 +1166,28 @@ mod tests {
                     .filter(|id| !m.parked.contains(id))
                     .collect::<Vec<_>>()
             );
+            // Wanting one destination judges its parked copies again, and
+            // passes the rest, whatever their stretch neighbours are
+            // addressed to.
             let mut keys = park::ParkKeys::default();
             keys.file_under("dest");
             let wanted = park::wanted(&Filter::address("dest", DESTS[0]), "dest", &keys);
             let mut judged = Vec::new();
-            s.versions_unknown_to_into(&k, wanted, &mut judged);
+            let passed = s.versions_unknown_to_into(&k, wanted, &mut judged);
+            let judged: Vec<ItemId> = judged.iter().map(|&(id, _)| id).collect();
             for id in scanned.iter().filter(|id| m.parked.contains(id)) {
                 let to_first = m.items[id].item.attrs().get_str("dest") == Some(DESTS[0]);
                 assert!(
-                    !to_first || judged.iter().any(|&(j, _)| j == *id),
+                    !to_first || judged.contains(id),
                     "{id} is addressed to the filter yet passed over"
                 );
             }
+            let (passed_over, kept): (Vec<ItemId>, Vec<ItemId>) =
+                scanned.iter().copied().partition(|id| {
+                    m.parked.contains(id) && park::entry_of(&m.items[id].item, "dest") & wanted == 0
+                });
+            assert_eq!(passed, passed_over.len(), "parked copies passed over");
+            assert_eq!(judged, kept, "copies judged under one wanted address");
             for (id, slot) in walked {
                 assert_eq!(s.lend(id, slot).expect("just reported").item.id(), id);
             }
@@ -1135,6 +1271,10 @@ mod tests {
                             slot.stamp_write();
                             m.clock += 1;
                             m.parked.remove(&id);
+                        }
+                        Op::ClearParks => {
+                            s.clear_parks();
+                            m.parked.clear();
                         }
                     }
                     assert_matches(&mut s, &m);

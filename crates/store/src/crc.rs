@@ -1,11 +1,12 @@
 //! CRC-32 (IEEE 802.3, reflected) over byte slices.
 //!
-//! The same polynomial the transport's frame layer uses, implemented here
-//! so the on-disk formats stay self-contained. The tables are built at
-//! compile time; `crc32` is the only entry point.
+//! The one implementation in the workspace: the on-disk formats check
+//! with it, and the transport's frame layer sums its header and payload
+//! with [`crc32_update`]. The tables are built at compile time.
 //!
-//! The checksum runs over every WAL record at recovery, every checkpoint
-//! and every spill slot, so it goes eight bytes a step ("slicing-by-8"):
+//! The checksum runs over every WAL record at recovery, every checkpoint,
+//! every spill slot and every frame, so it goes eight bytes a step
+//! ("slicing-by-8"):
 //! table `k` holds the CRC of a byte followed by `k` zero bytes, which
 //! lets the eight lookups of one step proceed independently instead of
 //! each waiting for the previous byte's result.
@@ -44,7 +45,13 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// The CRC-32 checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_update(0, bytes)
+}
+
+/// The CRC-32 checksum of the bytes `crc` summed followed by `bytes`:
+/// `crc32_update(crc32(a), b)` is `crc32` of `a` and `b` joined.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -78,6 +85,20 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn a_checksum_continues_across_pieces() {
+        assert_eq!(crc32_update(0, b"123456789"), 0xCBF4_3926);
+        let text = b"The quick brown fox jumps over the lazy dog";
+        for split in 0..=text.len() {
+            let (head, tail) = text.split_at(split);
+            assert_eq!(
+                crc32_update(crc32(head), tail),
+                crc32(text),
+                "split at {split}"
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,8 @@
 use std::fmt;
 use std::io::{Read, Write};
 
+use store::crc::{crc32, crc32_update};
+
 /// Frame type tags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
@@ -80,47 +82,13 @@ pub const HEADER_LEN: usize = 11;
 /// lying length prefix cannot reserve 16 MiB up front.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`, continuing from `crc`.
-/// Hand-rolled table-driven implementation: the workspace builds offline,
-/// so no checksum crate is available.
-pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut rest: &mut [u32] = &mut table;
-        let mut n = 0u32;
-        while let [entry, tail @ ..] = rest {
-            let mut c = n;
-            let mut bit = 0;
-            while bit < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                bit += 1;
-            }
-            *entry = c;
-            rest = tail;
-            n += 1;
-        }
-        table
-    };
-    let mut c = !crc;
-    for &b in bytes {
-        // A byte indexes 256 entries, so the bounds check folds away.
-        let entry = TABLE.get(usize::from(c as u8 ^ b)).copied();
-        c = entry.unwrap_or_default() ^ (c >> 8);
-    }
-    !c
-}
-
 /// The frame checksum: CRC-32 over the type tag, the LE length field, and
 /// the payload.
 fn frame_checksum(frame_type: u8, len: u32, payload: &[u8]) -> u32 {
     let mut prefix = [0u8; 5];
     prefix[0] = frame_type;
     prefix[1..].copy_from_slice(&len.to_le_bytes());
-    crc32(crc32(0, &prefix), payload)
+    crc32_update(crc32(&prefix), payload)
 }
 
 /// Errors from reading or writing frames.
@@ -436,12 +404,6 @@ mod tests {
         let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
         assert!(matches!(err, FrameError::BadChecksum { .. }));
         assert!(err.to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
