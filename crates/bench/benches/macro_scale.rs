@@ -206,7 +206,6 @@ fn main() {
         snap.gauge("shard.resident_peak"),
         snap.gauge("shard.spill_file_bytes"),
     );
-    assert!(handoffs > 0, "a multi-shard city run must cross shards");
     assert!(spills > 0, "the resident cap must force spills");
     let thrash_ratio = unspills as f64 / spooled.len().max(1) as f64;
     println!(

@@ -100,11 +100,6 @@ impl AdhocNode {
             .collect()
     }
 
-    /// Number of stored messages.
-    pub fn store_len(&self) -> usize {
-        self.store.len()
-    }
-
     /// The classic epidemic encounter: the nodes exchange summary vectors,
     /// then each sends the messages the other has not seen. Returns the
     /// number of messages transferred (both directions).

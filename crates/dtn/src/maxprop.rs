@@ -132,11 +132,6 @@ impl MaxPropPolicy {
         self
     }
 
-    /// Whether acknowledgements are in use.
-    pub fn acks_enabled(&self) -> bool {
-        self.use_acks
-    }
-
     /// The current estimated probability of meeting `node` next.
     pub fn meeting_probability(&self, node: ReplicaId) -> f64 {
         let meeting = &self.advert.meeting;

@@ -131,11 +131,6 @@ pub fn expires_at(item: &Item) -> Option<SimTime> {
         .map(|t| SimTime::from_secs(t.max(0) as u64))
 }
 
-/// Returns `true` if the item is a message whose lifetime has ended.
-pub fn is_expired(item: &Item, now: SimTime) -> bool {
-    expires_at(item).is_some_and(|t| now >= t)
-}
-
 /// Injects a unicast message with a bounded lifetime: after
 /// `now + lifetime`, holders stop carrying it (see
 /// [`DtnNode::expire_messages`](crate::DtnNode::expire_messages)) and it

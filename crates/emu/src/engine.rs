@@ -1,5 +1,6 @@
 //! One trace-driven emulation: its configuration and its fleet (the run
-//! loop is [`shard`](crate::shard)).
+//! loop, which performs and accounts every operation, is
+//! [`shard`](crate::shard)).
 //!
 //! Mirrors the paper's experimental setup (§VI-A): every bus in the
 //! mobility trace runs one DTN application instance backed by one replica;
@@ -116,11 +117,9 @@ pub struct EmulationConfig {
     /// encounters with a known duration; zero-duration encounters fall
     /// back to `budget`.
     pub messages_per_contact_minute: Option<f64>,
-    /// Extra observer receiving every event the run emits (sync batches,
-    /// policy decisions, drops, deliveries, encounters). The engine always
-    /// attaches its own [`DayRollup`](crate::DayRollup) — the source of
-    /// [`ExperimentMetrics::daily_stats`] — and fans events out to this
-    /// observer too when one is set.
+    /// Observer receiving every event the run emits (sync batches, policy
+    /// decisions, drops, deliveries, encounters). Metrics never read it:
+    /// the engine accounts each operation where it performs it.
     pub observer: Option<Arc<dyn Observer>>,
     /// How encounters exchange sync metadata (see
     /// [`DtnNode::set_sync_mode`]): [`SyncMode::Full`] sends complete
@@ -129,9 +128,8 @@ pub struct EmulationConfig {
     /// Delivery results are identical in both modes — only the metadata
     /// bytes on the wire differ (`recon.*` counters account the savings).
     pub sync_mode: SyncMode,
-    /// Number of shards the fleet is partitioned into (`None`: one).
-    /// Metrics are identical for any shard count — the differential
-    /// suite in `tests/shard_equivalence.rs` pins this.
+    /// Read by nothing: the fleet is not partitioned. Kept only because
+    /// the benchmark ledger sets it.
     pub shards: Option<usize>,
     /// Where the spill file lives under a residency cap. Defaults to
     /// [`std::env::temp_dir`].
@@ -167,7 +165,6 @@ impl std::fmt::Debug for EmulationConfig {
             )
             .field("observer", &self.observer.is_some())
             .field("sync_mode", &self.sync_mode)
-            .field("shards", &self.shards)
             .field("spill_dir", &self.spill_dir)
             .field("resident_limit", &self.resident_limit)
             .finish()

@@ -36,5 +36,5 @@ pub mod report;
 pub mod topology;
 
 pub use engine::{storage_footprint, Emulation, EmulationConfig, PolicySpec, StorageFootprint};
-pub use metrics::{CdfPoint, DayRollup, DayStats, ExperimentMetrics, MessageRecord};
+pub use metrics::{CdfPoint, DayStats, ExperimentMetrics, MessageRecord};
 pub use sweep::SweepRunner;

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use obs::{Event, EventKind, Interest, Observer};
-use parking_lot::Mutex;
 use pfr::{ItemId, SimDuration, SimTime};
 
 /// The lifecycle record of one message in an experiment.
@@ -50,7 +48,7 @@ pub struct DayStats {
 /// Aggregated metrics for one emulation run.
 ///
 /// Implements `PartialEq`/`Eq` so determinism checks (parallel sweep vs
-/// serial baseline, one shard vs many) can compare whole runs
+/// serial baseline, all-resident vs spilled) can compare whole runs
 /// structurally.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExperimentMetrics {
@@ -84,13 +82,6 @@ impl ExperimentMetrics {
     /// Per-day activity, keyed by day number.
     pub fn daily_stats(&self) -> &BTreeMap<u64, DayStats> {
         &self.daily
-    }
-
-    /// Replaces the per-day time series wholesale. The emulation engine
-    /// uses this to install the [`DayRollup`] aggregated from the event
-    /// stream at the end of a run.
-    pub fn set_daily_stats(&mut self, daily: BTreeMap<u64, DayStats>) {
-        self.daily = daily;
     }
 
     /// Registers an injected message.
@@ -261,63 +252,6 @@ impl ExperimentMetrics {
                 .sum::<usize>() as f64
                 / self.records.len() as f64,
         )
-    }
-}
-
-/// Builds the per-day [`DayStats`] time series from the event stream.
-///
-/// The emulation engine attaches one of these to every node's replica (in
-/// addition to any user-supplied observer), so the daily rollup is a pure
-/// function of the events the run emitted rather than a parallel set of
-/// ad-hoc counters.
-#[derive(Debug, Default)]
-pub struct DayRollup {
-    daily: Mutex<BTreeMap<u64, DayStats>>,
-}
-
-impl DayRollup {
-    /// An empty rollup.
-    pub fn new() -> Self {
-        DayRollup::default()
-    }
-
-    /// The accumulated per-day time series.
-    pub fn snapshot(&self) -> BTreeMap<u64, DayStats> {
-        self.daily.lock().clone()
-    }
-}
-
-impl Observer for DayRollup {
-    fn interest(&self) -> Interest {
-        Interest::of(&[
-            EventKind::MessageInjected,
-            EventKind::MessageDelivered,
-            EventKind::EncounterCompleted,
-        ])
-    }
-
-    fn on_event(&self, event: &Event) {
-        match event {
-            Event::MessageInjected { at_secs, .. } => {
-                let mut daily = self.daily.lock();
-                daily.entry(at_secs / 86_400).or_default().injections += 1;
-            }
-            Event::MessageDelivered { at_secs, .. } => {
-                let mut daily = self.daily.lock();
-                daily.entry(at_secs / 86_400).or_default().deliveries += 1;
-            }
-            Event::EncounterCompleted {
-                transmitted,
-                at_secs,
-                ..
-            } => {
-                let mut daily = self.daily.lock();
-                let day = daily.entry(at_secs / 86_400).or_default();
-                day.encounters += 1;
-                day.transmissions += transmitted;
-            }
-            _ => {}
-        }
     }
 }
 

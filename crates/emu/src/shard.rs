@@ -3,17 +3,13 @@
 //! A run walks the merged injection/encounter schedule as *operations* —
 //! an injection, a meeting (after a crash-injected reboot, when one was
 //! drawn), or a bare reboot — each resolved at scan time and numbered in
-//! schedule order. One function, [`execute`], performs an operation on
-//! its nodes, on the caller's thread and in schedule order, and the
-//! operation commits on the spot. Nodes permanently wear a direct-commit
-//! observer, so events reach the metrics ledger and the run observer the
-//! moment they are emitted: no batch assembly, result buffering or event
-//! re-emission exists.
+//! schedule order. One function, [`perform`], performs an operation on
+//! its nodes and accounts it in [`ExperimentMetrics`] (the per-day series
+//! included), on the caller's thread and in schedule order. Nodes
+//! permanently wear a direct-commit observer, so events reach the
+//! copy/eviction ledger and the run observer the moment they are emitted:
+//! no batch assembly, result buffering or event re-emission exists.
 //!
-//! * **Shards** partition the fleet by replica id. A cross-shard
-//!   encounter — the endpoints hash to different shards — is surfaced as
-//!   [`Event::ShardHandoff`] (counter `shard.handoffs`) just before it
-//!   executes. A shard is a property of ids, not of threads.
 //! * **Bounded residency** ([`EmulationConfig::resident_limit`]): cold
 //!   replicas are snapshotted into a slot-reusing
 //!   [`SpillFile`](store::SpillFile) and restored before their next
@@ -31,9 +27,9 @@
 //!   shift `recon.*` traffic — like a reboot, never a correctness loss
 //!   (`tests/digest_exchange_pinned.rs` pins by how much).
 //!
-//! [`ExperimentMetrics`] are *equal* (`==`) for any shard count and
-//! residency cap; the differential suite (`tests/shard_equivalence.rs`)
-//! pins this against the one-shard run. Encounters stream from a
+//! [`ExperimentMetrics`] are *equal* (`==`) for any residency cap; the
+//! differential suite (`tests/shard_equivalence.rs`) pins this against
+//! the all-resident run. Encounters stream from a
 //! [`SpooledTrace`](traces::SpooledTrace) file as readily as from memory
 //! ([`Emulation::from_spooled`]). Parallelism belongs across independent
 //! replays, which [`SweepRunner`](crate::SweepRunner) runs side by side.
@@ -47,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dtn::{DtnNode, EncounterBudget, SnapshotScratch};
-use obs::{Event, EventKind, Fanout, Interest, Obs, Observer};
+use obs::{Event, EventKind, Interest, Obs, Observer};
 use parking_lot::Mutex;
 use pfr::{ItemId, ReplicaId, SimTime};
 use rand::rngs::StdRng;
@@ -56,7 +52,7 @@ use store::{SpillFile, SpillSlot};
 use traces::{bus_address, Encounter, Lookahead, MessageEvent, UserAssignment};
 
 use crate::engine::{Emulation, EmulationConfig, TraceSource};
-use crate::metrics::{DayRollup, ExperimentMetrics};
+use crate::metrics::ExperimentMetrics;
 
 /// FxHash-style multiply-xor hasher for the hot-path maps. Their keys are
 /// replica ids and sequence numbers — small, trusted integers — where
@@ -145,20 +141,6 @@ impl Op<'_> {
         let (a, b) = self.node_ids();
         std::iter::once(a).chain(b)
     }
-
-    fn victim(&self) -> Option<ReplicaId> {
-        match &self.kind {
-            OpKind::Inject { .. } => None,
-            OpKind::Meet { victim, .. } => *victim,
-            OpKind::Reboot { victim } => Some(*victim),
-        }
-    }
-}
-
-enum Outcome {
-    Injected { id: Option<ItemId> },
-    Met { report: dtn::EncounterReport },
-    Rebooted,
 }
 
 type EncounterIter<'s> = Box<dyn Iterator<Item = Encounter> + 's>;
@@ -279,16 +261,20 @@ impl<'s> OpStream<'s> {
     }
 }
 
-fn shard_of(id: ReplicaId, shards: usize) -> usize {
-    (id.as_u64() % shards as u64) as usize
-}
-
 /// Reboots a node in place: durable state round-trips through a snapshot
 /// (exercising snapshot/restore), then the routing policy restarts
 /// *cold* — its in-memory tables are gone, as on a device that never
 /// called `save_state`. The persisted routing state is discarded, so any
 /// [`PolicySpec`](crate::PolicySpec), custom or bundled, reboots alike.
-fn reboot_in_place(node: &mut DtnNode, wear: &Obs, config: &EmulationConfig) {
+/// `ReplicaStats` are not snapshotted either, so the node's evictions
+/// since its last reboot leave the ledger.
+fn reboot_in_place(
+    node: &mut DtnNode,
+    sink: &CommitSink,
+    wear: &Obs,
+    metrics: &mut ExperimentMetrics,
+    config: &EmulationConfig,
+) {
     let snapshot = node.snapshot();
     let mut restored = DtnNode::restore_overriding_policy(&snapshot, config.policy.build())
         .expect("a node restores from its own snapshot");
@@ -298,19 +284,26 @@ fn reboot_in_place(node: &mut DtnNode, wear: &Obs, config: &EmulationConfig) {
     restored.replica_mut().set_observer(wear.clone());
     restored.set_sync_mode(config.sync_mode);
     *node = restored;
+    sink.ledger.lock().evictions.remove(&node.id().as_u64());
+    metrics.reboots += 1;
 }
 
-/// Executes one operation — the only place one is performed. `first` is the op's first node (the injecting bus,
-/// encounter endpoint `a`, or the reboot victim) and `second` encounter
-/// endpoint `b`; `wear` is the observer a rebooted node comes up wearing.
-/// Pure node work: metrics and the commit ledger are the caller's.
-fn execute(
+/// Performs one operation and accounts it — the only place either
+/// happens. `first` is the op's first node (the injecting bus, encounter
+/// endpoint `a`, or the reboot victim) and `second` encounter endpoint
+/// `b`; `wear` is the observer a rebooted node comes up wearing. The
+/// op's events reach `sink`'s ledger as they are emitted, so the copies
+/// a delivery counts include the meeting that delivered it.
+fn perform(
     kind: &OpKind<'_>,
     first: &mut DtnNode,
     second: Option<&mut DtnNode>,
-    config: &EmulationConfig,
+    sink: &CommitSink,
     wear: &Obs,
-) -> Outcome {
+    metrics: &mut ExperimentMetrics,
+    config: &EmulationConfig,
+) {
+    let obs = &sink.obs;
     match kind {
         OpKind::Inject {
             event,
@@ -320,25 +313,43 @@ fn execute(
             let src_addr = bus_address(*src_bus);
             let dst_addr = bus_address(*dst_bus);
             let payload = format!("{}->{}", event.src, event.dst).into_bytes();
+            let now = event.time;
             let sent = match config.message_lifetime {
                 Some(lifetime) => dtn::messaging::send_message_with_lifetime(
                     first.replica_mut(),
                     &src_addr,
                     &dst_addr,
                     payload,
-                    event.time,
+                    now,
                     lifetime,
                 ),
-                None => first.send_from(&src_addr, &dst_addr, payload, event.time),
+                None => first.send_from(&src_addr, &dst_addr, payload, now),
             };
-            Outcome::Injected { id: sent.ok() }
+            let Ok(id) = sent else {
+                return;
+            };
+            metrics.record_injection(id, &src_addr, &dst_addr, now);
+            if src_bus == dst_bus {
+                // Sender and destination ride the same bus today:
+                // delivered on the spot with a single stored copy.
+                metrics.record_delivery(id, now, 1);
+                obs.emit(EventKind::MessageDelivered, || Event::MessageDelivered {
+                    replica: dst_bus.as_u64(),
+                    origin: id.origin().as_u64(),
+                    seq: id.seq(),
+                    delay_secs: 0,
+                    at_secs: now.as_secs(),
+                });
+            }
         }
         OpKind::Meet { encounter, victim } => {
             let second = second.expect("a meeting has two endpoints");
             match victim {
                 None => {}
-                Some(victim) if *victim == encounter.a => reboot_in_place(first, wear, config),
-                Some(_) => reboot_in_place(second, wear, config),
+                Some(victim) if *victim == encounter.a => {
+                    reboot_in_place(first, sink, wear, metrics, config)
+                }
+                Some(_) => reboot_in_place(second, sink, wear, metrics, config),
             }
             let budget = match config.messages_per_contact_minute {
                 Some(rate) if encounter.duration.as_secs() > 0 => {
@@ -347,30 +358,62 @@ fn execute(
                 }
                 _ => config.budget,
             };
-            let report = first.encounter(second, encounter.time, budget);
-            Outcome::Met { report }
+            let now = encounter.time;
+            let report = first.encounter(second, now, budget);
+            metrics.encounters += 1;
+            metrics.transmissions += report.transmitted as u64;
+            metrics.duplicates += report.duplicates as u64;
+            metrics.record_encounter_activity(now, report.transmitted);
+            for (receiver, ids) in [
+                (encounter.a, &report.delivered_to_a),
+                (encounter.b, &report.delivered_to_b),
+            ] {
+                // Rendering the address allocates; skip it on the common
+                // nothing-delivered encounter.
+                if ids.is_empty() {
+                    continue;
+                }
+                let addr = bus_address(receiver);
+                for &id in ids {
+                    let Some(rec) = metrics.record(id) else {
+                        continue;
+                    };
+                    // Bounded lifetimes: a copy that slips through after
+                    // expiry is not a delivery.
+                    let delay = now.saturating_since(rec.injected_at);
+                    if rec.dst != addr
+                        || !metrics.is_pending(id)
+                        || config.message_lifetime.is_some_and(|l| delay >= l)
+                    {
+                        continue;
+                    }
+                    let copies = sink.ledger.lock().live_copies(id);
+                    metrics.record_delivery(id, now, copies);
+                    obs.emit(EventKind::MessageDelivered, || Event::MessageDelivered {
+                        replica: receiver.as_u64(),
+                        origin: id.origin().as_u64(),
+                        seq: id.seq(),
+                        delay_secs: delay.as_secs(),
+                        at_secs: now.as_secs(),
+                    });
+                }
+            }
         }
-        OpKind::Reboot { .. } => {
-            reboot_in_place(first, wear, config);
-            Outcome::Rebooted
-        }
+        OpKind::Reboot { .. } => reboot_in_place(first, sink, wear, metrics, config),
     }
 }
 
 /// Bookkeeping fed by committed events instead of node inspection: live
-/// copy counts and per-node eviction counters, so commits never need to
-/// look at (possibly spilled) node state.
+/// copy counts and per-node eviction counters, so accounting never needs
+/// to look at (possibly spilled) node state.
 #[derive(Default)]
 struct CommitState {
     /// `(origin, seq) -> live copies`, from injection/accept/drop deltas:
     /// the number of nodes storing the message at every commit point.
     copies: FxMap<(u64, u64), i64>,
-    /// Evictions per node since its last successful reboot.
-    evict_since_reboot: FxMap<u64, u64>,
-    total_evictions: u64,
-    /// Evictions wiped by reboots: `ReplicaStats` are not snapshotted, so
-    /// a node's eviction count restarts at every reboot.
-    lost_evictions: u64,
+    /// Evictions per node since its last reboot; the run's evictions are
+    /// their sum at the end.
+    evictions: FxMap<u64, u64>,
 }
 
 impl CommitState {
@@ -394,8 +437,7 @@ impl CommitState {
                 *self.copies.entry((*origin, *seq)).or_insert(0) -= 1;
             }
             Event::ItemEvicted { replica, .. } => {
-                self.total_evictions += 1;
-                *self.evict_since_reboot.entry(*replica).or_insert(0) += 1;
+                *self.evictions.entry(*replica).or_insert(0) += 1;
             }
             _ => {}
         }
@@ -407,25 +449,6 @@ impl CommitState {
             .copied()
             .unwrap_or(0)
             .max(0) as usize
-    }
-}
-
-/// Emits the cross-shard handoff marker for `op` if its encounter spans
-/// shards. Pure partition accounting: `shard_of` depends only on ids and
-/// the shard count.
-fn note_handoff(op: &Op<'_>, shards: usize, obs: &Obs) {
-    if let OpKind::Meet { encounter, .. } = &op.kind {
-        let from = shard_of(encounter.a, shards);
-        let to = shard_of(encounter.b, shards);
-        if from != to {
-            obs.emit(EventKind::ShardHandoff, || Event::ShardHandoff {
-                a: encounter.a.as_u64(),
-                b: encounter.b.as_u64(),
-                from_shard: from as u64,
-                to_shard: to as u64,
-                at_secs: encounter.time.as_secs(),
-            });
-        }
     }
 }
 
@@ -450,116 +473,6 @@ impl Observer for CommitSink {
 
     fn interest(&self) -> Interest {
         CommitState::INTEREST.union(self.obs.interest())
-    }
-}
-
-impl CommitSink {
-    /// The evictions `op`'s victim has counted since its last reboot (0
-    /// without a victim). Read before the op's events reach the ledger.
-    fn victim_evictions(&self, op: &Op<'_>) -> u64 {
-        op.victim().map_or(0, |victim| {
-            self.ledger
-                .lock()
-                .evict_since_reboot
-                .get(&victim.as_u64())
-                .copied()
-                .unwrap_or(0)
-        })
-    }
-
-    /// Applies one executed operation to the metrics, in global sequence
-    /// order, once its events are in the ledger. `victim_evictions` is
-    /// [`CommitSink::victim_evictions`] from before those events: the
-    /// reboot came first in the op, so exactly those are wiped and any the
-    /// op's meeting caused count against the fresh epoch.
-    fn commit(
-        &self,
-        op: &Op<'_>,
-        outcome: Outcome,
-        victim_evictions: u64,
-        metrics: &mut ExperimentMetrics,
-        config: &EmulationConfig,
-    ) {
-        let obs = &self.obs;
-        if let Some(victim) = op.victim() {
-            let mut ledger = self.ledger.lock();
-            *ledger
-                .evict_since_reboot
-                .entry(victim.as_u64())
-                .or_insert(0) -= victim_evictions;
-            ledger.lost_evictions += victim_evictions;
-            metrics.reboots += 1;
-        }
-        match outcome {
-            Outcome::Injected { id: None } | Outcome::Rebooted => {}
-            Outcome::Injected { id: Some(id) } => {
-                let OpKind::Inject {
-                    event,
-                    src_bus,
-                    dst_bus,
-                } = &op.kind
-                else {
-                    unreachable!("injection outcome from injection op")
-                };
-                let now = event.time;
-                metrics.record_injection(id, &bus_address(*src_bus), &bus_address(*dst_bus), now);
-                if src_bus == dst_bus {
-                    // Sender and destination ride the same bus today:
-                    // delivered on the spot with a single stored copy.
-                    metrics.record_delivery(id, now, 1);
-                    obs.emit(EventKind::MessageDelivered, || Event::MessageDelivered {
-                        replica: dst_bus.as_u64(),
-                        origin: id.origin().as_u64(),
-                        seq: id.seq(),
-                        delay_secs: 0,
-                        at_secs: now.as_secs(),
-                    });
-                }
-            }
-            Outcome::Met { report } => {
-                let OpKind::Meet { encounter, .. } = &op.kind else {
-                    unreachable!("meet outcome from meet op")
-                };
-                let now = encounter.time;
-                metrics.encounters += 1;
-                metrics.transmissions += report.transmitted as u64;
-                metrics.duplicates += report.duplicates as u64;
-                for (receiver, ids) in [
-                    (encounter.a, &report.delivered_to_a),
-                    (encounter.b, &report.delivered_to_b),
-                ] {
-                    // Rendering the address allocates; skip it on the common
-                    // nothing-delivered encounter.
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    let addr = bus_address(receiver);
-                    for &id in ids {
-                        let Some(rec) = metrics.record(id) else {
-                            continue;
-                        };
-                        // Bounded lifetimes: a copy that slips through after
-                        // expiry is not a delivery.
-                        let delay = now.saturating_since(rec.injected_at);
-                        if rec.dst != addr
-                            || !metrics.is_pending(id)
-                            || config.message_lifetime.is_some_and(|l| delay >= l)
-                        {
-                            continue;
-                        }
-                        let copies = self.ledger.lock().live_copies(id);
-                        metrics.record_delivery(id, now, copies);
-                        obs.emit(EventKind::MessageDelivered, || Event::MessageDelivered {
-                            replica: receiver.as_u64(),
-                            origin: id.origin().as_u64(),
-                            seq: id.seq(),
-                            delay_secs: delay.as_secs(),
-                            at_secs: now.as_secs(),
-                        });
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -737,17 +650,8 @@ pub(crate) fn run(emulation: Emulation<'_>) -> (ExperimentMetrics, BTreeMap<Repl
         mut nodes,
         assignment,
     } = emulation;
-    // The engine's day rollup always listens; a user observer fans in.
-    let rollup = Arc::new(DayRollup::new());
-    let obs = match &config.observer {
-        Some(user) => Obs::new(Arc::new(Fanout::new(vec![
-            rollup.clone() as Arc<dyn Observer>,
-            user.clone(),
-        ]))),
-        None => Obs::new(rollup.clone()),
-    };
+    let obs = config.observer.clone().map_or_else(Obs::none, Obs::new);
     let mut metrics = ExperimentMetrics::new();
-    let shards = config.shards.unwrap_or(1).max(1);
 
     // A spill file when residency is capped; it removes itself on drop,
     // panics included.
@@ -806,21 +710,24 @@ pub(crate) fn run(emulation: Emulation<'_>) -> (ExperimentMetrics, BTreeMap<Repl
             }
             res.unspill(&needed, &mut nodes, &config, &obs, &sink_obs);
         }
-        let victim_evictions = sink.victim_evictions(&op);
-        note_handoff(&op, shards, &obs);
-        let outcome = match op.node_ids() {
-            (a, None) => {
-                let node = nodes.get_mut(&a).expect("resident node");
-                execute(&op.kind, node, None, &config, &sink_obs)
-            }
+        let (first, second) = match op.node_ids() {
+            (a, None) => (nodes.get_mut(&a).expect("resident node"), None),
             (a, Some(b)) => {
                 let [first, second] = nodes
                     .get_disjoint_mut([&a, &b])
                     .map(|n| n.expect("resident node"));
-                execute(&op.kind, first, Some(second), &config, &sink_obs)
+                (first, Some(&mut **second))
             }
         };
-        sink.commit(&op, outcome, victim_evictions, &mut metrics, &config);
+        perform(
+            &op.kind,
+            first,
+            second,
+            &sink,
+            &sink_obs,
+            &mut metrics,
+            &config,
+        );
         if (op.seq + 1).is_multiple_of(MAINTENANCE_OPS) {
             if let Some(res) = residency.as_mut() {
                 res.spill_down(&mut nodes, &stream.encounters, &last_used, &obs);
@@ -839,8 +746,7 @@ pub(crate) fn run(emulation: Emulation<'_>) -> (ExperimentMetrics, BTreeMap<Repl
 
     // Final accounting: one pass over every node's store builds the copy
     // counts for all tracked messages at once. Evictions come from
-    // committed events, because spilling (like rebooting) discards
-    // `ReplicaStats`.
+    // committed events, because spilling discards `ReplicaStats`.
     let nodes: BTreeMap<ReplicaId, DtnNode> =
         nodes.into_iter().map(|(id, node)| (id, *node)).collect();
     let mut copies: BTreeMap<ItemId, usize> = BTreeMap::new();
@@ -856,8 +762,6 @@ pub(crate) fn run(emulation: Emulation<'_>) -> (ExperimentMetrics, BTreeMap<Repl
         let count = copies.get(&id).copied().unwrap_or(0);
         metrics.record_final_copies(id, count);
     }
-    let ledger = sink.ledger.lock();
-    metrics.evictions = ledger.total_evictions - ledger.lost_evictions;
-    metrics.set_daily_stats(rollup.snapshot());
+    metrics.evictions = sink.ledger.lock().evictions.values().sum();
     (metrics, nodes)
 }

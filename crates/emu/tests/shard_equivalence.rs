@@ -1,8 +1,9 @@
-//! Differential suite: a run is the same at any shard count and residency
-//! cap.
+//! Differential suite: a run is the same at any residency cap and from
+//! either trace source.
 //!
-//! Every test here runs the same schedule on one shard and partitioned,
-//! and demands identical [`emu::ExperimentMetrics`]
+//! Every test here runs the same schedule with every replica resident and
+//! with cold replicas spilled (or streamed from a spool), and demands
+//! identical [`emu::ExperimentMetrics`]
 //! (derived `Eq` over every record, delay, daily series, and counter)
 //! plus identical per-node final knowledge — the strongest observable
 //! the substrate exposes. The absolute values are pinned by
@@ -13,12 +14,10 @@
 use std::collections::BTreeMap;
 
 use dtn::{DtnNode, EncounterBudget, PolicyKind};
-use emu::{Emulation, EmulationConfig};
+use emu::{Emulation, EmulationConfig, ExperimentMetrics};
 use pfr::{ReplicaId, SimDuration, SyncMode};
 use proptest::prelude::*;
 use traces::{DieselNetConfig, EmailConfig, EmailWorkload, EncounterTrace, SpooledTrace};
-
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 /// The base seed for every scenario, offset by `TESTKIT_SEED` when set
 /// (the CI matrix sets 0..8).
@@ -68,108 +67,84 @@ fn tmp_dir() -> std::path::PathBuf {
     dir
 }
 
-/// Runs once on one shard with every node resident, then on `shards`
-/// shards under `config`, and asserts full equivalence: metrics equal,
-/// and every node ends with identical knowledge.
-fn assert_shards_agree(
+/// Runs `config` with every node resident, then under a cap of `limit`
+/// resident replicas, and asserts full equivalence: metrics equal, and
+/// every node ends with identical knowledge.
+fn assert_spilling_invisible(
     trace: &EncounterTrace,
     workload: &EmailWorkload,
     config: &EmulationConfig,
-    shards: usize,
+    limit: usize,
     label: &str,
-) {
-    let one_shard = EmulationConfig {
-        shards: None,
-        spill_dir: None,
-        resident_limit: None,
+) -> ExperimentMetrics {
+    let (all_resident, all_resident_nodes) =
+        Emulation::new(trace, workload, config.clone()).run_into_parts();
+    let capped_config = EmulationConfig {
+        spill_dir: Some(tmp_dir()),
+        resident_limit: Some(limit),
         ..config.clone()
     };
-    let (one_shard, one_shard_nodes) = Emulation::new(trace, workload, one_shard).run_into_parts();
-    let sharded_config = EmulationConfig {
-        shards: Some(shards),
-        ..config.clone()
-    };
-    let (sharded, sharded_nodes) = Emulation::new(trace, workload, sharded_config).run_into_parts();
+    let (capped, capped_nodes) = Emulation::new(trace, workload, capped_config).run_into_parts();
     assert_eq!(
-        one_shard, sharded,
-        "{label}: metrics diverged at {shards} shards"
+        all_resident, capped,
+        "{label}: metrics diverged under a cap of {limit}"
     );
-    assert_knowledge_equal(&one_shard_nodes, &sharded_nodes, label, shards);
+    assert_knowledge_equal(&all_resident_nodes, &capped_nodes, label);
+    capped
 }
 
 fn assert_knowledge_equal(
-    one_shard: &BTreeMap<ReplicaId, DtnNode>,
-    sharded: &BTreeMap<ReplicaId, DtnNode>,
+    expected: &BTreeMap<ReplicaId, DtnNode>,
+    got: &BTreeMap<ReplicaId, DtnNode>,
     label: &str,
-    shards: usize,
 ) {
-    assert_eq!(one_shard.len(), sharded.len(), "{label}: node set diverged");
-    for (id, one_shard_node) in one_shard {
-        let sharded_node = &sharded[id];
+    assert_eq!(expected.len(), got.len(), "{label}: node set diverged");
+    for (id, expected_node) in expected {
         assert_eq!(
-            one_shard_node.replica().knowledge(),
-            sharded_node.replica().knowledge(),
-            "{label}: node {id} knowledge diverged at {shards} shards"
+            expected_node.replica().knowledge(),
+            got[id].replica().knowledge(),
+            "{label}: node {id} knowledge diverged"
         );
     }
 }
 
-/// The tentpole invariant, exhaustively: every paper policy at every
-/// shard count reproduces the one-shard run exactly.
-#[test]
-fn every_policy_matches_one_shard_at_every_shard_count() {
-    let (trace, workload) = scenario(base_seed(), 10, 3, 60);
-    for kind in PolicyKind::ALL {
-        let config = EmulationConfig {
-            policy: kind.into(),
-            relay_limit: Some(3),
-            budget: EncounterBudget::max_messages(4),
-            ..EmulationConfig::default()
-        };
-        for shards in SHARD_COUNTS {
-            assert_shards_agree(&trace, &workload, &config, shards, kind.label());
-        }
-    }
-}
-
 /// Fault injection draws (drops, crashes, victim picks) happen at scan
-/// time in schedule order on one rng, so failure-heavy runs must still
-/// match.
+/// time in schedule order on one rng, so failure-heavy runs must match
+/// while replicas move to and from the spill file.
 #[test]
-fn fault_injection_matches_one_shard() {
+fn fault_injection_survives_spilling() {
     let (trace, workload) = scenario(base_seed() ^ 0xfa17, 9, 3, 50);
     let config = EmulationConfig {
         policy: PolicyKind::MaxProp.into(),
         encounter_drop_rate: 0.3,
         crash_rate: 0.2,
+        sync_mode: SyncMode::Full,
         ..EmulationConfig::default()
     };
-    for shards in SHARD_COUNTS {
-        assert_shards_agree(&trace, &workload, &config, shards, "faulty maxprop");
-    }
+    let metrics = assert_spilling_invisible(&trace, &workload, &config, 3, "faulty maxprop");
+    assert!(metrics.reboots > 0, "crashes must actually happen");
 }
 
 /// Bounded lifetimes exercise the expiry/tombstone paths and the
-/// commit-time `copies_at_delivery` bookkeeping.
+/// event-fed `copies_at_delivery` bookkeeping.
 #[test]
-fn bounded_lifetimes_match_one_shard() {
+fn bounded_lifetimes_survive_spilling() {
     let (trace, workload) = scenario(base_seed() ^ 0x11fe, 10, 3, 60);
     let config = EmulationConfig {
         policy: PolicyKind::Epidemic.into(),
         message_lifetime: Some(SimDuration::from_mins(90)),
         relay_limit: Some(2),
+        sync_mode: SyncMode::Full,
         ..EmulationConfig::default()
     };
-    for shards in SHARD_COUNTS {
-        assert_shards_agree(&trace, &workload, &config, shards, "bounded lifetime");
-    }
+    assert_spilling_invisible(&trace, &workload, &config, 3, "bounded lifetime");
 }
 
 /// Spilling cold replicas through `store::SpillFile` must be invisible to
 /// the metrics (full sync mode: snapshots capture the whole behavioral
 /// state).
 #[test]
-fn spilled_runs_match_one_shard() {
+fn spilled_runs_match_all_resident() {
     let (trace, workload) = scenario(base_seed() ^ 0x5b11, 10, 3, 60);
     for kind in [
         PolicyKind::Epidemic,
@@ -179,13 +154,9 @@ fn spilled_runs_match_one_shard() {
         let config = EmulationConfig {
             policy: kind.into(),
             sync_mode: SyncMode::Full,
-            spill_dir: Some(tmp_dir()),
-            resident_limit: Some(3),
             ..EmulationConfig::default()
         };
-        for shards in [1, 4] {
-            assert_shards_agree(&trace, &workload, &config, shards, kind.label());
-        }
+        assert_spilling_invisible(&trace, &workload, &config, 3, kind.label());
     }
 }
 
@@ -197,64 +168,24 @@ fn spooled_source_matches_in_memory() {
     let path = tmp_dir().join("source.spool");
     let spooled = SpooledTrace::spool(&trace, &path).expect("spool");
     let config = EmulationConfig::for_policy(PolicyKind::Epidemic);
-    let (one_shard, one_shard_nodes) =
+    let (in_memory, in_memory_nodes) =
         Emulation::new(&trace, &workload, config.clone()).run_into_parts();
-    for shards in [1, 4] {
-        let spooled_config = EmulationConfig {
-            shards: Some(shards),
-            ..config.clone()
-        };
-        let (via_spool, spool_nodes) =
-            Emulation::from_spooled(&spooled, &workload, spooled_config).run_into_parts();
-        assert_eq!(
-            one_shard, via_spool,
-            "spooled source diverged at {shards} shards"
-        );
-        assert_knowledge_equal(&one_shard_nodes, &spool_nodes, "spooled source", shards);
-    }
+    let (via_spool, spool_nodes) =
+        Emulation::from_spooled(&spooled, &workload, config).run_into_parts();
+    assert_eq!(in_memory, via_spool, "spooled source diverged");
+    assert_knowledge_equal(&in_memory_nodes, &spool_nodes, "spooled source");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10 })]
 
-    /// Random fleets, random policy/shard/fault/limit combinations: any
-    /// divergence from the one-shard run shrinks to a minimal scenario.
-    #[test]
-    fn random_fleets_match_one_shard(
-        seed in 0u64..1_000_000,
-        fleet in 6usize..14,
-        days in 2u64..4,
-        messages in 20usize..70,
-        policy_idx in 0usize..PolicyKind::ALL.len(),
-        shard_idx in 0usize..SHARD_COUNTS.len(),
-        relay_raw in 0usize..4,
-        crash in 0u8..2,
-        lifetime_raw in 0u64..240,
-    ) {
-        let (trace, workload) = scenario(base_seed() ^ seed, fleet, days, messages);
-        let config = EmulationConfig {
-            policy: PolicyKind::ALL[policy_idx].into(),
-            relay_limit: (relay_raw > 0).then_some(relay_raw),
-            crash_rate: if crash == 1 { 0.15 } else { 0.0 },
-            // Raw minutes below the floor mean "no lifetime": proptest
-            // still explores both regimes from one integer dimension.
-            message_lifetime: (lifetime_raw >= 30).then(|| SimDuration::from_mins(lifetime_raw)),
-            ..EmulationConfig::default()
-        };
-        assert_shards_agree(
-            &trace,
-            &workload,
-            &config,
-            SHARD_COUNTS[shard_idx],
-            "random fleet",
-        );
-    }
-
     /// The residency machinery — Belady eviction over the lookahead
     /// window, batched spill writes and reads, prefetch — is
-    /// performance-only: any `resident_limit` must yield the exact
-    /// metrics and knowledge of an unlimited-residency run of the same
-    /// shard count.
+    /// performance-only: random fleets under random policy, relay-cap,
+    /// fault, lifetime and budget draws must yield, at any
+    /// `resident_limit`, the exact metrics and knowledge of the
+    /// all-resident run. And the per-day series the engine keeps sums to
+    /// the run's totals.
     #[test]
     fn residency_is_invisible_to_metrics(
         seed in 0u64..1_000_000,
@@ -263,27 +194,44 @@ proptest! {
         messages in 20usize..60,
         policy_idx in 0usize..PolicyKind::ALL.len(),
         limit in 2usize..10,
-        shard_idx in 0usize..SHARD_COUNTS.len(),
+        relay_raw in 0usize..4,
+        crash in 0u8..2,
+        drop in 0u8..2,
+        lifetime_raw in 0u64..240,
+        budget_raw in 0usize..4,
     ) {
         let (trace, workload) = scenario(base_seed() ^ seed ^ 0xbe1a, fleet, days, messages);
-        let shards = SHARD_COUNTS[shard_idx];
-        let base = EmulationConfig {
+        let config = EmulationConfig {
             policy: PolicyKind::ALL[policy_idx].into(),
             sync_mode: SyncMode::Full,
-            shards: Some(shards),
+            relay_limit: (relay_raw > 0).then_some(relay_raw),
+            crash_rate: if crash == 1 { 0.15 } else { 0.0 },
+            encounter_drop_rate: if drop == 1 { 0.2 } else { 0.0 },
+            // Raw minutes below the floor mean "no lifetime": proptest
+            // still explores both regimes from one integer dimension.
+            message_lifetime: (lifetime_raw >= 30).then(|| SimDuration::from_mins(lifetime_raw)),
+            budget: if budget_raw > 0 {
+                EncounterBudget::max_messages(budget_raw)
+            } else {
+                EncounterBudget::unlimited()
+            },
             ..EmulationConfig::default()
         };
-        let (unlimited, unlimited_nodes) =
-            Emulation::new(&trace, &workload, base.clone()).run_into_parts();
-        let capped_config = EmulationConfig {
-            spill_dir: Some(tmp_dir()),
-            resident_limit: Some(limit),
-            ..base
-        };
-        let (capped, capped_nodes) =
-            Emulation::new(&trace, &workload, capped_config).run_into_parts();
-        prop_assert_eq!(unlimited, capped, "residency changed metrics");
-        assert_knowledge_equal(&unlimited_nodes, &capped_nodes, "capped residency", shards);
+        let metrics = assert_spilling_invisible(&trace, &workload, &config, limit, "random fleet");
+        let daily = metrics.daily_stats().values();
+        prop_assert_eq!(daily.clone().map(|d| d.encounters).sum::<u64>(), metrics.encounters);
+        prop_assert_eq!(
+            daily.clone().map(|d| d.transmissions).sum::<u64>(),
+            metrics.transmissions
+        );
+        prop_assert_eq!(
+            daily.clone().map(|d| d.injections).sum::<u64>(),
+            metrics.injected() as u64
+        );
+        prop_assert_eq!(
+            daily.map(|d| d.deliveries).sum::<u64>(),
+            metrics.delivered() as u64
+        );
     }
 
     /// Streamed (spooled) iteration yields exactly the in-memory

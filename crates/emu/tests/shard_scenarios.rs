@@ -1,14 +1,13 @@
-//! Scenario coverage for the sharded engine's failure and boundary
-//! behavior: crash/restore with spilled state recovering through
-//! `store::SpillFile`, reboots of a policy outside the registry,
-//! cross-shard encounter pairs, and bounded-residency accounting for
-//! `storage_footprint` / `run_into_parts`.
+//! Scenario coverage for the engine's failure and boundary behavior:
+//! crash/restore with spilled state recovering through
+//! `store::SpillFile`, reboots of a policy outside the registry, and
+//! bounded-residency accounting for `storage_footprint` /
+//! `run_into_parts`.
 //!
-//! Where `tests/shard_equivalence.rs` proves shard counts equal, these
-//! tests pin the *mechanisms*: that spills actually happen, that handoffs
-//! actually cross shards, and that the residency cap actually bounds the
-//! resident set — all observable through the `shard.*` counters and
-//! events.
+//! Where `tests/shard_equivalence.rs` proves spilled and all-resident
+//! runs equal, these tests pin the *mechanisms*: that spills actually
+//! happen and that the residency cap actually bounds the resident set —
+//! both observable through the `shard.*` counters and events.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -74,10 +73,9 @@ impl Observer for Capture {
     }
 }
 
-/// Crash/restore mid-run under the sharded engine with a residency cap:
-/// rebooted nodes restore from their durable snapshot, spilled nodes
-/// recover from the spill file, and the run still equals the one-shard,
-/// all-resident run exactly.
+/// Crash/restore mid-run under a residency cap: rebooted nodes restore
+/// from their durable snapshot, spilled nodes recover from the spill
+/// file, and the run still equals the all-resident run exactly.
 #[test]
 fn crashes_recover_through_spilled_state() {
     let (trace, workload) = scenario(base_seed() ^ 0xc4a5);
@@ -88,15 +86,13 @@ fn crashes_recover_through_spilled_state() {
         sync_mode: SyncMode::Full,
         spill_dir: Some(tmp_dir()),
         resident_limit: Some(4),
-        shards: Some(3),
         observer: Some(registry.clone()),
         ..EmulationConfig::default()
     };
-    let one_shard = Emulation::new(
+    let all_resident = Emulation::new(
         &trace,
         &workload,
         EmulationConfig {
-            shards: None,
             spill_dir: None,
             resident_limit: None,
             observer: None,
@@ -117,8 +113,8 @@ fn crashes_recover_through_spilled_state() {
         "spilled nodes must come back mid-run"
     );
     assert_eq!(
-        metrics, one_shard,
-        "crash + spill interplay diverged from one shard"
+        metrics, all_resident,
+        "crash + spill interplay diverged from the all-resident run"
     );
     assert_eq!(
         nodes.len(),
@@ -232,68 +228,6 @@ fn a_custom_policy_reboots_like_its_registry_twin() {
     );
 }
 
-/// Cross-shard encounters: with two workers and modular ownership, odd/even
-/// pairs are boundary cases. Every handoff event must actually cross
-/// shards, the counter must agree with the event stream, and the
-/// boundary pairs must not cost any replication guarantee.
-#[test]
-fn cross_shard_pairs_hand_off_and_stay_correct() {
-    let (trace, workload) = scenario(base_seed() ^ 0xb0a2);
-    let workers = 2u64;
-    let capture = Arc::new(Capture::default());
-    let config = EmulationConfig {
-        policy: PolicyKind::MaxProp.into(),
-        shards: Some(workers as usize),
-        observer: Some(capture.clone()),
-        ..EmulationConfig::default()
-    };
-    let one_shard = Emulation::new(
-        &trace,
-        &workload,
-        EmulationConfig {
-            shards: None,
-            observer: None,
-            ..config.clone()
-        },
-    )
-    .run();
-    let metrics = Emulation::new(&trace, &workload, config).run();
-
-    let events = capture.events.lock();
-    let handoffs: Vec<(u64, u64, u64, u64)> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::ShardHandoff {
-                a,
-                b,
-                from_shard,
-                to_shard,
-                ..
-            } => Some((*a, *b, *from_shard, *to_shard)),
-            _ => None,
-        })
-        .collect();
-    // The synthetic fleet mixes odd and even ids on every route, so a
-    // two-shard split must produce boundary encounters.
-    assert!(!handoffs.is_empty(), "no cross-shard encounters happened");
-    for (a, b, from, to) in &handoffs {
-        assert_ne!(from, to, "a handoff must cross shards");
-        assert_eq!(a % workers, *from, "from_shard owns endpoint a");
-        assert_eq!(b % workers, *to, "to_shard owns endpoint b");
-    }
-    let same_shard = events
-        .iter()
-        .filter(|e| matches!(e, Event::EncounterCompleted { .. }))
-        .count() as u64
-        - handoffs.len() as u64;
-    assert!(
-        same_shard > 0,
-        "the trace should also have same-shard encounters for contrast"
-    );
-    assert_eq!(metrics, one_shard, "boundary pairs diverged from one shard");
-    assert_eq!(metrics.duplicates, 0);
-}
-
 /// `storage_footprint` and `run_into_parts` under spilling: the returned
 /// node map contains *every* replica (spilled ones included), so footprint
 /// accounting matches an unspilled run byte for byte — while the
@@ -303,7 +237,6 @@ fn cross_shard_pairs_hand_off_and_stay_correct() {
 fn footprint_counts_spilled_replicas_and_residency_stays_bounded() {
     let (trace, workload) = scenario(base_seed() ^ 0xf007);
     let limit = 4usize;
-    let shards = 2usize;
     let registry = Arc::new(Registry::new());
     let capture = Arc::new(Capture::default());
     let fanout = Arc::new(obs::Fanout::new(vec![
@@ -315,7 +248,6 @@ fn footprint_counts_spilled_replicas_and_residency_stays_bounded() {
         sync_mode: SyncMode::Full,
         spill_dir: Some(tmp_dir()),
         resident_limit: Some(limit),
-        shards: Some(shards),
         observer: Some(fanout),
         ..EmulationConfig::default()
     };
@@ -405,7 +337,6 @@ fn the_final_bring_home_is_not_counted_as_unspills() {
         sync_mode: SyncMode::Full,
         spill_dir: Some(tmp_dir()),
         resident_limit: Some(4),
-        shards: Some(2),
         observer: Some(registry.clone()),
         ..EmulationConfig::default()
     };

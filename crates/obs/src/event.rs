@@ -462,20 +462,6 @@ events! {
         /// Human-readable failure detail.
         detail: String,
     },
-    /// A sharded emulation routed an encounter whose endpoints live on
-    /// two different worker shards (a cross-shard handoff).
-    ShardHandoff => "shard_handoff" {
-        /// First participant.
-        a: u64,
-        /// Second participant.
-        b: u64,
-        /// Shard owning `a` (the shard the op executed on).
-        from_shard: u64,
-        /// Shard owning `b`.
-        to_shard: u64,
-        /// Simulated time, seconds.
-        at_secs: u64 => "at",
-    },
     /// One async-reactor sync session finished (or failed). Emitted by
     /// `crates/net` alongside [`Event::TransportSync`]; this variant adds
     /// the reactor-specific dimensions (direction, connection reuse).
@@ -533,8 +519,8 @@ events! {
         /// Worst enqueue→pickup latency in the batch, microseconds.
         wakeup_latency_us: u64,
     },
-    /// A sharded emulation parked a cold replica's snapshot on disk — or
-    /// brought it back — to bound resident memory.
+    /// An emulation under a residency cap parked a cold replica's
+    /// snapshot on disk — or brought it back — to bound resident memory.
     ReplicaSpill => "replica_spill" {
         /// The replica spilled or restored.
         replica: u64,

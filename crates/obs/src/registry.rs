@@ -420,7 +420,6 @@ impl Observer for Registry {
             Event::StoreFault { op, .. } => {
                 self.add_fmt(format_args!("store.faults.{op}"), 1);
             }
-            Event::ShardHandoff { .. } => self.add("shard.handoffs", 1),
             Event::NetSession {
                 reused,
                 ok,
@@ -688,13 +687,6 @@ mod tests {
     #[test]
     fn shard_events_feed_shard_counters() {
         let r = Registry::new();
-        r.on_event(&Event::ShardHandoff {
-            a: 1,
-            b: 2,
-            from_shard: 0,
-            to_shard: 1,
-            at_secs: 0,
-        });
         r.on_event(&Event::ReplicaSpill {
             replica: 3,
             bytes: 256,
@@ -712,7 +704,6 @@ mod tests {
             file_bytes: 4096,
         });
         let snap = r.snapshot();
-        assert_eq!(snap.counter("shard.handoffs"), 1);
         assert_eq!(snap.counter("shard.spills"), 1);
         assert_eq!(snap.counter("shard.evictions"), 1);
         assert_eq!(snap.counter("shard.spill_bytes"), 256);

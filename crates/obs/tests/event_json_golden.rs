@@ -237,16 +237,6 @@ fn cases() -> Vec<(Event, &'static str)> {
             r#"{"event":"store_fault","op":"persist","detail":"disk \"full\""}"#,
         ),
         (
-            Event::ShardHandoff {
-                a: 96,
-                b: 97,
-                from_shard: 2,
-                to_shard: 3,
-                at_secs: 98,
-            },
-            r#"{"event":"shard_handoff","a":96,"b":97,"from_shard":2,"to_shard":3,"at":98}"#,
-        ),
-        (
             Event::NetSession {
                 replica: 99,
                 peer: 100,
@@ -386,5 +376,5 @@ fn the_cases_cover_every_kind() {
         .collect();
     let all: BTreeSet<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
     assert_eq!(covered, all);
-    assert_eq!(all.len(), 29);
+    assert_eq!(all.len(), 28);
 }

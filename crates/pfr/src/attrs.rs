@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PfrError;
 use crate::intern::IStr;
 use crate::value::Value;
@@ -32,7 +30,7 @@ use crate::value::Value;
 /// assert_eq!(attrs.get("dest"), Some(&Value::from("bus-7")));
 /// assert_eq!(attrs.len(), 2);
 /// ```
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq)]
 pub struct AttributeMap {
     /// Strictly ascending by name.
     entries: Vec<(IStr, Value)>,

@@ -12,14 +12,12 @@ mod parser;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PfrError;
 use crate::item::Item;
 use crate::value::Value;
 
 /// Comparison operators usable in filter predicates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -76,7 +74,7 @@ impl CmpOp {
 /// assert!(filter.matches(&item));
 /// # Ok::<(), pfr::PfrError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Filter {
     /// Matches every item (epidemic-style full replication).
     All,

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a replica (a host participating in replication).
 ///
 /// In the DTN application every device — every bus in the vehicular
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(a < b);
 /// assert_eq!(a.as_u64(), 1);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplicaId(u64);
 
 impl ReplicaId {
@@ -73,7 +71,7 @@ impl From<u64> for ReplicaId {
 /// assert_eq!(id.origin(), ReplicaId::new(7));
 /// assert_eq!(id.seq(), 42);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId {
     origin: ReplicaId,
     seq: u64,
@@ -131,7 +129,7 @@ impl fmt::Display for ItemId {
 /// let v2 = Version::new(ReplicaId::new(2), 11);
 /// assert!(v1 < v2); // ordered by counter first
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Version {
     counter: u64,
     replica: ReplicaId,

@@ -4,8 +4,6 @@ use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::attrs::AttributeMap;
 use crate::id::{ItemId, Version};
 use crate::payload::Payload;
@@ -55,7 +53,7 @@ pub enum CausalRelation {
 /// assert_eq!(item.attrs().get_str("dest"), Some("bus-9"));
 /// assert!(!item.is_deleted());
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Item {
     id: ItemId,
     version: Version,

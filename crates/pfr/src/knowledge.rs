@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::{ReplicaId, Version};
 use crate::ordered::{Cursor, OrdMap};
 
@@ -113,7 +111,7 @@ fn counters(index: u64, mut bits: u64) -> impl Iterator<Item = u64> {
 /// assert_eq!(k.base_counter(r), 3);
 /// assert_eq!(k.exception_count(), 0);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Knowledge {
     /// replica -> highest prefix-complete counter (never 0).
     vector: OrdMap<ReplicaId, u64>,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use obs::{DropReason, Event, EventKind, Obs};
-use serde::{Deserialize, Serialize};
 
 use crate::attrs::AttributeMap;
 use crate::error::PfrError;
@@ -21,7 +20,7 @@ use crate::value::Value;
 use crate::wire::{Encode, Writer};
 
 /// Counters describing a replica's activity, for experiments and debugging.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ReplicaStats {
     /// Items created locally.
@@ -365,14 +364,6 @@ impl Replica {
     /// Iterates over all stored items (any kind), in item-id order.
     pub fn iter_items(&self) -> impl Iterator<Item = &Item> {
         self.store.iter().map(|s| &s.item)
-    }
-
-    /// Iterates over stored items of one kind.
-    pub fn iter_items_of_kind(&self, kind: StoreKind) -> impl Iterator<Item = &Item> + '_ {
-        self.store
-            .iter()
-            .filter(move |s| s.kind == kind)
-            .map(|s| &s.item)
     }
 
     /// Ids of all stored items.

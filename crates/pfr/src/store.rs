@@ -2,8 +2,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId, Version};
 use crate::item::Item;
@@ -20,7 +18,7 @@ use crate::time::SimTime;
 /// items accepted for *relay* by a routing policy. Storage constraints
 /// (paper §VI-D) apply only to the relay category — "excluding messages for
 /// which the node itself is the sender or the destination".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreKind {
     /// The item matches this replica's filter (it is "ours").
     InFilter,

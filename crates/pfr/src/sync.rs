@@ -46,7 +46,6 @@ use std::fmt;
 use std::time::Instant;
 
 use obs::{DecisionKind, DropReason, Event, EventKind};
-use serde::{Deserialize, Serialize};
 
 use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId};
@@ -78,7 +77,7 @@ pub trait RoutingPayload: Any + Send + Sync {
 /// produce) or a [`RoutingPayload`] lent by the target's extension for the
 /// life of the request. Two states are equal when they put the same bytes
 /// on a wire.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct RoutingState<'a>(Repr<'a>);
 
 #[derive(Clone)]
@@ -181,7 +180,7 @@ impl fmt::Debug for RoutingState<'_> {
 
 /// Coarse priority classes for batch ordering (paper §V-B: a "class" value
 /// from lowest to highest, plus a real-valued cost to break ties).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriorityClass {
     /// Sent last.
     Lowest,
@@ -197,7 +196,7 @@ pub enum PriorityClass {
 
 /// A transmission priority: class plus tie-breaking cost (lower cost sends
 /// earlier within a class).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Priority {
     class: PriorityClass,
     cost: f64,
@@ -505,7 +504,7 @@ impl SyncExtension for NoExtension {
 /// first two straight from the target replica and the third from its
 /// extension, so local encounters clone and encode nothing; the wire path
 /// decodes owned values (`SyncRequest<'static>`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SyncRequest<'a> {
     /// The requesting (target) replica.
     pub target: ReplicaId,
@@ -533,7 +532,7 @@ impl SyncRequest<'_> {
 }
 
 /// One item in a sync batch.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchEntry {
     /// The transmitted copy (after any in-flight transforms).
     pub item: Item,
@@ -545,7 +544,7 @@ pub struct BatchEntry {
 }
 
 /// An ordered batch of items from source to target.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SyncBatch {
     /// The sending (source) replica.
     pub source: ReplicaId,

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, with one-second resolution.
 ///
 /// `SimTime` counts seconds since the start of an experiment. The trace
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((evening - morning).as_hours_f64(), 15.0);
 /// assert_eq!(morning.day(), 0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -129,7 +127,7 @@ impl Sub<SimTime> for SimTime {
 /// assert_eq!(d.as_secs(), 43_200);
 /// assert_eq!(d.as_days_f64(), 0.5);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::IStr;
 
 /// A dynamically-typed attribute value attached to a replicated item.
@@ -26,7 +24,7 @@ use crate::intern::IStr;
 /// assert_eq!(v.as_str(), Some("bus-12"));
 /// assert_eq!(Value::from(3i64).as_i64(), Some(3));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// UTF-8 text, interned: the same string stored by many items (hot
     /// recipient addresses, folder names) shares one allocation.

@@ -7,9 +7,9 @@
 //! for every protocol type: values, attribute maps, knowledge, filters,
 //! items, and the sync request/batch messages.
 //!
-//! The codec is deliberately independent of `serde` so that the encoded
-//! size of each structure is explicit and testable (the paper's "compact
-//! metadata overhead" claim is about exactly these bytes). Round-trip
+//! The codec is hand-written so that the encoded size of each structure
+//! is explicit and testable (the paper's "compact metadata overhead"
+//! claim is about exactly these bytes). Round-trip
 //! correctness is property-tested.
 
 use std::fmt;

@@ -252,11 +252,6 @@ impl SimRunner {
         self.time
     }
 
-    /// Applies per-session sync limits to every future encounter.
-    pub fn set_limits(&mut self, limits: SyncLimits) {
-        self.limits = limits;
-    }
-
     /// Puts every host — existing, future, and *restored* — in the given
     /// sync mode. Sync mode is runtime configuration, not replica state:
     /// it is not captured by snapshots, so the runner re-applies it after

@@ -2,12 +2,12 @@
 //! receiving everything and discarding the rest.
 //!
 //! `obs::Obs` caches its observer's [`Interest`] and emission sites skip
-//! building events outside it; the engines' own listeners (`DayRollup`,
-//! the sharded engine's commit ledger) subscribe to a few kinds each and
-//! fan in with the user's observer. Whatever the user subscribes to, it
-//! must receive exactly the subsequence of those kinds a subscribe-all
-//! observer receives from the same run — on one shard and on three — and
-//! the run's metrics must not notice. The trace and the subscription honour `TESTKIT_SEED`.
+//! building events outside it; the engine's own listener (its commit
+//! ledger) subscribes to a few kinds and passes the stream on to the
+//! user's observer. Whatever the user subscribes to, it must receive
+//! exactly the subsequence of those kinds a subscribe-all observer
+//! receives from the same run, and the run's metrics must not notice.
+//! The trace and the subscription honour `TESTKIT_SEED`.
 
 use std::sync::Arc;
 
@@ -122,7 +122,7 @@ fn run(
 fn a_subscription_receives_exactly_its_kinds() {
     let seed = base_seed();
     let (trace, workload) = scenario(seed);
-    // Kinds nobody inside the engines reads, kinds they all read, the two
+    // Kinds nobody inside the engine reads, kinds its ledger reads, the two
     // whose events cost a clock reading, and a seed-chosen mix.
     let seeded: Vec<EventKind> = EventKind::ALL
         .iter()
@@ -138,69 +138,44 @@ fn a_subscription_receives_exactly_its_kinds() {
             EventKind::ItemRelayed,
             EventKind::MessageDropped,
         ]),
-        Interest::of(&[
-            EventKind::SyncCandidatesSelected,
-            EventKind::SpanEnded,
-            EventKind::ShardHandoff,
-        ]),
+        Interest::of(&[EventKind::SyncCandidatesSelected, EventKind::SpanEnded]),
         Interest::of(&seeded),
         Interest::NONE,
     ];
-    let engines = [("one shard", None), ("sharded", Some(3))];
-    // What a subscribe-all observer saw on one shard: the engine's own
-    // listeners sit between the nodes and the user, and must not thin the
-    // stream even for that observer.
-    let mut one_shard_stream = None;
-    for (engine, shards) in engines {
-        let config = EmulationConfig {
-            shards,
-            relay_limit: Some(4),
-            ..EmulationConfig::for_policy(PolicyKind::MaxProp)
-        };
-        let everything = Arc::new(MemorySink::unbounded());
-        let reference = run(&trace, &workload, &config, everything.clone());
-        let everything = everything.take();
-        let engine_independent = Interest::of(
-            &EventKind::ALL
-                .iter()
-                .copied()
-                .filter(|&kind| kind != EventKind::ShardHandoff)
-                .collect::<Vec<_>>(),
+    let config = EmulationConfig {
+        relay_limit: Some(4),
+        ..EmulationConfig::for_policy(PolicyKind::MaxProp)
+    };
+    let everything = Arc::new(MemorySink::unbounded());
+    let reference = run(&trace, &workload, &config, everything.clone());
+    let everything = everything.take();
+    assert!(
+        everything
+            .iter()
+            .any(|e| e.event_kind() == EventKind::MessageDropped),
+        "the scenario should evict or purge something"
+    );
+    for interest in subscriptions {
+        let subscriber = Arc::new(Subscriber {
+            interest,
+            seen: MemorySink::unbounded(),
+        });
+        let metrics = run(&trace, &workload, &config, subscriber.clone());
+        let case = format!("{interest:?} / seed {seed:#x}");
+        assert_eq!(
+            metrics, reference,
+            "{case}: a subscription moved the metrics"
         );
-        let stream = normalised(everything.clone(), engine_independent);
+        // Counted before normalising, which drops the span events.
+        let wanted = everything
+            .iter()
+            .filter(|e| interest.contains(e.event_kind()))
+            .count();
+        assert_eq!(subscriber.seen.len(), wanted, "{case}: event count");
         assert_same_stream(
-            &stream,
-            one_shard_stream.get_or_insert_with(|| stream.clone()),
-            &format!("{engine}: subscribe-all against the one-shard stream"),
+            &normalised(subscriber.seen.take(), Interest::ALL),
+            &normalised(everything.clone(), interest),
+            &format!("{case}: the mask is not the filter"),
         );
-        assert!(
-            everything
-                .iter()
-                .any(|e| e.event_kind() == EventKind::MessageDropped),
-            "{engine}: the scenario should evict or purge something"
-        );
-        for interest in subscriptions {
-            let subscriber = Arc::new(Subscriber {
-                interest,
-                seen: MemorySink::unbounded(),
-            });
-            let metrics = run(&trace, &workload, &config, subscriber.clone());
-            let case = format!("{engine} / {interest:?} / seed {seed:#x}");
-            assert_eq!(
-                metrics, reference,
-                "{case}: a subscription moved the metrics"
-            );
-            // Counted before normalising, which drops the span events.
-            let wanted = everything
-                .iter()
-                .filter(|e| interest.contains(e.event_kind()))
-                .count();
-            assert_eq!(subscriber.seen.len(), wanted, "{case}: event count");
-            assert_same_stream(
-                &normalised(subscriber.seen.take(), Interest::ALL),
-                &normalised(everything.clone(), interest),
-                &format!("{case}: the mask is not the filter"),
-            );
-        }
     }
 }

@@ -25,10 +25,16 @@ impl UserAssignment {
     /// Uniformly assigns `users` to the buses scheduled on each day of the
     /// trace. Deterministic for a given seed. Days with no scheduled buses
     /// get no assignments (users are unreachable that day, as in the real
-    /// trace when a bus is off duty).
+    /// trace when a bus is off duty) and cost nothing, however far apart
+    /// the encounter days lie.
     pub fn uniform(trace: &EncounterTrace, users: &[String], seed: u64) -> Self {
+        let mut last = None;
+        let days = trace
+            .iter()
+            .map(|e| e.time.day())
+            .filter(move |&day| last.replace(day) != Some(day));
         Self::uniform_over_schedule(
-            trace.days(),
+            days,
             |day| trace.nodes_on_day(day).into_iter().collect(),
             users,
             seed,
@@ -41,29 +47,27 @@ impl UserAssignment {
     /// assignments for the same seed.
     pub fn uniform_spooled(trace: &crate::SpooledTrace, users: &[String], seed: u64) -> Self {
         Self::uniform_over_schedule(
-            trace.days(),
+            trace.day_nodes().keys().copied(),
             |day| trace.nodes_on_day(day).into_iter().collect(),
             users,
             seed,
         )
     }
 
-    /// Shared draw loop: one `StdRng`, days in order, buses in sorted
-    /// (`BTreeSet`) order — any divergence here would silently desync the
-    /// in-memory and spooled experiment paths.
+    /// Shared draw loop: one `StdRng`, the days that have scheduled buses
+    /// in ascending order, buses in sorted (`BTreeSet`) order — any
+    /// divergence here would silently desync the in-memory and spooled
+    /// experiment paths.
     fn uniform_over_schedule(
-        days: u64,
+        days: impl Iterator<Item = u64>,
         buses_on_day: impl Fn(u64) -> Vec<ReplicaId>,
         users: &[String],
         seed: u64,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut by_day = BTreeMap::new();
-        for day in 0..days {
+        for day in days {
             let buses = buses_on_day(day);
-            if buses.is_empty() {
-                continue;
-            }
             let mut today = BTreeMap::new();
             for user in users {
                 let bus = buses[rng.gen_range(0..buses.len())];
@@ -95,11 +99,6 @@ impl UserAssignment {
     /// Days with assignments.
     pub fn days(&self) -> impl Iterator<Item = u64> + '_ {
         self.by_day.keys().copied()
-    }
-
-    /// The full map for one day.
-    pub fn day_map(&self, day: u64) -> Option<&BTreeMap<String, ReplicaId>> {
-        self.by_day.get(&day)
     }
 }
 
@@ -177,6 +176,28 @@ mod tests {
         let spooled = crate::SpooledTrace::spool(&trace, dir.join("assign.spool")).expect("spool");
         let via_spool = UserAssignment::uniform_spooled(&spooled, &users, 7);
         assert_eq!(assignment, via_spool, "identical draws either way");
+    }
+
+    /// Empty days cost nothing: a schedule whose two encounter days lie
+    /// 10^12 days apart draws exactly those two.
+    #[test]
+    fn only_scheduled_days_are_drawn() {
+        let far = 1_000_000_000_000;
+        let trace = EncounterTrace::from_encounters(vec![
+            crate::Encounter::new(
+                pfr::SimTime::from_hms(0, 9, 0, 0),
+                ReplicaId::new(5),
+                ReplicaId::new(15),
+            ),
+            crate::Encounter::new(
+                pfr::SimTime::from_hms(far, 0, 0, 0),
+                ReplicaId::new(1),
+                ReplicaId::new(2),
+            ),
+        ]);
+        let users: Vec<String> = (0..4).map(user_name).collect();
+        let assignment = UserAssignment::uniform(&trace, &users, 7);
+        assert_eq!(assignment.days().collect::<Vec<_>>(), [0, far]);
     }
 
     #[test]

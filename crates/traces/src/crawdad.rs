@@ -70,7 +70,7 @@ pub fn parse_trace(text: &str) -> Result<EncounterTrace, TraceParseError> {
                 message: format!("expected 4 or 5 fields, found {}", fields.len()),
             });
         }
-        let day: u64 = fields[0].parse().map_err(|_| TraceParseError {
+        let day = parse_day(fields[0]).ok_or_else(|| TraceParseError {
             line: line_no,
             message: format!("bad day number {:?}", fields[0]),
         })?;
@@ -107,6 +107,13 @@ pub fn parse_trace(text: &str) -> Result<EncounterTrace, TraceParseError> {
         ));
     }
     Ok(EncounterTrace::from_encounters(encounters))
+}
+
+/// A day number whose every second a [`SimTime`] can hold.
+pub(crate) fn parse_day(s: &str) -> Option<u64> {
+    let day: u64 = s.parse().ok()?;
+    day.checked_mul(86_400)?.checked_add(86_399)?;
+    Some(day)
 }
 
 fn parse_hms(s: &str) -> Option<(u64, u64, u64)> {
@@ -171,6 +178,8 @@ mod tests {
         let cases = [
             ("0 08:00:00 1\n", 1, "4 or 5 fields"),
             ("0 08:00:00 1 2\nx 08:00:00 1 2\n", 2, "bad day"),
+            // u64::MAX / 86_400: the day's seconds overflow a SimTime.
+            ("213503982334601 00:00:00 1 2\n", 1, "bad day"),
             ("0 25:00:00 1 2\n", 1, "bad time"),
             ("0 08:61:00 1 2\n", 1, "bad time"),
             ("0 08:00 1 2\n", 1, "bad time"),

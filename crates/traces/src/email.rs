@@ -12,12 +12,11 @@
 use pfr::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
 
 /// One message-injection event: `src` sends to `dst` at `time`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MessageEvent {
     /// Injection time.
     pub time: SimTime,
@@ -28,7 +27,7 @@ pub struct MessageEvent {
 }
 
 /// A time-ordered message workload over a set of users.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EmailWorkload {
     users: Vec<String>,
     events: Vec<MessageEvent>,
@@ -73,7 +72,7 @@ impl EmailWorkload {
 }
 
 /// Configuration for the Enron-like workload generator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EmailConfig {
     /// Number of users exchanging mail.
     pub users: usize,
@@ -239,7 +238,7 @@ pub fn parse_workload(text: &str) -> Result<EmailWorkload, crate::TraceParseErro
                 message: format!("expected 4 fields, found {}", fields.len()),
             });
         }
-        let day: u64 = fields[0].parse().map_err(|_| crate::TraceParseError {
+        let day = crate::crawdad::parse_day(fields[0]).ok_or_else(|| crate::TraceParseError {
             line: line_no,
             message: format!("bad day number {:?}", fields[0]),
         })?;
@@ -391,6 +390,8 @@ mod tests {
         for (text, needle) in [
             ("0 08:00:00 a\n", "4 fields"),
             ("x 08:00:00 a b\n", "bad day"),
+            // u64::MAX / 86_400: the day's seconds overflow a SimTime.
+            ("213503982334601 00:00:00 a b\n", "bad day"),
             ("0 25:00:00 a b\n", "bad time"),
             ("0 08:00:00 a a\n", "self-mail"),
         ] {

@@ -3,10 +3,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use pfr::{ReplicaId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One opportunistic meeting between two nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Encounter {
     /// When the meeting happens.
     pub time: SimTime,
@@ -70,7 +69,7 @@ impl Encounter {
 /// assert_eq!(trace.len(), 1);
 /// assert_eq!(trace.days(), 1);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EncounterTrace {
     encounters: Vec<Encounter>,
 }

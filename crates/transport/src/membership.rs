@@ -315,11 +315,6 @@ impl Membership {
             .collect()
     }
 
-    /// The listen address of a specific member, if known.
-    pub fn addr_of(&self, replica: u64) -> Option<String> {
-        self.peers.get(&replica).map(|e| e.addr.clone())
-    }
-
     /// Full view snapshot (self excluded), replica-id ordered.
     pub fn view(&self) -> Vec<PeerView> {
         self.peers

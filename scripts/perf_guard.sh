@@ -128,7 +128,6 @@ check(0 < doc.get("resident_limit", 0) < doc.get("fleet", 0),
 # off, and the residency cap forced spill/unspill round trips with the
 # health instrumentation collected.
 shard = doc.get("shard", {})
-check(shard.get("handoffs", 0) > 0, "shard.handoffs is zero")
 check(shard.get("spills", 0) > 0, "shard.spills is zero")
 check(shard.get("unspills", 0) > 0, "shard.unspills is zero")
 check(shard.get("evictions", 0) > 0, "shard.evictions is zero")

@@ -8,7 +8,6 @@
 //!              [--trace FILE | --spool FILE] [--mail FILE]
 //!              [--bandwidth N] [--storage N]
 //!              [--strategy <random|selected>] [--k N]
-//!              [--shards N]
 //!              [--spill-dir DIR] [--resident-limit N]
 //!              [--data-dir DIR] [--events FILE] [--stats]
 //! replidtn peer --id N --address ADDR --policy P --listen HOST:PORT
@@ -18,10 +17,10 @@
 //! ```
 //!
 //! City-scale runs combine `gen-trace --scale N --spool FILE` (streamed
-//! binary trace, never resident) with `run --spool FILE --shards W
-//! [--resident-limit R --spill-dir DIR]`: the engine partitions the fleet
-//! into W shards and spills cold replicas, all on one thread, producing
-//! the exact metrics of a one-shard in-memory run.
+//! binary trace, never resident) with `run --spool FILE
+//! [--resident-limit R --spill-dir DIR]`: the engine spills cold
+//! replicas, on one thread, producing the exact metrics of an
+//! all-resident in-memory run.
 //!
 //! `--data-dir DIR` makes state durable: `peer` opens its node from the
 //! directory (restoring items, knowledge, and routing state after a
@@ -92,7 +91,6 @@ USAGE:
                [--trace FILE | --spool FILE] [--mail FILE]
                [--bandwidth N] [--storage N]
                [--strategy <random|selected>] [--k N] [--seed S]
-               [--shards N]
                [--spill-dir DIR] [--resident-limit N]
                [--data-dir DIR] [--events FILE] [--stats]
       Replay a workload over a trace and print delivery statistics.
@@ -103,8 +101,7 @@ USAGE:
       --spool FILE streams the schedule from disk; it cannot be combined
       with --strategy selected, which ranks partners over the whole trace.
 
-      Scale knobs (both preserve one-shard metrics exactly): --shards N
-      partitions the fleet into N shards, all executed on one thread;
+      Scale knob (preserves all-resident metrics exactly):
       --resident-limit N caps resident replicas, spilling cold state
       under --spill-dir (or the system temp dir) in the order a window
       of 8 x N upcoming encounters says they are needed.
@@ -359,16 +356,8 @@ fn run(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("--strategy: unknown {other:?}")),
     };
 
-    // Scale knobs: shards and a spill directory / residency cap for cold
-    // replica state (all bit-equal to one shard).
-    let shards = match flags.get("shards") {
-        None => None,
-        Some("") => return Err("--shards needs a shard count".to_string()),
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--shards: cannot parse {v:?}"))?,
-        ),
-    };
+    // Scale knobs: a spill directory / residency cap for cold replica
+    // state (bit-equal to an all-resident run).
     let resident_limit = match flags.get("resident-limit") {
         None => None,
         Some("") => return Err("--resident-limit needs a node count".to_string()),
@@ -393,7 +382,6 @@ fn run(args: &[String]) -> Result<(), String> {
         filter_strategy,
         assignment_seed: flags.num("seed", EmulationConfig::default().assignment_seed)?,
         observer: obs.observer.clone(),
-        shards,
         spill_dir,
         resident_limit,
         ..EmulationConfig::default()
@@ -709,10 +697,11 @@ mod tests {
         );
         assert_eq!(accepted_flags("fig"), ["id", "events", "stats"]);
         let run = accepted_flags("run");
-        for flag in ["policy", "seed", "shards", "resident-limit", "stats"] {
+        for flag in ["policy", "seed", "resident-limit", "stats"] {
             assert!(run.contains(&flag), "run lacks --{flag}");
         }
         assert!(!run.contains(&"exec-threads"));
+        assert!(!run.contains(&"shards"));
         let peer = accepted_flags("peer");
         for flag in ["id", "connect", "seed-peer", "backoff-ms", "data-dir"] {
             assert!(peer.contains(&flag), "peer lacks --{flag}");

@@ -54,6 +54,7 @@ fn an_unknown_flag_fails_and_is_named() {
     for (args, flag) in [
         (&["run", "--shard", "4"][..], "--shard"),
         (&["run", "--exec-threads", "2"][..], "--exec-threads"),
+        (&["run", "--shards", "2"][..], "--shards"),
         (&["run", "--policy", "epidemic", "--bogus"][..], "--bogus"),
         (&["peer", "--poll-backend", "sweep"][..], "--poll-backend"),
     ] {
