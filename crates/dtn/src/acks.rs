@@ -10,6 +10,11 @@
 //! Once an origin's early messages are all delivered its acknowledgements
 //! cost one vector entry, and merging a peer's set is O(origins).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use pfr::wire::{Decode, Encode, Reader, WireError, Writer};
 use pfr::{ItemId, Knowledge, Version};
 

@@ -11,6 +11,11 @@
 //! interned [`IStr`]s: the same few strings arrive at every contact, and
 //! holding them interned makes every later copy a reference-count bump.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 
@@ -86,7 +91,7 @@ pub(crate) fn get_addr_probs(r: &mut Reader<'_>) -> Result<Vec<(IStr, f64)>, Wir
 /// Sorts a decoded vector ascending by key with each key once, the later
 /// value of a repeated key winning.
 fn canonicalize<K: Ord>(out: &mut Vec<(K, f64)>) {
-    if !out.windows(2).all(|w| w[0].0 < w[1].0) {
+    if !out.windows(2).all(|w| matches!(w, [a, b] if a.0 < b.0)) {
         // Stable, so a repeated key keeps its values in list order.
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out.dedup_by(|next, kept| {

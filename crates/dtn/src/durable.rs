@@ -33,6 +33,11 @@
 //! because a restored node's knowledge matches its restored items and
 //! the protocol simply re-replicates whatever was lost.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::path::Path;
 
 use obs::Obs;
@@ -59,8 +64,9 @@ fn item_key(id: ItemId) -> [u8; ITEM_PREFIX.len() + 16] {
     let mut key = [0u8; ITEM_PREFIX.len() + 16];
     let (prefix, rest) = key.split_at_mut(ITEM_PREFIX.len());
     prefix.copy_from_slice(ITEM_PREFIX);
-    rest[..8].copy_from_slice(&id.origin().as_u64().to_be_bytes());
-    rest[8..].copy_from_slice(&id.seq().to_be_bytes());
+    let (origin, seq) = rest.split_at_mut(8);
+    origin.copy_from_slice(&id.origin().as_u64().to_be_bytes());
+    seq.copy_from_slice(&id.seq().to_be_bytes());
     key
 }
 
@@ -256,20 +262,20 @@ fn load(store: &Store) -> Result<Option<PersistedNode>, RestoreError> {
         }
         return Ok(None);
     };
-    match meta.first() {
-        Some(&LAYOUT_VERSION) => {}
+    let body = match meta.split_first() {
+        Some((&LAYOUT_VERSION, body)) => body,
         version => {
             return Err(RestoreError::UnsupportedLayout {
-                version: version.copied(),
+                version: version.map(|(&v, _)| v),
             })
         }
-    }
+    };
     let whole = |r: &Reader<'_>| match r.remaining() {
         0 => Ok(()),
         n => Err(WireError::TrailingBytes(n)),
     };
     let decode = || -> Result<PersistedNode, WireError> {
-        let mut r = Reader::new(&meta[1..]);
+        let mut r = Reader::new(body);
         let id = ReplicaId::decode(&mut r)?;
         let policy_name = r.get_str()?;
         let addresses = get_strings(&mut r)?;

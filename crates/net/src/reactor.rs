@@ -43,8 +43,9 @@ use std::time::{Duration, Instant};
 use obs::{Event, EventKind, Obs};
 use parking_lot::Mutex;
 use pfr::ReplicaId;
-use transport::frame::{FrameAccum, FrameError};
-use transport::{Dialed, Dialer, Outbound, Progress, SessionError, SessionMachine, SessionOutcome};
+use transport::conn::feed;
+use transport::frame::FrameAccum;
+use transport::{Dialed, Dialer, Outbound, SessionError, SessionMachine, SessionOutcome};
 
 use crate::poll::{EpollPoller, PipeWaker};
 
@@ -219,8 +220,6 @@ pub(crate) struct Session {
     inbound: bool,
     last_progress: Instant,
     stalled: bool,
-    /// Machine finished; flush the outbox, then finalize.
-    finished: bool,
     /// The peer closed or reset its end (epoll said so): reads run to
     /// EOF instead of stopping at the first short one.
     hung_up: bool,
@@ -351,7 +350,6 @@ impl Session {
             inbound: false,
             last_progress: Instant::now(),
             stalled: false,
-            finished: false,
             hung_up: false,
             enqueued_at: Instant::now(),
         }
@@ -676,7 +674,7 @@ fn deadline_verdict(shared: &Shared, session: &Session) -> Option<Verdict> {
         }
         return None;
     }
-    if session.finished {
+    if session.machine.is_closed() {
         // Finished but the outbox will not drain: the peer stopped
         // reading. Treated as a stall like any other no-progress state.
         if quiet > shared.config.stall_timeout {
@@ -707,7 +705,7 @@ fn step(
         return Verdict::Failed(err);
     }
 
-    if session.finished {
+    if session.machine.is_closed() {
         if session.out.pending() == 0 {
             return Verdict::Finished;
         }
@@ -782,11 +780,23 @@ fn step(
     // Feed complete frames to the machine, encoding replies into a
     // recycled outbox segment.
     let mut seg = session.out.take_seg();
-    let now_ms = shared.now_ms();
-    let fed = feed_frames(shared, session, &mut seg, now_ms);
+    let fed = feed(
+        &mut session.machine,
+        &mut session.accum,
+        shared.now_ms(),
+        &mut seg,
+    );
     session.out.push_seg(seg);
-    if let Err(verdict) = fed {
-        return verdict;
+    match fed {
+        // A responder resets to idle after each session; the connection
+        // stays registered for the next one.
+        Ok(completed) if session.inbound => {
+            shared
+                .completed
+                .fetch_add(completed as u64, Ordering::Relaxed);
+        }
+        Ok(_) => {}
+        Err(err) => return Verdict::Failed(err),
     }
 
     // Flush again: frames the machine just queued would otherwise wait
@@ -798,7 +808,7 @@ fn step(
         }
     }
 
-    if session.finished && session.out.pending() == 0 {
+    if session.machine.is_closed() && session.out.pending() == 0 {
         return Verdict::Finished;
     }
 
@@ -816,44 +826,5 @@ fn step(
         Verdict::Keep
     } else {
         Verdict::Again
-    }
-}
-
-/// Drains complete frames from the accumulator into the machine. Reply
-/// bytes land in `seg`; errors come back as the failing verdict.
-fn feed_frames(
-    shared: &Shared,
-    session: &mut Session,
-    seg: &mut Vec<u8>,
-    now_ms: u64,
-) -> Result<(), Verdict> {
-    loop {
-        let (frame_type, payload) = match session.accum.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()),
-            Err(e @ FrameError::BadChecksum { .. }) => {
-                // The damaged frame was consumed; the machine decides
-                // whether this state can recover (serve side answers
-                // with a resync demand).
-                match session.machine.on_checksum_error(e, seg) {
-                    Ok(()) => continue,
-                    Err(err) => return Err(Verdict::Failed(err)),
-                }
-            }
-            Err(e) => return Err(Verdict::Failed(SessionError::Frame(e))),
-        };
-        match session.machine.on_frame(frame_type, payload, now_ms, seg) {
-            Ok(Progress::Continue) => {}
-            Ok(Progress::SessionComplete) if session.inbound => {
-                // The responder machine reset itself to idle; the
-                // connection stays registered for the next session.
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Progress::SessionComplete) | Ok(Progress::GossipComplete) => {
-                session.finished = true;
-                return Ok(());
-            }
-            Err(err) => return Err(Verdict::Failed(err)),
-        }
     }
 }

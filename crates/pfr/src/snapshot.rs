@@ -8,6 +8,11 @@
 //! identically from that point on; in particular its knowledge matches its
 //! store, so at-most-once delivery is preserved across the restart.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::error::PfrError;
 use crate::filter::Filter;
 use crate::id::{ItemId, ReplicaId};
@@ -115,7 +120,8 @@ impl Replica {
         let ids = self.item_ids();
         w.put_varint(ids.len() as u64);
         for id in ids {
-            self.encode_item_record(id, w).expect("listed id present");
+            let listed = self.encode_item_record(id, w);
+            debug_assert!(listed.is_some(), "listed id present");
         }
         let fifo = self.relay_fifo();
         w.put_varint(fifo.len() as u64);
@@ -132,24 +138,21 @@ impl Replica {
     /// trailing garbage, and [`PfrError::SnapshotDecode`] when bytes
     /// inside a field are corrupt.
     pub fn restore(bytes: &[u8]) -> Result<Replica, PfrError> {
-        match bytes.first() {
-            Some(&v) if v != SNAPSHOT_VERSION => {
-                return Err(PfrError::BadSnapshot {
-                    version: Some(v),
-                    trailing: 0,
-                });
-            }
-            Some(_) => {}
-            None => {
-                return Err(PfrError::SnapshotDecode {
-                    message: "empty snapshot".into(),
-                });
-            }
+        let Some((&version, body)) = bytes.split_first() else {
+            return Err(PfrError::SnapshotDecode {
+                message: "empty snapshot".into(),
+            });
+        };
+        if version != SNAPSHOT_VERSION {
+            return Err(PfrError::BadSnapshot {
+                version: Some(version),
+                trailing: 0,
+            });
         }
         // Restore decodes through the shared-buffer path: every restored
         // item's payload is a slice into this one backing buffer instead
         // of a private allocation per item.
-        let backing: std::sync::Arc<[u8]> = bytes[1..].into();
+        let backing: std::sync::Arc<[u8]> = body.into();
         let mut r = Reader::shared(&backing);
         (|| -> Result<Replica, WireError> {
             let id = ReplicaId::decode(&mut r)?;

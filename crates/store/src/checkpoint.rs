@@ -18,6 +18,11 @@
 //! version, length, or checksum tests; the caller falls back to an older
 //! generation.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -107,18 +112,19 @@ pub fn load(path: &Path, named_seq: u64) -> Result<BTreeMap<Vec<u8>, Vec<u8>>, C
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| CheckpointFault::Unreadable(e.to_string()))?;
-    if bytes.len() < MAGIC.len() + 4 {
+    let Some((body, crc_bytes)) = bytes.split_last_chunk::<4>() else {
         return Err(CheckpointFault::Invalid("too short"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != stored_crc {
+    };
+    if crc32(body) != u32::from_le_bytes(*crc_bytes) {
         return Err(CheckpointFault::Invalid("bad checksum"));
     }
-    if &body[..MAGIC.len()] != MAGIC {
+    let Some((magic, rest)) = body.split_first_chunk::<{ MAGIC.len() }>() else {
+        return Err(CheckpointFault::Invalid("too short"));
+    };
+    if magic != MAGIC {
         return Err(CheckpointFault::Invalid("bad magic"));
     }
-    let mut r = Reader::new(&body[MAGIC.len()..]);
+    let mut r = Reader::new(rest);
     let parse = |r: &mut Reader<'_>| -> Result<_, pfr::wire::WireError> {
         let version = r.get_u8()?;
         if version != VERSION {

@@ -1,5 +1,10 @@
 //! The storage engine: an in-memory map made durable by WAL + checkpoints.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -407,7 +412,9 @@ impl Store {
         if checkpoints.len() <= keep {
             return Ok(());
         }
-        let min_keep = checkpoints[checkpoints.len() - keep].0;
+        let Some(&(min_keep, _)) = checkpoints.get(checkpoints.len() - keep) else {
+            return Ok(());
+        };
         for (seq, path) in &checkpoints {
             if *seq < min_keep {
                 std::fs::remove_file(path).map_err(|e| StoreError::io("prune", path, e))?;

@@ -18,6 +18,11 @@
 //! is rejected as a unit, never half-applied. A batch is one record, so
 //! its ops reach the map together or not at all.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::ops::Range;
 
 use pfr::wire::{varint_len, Reader, WireError, Writer};
@@ -183,7 +188,8 @@ fn frame(w: &mut Writer, body_len: usize, body: impl FnOnce(&mut Writer)) {
     let start = w.len();
     body(w);
     debug_assert_eq!(w.len() - start, body_len);
-    let crc = crc32(&w.as_slice()[start..]);
+    let (_, written) = w.as_slice().split_at(start);
+    let crc = crc32(written);
     w.put_slice(&crc.to_le_bytes());
 }
 

@@ -5,11 +5,11 @@
 //! closed, seeded simulation so its failure behaviour can be scripted and
 //! asserted:
 //!
-//! * [`SimNet`] — an in-memory link implementing
-//!   [`transport::Connection`], so the *real* session machine and the
-//!   real blocking pump run over it. The write side re-parses the byte stream into protocol
-//!   frames and damages them per a [`FaultPlan`]: drop, duplicate,
-//!   reorder, truncate, corrupt, cut.
+//! * [`SimNet`] — an in-memory link that runs the *real* session machines
+//!   of one encounter on the caller's thread, through the real frame step
+//!   [`transport::conn::feed`]. Each direction re-parses the byte stream
+//!   into protocol frames and damages them per a [`FaultPlan`]: drop,
+//!   duplicate, reorder, truncate, corrupt, cut.
 //! * [`FaultPlan`] — a declarative, printable schedule of frame faults
 //!   ("corrupt the responder's first batch", "cut the session after frame
 //!   3", "drop 20% of frames by seeded coin-flip").

@@ -2,9 +2,9 @@
 //! invariant checking.
 //!
 //! A [`SimRunner`] owns a set of [`dtn::DtnNode`] hosts, advances a
-//! virtual [`SimTime`] clock (no wall-clock sleeps), and drives the
-//! production [`SessionMachine`] through the production blocking
-//! [`pump`] between hosts over fault-injected [`SimNet`] links.
+//! virtual [`SimTime`] clock (no wall-clock sleeps), and runs the
+//! production [`SessionMachine`] between hosts over fault-injected
+//! [`SimNet`] links, both sides on the caller's thread.
 //! Every `obs` event lands in a replayable [`Trace`], and after every step
 //! the runner checks the protocol's core invariants:
 //!
@@ -31,7 +31,7 @@ use dtn::{DtnNode, PolicyKind};
 use obs::{Event, MemorySink, Obs};
 use parking_lot::Mutex;
 use pfr::{ItemId, Knowledge, SimTime, SyncLimits, SyncMode};
-use transport::{pump, Membership, MembershipConfig, SessionError, SessionMachine, SessionOutcome};
+use transport::{Membership, MembershipConfig, SessionError, SessionMachine, SessionOutcome};
 
 use crate::diskfault::{DiskDamage, DiskFaultPlan};
 use crate::fault::FaultPlan;
@@ -466,7 +466,6 @@ impl SimRunner {
         let link_seed = self
             .seed
             .wrapping_add((self.step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let (mut end_a, mut end_b) = SimNet::pair(link_seed, plan);
         let (mut initiator, opening) = SessionMachine::sync_initiator(
             Arc::clone(&self.hosts[a].node),
             self.hosts[a].membership(),
@@ -480,27 +479,12 @@ impl SimRunner {
             self.hosts[b].membership(),
             self.limits,
         );
-
-        // The sim runs on virtual time; nothing here gossips.
-        let no_clock = || 0;
-        let (initiator, responder) = std::thread::scope(|scope| {
-            // Each end is dropped the moment its pump returns: hanging up
-            // is what tells the other side a failed session is over, and
-            // what ends the responder's wait for another one.
-            let responding = scope.spawn(move || {
-                let error = pump(&mut end_b, &mut responder, Vec::new(), &no_clock).err();
-                responder.outcome(error)
-            });
-            let error = pump(&mut end_a, &mut initiator, opening, &no_clock).err();
-            drop(end_a);
-            let responder = responding.join().expect("responder thread panicked");
-            (initiator.outcome(error), responder)
-        });
-
+        let (initiator_error, responder_error) =
+            SimNet::new(link_seed, plan).run(&mut initiator, opening, &mut responder);
         self.after_step();
         EncounterOutcome::Completed(Box::new(SessionPair {
-            initiator,
-            responder,
+            initiator: initiator.outcome(initiator_error),
+            responder: responder.outcome(responder_error),
         }))
     }
 
@@ -699,9 +683,8 @@ impl SimRunner {
         self.trace
     }
 
-    /// Drains every host's sink into the trace (fixed host order keeps
-    /// the merge deterministic despite session threads) and checks the
-    /// per-step invariants.
+    /// Drains every host's sink into the trace (in fixed host order) and
+    /// checks the per-step invariants.
     fn after_step(&mut self) {
         let step = self.step;
         self.step += 1;

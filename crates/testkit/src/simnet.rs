@@ -1,177 +1,99 @@
-//! An in-memory fault-injecting link the real sync protocol runs over.
+//! An in-memory fault-injecting link the real sync protocol runs over,
+//! on the caller's thread and with no clock.
 //!
-//! [`SimNet::pair`] builds the two ends of one bidirectional link. Each
-//! end implements [`transport::Connection`], so [`transport::pump`]
-//! drives the *exact* production [`transport::SessionMachine`] over it —
-//! same frames, same codec, same error paths.
+//! [`SimNet::run`] carries one encounter between two production
+//! [`transport::SessionMachine`]s. It alternates the two sides in one
+//! loop under the rules of the blocking [`transport::pump`]: a side
+//! writes its outbox into its direction of the link, then hands what
+//! arrived to [`transport::conn::feed`], the frame step every driver
+//! shares — same frames, same codec, same error paths.
 //!
-//! The write side parses the byte stream back into protocol frames (using
+//! Each direction parses the byte stream back into protocol frames (using
 //! the real header layout from [`transport::frame`]) and applies the
 //! link's [`FaultPlan`] to each complete frame before delivery. All fault
 //! decisions come from a per-direction generator seeded from the link
 //! seed, so a run is a pure function of `(seed, plan)`.
 //!
-//! # Determinism and stalls
+//! # Stalls
 //!
 //! Each side of a session sends only what does not depend on a reply it
 //! has not read yet — at most two frames ahead — so a withheld frame soon
-//! blocks both sides forever. Faults that withhold bytes therefore close
-//! the link (the reader sees EOF immediately), and a reader additionally
-//! carries a generous wall-clock backstop that turns a genuine deadlock
-//! into EOF. The backstop only fires when both sides are already
-//! permanently stuck — e.g. a reordered frame whose successor depends on
-//! it — and EOF is the outcome either way. The pump handles frames
-//! strictly in order and writes its replies to everything before a fatal
-//! frame, so what a side does depends on the frames it was sent and not
-//! on how the two threads interleave: traces stay byte-identical across
-//! runs.
-
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+//! leaves both sides waiting on each other. Faults that withhold bytes
+//! therefore cut their direction: the reader sees EOF once it has read
+//! what came before. Where both sides still wait — e.g. a reordered frame
+//! whose successor depends on it — a pass of the loop moves no byte, and
+//! both directions close at once: each side ends as it would on EOF.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transport::frame::HEADER_LEN;
+use transport::conn::feed;
+use transport::frame::{FrameAccum, HEADER_LEN};
+use transport::{SessionError, SessionMachine};
 
 use crate::fault::{Direction, FaultPlan, FrameFault};
 
-/// How long a reader waits on a silent open link before treating the
-/// session as dead. See the module notes on determinism: this is a
-/// deadlock backstop, not a timing knob.
-const STALL_BACKSTOP: Duration = Duration::from_millis(500);
-
-#[derive(Default)]
-struct LinkState {
-    queue: VecDeque<u8>,
-    closed: bool,
-}
-
-struct Link {
-    state: Mutex<LinkState>,
-    arrived: Condvar,
-}
-
-impl Link {
-    fn new() -> Arc<Link> {
-        Arc::new(Link {
-            state: Mutex::new(LinkState::default()),
-            arrived: Condvar::new(),
-        })
-    }
-
-    fn push(&self, bytes: &[u8]) {
-        let mut state = self.state.lock().expect("link lock");
-        if !state.closed {
-            state.queue.extend(bytes.iter().copied());
-        }
-        self.arrived.notify_all();
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("link lock").closed = true;
-        self.arrived.notify_all();
-    }
-}
-
-struct LinkReader {
-    link: Arc<Link>,
-}
-
-impl Read for LinkReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let mut state = self.link.state.lock().expect("link lock");
-        loop {
-            if !state.queue.is_empty() {
-                let n = buf.len().min(state.queue.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = state.queue.pop_front().expect("non-empty queue");
-                }
-                return Ok(n);
-            }
-            if state.closed {
-                return Ok(0);
-            }
-            let (next, timeout) = self
-                .link
-                .arrived
-                .wait_timeout(state, STALL_BACKSTOP)
-                .expect("link lock");
-            state = next;
-            if timeout.timed_out() && state.queue.is_empty() && !state.closed {
-                // Permanent stall: both sides are waiting on each other.
-                // EOF here matches what every withholding fault produces.
-                return Ok(0);
-            }
-        }
-    }
-}
-
-struct LinkWriter {
-    link: Arc<Link>,
+/// One direction of the link: its fault state and the bytes in flight.
+#[derive(Debug)]
+struct Wire {
     direction: Direction,
-    plan: FaultPlan,
     rng: StdRng,
-    /// Bytes written but not yet forming a complete frame.
-    pending: Vec<u8>,
     /// A frame held back by [`FrameFault::Reorder`], delivered after the
     /// next frame (or discarded at close).
     held: Option<Vec<u8>>,
     /// Per-direction frame counter driving [`FaultPlan`] scopes.
     frame_index: u64,
-    /// Once a withholding fault fires, the rest of the stream is void.
+    /// Once a withholding fault fires or the writing side ends, the rest
+    /// of the stream is void and the reader sees EOF after `queue`.
     cut: bool,
+    /// Delivered bytes the reading side has not taken yet.
+    queue: Vec<u8>,
 }
 
-impl LinkWriter {
-    /// Extracts every complete frame from the pending buffer and runs it
-    /// through the fault plan.
-    fn pump(&mut self) {
-        while !self.cut {
-            if self.pending.len() < HEADER_LEN {
+impl Wire {
+    fn new(direction: Direction, seed: u64) -> Wire {
+        Wire {
+            direction,
+            rng: StdRng::seed_from_u64(seed),
+            held: None,
+            frame_index: 0,
+            cut: false,
+            queue: Vec::new(),
+        }
+    }
+
+    /// Runs each frame of `bytes` — an outbox, so whole frames — through
+    /// the fault plan. A cut direction silently swallows writes, like TCP
+    /// after the peer reset: the writer discovers the failure on its next
+    /// read.
+    fn send(&mut self, plan: &FaultPlan, mut bytes: &[u8]) {
+        while !self.cut && bytes.len() >= HEADER_LEN {
+            let len = u32::from_le_bytes([bytes[3], bytes[4], bytes[5], bytes[6]]) as usize;
+            let Some(frame) = bytes.get(..HEADER_LEN + len) else {
                 return;
-            }
-            let len = u32::from_le_bytes([
-                self.pending[3],
-                self.pending[4],
-                self.pending[5],
-                self.pending[6],
-            ]) as usize;
-            let total = HEADER_LEN + len;
-            if self.pending.len() < total {
-                return;
-            }
-            let frame: Vec<u8> = self.pending.drain(..total).collect();
+            };
+            bytes = &bytes[frame.len()..];
             let index = self.frame_index;
             self.frame_index += 1;
-            match self.plan.fault_for(self.direction, index, &mut self.rng) {
+            match plan.fault_for(self.direction, index, &mut self.rng) {
                 None => self.deliver(frame),
-                Some(FrameFault::Drop) => {
-                    self.cut = true;
-                    self.link.close();
-                }
+                Some(FrameFault::Drop) => self.cut = true,
                 Some(FrameFault::Duplicate) => {
-                    self.link.push(&frame);
+                    self.queue.extend_from_slice(frame);
                     self.deliver(frame);
                 }
                 Some(FrameFault::Reorder) => {
                     // Held until the next frame passes; if one was already
                     // held, the older frame is beyond saving — discard it.
-                    self.held = Some(frame);
+                    self.held = Some(frame.to_vec());
                 }
                 Some(FrameFault::Truncate { keep }) => {
                     // Clamp so the cut is real even for `keep >= len`.
                     let keep = keep.min(frame.len().saturating_sub(1));
-                    self.link.push(&frame[..keep]);
+                    self.queue.extend_from_slice(&frame[..keep]);
                     self.cut = true;
-                    self.link.close();
                 }
                 Some(FrameFault::Corrupt { offset, xor }) => {
-                    let mut frame = frame;
+                    let mut frame = frame.to_vec();
                     // Flip within the checksummed region (type byte and
                     // later) but never the length field: a corrupted
                     // length desyncs the stream instead of producing the
@@ -179,217 +101,266 @@ impl LinkWriter {
                     let targets: Vec<usize> = (2..3).chain(7..frame.len()).collect();
                     let pos = targets[offset % targets.len()];
                     frame[pos] ^= xor;
-                    self.deliver(frame);
+                    self.deliver(&frame);
                 }
             }
         }
     }
 
-    fn deliver(&mut self, frame: Vec<u8>) {
-        self.link.push(&frame);
+    fn deliver(&mut self, frame: &[u8]) {
+        self.queue.extend_from_slice(frame);
         if let Some(held) = self.held.take() {
-            self.link.push(&held);
+            self.queue.extend_from_slice(&held);
         }
     }
 }
 
-impl Write for LinkWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        // A cut link silently swallows writes, like TCP after the peer
-        // reset: the writer discovers the failure on its next read.
-        if !self.cut {
-            self.pending.extend_from_slice(buf);
-            self.pump();
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+/// One session machine's end of the link, with the pump's buffers.
+struct Side<'m> {
+    machine: &'m mut SessionMachine,
+    accum: FrameAccum,
+    out: Vec<u8>,
+    /// How the side ended, once it has.
+    end: Option<Result<(), SessionError>>,
 }
 
-impl Drop for LinkWriter {
-    fn drop(&mut self) {
-        // Session over: close our outgoing direction so the peer's reader
-        // wakes with EOF instead of the stall backstop.
-        self.link.close();
-    }
-}
-
-/// One end of a simulated link; reads and writes like a socket (a
-/// [`transport::Connection`]), so the real pump drives it directly.
+/// A simulated link carrying one encounter between two session machines,
+/// with every frame subject to a [`FaultPlan`].
 ///
 /// # Examples
 ///
 /// ```
-/// use testkit::{Direction, FaultPlan, SimNet};
-/// use std::io::{Read, Write};
-/// use transport::frame::{read_frame, write_frame, FrameError, FrameType};
+/// use std::sync::Arc;
 ///
+/// use dtn::{DtnNode, PolicyKind};
+/// use parking_lot::Mutex;
+/// use pfr::{ReplicaId, SimTime, SyncLimits};
+/// use testkit::{Direction, FaultPlan, SimNet};
+/// use transport::{Membership, MembershipConfig, SessionError, SessionMachine};
+///
+/// let host = |id: u64, name: &str| {
+///     let node = DtnNode::new(ReplicaId::new(id), name, PolicyKind::Epidemic);
+///     let view = Membership::new(id, name.to_string(), MembershipConfig::default());
+///     (Arc::new(Mutex::new(node)), Arc::new(Mutex::new(view)))
+/// };
+/// let ((node_a, view_a), (node_b, view_b)) = (host(1, "a"), host(2, "b"));
+/// let limits = SyncLimits::unlimited();
+/// let (mut a, opening) =
+///     SessionMachine::sync_initiator(node_a, view_a, limits, SimTime::ZERO, false).unwrap();
+/// let mut b = SessionMachine::responder(node_b, view_b, limits);
+///
+/// // The initiator's hello is damaged in flight: the responder fails
+/// // typed, and its hang-up reaches the initiator as EOF.
 /// let plan = FaultPlan::clean().corrupt_frame(Direction::AToB, 0, 9, 0x10);
-/// let (mut a, mut b) = SimNet::pair(42, &plan);
-/// write_frame(&mut a, FrameType::Hello, b"hi").unwrap();
-/// let err = read_frame(&mut b).unwrap_err();
-/// assert!(matches!(err, FrameError::BadChecksum { .. } | FrameError::BadType(_)));
+/// let (a_err, b_err) = SimNet::new(42, &plan).run(&mut a, opening, &mut b);
+/// assert!(matches!(b_err, Some(SessionError::Frame(_))));
+/// assert!(matches!(a_err, Some(SessionError::Eof)));
 /// ```
 #[derive(Debug)]
 pub struct SimNet {
-    reader: LinkReader,
-    writer: LinkWriter,
+    plan: FaultPlan,
+    /// Indexed by the writing side: `[A→B, B→A]`.
+    wires: [Wire; 2],
 }
 
 impl SimNet {
-    /// Builds the two ends of one link governed by `plan`. The first end
-    /// is the `A` (initiator) side: its outgoing frames travel
+    /// A link governed by `plan`. Side `A`, the initiator, writes
     /// [`Direction::AToB`].
     ///
     /// Fault decisions draw from per-direction generators derived from
     /// `seed`, so the same `(seed, plan)` always produces the same faults.
-    pub fn pair(seed: u64, plan: &FaultPlan) -> (SimNet, SimNet) {
-        let a_to_b = Link::new();
-        let b_to_a = Link::new();
-        let a = SimNet {
-            reader: LinkReader {
-                link: Arc::clone(&b_to_a),
-            },
-            writer: LinkWriter {
-                link: a_to_b.clone(),
-                direction: Direction::AToB,
-                plan: plan.clone(),
-                rng: StdRng::seed_from_u64(seed.wrapping_mul(2).wrapping_add(1)),
-                pending: Vec::new(),
-                held: None,
-                frame_index: 0,
-                cut: false,
-            },
+    pub fn new(seed: u64, plan: &FaultPlan) -> SimNet {
+        SimNet {
+            plan: plan.clone(),
+            wires: [
+                Wire::new(Direction::AToB, seed.wrapping_mul(2).wrapping_add(1)),
+                Wire::new(Direction::BToA, seed.wrapping_mul(2)),
+            ],
+        }
+    }
+
+    /// Runs the encounter `initiator` opens with `opening` against
+    /// `responder` until both sides end, and returns what ended each: an
+    /// initiator ends `Ok` once its session completes, a responder once
+    /// the initiator hangs up while it is parked between sessions. A
+    /// failed side has been [`abort`](SessionMachine::abort)ed, so its
+    /// partial [`report`](SessionMachine::report) is final.
+    pub fn run(
+        mut self,
+        initiator: &mut SessionMachine,
+        opening: Vec<u8>,
+        responder: &mut SessionMachine,
+    ) -> (Option<SessionError>, Option<SessionError>) {
+        let side = |machine, out| Side {
+            machine,
+            accum: FrameAccum::new(),
+            out,
+            end: None,
         };
-        let b = SimNet {
-            reader: LinkReader { link: a_to_b },
-            writer: LinkWriter {
-                link: b_to_a,
-                direction: Direction::BToA,
-                plan: plan.clone(),
-                rng: StdRng::seed_from_u64(seed.wrapping_mul(2)),
-                pending: Vec::new(),
-                held: None,
-                frame_index: 0,
-                cut: false,
-            },
-        };
+        let mut sides = [side(initiator, opening), side(responder, Vec::new())];
+        while sides.iter().any(|side| side.end.is_none()) {
+            let mut moved = false;
+            for (i, side) in sides.iter_mut().enumerate() {
+                moved |= self.turn(i, side);
+            }
+            if !moved {
+                // Both sides wait on each other: nothing will ever arrive.
+                for wire in &mut self.wires {
+                    wire.cut = true;
+                }
+            }
+        }
+        let [a, b] = sides.map(|side| side.end.and_then(Result::err));
         (a, b)
     }
-}
 
-impl Read for SimNet {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.reader.read(buf)
-    }
-}
-
-impl Write for SimNet {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.writer.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
-    }
-}
-
-impl std::fmt::Debug for LinkReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LinkReader").finish()
-    }
-}
-
-impl std::fmt::Debug for LinkWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LinkWriter")
-            .field("direction", &self.direction)
-            .field("frame_index", &self.frame_index)
-            .field("cut", &self.cut)
-            .finish()
+    /// One turn of side `i` under the pump's rules: write the outbox,
+    /// then feed what arrived. Returns whether the side moved a byte or
+    /// ended.
+    fn turn(&mut self, i: usize, side: &mut Side<'_>) -> bool {
+        if side.end.is_some() {
+            return false;
+        }
+        let wrote = !side.out.is_empty();
+        self.wires[i].send(&self.plan, &side.out);
+        side.out.clear();
+        let inbound = &mut self.wires[1 - i];
+        let end = if side.machine.is_closed() {
+            Ok(())
+        } else if !inbound.queue.is_empty() {
+            side.accum.extend(&inbound.queue);
+            inbound.queue.clear();
+            // Sim sessions never gossip, so the machine needs no clock.
+            match feed(side.machine, &mut side.accum, 0, &mut side.out) {
+                Ok(_) => return true,
+                Err(e) => Err(e),
+            }
+        } else if !inbound.cut {
+            return wrote;
+        } else if side.machine.is_idle() && side.accum.buffered() == 0 {
+            Ok(())
+        } else {
+            Err(SessionError::Eof)
+        };
+        if end.is_err() {
+            // The replies to the frames before the fatal one still go out.
+            self.wires[i].send(&self.plan, &side.out);
+            side.machine.abort();
+        }
+        // Hanging up is what tells the peer the session is over.
+        self.wires[i].cut = true;
+        side.end = Some(end);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use transport::frame::{read_frame, write_frame, FrameError, FrameType};
+    use std::sync::Arc;
 
-    fn send(end: &mut SimNet, ft: FrameType, payload: &[u8]) {
-        write_frame(end, ft, payload).expect("sim writes never fail");
+    use dtn::{DtnNode, PolicyKind};
+    use parking_lot::Mutex;
+    use pfr::{ReplicaId, SimTime, SyncLimits};
+    use transport::frame::{write_frame, FrameError, FrameType};
+    use transport::{Membership, MembershipConfig};
+
+    use super::*;
+
+    type Frame = (FrameType, Vec<u8>);
+
+    /// Sends `frames` down `direction` of a fresh link governed by `plan`.
+    fn carry(plan: &FaultPlan, direction: Direction, frames: &[Frame]) -> SimNet {
+        let mut net = SimNet::new(1, plan);
+        for (frame_type, payload) in frames {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, *frame_type, payload).expect("frame fits");
+            net.wires[direction as usize].send(&net.plan, &bytes);
+        }
+        net
     }
 
-    fn recv(end: &mut SimNet) -> Result<(FrameType, Vec<u8>), FrameError> {
-        read_frame(end)
+    /// What the reader of `direction` gets: the whole frames in order,
+    /// the bytes of a partial frame after them, and whether EOF follows.
+    fn arrived(net: &SimNet, direction: Direction) -> (Vec<Frame>, usize, bool) {
+        let wire = &net.wires[direction as usize];
+        let mut accum = FrameAccum::new();
+        accum.extend(&wire.queue);
+        let mut frames = Vec::new();
+        while let Some((frame_type, payload)) = accum.next_frame().expect("frames decode") {
+            frames.push((frame_type, payload.to_vec()));
+        }
+        (frames, accum.buffered(), wire.cut)
+    }
+
+    fn hello(payload: &[u8]) -> Frame {
+        (FrameType::Hello, payload.to_vec())
+    }
+
+    fn request(payload: &[u8]) -> Frame {
+        (FrameType::SyncRequest, payload.to_vec())
     }
 
     #[test]
-    fn clean_link_roundtrips_frames_both_ways() {
-        let (mut a, mut b) = SimNet::pair(1, &FaultPlan::clean());
-        send(&mut a, FrameType::Hello, b"from a");
-        send(&mut b, FrameType::Hello, b"from b");
+    fn clean_link_delivers_frames_both_ways() {
+        let mut net = carry(&FaultPlan::clean(), Direction::AToB, &[hello(b"from a")]);
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, FrameType::Hello, b"from b").unwrap();
+        net.wires[Direction::BToA as usize].send(&net.plan, &bytes);
         assert_eq!(
-            recv(&mut b).unwrap(),
-            (FrameType::Hello, b"from a".to_vec())
+            arrived(&net, Direction::AToB),
+            (vec![hello(b"from a")], 0, false)
         );
         assert_eq!(
-            recv(&mut a).unwrap(),
-            (FrameType::Hello, b"from b".to_vec())
+            arrived(&net, Direction::BToA),
+            (vec![hello(b"from b")], 0, false)
         );
     }
 
     #[test]
     fn dropped_frame_reads_as_eof() {
         let plan = FaultPlan::clean().drop_frame(Direction::AToB, 1);
-        let (mut a, mut b) = SimNet::pair(1, &plan);
-        send(&mut a, FrameType::Hello, b"ok");
-        send(&mut a, FrameType::SyncRequest, b"lost");
-        assert!(recv(&mut b).is_ok());
-        let err = recv(&mut b).unwrap_err();
-        assert!(matches!(err, FrameError::Io(_)), "{err}");
+        let net = carry(&plan, Direction::AToB, &[hello(b"ok"), request(b"lost")]);
+        assert_eq!(
+            arrived(&net, Direction::AToB),
+            (vec![hello(b"ok")], 0, true)
+        );
     }
 
     #[test]
     fn duplicated_frame_arrives_twice() {
         let plan = FaultPlan::clean().duplicate_frame(Direction::AToB, 0);
-        let (mut a, mut b) = SimNet::pair(1, &plan);
-        send(&mut a, FrameType::Hello, b"x");
-        assert_eq!(recv(&mut b).unwrap(), (FrameType::Hello, b"x".to_vec()));
-        assert_eq!(recv(&mut b).unwrap(), (FrameType::Hello, b"x".to_vec()));
+        let net = carry(&plan, Direction::AToB, &[hello(b"x")]);
+        let (frames, ..) = arrived(&net, Direction::AToB);
+        assert_eq!(frames, vec![hello(b"x"), hello(b"x")]);
     }
 
     #[test]
     fn reordered_frames_swap() {
         let plan = FaultPlan::clean().reorder_frame(Direction::AToB, 0);
-        let (mut a, mut b) = SimNet::pair(1, &plan);
-        send(&mut a, FrameType::Hello, b"first");
-        send(&mut a, FrameType::SyncRequest, b"second");
-        assert_eq!(
-            recv(&mut b).unwrap(),
-            (FrameType::SyncRequest, b"second".to_vec())
+        let net = carry(
+            &plan,
+            Direction::AToB,
+            &[hello(b"first"), request(b"second")],
         );
-        assert_eq!(recv(&mut b).unwrap(), (FrameType::Hello, b"first".to_vec()));
+        let (frames, ..) = arrived(&net, Direction::AToB);
+        assert_eq!(frames, vec![request(b"second"), hello(b"first")]);
     }
 
     #[test]
-    fn truncated_frame_is_an_io_error() {
+    fn truncated_frame_ends_in_eof() {
         let plan = FaultPlan::clean().truncate_frame(Direction::AToB, 0, 6);
-        let (mut a, mut b) = SimNet::pair(1, &plan);
-        send(&mut a, FrameType::Hello, b"cut me off");
-        let err = recv(&mut b).unwrap_err();
-        assert!(matches!(err, FrameError::Io(_)), "{err}");
+        let net = carry(&plan, Direction::AToB, &[hello(b"cut me off")]);
+        assert_eq!(arrived(&net, Direction::AToB), (Vec::new(), 6, true));
     }
 
     #[test]
     fn corrupted_frame_is_a_typed_error_at_every_offset() {
         for offset in 0..32 {
             let plan = FaultPlan::clean().corrupt_frame(Direction::AToB, 0, offset, 0x41);
-            let (mut a, mut b) = SimNet::pair(1, &plan);
-            send(&mut a, FrameType::Hello, b"payload here");
-            let err = recv(&mut b).unwrap_err();
+            let net = carry(&plan, Direction::AToB, &[hello(b"payload here")]);
+            let mut accum = FrameAccum::new();
+            accum.extend(&net.wires[0].queue);
+            let err = accum.next_frame().unwrap_err();
             assert!(
                 matches!(err, FrameError::BadChecksum { .. } | FrameError::BadType(_)),
                 "offset {offset}: {err}"
@@ -398,20 +369,41 @@ mod tests {
     }
 
     #[test]
-    fn closed_link_swallows_later_writes() {
+    fn cut_link_swallows_later_writes() {
         let plan = FaultPlan::clean().cut_after(Direction::AToB, 0);
-        let (mut a, mut b) = SimNet::pair(1, &plan);
-        send(&mut a, FrameType::Hello, b"void");
-        send(&mut a, FrameType::SyncRequest, b"also void");
-        let err = recv(&mut b).unwrap_err();
-        assert!(matches!(err, FrameError::Io(_)));
+        let net = carry(&plan, Direction::AToB, &[hello(b"void"), request(b"also")]);
+        assert_eq!(arrived(&net, Direction::AToB), (Vec::new(), 0, true));
+    }
+
+    /// Runs one encounter between two fresh Epidemic hosts over `plan`.
+    fn encounter(plan: &FaultPlan) -> (Option<SessionError>, Option<SessionError>) {
+        let host = |id: u64, name: &str| {
+            let node = DtnNode::new(ReplicaId::new(id), name, PolicyKind::Epidemic);
+            let view = Membership::new(id, name.to_string(), MembershipConfig::default());
+            (Arc::new(Mutex::new(node)), Arc::new(Mutex::new(view)))
+        };
+        let ((node_a, view_a), (node_b, view_b)) = (host(1, "a"), host(2, "b"));
+        let limits = SyncLimits::unlimited();
+        let (mut a, opening) =
+            SessionMachine::sync_initiator(node_a, view_a, limits, SimTime::ZERO, false)
+                .expect("hello fits");
+        let mut b = SessionMachine::responder(node_b, view_b, limits);
+        SimNet::new(1, plan).run(&mut a, opening, &mut b)
     }
 
     #[test]
-    fn dropping_an_end_wakes_the_peer_with_eof() {
-        let (a, mut b) = SimNet::pair(1, &FaultPlan::clean());
-        drop(a);
-        let err = recv(&mut b).unwrap_err();
-        assert!(matches!(err, FrameError::Io(_)));
+    fn clean_encounter_ends_both_sides_ok() {
+        let (a, b) = encounter(&FaultPlan::clean());
+        assert!(a.is_none() && b.is_none(), "{a:?} {b:?}");
+    }
+
+    #[test]
+    fn an_ended_side_gives_its_peer_eof() {
+        // The responder's hello reply is damaged: the initiator fails and
+        // hangs up while the responder awaits its request.
+        let plan = FaultPlan::clean().corrupt_frame(Direction::BToA, 0, 9, 0x10);
+        let (a, b) = encounter(&plan);
+        assert!(matches!(a, Some(SessionError::Frame(_))), "{a:?}");
+        assert!(matches!(b, Some(SessionError::Eof)), "{b:?}");
     }
 }

@@ -5,12 +5,14 @@
 //! [`Trace::to_jsonl`] output. Large-fleet traces should not be compared
 //! by materializing that output: [`Trace::write_jsonl`] streams it line
 //! by line and [`Trace::jsonl_digest`] folds it into a constant-memory
-//! 64-bit digest. The stack emits three events that carry
-//! wall-clock readings: [`obs::Event::SpanEnded`] is excluded outright
-//! (nothing else in it is deterministic), while
-//! [`obs::Event::SyncCandidatesSelected`] has its `scan_us` field and
-//! [`obs::Event::NetSession`] its `wall_micros` field zeroed so their
-//! deterministic fields stay comparable.
+//! 64-bit digest. The stack emits five events that carry wall-clock
+//! readings: [`obs::Event::SpanEnded`] is excluded outright (nothing else
+//! in it is deterministic), while the timing field of the other four is
+//! zeroed so their deterministic fields stay comparable:
+//! [`obs::Event::SyncCandidatesSelected`]'s `scan_us` and the
+//! `wall_micros` of [`obs::Event::NetSession`],
+//! [`obs::Event::StoreRecovered`] and [`obs::Event::CheckpointWritten`]
+//! (the last two come from durable hosts).
 
 use std::io::{self, Write};
 
@@ -41,13 +43,15 @@ impl Trace {
 
     /// Appends one event, unless it is a (wall-clock, nondeterministic)
     /// `SpanEnded`; the wall-clock fields of `SyncCandidatesSelected`
-    /// (`scan_us`) and `NetSession` (`wall_micros`) are zeroed for the
-    /// same reason.
+    /// (`scan_us`), `NetSession`, `StoreRecovered` and
+    /// `CheckpointWritten` (`wall_micros`) are zeroed for the same reason.
     pub fn record(&mut self, step: usize, host: u64, mut event: Event) {
         match &mut event {
             Event::SpanEnded { .. } => return,
             Event::SyncCandidatesSelected { scan_us, .. } => *scan_us = 0,
-            Event::NetSession { wall_micros, .. } => *wall_micros = 0,
+            Event::NetSession { wall_micros, .. }
+            | Event::StoreRecovered { wall_micros, .. }
+            | Event::CheckpointWritten { wall_micros, .. } => *wall_micros = 0,
             _ => {}
         }
         self.entries.push(TraceEntry { step, host, event });

@@ -341,11 +341,17 @@ fn scenario_relay_store_stays_bounded_under_faults() {
 /// entry count. The digest covers the exact bytes `to_jsonl` would
 /// render, but in constant memory — so this comparison stays safe at
 /// fleet sizes where buffering two full renderings would OOM the harness.
-fn determinism_run(seed: u64) -> (u64, usize) {
+/// With `durable`, host `b` keeps its state in a fresh store directory,
+/// so its crash and restore go through the disk.
+fn determinism_run(seed: u64, durable: bool) -> (u64, usize) {
     let mut sim = SimRunner::new(seed);
     let a = sim.add_host("a", PolicyKind::MaxProp);
     let r = sim.add_host("relay", PolicyKind::MaxProp);
-    let b = sim.add_host("b", PolicyKind::MaxProp);
+    let dir = durable.then(|| durable_dir("determinism"));
+    let b = match &dir {
+        Some(dir) => sim.add_durable_host("b", PolicyKind::MaxProp, dir),
+        None => sim.add_host("b", PolicyKind::MaxProp),
+    };
     sim.send(a, "b", b"deterministic".to_vec());
     sim.send(b, "a", b"both ways".to_vec());
     let lossy = FaultPlan::clean()
@@ -361,6 +367,9 @@ fn determinism_run(seed: u64) -> (u64, usize) {
     sim.crash(b);
     sim.restore(b);
     sim.assert_converged();
+    if let Some(dir) = dir {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
     let trace = sim.into_trace();
     (trace.jsonl_digest(), trace.len())
 }
@@ -368,11 +377,13 @@ fn determinism_run(seed: u64) -> (u64, usize) {
 #[test]
 fn same_seed_and_script_produce_byte_identical_traces() {
     let seed = base_seed() + 600;
-    let (first, first_len) = determinism_run(seed);
-    let (second, second_len) = determinism_run(seed);
-    assert!(first_len > 0, "a faulty run must record events");
-    assert_eq!(first_len, second_len, "entry count diverged");
-    assert_eq!(first, second, "trace diverged between two identical runs");
+    for durable in [false, true] {
+        let (first, first_len) = determinism_run(seed, durable);
+        let (second, second_len) = determinism_run(seed, durable);
+        assert!(first_len > 0, "a faulty run must record events");
+        assert_eq!(first_len, second_len, "entry count diverged");
+        assert_eq!(first, second, "trace diverged between two identical runs");
+    }
 }
 
 #[test]
@@ -380,8 +391,8 @@ fn different_seeds_shuffle_the_fault_schedule() {
     // Sanity check that the seed actually reaches the fault draws: two
     // different seeds on a probabilistic plan should (for these specific
     // seeds) produce different traces.
-    let (first, _) = determinism_run(base_seed() + 601);
-    let (second, _) = determinism_run(base_seed() + 602);
+    let (first, _) = determinism_run(base_seed() + 601, false);
+    let (second, _) = determinism_run(base_seed() + 602, false);
     assert_ne!(first, second, "seed does not influence the fault schedule");
 }
 

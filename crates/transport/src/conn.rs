@@ -1,17 +1,20 @@
 //! The transport seam: a [`Connection`] is the byte duplex a sync session
-//! runs over, and [`pump`] is the blocking driver that runs a
-//! [`SessionMachine`] over one.
+//! runs over, [`pump`] is the blocking driver that runs a
+//! [`SessionMachine`] over one, and [`feed`] is the frame step every
+//! driver shares.
 //!
-//! The machine only needs frames in and frames out, and the pump only
-//! needs to read and write bytes, so the same pump drives a real
-//! `TcpStream` or an in-memory fault-injecting link (the testkit's
-//! `SimNet`) — which is how the fault harness exercises the exact code
-//! path [`Peer`](crate::Peer) and [`Dialer`](crate::Dialer) use.
+//! The machine only needs frames in and frames out. Each driver moves
+//! bytes its own way — the pump with blocking reads and writes (behind
+//! [`Peer`](crate::Peer) and [`Dialer`](crate::Dialer)), `net`'s reactor
+//! on nonblocking sockets, the testkit's `SimNet` through an in-memory
+//! fault-injecting link on one thread — and hands what arrived to
+//! [`feed`], so every driver drains frames, recovers from a damaged one
+//! and ends a session the same way.
 
 use std::io::{ErrorKind, Read, Write};
 
 use crate::frame::{FrameAccum, FrameError};
-use crate::session::{SessionError, SessionMachine};
+use crate::session::{Progress, SessionError, SessionMachine};
 
 /// A bidirectional byte stream a sync session can run over: anything
 /// that reads and writes. The pump needs no buffering underneath — it
@@ -124,22 +127,41 @@ pub(crate) fn turns(
             }
             Err(e) => return Err(io_error(e)),
         }
-        loop {
-            match accum.next_frame() {
-                Ok(Some((frame_type, payload))) => {
-                    machine.on_frame(frame_type, payload, now_ms(), out)?;
-                    if machine.is_closed() {
-                        break;
-                    }
+        feed(machine, accum, now_ms(), out)?;
+    }
+}
+
+/// The one frame step every driver shares: drains the complete frames in
+/// `accum` into `machine` in order, appending its replies to `out`, and
+/// stops once the machine closes. A frame that failed its checksum was
+/// consumed and goes to [`SessionMachine::on_checksum_error`], which
+/// decides whether the session can recover; any other frame error ends
+/// it. Returns how many sessions completed — a responder resets to idle
+/// after each, so one feed can finish more than one.
+///
+/// # Errors
+///
+/// The [`SessionError`] that ended the session; replies to the frames
+/// before it are already in `out`.
+pub fn feed(
+    machine: &mut SessionMachine,
+    accum: &mut FrameAccum,
+    now_ms: u64,
+    out: &mut Vec<u8>,
+) -> Result<usize, SessionError> {
+    let mut completed = 0;
+    while !machine.is_closed() {
+        match accum.next_frame() {
+            Ok(Some((frame_type, payload))) => {
+                if machine.on_frame(frame_type, payload, now_ms, out)? == Progress::SessionComplete
+                {
+                    completed += 1;
                 }
-                Ok(None) => break,
-                // The damaged frame was consumed; the machine decides
-                // whether this state can recover.
-                Err(e @ FrameError::BadChecksum { .. }) => {
-                    machine.on_checksum_error(e, out)?;
-                }
-                Err(e) => return Err(SessionError::Frame(e)),
             }
+            Ok(None) => break,
+            Err(e @ FrameError::BadChecksum { .. }) => machine.on_checksum_error(e, out)?,
+            Err(e) => return Err(SessionError::Frame(e)),
         }
     }
+    Ok(completed)
 }

@@ -12,8 +12,10 @@
 //!   syncs per encounter with roles alternating as in the paper.
 //! * [`membership`] + [`gossip`] — the gossip view the machine answers
 //!   `Gossip` frames from.
-//! * [`conn`] — the [`Connection`] seam and [`pump`], the short blocking
-//!   loop that runs a machine over one.
+//! * [`conn`] — the [`Connection`] seam, [`pump`], the short blocking
+//!   loop that runs a machine over one, and [`conn::feed`], the frame
+//!   step every driver (the pump, `net`'s reactor, the testkit's
+//!   single-threaded `SimNet`) hands its bytes to.
 //! * [`dial`] — [`Dialer`], the one blocking initiator: it owns the pool
 //!   of idle outbound connections (each remembering its last peer, so the
 //!   next session opens with hello and request in one write), takes a
