@@ -40,7 +40,7 @@ impl SyncExtension for DirectDelivery {
         SendDecision::Park
     }
 
-    fn park_keys(&self, keys: &mut ParkKeys) {
+    fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         keys.file_under(ATTR_DEST);
     }
 }

@@ -114,7 +114,7 @@ impl SyncExtension for EpidemicPolicy {
         }
     }
 
-    fn park_keys(&self, keys: &mut ParkKeys) {
+    fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         keys.file_under(ATTR_DEST);
     }
 

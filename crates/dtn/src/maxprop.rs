@@ -457,7 +457,7 @@ impl SyncExtension for MaxPropPolicy {
         }
     }
 
-    fn park_keys(&self, keys: &mut ParkKeys) {
+    fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         keys.file_under(ATTR_DEST);
     }
 

@@ -300,7 +300,7 @@ impl SyncExtension for ProphetPolicy {
 
     /// The verdict depends only on which destinations the peer is better
     /// at, so those are the parked copies this sync judges again.
-    fn park_keys(&self, keys: &mut ParkKeys) {
+    fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         keys.file_under(ATTR_DEST);
         for (addr, _) in &self.peer_better {
             keys.want(addr);

@@ -100,7 +100,7 @@ impl SyncExtension for SprayAndWaitPolicy {
         }
     }
 
-    fn park_keys(&self, keys: &mut ParkKeys) {
+    fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         keys.file_under(ATTR_DEST);
     }
 

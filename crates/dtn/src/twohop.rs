@@ -57,7 +57,7 @@ impl SyncExtension for TwoHopRelayPolicy {
         }
     }
 
-    fn park_keys(&self, keys: &mut ParkKeys) {
+    fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         keys.file_under(ATTR_DEST);
     }
 

@@ -467,19 +467,25 @@ impl Replica {
             .versions_unknown_to_into(knowledge, wanted, candidates)
     }
 
+    /// An empty [`ParkKeys`](crate::park::ParkKeys) for a sync this
+    /// replica serves, resolving values through its store's key table.
+    pub(crate) fn park_keys(&self) -> crate::park::ParkKeys<'_> {
+        crate::park::ParkKeys::new(self.store.park_keys())
+    }
+
     /// The wanted set of a sync that serves a target with `filter` under
     /// an extension that reported `keys` (see [`crate::park`]).
-    pub(crate) fn parks_wanted(&self, filter: &Filter, keys: &crate::park::ParkKeys) -> u64 {
+    pub(crate) fn parks_wanted(&self, filter: &Filter, keys: &crate::park::ParkKeys<'_>) -> u64 {
         self.store.park_attr().map_or(crate::park::EVERY, |filed| {
             crate::park::wanted(filter, filed, keys)
         })
     }
 
-    /// Parks the stored copy at `version`, filed under `attr`: candidate
-    /// selection passes over it until it is written or removed, unless a
-    /// sync wants one of its keys (see [`crate::park`]).
-    pub(crate) fn park(&mut self, version: Version, attr: &'static str, entry: u64) {
-        self.store.park(version, attr, entry);
+    /// Parks the stored copy at `version`, filed under its values of
+    /// `attr`: candidate selection passes over it until it is written or
+    /// removed, unless a sync wants one of them (see [`crate::park`]).
+    pub(crate) fn park(&mut self, version: Version, attr: &'static str) {
+        self.store.park(version, attr);
     }
 
     /// Unparks every stored copy. A park is the verdict of the extension

@@ -49,6 +49,8 @@ pub(crate) struct Slot<'a> {
     clock: &'a mut u64,
     /// The version index, lent only while something is parked.
     parks: Option<&'a mut OrdMap<(ReplicaId, u64), Stretch>>,
+    /// The park key table, which counts what an unpark releases.
+    keys: &'a mut park::KeyTable,
 }
 
 impl Slot<'_> {
@@ -59,27 +61,36 @@ impl Slot<'_> {
         *self.stamp = *self.clock;
         if let Some(index) = self.parks.as_mut() {
             if let Some((stretch, bit)) = filed_in(index, self.item.version()) {
-                stretch.unpark(bit);
+                if let Some((entry, folded)) = stretch.unpark(bit) {
+                    self.keys.release(entry, folded);
+                }
             }
         }
     }
 }
 
 /// A version index entry: the slot of the item whose current version it
-/// is, and the item's park entry (see [`crate::park`]). A new entry is
-/// unparked, so every `put` of a copy unparks it.
+/// is, the item's park entry (see [`crate::park`]) and whether that entry
+/// carries a folded key bit. A new entry is unparked, so every `put` of a
+/// copy unparks it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Filed {
-    slot: usize,
+    slot: u32,
+    folded: bool,
     park: u64,
 }
 
 impl Filed {
     fn new(slot: usize) -> Self {
         Filed {
-            slot,
+            slot: u32::try_from(slot).expect("fewer than 2^32 stored items"),
+            folded: false,
             park: park::UNPARKED,
         }
+    }
+
+    fn slot(&self) -> usize {
+        self.slot as usize
     }
 }
 
@@ -147,9 +158,10 @@ impl Stretch {
         self.mask |= bit;
     }
 
-    /// Drops the entry of `bit`, which is set. Whoever empties the
-    /// stretch removes it.
-    fn remove(&mut self, bit: u64) {
+    /// Drops the entry of `bit`, which is set, and returns its park as
+    /// [`Stretch::unpark`] does. Whoever empties the stretch removes it.
+    fn remove(&mut self, bit: u64) -> Option<(u64, bool)> {
+        let parked = self.unpark(bit);
         match self.rank(bit).checked_sub(1) {
             None if self.more.is_empty() => {}
             None => self.low = self.more.remove(0),
@@ -158,40 +170,41 @@ impl Stretch {
             }
         }
         self.mask &= !bit;
-        self.forget_park(bit);
+        parked
     }
 
-    /// Parks the entry of `bit`, which is set, with `entry`.
-    fn park(&mut self, bit: u64, entry: u64) {
+    /// Parks the entry of `bit`, which is set and unparked, with `entry`.
+    fn park(&mut self, bit: u64, entry: u64, folded: bool) {
         let at = self.rank(bit);
-        self.entry_mut(at).park = entry;
+        let filed = self.entry_mut(at);
+        (filed.park, filed.folded) = (entry, folded);
         self.parked |= bit;
         self.parks |= entry;
     }
 
-    /// Unparks the entry of `bit`, which is set.
-    fn unpark(&mut self, bit: u64) {
-        if self.parked & bit != 0 {
-            let at = self.rank(bit);
-            self.entry_mut(at).park = park::UNPARKED;
-            self.forget_park(bit);
+    /// Unparks the entry of `bit`, which is set. Returns the park entry
+    /// it had and whether that carried a fold, for the key table to
+    /// uncount, if it was parked.
+    fn unpark(&mut self, bit: u64) -> Option<(u64, bool)> {
+        if self.parked & bit == 0 {
+            return None;
         }
-    }
-
-    /// Drops `bit` from the park summary; the last park to go clears the
-    /// union too.
-    fn forget_park(&mut self, bit: u64) {
+        let at = self.rank(bit);
+        let filed = self.entry_mut(at);
+        let was = (filed.park, filed.folded);
+        (filed.park, filed.folded) = (park::UNPARKED, false);
+        // The last park to go clears the union too.
         self.parked &= !bit;
         if self.parked == 0 {
             self.parks = 0;
         }
+        Some(was)
     }
 
     fn clear_parks(&mut self) {
         if self.parked != 0 {
-            self.low.park = park::UNPARKED;
-            for filed in &mut self.more {
-                filed.park = park::UNPARKED;
+            for filed in std::iter::once(&mut self.low).chain(&mut self.more) {
+                (filed.park, filed.folded) = (park::UNPARKED, false);
             }
             (self.parked, self.parks) = (0, 0);
         }
@@ -246,6 +259,9 @@ pub(crate) struct ItemStore {
     /// `None` while nothing was parked since the last
     /// [`ItemStore::clear_parks`]. In memory only, like the parks.
     park_attr: Option<&'static str>,
+    /// The signature bit of each value parks are filed under, with how
+    /// many parked entries carry it.
+    park_keys: park::KeyTable,
     /// Per origin in `stretches`: how many stretches it has and the
     /// highest counter among them — the watermark the candidate walk
     /// holds against a requester's vector, passing over a covered
@@ -292,6 +308,7 @@ impl ItemStore {
             stamp: &mut stored.stamp,
             clock: &mut self.clock,
             parks: self.park_attr.map(|_| &mut self.stretches),
+            keys: &mut self.park_keys,
         })
     }
 
@@ -388,8 +405,10 @@ impl ItemStore {
         let (key, bit) = word_of(origin, counter);
         let opened = match self.stretches.get_mut(&key) {
             Some(stretch) if stretch.mask & bit != 0 => {
+                if let Some((entry, folded)) = stretch.unpark(bit) {
+                    self.park_keys.release(entry, folded);
+                }
                 *stretch.entry_mut(stretch.rank(bit)) = Filed::new(slot);
-                stretch.forget_park(bit);
                 return;
             }
             Some(stretch) => {
@@ -419,7 +438,9 @@ impl ItemStore {
         let Some(stretch) = self.stretches.get_mut(&key).filter(|s| s.mask & bit != 0) else {
             return;
         };
-        stretch.remove(bit);
+        if let Some((entry, folded)) = stretch.remove(bit) {
+            self.park_keys.release(entry, folded);
+        }
         let top = (stretch.mask != 0).then(|| stretch.top(key.1));
         let (stretches, highest) = self
             .tops
@@ -495,8 +516,8 @@ impl ItemStore {
                     let filed = *stretch.entry(stretch.rank(bit));
                     if filed.park & wanted == 0 {
                         passed += 1;
-                    } else if let Some(stored) = &self.slots[filed.slot] {
-                        out.push((stored.item.id(), filed.slot));
+                    } else if let Some(stored) = &self.slots[filed.slot()] {
+                        out.push((stored.item.id(), filed.slot()));
                     }
                 }
             }
@@ -505,18 +526,26 @@ impl ItemStore {
         passed
     }
 
-    /// Parks the copy stored under `version`, filed under `attr` with the
-    /// park entry [`park::entry_of`] gave it: candidate walks pass over it
-    /// until it is written, removed or wanted. Parks filed under another
-    /// attribute are dropped first.
-    pub fn park(&mut self, version: Version, attr: &'static str, entry: u64) {
+    /// Parks the copy stored under `version`, filed under its values of
+    /// `attr` (see [`park::KeyTable::park`]): candidate walks pass over it
+    /// until it is written, removed or wanted. A parked copy is parked
+    /// afresh, and parks filed under another attribute are dropped first.
+    pub fn park(&mut self, version: Version, attr: &'static str) {
         if self.park_attr != Some(attr) {
             self.clear_parks();
             self.park_attr = Some(attr);
         }
-        if let Some((stretch, bit)) = filed_in(&mut self.stretches, version) {
-            stretch.park(bit, entry);
+        let Some((stretch, bit)) = filed_in(&mut self.stretches, version) else {
+            return;
+        };
+        let Some(stored) = &self.slots[stretch.entry(stretch.rank(bit)).slot()] else {
+            return;
+        };
+        if let Some((entry, folded)) = stretch.unpark(bit) {
+            self.park_keys.release(entry, folded);
         }
+        let (entry, folded) = self.park_keys.park(&stored.item, attr);
+        stretch.park(bit, entry, folded);
     }
 
     /// Unparks every copy.
@@ -525,12 +554,19 @@ impl ItemStore {
             for stretch in self.stretches.values_mut() {
                 stretch.clear_parks();
             }
+            self.park_keys.clear();
         }
     }
 
     /// The attribute parked copies are filed under, while any may be.
     pub fn park_attr(&self) -> Option<&'static str> {
         self.park_attr
+    }
+
+    /// The signature bits of the values parks are filed under, for a
+    /// sync's wanted set.
+    pub fn park_keys(&self) -> &park::KeyTable {
+        &self.park_keys
     }
 
     fn remove_from_fifo(&mut self, id: ItemId) {
@@ -733,12 +769,14 @@ mod tests {
     /// stored item, under its id and its current version, and every
     /// other slot on the free list. No stretch is empty, each has an
     /// entry per set bit, its park mask sets exactly the bits of its
-    /// parked entries and its park union covers their entries, and each
-    /// origin's watermark counts its stretches and ends at the top bit of
-    /// its last one.
+    /// parked entries and its park union covers their entries, the key
+    /// table counts exactly the parked entries, and each origin's
+    /// watermark counts its stretches and ends at the top bit of its last
+    /// one.
     fn assert_indexes_mirror_slots(s: &ItemStore) {
         let occupied = s.slots.iter().flatten().count();
         assert_eq!(s.by_id.len(), occupied, "id index entry count drifted");
+        let mut all_parks = Vec::new();
         for &(key, ref stretch) in s.stretches.iter() {
             assert_ne!(stretch.mask, 0, "stretch {key:?} is empty");
             assert_eq!(
@@ -751,9 +789,12 @@ mod tests {
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
                 bits ^= bit;
-                let entry = stretch.entry(stretch.rank(bit)).park;
-                if entry != park::UNPARKED {
-                    (parked, parks) = (parked | bit, parks | entry);
+                let filed = stretch.entry(stretch.rank(bit));
+                if filed.park != park::UNPARKED {
+                    (parked, parks) = (parked | bit, parks | filed.park);
+                    all_parks.push((filed.park, filed.folded));
+                } else {
+                    assert!(!filed.folded, "an unparked entry carries no fold");
                 }
             }
             assert_eq!(stretch.parked, parked, "stretch {key:?}'s park mask");
@@ -766,6 +807,10 @@ mod tests {
                 assert_eq!(stretch.parks, 0, "stretch {key:?} parks nothing");
             }
         }
+        s.park_keys.assert_counts(&all_parks);
+        if s.park_attr.is_none() {
+            assert!(all_parks.is_empty(), "parks with no attribute");
+        }
         let filed: usize = s.stretches.iter().map(|(_, st)| 1 + st.more.len()).sum();
         assert_eq!(filed, occupied, "version index drifted");
         assert_eq!(s.free.len(), s.slots.len() - occupied);
@@ -776,7 +821,7 @@ mod tests {
             let (id, v) = (stored.item.id(), stored.item.version());
             assert_eq!(s.by_id.get(&id), Some(&slot), "item {id} misfiled");
             assert_eq!(
-                filed_in(&mut index, v).map(|(st, bit)| st.entry(st.rank(bit)).slot),
+                filed_in(&mut index, v).map(|(st, bit)| st.entry(st.rank(bit)).slot()),
                 Some(slot),
                 "item {id} missing from the version index under {v}"
             );
@@ -882,29 +927,25 @@ mod tests {
         let dests = ["a", "b", "c", "b"];
         for (seq, dest) in (1..).zip(dests) {
             s.put(item(2, seq, dest), StoreKind::Relay, SimTime::ZERO);
-            let entry = park::entry_of(&item(2, seq, dest), "dest");
-            s.park(Version::new(rid(2), seq), "dest", entry);
+            s.park(Version::new(rid(2), seq), "dest");
         }
         s.put(item(2, 5, "a"), StoreKind::Relay, SimTime::ZERO);
         assert_indexes_mirror_slots(&s);
-        let mut keys = park::ParkKeys::default();
-        keys.file_under("dest");
-        let want = |addr| park::wanted(&Filter::address("dest", addr), "dest", &keys);
+        let want = |s: &ItemStore, addr| {
+            let keys = park::ParkKeys::new(s.park_keys());
+            park::wanted(&Filter::address("dest", addr), "dest", &keys)
+        };
         let walk = |s: &ItemStore, wanted| {
             let mut out = Vec::new();
             let passed = s.versions_unknown_to_into(&Knowledge::new(), wanted, &mut out);
             let seqs: Vec<u64> = out.iter().map(|&(id, _)| id.seq()).collect();
             (passed, seqs)
         };
-        let bits: std::collections::BTreeSet<u64> = ["a", "b", "c"]
-            .into_iter()
-            .map(|dest| park::entry_of(&item(2, 1, dest), "dest"))
-            .collect();
-        assert_eq!(bits.len(), 3, "the test needs distinct signature bits");
         // The unparked copy 5 is always judged; of the parks, only those
-        // sharing a bit with the wanted address are.
-        assert_eq!(walk(&s, want("a")), (3, vec![1, 5]));
-        assert_eq!(walk(&s, want("b")), (2, vec![2, 4, 5]));
+        // filed under the wanted address are.
+        assert_eq!(walk(&s, want(&s, "a")), (3, vec![1, 5]));
+        assert_eq!(walk(&s, want(&s, "b")), (2, vec![2, 4, 5]));
+        assert_eq!(walk(&s, want(&s, "d")), (4, vec![5]));
         assert_eq!(walk(&s, park::UNPARKED), (4, vec![5]));
 
         // Unparking 1 by a write leaves its bit in the union: the stretch
@@ -912,7 +953,9 @@ mod tests {
         let mut slot = s.slot(ItemId::new(rid(2), 1)).expect("stored");
         slot.stamp_write();
         assert_indexes_mirror_slots(&s);
-        assert_eq!(walk(&s, want("a")), (3, vec![1, 5]));
+        assert_eq!(walk(&s, want(&s, "a")), (3, vec![1, 5]));
+        // ... and "a" no longer holds a bit: its last park went.
+        assert_eq!(want(&s, "a"), park::UNPARKED);
         // Removing a parked copy drops its bit from the mask.
         s.remove(ItemId::new(rid(2), 2));
         assert_indexes_mirror_slots(&s);
@@ -1167,7 +1210,7 @@ mod tests {
             // Wanting one destination judges its parked copies again, and
             // passes the rest, whatever their stretch neighbours are
             // addressed to.
-            let mut keys = park::ParkKeys::default();
+            let mut keys = park::ParkKeys::new(s.park_keys());
             keys.file_under("dest");
             let wanted = park::wanted(&Filter::address("dest", DESTS[0]), "dest", &keys);
             let mut judged = Vec::new();
@@ -1180,9 +1223,11 @@ mod tests {
                     "{id} is addressed to the filter yet passed over"
                 );
             }
+            // Park keys are exact: every other parked copy is passed.
             let (passed_over, kept): (Vec<ItemId>, Vec<ItemId>) =
                 scanned.iter().copied().partition(|id| {
-                    m.parked.contains(id) && park::entry_of(&m.items[id].item, "dest") & wanted == 0
+                    m.parked.contains(id)
+                        && m.items[id].item.attrs().get_str("dest") != Some(DESTS[0])
                 });
             assert_eq!(passed, passed_over.len(), "parked copies passed over");
             assert_eq!(judged, kept, "copies judged under one wanted address");
@@ -1259,8 +1304,7 @@ mod tests {
                         }
                         Op::Park { id } => {
                             let Some(held) = m.items.get(&item_id(id)) else { continue };
-                            let entry = park::entry_of(&held.item, "dest");
-                            s.park(held.item.version(), "dest", entry);
+                            s.park(held.item.version(), "dest");
                             m.parked.insert(held.item.id());
                         }
                         Op::Stamp { id } => {
@@ -1276,6 +1320,65 @@ mod tests {
                         }
                     }
                     assert_matches(&mut s, &m);
+                }
+            }
+
+            /// More destinations than key bits: after a fill that parks 80
+            /// copies to 80 addresses, random puts, parks, writes,
+            /// removals and clears must keep the key table's counts exact,
+            /// and wanting an address must judge every parked copy to it.
+            #[test]
+            fn parks_over_many_destinations_keep_the_key_table_exact(
+                ops in proptest::collection::vec((0u8..20, 0u8..120, 0u8..100), 0..200)
+            ) {
+                let mut s = ItemStore::new();
+                let mut counter = 0u64;
+                let mut put = |s: &mut ItemStore, n: u8, dest: u8| {
+                    counter += 1;
+                    let item = Item::builder(
+                        ItemId::new(rid(2), 1 + u64::from(n)),
+                        Version::new(rid(3), counter),
+                    )
+                    .attr("dest", format!("d{dest}"))
+                    .build();
+                    s.put(item, StoreKind::Relay, SimTime::ZERO);
+                };
+                let park = |s: &mut ItemStore, n: u8| {
+                    let id = ItemId::new(rid(2), 1 + u64::from(n));
+                    if let Some(version) = s.get(id).map(|st| st.item.version()) {
+                        s.park(version, "dest");
+                    }
+                };
+                for n in 0..80 {
+                    put(&mut s, n, n);
+                    park(&mut s, n);
+                }
+                assert_indexes_mirror_slots(&s);
+                for (op, n, dest) in ops {
+                    let id = ItemId::new(rid(2), 1 + u64::from(n));
+                    match op {
+                        0..=6 => put(&mut s, n, dest),
+                        7..=13 => park(&mut s, n),
+                        14..=15 => {
+                            if let Some(mut slot) = s.slot(id) {
+                                slot.stamp_write();
+                            }
+                        }
+                        16..=18 => {
+                            s.remove(id);
+                        }
+                        _ => s.clear_parks(),
+                    }
+                    assert_indexes_mirror_slots(&s);
+                    let addr = format!("d{dest}");
+                    let keys = park::ParkKeys::new(s.park_keys());
+                    let wanted = park::wanted(&Filter::address("dest", addr.as_str()), "dest", &keys);
+                    let mut judged = Vec::new();
+                    s.versions_unknown_to_into(&Knowledge::new(), wanted, &mut judged);
+                    for stored in s.iter().filter(|st| st.item.attrs().get_str("dest") == Some(&addr)) {
+                        let id = stored.item.id();
+                        prop_assert!(judged.iter().any(|&(j, _)| j == id), "{} passed over", id);
+                    }
                 }
             }
         }

@@ -36,7 +36,10 @@
 //! count a parked copy the target lacks with one compare on that entry,
 //! without lending the copy, matching the filter or asking `to_send`; a
 //! copy whose keys a sync wants is judged in full, as if never parked.
-//! Batches, `withheld` counts and candidate counts are exactly what
+//! The keys are exact within the source's store: a sync re-opens a parked
+//! copy only when it wants one of that copy's own values, until more than
+//! 62 distinct values are parked at once and new ones share signature
+//! bits. Batches, `withheld` counts and candidate counts are exactly what
 //! [`SendDecision::Skip`] would have produced. Any write to the copy
 //! unparks it, and parks are never persisted.
 
@@ -52,7 +55,6 @@ use crate::id::{ItemId, ReplicaId};
 use crate::intern::IStr;
 use crate::item::Item;
 use crate::knowledge::Knowledge;
-use crate::park;
 use crate::replica::{ApplyOutcome, Replica};
 use crate::time::SimTime;
 use crate::wire::Writer;
@@ -450,9 +452,11 @@ pub trait SyncExtension {
     /// [`SyncExtension::process_request`], by an extension that returns
     /// [`SendDecision::Park`]: files its parked copies under an attribute
     /// ([`ParkKeys::file_under`]) and names the values of it whose parked
-    /// copies this sync must judge again ([`ParkKeys::want`]). The
-    /// default files nothing, which makes a park a plain skip.
-    fn park_keys(&self, keys: &mut ParkKeys) {
+    /// copies this sync must judge again ([`ParkKeys::want`]). `keys`
+    /// borrows the source store's park key table and resolves each value
+    /// as it is named, so a value nothing is parked under re-opens no
+    /// copy. The default files nothing, which makes a park a plain skip.
+    fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         let _ = keys;
     }
 
@@ -703,7 +707,7 @@ pub fn prepare_batch(
             at_secs: now.as_secs(),
         });
 
-    let mut keys = ParkKeys::default();
+    let mut keys = cx.replica.park_keys();
     ext.park_keys(&mut keys);
 
     // Candidate scan + selection, timed only when somebody reads the
@@ -713,15 +717,16 @@ pub fn prepare_batch(
         .observer()
         .wants(EventKind::SyncCandidatesSelected)
         .then(Instant::now);
-    // Selection runs in per-replica scratch buffers (returned before this
-    // function exits), so the steady-state encounter — every candidate
-    // already known, nothing selected — builds no vectors at all.
-    let mut scratch = cx.replica.take_sync_scratch();
     // Parked copies the sync does not want are withheld by the walk
     // itself, uncounted among the candidates it hands back. Between
     // converged peers the walk is a step per origin: the requester's
     // vector covers each origin's highest stored counter.
     let wanted = cx.replica.parks_wanted(&request.filter, &keys);
+    let park_attr = keys.attr();
+    // Selection runs in per-replica scratch buffers (returned before this
+    // function exits), so the steady-state encounter — every candidate
+    // already known, nothing selected — builds no vectors at all.
+    let mut scratch = cx.replica.take_sync_scratch();
     let passed =
         cx.replica
             .versions_unknown_to_into(&request.knowledge, wanted, &mut scratch.candidates);
@@ -748,14 +753,14 @@ pub fn prepare_batch(
             slot,
         };
         let decision = ext.to_send(&mut candidate, request);
-        let park = match (decision, keys.attr()) {
+        let park = match (decision, park_attr) {
             (SendDecision::Park, Some(attr)) if !candidate.is_deleted() => {
-                Some((candidate.version(), attr, park::entry_of(&candidate, attr)))
+                Some((candidate.version(), attr))
             }
             _ => None,
         };
-        if let Some((version, attr, entry)) = park {
-            cx.replica.park(version, attr, entry);
+        if let Some((version, attr)) = park {
+            cx.replica.park(version, attr);
         }
         let verdict = decision.priority();
         cx.replica

@@ -12,6 +12,11 @@
 //! claim is about exactly these bytes). Round-trip
 //! correctness is property-tested.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::fmt;
 use std::sync::Arc;
 
@@ -281,6 +286,21 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The bytes not yet consumed.
+    fn unread(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
+    }
+
+    /// Reads a varint length and returns that many unread bytes, without
+    /// consuming them.
+    fn take_len(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.get_varint()?;
+        usize::try_from(len)
+            .ok()
+            .and_then(|len| self.unread().get(..len))
+            .ok_or(WireError::LengthOverflow(len))
+    }
+
     /// Reads one raw byte.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         let byte = *self.buf.get(self.pos).ok_or(WireError::UnexpectedEof)?;
@@ -290,13 +310,12 @@ impl<'a> Reader<'a> {
 
     /// Reads a fixed-width little-endian u64 (see [`Writer::put_u64`]).
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        let end = self.pos.checked_add(8).ok_or(WireError::UnexpectedEof)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
+        let (bytes, _) = self
+            .unread()
+            .split_first_chunk::<8>()
             .ok_or(WireError::UnexpectedEof)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+        self.pos += 8;
+        Ok(u64::from_le_bytes(*bytes))
     }
 
     /// Reads an unsigned LEB128 varint.
@@ -320,13 +339,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a fixed 8-byte `f64`.
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        if self.remaining() < 8 {
-            return Err(WireError::UnexpectedEof);
-        }
-        let mut bits = [0u8; 8];
-        bits.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(bits)))
+        self.get_u64().map(f64::from_bits)
     }
 
     /// Reads a bool byte.
@@ -340,13 +353,8 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.get_varint()?;
-        if len > self.remaining() as u64 {
-            return Err(WireError::LengthOverflow(len));
-        }
-        let len = len as usize;
-        let slice = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
+        let slice = self.take_len()?;
+        self.pos += slice.len();
         Ok(slice)
     }
 
@@ -355,19 +363,15 @@ impl<'a> Reader<'a> {
     /// buffer (reference-count bump, no allocation); otherwise the bytes
     /// are copied into a fresh buffer.
     pub fn get_payload(&mut self) -> Result<Payload, WireError> {
-        let len = self.get_varint()?;
-        if len > self.remaining() as u64 {
-            return Err(WireError::LengthOverflow(len));
-        }
-        let len = len as usize;
-        let start = self.pos;
+        let slice = self.take_len()?;
+        let (start, len) = (self.pos, slice.len());
         self.pos += len;
         match self.backing {
             Some(arc) if len > 0 => {
                 self.shared_payloads += 1;
                 Ok(Payload::from_shared(arc.clone(), start, len))
             }
-            _ => Ok(Payload::from(&self.buf[start..start + len])),
+            _ => Ok(Payload::from(slice)),
         }
     }
 
@@ -696,34 +700,30 @@ impl Decode for Knowledge {
     }
 }
 
-const CMP_TAGS: [(CmpOp, u8); 6] = [
-    (CmpOp::Eq, 0),
-    (CmpOp::Ne, 1),
-    (CmpOp::Lt, 2),
-    (CmpOp::Le, 3),
-    (CmpOp::Gt, 4),
-    (CmpOp::Ge, 5),
-];
-
 impl Encode for CmpOp {
     fn encode(&self, w: &mut Writer) {
-        let tag = CMP_TAGS
-            .iter()
-            .find(|(op, _)| op == self)
-            .map(|(_, t)| *t)
-            .expect("all ops tagged");
-        w.put_u8(tag);
+        w.put_u8(match self {
+            CmpOp::Eq => 0,
+            CmpOp::Ne => 1,
+            CmpOp::Lt => 2,
+            CmpOp::Le => 3,
+            CmpOp::Gt => 4,
+            CmpOp::Ge => 5,
+        });
     }
 }
 
 impl Decode for CmpOp {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.get_u8()?;
-        CMP_TAGS
-            .iter()
-            .find(|(_, t)| *t == tag)
-            .map(|(op, _)| *op)
-            .ok_or(WireError::InvalidTag { what: "CmpOp", tag })
+        match r.get_u8()? {
+            0 => Ok(CmpOp::Eq),
+            1 => Ok(CmpOp::Ne),
+            2 => Ok(CmpOp::Lt),
+            3 => Ok(CmpOp::Le),
+            4 => Ok(CmpOp::Gt),
+            5 => Ok(CmpOp::Ge),
+            tag => Err(WireError::InvalidTag { what: "CmpOp", tag }),
+        }
     }
 }
 
@@ -861,36 +861,31 @@ impl Decode for RoutingState<'static> {
     }
 }
 
-const PRIO_TAGS: [(PriorityClass, u8); 5] = [
-    (PriorityClass::Lowest, 0),
-    (PriorityClass::Low, 1),
-    (PriorityClass::Normal, 2),
-    (PriorityClass::High, 3),
-    (PriorityClass::Highest, 4),
-];
-
 impl Encode for PriorityClass {
     fn encode(&self, w: &mut Writer) {
-        let tag = PRIO_TAGS
-            .iter()
-            .find(|(c, _)| c == self)
-            .map(|(_, t)| *t)
-            .expect("all classes tagged");
-        w.put_u8(tag);
+        w.put_u8(match self {
+            PriorityClass::Lowest => 0,
+            PriorityClass::Low => 1,
+            PriorityClass::Normal => 2,
+            PriorityClass::High => 3,
+            PriorityClass::Highest => 4,
+        });
     }
 }
 
 impl Decode for PriorityClass {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.get_u8()?;
-        PRIO_TAGS
-            .iter()
-            .find(|(_, t)| *t == tag)
-            .map(|(c, _)| *c)
-            .ok_or(WireError::InvalidTag {
+        match r.get_u8()? {
+            0 => Ok(PriorityClass::Lowest),
+            1 => Ok(PriorityClass::Low),
+            2 => Ok(PriorityClass::Normal),
+            3 => Ok(PriorityClass::High),
+            4 => Ok(PriorityClass::Highest),
+            tag => Err(WireError::InvalidTag {
                 what: "PriorityClass",
                 tag,
-            })
+            }),
+        }
     }
 }
 

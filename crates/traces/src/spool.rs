@@ -17,6 +17,11 @@
 //! so a reader is exactly the in-memory trace's iterator — a property the
 //! emulation's differential tests pin byte-for-byte.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -158,15 +163,7 @@ impl SpooledTrace {
     pub fn open(path: impl AsRef<Path>) -> io::Result<SpooledTrace> {
         let path = path.as_ref().to_path_buf();
         let mut reader = BufReader::new(File::open(&path)?);
-        let mut header = [0u8; 16];
-        reader.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a replidtn trace spool (bad magic)",
-            ));
-        }
-        let len = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+        let len = read_header(&mut reader)?;
         let mut nodes = BTreeSet::new();
         let mut day_nodes: BTreeMap<u64, BTreeSet<ReplicaId>> = BTreeMap::new();
         let mut buf = [0u8; RECORD_BYTES];
@@ -177,12 +174,11 @@ impl SpooledTrace {
                     format!("spool truncated at record {record}/{len}: {e}"),
                 )
             })?;
-            let word =
-                |i: usize| u64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().expect("8"));
+            let [time, a, b, _] = record_words(&buf);
             let (time, a, b) = (
-                SimTime::from_secs(word(0)),
-                ReplicaId::new(word(1)),
-                ReplicaId::new(word(2)),
+                SimTime::from_secs(time),
+                ReplicaId::new(a),
+                ReplicaId::new(b),
             );
             nodes.insert(a);
             nodes.insert(b);
@@ -240,15 +236,7 @@ impl SpooledTrace {
     /// order.
     pub fn iter(&self) -> io::Result<SpooledIter> {
         let mut reader = BufReader::new(File::open(&self.path)?);
-        let mut header = [0u8; 16];
-        reader.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a replidtn trace spool (bad magic)",
-            ));
-        }
-        let on_disk = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+        let on_disk = read_header(&mut reader)?;
         if on_disk != self.len {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -263,6 +251,28 @@ impl SpooledTrace {
             remaining: self.len,
         })
     }
+}
+
+/// Reads a spool header: checks the magic and returns the record count.
+fn read_header(reader: &mut impl Read) -> io::Result<u64> {
+    let mut header = [0u8; 16];
+    reader.read_exact(&mut header)?;
+    match header.as_chunks::<8>().0 {
+        [magic, count] if magic == MAGIC => Ok(u64::from_le_bytes(*count)),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not a replidtn trace spool (bad magic)",
+        )),
+    }
+}
+
+/// The four little-endian words of one record: time, `a`, `b`, duration.
+fn record_words(record: &[u8; RECORD_BYTES]) -> [u64; 4] {
+    let mut words = [0; 4];
+    for (word, bytes) in words.iter_mut().zip(record.as_chunks::<8>().0) {
+        *word = u64::from_le_bytes(*bytes);
+    }
+    words
 }
 
 /// Streaming reader over a [`SpooledTrace`].
@@ -286,15 +296,15 @@ impl Iterator for SpooledIter {
         }
         self.remaining -= 1;
         let mut buf = [0u8; RECORD_BYTES];
-        self.reader
-            .read_exact(&mut buf)
-            .expect("trace spool truncated or unreadable mid-stream");
-        let word = |i: usize| u64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().expect("8"));
+        if let Err(e) = self.reader.read_exact(&mut buf) {
+            panic!("trace spool truncated or unreadable mid-stream: {e}");
+        }
+        let [time, a, b, duration] = record_words(&buf);
         Some(Encounter {
-            time: SimTime::from_secs(word(0)),
-            a: ReplicaId::new(word(1)),
-            b: ReplicaId::new(word(2)),
-            duration: SimDuration::from_secs(word(3)),
+            time: SimTime::from_secs(time),
+            a: ReplicaId::new(a),
+            b: ReplicaId::new(b),
+            duration: SimDuration::from_secs(duration),
         })
     }
 
