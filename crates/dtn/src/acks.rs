@@ -16,7 +16,7 @@
 )]
 
 use pfr::wire::{Decode, Encode, Reader, WireError, Writer};
-use pfr::{ItemId, Knowledge, Version};
+use pfr::{ItemId, Knowledge, ReplicaId, Version};
 
 /// The set of message ids known to have reached their destinations.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -37,9 +37,12 @@ impl AckSet {
         id.seq() != 0 && self.0.contains(as_version(id))
     }
 
-    /// Unions `other` into this set; `true` if any id was new.
-    pub fn merge(&mut self, other: &AckSet) -> bool {
-        self.0.merge(&other.0)
+    /// Unions `other` into this set, calling `grew` once for each origin
+    /// that gained an acknowledged id, ascending. In place, and costs the
+    /// origins and exception words of `other`, never its ids: a forged
+    /// prefix reports its origin once (see [`AckSet::decode`]).
+    pub fn merge(&mut self, other: &AckSet, grew: impl FnMut(ReplicaId)) {
+        self.0.merge_reporting(&other.0, grew);
     }
 
     /// Number of acknowledged ids.
@@ -74,8 +77,6 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    use pfr::ReplicaId;
-
     fn arb_ids() -> impl Strategy<Value = BTreeSet<ItemId>> {
         proptest::collection::vec((1u64..6, 1u64..40), 0..60).prop_map(|ids| {
             ids.into_iter()
@@ -98,14 +99,28 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Merges `other` into `set`, returning the origins it reported.
+    fn merge(set: &mut AckSet, other: &AckSet) -> Vec<ReplicaId> {
+        let mut grown = Vec::new();
+        set.merge(other, |origin| grown.push(origin));
+        grown
+    }
+
+    /// The origins of the ids in `b` that `a` lacks, ascending, each once.
+    fn gaining(a: &BTreeSet<ItemId>, b: &BTreeSet<ItemId>) -> Vec<ReplicaId> {
+        let origins: BTreeSet<ReplicaId> = b.difference(a).map(|id| id.origin()).collect();
+        origins.into_iter().collect()
+    }
+
     proptest! {
         /// A merge holds exactly the ids either side held — none lost,
-        /// none invented — and reports whether it learned anything.
+        /// none invented — and reports exactly the origins that gained
+        /// an id, ascending, each once.
         #[test]
         fn merge_never_loses_an_id(a in arb_ids(), b in arb_ids()) {
             let mut merged = acks(&a);
-            let learned = merged.merge(&acks(&b));
-            prop_assert_eq!(learned, !b.is_subset(&a));
+            let grown = merge(&mut merged, &acks(&b));
+            prop_assert_eq!(grown, gaining(&a, &b));
             for origin in 1..6 {
                 for seq in 0..45 {
                     let id = ItemId::new(ReplicaId::new(origin), seq);
@@ -163,7 +178,7 @@ mod tests {
             prop_assert_eq!(decoded.len(), model.len() as u64);
 
             let mut merged = acks(&ours);
-            prop_assert_eq!(merged.merge(&decoded), !model.is_subset(&ours));
+            prop_assert_eq!(merge(&mut merged, &decoded), gaining(&ours, &model));
             prop_assert_eq!(merged, acks(&ours.union(&model).copied().collect()));
         }
 
@@ -186,7 +201,7 @@ mod tests {
             if let Ok(set) = AckSet::decode(&mut Reader::new(&bytes)) {
                 prop_assert!(set.0.exception_count() + set.0.replica_count() <= bytes.len());
                 let mut ours = acks(&ids);
-                ours.merge(&set);
+                merge(&mut ours, &set);
                 prop_assert!(ids.iter().all(|&id| ours.contains(id)));
             }
         }
@@ -215,8 +230,15 @@ mod tests {
         let mut ours = AckSet::default();
         ours.insert(ItemId::new(ReplicaId::new(1), 7));
         ours.insert(ItemId::new(ReplicaId::new(3), u64::MAX));
-        assert!(ours.merge(&forged));
-        assert!(!ours.merge(&forged), "nothing left to learn");
+        assert_eq!(
+            merge(&mut ours, &forged),
+            [ReplicaId::new(1), ReplicaId::new(2)],
+            "each forged origin once, no id enumerated"
+        );
+        assert!(
+            merge(&mut ours, &forged).is_empty(),
+            "nothing left to learn"
+        );
         assert!(ours.contains(ItemId::new(ReplicaId::new(2), u64::MAX)));
         assert!(ours.contains(ItemId::new(ReplicaId::new(3), u64::MAX)));
         assert!(!ours.contains(ItemId::new(ReplicaId::new(3), 1)));

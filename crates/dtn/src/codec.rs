@@ -61,15 +61,16 @@ fn get_prob(r: &mut Reader<'_>) -> Result<f64, WireError> {
     }
 }
 
-/// A probability vector keyed by destination address, given ascending.
+/// A probability vector keyed by destination address, given ascending
+/// (read twice: once for its length).
 pub(crate) fn put_addr_probs<'a>(
     w: &mut Writer,
-    probs: impl ExactSizeIterator<Item = (&'a IStr, &'a f64)>,
+    probs: impl Iterator<Item = (&'a IStr, f64)> + Clone,
 ) {
-    w.put_varint(probs.len() as u64);
+    w.put_varint(probs.clone().count() as u64);
     for (addr, p) in probs {
         w.put_str(addr);
-        w.put_f64(*p);
+        w.put_f64(p);
     }
 }
 
@@ -159,7 +160,7 @@ mod tests {
     fn addr_probs_roundtrip() {
         let probs = vec![(IStr::new("a"), 0.5), (IStr::new("b"), 0.125)];
         let mut w = Writer::new();
-        put_addr_probs(&mut w, probs.iter().map(|(a, p)| (a, p)));
+        put_addr_probs(&mut w, probs.iter().map(|(a, p)| (a, *p)));
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(get_addr_probs(&mut r).unwrap(), probs);

@@ -6,7 +6,7 @@
 //! *is* duplicate suppression — the application itself is nearly trivial.
 
 use obs::{Event, EventKind};
-use pfr::{AttributeMap, Filter, Item, ItemId, PfrError, Replica, SimTime, Value};
+use pfr::{AttributeMap, Filter, IStr, Item, ItemId, PfrError, Replica, SimTime, Value};
 
 fn emit_injected(replica: &Replica, id: ItemId, src: &str, dst: &str, now: SimTime) {
     replica
@@ -57,7 +57,7 @@ impl Message {
         if !matches!(item.attrs().get(ATTR_DEST)?, Value::Str(_) | Value::List(_)) {
             return None;
         }
-        let dest = dest_addresses(item).map(str::to_owned).collect();
+        let dest = dest_addresses(item).map(IStr::to_string).collect();
         Some(Message {
             id: item.id(),
             src: item
@@ -98,11 +98,17 @@ pub fn multicast_attrs(src: &str, dests: &[&str], sent_at: SimTime) -> Attribute
 /// Iterates over the destination addresses of a message item (one for
 /// unicast, several for multicast; none for non-message items) without
 /// allocating.
-pub fn dest_addresses(item: &Item) -> impl Iterator<Item = &str> {
+pub fn dest_addresses(item: &Item) -> impl Iterator<Item = &IStr> {
+    fn as_istr(value: &Value) -> Option<&IStr> {
+        match value {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
     let dest = item.attrs().get(ATTR_DEST);
-    let one = dest.and_then(Value::as_str);
+    let one = dest.and_then(as_istr);
     let many = dest.and_then(Value::as_list).unwrap_or_default();
-    one.into_iter().chain(many.iter().filter_map(Value::as_str))
+    one.into_iter().chain(many.iter().filter_map(as_istr))
 }
 
 /// Injects a unicast message into a replica (paper: "the DTN application

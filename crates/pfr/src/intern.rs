@@ -16,14 +16,26 @@ use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Interner capacity guard: decoding adversarial input must not let the
-/// table grow without bound, so when it exceeds this many distinct strings
-/// it is reset (live `IStr`s keep their allocation; future interns simply
-/// re-deduplicate from scratch).
+/// table grow without bound, so when it holds this many distinct strings
+/// it drops every one that no `IStr` holds any more. The strings still
+/// held stay, so equal live strings always share one allocation; if they
+/// alone fill the table, the next sweep waits until it has doubled.
 const INTERN_CAP: usize = 1 << 16;
 
-fn table() -> &'static Mutex<HashSet<Arc<str>>> {
-    static TABLE: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashSet::new()))
+struct Table {
+    strings: HashSet<Arc<str>>,
+    /// The size at which the next sweep runs.
+    sweep_at: usize,
+}
+
+fn table() -> &'static Mutex<Table> {
+    static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        Mutex::new(Table {
+            strings: HashSet::new(),
+            sweep_at: INTERN_CAP,
+        })
+    })
 }
 
 /// An interned, immutable string with the read API of `&str`.
@@ -33,21 +45,28 @@ fn table() -> &'static Mutex<HashSet<Arc<str>>> {
 /// render of string values, and interning must never change a verdict).
 /// `Borrow<str>` + `Ord` agreement means a `BTreeMap<IStr, _>` is still
 /// keyed and queried by `&str`.
+///
+/// Two live handles hold equal strings exactly when they share an
+/// allocation ([`IStr::as_ptr`]): the table never forgets a string that
+/// is still held, so a table may key strings by address.
 #[derive(Clone)]
 pub struct IStr(Arc<str>);
 
 impl IStr {
     /// Interns `s`, returning the process-wide shared copy.
     pub fn new(s: &str) -> IStr {
-        let mut set = table().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = set.get(s) {
+        let mut table = table().lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(existing) = table.strings.get(s) {
             return IStr(existing.clone());
         }
-        if set.len() >= INTERN_CAP {
-            set.clear();
+        if table.strings.len() >= table.sweep_at {
+            // Only the table's own reference left: no handle can come
+            // back for it, so dropping it cannot split a string in two.
+            table.strings.retain(|held| Arc::strong_count(held) > 1);
+            table.sweep_at = (2 * table.strings.len()).max(INTERN_CAP);
         }
         let arc: Arc<str> = Arc::from(s);
-        set.insert(arc.clone());
+        table.strings.insert(arc.clone());
         IStr(arc)
     }
 
@@ -59,6 +78,12 @@ impl IStr {
     /// How many handles share this allocation.
     pub fn share_count(&self) -> usize {
         Arc::strong_count(&self.0)
+    }
+
+    /// The address of the shared allocation: while this handle lives, the
+    /// address of every handle to an equal string and of no other.
+    pub fn as_ptr(&self) -> *const u8 {
+        self.0.as_ptr()
     }
 }
 
@@ -201,14 +226,19 @@ mod tests {
     }
 
     #[test]
-    fn table_reset_keeps_live_strings_valid() {
+    fn a_sweep_keeps_every_held_string_and_its_address() {
         let keep = IStr::new("intern-test-survivor");
-        {
-            let mut set = table().lock().unwrap();
-            set.clear();
+        // Enough fresh strings, all dropped at once, to run a sweep.
+        for i in 0..INTERN_CAP {
+            IStr::new(&format!("intern-test-garbage-{i}"));
         }
-        assert_eq!(keep.as_str(), "intern-test-survivor");
         let again = IStr::new("intern-test-survivor");
-        assert_eq!(keep, again, "content equality survives a reset");
+        assert_eq!(
+            keep.as_ptr(),
+            again.as_ptr(),
+            "one allocation per live string"
+        );
+        let table = table().lock().unwrap();
+        assert!(table.strings.len() < INTERN_CAP, "the garbage went");
     }
 }

@@ -108,10 +108,11 @@ impl Journal {
         }
     }
 
-    /// Inserts `version` into `knowledge`, recording it if it was new.
-    pub(crate) fn learn(&mut self, knowledge: &mut Knowledge, version: Version) {
+    /// Inserts `version` into `knowledge`, recording it if it was new;
+    /// returns whether it was.
+    pub(crate) fn learn(&mut self, knowledge: &mut Knowledge, version: Version) -> bool {
         if !knowledge.insert_with(version, &mut self.totals) {
-            return;
+            return false;
         }
         self.tail.push(version);
         // A tail longer than the knowledge has entries spells out more
@@ -122,6 +123,7 @@ impl Journal {
             self.tail.drain(..excess);
             self.trimmed += excess as u64;
         }
+        true
     }
 
     /// How many versions have been learned since the journal started.

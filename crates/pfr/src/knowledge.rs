@@ -245,38 +245,122 @@ impl Knowledge {
     /// returning whether anything new was learned.
     ///
     /// After merging, `self.contains(v)` holds exactly when either input
-    /// contained `v`. Both sides are walked in step, once to find out
-    /// whether `other` holds anything new — most merges between
-    /// long-acquainted peers end there, having written nothing — and, if
-    /// so, once more to build the union, OR-ing words with equal keys.
+    /// contained `v` (see [`Knowledge::merge_reporting`]).
     pub fn merge(&mut self, other: &Knowledge) -> bool {
-        if self.dominates(other) {
-            return false;
+        let mut learned = false;
+        self.merge_reporting(other, |_| learned = true);
+        learned
+    }
+
+    /// [`merge`](Knowledge::merge) that calls `grew` once for every origin
+    /// that gained a version, in ascending order.
+    ///
+    /// In place. A read-only pass beside `other` finds the first origin it
+    /// adds to — most merges between long-acquainted peers find none, or
+    /// an equal knowledge, and write nothing. From there on, each of
+    /// `other`'s origins is merged with a lookup per entry into this
+    /// knowledge: a prefix above this one's is raised to in one step,
+    /// however far (a forged `(origin, u64::MAX)` costs what a small
+    /// prefix does, and no version is enumerated); a word's bits beyond
+    /// the prefix are OR-ed into the word under the same key, and one
+    /// that now holds the counter right above the prefix folds into it.
+    /// Nothing is rebuilt.
+    pub fn merge_reporting(&mut self, other: &Knowledge, mut grew: impl FnMut(ReplicaId)) {
+        // Peers that keep merging each other's knowledge mostly hold the
+        // same: comparing two arrays is cheaper than stepping through them.
+        if self == other {
+            return;
         }
-        *self = canonical(
-            merge_ascending(self.vector.iter().copied(), other.vector.iter().copied()).collect(),
-            merge_ascending(self.words.iter().copied(), other.words.iter().copied()),
-        );
-        true
+        let Some(first) = self.first_gain(other) else {
+            return;
+        };
+        let mut prefixes = other.vector.iter().peekable();
+        let mut words = other.words.iter().peekable();
+        while prefixes.next_if(|&&(p, _)| p < first).is_some() {}
+        while words.next_if(|&&((w, _), _)| w < first).is_some() {}
+        loop {
+            let origin = match (prefixes.peek(), words.peek()) {
+                (Some(&&(p, _)), Some(&&((w, _), _))) => p.min(w),
+                (Some(&&(p, _)), None) => p,
+                (None, Some(&&((w, _), _))) => w,
+                (None, None) => break,
+            };
+            let mut base = self.base_counter(origin);
+            let mut gained = false;
+            if let Some(&(_, counter)) = prefixes.next_if(|&&(p, _)| p == origin) {
+                if counter > base {
+                    self.raise(origin, counter, &mut ());
+                    base = self.base_counter(origin);
+                    gained = true;
+                }
+            }
+            while let Some(&((_, index), bits)) = words.next_if(|&&((w, _), _)| w == origin) {
+                let beyond = bits & !at_or_below(index, base);
+                if beyond == 0 {
+                    continue;
+                }
+                let key = (origin, index);
+                let fresh = match self.words.get_mut(&key) {
+                    Some(word) => {
+                        let fresh = beyond & !*word;
+                        *word |= fresh;
+                        fresh
+                    }
+                    None => {
+                        self.words.insert(key, beyond);
+                        beyond
+                    }
+                };
+                if fresh == 0 {
+                    continue;
+                }
+                gained = true;
+                self.exceptions += fresh.count_ones() as usize;
+                // `beyond` is not empty, so the prefix is below `u64::MAX`.
+                let (next_key, next_bit) = word_of(origin, base + 1);
+                if next_key == key && fresh & next_bit != 0 {
+                    self.raise(origin, base + 1, &mut ());
+                    base = self.base_counter(origin);
+                }
+            }
+            if gained {
+                grew(origin);
+            }
+        }
+    }
+
+    /// The lowest origin of which `other` holds a version this knowledge
+    /// lacks. Both sides are read in step, each entry once: an exception
+    /// never sits directly above its prefix, so only a prefix can cover a
+    /// prefix, and a word's bits beyond the prefix must be in the word
+    /// under the same key.
+    fn first_gain(&self, other: &Knowledge) -> Option<ReplicaId> {
+        let mut prefixes = self.prefix_cursor();
+        let by_prefix = other
+            .vector
+            .iter()
+            .find(|&&(origin, counter)| prefixes.seek(&origin).is_none_or(|&base| counter > base))
+            .map(|&(origin, _)| origin);
+        let mut prefixes = self.prefix_cursor();
+        let mut words = self.words.iter();
+        let by_word = other
+            .words
+            .iter()
+            .find(|&&(key, bits)| {
+                let base = prefixes.seek(&key.0).copied().unwrap_or(0);
+                let beyond = bits & !at_or_below(key.1, base);
+                beyond != 0 && beyond & !words.seek(&key).copied().unwrap_or(0) != 0
+            })
+            .map(|&((origin, _), _)| origin);
+        match (by_prefix, by_word) {
+            (Some(p), Some(w)) => Some(p.min(w)),
+            (p, w) => p.or(w),
+        }
     }
 
     /// Returns `true` if every version in `other` is also in `self`.
     pub fn dominates(&self, other: &Knowledge) -> bool {
-        // An exception never sits directly above its prefix, so only a
-        // prefix can cover a prefix.
-        let mut prefixes = self.prefix_cursor();
-        let covers_prefixes = other
-            .vector
-            .iter()
-            .all(|(replica, counter)| prefixes.seek(replica).is_some_and(|base| counter <= base));
-        let mut prefixes = self.prefix_cursor();
-        let mut words = self.words.iter();
-        covers_prefixes
-            && other.words.iter().all(|&(key, bits)| {
-                let base = prefixes.seek(&key.0).copied().unwrap_or(0);
-                let beyond = bits & !at_or_below(key.1, base);
-                beyond == 0 || beyond & !words.seek(&key).copied().unwrap_or(0) == 0
-            })
+        self.first_gain(other).is_none()
     }
 
     /// Iterates over `(replica, prefix counter)` vector entries.

@@ -85,8 +85,8 @@ pub use replica::{ApplyOutcome, ConflictRecord, Replica, ReplicaStats};
 pub use snapshot::{decode_item_record, ItemRecord, ReplicaParts};
 pub use store::StoreKind;
 pub use sync::{
-    ParkKeys, Priority, PriorityClass, RoutingPayload, RoutingState, SendDecision, SyncExtension,
-    SyncLimits,
+    ParkKey, ParkKeys, Priority, PriorityClass, RoutingPayload, RoutingState, SendDecision,
+    SyncExtension, SyncLimits,
 };
 pub use time::{SimDuration, SimTime};
 pub use value::Value;

@@ -49,11 +49,11 @@ impl<K, V, const B: usize> Default for OrdMap<K, V, B> {
 impl<K: PartialEq, V: PartialEq, const B: usize> PartialEq for OrdMap<K, V, B> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len
-            && self
-                .blocks
-                .iter()
-                .flatten()
-                .eq(other.blocks.iter().flatten())
+            && match (self.blocks.as_slice(), other.blocks.as_slice()) {
+                // The common case, compared as two slices.
+                ([a], [b]) => a == b,
+                (a, b) => a.iter().flatten().eq(b.iter().flatten()),
+            }
     }
 }
 
@@ -92,6 +92,19 @@ impl<K: Ord, V, const B: usize> OrdMap<K, V, B> {
         Cursor {
             head: &[],
             rest: &self.blocks,
+        }
+    }
+
+    /// The entries from the first key at or above `key` on, found by
+    /// search; a forward reader from there like [`OrdMap::iter`].
+    pub fn iter_from(&self, key: &K) -> Cursor<'_, K, V> {
+        let b = self.block_of(key);
+        match self.blocks.get(b) {
+            Some(block) => Cursor {
+                head: &block[block.partition_point(|(k, _)| k < key)..],
+                rest: &self.blocks[b + 1..],
+            },
+            None => self.iter(),
         }
     }
 

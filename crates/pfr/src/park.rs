@@ -141,10 +141,14 @@ impl KeyTable {
     /// Nothing for a value no parked entry can carry, and nothing at all
     /// while no parked entry carries a bit (a fold lands on a held slot).
     pub(crate) fn bits_of(&self, value: &str) -> u64 {
+        self.bits_of_hash(key_hash(value))
+    }
+
+    /// [`KeyTable::bits_of`] for a value known by its hash.
+    fn bits_of_hash(&self, hash: u64) -> u64 {
         if self.held == 0 {
             return 0;
         }
-        let hash = key_hash(value);
         let slot = self.slot_of(hash).map_or(0, |slot| 1 << slot);
         slot | self.fold_bits & 1 << home(hash)
     }
@@ -309,6 +313,19 @@ pub(crate) fn wanted(filter: &Filter, attr: &str, keys: &ParkKeys<'_>) -> u64 {
     filter_keys(filter, attr, keys.table).map_or(EVERY, |matched| UNPARKED | matched | named)
 }
 
+/// What a store knows a key value by: computed from the string once, by
+/// an extension that names the same values at sync after sync
+/// ([`ParkKeys::want_key`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ParkKey(u64);
+
+impl ParkKey {
+    /// The key of `value`.
+    pub fn of(value: &str) -> ParkKey {
+        ParkKey(key_hash(value))
+    }
+}
+
 /// What a source's extension tells a sync about the copies it parks,
 /// through [`SyncExtension::park_keys`](crate::SyncExtension::park_keys):
 /// the attribute they are filed under, and the values of it whose parked
@@ -348,6 +365,12 @@ impl<'a> ParkKeys<'a> {
     /// Has this sync judge again every parked copy filed under `value`.
     pub fn want(&mut self, value: &str) {
         self.wanted |= self.table.bits_of(value);
+    }
+
+    /// [`ParkKeys::want`] for a value whose [`ParkKey`] the extension
+    /// computed once and kept: no hashing of the string per sync.
+    pub fn want_key(&mut self, key: ParkKey) {
+        self.wanted |= self.table.bits_of_hash(key.0);
     }
 
     /// The attribute parked copies are filed under, if the extension
@@ -411,6 +434,13 @@ mod tests {
         prophet.file_under("dest");
         prophet.want("b");
         assert!(!passes(to_b, wanted(&Filter::None, "dest", &prophet)));
+        let mut by_key = ParkKeys::new(&table);
+        by_key.file_under("dest");
+        by_key.want_key(ParkKey::of("b"));
+        assert_eq!(
+            by_key.wanted, prophet.wanted,
+            "a kept key wants what its value does"
+        );
         let mut elsewhere = ParkKeys::new(&table);
         elsewhere.file_under("src");
         elsewhere.want("b");

@@ -234,9 +234,10 @@ impl Replica {
         self.journal.since(position)
     }
 
-    /// Records `version` in the knowledge and, if it was new, the journal.
-    fn learn(&mut self, version: Version) {
-        self.journal.learn(&mut self.knowledge, version);
+    /// Records `version` in the knowledge and, if it was new, the journal;
+    /// returns whether it was.
+    fn learn(&mut self, version: Version) -> bool {
+        self.journal.learn(&mut self.knowledge, version)
     }
 
     /// Activity counters.
@@ -529,6 +530,19 @@ impl Replica {
         self.store.lend(id, slot)
     }
 
+    /// The stored item `id`, through the slot number a candidate walk
+    /// reported for it while that slot still holds it, else by search.
+    pub(crate) fn candidate_item(&self, id: ItemId, slot: usize) -> Option<&Item> {
+        self.store.get_via(id, slot).map(|s| &s.item)
+    }
+
+    /// The ids of the relay copies this replica holds of `origin`'s
+    /// items, ascending: what acknowledging some of that origin's
+    /// messages can void.
+    pub fn relay_ids_of(&self, origin: ReplicaId) -> impl Iterator<Item = ItemId> + '_ {
+        self.store.relay_ids_of(origin)
+    }
+
     /// How many writes this replica's item store has taken: every stored,
     /// replaced or removed item and every transient write counts one.
     /// Equal clocks on the same replica mean an unchanged item store.
@@ -548,20 +562,22 @@ impl Replica {
     /// sync protocol; applications normally go through
     /// [`crate::sync::apply_batch`].
     pub fn apply_remote(&mut self, incoming: Item, now: SimTime) -> ApplyOutcome {
-        if self.knowledge.contains(incoming.version()) {
+        // The knowledge insert is the duplicate test: one search.
+        if !self.learn(incoming.version()) {
             self.stats.duplicates_rejected += 1;
             return ApplyOutcome::Duplicate;
         }
-        self.learn(incoming.version());
         for ancestor in incoming.ancestors() {
             self.learn(ancestor);
         }
 
         let kind = classify(&incoming, self.id, &self.filter);
-        let outcome = match self.store.get(incoming.id()) {
+        // One search by id finds the stored copy; `put` is handed it.
+        let found = self.store.find(incoming.id());
+        let outcome = match found.and_then(|slot| self.store.at_slot(slot)) {
             None => {
                 let delivered = kind == StoreKind::InFilter && !incoming.is_deleted();
-                self.store.put(incoming, kind, now);
+                self.store.put_found(incoming, kind, now, found);
                 self.record_receipt(kind);
                 ApplyOutcome::Accepted { delivered, kind }
             }
@@ -576,7 +592,7 @@ impl Replica {
                     let received_at = stored.received_at;
                     let delivered =
                         kind == StoreKind::InFilter && !incoming.is_deleted() && !was_visible;
-                    self.store.put(incoming, kind, received_at);
+                    self.store.put_found(incoming, kind, received_at, found);
                     self.record_receipt(kind);
                     ApplyOutcome::Accepted { delivered, kind }
                 }
@@ -602,7 +618,7 @@ impl Replica {
                         at: now,
                     });
                     let kind = classify(&merged, self.id, &self.filter);
-                    self.store.put(merged, kind, received_at);
+                    self.store.put_found(merged, kind, received_at, found);
                     self.stats.conflicts_merged += 1;
                     ApplyOutcome::ConflictMerged
                 }

@@ -286,7 +286,39 @@ impl ItemStore {
     }
 
     pub fn get(&self, id: ItemId) -> Option<&StoredItem> {
-        self.slots[*self.by_id.get(&id)?].as_ref()
+        self.at_slot(self.find(id)?)
+    }
+
+    /// The slot number `id` is stored in: what [`ItemStore::at_slot`] and
+    /// [`ItemStore::put_found`] take, until the store next changes.
+    pub fn find(&self, id: ItemId) -> Option<usize> {
+        self.by_id.get(&id).copied()
+    }
+
+    /// The item in slot number `slot`, if one is stored there.
+    pub fn at_slot(&self, slot: usize) -> Option<&StoredItem> {
+        self.slots.get(slot)?.as_ref()
+    }
+
+    /// `id`'s stored item through `slot`, a number that held it when the
+    /// store last reported it; by search if the slot holds another now.
+    pub fn get_via(&self, id: ItemId, slot: usize) -> Option<&StoredItem> {
+        match self.at_slot(slot) {
+            Some(stored) if stored.item.id() == id => Some(stored),
+            _ => self.get(id),
+        }
+    }
+
+    /// The ids of the relay copies of `origin`'s items, ascending: one
+    /// search, then a step per stored item of that origin.
+    pub fn relay_ids_of(&self, origin: ReplicaId) -> impl Iterator<Item = ItemId> + '_ {
+        let ids = self.by_id.iter_from(&ItemId::new(origin, 0));
+        ids.take_while(move |(id, _)| id.origin() == origin)
+            .filter(|&&(_, slot)| {
+                self.at_slot(slot)
+                    .is_some_and(|s| s.kind == StoreKind::Relay)
+            })
+            .map(|&(id, _)| id)
     }
 
     /// Lends `id`'s item mutably without counting a write; the borrower
@@ -340,7 +372,21 @@ impl ItemStore {
     /// FIFO order. A replaced item keeps its FIFO position only if it stays
     /// a relay item.
     pub fn put(&mut self, item: Item, kind: StoreKind, received_at: SimTime) {
+        let found = self.find(item.id());
+        self.put_found(item, kind, received_at, found);
+    }
+
+    /// [`ItemStore::put`] for a caller that has just searched for the
+    /// item: `found` is what [`ItemStore::find`] returned for its id.
+    pub fn put_found(
+        &mut self,
+        item: Item,
+        kind: StoreKind,
+        received_at: SimTime,
+        found: Option<usize>,
+    ) {
         let id = item.id();
+        debug_assert_eq!(found, self.find(id), "a stale search");
         let version = item.version();
         self.clock += 1;
         let stored = StoredItem {
@@ -350,8 +396,8 @@ impl ItemStore {
             stamp: self.clock,
         };
         self.live_relays += usize::from(stored.is_live_relay());
-        let (slot, was_relay) = match self.by_id.get(&id) {
-            Some(&slot) => {
+        let (slot, was_relay) = match found {
+            Some(slot) => {
                 let old = self.slots[slot]
                     .replace(stored)
                     .expect("an indexed slot is occupied");

@@ -288,6 +288,60 @@ proptest! {
         prop_assert_eq!(&ab, &before);
     }
 
+    /// The in-place merge against the set model: it holds the union, in
+    /// the one representation, and reports exactly the origins that
+    /// gained a version, ascending, each once.
+    #[test]
+    fn knowledge_merge_reports_exactly_the_origins_that_grew(
+        a in arb_knowledge_ops(), b in arb_knowledge_ops()
+    ) {
+        let ((ka, ma), (kb, mb)) = (build(&a), build(&b));
+        let mut merged = ka.clone();
+        let mut grown = Vec::new();
+        merged.merge_reporting(&kb, |origin| grown.push(origin));
+        let union: BTreeSet<Version> = ma.union(&mb).copied().collect();
+        prop_assert_eq!(&merged, &canonical(&union));
+        let gained: BTreeSet<ReplicaId> = mb.difference(&ma).map(|v| v.replica()).collect();
+        prop_assert_eq!(grown, gained.into_iter().collect::<Vec<_>>());
+    }
+
+    /// A forged `(origin, u64::MAX)` prefix — what an unauthenticated
+    /// acknowledgement set may claim — is taken in one step: nothing
+    /// overflows, no version is enumerated (a merge that did would not
+    /// finish), the origin is reported once, and the other origins merge
+    /// as the set model says.
+    #[test]
+    fn a_forged_full_range_prefix_merges_without_enumerating(
+        a in arb_knowledge_ops(), b in arb_knowledge_ops(), forged in 1..ORIGINS
+    ) {
+        let ((ka, ma), (mut kb, mb)) = (build(&a), build(&b));
+        let forged = ReplicaId::new(forged);
+        kb.insert_prefix(forged, u64::MAX);
+        let mut merged = ka.clone();
+        let mut grown = Vec::new();
+        merged.merge_reporting(&kb, |origin| grown.push(origin));
+        prop_assert_eq!(merged.base_counter(forged), u64::MAX);
+        prop_assert_eq!(merged.version_count(), u64::MAX, "the count saturates");
+        let gained: BTreeSet<ReplicaId> = mb
+            .difference(&ma)
+            .map(|v| v.replica())
+            .chain((ka.base_counter(forged) < u64::MAX).then_some(forged))
+            .collect();
+        prop_assert_eq!(grown, gained.into_iter().collect::<Vec<_>>());
+        for r in (1..ORIGINS).map(ReplicaId::new) {
+            for c in probed_counters() {
+                let v = Version::new(r, c);
+                let held = r == forged || ma.contains(&v) || mb.contains(&v);
+                prop_assert_eq!(merged.contains(v), held, "{}", v);
+            }
+        }
+        let before = merged.clone();
+        let mut again = Vec::new();
+        merged.merge_reporting(&kb, |origin| again.push(origin));
+        prop_assert!(again.is_empty(), "nothing left to learn");
+        prop_assert_eq!(&merged, &before);
+    }
+
     #[test]
     fn knowledge_wire_form_is_canonical(ops in arb_knowledge_ops()) {
         let (k, model) = build(&ops);
