@@ -1210,6 +1210,51 @@ mod tests {
     }
 
     #[test]
+    fn a_readdressed_prophet_node_judges_its_next_peer_afresh() {
+        // Names interned now and held keep their allocations, and PROPHET
+        // orders its slots by allocation: the fresh address gets a slot
+        // below the destination's when the node is readdressed.
+        let mut names: Vec<pfr::IStr> = (0..8)
+            .map(|n| pfr::IStr::new(&format!("addr{n}")))
+            .collect();
+        names.sort_by_key(|name| name.as_ptr());
+        let (fresh, dest) = (names[0].to_string(), names[7].to_string());
+
+        let mut a = node(1, "a", PolicyKind::Prophet);
+        let mut relay = node(2, "r", PolicyKind::Prophet);
+        let mut x = node(3, &dest, PolicyKind::Prophet);
+        for t in 1..4 {
+            relay.encounter(
+                &mut x,
+                SimTime::from_secs(t * 60),
+                EncounterBudget::unlimited(),
+            );
+        }
+        let id = a.send(&dest, b"m".to_vec(), SimTime::ZERO).unwrap();
+        a.encounter(
+            &mut relay,
+            SimTime::from_secs(600),
+            EncounterBudget::unlimited(),
+        );
+        assert!(
+            relay.replica().contains_item(id),
+            "the relay is the better custodian"
+        );
+
+        a.set_addresses(["a".to_string(), fresh]);
+        let mut cold = node(4, "c", PolicyKind::Prophet);
+        a.encounter(
+            &mut cold,
+            SimTime::from_secs(660),
+            EncounterBudget::unlimited(),
+        );
+        assert!(
+            !cold.replica().contains_item(id),
+            "a peer that never met the destination is no better custodian"
+        );
+    }
+
+    #[test]
     fn snapshot_restore_roundtrip_per_policy() {
         for kind in PolicyKind::ALL {
             let mut a = node(1, "a", kind);
