@@ -11,23 +11,30 @@
 //! `SyncMode::Full` run's: digest mode moves metadata, never messages.
 //!
 //! The same replay runs once more under a residency cap (the ledger's
-//! `city_spill` shape: 2 shards, 3/5 of the fleet resident). A spilled
+//! `city_spill` shape: 3/5 of the fleet resident). A spilled
 //! replica comes back without its journal and per-peer digest state — a
 //! reboot, as far as the digest layer can tell — so its next exchange
 //! with each peer falls back to a full summary. `PINNED_CAPPED` says how
 //! many do, so that cost is a number in this file too and a change to
 //! what a spill keeps cannot move the bandwidth figures unnoticed.
 //!
+//! A third replay is the paper's own topology over thirty days, where
+//! most exchanges repeat an earlier contact: there the digest's metadata
+//! must undercut full knowledge exchange at least threefold, and the
+//! per-node `ReconStats` must sum to the registry's `recon.*` counters.
+//! `PINNED_MONTH` holds its counts.
+//!
 //! To re-record after an *intended* protocol change, copy the fields of
 //! the failing assertion's left-hand `Counts` into `PINNED` — and say in
 //! the change what moved and why.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dtn::PolicyKind;
+use dtn::{DtnNode, PolicyKind};
 use emu::{Emulation, EmulationConfig, ExperimentMetrics};
 use obs::Registry;
-use pfr::SyncMode;
+use pfr::{ReplicaId, SyncMode};
 use traces::{DieselNetConfig, EmailConfig};
 
 /// The ledger's e-mail seed salt, so these are the ledger's smoke inputs.
@@ -84,8 +91,22 @@ const PINNED_CAPPED: Counts = Counts {
     false_positives: 0,
 };
 
+/// The thirty-day paper replay (34 buses, 864 messages injected over the
+/// first 8 days): 56,460 exchanges, nine in ten of them `unchanged`, and
+/// 3.43× fewer metadata bytes than full mode would have sent.
+const PINNED_MONTH: Counts = Counts {
+    exchanges: 56_460,
+    full: 3121,
+    unchanged: 50_648,
+    delta: 2691,
+    bloom: 0,
+    digest_bytes: 1_340_801,
+    full_bytes: 4_602_931,
+    fallback_rounds: 0,
+    false_positives: 0,
+};
+
 /// The ledger's `city_spill` residency shape at scale 1.
-const SHARDS: usize = 2;
 const RESIDENT_LIMIT: usize = 34 * 3 / 5;
 
 fn replay(
@@ -111,8 +132,6 @@ fn replay(
         assignment_seed: SEED,
         sync_mode: mode,
         observer: registry.map(|r| r as Arc<dyn obs::Observer>),
-        shards: resident_limit.map(|_| SHARDS),
-        exec_threads: resident_limit.map(|_| 0),
         resident_limit,
         ..EmulationConfig::default()
     };
@@ -165,4 +184,74 @@ fn digest_exchange_counts_are_pinned_and_metrics_match_full_mode() {
         (PINNED.exchanges, PINNED.full_bytes)
     );
     assert!(counts.full > PINNED.full && counts.digest_bytes > PINNED.digest_bytes);
+}
+
+const MONTH_DAYS: u64 = 30;
+
+/// The paper's topology over [`MONTH_DAYS`], with the paper's 490
+/// messages per 17 days scaled to the longer horizon.
+fn month(mode: SyncMode, registry: Option<Arc<Registry>>) -> (ExperimentMetrics, [u64; 4]) {
+    let trace = DieselNetConfig {
+        days: MONTH_DAYS,
+        ..DieselNetConfig::default()
+    }
+    .generate();
+    let mail = EmailConfig {
+        total_messages: (490 * MONTH_DAYS / 17) as usize,
+        ..EmailConfig::default()
+    }
+    .generate();
+    let config = EmulationConfig {
+        policy: PolicyKind::Epidemic.into(),
+        sync_mode: mode,
+        observer: registry.map(|r| r as Arc<dyn obs::Observer>),
+        ..EmulationConfig::default()
+    };
+    let (metrics, nodes) = Emulation::new(&trace, &mail, config).run_into_parts();
+    (metrics, recon_sums(&nodes))
+}
+
+/// Per-node `ReconStats` summed over the fleet: exchanges, digest bytes,
+/// full bytes and fallback rounds.
+fn recon_sums(nodes: &BTreeMap<ReplicaId, DtnNode>) -> [u64; 4] {
+    nodes.values().fold([0; 4], |sums, node| {
+        let s = node.recon_stats();
+        [
+            sums[0] + s.exchanges,
+            sums[1] + s.digest_bytes,
+            sums[2] + s.full_bytes,
+            sums[3] + s.fallback_rounds,
+        ]
+    })
+}
+
+#[test]
+fn a_month_of_digests_undercuts_full_exchange_threefold() {
+    let (full, full_sums) = month(SyncMode::Full, None);
+    assert_eq!(full_sums, [0; 4], "full mode never touches the digest path");
+    assert_eq!(full.delivered(), full.injected(), "Epidemic delivers all");
+    let (digest, sums) = month(SyncMode::Digest, None);
+    assert_eq!(digest, full, "digest sync changed ExperimentMetrics");
+
+    let registry = Arc::new(Registry::new());
+    let observed = month(SyncMode::Digest, Some(registry.clone()));
+    assert_eq!(observed, (digest, sums), "an observer changed the replay");
+    let counts = digest_counts(&registry);
+    assert_eq!(counts, PINNED_MONTH);
+    assert_eq!(
+        sums,
+        [
+            counts.exchanges,
+            counts.digest_bytes,
+            counts.full_bytes,
+            counts.fallback_rounds
+        ],
+        "per-node ReconStats disagree with the registry"
+    );
+    assert!(
+        counts.full_bytes >= 3 * counts.digest_bytes,
+        "digest metadata {} bytes against {} full: less than a threefold saving",
+        counts.digest_bytes,
+        counts.full_bytes
+    );
 }

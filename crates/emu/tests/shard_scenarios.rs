@@ -290,6 +290,10 @@ fn footprint_counts_spilled_replicas_and_residency_stays_bounded() {
         .histogram("shard.resident")
         .expect("spills happened, so the series exists");
     assert!(resident.count() > 0);
+    assert!(
+        snap.gauge("shard.spill_file_bytes") > 0,
+        "spilled replicas occupy the spill file"
+    );
     let headroom = 64 * 2;
     let mut spilled_to_cap = false;
     for event in capture.events.lock().iter() {

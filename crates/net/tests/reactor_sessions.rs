@@ -3,10 +3,12 @@
 //! discovery, and failure edges. That the reactor, the blocking pump and
 //! in-process encounters agree is `session_matrix.rs`' business.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dtn::{DtnNode, PolicyKind};
 use net::{MembershipConfig, NetConfig, NetNode, PeerStatus};
+use obs::{Obs, Registry};
 use pfr::{ReplicaId, SimTime, SyncMode};
 
 fn node(id: u64, addr: &str) -> DtnNode {
@@ -138,7 +140,12 @@ fn detached_sessions_run_concurrently() {
             .send("server", format!("msg {i}").into_bytes(), SimTime::ZERO)
             .unwrap();
     }
-    let server = NetNode::start(node(2, "server"), "127.0.0.1:0", quiet_config()).unwrap();
+    let registry = Arc::new(Registry::new());
+    let mut server_node = node(2, "server");
+    server_node
+        .replica_mut()
+        .set_observer(Obs::new(registry.clone()));
+    let server = NetNode::start(server_node, "127.0.0.1:0", quiet_config()).unwrap();
     let client = NetNode::start(client_node, "127.0.0.1:0", quiet_config()).unwrap();
     let addr = server.local_addr().to_string();
 
@@ -167,45 +174,69 @@ fn detached_sessions_run_concurrently() {
     );
     let server_node = server.stop();
     assert_eq!(server_node.inbox().len(), 20);
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.histogram("net.session_micros").map(|h| h.count()),
+        Some(20),
+        "every served session lands one latency sample"
+    );
     client.stop();
+}
+
+/// `n` nodes chained by seeds — each knows only its predecessor, and the
+/// head of the chain only answers, never gossips — gossip until every
+/// view holds the other `n - 1` alive, which must take at most `2n`
+/// rounds. Returns the rounds taken.
+fn gossip_chain_rounds(n: u64) -> u64 {
+    let nodes: Vec<NetNode> = (1..=n)
+        .map(|i| {
+            let config = NetConfig {
+                gossip_interval: Duration::ZERO,
+                gossip: MembershipConfig {
+                    seed: i,
+                    ..MembershipConfig::default()
+                },
+                ..NetConfig::default()
+            };
+            NetNode::start(node(i, &format!("g{i}")), "127.0.0.1:0", config).unwrap()
+        })
+        .collect();
+    for pair in nodes.windows(2) {
+        pair[1].add_seed(pair[0].local_addr().to_string());
+    }
+
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        for node in &nodes[1..] {
+            node.gossip_now();
+        }
+        let converged = nodes.iter().all(|node| {
+            let view = node.membership();
+            view.len() as u64 == n - 1 && view.iter().all(|p| p.status == PeerStatus::Alive)
+        });
+        if converged {
+            break;
+        }
+        assert!(
+            rounds < 2 * n,
+            "a {n}-node chain failed to converge in {} rounds: the tail sees {:?}",
+            2 * n,
+            nodes[nodes.len() - 1].membership()
+        );
+    }
+    for node in nodes {
+        node.stop();
+    }
+    rounds
 }
 
 #[test]
 fn gossip_rounds_discover_peers_transitively() {
     // c knows only b; b knows only a. Gossip spreads the full view.
-    let config = |seed: u64| NetConfig {
-        gossip_interval: Duration::ZERO,
-        gossip: MembershipConfig {
-            seed,
-            ..MembershipConfig::default()
-        },
-        ..NetConfig::default()
-    };
-    let a = NetNode::start(node(1, "a"), "127.0.0.1:0", config(1)).unwrap();
-    let b = NetNode::start(node(2, "b"), "127.0.0.1:0", config(2)).unwrap();
-    let c = NetNode::start(node(3, "c"), "127.0.0.1:0", config(3)).unwrap();
-    b.add_seed(a.local_addr().to_string());
-    c.add_seed(b.local_addr().to_string());
-
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        b.gossip_now();
-        c.gossip_now();
-        if c.membership().len() == 2 && a.membership().len() == 2 && b.membership().len() == 2 {
-            break;
-        }
-        assert!(
-            rounds < 10,
-            "gossip failed to converge: c sees {:?}",
-            c.membership()
-        );
-    }
+    let rounds = gossip_chain_rounds(3);
     assert!(rounds <= 4, "transitive discovery took {rounds} rounds");
-    assert!(c.membership().iter().all(|p| p.status == PeerStatus::Alive));
-    a.stop();
-    b.stop();
-    c.stop();
+    gossip_chain_rounds(12);
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! replidtn gen-trace [--days N] [--fleet N] [--buses-per-day N] [--seed S]
 //!                    [--scale N] [--out FILE | --spool FILE]
 //! replidtn gen-mail  [--messages N] [--users N] [--days N] [--seed S] [--out FILE]
-//! replidtn run --policy <cimbiosys|epidemic|spray|prophet|maxprop>
+//! replidtn run --policy <cimbiosys|twohop|epidemic|spray|prophet|maxprop>
 //!              [--trace FILE | --spool FILE] [--mail FILE]
 //!              [--bandwidth N] [--storage N]
-//!              [--strategy <random|selected>] [--k N]
+//!              [--strategy <random|selected>] [--k N] [--seed S]
 //!              [--spill-dir DIR] [--resident-limit N]
 //!              [--data-dir DIR] [--events FILE] [--stats]
 //! replidtn peer --id N --address ADDR --policy P --listen HOST:PORT
@@ -87,7 +87,7 @@ USAGE:
   replidtn gen-mail [--messages N] [--users N] [--days N] [--seed S] [--out FILE]
       Generate an Enron-like mail workload.
 
-  replidtn run --policy <cimbiosys|epidemic|spray|prophet|maxprop>
+  replidtn run --policy <cimbiosys|twohop|epidemic|spray|prophet|maxprop>
                [--trace FILE | --spool FILE] [--mail FILE]
                [--bandwidth N] [--storage N]
                [--strategy <random|selected>] [--k N] [--seed S]
@@ -708,5 +708,24 @@ mod tests {
         }
         assert!(accepted_flags("gen-trace").contains(&"buses-per-day"));
         assert!(accepted_flags("no-such-command").is_empty());
+    }
+
+    #[test]
+    fn the_policy_synopsis_lists_every_policy() {
+        let choices = USAGE
+            .lines()
+            .find_map(|line| line.split_once("--policy <"))
+            .and_then(|(_, rest)| rest.split_once('>'))
+            .map(|(choices, _)| choices.split('|').collect::<Vec<_>>())
+            .expect("USAGE has a --policy <...> line");
+        for kind in PolicyKind::EXTENDED {
+            assert!(choices.contains(&kind.label()), "--policy omits {kind}");
+        }
+        for choice in choices {
+            assert!(
+                choice.parse::<PolicyKind>().is_ok(),
+                "{choice} is no policy"
+            );
+        }
     }
 }
