@@ -1,7 +1,7 @@
 //! Epidemic routing: TTL-limited flooding (Vahdat & Becker, 2000).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::{AttributeMap, IStr, Item, Priority, ReplicaId, SyncExtension};
@@ -19,16 +19,20 @@ fn ttl_key() -> IStr {
     KEY.get_or_init(|| IStr::new(ATTR_TTL)).clone()
 }
 
-/// Process-wide interned `{dtn.ttl: n}` transient maps. TTLs take a tiny
-/// closed set of values, so every in-flight copy at the same remaining
-/// budget can share one map: stamping an outgoing copy is an `Arc` bump
-/// instead of a per-copy map privatization (see
+/// Process-wide interned `{dtn.ttl: n}` transient maps, one per budget a
+/// policy issues (`0..=initial_ttl`): every in-flight copy at the same
+/// remaining budget can share one map, so stamping an outgoing copy is an
+/// `Arc` bump instead of a per-copy map privatization (see
 /// [`Item::replace_transient`]).
-fn ttl_map(ttl: i64) -> Arc<AttributeMap> {
+fn ttl_maps() -> MutexGuard<'static, HashMap<i64, Arc<AttributeMap>>> {
     static MAPS: OnceLock<Mutex<HashMap<i64, Arc<AttributeMap>>>> = OnceLock::new();
     let maps = MAPS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut maps = maps.lock().unwrap_or_else(|e| e.into_inner());
-    maps.entry(ttl)
+    maps.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn ttl_map(ttl: i64) -> Arc<AttributeMap> {
+    ttl_maps()
+        .entry(ttl)
         .or_insert_with(|| {
             let mut m = AttributeMap::new();
             m.set(ttl_key(), ttl);
@@ -134,9 +138,12 @@ impl SyncExtension for EpidemicPolicy {
         // the TTL is the copy's whole transient state — the common case —
         // the stamp swaps in the interned map for the new budget; only
         // copies carrying extra transient attributes pay a privatization.
+        // A budget this policy never issues (a peer's copy can carry any
+        // TTL) is set in place: interning it would grow the process-wide
+        // table by one map per distinct value a peer sends.
         let next = (ttl - 1).max(0);
         let t = item.transient();
-        if t.len() == 1 && t.contains(ATTR_TTL) {
+        if next <= self.initial_ttl && t.len() == 1 && t.contains(ATTR_TTL) {
             item.replace_transient(ttl_map(next));
         } else {
             item.transient_mut().set(ttl_key(), next);
@@ -248,6 +255,23 @@ mod tests {
             Some(10),
             "stored copy stamped with Table II default"
         );
+    }
+
+    #[test]
+    fn ttls_from_the_wire_are_not_interned() {
+        let mut a = host(1, "a");
+        let id = send_msg(&mut a, "z");
+        let mut policy = EpidemicPolicy::default();
+        let mut cx = HostContext::new(&mut a, SimTime::ZERO, None);
+        for ttl in 1000..2000 {
+            // A copy as a peer sent it: the TTL its whole transient state.
+            let mut copy = cx.replica().item(id).unwrap().clone();
+            copy.transient_mut().set(ATTR_TTL, ttl);
+            policy.prepare_outgoing(&mut cx, &mut copy, ReplicaId::new(2), false);
+            assert_eq!(copy.transient().get_i64(ATTR_TTL), Some(ttl - 1));
+        }
+        let maps = ttl_maps();
+        assert!(!(999..2000).any(|ttl| maps.contains_key(&ttl)));
     }
 
     #[test]

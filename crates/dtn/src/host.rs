@@ -1335,6 +1335,40 @@ mod tests {
         );
     }
 
+    /// Parks are taken, not only harmless: along one message's path every
+    /// waiting rule fires. Direct and PROPHET park the origin's copy for a
+    /// stranger, MaxProp an acknowledged one, two-hop a relay copy,
+    /// Epidemic (two hops) a TTL-0 copy and Spray a one-copy holder.
+    #[test]
+    fn every_waiting_policy_parks() {
+        for kind in PolicyKind::EXTENDED {
+            let registry = std::sync::Arc::new(obs::Registry::new());
+            let mut nodes: Vec<DtnNode> = (0..6)
+                .map(|i| {
+                    let policy = match kind {
+                        PolicyKind::Epidemic => Box::new(crate::EpidemicPolicy::new(2)),
+                        kind => kind.build(),
+                    };
+                    let mut node =
+                        DtnNode::with_policy(ReplicaId::new(i + 1), &format!("h{i}"), policy);
+                    node.replica_mut()
+                        .set_observer(obs::Obs::new(registry.clone()));
+                    node
+                })
+                .collect();
+            nodes[0].send("h1", b"m".to_vec(), SimTime::ZERO).unwrap();
+            for (a, b) in [(0, 1), (0, 1), (0, 2), (2, 3), (3, 4), (3, 5)] {
+                let [x, y] = nodes.get_disjoint_mut([a, b]).unwrap();
+                x.encounter(y, SimTime::ZERO, EncounterBudget::unlimited());
+            }
+            let parks = format!("policy.{}.park", kind.build().label());
+            assert!(
+                registry.snapshot().counter(&parks) > 0,
+                "{kind}: nothing was parked"
+            );
+        }
+    }
+
     /// A relay copy under two-hop, parked at `a` by a first contact; the
     /// registry counts `a`'s parks.
     fn parked_relay_copy() -> (DtnNode, ItemId, std::sync::Arc<obs::Registry>) {

@@ -52,6 +52,8 @@ mod epidemic;
 mod host;
 mod maxprop;
 mod policy;
+#[cfg(test)]
+mod policy_reference;
 mod prophet;
 mod spray;
 mod twohop;

@@ -905,127 +905,11 @@ mod tests {
         assert_eq!(cost(me), 0.0);
     }
 
-    /// The meeting graph against the `BTreeMap` Dijkstra it replaced,
-    /// and the distribution's own invariants.
-    mod reference {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
+    mod invariants {
         use super::*;
         use proptest::prelude::*;
 
-        /// Total-ordered f64 for the reference heap (costs are never NaN).
-        #[derive(Clone, Copy, PartialEq)]
-        struct OrdF64(f64);
-
-        impl Eq for OrdF64 {}
-
-        impl PartialOrd for OrdF64 {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        impl Ord for OrdF64 {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&other.0)
-            }
-        }
-
-        /// The lowest path costs from `me` as MaxProp first computed them:
-        /// a heap of `(cost, node)` over maps keyed by node; a node
-        /// missing from the result is unreachable.
-        fn reference_paths(
-            me: ReplicaId,
-            own: &BTreeMap<ReplicaId, f64>,
-            learned: &BTreeMap<ReplicaId, Vec<(ReplicaId, f64)>>,
-        ) -> BTreeMap<ReplicaId, f64> {
-            let mut dist: BTreeMap<ReplicaId, f64> = BTreeMap::new();
-            let mut heap: BinaryHeap<Reverse<(OrdF64, ReplicaId)>> = BinaryHeap::new();
-            dist.insert(me, 0.0);
-            heap.push(Reverse((OrdF64(0.0), me)));
-            while let Some(Reverse((OrdF64(d), node))) = heap.pop() {
-                if dist.get(&node).copied().unwrap_or(f64::INFINITY) < d {
-                    continue;
-                }
-                let relax = |(next, p): (ReplicaId, f64)| {
-                    let nd = d + (1.0 - p.clamp(0.0, 1.0));
-                    if nd < dist.get(&next).copied().unwrap_or(f64::INFINITY) {
-                        dist.insert(next, nd);
-                        heap.push(Reverse((OrdF64(nd), next)));
-                    }
-                };
-                if node == me {
-                    own.iter().map(|(&next, &p)| (next, p)).for_each(relax);
-                } else if let Some(edges) = learned.get(&node) {
-                    edges.iter().copied().for_each(relax);
-                }
-            }
-            dist
-        }
-
-        /// Probabilities drawn so that equal path costs are common: 0 and
-        /// 1 (free and impossible links), a few exact binary fractions,
-        /// and a value with a rounding error in every sum.
-        fn arb_prob() -> impl Strategy<Value = f64> {
-            prop_oneof![
-                Just(0.0),
-                Just(1.0),
-                Just(0.5),
-                Just(0.25),
-                Just(0.75),
-                Just(0.1),
-                (0u64..=1 << 20).prop_map(|n| n as f64 / f64::from(1u32 << 20) / 3.0),
-            ]
-        }
-
-        /// A distribution over nodes `0..16`, as a map: peers are drawn
-        /// from `0..12`, so some nodes never have a distribution.
-        fn arb_probs() -> impl Strategy<Value = BTreeMap<ReplicaId, f64>> {
-            proptest::collection::vec((0u64..16, arb_prob()), 0..8).prop_map(|pairs| {
-                pairs
-                    .into_iter()
-                    .map(|(n, p)| (ReplicaId::new(n), p))
-                    .collect()
-            })
-        }
-
         proptest! {
-            /// Bit for bit the reference's costs, for every node named and
-            /// for some never named, over graphs refilled several times.
-            #[test]
-            fn dense_paths_equal_the_btreemap_dijkstra(
-                me in 0u64..12,
-                own in arb_probs(),
-                rounds in proptest::collection::vec(
-                    proptest::collection::vec((0u64..12, arb_probs()), 0..10),
-                    1..4,
-                ),
-            ) {
-                let me = ReplicaId::new(me);
-                let mut graph = MeetingGraph::default();
-                let mut learned = BTreeMap::new();
-                let own_vec: Vec<(ReplicaId, f64)> = own.iter().map(|(&n, &p)| (n, p)).collect();
-                for round in rounds {
-                    for (peer, probs) in round {
-                        let probs: Vec<(ReplicaId, f64)> =
-                            probs.into_iter().collect();
-                        graph.learn(ReplicaId::new(peer), &probs);
-                        learned.insert(ReplicaId::new(peer), probs);
-                    }
-                    graph.shortest_paths(me, &own_vec);
-                    let expected = reference_paths(me, &own, &learned);
-                    for node in (0..18).map(ReplicaId::new) {
-                        let want = expected.get(&node).copied().unwrap_or(f64::INFINITY);
-                        prop_assert_eq!(
-                            graph.cost(node).to_bits(),
-                            want.to_bits(),
-                            "cost to {} from {}", node, me
-                        );
-                    }
-                }
-            }
-
             /// However many meetings, with whichever peers, the
             /// distribution sums to 1 within 1e-12, every value in [0, 1],
             /// and it stays ascending by node.
@@ -1044,150 +928,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    mod purge_reference {
-        //! The purge against the full relay-FIFO scan it replaced, kept
-        //! here as its specification.
-
-        use super::*;
-        use proptest::prelude::*;
-
-        /// The purge as it read the store before: every acknowledged copy
-        /// the relay FIFO lists, ascending.
-        fn full_scan(acks: &AckSet, fifo: &[ItemId]) -> Vec<ItemId> {
-            let mut acked: Vec<ItemId> = fifo
-                .iter()
-                .copied()
-                .filter(|&id| acks.contains(id))
-                .collect();
-            acked.sort_unstable();
-            acked
-        }
-
-        #[derive(Clone, Debug)]
-        enum Step {
-            /// A message from node `.0` to address `.1`.
-            Inject(usize, usize),
-            /// Node `.0` serves a request from node `.1`.
-            Serve(usize, usize),
-            /// A reboot from the snapshot and the saved state.
-            Restart(usize),
-            /// Node `.0` answers for address `.1` from now on.
-            Readdress(usize, usize),
-            /// Node `.0` readdresses the `.1`-th copy it stores, unless it
-            /// is an in-filter copy, to address `.2`: rewrites of one
-            /// message at two nodes meet as a conflict merge, which can
-            /// turn a delivered copy elsewhere into a relay copy.
-            Rewrite(usize, usize, usize),
-        }
-
-        /// Five nodes; addresses `h0`..`h6`, two of which nobody holds at
-        /// first.
-        fn arb_step() -> impl Strategy<Value = Step> {
-            prop_oneof![
-                (0usize..5, 0usize..7).prop_map(|(n, a)| Step::Inject(n, a)),
-                (0usize..5, 0usize..5).prop_map(|(a, b)| Step::Serve(a, b)),
-                (0usize..5, 0usize..5).prop_map(|(a, b)| Step::Serve(a, b)),
-                (0usize..5, 0usize..5).prop_map(|(a, b)| Step::Serve(a, b)),
-                (0usize..5).prop_map(Step::Restart),
-                (0usize..5, 0usize..7).prop_map(|(n, a)| Step::Readdress(n, a)),
-                (0usize..5, 0usize..8, 0usize..7).prop_map(|(n, k, a)| Step::Rewrite(n, k, a)),
-            ]
-        }
-
-        fn policy(acks: bool) -> MaxPropPolicy {
-            MaxPropPolicy::default().with_acks(acks)
-        }
-
-        proptest! {
-            /// At every request served, by nodes with and without acks,
-            /// relay-capped or not, across restarts and readdressing: the
-            /// purge drops the ids the full scan drops, in the same order.
-            #[test]
-            fn the_delta_purge_drops_what_the_full_scan_drops(
-                acks_on in proptest::collection::vec(any::<bool>(), 5..6),
-                capped in proptest::collection::vec(any::<bool>(), 5..6),
-                steps in proptest::collection::vec(arb_step(), 1..80),
-            ) {
-                let addr = |i: usize| format!("h{i}");
-                let mut nodes: Vec<(Replica, MaxPropPolicy)> = (0..5)
-                    .map(|i| {
-                        let mut node = host(i as u64 + 1, &addr(i));
-                        node.1 = policy(acks_on[i]);
-                        node.1.set_local_addresses([addr(i)].into_iter().collect());
-                        node.0.set_relay_limit(capped[i].then_some(3));
-                        node
-                    })
-                    .collect();
-                let mut held: Vec<usize> = (0..5).collect();
-                for (at, step) in steps.into_iter().enumerate() {
-                    match step {
-                        Step::Inject(from, to) => {
-                            send_msg(&mut nodes[from].0, &addr(to));
-                        }
-                        Step::Restart(n) => {
-                            let replica = Replica::restore(&nodes[n].0.snapshot()).expect("own snapshot");
-                            let mut restarted = policy(acks_on[n]);
-                            restarted.set_local_addresses([addr(held[n])].into_iter().collect());
-                            restarted.restore_state(&nodes[n].1.save_state());
-                            nodes[n] = (replica, restarted);
-                        }
-                        Step::Readdress(n, a) => {
-                            held[n] = a;
-                            nodes[n].0.set_filter(Filter::address(ATTR_DEST, addr(a).as_str()));
-                            nodes[n].1.set_local_addresses([addr(a)].into_iter().collect());
-                        }
-                        Step::Rewrite(n, k, a) => {
-                            let replica = &mut nodes[n].0;
-                            let ids = replica.item_ids();
-                            let Some(&id) = ids.get(k % ids.len().max(1)) else {
-                                continue;
-                            };
-                            if replica.store_kind(id) == Some(StoreKind::InFilter) {
-                                continue;
-                            }
-                            let mut attrs = replica.item(id).expect("stored").attrs().clone();
-                            attrs.set(ATTR_DEST, addr(a));
-                            replica.update(id, attrs, b"r".to_vec()).expect("stored");
-                        }
-                        Step::Serve(a, b) if a != b => {
-                            let (source, target) = if a < b {
-                                let (l, r) = nodes.split_at_mut(b);
-                                (&mut l[a], &mut r[0])
-                            } else {
-                                let (l, r) = nodes.split_at_mut(a);
-                                (&mut r[0], &mut l[b])
-                            };
-                            let fifo: Vec<ItemId> = source.0.relay_fifo().collect();
-                            sync::sync_with(
-                                &mut source.0,
-                                &mut source.1,
-                                &mut target.0,
-                                &mut target.1,
-                                SyncLimits::unlimited(),
-                                SimTime::from_secs(60 * at as u64),
-                            );
-                            let expected = if source.1.use_acks {
-                                full_scan(&source.1.advert.acks, &fifo)
-                            } else {
-                                Vec::new()
-                            };
-                            prop_assert_eq!(&source.1.purged, &expected, "step {}", at);
-                            for id in source.0.relay_fifo() {
-                                prop_assert!(!source.1.advert.acks.contains(id), "step {}: {} kept", at, id);
-                            }
-                        }
-                        Step::Serve(..) => {}
-                    }
-                }
-            }
-        }
-    }
-
-    mod invariants {
-        use super::*;
-        use proptest::prelude::*;
 
         /// A reboot: the replica comes back from its snapshot and the
         /// policy from its saved state, as `DtnNode::restore` does. No

@@ -8,8 +8,8 @@
 //! nice demonstration of how little code a new protocol needs on this
 //! substrate.
 
-use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
-use pfr::{Priority, ReplicaId, SyncExtension};
+use pfr::sync::{Candidate, ParkKeys, SendDecision, SyncRequest};
+use pfr::{Priority, SyncExtension};
 
 use crate::messaging::ATTR_DEST;
 use crate::policy::{DtnPolicy, PolicySummary};
@@ -60,15 +60,6 @@ impl SyncExtension for TwoHopRelayPolicy {
     fn park_keys(&self, keys: &mut ParkKeys<'_>) {
         keys.file_under(ATTR_DEST);
     }
-
-    fn prepare_outgoing(
-        &mut self,
-        _cx: &mut HostContext<'_>,
-        _item: &mut pfr::Item,
-        _target: ReplicaId,
-        _matched_filter: bool,
-    ) {
-    }
 }
 
 impl DtnPolicy for TwoHopRelayPolicy {
@@ -91,7 +82,7 @@ impl DtnPolicy for TwoHopRelayPolicy {
 mod tests {
     use super::*;
     use crate::{DtnNode, EncounterBudget, PolicyKind};
-    use pfr::SimTime;
+    use pfr::{ReplicaId, SimTime};
 
     fn node(n: u64, addr: &str) -> DtnNode {
         DtnNode::new(ReplicaId::new(n), addr, PolicyKind::TwoHopRelay)
