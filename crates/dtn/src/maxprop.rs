@@ -67,6 +67,11 @@ pub struct MaxPropPolicy {
     /// Otherwise a purge reads only what [`MaxPropPolicy::purge_acked`]
     /// names.
     purge_all: bool,
+    /// The host's `Replica::stats().updated` at the last purge. A local
+    /// write since can turn a delivered copy into a relay copy (a rewrite
+    /// to another address), so when it moved a purge reads the whole
+    /// relay FIFO.
+    updates_seen: u64,
     /// Relay copies that arrived already acknowledged since the last
     /// served request (see `on_relayed`).
     arrived_acked: Vec<ItemId>,
@@ -121,6 +126,7 @@ impl MaxPropPolicy {
             graph: MeetingGraph::default(),
             addr_owner: BTreeMap::new(),
             purge_all: true,
+            updates_seen: 0,
             arrived_acked: Vec::new(),
             grown: Vec::new(),
             purged: Vec::new(),
@@ -196,7 +202,8 @@ impl MaxPropPolicy {
     /// acknowledgements are only added, so a copy can be one now only if
     /// its origin is among the `grown` ones, or it arrived acknowledged
     /// since, or the state is fresh, restored or readdressed
-    /// (`purge_all`, which reads the whole relay FIFO). So a purge reads
+    /// (`purge_all`), or the host wrote a copy since (`updates_seen`);
+    /// the last two read the whole relay FIFO. Otherwise a purge reads
     /// the relay copies of the grown origins and the arrivals (a conflict
     /// merge that leaves a relay copy arrives through `on_relayed` too),
     /// not the FIFO.
@@ -205,7 +212,9 @@ impl MaxPropPolicy {
         let replica = cx.replica();
         let purged = &mut self.purged;
         purged.clear();
-        if std::mem::take(&mut self.purge_all) {
+        let updated = replica.stats().updated;
+        let written = std::mem::replace(&mut self.updates_seen, updated) != updated;
+        if std::mem::take(&mut self.purge_all) || written {
             purged.extend(replica.relay_fifo().filter(|&id| acks.contains(id)));
         } else {
             for &origin in &self.grown {

@@ -20,7 +20,7 @@ use pfr::sync::{Candidate, HostContext, SendDecision, SyncRequest};
 use pfr::wire::{Decode as _, Encode as _, Reader, Writer};
 use pfr::{
     IStr, Item, ItemId, Knowledge, Priority, PriorityClass, ReplicaId, RoutingState, SimDuration,
-    SimTime, StoreKind, SyncExtension, SyncMode, Value, Version,
+    SimTime, SyncExtension, SyncMode, Value, Version,
 };
 use proptest::prelude::*;
 
@@ -448,7 +448,8 @@ enum Op {
     /// The node reboots from its snapshot under a fresh policy instance.
     Restart(usize),
     /// `Rewrite(at, pick, to)`: both nodes of `at` that hold the first's
-    /// `pick`-th message outside their filter readdress it, to `to`.
+    /// `pick`-th live message, in or outside their filter, readdress it to
+    /// `to`.
     Rewrite([usize; 2], usize, [usize; 2]),
     /// The node's relay store is capped (or uncapped); excess relay copies
     /// are evicted oldest first.
@@ -508,11 +509,9 @@ struct Fleet {
     policy: fn(&Setup, usize) -> Box<dyn DtnPolicy>,
 }
 
-/// Whether `node` holds a live copy of `id` outside its filter.
+/// Whether `node` holds a live copy of `id`.
 fn rewritable(node: &DtnNode, id: ItemId) -> bool {
-    let replica = node.replica();
-    let live = replica.item(id).is_some_and(|i| !i.is_deleted());
-    live && replica.store_kind(id) != Some(StoreKind::InFilter)
+    node.replica().item(id).is_some_and(|i| !i.is_deleted())
 }
 
 impl Fleet {
@@ -751,5 +750,28 @@ proptest! {
         for kind in PolicyKind::EXTENDED {
             check(Setup { kind, acks }, script.clone());
         }
+    }
+}
+
+/// A relay copy made by a local write: node 0 delivers and acknowledges
+/// the message, then readdresses its own copy away from itself, which
+/// turns it into a relay copy that no grown origin or arrival names. The
+/// next request node 0 serves must purge it, as the full relay-FIFO scan
+/// of the reference does.
+#[test]
+fn a_relay_copy_made_by_a_local_write_is_purged() {
+    let setup = Setup {
+        kind: PolicyKind::MaxProp,
+        acks: [true; NODES],
+    };
+    let script = [
+        Op::Send(5, vec![0, 2], Some(3600)),
+        Op::Meet(5, 4, SyncMode::Digest, Some(2)),
+        Op::Meet(0, 4, SyncMode::Digest, None),
+        Op::Rewrite([4, 0], 1, [5, 3]),
+        Op::Meet(2, 0, SyncMode::Full, Some(2)),
+    ];
+    if let Err(failure) = replay(&setup, &script) {
+        panic!("diverged from the reference at {failure}");
     }
 }

@@ -2,24 +2,21 @@
 //!
 //! The high-fanout sibling of [`transport::Peer`]: the same
 //! [`SessionMachine`], served by the reactor instead of a blocking pump
-//! on a thread per connection. One accept thread
-//! feeds inbound connections to the reactor's worker pool (each parked as
-//! an idle responder that can carry many back-to-back sessions). Who
-//! drives an outbound sync is decided by what the caller asked for:
-//! [`NetNode::sync_with`] blocks, so the session runs on the caller's own
-//! thread through the shared [`transport::Dialer`] — no queue, no worker
-//! wake-up, no ticket — while [`NetNode::sync_detached`] registers the
-//! session with the reactor and returns a [`SessionTicket`] immediately,
-//! so one caller can hold hundreds of sessions in flight. Both take
-//! connections from, and return them to, the dialer's one pool. A gossip
-//! thread runs periodic
-//! peer-exchange rounds against the membership view: seeds are dialed
+//! on a thread per connection. The reactor is inbound only: its worker 0
+//! accepts, and every accepted connection parks on a worker as an idle
+//! responder that can carry many back-to-back sessions. Callers dial:
+//! [`NetNode::sync_with`] runs its session on the caller's own thread
+//! through [`transport::Dialer`], which pools idle outbound connections,
+//! and concurrency comes from concurrent callers. A gossip thread runs
+//! periodic peer-exchange rounds against the membership view, each
+//! exchange on that thread through the same dialer: seeds are dialed
 //! until resolved, suspicion spreads and heals through incarnations, and
 //! (optionally) an anti-entropy round-robin syncs with discovered members
-//! so data flows over routes gossip found.
+//! so data flows over routes gossip found. A node is its reactor's
+//! workers plus that one control thread.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,12 +27,11 @@ use obs::{Event, EventKind, Obs};
 use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 use transport::{
-    DialConfig, Dialer, Membership, MembershipConfig, PeerView, SessionError, SessionMachine,
-    SessionOutcome,
+    DialConfig, Dialed, Dialer, Membership, MembershipConfig, PeerView, SessionError,
+    SessionMachine, SessionOutcome,
 };
 
-use crate::poll::EpollPoller;
-use crate::reactor::{Reactor, ReactorConfig, SessionTicket, Shared};
+use crate::reactor::{Acceptor, Reactor, ReactorConfig, Shared};
 
 /// How reactor workers discover ready sockets: edge-triggered `epoll(7)`,
 /// the only backend.
@@ -65,7 +61,7 @@ pub struct NetConfig {
     /// because the benchmark ledger sets it (see [`PollBackend`]).
     pub backend: PollBackend,
     /// Concurrent-session cap: inbound connections beyond it are refused,
-    /// outbound registrations fail fast with
+    /// and [`NetNode::sync_with`] fails fast with
     /// [`SessionError::AtCapacity`].
     pub max_sessions: usize,
     /// Listen backlog requested for the accept socket (the kernel clamps
@@ -156,21 +152,22 @@ pub struct GossipRoundStats {
     pub learned: u64,
 }
 
-/// A DTN node listening and dialing through the async reactor.
+/// A DTN node served by the async reactor; its callers dial.
 pub struct NetNode {
     core: Arc<Core>,
     reactor: Reactor,
-    accept_thread: Option<JoinHandle<()>>,
     gossip_thread: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
-/// What the caller-facing handle, the accept loop and the gossip loop
-/// share.
+/// What the caller-facing handle and the gossip loop share.
 struct Core {
     node: Arc<Mutex<DtnNode>>,
     membership: Arc<Mutex<Membership>>,
     shared: Arc<Shared>,
+    /// The pool of idle outbound connections and the one outbound driver
+    /// over it.
+    dialer: Dialer,
     shutdown: AtomicBool,
     config: NetConfig,
     obs: Obs,
@@ -178,8 +175,8 @@ struct Core {
 }
 
 impl NetNode {
-    /// Binds `bind` and starts the reactor, the accept loop, and (when
-    /// `gossip_interval` is nonzero) the gossip thread.
+    /// Binds `bind` and starts the reactor, whose worker 0 accepts, and
+    /// (when `gossip_interval` is nonzero) the gossip thread.
     ///
     /// # Errors
     ///
@@ -188,11 +185,12 @@ impl NetNode {
     /// [`transport::Peer`] is the node to run.
     pub fn start(node: DtnNode, bind: &str, config: NetConfig) -> io::Result<NetNode> {
         let listener = crate::listen::bind_listener(bind, config.accept_backlog as i32)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let replica = node.id().as_u64();
         let obs = node.replica().observer().clone();
+        let node = Arc::new(Mutex::new(node));
         let membership = Membership::new(replica, local_addr.to_string(), config.gossip.clone());
+        let membership = Arc::new(Mutex::new(membership));
         // Nodes share one config, so the far end reaps an idle connection
         // at `idle_timeout`: the pool lets go at half that.
         let dialer = Dialer::new(
@@ -203,6 +201,13 @@ impl NetNode {
             },
             config.idle_timeout / 2,
         );
+        let responder = {
+            let (node, membership) = (Arc::clone(&node), Arc::clone(&membership));
+            let limits = config.limits;
+            Box::new(move || {
+                SessionMachine::responder(Arc::clone(&node), Arc::clone(&membership), limits)
+            })
+        };
         let reactor = Reactor::start(
             ReactorConfig {
                 workers: config.workers,
@@ -210,29 +215,25 @@ impl NetNode {
                 idle_timeout: config.idle_timeout,
                 stall_timeout: config.stall_timeout,
             },
-            dialer,
+            Acceptor {
+                listener,
+                max_sessions: config.max_sessions,
+                responder,
+            },
             obs.clone(),
             replica,
         )?;
-        // The accept loop parks on listener readiness, so a dial burst is
-        // drained the moment it arrives.
-        let accept_poller = EpollPoller::new()?;
-        accept_poller.register(&listener, 0)?;
         let core = Arc::new(Core {
-            node: Arc::new(Mutex::new(node)),
-            membership: Arc::new(Mutex::new(membership)),
+            node,
+            membership,
             shared: Arc::clone(reactor.shared()),
+            dialer,
             shutdown: AtomicBool::new(false),
             config,
             obs,
             replica,
         });
 
-        let accepting = Arc::clone(&core);
-        let accept_thread = std::thread::Builder::new()
-            .name("net-accept".into())
-            .spawn(move || accepting.accept_loop(&listener, accept_poller))
-            .expect("spawn accept thread");
         let gossip_thread = (core.config.gossip_interval > Duration::ZERO).then(|| {
             let gossiping = Arc::clone(&core);
             std::thread::Builder::new()
@@ -244,7 +245,6 @@ impl NetNode {
         Ok(NetNode {
             core,
             reactor,
-            accept_thread: Some(accept_thread),
             gossip_thread,
             local_addr,
         })
@@ -285,42 +285,16 @@ impl NetNode {
         }
     }
 
-    /// Starts a detached sync session with `addr` and returns its ticket
-    /// without waiting: the caller can hold many sessions in flight.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::AtCapacity`] at the session cap, or
-    /// [`SessionError::Io`] when the dial fails.
-    pub fn sync_detached(&self, addr: &str, now: SimTime) -> Result<SessionTicket, SessionError> {
-        if self.core.shared.open_sessions() >= self.core.config.max_sessions {
-            return Err(SessionError::AtCapacity);
-        }
-        let ticket = SessionTicket::new();
-        self.core.open_sync(addr, now, Some(ticket.clone()))?;
-        Ok(ticket)
-    }
-
     /// Runs one full sync session with `addr` on the calling thread,
-    /// blocking until it completes or fails.
+    /// blocking until it completes or fails. Callers on several threads
+    /// run their sessions side by side.
     pub fn sync_with(&self, addr: &str, now: SimTime) -> SessionOutcome {
         let core = &self.core;
-        let shared = &core.shared;
-        if shared.open_sessions() >= core.config.max_sessions {
+        if core.shared.open_sessions() >= core.config.max_sessions {
             return SessionOutcome::failed(SessionError::AtCapacity);
         }
-        shared.session_opened();
-        let dialed = shared.dialer.sync(
-            addr,
-            &core.node,
-            &core.membership,
-            core.config.limits,
-            now,
-            &|| shared.now_ms(),
-        );
-        shared.caller_session_closed(dialed.as_ref().ok());
-        match dialed {
-            Ok(dialed) => dialed.outcome,
+        match core.sync(addr, now) {
+            Ok(outcome) => outcome,
             Err(e) => SessionOutcome::failed(SessionError::Io(e)),
         }
     }
@@ -332,14 +306,11 @@ impl NetNode {
         self.core.gossip_round()
     }
 
-    /// Stops the accept loop, gossip thread, and reactor, returning the
-    /// node with everything it replicated.
+    /// Stops the gossip thread and the reactor (closing the listener),
+    /// returning the node with everything it replicated.
     pub fn stop(mut self) -> DtnNode {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        for handle in [self.accept_thread.take(), self.gossip_thread.take()]
-            .into_iter()
-            .flatten()
-        {
+        if let Some(handle) = self.gossip_thread.take() {
             let _ = handle.join();
         }
         self.reactor.stop();
@@ -360,58 +331,28 @@ impl NetNode {
 }
 
 impl Core {
-    /// Opens one outbound sync session with `addr`, pool-first. On a
-    /// pooled connection that remembers its peer the machine sends its
-    /// request right behind the hello.
-    fn open_sync(
-        &self,
-        addr: &str,
-        now: SimTime,
-        ticket: Option<SessionTicket>,
-    ) -> Result<(), SessionError> {
-        let conn = self.shared.dial(addr).map_err(SessionError::Io)?;
-        let (node, membership) = (Arc::clone(&self.node), Arc::clone(&self.membership));
-        let limits = self.config.limits;
-        let (machine, opening) = match conn.peer {
-            Some(peer) => SessionMachine::sync_initiator_to(node, membership, limits, now, peer),
-            None => SessionMachine::sync_initiator(node, membership, limits, now, conn.reused),
-        }?;
-        self.shared
-            .register_outbound(addr, conn, machine, opening, ticket);
-        Ok(())
+    /// Runs one outbound session on the calling thread through `run` and
+    /// books it in the reactor's counters like any other session.
+    fn dial(&self, run: impl FnOnce(&Dialer) -> io::Result<Dialed>) -> io::Result<SessionOutcome> {
+        self.shared.session_opened();
+        let dialed = run(&self.dialer);
+        self.shared.caller_session_closed(dialed.as_ref().ok());
+        dialed.map(|dialed| dialed.outcome)
     }
 
-    /// Accepts to `WouldBlock` before parking on `poller` again, which
-    /// honours the edge-trigger contract.
-    fn accept_loop(&self, listener: &TcpListener, mut poller: EpollPoller) {
-        let mut ready = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // At the cap, refuse instead of queueing unbounded
-                    // work; the remote sees a closed connection and backs
-                    // off.
-                    if self.shared.open_sessions() >= self.config.max_sessions {
-                        drop(stream);
-                        continue;
-                    }
-                    if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let machine = SessionMachine::responder(
-                        Arc::clone(&self.node),
-                        Arc::clone(&self.membership),
-                        self.config.limits,
-                    );
-                    self.shared.register_inbound(stream, machine);
-                }
-                // Bounded so the shutdown flag stays responsive.
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        && poller.wait(50, &mut ready).is_ok() => {}
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
+    /// One sync session with `addr`; the error is the dial's.
+    fn sync(&self, addr: &str, now: SimTime) -> io::Result<SessionOutcome> {
+        let now_ms = || self.shared.now_ms();
+        self.dial(|dialer| {
+            dialer.sync(
+                addr,
+                &self.node,
+                &self.membership,
+                self.config.limits,
+                now,
+                &now_ms,
+            )
+        })
     }
 
     /// One gossip round: suspicion sweep, fanout dials, merge replies (the
@@ -428,18 +369,11 @@ impl Core {
             dialed: targets.len(),
             ..GossipRoundStats::default()
         };
-        let mut tickets = Vec::with_capacity(targets.len());
+        let now_ms = || self.shared.now_ms();
         for addr in &targets {
-            match self.gossip_dial(addr) {
-                Ok(ticket) => tickets.push((addr, ticket)),
-                Err(_) => {
-                    stats.failed += 1;
-                    self.mark_addr_failed(addr);
-                }
-            }
-        }
-        for (addr, ticket) in tickets {
-            if ticket.wait().is_ok() {
+            let exchanged =
+                self.dial(|dialer| dialer.gossip(addr, &self.node, &self.membership, &now_ms));
+            if exchanged.is_ok_and(|outcome| outcome.is_ok()) {
                 stats.merged += 1;
             } else {
                 stats.failed += 1;
@@ -461,21 +395,6 @@ impl Core {
                 learned: stats.learned,
             });
         stats
-    }
-
-    /// Registers one outbound gossip exchange (pool-first, like syncs).
-    fn gossip_dial(&self, addr: &str) -> Result<SessionTicket, SessionError> {
-        let conn = self.shared.dial(addr).map_err(SessionError::Io)?;
-        let (machine, opening) = SessionMachine::gossip_initiator(
-            Arc::clone(&self.node),
-            Arc::clone(&self.membership),
-            self.shared.now_ms(),
-            conn.reused,
-        )?;
-        let ticket = SessionTicket::new();
-        self.shared
-            .register_outbound(addr, conn, machine, opening, Some(ticket.clone()));
-        Ok(ticket)
     }
 
     /// A failed dial is first-hand evidence: suspect the member at that
@@ -518,7 +437,8 @@ impl Core {
 
     /// Route healing in action: syncs with the next live member
     /// discovered by gossip, so data flows over routes the application
-    /// never configured.
+    /// never configured. The sync holds the gossip thread until it ends,
+    /// at most the stall timeout.
     fn anti_entropy_step(&self, cursor: &mut usize) {
         let addrs = self.membership.lock().live_addrs();
         if addrs.is_empty() {
@@ -527,7 +447,7 @@ impl Core {
         let addr = &addrs[*cursor % addrs.len()];
         *cursor = cursor.wrapping_add(1);
         let now = SimTime::from_secs(self.shared.now_ms() / 1000);
-        if let Err(SessionError::Io(_)) = self.open_sync(addr, now, None) {
+        if self.sync(addr, now).is_err() {
             self.mark_addr_failed(addr);
         }
     }

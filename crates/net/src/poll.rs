@@ -1,9 +1,10 @@
 //! The reactor's readiness backend: edge-triggered `epoll(7)`.
 //!
-//! Every reactor worker (and the accept loop) owns an epoll instance with
-//! its sockets registered edge-triggered, and blocks in `epoll_wait` until
-//! a socket is actually readable or writable or new work arrives over a
-//! socketpair waker: wakeup cost scales with *ready* sessions, and an idle
+//! Every reactor worker owns an epoll instance with its sockets (and, on
+//! worker 0, the listener) registered edge-triggered, and blocks in
+//! `epoll_wait` until a socket is actually readable or writable, a
+//! connection waits to be accepted, or new work arrives over a socketpair
+//! waker: wakeup cost scales with *ready* sessions, and an idle
 //! worker sleeps with no latency floor.
 //!
 //! Consistent with the workspace's offline, in-tree-shim policy, the
@@ -69,7 +70,6 @@ mod linux {
 
         pub const EPOLL_CLOEXEC: i32 = 0o2000000;
         pub const EPOLL_CTL_ADD: i32 = 1;
-        pub const EPOLL_CTL_DEL: i32 = 2;
         pub const EPOLLIN: u32 = 0x001;
         pub const EPOLLOUT: u32 = 0x004;
         pub const EPOLLERR: u32 = 0x008;
@@ -156,30 +156,14 @@ mod linux {
 
         /// Registers a socket edge-triggered for both directions. The
         /// caller must drive the socket to `WouldBlock` after every wakeup
-        /// (the re-arm contract of edge triggering).
+        /// (the re-arm contract of edge triggering). Closing the socket
+        /// takes it out of the set: the reactor never duplicates one.
         pub(crate) fn register(&self, socket: &impl AsRawFd, token: usize) -> io::Result<()> {
             self.ctl_add(
                 socket.as_raw_fd(),
                 token as u64,
                 sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET,
             )
-        }
-
-        /// Removes a socket from the interest list. Must run before the fd
-        /// is handed to the connection pool: a pooled duplicate shares the
-        /// file description, so closing the session's fd alone would NOT
-        /// remove the registration and stale tokens would keep firing.
-        pub(crate) fn deregister(&self, socket: &impl AsRawFd) {
-            let mut event = sys::EpollEvent { events: 0, data: 0 };
-            // SAFETY: as in `ctl_add`; `EPOLL_CTL_DEL` ignores the event.
-            unsafe {
-                sys::epoll_ctl(
-                    self.epfd,
-                    sys::EPOLL_CTL_DEL,
-                    socket.as_raw_fd(),
-                    &mut event,
-                )
-            };
         }
 
         /// Blocks up to `timeout_ms` for readiness and replaces `ready`
@@ -269,10 +253,6 @@ mod unsupported {
             match *self {}
         }
 
-        pub(crate) fn deregister<S>(&self, _: &S) {
-            match *self {}
-        }
-
         pub(crate) fn wait(&mut self, _: i32, _: &mut Vec<usize>) -> io::Result<()> {
             match *self {}
         }
@@ -317,9 +297,9 @@ mod tests {
         assert!(ready.is_empty(), "waker must not surface as a session");
         handle.join().unwrap();
 
-        poller.deregister(&a);
-        (&b).write_all(b"y").unwrap();
+        // Closing a socket takes it out of the set.
+        drop(a);
         poller.wait(0, &mut ready).expect("wait");
-        assert!(ready.is_empty(), "deregistered socket still firing");
+        assert!(ready.is_empty(), "a closed socket still firing");
     }
 }

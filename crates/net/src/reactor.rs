@@ -25,27 +25,25 @@
 //! forward progress past the stall timeout is failed; an idle pooled
 //! responder past the idle timeout is closed.
 //!
-//! The reactor drives the sessions nobody blocks on: every inbound
-//! connection, and the outbound ones a caller detached (`sync_detached`,
-//! gossip fan-out, anti-entropy). A caller that waits for its session
-//! runs it on its own thread through [`transport::Dialer`], which also
-//! owns the one pool of idle outbound connections: a worker borrows a
-//! connection from it (flipping the socket nonblocking) and returns it
-//! blocking again once the session completed cleanly.
+//! The reactor is inbound only: it accepts and serves. Worker 0 holds
+//! the listener in its own epoll set and accepts until the socket would
+//! block, handing accepted connections to the workers round-robin, each
+//! behind a responder machine that can carry many back-to-back sessions.
+//! Callers dial: every outbound session runs on the thread that asked for
+//! it, through [`transport::Dialer`].
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obs::{Event, EventKind, Obs};
 use parking_lot::Mutex;
-use pfr::ReplicaId;
 use transport::conn::feed;
 use transport::frame::FrameAccum;
-use transport::{Dialed, Dialer, Outbound, SessionError, SessionMachine, SessionOutcome};
+use transport::{Dialed, SessionMachine};
 
 use crate::poll::{EpollPoller, PipeWaker};
 
@@ -62,6 +60,9 @@ const SEG_POOL_CAP: usize = 64 * 1024;
 /// Deadline sweep period: how often parked sessions are checked against
 /// idle/stall timeouts when no I/O wakes them.
 const DEADLINE_TICK: Duration = Duration::from_millis(20);
+/// Worker 0's token for the listener; no session slot reaches it, and
+/// it is not the poller's own waker token.
+const LISTENER: usize = usize::MAX - 1;
 
 /// Reactor tunables (filled in from [`crate::NetConfig`]).
 #[derive(Clone, Debug)]
@@ -72,46 +73,15 @@ pub(crate) struct ReactorConfig {
     pub stall_timeout: Duration,
 }
 
-struct TicketInner {
-    // std primitives: the workspace `parking_lot` shim has no Condvar.
-    result: std::sync::Mutex<Option<SessionOutcome>>,
-    cond: std::sync::Condvar,
-}
-
-/// A handle to a detached session: resolves when the reactor finishes it.
-#[derive(Clone)]
-pub struct SessionTicket(Arc<TicketInner>);
-
-impl SessionTicket {
-    pub(crate) fn new() -> SessionTicket {
-        SessionTicket(Arc::new(TicketInner {
-            result: std::sync::Mutex::new(None),
-            cond: std::sync::Condvar::new(),
-        }))
-    }
-
-    pub(crate) fn resolve(&self, result: SessionOutcome) {
-        let mut slot = self.0.result.lock().expect("ticket lock");
-        if slot.is_none() {
-            *slot = Some(result);
-            self.0.cond.notify_all();
-        }
-    }
-
-    /// Blocks until the session completes or fails.
-    pub fn wait(&self) -> SessionOutcome {
-        let mut slot = self.0.result.lock().expect("ticket lock");
-        while slot.is_none() {
-            slot = self.0.cond.wait(slot).expect("ticket lock");
-        }
-        slot.take().expect("resolved")
-    }
-}
-
-impl std::fmt::Debug for SessionTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionTicket").finish_non_exhaustive()
-    }
+/// The listener worker 0 accepts on, and what it admits connections
+/// with.
+pub(crate) struct Acceptor {
+    pub listener: TcpListener,
+    /// At this many open sessions an accepted connection is closed at
+    /// once: the remote sees it closed and backs off.
+    pub max_sessions: usize,
+    /// A responder machine for each accepted connection.
+    pub responder: Box<dyn Fn() -> SessionMachine + Send>,
 }
 
 /// Outbox: a queue of encoded-frame segments flushed with vectored
@@ -173,8 +143,8 @@ impl OutBuf {
 
     /// Flushes queued segments with vectored writes until the queue is
     /// empty or the socket would block, and says whether any byte went
-    /// out. `Ok(0)` from the socket surfaces as [`SessionError::Eof`].
-    fn flush(&mut self, stream: &TcpStream, syscalls: &mut u64) -> Result<bool, SessionError> {
+    /// out.
+    fn flush(&mut self, stream: &TcpStream, syscalls: &mut u64) -> io::Result<bool> {
         const EMPTY: &[u8] = &[];
         let mut wrote = false;
         while self.pending > 0 {
@@ -190,34 +160,26 @@ impl OutBuf {
             }
             *syscalls += 1;
             match (&*stream).write_vectored(&slices[..count]) {
-                Ok(0) => return Err(SessionError::Eof),
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => {
                     self.advance(n);
                     wrote = true;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(SessionError::Io(e)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             }
         }
         Ok(wrote)
     }
 }
 
-/// One registered connection and its protocol state.
+/// One accepted connection and its responder machine.
 pub(crate) struct Session {
     stream: TcpStream,
-    /// Dial address, for returning the connection to the pool; empty for
-    /// inbound connections.
-    addr: String,
-    /// Who the connection's last sync session was with (outbound only);
-    /// a gossip exchange over it leaves this as it was.
-    known_peer: Option<ReplicaId>,
     machine: SessionMachine,
     accum: FrameAccum,
     out: OutBuf,
-    ticket: Option<SessionTicket>,
-    inbound: bool,
     last_progress: Instant,
     stalled: bool,
     /// The peer closed or reset its end (epoll said so): reads run to
@@ -237,9 +199,6 @@ pub(crate) struct Shared {
     /// lands on its queue.
     wakers: Vec<Arc<PipeWaker>>,
     next_queue: AtomicUsize,
-    /// The pool of idle outbound connections and the blocking initiator
-    /// over it.
-    pub(crate) dialer: Dialer,
     epoch: Instant,
     obs: Obs,
     replica: u64,
@@ -258,38 +217,6 @@ impl Shared {
     /// membership layer ages entries against.
     pub(crate) fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// A connection to `addr` for a worker to drive, pool-first: taken
-    /// (or dialed) blocking, handed over nonblocking. The pool holds
-    /// blocking sockets, so a worker-driven session pays (and counts) one
-    /// mode flip here and one back in [`finalize`].
-    pub(crate) fn dial(&self, addr: &str) -> io::Result<Outbound> {
-        let conn = self.dialer.checkout(addr)?;
-        self.syscalls.fetch_add(1, Ordering::Relaxed);
-        conn.stream.set_nonblocking(true)?;
-        Ok(conn)
-    }
-
-    /// Registers an outbound session to `addr`: `opening` is what the
-    /// machine wants on the wire first.
-    pub(crate) fn register_outbound(
-        &self,
-        addr: &str,
-        conn: Outbound,
-        machine: SessionMachine,
-        opening: Vec<u8>,
-        ticket: Option<SessionTicket>,
-    ) {
-        if conn.reused {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut session = Session::new(conn.stream, machine);
-        session.addr = addr.to_string();
-        session.known_peer = conn.peer;
-        session.out.push_seg(opening);
-        session.ticket = ticket;
-        self.enqueue(session);
     }
 
     /// Counts one more open session (queued for a worker, or about to run
@@ -316,15 +243,30 @@ impl Shared {
         self.syscalls.fetch_add(dialed.syscalls, Ordering::Relaxed);
     }
 
-    /// Registers an accepted connection behind a responder machine.
-    pub(crate) fn register_inbound(&self, stream: TcpStream, machine: SessionMachine) {
-        let mut session = Session::new(stream, machine);
-        session.inbound = true;
-        self.enqueue(session);
+    /// Accepts until the listener would block, handing each connection
+    /// to the next worker round-robin (and waking it) behind a responder
+    /// machine. Says whether the backlog was drained: any other error
+    /// (fd exhaustion, say) cuts the drain short, and an edge-triggered
+    /// listener fires no new edge for what is left, so the caller retries
+    /// on its next deadline tick.
+    fn accept(&self, acceptor: &Acceptor) -> bool {
+        loop {
+            let stream = match acceptor.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) => return e.kind() == ErrorKind::WouldBlock,
+            };
+            if self.open_sessions() >= acceptor.max_sessions
+                || stream.set_nodelay(true).is_err()
+                || stream.set_nonblocking(true).is_err()
+            {
+                continue;
+            }
+            self.enqueue(Session::new(stream, (acceptor.responder)()));
+        }
     }
 
     /// Hands a session to the next worker round-robin and wakes that
-    /// worker. The stream must already be nonblocking.
+    /// worker.
     fn enqueue(&self, session: Session) {
         self.session_opened();
         let idx = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.queues.len();
@@ -341,13 +283,9 @@ impl Session {
     fn new(stream: TcpStream, machine: SessionMachine) -> Session {
         Session {
             stream,
-            addr: String::new(),
-            known_peer: None,
             machine,
             accum: FrameAccum::new(),
             out: OutBuf::default(),
-            ticket: None,
-            inbound: false,
             last_progress: Instant::now(),
             stalled: false,
             hung_up: false,
@@ -356,7 +294,7 @@ impl Session {
     }
 
     /// Flushes the outbox; bytes written count as progress.
-    fn flush(&mut self, syscalls: &mut u64) -> Result<(), SessionError> {
+    fn flush(&mut self, syscalls: &mut u64) -> io::Result<()> {
         if self.out.flush(&self.stream, syscalls)? {
             self.last_progress = Instant::now();
         }
@@ -372,14 +310,15 @@ pub(crate) struct Reactor {
 
 impl Reactor {
     /// Starts one worker per configured thread, each on an epoll
-    /// instance of its own.
+    /// instance of its own; worker 0's also holds `acceptor`'s listener,
+    /// which closes when that worker exits.
     ///
     /// # Errors
     ///
     /// The first epoll setup failure, before any worker starts.
     pub(crate) fn start(
         config: ReactorConfig,
-        dialer: Dialer,
+        acceptor: Acceptor,
         obs: Obs,
         replica: u64,
     ) -> io::Result<Reactor> {
@@ -387,6 +326,9 @@ impl Reactor {
         let pollers = (0..workers)
             .map(|_| EpollPoller::new())
             .collect::<io::Result<Vec<_>>>()?;
+        acceptor.listener.set_nonblocking(true)?;
+        pollers[0].register(&acceptor.listener, LISTENER)?;
+        let mut acceptor = Some(acceptor);
         let wakers = pollers.iter().map(EpollPoller::waker).collect();
         let shared = Arc::new(Shared {
             config,
@@ -394,7 +336,6 @@ impl Reactor {
             queues: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             wakers,
             next_queue: AtomicUsize::new(0),
-            dialer,
             epoch: Instant::now(),
             obs,
             replica,
@@ -412,9 +353,10 @@ impl Reactor {
             .enumerate()
             .map(|(w, poller)| {
                 let shared = Arc::clone(&shared);
+                let acceptor = acceptor.take();
                 std::thread::Builder::new()
                     .name(format!("net-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w, poller))
+                    .spawn(move || worker_loop(&shared, w, poller, acceptor))
                     .expect("spawn net worker")
             })
             .collect();
@@ -454,12 +396,11 @@ enum Verdict {
     /// bytes left: step it again without waiting, since an un-drained
     /// socket fires no further edge.
     Again,
-    /// Finished cleanly; the connection may return to the pool.
-    Finished,
     /// Closed without error (EOF on an idle responder, idle timeout).
     Closed,
-    /// Failed with an error.
-    Failed(SessionError),
+    /// Failed: an I/O or protocol error, a stall or backpressure past the
+    /// stall timeout.
+    Failed,
 }
 
 /// Per-worker telemetry: syscall/wakeup deltas accumulated locally and
@@ -523,8 +464,10 @@ impl PollTelemetry {
 /// short by the fairness bound stay "hot" and are re-stepped with a
 /// zero-timeout wait in between (the edge-trigger contract: an
 /// un-drained socket fires no further events). Deadlines are enforced by
-/// a periodic sweep every [`DEADLINE_TICK`].
-fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
+/// a periodic sweep every [`DEADLINE_TICK`], which also retries a
+/// listener whose last drain an accept error cut short. Worker 0 owns the
+/// `acceptor`.
+fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller, acceptor: Option<Acceptor>) {
     let mut slots: Vec<Option<Session>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut hot: Vec<usize> = Vec::new();
@@ -533,21 +476,21 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
     let mut read_buf = vec![0u8; READ_BUF];
     let mut telemetry = PollTelemetry::default();
     let mut last_tick = Instant::now();
+    let mut backlog = false;
     let tick_ms = DEADLINE_TICK.as_millis() as i32;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             incoming.append(&mut shared.queues[index].lock());
             for session in incoming.drain(..).chain(slots.drain(..).flatten()) {
-                finalize(shared, session, Verdict::Failed(SessionError::Eof));
+                finalize(shared, session, Verdict::Failed);
             }
             telemetry.emit(shared);
             return;
         }
 
-        // Intake: adopt newly registered sessions into the slab. They are
-        // stepped immediately (hot) — the initial outbox must hit the
-        // wire, and a pooled/inbound socket may already hold bytes that
-        // will never fire an edge.
+        // Intake: adopt newly accepted sessions into the slab. They are
+        // stepped immediately (hot): an accepted socket may already hold
+        // bytes that will never fire an edge.
         incoming.append(&mut shared.queues[index].lock());
         if !incoming.is_empty() {
             telemetry.on_wakeup(shared, &incoming);
@@ -561,9 +504,9 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
                         slots[token] = Some(session);
                         hot.push(token);
                     }
-                    Err(e) => {
+                    Err(_) => {
                         free.push(token);
-                        finalize(shared, session, Verdict::Failed(SessionError::Io(e)));
+                        finalize(shared, session, Verdict::Failed);
                     }
                 }
             }
@@ -576,11 +519,8 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
         if poller.wait(timeout, &mut ready).is_err() {
             // epoll_wait failing is unrecoverable for this worker; fail
             // everything rather than spin.
-            for slot in &mut slots {
-                if let Some(session) = slot.take() {
-                    poller.deregister(&session.stream);
-                    finalize(shared, session, Verdict::Failed(SessionError::Eof));
-                }
+            for session in slots.iter_mut().filter_map(Option::take) {
+                finalize(shared, session, Verdict::Failed);
             }
             hot.clear();
             continue;
@@ -595,6 +535,12 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
         ready.dedup();
 
         for &token in &ready {
+            if token == LISTENER {
+                if let Some(acceptor) = &acceptor {
+                    backlog = !shared.accept(acceptor);
+                }
+                continue;
+            }
             let Some(session) = slots.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
@@ -603,7 +549,6 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
                 Verdict::Again => hot.push(token),
                 verdict => {
                     let session = slots[token].take().expect("stepped session");
-                    poller.deregister(&session.stream);
                     free.push(token);
                     finalize(shared, session, verdict);
                 }
@@ -614,13 +559,15 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
         // quiet, so timeouts are enforced on a coarse periodic tick.
         if last_tick.elapsed() >= DEADLINE_TICK {
             last_tick = Instant::now();
+            if let Some(acceptor) = acceptor.as_ref().filter(|_| backlog) {
+                backlog = !shared.accept(acceptor);
+            }
             for (token, slot) in slots.iter_mut().enumerate() {
                 let Some(session) = slot.as_ref() else {
                     continue;
                 };
                 if let Some(verdict) = deadline_verdict(shared, session) {
                     let session = slot.take().expect("checked session");
-                    poller.deregister(&session.stream);
                     free.push(token);
                     finalize(shared, session, verdict);
                 }
@@ -630,37 +577,15 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller) {
     }
 }
 
-/// Accounts a removed session and resolves its ticket.
+/// Accounts a removed session; dropping it closes the socket, which also
+/// takes it out of the worker's epoll set.
 fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
     shared.open.fetch_sub(1, Ordering::Relaxed);
-    let error = match verdict {
-        Verdict::Keep | Verdict::Again => unreachable!(),
-        // A responder that served sessions before going quiet already
-        // counted them at completion; nothing to account here.
-        Verdict::Closed => return,
-        Verdict::Finished => {
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-        Verdict::Failed(error) => {
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-            session.machine.abort();
-            Some(error)
-        }
-    };
-    let outcome = session.machine.outcome(error);
-    // Return the outbound connection *before* resolving the ticket: a
-    // caller that re-dials the moment its wait returns must find the
-    // connection already pooled.
-    if outcome.is_ok() && !session.inbound {
-        shared.syscalls.fetch_add(1, Ordering::Relaxed);
-        if session.stream.set_nonblocking(false).is_ok() {
-            let peer = outcome.report.peer.or(session.known_peer);
-            shared.dialer.checkin(&session.addr, session.stream, peer);
-        }
-    }
-    if let Some(ticket) = session.ticket {
-        ticket.resolve(outcome);
+    // A responder that served sessions before going quiet already counted
+    // them at completion; only a failure is accounted here.
+    if matches!(verdict, Verdict::Failed) {
+        shared.failed.fetch_add(1, Ordering::Relaxed);
+        session.machine.abort();
     }
 }
 
@@ -668,28 +593,12 @@ fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
 /// worker's periodic tick (no event fires for a peer that went quiet).
 fn deadline_verdict(shared: &Shared, session: &Session) -> Option<Verdict> {
     let quiet = session.last_progress.elapsed();
-    if session.stalled {
-        if quiet > shared.config.stall_timeout {
-            return Some(Verdict::Failed(SessionError::Backpressure));
-        }
-        return None;
-    }
-    if session.machine.is_closed() {
-        // Finished but the outbox will not drain: the peer stopped
-        // reading. Treated as a stall like any other no-progress state.
-        if quiet > shared.config.stall_timeout {
-            return Some(Verdict::Failed(SessionError::Stalled));
-        }
-        return None;
-    }
-    if session.machine.is_idle() {
-        if quiet > shared.config.idle_timeout {
-            return Some(Verdict::Closed);
-        }
-    } else if quiet > shared.config.stall_timeout {
-        return Some(Verdict::Failed(SessionError::Stalled));
-    }
-    None
+    let (limit, verdict) = if session.machine.is_idle() && !session.stalled {
+        (shared.config.idle_timeout, Verdict::Closed)
+    } else {
+        (shared.config.stall_timeout, Verdict::Failed)
+    };
+    (quiet > limit).then_some(verdict)
 }
 
 /// One readiness pass over one session: flush, read, feed frames, flush
@@ -701,15 +610,8 @@ fn step(
     syscalls: &mut u64,
 ) -> Verdict {
     // Flush the outbox until empty or the socket would block.
-    if let Err(err) = session.flush(syscalls) {
-        return Verdict::Failed(err);
-    }
-
-    if session.machine.is_closed() {
-        if session.out.pending() == 0 {
-            return Verdict::Finished;
-        }
-        return Verdict::Keep;
+    if session.flush(syscalls).is_err() {
+        return Verdict::Failed;
     }
 
     // Backpressure: a session over its write bound stops reading until
@@ -768,17 +670,18 @@ fn step(
                     break;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {
                 reads -= 1;
                 continue;
             }
-            Err(e) => return Verdict::Failed(SessionError::Io(e)),
+            Err(_) => return Verdict::Failed,
         }
     }
 
     // Feed complete frames to the machine, encoding replies into a
-    // recycled outbox segment.
+    // recycled outbox segment. A responder resets to idle after each
+    // session; the connection stays registered for the next one.
     let mut seg = session.out.take_seg();
     let fed = feed(
         &mut session.machine,
@@ -788,28 +691,19 @@ fn step(
     );
     session.out.push_seg(seg);
     match fed {
-        // A responder resets to idle after each session; the connection
-        // stays registered for the next one.
-        Ok(completed) if session.inbound => {
+        Ok(completed) => {
             shared
                 .completed
                 .fetch_add(completed as u64, Ordering::Relaxed);
         }
-        Ok(_) => {}
-        Err(err) => return Verdict::Failed(err),
+        Err(_) => return Verdict::Failed,
     }
 
     // Flush again: frames the machine just queued would otherwise wait
     // for a writability edge that may never come (the socket is already
     // writable — edge-triggered epoll stays silent).
-    if session.out.pending() > 0 {
-        if let Err(err) = session.flush(syscalls) {
-            return Verdict::Failed(err);
-        }
-    }
-
-    if session.machine.is_closed() && session.out.pending() == 0 {
-        return Verdict::Finished;
+    if session.out.pending() > 0 && session.flush(syscalls).is_err() {
+        return Verdict::Failed;
     }
 
     if saw_eof {
@@ -819,7 +713,7 @@ fn step(
         {
             return Verdict::Closed;
         }
-        return Verdict::Failed(SessionError::Eof);
+        return Verdict::Failed;
     }
 
     if drained {

@@ -1,7 +1,8 @@
 //! Exactly-once delivery under concurrent reactor bursts.
 //!
-//! Seeded multi-peer scenarios: several clients each hold many detached
-//! sessions in flight against one server at once, in Full or Digest mode,
+//! Seeded multi-peer scenarios: several clients each hold many sessions
+//! in flight against one server at once, each on a caller thread of its
+//! own, in Full or Digest mode,
 //! then a quiescing round lets every client pull the complete set. Every
 //! inbox must then hold exactly what was addressed to it — every message
 //! once, none twice — whatever interleaving the reactor's workers chose.
@@ -90,24 +91,24 @@ fn run_burst(
         })
         .collect();
 
-    // Concurrent burst: every client holds several detached sessions in
-    // flight at once — interleaving is the reactor's to schedule.
-    let tickets: Vec<_> = (0..burst_per_client)
-        .flat_map(|r| {
-            client_nodes
-                .iter()
-                .map(|c| c.sync_detached(&addr, SimTime::from_secs(3600 + r as u64)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let result = ticket.expect("register").wait();
-        assert!(
-            result.is_ok(),
-            "burst session {i} failed: {:?}",
-            result.error
-        );
-    }
+    // Concurrent burst: every client holds several sessions in flight at
+    // once, one caller thread each — interleaving is the threads' and the
+    // reactor's to schedule.
+    std::thread::scope(|scope| {
+        for r in 0..burst_per_client as u64 {
+            for (i, client) in client_nodes.iter().enumerate() {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let result = client.sync_with(addr, SimTime::from_secs(3600 + r));
+                    assert!(
+                        result.is_ok(),
+                        "burst session {r} of client {i} failed: {:?}",
+                        result.error
+                    );
+                });
+            }
+        }
+    });
     // Quiescing round, fixed order: every client pulls the complete set.
     for client in &client_nodes {
         let result = client.sync_with(&addr, SimTime::from_secs(7200));

@@ -1,9 +1,10 @@
-//! End-to-end reactor tests over real sockets: detached high-fanout
-//! sessions, connection pooling (and the pool/reap race), gossip
-//! discovery, and failure edges. That the reactor, the blocking pump and
-//! in-process encounters agree is `session_matrix.rs`' business.
+//! End-to-end reactor tests over real sockets: concurrent sessions from
+//! caller threads, connection pooling (and the pool/reap race), gossip
+//! discovery, anti-entropy, and failure edges. That the reactor, the
+//! blocking pump and in-process encounters agree is `session_matrix.rs`'
+//! business.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dtn::{DtnNode, PolicyKind};
@@ -132,8 +133,8 @@ fn a_pooled_connection_is_discarded_before_its_peer_would_reap_it() {
 
 #[test]
 fn detached_sessions_run_concurrently() {
-    // One client drives many sessions in flight at once against one
-    // server: the point of the reactor over thread-per-session.
+    // Twenty caller threads hold sessions in flight at once against one
+    // server, whose reactor serves them side by side.
     let mut client_node = node(1, "client");
     for i in 0..20 {
         client_node
@@ -149,23 +150,20 @@ fn detached_sessions_run_concurrently() {
     let client = NetNode::start(client_node, "127.0.0.1:0", quiet_config()).unwrap();
     let addr = server.local_addr().to_string();
 
-    // Fresh dials (no pooling between concurrent sessions to the same
-    // addr: the pool only holds completed connections).
-    let tickets: Vec<_> = (0..20)
-        .map(|i| {
-            client
-                .sync_detached(&addr, SimTime::from_secs(60 + i))
-                .expect("register session")
-        })
-        .collect();
-    for ticket in tickets {
-        let result = ticket.wait();
-        assert!(
-            result.is_ok(),
-            "detached session failed: {:?}",
-            result.error
-        );
-    }
+    // Concurrent sessions to one address dial fresh connections: the
+    // pool only holds connections whose session completed. The barrier
+    // starts all twenty at once.
+    let start = Barrier::new(20);
+    std::thread::scope(|scope| {
+        for i in 0..20 {
+            let (client, addr, start) = (&client, &addr, &start);
+            scope.spawn(move || {
+                start.wait();
+                let result = client.sync_with(addr, SimTime::from_secs(60 + i));
+                assert!(result.is_ok(), "session {i} failed: {:?}", result.error);
+            });
+        }
+    });
     let server_stats = server.stats();
     assert!(
         server_stats.peak_sessions >= 2,
@@ -301,4 +299,40 @@ fn at_capacity_registrations_fail_fast() {
     let result = client.sync_with("127.0.0.1:1", SimTime::from_secs(60));
     assert!(matches!(result.error, Some(net::SessionError::AtCapacity)));
     client.stop();
+}
+
+#[test]
+fn anti_entropy_carries_a_message_along_a_seeded_chain() {
+    // Three nodes chained only by seeds, each gossiping and running
+    // anti-entropy on its own thread. The test never calls `sync_with`:
+    // the message reaches the head over routes gossip found.
+    let config = NetConfig {
+        gossip_interval: Duration::from_millis(50),
+        anti_entropy_interval: Duration::from_millis(50),
+        ..NetConfig::default()
+    };
+    let nodes: Vec<NetNode> = (1..=3)
+        .map(|i| {
+            let node = node(i, &format!("n{i}"));
+            NetNode::start(node, "127.0.0.1:0", config.clone()).unwrap()
+        })
+        .collect();
+    for pair in nodes.windows(2) {
+        pair[1].add_seed(pair[0].local_addr().to_string());
+    }
+    nodes[2]
+        .with_node(|n| n.send("n1", b"along the chain".to_vec(), SimTime::ZERO))
+        .unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while nodes[0].with_node(|n| n.inbox().is_empty()) {
+        assert!(
+            Instant::now() < deadline,
+            "the head never received the message: views {:?}",
+            nodes.iter().map(NetNode::membership).collect::<Vec<_>>()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let stopped: Vec<DtnNode> = nodes.into_iter().map(NetNode::stop).collect();
+    assert_eq!(stopped[0].inbox()[0].payload, b"along the chain");
 }

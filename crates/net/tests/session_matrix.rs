@@ -7,8 +7,8 @@
 //! * in-process `DtnNode::encounter` (no wire at all),
 //! * two [`SessionMachine`]s pumped in memory,
 //! * the blocking pump on the caller's thread over TCP, behind
-//!   [`transport::Peer::sync_with`] and behind [`NetNode::sync_with`],
-//! * the reactor (`NetNode::sync_detached`),
+//!   [`transport::Peer::sync_with`] (a thread-per-connection responder)
+//!   and behind [`NetNode::sync_with`] (the reactor responds),
 //!
 //! for all six policies, in Full mode and Digest mode (the forgetful node
 //! forces a `ReconResync` round), every wired driver over fresh
@@ -515,13 +515,10 @@ impl Driver for Blocking {
 struct Reactor {
     fleet: Vec<NetNode>,
     taps: Taps,
-    /// Initiate with `sync_detached` (a worker drives the session) rather
-    /// than `sync_with` (the caller's thread does).
-    detached: bool,
 }
 
 impl Reactor {
-    fn new(nodes: Vec<DtnNode>, detached: bool, reuse: bool) -> Reactor {
+    fn new(nodes: Vec<DtnNode>, reuse: bool) -> Reactor {
         let config = NetConfig {
             workers: 1,
             gossip_interval: Duration::ZERO,
@@ -532,11 +529,7 @@ impl Reactor {
             .map(|n| NetNode::start(n, "127.0.0.1:0", config.clone()).expect("bind"))
             .collect();
         let taps = Taps::new(fleet.iter().map(NetNode::local_addr).collect(), reuse);
-        Reactor {
-            fleet,
-            taps,
-            detached,
-        }
+        Reactor { fleet, taps }
     }
 }
 
@@ -547,14 +540,7 @@ impl Driver for Reactor {
 
     fn session(&mut self, a: usize, b: usize, now: SimTime) {
         let toward = self.taps.toward(b).to_string();
-        let outcome = if self.detached {
-            self.fleet[a]
-                .sync_detached(&toward, now)
-                .expect("register a session")
-                .wait()
-        } else {
-            self.fleet[a].sync_with(&toward, now)
-        };
+        let outcome = self.fleet[a].sync_with(&toward, now);
         assert!(outcome.is_ok(), "reactor session: {:?}", outcome.error);
     }
 
@@ -562,18 +548,7 @@ impl Driver for Reactor {
         let reuses: u64 = self.fleet.iter().map(|n| n.stats().conn_reuses).sum();
         let expected = if self.taps.standing.is_some() { 3 } else { 0 };
         assert_eq!(reuses, expected, "sessions over a pooled connection");
-        // Side by side: each stop waits out its accept thread's poll.
-        let nodes = std::thread::scope(|scope| {
-            let stops: Vec<_> = self
-                .fleet
-                .into_iter()
-                .map(|node| scope.spawn(move || node.stop()))
-                .collect();
-            stops
-                .into_iter()
-                .map(|stop| stop.join().expect("stop a node"))
-                .collect()
-        });
+        let nodes = self.fleet.into_iter().map(NetNode::stop).collect();
         (nodes, Some(self.taps.finish()))
     }
 }
@@ -718,24 +693,14 @@ fn the_blocking_pump_over_tcp_equals_the_machine() {
     });
 }
 
-/// Responders on reactor workers; initiators on a worker of the same
-/// reactor (`detached`) or on the caller's thread.
-fn reactor_equals_the_machine(detached: bool) {
+/// Responders on reactor workers, initiators on the caller's thread.
+#[test]
+fn the_caller_thread_driver_equals_the_machine() {
     every_case(|policy, mode, reference| {
         for reuse in [false, true] {
-            let got = replay(Reactor::new(nodes(policy, mode), detached, reuse));
-            let what = format!("reactor detached={detached} reuse={reuse} {policy:?} {mode:?}");
+            let got = replay(Reactor::new(nodes(policy, mode), reuse));
+            let what = format!("reactor reuse={reuse} {policy:?} {mode:?}");
             assert_same(&what, reference, &got);
         }
     });
-}
-
-#[test]
-fn the_caller_thread_driver_equals_the_machine() {
-    reactor_equals_the_machine(false);
-}
-
-#[test]
-fn the_epoll_reactor_equals_the_machine() {
-    reactor_equals_the_machine(true);
 }

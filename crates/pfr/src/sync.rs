@@ -251,9 +251,9 @@ pub(crate) struct SyncScratch {
     /// What the version index reported as unknown to the requester: item
     /// id and store slot number.
     pub candidates: Vec<(ItemId, usize)>,
-    /// Selection survivors: (id, priority, matched_filter, payload_len,
-    /// store slot number).
-    pub selected: Vec<(ItemId, Priority, bool, usize, usize)>,
+    /// Selection survivors: (id, priority, matched_filter, store slot
+    /// number).
+    pub selected: Vec<(ItemId, Priority, bool, usize)>,
     /// Recycled batch-entry buffer. [`prepare_batch`] moves it into the
     /// outgoing [`SyncBatch`]; the in-process [`sync_with`] path hands the
     /// drained vector back after the target applies the batch, so repeat
@@ -569,11 +569,6 @@ pub struct SyncLimits {
     /// Maximum number of items transmitted in this batch (`None` =
     /// unlimited).
     pub max_items: Option<usize>,
-    /// Maximum total payload bytes transmitted in this batch (`None` =
-    /// unlimited). Models an encounter that ends mid-transfer: the batch
-    /// is cut at the first item that would exceed the budget, in priority
-    /// order, so the highest-priority traffic goes first.
-    pub max_payload_bytes: Option<usize>,
 }
 
 impl SyncLimits {
@@ -584,24 +579,7 @@ impl SyncLimits {
 
     /// At most `n` items per batch.
     pub fn max_items(n: usize) -> Self {
-        SyncLimits {
-            max_items: Some(n),
-            ..SyncLimits::default()
-        }
-    }
-
-    /// At most `n` total payload bytes per batch.
-    pub fn max_payload_bytes(n: usize) -> Self {
-        SyncLimits {
-            max_payload_bytes: Some(n),
-            ..SyncLimits::default()
-        }
-    }
-
-    /// Adds a payload-byte cap to these limits.
-    pub fn with_max_payload_bytes(mut self, n: usize) -> Self {
-        self.max_payload_bytes = Some(n);
-        self
+        SyncLimits { max_items: Some(n) }
     }
 }
 
@@ -738,18 +716,14 @@ pub fn prepare_batch(
     let mut withheld = passed;
     for &(id, at) in &scratch.candidates {
         // No store lookup per candidate: the walk reported the slot, which
-        // answers the filter match and the payload length the byte-budget
-        // cut needs later, is then lent to the policy for its verdict, and
-        // is where a selected copy is cloned from.
+        // answers the filter match, is then lent to the policy for its
+        // verdict, and is where a selected copy is cloned from.
         let Some(slot) = cx.replica.candidate_slot(id, at) else {
             withheld += 1;
             continue;
         };
-        let payload_len = slot.item.payload().len();
         if request.filter.matches(slot.item) {
-            scratch
-                .selected
-                .push((id, Priority::highest(), true, payload_len, at));
+            scratch.selected.push((id, Priority::highest(), true, at));
             continue;
         }
         let mut candidate = Candidate {
@@ -784,9 +758,7 @@ pub fn prepare_batch(
                 at_secs: now.as_secs(),
             });
         match verdict {
-            Some(priority) => scratch
-                .selected
-                .push((id, priority, false, payload_len, at)),
+            Some(priority) => scratch.selected.push((id, priority, false, at)),
             None => withheld += 1,
         }
     }
@@ -822,35 +794,11 @@ pub fn prepare_batch(
             scratch.selected.truncate(max);
         }
     }
-    if let Some(max_bytes) = limits.max_payload_bytes {
-        // Cut, in priority order, at the first item that would overflow
-        // the byte budget (the encounter ends there). A zero budget means
-        // "no transfer at all": without the explicit guard, zero-length
-        // payloads cost nothing and an empty budget would let every such
-        // item through. Sizes were recorded during selection — payloads
-        // are immutable after creation, so no second lookup is needed.
-        let mut used = 0usize;
-        let mut keep = 0usize;
-        if max_bytes > 0 {
-            for &(_, _, _, size, _) in &scratch.selected {
-                if used + size > max_bytes {
-                    break;
-                }
-                used += size;
-                keep += 1;
-            }
-        }
-        if scratch.selected.len() > keep {
-            withheld += scratch.selected.len() - keep;
-            scratch.selected.truncate(keep);
-        }
-    }
-
     let mut entries = std::mem::take(&mut scratch.entries);
     entries.clear();
     entries.reserve(scratch.selected.len());
     let mut payload_bytes = 0u64;
-    for &(id, priority, matched_filter, _, at) in &scratch.selected {
+    for &(id, priority, matched_filter, at) in &scratch.selected {
         let Some(mut copy) = cx.replica.candidate_item(id, at).cloned() else {
             continue;
         };
@@ -1142,96 +1090,24 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_cuts_batches_in_priority_order() {
-        let mut a = host(1, "a");
-        let mut b = host(2, "b");
-        for i in 0..4u8 {
-            a.insert(dest("b"), vec![i; 100]).unwrap();
-        }
-        // 250 bytes fit two 100-byte payloads.
-        let report = sync_with(
-            &mut a,
-            &mut NoExtension,
-            &mut b,
-            &mut NoExtension,
-            SyncLimits::max_payload_bytes(250),
-            SimTime::ZERO,
-        );
-        assert_eq!(report.transmitted, 2);
-        assert_eq!(report.withheld, 2);
-        // Later syncs drain the rest: eventual consistency survives cuts.
-        sync_with(
-            &mut a,
-            &mut NoExtension,
-            &mut b,
-            &mut NoExtension,
-            SyncLimits::max_payload_bytes(250),
-            SimTime::from_secs(1),
-        );
-        assert_eq!(b.iter_items().count(), 4);
-    }
-
-    #[test]
-    fn oversized_item_is_withheld_not_sent() {
-        let mut a = host(1, "a");
-        let mut b = host(2, "b");
-        a.insert(dest("b"), vec![0; 1000]).unwrap();
-        let report = sync_with(
-            &mut a,
-            &mut NoExtension,
-            &mut b,
-            &mut NoExtension,
-            SyncLimits::max_payload_bytes(100),
-            SimTime::ZERO,
-        );
-        assert_eq!(report.transmitted, 0);
-        assert_eq!(report.withheld, 1);
-    }
-
-    #[test]
     fn zero_limits_yield_an_empty_batch() {
-        // A zero budget of either kind means "send nothing" — it must not
-        // degenerate into an unbounded batch, even for zero-length
-        // payloads, which cost no bytes and used to slip through the byte
-        // accounting.
+        // A zero budget means "send nothing": it must not degenerate into
+        // an unbounded batch.
         let mut a = host(1, "a");
         a.insert(dest("b"), vec![]).unwrap();
         a.insert(dest("b"), vec![1, 2, 3]).unwrap();
-        for limits in [SyncLimits::max_items(0), SyncLimits::max_payload_bytes(0)] {
-            let mut b = host(2, "b");
-            let report = sync_with(
-                &mut a,
-                &mut NoExtension,
-                &mut b,
-                &mut NoExtension,
-                limits,
-                SimTime::ZERO,
-            );
-            assert_eq!(report.transmitted, 0, "{limits:?} transmitted items");
-            assert_eq!(report.withheld, 2, "{limits:?} withheld count");
-            assert_eq!(b.item_count(), 0);
-        }
-    }
-
-    #[test]
-    fn combined_item_and_byte_limits() {
-        let mut a = host(1, "a");
         let mut b = host(2, "b");
-        for i in 0..5u8 {
-            a.insert(dest("b"), vec![i; 10]).unwrap();
-        }
-        let limits = SyncLimits::max_items(3).with_max_payload_bytes(25);
         let report = sync_with(
             &mut a,
             &mut NoExtension,
             &mut b,
             &mut NoExtension,
-            limits,
+            SyncLimits::max_items(0),
             SimTime::ZERO,
         );
-        // Item cap would allow 3, but bytes only fit 2.
-        assert_eq!(report.transmitted, 2);
-        assert_eq!(report.withheld, 3);
+        assert_eq!(report.transmitted, 0);
+        assert_eq!(report.withheld, 2);
+        assert_eq!(b.item_count(), 0);
     }
 
     #[test]

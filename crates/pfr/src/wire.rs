@@ -20,8 +20,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
-
 use crate::digest::{DigestRequest, KnowledgeSummary};
 use crate::filter::{CmpOp, Filter};
 use crate::id::{ItemId, ReplicaId, Version};
@@ -95,7 +93,7 @@ pub const MAX_DECODE_DEPTH: usize = 64;
 /// per type serves both the frame and its length (see [`encoded_len`]).
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// `Some(n)`: length-only mode, `n` bytes counted so far.
     counted: Option<usize>,
 }
@@ -109,7 +107,7 @@ impl Writer {
     /// Creates a writer that counts bytes instead of storing them.
     pub fn counting() -> Self {
         Writer {
-            buf: BytesMut::new(),
+            buf: Vec::new(),
             counted: Some(0),
         }
     }
@@ -117,7 +115,7 @@ impl Writer {
     /// Finishes encoding, returning the bytes (none from a counting
     /// writer). Moves the buffer out — no copy.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.into()
+        self.buf
     }
 
     /// The bytes written so far (none in a counting writer).
@@ -147,7 +145,7 @@ impl Writer {
     pub fn put_u8(&mut self, byte: u8) {
         match &mut self.counted {
             Some(n) => *n += 1,
-            None => self.buf.put_u8(byte),
+            None => self.buf.push(byte),
         }
     }
 
@@ -156,7 +154,7 @@ impl Writer {
     pub fn put_slice(&mut self, bytes: &[u8]) {
         match &mut self.counted {
             Some(n) => *n += bytes.len(),
-            None => self.buf.put_slice(bytes),
+            None => self.buf.extend_from_slice(bytes),
         }
     }
 
@@ -177,10 +175,10 @@ impl Writer {
             let byte = (value & 0x7f) as u8;
             value >>= 7;
             if value == 0 {
-                self.buf.put_u8(byte);
+                self.buf.push(byte);
                 return;
             }
-            self.buf.put_u8(byte | 0x80);
+            self.buf.push(byte | 0x80);
         }
     }
 

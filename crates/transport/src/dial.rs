@@ -1,15 +1,14 @@
-//! The blocking initiator: [`Dialer`] owns the pool of idle outbound
-//! connections and runs a sync session on its caller's thread.
+//! The one outbound driver: [`Dialer`] owns the pool of idle outbound
+//! connections and runs every outbound session on its caller's thread.
 //!
-//! A caller that is going to wait for its session anyway needs no worker
-//! to run it: [`Dialer::sync`] takes a pooled connection (or dials one),
-//! builds the initiator machine and pumps it right there — `write`,
-//! `read`, repeat — then returns the connection to the pool. Both
+//! A caller waits for its session, so it needs no worker to run it:
+//! [`Dialer::sync`] and [`Dialer::gossip`] take a pooled connection (or
+//! dial one), build the initiator machine and pump it right there —
+//! `write`, `read`, repeat — then return the connection to the pool.
 //! [`Peer::sync_with`](crate::Peer::sync_with) and `net`'s
-//! `NetNode::sync_with` are that call. The `net` reactor drives the
-//! sessions nobody waits on (detached syncs, gossip, anti-entropy) and
-//! borrows connections from the same pool through [`Dialer::checkout`] /
-//! [`Dialer::checkin`].
+//! `NetNode::sync_with`, gossip rounds and anti-entropy syncs are all
+//! calls into it; reactors and [`Peer`](crate::Peer) only serve inbound
+//! connections.
 //!
 //! Pooled sockets are blocking, with the dialer's I/O timeout as read and
 //! write timeout — set once, when the connection is dialed — so a peer
@@ -120,14 +119,12 @@ impl DialConfig {
 
 /// An outbound connection, freshly dialed or taken from the pool. The
 /// stream is blocking, with the dialer's I/O timeouts set.
-#[derive(Debug)]
-pub struct Outbound {
-    /// The connected socket.
-    pub stream: TcpStream,
+struct Outbound {
+    stream: TcpStream,
     /// Taken from the pool rather than dialed.
-    pub reused: bool,
+    reused: bool,
     /// Who its last sync session was with, when it had one.
-    pub peer: Option<ReplicaId>,
+    peer: Option<ReplicaId>,
 }
 
 struct PooledConn {
@@ -176,7 +173,8 @@ impl Pool {
     }
 }
 
-/// What [`Dialer::sync`] hands back for a session that got a connection.
+/// What [`Dialer::sync`] and [`Dialer::gossip`] hand back for a session
+/// that got a connection.
 #[derive(Debug)]
 pub struct Dialed {
     /// How the session went.
@@ -252,11 +250,7 @@ impl Dialer {
 
     /// A connection to `addr`, pool-first: a pooled one skips the TCP
     /// handshake entirely.
-    ///
-    /// # Errors
-    ///
-    /// The resolve or connect error of a fresh dial.
-    pub fn checkout(&self, addr: &str) -> io::Result<Outbound> {
+    fn checkout(&self, addr: &str) -> io::Result<Outbound> {
         match self.pool.lock().take(addr, self.max_idle) {
             Some(conn) => Ok(Outbound {
                 stream: conn.stream,
@@ -265,18 +259,6 @@ impl Dialer {
             }),
             None => self.connect(addr),
         }
-    }
-
-    /// Returns a connection whose session completed cleanly to the pool,
-    /// remembering who the session was with. The stream must be blocking
-    /// again if a reactor borrowed it.
-    pub fn checkin(&self, addr: &str, stream: TcpStream, peer: Option<ReplicaId>) {
-        let conn = PooledConn {
-            stream,
-            peer,
-            idle_since: Instant::now(),
-        };
-        self.pool.lock().give(addr, conn, self.max_idle);
     }
 
     fn connect(&self, addr: &str) -> io::Result<Outbound> {
@@ -292,11 +274,7 @@ impl Dialer {
 
     /// Runs one full sync session with `addr` on the calling thread. On
     /// a pooled connection that remembers its peer the request goes out
-    /// right behind the hello. A pooled connection that turns out dead —
-    /// closed or reset before a single reply byte — costs a redial, not
-    /// the contact: the session is opened once more on a fresh
-    /// connection, and the dead attempt is accounted nowhere. A
-    /// connection is pooled again only after a clean session.
+    /// right behind the hello.
     ///
     /// # Errors
     ///
@@ -311,18 +289,54 @@ impl Dialer {
         now: SimTime,
         now_ms: &dyn Fn() -> u64,
     ) -> io::Result<Dialed> {
-        let mut conn = self.checkout(addr)?;
-        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
-        let mut syscalls = 0;
-        let outcome = loop {
+        self.run(addr, now_ms, |conn| {
             let (node, membership) = (Arc::clone(node), Arc::clone(membership));
-            let opened = match conn.peer {
+            match conn.peer {
                 Some(peer) => {
                     SessionMachine::sync_initiator_to(node, membership, limits, now, peer)
                 }
                 None => SessionMachine::sync_initiator(node, membership, limits, now, conn.reused),
-            };
-            let (mut machine, mut out) = match opened {
+            }
+        })
+    }
+
+    /// Runs one gossip exchange with `addr` on the calling thread: our
+    /// view out, theirs merged into `membership`. The connection keeps
+    /// the peer its last sync was with.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dialer::sync`].
+    pub fn gossip(
+        &self,
+        addr: &str,
+        node: &Arc<Mutex<DtnNode>>,
+        membership: &Arc<Mutex<Membership>>,
+        now_ms: &dyn Fn() -> u64,
+    ) -> io::Result<Dialed> {
+        self.run(addr, now_ms, |conn| {
+            let (node, membership) = (Arc::clone(node), Arc::clone(membership));
+            SessionMachine::gossip_initiator(node, membership, now_ms(), conn.reused)
+        })
+    }
+
+    /// Opens a session with `open` over a connection to `addr` and pumps
+    /// it to its end. A pooled connection that turns out dead — closed or
+    /// reset before a single reply byte — costs a redial, not the
+    /// contact: the session is opened once more on a fresh connection,
+    /// and the dead attempt is accounted nowhere. A connection is pooled
+    /// again only after a clean session.
+    fn run(
+        &self,
+        addr: &str,
+        now_ms: &dyn Fn() -> u64,
+        open: impl Fn(&Outbound) -> Result<(SessionMachine, Vec<u8>), SessionError>,
+    ) -> io::Result<Dialed> {
+        let mut conn = self.checkout(addr)?;
+        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
+        let mut syscalls = 0;
+        let outcome = loop {
+            let (mut machine, mut out) = match open(&conn) {
                 Ok(opened) => opened,
                 Err(error) => break Ok(SessionOutcome::failed(error)),
             };
@@ -333,7 +347,12 @@ impl Dialer {
             match turns(&mut counted, &mut machine, &mut out, now_ms, &mut scratch) {
                 Ok(()) => {
                     let outcome = machine.outcome(None);
-                    self.checkin(addr, conn.stream, outcome.report.peer);
+                    let pooled = PooledConn {
+                        stream: conn.stream,
+                        peer: outcome.report.peer.or(conn.peer),
+                        idle_since: Instant::now(),
+                    };
+                    self.pool.lock().give(addr, pooled, self.max_idle);
                     break Ok(outcome);
                 }
                 Err(error) if conn.reused && scratch.received == 0 && hung_up(&error) => {

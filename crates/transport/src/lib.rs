@@ -16,18 +16,21 @@
 //!   loop that runs a machine over one, and [`conn::feed`], the frame
 //!   step every driver (the pump, `net`'s reactor, the testkit's
 //!   single-threaded `SimNet`) hands its bytes to.
-//! * [`dial`] — [`Dialer`], the one blocking initiator: it owns the pool
-//!   of idle outbound connections (each remembering its last peer, so the
-//!   next session opens with hello and request in one write), takes a
-//!   pooled connection or dials one, and pumps the session on its
-//!   caller's thread. [`Peer::sync_with`] and `net`'s
-//!   `NetNode::sync_with` are both a call into it; a pooled connection
-//!   that died in the pool costs one redial, a peer that goes quiet fails
-//!   the session as [`SessionError::Stalled`].
+//! * [`dial`] — [`Dialer`], the one outbound driver (servers are inbound
+//!   only; callers dial). It owns the pool of idle outbound
+//!   connections (each remembering its last peer, so the next session
+//!   opens with hello and request in one write), takes a pooled
+//!   connection or dials one, and pumps a sync or a gossip exchange on
+//!   its caller's thread. [`Peer::sync_with`] and `net`'s
+//!   `NetNode::sync_with`, gossip rounds and anti-entropy syncs are all a
+//!   call into it; a pooled connection that died in the pool costs one
+//!   redial, a peer that goes quiet fails the session as
+//!   [`SessionError::Stalled`].
 //! * [`Peer`] — a TCP listener serving sessions on a thread per
 //!   connection; the `net` crate serves the same machine from a
-//!   nonblocking reactor instead, runs the anti-entropy loop, and drives
-//!   the outbound sessions nobody blocks on.
+//!   nonblocking reactor instead and runs the gossip and anti-entropy
+//!   loop. Both only serve: their outbound sessions go through the
+//!   dialer.
 //!
 //! ```no_run
 //! use dtn::{DtnNode, PolicyKind};
@@ -56,7 +59,7 @@ pub mod session;
 mod peer;
 
 pub use conn::{pump, Connection};
-pub use dial::{DialConfig, Dialed, Dialer, Outbound};
+pub use dial::{DialConfig, Dialed, Dialer};
 pub use gossip::{GossipMessage, PeerStatus, PeerWire};
 pub use membership::{Membership, MembershipConfig, PeerView, TickReport};
 pub use peer::{Peer, TransportError};

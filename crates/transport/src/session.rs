@@ -88,9 +88,6 @@ pub enum SessionError {
     Eof,
     /// No forward progress within the stall timeout.
     Stalled,
-    /// The peer's write queue stayed over its bound past the stall
-    /// timeout.
-    Backpressure,
     /// The reactor is at its concurrent-session cap.
     AtCapacity,
 }
@@ -108,7 +105,6 @@ impl fmt::Display for SessionError {
             SessionError::Io(e) => write!(f, "session i/o: {e}"),
             SessionError::Eof => write!(f, "connection closed mid-session"),
             SessionError::Stalled => write!(f, "session stalled past timeout"),
-            SessionError::Backpressure => write!(f, "write queue over bound past timeout"),
             SessionError::AtCapacity => write!(f, "reactor at max concurrent sessions"),
         }
     }

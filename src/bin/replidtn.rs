@@ -120,11 +120,13 @@ USAGE:
 
       --gossip swaps the thread-per-session transport for the async
       epoll reactor (crates/net; Linux only, elsewhere it fails at start
-      and the default transport is the one to use): up to --max-sessions
-      concurrent sessions on a small worker pool, gossip membership
-      bootstrapped from --seed-peer addresses (one round per
-      --gossip-interval-ms), and, when --anti-entropy-ms is nonzero,
-      periodic syncs round-robin over the discovered view. The dial
+      and the default transport is the one to use). The reactor is
+      inbound only; callers dial: it serves up to --max-sessions
+      concurrent inbound sessions on a small worker pool, while one
+      control thread dials the gossip rounds, bootstrapped from
+      --seed-peer addresses (one round per --gossip-interval-ms), and,
+      when --anti-entropy-ms is nonzero, periodic syncs round-robin over
+      the discovered view, each running until it ends. The dial
       flags tune both transports:
       --connect-timeout-ms / --io-timeout-ms bound the socket,
       --retries / --backoff-ms add exponential backoff with deterministic
@@ -524,9 +526,10 @@ fn peer(args: &[String]) -> Result<(), String> {
 
     let mut last_now = SimTime::ZERO;
     let mut node = if flags.has("gossip") {
-        // The async reactor: thousands of concurrent sessions on a small
-        // worker pool, gossip peer discovery, and periodic anti-entropy
-        // syncs over the discovered view.
+        // The async reactor serves thousands of concurrent inbound
+        // sessions on a small worker pool; one control thread dials gossip
+        // peer discovery and periodic anti-entropy syncs over the
+        // discovered view.
         let defaults = NetConfig::default();
         let config = NetConfig {
             max_sessions: flags.num("max-sessions", defaults.max_sessions)?,
