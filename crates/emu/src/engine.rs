@@ -78,6 +78,9 @@ impl std::fmt::Debug for PolicySpec {
     }
 }
 
+/// Seed of [`FilterStrategy::Random`]'s per-node draws.
+const STRATEGY_SEED: u64 = 0x5eed;
+
 /// Configuration of one emulation run.
 #[derive(Clone)]
 pub struct EmulationConfig {
@@ -90,8 +93,6 @@ pub struct EmulationConfig {
     /// Multi-address filter strategy (paper §VI-B); meaningful mainly with
     /// [`PolicyKind::Direct`].
     pub filter_strategy: FilterStrategy,
-    /// Seed for the random filter strategy.
-    pub strategy_seed: u64,
     /// Seed for the daily user-to-bus assignment.
     pub assignment_seed: u64,
     /// Probability that a scheduled encounter silently fails (both parties
@@ -153,7 +154,6 @@ impl std::fmt::Debug for EmulationConfig {
             .field("budget", &self.budget)
             .field("relay_limit", &self.relay_limit)
             .field("filter_strategy", &self.filter_strategy)
-            .field("strategy_seed", &self.strategy_seed)
             .field("assignment_seed", &self.assignment_seed)
             .field("encounter_drop_rate", &self.encounter_drop_rate)
             .field("crash_rate", &self.crash_rate)
@@ -178,7 +178,6 @@ impl Default for EmulationConfig {
             budget: EncounterBudget::unlimited(),
             relay_limit: None,
             filter_strategy: FilterStrategy::SelfOnly,
-            strategy_seed: 0x5eed,
             assignment_seed: 0xa551,
             encounter_drop_rate: 0.0,
             crash_rate: 0.0,
@@ -289,9 +288,8 @@ impl<'a> Emulation<'a> {
             FilterStrategy::SelfOnly => {}
             FilterStrategy::Random(k) => {
                 for &id in &all_nodes {
-                    let mut rng = StdRng::seed_from_u64(
-                        config.strategy_seed ^ id.as_u64().wrapping_mul(0x9e37),
-                    );
+                    let mut rng =
+                        StdRng::seed_from_u64(STRATEGY_SEED ^ id.as_u64().wrapping_mul(0x9e37));
                     let mut others: Vec<ReplicaId> =
                         all_nodes.iter().copied().filter(|&o| o != id).collect();
                     for i in 0..k.min(others.len()) {

@@ -539,6 +539,7 @@ impl Residency {
                 unspill: true,
                 latency_us,
                 file_bytes: self.file.file_bytes(),
+                knowledge_checksum: nodes[&id].replica().knowledge_totals().checksum(),
             });
         }
         for slot in slots {
@@ -576,14 +577,15 @@ impl Residency {
 
         self.arena.clear();
         let mut spans: Vec<(usize, usize)> = Vec::with_capacity(excess);
-        let mut evicted: Vec<(ReplicaId, u64)> = Vec::with_capacity(excess);
+        let mut evicted: Vec<(ReplicaId, u64, u64)> = Vec::with_capacity(excess);
         for &(_, _, Reverse(raw)) in candidates.iter().take(excess) {
             let id = ReplicaId::new(raw);
             let node = nodes.remove(&id).expect("victim resident");
             let snapshot = node.snapshot_with(&mut self.scratch);
             spans.push((self.arena.len(), snapshot.len()));
             self.arena.extend_from_slice(snapshot);
-            evicted.push((id, nodes.len() as u64));
+            let checksum = node.replica().knowledge_totals().checksum();
+            evicted.push((id, nodes.len() as u64, checksum));
         }
         let blobs: Vec<&[u8]> = spans.iter().map(|&(o, l)| &self.arena[o..o + l]).collect();
         let slots = self
@@ -591,7 +593,7 @@ impl Residency {
             .append_batch(&blobs)
             .expect("append to spill file");
         let file_bytes = self.file.file_bytes();
-        for ((id, resident), slot) in evicted.into_iter().zip(slots) {
+        for ((id, resident, knowledge_checksum), slot) in evicted.into_iter().zip(slots) {
             let bytes = slot.len() as u64;
             self.slots.insert(id, slot);
             obs.emit(EventKind::ReplicaSpill, || Event::ReplicaSpill {
@@ -601,6 +603,7 @@ impl Residency {
                 unspill: false,
                 latency_us: 0,
                 file_bytes,
+                knowledge_checksum,
             });
         }
     }

@@ -9,7 +9,10 @@
 //! `ExperimentMetrics`; the cap must actually spill; residency must be
 //! managed by lookahead rather than by faulting on touch (at most 0.3
 //! unspills per encounter); and the spilled run's peak resident set must
-//! stay below the resident run's.
+//! stay below the resident run's. Each run wears its own
+//! [`testkit::Invariants`] checker, which must end clean: at-most-once
+//! delivery, no delivery before injection, and every unspilled replica's
+//! knowledge equal to what it was parked with.
 //!
 //! Peak RSS is the process's `VmHWM`, which only ratchets upward. This
 //! file holds one test, so the binary runs nothing else, and the spilled
@@ -26,6 +29,7 @@ use std::time::Instant;
 use dtn::PolicyKind;
 use emu::{Emulation, EmulationConfig};
 use obs::Registry;
+use testkit::Invariants;
 use traces::{DieselNetConfig, EmailConfig};
 
 const SCALE: usize = 100;
@@ -65,33 +69,33 @@ fn spilled_city_equals_resident_in_less_memory() {
         ..EmailConfig::city(SCALE)
     }
     .generate();
-    let resident = EmulationConfig {
+    let mut resident = EmulationConfig {
         policy: PolicyKind::Epidemic.into(),
         relay_limit: Some(RELAY_LIMIT),
         ..EmulationConfig::default()
     };
 
     let registry = Arc::new(Registry::new());
+    let mut capped = EmulationConfig {
+        spill_dir: Some(spill_dir),
+        resident_limit: Some(fleet * 3 / 5),
+        observer: Some(registry.clone()),
+        ..resident.clone()
+    };
+    let spilled_check = Invariants::attach(&mut capped.observer);
     let started = Instant::now();
-    let spilled = Emulation::from_spooled(
-        &spooled,
-        &mail,
-        EmulationConfig {
-            spill_dir: Some(spill_dir),
-            resident_limit: Some(fleet * 3 / 5),
-            observer: Some(registry.clone()),
-            ..resident.clone()
-        },
-    )
-    .run();
+    let spilled = Emulation::from_spooled(&spooled, &mail, capped).run();
     let spilled_s = started.elapsed().as_secs_f64();
     let spilled_rss = peak_rss_kib();
 
+    let resident_check = Invariants::attach(&mut resident.observer);
     let started = Instant::now();
     let all_resident = Emulation::from_spooled(&spooled, &mail, resident).run();
     let resident_s = started.elapsed().as_secs_f64();
     let resident_rss = peak_rss_kib();
     std::fs::remove_dir_all(&tmp).ok();
+    spilled_check.assert_clean();
+    resident_check.assert_clean();
 
     let snap = registry.snapshot();
     let (spills, unspills) = (snap.counter("shard.spills"), snap.counter("shard.unspills"));

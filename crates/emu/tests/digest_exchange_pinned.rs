@@ -24,6 +24,11 @@
 //! per-node `ReconStats` must sum to the registry's `recon.*` counters.
 //! `PINNED_MONTH` holds its counts.
 //!
+//! Every city replay and the observed month replay wear a
+//! [`testkit::Invariants`] checker, which must end clean: digest
+//! fallbacks and spilled digest state must not cost at-most-once delivery
+//! or knowledge.
+//!
 //! To re-record after an *intended* protocol change, copy the fields of
 //! the failing assertion's left-hand `Counts` into `PINNED` — and say in
 //! the change what moved and why.
@@ -35,6 +40,7 @@ use dtn::{DtnNode, PolicyKind};
 use emu::{Emulation, EmulationConfig, ExperimentMetrics};
 use obs::Registry;
 use pfr::{ReplicaId, SyncMode};
+use testkit::Invariants;
 use traces::{DieselNetConfig, EmailConfig};
 
 /// The ledger's e-mail seed salt, so these are the ledger's smoke inputs.
@@ -126,7 +132,7 @@ fn replay(
         ..EmailConfig::city(1)
     }
     .generate();
-    let config = EmulationConfig {
+    let mut config = EmulationConfig {
         policy: PolicyKind::Epidemic.into(),
         relay_limit: Some(4),
         assignment_seed: SEED,
@@ -135,7 +141,10 @@ fn replay(
         resident_limit,
         ..EmulationConfig::default()
     };
-    Emulation::new(&trace, &mail, config).run()
+    let check = Invariants::attach(&mut config.observer);
+    let metrics = Emulation::new(&trace, &mail, config).run();
+    check.assert_clean();
+    metrics
 }
 
 fn digest_counts(registry: &Registry) -> Counts {
@@ -201,13 +210,22 @@ fn month(mode: SyncMode, registry: Option<Arc<Registry>>) -> (ExperimentMetrics,
         ..EmailConfig::default()
     }
     .generate();
-    let config = EmulationConfig {
+    let mut config = EmulationConfig {
         policy: PolicyKind::Epidemic.into(),
         sync_mode: mode,
         observer: registry.map(|r| r as Arc<dyn obs::Observer>),
         ..EmulationConfig::default()
     };
+    // Only the observed run wears the checker: the others are the
+    // unobserved baseline "an observer changed the replay" compares with.
+    let check = config
+        .observer
+        .is_some()
+        .then(|| Invariants::attach(&mut config.observer));
     let (metrics, nodes) = Emulation::new(&trace, &mail, config).run_into_parts();
+    if let Some(check) = check {
+        check.assert_clean();
+    }
     (metrics, recon_sums(&nodes))
 }
 

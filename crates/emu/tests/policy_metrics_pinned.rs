@@ -6,14 +6,16 @@
 //! exactly. Each row carries the headline counters for a readable failure
 //! plus an FNV-1a hash of the whole `Debug` rendering — every message
 //! record (delivery time, copies at delivery, copies at end) and every
-//! day's activity — so no field can drift unnoticed.
+//! day's activity — so no field can drift unnoticed. Every replay also
+//! wears a [`testkit::Invariants`] checker, which must end clean.
 //!
 //! To re-record after an *intended* behaviour change, copy the fields of
 //! the failing assertion's left-hand `Pin` into the row it names.
 
 use dtn::PolicyKind;
 use emu::{Emulation, EmulationConfig, ExperimentMetrics};
-use traces::{DieselNetConfig, EmailConfig};
+use testkit::Invariants;
+use traces::{DieselNetConfig, EmailConfig, EmailWorkload, EncounterTrace};
 
 /// The ledger's e-mail seed salt, so these are the ledger's inputs.
 const EMAIL_SEED_SALT: u64 = 0x00e1_7011;
@@ -50,6 +52,18 @@ fn pin(metrics: &ExperimentMetrics) -> Pin {
     }
 }
 
+/// One replay, wearing a fresh §III checker that must end clean.
+fn run(
+    trace: &EncounterTrace,
+    mail: &EmailWorkload,
+    mut config: EmulationConfig,
+) -> ExperimentMetrics {
+    let check = Invariants::attach(&mut config.observer);
+    let metrics = Emulation::new(trace, mail, config).run();
+    check.assert_clean();
+    metrics
+}
+
 fn replay(seed: u64, small: bool) -> Vec<Pin> {
     let (trace, mail) = if small {
         (DieselNetConfig::small(), EmailConfig::small())
@@ -69,7 +83,7 @@ fn replay(seed: u64, small: bool) -> Vec<Pin> {
                 assignment_seed: seed,
                 ..EmulationConfig::for_policy(policy)
             };
-            pin(&Emulation::new(&trace, &mail, config).run())
+            pin(&run(&trace, &mail, config))
         })
         .collect()
 }
@@ -179,7 +193,7 @@ fn check_variant(
             assignment_seed: 1,
             ..EmulationConfig::for_policy(policy)
         });
-        let actual = pin(&Emulation::new(&trace, &mail, config).run());
+        let actual = pin(&run(&trace, &mail, config));
         assert_eq!(&actual, expected, "{label}: {policy}");
     }
 }

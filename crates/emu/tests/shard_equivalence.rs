@@ -6,7 +6,10 @@
 //! identical [`emu::ExperimentMetrics`]
 //! (derived `Eq` over every record, delay, daily series, and counter)
 //! plus identical per-node final knowledge — the strongest observable
-//! the substrate exposes. The absolute values are pinned by
+//! the substrate exposes. Every run also wears a [`testkit::Invariants`]
+//! checker, so a defect both configurations share — a doubled delivery,
+//! a delivery before its injection, a spill that changes knowledge — still
+//! fails. The absolute values are pinned by
 //! `tests/policy_metrics_pinned.rs`. The
 //! base seed honours `TESTKIT_SEED` so CI can sweep a seed matrix: the
 //! equivalence must hold for *any* seed, not a lucky one.
@@ -17,6 +20,7 @@ use dtn::{DtnNode, EncounterBudget, PolicyKind};
 use emu::{Emulation, EmulationConfig, ExperimentMetrics};
 use pfr::{ReplicaId, SimDuration, SyncMode};
 use proptest::prelude::*;
+use testkit::Invariants;
 use traces::{DieselNetConfig, EmailConfig, EmailWorkload, EncounterTrace, SpooledTrace};
 
 /// The base seed for every scenario, offset by `TESTKIT_SEED` when set
@@ -67,6 +71,15 @@ fn tmp_dir() -> std::path::PathBuf {
     dir
 }
 
+/// Runs `replay` on `config` wearing a fresh §III checker, which must end
+/// clean.
+fn checked<T>(mut config: EmulationConfig, replay: impl FnOnce(EmulationConfig) -> T) -> T {
+    let check = Invariants::attach(&mut config.observer);
+    let out = replay(config);
+    check.assert_clean();
+    out
+}
+
 /// Runs `config` with every node resident, then under a cap of `limit`
 /// resident replicas, and asserts full equivalence: metrics equal, and
 /// every node ends with identical knowledge.
@@ -77,14 +90,14 @@ fn assert_spilling_invisible(
     limit: usize,
     label: &str,
 ) -> ExperimentMetrics {
-    let (all_resident, all_resident_nodes) =
-        Emulation::new(trace, workload, config.clone()).run_into_parts();
+    let replay = |c| Emulation::new(trace, workload, c).run_into_parts();
+    let (all_resident, all_resident_nodes) = checked(config.clone(), replay);
     let capped_config = EmulationConfig {
         spill_dir: Some(tmp_dir()),
         resident_limit: Some(limit),
         ..config.clone()
     };
-    let (capped, capped_nodes) = Emulation::new(trace, workload, capped_config).run_into_parts();
+    let (capped, capped_nodes) = checked(capped_config, replay);
     assert_eq!(
         all_resident, capped,
         "{label}: metrics diverged under a cap of {limit}"
@@ -168,10 +181,12 @@ fn spooled_source_matches_in_memory() {
     let path = tmp_dir().join("source.spool");
     let spooled = SpooledTrace::spool(&trace, &path).expect("spool");
     let config = EmulationConfig::for_policy(PolicyKind::Epidemic);
-    let (in_memory, in_memory_nodes) =
-        Emulation::new(&trace, &workload, config.clone()).run_into_parts();
-    let (via_spool, spool_nodes) =
-        Emulation::from_spooled(&spooled, &workload, config).run_into_parts();
+    let (in_memory, in_memory_nodes) = checked(config.clone(), |c| {
+        Emulation::new(&trace, &workload, c).run_into_parts()
+    });
+    let (via_spool, spool_nodes) = checked(config, |c| {
+        Emulation::from_spooled(&spooled, &workload, c).run_into_parts()
+    });
     assert_eq!(in_memory, via_spool, "spooled source diverged");
     assert_knowledge_equal(&in_memory_nodes, &spool_nodes, "spooled source");
 }

@@ -7,7 +7,8 @@
 //! Where `tests/shard_equivalence.rs` proves spilled and all-resident
 //! runs equal, these tests pin the *mechanisms*: that spills actually
 //! happen and that the residency cap actually bounds the resident set —
-//! both observable through the `shard.*` counters and events.
+//! both observable through the `shard.*` counters and events. Every run
+//! wears a [`testkit::Invariants`] checker, which must end clean.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -18,6 +19,7 @@ use obs::{Event, Observer, Registry};
 use parking_lot::Mutex;
 use pfr::sync::{Candidate, HostContext, ParkKeys, SendDecision, SyncRequest};
 use pfr::{Item, ItemId, ReplicaId, RoutingState, SyncExtension, SyncMode};
+use testkit::Invariants;
 use traces::{DieselNetConfig, EmailConfig, EmailWorkload, EncounterTrace};
 
 /// The base seed for every scenario, offset by `TESTKIT_SEED` when set
@@ -61,6 +63,15 @@ fn tmp_dir() -> std::path::PathBuf {
     dir
 }
 
+/// Runs `replay` on `config` wearing a fresh §III checker, which must end
+/// clean.
+fn checked<T>(mut config: EmulationConfig, replay: impl FnOnce(EmulationConfig) -> T) -> T {
+    let check = Invariants::attach(&mut config.observer);
+    let out = replay(config);
+    check.assert_clean();
+    out
+}
+
 /// Collects every event for post-run structural assertions.
 #[derive(Default)]
 struct Capture {
@@ -89,18 +100,18 @@ fn crashes_recover_through_spilled_state() {
         observer: Some(registry.clone()),
         ..EmulationConfig::default()
     };
-    let all_resident = Emulation::new(
-        &trace,
-        &workload,
-        EmulationConfig {
-            spill_dir: None,
-            resident_limit: None,
-            observer: None,
-            ..config.clone()
-        },
-    )
-    .run();
-    let (metrics, nodes) = Emulation::new(&trace, &workload, config).run_into_parts();
+    let resident_config = EmulationConfig {
+        spill_dir: None,
+        resident_limit: None,
+        observer: None,
+        ..config.clone()
+    };
+    let all_resident = checked(resident_config, |c| {
+        Emulation::new(&trace, &workload, c).run()
+    });
+    let (metrics, nodes) = checked(config, |c| {
+        Emulation::new(&trace, &workload, c).run_into_parts()
+    });
 
     let snap = registry.snapshot();
     assert!(metrics.reboots > 0, "crashes must actually happen");
@@ -208,18 +219,15 @@ fn a_custom_policy_reboots_like_its_registry_twin() {
         crash_rate: 0.2,
         ..EmulationConfig::default()
     };
-    let registry_twin = Emulation::new(&trace, &workload, config.clone()).run();
-    let renamed = Emulation::new(
-        &trace,
-        &workload,
-        EmulationConfig {
-            policy: PolicySpec::custom("renamed-epidemic", || {
-                Box::new(Renamed(PolicyKind::Epidemic.build()))
-            }),
-            ..config
-        },
-    )
-    .run();
+    let replay = |c| Emulation::new(&trace, &workload, c).run();
+    let registry_twin = checked(config.clone(), replay);
+    let renamed_config = EmulationConfig {
+        policy: PolicySpec::custom("renamed-epidemic", || {
+            Box::new(Renamed(PolicyKind::Epidemic.build()))
+        }),
+        ..config
+    };
+    let renamed = checked(renamed_config, replay);
     assert!(registry_twin.reboots > 0, "crashes must actually happen");
     assert_eq!(renamed.reboots, registry_twin.reboots);
     assert_eq!(
@@ -251,18 +259,15 @@ fn footprint_counts_spilled_replicas_and_residency_stays_bounded() {
         observer: Some(fanout),
         ..EmulationConfig::default()
     };
-    let (_, unspilled_nodes) = Emulation::new(
-        &trace,
-        &workload,
-        EmulationConfig {
-            spill_dir: None,
-            resident_limit: None,
-            observer: None,
-            ..config.clone()
-        },
-    )
-    .run_into_parts();
-    let (_, nodes) = Emulation::new(&trace, &workload, config).run_into_parts();
+    let unspilled_config = EmulationConfig {
+        spill_dir: None,
+        resident_limit: None,
+        observer: None,
+        ..config.clone()
+    };
+    let replay = |c| Emulation::new(&trace, &workload, c).run_into_parts();
+    let (_, unspilled_nodes) = checked(unspilled_config, replay);
+    let (_, nodes) = checked(config, replay);
 
     // Footprint: every spilled replica is restored into the returned map,
     // so the accounting must equal the never-spilled run exactly.
@@ -344,7 +349,9 @@ fn the_final_bring_home_is_not_counted_as_unspills() {
         observer: Some(registry.clone()),
         ..EmulationConfig::default()
     };
-    let (_, nodes) = Emulation::new(&trace, &workload, config).run_into_parts();
+    let (_, nodes) = checked(config, |c| {
+        Emulation::new(&trace, &workload, c).run_into_parts()
+    });
     assert_eq!(nodes.len(), trace.nodes().len(), "every replica came home");
 
     let snap = registry.snapshot();

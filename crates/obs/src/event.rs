@@ -537,6 +537,10 @@ events! {
         /// Spill-file size after this operation, bytes (the file's
         /// high-water mark with slot reuse).
         file_bytes: u64,
+        /// The replica's knowledge checksum (`pfr::KnowledgeTotals`):
+        /// as kept incrementally when parked, as recomputed by the
+        /// restore when brought back. The two must be equal.
+        knowledge_checksum: u64,
     },
 }
 

@@ -694,6 +694,7 @@ mod tests {
             unspill: false,
             latency_us: 0,
             file_bytes: 4096,
+            knowledge_checksum: 7,
         });
         r.on_event(&Event::ReplicaSpill {
             replica: 3,
@@ -702,6 +703,7 @@ mod tests {
             unspill: true,
             latency_us: 85,
             file_bytes: 4096,
+            knowledge_checksum: 7,
         });
         let snap = r.snapshot();
         assert_eq!(snap.counter("shard.spills"), 1);

@@ -283,8 +283,9 @@ fn cases() -> Vec<(Event, &'static str)> {
                 unspill: true,
                 latency_us: 118,
                 file_bytes: 119,
+                knowledge_checksum: 120,
             },
-            r#"{"event":"replica_spill","replica":115,"bytes":116,"resident":117,"unspill":true,"latency_us":118,"file_bytes":119}"#,
+            r#"{"event":"replica_spill","replica":115,"bytes":116,"resident":117,"unspill":true,"latency_us":118,"file_bytes":119,"knowledge_checksum":120}"#,
         ),
         // Edge cases beyond one instance per variant: the other enum
         // labels, and finite and non-finite costs.

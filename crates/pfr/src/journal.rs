@@ -12,8 +12,7 @@
 //! also keeps [`KnowledgeTotals`] — checksum and encoded length — current
 //! as versions arrive, so neither is ever recomputed from the whole set.
 
-use recon::hash::key_hash;
-
+use crate::hash::key_hash;
 use crate::id::{ReplicaId, Version};
 use crate::knowledge::{EntrySink, Knowledge};
 use crate::wire::varint_len;

@@ -68,6 +68,7 @@ mod value;
 
 pub mod digest;
 pub mod exchange;
+pub mod hash;
 pub mod sync;
 pub mod wire;
 

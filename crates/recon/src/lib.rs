@@ -3,8 +3,8 @@
 //! The digest sync mode (`pfr::digest`) sends no sketch: first contact
 //! ships the full knowledge and repeat contacts spell out what was
 //! learned since. These structures are library-only, kept for the
-//! benchmark ledger's probe rows; only [`hash::key_hash`] is on the sync
-//! path (`pfr`'s knowledge checksums).
+//! benchmark ledger's probe rows. Their base hash, [`hash::key_hash`], is
+//! `pfr`'s (re-exported), the one knowledge checksums use.
 //!
 //! - [`Bloom`]: seeded double-hashing Bloom filter over 128-bit keys.
 //!   False positives need an exact follow-up round, so they cost a

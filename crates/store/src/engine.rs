@@ -27,25 +27,25 @@ pub struct StoreConfig {
     /// versus letting the OS flush lazily (durable up to the last
     /// checkpoint or explicit [`Store::sync`]). Defaults to `true`.
     pub fsync: bool,
-    /// Compact once the live WAL outgrows the last checkpoint by this
-    /// factor. Defaults to 4.
-    pub compact_factor: u64,
     /// Never compact below this many WAL bytes, so small stores are not
-    /// constantly checkpointing. Defaults to 64 KiB.
+    /// constantly checkpointing; above it, compact once the WAL outgrows
+    /// the last checkpoint four times. Defaults to 64 KiB.
     pub compact_min_bytes: u64,
-    /// How many checkpoint generations to retain (the newest is the
-    /// recovery base; older ones are fallbacks for a corrupt newest).
-    /// Defaults to 2, the minimum that survives a torn checkpoint.
-    pub keep_generations: usize,
 }
+
+/// Compact once the live WAL outgrows the last checkpoint by this factor.
+const COMPACT_FACTOR: u64 = 4;
+
+/// Checkpoint generations retained: the newest is the recovery base, the
+/// other the fallback for a corrupt newest — the fewest that survive a
+/// torn checkpoint.
+const KEEP_GENERATIONS: usize = 2;
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             fsync: true,
-            compact_factor: 4,
             compact_min_bytes: 64 * 1024,
-            keep_generations: 2,
         }
     }
 }
@@ -346,7 +346,7 @@ impl Store {
             > self
                 .config
                 .compact_min_bytes
-                .max(self.config.compact_factor * self.last_checkpoint_bytes)
+                .max(COMPACT_FACTOR * self.last_checkpoint_bytes)
         {
             self.checkpoint()?;
         }
@@ -404,15 +404,14 @@ impl Store {
         Ok(new_seq)
     }
 
-    /// Deletes generations superseded beyond [`StoreConfig::keep_generations`].
+    /// Deletes generations superseded beyond [`KEEP_GENERATIONS`].
     fn prune(&self) -> Result<(), StoreError> {
         let checkpoints =
             layout::checkpoints(&self.dir).map_err(|e| StoreError::io("scan", &self.dir, e))?;
-        let keep = self.config.keep_generations.max(1);
-        if checkpoints.len() <= keep {
+        if checkpoints.len() <= KEEP_GENERATIONS {
             return Ok(());
         }
-        let Some(&(min_keep, _)) = checkpoints.get(checkpoints.len() - keep) else {
+        let Some(&(min_keep, _)) = checkpoints.get(checkpoints.len() - KEEP_GENERATIONS) else {
             return Ok(());
         };
         for (seq, path) in &checkpoints {

@@ -17,9 +17,17 @@
 //!   scripted [`Step`]s (sends, faulty encounters, partitions, crashes
 //!   and snapshot restores) under virtual [`pfr::SimTime`], records every
 //!   `obs` event into a replayable [`Trace`], and checks the protocol's
-//!   invariants after every step: knowledge monotonicity, at-most-once
-//!   delivery, bounded relay stores, and filter consistency at
-//!   quiescence.
+//!   invariants after every step: knowledge monotonicity and bounded
+//!   relay stores from node state, the event-side ones through
+//!   [`Invariants`], and filter consistency at quiescence.
+//! * [`Invariants`] — the paper's §III guarantees as an [`obs::Observer`]:
+//!   at most one `item_delivered` per (replica, item), none before the
+//!   item's `message_injected`, and a spilled replica restored with the
+//!   knowledge checksum it was parked with. `SimRunner` feeds it every
+//!   event it drains; `emu` replays wear it through
+//!   [`Invariants::attach`] (the emulator's suites and the root
+//!   end-to-end tests all do), so one checker covers scripted, spilled,
+//!   crash-diced, digest and city-scale runs alike.
 //! * [`DiskFaultPlan`] — the same declarative design one layer down:
 //!   scripted damage (torn WAL tails, bit flips, lost checkpoints,
 //!   duplicated records) to a *durable* host's data directory while it
@@ -62,11 +70,13 @@ pub mod fault;
 pub mod simnet;
 pub mod trace;
 
+mod invariants;
 mod runner;
 mod wire_policy;
 
 pub use diskfault::{DiskDamage, DiskFault, DiskFaultPlan};
 pub use fault::{Direction, FaultPlan, FaultRule, FaultScope, FrameFault, FrameSelector};
+pub use invariants::Invariants;
 pub use runner::{EncounterOutcome, SessionPair, SimRunner, SkipReason, Step};
 pub use simnet::SimNet;
 pub use trace::{Trace, TraceEntry};

@@ -10,9 +10,11 @@
 //!
 //! * **Knowledge monotonicity** — a replica's knowledge never shrinks
 //!   (except at an explicit crash-restore, which resets the watermark).
-//! * **At-most-once delivery** — no `(item, replica)` pair sees a second
-//!   `item_delivered` event (restore clears the replica's history: after a
-//!   rollback, re-delivery is the *correct* behaviour).
+//! * **The event-side §III checks** — every drained event also reaches an
+//!   [`Invariants`] checker, the one `emu` replays wear: at most one
+//!   `item_delivered` per `(item, replica)` and none before the item's
+//!   `message_injected`. Restore makes the checker forget the replica's
+//!   deliveries: after a rollback, re-delivery is the *correct* behaviour.
 //! * **Bounded stores** — a host's relay load never exceeds its configured
 //!   relay limit.
 //! * **Filter consistency at quiescence** — [`SimRunner::assert_converged`]
@@ -23,18 +25,19 @@
 //! Any violation panics with the run's `(seed, script)` pair, which is all
 //! that is needed to reproduce it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dtn::{DtnNode, PolicyKind};
-use obs::{Event, MemorySink, Obs};
+use obs::{MemorySink, Obs, Observer};
 use parking_lot::Mutex;
 use pfr::{ItemId, Knowledge, SimTime, SyncLimits, SyncMode};
 use transport::{Membership, MembershipConfig, SessionError, SessionMachine, SessionOutcome};
 
 use crate::diskfault::{DiskDamage, DiskFaultPlan};
 use crate::fault::FaultPlan;
+use crate::invariants::Invariants;
 use crate::simnet::SimNet;
 use crate::trace::Trace;
 
@@ -218,7 +221,7 @@ pub struct SimRunner {
     performed: Vec<Step>,
     partitions: Vec<(usize, usize, SimTime)>,
     watermarks: BTreeMap<usize, Knowledge>,
-    delivered: BTreeMap<u64, BTreeSet<(u64, u64)>>,
+    invariants: Invariants,
     injected: Vec<Injected>,
 }
 
@@ -237,7 +240,7 @@ impl SimRunner {
             performed: Vec::new(),
             partitions: Vec::new(),
             watermarks: BTreeMap::new(),
-            delivered: BTreeMap::new(),
+            invariants: Invariants::new(),
             injected: Vec::new(),
         }
     }
@@ -586,7 +589,7 @@ impl SimRunner {
         let replica = self.hosts[host].replica;
         self.watermarks
             .insert(host, node.replica().knowledge().clone());
-        self.delivered.remove(&replica);
+        self.invariants.forget(replica);
         *self.hosts[host].node.lock() = node;
         self.hosts[host].crashed = false;
 
@@ -689,29 +692,15 @@ impl SimRunner {
         let step = self.step;
         self.step += 1;
 
-        // 1. Record events and enforce at-most-once delivery.
-        let mut violations: Vec<String> = Vec::new();
+        // 1. Record events and run the event-side checks on them.
         for h in 0..self.hosts.len() {
             let replica = self.hosts[h].replica;
             for event in self.hosts[h].sink.take() {
-                if let Event::ItemDelivered {
-                    replica: r,
-                    origin,
-                    seq,
-                    ..
-                } = event
-                {
-                    let seen = self.delivered.entry(r).or_default();
-                    if !seen.insert((origin, seq)) {
-                        violations.push(format!(
-                            "at-most-once violated: item {origin}#{seq} delivered twice \
-                             to replica {r}"
-                        ));
-                    }
-                }
+                self.invariants.on_event(&event);
                 self.trace.record(step, replica, event);
             }
         }
+        let mut violations = self.invariants.violations();
 
         // 2. Knowledge monotonicity (crashed hosts keep their watermark
         // frozen until restore resets it).

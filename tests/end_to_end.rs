@@ -3,19 +3,32 @@
 
 use replidtn::dtn::{EncounterBudget, FilterStrategy, PolicyKind};
 use replidtn::emu::experiments::Scenario;
-use replidtn::emu::{Emulation, EmulationConfig};
-use replidtn::traces::{DieselNetConfig, EmailConfig};
+use replidtn::emu::{Emulation, EmulationConfig, ExperimentMetrics};
+use replidtn::traces::{DieselNetConfig, EmailConfig, EmailWorkload, EncounterTrace};
+use testkit::Invariants;
 
 fn scenario() -> Scenario {
     Scenario::small()
+}
+
+/// One replay, wearing a fresh §III checker (at-most-once delivery, no
+/// delivery before injection) that must end clean.
+fn run(
+    trace: &EncounterTrace,
+    workload: &EmailWorkload,
+    mut config: EmulationConfig,
+) -> ExperimentMetrics {
+    let check = Invariants::attach(&mut config.observer);
+    let metrics = Emulation::new(trace, workload, config).run();
+    check.assert_clean();
+    metrics
 }
 
 #[test]
 fn every_policy_preserves_at_most_once_delivery() {
     let s = scenario();
     for policy in PolicyKind::ALL {
-        let metrics =
-            Emulation::new(&s.trace, &s.workload, EmulationConfig::for_policy(policy)).run();
+        let metrics = run(&s.trace, &s.workload, EmulationConfig::for_policy(policy));
         assert_eq!(
             metrics.duplicates, 0,
             "policy {policy} duplicated a delivery"
@@ -28,8 +41,7 @@ fn every_policy_preserves_at_most_once_delivery() {
 fn deliveries_never_precede_injection_and_copies_are_positive() {
     let s = scenario();
     for policy in [PolicyKind::Epidemic, PolicyKind::MaxProp] {
-        let metrics =
-            Emulation::new(&s.trace, &s.workload, EmulationConfig::for_policy(policy)).run();
+        let metrics = run(&s.trace, &s.workload, EmulationConfig::for_policy(policy));
         for rec in metrics.records() {
             if let Some(at) = rec.delivered_at {
                 assert!(
@@ -47,20 +59,19 @@ fn deliveries_never_precede_injection_and_copies_are_positive() {
 #[test]
 fn flooding_policies_dominate_the_baseline() {
     let s = scenario();
-    let base = Emulation::new(
+    let base = run(
         &s.trace,
         &s.workload,
         EmulationConfig::for_policy(PolicyKind::Direct),
-    )
-    .run();
+    );
     for policy in [
         PolicyKind::Epidemic,
         PolicyKind::MaxProp,
         PolicyKind::SprayAndWait,
     ] {
-        let run = Emulation::new(&s.trace, &s.workload, EmulationConfig::for_policy(policy)).run();
+        let metrics = run(&s.trace, &s.workload, EmulationConfig::for_policy(policy));
         assert!(
-            run.delivered() >= base.delivered(),
+            metrics.delivered() >= base.delivered(),
             "{policy} delivered less than the baseline"
         );
     }
@@ -79,7 +90,7 @@ fn wider_filters_never_hurt_delivery() {
             },
             ..EmulationConfig::default()
         };
-        let metrics = Emulation::new(&s.trace, &s.workload, config).run();
+        let metrics = run(&s.trace, &s.workload, config);
         let rate = metrics.delivery_rate();
         assert!(
             rate >= last - 1e-9,
@@ -98,7 +109,7 @@ fn bandwidth_cap_bounds_per_encounter_traffic() {
             budget: EncounterBudget::max_messages(cap),
             ..EmulationConfig::default()
         };
-        let metrics = Emulation::new(&s.trace, &s.workload, config).run();
+        let metrics = run(&s.trace, &s.workload, config);
         assert!(
             metrics.transmissions <= metrics.encounters * cap as u64,
             "cap {cap} violated: {} transfers over {} encounters",
@@ -119,7 +130,7 @@ fn storage_cap_bounds_relay_load_throughout() {
         relay_limit: Some(2),
         ..EmulationConfig::default()
     };
-    let metrics = Emulation::new(&s.trace, &s.workload, config).run();
+    let metrics = run(&s.trace, &s.workload, config);
     assert!(metrics.evictions > 0);
     assert_eq!(metrics.duplicates, 0);
 }
@@ -134,12 +145,11 @@ fn emulation_handles_empty_workload_and_trace() {
     .generate();
     // Empty trace: messages are injected but never delivered across buses.
     let no_trace = replidtn::traces::EncounterTrace::new();
-    let metrics = Emulation::new(
+    let metrics = run(
         &no_trace,
         &empty_mail,
         EmulationConfig::for_policy(PolicyKind::Epidemic),
-    )
-    .run();
+    );
     assert_eq!(metrics.encounters, 0);
     // With no buses scheduled, injection is dropped upstream.
     assert_eq!(metrics.injected(), 0);
@@ -150,12 +160,11 @@ fn emulation_handles_empty_workload_and_trace() {
         ..EmailConfig::small()
     }
     .generate();
-    let metrics = Emulation::new(
+    let metrics = run(
         &trace,
         &no_mail,
         EmulationConfig::for_policy(PolicyKind::Epidemic),
-    )
-    .run();
+    );
     assert_eq!(metrics.injected(), 0);
     assert_eq!(metrics.transmissions, 0);
 }
@@ -208,8 +217,8 @@ fn crash_recovery_mid_sync_converges_without_double_delivery() {
 fn seeds_change_results_but_reruns_do_not() {
     let s = scenario();
     let base = EmulationConfig::for_policy(PolicyKind::SprayAndWait);
-    let a = Emulation::new(&s.trace, &s.workload, base.clone()).run();
-    let b = Emulation::new(&s.trace, &s.workload, base.clone()).run();
+    let a = run(&s.trace, &s.workload, base.clone());
+    let b = run(&s.trace, &s.workload, base.clone());
     assert_eq!(a.delivered(), b.delivered());
     assert_eq!(a.transmissions, b.transmissions);
 
@@ -217,7 +226,7 @@ fn seeds_change_results_but_reruns_do_not() {
         assignment_seed: 77,
         ..base
     };
-    let c = Emulation::new(&s.trace, &s.workload, other_seed).run();
+    let c = run(&s.trace, &s.workload, other_seed);
     // Different user placement almost surely changes traffic.
     assert!(
         a.transmissions != c.transmissions || a.delivered() != c.delivered(),
