@@ -430,7 +430,10 @@ mod tests {
         let metrics = Emulation::new(&trace, &workload, EmulationConfig::default()).run();
         assert_eq!(metrics.injected(), workload.len());
         assert_eq!(metrics.encounters, trace.len() as u64);
-        assert_eq!(metrics.duplicates, 0, "at-most-once must hold");
+        assert_eq!(
+            metrics.duplicates, 0,
+            "no copy sent to a target that knew it"
+        );
         assert!(metrics.delivered() > 0, "some direct encounters deliver");
     }
 
@@ -579,7 +582,7 @@ mod tests {
         )
         .run();
         assert!(crashy.reboots > 0, "crashes must actually happen");
-        assert_eq!(crashy.duplicates, 0, "at-most-once survives reboots");
+        assert_eq!(crashy.duplicates, 0, "reboots re-sent known copies");
         assert_eq!(crashy.injected(), baseline.injected());
         // Durable replica state means reboots cost routing efficiency, not
         // correctness: delivery can dip but not collapse.
@@ -639,7 +642,7 @@ mod tests {
         let (full, _) = run(SyncMode::Full);
         let (digest, nodes) = run(SyncMode::Digest);
         assert!(digest.reboots > 0, "crashes must actually happen");
-        assert_eq!(digest.duplicates, 0, "at-most-once survives cache loss");
+        assert_eq!(digest.duplicates, 0, "cache loss re-sent known copies");
         assert_eq!(digest, full, "lost digest caches changed the run");
         let fallbacks: u64 = nodes
             .values()

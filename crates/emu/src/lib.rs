@@ -20,7 +20,7 @@
 //! let scenario = Scenario::small();
 //! let config = EmulationConfig::for_policy(PolicyKind::Epidemic);
 //! let metrics = Emulation::new(&scenario.trace, &scenario.workload, config).run();
-//! assert_eq!(metrics.duplicates, 0); // at-most-once delivery held
+//! assert_eq!(metrics.duplicates, 0); // no copy sent to a target that knew it
 //! ```
 
 #![warn(missing_docs)]

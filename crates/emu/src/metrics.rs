@@ -58,7 +58,12 @@ pub struct ExperimentMetrics {
     pub transmissions: u64,
     /// Total encounters processed.
     pub encounters: u64,
-    /// Duplicate receipts observed (must stay 0).
+    /// Copies a target received and rejected because its knowledge
+    /// already held them: transmissions that carried nothing new. A source
+    /// sends only versions outside the target's knowledge, so this stays
+    /// 0 in a correct run. It counts wasted sends, not second deliveries:
+    /// at-most-once delivery is checked per replica and item from the
+    /// event stream (`testkit::Invariants`).
     pub duplicates: u64,
     /// Relay evictions under storage constraints.
     pub evictions: u64,

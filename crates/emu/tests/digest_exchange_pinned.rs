@@ -169,7 +169,10 @@ fn digest_exchange_counts_are_pinned_and_metrics_match_full_mode() {
     let digest = replay(SyncMode::Digest, Some(registry.clone()), None);
     let full = replay(SyncMode::Full, None, None);
     assert_eq!(digest, full, "digest sync changed ExperimentMetrics");
-    assert_eq!(digest.duplicates, 0, "at-most-once delivery");
+    assert_eq!(
+        digest.duplicates, 0,
+        "digest mode sent a copy its target already knew"
+    );
 
     let counts = digest_counts(&registry);
     assert_eq!(counts, PINNED);

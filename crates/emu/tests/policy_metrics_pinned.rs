@@ -37,7 +37,10 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 fn pin(metrics: &ExperimentMetrics) -> Pin {
-    assert_eq!(metrics.duplicates, 0, "at-most-once delivery");
+    assert_eq!(
+        metrics.duplicates, 0,
+        "a copy was sent to a target that already knew it"
+    );
     Pin {
         delivered: metrics.delivered(),
         transmissions: metrics.transmissions,

@@ -134,7 +134,7 @@ fn crashes_recover_through_spilled_state() {
     );
     assert_eq!(
         metrics.duplicates, 0,
-        "at-most-once survives reboots and spills"
+        "a copy was re-sent to a target that knew it across reboots and spills"
     );
 }
 

@@ -20,6 +20,10 @@
 //! The streams are also pinned: [`PINNED`] holds their hashes as recorded
 //! from the lockstep machine of the commit before the machine learned to
 //! pipeline.
+//!
+//! Drivers also mix: a digest pair that met in process holds labels, not
+//! copies, of each other's knowledge, and pays one resync round per
+//! direction on its first socket session (the last test).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -189,17 +193,28 @@ struct Replay {
 }
 
 fn replay<D: Driver>(mut driver: D) -> Replay {
-    let mut sent = 0u64;
-    for step in SCRIPT {
+    play(&mut driver, SCRIPT, &mut 0);
+    let (nodes, wire) = driver.finish();
+    Replay {
+        snapshots: nodes.iter().map(DtnNode::snapshot).collect(),
+        recon: nodes.iter().map(DtnNode::recon_stats).collect(),
+        wire,
+    }
+}
+
+/// Runs `script` through `driver`; `sent` numbers the injected messages.
+fn play<D: Driver>(driver: &mut D, script: &[Step], sent: &mut u64) {
+    for step in script {
         match *step {
             Step::Send { from, to } => {
-                sent += 1;
+                *sent += 1;
+                let n = *sent;
                 driver
-                    .with_node(from, |n| {
-                        n.send(
+                    .with_node(from, |node| {
+                        node.send(
                             &format!("h{}", to + 1),
-                            format!("{from}->{to} #{sent}").into_bytes(),
-                            SimTime::from_secs(sent),
+                            format!("{from}->{to} #{n}").into_bytes(),
+                            SimTime::from_secs(n),
                         )
                     })
                     .expect("inject");
@@ -207,12 +222,6 @@ fn replay<D: Driver>(mut driver: D) -> Replay {
             Step::Forget(i) => driver.with_node(i, DtnNode::clear_recon_state),
             Step::Session { a, b, at } => driver.session(a, b, SimTime::from_secs(at)),
         }
-    }
-    let (nodes, wire) = driver.finish();
-    Replay {
-        snapshots: nodes.iter().map(DtnNode::snapshot).collect(),
-        recon: nodes.iter().map(DtnNode::recon_stats).collect(),
-        wire,
     }
 }
 
@@ -703,4 +712,106 @@ fn the_caller_thread_driver_equals_the_machine() {
             assert_same(&what, reference, &got);
         }
     });
+}
+
+/// A pair's first meetings, in process.
+const MET_IN_PROCESS: &[Step] = &[
+    Step::Send { from: 0, to: 1 },
+    Step::Send { from: 1, to: 0 },
+    Step::Session { a: 0, b: 1, at: 60 },
+    Step::Send { from: 0, to: 2 },
+    Step::Session {
+        a: 1,
+        b: 0,
+        at: 120,
+    },
+];
+
+/// The same pair's later meetings, over a wire: the first learns nothing
+/// new (each side sends `Unchanged`), the later ones carry deltas.
+const THEN_OVER_A_WIRE: &[&[Step]] = &[
+    &[Step::Session {
+        a: 0,
+        b: 1,
+        at: 180,
+    }],
+    &[
+        Step::Send { from: 0, to: 1 },
+        Step::Send { from: 1, to: 2 },
+        Step::Session {
+            a: 1,
+            b: 0,
+            at: 240,
+        },
+    ],
+    &[
+        Step::Send { from: 1, to: 0 },
+        Step::Session {
+            a: 0,
+            b: 1,
+            at: 300,
+        },
+    ],
+];
+
+/// `ReconResync` frames in a log, per direction: (sent by the responder
+/// as source, sent by the initiator as source).
+fn resyncs(wire: &WireLog) -> (usize, usize) {
+    let count = |stream: &[u8]| {
+        let types = frame_types(stream);
+        types
+            .iter()
+            .filter(|&&t| t == FrameType::ReconResync)
+            .count()
+    };
+    wire.values()
+        .fold((0, 0), |(by_responder, by_initiator), (up, down)| {
+            (by_responder + count(down), by_initiator + count(up))
+        })
+}
+
+/// What mixing drivers costs: a digest pair that met in process keeps
+/// only labels of each other's knowledge, so the first time it syncs over
+/// a socket each side resolves nothing and demands one resync round; the
+/// full requests leave copies, and from then on every summary resolves.
+/// Deliveries do not notice: the nodes end as an all-wire replay leaves
+/// them.
+#[test]
+fn a_pair_that_met_in_process_resyncs_once_over_a_wire() {
+    for policy in PolicyKind::EXTENDED {
+        let mut in_process = InProcess(nodes(policy, SyncMode::Digest));
+        let mut sent = 0;
+        play(&mut in_process, MET_IN_PROCESS, &mut sent);
+        let (met, _) = in_process.finish();
+        assert!(met.iter().all(|n| n.recon_stats().fallback_rounds == 0));
+        let mut mixed = Memory::new(met, false);
+        let mut seen = (0, 0);
+        for (i, session) in THEN_OVER_A_WIRE.iter().enumerate() {
+            play(&mut mixed, session, &mut sent);
+            let now = resyncs(&mixed.log);
+            let step = (now.0 - seen.0, now.1 - seen.1);
+            let expected = if i == 0 { (1, 1) } else { (0, 0) };
+            assert_eq!(step, expected, "{policy:?}: resyncs in wire session {i}");
+            seen = now;
+        }
+        let (mixed, _) = mixed.finish();
+        for pair in &mixed[..2] {
+            assert_eq!(pair.recon_stats().fallback_rounds, 1, "{policy:?}");
+        }
+
+        let mut all_wire = Memory::new(nodes(policy, SyncMode::Digest), false);
+        let mut sent = 0;
+        play(&mut all_wire, MET_IN_PROCESS, &mut sent);
+        for session in THEN_OVER_A_WIRE {
+            play(&mut all_wire, session, &mut sent);
+        }
+        assert_eq!(resyncs(&all_wire.log), (0, 0), "{policy:?}: all wire");
+        let (all_wire, _) = all_wire.finish();
+        for (i, (got, want)) in mixed.iter().zip(&all_wire).enumerate() {
+            assert!(
+                got.snapshot() == want.snapshot(),
+                "{policy:?}: node {i} differs from the all-wire replay"
+            );
+        }
+    }
 }

@@ -8,31 +8,46 @@
 //! structure the source has mostly seen before. Knowledge is also
 //! *monotone*: a replica only learns versions, in an order its learning
 //! journal records. So the target remembers, per peer, the journal
-//! position and checksum of what it last conveyed, the source keeps one
-//! copy of that knowledge, and a request carries:
+//! position and checksum of what it last conveyed, the source remembers
+//! that checksum as the *label* of the peer's knowledge, and a request
+//! carries:
 //!
 //! * [`KnowledgeSummary::Unchanged`] — a checksum (nine bytes) when the
 //!   journal has not moved since the last exchange with this peer.
 //! * [`KnowledgeSummary::Delta`] — the versions learned since, spelled
-//!   out. The source inserts them into its cached copy *in place* and
-//!   checks the result against the target's checksum; a miss drops the
-//!   copy and resynchronizes.
+//!   out, between the label they start from and the checksum they end at.
 //! * [`KnowledgeSummary::Full`] — the whole structure: first contact, a
 //!   delta that would be longer than the knowledge, or a position the
 //!   journal no longer reaches back to.
 //!
+//! How the source resolves a summary depends on where the request comes
+//! from. A co-located target *lends* its knowledge, totals and filter with
+//! the request ([`Lent`]), as a full request lends them, and the source
+//! keeps only labels: an `Unchanged` or `Delta` summary whose base
+//! checksum equals the label resolves to the lent knowledge, because the
+//! knowledge the label names, plus what was learned since, is by that
+//! checksum the knowledge lent. A request decoded from a frame lends
+//! nothing and owns its parts, so the source keeps a copy of the peer's
+//! knowledge and filter from it, inserts a delta's versions into that copy
+//! *in place* and checks the result against the target's checksum; a miss
+//! drops the copy and resynchronizes. A label without a copy cannot
+//! resolve a wire summary: a pair that met in process pays one resync
+//! round the first time it syncs over a socket.
+//!
 //! Every summary resolves to the target's exact knowledge, so the source
 //! selects *exactly* the candidates full mode would have selected and
 //! digest mode is invisible to delivery metrics; a session is a request
-//! and a batch, as in full mode. Any mismatch — lost or stale copy,
-//! corrupt frame — resolves to [`SummaryOutcome::Resync`] and the exchange
-//! falls back to a full request: degraded bandwidth, never degraded
-//! convergence. Fallbacks are counted in the `recon.fallback_rounds`
-//! observability counter.
+//! and a batch, as in full mode. The summary is what the wire carries
+//! whether or not the request is lent, so both count the same bytes. Any
+//! mismatch — lost label or copy, corrupt frame — resolves to
+//! [`SummaryOutcome::Resync`] and the exchange falls back to a full
+//! request: degraded bandwidth, never degraded convergence. Fallbacks are
+//! counted in the `recon.fallback_rounds` observability counter.
 //!
 //! This module holds the summaries and the per-peer state behind them;
 //! [`crate::exchange`] runs them as the two halves of a sync.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::filter::Filter;
@@ -77,32 +92,33 @@ pub fn knowledge_checksum(k: &Knowledge) -> u64 {
 }
 
 /// Compact stand-in for a [`Knowledge`] structure in a [`DigestRequest`].
+/// A built summary borrows from the target; a decoded one owns its parts.
 #[derive(Clone, Debug, PartialEq)]
-pub enum KnowledgeSummary {
+pub enum KnowledgeSummary<'a> {
     /// The complete structure: first contact, deltas longer than the
     /// knowledge or older than the journal, or [`DigestPolicy::ForceFull`].
-    Full(Knowledge),
+    Full(Cow<'a, Knowledge>),
     /// Nothing learned since the last exchange with this peer; `checksum`
-    /// lets the source confirm its cached copy is the referenced one.
+    /// lets the source confirm its label names the referenced knowledge.
     Unchanged {
         /// Checksum of the (unchanged) knowledge entry set.
         checksum: u64,
     },
-    /// What the target learned since the last exchange with this peer, to
-    /// be inserted into the peer's cached copy of its knowledge.
+    /// What the target learned since the last exchange with this peer.
     Delta {
-        /// Checksum of the previously exchanged knowledge (cache key; a
-        /// mismatch means the peer lost or never had the copy).
+        /// Checksum of the previously exchanged knowledge (the source's
+        /// label; a mismatch means the peer lost or never had it).
         base_checksum: u64,
         /// Checksum of the current knowledge, verified after the
-        /// versions are applied.
+        /// versions are applied to a held copy.
         checksum: u64,
-        /// The versions learned since, in the order they were learned.
-        learned: Vec<Version>,
+        /// The versions learned since, in the order they were learned: the
+        /// tail of the target's journal, or a decoded list.
+        learned: Cow<'a, [Version]>,
     },
 }
 
-impl KnowledgeSummary {
+impl KnowledgeSummary<'_> {
     /// Short stable label for observability: "full", "unchanged" or
     /// "delta".
     pub fn kind(&self) -> &'static str {
@@ -114,6 +130,20 @@ impl KnowledgeSummary {
     }
 }
 
+/// What a co-located target lends with its [`DigestRequest`]: the state
+/// its summary and fingerprint name, by reference. Never on the wire, and
+/// built only by [`ReconState::build_request`], so it always matches its
+/// summary.
+#[derive(Clone, Copy, Debug)]
+pub struct Lent<'a> {
+    /// The target's current knowledge.
+    pub(crate) knowledge: &'a Knowledge,
+    /// Its totals, as the target keeps them current.
+    pub(crate) totals: KnowledgeTotals,
+    /// The target's current filter.
+    pub(crate) filter: &'a Filter,
+}
+
 /// Digest-mode replacement for [`SyncRequest`](crate::sync::SyncRequest):
 /// same target identity and routing state, but knowledge travels as a
 /// [`KnowledgeSummary`] and the filter is elided once the peer has
@@ -123,25 +153,30 @@ pub struct DigestRequest<'a> {
     /// The requesting (target) replica.
     pub target: ReplicaId,
     /// Compact stand-in for the target's knowledge.
-    pub summary: KnowledgeSummary,
+    pub summary: KnowledgeSummary<'a>,
     /// Fingerprint of the target's filter (see `Filter::fingerprint`).
     pub filter_fingerprint: u64,
     /// The filter itself; `None` when the fingerprint matches the one
-    /// this peer cached on an earlier exchange.
-    pub filter: Option<Filter>,
+    /// this peer acknowledged on an earlier exchange.
+    pub filter: Option<Cow<'a, Filter>>,
     /// Policy routing data, exactly as in full mode.
     pub routing: RoutingState<'a>,
+    /// The target's own state, when the request is handed across in
+    /// memory ([`ReconState::build_request`] always lends it); `None` for
+    /// a request decoded from a frame. Not encoded.
+    pub lent: Option<Lent<'a>>,
 }
 
 /// What a [`KnowledgeSummary`] resolved to on the source side.
 #[derive(Clone, Debug)]
-pub enum SummaryOutcome {
+pub enum SummaryOutcome<'a> {
     /// Knowledge to select candidates against, exactly as for a full-mode
-    /// request.
+    /// request: borrowed when the target lent it, owned when it came off
+    /// a wire.
     Resolved {
         /// The target's exact knowledge.
-        knowledge: Knowledge,
-        /// Totals of `knowledge`, cached with it for the next exchange
+        knowledge: Cow<'a, Knowledge>,
+        /// Totals of `knowledge`, committed with it for the next exchange
         /// ([`ReconState::commit_peer`]).
         totals: KnowledgeTotals,
     },
@@ -150,22 +185,59 @@ pub enum SummaryOutcome {
     Resync,
 }
 
+/// What a source holds of something a peer sent: the label that names
+/// it and, when the peer sent it over a wire, a copy of it. A co-located
+/// peer lends it again at every exchange, so its label is enough.
+#[derive(Clone, Debug)]
+struct Held<T> {
+    label: u64,
+    copy: Option<Box<T>>,
+}
+
+/// What a lend-or-own value leaves to hold: the value when owned.
+fn owned<T: Clone>(value: Cow<'_, T>) -> Option<T> {
+    match value {
+        Cow::Owned(value) => Some(value),
+        Cow::Borrowed(_) => None,
+    }
+}
+
+/// Where a target's knowledge stood: a position in one of its journals,
+/// and the checksum of the knowledge there.
+#[derive(Clone, Copy, Debug)]
+struct Stamp {
+    journal: u64,
+    position: u64,
+    checksum: u64,
+}
+
+impl Stamp {
+    fn of(target: &Replica) -> Stamp {
+        Stamp {
+            journal: target.journal_id(),
+            position: target.journal_position(),
+            checksum: target.knowledge_totals().checksum(),
+        }
+    }
+}
+
 /// What this side last sent to (or heard from) one peer.
 #[derive(Clone, Debug, Default)]
 struct PeerRecon {
-    /// Journal position and checksum of the knowledge this replica last
-    /// conveyed to the peer (target role: where the next delta starts).
-    sent: Option<(u64, u64)>,
+    /// Where the knowledge this replica last conveyed to the peer stood
+    /// (target role: where the next delta starts).
+    sent: Option<Stamp>,
     /// Filter fingerprint the peer has acknowledged (target role: when it
     /// matches the current filter, the filter is elided from requests).
     sent_filter_fp: Option<u64>,
-    /// The peer's knowledge as of the last exchange, with its totals
-    /// (source role: what the next delta is applied to). Taken out while
-    /// an exchange is resolving and put back only by its commit.
-    peer_knowledge: Option<(Knowledge, KnowledgeTotals)>,
-    /// The peer's filter as last received, keyed by fingerprint (source
-    /// role: reused when the peer elides it).
-    peer_filter: Option<(u64, Filter)>,
+    /// The peer's knowledge as of the last exchange, labelled by its
+    /// checksum; a copy carries its totals (source role: what the next
+    /// summary is resolved against). Taken out while an exchange is
+    /// resolving and put back only by its commit.
+    peer_knowledge: Option<Held<(Knowledge, KnowledgeTotals)>>,
+    /// The peer's filter as last received, labelled by its fingerprint
+    /// (source role: reused when the peer elides it).
+    peer_filter: Option<Held<Filter>>,
 }
 
 /// One summarized-but-not-yet-committed exchange (returned by
@@ -175,8 +247,7 @@ struct PeerRecon {
 #[derive(Clone, Copy, Debug)]
 pub struct PendingExchange {
     peer: ReplicaId,
-    position: u64,
-    checksum: u64,
+    stamp: Stamp,
     filter_fp: u64,
     full_bytes: u64,
     request_bytes: u64,
@@ -204,8 +275,7 @@ impl PendingExchange {
     /// for a target about to retransmit its full request, which conveys
     /// the current knowledge, not that of when the exchange began.
     pub fn restamp(&mut self, target: &Replica) {
-        self.position = target.journal_position();
-        self.checksum = target.knowledge_totals().checksum();
+        self.stamp = Stamp::of(target);
     }
 }
 
@@ -226,14 +296,14 @@ pub struct ReconStats {
 
 /// Per-replica digest-mode state: the summary policy plus, per peer, what
 /// makes exact deltas possible — as target a journal position, as source
-/// one copy of the peer's knowledge.
+/// the label of the peer's knowledge (and a copy, if it came off a wire).
 ///
 /// Both advance only on [`ReconState::commit_sent`] /
 /// [`ReconState::commit_peer`], which callers invoke after the exchange
 /// succeeds end to end. An exchange that dies mid-flight leaves the
-/// target on its old position and the source either on its old copy or —
-/// if it had already applied a delta — with none, which the next exchange
-/// repairs with one resync round. Never a half-advanced copy.
+/// target on its old position and the source either on its old label or —
+/// if it had already taken it to resolve a summary — with none, which the
+/// next exchange repairs with one resync round. Never a half-advanced copy.
 #[derive(Clone, Debug, Default)]
 pub struct ReconState {
     policy: DigestPolicy,
@@ -268,8 +338,8 @@ impl ReconState {
         self.stats.fallback_rounds += fallback_rounds;
     }
 
-    /// Drops all per-peer snapshots (a restart that loses digest state;
-    /// the next exchange with every peer re-seeds with a full summary).
+    /// Drops all per-peer state (a restart that loses digest state; the
+    /// next exchange with every peer re-seeds with a full summary).
     pub fn clear_peers(&mut self) {
         self.peers.clear();
     }
@@ -279,49 +349,61 @@ impl ReconState {
     /// the policy allows; `routing` is the policy routing data of the
     /// equivalent full-mode request. Also returns the [`PendingExchange`]
     /// to commit once the sync succeeds. Costs what was learned since the
-    /// last exchange with `peer`: the knowledge is neither walked nor
-    /// cloned unless it is itself the summary.
+    /// last exchange with `peer`, and only to count it: the summary, the
+    /// inline filter and the [`Lent`] state borrow from `target`, so the
+    /// knowledge is neither walked nor cloned.
     pub fn build_request<'a>(
         &mut self,
         peer: ReplicaId,
-        target: &mut Replica,
+        target: &'a mut Replica,
         routing: RoutingState<'a>,
     ) -> (DigestRequest<'a>, PendingExchange) {
         let (filter_fp, filter_len) = target.filter_stamp();
-        let target: &Replica = target;
-        let knowledge = target.knowledge();
-        let totals = target.knowledge_totals();
-        let (position, checksum) = (target.journal_position(), totals.checksum());
+        let target: &'a Replica = target;
+        let lent = Lent {
+            knowledge: target.knowledge(),
+            totals: target.knowledge_totals(),
+            filter: target.filter(),
+        };
+        let stamp = Stamp::of(target);
+        let checksum = stamp.checksum;
         // A delta is compared against this.
-        let full_len = 1 + totals.encoded_len(knowledge);
+        let full_len = 1 + lent.totals.encoded_len(lent.knowledge);
         let record = self.peers.entry(peer).or_default();
+        // A position in another journal (one from before a restore) says
+        // nothing about this one: first contact again.
+        let sent = record.sent.filter(|sent| sent.journal == stamp.journal);
         // The summary and its encoded length, decided before anything is
-        // copied: only the summary that wins is built.
-        let (summary, summary_len) = match (self.policy, record.sent) {
+        // built: only the summary that wins is.
+        let (summary, summary_len) = match (self.policy, sent) {
             // First contact, or never summarize.
             (DigestPolicy::ForceFull, _) | (_, None) => None,
-            (_, Some((sent_position, sent_checksum))) if sent_position == position => {
-                // Equal positions of one journal are equal knowledge; the
-                // checksum tells a position from before a restore apart.
-                (sent_checksum == checksum)
+            (_, Some(sent)) if sent.position == stamp.position => {
+                // Equal positions of one journal are equal knowledge (a
+                // cloned replica aside, which the checksum tells apart).
+                (sent.checksum == checksum)
                     .then_some((KnowledgeSummary::Unchanged { checksum }, 1 + 8))
             }
-            (policy, Some((sent_position, sent_checksum))) => target
-                .learned_since(sent_position)
+            (policy, Some(sent)) => target
+                .learned_since(sent.position)
                 .map(|learned| (learned, wire::delta_summary_len(learned)))
                 .filter(|&(_, len)| policy == DigestPolicy::ForceDelta || len < full_len)
                 .map(|(learned, len)| {
                     let delta = KnowledgeSummary::Delta {
-                        base_checksum: sent_checksum,
+                        base_checksum: sent.checksum,
                         checksum,
-                        learned: learned.to_vec(),
+                        learned: Cow::Borrowed(learned),
                     };
                     (delta, len)
                 }),
         }
-        .unwrap_or_else(|| (KnowledgeSummary::Full(knowledge.clone()), full_len));
+        .unwrap_or((
+            KnowledgeSummary::Full(Cow::Borrowed(lent.knowledge)),
+            full_len,
+        ));
 
-        let filter = (record.sent_filter_fp != Some(filter_fp)).then(|| target.filter().clone());
+        let filter =
+            (record.sent_filter_fp != Some(filter_fp)).then_some(Cow::Borrowed(lent.filter));
         let request_len = wire::digest_request_len(
             target.id(),
             summary_len,
@@ -330,8 +412,7 @@ impl ReconState {
         );
         let pending = PendingExchange {
             peer,
-            position,
-            checksum,
+            stamp,
             filter_fp,
             full_bytes: wire::sync_request_len(target.id(), full_len - 1, filter_len, &routing)
                 as u64,
@@ -343,6 +424,7 @@ impl ReconState {
             filter_fingerprint: filter_fp,
             filter,
             routing,
+            lent: Some(lent),
         };
         debug_assert_eq!(
             request_len,
@@ -357,79 +439,125 @@ impl ReconState {
     /// start from it.
     pub fn commit_sent(&mut self, pending: PendingExchange) {
         let record = self.peers.entry(pending.peer).or_default();
-        record.sent = Some((pending.position, pending.checksum));
+        record.sent = Some(pending.stamp);
         record.sent_filter_fp = Some(pending.filter_fp);
     }
 
     /// **Source role.** The target's filter for a request: the one it
-    /// carried inline, or the cached one its fingerprint names. `None`
-    /// means the peer elided a filter this side never saw — a protocol
-    /// desync that must resolve as [`SummaryOutcome::Resync`].
+    /// carried inline, or — when the fingerprint names the one this side
+    /// holds the label of — the one it lent, else the held copy. `None`
+    /// means the peer elided a filter this side cannot produce — a
+    /// protocol desync that must resolve as [`SummaryOutcome::Resync`].
     pub fn effective_filter<'a>(
         &'a self,
         peer: ReplicaId,
         fingerprint: u64,
         inline: Option<&'a Filter>,
+        lent: Option<Lent<'a>>,
     ) -> Option<&'a Filter> {
         inline.or_else(|| {
-            let (cached_fp, filter) = self.peers.get(&peer)?.peer_filter.as_ref()?;
-            (*cached_fp == fingerprint).then_some(filter)
+            let held = self.peers.get(&peer)?.peer_filter.as_ref()?;
+            if held.label != fingerprint {
+                return None;
+            }
+            lent.map(|lent| lent.filter).or(held.copy.as_deref())
         })
     }
 
-    /// **Source role.** Resolves a summary against the cached copy of the
-    /// peer's knowledge. Never fails hard: anything that cannot be
+    /// **Source role.** Resolves a summary against what this side holds
+    /// of the peer's knowledge. Never fails hard: anything that cannot be
     /// resolved exactly comes back as [`SummaryOutcome::Resync`].
     ///
-    /// Unchanged and delta summaries *take* the cached copy — a delta is
-    /// applied to it in place — and hand it back in the outcome; only
-    /// [`ReconState::commit_peer`] restores it. A copy that fails its
-    /// checksum is dropped here, so a bad delta can never poison later
-    /// exchanges: the next one resynchronizes and re-seeds it.
-    pub fn resolve(&mut self, peer: ReplicaId, summary: KnowledgeSummary) -> SummaryOutcome {
-        let mut cached = || self.peers.get_mut(&peer)?.peer_knowledge.take();
-        let exact = |(knowledge, totals)| SummaryOutcome::Resolved { knowledge, totals };
-        match summary {
+    /// A `Full` summary resolves to itself. Unchanged and delta summaries
+    /// *take* the held knowledge, which only [`ReconState::commit_peer`]
+    /// restores, and resolve when its label is their base checksum: to
+    /// the knowledge the target `lent`, else to the held copy with the
+    /// delta applied in place, if that reproduces the target's checksum.
+    /// A copy that fails its checksum is dropped here, so a bad delta can
+    /// never poison later exchanges: the next one resynchronizes and
+    /// re-seeds it.
+    pub fn resolve<'a>(
+        &mut self,
+        peer: ReplicaId,
+        summary: KnowledgeSummary<'a>,
+        lent: Option<Lent<'a>>,
+    ) -> SummaryOutcome<'a> {
+        let (base, learned, checksum) = match summary {
             KnowledgeSummary::Full(knowledge) => {
-                let totals = KnowledgeTotals::of(&knowledge);
-                exact((knowledge, totals))
+                let totals = lent.map_or_else(|| KnowledgeTotals::of(&knowledge), |l| l.totals);
+                return SummaryOutcome::Resolved { knowledge, totals };
             }
-            KnowledgeSummary::Unchanged { checksum } => cached()
-                .filter(|(_, totals)| totals.checksum() == checksum)
-                .map_or(SummaryOutcome::Resync, exact),
+            KnowledgeSummary::Unchanged { checksum } => {
+                (checksum, Cow::Borrowed(&[][..]), checksum)
+            }
             KnowledgeSummary::Delta {
                 base_checksum,
                 checksum,
                 learned,
-            } => cached()
-                .filter(|(_, totals)| totals.checksum() == base_checksum)
-                .map(|(mut knowledge, mut totals)| {
-                    for version in learned {
-                        knowledge.insert_with(version, &mut totals);
-                    }
-                    (knowledge, totals)
-                })
-                .filter(|(_, totals)| totals.checksum() == checksum)
-                .map_or(SummaryOutcome::Resync, exact),
+            } => (base_checksum, learned, checksum),
+        };
+        let held = self
+            .peers
+            .get_mut(&peer)
+            .and_then(|r| r.peer_knowledge.take());
+        let Some(held) = held.filter(|held| held.label == base) else {
+            return SummaryOutcome::Resync;
+        };
+        if let Some(lent) = lent {
+            debug_assert_eq!(
+                lent.totals.checksum(),
+                checksum,
+                "the summary names other knowledge than the lend"
+            );
+            let knowledge = Cow::Borrowed(lent.knowledge);
+            return SummaryOutcome::Resolved {
+                knowledge,
+                totals: lent.totals,
+            };
+        }
+        let Some(copy) = held.copy else {
+            return SummaryOutcome::Resync;
+        };
+        let (mut knowledge, mut totals) = *copy;
+        for &version in learned.iter() {
+            knowledge.insert_with(version, &mut totals);
+        }
+        if totals.checksum() != checksum {
+            return SummaryOutcome::Resync;
+        }
+        SummaryOutcome::Resolved {
+            knowledge: Cow::Owned(knowledge),
+            totals,
         }
     }
 
-    /// **Source role.** Commits a successful exchange: caches the target's
-    /// knowledge for the next delta, and the filter the target sent inline
-    /// (if it is new).
+    /// **Source role.** Commits a successful exchange: labels the target's
+    /// knowledge for the next summary, and the filter the target sent
+    /// inline (if it is new). What arrived owned, off a wire, is kept as
+    /// the copy the next wire summary resolves against; what was lent is
+    /// not copied.
     pub fn commit_peer(
         &mut self,
         peer: ReplicaId,
-        knowledge: (Knowledge, KnowledgeTotals),
+        knowledge: Cow<'_, Knowledge>,
+        totals: KnowledgeTotals,
         filter_fp: u64,
-        inline_filter: Option<&Filter>,
+        inline_filter: Option<Cow<'_, Filter>>,
     ) {
         let record = self.peers.entry(peer).or_default();
-        record.peer_knowledge = Some(knowledge);
-        if let Some(filter) = inline_filter {
-            if record.peer_filter.as_ref().map(|(fp, _)| *fp) != Some(filter_fp) {
-                record.peer_filter = Some((filter_fp, filter.clone()));
-            }
+        record.peer_knowledge = Some(Held {
+            label: totals.checksum(),
+            copy: owned(knowledge).map(|knowledge| Box::new((knowledge, totals))),
+        });
+        let Some(filter) = inline_filter else {
+            return;
+        };
+        let copy = owned(filter).map(Box::new);
+        if copy.is_some() || record.peer_filter.as_ref().map(|held| held.label) != Some(filter_fp) {
+            record.peer_filter = Some(Held {
+                label: filter_fp,
+                copy,
+            });
         }
     }
 }
@@ -438,7 +566,7 @@ impl ReconState {
 mod tests {
     use super::*;
     use crate::attrs::AttributeMap;
-    use crate::exchange::{self, Pull, Reply};
+    use crate::exchange::{self, Pull, Reply, Request};
     use crate::sync::{self, NoExtension, SyncLimits, SyncReport};
     use crate::time::SimTime;
 
@@ -465,6 +593,20 @@ mod tests {
         target_recon: &mut ReconState,
         at: u64,
     ) -> SyncReport {
+        sync_via(false, source, source_recon, target, target_recon, at)
+    }
+
+    /// The same sync with every message taken through its wire bytes when
+    /// `wire` is set, so the source receives owned requests and holds
+    /// copies of what they carry.
+    fn sync_via(
+        wire: bool,
+        source: &mut Replica,
+        source_recon: &mut ReconState,
+        target: &mut Replica,
+        target_recon: &mut ReconState,
+        at: u64,
+    ) -> SyncReport {
         let (now, limits) = (SimTime::from_secs(at), SyncLimits::unlimited());
         let (mut source_ext, mut target_ext) = (NoExtension, NoExtension);
         let (mut pull, request) = Pull::open(
@@ -475,16 +617,26 @@ mod tests {
             source.id(),
             now,
         );
+        let request = match request {
+            Request::Digest(digest) if wire => Request::Digest(reframed(&digest)),
+            request => request,
+        };
         let reply = exchange::serve(source, &mut source_ext, source_recon, request, limits, now);
         let batch = match reply {
             Reply::Batch(batch) => batch,
             Reply::Resync => {
                 let request = pull.resync(target).expect("a digest pull resyncs once");
+                let request = if wire { reframed(&request) } else { request };
                 exchange::serve_resync(source, &mut source_ext, source_recon, request, limits, now)
             }
         };
         pull.finish(target, &mut target_ext, target_recon, batch, now)
             .0
+    }
+
+    /// A message as the peer at the far end of a wire decodes it.
+    fn reframed<T: wire::Encode + wire::Decode>(message: &impl wire::Encode) -> T {
+        wire::from_bytes(&wire::to_bytes(message)).expect("an encoded message decodes")
     }
 
     #[test]
@@ -632,16 +784,17 @@ mod tests {
         assert!(rb.stats().digest_bytes - before < 32, "unchanged summary");
     }
 
-    /// A source-side harness for resolving hand-made summaries: a
-    /// `ReconState` whose copy of peer 2's knowledge is `base`, and `base`
-    /// itself.
+    /// A source-side harness for resolving hand-made wire summaries: a
+    /// `ReconState` holding a copy of peer 2's knowledge `base`, as an
+    /// owned request leaves one, and `base` itself.
     fn source_caching(base_versions: &[Version]) -> (ReconState, Knowledge) {
         let mut base = Knowledge::new();
         for &v in base_versions {
             base.insert(v);
         }
         let mut recon = ReconState::new();
-        recon.commit_peer(rid(2), (base.clone(), KnowledgeTotals::of(&base)), 0, None);
+        let totals = KnowledgeTotals::of(&base);
+        recon.commit_peer(rid(2), Cow::Owned(base.clone()), totals, 0, None);
         (recon, base)
     }
 
@@ -652,7 +805,7 @@ mod tests {
             checksum: knowledge_checksum(base),
         };
         assert!(matches!(
-            recon.resolve(rid(2), unchanged),
+            recon.resolve(rid(2), unchanged, None),
             SummaryOutcome::Resync
         ));
     }
@@ -669,11 +822,12 @@ mod tests {
         let summary = KnowledgeSummary::Delta {
             base_checksum: knowledge_checksum(&base),
             checksum: knowledge_checksum(&current),
-            learned,
+            learned: Cow::Owned(learned),
         };
-        match recon.resolve(rid(2), summary) {
+        match recon.resolve(rid(2), summary, None) {
             SummaryOutcome::Resolved { knowledge, totals } => {
-                assert_eq!(knowledge, current);
+                assert!(matches!(knowledge, Cow::Owned(_)), "the held copy");
+                assert_eq!(*knowledge, current);
                 assert_eq!(totals, KnowledgeTotals::of(&current));
             }
             other => panic!("delta did not resolve: {other:?}"),
@@ -691,16 +845,17 @@ mod tests {
         claimed.insert_prefix(rid(7), 3);
         held.insert_prefix(rid(7), 2);
         let mut recon = ReconState::new();
-        recon.commit_peer(rid(2), (held, KnowledgeTotals::of(&claimed)), 0, None);
+        let label = KnowledgeTotals::of(&claimed);
+        recon.commit_peer(rid(2), Cow::Owned(held), label, 0, None);
         let mut current = claimed.clone();
         current.insert(v(4));
         let summary = KnowledgeSummary::Delta {
             base_checksum: knowledge_checksum(&claimed),
             checksum: knowledge_checksum(&current),
-            learned: vec![v(4)],
+            learned: Cow::Owned(vec![v(4)]),
         };
         assert!(matches!(
-            recon.resolve(rid(2), summary),
+            recon.resolve(rid(2), summary, None),
             SummaryOutcome::Resync
         ));
         assert_cache_dropped(&mut recon, &claimed);
@@ -713,15 +868,15 @@ mod tests {
         let summary = KnowledgeSummary::Delta {
             base_checksum: knowledge_checksum(&base),
             checksum: knowledge_checksum(&base).wrapping_add(1),
-            learned: vec![
+            learned: Cow::Owned(vec![
                 v(u64::MAX),
                 v(u64::MAX - 1),
                 v(0),
                 Version::new(rid(u64::MAX), u64::MAX),
-            ],
+            ]),
         };
         assert!(matches!(
-            recon.resolve(rid(2), summary),
+            recon.resolve(rid(2), summary, None),
             SummaryOutcome::Resync
         ));
         assert_cache_dropped(&mut recon, &base);
@@ -740,10 +895,10 @@ mod tests {
         let summary = KnowledgeSummary::Delta {
             base_checksum: knowledge_checksum(&base),
             checksum: knowledge_checksum(&current),
-            learned: vec![v(3), v(4)],
+            learned: Cow::Owned(vec![v(3), v(4)]),
         };
         assert!(matches!(
-            recon.resolve(rid(2), summary),
+            recon.resolve(rid(2), summary, None),
             SummaryOutcome::Resync
         ));
         assert_cache_dropped(&mut recon, &base);
@@ -756,13 +911,14 @@ mod tests {
         let mut c = host(3, "c");
         let (mut ra, mut rb) = (ReconState::new(), ReconState::new());
         // Every other version is b's: exception-heavy knowledge, against
-        // which a one-version delta is the shorter message.
+        // which a one-version delta is the shorter message. a and b meet
+        // over a wire, so a holds a copy of b's knowledge.
         for i in 0..100u8 {
             a.insert(dest(if i % 2 == 0 { "b" } else { "x" }), vec![i])
                 .unwrap();
         }
-        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
-        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
+        sync_via(true, &mut a, &mut ra, &mut b, &mut rb, 0);
+        sync_via(true, &mut a, &mut ra, &mut b, &mut rb, 1);
         assert_eq!(rb.stats().fallback_rounds, 0);
         // Swap a's copy of b's knowledge for something else under the
         // label b will name, then let b learn a little: its delta lands on
@@ -771,7 +927,7 @@ mod tests {
         let label = b.knowledge_totals();
         let mut wrong = Knowledge::new();
         wrong.insert(Version::new(rid(3), 1));
-        ra.commit_peer(rid(2), (wrong, label), 0, None);
+        ra.commit_peer(rid(2), Cow::Owned(wrong), label, 0, None);
         digest_sync(
             &mut c,
             &mut ReconState::new(),
@@ -779,13 +935,13 @@ mod tests {
             &mut ReconState::new(),
             2,
         );
-        let report = digest_sync(&mut a, &mut ra, &mut b, &mut rb, 3);
+        let report = sync_via(true, &mut a, &mut ra, &mut b, &mut rb, 3);
         assert_eq!(rb.stats().fallback_rounds, 1, "the bad delta resynced");
         assert_eq!(report.duplicates, 0);
         assert_eq!(report.transmitted, 0, "b already had everything");
         // The resync re-seeded the copy: the next exchange is a checksum.
         let before = rb.stats().digest_bytes;
-        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 4);
+        sync_via(true, &mut a, &mut ra, &mut b, &mut rb, 4);
         assert_eq!(rb.stats().fallback_rounds, 1);
         assert!(rb.stats().digest_bytes - before < 32);
     }
@@ -807,23 +963,19 @@ mod tests {
         let mut a = host(1, "a");
         let (request, pending) = rs.build_request(rid(1), &mut sparse, RoutingState::empty());
         assert_eq!(request.summary.kind(), "full");
-        // The full summary seeds the peer's exact copy, so the very next
-        // meeting is a checksum, and one after new learning a delta.
-        let outcome = ra.resolve(rid(3), request.summary);
+        // The full summary labels the peer's exact knowledge, so the very
+        // next meeting is a checksum, and one after new learning a delta.
+        let fingerprint = request.filter_fingerprint;
+        let outcome = ra.resolve(rid(3), request.summary, request.lent);
         let SummaryOutcome::Resolved { knowledge, totals } = outcome else {
             panic!("a full summary always resolves");
         };
+        ra.commit_peer(rid(3), knowledge, totals, fingerprint, None);
         rs.commit_sent(pending);
-        ra.commit_peer(
-            rid(3),
-            (knowledge, totals),
-            request.filter_fingerprint,
-            None,
-        );
         let (request, _) = rs.build_request(rid(1), &mut sparse, RoutingState::empty());
         assert_eq!(request.summary.kind(), "unchanged");
         assert!(matches!(
-            ra.resolve(rid(3), request.summary.clone()),
+            ra.resolve(rid(3), request.summary.clone(), request.lent),
             SummaryOutcome::Resolved { .. }
         ));
         a.insert(dest("c"), vec![1]).unwrap();
@@ -837,5 +989,78 @@ mod tests {
         let (request, _) = rs.build_request(rid(1), &mut sparse, RoutingState::empty());
         assert_eq!(request.summary.kind(), "delta");
         assert!(2 * wire::encoded_len(&request.summary) < wire::encoded_len(sparse.knowledge()));
+    }
+
+    #[test]
+    fn a_label_resolves_what_is_lent_and_nothing_from_a_wire() {
+        let mut a = host(1, "a");
+        let mut b = host(2, "b");
+        let (mut ra, mut rb) = (ReconState::new(), ReconState::new());
+        for i in 0..40u8 {
+            a.insert(dest(if i % 2 == 0 { "b" } else { "x" }), vec![i])
+                .unwrap();
+        }
+        // Two lent exchanges: a holds the label of b's settled knowledge.
+        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
+        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 1);
+        let (request, _) = rb.build_request(rid(1), &mut b, RoutingState::empty());
+        assert_eq!(request.summary.kind(), "unchanged");
+        let decoded: DigestRequest<'static> = reframed(&request);
+        assert!(decoded.lent.is_none(), "a decoded request lends nothing");
+        // Lent, the summary resolves to the target's own knowledge, not
+        // to a copy (resolving takes the label: restore it).
+        let mut probe = ra.clone();
+        match probe.resolve(rid(2), request.summary, request.lent) {
+            SummaryOutcome::Resolved { knowledge, .. } => {
+                let lent = request.lent.expect("a built request lends");
+                assert!(matches!(knowledge, Cow::Borrowed(k) if std::ptr::eq(k, lent.knowledge)));
+            }
+            SummaryOutcome::Resync => panic!("a lent summary resolves against its label"),
+        }
+        // From the wire it cannot: there is no copy to resolve against.
+        assert!(matches!(
+            ra.clone().resolve(rid(2), decoded.summary, None),
+            SummaryOutcome::Resync
+        ));
+        // So the pair's first wire exchange pays one fallback round, which
+        // leaves a a copy, and later wire exchanges resolve against it.
+        sync_via(true, &mut a, &mut ra, &mut b, &mut rb, 2);
+        assert_eq!(rb.stats().fallback_rounds, 1);
+        a.insert(dest("b"), vec![99]).unwrap();
+        for at in 3..6 {
+            sync_via(true, &mut a, &mut ra, &mut b, &mut rb, at);
+        }
+        assert_eq!(rb.stats().fallback_rounds, 1);
+        assert_eq!(b.item_count(), 21);
+    }
+
+    #[test]
+    fn a_position_from_before_a_restore_is_no_position() {
+        // b is restored under its surviving digest state and learns as
+        // much as it had before: the old position is reachable in the new
+        // journal, but counts other versions, so b opens with its whole
+        // knowledge instead of a delta naming the wrong ones.
+        let mut a = host(1, "a");
+        let mut b = host(2, "b");
+        let mut ra = ReconState::new();
+        let mut rb = ReconState::with_policy(DigestPolicy::ForceDelta);
+        a.insert(dest("b"), vec![0]).unwrap();
+        digest_sync(&mut a, &mut ra, &mut b, &mut rb, 0);
+        let (_, pending) = rb.build_request(rid(1), &mut b, RoutingState::empty());
+        rb.commit_sent(pending);
+        let mut b = Replica::restore(&b.snapshot()).unwrap();
+        for i in 1..4u8 {
+            a.insert(dest("b"), vec![i]).unwrap();
+        }
+        digest_sync(
+            &mut a,
+            &mut ReconState::new(),
+            &mut b,
+            &mut ReconState::new(),
+            1,
+        );
+        assert!(b.journal_position() > 0);
+        let (request, _) = rb.build_request(rid(1), &mut b, RoutingState::empty());
+        assert_eq!(request.summary.kind(), "full");
     }
 }

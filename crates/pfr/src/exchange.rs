@@ -12,10 +12,13 @@
 //! and accounts them.
 //!
 //! A full pull keeps no state while it waits for its batch: the request
-//! lends the target's knowledge, filter and routing data. A digest pull
-//! keeps the journal position it will commit and one encoded copy of its
-//! routing data, for the full request a resync needs (empty for a policy
-//! without routing state).
+//! lends the target's knowledge, filter and routing data. A digest request
+//! lends the same knowledge and filter beside its summary, so a co-located
+//! source resolves against them and keeps only their labels; a request
+//! decoded from a frame owns its parts and leaves the source a copy (see
+//! [`crate::digest`]). A digest pull keeps the journal position it will
+//! commit and one encoded copy of its routing data, for the full request
+//! a resync needs (empty for a policy without routing state).
 
 #![cfg_attr(
     not(test),
@@ -170,8 +173,9 @@ impl Pull {
 
 /// Answers a request as the *source*: a full request always with a batch;
 /// a digest with a batch when its summary and filter resolve exactly
-/// against what `recon` holds for the target (the copy then advances to
-/// the knowledge it conveyed), else with [`Reply::Resync`].
+/// against what `recon` holds for the target (its label, and its copy if
+/// the request is owned, then advance to the knowledge it conveyed), else
+/// with [`Reply::Resync`].
 pub fn serve(
     source: &mut Replica,
     ext: &mut dyn SyncExtension,
@@ -186,6 +190,7 @@ pub fn serve(
         filter_fingerprint,
         filter: inline_filter,
         routing,
+        lent,
     } = match request {
         Request::Full(request) => {
             return Reply::Batch(sync::prepare_batch(source, ext, &request, limits, now))
@@ -193,16 +198,18 @@ pub fn serve(
         Request::Digest(request) => request,
     };
     // Not knowing the filter the target elided is a desync like a lost
-    // copy of its knowledge: both end in a resync round, which re-seeds
+    // label of its knowledge: both end in a resync round, which re-seeds
     // both.
-    let SummaryOutcome::Resolved { knowledge, totals } = recon.resolve(target, summary) else {
-        return Reply::Resync;
-    };
-    let Some(filter) = recon.effective_filter(target, filter_fingerprint, inline_filter.as_ref())
+    let SummaryOutcome::Resolved { knowledge, totals } = recon.resolve(target, summary, lent)
     else {
         return Reply::Resync;
     };
-    // The knowledge is lent to the batch, then moves into the cached copy.
+    let inline = inline_filter.as_deref();
+    let Some(filter) = recon.effective_filter(target, filter_fingerprint, inline, lent) else {
+        return Reply::Resync;
+    };
+    // The knowledge is lent to the batch, then committed: labelled, and
+    // kept as the copy if it is owned.
     let full = SyncRequest {
         target,
         knowledge: Cow::Borrowed(&knowledge),
@@ -211,18 +218,13 @@ pub fn serve(
     };
     let batch = sync::prepare_batch(source, ext, &full, limits, now);
     drop(full);
-    recon.commit_peer(
-        target,
-        (knowledge, totals),
-        filter_fingerprint,
-        inline_filter.as_ref(),
-    );
+    recon.commit_peer(target, knowledge, totals, filter_fingerprint, inline_filter);
     Reply::Batch(batch)
 }
 
 /// Serves the full request a target retransmits after [`Reply::Resync`],
-/// and caches its now exactly known knowledge and filter so the next
-/// exchange can summarize again.
+/// and commits its now exactly known knowledge and filter — labels, and
+/// copies of what it owns — so the next exchange can summarize again.
 pub fn serve_resync(
     source: &mut Replica,
     ext: &mut dyn SyncExtension,
@@ -232,13 +234,14 @@ pub fn serve_resync(
     now: SimTime,
 ) -> SyncBatch {
     let batch = sync::prepare_batch(source, ext, &request, limits, now);
-    let knowledge = request.knowledge.into_owned();
+    let SyncRequest {
+        target,
+        knowledge,
+        filter,
+        ..
+    } = request;
     let totals = KnowledgeTotals::of(&knowledge);
-    recon.commit_peer(
-        request.target,
-        (knowledge, totals),
-        request.filter.fingerprint(),
-        Some(request.filter.as_ref()),
-    );
+    let fingerprint = filter.fingerprint();
+    recon.commit_peer(target, knowledge, totals, fingerprint, Some(filter));
     batch
 }

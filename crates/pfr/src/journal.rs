@@ -8,9 +8,13 @@
 //!
 //! The journal lives beside the knowledge in the [`crate::Replica`], never
 //! inside it and never in a snapshot: a restored replica starts a fresh
-//! journal, which costs each peer one full exchange, as a reboot does. It
-//! also keeps [`KnowledgeTotals`] — checksum and encoded length — current
-//! as versions arrive, so neither is ever recomputed from the whole set.
+//! journal, which costs each peer one full exchange, as a reboot does.
+//! Each journal has an id of its own, so a position counted in one is
+//! never read in another. The journal also keeps [`KnowledgeTotals`] —
+//! checksum and encoded length — current as versions arrive, so neither
+//! is ever recomputed from the whole set.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hash::key_hash;
 use crate::id::{ReplicaId, Version};
@@ -89,12 +93,27 @@ impl EntrySink for KnowledgeTotals {
 /// since the journal started; the journal retains only a bounded tail, so
 /// old positions stop being answerable (and the caller falls back to the
 /// full knowledge, which by then is the shorter message anyway).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(crate) struct Journal {
+    /// Unique among the journals started in this process (a clone shares
+    /// it, with the positions it counted).
+    id: u64,
     /// Versions learned before `tail[0]` and no longer retained.
     trimmed: u64,
     tail: Vec<Version>,
     totals: KnowledgeTotals,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        static STARTED: AtomicU64 = AtomicU64::new(0);
+        Journal {
+            id: STARTED.fetch_add(1, Ordering::Relaxed),
+            trimmed: 0,
+            tail: Vec::new(),
+            totals: KnowledgeTotals::default(),
+        }
+    }
 }
 
 impl Journal {
@@ -125,14 +144,18 @@ impl Journal {
         true
     }
 
+    /// Which journal this is: a position is a position in one journal.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
     /// How many versions have been learned since the journal started.
     pub(crate) fn position(&self) -> u64 {
         self.trimmed + self.tail.len() as u64
     }
 
     /// The versions learned after `position`, oldest first; `None` when
-    /// the journal no longer reaches back that far (or never got there —
-    /// a position from before a restore).
+    /// the journal no longer reaches back that far (or never got there).
     pub(crate) fn since(&self, position: u64) -> Option<&[Version]> {
         let skip = usize::try_from(position.checked_sub(self.trimmed)?).ok()?;
         self.tail.get(skip..)

@@ -224,6 +224,12 @@ impl Replica {
         self.journal.position()
     }
 
+    /// Which journal [`Replica::journal_position`] counts in: a restore
+    /// starts a new one, whose positions say nothing of the old one's.
+    pub(crate) fn journal_id(&self) -> u64 {
+        self.journal.id()
+    }
+
     /// The versions learned after journal position `position`, oldest
     /// first: inserted into the knowledge as of `position`, they give the
     /// current knowledge. `None` when the journal no longer (or never)

@@ -602,7 +602,8 @@ pub struct SyncReport {
     pub stored_ids: Vec<ItemId>,
     /// Copies ignored as stale.
     pub stale: usize,
-    /// Copies rejected as duplicates (should be zero in a correct run).
+    /// Copies rejected because the target's knowledge already held them
+    /// (zero in a correct run: a source sends only unknown versions).
     pub duplicates: usize,
     /// Concurrent copies merged.
     pub conflicts: usize,

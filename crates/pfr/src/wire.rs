@@ -17,6 +17,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -502,12 +503,25 @@ pub fn from_bytes_shared<T: Decode>(backing: &Arc<[u8]>) -> Result<(T, u64), Wir
     Ok((value, r.shared_payload_count()))
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.len() as u64);
         for item in self {
             item.encode(w);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_slice().encode(w);
+    }
+}
+
+/// A lent value and an owned one encode alike.
+impl<T: Encode + ToOwned + ?Sized> Encode for Cow<'_, T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_ref().encode(w);
     }
 }
 
@@ -927,8 +941,8 @@ impl Decode for SyncRequest<'static> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(SyncRequest {
             target: ReplicaId::decode(r)?,
-            knowledge: std::borrow::Cow::Owned(Knowledge::decode(r)?),
-            filter: std::borrow::Cow::Owned(Filter::decode(r)?),
+            knowledge: Cow::Owned(Knowledge::decode(r)?),
+            filter: Cow::Owned(Filter::decode(r)?),
             routing: RoutingState::decode(r)?,
         })
     }
@@ -982,7 +996,7 @@ const SUMMARY_UNCHANGED: u8 = 1;
 /// layout fails as [`WireError::InvalidTag`] instead of being misread.
 const SUMMARY_DELTA: u8 = 4;
 
-impl Encode for KnowledgeSummary {
+impl Encode for KnowledgeSummary<'_> {
     fn encode(&self, w: &mut Writer) {
         match self {
             KnowledgeSummary::Full(k) => {
@@ -1039,10 +1053,10 @@ pub(crate) fn digest_request_len(
         + encoded_len(routing)
 }
 
-impl Decode for KnowledgeSummary {
+impl Decode for KnowledgeSummary<'static> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.get_u8()? {
-            SUMMARY_FULL => Ok(KnowledgeSummary::Full(Knowledge::decode(r)?)),
+            SUMMARY_FULL => Ok(KnowledgeSummary::Full(Cow::Owned(Knowledge::decode(r)?))),
             SUMMARY_UNCHANGED => Ok(KnowledgeSummary::Unchanged {
                 checksum: r.get_u64()?,
             }),
@@ -1059,7 +1073,7 @@ impl Decode for KnowledgeSummary {
                 Ok(KnowledgeSummary::Delta {
                     base_checksum,
                     checksum,
-                    learned,
+                    learned: Cow::Owned(learned),
                 })
             }
             tag => Err(WireError::InvalidTag {
@@ -1071,6 +1085,7 @@ impl Decode for KnowledgeSummary {
 }
 
 impl Encode for DigestRequest<'_> {
+    /// The lent state is not encoded: a decoded request owns its parts.
     fn encode(&self, w: &mut Writer) {
         self.target.encode(w);
         self.summary.encode(w);
@@ -1086,8 +1101,9 @@ impl Decode for DigestRequest<'static> {
             target: ReplicaId::decode(r)?,
             summary: KnowledgeSummary::decode(r)?,
             filter_fingerprint: r.get_u64()?,
-            filter: Option::decode(r)?,
+            filter: Option::<Filter>::decode(r)?.map(Cow::Owned),
             routing: RoutingState::decode(r)?,
+            lent: None,
         })
     }
 }
@@ -1226,8 +1242,8 @@ mod tests {
         k.insert_prefix(ReplicaId::new(1), 3);
         let req = SyncRequest {
             target: ReplicaId::new(2),
-            knowledge: std::borrow::Cow::Owned(k),
-            filter: std::borrow::Cow::Owned(Filter::address("dest", "b")),
+            knowledge: Cow::Owned(k),
+            filter: Cow::Owned(Filter::address("dest", "b")),
             routing: RoutingState::from_bytes(vec![9, 9]),
         };
         let bytes = to_bytes(&req);

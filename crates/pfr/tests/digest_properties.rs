@@ -1,19 +1,23 @@
 //! Property-based tests for the digest-mode reconciliation layer: wire
 //! round trips for every [`KnowledgeSummary`] kind, never-panic decoding
 //! of adversarial digest frames, the learning journal's delta algebra,
-//! and the tentpole equivalence —
-//! full-mode and digest-mode sync runs converge to identical replica
-//! state on arbitrary schedules, restores and cache losses included.
+//! and two equivalences on arbitrary schedules, restores and state losses
+//! included: full-mode and digest-mode sync runs converge to identical
+//! replica state, and a source that keeps only labels and resolves lent
+//! requests answers exactly as one that keeps copies and resolves wire
+//! bytes (label ≡ copy).
 //!
 //! Digest requests are generated through the real [`ReconState`] build
 //! path over a real [`Replica`] (not hand-assembled), so the round-trip
 //! properties cover the exact delta / unchanged / full summaries
 //! production code emits.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
-use pfr::digest::{self, knowledge_checksum, ReconState};
-use pfr::exchange::{self, Pull, Reply};
+use pfr::digest::{knowledge_checksum, ReconState, SummaryOutcome};
+use pfr::exchange::{self, Pull, Reply, Request};
 use pfr::sync::{self, NoExtension, SyncReport};
 use pfr::wire::{encoded_len, from_bytes, to_bytes};
 use pfr::{
@@ -169,8 +173,9 @@ proptest! {
         state.commit_sent(pending);
         let before = target.knowledge().clone();
         learn(&mut target, &extra);
+        let current = target.knowledge().clone();
+        let learned_nothing = current == before;
         let (digest, _) = state.build_request(PEER, &mut target, RoutingState::empty());
-        let learned_nothing = *target.knowledge() == before;
         match digest.summary {
             KnowledgeSummary::Unchanged { checksum } => {
                 prop_assert!(learned_nothing);
@@ -180,15 +185,15 @@ proptest! {
                 prop_assert!(!learned_nothing);
                 prop_assert_eq!(base_checksum, knowledge_checksum(&before));
                 let mut rebuilt = before;
-                for v in learned {
+                for &v in learned.iter() {
                     rebuilt.insert(v);
                 }
-                prop_assert_eq!(&rebuilt, target.knowledge());
+                prop_assert_eq!(&rebuilt, &current);
                 prop_assert_eq!(checksum, knowledge_checksum(&rebuilt));
             }
             KnowledgeSummary::Full(k) => {
                 prop_assert!(!learned_nothing && !force, "auto only: delta was longer");
-                prop_assert_eq!(&k, target.knowledge());
+                prop_assert_eq!(&*k, &current);
             }
         }
     }
@@ -215,8 +220,9 @@ proptest! {
         // only a short tail of a run this long.
         learn(&mut target, &in_order(early + 1, early + run));
         prop_assert_eq!(target.learned_since(early), None);
+        let current = target.knowledge().clone();
         let (digest, _) = state.build_request(PEER, &mut target, RoutingState::empty());
-        prop_assert_eq!(digest.summary, KnowledgeSummary::Full(target.knowledge().clone()));
+        prop_assert_eq!(digest.summary, KnowledgeSummary::Full(Cow::Owned(current)));
     }
 }
 
@@ -242,7 +248,7 @@ proptest! {
             held.insert(v);
         }
         let held_totals = KnowledgeTotals::of(&held);
-        state.commit_peer(PEER, (held.clone(), held_totals), 0, None);
+        state.commit_peer(PEER, Cow::Owned(held.clone()), held_totals, 0, None);
 
         let mut expected = held.clone();
         let mut in_order = learned.clone();
@@ -260,19 +266,19 @@ proptest! {
         let summary = KnowledgeSummary::Delta {
             base_checksum: held_totals.checksum(),
             checksum: knowledge_checksum(&expected) ^ u64::from(lie),
-            learned: list,
+            learned: Cow::Owned(list),
         };
-        match state.resolve(PEER, summary) {
-            digest::SummaryOutcome::Resolved { knowledge, totals } => {
+        match state.resolve(PEER, summary, None) {
+            SummaryOutcome::Resolved { knowledge, totals } => {
                 prop_assert!(!lie);
-                prop_assert_eq!(&knowledge, &expected);
+                prop_assert_eq!(&*knowledge, &expected);
                 prop_assert_eq!(totals, KnowledgeTotals::of(&expected));
             }
-            digest::SummaryOutcome::Resync => {
+            SummaryOutcome::Resync => {
                 prop_assert!(lie);
                 let unchanged = KnowledgeSummary::Unchanged { checksum: held_totals.checksum() };
                 prop_assert!(
-                    matches!(state.resolve(PEER, unchanged), digest::SummaryOutcome::Resync),
+                    matches!(state.resolve(PEER, unchanged, None), SummaryOutcome::Resync),
                     "the copy a bad delta was applied to is gone"
                 );
             }
@@ -308,11 +314,11 @@ proptest! {
         let mut target = learner();
         learn(&mut target, &base);
         let (first, pending) = state.build_request(PEER, &mut target, routing.clone());
+        let first = to_bytes(&first);
         state.commit_sent(pending);
         learn(&mut target, &extra);
         let (second, _) = state.build_request(PEER, &mut target, routing);
-        for digest in [first, second] {
-            let mut bytes = to_bytes(&digest);
+        for mut bytes in [first, to_bytes(&second)] {
             for &(pos, xor) in &flips {
                 if !bytes.is_empty() {
                     let pos = pos % bytes.len();
@@ -460,6 +466,237 @@ proptest! {
                 dig[i].knowledge_totals(),
                 KnowledgeTotals::of(dig[i].knowledge())
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// label ≡ copy: a co-located source keeps the label of a peer's knowledge
+// and resolves against what the request lends; a source across a wire keeps
+// a copy and resolves against that. Both must answer every exchange alike.
+// ---------------------------------------------------------------------------
+
+/// Replicas and their digest states, as one driver leaves them.
+struct Fleet {
+    replicas: Vec<Replica>,
+    recon: Vec<ReconState>,
+}
+
+impl Fleet {
+    fn new(size: usize, policy: DigestPolicy) -> Fleet {
+        Fleet {
+            replicas: (0..size).map(|i| host(i as u64 + 1, addr(i))).collect(),
+            recon: (0..size).map(|_| ReconState::with_policy(policy)).collect(),
+        }
+    }
+}
+
+fn addr(i: usize) -> &'static str {
+    ["a", "b", "c", "d"][i]
+}
+
+/// Two distinct elements of one slice, both mutable.
+fn pair<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
+    assert_ne!(i, j);
+    if i < j {
+        let (lo, hi) = v.split_at_mut(j);
+        (&mut lo[i], &mut hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(i);
+        (&mut hi[0], &mut lo[j])
+    }
+}
+
+/// What one digest exchange showed on its way: equal in both drivers.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    /// The digest request's bytes, lent or not.
+    request: Vec<u8>,
+    /// What the source resolved the summary to; `None` for a resync.
+    resolved: Option<Knowledge>,
+    /// Whether the exchange took a resync round.
+    resynced: bool,
+    report: SyncReport,
+}
+
+/// One digest sync in which `fleet`'s `target` pulls from its `source`.
+/// With `wire`, every message is served from its own bytes, so the source
+/// receives owned requests; else as built, lending the target's state.
+/// `refuse` has the source answer the digest with a resync unread, as a
+/// session does for a frame that fails its checksum.
+fn exchange_in(
+    fleet: &mut Fleet,
+    wire: bool,
+    (source, target): (usize, usize),
+    refuse: bool,
+    now: SimTime,
+) -> Seen {
+    let limits = SyncLimits::unlimited();
+    let (s, t) = pair(&mut fleet.replicas, source, target);
+    let (rs, rt) = pair(&mut fleet.recon, source, target);
+    let (mut source_ext, mut target_ext) = (NoExtension, NoExtension);
+    let (mut pull, request) = Pull::open(t, &mut target_ext, rt, SyncMode::Digest, s.id(), now);
+    let Request::Digest(digest) = request else {
+        panic!("a digest pull opens with a digest");
+    };
+    assert!(digest.lent.is_some(), "a built request lends");
+    let bytes = to_bytes(&digest);
+    assert_eq!(
+        encoded_len(&digest),
+        bytes.len(),
+        "the lend changed the count"
+    );
+    let digest = if wire {
+        let decoded: DigestRequest = from_bytes(&bytes).expect("a digest decodes");
+        assert!(decoded.lent.is_none(), "a decoded request lends nothing");
+        assert_eq!(encoded_len(&decoded), bytes.len());
+        decoded
+    } else {
+        digest
+    };
+    // What the source resolves the summary to, probed on a copy of its
+    // state (resolving takes what it holds until the commit).
+    let probe = rs
+        .clone()
+        .resolve(digest.target, digest.summary.clone(), digest.lent);
+    let resolved = match probe {
+        SummaryOutcome::Resolved { knowledge, totals } => {
+            assert_eq!(totals, KnowledgeTotals::of(&knowledge));
+            assert_eq!(matches!(knowledge, Cow::Owned(_)), wire, "lent or owned");
+            Some(knowledge.into_owned())
+        }
+        SummaryOutcome::Resync => None,
+    };
+    let reply = if refuse {
+        Reply::Resync
+    } else {
+        let request = Request::Digest(digest);
+        exchange::serve(s, &mut source_ext, rs, request, limits, now)
+    };
+    let resynced = matches!(reply, Reply::Resync);
+    let batch = match reply {
+        Reply::Batch(batch) => batch,
+        Reply::Resync => {
+            let request = pull.resync(t).expect("a digest pull resyncs once");
+            let request = if wire {
+                from_bytes(&to_bytes(&request)).expect("a request decodes")
+            } else {
+                request
+            };
+            exchange::serve_resync(s, &mut source_ext, rs, request, limits, now)
+        }
+    };
+    let (report, _) = pull.finish(t, &mut target_ext, rt, batch, now);
+    Seen {
+        request: bytes,
+        resolved,
+        resynced,
+        report,
+    }
+}
+
+/// One step of a schedule over a small fleet.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Replica `at` injects an item for `dest`.
+    Learn { at: usize, dest: usize, byte: u8 },
+    /// `target` pulls from `source`; with `refuse` the source forces a
+    /// resync round.
+    Sync {
+        source: usize,
+        target: usize,
+        refuse: bool,
+    },
+    /// Replica `at` is restored from its snapshot: its journal restarts,
+    /// its digest state survives with stale positions.
+    Restore { at: usize },
+    /// Replica `at` loses its digest state, as a reboot does.
+    Clear { at: usize },
+    /// Replica `at` widens its filter to also take `dest`'s items: a new
+    /// fingerprint, sent inline once and elided after.
+    Widen { at: usize, dest: usize },
+}
+
+fn arb_step(size: usize) -> impl Strategy<Value = Step> {
+    (0u8..20, 0..size, 0..size, any::<u8>()).prop_map(move |(kind, i, j, byte)| match kind {
+        0..=5 => Step::Learn {
+            at: i,
+            dest: j,
+            byte,
+        },
+        6..=15 if i != j => Step::Sync {
+            source: i,
+            target: j,
+            refuse: kind == 15,
+        },
+        6..=15 => Step::Sync {
+            source: i,
+            target: (i + 1) % size,
+            refuse: kind == 15,
+        },
+        16 | 17 => Step::Restore { at: i },
+        18 => Step::Clear { at: i },
+        _ => Step::Widen { at: i, dest: j },
+    })
+}
+
+fn arb_schedule() -> impl Strategy<Value = (usize, Vec<Step>)> {
+    (3usize..=4)
+        .prop_flat_map(|size| (Just(size), proptest::collection::vec(arb_step(size), 1..60)))
+}
+
+proptest! {
+    /// Random schedules over three or four replicas, every digest policy:
+    /// each exchange is served once lent and once from its own wire bytes,
+    /// in two fleets that otherwise run the same schedule. The request
+    /// bytes, the knowledge the summary resolves to, the resync decision
+    /// and the sync report must agree at every exchange, and every
+    /// replica's `ReconStats` after every step; the replicas must end
+    /// byte-identical.
+    #[test]
+    fn a_label_answers_as_a_copy_does(
+        policy in arb_policy(),
+        (size, steps) in arb_schedule(),
+    ) {
+        let mut lent = Fleet::new(size, policy);
+        let mut wire = Fleet::new(size, policy);
+        for (n, step) in steps.into_iter().enumerate() {
+            let now = SimTime::from_secs(n as u64);
+            match step {
+                Step::Learn { at, dest, byte } => {
+                    for fleet in [&mut lent, &mut wire] {
+                        fleet.replicas[at].insert(attrs(addr(dest)), vec![byte]).unwrap();
+                    }
+                }
+                Step::Sync { source, target, refuse } => {
+                    let by_lend = exchange_in(&mut lent, false, (source, target), refuse, now);
+                    let by_bytes = exchange_in(&mut wire, true, (source, target), refuse, now);
+                    prop_assert_eq!(by_lend, by_bytes, "step {}", n);
+                }
+                Step::Restore { at } => {
+                    for fleet in [&mut lent, &mut wire] {
+                        let snapshot = fleet.replicas[at].snapshot();
+                        fleet.replicas[at] = Replica::restore(&snapshot).unwrap();
+                    }
+                }
+                Step::Clear { at } => {
+                    for fleet in [&mut lent, &mut wire] {
+                        fleet.recon[at].clear_peers();
+                    }
+                }
+                Step::Widen { at, dest } => {
+                    for fleet in [&mut lent, &mut wire] {
+                        let own = Filter::address("dest", addr(at));
+                        let other = Filter::address("dest", addr(dest));
+                        fleet.replicas[at].set_filter(own.or(other));
+                    }
+                }
+            }
+            let stats = |fleet: &Fleet| fleet.recon.iter().map(ReconState::stats).collect::<Vec<_>>();
+            prop_assert_eq!(stats(&lent), stats(&wire), "step {}", n);
+        }
+        for (by_lend, by_bytes) in lent.replicas.iter().zip(&wire.replicas) {
+            prop_assert_eq!(by_lend.snapshot(), by_bytes.snapshot());
         }
     }
 }

@@ -4,6 +4,8 @@
 //! re-encode to the exact bytes it was decoded from (the codec is
 //! canonical, so a byte-level round trip is the strongest equality).
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
 use pfr::sync::{BatchEntry, Priority, PriorityClass, SyncBatch, SyncRequest};
@@ -126,9 +128,9 @@ fn decode_all(bytes: &[u8]) {
     let _ = from_bytes::<KnowledgeSummary>(bytes);
 }
 
-fn arb_summary() -> impl Strategy<Value = KnowledgeSummary> {
+fn arb_summary() -> impl Strategy<Value = KnowledgeSummary<'static>> {
     prop_oneof![
-        arb_knowledge().prop_map(KnowledgeSummary::Full),
+        arb_knowledge().prop_map(|k| KnowledgeSummary::Full(Cow::Owned(k))),
         any::<u64>().prop_map(|checksum| KnowledgeSummary::Unchanged { checksum }),
         (
             any::<u64>(),
@@ -139,7 +141,7 @@ fn arb_summary() -> impl Strategy<Value = KnowledgeSummary> {
                 |(base_checksum, checksum, learned)| KnowledgeSummary::Delta {
                     base_checksum,
                     checksum,
-                    learned,
+                    learned: Cow::Owned(learned),
                 }
             ),
     ]
@@ -151,8 +153,9 @@ fn arb_digest_request() -> impl Strategy<Value = DigestRequest<'static>> {
             target: request.target,
             summary,
             filter_fingerprint,
-            filter: inline.then(|| request.filter.into_owned()),
+            filter: inline.then_some(request.filter),
             routing: request.routing,
+            lent: None,
         },
     )
 }
@@ -386,7 +389,7 @@ proptest! {
             }
         }
         // The same frame inside a request and a full summary.
-        let summary = KnowledgeSummary::Full(decoded.clone());
+        let summary = KnowledgeSummary::Full(Cow::Owned(decoded.clone()));
         prop_assert_eq!(from_bytes::<KnowledgeSummary>(&to_bytes(&summary)), Ok(summary));
     }
 }

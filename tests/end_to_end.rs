@@ -29,9 +29,11 @@ fn every_policy_preserves_at_most_once_delivery() {
     let s = scenario();
     for policy in PolicyKind::ALL {
         let metrics = run(&s.trace, &s.workload, EmulationConfig::for_policy(policy));
+        // At-most-once delivery is the checker's (`run` asserts it);
+        // `duplicates` counts copies a target rejected as already known.
         assert_eq!(
             metrics.duplicates, 0,
-            "policy {policy} duplicated a delivery"
+            "policy {policy} sent a copy its target already knew"
         );
         assert_eq!(metrics.injected(), s.workload.len());
     }
