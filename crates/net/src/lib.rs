@@ -15,10 +15,9 @@
 //!   Worker 0 also accepts, from the listener in its own epoll set.
 //! * [`node`] — [`NetNode`]: the reactor plus one control thread.
 //!   `sync_with` runs its session on the caller's thread through the
-//!   dialer, and the control thread runs the gossip rounds against
-//!   [`Membership`] and anti-entropy syncs the same way (the view and its
-//!   wire types are re-exported from `transport`, where the machine
-//!   answers `Gossip` frames from them).
+//!   dialer; the control thread runs the gossip and anti-entropy dials
+//!   that [`Membership`] (re-exported from `transport`, clock-free, so
+//!   `testkit` drives it under virtual time) says are due, the same way.
 //!
 //! The reactor runs on Linux only: elsewhere [`NetNode::start`] fails
 //! with [`std::io::ErrorKind::Unsupported`], and the blocking
@@ -32,9 +31,9 @@ pub mod node;
 pub(crate) mod poll;
 pub mod reactor;
 
-pub use node::{GossipRoundStats, NetConfig, NetNode, NetStats, PollBackend};
+pub use node::{NetConfig, NetNode, NetStats, PollBackend};
 
 pub use transport::{
-    GossipMessage, Membership, MembershipConfig, PeerStatus, PeerView, PeerWire, Progress,
-    SessionError, SessionMachine, SessionOutcome, TickReport,
+    Dial, GossipMessage, GossipRoundStats, Membership, MembershipConfig, PeerStatus, PeerView,
+    PeerWire, Progress, SessionError, SessionMachine, SessionOutcome,
 };

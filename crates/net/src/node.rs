@@ -7,28 +7,27 @@
 //! responder that can carry many back-to-back sessions. Callers dial:
 //! [`NetNode::sync_with`] runs its session on the caller's own thread
 //! through [`transport::Dialer`], which pools idle outbound connections,
-//! and concurrency comes from concurrent callers. A gossip thread runs
-//! periodic peer-exchange rounds against the membership view, each
-//! exchange on that thread through the same dialer: seeds are dialed
-//! until resolved, suspicion spreads and heals through incarnations, and
-//! (optionally) an anti-entropy round-robin syncs with discovered members
-//! so data flows over routes gossip found. A node is its reactor's
-//! workers plus that one control thread.
+//! and concurrency comes from concurrent callers.
+//!
+//! Whom to dial and when is [`Membership`]'s call: a control thread,
+//! running while either interval of [`NetConfig`] is on, runs the dials
+//! it says are due through the same dialer, books each outcome, and parks
+//! until the next is due or [`NetNode::stop`].
 
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dtn::DtnNode;
-use obs::{Event, EventKind, Obs};
+use obs::{Event, EventKind};
 use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 use transport::{
-    DialConfig, Dialed, Dialer, Membership, MembershipConfig, PeerView, SessionError,
-    SessionMachine, SessionOutcome,
+    Dial, DialConfig, Dialed, Dialer, GossipRoundStats, Membership, MembershipConfig, PeerView,
+    SessionError, SessionMachine, SessionOutcome,
 };
 
 use crate::reactor::{Acceptor, Reactor, ReactorConfig, Shared};
@@ -81,13 +80,13 @@ pub struct NetConfig {
     pub stall_timeout: Duration,
     /// Blocking TCP connect budget for outbound dials.
     pub connect_timeout: Duration,
-    /// Gossip round period; [`Duration::ZERO`] disables the thread (rounds
-    /// can still be driven manually with [`NetNode::gossip_now`]).
+    /// Gossip round period; [`Duration::ZERO`] turns scheduled rounds off
+    /// ([`NetNode::gossip_now`] still runs one) and leaves anti-entropy on.
     pub gossip_interval: Duration,
     /// Membership tunables (fanout, suspicion, eviction, seed).
     pub gossip: MembershipConfig,
-    /// Anti-entropy period: every interval, sync with one discovered
-    /// member round-robin. [`Duration::ZERO`] disables it.
+    /// Anti-entropy period: every interval, sync with the next live member
+    /// in turn. [`Duration::ZERO`] disables it, whatever gossip does.
     pub anti_entropy_interval: Duration,
     /// Sync limits applied when serving peers.
     pub limits: SyncLimits,
@@ -135,32 +134,15 @@ pub struct NetStats {
     pub wakeups: u64,
 }
 
-/// What one gossip round accomplished.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GossipRoundStats {
-    /// Peers dialed this round.
-    pub dialed: usize,
-    /// Exchanges that completed (both views merged).
-    pub merged: usize,
-    /// Dials that failed (targets marked suspect when identifiable).
-    pub failed: usize,
-    /// Members believed alive after the round.
-    pub alive: usize,
-    /// Members under suspicion after the round.
-    pub suspect: usize,
-    /// Membership entries newly learned this round.
-    pub learned: u64,
-}
-
 /// A DTN node served by the async reactor; its callers dial.
 pub struct NetNode {
     core: Arc<Core>,
     reactor: Reactor,
-    gossip_thread: Option<JoinHandle<()>>,
+    control: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
-/// What the caller-facing handle and the gossip loop share.
+/// What the caller-facing handle and the control thread share.
 struct Core {
     node: Arc<Mutex<DtnNode>>,
     membership: Arc<Mutex<Membership>>,
@@ -168,15 +150,15 @@ struct Core {
     /// The pool of idle outbound connections and the one outbound driver
     /// over it.
     dialer: Dialer,
+    /// Held through each control step: rounds never share a tally.
+    stepping: Mutex<()>,
     shutdown: AtomicBool,
     config: NetConfig,
-    obs: Obs,
-    replica: u64,
 }
 
 impl NetNode {
     /// Binds `bind` and starts the reactor, whose worker 0 accepts, and
-    /// (when `gossip_interval` is nonzero) the gossip thread.
+    /// (when either interval is nonzero) the control thread.
     ///
     /// # Errors
     ///
@@ -189,7 +171,9 @@ impl NetNode {
         let replica = node.id().as_u64();
         let obs = node.replica().observer().clone();
         let node = Arc::new(Mutex::new(node));
-        let membership = Membership::new(replica, local_addr.to_string(), config.gossip.clone());
+        let mut membership =
+            Membership::new(replica, local_addr.to_string(), config.gossip.clone());
+        membership.set_cadence(config.gossip_interval, config.anti_entropy_interval);
         let membership = Arc::new(Mutex::new(membership));
         // Nodes share one config, so the far end reaps an idle connection
         // at `idle_timeout`: the pool lets go at half that.
@@ -220,7 +204,7 @@ impl NetNode {
                 max_sessions: config.max_sessions,
                 responder,
             },
-            obs.clone(),
+            obs,
             replica,
         )?;
         let core = Arc::new(Core {
@@ -228,24 +212,23 @@ impl NetNode {
             membership,
             shared: Arc::clone(reactor.shared()),
             dialer,
+            stepping: Mutex::new(()),
             shutdown: AtomicBool::new(false),
             config,
-            obs,
-            replica,
         });
 
-        let gossip_thread = (core.config.gossip_interval > Duration::ZERO).then(|| {
-            let gossiping = Arc::clone(&core);
+        let control = core.membership.lock().next_due_ms().is_some().then(|| {
+            let controlling = Arc::clone(&core);
             std::thread::Builder::new()
-                .name("net-gossip".into())
-                .spawn(move || gossiping.gossip_loop())
-                .expect("spawn gossip thread")
+                .name("net-control".into())
+                .spawn(move || controlling.control_loop())
+                .expect("spawn control thread")
         });
 
         Ok(NetNode {
             core,
             reactor,
-            gossip_thread,
+            control,
             local_addr,
         })
     }
@@ -299,34 +282,31 @@ impl NetNode {
         }
     }
 
-    /// Runs one synchronous gossip round: membership sweep, fanout dials,
-    /// merge replies. The background thread does exactly this once per
-    /// interval; tests and CLIs can drive rounds deterministically.
+    /// Runs one gossip round now, whatever the schedule, through the
+    /// control thread's own step: membership sweep, fanout dials, merged
+    /// replies. Tests and CLIs drive rounds this way.
     pub fn gossip_now(&self) -> GossipRoundStats {
-        self.core.gossip_round()
+        let _stepping = self.core.stepping.lock();
+        let dials = self
+            .core
+            .membership
+            .lock()
+            .gossip_round(self.core.shared.now_ms());
+        self.core.run(&dials).unwrap_or_default()
     }
 
-    /// Stops the gossip thread and the reactor (closing the listener),
+    /// Stops the control thread and the reactor (closing the listener),
     /// returning the node with everything it replicated.
     pub fn stop(mut self) -> DtnNode {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.gossip_thread.take() {
+        if let Some(handle) = self.control.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         self.reactor.stop();
-        // The threads have exited, so sessions no longer hold clones —
-        // but finalization may lag a beat; spin until unique.
-        let mut node_arc = Arc::clone(&self.core.node);
+        let node = Arc::clone(&self.core.node);
         drop(self);
-        loop {
-            match Arc::try_unwrap(node_arc) {
-                Ok(mutex) => return mutex.into_inner(),
-                Err(shared) => {
-                    node_arc = shared;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
+        transport::sole_node(node)
     }
 }
 
@@ -355,100 +335,45 @@ impl Core {
         })
     }
 
-    /// One gossip round: suspicion sweep, fanout dials, merge replies (the
-    /// session machines merge into the shared membership as replies
-    /// land), then the round event.
-    fn gossip_round(&self) -> GossipRoundStats {
-        let now_ms = self.shared.now_ms();
-        let targets = {
-            let mut membership = self.membership.lock();
-            membership.tick(now_ms);
-            membership.fanout_targets()
-        };
-        let mut stats = GossipRoundStats {
-            dialed: targets.len(),
-            ..GossipRoundStats::default()
-        };
-        let now_ms = || self.shared.now_ms();
-        for addr in &targets {
-            let exchanged =
-                self.dial(|dialer| dialer.gossip(addr, &self.node, &self.membership, &now_ms));
-            if exchanged.is_ok_and(|outcome| outcome.is_ok()) {
-                stats.merged += 1;
-            } else {
-                stats.failed += 1;
-                self.mark_addr_failed(addr);
-            }
-        }
-        {
-            let mut membership = self.membership.lock();
-            stats.alive = membership.alive_count();
-            stats.suspect = membership.suspect_count();
-            stats.learned = membership.take_learned();
-        }
-        self.obs
-            .emit(EventKind::GossipRound, || Event::GossipRound {
-                replica: self.replica,
-                fanout: stats.dialed as u64,
-                alive: stats.alive as u64,
-                suspect: stats.suspect as u64,
-                learned: stats.learned,
-            });
-        stats
-    }
-
-    /// A failed dial is first-hand evidence: suspect the member at that
-    /// address (unresolved seeds have no member yet — they just stay
-    /// seeds).
-    fn mark_addr_failed(&self, addr: &str) {
-        let mut membership = self.membership.lock();
-        let failed: Vec<u64> = membership
-            .view()
-            .into_iter()
-            .filter(|p| p.addr == addr)
-            .map(|p| p.replica)
-            .collect();
-        for replica in failed {
-            membership.observe_failed(replica);
-        }
-    }
-
-    /// The background gossip driver: one round per interval, plus the
-    /// optional anti-entropy sync round-robin over discovered members.
-    fn gossip_loop(&self) {
-        let config = &self.config;
-        let mut last_round = Instant::now() - config.gossip_interval;
-        let mut last_ae = Instant::now();
-        let mut ae_cursor = 0usize;
+    /// The control thread: runs what [`Membership`] says is due, then
+    /// parks until the next due instant; [`NetNode::stop`] unparks it.
+    fn control_loop(&self) {
         while !self.shutdown.load(Ordering::SeqCst) {
-            if last_round.elapsed() >= config.gossip_interval {
-                last_round = Instant::now();
-                self.gossip_round();
-            }
-            if config.anti_entropy_interval > Duration::ZERO
-                && last_ae.elapsed() >= config.anti_entropy_interval
-            {
-                last_ae = Instant::now();
-                self.anti_entropy_step(&mut ae_cursor);
-            }
-            std::thread::sleep(Duration::from_millis(20));
+            let next = {
+                let _stepping = self.stepping.lock();
+                let dials = self.membership.lock().due(self.shared.now_ms());
+                self.run(&dials);
+                self.membership.lock().next_due_ms()
+            };
+            let wait = next.map_or(0, |at| at.saturating_sub(self.shared.now_ms()));
+            std::thread::park_timeout(Duration::from_millis(wait));
         }
     }
 
-    /// Route healing in action: syncs with the next live member
-    /// discovered by gossip, so data flows over routes the application
-    /// never configured. The sync holds the gossip thread until it ends,
-    /// at most the stall timeout.
-    fn anti_entropy_step(&self, cursor: &mut usize) {
-        let addrs = self.membership.lock().live_addrs();
-        if addrs.is_empty() {
-            return;
+    /// Runs `dials` in order on this thread (at most a stall timeout
+    /// each), books each outcome, and closes the round, if one is open,
+    /// with its event.
+    fn run(&self, dials: &[Dial]) -> Option<GossipRoundStats> {
+        let now_ms = || self.shared.now_ms();
+        for dial in dials {
+            let outcome = match dial {
+                Dial::Gossip(addr) => {
+                    self.dial(|dialer| dialer.gossip(addr, &self.node, &self.membership, &now_ms))
+                }
+                Dial::Sync(addr) => self.sync(addr, SimTime::from_secs(now_ms() / 1000)),
+            };
+            let ok = outcome.is_ok_and(|outcome| outcome.is_ok());
+            self.membership.lock().dialed(dial, ok);
         }
-        let addr = &addrs[*cursor % addrs.len()];
-        *cursor = cursor.wrapping_add(1);
-        let now = SimTime::from_secs(self.shared.now_ms() / 1000);
-        if self.sync(addr, now).is_err() {
-            self.mark_addr_failed(addr);
-        }
+        let stats = self.membership.lock().end_round()?;
+        let Shared { obs, replica, .. } = &*self.shared;
+        obs.emit(EventKind::GossipRound, || Event::GossipRound {
+            replica: *replica,
+            fanout: stats.dialed as u64,
+            alive: stats.alive as u64,
+            suspect: stats.suspect as u64,
+            learned: stats.learned,
+        });
+        Some(stats)
     }
 }

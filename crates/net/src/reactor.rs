@@ -15,22 +15,15 @@
 //! registered in the same set. Linux only; `NetNode::start` fails
 //! elsewhere.
 //!
-//! Writes are batched: a session's outbox is a queue of encoded-frame
-//! segments flushed with vectored [`Write::write_vectored`] submissions
-//! (`writev(2)`), so one syscall drains many queued frames.
+//! A session's outbox is a bounded queue of frame segments flushed with
+//! vectored writes; a session over its bound stops *reading* until it
+//! drains (backpressure reaches the peer through TCP). A session making
+//! no progress past the stall timeout is failed; an idle responder past
+//! the idle timeout is closed.
 //!
-//! Flow control is per session: the outbox is a bounded write queue — a
-//! session whose queue is over its bound stops *reading* until it drains
-//! (backpressure propagates to the peer through TCP). A session making no
-//! forward progress past the stall timeout is failed; an idle pooled
-//! responder past the idle timeout is closed.
-//!
-//! The reactor is inbound only: it accepts and serves. Worker 0 holds
-//! the listener in its own epoll set and accepts until the socket would
-//! block, handing accepted connections to the workers round-robin, each
-//! behind a responder machine that can carry many back-to-back sessions.
-//! Callers dial: every outbound session runs on the thread that asked for
-//! it, through [`transport::Dialer`].
+//! The reactor is inbound only: worker 0 accepts, from the listener in
+//! its own epoll set, and hands connections out round-robin, each behind
+//! a responder machine that can carry many back-to-back sessions.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
@@ -200,8 +193,8 @@ pub(crate) struct Shared {
     wakers: Vec<Arc<PipeWaker>>,
     next_queue: AtomicUsize,
     epoch: Instant,
-    obs: Obs,
-    replica: u64,
+    pub(crate) obs: Obs,
+    pub(crate) replica: u64,
     pub(crate) open: AtomicUsize,
     pub(crate) peak: AtomicUsize,
     pub(crate) completed: AtomicU64,

@@ -1,13 +1,15 @@
 //! Property-based tests for the gossip membership wire frames:
 //! byte-canonical round trips for messages built through the real
 //! [`Membership`] path (not hand-assembled), plus adversarial never-panic
-//! decoding of arbitrary and mutated byte strings.
+//! decoding of arbitrary and mutated byte strings, and merging of whatever
+//! decodes into a built view: no panic, and our own incarnation never
+//! falls.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use net::{GossipMessage, Membership, MembershipConfig, PeerStatus, PeerWire};
+use net::{Dial, GossipMessage, Membership, MembershipConfig, PeerStatus, PeerWire};
 use pfr::wire::{from_bytes, to_bytes};
 
 // ---------------------------------------------------------------------------
@@ -50,19 +52,18 @@ fn arb_message() -> impl Strategy<Value = GossipMessage> {
         .prop_map(|(sender, entries)| GossipMessage { sender, entries })
 }
 
-/// One membership view populated through the real observe/merge/tick
-/// path, then rendered to the message production code would send.
-fn arb_built_message() -> impl Strategy<Value = GossipMessage> {
+/// One membership view, and its replica id, populated through the real
+/// observe/dial/round path.
+fn arb_built_view() -> impl Strategy<Value = (u64, Membership)> {
     (
         1u64..=8,
         proptest::collection::vec(
             (1u64..=64, 1u16..=60_000, any::<bool>(), 0u64..10_000),
             0..24,
         ),
-        0u64..10_000,
         1u64..=1_000,
     )
-        .prop_map(|(me, peers, now_offset, seed)| {
+        .prop_map(|(me, peers, seed)| {
             let mut membership = Membership::new(
                 me,
                 format!("10.0.0.{me}:7000"),
@@ -74,14 +75,21 @@ fn arb_built_message() -> impl Strategy<Value = GossipMessage> {
                 },
             );
             for (replica, port, fail, at_ms) in peers {
-                membership.observe_alive(replica, &format!("10.0.0.{replica}:{port}"), at_ms);
+                let addr = format!("10.0.0.{replica}:{port}");
+                membership.observe_alive(replica, &addr, at_ms);
                 if fail {
-                    membership.observe_failed(replica);
+                    membership.dialed(&Dial::Gossip(addr), false);
                 }
             }
-            membership.tick(10_000);
-            membership.message(10_000 + now_offset)
+            membership.gossip_round(10_000);
+            (me, membership)
         })
+}
+
+/// The message a built view would send.
+fn arb_built_message() -> impl Strategy<Value = GossipMessage> {
+    (arb_built_view(), 0u64..10_000)
+        .prop_map(|((_, membership), now_offset)| membership.message(10_000 + now_offset))
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +164,68 @@ proptest! {
             let pos = pos_seed % bytes.len();
             bytes[pos] ^= xor;
             let _ = from_bytes::<GossipMessage>(&bytes);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Adversarial merge: whatever decodes merges without panic, and never
+// lowers our own incarnation
+// ---------------------------------------------------------------------------
+
+proptest! {
+    /// Arbitrary messages, some carrying claims about us up to
+    /// `u64::MAX`, reach a built view as bytes (some mutated) through
+    /// the decoder. Whatever decodes merges without panicking, our
+    /// incarnation never falls, and the view's control steps still run
+    /// at any clock reading.
+    #[test]
+    fn decoded_messages_merge_without_lowering_our_incarnation(
+        (me, mut view) in arb_built_view(),
+        messages in proptest::collection::vec(
+            (
+                arb_message(),
+                proptest::collection::vec(
+                    (prop_oneof![any::<u64>(), Just(u64::MAX)], any::<bool>(), any::<u64>()),
+                    0..3,
+                ),
+                any::<bool>(),
+                any::<usize>(),
+                1u8..=255,
+            ),
+            1..6,
+        ),
+        now_ms in prop_oneof![0u64..100_000, any::<u64>()],
+    ) {
+        view.set_cadence(Duration::from_millis(1_000), Duration::from_millis(500));
+        for (mut msg, claims, mutate, pos_seed, xor) in messages {
+            for (incarnation, suspect, age_ms) in claims {
+                msg.entries.push(PeerWire {
+                    replica: me,
+                    addr: format!("10.0.0.{me}:7000"),
+                    incarnation,
+                    status: if suspect { PeerStatus::Suspect } else { PeerStatus::Alive },
+                    age_ms,
+                });
+            }
+            let mut bytes = to_bytes(&msg);
+            let pos = pos_seed % bytes.len();
+            if mutate {
+                bytes[pos] ^= xor;
+            }
+            let Ok(decoded) = from_bytes::<GossipMessage>(&bytes) else {
+                continue;
+            };
+            let before = view.incarnation();
+            view.merge(&decoded, now_ms);
+            prop_assert!(view.incarnation() >= before, "incarnation fell");
+            let reply = view.message(now_ms);
+            prop_assert_eq!(reply.sender.incarnation, view.incarnation());
+            for dial in view.due(now_ms) {
+                view.dialed(&dial, false);
+            }
+            let _ = view.end_round();
+            let _ = view.next_due_ms();
         }
     }
 }

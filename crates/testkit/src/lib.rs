@@ -15,7 +15,9 @@
 //!   3", "drop 20% of frames by seeded coin-flip").
 //! * [`SimRunner`] — drives a mesh of [`dtn::DtnNode`] hosts through
 //!   scripted [`Step`]s (sends, faulty encounters, partitions, crashes
-//!   and snapshot restores) under virtual [`pfr::SimTime`], records every
+//!   and snapshot restores, and gossip: each host's production
+//!   [`transport::Membership`] decides what is due and the runner dials
+//!   it over [`SimNet`]) under virtual [`pfr::SimTime`], records every
 //!   `obs` event into a replayable [`Trace`], and checks the protocol's
 //!   invariants after every step: knowledge monotonicity and bounded
 //!   relay stores from node state, the event-side ones through

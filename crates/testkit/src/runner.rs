@@ -5,6 +5,15 @@
 //! virtual [`SimTime`] clock (no wall-clock sleeps), and runs the
 //! production [`SessionMachine`] between hosts over fault-injected
 //! [`SimNet`] links, both sides on the caller's thread.
+//!
+//! Each host also owns one production [`Membership`] per life, listening
+//! at a sim address that a restore moves, as a restarted process moves to
+//! a fresh port. [`Step::Gossip`] runs whatever that membership says is
+//! due at the runner's virtual time — gossip exchanges and anti-entropy
+//! syncs, each a [`SimNet`] session with the host at the dialed address —
+//! and books each outcome as `net`'s control thread does. A dial to a
+//! crashed, partitioned or unknown address fails.
+//!
 //! Every `obs` event lands in a replayable [`Trace`], and after every step
 //! the runner checks the protocol's core invariants:
 //!
@@ -28,12 +37,16 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dtn::{DtnNode, PolicyKind};
-use obs::{MemorySink, Obs, Observer};
+use obs::{Event, EventKind, MemorySink, Obs, Observer};
 use parking_lot::Mutex;
 use pfr::{ItemId, Knowledge, SimTime, SyncLimits, SyncMode};
-use transport::{Membership, MembershipConfig, SessionError, SessionMachine, SessionOutcome};
+use transport::frame::{write_frame, FrameType};
+use transport::{
+    Dial, GossipMessage, Membership, MembershipConfig, SessionError, SessionMachine, SessionOutcome,
+};
 
 use crate::diskfault::{DiskDamage, DiskFaultPlan};
 use crate::fault::FaultPlan;
@@ -80,6 +93,31 @@ pub enum Step {
         /// Virtual seconds the partition lasts.
         secs: u64,
     },
+    /// A one-way partition: for the next `secs` virtual seconds host
+    /// `from` cannot open a connection to host `to`, while `to` can still
+    /// open one to `from` (and it carries both ways).
+    Unreachable {
+        /// The host whose dials fail.
+        from: usize,
+        /// The host it cannot reach.
+        to: usize,
+        /// Virtual seconds the partition lasts.
+        secs: u64,
+    },
+    /// Host `host` runs the dials its membership says are due at the
+    /// current virtual time: gossip exchanges and anti-entropy syncs.
+    Gossip {
+        /// Host index.
+        host: usize,
+    },
+    /// A stranger connects to host `host` and sends `message` as its
+    /// gossip view, as any socket may; the host merges it and answers.
+    Forge {
+        /// Host index.
+        host: usize,
+        /// The view the stranger claims.
+        message: GossipMessage,
+    },
     /// Host `host` writes a durable snapshot of its full state.
     Snapshot {
         /// Host index.
@@ -91,7 +129,8 @@ pub enum Step {
         /// Host index.
         host: usize,
     },
-    /// Host `host` restarts from its last snapshot.
+    /// Host `host` restarts from its last snapshot, in a new life: a
+    /// fresh gossip view at a new sim address.
     Restore {
         /// Host index.
         host: usize,
@@ -170,19 +209,40 @@ struct SimHost {
     /// from (instead of the in-memory snapshot).
     data_dir: Option<PathBuf>,
     crashed: bool,
+    /// Lives so far (a restore starts the next), this life's sim address
+    /// and gossip view.
+    life: u64,
+    net_addr: String,
+    membership: Arc<Mutex<Membership>>,
+    /// What every life's view starts from: bootstrap addresses, and the
+    /// gossip and anti-entropy periods.
+    seeds: Vec<String>,
+    cadence: (Duration, Duration),
 }
 
 impl SimHost {
-    /// The view a session machine answers gossip from; sim sessions never
-    /// gossip, so a fresh one per session does.
-    fn membership(&self) -> Arc<Mutex<Membership>> {
-        Arc::new(Mutex::new(Membership::new(
-            self.replica,
-            self.address.clone(),
-            MembershipConfig::default(),
-        )))
+    /// Starts the host's next life: a fresh view at a fresh sim address,
+    /// seeded and scheduled as configured, with fanout picks drawn from
+    /// `seed`.
+    fn start_life(&mut self, seed: u64) {
+        self.life += 1;
+        self.net_addr = format!("{}@{}", self.address, self.life);
+        let config = MembershipConfig {
+            seed,
+            ..MembershipConfig::default()
+        };
+        let mut view = Membership::new(self.replica, self.net_addr.clone(), config);
+        view.set_cadence(self.cadence.0, self.cadence.1);
+        for addr in &self.seeds {
+            view.add_seed(addr.clone());
+        }
+        self.membership = Arc::new(Mutex::new(view));
     }
 }
+
+/// A sim host's periods until [`SimRunner::set_cadence`]: `NetConfig`'s
+/// defaults, one gossip round a second and no anti-entropy.
+const CADENCE: (Duration, Duration) = (Duration::from_secs(1), Duration::ZERO);
 
 struct Injected {
     id: ItemId,
@@ -269,24 +329,53 @@ impl SimRunner {
     /// Adds a host with the given address and routing policy; returns its
     /// index. Replica ids are assigned densely starting at 1.
     pub fn add_host(&mut self, address: &str, policy: PolicyKind) -> usize {
+        let replica = self.hosts.len() as u64 + 1;
+        let node = DtnNode::new(pfr::ReplicaId::new(replica), address, policy);
+        self.push_host(
+            address,
+            policy,
+            node,
+            Arc::new(MemorySink::unbounded()),
+            None,
+        )
+    }
+
+    /// Registers a built host in its first life.
+    fn push_host(
+        &mut self,
+        address: &str,
+        policy: PolicyKind,
+        mut node: DtnNode,
+        sink: Arc<MemorySink>,
+        data_dir: Option<PathBuf>,
+    ) -> usize {
         let index = self.hosts.len();
-        let replica = index as u64 + 1;
-        let mut node = DtnNode::new(pfr::ReplicaId::new(replica), address, policy);
+        let replica = node.id().as_u64();
         node.set_sync_mode(self.sync_mode);
-        let sink = Arc::new(MemorySink::unbounded());
         node.replica_mut().set_observer(Obs::new(sink.clone()));
         self.watermarks
             .insert(index, node.replica().knowledge().clone());
-        self.hosts.push(SimHost {
+        let mut host = SimHost {
             address: address.to_string(),
             replica,
             policy,
             node: Arc::new(Mutex::new(node)),
             sink,
             snapshot: None,
-            data_dir: None,
+            data_dir,
             crashed: false,
-        });
+            life: 0,
+            net_addr: String::new(),
+            membership: Arc::new(Mutex::new(Membership::new(
+                replica,
+                "",
+                MembershipConfig::default(),
+            ))),
+            seeds: Vec::new(),
+            cadence: CADENCE,
+        };
+        host.start_life(self.seed);
+        self.hosts.push(host);
         index
     }
 
@@ -308,7 +397,7 @@ impl SimRunner {
         let index = self.hosts.len();
         let replica = index as u64 + 1;
         let sink = Arc::new(MemorySink::unbounded());
-        let mut node = match DtnNode::open_observed(
+        let node = match DtnNode::open_observed(
             &dir,
             pfr::ReplicaId::new(replica),
             address,
@@ -318,21 +407,13 @@ impl SimRunner {
             Ok(node) => node,
             Err(e) => self.fail(&format!("durable host {index} failed to open: {e}")),
         };
-        node.set_sync_mode(self.sync_mode);
-        node.replica_mut().set_observer(Obs::new(sink.clone()));
-        self.watermarks
-            .insert(index, node.replica().knowledge().clone());
-        self.hosts.push(SimHost {
-            address: address.to_string(),
-            replica,
+        self.push_host(
+            address,
             policy,
-            node: Arc::new(Mutex::new(node)),
+            node,
             sink,
-            snapshot: None,
-            data_dir: Some(dir.as_ref().to_path_buf()),
-            crashed: false,
-        });
-        index
+            Some(dir.as_ref().to_path_buf()),
+        )
     }
 
     /// Caps the relay store of host `host` at `limit` items; the bounded-
@@ -368,6 +449,11 @@ impl SimRunner {
                 }
                 Step::Advance { secs } => self.advance(*secs),
                 Step::Partition { a, b, secs } => self.partition(*a, *b, *secs),
+                Step::Unreachable { from, to, secs } => self.unreachable(*from, *to, *secs),
+                Step::Gossip { host } => {
+                    self.gossip(*host);
+                }
+                Step::Forge { host, message } => self.forge(*host, message),
                 Step::Snapshot { host } => self.snapshot(*host),
                 Step::Crash { host } => self.crash(*host),
                 Step::Restore { host } => self.restore(*host),
@@ -424,14 +510,181 @@ impl SimRunner {
     pub fn partition(&mut self, a: usize, b: usize, secs: u64) {
         self.performed.push(Step::Partition { a, b, secs });
         let until = SimTime::from_secs(self.time.as_secs() + secs);
-        self.partitions.push((a, b, until));
+        self.partitions.extend([(a, b, until), (b, a, until)]);
         self.after_step();
     }
 
+    /// Keeps host `from` from opening connections to host `to` for the
+    /// next `secs` virtual seconds; `to` can still reach `from`.
+    pub fn unreachable(&mut self, from: usize, to: usize, secs: u64) {
+        self.performed.push(Step::Unreachable { from, to, secs });
+        let until = SimTime::from_secs(self.time.as_secs() + secs);
+        self.partitions.push((from, to, until));
+        self.after_step();
+    }
+
+    /// Whether a connection host `a` opens to host `b` fails.
     fn partitioned(&self, a: usize, b: usize) -> bool {
         self.partitions
             .iter()
-            .any(|&(x, y, until)| until > self.time && ((x == a && y == b) || (x == b && y == a)))
+            .any(|&(x, y, until)| until > self.time && x == a && y == b)
+    }
+
+    /// The virtual time in milliseconds, the clock memberships read.
+    fn now_ms(&self) -> u64 {
+        self.time.as_secs() * 1000
+    }
+
+    /// Each step's link seed, so per-frame fault draws do not depend on
+    /// how many frames earlier steps produced.
+    fn link_seed(&self) -> u64 {
+        self.seed
+            .wrapping_add((self.step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// Sets how often host `host` gossips and runs anti-entropy syncs
+    /// under [`Step::Gossip`], for this life and every later one (zero
+    /// turns an activity off). A host starts at one gossip round a
+    /// second and no anti-entropy, as `NetConfig` does.
+    pub fn set_cadence(&mut self, host: usize, gossip: Duration, anti_entropy: Duration) {
+        let host = &mut self.hosts[host];
+        host.cadence = (gossip, anti_entropy);
+        host.membership.lock().set_cadence(gossip, anti_entropy);
+    }
+
+    /// Gives host `host` a bootstrap address to gossip at, for this life
+    /// and every later one.
+    pub fn add_seed(&mut self, host: usize, addr: &str) {
+        let host = &mut self.hosts[host];
+        host.seeds.push(addr.to_string());
+        host.membership.lock().add_seed(addr);
+    }
+
+    /// Host `host`'s sim address in its current life.
+    pub fn net_addr(&self, host: usize) -> String {
+        self.hosts[host].net_addr.clone()
+    }
+
+    /// Runs a closure against one host's current gossip view.
+    pub fn with_membership<T>(&self, host: usize, f: impl FnOnce(&mut Membership) -> T) -> T {
+        f(&mut self.hosts[host].membership.lock())
+    }
+
+    /// Host `host` runs the dials its membership says are due now, in
+    /// order, each over a clean [`SimNet`] link, books each outcome and
+    /// closes the round with its `gossip_round` event. Returns every dial
+    /// with whether it succeeded; a crashed host dials nothing.
+    pub fn gossip(&mut self, host: usize) -> Vec<(Dial, bool)> {
+        self.performed.push(Step::Gossip { host });
+        let mut dialed = Vec::new();
+        if !self.hosts[host].crashed {
+            let now_ms = self.now_ms();
+            let membership = Arc::clone(&self.hosts[host].membership);
+            let dials = membership.lock().due(now_ms);
+            for dial in dials {
+                let ok = self.dial(host, &dial, now_ms);
+                membership.lock().dialed(&dial, ok);
+                dialed.push((dial, ok));
+            }
+            let round = membership.lock().end_round();
+            if let Some(stats) = round {
+                let obs = self.hosts[host].node.lock().replica().observer().clone();
+                obs.emit(EventKind::GossipRound, || Event::GossipRound {
+                    replica: self.hosts[host].replica,
+                    fanout: stats.dialed as u64,
+                    alive: stats.alive as u64,
+                    suspect: stats.suspect as u64,
+                    learned: stats.learned,
+                });
+            }
+        }
+        self.after_step();
+        dialed
+    }
+
+    /// One dial from host `from`: whether its session completed. The
+    /// address must name a live host other than `from` that `from` can
+    /// reach.
+    fn dial(&self, from: usize, dial: &Dial, now_ms: u64) -> bool {
+        let (Dial::Gossip(addr) | Dial::Sync(addr)) = dial;
+        let Some(to) = self.hosts.iter().position(|h| h.net_addr == *addr) else {
+            return false;
+        };
+        if to == from || self.hosts[to].crashed || self.partitioned(from, to) {
+            return false;
+        }
+        let (node, membership) = {
+            let host = &self.hosts[from];
+            (Arc::clone(&host.node), Arc::clone(&host.membership))
+        };
+        let opened = match dial {
+            Dial::Gossip(_) => SessionMachine::gossip_initiator(node, membership, now_ms, false),
+            Dial::Sync(_) => {
+                SessionMachine::sync_initiator(node, membership, self.limits, self.time, false)
+            }
+        };
+        let (mut initiator, opening) = opened.expect("an opening frame always fits");
+        let (initiator_error, _) = self.carry(to, &mut initiator, opening, &FaultPlan::clean());
+        initiator_error.is_none()
+    }
+
+    /// Runs `initiator`'s session, opened with `opening`, against a fresh
+    /// responder on host `to` over a link governed by `plan`.
+    fn carry(
+        &self,
+        to: usize,
+        initiator: &mut SessionMachine,
+        opening: Vec<u8>,
+        plan: &FaultPlan,
+    ) -> (Option<SessionError>, SessionOutcome) {
+        let host = &self.hosts[to];
+        let mut responder = SessionMachine::responder(
+            Arc::clone(&host.node),
+            Arc::clone(&host.membership),
+            self.limits,
+        );
+        let (initiator_error, responder_error) = SimNet::new(self.link_seed(), plan).run(
+            self.now_ms(),
+            initiator,
+            opening,
+            &mut responder,
+        );
+        (initiator_error, responder.outcome(responder_error))
+    }
+
+    /// A stranger dials host `host` and sends `message` as its gossip
+    /// view over a clean link; the host merges it and answers from idle,
+    /// as it would any inbound gossip. Nothing reaches a crashed host.
+    pub fn forge(&mut self, host: usize, message: &GossipMessage) {
+        self.performed.push(Step::Forge {
+            host,
+            message: message.clone(),
+        });
+        if !self.hosts[host].crashed {
+            let stranger = message.sender.replica;
+            let node = DtnNode::new(
+                pfr::ReplicaId::new(stranger),
+                "stranger",
+                PolicyKind::Epidemic,
+            );
+            let view = Membership::new(stranger, "stranger", MembershipConfig::default());
+            let (mut initiator, _) = SessionMachine::gossip_initiator(
+                Arc::new(Mutex::new(node)),
+                Arc::new(Mutex::new(view)),
+                self.now_ms(),
+                false,
+            )
+            .expect("a gossip frame always fits");
+            let mut opening = Vec::new();
+            write_frame(
+                &mut opening,
+                FrameType::Gossip,
+                &pfr::wire::to_bytes(message),
+            )
+            .expect("a forged view fits a frame");
+            self.carry(host, &mut initiator, opening, &FaultPlan::clean());
+        }
+        self.after_step();
     }
 
     /// Runs a fault-free encounter between hosts `a` and `b`.
@@ -464,30 +717,19 @@ impl SimRunner {
             return EncounterOutcome::Skipped(SkipReason::Crashed);
         }
 
-        // Each step gets its own link seed so per-frame fault draws do not
-        // depend on how many frames earlier steps produced.
-        let link_seed = self
-            .seed
-            .wrapping_add((self.step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (mut initiator, opening) = SessionMachine::sync_initiator(
             Arc::clone(&self.hosts[a].node),
-            self.hosts[a].membership(),
+            Arc::clone(&self.hosts[a].membership),
             self.limits,
             self.time,
             false,
         )
         .expect("a hello frame always fits");
-        let mut responder = SessionMachine::responder(
-            Arc::clone(&self.hosts[b].node),
-            self.hosts[b].membership(),
-            self.limits,
-        );
-        let (initiator_error, responder_error) =
-            SimNet::new(link_seed, plan).run(&mut initiator, opening, &mut responder);
+        let (initiator_error, responder) = self.carry(b, &mut initiator, opening, plan);
         self.after_step();
         EncounterOutcome::Completed(Box::new(SessionPair {
             initiator: initiator.outcome(initiator_error),
-            responder: responder.outcome(responder_error),
+            responder,
         }))
     }
 
@@ -557,7 +799,8 @@ impl SimRunner {
     /// history reset to the restored state: re-receiving what the
     /// rollback lost is correct behaviour, not a duplicate. Messages
     /// that the crash erased from the whole network are dropped from the
-    /// convergence obligation.
+    /// convergence obligation. The host starts a new life: a fresh gossip
+    /// view, with its configured seeds and cadence, at a new sim address.
     pub fn restore(&mut self, host: usize) {
         self.performed.push(Step::Restore { host });
         let mut node = if let Some(dir) = self.hosts[host].data_dir.clone() {
@@ -592,6 +835,7 @@ impl SimRunner {
         self.invariants.forget(replica);
         *self.hosts[host].node.lock() = node;
         self.hosts[host].crashed = false;
+        self.hosts[host].start_life(self.seed);
 
         // A message originated here after the snapshot may now exist
         // nowhere; it can never be delivered, so it leaves the obligation.

@@ -1,8 +1,10 @@
 //! An in-memory fault-injecting link the real sync protocol runs over,
-//! on the caller's thread and with no clock.
+//! on the caller's thread and at the caller's virtual time.
 //!
-//! [`SimNet::run`] carries one encounter between two production
-//! [`transport::SessionMachine`]s. It alternates the two sides in one
+//! [`SimNet::run`] carries one encounter (a sync session or a gossip
+//! exchange) between two production [`transport::SessionMachine`]s at a
+//! virtual instant in milliseconds, the clock membership merges read; no
+//! wall clock is consulted. It alternates the two sides in one
 //! loop under the rules of the blocking [`transport::pump`]: a side
 //! writes its outbox into its direction of the link, then hands what
 //! arrived to [`transport::conn::feed`], the frame step every driver
@@ -152,7 +154,7 @@ struct Side<'m> {
 /// // The initiator's hello is damaged in flight: the responder fails
 /// // typed, and its hang-up reaches the initiator as EOF.
 /// let plan = FaultPlan::clean().corrupt_frame(Direction::AToB, 0, 9, 0x10);
-/// let (a_err, b_err) = SimNet::new(42, &plan).run(&mut a, opening, &mut b);
+/// let (a_err, b_err) = SimNet::new(42, &plan).run(0, &mut a, opening, &mut b);
 /// assert!(matches!(b_err, Some(SessionError::Frame(_))));
 /// assert!(matches!(a_err, Some(SessionError::Eof)));
 /// ```
@@ -180,13 +182,15 @@ impl SimNet {
     }
 
     /// Runs the encounter `initiator` opens with `opening` against
-    /// `responder` until both sides end, and returns what ended each: an
-    /// initiator ends `Ok` once its session completes, a responder once
-    /// the initiator hangs up while it is parked between sessions. A
-    /// failed side has been [`abort`](SessionMachine::abort)ed, so its
-    /// partial [`report`](SessionMachine::report) is final.
+    /// `responder` at virtual time `now_ms` until both sides end, and
+    /// returns what ended each: an initiator ends `Ok` once its session
+    /// or gossip exchange completes, a responder once the initiator hangs
+    /// up while it is parked between sessions. A failed side has been
+    /// [`abort`](SessionMachine::abort)ed, so its partial
+    /// [`report`](SessionMachine::report) is final.
     pub fn run(
         mut self,
+        now_ms: u64,
         initiator: &mut SessionMachine,
         opening: Vec<u8>,
         responder: &mut SessionMachine,
@@ -201,7 +205,7 @@ impl SimNet {
         while sides.iter().any(|side| side.end.is_none()) {
             let mut moved = false;
             for (i, side) in sides.iter_mut().enumerate() {
-                moved |= self.turn(i, side);
+                moved |= self.turn(i, side, now_ms);
             }
             if !moved {
                 // Both sides wait on each other: nothing will ever arrive.
@@ -217,7 +221,7 @@ impl SimNet {
     /// One turn of side `i` under the pump's rules: write the outbox,
     /// then feed what arrived. Returns whether the side moved a byte or
     /// ended.
-    fn turn(&mut self, i: usize, side: &mut Side<'_>) -> bool {
+    fn turn(&mut self, i: usize, side: &mut Side<'_>, now_ms: u64) -> bool {
         if side.end.is_some() {
             return false;
         }
@@ -230,8 +234,7 @@ impl SimNet {
         } else if !inbound.queue.is_empty() {
             side.accum.extend(&inbound.queue);
             inbound.queue.clear();
-            // Sim sessions never gossip, so the machine needs no clock.
-            match feed(side.machine, &mut side.accum, 0, &mut side.out) {
+            match feed(side.machine, &mut side.accum, now_ms, &mut side.out) {
                 Ok(_) => return true,
                 Err(e) => Err(e),
             }
@@ -388,7 +391,7 @@ mod tests {
             SessionMachine::sync_initiator(node_a, view_a, limits, SimTime::ZERO, false)
                 .expect("hello fits");
         let mut b = SessionMachine::responder(node_b, view_b, limits);
-        SimNet::new(1, plan).run(&mut a, opening, &mut b)
+        SimNet::new(1, plan).run(0, &mut a, opening, &mut b)
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub struct PeerWire {
     /// The peer's listen address, as a string so decode never fails on
     /// an unparseable address — it is validated at dial time instead.
     pub addr: String,
-    /// The peer's incarnation number: bumped by the peer itself when it
-    /// rejoins or refutes a suspicion. Higher incarnation always wins.
+    /// The peer's incarnation number: bumped by the peer itself to refute
+    /// a suspicion. Higher incarnation always wins.
     pub incarnation: u64,
     /// The sender's verdict on this peer.
     pub status: PeerStatus,

@@ -5,32 +5,26 @@
 //! session protocol and everything that does not need a reactor:
 //!
 //! * [`frame`] — length-prefixed, checksummed framing and the incremental
-//!   [`frame::FrameAccum`] decoder every driver reads through (the wire
-//!   format of the payloads is [`pfr::wire`]).
+//!   [`frame::FrameAccum`] decoder every driver reads through (payloads
+//!   are [`pfr::wire`]).
 //! * [`session`] — [`SessionMachine`]: hello, pull, serve and the gossip
-//!   exchange as a sans-I/O state machine, frames in and frames out, two
-//!   syncs per encounter with roles alternating as in the paper.
-//! * [`membership`] + [`gossip`] — the gossip view the machine answers
-//!   `Gossip` frames from.
-//! * [`conn`] — the [`Connection`] seam, [`pump`], the short blocking
-//!   loop that runs a machine over one, and [`conn::feed`], the frame
-//!   step every driver (the pump, `net`'s reactor, the testkit's
-//!   single-threaded `SimNet`) hands its bytes to.
-//! * [`dial`] — [`Dialer`], the one outbound driver (servers are inbound
-//!   only; callers dial). It owns the pool of idle outbound
-//!   connections (each remembering its last peer, so the next session
-//!   opens with hello and request in one write), takes a pooled
-//!   connection or dials one, and pumps a sync or a gossip exchange on
-//!   its caller's thread. [`Peer::sync_with`] and `net`'s
-//!   `NetNode::sync_with`, gossip rounds and anti-entropy syncs are all a
-//!   call into it; a pooled connection that died in the pool costs one
-//!   redial, a peer that goes quiet fails the session as
-//!   [`SessionError::Stalled`].
+//!   exchange as a sans-I/O state machine, frames in and frames out.
+//! * [`membership`] + [`gossip`] — the view the machine answers `Gossip`
+//!   frames from, and the clock-free owner of every control decision:
+//!   which gossip exchanges and anti-entropy syncs are due, and what a
+//!   failed dial means.
+//! * [`conn`] — [`pump`], the short blocking loop that runs a machine
+//!   over a [`Connection`], and [`conn::feed`], the frame step every
+//!   driver (the pump, `net`'s reactor, testkit's `SimNet`) shares.
+//! * [`dial`] — [`Dialer`], the one outbound driver: it pools idle
+//!   outbound connections (each remembering its last peer, so the next
+//!   session opens with hello and request in one write) and pumps a sync
+//!   or gossip exchange on its caller's thread. A pooled connection that
+//!   died in the pool costs one redial; a peer that goes quiet fails the
+//!   session as [`SessionError::Stalled`].
 //! * [`Peer`] — a TCP listener serving sessions on a thread per
-//!   connection; the `net` crate serves the same machine from a
-//!   nonblocking reactor instead and runs the gossip and anti-entropy
-//!   loop. Both only serve: their outbound sessions go through the
-//!   dialer.
+//!   connection. `net` serves the same machine from a reactor and runs
+//!   the control loop; both only serve, and dial through the dialer.
 //!
 //! ```no_run
 //! use dtn::{DtnNode, PolicyKind};
@@ -61,6 +55,6 @@ mod peer;
 pub use conn::{pump, Connection};
 pub use dial::{DialConfig, Dialed, Dialer};
 pub use gossip::{GossipMessage, PeerStatus, PeerWire};
-pub use membership::{Membership, MembershipConfig, PeerView, TickReport};
-pub use peer::{Peer, TransportError};
+pub use membership::{Dial, GossipRoundStats, Membership, MembershipConfig, PeerView};
+pub use peer::{sole_node, Peer, TransportError};
 pub use session::{Progress, SessionError, SessionMachine, SessionOutcome, SessionReport};

@@ -1,27 +1,31 @@
 //! Gossip membership: who is in the mesh, who is suspected dead, and
-//! which peers to talk to next.
+//! whom to dial next.
 //!
-//! The core is deliberately pure — no sockets, no wall clock. Callers
-//! inject time as milliseconds and the fanout selection runs off a seeded
-//! generator, so every membership behavior (convergence, suspicion,
-//! refutation, rejoin) is reproducible in tests with virtual time. The
-//! rules are SWIM-flavored:
+//! `Membership` owns every control-plane decision and has no sockets and
+//! no clock: callers pass time in as milliseconds, run the [`Dial`]s that
+//! [`Membership::due`] returns, book each outcome with
+//! [`Membership::dialed`] and sleep until [`Membership::next_due_ms`].
+//! `net` does this on a monotonic clock and `testkit` on virtual time, so
+//! convergence, suspicion, refutation and rejoin are all reproducible.
+//! The rules are SWIM-flavoured:
 //!
-//! * **Incarnations.** Each node stamps its own entry with an incarnation
-//!   number. Any statement about a peer at a *higher* incarnation
-//!   replaces one at a lower; at *equal* incarnation, `Suspect` overrides
-//!   `Alive` (suspicion must spread faster than stale liveness), and
-//!   fresher evidence refreshes the entry.
-//! * **Refutation.** A node that sees itself reported `Suspect` (or sees
-//!   any claim about itself at ≥ its incarnation) bumps its own
-//!   incarnation, and the next gossip round carries the refutation.
-//!   A crashed node that rejoins re-enters the same way.
-//! * **Aging.** Entries carry ages, not timestamps: no cross-node clock
-//!   agreement is assumed. An entry not refreshed within
-//!   `suspect_after` turns `Suspect`; one not refreshed within
-//!   `evict_after` is evicted.
+//! * **Incarnations.** A higher incarnation replaces a lower; at an equal
+//!   one `Suspect` overrides `Alive` (suspicion must spread faster than
+//!   stale liveness) and fresher evidence refreshes the entry.
+//! * **Refutation.** A node told it is `Suspect` at ≥ its incarnation
+//!   outbids the claim (saturating, so a forged `u64::MAX` can neither
+//!   overflow nor lower it). A rejoined node starts at 0 and re-enters
+//!   by refuting the first standing suspicion that reaches it.
+//! * **Aging.** Entries carry ages, not timestamps, so no clocks need
+//!   agree: unrefreshed for `suspect_after` turns `Suspect`, for
+//!   `evict_after` evicts.
+//! * **Dials.** A round dials every unresolved seed plus seeded-random
+//!   live members up to the fanout; anti-entropy syncs with the next live
+//!   member after a cursor in replica-id order, so each gets one sync per
+//!   cycle as members come and go. A failed dial suspects its target.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::time::Duration;
 
 use crate::gossip::{GossipMessage, PeerStatus, PeerWire};
@@ -72,13 +76,50 @@ pub struct PeerView {
     pub status: PeerStatus,
 }
 
-/// What one suspicion/eviction sweep changed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TickReport {
-    /// Members newly demoted to suspect this sweep.
-    pub newly_suspect: Vec<u64>,
-    /// Members evicted this sweep.
-    pub evicted: Vec<u64>,
+/// One dial the control plane wants made, to a peer's listen address.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Dial {
+    /// Exchange views: a gossip round's fanout pick or unresolved seed.
+    Gossip(String),
+    /// Run a sync session: the anti-entropy cursor's next live member.
+    Sync(String),
+}
+
+/// What one gossip round accomplished.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GossipRoundStats {
+    /// Peers dialed this round.
+    pub dialed: usize,
+    /// Exchanges that completed (both views merged).
+    pub merged: usize,
+    /// Dials that failed (targets marked suspect when identifiable).
+    pub failed: usize,
+    /// Members believed alive after the round.
+    pub alive: usize,
+    /// Members under suspicion after the round.
+    pub suspect: usize,
+    /// Membership entries newly learned this round.
+    pub learned: u64,
+}
+
+/// A recurring activity: its period in ms (zero: off) and the instant it
+/// next falls due on the caller's clock.
+#[derive(Clone, Copy, Debug, Default)]
+struct Every {
+    period: u64,
+    next: u64,
+}
+
+impl Every {
+    /// Whether the activity is due at `now`; if so, it next falls due one
+    /// period later (a late caller does not catch up in a burst).
+    fn fire(&mut self, now: u64) -> bool {
+        let due = self.period > 0 && now >= self.next;
+        if due {
+            self.next = now.saturating_add(self.period);
+        }
+        due
+    }
 }
 
 /// One node's view of the mesh membership.
@@ -94,10 +135,17 @@ pub struct Membership {
     config: MembershipConfig,
     rng: u64,
     learned_acc: u64,
+    rounds: Every,
+    syncs: Every,
+    /// The member anti-entropy last synced with.
+    sync_cursor: Option<u64>,
+    /// The tally of the round in progress.
+    round: Option<GossipRoundStats>,
 }
 
 impl Membership {
-    /// A fresh membership view containing only ourselves.
+    /// A fresh membership view containing only ourselves, with gossip and
+    /// anti-entropy off until [`Membership::set_cadence`].
     pub fn new(me_replica: u64, me_addr: impl Into<String>, config: MembershipConfig) -> Self {
         let seed = config.seed ^ me_replica.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Membership {
@@ -109,6 +157,10 @@ impl Membership {
             config,
             rng: seed | 1,
             learned_acc: 0,
+            rounds: Every::default(),
+            syncs: Every::default(),
+            sync_cursor: None,
+            round: None,
         }
     }
 
@@ -131,24 +183,15 @@ impl Membership {
         }
     }
 
-    /// Our own replica id.
-    pub fn me(&self) -> u64 {
-        self.me_replica
-    }
-
     /// Our current incarnation number.
     pub fn incarnation(&self) -> u64 {
         self.incarnation
     }
 
-    /// Bumps our incarnation: called on rejoin after a crash so the new
-    /// life outranks any stale `Suspect` claims still circulating.
-    pub fn bump_incarnation(&mut self) {
-        self.incarnation += 1;
-    }
-
-    /// Records direct, first-hand contact with a peer (a completed
-    /// session or gossip exchange): the strongest possible freshness.
+    /// Records first-hand word from a peer: [`Membership::merge`] calls
+    /// it for the sender of every view it merges. The entry turns
+    /// `Alive` at `addr`, fresh as of `now_ms`, and a seed at that
+    /// address is resolved.
     pub fn observe_alive(&mut self, replica: u64, addr: &str, now_ms: u64) {
         if replica == self.me_replica {
             return;
@@ -167,14 +210,6 @@ impl Membership {
         entry.addr = addr.to_string();
         entry.status = PeerStatus::Alive;
         entry.fresh_ms = now_ms;
-    }
-
-    /// Records a failed dial to a peer: immediate suspicion, without
-    /// waiting out the age window (first-hand evidence of trouble).
-    pub fn observe_failed(&mut self, replica: u64) {
-        if let Some(entry) = self.peers.get_mut(&replica) {
-            entry.status = PeerStatus::Suspect;
-        }
     }
 
     /// Builds the gossip message carrying our current view.
@@ -222,11 +257,11 @@ impl Membership {
 
     fn merge_entry(&mut self, remote: &PeerWire, now_ms: u64) {
         if remote.replica == self.me_replica {
-            // Gossip about us. A suspicion (or any claim at ≥ our
-            // incarnation) is refuted by outliving it: bump and let the
-            // next round carry the correction.
+            // Gossip about us: outbid a suspicion at ≥ our incarnation and
+            // let the next round carry the refutation. Saturating: a forged
+            // `u64::MAX` must neither overflow nor lower it.
             if remote.status == PeerStatus::Suspect && remote.incarnation >= self.incarnation {
-                self.incarnation = remote.incarnation + 1;
+                self.incarnation = remote.incarnation.saturating_add(1);
             }
             return;
         }
@@ -266,30 +301,48 @@ impl Membership {
         }
     }
 
-    /// Runs the suspicion/eviction sweep against the local clock.
-    pub fn tick(&mut self, now_ms: u64) -> TickReport {
-        let suspect_ms = self.config.suspect_after.as_millis() as u64;
-        let evict_ms = self.config.evict_after.as_millis() as u64;
-        let mut report = TickReport::default();
-        self.peers.retain(|&replica, entry| {
-            let age = now_ms.saturating_sub(entry.fresh_ms);
-            if age >= evict_ms {
-                report.evicted.push(replica);
-                return false;
-            }
-            if entry.status == PeerStatus::Alive && age >= suspect_ms {
-                entry.status = PeerStatus::Suspect;
-                report.newly_suspect.push(replica);
-            }
-            true
-        });
-        report
+    /// Sets how often gossip rounds and anti-entropy syncs recur; a zero
+    /// period turns its activity off. Whatever is on falls due at once.
+    pub fn set_cadence(&mut self, gossip: Duration, anti_entropy: Duration) {
+        let every = |period: Duration| Every {
+            period: period.as_millis() as u64,
+            next: 0,
+        };
+        (self.rounds, self.syncs) = (every(gossip), every(anti_entropy));
     }
 
-    /// Picks this round's gossip targets: every still-unresolved seed
-    /// (bootstrap must succeed before randomness matters), then random
-    /// live members up to the configured fanout.
-    pub fn fanout_targets(&mut self) -> Vec<String> {
+    /// The dials due at `now_ms`: a gossip round's once its period has
+    /// passed since the last one, then the anti-entropy cursor's next
+    /// live member once its period has. Either sweeps the view first.
+    /// Book each dial with [`Membership::dialed`], then close the round
+    /// with [`Membership::end_round`].
+    pub fn due(&mut self, now_ms: u64) -> Vec<Dial> {
+        let mut dials = Vec::new();
+        if self.rounds.fire(now_ms) {
+            dials = self.gossip_round(now_ms);
+        }
+        if self.syncs.fire(now_ms) {
+            self.sweep(now_ms);
+            dials.extend(self.next_sync_target().map(Dial::Sync));
+        }
+        dials
+    }
+
+    /// The instant [`Membership::due`] next has something to return;
+    /// `None` while both activities are off.
+    pub fn next_due_ms(&self) -> Option<u64> {
+        [self.rounds, self.syncs]
+            .iter()
+            .filter(|every| every.period > 0)
+            .map(|every| every.next)
+            .min()
+    }
+
+    /// Opens a gossip round now, whatever the schedule: sweeps the view,
+    /// then dials every unresolved seed (bootstrap must succeed before
+    /// randomness matters) and random live members up to the fanout.
+    pub fn gossip_round(&mut self, now_ms: u64) -> Vec<Dial> {
+        self.sweep(now_ms);
         let mut targets: Vec<String> = self.seeds.clone();
         let mut candidates: Vec<String> = self
             .peers
@@ -302,17 +355,65 @@ impl Membership {
             let pick = (self.next_rand() as usize) % candidates.len();
             targets.push(candidates.swap_remove(pick));
         }
-        targets
+        self.round = Some(GossipRoundStats {
+            dialed: targets.len(),
+            ..GossipRoundStats::default()
+        });
+        targets.into_iter().map(Dial::Gossip).collect()
     }
 
-    /// Addresses of all members currently believed alive (the discovered
-    /// view anti-entropy dials through).
-    pub fn live_addrs(&self) -> Vec<String> {
-        self.peers
-            .values()
-            .filter(|e| e.status == PeerStatus::Alive)
-            .map(|e| e.addr.clone())
-            .collect()
+    /// Books a dial's outcome. A failed dial is first-hand evidence of
+    /// trouble: the member at that address turns suspect without waiting
+    /// out the age window (an unresolved seed has no member yet and stays
+    /// a seed). A gossip dial also counts toward the open round.
+    pub fn dialed(&mut self, dial: &Dial, ok: bool) {
+        if let (Dial::Gossip(_), Some(round)) = (dial, &mut self.round) {
+            round.merged += usize::from(ok);
+            round.failed += usize::from(!ok);
+        }
+        let (Dial::Gossip(addr) | Dial::Sync(addr)) = dial;
+        if !ok {
+            for entry in self.peers.values_mut().filter(|e| e.addr == *addr) {
+                entry.status = PeerStatus::Suspect;
+            }
+        }
+    }
+
+    /// Closes the open round: its tally, the view's counts after it, and
+    /// the entries learned since the last round closed (inbound gossip
+    /// included). `None` when no round is open.
+    pub fn end_round(&mut self) -> Option<GossipRoundStats> {
+        let mut round = self.round.take()?;
+        round.alive = self.count(PeerStatus::Alive);
+        round.suspect = self.count(PeerStatus::Suspect);
+        round.learned = std::mem::take(&mut self.learned_acc);
+        Some(round)
+    }
+
+    /// The suspicion/eviction sweep against the local clock.
+    fn sweep(&mut self, now_ms: u64) {
+        let suspect_ms = self.config.suspect_after.as_millis() as u64;
+        let evict_ms = self.config.evict_after.as_millis() as u64;
+        self.peers.retain(|_, entry| {
+            let age = now_ms.saturating_sub(entry.fresh_ms);
+            if entry.status == PeerStatus::Alive && age >= suspect_ms {
+                entry.status = PeerStatus::Suspect;
+            }
+            age < evict_ms
+        });
+    }
+
+    /// The first live member after the cursor in replica-id order,
+    /// wrapping around; moves the cursor to it.
+    fn next_sync_target(&mut self) -> Option<String> {
+        let after = self.sync_cursor.map_or(Unbounded, Excluded);
+        let (&replica, entry) = self
+            .peers
+            .range((after, Unbounded))
+            .chain(self.peers.range(..))
+            .find(|(_, e)| e.status == PeerStatus::Alive)?;
+        self.sync_cursor = Some(replica);
+        Some(entry.addr.clone())
     }
 
     /// Full view snapshot (self excluded), replica-id ordered.
@@ -328,31 +429,14 @@ impl Membership {
             .collect()
     }
 
-    /// Members currently believed alive.
-    pub fn alive_count(&self) -> usize {
-        self.peers
-            .values()
-            .filter(|e| e.status == PeerStatus::Alive)
-            .count()
-    }
-
-    /// Members currently under suspicion.
-    pub fn suspect_count(&self) -> usize {
-        self.peers
-            .values()
-            .filter(|e| e.status == PeerStatus::Suspect)
-            .count()
+    /// Members currently holding `status`.
+    pub fn count(&self, status: PeerStatus) -> usize {
+        self.peers.values().filter(|e| e.status == status).count()
     }
 
     /// Seeds not yet resolved to a member.
     pub fn unresolved_seeds(&self) -> usize {
         self.seeds.len()
-    }
-
-    /// Drains the entries-learned accumulator (feeds the per-round
-    /// `gossip_round` event).
-    pub fn take_learned(&mut self) -> u64 {
-        std::mem::take(&mut self.learned_acc)
     }
 }
 
@@ -367,6 +451,21 @@ mod tests {
             fanout: 3,
             seed: 42,
         }
+    }
+
+    fn wire(replica: u64, addr: &str, incarnation: u64, status: PeerStatus) -> PeerWire {
+        PeerWire {
+            replica,
+            addr: addr.into(),
+            incarnation,
+            status,
+            age_ms: 0,
+        }
+    }
+
+    /// A view from `sender` carrying `entries`.
+    fn gossip(sender: PeerWire, entries: Vec<PeerWire>) -> GossipMessage {
+        GossipMessage { sender, entries }
     }
 
     #[test]
@@ -404,12 +503,14 @@ mod tests {
     fn unrefreshed_members_turn_suspect_then_evict() {
         let mut m = Membership::new(1, "a:1", config());
         m.observe_alive(2, "b:1", 0);
-        assert_eq!(m.alive_count(), 1);
-        let report = m.tick(5_000);
-        assert_eq!(report.newly_suspect, vec![2]);
-        assert_eq!(m.suspect_count(), 1);
-        let report = m.tick(15_000);
-        assert_eq!(report.evicted, vec![2]);
+        assert_eq!(m.count(PeerStatus::Alive), 1);
+        m.sweep(4_999);
+        assert_eq!(m.count(PeerStatus::Alive), 1);
+        m.sweep(5_000);
+        assert_eq!(m.count(PeerStatus::Suspect), 1);
+        m.sweep(14_999);
+        assert_eq!(m.view().len(), 1);
+        m.sweep(15_000);
         assert_eq!(m.view().len(), 0);
     }
 
@@ -417,22 +518,10 @@ mod tests {
     fn suspicion_is_refuted_by_incarnation_bump() {
         let mut b = Membership::new(2, "b:1", config());
         // Someone gossips that b is suspect at b's current incarnation.
-        let slander = GossipMessage {
-            sender: PeerWire {
-                replica: 3,
-                addr: "c:1".into(),
-                incarnation: 0,
-                status: PeerStatus::Alive,
-                age_ms: 0,
-            },
-            entries: vec![PeerWire {
-                replica: 2,
-                addr: "b:1".into(),
-                incarnation: 0,
-                status: PeerStatus::Suspect,
-                age_ms: 100,
-            }],
-        };
+        let slander = gossip(
+            wire(3, "c:1", 0, PeerStatus::Alive),
+            vec![wire(2, "b:1", 0, PeerStatus::Suspect)],
+        );
         assert_eq!(b.incarnation(), 0);
         b.merge(&slander, 1_000);
         assert_eq!(b.incarnation(), 1, "suspicion refuted by outliving it");
@@ -441,11 +530,11 @@ mod tests {
         // incarnation, alive.
         let mut a = Membership::new(1, "a:1", config());
         a.merge(&slander, 1_000);
-        assert_eq!(a.suspect_count(), 1);
+        assert_eq!(a.count(PeerStatus::Suspect), 1);
         let refutation = b.message(2_000);
         a.merge(&refutation, 2_000);
-        assert_eq!(a.suspect_count(), 0);
-        assert_eq!(a.alive_count(), 2);
+        assert_eq!(a.count(PeerStatus::Suspect), 0);
+        assert_eq!(a.count(PeerStatus::Alive), 2);
         assert_eq!(
             a.view()
                 .iter()
@@ -457,28 +546,49 @@ mod tests {
     }
 
     #[test]
+    fn a_forged_claim_at_the_top_incarnation_neither_panics_nor_lowers_ours() {
+        let mut b = Membership::new(2, "b:1", config());
+        b.merge(
+            &gossip(
+                wire(3, "c:1", 0, PeerStatus::Alive),
+                vec![wire(2, "b:1", 7, PeerStatus::Suspect)],
+            ),
+            100,
+        );
+        assert_eq!(b.incarnation(), 8);
+        let forged = gossip(
+            wire(u64::MAX, "", u64::MAX, PeerStatus::Suspect),
+            vec![wire(2, "b:1", u64::MAX, PeerStatus::Suspect)],
+        );
+        for _ in 0..2 {
+            b.merge(&forged, 200);
+            assert_eq!(b.incarnation(), u64::MAX);
+        }
+        // A lower claim after it changes nothing.
+        b.merge(
+            &gossip(
+                wire(3, "c:1", 0, PeerStatus::Alive),
+                vec![wire(2, "b:1", 9, PeerStatus::Suspect)],
+            ),
+            300,
+        );
+        assert_eq!(b.incarnation(), u64::MAX);
+    }
+
+    #[test]
     fn equal_incarnation_suspicion_spreads() {
         let mut a = Membership::new(1, "a:1", config());
         a.observe_alive(2, "b:1", 0);
-        let rumor = GossipMessage {
-            sender: PeerWire {
-                replica: 3,
-                addr: "c:1".into(),
-                incarnation: 0,
-                status: PeerStatus::Alive,
-                age_ms: 0,
-            },
-            entries: vec![PeerWire {
-                replica: 2,
-                addr: "b:1".into(),
-                incarnation: 0,
-                status: PeerStatus::Suspect,
+        let rumor = gossip(
+            wire(3, "c:1", 0, PeerStatus::Alive),
+            vec![PeerWire {
                 age_ms: 50,
+                ..wire(2, "b:1", 0, PeerStatus::Suspect)
             }],
-        };
+        );
         a.merge(&rumor, 100);
         assert_eq!(
-            a.suspect_count(),
+            a.count(PeerStatus::Suspect),
             1,
             "suspicion at equal incarnation spreads"
         );
@@ -495,14 +605,14 @@ mod tests {
         };
         let mut m1 = build();
         let mut m2 = build();
-        let t1 = m1.fanout_targets();
-        let t2 = m2.fanout_targets();
+        let t1 = m1.gossip_round(0);
+        let t2 = m2.gossip_round(0);
         assert_eq!(t1, t2, "same seed, same picks");
         assert_eq!(t1.len(), 3);
-        let set: std::collections::BTreeSet<_> = t1.iter().collect();
+        let set: std::collections::BTreeSet<_> = t1.iter().map(|d| format!("{d:?}")).collect();
         assert_eq!(set.len(), 3, "targets are distinct");
         // Consecutive rounds advance the generator.
-        assert_ne!(m1.fanout_targets(), t1);
+        assert_ne!(m1.gossip_round(0), t1);
     }
 
     #[test]
@@ -512,51 +622,134 @@ mod tests {
         m.add_seed("b:1"); // duplicate ignored
         m.add_seed("a:1"); // self ignored
         assert_eq!(m.unresolved_seeds(), 1);
-        assert_eq!(m.fanout_targets(), vec!["b:1".to_string()]);
+        assert_eq!(m.gossip_round(0), [Dial::Gossip("b:1".into())]);
         // Learning the seed's replica id resolves it.
         m.observe_alive(2, "b:1", 0);
         assert_eq!(m.unresolved_seeds(), 0);
-        assert_eq!(m.fanout_targets(), vec!["b:1".to_string()]); // now as a member
+        assert_eq!(m.gossip_round(0), [Dial::Gossip("b:1".into())]); // now a member
     }
 
     #[test]
     fn learned_accumulator_counts_new_entries_once() {
         let mut m = Membership::new(1, "a:1", config());
-        let msg = GossipMessage {
-            sender: PeerWire {
-                replica: 2,
-                addr: "b:1".into(),
-                incarnation: 0,
-                status: PeerStatus::Alive,
-                age_ms: 0,
-            },
-            entries: vec![PeerWire {
-                replica: 3,
-                addr: "c:1".into(),
-                incarnation: 0,
-                status: PeerStatus::Alive,
+        let msg = gossip(
+            wire(2, "b:1", 0, PeerStatus::Alive),
+            vec![PeerWire {
                 age_ms: 10,
+                ..wire(3, "c:1", 0, PeerStatus::Alive)
             }],
-        };
+        );
         assert_eq!(m.merge(&msg, 100), 2);
         assert_eq!(m.merge(&msg, 200), 0, "repeats learn nothing");
-        assert_eq!(m.take_learned(), 2);
-        assert_eq!(m.take_learned(), 0);
+        m.gossip_round(200);
+        assert_eq!(m.end_round().map(|r| r.learned), Some(2));
+        m.gossip_round(300);
+        assert_eq!(m.end_round().map(|r| r.learned), Some(0));
+        assert_eq!(m.end_round(), None, "no round open");
     }
 
     #[test]
     fn rejoin_after_eviction_is_clean() {
         let mut a = Membership::new(1, "a:1", config());
         a.observe_alive(2, "b:1", 0);
-        a.tick(20_000); // b evicted
+        a.sweep(6_000); // b suspect
+        let stale = a.message(6_000);
+        a.sweep(20_000); // b evicted
         assert_eq!(a.view().len(), 0);
-        // b rejoins with a bumped incarnation and is re-learned.
+        // b rejoins with a fresh view. The suspicion of its old life still
+        // circulates, and refuting it bumps b's incarnation; a re-learns b.
         let mut b = Membership::new(2, "b:1", config());
-        b.bump_incarnation();
+        b.merge(&stale, 21_000);
         a.merge(&b.message(21_000), 21_000);
         let view = a.view();
         assert_eq!(view.len(), 1);
         assert_eq!(view[0].status, PeerStatus::Alive);
         assert_eq!(view[0].incarnation, 1);
+    }
+
+    #[test]
+    fn a_failed_dial_suspects_the_member_and_leaves_a_seed_a_seed() {
+        let mut m = Membership::new(1, "a:1", config());
+        m.observe_alive(2, "b:1", 0);
+        m.observe_alive(3, "c:1", 0);
+        m.add_seed("s:1");
+        let dials = m.gossip_round(100);
+        assert_eq!(dials.len(), 3);
+        for dial in &dials {
+            m.dialed(dial, *dial == Dial::Gossip("c:1".into()));
+        }
+        let view = m.view();
+        assert_eq!(view[0].status, PeerStatus::Suspect, "b's dial failed");
+        assert_eq!(view[1].status, PeerStatus::Alive, "c's dial succeeded");
+        assert_eq!(m.unresolved_seeds(), 1, "the seed stays a seed");
+        let round = m.end_round().unwrap();
+        assert_eq!((round.dialed, round.merged, round.failed), (3, 1, 2));
+        assert_eq!((round.alive, round.suspect), (1, 1));
+
+        // A failed sync suspects too, and counts toward no round.
+        m.dialed(&Dial::Sync("c:1".into()), false);
+        assert_eq!(m.count(PeerStatus::Suspect), 2);
+        assert_eq!(m.end_round(), None);
+    }
+
+    #[test]
+    fn anti_entropy_visits_each_live_member_once_per_cycle() {
+        let mut m = Membership::new(1, "a:1", config());
+        m.set_cadence(Duration::ZERO, Duration::from_millis(10));
+        let mut now = 0;
+        let mut next = |m: &mut Membership| {
+            let dials = m.due(now);
+            now += 10;
+            match dials.as_slice() {
+                [Dial::Sync(addr)] => Some(addr.clone()),
+                [] => None,
+                other => panic!("unexpected dials {other:?}"),
+            }
+        };
+        assert_eq!(next(&mut m), None, "no member yet");
+        for i in [3, 5, 7] {
+            m.observe_alive(i, &format!("n{i}:1"), 0);
+        }
+        assert_eq!(next(&mut m).as_deref(), Some("n3:1"));
+        // 2 joins behind the cursor and 6 ahead of it; 5 is suspected.
+        m.observe_alive(2, "n2:1", 0);
+        m.observe_alive(6, "n6:1", 0);
+        m.dialed(&Dial::Gossip("n5:1".into()), false);
+        let cycle: Vec<_> = (0..4).filter_map(|_| next(&mut m)).collect();
+        assert_eq!(cycle, ["n6:1", "n7:1", "n2:1", "n3:1"]);
+        // A member that left is skipped, and the order continues.
+        m.dialed(&Dial::Sync("n6:1".into()), false);
+        let cycle: Vec<_> = (0..3).filter_map(|_| next(&mut m)).collect();
+        assert_eq!(cycle, ["n7:1", "n2:1", "n3:1"]);
+    }
+
+    #[test]
+    fn nothing_is_due_before_its_instant() {
+        let mut m = Membership::new(1, "a:1", config());
+        m.observe_alive(2, "b:1", 0);
+        assert_eq!(m.due(0), Vec::new(), "both activities off by default");
+        assert_eq!(m.next_due_ms(), None);
+
+        m.set_cadence(Duration::from_millis(100), Duration::from_millis(250));
+        assert_eq!(m.next_due_ms(), Some(0), "whatever is on is due at once");
+        let both = m.due(0);
+        assert_eq!(both, [Dial::Gossip("b:1".into()), Dial::Sync("b:1".into())]);
+        assert!(m.end_round().is_some());
+        assert_eq!(m.next_due_ms(), Some(100));
+        assert_eq!(m.due(99), Vec::new());
+        assert!(m.end_round().is_none(), "no round opened early");
+        assert_eq!(m.due(100), [Dial::Gossip("b:1".into())]);
+        assert_eq!(m.next_due_ms(), Some(200));
+        // Late callers do not catch up in a burst.
+        assert_eq!(m.due(260).len(), 2);
+        assert_eq!(m.next_due_ms(), Some(360));
+        assert_eq!(m.due(359), Vec::new());
+
+        // Gossip off, anti-entropy on: each interval governs only its own
+        // activity.
+        m.set_cadence(Duration::ZERO, Duration::from_millis(50));
+        assert_eq!(m.due(400), [Dial::Sync("b:1".into())]);
+        assert_eq!(m.next_due_ms(), Some(450));
+        assert_eq!(m.due(449), Vec::new());
     }
 }

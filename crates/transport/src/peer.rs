@@ -213,19 +213,10 @@ impl Peer {
     /// Stops the accept loop and returns the node.
     pub fn stop(mut self) -> DtnNode {
         self.halt();
-        // Session threads drop their clones as their connections close;
-        // spin until this is the only holder.
-        let mut node_arc = Arc::clone(&self.serving.node);
+        // Session threads drop their clones as their connections close.
+        let node = Arc::clone(&self.serving.node);
         drop(self);
-        loop {
-            match Arc::try_unwrap(node_arc) {
-                Ok(mutex) => return mutex.into_inner(),
-                Err(shared) => {
-                    node_arc = shared;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
+        sole_node(node)
     }
 
     /// Ends the accept loop — blocked in `accept`, so woken by a
@@ -266,6 +257,18 @@ impl fmt::Debug for Peer {
         f.debug_struct("Peer")
             .field("local_addr", &self.local_addr)
             .finish()
+    }
+}
+
+/// Takes the node out of `node` once this is its only holder, spinning
+/// while threads that have ended or are ending still drop their clones.
+pub fn sole_node(mut node: Arc<Mutex<DtnNode>>) -> DtnNode {
+    loop {
+        match Arc::try_unwrap(node) {
+            Ok(mutex) => return mutex.into_inner(),
+            Err(shared) => node = shared,
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 

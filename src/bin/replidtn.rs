@@ -10,10 +10,14 @@
 //!              [--strategy <random|selected>] [--k N] [--seed S]
 //!              [--spill-dir DIR] [--resident-limit N]
 //!              [--data-dir DIR] [--events FILE] [--stats]
-//! replidtn peer --id N --address ADDR --policy P --listen HOST:PORT
-//!               [--connect HOST:PORT] [--send DEST:TEXT] [--data-dir DIR]
-//!               [--gossip] [--seed-peer HOST:PORT] [--max-sessions N]
-//!               [--connect-timeout-ms MS] [--retries N] [--backoff-ms MS]
+//! replidtn peer --id N --address ADDR [--policy P] --listen HOST:PORT
+//!               [--connect HOST:PORT]... [--send DEST:TEXT]... [--serve-for SECS]
+//!               [--gossip] [--seed-peer HOST:PORT]... [--max-sessions N]
+//!               [--gossip-interval-ms MS] [--anti-entropy-ms MS]
+//!               [--connect-timeout-ms MS] [--io-timeout-ms MS]
+//!               [--retries N] [--backoff-ms MS]
+//!               [--data-dir DIR] [--events FILE] [--stats]
+//! replidtn fig --id <5|6|7a|7b|8|9|10> [--events FILE] [--stats]
 //! ```
 //!
 //! City-scale runs combine `gen-trace --scale N --spool FILE` (streamed
@@ -123,11 +127,10 @@ USAGE:
       and the default transport is the one to use). The reactor is
       inbound only; callers dial: it serves up to --max-sessions
       concurrent inbound sessions on a small worker pool, while one
-      control thread dials the gossip rounds, bootstrapped from
-      --seed-peer addresses (one round per --gossip-interval-ms), and,
-      when --anti-entropy-ms is nonzero, periodic syncs round-robin over
-      the discovered view, each running until it ends. The dial
-      flags tune both transports:
+      control thread dials a gossip round, bootstrapped from --seed-peer
+      addresses, every --gossip-interval-ms and a sync with the next
+      discovered member every --anti-entropy-ms, sleeping in between (0
+      turns one off, not the other). The dial flags tune both transports:
       --connect-timeout-ms / --io-timeout-ms bound the socket,
       --retries / --backoff-ms add exponential backoff with deterministic
       jitter to failed dials (blocking transport).
@@ -534,6 +537,7 @@ fn peer(args: &[String]) -> Result<(), String> {
         let config = NetConfig {
             max_sessions: flags.num("max-sessions", defaults.max_sessions)?,
             connect_timeout: dial.connect_timeout,
+            stall_timeout: dial.io_timeout,
             gossip_interval: std::time::Duration::from_millis(
                 flags.num("gossip-interval-ms", 1_000u64)?,
             ),
