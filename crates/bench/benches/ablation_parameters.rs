@@ -67,7 +67,7 @@ fn print_rows(title: &str, rows: &[Row]) {
 }
 
 fn main() {
-    let scenario = benchkit::scenario();
+    let scenario = Scenario::paper();
     let runner = SweepRunner::new();
 
     // 1. Epidemic TTL: how much hop budget does flooding actually need?

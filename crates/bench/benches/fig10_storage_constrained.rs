@@ -3,11 +3,11 @@
 //! is the sender or the destination (paper §VI-D).
 
 use dtn::EncounterBudget;
-use emu::experiments::policy_comparison;
+use emu::experiments::{policy_comparison, Scenario};
 
 fn main() {
-    let scenario = benchkit::scenario();
-    let runs = policy_comparison(&scenario, EncounterBudget::unlimited(), Some(2));
+    let scenario = Scenario::paper();
+    let runs = policy_comparison(&scenario, EncounterBudget::unlimited(), Some(2), None);
     benchkit::print_hourly_cdfs(
         "Figure 10: delay CDF (0-12 hours), max 2 relay messages per node",
         &runs,

@@ -2,7 +2,9 @@
 //! application as hosts add extra addresses (random vs selected) to their
 //! filters (paper §VI-B).
 
+use emu::experiments::Scenario;
+
 fn main() {
-    let scenario = benchkit::scenario();
-    benchkit::print_fig5(&scenario);
+    let scenario = Scenario::paper();
+    benchkit::print_fig5(&scenario, None);
 }

@@ -11,12 +11,13 @@
 //! message can never have helped deliver another one.
 
 use dtn::{EncounterBudget, PolicyKind};
+use emu::experiments::Scenario;
 use emu::report::Table;
 use emu::{Emulation, EmulationConfig};
 use pfr::SimDuration;
 
 fn main() {
-    let scenario = benchkit::scenario();
+    let scenario = Scenario::paper();
     let lifetimes = [
         SimDuration::from_hours(6),
         SimDuration::from_hours(12),

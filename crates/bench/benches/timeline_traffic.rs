@@ -6,11 +6,12 @@
 //! "worst case" Figure 8 measures).
 
 use dtn::{EncounterBudget, PolicyKind};
+use emu::experiments::Scenario;
 use emu::report::Table;
 use emu::{Emulation, EmulationConfig};
 
 fn main() {
-    let scenario = benchkit::scenario();
+    let scenario = Scenario::paper();
     for policy in [
         PolicyKind::Direct,
         PolicyKind::SprayAndWait,

@@ -1,92 +1,69 @@
 //! # benchkit — shared plumbing for the experiment benches
 //!
 //! Each bench target under `benches/` regenerates one table or figure of
-//! the paper. The heavy lifting lives in [`emu::experiments`]; this crate
-//! provides the shared scenario construction and printing helpers so each
-//! bench is a thin `main`.
+//! the paper at paper scale ([`Scenario::paper`]), as `replidtn fig` does.
+//! The heavy lifting lives in [`emu::experiments`]; this crate provides
+//! the printing helpers so each bench is a thin `main`. Every runner here
+//! takes an optional observer that receives each run's event stream.
 //!
-//! Set `REPLIDTN_SMALL=1` to run the benches on the scaled-down scenario
-//! (useful for smoke-testing the harness; the printed numbers then do not
-//! correspond to the paper's figures).
+//! [`Scenario::paper`]: emu::experiments::Scenario::paper
 
 use std::sync::Arc;
 
 use dtn::EncounterBudget;
-use emu::experiments::{self, PolicyRun, Scenario};
+use emu::experiments::{self, PolicyRun, RunResult, Scenario};
 use emu::report::{fmt_opt, render_cdf, Table};
 use obs::Observer;
 
 /// The figure-5/6 sweep of extra filter addresses.
 pub const FILTER_KS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Builds the experiment scenario (paper scale unless `REPLIDTN_SMALL` is
-/// set).
-pub fn scenario() -> Scenario {
-    if std::env::var_os("REPLIDTN_SMALL").is_some() {
-        Scenario::small()
-    } else {
-        Scenario::paper()
-    }
-}
-
 /// Prints the figure-5 table: average message delay per filter strategy.
-pub fn print_fig5(scenario: &Scenario) {
-    print_fig5_with(scenario, None);
-}
-
-/// [`print_fig5`] with an observer receiving every run's event stream.
-pub fn print_fig5_with(scenario: &Scenario, observer: Option<Arc<dyn Observer>>) {
-    let series = experiments::filter_sweep_with(scenario, &FILTER_KS, observer);
-    let mut table = Table::new(
+pub fn print_fig5(scenario: &Scenario, observer: Option<Arc<dyn Observer>>) {
+    print_filter_sweep(
         "Figure 5: average message delay (hours) vs addresses in filter",
-        vec!["addresses", "random", "selected"],
+        scenario,
+        observer,
+        |run| run.mean_delay_hours,
     );
-    let labels: Vec<String> = series[0].1.iter().map(|r| r.label.clone()).collect();
-    for (i, label) in labels.iter().enumerate() {
-        table.row(vec![
-            label.clone(),
-            format!("{:.1}", series[0].1[i].mean_delay_hours),
-            format!("{:.1}", series[1].1[i].mean_delay_hours),
-        ]);
-    }
-    println!("{table}");
 }
 
 /// Prints the figure-6 table: % delivered within 12 hours per strategy.
-pub fn print_fig6(scenario: &Scenario) {
-    print_fig6_with(scenario, None);
+pub fn print_fig6(scenario: &Scenario, observer: Option<Arc<dyn Observer>>) {
+    print_filter_sweep(
+        "Figure 6: % messages delivered within 12 hours vs addresses in filter",
+        scenario,
+        observer,
+        |run| run.delivered_within_12h_pct,
+    );
 }
 
-/// [`print_fig6`] with an observer receiving every run's event stream.
-pub fn print_fig6_with(scenario: &Scenario, observer: Option<Arc<dyn Observer>>) {
-    let series = experiments::filter_sweep_with(scenario, &FILTER_KS, observer);
-    let mut table = Table::new(
-        "Figure 6: % messages delivered within 12 hours vs addresses in filter",
-        vec!["addresses", "random", "selected"],
-    );
-    let labels: Vec<String> = series[0].1.iter().map(|r| r.label.clone()).collect();
-    for (i, label) in labels.iter().enumerate() {
+/// Runs the filter sweep and prints `cell` of each run, one row per
+/// address count and one column per strategy.
+fn print_filter_sweep(
+    title: &str,
+    scenario: &Scenario,
+    observer: Option<Arc<dyn Observer>>,
+    cell: fn(&RunResult) -> f64,
+) {
+    let series = experiments::filter_sweep(scenario, &FILTER_KS, observer);
+    let mut table = Table::new(title, vec!["addresses", "random", "selected"]);
+    for (random, selected) in series[0].1.iter().zip(&series[1].1) {
         table.row(vec![
-            label.clone(),
-            format!("{:.1}", series[0].1[i].delivered_within_12h_pct),
-            format!("{:.1}", series[1].1[i].delivered_within_12h_pct),
+            random.label.clone(),
+            format!("{:.1}", cell(random)),
+            format!("{:.1}", cell(selected)),
         ]);
     }
     println!("{table}");
 }
 
 /// Runs the unconstrained policy comparison shared by figures 7a/7b/8.
-pub fn unconstrained_runs(scenario: &Scenario) -> Vec<PolicyRun> {
-    unconstrained_runs_with(scenario, None)
-}
-
-/// [`unconstrained_runs`] with an observer receiving every run's event
-/// stream.
-pub fn unconstrained_runs_with(
+pub fn unconstrained_runs(
     scenario: &Scenario,
     observer: Option<Arc<dyn Observer>>,
 ) -> Vec<PolicyRun> {
-    experiments::policy_comparison_with(scenario, EncounterBudget::unlimited(), None, observer)
+    experiments::policy_comparison(scenario, EncounterBudget::unlimited(), None, observer)
 }
 
 /// Prints an hourly CDF (figures 7a, 9, 10) for a set of runs.
@@ -188,7 +165,7 @@ mod tests {
     #[test]
     fn small_scenario_pipeline_smoke() {
         let scenario = Scenario::small();
-        let runs = unconstrained_runs(&scenario);
+        let runs = unconstrained_runs(&scenario, None);
         assert_eq!(runs.len(), 5);
         print_hourly_cdfs("smoke", &runs);
         print_fig7b(&runs);

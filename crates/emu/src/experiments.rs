@@ -85,13 +85,9 @@ fn run_result(label: String, scenario: &Scenario, metrics: ExperimentMetrics) ->
 /// with filters widened by `k` extra host addresses.
 ///
 /// Returns one series per strategy; each series starts with the shared
-/// `Self` (k = 0) point.
-pub fn filter_sweep(scenario: &Scenario, ks: &[usize]) -> Vec<(String, Vec<RunResult>)> {
-    filter_sweep_with(scenario, ks, None)
-}
-
-/// [`filter_sweep`] with an observer receiving every run's event stream.
-pub fn filter_sweep_with(
+/// `Self` (k = 0) point. `observer`, if any, receives every run's event
+/// stream.
+pub fn filter_sweep(
     scenario: &Scenario,
     ks: &[usize],
     observer: Option<Arc<dyn Observer>>,
@@ -153,18 +149,9 @@ pub struct PolicyRun {
     pub copies_at_end: Option<f64>,
 }
 
-/// Runs one policy over the scenario under the given constraints.
+/// Runs one policy over the scenario under the given constraints;
+/// `observer`, if any, receives the run's event stream.
 pub fn run_policy(
-    scenario: &Scenario,
-    policy: PolicyKind,
-    budget: EncounterBudget,
-    relay_limit: Option<usize>,
-) -> PolicyRun {
-    run_policy_with(scenario, policy, budget, relay_limit, None)
-}
-
-/// [`run_policy`] with an observer receiving the run's event stream.
-pub fn run_policy_with(
     scenario: &Scenario,
     policy: PolicyKind,
     budget: EncounterBudget,
@@ -197,18 +184,9 @@ pub fn run_policy_with(
 
 /// Figures 7a/7b (unconstrained), 9 (bandwidth-constrained), and 10
 /// (storage-constrained): all five policies under the given constraints.
+/// `observer`, if any, receives every run's event stream (all five
+/// policies report into it, from separate threads).
 pub fn policy_comparison(
-    scenario: &Scenario,
-    budget: EncounterBudget,
-    relay_limit: Option<usize>,
-) -> Vec<PolicyRun> {
-    policy_comparison_with(scenario, budget, relay_limit, None)
-}
-
-/// [`policy_comparison`] with an observer receiving every run's event
-/// stream (all five policies report into the same observer, from separate
-/// threads).
-pub fn policy_comparison_with(
     scenario: &Scenario,
     budget: EncounterBudget,
     relay_limit: Option<usize>,
@@ -218,7 +196,7 @@ pub fn policy_comparison_with(
     SweepRunner::new()
         .with_observer(observer.clone())
         .run(PolicyKind::ALL.to_vec(), |p| {
-            run_policy_with(scenario, p, budget, relay_limit, observer.clone())
+            run_policy(scenario, p, budget, relay_limit, observer.clone())
         })
 }
 
@@ -229,7 +207,7 @@ mod tests {
     #[test]
     fn filter_sweep_shapes_match_figures_five_and_six() {
         let scenario = Scenario::small();
-        let series = filter_sweep(&scenario, &[2, 8]);
+        let series = filter_sweep(&scenario, &[2, 8], None);
         assert_eq!(series.len(), 2);
         for (name, rows) in &series {
             assert_eq!(rows.len(), 3, "{name}: Self + two k values");
@@ -251,7 +229,7 @@ mod tests {
         // The full assertion (selected < random) is validated at paper
         // scale by the fig5 bench; at test scale we check both beat Self.
         let scenario = Scenario::small();
-        let series = filter_sweep(&scenario, &[4]);
+        let series = filter_sweep(&scenario, &[4], None);
         let random = &series[0].1[1];
         let selected = &series[1].1[1];
         let baseline = &series[0].1[0];
@@ -262,7 +240,7 @@ mod tests {
     #[test]
     fn policy_comparison_covers_all_policies() {
         let scenario = Scenario::small();
-        let runs = policy_comparison(&scenario, EncounterBudget::unlimited(), None);
+        let runs = policy_comparison(&scenario, EncounterBudget::unlimited(), None, None);
         assert_eq!(runs.len(), 5);
         let labels: Vec<&str> = runs.iter().map(|r| r.policy.label()).collect();
         assert!(labels.contains(&"cimbiosys") && labels.contains(&"maxprop"));
@@ -291,11 +269,13 @@ mod tests {
             PolicyKind::Direct,
             EncounterBudget::unlimited(),
             None,
+            None,
         );
         let epidemic = run_policy(
             &scenario,
             PolicyKind::Epidemic,
             EncounterBudget::unlimited(),
+            None,
             None,
         );
         // Baseline stores ~2 copies (sender + receiver).
@@ -315,7 +295,7 @@ mod tests {
             (EncounterBudget::max_messages(1), None),
             (EncounterBudget::unlimited(), Some(2)),
         ] {
-            let run = run_policy(&scenario, PolicyKind::MaxProp, budget, relay);
+            let run = run_policy(&scenario, PolicyKind::MaxProp, budget, relay, None);
             assert_eq!(run.result.metrics.duplicates, 0);
             assert!(run.result.delivery_rate_pct <= 100.0);
         }

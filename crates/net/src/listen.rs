@@ -1,4 +1,4 @@
-//! Listener construction with a configurable accept backlog.
+//! Listener construction with a deep accept backlog.
 //!
 //! `std::net::TcpListener::bind` hardcodes a listen backlog of 128. A
 //! high-fanout dial burst overflows that in the window between two
@@ -6,24 +6,28 @@
 //! dialer a full one-second retransmit timer — three orders of
 //! magnitude above any session's actual service time. On Linux the
 //! socket is therefore built through the same minimal in-tree FFI
-//! pattern as the epoll backend, with the requested backlog (the kernel
-//! clamps it to `net.core.somaxconn`); IPv6 binds and other platforms
-//! fall back to the std path unchanged.
+//! pattern as the epoll backend, with a backlog of [`ACCEPT_BACKLOG`] (the
+//! kernel clamps it to `net.core.somaxconn`); IPv6 binds and other
+//! platforms fall back to the std path unchanged.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 
-/// Binds `bind` with the requested accept `backlog` where the platform
-/// allows, falling back to `TcpListener::bind` (backlog 128) otherwise.
-pub(crate) fn bind_listener(bind: &str, backlog: i32) -> io::Result<TcpListener> {
+/// The listen backlog requested for the accept socket: deep enough that a
+/// high-fanout dial burst never overflows into SYN retransmits.
+const ACCEPT_BACKLOG: i32 = 1024;
+
+/// Binds `bind` with an [`ACCEPT_BACKLOG`]-deep accept queue where the
+/// platform allows, falling back to `TcpListener::bind` (backlog 128)
+/// otherwise.
+pub(crate) fn bind_listener(bind: &str) -> io::Result<TcpListener> {
     let addr = resolve(bind)?;
     #[cfg(target_os = "linux")]
     if let SocketAddr::V4(v4) = addr {
-        if let Ok(listener) = linux::bind_v4(v4, backlog) {
+        if let Ok(listener) = linux::bind_v4(v4, ACCEPT_BACKLOG) {
             return Ok(listener);
         }
     }
-    let _ = backlog;
     TcpListener::bind(addr)
 }
 
@@ -110,7 +114,7 @@ mod tests {
 
     #[test]
     fn deep_backlog_listener_accepts_connections() {
-        let listener = bind_listener("127.0.0.1:0", 1024).expect("bind");
+        let listener = bind_listener("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let mut client = TcpStream::connect(addr).expect("connect");
         client.write_all(b"ping").expect("write");

@@ -10,9 +10,11 @@
 //! and concurrency comes from concurrent callers.
 //!
 //! Whom to dial and when is [`Membership`]'s call: a control thread,
-//! running while either interval of [`NetConfig`] is on, runs the dials
-//! it says are due through the same dialer, books each outcome, and parks
-//! until the next is due or [`NetNode::stop`].
+//! running while either interval of [`NetConfig`] is on, hands the dials
+//! it says are due to [`transport::run_dials`] (the step `testkit` runs
+//! under virtual time), dialing each through the same dialer, and parks
+//! until the next is due or [`NetNode::stop`]. A node serves every
+//! request in full: no item cap, as in the paper's unconstrained runs.
 
 use std::io;
 use std::net::SocketAddr;
@@ -22,12 +24,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dtn::DtnNode;
-use obs::{Event, EventKind};
 use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 use transport::{
-    Dial, DialConfig, Dialed, Dialer, GossipRoundStats, Membership, MembershipConfig, PeerView,
-    SessionError, SessionMachine, SessionOutcome,
+    run_dials, Dial, DialConfig, Dialed, Dialer, GossipRoundStats, Membership, MembershipConfig,
+    PeerView, SessionError, SessionMachine, SessionOutcome,
 };
 
 use crate::reactor::{Acceptor, Reactor, ReactorConfig, Shared};
@@ -63,10 +64,6 @@ pub struct NetConfig {
     /// and [`NetNode::sync_with`] fails fast with
     /// [`SessionError::AtCapacity`].
     pub max_sessions: usize,
-    /// Listen backlog requested for the accept socket (the kernel clamps
-    /// it to `net.core.somaxconn`). Deep enough by default that a
-    /// high-fanout dial burst never overflows into SYN retransmits.
-    pub accept_backlog: usize,
     /// Per-session write-queue bound; a session over it stops reading
     /// until the queue drains (backpressure).
     pub write_queue_limit: usize,
@@ -88,8 +85,6 @@ pub struct NetConfig {
     /// Anti-entropy period: every interval, sync with the next live member
     /// in turn. [`Duration::ZERO`] disables it, whatever gossip does.
     pub anti_entropy_interval: Duration,
-    /// Sync limits applied when serving peers.
-    pub limits: SyncLimits,
 }
 
 impl Default for NetConfig {
@@ -98,7 +93,6 @@ impl Default for NetConfig {
             workers: 2,
             backend: PollBackend::Epoll,
             max_sessions: 4096,
-            accept_backlog: 1024,
             write_queue_limit: 256 * 1024,
             idle_timeout: Duration::from_secs(30),
             stall_timeout: Duration::from_secs(10),
@@ -106,7 +100,6 @@ impl Default for NetConfig {
             gossip_interval: Duration::from_secs(1),
             gossip: MembershipConfig::default(),
             anti_entropy_interval: Duration::ZERO,
-            limits: SyncLimits::unlimited(),
         }
     }
 }
@@ -166,9 +159,10 @@ impl NetNode {
     /// instance; [`io::ErrorKind::Unsupported`] off Linux, where
     /// [`transport::Peer`] is the node to run.
     pub fn start(node: DtnNode, bind: &str, config: NetConfig) -> io::Result<NetNode> {
-        let listener = crate::listen::bind_listener(bind, config.accept_backlog as i32)?;
+        let listener = crate::listen::bind_listener(bind)?;
         let local_addr = listener.local_addr()?;
-        let replica = node.id().as_u64();
+        let me = node.id();
+        let replica = me.as_u64();
         let obs = node.replica().observer().clone();
         let node = Arc::new(Mutex::new(node));
         let mut membership =
@@ -183,13 +177,17 @@ impl NetNode {
                 io_timeout: config.stall_timeout,
                 ..DialConfig::default()
             },
+            me,
             config.idle_timeout / 2,
         );
         let responder = {
             let (node, membership) = (Arc::clone(&node), Arc::clone(&membership));
-            let limits = config.limits;
             Box::new(move || {
-                SessionMachine::responder(Arc::clone(&node), Arc::clone(&membership), limits)
+                SessionMachine::responder(
+                    Arc::clone(&node),
+                    Arc::clone(&membership),
+                    SyncLimits::unlimited(),
+                )
             })
         };
         let reactor = Reactor::start(
@@ -323,16 +321,7 @@ impl Core {
     /// One sync session with `addr`; the error is the dial's.
     fn sync(&self, addr: &str, now: SimTime) -> io::Result<SessionOutcome> {
         let now_ms = || self.shared.now_ms();
-        self.dial(|dialer| {
-            dialer.sync(
-                addr,
-                &self.node,
-                &self.membership,
-                self.config.limits,
-                now,
-                &now_ms,
-            )
-        })
+        self.dial(|dialer| dialer.sync(addr, &self.node, &self.membership, now, &now_ms))
     }
 
     /// The control thread: runs what [`Membership`] says is due, then
@@ -351,29 +340,18 @@ impl Core {
     }
 
     /// Runs `dials` in order on this thread (at most a stall timeout
-    /// each), books each outcome, and closes the round, if one is open,
-    /// with its event.
+    /// each) through [`run_dials`], which books each outcome and closes
+    /// the round, if one is open, with its event.
     fn run(&self, dials: &[Dial]) -> Option<GossipRoundStats> {
         let now_ms = || self.shared.now_ms();
-        for dial in dials {
+        run_dials(&self.membership, dials, &self.shared.obs, |dial| {
             let outcome = match dial {
                 Dial::Gossip(addr) => {
                     self.dial(|dialer| dialer.gossip(addr, &self.node, &self.membership, &now_ms))
                 }
                 Dial::Sync(addr) => self.sync(addr, SimTime::from_secs(now_ms() / 1000)),
             };
-            let ok = outcome.is_ok_and(|outcome| outcome.is_ok());
-            self.membership.lock().dialed(dial, ok);
-        }
-        let stats = self.membership.lock().end_round()?;
-        let Shared { obs, replica, .. } = &*self.shared;
-        obs.emit(EventKind::GossipRound, || Event::GossipRound {
-            replica: *replica,
-            fanout: stats.dialed as u64,
-            alive: stats.alive as u64,
-            suspect: stats.suspect as u64,
-            learned: stats.learned,
-        });
-        Some(stats)
+            outcome.is_ok_and(|outcome| outcome.is_ok())
+        })
     }
 }

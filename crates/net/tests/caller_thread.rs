@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use dtn::{DtnNode, PolicyKind};
 use net::{NetConfig, NetNode, SessionError};
-use pfr::{ReplicaId, SimTime, SyncLimits};
+use pfr::{ReplicaId, SimTime};
 use transport::{DialConfig, Peer, TransportError};
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
@@ -220,8 +220,7 @@ fn a_quiet_peer_stalls_a_caller_thread_session() {
         io_timeout: budget,
         ..DialConfig::default()
     };
-    let blocking =
-        Peer::start_configured(node(3, "c"), "127.0.0.1:0", SyncLimits::unlimited(), dial).unwrap();
+    let blocking = Peer::start_configured(node(3, "c"), "127.0.0.1:0", dial).unwrap();
     let before = open_fds();
     let started = Instant::now();
     let stalled = blocking.sync_with(silent_addr, SimTime::from_secs(3));

@@ -5,9 +5,9 @@
 //! replication its selective delivery (paper §II-B). In the DTN messaging
 //! application each host's filter selects the messages addressed to it
 //! (and, for the multi-address strategies of §IV-B, to a chosen set of
-//! other hosts).
+//! other hosts). Filters are evaluated, never compared with each other:
+//! nothing here builds filter hierarchies.
 
-mod implies;
 mod parser;
 
 use std::fmt;

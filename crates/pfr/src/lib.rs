@@ -82,7 +82,7 @@ pub use item::{CausalRelation, Item, ItemBuilder};
 pub use journal::KnowledgeTotals;
 pub use knowledge::Knowledge;
 pub use payload::Payload;
-pub use replica::{ApplyOutcome, ConflictRecord, Replica, ReplicaStats};
+pub use replica::{ApplyOutcome, Replica, ReplicaStats};
 pub use snapshot::{decode_item_record, ItemRecord, ReplicaParts};
 pub use store::StoreKind;
 pub use sync::{

@@ -1,4 +1,9 @@
 //! The replica: one host's filtered copy of the collection.
+//!
+//! Two causally concurrent copies of an item merge deterministically (the
+//! higher version's content wins). A replica counts merges
+//! ([`ReplicaStats::conflicts_merged`], and each sync's
+//! `SyncReport::conflicts`) but keeps no log of them.
 
 use std::fmt;
 
@@ -41,20 +46,6 @@ pub struct ReplicaStats {
     pub conflicts_merged: u64,
     /// Relay items evicted under a storage constraint.
     pub evictions: u64,
-}
-
-/// One detected write conflict: two causally concurrent copies of an item
-/// were merged deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConflictRecord {
-    /// The contested item.
-    pub id: ItemId,
-    /// The version whose content won the merge.
-    pub winner: Version,
-    /// The version whose content was superseded.
-    pub loser: Version,
-    /// When the conflict was detected.
-    pub at: SimTime,
 }
 
 /// The outcome of offering one remote item copy to a replica.
@@ -112,12 +103,8 @@ pub struct Replica {
     next_version_counter: u64,
     relay_limit: Option<usize>,
     stats: ReplicaStats,
-    /// In-memory log of merged conflicts, drained by the application. Not
-    /// part of snapshots: it is observability state, not replication
-    /// state.
-    conflict_log: Vec<ConflictRecord>,
-    /// Event emission handle. Like `conflict_log`, observability state:
-    /// never part of snapshots, disabled by default.
+    /// Event emission handle. Observability state, not replication
+    /// state: never part of snapshots, disabled by default.
     obs: Obs,
     /// Reusable selection buffers for [`crate::sync::prepare_batch`].
     /// An allocation cache: cleared before every use, never part of
@@ -139,7 +126,6 @@ impl Replica {
             next_version_counter: 0,
             relay_limit: None,
             stats: ReplicaStats::default(),
-            conflict_log: Vec::new(),
             obs: Obs::none(),
             sync_scratch: crate::sync::SyncScratch::default(),
         }
@@ -249,18 +235,6 @@ impl Replica {
     /// Activity counters.
     pub fn stats(&self) -> &ReplicaStats {
         &self.stats
-    }
-
-    /// The conflicts merged since the log was last drained. Applications
-    /// that care about concurrent writes inspect (and possibly
-    /// re-reconcile) these; the merge itself is already deterministic.
-    pub fn conflicts(&self) -> &[ConflictRecord] {
-        &self.conflict_log
-    }
-
-    /// Drains the conflict log.
-    pub fn take_conflicts(&mut self) -> Vec<ConflictRecord> {
-        std::mem::take(&mut self.conflict_log)
     }
 
     /// Creates a new item with the given attributes and payload, stamping a
@@ -604,25 +578,11 @@ impl Replica {
                 }
                 CausalRelation::Concurrent => {
                     let received_at = stored.received_at;
-                    let local_version = stored.item.version();
-                    let incoming_version = incoming.version();
                     let merged = stored.item.clone().merge_concurrent(incoming);
                     // The merge result supersedes both inputs; make sure its
                     // identity version is known too (it may be the local
                     // version, already known, or the remote one, just added).
                     self.learn(merged.version());
-                    let winner = merged.version();
-                    let loser = if winner == local_version {
-                        incoming_version
-                    } else {
-                        local_version
-                    };
-                    self.conflict_log.push(ConflictRecord {
-                        id: merged.id(),
-                        winner,
-                        loser,
-                        at: now,
-                    });
                     let kind = classify(&merged, self.id, &self.filter);
                     self.store.put_found(merged, kind, received_at, found);
                     self.stats.conflicts_merged += 1;
@@ -683,7 +643,6 @@ impl Replica {
             next_version_counter: parts.next_version_counter,
             relay_limit: parts.relay_limit,
             stats: ReplicaStats::default(),
-            conflict_log: Vec::new(),
             obs: Obs::none(),
             sync_scratch: crate::sync::SyncScratch::default(),
         };
@@ -879,15 +838,10 @@ mod tests {
         );
         assert_eq!(x.stats().conflicts_merged, 1);
 
-        // The conflict is observable and drainable.
-        assert_eq!(x.conflicts().len(), 1);
-        let record = x.conflicts()[0];
-        assert_eq!(record.id, id);
-        assert_eq!(record.winner, c3_version.max(c2_version));
-        assert_eq!(record.loser, c3_version.min(c2_version));
-        let drained = x.take_conflicts();
-        assert_eq!(drained.len(), 1);
-        assert!(x.conflicts().is_empty());
+        // The higher version's content wins, on both replicas.
+        let winner = c3_version.max(c2_version);
+        assert_eq!(x.item(id).unwrap().version(), winner);
+        assert_eq!(y.item(id).unwrap().version(), winner);
     }
 
     #[test]

@@ -660,82 +660,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Filter implication soundness
-// ---------------------------------------------------------------------------
-
-/// Attribute maps over a tiny universe, so random filters over the same
-/// attribute names frequently interact with them.
-fn arb_small_attrs() -> impl Strategy<Value = pfr::AttributeMap> {
-    proptest::collection::vec(
-        (
-            prop_oneof![Just("a"), Just("b"), Just("c")],
-            prop_oneof![
-                (-3i64..4).prop_map(Value::from),
-                prop_oneof![Just("x"), Just("y")].prop_map(Value::from),
-            ],
-        ),
-        0..4,
-    )
-    .prop_map(|pairs| pairs.into_iter().collect())
-}
-
-fn arb_small_filter() -> impl Strategy<Value = Filter> {
-    let attr = prop_oneof![Just("a".to_string()), Just("b".to_string())];
-    let value = prop_oneof![
-        (-3i64..4).prop_map(Value::from),
-        prop_oneof![Just("x"), Just("y")].prop_map(Value::from),
-    ];
-    let op = prop_oneof![
-        Just(pfr::CmpOp::Eq),
-        Just(pfr::CmpOp::Ne),
-        Just(pfr::CmpOp::Lt),
-        Just(pfr::CmpOp::Le),
-        Just(pfr::CmpOp::Gt),
-        Just(pfr::CmpOp::Ge),
-    ];
-    let leaf = prop_oneof![
-        Just(Filter::All),
-        Just(Filter::None),
-        (attr.clone(), op, value.clone()).prop_map(|(attr, op, value)| Filter::Cmp {
-            attr,
-            op,
-            value
-        }),
-        (attr.clone(), proptest::collection::vec(value.clone(), 0..3))
-            .prop_map(|(attr, values)| Filter::In { attr, values }),
-        (attr.clone(), value).prop_map(|(attr, value)| Filter::Contains { attr, value }),
-        attr.prop_map(Filter::Exists),
-    ];
-    leaf.prop_recursive(2, 12, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|f| Filter::Not(Box::new(f))),
-            proptest::collection::vec(inner.clone(), 1..3).prop_map(Filter::And),
-            proptest::collection::vec(inner, 1..3).prop_map(Filter::Or),
-        ]
-    })
-}
-
-proptest! {
-    /// Soundness: whenever `implies` says yes, matching really is a
-    /// subset relation — checked against random attribute maps.
-    #[test]
-    fn implies_is_sound(
-        f in arb_small_filter(),
-        g in arb_small_filter(),
-        attrs in proptest::collection::vec(arb_small_attrs(), 1..20),
-    ) {
-        if f.implies(&g) {
-            for a in &attrs {
-                prop_assert!(
-                    !f.matches_attrs(a) || g.matches_attrs(a),
-                    "{f} implies {g} claimed, but attrs {a:?} separate them"
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot round trips and corruption resistance
 // ---------------------------------------------------------------------------
 

@@ -11,8 +11,10 @@
 //! a fresh port. [`Step::Gossip`] runs whatever that membership says is
 //! due at the runner's virtual time — gossip exchanges and anti-entropy
 //! syncs, each a [`SimNet`] session with the host at the dialed address —
-//! and books each outcome as `net`'s control thread does. A dial to a
-//! crashed, partitioned or unknown address fails.
+//! through [`transport::run_dials`], the step `net`'s control thread books
+//! its rounds with. A dial to a crashed, partitioned or unknown address
+//! fails. Every host serves every request in full, as `net` and
+//! `transport::Peer` do.
 //!
 //! Every `obs` event lands in a replayable [`Trace`], and after every step
 //! the runner checks the protocol's core invariants:
@@ -40,12 +42,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtn::{DtnNode, PolicyKind};
-use obs::{Event, EventKind, MemorySink, Obs, Observer};
+use obs::{MemorySink, Obs, Observer};
 use parking_lot::Mutex;
 use pfr::{ItemId, Knowledge, SimTime, SyncLimits, SyncMode};
 use transport::frame::{write_frame, FrameType};
 use transport::{
-    Dial, GossipMessage, Membership, MembershipConfig, SessionError, SessionMachine, SessionOutcome,
+    run_dials, Dial, GossipMessage, Membership, MembershipConfig, SessionError, SessionMachine,
+    SessionOutcome,
 };
 
 use crate::diskfault::{DiskDamage, DiskFaultPlan};
@@ -272,7 +275,6 @@ struct Injected {
 /// ```
 pub struct SimRunner {
     seed: u64,
-    limits: SyncLimits,
     sync_mode: SyncMode,
     time: SimTime,
     step: usize,
@@ -291,7 +293,6 @@ impl SimRunner {
     pub fn new(seed: u64) -> SimRunner {
         SimRunner {
             seed,
-            limits: SyncLimits::unlimited(),
             sync_mode: SyncMode::Full,
             time: SimTime::ZERO,
             step: 0,
@@ -580,23 +581,13 @@ impl SimRunner {
         if !self.hosts[host].crashed {
             let now_ms = self.now_ms();
             let membership = Arc::clone(&self.hosts[host].membership);
+            let obs = self.hosts[host].node.lock().replica().observer().clone();
             let dials = membership.lock().due(now_ms);
-            for dial in dials {
-                let ok = self.dial(host, &dial, now_ms);
-                membership.lock().dialed(&dial, ok);
-                dialed.push((dial, ok));
-            }
-            let round = membership.lock().end_round();
-            if let Some(stats) = round {
-                let obs = self.hosts[host].node.lock().replica().observer().clone();
-                obs.emit(EventKind::GossipRound, || Event::GossipRound {
-                    replica: self.hosts[host].replica,
-                    fanout: stats.dialed as u64,
-                    alive: stats.alive as u64,
-                    suspect: stats.suspect as u64,
-                    learned: stats.learned,
-                });
-            }
+            run_dials(&membership, &dials, &obs, |dial| {
+                let ok = self.dial(host, dial, now_ms);
+                dialed.push((dial.clone(), ok));
+                ok
+            });
         }
         self.after_step();
         dialed
@@ -619,9 +610,13 @@ impl SimRunner {
         };
         let opened = match dial {
             Dial::Gossip(_) => SessionMachine::gossip_initiator(node, membership, now_ms, false),
-            Dial::Sync(_) => {
-                SessionMachine::sync_initiator(node, membership, self.limits, self.time, false)
-            }
+            Dial::Sync(_) => SessionMachine::sync_initiator(
+                node,
+                membership,
+                SyncLimits::unlimited(),
+                self.time,
+                false,
+            ),
         };
         let (mut initiator, opening) = opened.expect("an opening frame always fits");
         let (initiator_error, _) = self.carry(to, &mut initiator, opening, &FaultPlan::clean());
@@ -641,7 +636,7 @@ impl SimRunner {
         let mut responder = SessionMachine::responder(
             Arc::clone(&host.node),
             Arc::clone(&host.membership),
-            self.limits,
+            SyncLimits::unlimited(),
         );
         let (initiator_error, responder_error) = SimNet::new(self.link_seed(), plan).run(
             self.now_ms(),
@@ -720,7 +715,7 @@ impl SimRunner {
         let (mut initiator, opening) = SessionMachine::sync_initiator(
             Arc::clone(&self.hosts[a].node),
             Arc::clone(&self.hosts[a].membership),
-            self.limits,
+            SyncLimits::unlimited(),
             self.time,
             false,
         )

@@ -13,7 +13,10 @@
 //! Pooled sockets are blocking, with the dialer's I/O timeout as read and
 //! write timeout — set once, when the connection is dialed — so a peer
 //! that goes quiet fails the session with [`SessionError::Stalled`]
-//! instead of holding the caller.
+//! instead of holding the caller. A refused connect is retried per
+//! [`DialConfig`], backing off up to [`BACKOFF_CAP`] with jitter drawn
+//! from the dialing node's replica id: one node's schedule never changes,
+//! and two nodes almost never share one.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -30,13 +33,17 @@ use crate::conn::{give_up, turns, PumpScratch};
 use crate::membership::Membership;
 use crate::session::{SessionError, SessionMachine, SessionOutcome};
 
+/// Where the exponential retry backoff saturates.
+pub const BACKOFF_CAP: Duration = Duration::from_secs(5);
+
 /// Timeout and retry policy for outbound dials.
 ///
 /// The original dial path blocked without bound on a stalled peer (OS
 /// default connect timeout, no read deadline). Every knob here is
 /// surfaced as a CLI flag on `peer`; reconnect attempts back off
-/// exponentially with deterministic jitter so a herd of nodes chasing a
-/// rebooted peer does not stampede it in lockstep.
+/// exponentially with jitter drawn from the dialing node's replica id, so
+/// a herd of nodes chasing a rebooted peer does not stampede it in
+/// lockstep.
 #[derive(Clone, Copy, Debug)]
 pub struct DialConfig {
     /// Deadline for the TCP connect itself.
@@ -48,11 +55,6 @@ pub struct DialConfig {
     pub retries: u32,
     /// Base backoff before the first retry; doubles per attempt.
     pub backoff: Duration,
-    /// Upper bound the exponential backoff saturates at.
-    pub backoff_cap: Duration,
-    /// Seed for the deterministic jitter added to each backoff (up to
-    /// half the delay). Same seed, same schedule — testable by design.
-    pub jitter_seed: u64,
 }
 
 impl Default for DialConfig {
@@ -62,23 +64,24 @@ impl Default for DialConfig {
             io_timeout: Duration::from_secs(10),
             retries: 0,
             backoff: Duration::from_millis(200),
-            backoff_cap: Duration::from_secs(5),
-            jitter_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
 }
 
 impl DialConfig {
-    /// The delay to sleep before retry `attempt` (1-based): exponential
-    /// backoff capped at [`DialConfig::backoff_cap`], plus deterministic
-    /// jitter of up to half the delay.
-    pub fn retry_delay(&self, attempt: u32) -> Duration {
+    /// The delay node `me` sleeps before retry `attempt` (1-based):
+    /// exponential backoff capped at [`BACKOFF_CAP`], plus jitter of up to
+    /// half the delay. The jitter is a pure function of `me` and
+    /// `attempt`: one node always keeps the same schedule, two nodes
+    /// almost never share one.
+    pub fn retry_delay(&self, me: ReplicaId, attempt: u32) -> Duration {
         let base = self
             .backoff
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
-            .min(self.backoff_cap);
-        let mut x = self
-            .jitter_seed
+            .min(BACKOFF_CAP);
+        let mut x = me
+            .as_u64()
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
         x ^= x >> 33;
         x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
@@ -88,14 +91,14 @@ impl DialConfig {
         base + Duration::from_millis(jitter)
     }
 
-    /// Connects to `remote`, retrying per this policy. Applies the
-    /// connect deadline to each attempt and the I/O deadline to the
+    /// Node `me` connects to `remote`, retrying per this policy. Applies
+    /// the connect deadline to each attempt and the I/O deadline to the
     /// resulting stream.
     ///
     /// # Errors
     ///
     /// The last connect error once every attempt is exhausted.
-    pub fn dial(&self, remote: SocketAddr) -> io::Result<TcpStream> {
+    pub fn dial(&self, me: ReplicaId, remote: SocketAddr) -> io::Result<TcpStream> {
         let mut attempt = 0u32;
         loop {
             match TcpStream::connect_timeout(&remote, self.connect_timeout) {
@@ -110,7 +113,7 @@ impl DialConfig {
                         return Err(e);
                     }
                     attempt += 1;
-                    std::thread::sleep(self.retry_delay(attempt));
+                    std::thread::sleep(self.retry_delay(me, attempt));
                 }
             }
         }
@@ -216,6 +219,8 @@ const SCRATCH_KEEP: usize = 8;
 /// The connection pool and the blocking initiator over it.
 pub struct Dialer {
     config: DialConfig,
+    /// The dialing node, whose id seeds the retry jitter.
+    me: ReplicaId,
     /// How long a connection may sit in the pool: half the responders'
     /// idle timeout, so a connection is never taken in the moment its far
     /// end reaps it.
@@ -228,17 +233,20 @@ impl fmt::Debug for Dialer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Dialer")
             .field("config", &self.config)
+            .field("me", &self.me)
             .field("max_idle", &self.max_idle)
             .finish_non_exhaustive()
     }
 }
 
 impl Dialer {
-    /// A dialer with an empty pool. `max_idle` is how long a connection
-    /// may wait in the pool before it is discarded instead of reused.
-    pub fn new(config: DialConfig, max_idle: Duration) -> Dialer {
+    /// Node `me`'s dialer, with an empty pool. `max_idle` is how long a
+    /// connection may wait in the pool before it is discarded instead of
+    /// reused.
+    pub fn new(config: DialConfig, me: ReplicaId, max_idle: Duration) -> Dialer {
         Dialer {
             config,
+            me,
             max_idle,
             pool: Mutex::new(Pool {
                 by_addr: HashMap::new(),
@@ -266,7 +274,7 @@ impl Dialer {
             io::Error::new(ErrorKind::InvalidInput, "address resolved to nothing")
         })?;
         Ok(Outbound {
-            stream: self.config.dial(resolved)?,
+            stream: self.config.dial(self.me, resolved)?,
             reused: false,
             peer: None,
         })
@@ -285,10 +293,10 @@ impl Dialer {
         addr: &str,
         node: &Arc<Mutex<DtnNode>>,
         membership: &Arc<Mutex<Membership>>,
-        limits: SyncLimits,
         now: SimTime,
         now_ms: &dyn Fn() -> u64,
     ) -> io::Result<Dialed> {
+        let limits = SyncLimits::unlimited();
         self.run(addr, now_ms, |conn| {
             let (node, membership) = (Arc::clone(node), Arc::clone(membership));
             match conn.peer {
@@ -396,14 +404,22 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    const ME: ReplicaId = ReplicaId::new(7);
+
+    fn schedule(cfg: &DialConfig, me: u64) -> Vec<Duration> {
+        (1..=4)
+            .map(|attempt| cfg.retry_delay(ReplicaId::new(me), attempt))
+            .collect()
+    }
+
     #[test]
     fn retry_delay_is_deterministic_and_grows() {
         let cfg = DialConfig::default();
-        let d1 = cfg.retry_delay(1);
-        let d2 = cfg.retry_delay(2);
-        let d3 = cfg.retry_delay(3);
-        // Same seed, same schedule.
-        assert_eq!(d1, cfg.retry_delay(1));
+        let d1 = cfg.retry_delay(ME, 1);
+        let d2 = cfg.retry_delay(ME, 2);
+        let d3 = cfg.retry_delay(ME, 3);
+        // Same node, same schedule.
+        assert_eq!(d1, cfg.retry_delay(ME, 1));
         // Exponential growth: each delay exceeds the previous base.
         assert!(d1 >= cfg.backoff);
         assert!(d2 >= cfg.backoff * 2);
@@ -416,29 +432,22 @@ mod tests {
     fn retry_delay_saturates_at_the_cap() {
         let cfg = DialConfig {
             backoff: Duration::from_millis(100),
-            backoff_cap: Duration::from_millis(400),
             ..DialConfig::default()
         };
         // 2^30 would overflow without saturation; the cap bounds it.
-        let d = cfg.retry_delay(31);
-        assert!(d <= Duration::from_millis(400 + 200));
+        for attempt in [7, 31, u32::MAX] {
+            let d = cfg.retry_delay(ME, attempt);
+            assert!(d >= BACKOFF_CAP && d <= BACKOFF_CAP + BACKOFF_CAP / 2);
+        }
     }
 
     #[test]
-    fn different_seeds_give_different_jitter() {
-        let a = DialConfig {
-            jitter_seed: 1,
-            ..DialConfig::default()
-        };
-        let b = DialConfig {
-            jitter_seed: 2,
-            ..DialConfig::default()
-        };
-        // Not a proof, but two herd members should not share a schedule.
-        assert_ne!(
-            (a.retry_delay(1), a.retry_delay(2)),
-            (b.retry_delay(1), b.retry_delay(2))
-        );
+    fn each_node_keeps_its_own_jitter() {
+        let cfg = DialConfig::default();
+        // Two nodes chasing one dead peer do not retry in lockstep...
+        assert_ne!(schedule(&cfg, 1), schedule(&cfg, 2));
+        // ...and a node's schedule does not change between dials.
+        assert_eq!(schedule(&cfg, 1), schedule(&cfg, 1));
     }
 
     #[test]
@@ -452,11 +461,10 @@ mod tests {
             connect_timeout: Duration::from_millis(300),
             retries: 2,
             backoff: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
             ..DialConfig::default()
         };
         let err = cfg
-            .dial(SocketAddr::from(([127, 0, 0, 1], port)))
+            .dial(ME, SocketAddr::from(([127, 0, 0, 1], port)))
             .unwrap_err();
         // Three attempts were made and the final error surfaced.
         assert!(

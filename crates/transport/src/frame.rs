@@ -23,7 +23,7 @@
 )]
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 
 use store::crc::{crc32, crc32_update};
 
@@ -77,9 +77,10 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Size of the frame header: magic, type, length, CRC-32.
 pub const HEADER_LEN: usize = 11;
 
-/// Largest single allocation made before payload bytes actually arrive;
-/// bigger (still capped) payloads grow the buffer as data is read, so a
-/// lying length prefix cannot reserve 16 MiB up front.
+/// Consumed bytes [`FrameAccum`] lets pile up before reclaiming them, and
+/// the buffer capacity it keeps across connections. It buffers only bytes
+/// that have arrived, so a lying length prefix cannot reserve 16 MiB up
+/// front.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// The frame checksum: CRC-32 over the type tag, the LE length field, and
@@ -192,33 +193,6 @@ pub fn frame_header(frame_type: FrameType, payload: &[u8]) -> Result<[u8; HEADER
     Ok(header)
 }
 
-/// Reads one frame from a blocking reader.
-///
-/// Session drivers decode through [`FrameAccum`]; this is the simple
-/// one-frame-at-a-time reader for tools and tests.
-///
-/// # Errors
-///
-/// Any [`FrameError`] variant; EOF mid-frame surfaces as
-/// [`FrameError::Io`].
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameType, Vec<u8>), FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let (frame_type, len, expected) = parse_header(&header)?;
-    // The buffer grows with the bytes actually received, so a lying
-    // length field cannot reserve the full cap.
-    let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
-    r.take(u64::from(len)).read_to_end(&mut payload)?;
-    if payload.len() < len as usize {
-        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
-    }
-    let got = frame_checksum(frame_type as u8, len, &payload);
-    if got != expected {
-        return Err(FrameError::BadChecksum { expected, got });
-    }
-    Ok((frame_type, payload))
-}
-
 /// Checks a frame header and takes it apart: type, payload length, and
 /// the checksum the payload must match.
 fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameType, u32, u32), FrameError> {
@@ -241,7 +215,6 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameType, u32, u32), Fram
 /// each payload borrowed from the buffer it arrived in — so the reactor,
 /// the blocking pump and an in-memory pump all parse the same way.
 ///
-/// Error semantics mirror [`read_frame`] with one addition:
 /// [`FrameError::BadChecksum`] is *recoverable* — the corrupt frame's
 /// bytes are fully consumed, so the stream stays aligned and the caller
 /// can keep decoding (the serve side uses this to answer with
@@ -321,7 +294,23 @@ impl FrameAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+
+    /// The frames `bytes` decodes to, each owned, up to the first error.
+    fn decode(bytes: &[u8]) -> Result<Vec<(FrameType, Vec<u8>)>, FrameError> {
+        let mut accum = FrameAccum::new();
+        accum.extend(bytes);
+        let mut frames = Vec::new();
+        while let Some((ft, payload)) = accum.next_frame()? {
+            frames.push((ft, payload.to_vec()));
+        }
+        Ok(frames)
+    }
+
+    fn frame(ft: FrameType, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, ft, payload).unwrap();
+        buf
+    }
 
     #[test]
     fn roundtrip_all_types() {
@@ -334,28 +323,22 @@ mod tests {
             FrameType::ReconResync,
             FrameType::Gossip,
         ] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, ft, b"payload").unwrap();
-            let (got_type, got_payload) = read_frame(&mut Cursor::new(&buf)).unwrap();
-            assert_eq!(got_type, ft);
-            assert_eq!(got_payload, b"payload");
+            let got = decode(&frame(ft, b"payload")).unwrap();
+            assert_eq!(got, [(ft, b"payload".to_vec())]);
         }
     }
 
     #[test]
     fn empty_payload_ok() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::SyncDone, b"").unwrap();
-        let (_, payload) = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert!(payload.is_empty());
+        let got = decode(&frame(FrameType::SyncDone, b"")).unwrap();
+        assert_eq!(got, [(FrameType::SyncDone, Vec::new())]);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::Hello, b"x").unwrap();
+        let mut buf = frame(FrameType::Hello, b"x");
         buf[0] = 0x00;
-        let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, FrameError::BadMagic(_)));
         assert!(err.to_string().contains("magic"));
     }
@@ -364,31 +347,37 @@ mod tests {
     fn bad_type_rejected() {
         // 6 and 7 are retired tags, 0xee was never one.
         for tag in [0, 6, 7, 10, 0xee] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, FrameType::Hello, b"x").unwrap();
+            let mut buf = frame(FrameType::Hello, b"x");
             buf[2] = tag;
-            let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
+            let err = decode(&buf).unwrap_err();
             assert!(matches!(err, FrameError::BadType(t) if t == tag), "{tag}");
         }
     }
 
     #[test]
     fn oversized_length_rejected_without_allocation() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::Hello, b"x").unwrap();
+        let mut buf = frame(FrameType::Hello, b"x");
         buf[3..7].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
-        assert!(matches!(err, FrameError::TooLarge(_)));
+        let mut accum = FrameAccum::new();
+        accum.extend(&buf);
+        assert!(matches!(accum.next_frame(), Err(FrameError::TooLarge(_))));
+        // A length at the cap is legal but waits for bytes that have not
+        // arrived, holding only what has.
+        buf[3..7].copy_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        let mut accum = FrameAccum::new();
+        accum.extend(&buf);
+        assert!(matches!(accum.next_frame(), Ok(None)));
+        assert_eq!(accum.buffered(), buf.len());
+        assert!(accum.buf.capacity() < READ_CHUNK);
     }
 
     #[test]
     fn corrupted_payload_byte_is_a_checksum_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::SyncBatch, b"precious payload").unwrap();
+        let buf = frame(FrameType::SyncBatch, b"precious payload");
         for pos in HEADER_LEN..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 0x40;
-            let err = read_frame(&mut Cursor::new(&bad)).unwrap_err();
+            let err = decode(&bad).unwrap_err();
             assert!(
                 matches!(err, FrameError::BadChecksum { .. }),
                 "flip at {pos}: {err}"
@@ -398,19 +387,17 @@ mod tests {
 
     #[test]
     fn corrupted_crc_field_is_a_checksum_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::SyncDone, b"").unwrap();
+        let mut buf = frame(FrameType::SyncDone, b"");
         buf[7] ^= 0x01;
-        let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, FrameError::BadChecksum { .. }));
         assert!(err.to_string().contains("checksum"));
     }
 
     #[test]
     fn accum_decodes_frames_delivered_byte_by_byte() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, FrameType::Hello, b"hi").unwrap();
-        write_frame(&mut stream, FrameType::Gossip, &[9u8; 300]).unwrap();
+        let mut stream = frame(FrameType::Hello, b"hi");
+        stream.extend(frame(FrameType::Gossip, &[9u8; 300]));
         let mut accum = FrameAccum::new();
         let mut got = Vec::new();
         for b in &stream {
@@ -428,9 +415,8 @@ mod tests {
 
     #[test]
     fn accum_checksum_error_stays_aligned() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, FrameType::SyncRequest, b"damaged").unwrap();
-        write_frame(&mut stream, FrameType::SyncDone, b"clean").unwrap();
+        let mut stream = frame(FrameType::SyncRequest, b"damaged");
+        stream.extend(frame(FrameType::SyncDone, b"clean"));
         stream[HEADER_LEN] ^= 0x80; // corrupt the first payload byte
         let mut accum = FrameAccum::new();
         accum.extend(&stream);
@@ -443,37 +429,9 @@ mod tests {
     }
 
     #[test]
-    fn accum_rejects_bad_magic_and_type() {
-        let mut accum = FrameAccum::new();
-        accum.extend(&[0xFF; HEADER_LEN]);
-        assert!(matches!(accum.next_frame(), Err(FrameError::BadMagic(_))));
-
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::Hello, b"x").unwrap();
-        buf[2] = 0xEE;
-        let mut accum = FrameAccum::new();
-        accum.extend(&buf);
-        assert!(matches!(accum.next_frame(), Err(FrameError::BadType(0xEE))));
-    }
-
-    #[test]
-    fn accum_matches_blocking_reader_output() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, FrameType::SyncBatch, &[3u8; 5000]).unwrap();
-        let (bt, bp) = read_frame(&mut Cursor::new(&stream)).unwrap();
-        let mut accum = FrameAccum::new();
-        accum.extend(&stream);
-        let (at, ap) = accum.next_frame().unwrap().unwrap();
-        assert_eq!(at, bt);
-        assert_eq!(ap, bp);
-    }
-
-    #[test]
-    fn truncated_frame_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::Hello, b"hello").unwrap();
+    fn truncated_frame_waits_for_more_bytes() {
+        let mut buf = frame(FrameType::Hello, b"hello");
         buf.truncate(buf.len() - 2);
-        let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
-        assert!(matches!(err, FrameError::Io(_)));
+        assert!(decode(&buf).unwrap().is_empty());
     }
 }

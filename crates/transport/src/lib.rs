@@ -12,7 +12,8 @@
 //! * [`membership`] + [`gossip`] — the view the machine answers `Gossip`
 //!   frames from, and the clock-free owner of every control decision:
 //!   which gossip exchanges and anti-entropy syncs are due, and what a
-//!   failed dial means.
+//!   failed dial means. [`run_dials`] is the one step `net` and
+//!   `testkit` run a round through, each with its own way to dial.
 //! * [`conn`] — [`pump`], the short blocking loop that runs a machine
 //!   over a [`Connection`], and [`conn::feed`], the frame step every
 //!   driver (the pump, `net`'s reactor, testkit's `SimNet`) shares.
@@ -23,8 +24,9 @@
 //!   died in the pool costs one redial; a peer that goes quiet fails the
 //!   session as [`SessionError::Stalled`].
 //! * [`Peer`] — a TCP listener serving sessions on a thread per
-//!   connection. `net` serves the same machine from a reactor and runs
-//!   the control loop; both only serve, and dial through the dialer.
+//!   connection, every request in full. `net` serves the same machine
+//!   from a reactor and runs the control loop; both only serve, and dial
+//!   through the dialer.
 //!
 //! ```no_run
 //! use dtn::{DtnNode, PolicyKind};
@@ -55,6 +57,6 @@ mod peer;
 pub use conn::{pump, Connection};
 pub use dial::{DialConfig, Dialed, Dialer};
 pub use gossip::{GossipMessage, PeerStatus, PeerWire};
-pub use membership::{Dial, GossipRoundStats, Membership, MembershipConfig, PeerView};
+pub use membership::{run_dials, Dial, GossipRoundStats, Membership, MembershipConfig, PeerView};
 pub use peer::{sole_node, Peer, TransportError};
 pub use session::{Progress, SessionError, SessionMachine, SessionOutcome, SessionReport};

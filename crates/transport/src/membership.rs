@@ -2,9 +2,10 @@
 //! whom to dial next.
 //!
 //! `Membership` owns every control-plane decision and has no sockets and
-//! no clock: callers pass time in as milliseconds, run the [`Dial`]s that
-//! [`Membership::due`] returns, book each outcome with
-//! [`Membership::dialed`] and sleep until [`Membership::next_due_ms`].
+//! no clock: callers pass time in as milliseconds, hand the [`Dial`]s that
+//! [`Membership::due`] returns to [`run_dials`] with a closure that runs
+//! one, and sleep until [`Membership::next_due_ms`]. `run_dials` books
+//! each outcome and closes the round with its `gossip_round` event.
 //! `net` does this on a monotonic clock and `testkit` on virtual time, so
 //! convergence, suspicion, refutation and rejoin are all reproducible.
 //! The rules are SWIM-flavoured:
@@ -27,6 +28,9 @@
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 use std::time::Duration;
+
+use obs::{Event, EventKind, Obs};
+use parking_lot::Mutex;
 
 use crate::gossip::{GossipMessage, PeerStatus, PeerWire};
 
@@ -440,6 +444,35 @@ impl Membership {
     }
 }
 
+/// Runs one control step: each of `dials` in order through `dial`, which
+/// says whether its session completed, booking every outcome with
+/// [`Membership::dialed`]; then closes the round, if one is open, and
+/// emits its `gossip_round` event on `obs`. The lock is taken only to
+/// book, never across a dial: the session machine takes it too.
+pub fn run_dials(
+    membership: &Mutex<Membership>,
+    dials: &[Dial],
+    obs: &Obs,
+    mut dial: impl FnMut(&Dial) -> bool,
+) -> Option<GossipRoundStats> {
+    for each in dials {
+        let ok = dial(each);
+        membership.lock().dialed(each, ok);
+    }
+    let (stats, replica) = {
+        let mut view = membership.lock();
+        (view.end_round()?, view.me_replica)
+    };
+    obs.emit(EventKind::GossipRound, || Event::GossipRound {
+        replica,
+        fanout: stats.dialed as u64,
+        alive: stats.alive as u64,
+        suspect: stats.suspect as u64,
+        learned: stats.learned,
+    });
+    Some(stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,5 +784,47 @@ mod tests {
         assert_eq!(m.due(400), [Dial::Sync("b:1".into())]);
         assert_eq!(m.next_due_ms(), Some(450));
         assert_eq!(m.due(449), Vec::new());
+    }
+
+    #[test]
+    fn run_dials_books_each_dial_and_closes_the_round_once() {
+        let mut m = Membership::new(1, "a:1", config());
+        m.observe_alive(2, "b:1", 0);
+        m.observe_alive(3, "c:1", 0);
+        let view = Mutex::new(m);
+        let sink = std::sync::Arc::new(obs::MemorySink::unbounded());
+        let obs = Obs::new(sink.clone());
+
+        let dials = view.lock().gossip_round(100);
+        let mut ran = Vec::new();
+        let stats = run_dials(&view, &dials, &obs, |dial| {
+            assert!(view.try_lock().is_some(), "no lock held across a dial");
+            ran.push(dial.clone());
+            *dial == Dial::Gossip("c:1".into())
+        });
+        assert_eq!(ran, dials);
+        let stats = stats.expect("the round closed");
+        assert_eq!((stats.dialed, stats.merged, stats.failed), (2, 1, 1));
+        assert_eq!((stats.alive, stats.suspect, stats.learned), (1, 1, 2));
+        let view_now = view.lock().view();
+        assert_eq!(view_now[0].status, PeerStatus::Suspect, "b's dial failed");
+        assert_eq!(view_now[1].status, PeerStatus::Alive);
+        let events = sink.take();
+        assert_eq!(
+            events,
+            [Event::GossipRound {
+                replica: 1,
+                fanout: 2,
+                alive: 1,
+                suspect: 1,
+                learned: 2,
+            }]
+        );
+
+        // Dials outside a round (anti-entropy) book, but emit nothing.
+        let sync = [Dial::Sync("c:1".into())];
+        assert_eq!(run_dials(&view, &sync, &obs, |_| false), None);
+        assert_eq!(view.lock().count(PeerStatus::Suspect), 2);
+        assert!(sink.is_empty());
     }
 }

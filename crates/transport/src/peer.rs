@@ -1,4 +1,5 @@
-//! TCP peers: real processes replicating over sockets.
+//! TCP peers: real processes replicating over sockets, each connection
+//! served on a thread of its own and every request answered in full.
 
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -94,7 +95,6 @@ struct Serving {
     /// A blocking peer runs no gossip rounds of its own, but the session
     /// machine answers a gossiping dialer from this view.
     membership: Arc<Mutex<Membership>>,
-    limits: SyncLimits,
     shutdown: AtomicBool,
     /// Inbound connections being served. A pooling initiator keeps its
     /// connection open between sessions, so `stop` shuts these down
@@ -118,24 +118,10 @@ impl Peer {
     ///
     /// Returns [`TransportError::Io`] if binding fails.
     pub fn start(node: DtnNode, bind: impl ToSocketAddrs) -> Result<Peer, TransportError> {
-        Peer::start_with_limits(node, bind, SyncLimits::unlimited())
+        Peer::start_configured(node, bind, DialConfig::default())
     }
 
-    /// Starts a peer that serves at most `limits.max_items` items per sync
-    /// (a bandwidth-constrained node).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::Io`] if binding fails.
-    pub fn start_with_limits(
-        node: DtnNode,
-        bind: impl ToSocketAddrs,
-        limits: SyncLimits,
-    ) -> Result<Peer, TransportError> {
-        Peer::start_configured(node, bind, limits, DialConfig::default())
-    }
-
-    /// Starts a peer with explicit serve limits and dial policy.
+    /// Starts a peer whose outbound dials follow `dial`.
     ///
     /// # Errors
     ///
@@ -143,20 +129,19 @@ impl Peer {
     pub fn start_configured(
         node: DtnNode,
         bind: impl ToSocketAddrs,
-        limits: SyncLimits,
         dial: DialConfig,
     ) -> Result<Peer, TransportError> {
         let listener = TcpListener::bind(bind)?;
         let local_addr = listener.local_addr()?;
+        let me = node.id();
         let membership = Membership::new(
-            node.id().as_u64(),
+            me.as_u64(),
             local_addr.to_string(),
             MembershipConfig::default(),
         );
         let serving = Arc::new(Serving {
             node: Arc::new(Mutex::new(node)),
             membership: Arc::new(Mutex::new(membership)),
-            limits,
             shutdown: AtomicBool::new(false),
             live: Mutex::new(Vec::new()),
             epoch: Instant::now(),
@@ -170,7 +155,7 @@ impl Peer {
             serving,
             local_addr,
             accept_thread: Some(accept_thread),
-            dialer: Dialer::new(dial, SERVE_IDLE / 2),
+            dialer: Dialer::new(dial, me, SERVE_IDLE / 2),
         })
     }
 
@@ -203,7 +188,6 @@ impl Peer {
             &remote.to_string(),
             &serving.node,
             &serving.membership,
-            serving.limits,
             now,
             &|| serving.now_ms(),
         )?;
@@ -304,7 +288,7 @@ fn serve_connection(id: usize, mut stream: TcpStream, serving: &Serving) {
         let mut machine = SessionMachine::responder(
             Arc::clone(&serving.node),
             Arc::clone(&serving.membership),
-            serving.limits,
+            SyncLimits::unlimited(),
         );
         let _ = pump(&mut stream, &mut machine, Vec::new(), &|| serving.now_ms());
     }

@@ -1,5 +1,6 @@
 //! Integration tests: replication between real TCP peers on localhost.
 
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -8,7 +9,8 @@ use dtn::{DtnNode, PolicyKind};
 use parking_lot::Mutex;
 use pfr::wire::to_bytes;
 use pfr::{ReplicaId, SimTime, SyncLimits, SyncMode};
-use transport::frame::{read_frame, write_frame, FrameType};
+use transport::conn::feed;
+use transport::frame::{write_frame, FrameAccum, FrameType};
 use transport::session::Hello;
 use transport::{pump, Membership, MembershipConfig, Peer, SessionMachine};
 
@@ -122,26 +124,48 @@ fn repeated_syncs_are_idempotent() {
 }
 
 #[test]
-fn bandwidth_limited_peer_serves_partial_batches() {
-    let a = Peer::start(node(1, "a", PolicyKind::Direct), "127.0.0.1:0").unwrap();
-    let b = Peer::start_with_limits(
-        node(2, "b", PolicyKind::Direct),
-        "127.0.0.1:0",
-        SyncLimits::max_items(2),
-    )
-    .unwrap();
+fn bandwidth_limited_responder_serves_partial_batches() {
+    // A `max_items(2)` responder, driven frame by frame in memory through
+    // the drivers' shared step: each session moves at most two items, and
+    // three drain all five.
+    let a = Arc::new(Mutex::new(node(1, "a", PolicyKind::Direct)));
+    let b = Arc::new(Mutex::new(node(2, "b", PolicyKind::Direct)));
     for i in 0..5u8 {
-        b.with_node(|n| n.send("a", vec![i], SimTime::ZERO))
-            .unwrap();
+        b.lock().send("a", vec![i], SimTime::ZERO).unwrap();
     }
-    // Each encounter moves at most 2 items; three encounters drain all 5.
-    let mut got = 0;
+    let view = |n| {
+        Arc::new(Mutex::new(Membership::new(
+            n,
+            "",
+            MembershipConfig::default(),
+        )))
+    };
+    let mut pulled = Vec::new();
     for t in 1..=3 {
-        let report = a.sync_with(b.local_addr(), SimTime::from_secs(t)).unwrap();
-        got += report.pulled.as_ref().unwrap().delivered;
+        let (mut initiator, mut to_b) = SessionMachine::sync_initiator(
+            Arc::clone(&a),
+            view(1),
+            SyncLimits::unlimited(),
+            SimTime::from_secs(t),
+            false,
+        )
+        .unwrap();
+        let mut responder =
+            SessionMachine::responder(Arc::clone(&b), view(2), SyncLimits::max_items(2));
+        let (mut at_a, mut at_b, mut to_a) = (FrameAccum::new(), FrameAccum::new(), Vec::new());
+        while !to_b.is_empty() {
+            at_b.extend(&to_b);
+            to_b.clear();
+            feed(&mut responder, &mut at_b, 0, &mut to_a).unwrap();
+            at_a.extend(&to_a);
+            to_a.clear();
+            feed(&mut initiator, &mut at_a, 0, &mut to_b).unwrap();
+        }
+        assert!(initiator.is_closed(), "session {t} ran to its end");
+        pulled.push(initiator.report().pulled.as_ref().unwrap().delivered);
     }
-    assert_eq!(got, 5);
-    assert_eq!(a.with_node(|n| n.inbox().len()), 5);
+    assert_eq!(pulled, [2, 2, 1]);
+    assert_eq!(a.lock().inbox().len(), 5);
 }
 
 #[test]
@@ -279,7 +303,15 @@ fn stop_cuts_a_session_parked_mid_protocol() {
         now: SimTime::from_secs(5),
     };
     write_frame(&mut stream, FrameType::Hello, &to_bytes(&hello)).unwrap();
-    let (reply, _) = read_frame(&mut stream).unwrap();
+    let (mut accum, mut buf) = (FrameAccum::new(), [0u8; 256]);
+    let reply = loop {
+        if let Some((kind, _)) = accum.next_frame().unwrap() {
+            break kind;
+        }
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "the peer hung up before replying");
+        accum.extend(&buf[..n]);
+    };
     assert_eq!(reply, FrameType::Hello, "the session thread is serving");
 
     let started = Instant::now();

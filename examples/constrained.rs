@@ -26,9 +26,21 @@ fn main() {
         ],
     );
     for policy in policies {
-        let free = run_policy(&scenario, policy, EncounterBudget::unlimited(), None);
-        let bw = run_policy(&scenario, policy, EncounterBudget::max_messages(1), None);
-        let storage = run_policy(&scenario, policy, EncounterBudget::unlimited(), Some(2));
+        let free = run_policy(&scenario, policy, EncounterBudget::unlimited(), None, None);
+        let bw = run_policy(
+            &scenario,
+            policy,
+            EncounterBudget::max_messages(1),
+            None,
+            None,
+        );
+        let storage = run_policy(
+            &scenario,
+            policy,
+            EncounterBudget::unlimited(),
+            Some(2),
+            None,
+        );
         table.row(vec![
             policy.label().to_string(),
             format!("{:.1}", free.result.delivered_within_12h_pct),

@@ -17,7 +17,7 @@ fn main() {
         scenario.workload.len()
     );
 
-    let runs = policy_comparison(&scenario, EncounterBudget::unlimited(), None);
+    let runs = policy_comparison(&scenario, EncounterBudget::unlimited(), None, None);
 
     let mut table = Table::new(
         "Policy comparison (unconstrained)",

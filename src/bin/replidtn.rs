@@ -47,7 +47,7 @@ use replidtn::dtn::{DtnNode, EncounterBudget, FilterStrategy, PolicyKind};
 use replidtn::emu::{Emulation, EmulationConfig};
 use replidtn::net::{MembershipConfig, NetConfig, NetNode};
 use replidtn::obs::{Fanout, JsonlSink, Obs, Observer, Registry};
-use replidtn::pfr::{ReplicaId, SimDuration, SimTime, SyncLimits};
+use replidtn::pfr::{ReplicaId, SimDuration, SimTime};
 use replidtn::traces::{
     format_trace, format_workload, parse_trace, parse_workload, DieselNetConfig, EmailConfig,
     SpooledTrace,
@@ -130,10 +130,11 @@ USAGE:
       control thread dials a gossip round, bootstrapped from --seed-peer
       addresses, every --gossip-interval-ms and a sync with the next
       discovered member every --anti-entropy-ms, sleeping in between (0
-      turns one off, not the other). The dial flags tune both transports:
-      --connect-timeout-ms / --io-timeout-ms bound the socket,
-      --retries / --backoff-ms add exponential backoff with deterministic
-      jitter to failed dials (blocking transport).
+      turns one off, not the other). --connect-timeout-ms /
+      --io-timeout-ms bound the socket of both transports; --retries /
+      --backoff-ms retry a failed dial of the blocking one with
+      exponential backoff (capped at 5 s) plus jitter drawn from --id, so
+      two peers chasing one dead address do not retry in lockstep.
 
   replidtn fig --id <5|6|7a|7b|8|9|10> [--events FILE] [--stats]
       Regenerate one figure of the paper (equivalent to the bench target).
@@ -486,7 +487,6 @@ fn peer(args: &[String]) -> Result<(), String> {
         backoff: std::time::Duration::from_millis(
             flags.num("backoff-ms", dial_defaults.backoff.as_millis() as u64)?,
         ),
-        ..dial_defaults
     };
 
     let obs = ObsSetup::from_flags(&flags)?;
@@ -595,8 +595,7 @@ fn peer(args: &[String]) -> Result<(), String> {
         );
         net.stop()
     } else {
-        let peer = Peer::start_configured(node, listen, SyncLimits::unlimited(), dial)
-            .map_err(|e| e.to_string())?;
+        let peer = Peer::start_configured(node, listen, dial).map_err(|e| e.to_string())?;
         println!(
             "peer {address} (R{id}, {policy}) listening on {}",
             peer.local_addr()
@@ -652,23 +651,23 @@ fn fig(args: &[String]) -> Result<(), String> {
     let scenario = replidtn::emu::experiments::Scenario::paper();
     let obs = ObsSetup::from_flags(&flags)?;
     match which {
-        "5" => benchkit::print_fig5_with(&scenario, obs.observer.clone()),
-        "6" => benchkit::print_fig6_with(&scenario, obs.observer.clone()),
+        "5" => benchkit::print_fig5(&scenario, obs.observer.clone()),
+        "6" => benchkit::print_fig6(&scenario, obs.observer.clone()),
         "7a" => {
-            let runs = benchkit::unconstrained_runs_with(&scenario, obs.observer.clone());
+            let runs = benchkit::unconstrained_runs(&scenario, obs.observer.clone());
             benchkit::print_hourly_cdfs("Figure 7a: delay CDF (0-12 hours), unconstrained", &runs);
             benchkit::print_summary(&runs);
         }
         "7b" => {
-            let runs = benchkit::unconstrained_runs_with(&scenario, obs.observer.clone());
+            let runs = benchkit::unconstrained_runs(&scenario, obs.observer.clone());
             benchkit::print_fig7b(&runs);
         }
         "8" => {
-            let runs = benchkit::unconstrained_runs_with(&scenario, obs.observer.clone());
+            let runs = benchkit::unconstrained_runs(&scenario, obs.observer.clone());
             benchkit::print_fig8(&runs);
         }
         "9" => {
-            let runs = replidtn::emu::experiments::policy_comparison_with(
+            let runs = replidtn::emu::experiments::policy_comparison(
                 &scenario,
                 EncounterBudget::max_messages(1),
                 None,
@@ -678,7 +677,7 @@ fn fig(args: &[String]) -> Result<(), String> {
             benchkit::print_summary(&runs);
         }
         "10" => {
-            let runs = replidtn::emu::experiments::policy_comparison_with(
+            let runs = replidtn::emu::experiments::policy_comparison(
                 &scenario,
                 EncounterBudget::unlimited(),
                 Some(2),

@@ -72,3 +72,43 @@ fn an_unknown_flag_fails_and_is_named() {
         assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
     }
 }
+
+/// `fig` regenerates one of the paper's figures at paper scale. Figure 10
+/// (five policies under a two-message relay cap) is the cheapest: about
+/// 1 s in a debug build on two cores.
+#[test]
+fn fig_prints_its_table() {
+    let bin = env!("CARGO_BIN_EXE_replidtn");
+    let fig = Command::new(bin)
+        .args(["fig", "--id", "10"])
+        .output()
+        .expect("run fig");
+    let stdout = String::from_utf8_lossy(&fig.stdout);
+    assert!(fig.status.success(), "{fig:?}");
+    assert!(
+        stdout.starts_with("== Figure 10: delay CDF, 2 relay messages per node =="),
+        "{stdout}"
+    );
+    assert!(stdout.contains("== Run summary =="), "{stdout}");
+    for policy in ["cimbiosys", "prophet", "spray", "epidemic", "maxprop"] {
+        // One row per policy in the CDF table: its label and 12 hourly
+        // percentages.
+        let row = stdout
+            .lines()
+            .find(|line| line.split_whitespace().next() == Some(policy))
+            .unwrap_or_else(|| panic!("no {policy} row: {stdout}"));
+        let cells: Vec<f64> = row
+            .split_whitespace()
+            .skip(1)
+            .map(|cell| cell.parse().expect("a percentage"))
+            .collect();
+        assert_eq!(cells.len(), 12, "{row}");
+        assert!(cells.windows(2).all(|w| w[0] <= w[1]), "a CDF: {row}");
+    }
+
+    let unknown = Command::new(bin)
+        .args(["fig", "--id", "11"])
+        .output()
+        .expect("run fig");
+    assert_eq!(unknown.status.code(), Some(1), "{unknown:?}");
+}
