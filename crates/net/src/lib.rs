@@ -5,15 +5,15 @@
 //! outbound driver: [`transport::Dialer`] pumps a session on the thread
 //! of the caller that waits for it, over a pooled connection. This crate
 //! is inbound only; callers dial. It multiplexes thousands of concurrent
-//! inbound sessions of the same machine onto a small worker pool.
+//! inbound sessions of the same machine onto one reactor thread.
 //!
 //! * [`reactor`] — a readiness-loop reactor over nonblocking std TCP
-//!   streams (no external async runtime): each worker blocks in an
-//!   in-tree edge-triggered `epoll(7)` binding until its sockets are
-//!   actually ready, and drives per-session frame accumulators and
-//!   vectored-write outboxes with backpressure and idle/stall timeouts.
-//!   Worker 0 also accepts, from the listener in its own epoll set.
-//! * [`node`] — [`NetNode`]: the reactor plus one control thread.
+//!   streams (no external async runtime): one thread blocks in an
+//!   in-tree edge-triggered `epoll(7)` binding until the listener or a
+//!   session socket is actually ready, accepts into the same epoll set,
+//!   and drives per-session frame accumulators and one-buffer outboxes
+//!   with backpressure and idle/stall timeouts.
+//! * [`node`] — [`NetNode`]: the reactor thread plus one control thread.
 //!   `sync_with` runs its session on the caller's thread through the
 //!   dialer; the control thread runs the gossip and anti-entropy dials
 //!   that [`Membership`] (re-exported from `transport`, clock-free, so

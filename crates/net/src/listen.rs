@@ -2,7 +2,7 @@
 //!
 //! `std::net::TcpListener::bind` hardcodes a listen backlog of 128. A
 //! high-fanout dial burst overflows that in the window between two
-//! passes of the accepting worker, and every dropped SYN costs the
+//! passes of the accepting reactor, and every dropped SYN costs the
 //! dialer a full one-second retransmit timer — three orders of
 //! magnitude above any session's actual service time. On Linux the
 //! socket is therefore built through the same minimal in-tree FFI

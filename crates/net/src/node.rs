@@ -2,9 +2,10 @@
 //!
 //! The high-fanout sibling of [`transport::Peer`]: the same
 //! [`SessionMachine`], served by the reactor instead of a blocking pump
-//! on a thread per connection. The reactor is inbound only: its worker 0
-//! accepts, and every accepted connection parks on a worker as an idle
-//! responder that can carry many back-to-back sessions. Callers dial:
+//! on a thread per connection. A node is two threads: the reactor, which
+//! accepts and serves every inbound session on one loop (each accepted
+//! connection parks there as an idle responder that can carry many
+//! back-to-back sessions), and the control thread below. Callers dial:
 //! [`NetNode::sync_with`] runs its session on the caller's own thread
 //! through [`transport::Dialer`], which pools idle outbound connections,
 //! and concurrency comes from concurrent callers.
@@ -13,7 +14,8 @@
 //! running while either interval of [`NetConfig`] is on, hands the dials
 //! it says are due to [`transport::run_dials`] (the step `testkit` runs
 //! under virtual time), dialing each through the same dialer, and parks
-//! until the next is due or [`NetNode::stop`]. A node serves every
+//! until the next is due or [`NetNode::stop`]. Every dial, whoever asks,
+//! follows [`NetConfig::dial`], retries included. A node serves every
 //! request in full: no item cap, as in the paper's unconstrained runs.
 
 use std::io;
@@ -27,13 +29,13 @@ use dtn::DtnNode;
 use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 use transport::{
-    run_dials, Dial, DialConfig, Dialed, Dialer, GossipRoundStats, Membership, MembershipConfig,
-    PeerView, SessionError, SessionMachine, SessionOutcome,
+    dial::SERVE_IDLE, run_dials, Dial, DialConfig, Dialed, Dialer, GossipRoundStats, Membership,
+    MembershipConfig, PeerView, SessionError, SessionMachine, SessionOutcome,
 };
 
 use crate::reactor::{Acceptor, Reactor, ReactorConfig, Shared};
 
-/// How reactor workers discover ready sockets: edge-triggered `epoll(7)`,
+/// How the reactor discovers ready sockets: edge-triggered `epoll(7)`,
 /// the only backend.
 ///
 /// This type and [`NetConfig::backend`] exist only because the benchmark
@@ -55,7 +57,9 @@ impl PollBackend {
 /// Tunables for a [`NetNode`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Reactor worker threads.
+    /// Read by nothing: a node always serves on one reactor thread. Kept
+    /// only because the benchmark ledger sets it; the ledger façade of
+    /// ROADMAP item 1(a) deletes it with [`NetConfig::backend`].
     pub workers: usize,
     /// Read by nothing: the reactor always runs on epoll. Kept only
     /// because the benchmark ledger sets it (see [`PollBackend`]).
@@ -69,14 +73,13 @@ pub struct NetConfig {
     pub write_queue_limit: usize,
     /// Idle responder connections past this are closed; pooled outbound
     /// connections are discarded at half of it, so that a node never
-    /// reuses a connection its (identically configured) peer is about to
-    /// reap.
+    /// reuses a connection its peer is about to reap. Defaults to
+    /// [`SERVE_IDLE`], the idle timeout a [`transport::Peer`] serves with.
     pub idle_timeout: Duration,
-    /// Sessions making no forward progress past this are failed (on a
-    /// caller-thread session it is the socket's read and write timeout).
-    pub stall_timeout: Duration,
-    /// Blocking TCP connect budget for outbound dials.
-    pub connect_timeout: Duration,
+    /// Every outbound dial's connect deadline, I/O deadline and retries.
+    /// Its `io_timeout` is also the reactor's stall timeout: an inbound
+    /// session making no forward progress that long is failed.
+    pub dial: DialConfig,
     /// Gossip round period; [`Duration::ZERO`] turns scheduled rounds off
     /// ([`NetNode::gossip_now`] still runs one) and leaves anti-entropy on.
     pub gossip_interval: Duration,
@@ -94,9 +97,8 @@ impl Default for NetConfig {
             backend: PollBackend::Epoll,
             max_sessions: 4096,
             write_queue_limit: 256 * 1024,
-            idle_timeout: Duration::from_secs(30),
-            stall_timeout: Duration::from_secs(10),
-            connect_timeout: Duration::from_secs(5),
+            idle_timeout: SERVE_IDLE,
+            dial: DialConfig::default(),
             gossip_interval: Duration::from_secs(1),
             gossip: MembershipConfig::default(),
             anti_entropy_interval: Duration::ZERO,
@@ -107,8 +109,8 @@ impl Default for NetConfig {
 /// Point-in-time reactor counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Sessions currently open: in flight on a worker or on a caller's
-    /// thread, plus parked responders.
+    /// Sessions currently open: in flight on the reactor or on a
+    /// caller's thread, plus parked responders.
     pub open_sessions: usize,
     /// High-water mark of concurrently open sessions.
     pub peak_sessions: usize,
@@ -120,10 +122,10 @@ pub struct NetStats {
     pub conn_reuses: u64,
     /// Backpressure episodes (write queue over its bound).
     pub backpressure_stalls: u64,
-    /// Socket/poll syscalls issued by the reactor workers, plus the
-    /// socket reads and writes of sessions run on their callers' threads.
+    /// Socket/poll syscalls issued by the reactor, plus the socket reads
+    /// and writes of sessions run on their callers' threads.
     pub syscalls: u64,
-    /// Times a parked worker was woken to pick up enqueued sessions.
+    /// Reactor `epoll_wait` returns that found a ready socket.
     pub wakeups: u64,
 }
 
@@ -150,8 +152,8 @@ struct Core {
 }
 
 impl NetNode {
-    /// Binds `bind` and starts the reactor, whose worker 0 accepts, and
-    /// (when either interval is nonzero) the control thread.
+    /// Binds `bind` and starts the reactor thread and (when either
+    /// interval is nonzero) the control thread.
     ///
     /// # Errors
     ///
@@ -169,17 +171,9 @@ impl NetNode {
             Membership::new(replica, local_addr.to_string(), config.gossip.clone());
         membership.set_cadence(config.gossip_interval, config.anti_entropy_interval);
         let membership = Arc::new(Mutex::new(membership));
-        // Nodes share one config, so the far end reaps an idle connection
-        // at `idle_timeout`: the pool lets go at half that.
-        let dialer = Dialer::new(
-            DialConfig {
-                connect_timeout: config.connect_timeout,
-                io_timeout: config.stall_timeout,
-                ..DialConfig::default()
-            },
-            me,
-            config.idle_timeout / 2,
-        );
+        // The far end reaps an idle connection at its idle timeout, by
+        // default the one this node has: the pool lets go at half that.
+        let dialer = Dialer::new(config.dial, me, config.idle_timeout / 2);
         let responder = {
             let (node, membership) = (Arc::clone(&node), Arc::clone(&membership));
             Box::new(move || {
@@ -192,10 +186,9 @@ impl NetNode {
         };
         let reactor = Reactor::start(
             ReactorConfig {
-                workers: config.workers,
                 write_queue_limit: config.write_queue_limit,
                 idle_timeout: config.idle_timeout,
-                stall_timeout: config.stall_timeout,
+                stall_timeout: config.dial.io_timeout,
             },
             Acceptor {
                 listener,
@@ -339,8 +332,8 @@ impl Core {
         }
     }
 
-    /// Runs `dials` in order on this thread (at most a stall timeout
-    /// each) through [`run_dials`], which books each outcome and closes
+    /// Runs `dials` in order on this thread (each bounded by the dial
+    /// policy) through [`run_dials`], which books each outcome and closes
     /// the round, if one is open, with its event.
     fn run(&self, dials: &[Dial]) -> Option<GossipRoundStats> {
         let now_ms = || self.shared.now_ms();

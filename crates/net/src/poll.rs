@@ -1,61 +1,28 @@
 //! The reactor's readiness backend: edge-triggered `epoll(7)`.
 //!
-//! Every reactor worker owns an epoll instance with its sockets (and, on
-//! worker 0, the listener) registered edge-triggered, and blocks in
-//! `epoll_wait` until a socket is actually readable or writable, a
-//! connection waits to be accepted, or new work arrives over a socketpair
-//! waker: wakeup cost scales with *ready* sessions, and an idle
-//! worker sleeps with no latency floor.
+//! The reactor thread owns one epoll instance with the listener and every
+//! session socket registered edge-triggered, and blocks in `epoll_wait`
+//! until a socket is actually readable or writable or a connection waits
+//! to be accepted: wakeup cost scales with *ready* sessions, and an idle
+//! reactor sleeps until its next deadline tick.
 //!
 //! Consistent with the workspace's offline, in-tree-shim policy, the
 //! binding is a minimal raw `extern "C"` FFI (`epoll_create1` /
-//! `epoll_ctl` / `epoll_wait`) rather than an external crate; the waker
-//! is a nonblocking `UnixStream` socketpair so no further FFI is needed.
+//! `epoll_ctl` / `epoll_wait`) rather than an external crate.
 //!
 //! The reactor runs on Linux only. Elsewhere `EpollPoller::new` fails with
 //! `ErrorKind::Unsupported`, so `NetNode::start` does too, and the
 //! blocking `transport::Peer` is the node to run.
 
 #[cfg(target_os = "linux")]
-pub(crate) use linux::{EpollPoller, PipeWaker};
+pub(crate) use linux::EpollPoller;
 #[cfg(not(target_os = "linux"))]
-pub(crate) use unsupported::{EpollPoller, PipeWaker};
+pub(crate) use unsupported::EpollPoller;
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use std::io::{self, Read, Write};
+    use std::io;
     use std::os::unix::io::{AsRawFd, RawFd};
-    use std::os::unix::net::UnixStream;
-    use std::sync::Arc;
-
-    /// The socketpair waker: `wake` writes one byte to the send half; the
-    /// receive half is registered with the worker's epoll set and drained
-    /// on wakeup. A full pipe means a wakeup is already pending, so a
-    /// `WouldBlock` on write is success, not failure.
-    pub(crate) struct PipeWaker {
-        tx: UnixStream,
-        rx: UnixStream,
-    }
-
-    impl PipeWaker {
-        fn pair() -> io::Result<Arc<PipeWaker>> {
-            let (tx, rx) = UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            Ok(Arc::new(PipeWaker { tx, rx }))
-        }
-
-        pub(crate) fn wake(&self) {
-            let _ = (&self.tx).write(&[1]);
-        }
-
-        fn drain(&self) {
-            // A short read has emptied the pipe; only a full buffer needs
-            // another look.
-            let mut buf = [0u8; 64];
-            while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
-        }
-    }
 
     /// Raw epoll FFI: the only kernel interface the backend needs. The
     /// `epoll_event` layout is packed on x86 per the kernel ABI.
@@ -90,17 +57,13 @@ mod linux {
         }
     }
 
-    /// The token `wait` never returns: it marks the waker pipe's events.
-    const WAKER_TOKEN: u64 = u64::MAX;
-
     /// Events fetched per `epoll_wait` call.
     const WAIT_BATCH: usize = 256;
 
     /// One epoll instance: sockets registered edge-triggered under their
-    /// token, plus the waker pipe under [`WAKER_TOKEN`].
+    /// token.
     pub(crate) struct EpollPoller {
         epfd: i32,
-        waker: Arc<PipeWaker>,
         events: Vec<sys::EpollEvent>,
         hung_up: Vec<usize>,
     }
@@ -112,33 +75,11 @@ mod linux {
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            let waker = match PipeWaker::pair() {
-                Ok(waker) => waker,
-                Err(e) => {
-                    // SAFETY: `epfd` is the descriptor just created, owned
-                    // here and closed exactly once.
-                    unsafe { sys::close(epfd) };
-                    return Err(e);
-                }
-            };
-            let poller = EpollPoller {
+            Ok(EpollPoller {
                 epfd,
-                waker,
                 events: vec![sys::EpollEvent { events: 0, data: 0 }; WAIT_BATCH],
                 hung_up: Vec::new(),
-            };
-            // The waker only ever becomes readable; edge-triggered is fine
-            // because `drain` empties the pipe on every wakeup.
-            poller.ctl_add(
-                poller.waker.rx.as_raw_fd(),
-                WAKER_TOKEN,
-                sys::EPOLLIN | sys::EPOLLET,
-            )?;
-            Ok(poller)
-        }
-
-        pub(crate) fn waker(&self) -> Arc<PipeWaker> {
-            Arc::clone(&self.waker)
+            })
         }
 
         fn ctl_add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
@@ -167,8 +108,7 @@ mod linux {
         }
 
         /// Blocks up to `timeout_ms` for readiness and replaces `ready`
-        /// with the tokens of the ready sockets (the waker token is
-        /// consumed internally by draining the pipe).
+        /// with the tokens of the ready sockets.
         pub(crate) fn wait(&mut self, timeout_ms: i32, ready: &mut Vec<usize>) -> io::Result<()> {
             ready.clear();
             let n = loop {
@@ -193,10 +133,6 @@ mod linux {
             self.hung_up.clear();
             for event in &self.events[..n] {
                 let token = event.data;
-                if token == WAKER_TOKEN {
-                    self.waker.drain();
-                    continue;
-                }
                 ready.push(token as usize);
                 if event.events & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
                     self.hung_up.push(token as usize);
@@ -220,20 +156,11 @@ mod linux {
     }
 }
 
-/// Off Linux there is no poller: [`EpollPoller::new`] fails, so neither
-/// type is ever inhabited and their methods cannot run.
+/// Off Linux there is no poller: [`EpollPoller::new`] fails, so the type
+/// is never inhabited and its methods cannot run.
 #[cfg(not(target_os = "linux"))]
 mod unsupported {
     use std::io;
-    use std::sync::Arc;
-
-    pub(crate) enum PipeWaker {}
-
-    impl PipeWaker {
-        pub(crate) fn wake(&self) {
-            match *self {}
-        }
-    }
 
     pub(crate) enum EpollPoller {}
 
@@ -243,10 +170,6 @@ mod unsupported {
                 io::ErrorKind::Unsupported,
                 "the net reactor needs Linux epoll; run transport::Peer on this platform",
             ))
-        }
-
-        pub(crate) fn waker(&self) -> Arc<PipeWaker> {
-            match *self {}
         }
 
         pub(crate) fn register<S>(&self, _: &S, _: usize) -> io::Result<()> {
@@ -269,33 +192,38 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::os::unix::net::UnixStream;
-    use std::time::Duration;
 
     #[test]
-    fn epoll_poller_sees_readable_sockets_and_waker() {
+    fn epoll_poller_reports_exactly_the_ready_sockets() {
         let mut poller = EpollPoller::new().expect("epoll");
         let (a, b) = UnixStream::pair().expect("socketpair");
-        a.set_nonblocking(true).unwrap();
-        b.set_nonblocking(true).unwrap();
+        let (c, _d) = UnixStream::pair().expect("socketpair");
+        for socket in [&a, &b, &c] {
+            socket.set_nonblocking(true).unwrap();
+        }
         poller.register(&a, 7).expect("register");
+        poller.register(&c, 9).expect("register");
 
         let mut ready = Vec::new();
-        // Nothing readable yet (the socket is writable, so the first wait
-        // reports the EPOLLOUT edge; drain it).
+        // Both sockets start writable: the first wait reports their
+        // EPOLLOUT edges, and with nothing new a second wait reports none.
         poller.wait(0, &mut ready).expect("wait");
+        ready.sort_unstable();
+        assert_eq!(ready, vec![7, 9]);
+        poller.wait(0, &mut ready).expect("wait");
+        assert!(ready.is_empty(), "an edge reported twice: {ready:?}");
+
+        // Bytes arriving on one socket wake a blocked wait with that
+        // socket's token only.
         (&b).write_all(b"x").unwrap();
         poller.wait(1000, &mut ready).expect("wait");
         assert_eq!(ready, vec![7]);
+        assert!(poller.hung_up().is_empty());
 
-        // The waker wakes a blocked wait without yielding a token.
-        let waker = poller.waker();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            waker.wake();
-        });
-        poller.wait(5_000, &mut ready).expect("wait");
-        assert!(ready.is_empty(), "waker must not surface as a session");
-        handle.join().unwrap();
+        // The peer hanging up is reported as ready and hung up.
+        drop(b);
+        poller.wait(1000, &mut ready).expect("wait");
+        assert_eq!((ready.as_slice(), poller.hung_up()), (&[7][..], &[7][..]));
 
         // Closing a socket takes it out of the set.
         drop(a);

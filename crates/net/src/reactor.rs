@@ -1,72 +1,65 @@
-//! The readiness-loop reactor: many sessions, few threads.
+//! The readiness-loop reactor: one thread serves every inbound session.
 //!
-//! No external async runtime — each worker thread owns a set of sessions
-//! over nonblocking std [`TcpStream`]s and drives them: flush the
-//! session's outbox until the socket would block, read whatever bytes are
-//! ready, feed complete frames to the [`SessionMachine`], repeat. A
-//! session costs a few hundred bytes of state rather than a thread, so
-//! thousands run concurrently on a handful of workers.
+//! No external async runtime — the reactor thread owns the listener and a
+//! set of sessions over nonblocking std [`TcpStream`]s, and drives them
+//! all on one loop: accept, flush a session's outbox until the socket
+//! would block, read whatever bytes are ready, feed complete frames to
+//! the [`SessionMachine`], repeat. A session costs a few hundred bytes of
+//! state rather than a thread, so thousands run on the one loop.
 //!
-//! A worker learns which sessions to drive from its own `epoll(7)`
-//! instance: every session socket is registered edge-triggered, and the
-//! worker blocks in `epoll_wait` until something is actually ready, so
-//! syscalls scale with ready sessions rather than live ones. A session
-//! enqueued from another thread wakes the worker through a socketpair
-//! registered in the same set. Linux only; `NetNode::start` fails
-//! elsewhere.
+//! The loop learns which sessions to drive from its own `epoll(7)`
+//! instance: the listener and every session socket are registered
+//! edge-triggered, and the thread blocks in `epoll_wait` until something
+//! is actually ready, so syscalls scale with ready sessions rather than
+//! live ones. Nothing hands work to the loop from another thread: an
+//! accepted connection is registered where it was accepted, and stopping
+//! sets a flag the loop reads at least every 20 ms deadline tick. Linux
+//! only; `NetNode::start` fails elsewhere.
 //!
-//! A session's outbox is a bounded queue of frame segments flushed with
-//! vectored writes; a session over its bound stops *reading* until it
-//! drains (backpressure reaches the peer through TCP). A session making
-//! no progress past the stall timeout is failed; an idle responder past
-//! the idle timeout is closed.
-//!
-//! The reactor is inbound only: worker 0 accepts, from the listener in
-//! its own epoll set, and hands connections out round-robin, each behind
-//! a responder machine that can carry many back-to-back sessions.
+//! A session's outbox is one buffer the machine appends to; a session
+//! over its bound stops *reading* until it drains (backpressure reaches
+//! the peer through TCP). A session making no progress past the stall
+//! timeout is failed; an idle responder past the idle timeout is closed.
+//! Each accepted connection runs behind a responder machine that can
+//! carry many back-to-back sessions.
 
-use std::collections::VecDeque;
-use std::io::{self, ErrorKind, IoSlice, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{Event, EventKind, Obs};
-use parking_lot::Mutex;
 use transport::conn::feed;
 use transport::frame::FrameAccum;
 use transport::{Dialed, SessionMachine};
 
-use crate::poll::{EpollPoller, PipeWaker};
+use crate::poll::EpollPoller;
 
 /// How many bytes one `read` call pulls at most.
 const READ_BUF: usize = 16 * 1024;
 /// Read calls per session per loop pass (fairness bound).
 const READS_PER_PASS: usize = 8;
-/// Frame segments per vectored write submission.
-const WRITEV_BATCH: usize = 16;
-/// Recycled outbox segments kept per session, and the capacity above
-/// which a segment is dropped instead of pooled.
-const SEG_POOL: usize = 4;
-const SEG_POOL_CAP: usize = 64 * 1024;
+/// A drained outbox whose capacity is above this gives it back, so an
+/// idle responder that once sent a large batch does not hold it.
+const OUTBOX_KEEP: usize = 64 * 1024;
 /// Deadline sweep period: how often parked sessions are checked against
-/// idle/stall timeouts when no I/O wakes them.
+/// idle/stall timeouts when no I/O wakes them, and the longest
+/// [`Reactor::stop`] waits for the loop to notice.
 const DEADLINE_TICK: Duration = Duration::from_millis(20);
-/// Worker 0's token for the listener; no session slot reaches it, and
-/// it is not the poller's own waker token.
-const LISTENER: usize = usize::MAX - 1;
+/// The listener's token; no session slot reaches it.
+const LISTENER: usize = usize::MAX;
 
 /// Reactor tunables (filled in from [`crate::NetConfig`]).
 #[derive(Clone, Debug)]
 pub(crate) struct ReactorConfig {
-    pub workers: usize,
     pub write_queue_limit: usize,
     pub idle_timeout: Duration,
     pub stall_timeout: Duration,
 }
 
-/// The listener worker 0 accepts on, and what it admits connections
+/// The listener the reactor accepts on, and what it admits connections
 /// with.
 pub(crate) struct Acceptor {
     pub listener: TcpListener,
@@ -77,92 +70,51 @@ pub(crate) struct Acceptor {
     pub responder: Box<dyn Fn() -> SessionMachine + Send>,
 }
 
-/// Outbox: a queue of encoded-frame segments flushed with vectored
-/// writes, so one `writev` syscall drains up to [`WRITEV_BATCH`] queued
-/// frames. Drained segments are recycled through a small per-session
-/// pool, so a long-lived responder stops allocating.
+/// Outbox: one buffer the machine appends encoded frames to, and how much
+/// of it the socket has already taken (partial writes do not memmove the
+/// remainder).
 #[derive(Default)]
 struct OutBuf {
-    segs: VecDeque<Vec<u8>>,
-    /// Consumed prefix of the front segment (partial writes do not
-    /// memmove the remainder).
+    buf: Vec<u8>,
     pos: usize,
-    pending: usize,
-    pool: Vec<Vec<u8>>,
 }
 
 impl OutBuf {
     fn pending(&self) -> usize {
-        self.pending
+        self.buf.len() - self.pos
     }
 
-    /// A recycled (or fresh) segment for the machine to encode into.
-    fn take_seg(&mut self) -> Vec<u8> {
-        self.pool.pop().unwrap_or_default()
+    /// The buffer for the machine to append to, with the written prefix
+    /// dropped first, so it holds only what is still queued.
+    fn queue(&mut self) -> &mut Vec<u8> {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        &mut self.buf
     }
 
-    /// Queues a filled segment; empty ones go straight back to the pool.
-    fn push_seg(&mut self, seg: Vec<u8>) {
-        if seg.is_empty() {
-            self.recycle(seg);
-        } else {
-            self.pending += seg.len();
-            self.segs.push_back(seg);
-        }
-    }
-
-    fn recycle(&mut self, mut seg: Vec<u8>) {
-        if self.pool.len() < SEG_POOL && seg.capacity() <= SEG_POOL_CAP {
-            seg.clear();
-            self.pool.push(seg);
-        }
-    }
-
-    fn advance(&mut self, mut n: usize) {
-        self.pending -= n;
-        while n > 0 {
-            let left = self.segs.front().expect("advance past queue").len() - self.pos;
-            if n >= left {
-                n -= left;
-                self.pos = 0;
-                let seg = self.segs.pop_front().expect("advance past queue");
-                self.recycle(seg);
-            } else {
-                self.pos += n;
-                n = 0;
-            }
-        }
-    }
-
-    /// Flushes queued segments with vectored writes until the queue is
-    /// empty or the socket would block, and says whether any byte went
-    /// out.
-    fn flush(&mut self, stream: &TcpStream, syscalls: &mut u64) -> io::Result<bool> {
-        const EMPTY: &[u8] = &[];
+    /// Writes what is queued until it is drained or `sink` would block,
+    /// and says whether any byte went out. A drained outbox is emptied,
+    /// and gives its capacity back when that is above [`OUTBOX_KEEP`].
+    fn flush(&mut self, mut sink: impl Write, syscalls: &mut u64) -> io::Result<bool> {
         let mut wrote = false;
-        while self.pending > 0 {
-            let mut slices = [IoSlice::new(EMPTY); WRITEV_BATCH];
-            let mut count = 0;
-            for (i, seg) in self.segs.iter().take(WRITEV_BATCH).enumerate() {
-                slices[i] = if i == 0 {
-                    IoSlice::new(&seg[self.pos..])
-                } else {
-                    IoSlice::new(seg)
-                };
-                count = i + 1;
-            }
+        while self.pos < self.buf.len() {
             *syscalls += 1;
-            match (&*stream).write_vectored(&slices[..count]) {
+            match sink.write(&self.buf[self.pos..]) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    self.advance(n);
+                    self.pos += n;
                     wrote = true;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(wrote),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        if self.buf.capacity() > OUTBOX_KEEP {
+            self.buf = Vec::new();
+        }
+        self.buf.clear();
+        self.pos = 0;
         Ok(wrote)
     }
 }
@@ -178,20 +130,13 @@ pub(crate) struct Session {
     /// The peer closed or reset its end (epoll said so): reads run to
     /// EOF instead of stopping at the first short one.
     hung_up: bool,
-    /// When the session was handed to its worker queue (consumed by the
-    /// wakeup-latency measurement on first pickup).
-    enqueued_at: Instant,
 }
 
-/// State shared between the reactor handle and its workers.
+/// State shared between the reactor handle, its thread and the node's
+/// callers.
 pub(crate) struct Shared {
     config: ReactorConfig,
     shutdown: AtomicBool,
-    queues: Vec<Mutex<Vec<Session>>>,
-    /// One waker per worker: a parked worker resumes when a session
-    /// lands on its queue.
-    wakers: Vec<Arc<PipeWaker>>,
-    next_queue: AtomicUsize,
     epoch: Instant,
     pub(crate) obs: Obs,
     pub(crate) replica: u64,
@@ -212,8 +157,8 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Counts one more open session (queued for a worker, or about to run
-    /// on its caller's thread).
+    /// Counts one more open session (accepted, or about to run on its
+    /// caller's thread).
     pub(crate) fn session_opened(&self) {
         let open = self.open.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak.fetch_max(open, Ordering::Relaxed);
@@ -236,17 +181,18 @@ impl Shared {
         self.syscalls.fetch_add(dialed.syscalls, Ordering::Relaxed);
     }
 
-    /// Accepts until the listener would block, handing each connection
-    /// to the next worker round-robin (and waking it) behind a responder
-    /// machine. Says whether the backlog was drained: any other error
-    /// (fd exhaustion, say) cuts the drain short, and an edge-triggered
-    /// listener fires no new edge for what is left, so the caller retries
-    /// on its next deadline tick.
-    fn accept(&self, acceptor: &Acceptor) -> bool {
+    /// Accepts until the listener would block, registering each
+    /// connection behind a responder machine in the loop's own epoll set.
+    /// Returns how many it registered, and whether the backlog was
+    /// drained: any other error (fd exhaustion, say) cuts the drain
+    /// short, and an edge-triggered listener fires no new edge for what is
+    /// left, so the caller retries on its next deadline tick.
+    fn accept(&self, acceptor: &Acceptor, sessions: &mut Sessions) -> (usize, bool) {
+        let mut accepted = 0;
         loop {
             let stream = match acceptor.listener.accept() {
                 Ok((stream, _)) => stream,
-                Err(e) => return e.kind() == ErrorKind::WouldBlock,
+                Err(e) => return (accepted, e.kind() == ErrorKind::WouldBlock),
             };
             if self.open_sessions() >= acceptor.max_sessions
                 || stream.set_nodelay(true).is_err()
@@ -254,17 +200,10 @@ impl Shared {
             {
                 continue;
             }
-            self.enqueue(Session::new(stream, (acceptor.responder)()));
+            self.session_opened();
+            sessions.add(self, Session::new(stream, (acceptor.responder)()));
+            accepted += 1;
         }
-    }
-
-    /// Hands a session to the next worker round-robin and wakes that
-    /// worker.
-    fn enqueue(&self, session: Session) {
-        self.session_opened();
-        let idx = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[idx].lock().push(session);
-        self.wakers[idx].wake();
     }
 
     pub(crate) fn open_sessions(&self) -> usize {
@@ -282,7 +221,6 @@ impl Session {
             last_progress: Instant::now(),
             stalled: false,
             hung_up: false,
-            enqueued_at: Instant::now(),
         }
     }
 
@@ -295,40 +233,33 @@ impl Session {
     }
 }
 
-/// The worker pool driving every registered session.
+/// The reactor thread driving every accepted session.
 pub(crate) struct Reactor {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Starts one worker per configured thread, each on an epoll
-    /// instance of its own; worker 0's also holds `acceptor`'s listener,
-    /// which closes when that worker exits.
+    /// Starts the reactor thread, named `reactor-{port}` after the
+    /// listen port, on an epoll instance holding `acceptor`'s listener,
+    /// which closes when the thread exits.
     ///
     /// # Errors
     ///
-    /// The first epoll setup failure, before any worker starts.
+    /// An epoll setup or thread spawn failure.
     pub(crate) fn start(
         config: ReactorConfig,
         acceptor: Acceptor,
         obs: Obs,
         replica: u64,
     ) -> io::Result<Reactor> {
-        let workers = config.workers.max(1);
-        let pollers = (0..workers)
-            .map(|_| EpollPoller::new())
-            .collect::<io::Result<Vec<_>>>()?;
+        let poller = EpollPoller::new()?;
         acceptor.listener.set_nonblocking(true)?;
-        pollers[0].register(&acceptor.listener, LISTENER)?;
-        let mut acceptor = Some(acceptor);
-        let wakers = pollers.iter().map(EpollPoller::waker).collect();
+        poller.register(&acceptor.listener, LISTENER)?;
+        let port = acceptor.listener.local_addr()?.port();
         let shared = Arc::new(Shared {
             config,
             shutdown: AtomicBool::new(false),
-            queues: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            wakers,
-            next_queue: AtomicUsize::new(0),
             epoch: Instant::now(),
             obs,
             replica,
@@ -341,21 +272,19 @@ impl Reactor {
             syscalls: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
         });
-        let handles = pollers
-            .into_iter()
-            .enumerate()
-            .map(|(w, poller)| {
-                let shared = Arc::clone(&shared);
-                let acceptor = acceptor.take();
-                std::thread::Builder::new()
-                    .name(format!("net-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w, poller, acceptor))
-                    .expect("spawn net worker")
-            })
-            .collect();
+        let sessions = Sessions {
+            poller,
+            slots: Vec::new(),
+            free: Vec::new(),
+            hot: Vec::new(),
+        };
+        let serving = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name(format!("reactor-{port}"))
+            .spawn(move || serve(&serving, sessions, &acceptor))?;
         Ok(Reactor {
             shared,
-            workers: handles,
+            thread: Some(thread),
         })
     }
 
@@ -363,14 +292,12 @@ impl Reactor {
         &self.shared
     }
 
-    /// Stops the workers, failing every session still in flight.
+    /// Stops the thread, failing every session still in flight. The loop
+    /// notices within one [`DEADLINE_TICK`].
     pub(crate) fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for waker in &self.shared.wakers {
-            waker.wake();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -396,36 +323,24 @@ enum Verdict {
     Failed,
 }
 
-/// Per-worker telemetry: syscall/wakeup deltas accumulated locally and
-/// flushed to the shared counters plus one `net_poll` event per wakeup
-/// batch (and a final flush at shutdown).
+/// Telemetry: syscall and wakeup deltas accumulated locally and flushed
+/// to the shared counters, plus one `net_poll` event per batch of
+/// accepted connections (and a final flush at shutdown).
 #[derive(Default)]
 struct PollTelemetry {
     syscalls: u64,
     wakeups: u64,
-    woken: u64,
-    max_latency_us: u64,
 }
 
 impl PollTelemetry {
-    /// Records one wakeup that picked up `sessions` (measuring each
-    /// session's enqueue→pickup latency), then emits the batch.
-    fn on_wakeup(&mut self, shared: &Shared, sessions: &[Session]) {
-        self.wakeups += 1;
-        shared.wakeups.fetch_add(1, Ordering::Relaxed);
-        for session in sessions {
-            let us = session.enqueued_at.elapsed().as_micros() as u64;
-            self.max_latency_us = self.max_latency_us.max(us);
-            self.woken += 1;
-        }
-        self.emit(shared);
-    }
-
-    /// Adds a syscall delta to the shared counter and the pending event.
-    fn add_syscalls(&mut self, shared: &Shared, n: u64) {
-        if n > 0 {
-            self.syscalls += n;
-            shared.syscalls.fetch_add(n, Ordering::Relaxed);
+    /// Adds one loop pass: its syscalls, and whether its `epoll_wait`
+    /// found a ready socket.
+    fn add(&mut self, shared: &Shared, syscalls: u64, woke: bool) {
+        self.syscalls += syscalls;
+        shared.syscalls.fetch_add(syscalls, Ordering::Relaxed);
+        if woke {
+            self.wakeups += 1;
+            shared.wakeups.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -433,118 +348,107 @@ impl PollTelemetry {
         if self.syscalls == 0 && self.wakeups == 0 {
             return;
         }
-        let (syscalls, wakeups, woken, latency) =
-            (self.syscalls, self.wakeups, self.woken, self.max_latency_us);
-        let replica = shared.replica;
+        let (replica, syscalls, wakeups) = (shared.replica, self.syscalls, self.wakeups);
         shared.obs.emit(EventKind::NetPoll, || Event::NetPoll {
             replica,
             syscalls,
             wakeups,
-            woken,
-            wakeup_latency_us: latency,
         });
-        self.syscalls = 0;
-        self.wakeups = 0;
-        self.woken = 0;
-        self.max_latency_us = 0;
+        *self = PollTelemetry::default();
     }
 }
 
-/// One worker: sessions live in a token-indexed slab, their sockets
-/// registered edge-triggered with the worker's epoll instance; the worker
-/// blocks in `epoll_wait` until a socket is ready or the waker fires,
-/// then steps exactly the ready sessions. Sessions whose read was cut
-/// short by the fairness bound stay "hot" and are re-stepped with a
-/// zero-timeout wait in between (the edge-trigger contract: an
-/// un-drained socket fires no further events). Deadlines are enforced by
-/// a periodic sweep every [`DEADLINE_TICK`], which also retries a
-/// listener whose last drain an accept error cut short. Worker 0 owns the
-/// `acceptor`.
-fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller, acceptor: Option<Acceptor>) {
-    let mut slots: Vec<Option<Session>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut hot: Vec<usize> = Vec::new();
+/// The loop's sessions: a token-indexed slab whose sockets are registered
+/// edge-triggered with the loop's epoll instance.
+struct Sessions {
+    poller: EpollPoller,
+    slots: Vec<Option<Session>>,
+    free: Vec<usize>,
+    /// Tokens to step on the next pass whether or not an edge fires.
+    hot: Vec<usize>,
+}
+
+impl Sessions {
+    /// Registers a newly accepted session and marks it hot: its socket
+    /// may already hold bytes that will never fire an edge.
+    fn add(&mut self, shared: &Shared, session: Session) {
+        let token = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        match self.poller.register(&session.stream, token) {
+            Ok(()) => {
+                self.slots[token] = Some(session);
+                self.hot.push(token);
+            }
+            Err(_) => {
+                self.free.push(token);
+                finalize(shared, session, Verdict::Failed);
+            }
+        }
+    }
+
+    /// Takes the session at `token` out of the slab and finalizes it.
+    fn remove(&mut self, shared: &Shared, token: usize, verdict: Verdict) {
+        if let Some(session) = self.slots[token].take() {
+            self.free.push(token);
+            finalize(shared, session, verdict);
+        }
+    }
+}
+
+/// The reactor loop: blocks in `epoll_wait` until a socket is ready, then
+/// accepts or steps exactly the ready sessions. Sessions whose read was
+/// cut short by the fairness bound stay "hot" and are re-stepped with a
+/// zero-timeout wait in between (the edge-trigger contract: an un-drained
+/// socket fires no further events). Deadlines are enforced by a periodic
+/// sweep every [`DEADLINE_TICK`], which also retries a listener whose
+/// last drain an accept error cut short.
+fn serve(shared: &Shared, mut sessions: Sessions, acceptor: &Acceptor) {
     let mut ready: Vec<usize> = Vec::new();
-    let mut incoming: Vec<Session> = Vec::new();
     let mut read_buf = vec![0u8; READ_BUF];
     let mut telemetry = PollTelemetry::default();
     let mut last_tick = Instant::now();
     let mut backlog = false;
     let tick_ms = DEADLINE_TICK.as_millis() as i32;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            incoming.append(&mut shared.queues[index].lock());
-            for session in incoming.drain(..).chain(slots.drain(..).flatten()) {
-                finalize(shared, session, Verdict::Failed);
-            }
-            telemetry.emit(shared);
-            return;
-        }
-
-        // Intake: adopt newly accepted sessions into the slab. They are
-        // stepped immediately (hot): an accepted socket may already hold
-        // bytes that will never fire an edge.
-        incoming.append(&mut shared.queues[index].lock());
-        if !incoming.is_empty() {
-            telemetry.on_wakeup(shared, &incoming);
-            for session in incoming.drain(..) {
-                let token = free.pop().unwrap_or_else(|| {
-                    slots.push(None);
-                    slots.len() - 1
-                });
-                match poller.register(&session.stream, token) {
-                    Ok(()) => {
-                        slots[token] = Some(session);
-                        hot.push(token);
-                    }
-                    Err(_) => {
-                        free.push(token);
-                        finalize(shared, session, Verdict::Failed);
-                    }
-                }
-            }
-        }
-
+    while !shared.shutdown.load(Ordering::SeqCst) {
         // Wait for readiness — not at all while hot sessions need
         // re-stepping, else until the next deadline tick.
-        let timeout = if hot.is_empty() { tick_ms } else { 0 };
+        let timeout = if sessions.hot.is_empty() { tick_ms } else { 0 };
         let mut syscalls = 1u64;
-        if poller.wait(timeout, &mut ready).is_err() {
-            // epoll_wait failing is unrecoverable for this worker; fail
+        if sessions.poller.wait(timeout, &mut ready).is_err() {
+            // epoll_wait failing is unrecoverable for this loop; fail
             // everything rather than spin.
-            for session in slots.iter_mut().filter_map(Option::take) {
-                finalize(shared, session, Verdict::Failed);
+            for token in 0..sessions.slots.len() {
+                sessions.remove(shared, token, Verdict::Failed);
             }
-            hot.clear();
+            sessions.hot.clear();
             continue;
         }
-        for &token in poller.hung_up() {
-            if let Some(session) = slots.get_mut(token).and_then(Option::as_mut) {
+        let woke = !ready.is_empty();
+        for &token in sessions.poller.hung_up() {
+            if let Some(session) = sessions.slots.get_mut(token).and_then(Option::as_mut) {
                 session.hung_up = true;
             }
         }
-        ready.append(&mut hot);
+        ready.append(&mut sessions.hot);
         ready.sort_unstable();
         ready.dedup();
 
+        let mut accepted = 0;
         for &token in &ready {
             if token == LISTENER {
-                if let Some(acceptor) = &acceptor {
-                    backlog = !shared.accept(acceptor);
-                }
+                let (count, drained) = shared.accept(acceptor, &mut sessions);
+                (accepted, backlog) = (accepted + count, !drained);
                 continue;
             }
-            let Some(session) = slots.get_mut(token).and_then(Option::as_mut) else {
+            let Some(session) = sessions.slots.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
             match step(shared, session, &mut read_buf, &mut syscalls) {
                 Verdict::Keep => {}
-                Verdict::Again => hot.push(token),
-                verdict => {
-                    let session = slots[token].take().expect("stepped session");
-                    free.push(token);
-                    finalize(shared, session, verdict);
-                }
+                Verdict::Again => sessions.hot.push(token),
+                verdict => sessions.remove(shared, token, verdict),
             }
         }
 
@@ -552,26 +456,32 @@ fn worker_loop(shared: &Shared, index: usize, mut poller: EpollPoller, acceptor:
         // quiet, so timeouts are enforced on a coarse periodic tick.
         if last_tick.elapsed() >= DEADLINE_TICK {
             last_tick = Instant::now();
-            if let Some(acceptor) = acceptor.as_ref().filter(|_| backlog) {
-                backlog = !shared.accept(acceptor);
+            if backlog {
+                let (count, drained) = shared.accept(acceptor, &mut sessions);
+                (accepted, backlog) = (accepted + count, !drained);
             }
-            for (token, slot) in slots.iter_mut().enumerate() {
-                let Some(session) = slot.as_ref() else {
-                    continue;
-                };
-                if let Some(verdict) = deadline_verdict(shared, session) {
-                    let session = slot.take().expect("checked session");
-                    free.push(token);
-                    finalize(shared, session, verdict);
+            for token in 0..sessions.slots.len() {
+                let verdict = sessions.slots[token]
+                    .as_ref()
+                    .and_then(|session| deadline_verdict(shared, session));
+                if let Some(verdict) = verdict {
+                    sessions.remove(shared, token, verdict);
                 }
             }
         }
-        telemetry.add_syscalls(shared, syscalls);
+        telemetry.add(shared, syscalls, woke);
+        if accepted > 0 {
+            telemetry.emit(shared);
+        }
     }
+    for token in 0..sessions.slots.len() {
+        sessions.remove(shared, token, Verdict::Failed);
+    }
+    telemetry.emit(shared);
 }
 
 /// Accounts a removed session; dropping it closes the socket, which also
-/// takes it out of the worker's epoll set.
+/// takes it out of the loop's epoll set.
 fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
     shared.open.fetch_sub(1, Ordering::Relaxed);
     // A responder that served sessions before going quiet already counted
@@ -583,7 +493,7 @@ fn finalize(shared: &Shared, mut session: Session, verdict: Verdict) {
 }
 
 /// Applies idle/stall/backpressure deadlines to a kept session, on the
-/// worker's periodic tick (no event fires for a peer that went quiet).
+/// loop's periodic tick (no event fires for a peer that went quiet).
 fn deadline_verdict(shared: &Shared, session: &Session) -> Option<Verdict> {
     let quiet = session.last_progress.elapsed();
     let (limit, verdict) = if session.machine.is_idle() && !session.stalled {
@@ -672,17 +582,15 @@ fn step(
         }
     }
 
-    // Feed complete frames to the machine, encoding replies into a
-    // recycled outbox segment. A responder resets to idle after each
-    // session; the connection stays registered for the next one.
-    let mut seg = session.out.take_seg();
+    // Feed complete frames to the machine, which appends its replies to
+    // the outbox. A responder resets to idle after each session; the
+    // connection stays registered for the next one.
     let fed = feed(
         &mut session.machine,
         &mut session.accum,
         shared.now_ms(),
-        &mut seg,
+        session.out.queue(),
     );
-    session.out.push_seg(seg);
     match fed {
         Ok(completed) => {
             shared
@@ -713,5 +621,78 @@ fn step(
         Verdict::Keep
     } else {
         Verdict::Again
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Takes at most `room` bytes per write, then would block once.
+    struct Trickle {
+        got: Vec<u8>,
+        room: usize,
+        blocked: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.blocked {
+                self.blocked = false;
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.blocked = true;
+            let n = buf.len().min(self.room);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn outbox_keeps_byte_order_across_partial_writes_and_gives_back_a_big_buffer() {
+        let mut out = OutBuf::default();
+        let mut sink = Trickle {
+            got: Vec::new(),
+            room: 3,
+            blocked: false,
+        };
+        let mut syscalls = 0;
+        out.queue().extend_from_slice(b"abcdefgh");
+        assert!(out.flush(&mut sink, &mut syscalls).unwrap());
+        assert_eq!((sink.got.as_slice(), out.pending()), (&b"abc"[..], 5));
+        // Appended after a partial write, behind what is still queued.
+        out.queue().extend_from_slice(b"ij");
+        assert_eq!(out.pending(), 7);
+        while out.pending() > 0 {
+            out.flush(&mut sink, &mut syscalls).unwrap();
+        }
+        assert_eq!(sink.got, b"abcdefghij");
+        assert_eq!(
+            syscalls, 7,
+            "four writes, three of them cut short by WouldBlock"
+        );
+        assert!(
+            !out.flush(&mut sink, &mut syscalls).unwrap(),
+            "nothing queued"
+        );
+
+        // A drained outbox above the cap lets its buffer go; one at or
+        // under the cap keeps it for the next batch.
+        out.queue().resize(OUTBOX_KEEP + 1, 7);
+        sink.room = usize::MAX;
+        while out.pending() > 0 {
+            out.flush(&mut sink, &mut syscalls).unwrap();
+        }
+        assert_eq!(out.buf.capacity(), 0);
+        out.queue().resize(OUTBOX_KEEP / 2, 7);
+        while out.pending() > 0 {
+            out.flush(&mut sink, &mut syscalls).unwrap();
+        }
+        assert!(out.buf.capacity() >= OUTBOX_KEEP / 2);
+        assert_eq!(sink.got.len(), 10 + OUTBOX_KEEP + 1 + OUTBOX_KEEP / 2);
     }
 }

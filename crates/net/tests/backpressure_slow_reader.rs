@@ -15,7 +15,7 @@ use dtn::{DtnNode, PolicyKind};
 use net::{Membership, MembershipConfig, NetConfig, NetNode, SessionMachine};
 use parking_lot::Mutex;
 use pfr::{ReplicaId, SimTime, SyncLimits};
-use transport::pump;
+use transport::{pump, DialConfig};
 
 /// The base seed for the swept payload size, offset by `TESTKIT_SEED`
 /// when set (the CI matrix sets 0..8).
@@ -75,7 +75,10 @@ fn slow_reader_survives_backpressure() {
             // A bound the batch exceeds by three orders of magnitude.
             write_queue_limit: 4 * 1024,
             // The reader is slow, not dead: the stall must not fire.
-            stall_timeout: Duration::from_secs(30),
+            dial: DialConfig {
+                io_timeout: Duration::from_secs(30),
+                ..DialConfig::default()
+            },
             gossip_interval: Duration::ZERO,
             ..NetConfig::default()
         },

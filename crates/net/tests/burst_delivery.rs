@@ -5,7 +5,7 @@
 //! own, in Full or Digest mode,
 //! then a quiescing round lets every client pull the complete set. Every
 //! inbox must then hold exactly what was addressed to it — every message
-//! once, none twice — whatever interleaving the reactor's workers chose.
+//! once, none twice — whatever interleaving the threads and the reactor chose.
 //!
 //! The base seed honours `TESTKIT_SEED` so the CI matrix sweeps it.
 

@@ -39,7 +39,10 @@ fn quiet(stall: Duration) -> NetConfig {
     NetConfig {
         workers: 1,
         gossip_interval: Duration::ZERO,
-        stall_timeout: stall,
+        dial: DialConfig {
+            io_timeout: stall,
+            ..DialConfig::default()
+        },
         ..NetConfig::default()
     }
 }
@@ -323,7 +326,7 @@ fn churn_from_four_caller_threads_leaks_nothing() {
     // What was opened since is the pool: at most one connection (two
     // ends) per caller thread and responder — the warm-up left one to
     // each already — and none to the proxy. Responders drop their ends
-    // of cut sessions as their workers get to them.
+    // of cut sessions as their reactor threads get to them.
     proxy.stop();
     let bound = started.map(|fds| fds + 2 * (THREADS - 1) * responders.len());
     let deadline = Instant::now() + Duration::from_secs(5);

@@ -702,7 +702,7 @@ fn the_blocking_pump_over_tcp_equals_the_machine() {
     });
 }
 
-/// Responders on reactor workers, initiators on the caller's thread.
+/// Responders on the reactor thread, initiators on the caller's thread.
 #[test]
 fn the_caller_thread_driver_equals_the_machine() {
     every_case(|policy, mode, reference| {

@@ -504,20 +504,17 @@ events! {
         /// Bytes queued when the stall was declared.
         queued_bytes: u64,
     },
-    /// One reactor-worker poll batch: syscall and wakeup deltas from the
-    /// worker's epoll loop (emitted when a parked worker wakes to pick up
-    /// sessions, and flushed once more at worker shutdown).
+    /// One reactor poll batch: syscall and wakeup deltas from a `net`
+    /// node's epoll loop (emitted after a pass that accepted connections,
+    /// and flushed once more at shutdown).
     NetPoll => "net_poll" {
         /// The local replica.
         replica: u64,
         /// Socket/poll syscalls issued since the last batch.
         syscalls: u64,
-        /// Worker wakeups in this batch.
+        /// `epoll_wait` returns that found a ready socket since the last
+        /// batch.
         wakeups: u64,
-        /// Sessions picked up by those wakeups.
-        woken: u64,
-        /// Worst enqueue→pickup latency in the batch, microseconds.
-        wakeup_latency_us: u64,
     },
     /// An emulation under a residency cap parked a cold replica's
     /// snapshot on disk — or brought it back — to bound resident memory.

@@ -451,17 +451,10 @@ impl Observer for Registry {
                 self.observe("net.write_queue_bytes", *queued_bytes);
             }
             Event::NetPoll {
-                syscalls,
-                wakeups,
-                woken,
-                wakeup_latency_us,
-                ..
+                syscalls, wakeups, ..
             } => {
                 self.add("net.syscalls", *syscalls);
                 self.add("net.wakeups", *wakeups);
-                if *woken > 0 {
-                    self.observe("net.wakeup_latency_us", *wakeup_latency_us);
-                }
             }
             Event::ReplicaSpill {
                 bytes,
@@ -755,15 +748,11 @@ mod tests {
             replica: 1,
             syscalls: 42,
             wakeups: 3,
-            woken: 5,
-            wakeup_latency_us: 120,
         });
         r.on_event(&Event::NetPoll {
             replica: 1,
             syscalls: 8,
             wakeups: 0,
-            woken: 0,
-            wakeup_latency_us: 0,
         });
         let snap = r.snapshot();
         assert_eq!(snap.counter("net.sessions"), 2);
@@ -775,8 +764,6 @@ mod tests {
         assert_eq!(snap.counter("net.backpressure_stalls"), 1);
         assert_eq!(snap.counter("net.syscalls"), 50);
         assert_eq!(snap.counter("net.wakeups"), 3);
-        // The zero-woken batch must not pollute the latency histogram.
-        assert_eq!(snap.histogram("net.wakeup_latency_us").unwrap().count(), 1);
         assert_eq!(snap.histogram("net.session_micros").unwrap().count(), 2);
         assert_eq!(snap.histogram("net.membership").unwrap().max(), 12);
         assert_eq!(

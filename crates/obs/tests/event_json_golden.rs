@@ -270,10 +270,8 @@ fn cases() -> Vec<(Event, &'static str)> {
                 replica: 110,
                 syscalls: 111,
                 wakeups: 112,
-                woken: 113,
-                wakeup_latency_us: 114,
             },
-            r#"{"event":"net_poll","replica":110,"syscalls":111,"wakeups":112,"woken":113,"wakeup_latency_us":114}"#,
+            r#"{"event":"net_poll","replica":110,"syscalls":111,"wakeups":112}"#,
         ),
         (
             Event::ReplicaSpill {

@@ -36,6 +36,11 @@ use crate::session::{SessionError, SessionMachine, SessionOutcome};
 /// Where the exponential retry backoff saturates.
 pub const BACKOFF_CAP: Duration = Duration::from_secs(5);
 
+/// How long a served connection may sit idle between sessions before its
+/// server closes it, whether a [`Peer`](crate::Peer) or `net`'s reactor
+/// serves it. A dialer pools a connection for half of that.
+pub const SERVE_IDLE: Duration = Duration::from_secs(10);
+
 /// Timeout and retry policy for outbound dials.
 ///
 /// The original dial path blocked without bound on a stalled peer (OS

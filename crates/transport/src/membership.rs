@@ -17,6 +17,13 @@
 //!   outbids the claim (saturating, so a forged `u64::MAX` can neither
 //!   overflow nor lower it). A rejoined node starts at 0 and re-enters
 //!   by refuting the first standing suspicion that reaches it.
+//! * **Routes first-hand.** A member's address moves only through its
+//!   own word: the sender of a merged view, or [`Membership::observe_alive`].
+//!   A second-hand entry about a known member at another address is
+//!   ignored whole (address, incarnation and status), so a forged route
+//!   cannot divert dials; unknown members are still learned second-hand.
+//!   The cost: a member that moved is healed in a third party's view only
+//!   by first-hand contact, or by eviction and rediscovery.
 //! * **Aging.** Entries carry ages, not timestamps, so no clocks need
 //!   agree: unrefreshed for `suspect_after` turns `Suspect`, for
 //!   `evict_after` evicts.
@@ -284,12 +291,13 @@ impl Membership {
                     },
                 );
             }
+            // Second-hand word never moves a member we hold.
+            Some(entry) if entry.addr != remote.addr => {}
             Some(entry) => {
                 if remote.incarnation > entry.incarnation {
                     // A higher incarnation outranks everything we hold.
                     entry.incarnation = remote.incarnation;
                     entry.status = remote.status;
-                    entry.addr = remote.addr.clone();
                     entry.fresh_ms = remote_fresh;
                 } else if remote.incarnation == entry.incarnation {
                     // Equal incarnation: suspicion spreads, freshness
@@ -606,6 +614,47 @@ mod tests {
             300,
         );
         assert_eq!(b.incarnation(), u64::MAX);
+    }
+
+    #[test]
+    fn second_hand_word_never_moves_a_known_member() {
+        let mut a = Membership::new(1, "a:1", config());
+        a.observe_alive(2, "b:1", 0);
+        let b = |a: &Membership| a.view().into_iter().find(|p| p.replica == 2).unwrap();
+        // A higher incarnation at another address changes nothing: not the
+        // route, not the incarnation, not the status.
+        for status in [PeerStatus::Alive, PeerStatus::Suspect] {
+            a.merge(
+                &gossip(
+                    wire(3, "c:1", 0, PeerStatus::Alive),
+                    vec![wire(2, "elsewhere:1", u64::MAX - 1, status)],
+                ),
+                100,
+            );
+            let held = b(&a);
+            assert_eq!((held.addr.as_str(), held.incarnation), ("b:1", 0));
+            assert_eq!(held.status, PeerStatus::Alive);
+        }
+        // Word at the held address still counts, and unknown members are
+        // still learned second-hand.
+        a.merge(
+            &gossip(
+                wire(3, "c:1", 0, PeerStatus::Alive),
+                vec![
+                    wire(2, "b:1", 4, PeerStatus::Suspect),
+                    wire(4, "d:1", 0, PeerStatus::Alive),
+                ],
+            ),
+            200,
+        );
+        assert_eq!((b(&a).incarnation, b(&a).status), (4, PeerStatus::Suspect));
+        assert_eq!(a.view().len(), 3);
+        // The member's own message moves it.
+        a.merge(&gossip(wire(2, "b:2", 5, PeerStatus::Alive), vec![]), 300);
+        assert_eq!(
+            (b(&a).addr, b(&a).status),
+            ("b:2".to_string(), PeerStatus::Alive)
+        );
     }
 
     #[test]

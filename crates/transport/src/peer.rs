@@ -13,13 +13,9 @@ use parking_lot::Mutex;
 use pfr::{SimTime, SyncLimits};
 
 use crate::conn::pump;
-use crate::dial::{DialConfig, Dialer};
+use crate::dial::{DialConfig, Dialer, SERVE_IDLE};
 use crate::membership::{Membership, MembershipConfig};
 use crate::session::{SessionError, SessionMachine, SessionReport};
-
-/// How long a served connection may sit idle between sessions before its
-/// thread closes it. The dialer pools a connection for half of that.
-const SERVE_IDLE: Duration = Duration::from_secs(10);
 
 /// Errors from running a peer.
 #[derive(Debug)]

@@ -126,15 +126,16 @@ USAGE:
       epoll reactor (crates/net; Linux only, elsewhere it fails at start
       and the default transport is the one to use). The reactor is
       inbound only; callers dial: it serves up to --max-sessions
-      concurrent inbound sessions on a small worker pool, while one
-      control thread dials a gossip round, bootstrapped from --seed-peer
+      concurrent inbound sessions on one thread, while one control
+      thread dials a gossip round, bootstrapped from --seed-peer
       addresses, every --gossip-interval-ms and a sync with the next
       discovered member every --anti-entropy-ms, sleeping in between (0
       turns one off, not the other). --connect-timeout-ms /
       --io-timeout-ms bound the socket of both transports; --retries /
-      --backoff-ms retry a failed dial of the blocking one with
-      exponential backoff (capped at 5 s) plus jitter drawn from --id, so
-      two peers chasing one dead address do not retry in lockstep.
+      --backoff-ms retry every failed dial of either (--connect, gossip
+      and anti-entropy alike) with exponential backoff (capped at 5 s)
+      plus jitter drawn from --id, so two peers chasing one dead address
+      do not retry in lockstep.
 
   replidtn fig --id <5|6|7a|7b|8|9|10> [--events FILE] [--stats]
       Regenerate one figure of the paper (equivalent to the bench target).
@@ -530,14 +531,13 @@ fn peer(args: &[String]) -> Result<(), String> {
     let mut last_now = SimTime::ZERO;
     let mut node = if flags.has("gossip") {
         // The async reactor serves thousands of concurrent inbound
-        // sessions on a small worker pool; one control thread dials gossip
-        // peer discovery and periodic anti-entropy syncs over the
-        // discovered view.
+        // sessions on one thread; one control thread dials gossip peer
+        // discovery and periodic anti-entropy syncs over the discovered
+        // view.
         let defaults = NetConfig::default();
         let config = NetConfig {
             max_sessions: flags.num("max-sessions", defaults.max_sessions)?,
-            connect_timeout: dial.connect_timeout,
-            stall_timeout: dial.io_timeout,
+            dial,
             gossip_interval: std::time::Duration::from_millis(
                 flags.num("gossip-interval-ms", 1_000u64)?,
             ),

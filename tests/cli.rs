@@ -112,3 +112,26 @@ fn fig_prints_its_table() {
         .expect("run fig");
     assert_eq!(unknown.status.code(), Some(1), "{unknown:?}");
 }
+
+/// `peer --gossip` dials by the same `--retries`/`--backoff-ms` policy as
+/// the blocking peer: three retries backing off from 200 ms wait at least
+/// 200 + 400 + 800 ms before the refused `--connect` fails the command.
+#[test]
+fn a_gossip_peer_retries_a_refused_connect() {
+    let bin = env!("CARGO_BIN_EXE_replidtn");
+    let started = std::time::Instant::now();
+    let out = Command::new(bin)
+        .args(["peer", "--gossip", "--id", "1", "--address", "a"])
+        .args(["--listen", "127.0.0.1:0", "--connect", "127.0.0.1:1"])
+        .args(["--retries", "3", "--backoff-ms", "200"])
+        .output()
+        .expect("run peer");
+    let took = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("syncing with 127.0.0.1:1"),
+        "stderr: {stderr}"
+    );
+    assert!(took >= std::time::Duration::from_millis(1400), "{took:?}");
+}
